@@ -78,9 +78,6 @@ type Config struct {
 	// groups with one record arena per channel. Per-channel traffic
 	// appears as obs counters channel.<i>.* (see `danactl stats`).
 	Channels int
-	// PipelineDepth bounds in-flight extracted page batches per worker
-	// (0 = default).
-	PipelineDepth int
 	// NoExtractCache disables the cross-epoch extracted-record cache,
 	// forcing every epoch to re-walk the heap through the Striders.
 	NoExtractCache bool
@@ -149,7 +146,6 @@ func Open(cfg Config) (*Engine, error) {
 	opts.Workers = cfg.Workers
 	opts.Channels = cfg.Channels
 	opts.Cost.Link.Channels = cfg.Channels
-	opts.PipelineDepth = cfg.PipelineDepth
 	opts.NoExtractCache = cfg.NoExtractCache
 	opts.DisableObs = cfg.DisableObs
 	opts.Faults = cfg.Faults

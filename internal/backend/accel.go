@@ -15,8 +15,15 @@ import (
 // extraction pipeline. It is the streaming backend — RunEpoch accepts
 // the page-order batch stream and preserves the exact feed order the
 // bit-identity invariants depend on.
+//
+// One pipeline serves three registrations, told apart only by the
+// capability set the constructor installs: the accelerator itself, the
+// TABLA design point (Tabla, which swaps the engine config), and the
+// any-precision weave window (NewWeaveAccel, which switches the
+// requantisation stage on).
 type Accel struct {
-	env Env
+	env  Env
+	caps Capabilities
 
 	m      *engine.Machine
 	stream *engine.EpochStream
@@ -26,15 +33,18 @@ type Accel struct {
 	// feed is stream.Feed bound once at Configure, so the per-epoch
 	// streaming path allocates no closures.
 	feed func([][]float32) error
-	// rows32 is the scratch buffer for Rows64-form epochs.
+	// rows32 is the scratch buffer epochs are materialized into when the
+	// stream form is not already float32 rows.
 	rows32 [][]float32
+
+	// weave is the requantisation stage, on (bits > 0) when caps
+	// declares a read window.
+	weave weaveStage
 }
 
 // NewAccel builds an unconfigured accelerator backend.
-func NewAccel(env Env) *Accel { return &Accel{env: env} }
-
-func (b *Accel) Capabilities() Capabilities {
-	return Capabilities{
+func NewAccel(env Env) *Accel {
+	return &Accel{env: env, caps: Capabilities{
 		Name:                  NameAccelerator,
 		Classes:               AllClasses(),
 		Precision:             PrecisionFloat32,
@@ -42,20 +52,23 @@ func (b *Accel) Capabilities() Capabilities {
 		ModelTolerance:        5e-3, // float32 datapath vs float64 golden
 		Streaming:             true,
 		Accelerated:           true,
-	}
+	}}
 }
 
+func (b *Accel) Capabilities() Capabilities { return b.caps }
+
 func (b *Accel) checkJob(job Job) error {
-	if !admissible(b.Capabilities(), job) {
-		return fmt.Errorf("%w: %s cannot run class=%s precision=%q",
-			ErrUnsupported, NameAccelerator, job.Class, job.Precision)
+	if !admissible(b.caps, job) {
+		return fmt.Errorf("%w: %s cannot run class=%s precision=%q bits=%d",
+			ErrUnsupported, b.caps.Name, job.Class, job.Precision, job.Bits)
 	}
 	return nil
 }
 
 // EstimateCost prices the job as cost.DAnA: the compiled program's
 // static cycle estimate at the design's thread count, pipelined against
-// Strider unpacking and link transfer.
+// Strider unpacking and link transfer. Under a weave window the link
+// and the Strider unpack are charged for the k-bit vertical layout.
 func (b *Accel) EstimateCost(job Job) (Cost, error) {
 	if err := b.checkJob(job); err != nil {
 		return Cost{}, err
@@ -65,22 +78,67 @@ func (b *Accel) EstimateCost(job Job) (Cost, error) {
 		est := job.Engine.Estimate(job.Design.Engine)
 		w.EpochCycles = est.EpochCycles(job.Tuples, max1(job.MergeCoef), job.Design.Engine.Threads)
 	}
+	if b.caps.MaxBits > 0 {
+		chargeWeave(&w, job, 1)
+	}
 	bd := cost.DAnA(w, b.env.Cost, job.Warm)
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
+}
+
+// ModeledSeconds integrates the run's measured counters: engine,
+// Striders, and link transfer overlap (pipeline-max at the FPGA clock),
+// then I/O and setup add. Transfer is charged through the channel model
+// (max-over-channels of the round-robin page shares); the run's page
+// stream — cached replays included — is one interleaved sequence, and
+// the zero-value Cost.Link reproduces the legacy scalar PCIe×scale
+// charge exactly. Under a weave window the link ships the vertical
+// layout instead of heap pages, one geometry pass per relation pass of
+// the actual page stream, so retries and cached replays charge the same
+// number of passes either way.
+func (b *Accel) ModeledSeconds(job Job, run Run) float64 {
+	clock := b.env.FPGA.ClockHz
+	engineSec := float64(run.EngineCycles) / clock
+	striderSec := float64(run.StriderCycles) / clock
+	cp := b.env.Cost
+	if cp.BandwidthScale == 0 {
+		cp.BandwidthScale = 1
+	}
+	tw := cost.Workload{
+		DatasetBytes: run.Pages * int64(job.PageSize),
+		Pages:        int(run.Pages),
+	}
+	if b.caps.MaxBits > 0 {
+		hp := int64(max1(job.Pages))
+		chargeWeave(&tw, job, (run.Pages+hp-1)/hp)
+	}
+	pipe := engineSec
+	if striderSec > pipe {
+		pipe = striderSec
+	}
+	if transferSec := cost.TransferSec(tw, cp); transferSec > pipe {
+		pipe = transferSec
+	}
+	return pipe + run.IOSeconds + b.env.Cost.SetupSec
 }
 
 // Configure builds the engine machine for the program, applies the
 // host-worker fan-out (wall-clock only; modeled cycles are
 // schedule-determined), and seeds the initial model.
-func (b *Accel) Configure(p Program) error {
-	return b.configure(p, p.EngineCfg, b.Capabilities())
-}
+func (b *Accel) Configure(p Program) error { return b.configure(p, p.EngineCfg) }
 
 // configure is shared with the embedding Tabla backend, which passes
-// its own engine config and capability set.
-func (b *Accel) configure(p Program, cfg engine.Config, caps Capabilities) error {
+// its own engine config.
+func (b *Accel) configure(p Program, cfg engine.Config) error {
+	caps := b.caps
 	if p.Graph == nil || p.Engine == nil {
 		return fmt.Errorf("%w: %s needs a compiled engine program", ErrUnsupported, caps.Name)
+	}
+	var weave weaveStage
+	if caps.MaxBits > 0 {
+		var err error
+		if weave, err = newWeaveStage(caps, p); err != nil {
+			return err
+		}
 	}
 	class := Classify(p.Graph)
 	if !caps.Supports(class) {
@@ -91,7 +149,7 @@ func (b *Accel) configure(p Program, cfg engine.Config, caps Capabilities) error
 		return err
 	}
 	m.SetObs(b.env.obs())
-	m.SetHostWorkers(hostWorkers(b.env.Workers, p.Striders))
+	m.SetHostWorkers(HostWorkers(b.env.Workers, p.Striders))
 	init := initModel(p)
 	if init != nil {
 		if err := m.SetModel(narrow32(init)); err != nil {
@@ -102,7 +160,7 @@ func (b *Accel) configure(p Program, cfg engine.Config, caps Capabilities) error
 	if b.m != nil {
 		b.m.Close()
 	}
-	b.m, b.class, b.graph = m, class, p.Graph
+	b.m, b.class, b.graph, b.weave = m, class, p.Graph, weave
 	b.stream = m.StreamEpoch(b.batch)
 	b.feed = b.stream.Feed
 	return nil
@@ -112,21 +170,52 @@ func (b *Accel) configure(p Program, cfg engine.Config, caps Capabilities) error
 // incremental epoch stream in arrival order (the extraction pipeline);
 // the materialized forms replay through the engine's whole-epoch entry
 // point. Both charge identical modeled counters — the conformance
-// suite's determinism check crosses the two forms to prove it.
+// suite's determinism check crosses the two forms to prove it. With the
+// weave stage on, every form is materialized and requantised first.
 func (b *Accel) RunEpoch(st *Stream) error {
 	if b.m == nil {
 		return ErrNotConfigured
 	}
-	switch {
-	case st != nil && st.Batches != nil:
+	if st == nil {
+		return b.m.RunEpoch(nil, b.batch)
+	}
+	if st.Batches != nil && b.weave.bits == 0 {
 		b.stream.Reset()
 		if err := st.Batches(b.feed); err != nil {
 			return err
 		}
 		return b.stream.Finish()
-	case st != nil && st.Rows32 != nil:
-		return b.m.RunEpoch(st.Rows32, b.batch)
-	case st != nil && st.Rows64 != nil:
+	}
+	rows, err := b.materialize(st)
+	if err != nil {
+		return err
+	}
+	if b.weave.bits > 0 && rows != nil {
+		if rows, err = b.weave.requantise(rows); err != nil {
+			return err
+		}
+	}
+	return b.m.RunEpoch(rows, b.batch)
+}
+
+// materialize returns the epoch as float32 rows: Rows32 as delivered,
+// Rows64 narrowed into the scratch buffer, a batch stream drained into
+// it (copied — the producer recycles batch storage). Nil means the
+// stream carried no tuples.
+func (b *Accel) materialize(st *Stream) ([][]float32, error) {
+	switch {
+	case st.Batches != nil:
+		b.rows32 = b.rows32[:0]
+		err := st.Batches(func(batch [][]float32) error {
+			for _, r := range batch {
+				b.rows32 = append(b.rows32, append([]float32(nil), r...))
+			}
+			return nil
+		})
+		return b.rows32, err
+	case st.Rows32 != nil:
+		return st.Rows32, nil
+	case st.Rows64 != nil:
 		if len(b.rows32) != len(st.Rows64) {
 			b.rows32 = make([][]float32, len(st.Rows64))
 		}
@@ -138,10 +227,9 @@ func (b *Accel) RunEpoch(st *Stream) error {
 				b.rows32[i][j] = float32(v)
 			}
 		}
-		return b.m.RunEpoch(b.rows32, b.batch)
-	default:
-		return b.m.RunEpoch(nil, b.batch)
+		return b.rows32, nil
 	}
+	return nil, nil
 }
 
 // Score runs inference in the float32 datapath width.
@@ -149,7 +237,7 @@ func (b *Accel) Score(model []float64, rows [][]float64) ([]float64, error) {
 	if b.m == nil {
 		return nil, ErrNotConfigured
 	}
-	return score32(b.class, b.graph, model, rows)
+	return score[float32](b.class, b.graph, model, rows)
 }
 
 func (b *Accel) Model() []float64 {
@@ -188,9 +276,14 @@ func (b *Accel) Close() {
 	}
 }
 
-// hostWorkers mirrors the integration layer's historical clamp: 0 means
-// GOMAXPROCS, capped at the design's in-process Strider count.
-func hostWorkers(workers, striders int) int {
+// InProcessStriders clamps a design's Strider count to the in-process
+// VM instances the host runs (the cycle model is unchanged by the clamp).
+func InProcessStriders(n int) int { return min(max(n, 1), 16) }
+
+// HostWorkers is the one host fan-out clamp, shared by the engine-side
+// batch fan-out here and the integration layer's extraction workers: 0
+// means GOMAXPROCS, capped at the design's in-process Strider count.
+func HostWorkers(workers, striders int) int {
 	if workers <= 0 {
 		workers = hostrt.GOMAXPROCS(0)
 	}

@@ -221,6 +221,27 @@ type Cost struct {
 	Breakdown cost.Breakdown
 }
 
+// Run carries the counters of one executed training run that a backend
+// integrates into its modeled time: the engine and Strider makespans,
+// the pages streamed through the extraction pipeline (cached replays
+// included), and the buffer pool's modeled I/O.
+type Run struct {
+	EngineCycles  int64
+	StriderCycles int64
+	Pages         int64
+	IOSeconds     float64
+}
+
+// EstimatedSeconds is the ModeledSeconds of a row-fed backend: its
+// analytic estimate for the job (0 when the job is inadmissible).
+func EstimatedSeconds(be Backend, job Job) float64 {
+	c, err := be.EstimateCost(job)
+	if err != nil {
+		return 0
+	}
+	return c.Seconds
+}
+
 // Program is one prepared training job handed to Configure: the
 // translated hDFG (reference semantics), the compiled engine program
 // and design point (hardware semantics), and the initial model.
@@ -270,6 +291,45 @@ type Stream struct {
 	Rows64  [][]float64
 }
 
+// Widened returns the epoch as float64 rows for reference-precision
+// backends: Rows64 as delivered, either float32 form widened (exact)
+// into *scratch, whose row storage is recycled from epoch to epoch.
+// Nil means the stream carried no tuples.
+func (st *Stream) Widened(scratch *[][]float64) ([][]float64, error) {
+	if st == nil {
+		return nil, nil
+	}
+	if st.Rows64 != nil || (st.Rows32 == nil && st.Batches == nil) {
+		return st.Rows64, nil // delivered as-is, or an empty stream
+	}
+	out := (*scratch)[:0]
+	widen := func(rows [][]float32) error {
+		for _, row := range rows {
+			var w []float64
+			if len(out) < cap(out) {
+				w = out[:len(out)+1][len(out)] // the row parked here last epoch
+			}
+			if cap(w) < len(row) {
+				w = make([]float64, len(row))
+			}
+			w = w[:len(row)]
+			for j, v := range row {
+				w[j] = float64(v)
+			}
+			out = append(out, w)
+		}
+		return nil
+	}
+	var err error
+	if st.Rows32 != nil {
+		err = widen(st.Rows32)
+	} else {
+		err = st.Batches(widen)
+	}
+	*scratch = out
+	return out, err
+}
+
 // Backend is the unified execution seam. Lifecycle: Configure once per
 // training job, then RunEpoch per epoch (the caller owns epoch count
 // and convergence policy, consulting Converger when implemented), then
@@ -280,6 +340,13 @@ type Backend interface {
 	// EstimateCost prices the job with the internal/cost analytic model;
 	// unsupported jobs fail with ErrUnsupported.
 	EstimateCost(job Job) (Cost, error)
+	// ModeledSeconds is the one home of an executed run's modeled time.
+	// Streaming backends integrate the run's counters (engine, Strider,
+	// and link transfer overlapped at the FPGA clock, plus I/O and
+	// setup); row-fed backends have no modeled page stream to integrate
+	// and report EstimateCost(job).Seconds exactly. A pure function of
+	// its arguments and the backend's environment.
+	ModeledSeconds(job Job, run Run) float64
 	// Configure prepares the backend for one training job; unsupported
 	// programs fail with ErrUnsupported.
 	Configure(prog Program) error

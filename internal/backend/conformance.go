@@ -24,14 +24,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 
 	"dana/internal/algos"
 	"dana/internal/compiler"
 	"dana/internal/cost"
+	"dana/internal/golden"
 	"dana/internal/hdfg"
 	"dana/internal/hwgen"
 	"dana/internal/obs"
-	"dana/internal/verify"
 )
 
 // Scenario is one seeded conformance instance: a golden spec, its
@@ -39,7 +40,7 @@ import (
 // the same values).
 type Scenario struct {
 	Seed   int64
-	Spec   verify.GoldenSpec
+	Spec   golden.Spec
 	Init   []float64
 	Tuples [][]float64
 	Rows32 [][]float32
@@ -51,9 +52,9 @@ type Scenario struct {
 
 // GenScenario draws a scenario from one seed. Same seed, same scenario.
 func GenScenario(seed int64) Scenario {
-	g := verify.NewGen(seed)
+	g := rand.New(rand.NewSource(seed)) // the stream verify.NewGen(seed) draws from
 	kinds := []algos.Kind{algos.KindLinear, algos.KindLogistic, algos.KindSVM, algos.KindLRMF}
-	sp := verify.GoldenSpec{
+	sp := golden.Spec{
 		Kind:      kinds[g.Intn(len(kinds))],
 		LR:        []float64{0.1, 0.05, 0.025}[g.Intn(3)],
 		MergeCoef: []int{1, 1, 4, 8}[g.Intn(4)],
@@ -72,8 +73,8 @@ func GenScenario(seed int64) Scenario {
 	sc := Scenario{
 		Seed:   seed,
 		Spec:   sp,
-		Tuples: verify.TrainingTuples(g, sp, n),
-		Init:   verify.InitModelFor(g, sp),
+		Tuples: golden.TrainingTuples(g, sp, n),
+		Init:   golden.InitModelFor(g, sp),
 	}
 	sc.Rows32 = make([][]float32, len(sc.Tuples))
 	for i, t := range sc.Tuples {
@@ -110,18 +111,11 @@ func BuildProgram(sc Scenario, env Env) (Program, error) {
 	if err != nil {
 		return Program{}, err
 	}
-	striders := design.NumStriders
-	if striders < 1 {
-		striders = 1
-	}
-	if striders > 16 {
-		striders = 16
-	}
 	return Program{
 		Graph:     graph,
 		Engine:    prog,
 		EngineCfg: design.Engine,
-		Striders:  striders,
+		Striders:  InProcessStriders(design.NumStriders),
 		MergeCoef: sc.Spec.MergeCoef,
 		PageSize:  pageSize,
 		Tuples:    len(sc.Tuples),
@@ -169,6 +163,7 @@ const (
 	CheckTrain         = "train"
 	CheckDeterminism   = "counter-determinism"
 	CheckScore         = "score"
+	CheckModeledTime   = "modeled-seconds"
 )
 
 // classUnknown is a workload class no backend supports; every backend
@@ -320,7 +315,7 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 		if err := compareBits("model vs reference", got, want); err != nil {
 			add(CheckTrain, "%v", err)
 		}
-	} else if err := verify.CompareModels("model vs reference", want, got, caps.ModelTolerance); err != nil {
+	} else if err := golden.CompareModels("model vs reference", want, got, caps.ModelTolerance); err != nil {
 		add(CheckTrain, "%v", err)
 	}
 
@@ -347,6 +342,29 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 		}
 	}
 
+	// Modeled time: a pure function of (job, run counters) per
+	// registration — two instances, one of them never configured, must
+	// agree bit for bit — and for row-fed backends, which have no
+	// modeled page stream to integrate, exactly the analytic estimate.
+	run := Run{StriderCycles: 1 << 20, Pages: int64(3 * job.Pages), IOSeconds: 0.125}
+	if cb, ok := be.(CounterBackend); ok {
+		run.EngineCycles = cb.Counters().Cycles
+	}
+	sec := be.ModeledSeconds(job, run)
+	if again := reg.New(env).ModeledSeconds(job, run); math.Float64bits(again) != math.Float64bits(sec) {
+		add(CheckModeledTime, "ModeledSeconds is not deterministic: %v then %v for the same job and counters", sec, again)
+	}
+	if !(sec > 0) {
+		add(CheckModeledTime, "ModeledSeconds = %v, want a positive modeled time", sec)
+	}
+	if !caps.Streaming {
+		if c, err := be.EstimateCost(job); err != nil {
+			add(CheckModeledTime, "EstimateCost on a trained job: %v", err)
+		} else if math.Float64bits(sec) != math.Float64bits(c.Seconds) {
+			add(CheckModeledTime, "row-fed ModeledSeconds = %v, want EstimateCost(job).Seconds = %v exactly", sec, c.Seconds)
+		}
+	}
+
 	// Score: predictions against the float64 scoring rule, at the
 	// backend's declared equivalence level.
 	preds, err := be.Score(got, sc.Tuples)
@@ -354,7 +372,7 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 		add(CheckScore, "Score: %v", err)
 		return vs
 	}
-	wantPreds, err := score64(Classify(p.Graph), p.Graph, got, sc.Tuples)
+	wantPreds, err := score[float64](Classify(p.Graph), p.Graph, got, sc.Tuples)
 	if err != nil {
 		add(CheckScore, "reference score: %v", err)
 		return vs
@@ -363,7 +381,7 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 		if err := compareBits("predictions", preds, wantPreds); err != nil {
 			add(CheckScore, "%v", err)
 		}
-	} else if err := verify.CompareModels("predictions", wantPreds, preds, caps.ModelTolerance); err != nil {
+	} else if err := golden.CompareModels("predictions", wantPreds, preds, caps.ModelTolerance); err != nil {
 		add(CheckScore, "%v", err)
 	}
 	return vs

@@ -18,7 +18,7 @@ type CPU struct {
 	it    *hdfg.Interp
 	graph *hdfg.Graph
 	class Class
-	// rows64 is the scratch buffer for Rows32-form epochs.
+	// rows64 is the scratch buffer for float32-form epochs.
 	rows64 [][]float64
 }
 
@@ -47,6 +47,10 @@ func (b *CPU) EstimateCost(job Job) (Cost, error) {
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
 }
 
+// ModeledSeconds: the interpreter models no hardware to integrate, so
+// the run is priced analytically.
+func (b *CPU) ModeledSeconds(job Job, _ Run) float64 { return EstimatedSeconds(b, job) }
+
 func (b *CPU) Configure(p Program) error {
 	if p.Graph == nil {
 		return fmt.Errorf("%w: %s needs a translated graph", ErrUnsupported, NameCPU)
@@ -63,51 +67,21 @@ func (b *CPU) Configure(p Program) error {
 	return nil
 }
 
-// RunEpoch runs one interpreter epoch. Rows32 input is widened to
+// RunEpoch runs one interpreter epoch. Float32 input is widened to
 // float64 — exact, so a CPU epoch over Strider-extracted records sees
-// the same values the accelerator datapath would.
+// the same values the accelerator datapath would. A batch stream is
+// drained first: the interpreter has no incremental feed, and the CPU
+// path has no modeled counters that could depend on arrival
+// granularity.
 func (b *CPU) RunEpoch(st *Stream) error {
 	if b.it == nil {
 		return ErrNotConfigured
 	}
-	switch {
-	case st != nil && st.Rows64 != nil:
-		return b.it.Epoch(st.Rows64)
-	case st != nil && st.Rows32 != nil:
-		return b.it.Epoch(b.widenRows(st.Rows32))
-	case st != nil && st.Batches != nil:
-		// Drain the stream into the scratch buffer, then run the epoch:
-		// the interpreter has no incremental feed, and the CPU path has
-		// no modeled counters that could depend on arrival granularity.
-		b.rows64 = b.rows64[:0]
-		err := st.Batches(func(rows [][]float32) error {
-			for _, row := range rows {
-				b.rows64 = append(b.rows64, widen64(row))
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		return b.it.Epoch(b.rows64)
-	default:
-		return b.it.Epoch(nil)
+	rows, err := st.Widened(&b.rows64)
+	if err != nil {
+		return err
 	}
-}
-
-func (b *CPU) widenRows(rows [][]float32) [][]float64 {
-	if len(b.rows64) != len(rows) {
-		b.rows64 = make([][]float64, len(rows))
-	}
-	for i, row := range rows {
-		if len(b.rows64[i]) != len(row) {
-			b.rows64[i] = make([]float64, len(row))
-		}
-		for j, v := range row {
-			b.rows64[i][j] = float64(v)
-		}
-	}
-	return b.rows64
+	return b.it.Epoch(rows)
 }
 
 // Score runs inference at float64 precision.
@@ -115,7 +89,7 @@ func (b *CPU) Score(model []float64, rows [][]float64) ([]float64, error) {
 	if b.it == nil {
 		return nil, ErrNotConfigured
 	}
-	return score64(b.class, b.graph, model, rows)
+	return score[float64](b.class, b.graph, model, rows)
 }
 
 func (b *CPU) Model() []float64 {

@@ -216,6 +216,9 @@ func (f *fakeBackend) Capabilities() backend.Capabilities { return f.caps }
 func (f *fakeBackend) EstimateCost(backend.Job) (backend.Cost, error) {
 	return backend.Cost{Seconds: f.sec}, nil
 }
+func (f *fakeBackend) ModeledSeconds(backend.Job, backend.Run) float64 {
+	return f.sec
+}
 func (f *fakeBackend) Configure(backend.Program) error { return nil }
 func (f *fakeBackend) RunEpoch(*backend.Stream) error  { return nil }
 func (f *fakeBackend) Score([]float64, [][]float64) ([]float64, error) {

@@ -24,6 +24,7 @@ type wrapper struct {
 	scoreHook func([]float64)
 
 	countersDelta int64
+	secondsDelta  float64
 }
 
 func (w *wrapper) Capabilities() backend.Capabilities {
@@ -40,6 +41,10 @@ func (w *wrapper) EstimateCost(job backend.Job) (backend.Cost, error) {
 		return w.costHook(c, err)
 	}
 	return c, err
+}
+
+func (w *wrapper) ModeledSeconds(job backend.Job, run backend.Run) float64 {
+	return w.inner.ModeledSeconds(job, run) + w.secondsDelta
 }
 
 func (w *wrapper) Configure(p backend.Program) error { return w.inner.Configure(p) }
@@ -182,4 +187,23 @@ func TestMetaDeterminismCheckFires(t *testing.T) {
 		},
 	}
 	runMutant(t, reg, backend.CheckDeterminism)
+}
+
+// TestMetaModeledTimeCheckFires plants both defects the modeled-seconds
+// leg exists for: a row-fed backend whose reported time drifts from its
+// own analytic estimate, and a streaming backend whose reported time
+// depends on the instance rather than on (job, counters) alone.
+func TestMetaModeledTimeCheckFires(t *testing.T) {
+	runMutant(t, cpuMutant(func(w *wrapper) {
+		w.secondsDelta = 1e-9 // no longer EstimateCost(job).Seconds exactly
+	}), backend.CheckModeledTime)
+
+	instances := 0.0
+	runMutant(t, backend.Registration{
+		Name: backend.NameAccelerator,
+		New: func(env backend.Env) backend.Backend {
+			instances++
+			return &wrapper{inner: backend.NewAccel(env), secondsDelta: instances}
+		},
+	}, backend.CheckModeledTime)
 }

@@ -59,7 +59,7 @@ func Builtins() []Registration {
 		{Name: NameAccelerator, New: func(env Env) Backend { return NewAccel(env) }},
 		{Name: NameTabla, New: func(env Env) Backend { return NewTabla(env) }},
 		{Name: NameCPU, New: func(env Env) Backend { return NewCPU(env) }},
-		{Name: NameWeave, New: func(env Env) Backend { return NewWeave(env) }, Reference: WeaveReference},
+		{Name: NameWeave, New: func(env Env) Backend { return NewWeaveAccel(env) }, Reference: WeaveReference},
 	}
 }
 
@@ -149,16 +149,57 @@ func admissible(caps Capabilities, job Job) bool {
 // path). Unknown names fail with ErrUnknownBackend; a backend whose
 // capabilities don't cover the job fails with ErrUnsupported.
 func (d *Dispatcher) New(name string, job Job) (Backend, Registration, error) {
+	be, reg, _, err := d.named(name, job, false)
+	return be, reg, err
+}
+
+// named is New, optionally widening a job that requests no read
+// precision to the named backend's whole window (a no-op for full-width
+// backends, whose MaxBits is 0).
+func (d *Dispatcher) named(name string, job Job, widen bool) (Backend, Registration, Job, error) {
 	reg, ok := d.lookup(name)
 	if !ok {
-		return nil, Registration{}, fmt.Errorf("%w: %q (have %v)", ErrUnknownBackend, name, d.Names())
+		return nil, Registration{}, job, fmt.Errorf("%w: %q (have %v)", ErrUnknownBackend, name, d.Names())
 	}
 	be := reg.New(d.env)
-	if !admissible(be.Capabilities(), job) {
-		return nil, Registration{}, fmt.Errorf("%w: backend %q cannot run class=%s precision=%q jobs",
-			ErrUnsupported, name, job.Class, job.Precision)
+	caps := be.Capabilities()
+	if widen && job.Bits == 0 {
+		job.Bits = caps.MaxBits
 	}
-	return be, reg, nil
+	if !admissible(caps, job) {
+		return nil, Registration{}, job, fmt.Errorf("%w: backend %q cannot run class=%s precision=%q bits=%d jobs",
+			ErrUnsupported, name, job.Class, job.Precision, job.Bits)
+	}
+	return be, reg, job, nil
+}
+
+// Resolve maps the integration layer's backend override to the backend
+// that trains the job, and the job as that backend will run it:
+//
+//   - "" is the paper path: the Streaming backend whose read window
+//     admits the job — the full-width pipeline for Bits 0, the
+//     any-precision window for a k-bit request (full-width backends
+//     reject k-bit jobs, and vice versa);
+//   - NameAuto is cost-based dispatch (Pick);
+//   - any other name is an explicit override (New), except that naming
+//     a windowed backend without a reduced precision reads its whole
+//     window — full-width values through the vertical layout.
+func (d *Dispatcher) Resolve(name string, job Job) (Backend, Registration, Job, error) {
+	switch name {
+	case "":
+		for _, reg := range d.regs {
+			be := reg.New(d.env)
+			if caps := be.Capabilities(); caps.Streaming && admissible(caps, job) {
+				return be, reg, job, nil
+			}
+		}
+		return nil, Registration{}, job, fmt.Errorf("%w: no streaming backend for class=%s bits=%d",
+			ErrUnsupported, job.Class, job.Bits)
+	case NameAuto:
+		be, reg, _, err := d.Pick(job)
+		return be, reg, job, err
+	}
+	return d.named(name, job, true)
 }
 
 // Pick is the heterogeneous dispatch policy, documented and
@@ -174,15 +215,22 @@ func (d *Dispatcher) New(name string, job Job) (Backend, Registration, error) {
 //
 // No admissible backend is ErrUnsupported.
 func (d *Dispatcher) Pick(job Job) (Backend, Registration, Cost, error) {
-	var (
-		best     Backend
-		bestReg  Registration
-		bestCost Cost
-		found    bool
-	)
+	be, reg, c, ok := d.cheapest(job, nil)
+	if !ok {
+		return nil, Registration{}, Cost{}, fmt.Errorf("%w: no backend for class=%s precision=%q",
+			ErrUnsupported, job.Class, job.Precision)
+	}
+	return be, reg, c, nil
+}
+
+// cheapest prices the job on every admissible registration that passes
+// keep (nil keeps all) and returns the minimum by modeled seconds, ties
+// by name order.
+func (d *Dispatcher) cheapest(job Job, keep func(Registration, Capabilities) bool) (best Backend, bestReg Registration, bestCost Cost, found bool) {
 	for _, reg := range d.regs {
 		be := reg.New(d.env)
-		if !admissible(be.Capabilities(), job) {
+		caps := be.Capabilities()
+		if (keep != nil && !keep(reg, caps)) || !admissible(caps, job) {
 			continue
 		}
 		c, err := be.EstimateCost(job)
@@ -193,11 +241,7 @@ func (d *Dispatcher) Pick(job Job) (Backend, Registration, Cost, error) {
 			best, bestReg, bestCost, found = be, reg, c, true
 		}
 	}
-	if !found {
-		return nil, Registration{}, Cost{}, fmt.Errorf("%w: no backend for class=%s precision=%q",
-			ErrUnsupported, job.Class, job.Precision)
-	}
-	return best, bestReg, bestCost, nil
+	return best, bestReg, bestCost, found
 }
 
 // Failover selects the degradation target after backend `failed`
@@ -206,31 +250,11 @@ func (d *Dispatcher) Pick(job Job) (Backend, Registration, Cost, error) {
 // cheapest by modeled cost, ties by name. The failed backend is
 // excluded even if it declares Fallback.
 func (d *Dispatcher) Failover(job Job, failed string) (Backend, Registration, error) {
-	var (
-		best    Backend
-		bestReg Registration
-		bestSec float64
-		found   bool
-	)
-	for _, reg := range d.regs {
-		if reg.Name == failed {
-			continue
-		}
-		be := reg.New(d.env)
-		caps := be.Capabilities()
-		if !caps.Fallback || !admissible(caps, job) {
-			continue
-		}
-		c, err := be.EstimateCost(job)
-		if err != nil {
-			continue
-		}
-		if !found || c.Seconds < bestSec {
-			best, bestReg, bestSec, found = be, reg, c.Seconds, true
-		}
-	}
-	if !found {
+	be, reg, _, ok := d.cheapest(job, func(reg Registration, caps Capabilities) bool {
+		return reg.Name != failed && caps.Fallback
+	})
+	if !ok {
 		return nil, Registration{}, fmt.Errorf("%w: after %q faulted on class=%s", ErrNoFailover, failed, job.Class)
 	}
-	return best, bestReg, nil
+	return be, reg, nil
 }

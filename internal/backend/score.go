@@ -10,9 +10,9 @@ import (
 // Inference over an explicit model, shared by the backends. Each class
 // has one scoring rule — dot product (linear), sigmoid probability
 // (logistic), raw margin (SVM), factor-row dot product (LRMF) — and
-// each backend evaluates it at its own precision: score64 in float64
-// (CPU-class backends), score32 with every intermediate narrowed to
-// float32 (the simulated FPGA datapaths). The cycle model for scoring
+// each backend evaluates it at its own precision: score[float64]
+// (CPU-class backends), or score[float32] with every intermediate
+// narrowed to float32 (the simulated FPGA datapaths). The cycle model for scoring
 // is future work (ROADMAP inference serving); these are the functional
 // semantics the conformance suite pins.
 
@@ -20,7 +20,7 @@ import (
 // precision over an explicit model — the entry point for out-of-package
 // reference-precision backends (greenplum's Sharded).
 func ScoreFloat64(class Class, g *hdfg.Graph, model []float64, rows [][]float64) ([]float64, error) {
-	return score64(class, g, model, rows)
+	return score[float64](class, g, model, rows)
 }
 
 func scoreCheck(class Class, g *hdfg.Graph, model []float64, rows [][]float64) (nf int, err error) {
@@ -43,13 +43,20 @@ func scoreCheck(class Class, g *hdfg.Graph, model []float64, rows [][]float64) (
 	return nf, nil
 }
 
-func score64(class Class, g *hdfg.Graph, model []float64, rows [][]float64) ([]float64, error) {
+// score evaluates the class's scoring rule with the model and every
+// intermediate held in F.
+func score[F float32 | float64](class Class, g *hdfg.Graph, model []float64, rows [][]float64) ([]float64, error) {
 	nf, err := scoreCheck(class, g, model, rows)
 	if err != nil {
 		return nil, err
 	}
+	m := make([]F, len(model))
+	for i, v := range model {
+		m[i] = F(v)
+	}
 	out := make([]float64, len(rows))
 	for i, row := range rows {
+		var s F
 		if class == ClassLRMF {
 			rank := g.Model.Shape[1]
 			u, v := int(math.Round(row[0])), int(math.Round(row[1]))
@@ -57,53 +64,16 @@ func score64(class Class, g *hdfg.Graph, model []float64, rows [][]float64) ([]f
 			if u < 0 || u >= rowsTotal || v < 0 || v >= rowsTotal {
 				return nil, fmt.Errorf("backend: score row %d: factor index (%d,%d) out of [0,%d)", i, u, v, rowsTotal)
 			}
-			s := 0.0
 			for k := 0; k < rank; k++ {
-				s += model[u*rank+k] * model[v*rank+k]
+				s += m[u*rank+k] * m[v*rank+k]
 			}
-			out[i] = s
-			continue
-		}
-		s := 0.0
-		for j := 0; j < nf; j++ {
-			s += model[j] * row[j]
-		}
-		if class == ClassLogistic {
-			s = 1 / (1 + math.Exp(-s))
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-func score32(class Class, g *hdfg.Graph, model []float64, rows [][]float64) ([]float64, error) {
-	nf, err := scoreCheck(class, g, model, rows)
-	if err != nil {
-		return nil, err
-	}
-	m32 := narrow32(model)
-	out := make([]float64, len(rows))
-	for i, row := range rows {
-		if class == ClassLRMF {
-			rank := g.Model.Shape[1]
-			u, v := int(math.Round(row[0])), int(math.Round(row[1]))
-			rowsTotal := g.Model.Shape[0]
-			if u < 0 || u >= rowsTotal || v < 0 || v >= rowsTotal {
-				return nil, fmt.Errorf("backend: score row %d: factor index (%d,%d) out of [0,%d)", i, u, v, rowsTotal)
+		} else {
+			for j := 0; j < nf; j++ {
+				s += m[j] * F(row[j])
 			}
-			var s float32
-			for k := 0; k < rank; k++ {
-				s += m32[u*rank+k] * m32[v*rank+k]
+			if class == ClassLogistic {
+				s = F(1 / (1 + math.Exp(-float64(s))))
 			}
-			out[i] = float64(s)
-			continue
-		}
-		var s float32
-		for j := 0; j < nf; j++ {
-			s += m32[j] * float32(row[j])
-		}
-		if class == ClassLogistic {
-			s = float32(1 / (1 + math.Exp(-float64(s))))
 		}
 		out[i] = float64(s)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dana/internal/cost"
+	"dana/internal/engine"
 	"dana/internal/hwgen"
 )
 
@@ -18,54 +19,48 @@ type Tabla struct {
 }
 
 // NewTabla builds an unconfigured TABLA backend.
-func NewTabla(env Env) *Tabla { return &Tabla{Accel{env: env}} }
-
-func (b *Tabla) Capabilities() Capabilities {
-	return Capabilities{
+func NewTabla(env Env) *Tabla {
+	return &Tabla{Accel{env: env, caps: Capabilities{
 		Name:                  NameTabla,
 		Classes:               AllClasses(),
 		Precision:             PrecisionFloat32,
 		DeterministicCounters: true,
 		ModelTolerance:        5e-3,
 		Accelerated:           true,
-	}
+	}}}
 }
 
-// tablaEngine derives the single-threaded design point for the compiled
+// engineConfig derives the single-threaded design point for the compiled
 // program, falling back to a one-thread copy of the DAnA config when
 // the TABLA explorer cannot place the program.
-func (b *Tabla) tablaEngine(job Job) (cfgOK bool, cfg hwgen.Design) {
-	if job.Engine == nil {
-		return false, hwgen.Design{}
-	}
-	td, err := hwgen.TablaDesign(job.Engine, b.env.FPGA, hwgen.Params{
-		PageSize: job.PageSize, MergeCoef: 1, NumTuples: job.Tuples,
+func (b *Tabla) engineConfig(prog *engine.Program, dana engine.Config, pageSize, tuples int) engine.Config {
+	td, err := hwgen.TablaDesign(prog, b.env.FPGA, hwgen.Params{
+		PageSize: pageSize, MergeCoef: 1, NumTuples: tuples,
 	})
 	if err != nil {
-		return false, hwgen.Design{}
+		dana.Threads = 1
+		return dana
 	}
-	return true, td
+	return td.Engine
 }
 
 // EstimateCost prices the job as cost.TABLA: single-thread epoch cycles
 // on the TABLA design point, plus the CPU-side feed.
 func (b *Tabla) EstimateCost(job Job) (Cost, error) {
-	if !admissible(b.Capabilities(), job) {
-		return Cost{}, fmt.Errorf("%w: %s cannot run class=%s precision=%q",
-			ErrUnsupported, NameTabla, job.Class, job.Precision)
+	if err := b.checkJob(job); err != nil {
+		return Cost{}, err
 	}
 	w := job.Workload()
 	if job.Engine != nil {
-		single := job.Design.Engine
-		single.Threads = 1
-		if ok, td := b.tablaEngine(job); ok {
-			single = td.Engine
-		}
+		single := b.engineConfig(job.Engine, job.Design.Engine, job.PageSize, job.Tuples)
 		w.SingleThreadEpochCycles = job.Engine.Estimate(single).EpochCycles(job.Tuples, max1(job.MergeCoef), 1)
 	}
 	bd := cost.TABLA(w, b.env.Cost, job.Warm)
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
 }
+
+// ModeledSeconds: TABLA is row-fed, so the run is priced analytically.
+func (b *Tabla) ModeledSeconds(job Job, _ Run) float64 { return EstimatedSeconds(b, job) }
 
 // Configure builds the machine on the TABLA design point's engine
 // config instead of the provided DAnA one.
@@ -73,15 +68,7 @@ func (b *Tabla) Configure(p Program) error {
 	if p.Graph == nil || p.Engine == nil {
 		return fmt.Errorf("%w: %s needs a compiled engine program", ErrUnsupported, NameTabla)
 	}
-	cfg := p.EngineCfg
-	cfg.Threads = 1
-	td, err := hwgen.TablaDesign(p.Engine, b.env.FPGA, hwgen.Params{
-		PageSize: p.PageSize, MergeCoef: 1, NumTuples: p.Tuples,
-	})
-	if err == nil {
-		cfg = td.Engine
-	}
 	// TABLA has no Striders: the host fan-out cap is the single thread.
 	p.Striders = 1
-	return b.configure(p, cfg, b.Capabilities())
+	return b.configure(p, b.engineConfig(p.Engine, p.EngineCfg, p.PageSize, p.Tuples))
 }

@@ -4,43 +4,27 @@ import (
 	"fmt"
 
 	"dana/internal/cost"
-	"dana/internal/engine"
 	"dana/internal/storage"
 	"dana/internal/weaving"
 )
 
-// Weave is the MLWeaving any-precision data path behind the Backend
-// seam: tuples are routed through the vertical bit-plane layout
-// (internal/storage's WeavePage) and decoded at k bits per feature by
-// the internal/weaving extraction engine before feeding the same
-// execution-engine simulator the accelerator path runs. Reading fewer
-// planes streams proportionally fewer bytes over the link — the
-// precision-for-bandwidth tradeoff the cost model charges through
-// Workload.WeaveBits — at the price of quantized features.
+// NewWeaveAccel builds the accelerator under the MLWeaving
+// any-precision window: tuples are routed through the vertical
+// bit-plane layout (internal/storage's WeavePage) and decoded at k bits
+// per feature by the internal/weaving extraction engine before feeding
+// the same execution-engine simulator. Reading fewer planes streams
+// proportionally fewer bytes over the link — the precision-for-bandwidth
+// tradeoff the cost model charges through Workload.WeaveBits — at the
+// price of quantized features. It is not a second code path: the
+// window only switches Accel's requantisation stage on.
 //
 // Reference semantics: the golden float64 trainer over the *rewoven*
 // tuples (weaving.ReweaveRows is shared between RunEpoch and
 // WeaveReference), so the declared ModelTolerance covers only the
 // float32-datapath divergence, at every precision — quantization error
 // lives in the reference, not the tolerance.
-type Weave struct {
-	inner *Accel
-
-	configured bool
-	bits       int
-	pageRows   int
-	ranges     []storage.WeaveRange
-
-	// rows is the scratch the batch/float64 stream forms materialize
-	// into before reweaving.
-	rows [][]float32
-}
-
-// NewWeave builds an unconfigured any-precision backend.
-func NewWeave(env Env) *Weave { return &Weave{inner: NewAccel(env)} }
-
-func (b *Weave) Capabilities() Capabilities {
-	return Capabilities{
+func NewWeaveAccel(env Env) *Accel {
+	return &Accel{env: env, caps: Capabilities{
 		Name: NameWeave,
 		// LRMF is excluded: the rating schema's integer row/column ids
 		// are indices, not magnitudes — quantizing them is meaningless,
@@ -53,7 +37,7 @@ func (b *Weave) Capabilities() Capabilities {
 		MaxBits:               storage.WeaveMaxBits,
 		Streaming:             true,
 		Accelerated:           true,
-	}
+	}}
 }
 
 // jobBits resolves a job's effective read precision (0 = full width).
@@ -64,165 +48,63 @@ func jobBits(bits int) int {
 	return bits
 }
 
-// EstimateCost prices the job like the accelerator path, with the link
-// charged for the rewoven byte stream: FixedBytes + k×BitBytes from the
-// exact page geometry, and the Strider unpack cycles replaced by the
-// k-bit plane-gather model.
-func (b *Weave) EstimateCost(job Job) (Cost, error) {
-	if !admissible(b.Capabilities(), job) {
-		return Cost{}, fmt.Errorf("%w: %s cannot run class=%s precision=%q bits=%d",
-			ErrUnsupported, NameWeave, job.Class, job.Precision, job.Bits)
-	}
-	w := job.Workload()
-	if job.Engine != nil {
-		est := job.Engine.Estimate(job.Design.Engine)
-		w.EpochCycles = est.EpochCycles(job.Tuples, max1(job.MergeCoef), job.Design.Engine.Threads)
-	}
+// chargeWeave swaps w's heap-page stream for `passes` passes over the
+// job's vertical layout — FixedBytes + k×BitBytes from the exact page
+// geometry — and its Strider unpack for the k-bit plane-gather model.
+// EstimateCost and ModeledSeconds both price the link through here.
+func chargeWeave(w *cost.Workload, job Job, passes int64) {
 	bits := jobBits(job.Bits)
-	nfeat := job.Columns - 1
-	if nfeat < 1 {
-		nfeat = 1
-	}
+	nfeat := max1(job.Columns - 1)
 	pageSize := job.PageSize
 	if pageSize <= 0 {
 		pageSize = storage.PageSize8K
 	}
 	g := weaving.RelationGeometry(job.Tuples, nfeat, pageSize)
 	w.WeaveBits = bits
-	w.WeaveFixedBytes = g.FixedBytes
-	w.WeaveBitBytes = g.BitBytes
-	w.Pages = g.Pages
+	w.WeaveFixedBytes = passes * g.FixedBytes
+	w.WeaveBitBytes = passes * g.BitBytes
+	w.Pages = int(passes) * g.Pages
 	w.StriderPageCycles = weaving.PageDecodeCycles(nfeat, g.PageRows, bits)
-	bd := cost.DAnA(w, b.inner.env.Cost, job.Warm)
-	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
 }
 
-// Configure prepares the inner engine machine under the weave
-// capability set and pins the read precision and (optionally) the
-// quantization ranges for the job.
-func (b *Weave) Configure(p Program) error {
+// weaveStage is Accel's per-epoch requantisation stage: the read
+// precision, the weave-page row budget, and the quantization ranges
+// (pinned by the program, or derived from the first epoch's tuples).
+type weaveStage struct {
+	bits     int
+	pageRows int
+	ranges   []storage.WeaveRange
+}
+
+func newWeaveStage(caps Capabilities, p Program) (weaveStage, error) {
 	bits := jobBits(p.Bits)
-	if bits < 1 || bits > storage.WeaveMaxBits {
-		return fmt.Errorf("%w: weave precision %d outside [1,%d]", ErrUnsupported, p.Bits, storage.WeaveMaxBits)
-	}
-	if err := b.inner.configure(p, p.EngineCfg, b.Capabilities()); err != nil {
-		return err
-	}
-	b.bits = bits
-	b.ranges = append([]storage.WeaveRange(nil), p.Ranges...)
-	if len(b.ranges) == 0 {
-		b.ranges = nil // derive from the first epoch
+	if bits < caps.MinBits || bits > caps.MaxBits {
+		return weaveStage{}, fmt.Errorf("%w: weave precision %d outside [%d,%d]",
+			ErrUnsupported, p.Bits, caps.MinBits, caps.MaxBits)
 	}
 	nfeat := 1
-	if p.Graph != nil && p.Graph.Model != nil {
+	if p.Graph.Model != nil {
 		nfeat = p.Graph.Model.Shape.Size()
 	}
-	b.pageRows = storage.WeavePageRows(max1(p.PageSize), nfeat)
-	b.configured = true
-	return nil
+	ws := weaveStage{bits: bits, pageRows: storage.WeavePageRows(max1(p.PageSize), nfeat)}
+	if len(p.Ranges) > 0 {
+		ws.ranges = append([]storage.WeaveRange(nil), p.Ranges...)
+	}
+	return ws, nil
 }
 
-// RunEpoch materializes the epoch's tuples from whichever stream form
-// arrived, reweaves them at the configured precision, and replays the
-// rewoven rows through the engine. Ranges are derived from the first
-// epoch when the program didn't pin them; per-column min/max is
-// delivery-order independent, so every legal stream form of the same
-// epoch produces bit-identical rewoven rows — and therefore
-// bit-identical model state and modeled counters.
-func (b *Weave) RunEpoch(st *Stream) error {
-	if !b.configured {
-		return ErrNotConfigured
-	}
-	var rows [][]float32
-	switch {
-	case st != nil && st.Batches != nil:
-		b.rows = b.rows[:0]
-		if err := st.Batches(func(batch [][]float32) error {
-			for _, r := range batch {
-				b.rows = append(b.rows, append([]float32(nil), r...))
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		rows = b.rows
-	case st != nil && st.Rows32 != nil:
-		rows = st.Rows32
-	case st != nil && st.Rows64 != nil:
-		if len(b.rows) < len(st.Rows64) {
-			b.rows = make([][]float32, len(st.Rows64))
-		}
-		b.rows = b.rows[:len(st.Rows64)]
-		for i, row := range st.Rows64 {
-			if len(b.rows[i]) != len(row) {
-				b.rows[i] = make([]float32, len(row))
-			}
-			for j, v := range row {
-				b.rows[i][j] = float32(v)
-			}
-		}
-		rows = b.rows
-	default:
-		// No tuples delivered: replay the engine's cached (rewoven) epoch.
-		return b.inner.RunEpoch(st)
-	}
-	rewoven, ranges, err := weaving.ReweaveRows(rows, b.ranges, b.bits, b.pageRows)
+// requantise reweaves one epoch's rows at the configured precision.
+// Derived ranges are per-column min/max — delivery-order independent —
+// so every legal stream form of the same epoch produces bit-identical
+// rewoven rows, and therefore bit-identical model state and counters.
+func (ws *weaveStage) requantise(rows [][]float32) ([][]float32, error) {
+	rewoven, ranges, err := weaving.ReweaveRows(rows, ws.ranges, ws.bits, ws.pageRows)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	b.ranges = ranges
-	return b.inner.RunEpoch(&Stream{Rows32: rewoven})
+	ws.ranges = ranges
+	return rewoven, nil
 }
-
-// Bits returns the configured read precision (0 before Configure).
-func (b *Weave) Bits() int {
-	if !b.configured {
-		return 0
-	}
-	return b.bits
-}
-
-// Ranges returns the quantization ranges in effect (nil until pinned by
-// Configure or derived from the first epoch).
-func (b *Weave) Ranges() []storage.WeaveRange {
-	return append([]storage.WeaveRange(nil), b.ranges...)
-}
-
-// Score runs inference in the float32 datapath width (scoring reads the
-// caller's rows directly; only training tuples are quantized).
-func (b *Weave) Score(model []float64, rows [][]float64) ([]float64, error) {
-	if !b.configured {
-		return nil, ErrNotConfigured
-	}
-	return b.inner.Score(model, rows)
-}
-
-func (b *Weave) Model() []float64 {
-	if !b.configured {
-		return nil
-	}
-	return b.inner.Model()
-}
-
-func (b *Weave) SetModel(m []float64) error {
-	if !b.configured {
-		return ErrNotConfigured
-	}
-	return b.inner.SetModel(m)
-}
-
-func (b *Weave) Converged() (bool, error) {
-	if !b.configured {
-		return false, ErrNotConfigured
-	}
-	return b.inner.Converged()
-}
-
-// Counters returns the engine's modeled cycle decomposition.
-func (b *Weave) Counters() engine.Stats { return b.inner.Counters() }
-
-// Close releases the inner machine's host fan-out helpers.
-func (b *Weave) Close() { b.inner.Close() }
 
 // WeaveReference is the weave registration's declared reference
 // semantics: the golden float64 trainer over the scenario's tuples

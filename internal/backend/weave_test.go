@@ -101,7 +101,7 @@ func TestWeaveRejectsLRMF(t *testing.T) {
 	if job.Class != backend.ClassLRMF {
 		t.Fatalf("seed 15 classified as %s, want lrmf", job.Class)
 	}
-	be := backend.NewWeave(env)
+	be := backend.NewWeaveAccel(env)
 	if _, err := be.EstimateCost(job); !errors.Is(err, backend.ErrUnsupported) {
 		t.Errorf("EstimateCost(lrmf) = %v, want ErrUnsupported", err)
 	}
@@ -138,7 +138,7 @@ func TestWeaveFullWidthMatchesAccelerator(t *testing.T) {
 		pw := p
 		pw.Bits = 32
 		pw.Ranges = gridRanges(nfeat)
-		weave := backend.NewWeave(env)
+		weave := backend.NewWeaveAccel(env)
 		if err := weave.Configure(pw); err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestWeavePrecisionSweepConvergence(t *testing.T) {
 			margin := weaveLossMargin(bits)
 			pw := p
 			pw.Bits = bits
-			be := backend.NewWeave(env)
+			be := backend.NewWeaveAccel(env)
 			if err := be.Configure(pw); err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func TestWeaveTransferBytesExact(t *testing.T) {
 	job.Epochs = 1 // per-epoch identity
 	nfeat := job.Columns - 1
 	g := weaving.RelationGeometry(job.Tuples, nfeat, job.PageSize)
-	be := backend.NewWeave(env)
+	be := backend.NewWeaveAccel(env)
 	var prevBytes int64 = -1
 	for _, bits := range sweepBits {
 		job.Bits = bits

@@ -47,14 +47,6 @@ func (w Workload) TableName() string {
 	return strings.ToLower(strings.NewReplacer(" ", "_", "/", "_", "\\", "_").Replace(w.Name))
 }
 
-// Features returns the tuple feature width (LRMF tuples carry 2 indices).
-func (w Workload) Features() int {
-	if w.Kind == algos.KindLRMF {
-		return 2
-	}
-	return w.Topology[0]
-}
-
 // Schema returns the training-table schema.
 func (w Workload) Schema() *storage.Schema {
 	if w.Kind == algos.KindLRMF {

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
-	"dana/internal/algos"
 	"dana/internal/cost"
 	"dana/internal/datagen"
 )
@@ -373,13 +371,3 @@ func FormatSeconds(sec float64) string {
 		return fmt.Sprintf("%dh %dm", h, m)
 	}
 }
-
-// Pad right-pads s to width.
-func Pad(s string, width int) string {
-	if len(s) >= width {
-		return s
-	}
-	return s + strings.Repeat(" ", width-len(s))
-}
-
-var _ = algos.KindLinear // keep the import for kind helpers used above

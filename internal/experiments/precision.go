@@ -147,7 +147,7 @@ func PrecisionSweep(env Env) ([]PrecisionRow, error) {
 			pw := p
 			pw.Bits = bits
 			pw.Ranges = gridRanges(nfeat)
-			be := backend.NewWeave(benv)
+			be := backend.NewWeaveAccel(benv)
 			if err := be.Configure(pw); err != nil {
 				return nil, err
 			}
@@ -211,7 +211,7 @@ func gridRanges(nfeat int) []storage.WeaveRange {
 // fullWidthIdentity requires the full-width weave run to be
 // indistinguishable from the accelerator path: bit-identical model and
 // bit-identical modeled counters.
-func fullWidthIdentity(accel *backend.Accel, weave *backend.Weave) error {
+func fullWidthIdentity(accel, weave *backend.Accel) error {
 	am, wm := accel.Model(), weave.Model()
 	if len(am) == 0 || len(am) != len(wm) {
 		return fmt.Errorf("full-width identity: model lengths %d vs %d", len(am), len(wm))

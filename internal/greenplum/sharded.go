@@ -108,6 +108,12 @@ func (b *Sharded) EstimateCost(job backend.Job) (backend.Cost, error) {
 	return backend.Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
 }
 
+// ModeledSeconds: segment CPUs model no hardware to integrate, so the
+// run is priced analytically.
+func (b *Sharded) ModeledSeconds(job backend.Job, _ backend.Run) float64 {
+	return backend.EstimatedSeconds(b, job)
+}
+
 func (b *Sharded) Configure(p backend.Program) error {
 	if p.Graph == nil {
 		return fmt.Errorf("%w: %s needs a translated graph", backend.ErrUnsupported, backend.NameSharded)
@@ -143,7 +149,7 @@ func (b *Sharded) RunEpoch(st *backend.Stream) error {
 	if b.inners == nil {
 		return backend.ErrNotConfigured
 	}
-	rows, err := b.materialize(st)
+	rows, err := st.Widened(&b.rows64)
 	if err != nil {
 		return err
 	}
@@ -160,39 +166,6 @@ func (b *Sharded) RunEpoch(st *backend.Stream) error {
 	}
 	b.model = model
 	return nil
-}
-
-func (b *Sharded) materialize(st *backend.Stream) ([][]float64, error) {
-	switch {
-	case st != nil && st.Rows64 != nil:
-		return st.Rows64, nil
-	case st != nil && st.Rows32 != nil:
-		b.rows64 = widenInto(b.rows64[:0], st.Rows32)
-		return b.rows64, nil
-	case st != nil && st.Batches != nil:
-		b.rows64 = b.rows64[:0]
-		err := st.Batches(func(rows [][]float32) error {
-			b.rows64 = widenInto(b.rows64, rows)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return b.rows64, nil
-	default:
-		return nil, nil
-	}
-}
-
-func widenInto(dst [][]float64, rows [][]float32) [][]float64 {
-	for _, row := range rows {
-		w := make([]float64, len(row))
-		for j, v := range row {
-			w[j] = float64(v)
-		}
-		dst = append(dst, w)
-	}
-	return dst
 }
 
 // Score evaluates at float64 precision, like the inner trainers.

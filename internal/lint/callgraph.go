@@ -181,15 +181,6 @@ func (fi *FuncInfo) Site(call *ast.CallExpr) *CallSite { return fi.siteByCall[ca
 // FuncIDs returns the sorted IDs of all indexed functions.
 func (m *Module) FuncIDs() []string { return m.funcIDs }
 
-// InfoFor resolves the FuncInfo of a declared function object, nil for
-// external (stdlib) functions.
-func (m *Module) InfoFor(fn *types.Func) *FuncInfo {
-	if fn == nil {
-		return nil
-	}
-	return m.Funcs[FuncID(fn)]
-}
-
 // collectCalls walks one body, resolving call sites and threading the
 // linear lock-hold state (see summary.go for how Held is consumed).
 func (m *Module) collectCalls(fi *FuncInfo) {

@@ -65,17 +65,36 @@ func runHotAlloc(pass *Pass) error {
 
 func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 	name := fn.Name.Name
-	// Appends whose destination reuses the appended slice's backing
-	// array, and func literals consumed by an open-coded defer, are
-	// exempt; collect them first so the flat walk below can skip them.
+	walkAllocSites(pass.TypesInfo, fn.Body, func(n ast.Node, _ []ast.Node, what, fix string) {
+		pass.Reportf(n.Pos(), "%s in hot path %s: %s", what, name, fix)
+	})
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			pass.Reportf(g.Pos(),
+				"go statement in hot path %s: spawns a goroutine per call; use a persistent worker pool", name)
+		}
+		return true
+	})
+}
+
+// walkAllocSites is the one allocation-site classifier: it calls visit
+// for every heap-allocating construct in body — what it is, and the fix
+// hotalloc suggests — with the node's ancestor stack. hotalloc reports
+// each site; the hotcall summary keeps the first hot, unaudited one.
+// Two shapes are exempt: appends
+// whose destination reuses the appended slice's backing array, and func
+// literals consumed by an open-coded defer (those stay on the stack).
+// Plain struct values (batchJob{...} handed to a channel, PageResult{}
+// zeroing) live in registers or on the stack and pass.
+func walkAllocSites(info *types.Info, body *ast.BlockStmt, visit func(n ast.Node, stack []ast.Node, what, fix string)) {
 	selfAppends := map[*ast.CallExpr]bool{}
 	deferredLits := map[*ast.FuncLit]bool{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || i >= len(n.Lhs) || !isBuiltinCall(pass, call, "append") || len(call.Args) == 0 {
+				if !ok || i >= len(n.Lhs) || !isBuiltinCall(info, call, "append") || len(call.Args) == 0 {
 					continue
 				}
 				if exprText(stripReslice(call.Args[0])) == exprText(n.Lhs[i]) {
@@ -89,95 +108,63 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	const concat = "string concatenation"
+	const concatFix = "allocates a new string per call"
+	inspectStack(body, func(n ast.Node, stack []ast.Node) bool {
+		what, fix := "", ""
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkHotCall(pass, name, n, selfAppends)
-		case *ast.CompositeLit:
-			checkHotComposite(pass, name, n)
-		case *ast.FuncLit:
-			if !deferredLits[n] {
-				pass.Reportf(n.Pos(),
-					"func literal in hot path %s: closures allocate; hoist the function or its captured state", name)
-			}
-		case *ast.GoStmt:
-			pass.Reportf(n.Pos(),
-				"go statement in hot path %s: spawns a goroutine per call; use a persistent worker pool", name)
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				if _, isLit := ast.Unparen(n.X).(*ast.CompositeLit); isLit {
-					pass.Reportf(n.Pos(),
-						"&composite literal in hot path %s: escapes to the heap; reuse a pooled or hoisted value", name)
+			switch {
+			case isBuiltinCall(info, n, "make"):
+				what, fix = "make", "allocates per call; hoist the buffer to the enclosing struct and reuse it"
+			case isBuiltinCall(info, n, "new"):
+				what, fix = "new", "allocates per call; reuse a pooled or arena-backed value"
+			case isBuiltinCall(info, n, "append"):
+				if !selfAppends[n] {
+					what, fix = "append to a different slice", "copies into fresh backing storage; append in place (x = append(x, ...))"
+				}
+			default:
+				// A call whose operand position holds a type is a conversion;
+				// string <-> byte/rune-slice conversions copy their payload.
+				if tv, ok := info.Types[n.Fun]; ok && tv.IsType() && len(n.Args) == 1 {
+					dst, src := tv.Type, info.Types[n.Args[0]].Type
+					if (isStringUnderlying(dst) && isByteOrRuneSlice(src)) || (isByteOrRuneSlice(dst) && isStringUnderlying(src)) {
+						what, fix = "string conversion", "copies the payload per call"
+					}
 				}
 			}
+		case *ast.CompositeLit:
+			// Slice and map literals always allocate backing storage.
+			if tv, ok := info.Types[n]; ok && tv.Type != nil {
+				switch tv.Type.Underlying().(type) {
+				case *types.Slice:
+					what, fix = "slice literal", "allocates backing storage per call; reuse a hoisted buffer"
+				case *types.Map:
+					what, fix = "map literal", "allocates per call; hoist the map and clear it instead"
+				}
+			}
+		case *ast.FuncLit:
+			if !deferredLits[n] {
+				what, fix = "func literal", "closures allocate; hoist the function or its captured state"
+			}
+		case *ast.UnaryExpr:
+			if _, isLit := ast.Unparen(n.X).(*ast.CompositeLit); isLit && n.Op == token.AND {
+				what, fix = "&composite literal", "escapes to the heap; reuse a pooled or hoisted value"
+			}
 		case *ast.BinaryExpr:
-			if n.Op == token.ADD && isStringUnderlying(pass.TypesInfo.Types[n.X].Type) {
-				pass.Reportf(n.Pos(),
-					"string concatenation in hot path %s: allocates a new string per call", name)
+			if n.Op == token.ADD && isStringUnderlying(info.Types[n.X].Type) {
+				what, fix = concat, concatFix
 			}
 		case *ast.AssignStmt:
-			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringUnderlying(pass.TypesInfo.Types[n.Lhs[0]].Type) {
-				pass.Reportf(n.Pos(),
-					"string concatenation in hot path %s: allocates a new string per call", name)
+			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringUnderlying(info.Types[n.Lhs[0]].Type) {
+				what, fix = concat, concatFix
 			}
+		}
+		if what != "" {
+			visit(n, stack, what, fix)
 		}
 		return true
 	})
-}
-
-func checkHotCall(pass *Pass, name string, call *ast.CallExpr, selfAppends map[*ast.CallExpr]bool) {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "make":
-				pass.Reportf(call.Pos(),
-					"make in hot path %s: allocates per call; hoist the buffer to the enclosing struct and reuse it", name)
-			case "new":
-				pass.Reportf(call.Pos(),
-					"new in hot path %s: allocates per call; reuse a pooled or arena-backed value", name)
-			case "append":
-				if !selfAppends[call] {
-					pass.Reportf(call.Pos(),
-						"append to a different slice in hot path %s: copies into fresh backing storage; append in place (x = append(x, ...))", name)
-				}
-			}
-			return
-		}
-	}
-	// A call whose operand position holds a type is a conversion;
-	// string <-> byte/rune-slice conversions copy their payload.
-	tv, ok := pass.TypesInfo.Types[call.Fun]
-	if !ok || !tv.IsType() || len(call.Args) != 1 {
-		return
-	}
-	dst, src := tv.Type, pass.TypesInfo.Types[call.Args[0]].Type
-	if src == nil {
-		return
-	}
-	if (isStringUnderlying(dst) && isByteOrRuneSlice(src)) || (isByteOrRuneSlice(dst) && isStringUnderlying(src)) {
-		pass.Reportf(call.Pos(),
-			"string conversion in hot path %s: copies the payload per call", name)
-	}
-}
-
-// checkHotComposite flags composite literals that force a heap
-// allocation: slice and map literals always allocate backing storage,
-// and &T{...} escapes in every interesting case. Plain struct values
-// (batchJob{...} handed to a channel, PageResult{} zeroing) live in
-// registers or on the stack and pass.
-func checkHotComposite(pass *Pass, name string, lit *ast.CompositeLit) {
-	tv, ok := pass.TypesInfo.Types[lit]
-	if !ok || tv.Type == nil {
-		return
-	}
-	switch tv.Type.Underlying().(type) {
-	case *types.Slice:
-		pass.Reportf(lit.Pos(),
-			"slice literal in hot path %s: allocates backing storage per call; reuse a hoisted buffer", name)
-	case *types.Map:
-		pass.Reportf(lit.Pos(),
-			"map literal in hot path %s: allocates per call; hoist the map and clear it instead", name)
-	}
 }
 
 // stripReslice unwraps parens and slice expressions: append(x[:0], ...)
@@ -212,12 +199,12 @@ func exprText(e ast.Expr) string {
 	}
 }
 
-func isBuiltinCall(pass *Pass, call *ast.CallExpr, name string) bool {
+func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok || id.Name != name {
 		return false
 	}
-	_, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin)
+	_, isBuiltin := info.Uses[id].(*types.Builtin)
 	return isBuiltin
 }
 

@@ -327,99 +327,15 @@ func (m *Module) calleesOf(id string) []string {
 
 // bodyAllocation scans one body for the first allocation that is hot
 // (not in an early-exit branch) and unaudited (no hotalloc/hotcall
-// suppression on its line). The construct set mirrors hotalloc: make,
-// new, non-self append, slice/map composite literals, &literal,
-// non-deferred func literals, string concatenation and conversions.
-func bodyAllocation(pkg *Package, fn *ast.FuncDecl, sup suppressions) (token.Pos, string) {
-	selfAppends := map[*ast.CallExpr]bool{}
-	deferredLits := map[*ast.FuncLit]bool{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || i >= len(n.Lhs) || !isBuiltinCallInfo(pkg.TypesInfo, call, "append") || len(call.Args) == 0 {
-					continue
-				}
-				if exprText(stripReslice(call.Args[0])) == exprText(n.Lhs[i]) {
-					selfAppends[call] = true
-				}
-			}
-		case *ast.DeferStmt:
-			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				deferredLits[lit] = true
-			}
+// suppression on its line). The construct set is hotalloc's own: both
+// read the one site classifier, walkAllocSites.
+func bodyAllocation(pkg *Package, fn *ast.FuncDecl, sup suppressions) (firstPos token.Pos, firstWhat string) {
+	walkAllocSites(pkg.TypesInfo, fn.Body, func(n ast.Node, stack []ast.Node, what, _ string) {
+		p := pkg.Fset.Position(n.Pos())
+		if firstWhat != "" || coldSite(n, stack) || sup.suppressed(HotAlloc.Name, p) || sup.suppressed(HotCall.Name, p) {
+			return // already found; cold; or audited (amortized or pool-fallback allocation)
 		}
-		return true
-	})
-
-	var firstPos token.Pos
-	var firstWhat string
-	report := func(pos token.Pos, what string, stack []ast.Node, n ast.Node) {
-		if firstWhat != "" {
-			return
-		}
-		if coldSite(n, stack) {
-			return
-		}
-		p := pkg.Fset.Position(pos)
-		if sup.suppressed(HotAlloc.Name, p) || sup.suppressed(HotCall.Name, p) {
-			return // audited: amortized or pool-fallback allocation
-		}
-		firstPos, firstWhat = pos, what
-	}
-	inspectStack(fn.Body, func(n ast.Node, stack []ast.Node) bool {
-		if firstWhat != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if _, isBuiltin := pkg.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
-					switch id.Name {
-					case "make":
-						report(n.Pos(), "make", stack, n)
-					case "new":
-						report(n.Pos(), "new", stack, n)
-					case "append":
-						if !selfAppends[n] {
-							report(n.Pos(), "append to a fresh slice", stack, n)
-						}
-					}
-					return true
-				}
-			}
-			if tv, ok := pkg.TypesInfo.Types[n.Fun]; ok && tv.IsType() && len(n.Args) == 1 {
-				dst, src := tv.Type, pkg.TypesInfo.Types[n.Args[0]].Type
-				if src != nil && ((isStringUnderlying(dst) && isByteOrRuneSlice(src)) || (isByteOrRuneSlice(dst) && isStringUnderlying(src))) {
-					report(n.Pos(), "string conversion", stack, n)
-				}
-			}
-		case *ast.CompositeLit:
-			if tv, ok := pkg.TypesInfo.Types[n]; ok && tv.Type != nil {
-				switch tv.Type.Underlying().(type) {
-				case *types.Slice:
-					report(n.Pos(), "slice literal", stack, n)
-				case *types.Map:
-					report(n.Pos(), "map literal", stack, n)
-				}
-			}
-		case *ast.FuncLit:
-			if !deferredLits[n] {
-				report(n.Pos(), "func literal (closure)", stack, n)
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				if _, isLit := ast.Unparen(n.X).(*ast.CompositeLit); isLit {
-					report(n.Pos(), "&composite literal", stack, n)
-				}
-			}
-		case *ast.BinaryExpr:
-			if n.Op == token.ADD && isStringUnderlying(pkg.TypesInfo.Types[n.X].Type) {
-				report(n.Pos(), "string concatenation", stack, n)
-			}
-		}
-		return true
+		firstPos, firstWhat = n.Pos(), what
 	})
 	return firstPos, firstWhat
 }
@@ -520,15 +436,4 @@ func sortedKeys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// isBuiltinCallInfo is isBuiltinCall without a Pass (module build runs
-// before any Pass exists).
-func isBuiltinCallInfo(info *types.Info, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin
 }

@@ -17,6 +17,9 @@ func (base) Score([]float64, [][]float64) ([]float64, error) {
 }
 func (base) Model() []float64         { return nil }
 func (base) SetModel([]float64) error { return nil }
+func (base) ModeledSeconds(backend.Job, backend.Run) float64 {
+	return 0
+}
 
 // Good is registered through a function-literal factory and declares
 // complete capabilities.

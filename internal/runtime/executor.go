@@ -38,7 +38,6 @@ package runtime
 import (
 	"errors"
 	"fmt"
-	hostrt "runtime"
 	"sync"
 	"time"
 
@@ -48,6 +47,7 @@ import (
 	"dana/internal/fault"
 	"dana/internal/obs"
 	"dana/internal/storage"
+	"dana/internal/strider"
 )
 
 // defaultPipelineDepth is the per-worker bound on extracted-but-unconsumed
@@ -101,16 +101,24 @@ func (c *recordCache) clear() {
 	c.entries = nil
 }
 
-// epochRunner executes training epochs for one Train call, feeding the
-// streaming backend (the configured accelerator) through the Backend
-// seam: extraction drives be.RunEpoch with the page-order batch stream,
-// cache replays hand it the materialized rows. Both forms charge
-// identical modeled counters.
+// epochRunner is the epoch feed of one Train call: it hands the
+// configured backend each epoch's tuples through the Backend seam, in
+// the form the backend consumes. For a streaming backend, extraction
+// drives be.RunEpoch with the page-order batch stream and cache replays
+// hand it the materialized rows (both forms charge identical modeled
+// counters); for a row-fed backend (ae == nil) every epoch is the
+// relation's materialized rows.
 type epochRunner struct {
 	s   *System
 	ae  *accessengine.Engine
 	rel *storage.Relation
 	be  backend.Backend
+
+	// rows is the row-fed form: the whole relation, scanned once.
+	rows *backend.Stream
+	// accelerated backends model faultable hardware and are subject to
+	// injected cluster faults.
+	accelerated bool
 
 	// fits: the whole relation fits in the buffer pool, so page access
 	// order cannot change eviction behavior — the precondition for both
@@ -172,18 +180,35 @@ func (w *workerError) Error() string {
 
 func (w *workerError) Unwrap() error { return w.err }
 
+// newEpochFeed builds the epoch feed for be: the DAnA pipeline — pages
+// stream from the buffer pool through Striders into the engine, with
+// the record cache and the channel-partitioned parallel extraction —
+// when the backend is Streaming, the relation's tuples materialized
+// once (in both widths) otherwise.
+func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, nStriders int) (*epochRunner, error) {
+	caps := be.Capabilities()
+	if !caps.Streaming {
+		rows64, rows32, err := rel.NarrowedRows(true)
+		if err != nil {
+			return nil, err
+		}
+		return &epochRunner{
+			s: s, rel: rel, be: be, faults: s.Opts.Faults, accelerated: caps.Accelerated,
+			rows: &backend.Stream{Rows32: rows32, Rows64: rows64},
+		}, nil
+	}
+	ae, err := accessengine.New(strider.PostgresLayout(s.Opts.PageSize), rel.Schema, nStriders)
+	if err != nil {
+		return nil, err
+	}
+	ae.SetObs(s.obs)
+	ae.SetFaults(s.Opts.Faults)
+	return s.newEpochRunner(ae, rel, be), nil
+}
+
 func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, be backend.Backend) *epochRunner {
 	fits := rel.NumPages() <= s.DB.Pool.NumFrames()
-	workers := s.Opts.Workers
-	if workers <= 0 {
-		workers = hostrt.GOMAXPROCS(0)
-	}
-	if workers > ae.NumStriders {
-		workers = ae.NumStriders
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := backend.HostWorkers(s.Opts.Workers, ae.NumStriders)
 	// The engine-side batch fan-out never touches the buffer pool and
 	// follows the configured worker count even when extraction must stay
 	// serial below; the backend applied it at Configure.
@@ -191,10 +216,6 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 		// Larger-than-pool tables keep the serial pin order so clock-sweep
 		// eviction (and therefore modeled I/O) stays deterministic.
 		workers = 1
-	}
-	depth := s.Opts.PipelineDepth
-	if depth <= 0 {
-		depth = defaultPipelineDepth
 	}
 	retries := s.Opts.MaxPageRetries
 	switch {
@@ -212,9 +233,10 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 		fits:     fits,
 		workers:  workers,
 		channels: s.channels,
-		depth:    depth,
+		depth:    defaultPipelineDepth,
 		cacheOK:  fits && !s.Opts.NoExtractCache,
 
+		accelerated:    be.Capabilities().Accelerated,
 		faults:         s.Opts.Faults,
 		healthy:        healthy,
 		maxPageRetries: retries,
@@ -283,14 +305,20 @@ func (r *epochRunner) chargeChannel(res *accessengine.PageResult) {
 	r.s.obsChanBusy[c].Add(res.Cycles)
 }
 
-// runEpochRecover is runEpoch plus the quarantine recovery loop: when a
-// Strider VM keeps trapping after the page-level retry budget, the VM is
-// quarantined, the model is restored to its epoch-start snapshot (a
-// failed epoch must not leave partially-applied updates behind), and
-// the epoch re-runs on the healthy subset. With every VM quarantined
-// the typed fault.ErrWorkerQuarantined surfaces, which the runtime
-// treats as an accelerator fault (CPU fallback).
+// runEpochRecover is the epoch loop's body: the injected cluster-fault
+// gate (accelerated backends only), then runEpoch plus the quarantine
+// recovery loop. When a Strider VM keeps trapping after the page-level
+// retry budget, the VM is quarantined, the model is restored to its
+// epoch-start snapshot (a failed epoch must not leave partially-applied
+// updates behind), and the epoch re-runs on the healthy subset. With
+// every VM quarantined the typed fault.ErrWorkerQuarantined surfaces,
+// which the runtime treats as an accelerator fault (CPU fallback).
 func (r *epochRunner) runEpochRecover(epoch int) error {
+	if r.accelerated {
+		if err := r.faults.ClusterFault(epoch); err != nil {
+			return err
+		}
+	}
 	var snap []float64
 	if r.faults != nil || r.s.Opts.EpochTimeout > 0 {
 		// An epoch can fail, and a failed epoch must not leave
@@ -384,7 +412,9 @@ func (r *epochRunner) runEpoch(epoch int) error {
 	}
 	cached := false
 	var err error
-	if r.cacheOK {
+	if r.rows != nil {
+		err = r.be.RunEpoch(r.rows)
+	} else if r.cacheOK {
 		if ent := r.s.cache.lookup(r.rel, r.s.DB.Pool.InvalidationCount()); ent != nil {
 			cached = true
 			r.s.obsCacheHits.Inc()

@@ -27,7 +27,6 @@ import (
 	"dana/internal/sql"
 	"dana/internal/storage"
 	"dana/internal/strider"
-	"dana/internal/weaving"
 )
 
 // Options configure a System.
@@ -77,9 +76,6 @@ type Options struct {
 	// their totals are invariant). The *modeled* transfer time follows
 	// Cost.Link, which is configured independently.
 	Channels int
-	// PipelineDepth bounds the extracted-but-unconsumed page batches per
-	// worker (0 = default), bounding memory for large tables.
-	PipelineDepth int
 	// NoExtractCache disables the cross-epoch extracted-record cache, so
 	// every epoch re-walks the heap pages through the Striders.
 	NoExtractCache bool
@@ -246,10 +242,6 @@ func New(opts Options) *System {
 	return s
 }
 
-// Dispatcher exposes the system's backend dispatcher (stats CLIs,
-// tests).
-func (s *System) Dispatcher() *backend.Dispatcher { return s.disp }
-
 // Obs returns the system's observability registry (obs.Noop when the
 // system runs dark). Snapshot it for the JSON export, or read counters
 // programmatically via Get.
@@ -383,8 +375,32 @@ type TrainResult struct {
 	FailoverBackend string
 }
 
+// resolve is the lookup preamble shared by Train and EstimateBackends:
+// the catalog entries for a (UDF, table) pair, the stored accelerator
+// (built on first use), and the dispatch job they classify into.
+func (s *System) resolve(udfName, table string) (*catalog.UDF, *storage.Relation, *catalog.Accelerator, backend.Job, error) {
+	udf, err := s.DB.Cat.UDF(udfName)
+	if err != nil {
+		return nil, nil, nil, backend.Job{}, err
+	}
+	rel, err := s.DB.Cat.Table(table)
+	if err != nil {
+		return nil, nil, nil, backend.Job{}, err
+	}
+	acc, ok := s.DB.Cat.Accelerator(udfName)
+	if !ok {
+		if acc, err = s.buildAccelerator(udf, 0, rel.NumTuples()); err != nil {
+			return nil, nil, nil, backend.Job{}, err
+		}
+	}
+	return udf, rel, acc, s.jobFor(udf, rel, acc), nil
+}
+
 // jobFor classifies a (UDF, table) pair into a dispatch job: the
-// structural workload class plus the analytic cost-model inputs.
+// structural workload class plus the analytic cost-model inputs. Bits
+// carries only a reduced read precision; which backend serves it — and
+// what an explicit any-precision override reads at Precision 0 — is the
+// dispatcher's call (backend.Dispatcher.Resolve).
 func (s *System) jobFor(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Accelerator) backend.Job {
 	class := backend.Classify(udf.Graph)
 	pages := rel.NumPages()
@@ -400,13 +416,8 @@ func (s *System) jobFor(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Ac
 		epochs = s.Opts.MaxEpochs
 	}
 	bits := 0
-	switch {
-	case s.Opts.Precision >= 1 && s.Opts.Precision < storage.WeaveMaxBits:
+	if s.Opts.Precision >= 1 && s.Opts.Precision < storage.WeaveMaxBits {
 		bits = s.Opts.Precision
-	case s.Opts.Backend == backend.NameWeave:
-		// An explicit weave override with no reduced precision reads all
-		// 32 planes — full-width values through the vertical layout.
-		bits = storage.WeaveMaxBits
 	}
 	return backend.Job{
 		Class:             class,
@@ -427,252 +438,120 @@ func (s *System) jobFor(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Ac
 	}
 }
 
-// pickBackend resolves Options.Backend: "" pins the accelerator (the
-// paper path) — or the weave backend when the job carries a reduced
-// read precision, since full-width backends reject k-bit jobs — "auto"
-// runs cost-based dispatch, anything else is an explicit override by
-// registered name.
-func (s *System) pickBackend(job backend.Job) (backend.Backend, backend.Registration, backend.Cost, error) {
-	name := s.Opts.Backend
-	switch name {
-	case "":
-		if job.Bits > 0 {
-			name = backend.NameWeave
-		} else {
-			name = backend.NameAccelerator
-		}
-	case backend.NameAuto:
-		return s.disp.Pick(job)
+// programFor prepares the training job handed to Configure.
+func (s *System) programFor(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Accelerator, bits int) backend.Program {
+	return backend.Program{
+		Graph:     udf.Graph,
+		Engine:    acc.Program,
+		EngineCfg: acc.Design.Engine,
+		Striders:  backend.InProcessStriders(acc.Design.NumStriders),
+		MergeCoef: udf.Graph.MergeCoef,
+		PageSize:  s.Opts.PageSize,
+		Tuples:    rel.NumTuples(),
+		Bits:      bits,
 	}
-	be, reg, err := s.disp.New(name, job)
-	if err != nil {
-		return nil, backend.Registration{}, backend.Cost{}, err
-	}
-	c, err := be.EstimateCost(job)
-	if err != nil {
-		c = backend.Cost{}
-	}
-	return be, reg, c, nil
 }
 
 // Train runs a registered UDF over a table on the selected execution
-// backend. The default (accelerator) path is the DAnA pipeline:
-// buffer-pool pages -> Striders -> execution engine, epoch by epoch
-// with convergence checks; other backends train over the materialized
-// tuples (narrowed through float32, the Strider datapath width, so
-// every backend sees the same values).
+// backend: configure → epoch loop → collect. The default path is the
+// DAnA pipeline — buffer-pool pages -> Striders -> execution engine,
+// epoch by epoch with convergence checks; row-fed backends train over
+// the materialized tuples (narrowed through float32, the Strider
+// datapath width, so every backend sees the same values). Which form a
+// backend consumes is the epoch feed's concern, and what the run's
+// modeled time is, the backend's own.
 func (s *System) Train(udfName, table string) (*TrainResult, error) {
 	if s.Opts.Precision < 0 || s.Opts.Precision > storage.WeaveMaxBits {
 		return nil, fmt.Errorf("%w: precision %d outside [0, %d]",
 			backend.ErrUnsupported, s.Opts.Precision, storage.WeaveMaxBits)
 	}
-	udf, err := s.DB.Cat.UDF(udfName)
+	udf, rel, acc, job, err := s.resolve(udfName, table)
 	if err != nil {
 		return nil, err
-	}
-	rel, err := s.DB.Cat.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	acc, ok := s.DB.Cat.Accelerator(udfName)
-	if !ok {
-		if acc, err = s.buildAccelerator(udf, 0, rel.NumTuples()); err != nil {
-			return nil, err
-		}
 	}
 	if got, want := rel.Schema.NumCols(), udf.Graph.TupleWidth(); got != want {
 		return nil, fmt.Errorf("runtime: table %q has %d columns, UDF %q consumes %d", table, got, udfName, want)
 	}
-
-	job := s.jobFor(udf, rel, acc)
-	be, reg, bcost, err := s.pickBackend(job)
+	be, reg, job, err := s.disp.Resolve(s.Opts.Backend, job)
 	if err != nil {
 		return nil, err
 	}
-	caps := be.Capabilities()
-
-	nStriders := acc.Design.NumStriders
-	if nStriders < 1 {
-		nStriders = 1
-	}
-	if nStriders > 16 {
-		nStriders = 16 // in-process VM instances; cycle model unchanged
-	}
-	if err := be.Configure(backend.Program{
-		Graph:     udf.Graph,
-		Engine:    acc.Program,
-		EngineCfg: acc.Design.Engine,
-		Striders:  nStriders,
-		MergeCoef: udf.Graph.MergeCoef,
-		PageSize:  s.Opts.PageSize,
-		Tuples:    rel.NumTuples(),
-		Bits:      job.Bits,
-	}); err != nil {
+	prog := s.programFor(udf, rel, acc, job.Bits)
+	if err := be.Configure(prog); err != nil {
 		return nil, err
 	}
 	if cl, ok := be.(backend.Closer); ok {
 		defer cl.Close() // releases batch fan-out helpers, if any
 	}
 
-	epochs := job.Epochs
 	res := &TrainResult{UDF: udfName, Table: table, Design: acc.Design, Backend: reg.Name}
 	trainStart := time.Now()
 	s.obsTrainRuns.Inc()
-	s.obs.Trace(obs.EvTrainStart, int64(epochs), int64(rel.NumPages()))
-
-	var ae *accessengine.Engine
-	var degradeErr error
-	if caps.Streaming {
-		// The DAnA pipeline: pages stream from the buffer pool through
-		// Striders into the engine, with the record cache and the
-		// channel-partitioned parallel extraction.
-		ae, err = accessengine.New(strider.PostgresLayout(s.Opts.PageSize), rel.Schema, nStriders)
-		if err != nil {
-			return nil, err
-		}
-		ae.SetObs(s.obs)
-		ae.SetFaults(s.Opts.Faults)
-		runner := s.newEpochRunner(ae, rel, be)
-		degradeErr, err = s.trainLoop(res, epochs, be, func(e int) error {
-			if err := s.Opts.Faults.ClusterFault(e); err != nil {
-				return err
-			}
-			return runner.runEpochRecover(e)
-		})
-	} else {
-		rows64, rows32, serr := s.scanRows(rel)
-		if serr != nil {
-			return nil, serr
-		}
-		st := &backend.Stream{Rows32: rows32, Rows64: rows64}
-		degradeErr, err = s.trainLoop(res, epochs, be, func(e int) error {
-			if caps.Accelerated {
-				// Only backends modeling faultable accelerator hardware are
-				// subject to injected cluster faults.
-				if err := s.Opts.Faults.ClusterFault(e); err != nil {
-					return err
-				}
-			}
-			epochStart := time.Now()
-			if err := be.RunEpoch(st); err != nil {
-				return err
-			}
-			wall := time.Since(epochStart).Nanoseconds()
-			s.obsEpochs.Inc()
-			s.obsEpochWall.Add(wall)
-			s.obsEpochHist.Observe(wall)
-			s.obs.Trace(obs.EvEpoch, int64(e), wall)
-			return nil
-		})
-	}
+	s.obs.Trace(obs.EvTrainStart, int64(job.Epochs), int64(rel.NumPages()))
+	feed, err := s.newEpochFeed(rel, be, prog.Striders)
 	if err != nil {
 		return nil, err
 	}
-	if res.Degraded {
-		if err := s.failover(res, job, be, reg.Name, udf, rel, epochs); err != nil {
+	if err := trainLoop(res, be, job.Epochs, feed.runEpochRecover); err != nil {
+		// The failing epoch is the one after the last completed.
+		if errors.Is(err, fault.ErrEpochTimeout) {
+			s.obsEpochTimeout.Inc()
+			s.obs.Trace(obs.EvEpochTimeout, int64(res.Epochs), int64(s.Opts.EpochTimeout))
+		}
+		if s.Opts.DisableCPUFallback || !fault.IsAcceleratorFault(err) {
+			return nil, err
+		}
+		// Graceful degradation: the accelerator is gone but storage is
+		// intact, so the remaining epochs run on the failover backend
+		// from the epoch-start model state.
+		res.Degraded, res.DegradedAtEpoch = true, res.Epochs
+		if ferr := s.failover(res, job, prog, be, reg.Name, rel); ferr != nil {
 			// Both errors wrap: the caller must be able to errors.Is against
 			// the accelerator fault that triggered degradation AND the
 			// failover failure.
-			return nil, fmt.Errorf("runtime: backend failover after accelerator fault (%w) failed: %w", degradeErr, err)
+			return nil, fmt.Errorf("runtime: backend failover after accelerator fault (%w) failed: %w", err, ferr)
 		}
 	}
-	counters := engine.Stats{}
+
 	if cb, ok := be.(backend.CounterBackend); ok {
-		counters = cb.Counters()
+		res.Engine = cb.Counters()
 	}
 	s.obsTrainWall.Add(time.Since(trainStart).Nanoseconds())
-	s.obs.Trace(obs.EvTrainDone, int64(res.Epochs), counters.Cycles)
+	s.obs.Trace(obs.EvTrainDone, int64(res.Epochs), res.Engine.Cycles)
 	if !res.Degraded {
 		res.Model = model32(be.Model())
 	}
-	res.Engine = counters
-	if ae != nil {
-		res.Access = ae.Stats()
+	if feed.ae != nil {
+		res.Access = feed.ae.Stats()
 	}
 	res.Pool = s.DB.Pool.Stats()
-	if caps.Streaming {
-		// Pipeline time: engine and striders overlap; link transfer too.
-		// Transfer is charged through the channel model (max-over-channels
-		// of the round-robin page shares); the run's page stream — cached
-		// replays included — is one interleaved sequence. The zero-value
-		// Cost.Link reproduces the legacy scalar PCIe×scale charge exactly.
-		clock := s.Opts.FPGA.ClockHz
-		engineSec := float64(res.Engine.Cycles) / clock
-		striderSec := float64(res.Access.Cycles) / clock
-		cp := s.Opts.Cost
-		cp.BandwidthScale = nz(cp.BandwidthScale)
-		tw := cost.Workload{
-			DatasetBytes: res.Access.Pages * int64(s.Opts.PageSize),
-			Pages:        int(res.Access.Pages),
-		}
-		if job.Bits > 0 && reg.Name == backend.NameWeave {
-			// The weave path ships the vertical layout instead of heap
-			// pages: per extraction pass, FixedBytes + k×BitBytes of the
-			// relation's weave-page geometry. Pass count comes from the
-			// run's actual page stream, so retries and cached replays
-			// charge the same number of passes either way.
-			nfeat := rel.Schema.NumCols() - 1
-			g := weaving.RelationGeometry(rel.NumTuples(), nfeat, s.Opts.PageSize)
-			hp := int64(rel.NumPages())
-			if hp < 1 {
-				hp = 1
-			}
-			passes := (res.Access.Pages + hp - 1) / hp
-			tw.WeaveBits = job.Bits
-			tw.WeaveFixedBytes = passes * g.FixedBytes
-			tw.WeaveBitBytes = passes * g.BitBytes
-			tw.Pages = int(passes) * g.Pages
-		}
-		transferSec := cost.TransferSec(tw, cp)
-		pipe := engineSec
-		if striderSec > pipe {
-			pipe = striderSec
-		}
-		if transferSec > pipe {
-			pipe = transferSec
-		}
-		res.SimulatedSeconds = pipe + res.Pool.IOSeconds + s.Opts.Cost.SetupSec
-	} else {
-		// Non-pipeline backends report the analytic estimate: they have no
-		// modeled page stream to integrate.
-		res.SimulatedSeconds = bcost.Seconds
-	}
+	res.SimulatedSeconds = be.ModeledSeconds(job, backend.Run{
+		EngineCycles:  res.Engine.Cycles,
+		StriderCycles: res.Access.Cycles,
+		Pages:         res.Access.Pages,
+		IOSeconds:     res.Pool.IOSeconds,
+	})
 	return res, nil
 }
 
-// trainLoop drives the per-epoch body with convergence checks and the
-// shared degradation policy: an accelerator fault marks the result
-// degraded (for the failover path) unless fallback is disabled; every
-// other error surfaces directly.
-func (s *System) trainLoop(res *TrainResult, epochs int, be backend.Backend, body func(e int) error) (degradeErr error, err error) {
+// trainLoop is the one epoch loop: it runs up to epochs epochs of body
+// against be, counting completed epochs into res and stopping early
+// once the backend's program reports convergence. The first error stops
+// the loop; the degradation policy is the caller's.
+func trainLoop(res *TrainResult, be backend.Backend, epochs int, body func(e int) error) error {
+	cv, _ := be.(backend.Converger)
 	for e := 0; e < epochs; e++ {
 		if err := body(e); err != nil {
-			if errors.Is(err, fault.ErrEpochTimeout) {
-				s.obsEpochTimeout.Inc()
-				s.obs.Trace(obs.EvEpochTimeout, int64(e), int64(s.Opts.EpochTimeout))
-			}
-			if s.Opts.DisableCPUFallback || !fault.IsAcceleratorFault(err) {
-				return nil, err
-			}
-			// Graceful degradation: the accelerator is gone but storage is
-			// intact, so the remaining epochs run on the failover backend
-			// from the epoch-start model state.
-			res.Degraded = true
-			res.DegradedAtEpoch = e
-			return err, nil
+			return err
 		}
 		res.Epochs++
-		if cv, ok := be.(backend.Converger); ok {
-			done, cerr := cv.Converged()
-			if cerr != nil {
-				return nil, cerr
-			}
-			if done {
-				break
+		if cv != nil {
+			if done, err := cv.Converged(); err != nil || done {
+				return err
 			}
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // failover completes a degraded training run on the dispatcher's
@@ -683,55 +562,38 @@ func (s *System) trainLoop(res *TrainResult, epochs int, be backend.Backend, bod
 // (narrowed through float32, matching the Strider datapath), and runs
 // the remaining epoch budget. The downgrade is surfaced via the
 // runtime.failovers counter (plus the historical runtime.cpu_fallbacks
-// when the target is the CPU backend) and trace events — never a panic,
-// never a silent wrong model.
-func (s *System) failover(res *TrainResult, job backend.Job, failed backend.Backend, failedName string, udf *catalog.UDF, rel *storage.Relation, totalEpochs int) error {
+// when the target is the canonical reference trainer) and trace events
+// — never a panic, never a silent wrong model.
+func (s *System) failover(res *TrainResult, job backend.Job, prog backend.Program, failed backend.Backend, failedName string, rel *storage.Relation) error {
 	// Degradation drops any reduced read precision: fallback targets are
 	// full-width reference trainers, and a k-bit request was a bandwidth
 	// optimization, not a semantic requirement.
-	job.Bits = 0
+	job.Bits, prog.Bits = 0, 0
 	fb, freg, err := s.disp.Failover(job, failedName)
 	if err != nil {
 		return err
 	}
-	remaining := totalEpochs - res.DegradedAtEpoch
+	remaining := job.Epochs - res.DegradedAtEpoch
 	s.obsFailovers.Inc()
 	s.obs.Trace(obs.EvFailover, int64(res.DegradedAtEpoch), int64(remaining))
-	if freg.Name == backend.NameCPU {
+	if fb.Capabilities().BitExactModel {
 		s.obsCPUFallbacks.Inc()
 		s.obs.Trace(obs.EvCPUFallback, int64(res.DegradedAtEpoch), int64(remaining))
 	}
-	if err := fb.Configure(backend.Program{
-		Graph:     udf.Graph,
-		MergeCoef: udf.Graph.MergeCoef,
-		PageSize:  s.Opts.PageSize,
-		Tuples:    rel.NumTuples(),
-		Init:      failed.Model(), // epoch-start state (restored on epoch failure)
-	}); err != nil {
+	prog.Init = failed.Model() // epoch-start state (restored on epoch failure)
+	if err := fb.Configure(prog); err != nil {
 		return err
 	}
 	if cl, ok := fb.(backend.Closer); ok {
 		defer cl.Close()
 	}
-	rows64, _, err := s.scanRows(rel)
+	rows64, _, err := rel.NarrowedRows(false)
 	if err != nil {
 		return err
 	}
 	st := &backend.Stream{Rows64: rows64}
-	for e := 0; e < remaining; e++ {
-		if err := fb.RunEpoch(st); err != nil {
-			return err
-		}
-		res.Epochs++
-		if cv, ok := fb.(backend.Converger); ok {
-			done, cerr := cv.Converged()
-			if cerr != nil {
-				return cerr
-			}
-			if done {
-				break
-			}
-		}
+	if err := trainLoop(res, fb, remaining, func(int) error { return fb.RunEpoch(st) }); err != nil {
+		return err
 	}
 	res.FailoverBackend = freg.Name
 	res.Model = model32(fb.Model())
@@ -748,25 +610,18 @@ type BackendCost struct {
 	Err string
 }
 
-// EstimateBackends prices a registered (UDF, table) job on every
-// registered backend — the dispatcher's view before it picks. The
-// returned slice is in registry (name) order.
+// EstimateBackends prices a registered (UDF, table) job — as the
+// configured backend override would run it — on every registered
+// backend: the dispatcher's view before it picks. The returned slice is
+// in registry (name) order.
 func (s *System) EstimateBackends(udfName, table string) ([]BackendCost, error) {
-	udf, err := s.DB.Cat.UDF(udfName)
+	_, _, _, job, err := s.resolve(udfName, table)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := s.DB.Cat.Table(table)
-	if err != nil {
-		return nil, err
+	if _, _, j, err := s.disp.Resolve(s.Opts.Backend, job); err == nil {
+		job = j
 	}
-	acc, ok := s.DB.Cat.Accelerator(udfName)
-	if !ok {
-		if acc, err = s.buildAccelerator(udf, 0, rel.NumTuples()); err != nil {
-			return nil, err
-		}
-	}
-	job := s.jobFor(udf, rel, acc)
 	var out []BackendCost
 	for _, reg := range s.disp.Registrations() {
 		bc := BackendCost{Name: reg.Name}
@@ -784,28 +639,6 @@ func (s *System) EstimateBackends(udfName, table string) ([]BackendCost, error) 
 	return out, nil
 }
 
-// scanRows materializes the relation's tuples with every value narrowed
-// through float32 — the Strider datapath width — so backends that skip
-// the extraction pipeline still see the exact values it would deliver.
-func (s *System) scanRows(rel *storage.Relation) (rows64 [][]float64, rows32 [][]float32, err error) {
-	err = rel.Scan(func(_ storage.TID, vals []float64) error {
-		r32 := make([]float32, len(vals))
-		r64 := make([]float64, len(vals))
-		for i, v := range vals {
-			f := float32(v)
-			r32[i] = f
-			r64[i] = float64(f)
-		}
-		rows32 = append(rows32, r32)
-		rows64 = append(rows64, r64)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return rows64, rows32, nil
-}
-
 // model32 narrows a backend's float64 model view to the result's
 // float32 representation (exact for values that round-tripped through
 // float32 upstream).
@@ -818,13 +651,6 @@ func model32(m []float64) []float32 {
 		out[i] = float32(v)
 	}
 	return out
-}
-
-func nz(v float64) float64 {
-	if v == 0 {
-		return 1
-	}
-	return v
 }
 
 // RunUDF implements sql.UDFRunner: training results surface as a result

@@ -8,7 +8,7 @@ import (
 	"dana/internal/algos"
 	"dana/internal/cost"
 	"dana/internal/datagen"
-	"dana/internal/experiments"
+	"dana/internal/workload"
 )
 
 // ErrUnsupportedWorkload marks job classes the server does not admit
@@ -32,12 +32,12 @@ func configKey(workload string, merge int) string {
 // reconfigure/reuse charge. Not safe for concurrent use; the Server
 // serializes planning.
 type costEstimator struct {
-	env      experiments.Env
+	env      workload.Env
 	compiled map[string]cost.Workload // workload|scale|merge -> cost inputs
 	cache    map[string]Estimate      // full spec key -> estimate
 }
 
-func newCostEstimator(env experiments.Env) *costEstimator {
+func newCostEstimator(env workload.Env) *costEstimator {
 	return &costEstimator{
 		env:      env,
 		compiled: map[string]cost.Workload{},
@@ -45,9 +45,9 @@ func newCostEstimator(env experiments.Env) *costEstimator {
 	}
 }
 
-// effectiveMerge mirrors experiments.CompileWorkload's coefficient
-// resolution so the estimator's configuration key matches what the
-// tenant systems actually build.
+// effectiveMerge mirrors workload.Compile's coefficient resolution so
+// the estimator's configuration key matches what the tenant systems
+// actually build.
 func (e *costEstimator) effectiveMerge(merge int) int {
 	if merge <= 0 {
 		return e.env.MergeCoef
@@ -72,7 +72,7 @@ func (e *costEstimator) costWorkload(w datagen.Workload, scale float64, merge in
 	}
 	ws := w
 	ws.Tuples = scaledTuples(w, scale)
-	comp, err := experiments.CompileWorkload(ws, e.env, merge)
+	comp, err := workload.Compile(ws, e.env, merge)
 	if err != nil {
 		return cost.Workload{}, err
 	}

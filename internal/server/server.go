@@ -27,11 +27,11 @@ import (
 	"dana/internal/catalog"
 	"dana/internal/datagen"
 	"dana/internal/dsl"
-	"dana/internal/experiments"
 	"dana/internal/fault"
 	"dana/internal/obs"
 	"dana/internal/runtime"
 	"dana/internal/storage"
+	"dana/internal/workload"
 )
 
 // TenantConfig declares one tenant.
@@ -102,7 +102,7 @@ type tenant struct {
 // Server is the session layer.
 type Server struct {
 	cfg Config
-	env experiments.Env
+	env workload.Env
 	reg *obs.Registry
 
 	mu       sync.Mutex // guards pending, planner state, estimator
@@ -155,7 +155,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	env := experiments.DefaultEnv()
+	env := workload.DefaultEnv()
 	env.PageSize = cfg.PageSize
 	reg := cfg.Obs
 	if reg == nil {
@@ -556,7 +556,7 @@ func (t *tenant) score(s *Server, pl *Placement) (int, error) {
 			model[i] = float64(v)
 		}
 	}
-	rows, err := scanRows64(rel)
+	rows, _, err := rel.NarrowedRows(false)
 	if err != nil {
 		return 0, err
 	}
@@ -564,24 +564,6 @@ func (t *tenant) score(s *Server, pl *Placement) (int, error) {
 		return 0, err
 	}
 	return len(rows), nil
-}
-
-// scanRows64 materializes a relation's tuples narrowed through float32
-// (the Strider datapath width), matching the runtime's row view.
-func scanRows64(rel *storage.Relation) ([][]float64, error) {
-	var rows [][]float64
-	err := rel.Scan(func(_ storage.TID, vals []float64) error {
-		r := make([]float64, len(vals))
-		for i, v := range vals {
-			r[i] = float64(float32(v))
-		}
-		rows = append(rows, r)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // IdentityError checks the cross-registry sum identity: for engine and
@@ -631,9 +613,6 @@ func joinLines(xs []string) string {
 	}
 	return out
 }
-
-// tenantFor exposes a tenant's UDF table for tests.
-func (s *Server) tenantFor(name string) *tenant { return s.tenants[name] }
 
 // Catalog returns the named tenant's catalog (danasrv stdin mode).
 func (s *Server) Catalog(name string) *catalog.Catalog {

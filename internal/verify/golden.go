@@ -2,18 +2,17 @@ package verify
 
 import (
 	"fmt"
-	"math"
 
-	"dana/internal/accessengine"
 	"dana/internal/algos"
 	"dana/internal/compiler"
 	"dana/internal/engine"
+	"dana/internal/golden"
 	"dana/internal/hdfg"
 	"dana/internal/hwgen"
 	"dana/internal/ml"
 )
 
-// Oracle C: training equivalence. GoldenSpec.Train is a pure-Go float64
+// Oracle C: training equivalence. golden.Spec.Train is a pure-Go float64
 // trainer written directly from the DSL update-rule semantics, in the
 // exact floating-point operation order the hDFG evaluator uses. The
 // hierarchy of checks, loosening as implementations diverge in number
@@ -23,214 +22,23 @@ import (
 //	golden ≈ ml baseline (MADlib)   1e-9 (same math, different op order)
 //	golden ≈ engine simulator       5e-3 (float32 datapath)
 
-// GoldenSpec describes one training instance.
-type GoldenSpec struct {
-	Kind               algos.Kind
-	NFeat              int // GLMs
-	Users, Items, Rank int // LRMF
-	LR, Lambda         float64
-	MergeCoef          int
-	Epochs             int
-}
-
-// Topology returns the algos.Build topology vector.
-func (sp GoldenSpec) Topology() []int {
-	if sp.Kind == algos.KindLRMF {
-		return []int{sp.Users, sp.Items, sp.Rank}
-	}
-	return []int{sp.NFeat}
-}
-
-// Hyper returns the algos hyper-parameters.
-func (sp GoldenSpec) Hyper() algos.Hyper {
-	return algos.Hyper{LR: sp.LR, Lambda: sp.Lambda, MergeCoef: sp.MergeCoef, Epochs: sp.Epochs}
-}
-
-// ModelSize returns the flat parameter count.
-func (sp GoldenSpec) ModelSize() int {
-	if sp.Kind == algos.KindLRMF {
-		return (sp.Users + sp.Items) * sp.Rank
-	}
-	return sp.NFeat
-}
-
-// TupleWidth returns values per training tuple.
-func (sp GoldenSpec) TupleWidth() int {
-	if sp.Kind == algos.KindLRMF {
-		return 3
-	}
-	return sp.NFeat + 1
-}
-
-// Algorithm returns the ml-package baseline for the spec.
-func (sp GoldenSpec) Algorithm() ml.Algorithm {
-	switch sp.Kind {
-	case algos.KindLinear:
-		return ml.Linear{NFeatures: sp.NFeat, LR: sp.LR}
-	case algos.KindLogistic:
-		return ml.Logistic{NFeatures: sp.NFeat, LR: sp.LR}
-	case algos.KindSVM:
-		return ml.SVM{NFeatures: sp.NFeat, LR: sp.LR, Lambda: sp.Lambda}
-	default:
-		return ml.LRMF{Users: sp.Users, Items: sp.Items, Rank: sp.Rank, LR: sp.LR}
-	}
-}
-
-// grad computes one tuple's gradient in DSL evaluation order:
-// s = Σ mo[i]*in[i] accumulated left-to-right, then the kind-specific
-// gradient expression exactly as algos builds it.
-func (sp GoldenSpec) grad(model, tuple, grad []float64) error {
-	nf := sp.NFeat
-	s := 0.0
-	for i := 0; i < nf; i++ {
-		s += model[i] * tuple[i]
-	}
-	out := tuple[nf]
-	switch sp.Kind {
-	case algos.KindLinear:
-		er := s - out
-		for i := 0; i < nf; i++ {
-			grad[i] = er * tuple[i]
-		}
-	case algos.KindLogistic:
-		p := 1 / (1 + math.Exp(-s))
-		er := p - out
-		for i := 0; i < nf; i++ {
-			grad[i] = er * tuple[i]
-		}
-	case algos.KindSVM:
-		margin := out * s
-		ind := 0.0
-		if margin < 1 {
-			ind = 1
-		}
-		for i := 0; i < nf; i++ {
-			// Sub(Mul(lam, mo), Mul(ind, Mul(out, in))).
-			grad[i] = sp.Lambda*model[i] - ind*(out*tuple[i])
-		}
-	default:
-		return fmt.Errorf("verify: grad undefined for kind %q", sp.Kind)
-	}
-	return nil
-}
-
-// Train runs the golden trainer in place on model.
-func (sp GoldenSpec) Train(model []float64, tuples [][]float64) error {
-	if len(model) != sp.ModelSize() {
-		return fmt.Errorf("verify: model size %d, want %d", len(model), sp.ModelSize())
-	}
-	if sp.Kind == algos.KindLRMF {
-		return sp.trainLRMF(model, tuples)
-	}
-	bs := sp.MergeCoef
-	if bs < 1 {
-		bs = 1
-	}
-	epochs := sp.Epochs
-	if epochs < 1 {
-		epochs = 1
-	}
-	g := make([]float64, sp.NFeat)
-	acc := make([]float64, sp.NFeat)
-	for e := 0; e < epochs; e++ {
-		for at := 0; at < len(tuples); at += bs {
-			end := at + bs
-			if end > len(tuples) {
-				end = len(tuples)
-			}
-			batch := tuples[at:end]
-			if bs == 1 {
-				// Plain SGD: update per tuple.
-				for _, t := range batch {
-					if err := sp.grad(model, t, g); err != nil {
-						return err
-					}
-					for i := range model {
-						// Sub(mo, Mul(lr, grad)).
-						model[i] = model[i] - sp.LR*g[i]
-					}
-				}
-				continue
-			}
-			// Merged batch: gradients all from the batch-entry model,
-			// summed in tuple order, one post-merge update.
-			for ti, t := range batch {
-				if err := sp.grad(model, t, g); err != nil {
-					return err
-				}
-				if ti == 0 {
-					copy(acc, g)
-				} else {
-					for i := range acc {
-						acc[i] = acc[i] + g[i]
-					}
-				}
-			}
-			for i := range model {
-				model[i] = model[i] - sp.LR*acc[i]
-			}
-		}
-	}
-	return nil
-}
-
-// trainLRMF is the row-update golden path: gather both factor rows,
-// compute both updates from the pre-update rows, then write user row
-// before item row (the graph's RowUpdates order).
-func (sp GoldenSpec) trainLRMF(model []float64, tuples [][]float64) error {
-	epochs := sp.Epochs
-	if epochs < 1 {
-		epochs = 1
-	}
-	rank := sp.Rank
-	rows := sp.Users + sp.Items
-	ur := make([]float64, rank)
-	vr := make([]float64, rank)
-	for e := 0; e < epochs; e++ {
-		for _, t := range tuples {
-			u, v := int(math.Round(t[0])), int(math.Round(t[1]))
-			if u < 0 || u >= rows || v < 0 || v >= rows {
-				return fmt.Errorf("verify: LRMF row index (%d,%d) out of [0,%d)", u, v, rows)
-			}
-			copy(ur, model[u*rank:(u+1)*rank])
-			copy(vr, model[v*rank:(v+1)*rank])
-			pred := 0.0
-			for k := 0; k < rank; k++ {
-				pred += ur[k] * vr[k]
-			}
-			e := pred - t[2]
-			for k := 0; k < rank; k++ {
-				// Sub(ur, Mul(lr, Mul(e, vr))).
-				model[u*rank+k] = ur[k] - sp.LR*(e*vr[k])
-			}
-			for k := 0; k < rank; k++ {
-				model[v*rank+k] = vr[k] - sp.LR*(e*ur[k])
-			}
-		}
-	}
-	return nil
-}
+// GoldenSpec describes one training instance (internal/golden owns the
+// trainer; the oracles below cross-check it).
+type GoldenSpec = golden.Spec
 
 // CompareModels checks |a-b| <= tol * (1 + max(|a|,|b|)) per parameter;
 // tol 0 demands bit-identity.
 func CompareModels(what string, a, b []float64, tol float64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("oracle C (%s): model sizes %d != %d", what, len(a), len(b))
-	}
-	for i := range a {
-		if tol == 0 {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				return fmt.Errorf("oracle C (%s): param %d: %v != %v (bit-exact required)", what, i, a[i], b[i])
-			}
-			continue
-		}
-		scale := 1 + math.Max(math.Abs(a[i]), math.Abs(b[i]))
-		if math.Abs(a[i]-b[i]) > tol*scale || math.IsNaN(a[i]) != math.IsNaN(b[i]) {
-			return fmt.Errorf("oracle C (%s): param %d: %v vs %v exceeds tol %g", what, i, a[i], b[i], tol)
-		}
-	}
-	return nil
+	return golden.CompareModels(what, a, b, tol)
 }
+
+// TrainingTuples draws a well-scaled dataset for the spec from g.
+func TrainingTuples(g *Gen, sp GoldenSpec, n int) [][]float64 {
+	return golden.TrainingTuples(g, sp, n)
+}
+
+// InitModelFor draws an initial model for the spec from g.
+func InitModelFor(g *Gen, sp GoldenSpec) []float64 { return golden.InitModelFor(g, sp) }
 
 // EquivalenceOpt tunes CheckTrainingEquivalence.
 type EquivalenceOpt struct {
@@ -344,14 +152,6 @@ func CheckTrainingEquivalence(sp GoldenSpec, init []float64, tuples [][]float64,
 func CompareEngineStats(what string, a, b engine.Stats) error {
 	if a != b {
 		return fmt.Errorf("oracle C (%s): engine stats diverge:\n  a=%+v\n  b=%+v", what, a, b)
-	}
-	return nil
-}
-
-// CompareAccessStats is the access-engine counterpart.
-func CompareAccessStats(what string, a, b accessengine.Stats) error {
-	if a != b {
-		return fmt.Errorf("oracle C (%s): access stats diverge:\n  a=%+v\n  b=%+v", what, a, b)
 	}
 	return nil
 }
