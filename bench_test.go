@@ -574,42 +574,40 @@ func BenchmarkParallelExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkChannelSweep measures one full re-extracting epoch with the
-// pages sharded across 1/2/4/8 memory channels (one Strider group and
-// one record arena per channel). Modeled stats are charged by the
-// coordinator in global page order, so cycle counts and trained models
-// are bit-identical at every channel count; only wall-clock moves.
-func BenchmarkChannelSweep(b *testing.B) {
-	for _, channels := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("channels=%d", channels), func(b *testing.B) {
-			eng, err := Open(Config{
-				PageSize: 32 << 10, PoolBytes: 128 << 20,
-				Workers: 4, Channels: channels, NoExtractCache: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			d, err := eng.LoadWorkload("Remote Sensing LR", 0.02, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := d.DSLAlgo(64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a.SetEpochs(1)
-			if err := eng.RegisterUDF(a, 64); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(d.Rel.NumPages()) * int64(storage.PageSize32K))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
+// BenchmarkEngineFanout times a cached multi-epoch Train (the engine is
+// the whole op) on the two sides of the engine's fan-out floor: the
+// 54-feature program, whose merge-64 batch is below it, and the
+// 2000-feature one, above. "inline" pins Workers: 1; "fanned" configures
+// two host workers and leaves the fork to the floor — so f54/fanned
+// tracks f54/inline (a batch that small must not pay a fork/join) and
+// f2000/fanned beats f2000/inline on a host with a second core.
+func BenchmarkEngineFanout(b *testing.B) {
+	const epochs = 4
+	for _, wl := range []struct {
+		name, workload string
+		scale          float64
+	}{
+		{"f54", "Remote Sensing LR", 0.02},
+		{"f2000", "S/N Logistic", 0.003},
+	} {
+		for _, cfg := range []struct {
+			name    string
+			workers int
+		}{{"inline", 1}, {"fanned", 2}} {
+			b.Run(wl.name+"/"+cfg.name, func(b *testing.B) {
+				eng, d, a := openTrainBench(b, wl.workload, wl.scale, 64, cfg.workers, epochs, false)
+				if _, err := eng.Train(a.Name, d.Rel.Name); err != nil { // fill the record cache
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(d.Tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-		})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(epochs*float64(d.Tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+			})
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func main() {
 		merge    = flag.Int("merge", 64, "merge coefficient (max accelerator threads)")
 		epochs   = flag.Int("epochs", 3, "training epochs")
 		pageKB   = flag.Int("page", 32, "page size in KB (8, 16, 32)")
-		channels = flag.Int("channels", 1, "modeled memory channels (1-32); partitions extraction and scales link bandwidth")
+		channels = flag.Int("channels", 1, "modeled memory channels (1-32); scales link bandwidth and splits the channel.<i>.* counters")
 		be       = flag.String("backend", "", `execution backend: "" = accelerator (paper path), "auto" = cheapest by modeled cost, or accelerator|tabla|cpu|sharded|weave`)
 		segments = flag.Int("segments", 0, "sharded backend's segment fan-out (0 = Greenplum baseline's 8)")
 		bits     = flag.Int("precision", 0, "weave read precision in bits per feature (0/32 = full-width float path, 1-31 = k-bit any-precision weave path)")

@@ -66,17 +66,20 @@ type Config struct {
 	Segments int
 	// Workers sets the host goroutines running Strider VMs during page
 	// extraction (0 = GOMAXPROCS capped at the Strider count; 1 =
-	// serial). Host parallelism changes wall-clock time only — modeled
-	// cycle counts and simulated seconds are bit-identical either way.
+	// serial); worker i of W takes the pages pn ≡ i mod W. The engine
+	// fans merge batches over the same count once a batch is large
+	// enough to repay the fork/join. Host parallelism changes wall-clock
+	// time only — modeled cycle counts and simulated seconds are
+	// bit-identical either way.
 	Workers int
 	// Channels models the accelerator link as N independent memory
-	// channels (0/1 = the single legacy channel, capped at 32). The
-	// setting reaches both sides of the simulator: the cost model
-	// charges epoch transfer as the slowest channel's round-robin page
-	// share (aggregate bandwidth = N × per-channel, paper Fig 14), and
-	// the host executor partitions extraction into per-channel Strider
-	// groups with one record arena per channel. Per-channel traffic
-	// appears as obs counters channel.<i>.* (see `danactl stats`).
+	// channels (0/1 = the single legacy channel). It is a modeled
+	// quantity only: the cost model charges epoch transfer as the
+	// slowest channel's round-robin page share (aggregate bandwidth =
+	// N × per-channel, paper Fig 14), and page pn's stream bytes and
+	// busy cycles are accounted to channel pn mod N as obs counters
+	// channel.<i>.* (the obs split is capped at 32 series; see `danactl
+	// stats`). Host scheduling never depends on it.
 	Channels int
 	// NoExtractCache disables the cross-epoch extracted-record cache,
 	// forcing every epoch to re-walk the heap through the Striders.
@@ -144,7 +147,6 @@ func Open(cfg Config) (*Engine, error) {
 	opts.Precision = cfg.Precision
 	opts.Segments = cfg.Segments
 	opts.Workers = cfg.Workers
-	opts.Channels = cfg.Channels
 	opts.Cost.Link.Channels = cfg.Channels
 	opts.NoExtractCache = cfg.NoExtractCache
 	opts.DisableObs = cfg.DisableObs

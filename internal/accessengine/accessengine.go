@@ -173,8 +173,8 @@ func Deformat(schema *storage.Schema, data []byte, dst []float32) ([]float32, er
 // Collector, independent of which host goroutine ran the extraction.
 //
 // When Arena is set, Data extents that outgrow their current capacity
-// are carved from that slab instead of the heap (the per-channel
-// zero-copy path); Data capacity is still reused first, so a recycled
+// are carved from that slab instead of the heap (the zero-copy
+// path); Data capacity is still reused first, so a recycled
 // PageResult touches the arena only when a page needs a larger extent.
 type PageResult struct {
 	PageNo int

@@ -2,12 +2,12 @@ package accessengine
 
 import "sync/atomic"
 
-// Arena is a flat float32 slab that backs one extraction channel's
-// record batches for one epoch: extents are reserved with a lock-free
-// offset bump and sliced into per-tuple row views, so steady-state
-// extraction performs no per-tuple (or per-page) heap allocation. The
-// slab is allocated once per channel per training run, Reset at each
-// extraction-epoch start, and retained across epochs; record batches
+// Arena is a flat float32 slab that backs a training run's extracted
+// record batches: extents are reserved with a lock-free offset bump and
+// sliced into per-tuple row views, so steady-state extraction performs
+// no per-tuple (or per-page) heap allocation. The slab is allocated once
+// per training run, Reset at the start of each epoch that fills the
+// record cache, and retained across epochs; record batches
 // sliced from it stay valid until the next Reset, which only happens
 // after every consumer (engine stream, record cache) has either copied
 // or finished with them.
@@ -43,7 +43,7 @@ func (a *Arena) Overflows() int64 { return a.overflow.Load() }
 
 // Alloc reserves an extent of n float32 values, returned with length 0
 // and capacity exactly n (so appends cannot cross into a neighboring
-// extent). Safe for concurrent use by the per-channel workers.
+// extent). Safe for concurrent use by the extraction workers.
 //
 //dana:hotpath
 func (a *Arena) Alloc(n int) []float32 {

@@ -176,6 +176,9 @@ func (b *Accel) RunEpoch(st *Stream) error {
 	if b.m == nil {
 		return ErrNotConfigured
 	}
+	// The machine keeps its counters in a plain ledger; a failed epoch's
+	// charges are published like a finished one's.
+	defer b.m.PublishObs()
 	if st == nil {
 		return b.m.RunEpoch(nil, b.batch)
 	}

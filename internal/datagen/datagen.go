@@ -175,6 +175,14 @@ func (d *Dataset) DSLAlgo(mergeCoef int) (*dsl.Algo, error) {
 	return algos.Build(d.Workload.Kind, d.Topology, d.Hyper(mergeCoef))
 }
 
+// ScaledTuples is the one tuple-scaling rule: how many tuples Generate
+// emits for the workload at scale (never fewer than 64). Estimators that
+// price a scaled run use it so they price the dataset the functional
+// run will actually stream.
+func (w Workload) ScaledTuples(scale float64) int {
+	return max(int(math.Round(float64(w.Tuples)*scale)), 64)
+}
+
 // Generate builds a synthetic training relation for the workload at the
 // given scale (0 < scale <= 1 of the full tuple count). Deterministic in
 // seed.
@@ -182,10 +190,7 @@ func Generate(w Workload, scale float64, pageSize int, seed int64) (*Dataset, er
 	if scale <= 0 || scale > 1 {
 		return nil, fmt.Errorf("datagen: scale %v out of (0, 1]", scale)
 	}
-	n := int(math.Round(float64(w.Tuples) * scale))
-	if n < 64 {
-		n = 64
-	}
+	n := w.ScaledTuples(scale)
 	topo := append([]int(nil), w.Topology...)
 	if w.Kind == algos.KindLRMF && scale < 1 {
 		for i := 0; i < 2; i++ {

@@ -8,28 +8,64 @@ import (
 	"testing"
 )
 
-// handProg builds a tiny hand-written program computing, per tuple
-// (x[0..3], y): dot = Σ w*x ; err = dot - y ; grad = err*x ;
+// linearProg builds a hand-written program over f features computing,
+// per tuple (x[0..f), y): dot = Σ w*x ; err = dot - y ; grad = err*x ;
 // w' = w - lr*grad, with no merge (plain SGD).
-func handProg() *Program {
-	// Layout: w[0,4) x[4,8) y[8] lr[9] prod[10,14) dot[14] err[15] grad[16,20) up[20,24) wNew[24,28)
-	p := &Program{
-		Slots:     28,
-		ModelSlot: Slot{0, 4},
-		InputSlot: Slot{4, 5},
-		ConstSlot: Slot{9, 1},
+func linearProg(f int) *Program {
+	// Layout: w x y lr prod dot err grad up wNew, vectors f wide.
+	w, x, y, lr := Slot{0, f}, Slot{f, f}, Slot{2 * f, 1}, Slot{2*f + 1, 1}
+	prod, dot, errS := Slot{2*f + 2, f}, Slot{3*f + 2, 1}, Slot{3*f + 3, 1}
+	grad, up, wNew := Slot{3*f + 4, f}, Slot{4*f + 4, f}, Slot{5*f + 4, f}
+	return &Program{
+		Slots:     6*f + 4,
+		ModelSlot: w,
+		InputSlot: Slot{f, f + 1},
+		ConstSlot: lr,
 		Consts:    []float32{0.1},
 		PerTuple: []Instr{
-			{Kind: KEW, Op: AMul, Dst: Slot{10, 4}, A: Slot{0, 4}, B: Slot{4, 4}},
-			{Kind: KReduce, Op: AAdd, Dst: Slot{14, 1}, A: Slot{10, 4}, GroupSize: 4, GStride: 0, EStride: 1},
-			{Kind: KEW, Op: ASub, Dst: Slot{15, 1}, A: Slot{14, 1}, B: Slot{8, 1}},
-			{Kind: KEW, Op: AMul, Dst: Slot{16, 4}, A: Slot{15, 1}, B: Slot{4, 4}},
-			{Kind: KEW, Op: AMul, Dst: Slot{20, 4}, A: Slot{9, 1}, B: Slot{16, 4}},
-			{Kind: KEW, Op: ASub, Dst: Slot{24, 4}, A: Slot{0, 4}, B: Slot{20, 4}},
+			{Kind: KEW, Op: AMul, Dst: prod, A: w, B: x},
+			{Kind: KReduce, Op: AAdd, Dst: dot, A: prod, GroupSize: f, GStride: 0, EStride: 1},
+			{Kind: KEW, Op: ASub, Dst: errS, A: dot, B: y},
+			{Kind: KEW, Op: AMul, Dst: grad, A: errS, B: x},
+			{Kind: KEW, Op: AMul, Dst: up, A: lr, B: grad},
+			{Kind: KEW, Op: ASub, Dst: wNew, A: w, B: up},
 		},
-		UpdatedSlot: Slot{24, 4},
+		UpdatedSlot: wNew,
 	}
+}
+
+// handProg is the tiny 4-feature instance:
+// w[0,4) x[4,8) y[8] lr[9] prod[10,14) dot[14] err[15] grad[16,20) up[20,24) wNew[24,28).
+func handProg() *Program { return linearProg(4) }
+
+// mergeProg adds a merge path to linearProg(f): the merged gradient
+// lands back in the gradient slots.
+func mergeProg(f int) *Program {
+	p := linearProg(f)
+	p.MergeSrc = Slot{3*f + 4, f}
+	p.MergeDst = p.MergeSrc
+	p.MergeOp = AAdd
 	return p
+}
+
+// fannedFeatures is wide enough that a 32-tuple batch of mergeProg clears
+// fanOutFloorCycles at the test configs (asserted where it is used).
+const fannedFeatures = 2048
+
+// randTuples draws n tuples for linearProg(f), scaled so SGD at lr 0.1
+// over a merged batch stays bounded at any width.
+func randTuples(n, f int, seed int64) [][]float32 {
+	rng := rand.New(rand.NewSource(seed))
+	scale := 0.25 / math.Sqrt(float64(f))
+	tuples := make([][]float32, n)
+	for i := range tuples {
+		tup := make([]float32, f+1)
+		for j := range tup {
+			tup[j] = float32(rng.NormFloat64() * scale)
+		}
+		tuples[i] = tup
+	}
+	return tuples
 }
 
 func defaultCfg() Config {
@@ -66,12 +102,14 @@ func TestMachineSGDStep(t *testing.T) {
 
 // TestRunBatchHostFanOutDeterminism: fanning a merge batch's model
 // threads across host goroutines must leave the model bits and every
-// cycle counter untouched relative to the serial machine.
+// cycle counter untouched relative to the serial machine. The program
+// is wide enough to clear the fan-out floor, so workers > 1 really fork.
 func TestRunBatchHostFanOutDeterminism(t *testing.T) {
 	old := hostrt.GOMAXPROCS(4)
 	defer hostrt.GOMAXPROCS(old)
-	p := linearProgWithMerge()
+	p := mergeProg(fannedFeatures)
 	cfg := Config{Threads: 8, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}
+	tuples := randTuples(300, fannedFeatures, 7)
 	run := func(workers int) ([]float32, Stats) {
 		m, err := NewMachine(p, cfg)
 		if err != nil {
@@ -79,19 +117,14 @@ func TestRunBatchHostFanOutDeterminism(t *testing.T) {
 		}
 		m.SetHostWorkers(workers)
 		defer m.Close()
-		rng := rand.New(rand.NewSource(7))
-		tuples := make([][]float32, 300)
-		for i := range tuples {
-			tup := make([]float32, 5)
-			for j := range tup {
-				tup[j] = float32(rng.NormFloat64())
-			}
-			tuples[i] = tup
-		}
 		for e := 0; e < 3; e++ {
 			if err := m.RunEpoch(tuples, 32); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if want := min(workers, 4) - 1; len(m.helperCh) != want {
+			t.Fatalf("workers=%d: %d helpers spawned, want %d (32 × %d cycles vs floor %d)",
+				workers, len(m.helperCh), want, m.cycPerTuple, fanOutFloorCycles)
 		}
 		return m.Model(), m.Stats()
 	}

@@ -14,7 +14,7 @@ func TestSetHostWorkersClampsToHostCores(t *testing.T) {
 	old := hostrt.GOMAXPROCS(2)
 	defer hostrt.GOMAXPROCS(old)
 
-	p := linearProgWithMerge()
+	p := mergeProg(fannedFeatures)
 	cfg := Config{Threads: 4, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}
 	m, err := NewMachine(p, cfg)
 	if err != nil {
@@ -35,9 +35,37 @@ func TestSetHostWorkersClampsToHostCores(t *testing.T) {
 		t.Fatalf("hostWorkers = %d after asking for 2, want 2", m.hostWorkers)
 	}
 
-	// The clamped machine must still run batches correctly.
-	tuples := [][]float32{{1, 2, 3, 4, 5}, {5, 4, 3, 2, 1}}
-	if err := m.RunBatch(tuples); err != nil {
+	// The clamped machine must still run batches correctly, on the
+	// fanned path: one helper beside the caller.
+	if err := m.RunBatch(randTuples(32, fannedFeatures, 1)); err != nil {
 		t.Fatal(err)
+	}
+	if len(m.helperCh) != 1 {
+		t.Fatalf("%d helpers after a batch of 32 × %d cycles (floor %d), want 1",
+			len(m.helperCh), m.cycPerTuple, fanOutFloorCycles)
+	}
+}
+
+// TestRunBatchBelowFloorRunsInline: a batch whose static modeled cost is
+// under fanOutFloorCycles never forks, whatever the configured worker
+// count — the fork/join costs more than the batch.
+func TestRunBatchBelowFloorRunsInline(t *testing.T) {
+	old := hostrt.GOMAXPROCS(2)
+	defer hostrt.GOMAXPROCS(old)
+
+	m, err := NewMachine(linearProgWithMerge(), Config{Threads: 4, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	m.SetHostWorkers(2)
+	if 32*m.cycPerTuple >= fanOutFloorCycles {
+		t.Fatalf("test program costs %d cycles a tuple; not below the floor", m.cycPerTuple)
+	}
+	if err := m.RunEpoch(randTuples(300, 4, 1), 32); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.helperCh) != 0 {
+		t.Fatalf("below-floor machine spawned %d helpers", len(m.helperCh))
 	}
 }

@@ -83,9 +83,14 @@ type Machine struct {
 	helperDone  chan struct{}
 	partErrs    []error
 
-	// Observability handles (SetObs); nil handles are no-ops. Charged
-	// only by the coordinating goroutine (RunBatch/Converged), mirroring
-	// the stats deltas.
+	// Observability handles (SetObs); nil handles are no-ops. stats is
+	// the single ledger: PublishObs adds its growth since the last
+	// publish (published) once per epoch, so RunBatch — per tuple at merge
+	// coefficient 1 — pays no atomics. Batch sizes wait for the histogram
+	// as one run of equal sizes (runLen batches of runSize tuples each).
+	published    Stats
+	runSize      int64
+	runLen       int64
 	obsCyc       *obs.Counter
 	obsCycLoad   *obs.Counter
 	obsCycComp   *obs.Counter
@@ -112,6 +117,32 @@ func (m *Machine) SetObs(r *obs.Registry) {
 	m.obsBatches = r.Counter(obs.EngineBatches)
 	m.obsInstrs = r.Counter(obs.EngineInstrs)
 	m.obsBatchHist = r.Hist(obs.HistBatchTuples)
+}
+
+// fanOutFloorCycles is the static modeled cost (tuples × per-tuple
+// program cycles, both known before the batch runs) below which a merge
+// batch runs inline even with host workers configured: the fork/join
+// costs a few tens of µs, more than a small batch's whole compute.
+// Measured at merge 64 on a 2-core host (EXPERIMENTS.md, "Engine
+// fan-out floor"): inline wins up to the 520-feature program (4 224
+// cycles a batch), fanning wins from the 2000-feature one (13 056).
+const fanOutFloorCycles = 8192
+
+// PublishObs adds what stats gained since the last publish to the
+// registry counters. The owner of the machine calls it once per epoch
+// (and Converged does): registry totals after a run equal the ledger.
+func (m *Machine) PublishObs() {
+	d, p := m.stats, m.published
+	m.obsCyc.Add(d.Cycles - p.Cycles)
+	m.obsCycLoad.Add(d.SpanLoadCycles - p.SpanLoadCycles)
+	m.obsCycComp.Add(d.SpanComputeCycles - p.SpanComputeCycles)
+	m.obsCycMerge.Add(d.MergeCycles - p.MergeCycles)
+	m.obsCycIdle.Add(d.IdleCycles - p.IdleCycles)
+	m.obsTuples.Add(d.Tuples - p.Tuples)
+	m.obsBatches.Add(d.Batches - p.Batches)
+	m.obsInstrs.Add(d.Instructions - p.Instructions)
+	m.obsBatchHist.ObserveN(m.runSize, m.runLen)
+	m.published, m.runLen = d, 0
 }
 
 // batchJob is one helper's share of a merge batch.
@@ -146,7 +177,8 @@ func NewMachine(p *Program, cfg Config) (*Machine, error) {
 }
 
 // SetHostWorkers sets how many host goroutines execute a merge batch's
-// independent model threads (1 = serial, the default). This changes
+// independent model threads (1 = serial, the default) once the batch
+// clears fanOutFloorCycles. This changes
 // wall-clock time only: each model thread's tuple order, accumulation
 // order, and the tree-bus merge order are unchanged, so results and
 // modeled cycles are bit-identical for any value. A machine with
@@ -236,9 +268,6 @@ func (m *Machine) runPartition(tuples [][]float32, k, w, W int, errp *error) {
 
 // Stats returns a snapshot of the counters.
 func (m *Machine) Stats() Stats { return m.stats }
-
-// ResetStats zeroes the counters.
-func (m *Machine) ResetStats() { m.stats = Stats{} }
 
 // Model returns a copy of the current model parameters.
 func (m *Machine) Model() []float32 {
@@ -522,9 +551,11 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 	}
 	m.stats.Batches++
 	m.stats.Tuples += int64(len(tuples))
-	m.obsBatches.Inc()
-	m.obsTuples.Add(int64(len(tuples)))
-	m.obsBatchHist.Observe(int64(len(tuples)))
+	if int64(len(tuples)) != m.runSize {
+		m.obsBatchHist.ObserveN(m.runSize, m.runLen)
+		m.runSize, m.runLen = int64(len(tuples)), 0
+	}
+	m.runLen++
 
 	if !p.HasMerge() {
 		var loadTot, compTot int64
@@ -552,10 +583,6 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 		// Single-thread batch: the span is the work itself.
 		m.stats.SpanLoadCycles += loadTot
 		m.stats.SpanComputeCycles += compTot
-		m.obsCyc.Add(loadTot + compTot)
-		m.obsCycLoad.Add(loadTot)
-		m.obsCycComp.Add(compTot)
-		m.obsInstrs.Add(int64(len(tuples)) * int64(len(p.PerTuple)+len(p.RowUpdates)))
 		return nil
 	}
 
@@ -585,6 +612,9 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 	W := m.hostWorkers // already clamped to GOMAXPROCS by SetHostWorkers
 	if W > k {
 		W = k
+	}
+	if int64(n)*m.cycPerTuple < fanOutFloorCycles {
+		W = 1
 	}
 	if W <= 1 {
 		var perr error
@@ -619,7 +649,6 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 	// Each of the k threads saw at least one tuple (k <= n), so n-k
 	// tuples paid the thread-local accumulate.
 	m.stats.Instructions += int64(n) * int64(len(p.PerTuple))
-	m.obsInstrs.Add(int64(n) * int64(len(p.PerTuple)))
 	m.stats.LoadCycles += int64(n) * m.cycLoad
 	m.stats.ComputeCycles += int64(n)*m.cycPerTuple + int64(n-k)*m.cycLocalAcc
 	// Threads run in parallel: the batch takes as long as the slowest.
@@ -641,10 +670,6 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 	m.stats.SpanLoadCycles += spanLoad
 	m.stats.SpanComputeCycles += maxT - spanLoad
 	m.stats.IdleCycles += int64(k)*maxT - sumT
-	m.obsCyc.Add(maxT)
-	m.obsCycLoad.Add(spanLoad)
-	m.obsCycComp.Add(maxT - spanLoad)
-	m.obsCycIdle.Add(int64(k)*maxT - sumT)
 
 	// Tree-bus merge: log2(k) stages over an 8-ALU bus.
 	merged := accs[0]
@@ -666,8 +691,6 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 	}
 	m.stats.MergeCycles += mc
 	m.stats.Cycles += mc
-	m.obsCycMerge.Add(mc)
-	m.obsCyc.Add(mc)
 	copy(m.scratch[0][p.MergeDst.Base:p.MergeDst.Base+p.MergeDst.Len], merged)
 
 	// Post-merge stage on thread 0.
@@ -680,9 +703,6 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 	m.stats.ComputeCycles += m.cycPostMerge + m.cycRowUpdates
 	m.stats.Cycles += m.cycPostMerge + m.cycRowUpdates
 	m.stats.SpanComputeCycles += m.cycPostMerge + m.cycRowUpdates
-	m.obsCycComp.Add(m.cycPostMerge + m.cycRowUpdates)
-	m.obsCyc.Add(m.cycPostMerge + m.cycRowUpdates)
-	m.obsInstrs.Add(int64(len(p.PostMerge) + len(p.RowUpdates)))
 
 	// Model update + broadcast to every thread over the bus.
 	if p.UpdatedSlot.Len > 0 {
@@ -694,8 +714,6 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 		bc := int64(ceilDiv(p.ModelSlot.Len, 8))
 		m.stats.MergeCycles += bc
 		m.stats.Cycles += bc
-		m.obsCycMerge.Add(bc)
-		m.obsCyc.Add(bc)
 	} else if len(p.RowUpdates) > 0 && m.Cfg.Threads > 1 {
 		// Row updates landed on thread 0's model copy; sync the rest.
 		src := m.scratch[0][p.ModelSlot.Base : p.ModelSlot.Base+p.ModelSlot.Len]
@@ -705,8 +723,6 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 		bc := int64(ceilDiv(p.ModelSlot.Len, 8))
 		m.stats.MergeCycles += bc
 		m.stats.Cycles += bc
-		m.obsCycMerge.Add(bc)
-		m.obsCyc.Add(bc)
 	}
 	return nil
 }
@@ -821,9 +837,7 @@ func (m *Machine) Converged() (bool, error) {
 	m.stats.ComputeCycles += m.cycConvergence
 	m.stats.Cycles += m.cycConvergence
 	m.stats.SpanComputeCycles += m.cycConvergence
-	m.obsCycComp.Add(m.cycConvergence)
-	m.obsCyc.Add(m.cycConvergence)
-	m.obsInstrs.Add(int64(len(p.Convergence)))
+	m.PublishObs()
 	return m.scratch[0][p.ConvSlot.Base] > 0.5, nil
 }
 

@@ -52,15 +52,8 @@ func lowerAndCompare(t *testing.T, p *Program, cfg Config, tupleWidth, n int, se
 	}
 }
 
-// linearProg builds the hand-written linear SGD program of engine_test.
-func linearProgWithMerge() *Program {
-	p := handProg()
-	// Add a merge path: merged gradient at [16,20) -> same slots reused.
-	p.MergeSrc = Slot{16, 4}
-	p.MergeDst = Slot{16, 4}
-	p.MergeOp = AAdd
-	return p
-}
+// linearProgWithMerge is the 4-feature merge program of engine_test.
+func linearProgWithMerge() *Program { return mergeProg(4) }
 
 func TestLowerHandProgramMatchesMacro(t *testing.T) {
 	lowerAndCompare(t, handProg(), Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}, 5, 60, 1, []float32{0.5, -0.25, 1, 2})

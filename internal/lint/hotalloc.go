@@ -10,7 +10,7 @@ import (
 // HotAlloc protects the zero-copy extraction/merge guarantee: functions
 // marked with a `//dana:hotpath` doc-comment directive run once per
 // page (or per merge batch) in the steady state, and a heap allocation
-// there turns into per-tuple GC pressure that the channel arenas exist
+// there turns into per-tuple GC pressure that the record arena exists
 // to eliminate. Inside marked functions the analyzer reports:
 //
 //   - make, new, and non-self appends (`x = append(x, ...)` — including

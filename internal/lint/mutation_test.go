@@ -126,7 +126,7 @@ func stamp() int64 { return time.Unix(0, 0).UnixNano() }
 
 // hotLoopBuggy replants the pre-arena extraction loop in shape: a
 // fresh PageResult and a fresh record slice per page, exactly the
-// per-tuple churn the channel arenas removed. The allocation guard
+// per-tuple churn the record arena removed. The allocation guard
 // caught this at runtime (AllocsPerRun scaling with pages); hotalloc
 // must catch it at compile time.
 const hotLoopBuggy = `package runtime

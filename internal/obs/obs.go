@@ -121,12 +121,17 @@ type Histogram struct {
 }
 
 // Observe records one value (negative values clamp to bucket 0).
-func (h *Histogram) Observe(v int64) {
-	if h == nil {
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the value v (n < 1 records none),
+// for callers that count equal observations locally and publish them
+// off their hot path.
+func (h *Histogram) ObserveN(v, n int64) {
+	if h == nil || n < 1 {
 		return
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.count.Add(n)
+	h.sum.Add(v * n)
 	for {
 		old := h.min.Load()
 		if v >= old {
@@ -149,7 +154,7 @@ func (h *Histogram) Observe(v int64) {
 	if v > 0 {
 		b = bits.Len64(uint64(v))
 	}
-	h.buckets[b].Add(1)
+	h.buckets[b].Add(n)
 }
 
 // HistSnapshot is one histogram's exported state.

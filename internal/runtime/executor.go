@@ -10,21 +10,16 @@ package runtime
 //	pool Pin -> Strider VM walk + deformat (W workers)  -> engine compute
 //	                (bounded per-worker channels)          (coordinator)
 //
-// Extraction is channel-partitioned (multi-channel memory model): page
-// pn belongs to memory channel pn mod C (the same round-robin
-// interleaving internal/cost charges), each channel owns a flat record
-// arena (one slab per channel, reused across the run), and with W ≥ C
-// workers the workers split into C per-channel Strider groups of W/C
-// workers each. Worker (c, j) owns the pages pn with pn ≡ c (mod C)
-// and (pn/C) ≡ j (mod W/C); the coordinator computes the same mapping
-// to drain the workers' output channels in global page order. With
-// fewer workers than channels the executor falls back to the flat
-// pn mod W round-robin (counters and arenas still split by channel).
-// All modeled counters (access-engine cycles, engine cycles, simulated
-// seconds, per-channel bytes/busy) are charged by the coordinator in
-// page order, so they are bit-identical to the serial path no matter
-// how the host schedules the workers — worker and channel counts
-// change wall-clock time only.
+// Worker i of W owns the pages pn ≡ i (mod W) and Strider VM healthy[i];
+// the coordinator drains the workers' output channels in global page
+// order by walking the same deal. Extracted records live in one flat
+// arena (a slab sized once per run; Arena.Alloc is a lock-free bump, so
+// workers share it). All modeled counters (access-engine cycles, engine
+// cycles, simulated seconds, and the per-memory-channel bytes/busy split
+// of Cost.Link.Channels) are charged by the coordinator in page order,
+// so they are bit-identical to the serial path no matter how the host
+// schedules the workers — the worker count changes wall-clock time
+// only, and the modeled channel count never touches host scheduling.
 //
 // A cross-epoch record cache completes the picture: once a relation's
 // pages have been extracted (and the relation fits in the buffer pool,
@@ -43,16 +38,15 @@ import (
 
 	"dana/internal/accessengine"
 	"dana/internal/backend"
-	"dana/internal/cost"
 	"dana/internal/fault"
 	"dana/internal/obs"
 	"dana/internal/storage"
 	"dana/internal/strider"
 )
 
-// defaultPipelineDepth is the per-worker bound on extracted-but-unconsumed
-// page batches, keeping memory bounded for large tables.
-const defaultPipelineDepth = 4
+// pipelineDepth is the per-worker bound on extracted-but-unconsumed page
+// batches, keeping memory bounded for large tables.
+const pipelineDepth = 4
 
 // defaultMaxPageRetries is the same-Strider re-walk budget after a VM
 // trap when Options.MaxPageRetries is unset.
@@ -120,27 +114,23 @@ type epochRunner struct {
 	// injected cluster faults.
 	accelerated bool
 
-	// fits: the whole relation fits in the buffer pool, so page access
-	// order cannot change eviction behavior — the precondition for both
-	// out-of-order pinning (parallel workers) and the record cache
-	// (epochs ≥ 2 would be pure pool hits, i.e. no modeled I/O).
-	fits     bool
-	workers  int
-	channels int
-	depth    int
-	cacheOK  bool
+	// Both need the whole relation to fit in the buffer pool, so page
+	// access order cannot change eviction behavior: out-of-order pinning
+	// (workers > 1) and the record cache (epochs ≥ 2 would be pure pool
+	// hits, i.e. no modeled I/O).
+	workers int
+	cacheOK bool
 
-	// Per-channel record arenas (one slab per channel, lazily sized
-	// from the relation's page/tuple counts) and the reusable extraction
-	// buffers hoisted out of the per-epoch hot paths: the serial group
-	// window, its pin list, one shared PageResult per channel for the
-	// recycling path, and the per-channel free rings that circulate
-	// consumed PageResults back to the parallel workers.
-	arenas    []*accessengine.Arena
+	// The record arena (one slab, lazily sized from the relation's
+	// page/tuple counts) and the reusable extraction buffers hoisted out
+	// of the per-epoch hot paths: the serial group window, its pin list,
+	// and the recycled PageResults — one for the serial twin, a cycle of
+	// pipelineDepth+2 per parallel worker (see extractParallel).
+	arena     *accessengine.Arena
 	group     []storage.Page
 	pinned    []uint32
-	serialRes []accessengine.PageResult
-	free      []chan *accessengine.PageResult
+	serialRes accessengine.PageResult
+	cycle     []accessengine.PageResult
 	col       *accessengine.Collector
 
 	// The two Stream shells handed to the backend, built once: the
@@ -182,7 +172,7 @@ func (w *workerError) Unwrap() error { return w.err }
 
 // newEpochFeed builds the epoch feed for be: the DAnA pipeline — pages
 // stream from the buffer pool through Striders into the engine, with
-// the record cache and the channel-partitioned parallel extraction —
+// the record cache and the host-parallel extraction —
 // when the backend is Streaming, the relation's tuples materialized
 // once (in both widths) otherwise.
 func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, nStriders int) (*epochRunner, error) {
@@ -230,21 +220,17 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 	}
 	r := &epochRunner{
 		s: s, ae: ae, rel: rel, be: be,
-		fits:     fits,
-		workers:  workers,
-		channels: s.channels,
-		depth:    defaultPipelineDepth,
-		cacheOK:  fits && !s.Opts.NoExtractCache,
+		workers: workers,
+		cacheOK: fits && !s.Opts.NoExtractCache,
 
 		accelerated:    be.Capabilities().Accelerated,
 		faults:         s.Opts.Faults,
 		healthy:        healthy,
 		maxPageRetries: retries,
 
-		group:     make([]storage.Page, 0, ae.NumStriders),
-		pinned:    make([]uint32, 0, ae.NumStriders),
-		serialRes: make([]accessengine.PageResult, s.channels),
-		col:       ae.NewCollector(),
+		group:  make([]storage.Page, 0, ae.NumStriders),
+		pinned: make([]uint32, 0, ae.NumStriders),
+		col:    ae.NewCollector(),
 	}
 	// Bound once: the streaming Batches closure and both Stream shells,
 	// so steady-state epochs allocate neither.
@@ -253,54 +239,30 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 	return r
 }
 
-// sizeArenas allocates one record slab per memory channel, sized for
-// the channel's round-robin page share. On the cache-fill path every
-// page takes a fresh extent, so the slab covers the channel's full
-// tuple share; on the recycling path extents are reused across pages
-// (and epochs — the arena is deliberately NOT reset while recycled
-// PageResults still own extents), so a bounded window suffices. An
+// sizeArena allocates the record slab. On the cache-fill path every
+// page takes a fresh extent, so the slab covers every tuple; on the
+// recycling path extents are reused across pages (and epochs — the arena
+// is deliberately NOT reset while recycled PageResults still own
+// extents), so a window of twice the recycled results suffices. An
 // undersized slab is never incorrect: Arena.Alloc falls back to the
 // heap and counts the overflow.
-//
-// Called lazily from extractEpoch, not the runner constructor: a Train
-// whose epochs all replay the record cache never extracts, and must not
-// pay for (or zero) slabs it will never touch.
-func (r *epochRunner) sizeArenas() {
-	pages := r.rel.NumPages()
-	if pages < 1 {
-		return
-	}
-	cols := r.ae.Schema.NumCols()
+func (r *epochRunner) sizeArena() {
+	pages := max(r.rel.NumPages(), 1)
 	perPage := (r.rel.NumTuples() + pages - 1) / pages // ceil avg tuples/page
-	window := 2 * (r.workers*(r.depth+2)/r.channels + 2)
-	r.arenas = make([]*accessengine.Arena, r.channels)
-	for c := range r.arenas {
-		capPages := cost.ChannelPages(pages, r.channels, c) + 1
-		if !r.cacheOK && capPages > window {
-			capPages = window
-		}
-		r.arenas[c] = accessengine.NewArena(capPages * perPage * cols)
+	capPages := pages + 1
+	if !r.cacheOK {
+		capPages = min(capPages, 2*(r.workers*(pipelineDepth+2)+2))
 	}
-}
-
-// channelOf returns the memory channel page pn streams on: round-robin
-// page interleaving, the single policy shared with internal/cost.
-func (r *epochRunner) channelOf(pn int) int { return pn % r.channels }
-
-// arenaOf returns channel's record slab (nil for an empty relation).
-func (r *epochRunner) arenaOf(pn int) *accessengine.Arena {
-	if r.arenas == nil {
-		return nil
-	}
-	return r.arenas[r.channelOf(pn)]
+	r.arena = accessengine.NewArena(capPages * perPage * r.ae.Schema.NumCols())
 }
 
 // chargeChannel records one page's modeled stream activity on its
-// memory channel. Called by the coordinator in page order (extraction
-// and replay alike), so the split is deterministic for a given channel
-// count and the totals are invariant across worker/channel configs.
+// memory channel: round-robin page interleaving, the single policy
+// shared with internal/cost. Called by the coordinator in page order
+// (extraction and replay alike), so the split is deterministic for a
+// given channel count and the totals are invariant across it.
 func (r *epochRunner) chargeChannel(res *accessengine.PageResult) {
-	c := r.channelOf(res.PageNo)
+	c := res.PageNo % r.s.channels
 	r.s.obsChanBytes[c].Add(res.Bytes)
 	r.s.obsChanBusy[c].Add(res.Cycles)
 }
@@ -367,7 +329,7 @@ func (r *epochRunner) quarantine(vmIdx, pageNo int) {
 func (r *epochRunner) checkDeadline() error {
 	if !r.deadline.IsZero() && !time.Now().Before(r.deadline) {
 		// Early-exit error branch: the wrap allocation is cold, so hot
-		// callers (flushSerialGroup, extractShard) keep their proven
+		// callers (extractPage) keep their proven
 		// steady-state allocation-freedom.
 		return fmt.Errorf("runtime: epoch %d exceeded its %v budget: %w",
 			r.epoch, r.s.Opts.EpochTimeout, fault.ErrEpochTimeout)
@@ -421,10 +383,10 @@ func (r *epochRunner) runEpoch(epoch int) error {
 			err = r.replay(ent)
 		} else {
 			r.s.obsCacheMisses.Inc()
-			err = r.extractEpoch()
+			err = r.be.RunEpoch(r.extractStream)
 		}
 	} else {
-		err = r.extractEpoch()
+		err = r.be.RunEpoch(r.extractStream)
 	}
 	if err == nil && r.pendingEnt != nil {
 		// Store only after the backend's epoch fully succeeded (stream
@@ -465,26 +427,17 @@ func (r *epochRunner) replay(ent *cacheEntry) error {
 	return err
 }
 
-// extractEpoch runs one extracting epoch through the backend's
-// streaming entry point: the backend resets its engine stream, calls
-// r.batches to drive extraction, and finishes the stream. A fresh cache
-// entry is parked on pendingEnt for runEpoch to store on success.
-func (r *epochRunner) extractEpoch() error {
-	r.pendingEnt = nil
-	return r.be.RunEpoch(r.extractStream)
-}
-
 // batches is the Stream.Batches body: it extracts every page of the
 // relation in page order and emits each page's record batch to the
 // backend (the engine feed), overlapping extraction with compute when
 // workers > 1.
 func (r *epochRunner) batches(emit func([][]float32) error) error {
 	// The collector lives on the runner and is reset per epoch, so
-	// steady-state epochs allocate nothing here. The channel arenas are
-	// sized on the first epoch that really extracts: cache replays never
-	// reach this function, so they never pay for the slabs.
-	if r.arenas == nil {
-		r.sizeArenas()
+	// steady-state epochs allocate nothing here. The arena is sized on
+	// the first epoch that really extracts: cache replays never reach
+	// this function, so they never pay for (or zero) the slab.
+	if r.arena == nil {
+		r.sizeArena()
 	}
 	col := r.col
 	col.Reset()
@@ -496,16 +449,12 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 			poolGen: r.s.DB.Pool.InvalidationCount(),
 			pages:   make([]accessengine.PageResult, 0, r.rel.NumPages()),
 		}
-	}
-	if ent != nil {
 		// Fresh-results path: every page takes a fresh arena extent, so
-		// reclaim the slabs first. Safe here — a previous fill's extents
+		// reclaim the slab first. Safe here — a previous fill's extents
 		// are only referenced by a cache entry this store will replace
 		// (re-extraction implies the old entry already failed validation
 		// or belonged to a failed, discarded epoch).
-		for _, a := range r.arenas {
-			a.Reset()
-		}
+		r.arena.Reset()
 	}
 	// sink consumes extracted pages in page order on the coordinator
 	// goroutine: modeled stats (including the per-channel split), engine
@@ -522,17 +471,14 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 		}
 		return nil
 	}
-	// When the cache is not retaining results, page buffers (arena +
-	// row views) are recycled across pages instead of reallocated —
-	// the engine's epoch stream copies anything it buffers, so a
-	// consumed PageResult is immediately reusable.
+	// When the cache is not retaining results, page buffers (arena
+	// extent + row views) are recycled across pages instead of
+	// reallocated — the engine's epoch stream copies anything it buffers,
+	// so a consumed PageResult is immediately reusable.
 	reuse := ent == nil
 	// Quarantine can shrink the worker pool below the configured count:
 	// each live worker needs its own healthy VM.
-	w := r.workers
-	if w > len(r.healthy) {
-		w = len(r.healthy)
-	}
+	w := min(r.workers, len(r.healthy))
 	var err error
 	if w > 1 {
 		err = r.extractParallel(w, sink, reuse)
@@ -547,11 +493,33 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 	return nil
 }
 
+// extractPage is the per-page body the serial and parallel twins share:
+// deadline check, result slot, Strider walk on VM vmIdx, and the walk's
+// host time in res.WalkNs for the caller's busy-ns charge. A nil slot
+// means the record cache retains the result, so it takes a fresh one.
+//
+//dana:hotpath
+func (r *epochRunner) extractPage(vmIdx, pn int, pg storage.Page, slot *accessengine.PageResult) (*accessengine.PageResult, error) {
+	if err := r.checkDeadline(); err != nil {
+		return nil, err
+	}
+	res := slot
+	if res == nil {
+		//danalint:ignore hotalloc -- fresh results are retained by the record cache
+		res = new(accessengine.PageResult)
+	}
+	res.PageNo, res.Arena = pn, r.arena
+	start := time.Now()
+	err := r.extract(vmIdx, pg, res)
+	res.WalkNs = time.Since(start).Nanoseconds()
+	return res, err
+}
+
 // extractSerial pins pages in groups of NumStriders (modeling the page
 // buffers, and matching the pre-parallel executor's pool access order
 // exactly) and extracts them one Strider VM at a time. The group
-// window, pin list, and per-channel shared PageResults live on the
-// runner, so a steady-state epoch allocates nothing here.
+// window, pin list, and the shared PageResult live on the runner, so a
+// steady-state epoch allocates nothing here.
 func (r *epochRunner) extractSerial(sink func(*accessengine.PageResult) error, reuse bool) error {
 	n := r.rel.NumPages()
 	for pn := 0; pn < n; pn++ {
@@ -576,12 +544,11 @@ func (r *epochRunner) extractSerial(sink func(*accessengine.PageResult) error, r
 }
 
 // flushSerialGroup extracts the pinned group in page order and hands
-// each result to the sink. Recycled results are shared per memory
-// channel, so a page's record batch always slices out of its own
-// channel's arena.
+// each result to the sink.
 //
 //dana:hotpath
 func (r *epochRunner) flushSerialGroup(sink func(*accessengine.PageResult) error, reuse bool) (err error) {
+	var busy int64
 	// Pins are released even when extraction fails mid-group: a
 	// failed epoch must leave the pool with zero pinned frames.
 	defer func() {
@@ -592,27 +559,18 @@ func (r *epochRunner) flushSerialGroup(sink func(*accessengine.PageResult) error
 		}
 		r.group = r.group[:0]
 		r.pinned = r.pinned[:0]
+		r.s.obsWorkerBusy.Add(busy)
 	}()
+	var slot *accessengine.PageResult
+	if reuse {
+		slot = &r.serialRes
+	}
 	for i, pg := range r.group {
-		if err := r.checkDeadline(); err != nil {
-			return err
-		}
-		pn := int(r.pinned[i])
-		var res *accessengine.PageResult
-		if reuse {
-			res = &r.serialRes[r.channelOf(pn)]
-		} else {
-			//danalint:ignore hotalloc -- fresh results are retained by the record cache
-			res = new(accessengine.PageResult)
-		}
-		res.PageNo = pn
-		res.Arena = r.arenaOf(pn)
-		busyStart := time.Now()
-		err := r.extract(r.healthy[i%len(r.healthy)], pg, res)
-		r.s.obsWorkerBusy.Add(time.Since(busyStart).Nanoseconds())
+		res, err := r.extractPage(r.healthy[i%len(r.healthy)], int(r.pinned[i]), pg, slot)
 		if err != nil {
 			return err
 		}
+		busy += res.WalkNs
 		if err := sink(res); err != nil {
 			return err
 		}
@@ -620,74 +578,59 @@ func (r *epochRunner) flushSerialGroup(sink func(*accessengine.PageResult) error
 	return nil
 }
 
-// shardPlan is the channel-partitioned worker layout for one epoch:
-// with w ≥ C workers the C per-channel Strider groups get w/C workers
-// each (shardC = C, shardW = w/C; workers past shardC×shardW idle for
-// the epoch); with w < C the flat pn mod w round-robin applies
-// (shardC = w, shardW = 1). Worker flat index i serves shard channel
-// i/shardW, slot i%shardW, and owns pages pn = c + (j + m·shardW)·shardC.
-type shardPlan struct {
-	shardC, shardW int
-}
-
-func (r *epochRunner) plan(w int) shardPlan {
-	if w >= r.channels {
-		return shardPlan{shardC: r.channels, shardW: w / r.channels}
-	}
-	return shardPlan{shardC: w, shardW: 1}
-}
-
-// workers returns the live worker count of the plan.
-func (p shardPlan) workers() int { return p.shardC * p.shardW }
-
-// workerOf returns the flat worker index owning page pn.
-func (p shardPlan) workerOf(pn int) int {
-	c := pn % p.shardC
-	j := (pn / p.shardC) % p.shardW
-	return c*p.shardW + j
-}
-
-// extractParallel fans pages out over the channel-partitioned worker
-// groups (worker i owns healthy Strider VM healthy[i]) and delivers
-// results to the sink in global page order by walking the same
-// page→worker mapping over the per-worker output channels. Channel
-// capacity bounds the number of in-flight page batches.
+// extractParallel deals pages over w workers (worker i owns the pages
+// pn ≡ i mod w and healthy Strider VM healthy[i]; each pins, walks and
+// unpins its pages itself) and delivers results to the sink in global
+// page order by walking the same deal over the per-worker output
+// channels.
+//
+// When the cache does not retain results, worker i recycles a private
+// cycle of pipelineDepth+2 PageResults with no hand-back from the
+// coordinator: an output channel of capacity pipelineDepth bounds a
+// worker's in-flight pages to that many queued + 1 being sunk + 1 being
+// filled, so by the time the worker's page n+pipelineDepth+2 is
+// extracted the coordinator has taken its page n+1 and therefore
+// finished sinking page n.
 func (r *epochRunner) extractParallel(w int, sink func(*accessengine.PageResult) error, reuse bool) error {
 	n := r.rel.NumPages()
-	plan := r.plan(w)
-	nw := plan.workers()
-	outs := make([]chan *accessengine.PageResult, nw)
-	errCh := make(chan error, nw)
-	done := make(chan struct{})
-	// When results are not retained by the cache, consumed PageResults
-	// circulate back to the workers through per-channel free rings,
-	// bounding allocation to the number of in-flight pages and keeping
-	// each record batch inside its own channel's arena.
-	if reuse && r.free == nil {
-		r.free = make([]chan *accessengine.PageResult, r.channels)
-		for c := range r.free {
-			r.free[c] = make(chan *accessengine.PageResult, plan.shardW*(r.depth+2)+2)
-		}
+	const slots = pipelineDepth + 2
+	if reuse && len(r.cycle) < w*slots {
+		r.cycle = make([]accessengine.PageResult, w*slots)
 	}
+	outs := make([]chan *accessengine.PageResult, w)
+	errCh := make(chan error, w) // one send per worker at most
+	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < nw; i++ {
-		outs[i] = make(chan *accessengine.PageResult, r.depth)
+	for i := 0; i < w; i++ {
+		// The capacity bounds the extracted-but-unconsumed page batches per
+		// worker, and is what the result cycle's length rests on.
+		outs[i] = make(chan *accessengine.PageResult, pipelineDepth)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer close(outs[i])
-			var busy time.Duration
-			defer func() { r.s.obsWorkerBusy.Add(busy.Nanoseconds()) }()
-			c, j := i/plan.shardW, i%plan.shardW
-			start := c + j*plan.shardC
-			stride := plan.shardW * plan.shardC
-			for pn := start; pn < n; pn += stride {
-				res, err := r.extractShard(i, pn, reuse)
+			var busy int64
+			defer func() { r.s.obsWorkerBusy.Add(busy) }()
+			for pn, k := i, 0; pn < n; pn, k = pn+w, k+1 {
+				var slot *accessengine.PageResult
+				if reuse {
+					slot = &r.cycle[i*slots+k%slots]
+				}
+				// The arena holds copies of the tuple values, so the frame is
+				// released before the engine consumes the batch.
+				pg, err := r.s.DB.Pool.Pin(r.rel.Name, uint32(pn))
+				var res *accessengine.PageResult
+				if err == nil {
+					res, err = r.extractPage(r.healthy[i], pn, pg, slot)
+					if uerr := r.s.DB.Pool.Unpin(r.rel.Name, uint32(pn)); err == nil {
+						err = uerr
+					}
+				}
 				if err != nil {
 					errCh <- err
 					return
 				}
-				busy += time.Duration(res.WalkNs)
+				busy += res.WalkNs
 				select {
 				case outs[i] <- res:
 				case <-done:
@@ -701,70 +644,16 @@ func (r *epochRunner) extractParallel(w int, sink func(*accessengine.PageResult)
 		if err = r.checkDeadline(); err != nil {
 			break
 		}
-		res, ok := <-outs[plan.workerOf(pn)]
+		res, ok := <-outs[pn%w]
 		if !ok {
 			err = <-errCh
 			break
 		}
 		err = sink(res)
-		if reuse && err == nil {
-			select {
-			case r.free[r.channelOf(pn)] <- res:
-			default:
-			}
-		}
 	}
+	// A worker that failed closed its channel without delivering the
+	// page, so the loop above has already collected its error.
 	close(done)
 	wg.Wait()
-	if err != nil {
-		return err
-	}
-	select {
-	case werr := <-errCh:
-		return werr
-	default:
-		return nil
-	}
-}
-
-// extractShard pins, walks, and unpins one page on worker i — the
-// per-page body of the parallel extraction loop. Recycled results come
-// from the page's channel free ring; fresh extents come from the
-// channel arena.
-//
-//dana:hotpath
-func (r *epochRunner) extractShard(i, pn int, reuse bool) (*accessengine.PageResult, error) {
-	if err := r.checkDeadline(); err != nil {
-		return nil, err
-	}
-	pg, err := r.s.DB.Pool.Pin(r.rel.Name, uint32(pn))
-	if err != nil {
-		return nil, err
-	}
-	var res *accessengine.PageResult
-	if reuse {
-		select {
-		case res = <-r.free[r.channelOf(pn)]:
-		default:
-			//danalint:ignore hotalloc -- ring warm-up; recycled afterwards
-			res = new(accessengine.PageResult)
-		}
-	} else {
-		//danalint:ignore hotalloc -- fresh results are retained by the record cache
-		res = new(accessengine.PageResult)
-	}
-	res.PageNo = pn
-	res.Arena = r.arenaOf(pn)
-	busyStart := time.Now()
-	err = r.extract(r.healthy[i], pg, res)
-	res.WalkNs = time.Since(busyStart).Nanoseconds()
-	// The arena holds copies of the tuple values, so the frame can be
-	// released before the engine consumes the batch.
-	if uerr := r.s.DB.Pool.Unpin(r.rel.Name, uint32(pn)); err == nil {
-		err = uerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return err
 }

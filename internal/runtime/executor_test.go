@@ -4,11 +4,13 @@ import (
 	"math"
 	hostrt "runtime"
 	"testing"
+	"time"
 
 	"dana/internal/accessengine"
 	"dana/internal/backend"
 	"dana/internal/fault"
 	"dana/internal/hdfg"
+	"dana/internal/obs"
 	"dana/internal/storage"
 	"dana/internal/strider"
 )
@@ -266,13 +268,15 @@ func TestWorkerSweepBitIdentity(t *testing.T) {
 }
 
 // TestChannelSweepBitIdentity extends the worker sweep along the
-// memory-channel axis: the full {workers} × {channels} grid — cache on
-// and off, and with the PR 4 zero-rate fault schedule attached — must
-// produce bit-identical models, identical modeled cycle stats, and
-// identical simulated seconds to the serial single-channel uncached
-// baseline. Channel partitioning (like worker parallelism) may change
-// host wall-clock only; the per-channel obs split re-partitions the
-// same totals.
+// memory-channel axis, driven through the one number behind it
+// (Cost.Link.Channels): over the full {workers} × {channels} grid —
+// cache on and off, and with the PR 4 zero-rate fault schedule attached
+// — models, modeled cycle stats and epoch counts are bit-identical to
+// the serial single-channel uncached baseline, simulated seconds are
+// bit-identical to a serial run at the same link (the channel count is
+// a modeled quantity, so it moves the transfer charge and nothing
+// else), and the per-channel obs split re-partitions the Strider totals
+// exactly.
 //
 // The grid runs with the explicit Backend="accelerator" override while
 // the baseline uses the "" default: both resolve to the same backend
@@ -288,8 +292,10 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 	)
 	serial := trainConfigured(t, workload, scale, mergeCoef, epochs, 1, true)
 	zeroFaults := func(o *Options) { o.Faults = fault.New(fault.Config{Seed: 7}) }
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, channels := range []int{1, 2, 4} {
+	for _, channels := range []int{1, 2, 4} {
+		link := func(o *Options) { o.Cost.Link.Channels = channels }
+		serialAtLink := trainConfigured(t, workload, scale, mergeCoef, epochs, 1, true, link)
+		for _, workers := range []int{1, 2, 4, 8} {
 			for _, cfg := range []struct {
 				noCache bool
 				faulted bool
@@ -298,8 +304,9 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 				if cfg.noCache {
 					name = "nocache"
 				}
-				mods := []func(*Options){func(o *Options) {
-					o.Channels = channels
+				reg := obs.New()
+				mods := []func(*Options){link, func(o *Options) {
+					o.Obs = reg
 					o.Backend = "accelerator" // explicit override of the "" default
 				}}
 				if cfg.faulted {
@@ -329,8 +336,21 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 				if got.Access != serial.Access {
 					t.Errorf("w=%d/c=%d/%s: access stats %+v != serial %+v", workers, channels, name, got.Access, serial.Access)
 				}
-				if got.SimulatedSeconds != serial.SimulatedSeconds {
-					t.Errorf("w=%d/c=%d/%s: simulated %v != serial %v", workers, channels, name, got.SimulatedSeconds, serial.SimulatedSeconds)
+				if got.SimulatedSeconds != serialAtLink.SimulatedSeconds {
+					t.Errorf("w=%d/c=%d/%s: simulated %v != serial at the same link %v",
+						workers, channels, name, got.SimulatedSeconds, serialAtLink.SimulatedSeconds)
+				}
+				if n := reg.Get(obs.ChannelCount); n != int64(channels) {
+					t.Fatalf("w=%d/c=%d/%s: channel.count = %d", workers, channels, name, n)
+				}
+				var sumBytes, sumBusy int64
+				for c := 0; c < channels; c++ {
+					sumBytes += reg.Get(obs.ChannelBytesStreamed(c))
+					sumBusy += reg.Get(obs.ChannelBusyCycles(c))
+				}
+				if sumBytes != reg.Get(obs.StriderBytes) || sumBusy != reg.Get(obs.StriderCyclesTotal) {
+					t.Errorf("w=%d/c=%d/%s: channel split %d bytes / %d busy cycles != strider totals %d / %d",
+						workers, channels, name, sumBytes, sumBusy, reg.Get(obs.StriderBytes), reg.Get(obs.StriderCyclesTotal))
 				}
 			}
 		}
@@ -341,13 +361,12 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 // engine, configured accelerator backend, runner) so the allocation
 // guard can drive epochs directly. The caller must Close the returned
 // backend.
-func newBenchRunner(t *testing.T, workers, channels int, noCache bool) (*epochRunner, *backend.Accel) {
+func newBenchRunner(t *testing.T, workers int, noCache bool) (*epochRunner, *backend.Accel) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
 	opts.PoolBytes = 64 << 20
 	opts.Workers = workers
-	opts.Channels = channels
 	opts.NoExtractCache = noCache
 	opts.DisableObs = true
 	s := New(opts)
@@ -392,14 +411,14 @@ func newBenchRunner(t *testing.T, workers, channels int, noCache bool) (*epochRu
 }
 
 // TestHotPathsAllocationFree is the runtime counterpart of the hotalloc
-// analyzer: after warm-up (arenas sized, buffers grown, pool hot), a
+// analyzer: after warm-up (arena sized, buffers grown, pool hot), a
 // steady-state epoch must allocate O(1) — never per page or per tuple.
 // The relation here spans dozens of pages and thousands of tuples, so
 // any per-page regression blows through the bounds by an order of
 // magnitude.
 func TestHotPathsAllocationFree(t *testing.T) {
-	measure := func(workers, channels int) float64 {
-		r, m := newBenchRunner(t, workers, channels, true)
+	measure := func(workers int) float64 {
+		r, m := newBenchRunner(t, workers, true)
 		defer m.Close()
 		for e := 0; e < 2; e++ {
 			if err := r.runEpoch(e); err != nil {
@@ -414,17 +433,89 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	}
 	pages := 0
 	{
-		r, m := newBenchRunner(t, 1, 1, true)
+		r, m := newBenchRunner(t, 1, true)
 		pages = r.rel.NumPages()
 		m.Close()
 	}
-	if serial := measure(1, 1); serial > 16 {
+	if serial := measure(1); serial > 16 {
 		t.Errorf("serial recycling epoch allocates %.0f times (%d pages); hot path regressed", serial, pages)
 	}
 	// The parallel path pays a fixed per-epoch fan-out cost (output
 	// channels, worker goroutines) that scales with workers, never with
 	// pages or tuples.
-	if par := measure(4, 2); par > 128 {
+	if par := measure(4); par > 128 {
 		t.Errorf("parallel epoch allocates %.0f times (%d pages); fan-out should be O(workers)", par, pages)
+	}
+}
+
+// TestResultCycleOutlivesTheSink pins the length of the parallel
+// workers' private result cycle (run it under -race). With the record
+// cache off a worker recycles pipelineDepth+2 PageResults and the
+// coordinator hands nothing back, so the bound rests on the output
+// channel's capacity alone: page pn's rows must still be intact while
+// the coordinator sinks page pn+1 (another worker's page — pn's worker
+// may by then be pipelineDepth+1 pages ahead, filling every slot but
+// pn's). One slot fewer and that worker overwrites pn's rows under the
+// reader. Workers = 3 is the count the channel-sharded plan used to run
+// as two.
+func TestResultCycleOutlivesTheSink(t *testing.T) {
+	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(4))
+	flatten := func(rows [][]float32) []float32 {
+		var out []float32
+		for _, row := range rows {
+			out = append(out, row...)
+		}
+		return out
+	}
+	ref, m := newBenchRunner(t, 1, true)
+	ref.sizeArena()
+	var want [][]float32
+	err := ref.extractSerial(func(res *accessengine.PageResult) error {
+		want = append(want, flatten(res.Rows))
+		return nil
+	}, true)
+	m.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{2, 3, 4} {
+		r, m := newBenchRunner(t, w, true)
+		r.sizeArena()
+		var prev *accessengine.PageResult
+		check := func() {
+			got := flatten(prev.Rows)
+			if len(got) != len(want[prev.PageNo]) {
+				t.Fatalf("workers=%d: page %d has %d values, want %d", w, prev.PageNo, len(got), len(want[prev.PageNo]))
+			}
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[prev.PageNo][i]) {
+					t.Fatalf("workers=%d: page %d overwritten while the next page was sunk", w, prev.PageNo)
+				}
+			}
+		}
+		sink := func(res *accessengine.PageResult) error {
+			// Dawdle over the first laps so every worker runs as far ahead
+			// as its channel lets it. The sleep only gives a too-short
+			// cycle time to show; the check holds at any speed.
+			if res.PageNo < 3*w*(pipelineDepth+2) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if prev != nil {
+				check()
+			}
+			prev = res
+			return nil
+		}
+		for epoch := 0; epoch < 2; epoch++ { // the cycle is kept across epochs
+			prev = nil
+			if err := r.extractParallel(w, sink, true); err != nil {
+				t.Fatal(err)
+			}
+			check()
+		}
+		if r.s.Pool().PinnedCount() != 0 {
+			t.Fatalf("workers=%d: leaked page pins", w)
+		}
+		m.Close()
 	}
 }

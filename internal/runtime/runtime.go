@@ -64,18 +64,6 @@ type Options struct {
 	// 1 = serial). Parallelism affects wall-clock time only: modeled
 	// cycle counts are charged in page order and stay bit-identical.
 	Workers int
-	// Channels models the accelerator link as N independent memory
-	// channels (0/1 = the single legacy link, capped at MaxChannels).
-	// Pages interleave round-robin — page pn streams on channel pn mod
-	// N, the policy internal/cost charges — and the executor shards its
-	// extraction workers into per-channel Strider groups along the same
-	// boundaries, each channel backed by its own record arena. Like
-	// Workers, the channel count changes host wall-clock only: modeled
-	// cycles, simulated seconds, and trained models are bit-identical
-	// for any value (the per-channel obs counters split by channel, but
-	// their totals are invariant). The *modeled* transfer time follows
-	// Cost.Link, which is configured independently.
-	Channels int
 	// NoExtractCache disables the cross-epoch extracted-record cache, so
 	// every epoch re-walks the heap pages through the Striders.
 	NoExtractCache bool
@@ -131,8 +119,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// MaxChannels caps Options.Channels (per-channel instruments are
-// resolved eagerly at New, so the series count must be bounded).
+// MaxChannels caps the channel.<i>.* obs split of Cost.Link.Channels
+// (per-channel instruments are resolved eagerly at New, so the series
+// count must be bounded). The cost model itself is not capped.
 const MaxChannels = 32
 
 // System is a DAnA-enhanced database instance.
@@ -144,7 +133,7 @@ type System struct {
 
 	disp *backend.Dispatcher // registered execution backends
 
-	channels int // effective channel count (Opts.Channels clamped)
+	channels int // modeled channel count: Opts.Cost.Link.Channels clamped to [1, MaxChannels]
 
 	obs *obs.Registry // observability registry (obs.Noop when disabled)
 	// Cached runtime-layer instrument handles (nil-safe no-ops when dark).
@@ -212,13 +201,7 @@ func New(opts Options) *System {
 	s.obsVerifyRuns = reg.Counter(obs.StriderVerifyRuns)
 	s.obsVerifyWarnings = reg.Counter(obs.StriderVerifyWarnings)
 	s.obsVerifyRejects = reg.Counter(obs.StriderVerifyRejects)
-	s.channels = opts.Channels
-	if s.channels < 1 {
-		s.channels = 1
-	}
-	if s.channels > MaxChannels {
-		s.channels = MaxChannels
-	}
+	s.channels = min(max(opts.Cost.Link.Channels, 1), MaxChannels)
 	s.obsChanBytes = make([]*obs.Counter, s.channels)
 	s.obsChanBusy = make([]*obs.Counter, s.channels)
 	for i := range s.obsChanBytes {

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"dana/internal/algos"
 	"dana/internal/cost"
@@ -55,23 +54,13 @@ func (e *costEstimator) effectiveMerge(merge int) int {
 	return merge
 }
 
-// scaledTuples mirrors datagen.Generate's tuple scaling so the modeled
-// estimate prices the dataset the functional run will actually stream.
-func scaledTuples(w datagen.Workload, scale float64) int {
-	n := int(math.Round(float64(w.Tuples) * scale))
-	if n < 64 {
-		n = 64
-	}
-	return n
-}
-
 func (e *costEstimator) costWorkload(w datagen.Workload, scale float64, merge int) (cost.Workload, error) {
 	ck := fmt.Sprintf("%s|%g|%d", w.Name, scale, merge)
 	if cw, ok := e.compiled[ck]; ok {
 		return cw, nil
 	}
 	ws := w
-	ws.Tuples = scaledTuples(w, scale)
+	ws.Tuples = w.ScaledTuples(scale)
 	comp, err := workload.Compile(ws, e.env, merge)
 	if err != nil {
 		return cost.Workload{}, err

@@ -2,10 +2,14 @@ package dana
 
 // Overhead guard for the observability layer: training with the
 // counters enabled must cost < 5% extra wall time over obs.Noop on an
-// end-to-end LR train. The obs charge sites run per page / per batch,
-// not per tuple, so the real overhead is far below the gate; the gate
-// exists so a future change that accidentally puts an instrument in a
-// per-tuple loop fails loudly.
+// end-to-end train. The obs charge sites run per page / per epoch, never
+// per batch or per tuple (the engine keeps a plain ledger and publishes
+// it once an epoch), so the real overhead is far below the gate; the
+// gate exists so a future change that accidentally puts an instrument in
+// a hot loop fails loudly. Two legs: an LR train at merge 64 that
+// re-extracts every epoch, and a cached LRMF train at merge 1, where a
+// batch is one tuple and the engine is the whole op — the shape on which
+// a per-batch instrument is a per-tuple one.
 
 import (
 	"sort"
@@ -13,25 +17,33 @@ import (
 	"time"
 )
 
-func trainWallOnce(t *testing.T, disable bool) time.Duration {
+// obsLeg is one workload shape the overhead budget is held on.
+type obsLeg struct {
+	workload string
+	scale    float64
+	merge    int
+	noCache  bool
+}
+
+func trainWallOnce(t *testing.T, leg obsLeg, disable bool) time.Duration {
 	t.Helper()
 	eng, err := Open(Config{
 		PageSize: 32 << 10, PoolBytes: 128 << 20,
-		Workers: 1, NoExtractCache: true, DisableObs: disable,
+		Workers: 1, NoExtractCache: leg.noCache, DisableObs: disable,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := eng.LoadWorkload("Remote Sensing LR", 0.02, 1)
+	d, err := eng.LoadWorkload(leg.workload, leg.scale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := d.DSLAlgo(64)
+	a, err := d.DSLAlgo(leg.merge)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.SetEpochs(6)
-	if err := eng.RegisterUDF(a, 64); err != nil {
+	if err := eng.RegisterUDF(a, leg.merge); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the pool and the process (JIT-free, but page cache, branch
@@ -50,6 +62,15 @@ func TestObsOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement; skipped in -short mode")
 	}
+	for _, leg := range []obsLeg{
+		{workload: "Remote Sensing LR", scale: 0.02, merge: 64, noCache: true},
+		{workload: "Netflix", scale: 0.01, merge: 1},
+	} {
+		t.Run(leg.workload, func(t *testing.T) { obsOverheadBudget(t, leg) })
+	}
+}
+
+func obsOverheadBudget(t *testing.T, leg obsLeg) {
 	// Interleave on/off measurements so slow drift (thermal, noisy
 	// neighbors) hits both sides equally, then compare the minima:
 	// scheduler noise only ever adds time, so the fastest round is the
@@ -60,8 +81,8 @@ func TestObsOverheadBudget(t *testing.T) {
 		const rounds = 7
 		var on, off []float64
 		for i := 0; i < rounds; i++ {
-			on = append(on, trainWallOnce(t, false).Seconds())
-			off = append(off, trainWallOnce(t, true).Seconds())
+			on = append(on, trainWallOnce(t, leg, false).Seconds())
+			off = append(off, trainWallOnce(t, leg, true).Seconds())
 		}
 		best := func(xs []float64) float64 {
 			s := append([]float64(nil), xs...)
