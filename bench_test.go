@@ -577,10 +577,10 @@ func BenchmarkParallelExtract(b *testing.B) {
 // BenchmarkEngineFanout times a cached multi-epoch Train (the engine is
 // the whole op) on the two sides of the engine's fan-out floor: the
 // 54-feature program, whose merge-64 batch is below it, and the
-// 2000-feature one, above. "inline" pins Workers: 1; "fanned" configures
+// 8000-feature one, above. "inline" pins Workers: 1; "fanned" configures
 // two host workers and leaves the fork to the floor — so f54/fanned
 // tracks f54/inline (a batch that small must not pay a fork/join) and
-// f2000/fanned beats f2000/inline on a host with a second core.
+// f8000/fanned beats f8000/inline on a host with a second core.
 func BenchmarkEngineFanout(b *testing.B) {
 	const epochs = 4
 	for _, wl := range []struct {
@@ -588,7 +588,7 @@ func BenchmarkEngineFanout(b *testing.B) {
 		scale          float64
 	}{
 		{"f54", "Remote Sensing LR", 0.02},
-		{"f2000", "S/N Logistic", 0.003},
+		{"f8000", "S/N Linear", 0.003},
 	} {
 		for _, cfg := range []struct {
 			name    string

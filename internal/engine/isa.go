@@ -185,9 +185,26 @@ func (p *Program) Validate() error {
 				if in.GroupSize < 1 || in.Dst.Len < 1 {
 					return fmt.Errorf("engine: reduce with %d groups of %d", in.Dst.Len, in.GroupSize)
 				}
+				if in.GStride < 0 || in.EStride < 0 {
+					return fmt.Errorf("engine: reduce with negative stride (g=%d e=%d)", in.GStride, in.EStride)
+				}
 				last := in.A.Base + (in.Dst.Len-1)*in.GStride + (in.GroupSize-1)*in.EStride
 				if last >= p.Slots || last < 0 {
 					return fmt.Errorf("engine: reduce reads word %d outside scratchpad", last)
+				}
+			}
+			if in.Kind == KGather || in.Kind == KScatter {
+				// The row moves RowLen words whatever Dst/A declare, and
+				// the index is one word read at its slot's base.
+				row, idx := in.Dst, in.A
+				if in.Kind == KScatter {
+					row, idx = in.A, in.B
+				}
+				if in.RowLen < 1 || idx.Len < 1 {
+					return fmt.Errorf("engine: %v needs a row length and an index word", in)
+				}
+				if err := check(Slot{row.Base, in.RowLen}, "row"); err != nil {
+					return err
 				}
 			}
 		}

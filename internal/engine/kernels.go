@@ -1,0 +1,340 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+)
+
+// The plan's kernels. Each performs exactly the float32 operations the
+// reference executor's exec performs for the instruction(s) it stands
+// for, in the same order; loops re-read their sources element by
+// element, so overlapping source and destination regions behave as they
+// do there. Every fused product is rounded by an explicit float32(...)
+// before it meets an add (see plan.go).
+
+func (o operand) view(f *frame) []float32 { return f.base[o.sp][o.off : o.off+o.n] }
+
+func (o operand) at(f *frame) float32 { return f.base[o.sp][o.off] }
+
+func (o *op) dest(f *frame) []float32 { return f.base[spThread][o.dst : o.dst+o.n] }
+
+// runOps executes a lowered list against one frame.
+//
+//dana:hotpath
+func runOps(ops []op, f *frame) error {
+	for i := range ops {
+		o := &ops[i]
+		if err := o.run(o, f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// kFail returns the error the instruction raises when executed. It is
+// the one kernel off the hot path: it ends the run.
+func kFail(o *op, _ *frame) error {
+	if o.src.Kind == KEW {
+		return fmt.Errorf("engine: EW with empty source: %v", *o.src)
+	}
+	return fmt.Errorf("engine: invalid instruction kind %d", o.src.Kind)
+}
+
+//dana:hotpath
+func kScalar(o *op, f *frame) error {
+	f.base[spThread][o.dst] = alu(o.alu, o.a.at(f), o.b.at(f))
+	return nil
+}
+
+//dana:hotpath
+func kEW1(o *op, f *frame) error {
+	dst := o.dest(f)
+	a := o.a.view(f)[:len(dst)]
+	switch o.alu {
+	case AMov:
+		for i := range dst {
+			dst[i] = a[i]
+		}
+	case ASquare:
+		for i := range dst {
+			dst[i] = a[i] * a[i]
+		}
+	default:
+		for i := range dst {
+			dst[i] = alu(o.alu, a[i], 0)
+		}
+	}
+	return nil
+}
+
+//dana:hotpath
+func kEWvv(o *op, f *frame) error {
+	dst := o.dest(f)
+	a, b := o.a.view(f)[:len(dst)], o.b.view(f)[:len(dst)]
+	switch o.alu {
+	case AAdd:
+		for i := range dst {
+			dst[i] = a[i] + b[i]
+		}
+	case ASub:
+		for i := range dst {
+			dst[i] = a[i] - b[i]
+		}
+	case AMul:
+		for i := range dst {
+			dst[i] = a[i] * b[i]
+		}
+	case ADiv:
+		for i := range dst {
+			dst[i] = a[i] / b[i]
+		}
+	default:
+		for i := range dst {
+			dst[i] = alu(o.alu, a[i], b[i])
+		}
+	}
+	return nil
+}
+
+//dana:hotpath
+func kEWvs(o *op, f *frame) error {
+	dst := o.dest(f)
+	a, s := o.a.view(f)[:len(dst)], o.b.at(f)
+	switch o.alu {
+	case AAdd:
+		for i := range dst {
+			dst[i] = a[i] + s
+		}
+	case ASub:
+		for i := range dst {
+			dst[i] = a[i] - s
+		}
+	case AMul:
+		for i := range dst {
+			dst[i] = a[i] * s
+		}
+	case ADiv:
+		for i := range dst {
+			dst[i] = a[i] / s
+		}
+	default:
+		for i := range dst {
+			dst[i] = alu(o.alu, a[i], s)
+		}
+	}
+	return nil
+}
+
+//dana:hotpath
+func kEWsv(o *op, f *frame) error {
+	dst := o.dest(f)
+	s, b := o.a.at(f), o.b.view(f)[:len(dst)]
+	switch o.alu {
+	case AAdd:
+		for i := range dst {
+			dst[i] = s + b[i]
+		}
+	case ASub:
+		for i := range dst {
+			dst[i] = s - b[i]
+		}
+	case AMul:
+		for i := range dst {
+			dst[i] = s * b[i]
+		}
+	case ADiv:
+		for i := range dst {
+			dst[i] = s / b[i]
+		}
+	default:
+		for i := range dst {
+			dst[i] = alu(o.alu, s, b[i])
+		}
+	}
+	return nil
+}
+
+// kEWwrap is the ISA's definition verbatim: Dst[i] = ALU(A[i mod A.Len],
+// B[i mod B.Len]), both sources re-read for every element.
+//
+//dana:hotpath
+func kEWwrap(o *op, f *frame) error {
+	dst := o.dest(f)
+	a, b := o.a.view(f), o.b.view(f)
+	for i := range dst {
+		dst[i] = alu(o.alu, a[i%len(a)], b[i%len(b)])
+	}
+	return nil
+}
+
+//dana:hotpath
+func kReduce(o *op, f *frame) error {
+	dst := o.dest(f)
+	src := o.a.view(f)
+	for g := range dst {
+		idx := g * o.gstride
+		acc := src[idx]
+		if o.alu == AAdd {
+			for e := 1; e < o.group; e++ {
+				idx += o.estride
+				acc = acc + src[idx]
+			}
+		} else {
+			for e := 1; e < o.group; e++ {
+				idx += o.estride
+				acc = alu(o.alu, acc, src[idx])
+			}
+		}
+		dst[g] = acc
+	}
+	return nil
+}
+
+// kDot is ew.mul followed by a full red.add with the product vector
+// left in registers: each product is rounded to float32 on its own, then
+// summed left to right, exactly as the stored products were.
+//
+//dana:hotpath
+func kDot(o *op, f *frame) error {
+	a := o.a.view(f)
+	b := o.b.view(f)[:len(a)]
+	acc := float32(a[0] * b[0])
+	for i := 1; i < len(a); i++ {
+		acc = acc + float32(a[i]*b[i])
+	}
+	f.base[spThread][o.dst] = acc
+	return nil
+}
+
+// dotLanes is how many threads' dots dotN keeps in flight: a float32 add
+// has a 3-4 cycle latency and a dot is one chain of them, so four
+// independent chains fill the adder a single chain leaves idle.
+const dotLanes = 4
+
+// dotN is kDot for dotLanes frames at once. Each frame's sum is its own
+// chain, in kDot's order exactly; only the chains interleave.
+//
+//dana:hotpath
+func dotN(o *op, fs *[dotLanes]frame) {
+	a0, a1, a2, a3 := o.a.view(&fs[0]), o.a.view(&fs[1]), o.a.view(&fs[2]), o.a.view(&fs[3])
+	n := len(a0)
+	a1, a2, a3 = a1[:n], a2[:n], a3[:n]
+	b0, b1, b2, b3 := o.b.view(&fs[0])[:n], o.b.view(&fs[1])[:n], o.b.view(&fs[2])[:n], o.b.view(&fs[3])[:n]
+	s0, s1, s2, s3 := float32(a0[0]*b0[0]), float32(a1[0]*b1[0]), float32(a2[0]*b2[0]), float32(a3[0]*b3[0])
+	for i := 1; i < n; i++ {
+		s0 = s0 + float32(a0[i]*b0[i])
+		s1 = s1 + float32(a1[i]*b1[i])
+		s2 = s2 + float32(a2[i]*b2[i])
+		s3 = s3 + float32(a3[i]*b3[i])
+	}
+	fs[0].base[spThread][o.dst], fs[1].base[spThread][o.dst] = s0, s1
+	fs[2].base[spThread][o.dst], fs[3].base[spThread][o.dst] = s2, s3
+}
+
+//dana:hotpath
+func kGather(o *op, f *frame) error {
+	idx := int(math.Round(float64(o.a.at(f))))
+	if idx < 0 || idx >= o.rows {
+		return fmt.Errorf("engine: gather row %d outside model of %d rows", idx, o.rows)
+	}
+	if o.reg >= 0 {
+		f.idx[o.reg] = idx
+	}
+	copy(f.base[spThread][o.dst:o.dst+o.rowLen], o.b.view(f)[idx*o.rowLen:(idx+1)*o.rowLen])
+	return nil
+}
+
+//dana:hotpath
+func kScatter(o *op, f *frame) error {
+	idx := int(math.Round(float64(o.b.at(f))))
+	if idx < 0 || idx >= o.rows {
+		return fmt.Errorf("engine: scatter row %d outside model of %d rows", idx, o.rows)
+	}
+	row := o.dst + idx*o.rowLen
+	copy(f.base[spThread][row:row+o.rowLen], o.a.view(f))
+	return nil
+}
+
+// kScatterPaired scatters to the row its tuple's gather already rounded
+// and bounds-checked (pairIndexes proved the index word unchanged).
+//
+//dana:hotpath
+func kScatterPaired(o *op, f *frame) error {
+	row := o.dst + f.idx[o.reg]*o.rowLen
+	copy(f.base[spThread][row:row+o.rowLen], o.a.view(f))
+	return nil
+}
+
+// The accumulating kernels compute the value the program would have
+// stored in MergeSrc and fold it into the merge accumulator at once:
+// acc = v for the accumulator's first tuple, acc = acc + v after, the
+// reference's copy-then-add.
+
+//dana:hotpath
+func kAccMulSV(o *op, f *frame) error {
+	s, x := o.a.at(f), o.b.view(f)
+	acc := f.acc[:len(x)]
+	if f.first {
+		for j := range x {
+			acc[j] = float32(s * x[j])
+		}
+		return nil
+	}
+	for j := range x {
+		acc[j] = acc[j] + float32(s*x[j])
+	}
+	return nil
+}
+
+//dana:hotpath
+func kAccVV(o *op, f *frame) error {
+	a := o.a.view(f)
+	b, acc := o.b.view(f)[:len(a)], f.acc[:len(a)]
+	switch {
+	case o.alu == ASub && f.first:
+		for j := range a {
+			acc[j] = float32(a[j] - b[j])
+		}
+	case o.alu == ASub:
+		for j := range a {
+			acc[j] = acc[j] + float32(a[j]-b[j])
+		}
+	case o.alu == AAdd && f.first:
+		for j := range a {
+			acc[j] = float32(a[j] + b[j])
+		}
+	case o.alu == AAdd:
+		for j := range a {
+			acc[j] = acc[j] + float32(a[j]+b[j])
+		}
+	case f.first:
+		for j := range a {
+			acc[j] = float32(a[j] * b[j])
+		}
+	default:
+		for j := range a {
+			acc[j] = acc[j] + float32(a[j]*b[j])
+		}
+	}
+	return nil
+}
+
+// accumulate folds a thread's merge value into acc when no kernel fused
+// it: the reference's copy for the first tuple, its add loop after.
+//
+//dana:hotpath
+func accumulate(acc, src []float32, op AluOp, first bool) {
+	src = src[:len(acc)]
+	switch {
+	case first:
+		copy(acc, src)
+	case op == AAdd:
+		for j := range acc {
+			acc[j] = acc[j] + src[j]
+		}
+	default:
+		for j := range acc {
+			acc[j] = alu(op, acc[j], src[j])
+		}
+	}
+}

@@ -52,20 +52,26 @@ type Machine struct {
 	Prog *Program
 	Cfg  Config
 
-	scratch [][]float32 // per-thread scratchpads
+	// One slab per machine: thread t's scratchpad is words
+	// [t*Slots, (t+1)*Slots) of scratch, its merge accumulator words
+	// [t*MergeSrc.Len, (t+1)*MergeSrc.Len) of accs (nil without a merge).
+	scratch []float32
+	accs    []float32
 	stats   Stats
 
-	// Reused per-batch buffers (allocation-churn control; no semantic
-	// effect): per-thread merge accumulators, per-thread cycle counters,
-	// and the model broadcast staging copy.
-	mergeAccs [][]float32
-	threadCyc []int64
-	bcast     []float32
+	// plan is Prog lowered for Cfg (plan.go): what RunBatch and Converged
+	// execute. The reference executor (reference.go) never reads it.
+	// frames are the caller goroutine's kernel frames (one, or dotLanes
+	// for runDirect), kept here because a frame passed to a kernel
+	// through its func value escapes; each fan-out helper owns another.
+	plan   plan
+	frames [dotLanes]frame
 
 	// Static cycle costs, precomputed once per program (instruction
 	// cycles depend only on the instruction and the config): total cost
 	// of each instruction list, the tuple load, the thread-local merge
-	// accumulate, and the model write-back.
+	// accumulate, and the model write-back. Stats are charged from these
+	// in closed form per batch.
 	cycPerTuple    int64
 	cycPostMerge   int64
 	cycRowUpdates  int64
@@ -73,6 +79,7 @@ type Machine struct {
 	cycLoad        int64
 	cycLocalAcc    int64
 	cycWriteBack   int64
+	cycBroadcast   int64
 
 	// Host fan-out of merge batches (SetHostWorkers): the k model
 	// threads of a batch are independent (each owns its scratchpad and
@@ -122,11 +129,14 @@ func (m *Machine) SetObs(r *obs.Registry) {
 // fanOutFloorCycles is the static modeled cost (tuples × per-tuple
 // program cycles, both known before the batch runs) below which a merge
 // batch runs inline even with host workers configured: the fork/join
-// costs a few tens of µs, more than a small batch's whole compute.
-// Measured at merge 64 on a 2-core host (EXPERIMENTS.md, "Engine
-// fan-out floor"): inline wins up to the 520-feature program (4 224
-// cycles a batch), fanning wins from the 2000-feature one (13 056).
-const fanOutFloorCycles = 8192
+// costs a few tens of µs, and only an inline batch whose threads own one
+// tuple each can fold merge values straight into the merged vector.
+// Re-measured at merge 64 on the plan's kernels (EXPERIMENTS.md, "Engine
+// fan-out floor"): a modeled cycle costs about half the host time it did
+// under the interpreter, so the break-even doubled — inline now wins up
+// to the 2000-feature program (13 056 cycles a batch); the 8000-feature
+// one (48 576) stays on the fanned side.
+const fanOutFloorCycles = 16384
 
 // PublishObs adds what stats gained since the last publish to the
 // registry counters. The owner of the machine calls it once per epoch
@@ -152,7 +162,9 @@ type batchJob struct {
 	errs    []error
 }
 
-// NewMachine instantiates the accelerator.
+// NewMachine instantiates the accelerator and lowers the program to its
+// plan. It allocates the machine, one slab of thread scratchpads, one
+// of merge accumulators (merge programs) and one of plan ops.
 func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -160,11 +172,14 @@ func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{Prog: p, Cfg: cfg, scratch: make([][]float32, cfg.Threads)}
-	for t := range m.scratch {
-		m.scratch[t] = make([]float32, p.Slots)
-		copy(m.scratch[t][p.ConstSlot.Base:p.ConstSlot.Base+p.ConstSlot.Len], p.Consts)
+	m := &Machine{Prog: p, Cfg: cfg, scratch: make([]float32, cfg.Threads*p.Slots)}
+	for t := 0; t < cfg.Threads; t++ {
+		copy(m.thread(t)[p.ConstSlot.Base:p.ConstSlot.Base+p.ConstSlot.Len], p.Consts)
 	}
+	if p.HasMerge() {
+		m.accs = make([]float32, cfg.Threads*p.MergeSrc.Len)
+	}
+	m.plan = lower(p, cfg)
 	m.cycPerTuple = listCycles(p.PerTuple, cfg)
 	m.cycPostMerge = listCycles(p.PostMerge, cfg)
 	m.cycRowUpdates = listCycles(p.RowUpdates, cfg)
@@ -173,7 +188,20 @@ func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	m.cycLoad = int64(ceilDiv(p.InputSlot.Len, 8))
 	m.cycLocalAcc = int64(ceilDiv(p.MergeSrc.Len, cfg.Lanes()))
 	m.cycWriteBack = int64(ceilDiv(p.ModelSlot.Len, cfg.Lanes()))
+	m.cycBroadcast = int64(ceilDiv(p.ModelSlot.Len, 8))
 	return m, nil
+}
+
+// thread returns model thread t's scratchpad.
+func (m *Machine) thread(t int) []float32 {
+	n := m.Prog.Slots
+	return m.scratch[t*n : (t+1)*n : (t+1)*n]
+}
+
+// acc returns model thread t's merge accumulator.
+func (m *Machine) acc(t int) []float32 {
+	n := m.Prog.MergeSrc.Len
+	return m.accs[t*n : (t+1)*n : (t+1)*n]
 }
 
 // SetHostWorkers sets how many host goroutines execute a merge batch's
@@ -216,54 +244,119 @@ func (m *Machine) ensureHelpers(w int) {
 		ch := make(chan batchJob)
 		m.helperCh = append(m.helperCh, ch)
 		go func() {
+			var f frame
 			for job := range ch {
-				m.runPartition(job.tuples, job.k, job.w, job.W, &job.errs[job.w])
+				job.errs[job.w] = m.runPartition(&f, job.tuples, job.k, job.w, job.W)
 				m.helperDone <- struct{}{}
 			}
 		}()
 	}
 }
 
-// runPartition executes model threads w, w+W, ... of one merge batch:
-// tuple loads, the per-tuple program, and the thread-local merge
-// accumulate. It only touches those threads' scratchpads, accumulators,
-// and cycle counters, so partitions are mutually independent; no shared
-// stats are written (the caller charges them from static costs).
+// errTupleWidth is the load stage's rejection of a mis-sized tuple.
+func (m *Machine) errTupleWidth(tuple []float32) error {
+	return fmt.Errorf("engine: tuple width %d, input region %d", len(tuple), m.Prog.InputSlot.Len)
+}
+
+// bind points f at model thread t and its next tuple: the load stage.
 //
 //dana:hotpath
-func (m *Machine) runPartition(tuples [][]float32, k, w, W int, errp *error) {
-	p := m.Prog
-	accs := m.mergeAccs[:k]
-	threadCycles := m.threadCyc[:k]
+func (m *Machine) bind(f *frame, t int, row []float32) error {
+	in := m.Prog.InputSlot
+	if len(row) != in.Len {
+		return m.errTupleWidth(row)
+	}
+	th := m.thread(t)
+	if m.plan.copyInput {
+		copy(th[in.Base:in.Base+in.Len], row)
+	}
+	f.base[spThread], f.base[spRow], f.base[spModel] = th, row, m.thread(0)
+	return nil
+}
+
+// mergeValue folds the merge value the per-tuple ops left in f's thread
+// into f.acc, unless the plan's last op already did.
+//
+//dana:hotpath
+func (m *Machine) mergeValue(f *frame) {
+	if src := m.Prog.MergeSrc; !m.plan.fusedAcc {
+		accumulate(f.acc, f.base[spThread][src.Base:src.Base+src.Len], m.Prog.MergeOp, f.first)
+	}
+}
+
+// runPartition executes model threads w, w+W, ... of one merge batch on
+// the plan: the per-tuple ops and the thread-local merge accumulate. It
+// writes only those threads' scratchpads and accumulators and reads
+// thread 0's model at most, so partitions are mutually independent; no
+// shared stats are written (the caller charges them in closed form).
+//
+//dana:hotpath
+func (m *Machine) runPartition(f *frame, tuples [][]float32, k, w, W int) error {
 	for t := w; t < k; t += W {
+		f.acc = m.acc(t)
 		for i := t; i < len(tuples); i += k {
-			if err := m.loadTuple(t, tuples[i]); err != nil {
-				*errp = err
-				return
+			if err := m.bind(f, t, tuples[i]); err != nil {
+				return err
 			}
-			if err := m.execList(t, p.PerTuple); err != nil {
-				*errp = err
-				return
+			f.first = i == t
+			if err := runOps(m.plan.perTuple, f); err != nil {
+				return err
 			}
-			threadCycles[t] += m.cycLoad + m.cycPerTuple
-			src := m.scratch[t][p.MergeSrc.Base : p.MergeSrc.Base+p.MergeSrc.Len]
-			if len(accs[t]) == 0 {
-				accs[t] = append(accs[t], src...)
-			} else {
-				if p.MergeOp == AAdd {
-					acc := accs[t]
-					for j := range acc {
-						acc[j] = acc[j] + src[j]
-					}
-				} else {
-					for j := range accs[t] {
-						accs[t][j] = alu(p.MergeOp, accs[t][j], src[j])
-					}
-				}
-				threadCycles[t] += m.cycLocalAcc
-			}
+			m.mergeValue(f)
 		}
 	}
+	return nil
+}
+
+// runDirect is the inline batch in which thread t owns exactly tuple t.
+// Two things follow. The merge value of thread t can be folded straight
+// into thread 0's accumulator — where the tree merge would put it, in
+// the same thread order — leaving the merge loop nothing to do. And
+// since the threads share nothing they write, their per-tuple lists may
+// interleave: dotLanes threads run their ops up to the first dot, then
+// the dots together (dotN: one latency chain per thread, in flight at
+// once, each in its own order), then the rest thread by thread.
+//
+//dana:hotpath
+func (m *Machine) runDirect(tuples [][]float32) error {
+	pl := &m.plan
+	head, tail := pl.perTuple, pl.perTuple[len(pl.perTuple):]
+	if pl.dotAt >= 0 {
+		head, tail = pl.perTuple[:pl.dotAt], pl.perTuple[pl.dotAt+1:]
+	}
+	fs := &m.frames
+	for t := 0; t < len(tuples); t += dotLanes {
+		g := len(tuples) - t
+		if g > dotLanes {
+			g = dotLanes
+		}
+		for j := 0; j < g; j++ {
+			f := &fs[j]
+			if err := m.bind(f, t+j, tuples[t+j]); err != nil {
+				return err
+			}
+			f.acc, f.first = m.acc(0), t+j == 0
+			if err := runOps(head, f); err != nil {
+				return err
+			}
+		}
+		if pl.dotAt >= 0 {
+			if dot := &pl.perTuple[pl.dotAt]; g == dotLanes {
+				dotN(dot, fs)
+			} else {
+				for j := 0; j < g; j++ {
+					_ = dot.run(dot, &fs[j]) // a dot cannot fail
+				}
+			}
+		}
+		for j := 0; j < g; j++ {
+			if err := runOps(tail, &fs[j]); err != nil {
+				return err
+			}
+			m.mergeValue(&fs[j])
+		}
+	}
+	return nil
 }
 
 // Stats returns a snapshot of the counters.
@@ -273,7 +366,7 @@ func (m *Machine) Stats() Stats { return m.stats }
 func (m *Machine) Model() []float32 {
 	s := m.Prog.ModelSlot
 	out := make([]float32, s.Len)
-	copy(out, m.scratch[0][s.Base:s.Base+s.Len])
+	copy(out, m.thread(0)[s.Base:s.Base+s.Len])
 	return out
 }
 
@@ -283,8 +376,8 @@ func (m *Machine) SetModel(vals []float32) error {
 	if len(vals) != s.Len {
 		return fmt.Errorf("engine: model has %d parameters, got %d", s.Len, len(vals))
 	}
-	for t := range m.scratch {
-		copy(m.scratch[t][s.Base:s.Base+s.Len], vals)
+	for t := 0; t < m.Cfg.Threads; t++ {
+		copy(m.thread(t)[s.Base:s.Base+s.Len], vals)
 	}
 	return nil
 }
@@ -339,276 +432,64 @@ func alu(op AluOp, a, b float32) float32 {
 	}
 }
 
-// exec runs one macro instruction on thread t (cycle costs are charged
-// by the caller from the precomputed tables).
-//
-//dana:hotpath
-func (m *Machine) exec(t int, in *Instr) error {
-	th := m.scratch[t]
-	switch in.Kind {
-	case KEW:
-		// The specialized loops below are wall-clock fast paths only:
-		// they perform the identical float32 operations in the identical
-		// order as the generic modulo-broadcast loop (per-iteration
-		// loads are kept so overlapping slots behave exactly the same),
-		// so results and cycle counts are bit-identical.
-		unary := in.Op.IsUnary()
-		if in.A.Len <= 0 || (!unary && in.B.Len <= 0) {
-			return fmt.Errorf("engine: EW with empty source: %v", in)
-		}
-		dst := th[in.Dst.Base : in.Dst.Base+in.Dst.Len]
-		switch {
-		case unary && in.A.Len >= in.Dst.Len:
-			a := th[in.A.Base:]
-			switch in.Op {
-			case AMov:
-				for i := range dst {
-					dst[i] = a[i]
-				}
-			case ASquare:
-				for i := range dst {
-					dst[i] = a[i] * a[i]
-				}
-			default:
-				for i := range dst {
-					dst[i] = alu(in.Op, a[i], 0)
-				}
-			}
-		case unary:
-			for i := range dst {
-				dst[i] = alu(in.Op, th[in.A.Base+i%in.A.Len], 0)
-			}
-		case in.A.Len >= in.Dst.Len && in.B.Len >= in.Dst.Len:
-			a, b := th[in.A.Base:], th[in.B.Base:]
-			switch in.Op {
-			case AAdd:
-				for i := range dst {
-					dst[i] = a[i] + b[i]
-				}
-			case ASub:
-				for i := range dst {
-					dst[i] = a[i] - b[i]
-				}
-			case AMul:
-				for i := range dst {
-					dst[i] = a[i] * b[i]
-				}
-			case ADiv:
-				for i := range dst {
-					dst[i] = a[i] / b[i]
-				}
-			default:
-				for i := range dst {
-					dst[i] = alu(in.Op, a[i], b[i])
-				}
-			}
-		case in.A.Len >= in.Dst.Len && in.B.Len == 1:
-			a, b := th[in.A.Base:], th[in.B.Base:]
-			switch in.Op {
-			case AAdd:
-				for i := range dst {
-					dst[i] = a[i] + b[0]
-				}
-			case ASub:
-				for i := range dst {
-					dst[i] = a[i] - b[0]
-				}
-			case AMul:
-				for i := range dst {
-					dst[i] = a[i] * b[0]
-				}
-			case ADiv:
-				for i := range dst {
-					dst[i] = a[i] / b[0]
-				}
-			default:
-				for i := range dst {
-					dst[i] = alu(in.Op, a[i], b[0])
-				}
-			}
-		case in.A.Len == 1 && in.B.Len >= in.Dst.Len:
-			a, b := th[in.A.Base:], th[in.B.Base:]
-			switch in.Op {
-			case AAdd:
-				for i := range dst {
-					dst[i] = a[0] + b[i]
-				}
-			case ASub:
-				for i := range dst {
-					dst[i] = a[0] - b[i]
-				}
-			case AMul:
-				for i := range dst {
-					dst[i] = a[0] * b[i]
-				}
-			case ADiv:
-				for i := range dst {
-					dst[i] = a[0] / b[i]
-				}
-			default:
-				for i := range dst {
-					dst[i] = alu(in.Op, a[0], b[i])
-				}
-			}
-		default:
-			for i := range dst {
-				dst[i] = alu(in.Op, th[in.A.Base+i%in.A.Len], th[in.B.Base+i%in.B.Len])
-			}
-		}
-		return nil
-	case KReduce:
-		for g := 0; g < in.Dst.Len; g++ {
-			base := in.A.Base + g*in.GStride
-			var acc float32
-			if in.Op == AAdd && in.GroupSize > 0 {
-				acc = th[base]
-				for e, idx := 1, base; e < in.GroupSize; e++ {
-					idx += in.EStride
-					acc = acc + th[idx]
-				}
-			} else {
-				for e := 0; e < in.GroupSize; e++ {
-					v := th[base+e*in.EStride]
-					if e == 0 {
-						acc = v
-					} else {
-						acc = alu(in.Op, acc, v)
-					}
-				}
-			}
-			th[in.Dst.Base+g] = acc
-		}
-		return nil
-	case KGather:
-		idx := int(math.Round(float64(th[in.A.Base])))
-		rows := m.Prog.ModelSlot.Len / in.RowLen
-		if idx < 0 || idx >= rows {
-			return fmt.Errorf("engine: gather row %d outside model of %d rows", idx, rows)
-		}
-		src := m.Prog.ModelSlot.Base + idx*in.RowLen
-		copy(th[in.Dst.Base:in.Dst.Base+in.RowLen], th[src:src+in.RowLen])
-		return nil
-	case KScatter:
-		idx := int(math.Round(float64(th[in.B.Base])))
-		rows := m.Prog.ModelSlot.Len / in.RowLen
-		if idx < 0 || idx >= rows {
-			return fmt.Errorf("engine: scatter row %d outside model of %d rows", idx, rows)
-		}
-		dst := m.Prog.ModelSlot.Base + idx*in.RowLen
-		copy(th[dst:dst+in.RowLen], th[in.A.Base:in.A.Base+in.RowLen])
-		return nil
-	default:
-		return fmt.Errorf("engine: invalid instruction kind %d", in.Kind)
+// beginBatch counts a batch and folds its size into the run-length the
+// histogram is published from.
+func (m *Machine) beginBatch(n int) {
+	m.stats.Batches++
+	m.stats.Tuples += int64(n)
+	if int64(n) != m.runSize {
+		m.obsBatchHist.ObserveN(m.runSize, m.runLen)
+		m.runSize, m.runLen = int64(n), 0
 	}
+	m.runLen++
 }
 
-// execList executes an instruction list on thread t without touching
-// any shared counters (safe from batch helper goroutines).
-func (m *Machine) execList(t int, list []Instr) error {
-	for i := range list {
-		if err := m.exec(t, &list[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runList executes an instruction list on thread t and counts its
-// instructions. The list's total cycle cost is static (the Machine's
-// cyc* fields); on error the caller abandons the run, so no partial
-// cycles are charged.
-func (m *Machine) runList(t int, list []Instr) error {
-	if err := m.execList(t, list); err != nil {
-		return err
-	}
-	m.stats.Instructions += int64(len(list))
-	return nil
-}
-
-// loadTuple writes tuple values into thread t's input region (the cycle
-// cost is the static m.cycLoad).
-//
-//dana:hotpath
-func (m *Machine) loadTuple(t int, tuple []float32) error {
-	s := m.Prog.InputSlot
-	if len(tuple) != s.Len {
-		return fmt.Errorf("engine: tuple width %d, input region %d", len(tuple), s.Len)
-	}
-	copy(m.scratch[t][s.Base:s.Base+s.Len], tuple)
-	return nil
-}
-
-// RunBatch executes one merge batch. Without a merge function the batch
-// runs tuple-at-a-time SGD on thread 0; with one, tuples are dealt
-// round-robin over the threads, per-thread merge values accumulate
-// locally, and the tree bus combines them before the post-merge update.
+// RunBatch executes one merge batch on the plan. Without a merge
+// function the batch runs tuple-at-a-time SGD on thread 0; with one,
+// tuples are dealt round-robin over the threads, per-thread merge values
+// accumulate locally, and the tree bus combines them before the
+// post-merge update. Modeled cycles are charged in closed form from the
+// batch size; a failed batch charges none.
 //
 //dana:hotpath
 func (m *Machine) RunBatch(tuples [][]float32) error {
-	p := m.Prog
-	if len(tuples) == 0 {
+	p, pl := m.Prog, &m.plan
+	n := len(tuples)
+	if n == 0 {
 		return nil
 	}
-	m.stats.Batches++
-	m.stats.Tuples += int64(len(tuples))
-	if int64(len(tuples)) != m.runSize {
-		m.obsBatchHist.ObserveN(m.runSize, m.runLen)
-		m.runSize, m.runLen = int64(len(tuples)), 0
-	}
-	m.runLen++
+	m.beginBatch(n)
+	th0 := m.thread(0)
+	mdl, upd := p.ModelSlot, p.UpdatedSlot
 
+	f := &m.frames[0]
 	if !p.HasMerge() {
-		var loadTot, compTot int64
-		for _, tup := range tuples {
-			if err := m.loadTuple(0, tup); err != nil {
+		for _, row := range tuples {
+			if err := m.bind(f, 0, row); err != nil {
 				return err
 			}
-			loadTot += m.cycLoad
-			if err := m.runList(0, p.PerTuple); err != nil {
+			if err := runOps(pl.perTuple, f); err != nil {
 				return err
 			}
-			if err := m.runList(0, p.RowUpdates); err != nil {
+			if err := runOps(pl.rowUpdates, f); err != nil {
 				return err
 			}
-			compTot += m.cycPerTuple + m.cycRowUpdates
-			if p.UpdatedSlot.Len > 0 {
-				copy(m.scratch[0][p.ModelSlot.Base:p.ModelSlot.Base+p.ModelSlot.Len],
-					m.scratch[0][p.UpdatedSlot.Base:p.UpdatedSlot.Base+p.UpdatedSlot.Len])
-				compTot += m.cycWriteBack
+			if upd.Len > 0 {
+				copy(th0[mdl.Base:mdl.Base+mdl.Len], th0[upd.Base:upd.Base+upd.Len])
 			}
 		}
-		m.stats.LoadCycles += loadTot
-		m.stats.ComputeCycles += compTot
-		m.stats.Cycles += loadTot + compTot
-		// Single-thread batch: the span is the work itself.
-		m.stats.SpanLoadCycles += loadTot
-		m.stats.SpanComputeCycles += compTot
+		m.chargeSerialBatch(n)
 		return nil
 	}
 
 	k := m.Cfg.Threads
-	if k > len(tuples) {
-		k = len(tuples)
-	}
-	if cap(m.mergeAccs) < k {
-		//danalint:ignore hotalloc -- capacity-guarded first-batch growth, reused afterwards
-		m.mergeAccs = make([][]float32, k)
-	}
-	if cap(m.threadCyc) < k {
-		//danalint:ignore hotalloc -- capacity-guarded first-batch growth, reused afterwards
-		m.threadCyc = make([]int64, k)
-	}
-	accs := m.mergeAccs[:k]
-	threadCycles := m.threadCyc[:k]
-	for t := 0; t < k; t++ {
-		accs[t] = accs[t][:0] // empty = no tuple seen this batch
-		threadCycles[t] = 0
+	if k > n {
+		k = n
 	}
 	// Run the k independent model threads, fanned across host workers
 	// when configured. Every thread sees its tuples (i ≡ t mod k) in
-	// increasing order and the shared counters below are static sums, so
+	// increasing order and the counters are closed forms of (n, k), so
 	// the partitioning is invisible to results and modeled cycles.
-	n := len(tuples)
 	W := m.hostWorkers // already clamped to GOMAXPROCS by SetHostWorkers
 	if W > k {
 		W = k
@@ -616,11 +497,14 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 	if int64(n)*m.cycPerTuple < fanOutFloorCycles {
 		W = 1
 	}
-	if W <= 1 {
-		var perr error
-		m.runPartition(tuples, k, 0, 1, &perr)
-		if perr != nil {
-			return perr
+	direct := W <= 1 && n == k
+	if direct {
+		if err := m.runDirect(tuples); err != nil {
+			return err
+		}
+	} else if W <= 1 {
+		if err := m.runPartition(f, tuples, k, 0, 1); err != nil {
+			return err
 		}
 	} else {
 		//danalint:ignore hotcall -- one-time lazy helper spawn; channels and goroutines are reused for the machine's lifetime
@@ -630,13 +514,10 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 			m.partErrs = make([]error, W)
 		}
 		errs := m.partErrs[:W]
-		for w := range errs {
-			errs[w] = nil
-		}
 		for w := 1; w < W; w++ {
 			m.helperCh[w-1] <- batchJob{tuples: tuples, k: k, w: w, W: W, errs: errs}
 		}
-		m.runPartition(tuples, k, 0, W, &errs[0])
+		errs[0] = m.runPartition(f, tuples, k, 0, W)
 		for w := 1; w < W; w++ {
 			<-m.helperDone
 		}
@@ -646,85 +527,98 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 			}
 		}
 	}
-	// Each of the k threads saw at least one tuple (k <= n), so n-k
-	// tuples paid the thread-local accumulate.
-	m.stats.Instructions += int64(n) * int64(len(p.PerTuple))
-	m.stats.LoadCycles += int64(n) * m.cycLoad
-	m.stats.ComputeCycles += int64(n)*m.cycPerTuple + int64(n-k)*m.cycLocalAcc
-	// Threads run in parallel: the batch takes as long as the slowest.
-	var maxT, sumT int64
-	for _, c := range threadCycles {
-		sumT += c
-		if c > maxT {
-			maxT = c
+
+	// Tree-bus merge in thread order; the direct case already summed into
+	// thread 0's accumulator in that order.
+	merged := m.acc(0)
+	if !direct {
+		for t := 1; t < k; t++ {
+			accumulate(merged, m.acc(t), p.MergeOp, false)
 		}
 	}
-	m.stats.Cycles += maxT
-	// Span decomposition: per-thread cycles grow monotonically with the
-	// thread's tuple count, so the slowest thread is one with
-	// ceil(n/k) tuples — its load share is exact, the rest of the span
-	// is compute (per-tuple programs + thread-local accumulates). Idle
-	// is the capacity the other thread-slots wasted waiting for it.
+	copy(th0[p.MergeDst.Base:p.MergeDst.Base+p.MergeDst.Len], merged)
+
+	// Post-merge stage on thread 0.
+	f.base[spThread], f.base[spModel], f.base[spRow] = th0, th0, nil
+	if err := runOps(pl.postMerge, f); err != nil {
+		return err
+	}
+	if err := runOps(pl.rowUpdates, f); err != nil {
+		return err
+	}
+
+	// Model update + broadcast to every thread over the bus. When the
+	// per-tuple stage reads thread 0's model (plan.shareModel) the other
+	// copies are never read, so the broadcast is charged but not copied.
+	synced := mdl.Len
+	if upd.Len > 0 {
+		synced = copy(th0[mdl.Base:mdl.Base+mdl.Len], th0[upd.Base:upd.Base+upd.Len])
+	}
+	if !pl.shareModel && (upd.Len > 0 || len(p.RowUpdates) > 0) {
+		for t := 1; t < m.Cfg.Threads; t++ {
+			copy(m.thread(t)[mdl.Base:mdl.Base+synced], th0[mdl.Base:])
+		}
+	}
+	m.chargeMergeBatch(n, k)
+	return nil
+}
+
+// chargeSerialBatch charges n tuples of tuple-at-a-time SGD on thread 0:
+// the span is the work itself.
+func (m *Machine) chargeSerialBatch(n int) {
+	load := int64(n) * m.cycLoad
+	comp := int64(n) * (m.cycPerTuple + m.cycRowUpdates)
+	if m.Prog.UpdatedSlot.Len > 0 {
+		comp += int64(n) * m.cycWriteBack
+	}
+	m.stats.Instructions += int64(n) * int64(len(m.Prog.PerTuple)+len(m.Prog.RowUpdates))
+	m.stats.LoadCycles += load
+	m.stats.ComputeCycles += comp
+	m.stats.Cycles += load + comp
+	m.stats.SpanLoadCycles += load
+	m.stats.SpanComputeCycles += comp
+}
+
+// chargeMergeBatch charges one merge batch of n tuples on k live
+// threads. Thread t runs ceil((n-t)/k) tuples, each costing the load
+// plus the per-tuple program, and every tuple after a thread's first
+// costs the thread-local accumulate; threads run in parallel, so the
+// batch takes as long as thread 0, which has the most.
+func (m *Machine) chargeMergeBatch(n, k int) {
+	p := m.Prog
+	per := m.cycLoad + m.cycPerTuple
 	tmax := int64((n + k - 1) / k)
+	maxT := tmax*per + (tmax-1)*m.cycLocalAcc
+	sumT := int64(n)*per + int64(n-k)*m.cycLocalAcc
+
+	// Instructions counts macro instructions, however few ops the plan ran.
+	m.stats.Instructions += int64(n)*int64(len(p.PerTuple)) + int64(len(p.PostMerge)+len(p.RowUpdates))
+	m.stats.LoadCycles += int64(n) * m.cycLoad
+	m.stats.ComputeCycles += int64(n)*m.cycPerTuple + int64(n-k)*m.cycLocalAcc
+	// Span decomposition: the slowest thread's load share is exact, the
+	// rest of its span is compute (per-tuple programs + thread-local
+	// accumulates). Idle is the capacity the other thread-slots wasted
+	// waiting for it.
 	spanLoad := tmax * m.cycLoad
 	m.stats.SpanLoadCycles += spanLoad
 	m.stats.SpanComputeCycles += maxT - spanLoad
 	m.stats.IdleCycles += int64(k)*maxT - sumT
 
 	// Tree-bus merge: log2(k) stages over an 8-ALU bus.
-	merged := accs[0]
-	for t := 1; t < k; t++ {
-		if p.MergeOp == AAdd {
-			src := accs[t]
-			for j := range merged {
-				merged[j] = merged[j] + src[j]
-			}
-		} else {
-			for j := range merged {
-				merged[j] = alu(p.MergeOp, merged[j], accs[t][j])
-			}
-		}
+	var merge int64
+	if k > 1 {
+		merge = int64(ceilDiv(p.MergeSrc.Len, 8) * max(1, log2Ceil(k)))
 	}
-	mc := int64(ceilDiv(p.MergeSrc.Len, 8) * max(1, log2Ceil(k)))
-	if k == 1 {
-		mc = 0
+	// Model update + broadcast (or, for row updates that landed on
+	// thread 0's copy, the sync of the rest) over the bus.
+	if p.UpdatedSlot.Len > 0 || (len(p.RowUpdates) > 0 && m.Cfg.Threads > 1) {
+		merge += m.cycBroadcast
 	}
-	m.stats.MergeCycles += mc
-	m.stats.Cycles += mc
-	copy(m.scratch[0][p.MergeDst.Base:p.MergeDst.Base+p.MergeDst.Len], merged)
-
-	// Post-merge stage on thread 0.
-	if err := m.runList(0, p.PostMerge); err != nil {
-		return err
-	}
-	if err := m.runList(0, p.RowUpdates); err != nil {
-		return err
-	}
-	m.stats.ComputeCycles += m.cycPostMerge + m.cycRowUpdates
-	m.stats.Cycles += m.cycPostMerge + m.cycRowUpdates
-	m.stats.SpanComputeCycles += m.cycPostMerge + m.cycRowUpdates
-
-	// Model update + broadcast to every thread over the bus.
-	if p.UpdatedSlot.Len > 0 {
-		newModel := m.scratch[0][p.UpdatedSlot.Base : p.UpdatedSlot.Base+p.UpdatedSlot.Len]
-		m.bcast = append(m.bcast[:0], newModel...)
-		for t := 0; t < m.Cfg.Threads; t++ {
-			copy(m.scratch[t][p.ModelSlot.Base:p.ModelSlot.Base+p.ModelSlot.Len], m.bcast)
-		}
-		bc := int64(ceilDiv(p.ModelSlot.Len, 8))
-		m.stats.MergeCycles += bc
-		m.stats.Cycles += bc
-	} else if len(p.RowUpdates) > 0 && m.Cfg.Threads > 1 {
-		// Row updates landed on thread 0's model copy; sync the rest.
-		src := m.scratch[0][p.ModelSlot.Base : p.ModelSlot.Base+p.ModelSlot.Len]
-		for t := 1; t < m.Cfg.Threads; t++ {
-			copy(m.scratch[t][p.ModelSlot.Base:p.ModelSlot.Base+p.ModelSlot.Len], src)
-		}
-		bc := int64(ceilDiv(p.ModelSlot.Len, 8))
-		m.stats.MergeCycles += bc
-		m.stats.Cycles += bc
-	}
-	return nil
+	post := m.cycPostMerge + m.cycRowUpdates
+	m.stats.MergeCycles += merge
+	m.stats.ComputeCycles += post
+	m.stats.SpanComputeCycles += post
+	m.stats.Cycles += maxT + merge + post
 }
 
 // EpochStream feeds one epoch's tuples to the machine incrementally, in
@@ -825,20 +719,27 @@ func (m *Machine) RunEpoch(tuples [][]float32, batchSize int) error {
 	return s.Finish()
 }
 
-// Converged evaluates the convergence program (thread 0).
+// Converged evaluates the convergence program (thread 0) on the plan.
 func (m *Machine) Converged() (bool, error) {
 	p := m.Prog
 	if p.ConvSlot.Len == 0 {
 		return false, nil
 	}
-	if err := m.runList(0, p.Convergence); err != nil {
+	f := &m.frames[0]
+	f.base[spThread], f.base[spModel], f.base[spRow] = m.thread(0), m.thread(0), nil
+	if err := runOps(m.plan.convergence, f); err != nil {
 		return false, err
 	}
+	m.chargeConvergence()
+	m.PublishObs()
+	return m.thread(0)[p.ConvSlot.Base] > 0.5, nil
+}
+
+func (m *Machine) chargeConvergence() {
+	m.stats.Instructions += int64(len(m.Prog.Convergence))
 	m.stats.ComputeCycles += m.cycConvergence
 	m.stats.Cycles += m.cycConvergence
 	m.stats.SpanComputeCycles += m.cycConvergence
-	m.PublishObs()
-	return m.scratch[0][p.ConvSlot.Base] > 0.5, nil
 }
 
 // Train runs up to maxEpochs epochs (0 = the program's own budget is

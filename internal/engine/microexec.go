@@ -135,9 +135,9 @@ func Lower(p *Program, cfg Config) (*MicroProgram, error) {
 	// "maps ... operations to the accelerator architecture". Aligned
 	// regions lower to wide selective-SIMD steps instead of serialized
 	// bus transfers.
-	p = alignProgram(p, cfg.Lanes())
+	p, remap := alignProgram(p, cfg.Lanes())
 	ml := &microLower{cfg: cfg, prog: p, extra: p.Slots}
-	ml.out = &MicroProgram{Cfg: cfg, Prog: p, MapSlot: lastRemap}
+	ml.out = &MicroProgram{Cfg: cfg, Prog: p, MapSlot: remap}
 	lists := []struct {
 		src []Instr
 		dst *[]MicroInstr
@@ -164,13 +164,9 @@ func Lower(p *Program, cfg Config) (*MicroProgram, error) {
 // region (a run of overlapping slots — e.g. the input block and the
 // per-input sub-slices inside it) starts at a multiple of the lane
 // count, preserving all intra-region offsets. The result is an
-// equivalent program over a padded scratchpad.
-// lastRemap holds the most recent alignment's slot translation; Lower
-// copies it into the MicroProgram immediately after alignProgram runs.
-var lastRemap = func(s Slot) Slot { return s }
-
-func alignProgram(p *Program, lanes int) *Program {
-	lastRemap = func(s Slot) Slot { return s }
+// equivalent program over a padded scratchpad, returned with the slot
+// translation that produced it.
+func alignProgram(p *Program, lanes int) (*Program, func(Slot) Slot) {
 	// 1. Collect every referenced interval.
 	type iv struct{ lo, hi int }
 	var ivs []iv
@@ -197,7 +193,7 @@ func alignProgram(p *Program, lanes int) *Program {
 		}
 	}
 	if len(ivs) == 0 {
-		return p
+		return p, func(s Slot) Slot { return s }
 	}
 	// 2. Merge overlapping intervals into maximal regions.
 	for i := 1; i < len(ivs); i++ {
@@ -248,12 +244,6 @@ func alignProgram(p *Program, lanes int) *Program {
 		in.B = remap(in.B)
 		return in
 	}
-	lastRemap = func(s Slot) Slot {
-		if s.Len == 0 {
-			return s
-		}
-		return Slot{Base: shift(s.Base), Len: s.Len}
-	}
 	out := &Program{
 		Slots:       next,
 		ModelSlot:   remap(p.ModelSlot),
@@ -278,7 +268,7 @@ func alignProgram(p *Program, lanes int) *Program {
 	for _, in := range p.Convergence {
 		out.Convergence = append(out.Convergence, remapInstr(in))
 	}
-	return out
+	return out, remap
 }
 
 // lanes per thread.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -262,4 +263,38 @@ func TestLowerRandomEWPrograms(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLowerConcurrentKeepsOwnRemap: two programs lowered from parallel
+// goroutines each get the slot translation of their own alignment.
+// (alignProgram used to park the translation in a package variable that
+// Lower read back, so overlapping calls raced and could swap MapSlots.)
+func TestLowerConcurrentKeepsOwnRemap(t *testing.T) {
+	cfg := Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}
+	progs := []*Program{linearProg(5), linearProg(37)}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		p := progs[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				mp, err := Lower(p, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, s := range []struct{ orig, aligned Slot }{
+					{p.ModelSlot, mp.Prog.ModelSlot}, {p.InputSlot, mp.Prog.InputSlot},
+					{p.UpdatedSlot, mp.Prog.UpdatedSlot}, {p.PerTuple[1].Dst, mp.Prog.PerTuple[1].Dst},
+				} {
+					if got := mp.MapSlot(s.orig); got != s.aligned {
+						t.Errorf("%d-feature program: MapSlot(%v) = %v, its aligned program has %v", p.ModelSlot.Len, s.orig, got, s.aligned)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

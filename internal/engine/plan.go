@@ -1,0 +1,506 @@
+package engine
+
+// The functional plan. NewMachine lowers a Program once into pre-decoded
+// ops — operand memory, offsets, shape and kernel all resolved — and
+// RunBatch/Converged execute nothing else. Modeled cycles never come
+// from here: they are closed forms of the batch size over the static
+// cyc* tables (chargeMergeBatch and friends), which is what lets the
+// plan skip work the hardware is *charged* for (the per-thread tuple
+// load, the 64-way model broadcast) whenever it carries no information.
+//
+// Three rules keep the plan bit-identical to the reference executor
+// (reference.go), which tests and internal/verify diff it against:
+//
+//   - order: every kernel performs the interpreter's float32 operations
+//     in the interpreter's order, element by element;
+//   - rounding: a fused product is written float32(x*y) before it meets
+//     an add — the Go spec lets a compiler fuse x*y+z into one rounding
+//     (it does on arm64, ppc64, s390x) and only an explicit conversion
+//     forbids it;
+//   - liveness: a temporary is elided only when dead() proves no
+//     instruction reads it before it is rewritten.
+
+// space names the memory an operand is read from.
+type space uint8
+
+const (
+	spThread space = iota // the executing thread's scratchpad
+	spRow                 // the caller's tuple, read in place
+	spModel               // thread 0's scratchpad: the one model copy a merge batch reads
+	numSpaces
+)
+
+// operand is a resolved read: n words at off of a frame's base[sp].
+type operand struct {
+	sp  space
+	off int
+	n   int
+}
+
+// maxIdxRegs bounds the row indexes a tuple's gathers can hand to its
+// scatters (LRMF uses two).
+const maxIdxRegs = 4
+
+// frame is what a kernel runs against: the memories of one model thread
+// for one tuple.
+type frame struct {
+	base  [numSpaces][]float32
+	acc   []float32       // merge accumulator a fused accumulate adds into
+	first bool            // acc holds nothing yet: store, do not add
+	idx   [maxIdxRegs]int // row indexes rounded by this tuple's gathers
+}
+
+// kernel executes one op.
+type kernel func(o *op, f *frame) error
+
+// opKind names what lowering decided an op is; kernels maps it to code.
+type opKind uint8
+
+const (
+	opFail          opKind = iota // the instruction's run-time error (empty EW source, invalid kind)
+	opScalar                      // Len-1 elementwise: no slicing
+	opEW1                         // unary, full-width source
+	opEWvv                        // vector ∘ vector
+	opEWvs                        // vector ∘ hoisted scalar
+	opEWsv                        // hoisted scalar ∘ vector
+	opEWwrap                      // the generic i mod Len form
+	opReduce                      // grouped strided reduction
+	opDot                         // ew.mul + red.add, product vector elided
+	opGather                      // model row -> scratch, index rounded and checked
+	opScatter                     // scratch -> model row, index rounded and checked
+	opScatterPaired               // scatter reusing its gather's index register
+	opAccMulSV                    // acc += scalar × vector (MergeSrc elided)
+	opAccVV                       // acc += vector ∘ vector
+	numOpKinds
+)
+
+var kernels = [numOpKinds]kernel{
+	opFail: kFail, opScalar: kScalar, opEW1: kEW1, opEWvv: kEWvv, opEWvs: kEWvs, opEWsv: kEWsv,
+	opEWwrap: kEWwrap, opReduce: kReduce, opDot: kDot, opGather: kGather, opScatter: kScatter,
+	opScatterPaired: kScatterPaired, opAccMulSV: kAccMulSV, opAccVV: kAccVV,
+}
+
+// op is one pre-decoded step of the plan.
+type op struct {
+	run  kernel // kernels[kind], resolved once so the run loop is one indirect call
+	kind opKind
+	alu  AluOp
+	dst  int // destination words [dst, dst+n) of the thread's scratchpad
+	n    int
+	a, b operand
+
+	group, gstride, estride int // reduce: element (g, e) is a[g*gstride+e*estride]
+
+	rowLen, rows int // gather/scatter row geometry
+	reg          int // index register a gather fills and its paired scatter reads; -1 = none
+
+	src *Instr // the macro instruction (error text)
+}
+
+// plan is a lowered Program.
+type plan struct {
+	perTuple, postMerge, rowUpdates, convergence []op
+
+	dotAt      int  // index of perTuple's first dot, -1 if none (runDirect interleaves there)
+	copyInput  bool // tuples are copied into the input region: some read could not be served from the row
+	shareModel bool // per-tuple model reads go to thread 0; the broadcast is charged, not copied
+	fusedAcc   bool // perTuple's last op adds the merge value straight into frame.acc
+}
+
+func overlaps(a, b Slot) bool {
+	return a.Len > 0 && b.Len > 0 && a.Base < b.Base+b.Len && b.Base < a.Base+a.Len
+}
+
+func within(a, b Slot) bool {
+	return a.Len > 0 && a.Base >= b.Base && a.Base+a.Len <= b.Base+b.Len
+}
+
+// access returns the scratchpad words a macro instruction reads and the
+// words it writes; total reports that every written word is overwritten
+// unconditionally (a scatter picks its row at run time, so it is not).
+func (p *Program) access(in *Instr) (reads [3]Slot, write Slot, total bool) {
+	switch in.Kind {
+	case KEW:
+		if in.A.Len <= 0 || (!in.Op.IsUnary() && in.B.Len <= 0) {
+			return reads, Slot{}, false // fails before touching memory
+		}
+		reads[0] = in.A
+		if !in.Op.IsUnary() {
+			reads[1] = in.B
+		}
+		return reads, in.Dst, true
+	case KReduce:
+		reads[0] = Slot{in.A.Base, (in.Dst.Len-1)*in.GStride + (in.GroupSize-1)*in.EStride + 1}
+		return reads, in.Dst, true
+	case KGather:
+		reads[0], reads[1] = Slot{in.A.Base, 1}, p.ModelSlot
+		return reads, Slot{in.Dst.Base, in.RowLen}, true
+	case KScatter:
+		reads[0], reads[1] = Slot{in.A.Base, in.RowLen}, Slot{in.B.Base, 1}
+		return reads, p.ModelSlot, false
+	}
+	return reads, Slot{}, false
+}
+
+// inputInPlace reports whether every read of an input word can be served
+// from the caller's row: all such reads sit in the per-tuple stage (or,
+// without a merge, the row updates that follow it tuple by tuple), lie
+// wholly inside the input region, and nothing ever writes there.
+func (p *Program) inputInPlace() bool {
+	in := p.InputSlot
+	for _, s := range [...]Slot{p.ModelSlot, p.MergeSrc, p.MergeDst, p.UpdatedSlot, p.ConvSlot} {
+		if overlaps(s, in) {
+			return false
+		}
+	}
+	for li, list := range [...][]Instr{p.PerTuple, p.RowUpdates, p.PostMerge, p.Convergence} {
+		rowAtHand := li == 0 || (li == 1 && !p.HasMerge())
+		for i := range list {
+			reads, write, _ := p.access(&list[i])
+			if overlaps(write, in) {
+				return false
+			}
+			for _, r := range reads {
+				if overlaps(r, in) && !(rowAtHand && within(r, in)) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// modelShareable reports whether the per-tuple stage of a merge program
+// may read thread 0's model instead of a per-thread copy: every batch
+// ends by re-syncing the whole model from thread 0, and until then no
+// thread writes its copy (the tuple load included) or reads across its
+// edge.
+func (p *Program) modelShareable() bool {
+	mdl := p.ModelSlot
+	if !p.HasMerge() || overlaps(p.MergeSrc, mdl) || overlaps(p.InputSlot, mdl) {
+		return false
+	}
+	if p.UpdatedSlot.Len == 0 && len(p.RowUpdates) == 0 {
+		return false
+	}
+	if p.UpdatedSlot.Len > 0 && p.UpdatedSlot.Len < mdl.Len {
+		return false
+	}
+	for i := range p.PerTuple {
+		reads, write, _ := p.access(&p.PerTuple[i])
+		if overlaps(write, mdl) {
+			return false
+		}
+		for _, r := range reads {
+			if overlaps(r, mdl) && !within(r, mdl) {
+				return false
+			}
+		}
+	}
+	for i := range p.Convergence {
+		if _, write, _ := p.access(&p.Convergence[i]); overlaps(write, mdl) {
+			return false
+		}
+	}
+	return true
+}
+
+// liveness walks one straight-line continuation looking for a read of
+// temp before a write that covers it.
+type liveness struct {
+	p      *Program
+	temp   Slot
+	killed bool
+	live   bool
+}
+
+func (l *liveness) read(s Slot) {
+	if !l.killed && overlaps(s, l.temp) {
+		l.live = true
+	}
+}
+
+func (l *liveness) write(s Slot) {
+	if within(l.temp, s) {
+		l.killed = true
+	}
+}
+
+func (l *liveness) list(list []Instr) {
+	for i := range list {
+		reads, write, total := l.p.access(&list[i])
+		for _, r := range reads {
+			l.read(r)
+		}
+		if total {
+			l.write(write)
+		}
+	}
+}
+
+// dead reports whether the words of temp — written in full by
+// PerTuple[prod] and consumed only by the fusion that ends at
+// PerTuple[cons] — are never read again before prod rewrites them.
+// Every continuation a thread can take from cons is walked to that
+// rewrite: straight into its next tuple; or, on thread 0, through the
+// merge landing, PostMerge, RowUpdates and the model write-back first;
+// or through Convergence as well. mergeFused says the fusion itself is
+// the merge's read of MergeSrc. The model is never dead (Model() may
+// read it between any two batches), and neither is the output of a
+// producer that reads it: an elementwise loop over overlapping regions
+// feeds on the elements it has just written.
+func (p *Program) dead(temp Slot, prod, cons int, mergeFused bool) bool {
+	if overlaps(temp, p.ModelSlot) {
+		return false
+	}
+	reads, _, _ := p.access(&p.PerTuple[prod])
+	for _, r := range reads {
+		if overlaps(r, temp) {
+			return false
+		}
+	}
+	for path := 0; path < 3; path++ {
+		l := liveness{p: p, temp: temp}
+		l.list(p.PerTuple[cons+1:])
+		if p.HasMerge() && !mergeFused {
+			l.read(p.MergeSrc)
+		}
+		if path > 0 {
+			if p.HasMerge() {
+				l.write(p.MergeDst)
+				l.list(p.PostMerge)
+			}
+			l.list(p.RowUpdates)
+			l.read(p.UpdatedSlot)
+		}
+		if path > 1 {
+			l.list(p.Convergence)
+			l.read(p.ConvSlot)
+		}
+		l.list(p.PerTuple[:prod])
+		if l.live {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerer carries what resolving an operand needs.
+type lowerer struct {
+	p        *Program
+	inPlace  bool // input reads resolve to the row
+	share    bool // per-tuple model reads resolve to thread 0
+	perTuple bool // lowering the per-tuple stage
+	rowHere  bool // the tuple's row is at hand in this stage
+}
+
+// operand resolves a read of s to the memory that holds it.
+func (lw *lowerer) operand(s Slot) operand {
+	switch {
+	case lw.inPlace && lw.rowHere && within(s, lw.p.InputSlot):
+		return operand{spRow, s.Base - lw.p.InputSlot.Base, s.Len}
+	case lw.share && lw.perTuple && within(s, lw.p.ModelSlot):
+		return operand{spModel, s.Base, s.Len}
+	}
+	return operand{spThread, s.Base, s.Len}
+}
+
+// lower builds the plan of p for cfg. The ops of all four lists share
+// one slab; fusions only ever shrink a list, so the macro instruction
+// count is its capacity.
+func lower(p *Program, cfg Config) plan {
+	lw := lowerer{p: p, inPlace: p.inputInPlace(), share: cfg.Threads > 1 && p.modelShareable()}
+	pl := plan{copyInput: !lw.inPlace, shareModel: lw.share}
+	slab := make([]op, 0, len(p.PerTuple)+len(p.PostMerge)+len(p.RowUpdates)+len(p.Convergence))
+
+	lw.perTuple, lw.rowHere = true, true
+	slab, pl.perTuple, pl.fusedAcc = lw.lowerPerTuple(slab)
+	lw.perTuple, lw.rowHere = false, !p.HasMerge()
+	slab, pl.rowUpdates = lw.lowerList(slab, p.RowUpdates)
+	lw.rowHere = false
+	slab, pl.postMerge = lw.lowerList(slab, p.PostMerge)
+	slab, pl.convergence = lw.lowerList(slab, p.Convergence)
+
+	if !p.HasMerge() {
+		pairIndexes(p, pl.perTuple, pl.rowUpdates)
+	}
+	for i := range slab {
+		slab[i].run = kernels[slab[i].kind]
+	}
+	pl.dotAt = -1
+	for i := range pl.perTuple {
+		if pl.perTuple[i].kind == opDot {
+			pl.dotAt = i
+			break
+		}
+	}
+	return pl
+}
+
+// lowerList decodes a list with no fusion: the once-a-batch stages.
+func (lw *lowerer) lowerList(slab []op, list []Instr) ([]op, []op) {
+	start := len(slab)
+	for i := range list {
+		if o, ok := lw.decode(&list[i]); ok {
+			slab = append(slab, o)
+		}
+	}
+	return slab, slab[start:len(slab):len(slab)]
+}
+
+// lowerPerTuple decodes the per-tuple stage, fusing what the compiled
+// update rules contain: ew.mul feeding a full red.add becomes a dot, and
+// the instruction producing MergeSrc accumulates straight into the
+// merge accumulator — each only when dead() lets the temp between go.
+func (lw *lowerer) lowerPerTuple(slab []op) ([]op, []op, bool) {
+	p := lw.p
+	list := p.PerTuple
+	start := len(slab)
+	fusedAcc := false
+	for i := 0; i < len(list); i++ {
+		in := &list[i]
+		if i+1 < len(list) && isDot(in, &list[i+1]) && p.dead(in.Dst, i, i+1, false) {
+			slab = append(slab, lw.dotOp(in, &list[i+1]))
+			i++
+			continue
+		}
+		if i == len(list)-1 && p.HasMerge() && p.MergeOp == AAdd && in.Kind == KEW && in.Dst == p.MergeSrc {
+			if o, ok := lw.decode(in); ok && accKernel(&o) && p.dead(in.Dst, i, i, true) {
+				slab = append(slab, o)
+				fusedAcc = true
+				continue
+			}
+		}
+		if o, ok := lw.decode(in); ok {
+			slab = append(slab, o)
+		}
+	}
+	return slab, slab[start:len(slab):len(slab)], fusedAcc
+}
+
+// isDot matches a full-width ew.mul whose product vector is exactly what
+// a single-group unit-stride red.add sums.
+func isDot(mul, red *Instr) bool {
+	return mul.Kind == KEW && mul.Op == AMul && red.Kind == KReduce && red.Op == AAdd &&
+		mul.Dst.Len > 1 && mul.A.Len >= mul.Dst.Len && mul.B.Len >= mul.Dst.Len &&
+		red.Dst.Len == 1 && red.EStride == 1 && red.A.Base == mul.Dst.Base && red.GroupSize == mul.Dst.Len
+}
+
+func (lw *lowerer) dotOp(mul, red *Instr) op {
+	n := mul.Dst.Len
+	return op{
+		kind: opDot, alu: AAdd, dst: red.Dst.Base, n: 1, reg: -1, src: red,
+		a: lw.operand(Slot{mul.A.Base, n}), b: lw.operand(Slot{mul.B.Base, n}),
+	}
+}
+
+// accKernel swaps a decoded elementwise op's kernel for its accumulating
+// twin, when it has one.
+func accKernel(o *op) bool {
+	switch {
+	case o.kind == opEWsv && o.alu == AMul:
+		o.kind = opAccMulSV
+	case o.kind == opEWvs && o.alu == AMul: // the compiler commutes a float multiply as it likes
+		o.kind, o.a, o.b = opAccMulSV, o.b, o.a
+	case o.kind == opEWvv && (o.alu == AAdd || o.alu == ASub || o.alu == AMul):
+		o.kind = opAccVV
+	default:
+		return false
+	}
+	return true
+}
+
+// decode pre-decodes one macro instruction; ok is false for an
+// elementwise instruction with nothing to write.
+func (lw *lowerer) decode(in *Instr) (op, bool) {
+	o := op{alu: in.Op, reg: -1, src: in}
+	switch in.Kind {
+	case KEW:
+		unary := in.Op.IsUnary()
+		if in.A.Len <= 0 || (!unary && in.B.Len <= 0) {
+			return o, true // opFail
+		}
+		n := in.Dst.Len
+		if n <= 0 {
+			return o, false
+		}
+		o.dst, o.n = in.Dst.Base, n
+		a, b := in.A, in.B
+		if unary {
+			b = a // never read; keeps the operand in range
+		}
+		aFull, bFull := a.Len >= n, b.Len >= n
+		switch {
+		case n == 1:
+			o.kind, o.a, o.b = opScalar, lw.operand(Slot{a.Base, 1}), lw.operand(Slot{b.Base, 1})
+		case unary && aFull:
+			o.kind, o.a = opEW1, lw.operand(Slot{a.Base, n})
+		case unary:
+			o.kind, o.a, o.b = opEWwrap, lw.operand(a), lw.operand(b)
+		case aFull && bFull:
+			o.kind, o.a, o.b = opEWvv, lw.operand(Slot{a.Base, n}), lw.operand(Slot{b.Base, n})
+		// A scalar operand is hoisted out of the loop only when the loop
+		// cannot overwrite it; otherwise the wrapped kernel reloads it
+		// per element, as the interpreter does.
+		case aFull && b.Len == 1 && !overlaps(b, in.Dst):
+			o.kind, o.a, o.b = opEWvs, lw.operand(Slot{a.Base, n}), lw.operand(b)
+		case a.Len == 1 && bFull && !overlaps(a, in.Dst):
+			o.kind, o.a, o.b = opEWsv, lw.operand(a), lw.operand(Slot{b.Base, n})
+		default:
+			o.kind, o.a, o.b = opEWwrap, lw.operand(a), lw.operand(b)
+		}
+	case KReduce:
+		o.kind, o.dst, o.n = opReduce, in.Dst.Base, in.Dst.Len
+		reads, _, _ := lw.p.access(in)
+		o.a = lw.operand(reads[0])
+		o.group, o.gstride, o.estride = in.GroupSize, in.GStride, in.EStride
+	case KGather:
+		o.kind, o.dst, o.rowLen, o.rows = opGather, in.Dst.Base, in.RowLen, lw.p.ModelSlot.Len/in.RowLen
+		o.a, o.b = lw.operand(Slot{in.A.Base, 1}), lw.operand(lw.p.ModelSlot)
+	case KScatter:
+		o.kind, o.dst, o.rowLen, o.rows = opScatter, lw.p.ModelSlot.Base, in.RowLen, lw.p.ModelSlot.Len/in.RowLen
+		o.a, o.b = lw.operand(Slot{in.A.Base, in.RowLen}), lw.operand(Slot{in.B.Base, 1})
+	}
+	return o, true // an unknown Kind stays opFail
+}
+
+// pairIndexes lets a scatter reuse the row index its tuple's gather
+// already rounded and bounds-checked: same index word, same row length,
+// and nothing in between that could rewrite the word. Without a merge
+// the two lists run back to back for each tuple, so they pair across.
+func pairIndexes(p *Program, perTuple, rowUpdates []op) {
+	regs := 0
+	at := func(i int) *op {
+		if i < len(perTuple) {
+			return &perTuple[i]
+		}
+		return &rowUpdates[i-len(perTuple)]
+	}
+	total := len(perTuple) + len(rowUpdates)
+	for si := 0; si < total; si++ {
+		sc := at(si)
+		if sc.kind != opScatter {
+			continue
+		}
+		word := Slot{sc.src.B.Base, 1}
+		for gi := si - 1; gi >= 0; gi-- {
+			g := at(gi)
+			if _, write, _ := p.access(g.src); overlaps(write, word) {
+				break
+			}
+			// A fused dot stands for two instructions; the product it
+			// elided was dead, and its sum is the write checked above.
+			if g.kind != opGather || g.src.A.Base != word.Base || g.rowLen != sc.rowLen {
+				continue
+			}
+			if g.reg < 0 && regs < maxIdxRegs {
+				g.reg = regs
+				regs++
+			}
+			if g.reg >= 0 {
+				sc.kind, sc.reg = opScatterPaired, g.reg
+			}
+			break
+		}
+	}
+}

@@ -1,0 +1,237 @@
+package engine
+
+import (
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// Mutation meta-tests for the plan-vs-reference differential: each
+// plants one fault in the plan side of diffPlanReference and requires
+// the harness to report it — after showing the same case green without
+// the fault, so a red result is the fault's doing.
+
+// metaCase is the 12-feature logistic GLM at 4 threads over the standard
+// batch shapes: it lowers to dot + scalar chain + fused accumulate, and
+// its n == k and trailing batches take the direct merge.
+func metaCase() diffCase {
+	const f, k = 12, 4
+	rng := rand.New(rand.NewSource(77))
+	init := make([]float32, f)
+	for i := range init {
+		init[i] = float32(rng.NormFloat64() * 0.1)
+	}
+	return diffCase{
+		prog:    glmProg(f, true),
+		cfg:     Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6},
+		init:    init,
+		batches: diffBatches(diffTuples(rng, 11*k, f+1, 0), k),
+		workers: 1,
+	}
+}
+
+func requireCaught(t *testing.T, c diffCase, want string) {
+	t.Helper()
+	clean := c
+	clean.mutate, clean.run = nil, nil
+	if err := diffPlanReference(clean); err != nil {
+		t.Fatalf("pre-mutation: %v", err)
+	}
+	err := diffPlanReference(c)
+	if err == nil {
+		t.Fatal("mutant passed the differential: the check cannot fail")
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("mutant tripped %q, want a %s divergence", err, want)
+	}
+}
+
+// kDotFused is kDot with the float32(...) around the product dropped on
+// a target that fuses: one rounding for x*y+acc instead of two. (amd64
+// does not fuse, so the fault is spelled with math.FMA; the products of
+// two float32 are exact in float64, which makes this the FMADDS result
+// up to the final double rounding.)
+func kDotFused(o *op, f *frame) error {
+	a, b := o.a.view(f), o.b.view(f)
+	acc := float32(a[0] * b[0])
+	for i := 1; i < len(a); i++ {
+		acc = float32(math.FMA(float64(a[i]), float64(b[i]), float64(acc)))
+	}
+	f.base[spThread][o.dst] = acc
+	return nil
+}
+
+func TestMetaDroppedRoundingCaught(t *testing.T) {
+	c := metaCase()
+	c.mutate = func(m *Machine) {
+		for i := range m.plan.perTuple {
+			if m.plan.perTuple[i].kind == opDot {
+				m.plan.perTuple[i].run = kDotFused
+				return
+			}
+		}
+		t.Fatal("no dot in the plan to mutate")
+	}
+	requireCaught(t, c, "model[")
+}
+
+// The direct merge folds thread t's value into the merged vector in
+// thread order. Feeding a single-tuple-per-thread batch backwards is
+// that loop run from k-1 down to 0: same values, other order of adds.
+func TestMetaDirectMergeOrderCaught(t *testing.T) {
+	c := metaCase()
+	c.run = func(m *Machine, batch [][]float32) error {
+		if len(batch) > m.Cfg.Threads {
+			return m.RunBatch(batch)
+		}
+		rev := make([][]float32, len(batch))
+		for i, tup := range batch {
+			rev[len(batch)-1-i] = tup
+		}
+		return m.RunBatch(rev)
+	}
+	requireCaught(t, c, "model[")
+}
+
+// Skipping the liveness check: PostMerge folds thread 0's product vector
+// into the model, so lowering must keep the ew.mul and the red.add
+// apart. The mutant runs the per-tuple list lowering produces when that
+// read is not there — the dot, product vector elided — against it.
+func TestMetaSkippedLivenessCaught(t *testing.T) {
+	c := metaCase()
+	fusable := c.prog
+	c.prog = glmVariants(12)["prod-read-in-postmerge"]
+	c.mutate = func(m *Machine) {
+		for _, o := range m.plan.perTuple {
+			if o.kind == opDot {
+				t.Fatal("lowering fused a dot whose product vector PostMerge reads")
+			}
+		}
+		fm, err := NewMachine(fusable, m.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.plan.perTuple = fm.plan.perTuple
+	}
+	requireCaught(t, c, "model[")
+}
+
+// Stats.Instructions counts macro instructions; the plan runs fewer ops.
+// The mutant charges what it ran.
+func TestMetaFusedOpCountCaught(t *testing.T) {
+	c := metaCase()
+	c.run = func(m *Machine, batch [][]float32) error {
+		fused := len(m.Prog.PerTuple) - len(m.plan.perTuple)
+		if fused == 0 {
+			t.Fatal("plan fused nothing: the mutation is a no-op")
+		}
+		err := m.RunBatch(batch)
+		m.stats.Instructions -= int64(len(batch) * fused)
+		return err
+	}
+	requireCaught(t, c, "stats diverge")
+}
+
+// TestPlanErrorTrichotomy: the three run-time rejections read the same
+// from the plan and the reference — wrong tuple width, a gather or
+// scatter row outside the model, an elementwise instruction with an
+// empty source.
+func TestPlanErrorTrichotomy(t *testing.T) {
+	cfg := Config{Threads: 2, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	lrmf := lrmfProg(6, 4)
+	scatterOnly := cloneProg(lrmf)
+	scatterOnly.PerTuple = nil
+	empty := glmProg(4, false)
+	empty.PerTuple[2].A = Slot{}
+	emptyB := glmProg(4, false)
+	emptyB.PerTuple[3].B = Slot{}
+	badKind := glmProg(4, false)
+	badKind.PostMerge = append(badKind.PostMerge, Instr{Kind: 9})
+	cases := []struct {
+		name  string
+		prog  *Program
+		tuple []float32
+		want  string
+	}{
+		{"short tuple", glmProg(4, false), []float32{1, 2}, "engine: tuple width 2, input region 5"},
+		{"gather row", lrmf, []float32{6, 0, 1}, "engine: gather row 6 outside model of 6 rows"},
+		{"gather negative row", lrmf, []float32{0, -1, 1}, "engine: gather row -1 outside model of 6 rows"},
+		{"scatter row", scatterOnly, []float32{0, 7, 1}, "engine: scatter row 7 outside model of 6 rows"},
+		{"empty unary source", empty, []float32{1, 2, 3, 4, 5}, "engine: EW with empty source: ew.mov"},
+		{"empty second source", emptyB, []float32{1, 2, 3, 4, 5}, "engine: EW with empty source: ew.sub"},
+		{"invalid kind", badKind, []float32{1, 2, 3, 4, 5}, "engine: invalid instruction kind 9"},
+	}
+	for _, c := range cases {
+		pm, err := NewMachine(c.prog, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rm, _ := NewMachine(c.prog, cfg)
+		perr, rerr := pm.RunBatch([][]float32{c.tuple}), rm.RunBatchReference([][]float32{c.tuple})
+		if perr == nil || rerr == nil || perr.Error() != rerr.Error() || !strings.HasPrefix(perr.Error(), c.want) {
+			t.Errorf("%s: plan %v, reference %v, want %q", c.name, perr, rerr, c.want)
+		}
+	}
+}
+
+// TestRunBatchAllocationFree: neither the inline nor the fanned path
+// allocates per batch once the helpers exist; the serial (no-merge) path
+// never does.
+func TestRunBatchAllocationFree(t *testing.T) {
+	withGOMAXPROCS(t, 2)
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct {
+		name    string
+		prog    *Program
+		threads int
+		tuples  [][]float32
+		fans    bool
+	}{
+		{"inline", glmProg(12, true), 4, diffTuples(rng, 9, 13, 0), false},
+		{"fanned", mergeProg(fannedFeatures), 4, randTuples(32, fannedFeatures, 1), true},
+		{"serial", lrmfProg(6, 4), 1, diffTuples(rng, 16, 3, 6), false},
+	} {
+		m, err := NewMachine(c.prog, Config{Threads: c.threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetHostWorkers(2)
+		if err := m.RunBatch(c.tuples); err != nil { // spawns the helper, sizes partErrs
+			t.Fatal(err)
+		}
+		if (len(m.helperCh) > 0) != c.fans {
+			t.Fatalf("%s: %d helpers", c.name, len(m.helperCh))
+		}
+		if n := testing.AllocsPerRun(20, func() { _ = m.RunBatch(c.tuples) }); n != 0 {
+			t.Errorf("%s: RunBatch allocates %v times a batch", c.name, n)
+		}
+		m.Close()
+	}
+}
+
+// TestNewMachineAllocations pins the per-Configure allocation budget:
+// the machine, one scratchpad slab, one accumulator slab (merge programs
+// only) and one op slab for all four lowered lists — whatever the thread
+// count. (The parent made 2×Threads+5 of them by its first batch.)
+func TestNewMachineAllocations(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		prog    *Program
+		threads int
+		want    float64
+	}{
+		{"glm 64 threads", glmProg(54, true), 64, 4},
+		{"lrmf 1 thread", lrmfProg(100, 10), 1, 3},
+	} {
+		cfg := Config{Threads: c.threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := NewMachine(c.prog, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.want {
+			t.Errorf("%s: NewMachine allocates %v times, budget %v", c.name, got, c.want)
+		}
+	}
+}

@@ -1,0 +1,546 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	hostrt "runtime"
+	"testing"
+)
+
+// The plan against its oracle. diffPlanReference drives two machines
+// built from one program — one through RunBatch/Converged (the plan),
+// one through RunBatchReference/ConvergedReference (the interpreter) —
+// and demands math.Float32bits-equal models and equal Stats after every
+// batch, and the same error text when a batch fails.
+
+// diffCase is one differential run.
+type diffCase struct {
+	prog    *Program
+	cfg     Config
+	init    []float32     // initial model (nil = zeros)
+	batches [][][]float32 // fed in order, Converged after each third
+	// workers is SetHostWorkers on the plan side. Above 1, one more batch
+	// is fed: the others end to end, repeated until it clears the fan-out
+	// floor, so the fanned partition is diffed too (asserted).
+	workers int
+
+	// mutate plants a fault in the plan-side machine after NewMachine,
+	// run replaces its RunBatch (mutation meta-tests only).
+	mutate func(*Machine)
+	run    func(*Machine, [][]float32) error
+}
+
+func diffPlanReference(c diffCase) error {
+	pm, err := NewMachine(c.prog, c.cfg)
+	if err != nil {
+		return err
+	}
+	defer pm.Close()
+	rm, err := NewMachine(c.prog, c.cfg)
+	if err != nil {
+		return err
+	}
+	pm.SetHostWorkers(c.workers)
+	if c.init != nil {
+		if err := pm.SetModel(c.init); err != nil {
+			return err
+		}
+		if err := rm.SetModel(c.init); err != nil {
+			return err
+		}
+	}
+	if c.mutate != nil {
+		c.mutate(pm)
+	}
+	run := c.run
+	if run == nil {
+		run = (*Machine).RunBatch
+	}
+	same := func(what string) error {
+		a, b := pm.Model(), rm.Model()
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return fmt.Errorf("%s: model[%d] plan %v (%#x) != reference %v (%#x)",
+					what, i, a[i], math.Float32bits(a[i]), b[i], math.Float32bits(b[i]))
+			}
+		}
+		if pm.Stats() != rm.Stats() {
+			return fmt.Errorf("%s: stats diverge:\n  plan      %+v\n  reference %+v", what, pm.Stats(), rm.Stats())
+		}
+		return nil
+	}
+	batches := c.batches
+	forks := pm.hostWorkers > 1 && c.cfg.Threads > 1 && c.prog.HasMerge() && pm.cycPerTuple > 0 && len(batches) > 0
+	if forks {
+		var big [][]float32
+		for need := int(fanOutFloorCycles/pm.cycPerTuple) + 1; len(big) < need; {
+			for _, b := range c.batches {
+				big = append(big, b...)
+			}
+		}
+		batches = append(batches[:len(batches):len(batches)], big)
+	}
+	for bi, batch := range batches {
+		perr, rerr := run(pm, batch), rm.RunBatchReference(batch)
+		if perr != nil || rerr != nil {
+			if perr == nil || rerr == nil || perr.Error() != rerr.Error() {
+				return fmt.Errorf("batch %d (n=%d): plan error %v, reference error %v", bi, len(batch), perr, rerr)
+			}
+			return nil // both abandoned the run the same way
+		}
+		if err := same(fmt.Sprintf("batch %d (n=%d)", bi, len(batch))); err != nil {
+			return err
+		}
+		if bi%3 == 2 {
+			pc, perr := pm.Converged()
+			rc, rerr := rm.ConvergedReference()
+			pv, rv := pm.thread(0)[c.prog.ConvSlot.Base], rm.thread(0)[c.prog.ConvSlot.Base]
+			if pc != rc || (perr == nil) != (rerr == nil) || (c.prog.ConvSlot.Len > 0 && perr == nil && math.Float32bits(pv) != math.Float32bits(rv)) {
+				return fmt.Errorf("converged after batch %d: plan (%v, %v, %v), reference (%v, %v, %v)", bi, pc, pv, perr, rc, rv, rerr)
+			}
+			if perr != nil {
+				return nil
+			}
+			if err := same(fmt.Sprintf("converged after batch %d", bi)); err != nil {
+				return err
+			}
+		}
+	}
+	if forks && len(pm.helperCh) == 0 {
+		return fmt.Errorf("workers=%d: a batch of %d × %d cycles never forked", c.workers, len(batches[len(batches)-1]), pm.cycPerTuple)
+	}
+	return nil
+}
+
+// diffBatches cuts tuples into the batch shapes the issue names for k
+// threads: n < k, n == k, n = 3k+1, then merge-coefficient batches to
+// the end with whatever partial batch trails.
+func diffBatches(tuples [][]float32, k int) [][][]float32 {
+	var out [][][]float32
+	take := func(n int) {
+		if n > len(tuples) {
+			n = len(tuples)
+		}
+		if n > 0 {
+			out = append(out, tuples[:n])
+			tuples = tuples[n:]
+		}
+	}
+	take(k - 1)
+	take(k)
+	take(3*k + 1)
+	for len(tuples) > 0 {
+		take(2 * k)
+	}
+	return out
+}
+
+// diffTuples draws n tuples of the given width; the first two words are
+// small non-negative integers so programs can use them as row indexes.
+func diffTuples(rng *rand.Rand, n, width, rows int) [][]float32 {
+	tuples := make([][]float32, n)
+	for i := range tuples {
+		tup := make([]float32, width)
+		for j := range tup {
+			tup[j] = float32(rng.NormFloat64() * 0.5)
+			if j < 2 && rows > 0 {
+				tup[j] = float32(rng.Intn(rows))
+			}
+		}
+		tuples[i] = tup
+	}
+	return tuples
+}
+
+// glmProg is the shape compiler.Compile emits for the dense GLMs at f
+// features (danactl -listing): dot, a scalar chain, scalar × input into
+// MergeSrc, and the post-merge optimizer step.
+//
+//	model[0,f) input[f,2f] lr[2f+1] prod[2f+2,3f+2) dot err grad merged up new
+func glmProg(f int, sigmoid bool) *Program {
+	model, x, y, lr := Slot{0, f}, Slot{f, f}, Slot{2 * f, 1}, Slot{2*f + 1, 1}
+	prod, dot, sig, errS := Slot{2*f + 2, f}, Slot{3*f + 2, 1}, Slot{3*f + 3, 1}, Slot{3*f + 4, 1}
+	grad, merged, up, wNew := Slot{3*f + 5, f}, Slot{4*f + 5, f}, Slot{5*f + 5, f}, Slot{6*f + 5, f}
+	p := &Program{
+		Slots: 7*f + 5, ModelSlot: model, InputSlot: Slot{f, f + 1}, ConstSlot: lr, Consts: []float32{0.05},
+		PerTuple: []Instr{
+			{Kind: KEW, Op: AMul, Dst: prod, A: model, B: x},
+			{Kind: KReduce, Op: AAdd, Dst: dot, A: prod, GroupSize: f, EStride: 1},
+			{Kind: KEW, Op: AMov, Dst: sig, A: dot},
+			{Kind: KEW, Op: ASub, Dst: errS, A: sig, B: y},
+			{Kind: KEW, Op: AMul, Dst: grad, A: errS, B: x},
+		},
+		MergeSrc: grad, MergeOp: AAdd, MergeDst: merged,
+		PostMerge: []Instr{
+			{Kind: KEW, Op: AMul, Dst: up, A: lr, B: merged},
+			{Kind: KEW, Op: ASub, Dst: wNew, A: model, B: up},
+		},
+		UpdatedSlot: wNew,
+	}
+	if sigmoid {
+		p.PerTuple[2].Op = ASigmoid
+	}
+	return p
+}
+
+func cloneProg(p *Program) *Program {
+	q := *p
+	q.PerTuple = append([]Instr(nil), p.PerTuple...)
+	q.PostMerge = append([]Instr(nil), p.PostMerge...)
+	q.RowUpdates = append([]Instr(nil), p.RowUpdates...)
+	q.Convergence = append([]Instr(nil), p.Convergence...)
+	return &q
+}
+
+// glmVariants are glmProg bent in each way that must switch a fusion or
+// an in-place read off (or keep it on): the differential test holds on
+// every one, and TestPlanShape pins what the lowering decided.
+func glmVariants(f int) map[string]*Program {
+	base := glmProg(f, true)
+	prod, grad := base.PerTuple[0].Dst, base.MergeSrc
+	x, y := Slot{f, f}, Slot{2 * f, 1}
+	spare := Slot{base.Slots, f}
+	grow := func(p *Program) *Program { p.Slots += f; return p }
+	v := map[string]*Program{"base": base}
+
+	p := cloneProg(base) // PostMerge folds thread 0's product vector into the model
+	p.PostMerge = append(p.PostMerge, Instr{Kind: KEW, Op: AAdd, Dst: base.UpdatedSlot, A: prod, B: base.UpdatedSlot})
+	v["prod-read-in-postmerge"] = p
+
+	p = grow(cloneProg(base)) // the next tuple reads the last one's product vector
+	p.PerTuple = append([]Instr{{Kind: KEW, Op: AMov, Dst: spare, A: prod}}, p.PerTuple...)
+	p.PostMerge = append(p.PostMerge, Instr{Kind: KEW, Op: AAdd, Dst: base.UpdatedSlot, A: base.UpdatedSlot, B: Slot{spare.Base, 1}})
+	v["prod-read-by-next-tuple"] = p
+
+	p = grow(cloneProg(base)) // Convergence reads thread 0's MergeSrc
+	p.Convergence = []Instr{{Kind: KReduce, Op: AAdd, Dst: Slot{spare.Base, 1}, A: grad, GroupSize: f, EStride: 1}}
+	p.ConvSlot = Slot{spare.Base, 1}
+	v["mergesrc-read-in-convergence"] = p
+
+	p = cloneProg(base) // the merged value lands back on MergeSrc
+	p.MergeDst = grad
+	p.PostMerge[0].B = grad
+	v["mergedst-is-mergesrc"] = p
+
+	p = grow(cloneProg(base)) // PostMerge reads an input word of thread 0's last tuple
+	p.PostMerge = append(p.PostMerge, Instr{Kind: KEW, Op: AMul, Dst: Slot{spare.Base, 1}, A: y, B: base.ConstSlot},
+		Instr{Kind: KEW, Op: AAdd, Dst: base.UpdatedSlot, A: base.UpdatedSlot, B: Slot{spare.Base, 1}})
+	v["input-read-in-postmerge"] = p
+
+	p = cloneProg(base) // the per-tuple stage writes its thread's model copy
+	p.PerTuple = append([]Instr{{Kind: KEW, Op: AAdd, Dst: Slot{0, 1}, A: Slot{0, 1}, B: y}}, p.PerTuple...)
+	v["pertuple-writes-model"] = p
+
+	p = cloneProg(base) // a read straddling the model/input edge
+	p.PerTuple[0].A = Slot{1, f}
+	v["read-straddles-model-edge"] = p
+
+	p = cloneProg(base) // the dot's multiply feeds on the products it has just written
+	p.PerTuple[0].A = Slot{prod.Base - 1, f}
+	v["dot-operand-overlaps-product"] = p
+
+	p = cloneProg(base) // the tuple load lands on the last model word
+	p.InputSlot = Slot{f - 1, f + 2}
+	v["input-overlaps-model"] = p
+
+	p = cloneProg(base) // in-place and shifted-overlap elementwise, wrapped operand
+	p.PerTuple = append(p.PerTuple[:4:4],
+		Instr{Kind: KEW, Op: AMul, Dst: prod, A: prod, B: Slot{f, 3}},                                         // in place, B wraps mod 3
+		Instr{Kind: KEW, Op: AAdd, Dst: Slot{prod.Base + 1, f - 1}, A: Slot{prod.Base, f - 1}, B: Slot{f, 2}}, // running sum through overlap
+		Instr{Kind: KEW, Op: ASub, Dst: Slot{prod.Base, f}, A: prod, B: Slot{prod.Base + 2, 1}},               // scalar inside its own destination
+		Instr{Kind: KEW, Op: AMul, Dst: grad, A: base.PerTuple[3].Dst, B: prod})
+	v["overlapping-and-wrapped"] = p
+
+	p = cloneProg(base) // the SVM shape: a vector-vector sub produces MergeSrc
+	p.PerTuple = append(p.PerTuple[:4:4],
+		Instr{Kind: KEW, Op: AMul, Dst: prod, A: base.PerTuple[3].Dst, B: x},
+		Instr{Kind: KEW, Op: ASub, Dst: grad, A: Slot{0, f}, B: prod})
+	v["svm-shape"] = p
+
+	p = cloneProg(base) // a non-add merge: no accumulating kernel
+	p.MergeOp = AMul
+	v["merge-by-product"] = p
+
+	p = cloneProg(base) // plain SGD: same rule, no merge
+	p.MergeSrc, p.MergeDst, p.PostMerge = Slot{}, Slot{}, nil
+	p.PerTuple = append(p.PerTuple, base.PostMerge[0], base.PostMerge[1])
+	p.PerTuple[5].B = grad
+	v["no-merge"] = p
+	return v
+}
+
+// lrmfProg is the compiled LRMF shape: two gathers, a dot, the two row
+// updates, two scatters. Tuple = (rowL, rowR, rating).
+func lrmfProg(rows, r int) *Program {
+	m := rows * r
+	iL, iR, rating, lr := Slot{m, 1}, Slot{m + 1, 1}, Slot{m + 2, 1}, Slot{m + 3, 1}
+	at := m + 4
+	next := func(n int) Slot { s := Slot{at, n}; at += n; return s }
+	L, R, prod, dot, e := next(r), next(r), next(r), next(1), next(1)
+	gL, sL, nL, gR, sR, nR := next(r), next(r), next(r), next(r), next(r), next(r)
+	return &Program{
+		Slots: at, ModelSlot: Slot{0, m}, InputSlot: Slot{m, 3}, ConstSlot: lr, Consts: []float32{0.05},
+		PerTuple: []Instr{
+			{Kind: KGather, Dst: L, A: iL, RowLen: r},
+			{Kind: KGather, Dst: R, A: iR, RowLen: r},
+			{Kind: KEW, Op: AMul, Dst: prod, A: L, B: R},
+			{Kind: KReduce, Op: AAdd, Dst: dot, A: prod, GroupSize: r, EStride: 1},
+			{Kind: KEW, Op: ASub, Dst: e, A: dot, B: rating},
+			{Kind: KEW, Op: AMul, Dst: gL, A: e, B: R},
+			{Kind: KEW, Op: AMul, Dst: sL, A: lr, B: gL},
+			{Kind: KEW, Op: ASub, Dst: nL, A: L, B: sL},
+			{Kind: KEW, Op: AMul, Dst: gR, A: e, B: L},
+			{Kind: KEW, Op: AMul, Dst: sR, A: lr, B: gR},
+			{Kind: KEW, Op: ASub, Dst: nR, A: R, B: sR},
+		},
+		RowUpdates: []Instr{
+			{Kind: KScatter, A: nL, B: iL, RowLen: r},
+			{Kind: KScatter, A: nR, B: iR, RowLen: r},
+		},
+	}
+}
+
+func withGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	old := hostrt.GOMAXPROCS(n)
+	t.Cleanup(func() { hostrt.GOMAXPROCS(old) })
+}
+
+// TestPlanMatchesReferenceShapes: every bent GLM and the LRMF shape, on
+// every batch shape, at host workers 1/2/4.
+func TestPlanMatchesReferenceShapes(t *testing.T) {
+	withGOMAXPROCS(t, 4)
+	const f, k = 12, 6 // a direct batch is one full group of interleaved dots and a remainder
+	cfg := Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	rng := rand.New(rand.NewSource(21))
+	for name, p := range glmVariants(f) {
+		tuples := diffTuples(rng, 11*k, p.InputSlot.Len, 0)
+		init := make([]float32, f)
+		for i := range init {
+			init[i] = float32(rng.NormFloat64() * 0.1)
+		}
+		for _, w := range []int{1, 2, 4} {
+			if err := diffPlanReference(diffCase{prog: p, cfg: cfg, init: init, batches: diffBatches(tuples, k), workers: w}); err != nil {
+				t.Errorf("%s workers=%d: %v", name, w, err)
+			}
+		}
+	}
+	// LRMF: gather index == scatter index (a tuple whose two rows are
+	// one row sends both scatters there), 1 thread and, for the shape's
+	// sake, the same program under a 3-thread config.
+	p := lrmfProg(6, 4)
+	tuples := diffTuples(rng, 40, 3, 6)
+	for i := range tuples {
+		if i%5 == 0 {
+			tuples[i][1] = tuples[i][0]
+		}
+	}
+	init := make([]float32, 24)
+	for i := range init {
+		init[i] = float32(rng.NormFloat64() * 0.3)
+	}
+	// And with the left index word overwritten between its gather and its
+	// scatter: the scatter must round the new value, not reuse the old.
+	q := cloneProg(p)
+	q.PerTuple = append(q.PerTuple, Instr{Kind: KEW, Op: AMov, Dst: q.RowUpdates[0].B, A: q.RowUpdates[1].B})
+	for name, prog := range map[string]*Program{"lrmf": p, "lrmf-index-rewritten": q} {
+		for _, threads := range []int{1, 3} {
+			cfg.Threads = threads
+			if err := diffPlanReference(diffCase{prog: prog, cfg: cfg, init: init, batches: diffBatches(tuples, 1), workers: 1}); err != nil {
+				t.Errorf("%s threads=%d: %v", name, threads, err)
+			}
+		}
+	}
+}
+
+// TestPlanShape pins what the lowering decided for the shapes above, so
+// a green differential cannot come from a plan that quietly fused
+// nothing (or a liveness rule that refuses everything).
+func TestPlanShape(t *testing.T) {
+	const f = 12
+	cfg := Config{Threads: 4, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	type shape struct {
+		dot, fusedAcc, copyInput, shareModel bool
+	}
+	want := map[string]shape{
+		"base":                         {dot: true, fusedAcc: true, shareModel: true},
+		"prod-read-in-postmerge":       {fusedAcc: true, shareModel: true},
+		"prod-read-by-next-tuple":      {fusedAcc: true, shareModel: true},
+		"mergesrc-read-in-convergence": {dot: true, shareModel: true},
+		"mergedst-is-mergesrc":         {dot: true, fusedAcc: true, shareModel: true},
+		"input-read-in-postmerge":      {dot: true, fusedAcc: true, copyInput: true, shareModel: true},
+		"pertuple-writes-model":        {dot: true, fusedAcc: true},
+		"read-straddles-model-edge":    {dot: true, fusedAcc: true, copyInput: true},
+		"dot-operand-overlaps-product": {fusedAcc: true, shareModel: true},
+		"input-overlaps-model":         {dot: true, fusedAcc: true, copyInput: true},
+		"overlapping-and-wrapped":      {fusedAcc: true, shareModel: true},
+		"svm-shape":                    {dot: true, fusedAcc: true, shareModel: true},
+		"merge-by-product":             {dot: true, shareModel: true},
+		"no-merge":                     {dot: true},
+	}
+	for name, p := range glmVariants(f) {
+		m, err := NewMachine(p, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := shape{fusedAcc: m.plan.fusedAcc, copyInput: m.plan.copyInput, shareModel: m.plan.shareModel}
+		for _, o := range m.plan.perTuple {
+			got.dot = got.dot || o.kind == opDot
+		}
+		if got != want[name] {
+			t.Errorf("%s: lowered to %+v, want %+v", name, got, want[name])
+		}
+	}
+	m, err := NewMachine(lrmfProg(6, 4), Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.plan.copyInput || len(m.plan.perTuple) != 10 || m.plan.perTuple[2].kind != opDot {
+		t.Errorf("lrmf: copyInput=%v, %d per-tuple ops, op 2 kind %d; want in-place input, 10 ops, a dot", m.plan.copyInput, len(m.plan.perTuple), m.plan.perTuple[2].kind)
+	}
+	for i, o := range m.plan.rowUpdates {
+		if o.kind != opScatterPaired || o.reg != i {
+			t.Errorf("lrmf: row update %d is kind %d reg %d, want a scatter paired with gather %d", i, o.kind, o.reg, i)
+		}
+	}
+}
+
+// randProgram draws a straight-line program over a small scratchpad with
+// no regard for what overlaps what: regions, operands and destinations
+// land anywhere Validate allows. Most of these lower with no fusion at
+// all; dotPairs plants ew.mul+red.add pairs and a MergeSrc producer so
+// the liveness rule sees both verdicts.
+func randProgram(rng *rand.Rand) (*Program, int) {
+	slots := 40 + rng.Intn(40)
+	slot := func(n int) Slot {
+		if n > slots {
+			n = slots
+		}
+		return Slot{rng.Intn(slots - n + 1), n}
+	}
+	lens := []int{1, 1, 2, 3, 5, 8}
+	anyLen := func() int { return lens[rng.Intn(len(lens))] }
+	rowLen := 1 + rng.Intn(3)
+	rows := 2 + rng.Intn(3)
+	p := &Program{Slots: slots, ModelSlot: slot(rows * rowLen), InputSlot: slot(3 + rng.Intn(6)), ConstSlot: slot(2)}
+	p.Consts = []float32{0.05, -0.5}
+	if rng.Intn(4) > 0 {
+		n := 1 + rng.Intn(8)
+		p.MergeSrc, p.MergeDst = slot(n), slot(n)
+		p.MergeOp = []AluOp{AAdd, AAdd, AAdd, AMul, ASub}[rng.Intn(5)]
+	}
+	if rng.Intn(3) > 0 {
+		p.UpdatedSlot = slot(p.ModelSlot.Len)
+	}
+	ops := []AluOp{AAdd, ASub, AMul, AMul, AMov, ASquare, ALt, AGt, ASigmoid, AGaussian}
+	instr := func() Instr {
+		switch rng.Intn(10) {
+		case 0:
+			g, groups := 1+rng.Intn(5), 1+rng.Intn(3)
+			es, gs := 1+rng.Intn(2), rng.Intn(4)
+			span := (groups-1)*gs + (g-1)*es + 1
+			return Instr{Kind: KReduce, Op: []AluOp{AAdd, AAdd, AMul}[rng.Intn(3)], Dst: slot(groups), A: Slot{slot(span).Base, g}, GroupSize: g, GStride: gs, EStride: es}
+		case 1:
+			return Instr{Kind: KGather, Dst: slot(rowLen), A: Slot{p.InputSlot.Base + rng.Intn(2), 1}, RowLen: rowLen}
+		case 2:
+			return Instr{Kind: KScatter, A: slot(rowLen), B: Slot{p.InputSlot.Base + rng.Intn(2), 1}, RowLen: rowLen}
+		}
+		n := anyLen()
+		a, b := slot(n), slot(n)
+		switch rng.Intn(4) {
+		case 0:
+			a = slot(1)
+		case 1:
+			b = slot(1)
+		case 2:
+			a = slot(1 + rng.Intn(n)) // wrapped: i mod Len
+		}
+		return Instr{Kind: KEW, Op: ops[rng.Intn(len(ops))], Dst: slot(n), A: a, B: b}
+	}
+	list := func(max int) []Instr {
+		var l []Instr
+		for i, n := 0, rng.Intn(max+1); i < n; i++ {
+			l = append(l, instr())
+		}
+		return l
+	}
+	dotPair := func() []Instr {
+		n := 2 + rng.Intn(6)
+		t := slot(n)
+		return []Instr{{Kind: KEW, Op: AMul, Dst: t, A: slot(n), B: slot(n)},
+			{Kind: KReduce, Op: AAdd, Dst: slot(1), A: t, GroupSize: n, EStride: 1}}
+	}
+	p.PerTuple = list(3)
+	for i, n := 0, rng.Intn(3); i < n; i++ {
+		p.PerTuple = append(p.PerTuple, dotPair()...)
+		p.PerTuple = append(p.PerTuple, list(2)...)
+	}
+	if p.HasMerge() && rng.Intn(3) > 0 {
+		n := p.MergeSrc.Len
+		in := Instr{Kind: KEW, Op: []AluOp{AMul, ASub, AAdd}[rng.Intn(3)], Dst: p.MergeSrc, A: slot(n), B: slot(n)}
+		if in.Op == AMul {
+			switch rng.Intn(3) {
+			case 0:
+				in.A = slot(1)
+			case 1:
+				in.B = slot(1)
+			}
+		}
+		p.PerTuple = append(p.PerTuple, in)
+	}
+	if p.HasMerge() {
+		p.PostMerge = list(3)
+	}
+	p.RowUpdates = list(2)
+	if rng.Intn(3) == 0 {
+		p.Convergence = list(2)
+		p.ConvSlot = slot(1)
+	}
+	return p, rows
+}
+
+// TestPlanMatchesReferenceRandom: seeded random programs, every batch
+// shape, host workers 1/2/4. The config has one lane per thread, which
+// keeps the floor-clearing batch of these small programs to a few
+// hundred tuples.
+func TestPlanMatchesReferenceRandom(t *testing.T) {
+	withGOMAXPROCS(t, 4)
+	rng := rand.New(rand.NewSource(14))
+	fused, elided, refused := 0, 0, 0
+	for trial := 0; trial < 1500; trial++ {
+		p, rows := randProgram(rng)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("trial %d: generator made an invalid program: %v", trial, err)
+		}
+		k := 1 + rng.Intn(6)
+		cfg := Config{Threads: k, ACsPerThread: 1, AUsPerAC: 1, ClockHz: 150e6}
+		tuples := diffTuples(rng, 9*k+3, p.InputSlot.Len, rows)
+		init := make([]float32, p.ModelSlot.Len)
+		for i := range init {
+			init[i] = float32(rng.NormFloat64() * 0.3)
+		}
+		for _, w := range []int{1, 2, 4} {
+			c := diffCase{prog: p, cfg: cfg, init: init, batches: diffBatches(tuples, k), workers: w}
+			if err := diffPlanReference(c); err != nil {
+				t.Fatalf("trial %d threads=%d workers=%d: %v\n%s", trial, k, w, err, Listing(p))
+			}
+		}
+		m, _ := NewMachine(p, cfg)
+		if m.plan.fusedAcc {
+			fused++
+		}
+		for i := 0; i+1 < len(p.PerTuple); i++ {
+			if isDot(&p.PerTuple[i], &p.PerTuple[i+1]) {
+				if p.dead(p.PerTuple[i].Dst, i, i+1, false) {
+					elided++
+				} else {
+					refused++
+				}
+			}
+		}
+	}
+	if fused < 40 || elided < 80 || refused < 80 {
+		t.Errorf("generator too tame: %d fused accumulates, %d product vectors elided, %d kept live; want ≥ 40, 80, 80", fused, elided, refused)
+	}
+}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 
 	"dana/internal/algos"
 	"dana/internal/compiler"
@@ -21,6 +22,7 @@ import (
 //	golden == hDFG interpreter      bit-identical float64
 //	golden ≈ ml baseline (MADlib)   1e-9 (same math, different op order)
 //	golden ≈ engine simulator       5e-3 (float32 datapath)
+//	engine plan == reference exec   bit-identical float32 + every counter
 
 // GoldenSpec describes one training instance (internal/golden owns the
 // trainer; the oracles below cross-check it).
@@ -141,6 +143,41 @@ func CheckTrainingEquivalence(sp GoldenSpec, init []float64, tuples [][]float64,
 		}
 		if err := CompareModels("golden vs engine", golden, got, opt.EngineTol); err != nil {
 			return err
+		}
+
+		// Leg 4: the engine's lowered plan (what Train just ran) against
+		// its reference executor, the macro-instruction interpreter, on
+		// the same design: model bits and every modeled counter equal.
+		ref, err := engine.NewMachine(prog, design.Engine)
+		if err != nil {
+			return fmt.Errorf("oracle C: reference machine: %w", err)
+		}
+		if err := ref.SetModel(init32); err != nil {
+			return fmt.Errorf("oracle C: reference machine: %w", err)
+		}
+		if _, err := ref.TrainReference(t32, maxInt(sp.MergeCoef, 1), maxInt(sp.Epochs, 1)); err != nil {
+			return fmt.Errorf("oracle C: reference train: %w", err)
+		}
+		if err := CompareModelBits("plan vs reference", m.Model(), ref.Model()); err != nil {
+			return err
+		}
+		if err := CompareEngineStats("plan vs reference", m.Stats(), ref.Stats()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CompareModelBits demands bit-identical float32 models: the plan's
+// fusions may not move a single rounding.
+func CompareModelBits(what string, a, b []float32) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("oracle C (%s): model sizes %d vs %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return fmt.Errorf("oracle C (%s): model[%d] = %v (%#x) vs %v (%#x)",
+				what, i, a[i], math.Float32bits(a[i]), b[i], math.Float32bits(b[i]))
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -187,6 +188,21 @@ func TestOracleCDetectsWrongTrainer(t *testing.T) {
 	}
 	if err := CompareModels("meta", good, golden, 0); err == nil {
 		t.Fatal("oracle C did not detect a wrong-LR trainer")
+	}
+}
+
+// TestOracleCDetectsMovedRounding nudges one parameter by one ulp — what
+// a fused multiply-add in a plan kernel would do — and requires the
+// plan-vs-reference comparator to fail where a tolerance would not.
+func TestOracleCDetectsMovedRounding(t *testing.T) {
+	a := []float32{0.25, -1.5, 3}
+	b := append([]float32(nil), a...)
+	b[1] = math.Float32frombits(math.Float32bits(b[1]) + 1)
+	if err := CompareModelBits("meta", a, b); err == nil {
+		t.Fatal("bit comparator accepted a one-ulp difference")
+	}
+	if err := CompareModelBits("meta", a, a); err != nil {
+		t.Fatalf("bit comparator rejected identical models: %v", err)
 	}
 }
 

@@ -1,7 +1,9 @@
 package dana_test
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -23,6 +25,29 @@ func TestLayerOrder(t *testing.T) {
 			for _, d := range deps {
 				if d == h {
 					t.Errorf("production package internal/%s depends on harness package %s", pkg, h)
+				}
+			}
+		}
+	}
+}
+
+// TestReferenceExecutorStaysOutOfProduction: the engine's macro
+// interpreter (internal/engine/reference.go) is the oracle its lowered
+// plan is diffed against; only tests and internal/verify may call it.
+func TestReferenceExecutorStaysOutOfProduction(t *testing.T) {
+	for _, dir := range []string{"internal/backend", "internal/runtime", "internal/server", "cmd/*"} {
+		files, err := filepath.Glob(dir + "/*.go")
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files under %s (%v)", dir, err)
+		}
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range []string{"RunBatchReference", "ConvergedReference", "TrainReference"} {
+				if !strings.HasSuffix(f, "_test.go") && strings.Contains(string(src), name) {
+					t.Errorf("%s names the reference executor (%s)", f, name)
 				}
 			}
 		}
