@@ -24,6 +24,7 @@ import (
 	"dana/internal/sql"
 	"dana/internal/storage"
 	"dana/internal/strider"
+	"dana/internal/weaving"
 )
 
 // --- Tables ------------------------------------------------------------
@@ -827,5 +828,69 @@ func BenchmarkObsOverhead(b *testing.B) {
 			}
 			b.ReportMetric(float64(2*d.Tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 		})
+	}
+}
+
+// --- Any-precision weave path -----------------------------------------------
+
+// weaveBenchRows materialises the bench workload weave_k8's input: Remote
+// Sensing LR at scale 0.005 (54 features, about 2 900 tuples), narrowed
+// to the float32 rows the weave stage receives, with the page row count
+// the cost model gives them at 32 KB.
+func weaveBenchRows(b *testing.B) (rows [][]float32, pageRows int) {
+	b.Helper()
+	w, _ := datagen.ByName("Remote Sensing LR")
+	d, err := datagen.Generate(w, 0.005, storage.PageSize32K, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, rows, err = d.Rel.NarrowedRows(true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows, storage.WeavePageRows(storage.PageSize32K, len(rows[0])-1)
+}
+
+// BenchmarkReweaveRows measures one epoch's requantisation — quantize,
+// weave into pages, decode the top k planes — as the weave stage and the
+// bench replica call it.
+func BenchmarkReweaveRows(b *testing.B) {
+	rows, pageRows := weaveBenchRows(b)
+	for _, bits := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			_, ranges, err := weaving.ReweaveRows(rows, nil, bits, pageRows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(rows) * len(rows[0]) * 4))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := weaving.ReweaveRows(rows, ranges, bits, pageRows); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildWeavePage measures the build half alone: the same rows
+// woven into their pages, one op per relation pass.
+func BenchmarkBuildWeavePage(b *testing.B) {
+	rows, pageRows := weaveBenchRows(b)
+	nfeat := len(rows[0]) - 1
+	feats, labels := make([][]float32, len(rows)), make([]float32, len(rows))
+	for i, r := range rows {
+		feats[i], labels[i] = r[:nfeat], r[nfeat]
+	}
+	ranges := storage.WeaveRanges(feats, nfeat)
+	b.SetBytes(int64(len(rows) * len(rows[0]) * 4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for at := 0; at < len(rows); at += pageRows {
+			end := min(at+pageRows, len(rows))
+			if _, err := storage.BuildWeavePage(ranges, feats[at:end], labels[at:end]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -34,8 +34,12 @@ type Accel struct {
 	// streaming path allocates no closures.
 	feed func([][]float32) error
 	// rows32 is the scratch buffer epochs are materialized into when the
-	// stream form is not already float32 rows.
+	// stream form is not already float32 rows; slab backs the rows copied
+	// out of a batch stream.
 	rows32 [][]float32
+	slab   rowSlab
+	// keep is keepBatch bound once, like feed.
+	keep func([][]float32) error
 
 	// weave is the requantisation stage, on (bits > 0) when caps
 	// declares a read window.
@@ -209,12 +213,11 @@ func (b *Accel) materialize(st *Stream) ([][]float32, error) {
 	switch {
 	case st.Batches != nil:
 		b.rows32 = b.rows32[:0]
-		err := st.Batches(func(batch [][]float32) error {
-			for _, r := range batch {
-				b.rows32 = append(b.rows32, append([]float32(nil), r...))
-			}
-			return nil
-		})
+		b.slab.reset()
+		if b.keep == nil {
+			b.keep = b.keepBatch
+		}
+		err := st.Batches(b.keep)
 		return b.rows32, err
 	case st.Rows32 != nil:
 		return st.Rows32, nil
@@ -233,6 +236,46 @@ func (b *Accel) materialize(st *Stream) ([][]float32, error) {
 		return b.rows32, nil
 	}
 	return nil, nil
+}
+
+// keepBatch copies a batch's rows into the slab and appends them to
+// rows32.
+func (b *Accel) keepBatch(batch [][]float32) error {
+	for _, r := range batch {
+		b.rows32 = append(b.rows32, b.slab.keep(r))
+	}
+	return nil
+}
+
+// rowSlabChunk is the slab's chunk size in values (256 KB).
+const rowSlabChunk = 64 << 10
+
+// rowSlab keeps copies of rows in fixed-size chunks that are held and
+// refilled from the first each epoch. A chunk never grows, so a row
+// handed out stays where it is while later rows are copied — one
+// append-grown slab would move it.
+type rowSlab struct {
+	chunks [][]float32
+	at     int // chunk being filled
+	used   int // values of it handed out
+}
+
+func (s *rowSlab) reset() { s.at, s.used = 0, 0 }
+
+// keep returns a copy of r that is valid until the next reset.
+func (s *rowSlab) keep(r []float32) []float32 {
+	if s.at < len(s.chunks) && s.used+len(r) > len(s.chunks[s.at]) {
+		s.at, s.used = s.at+1, 0
+	}
+	if s.at == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]float32, max(rowSlabChunk, len(r))))
+	} else if len(s.chunks[s.at]) < len(r) {
+		s.chunks[s.at] = make([]float32, len(r)) // a row wider than any chunk so far
+	}
+	dst := s.chunks[s.at][s.used : s.used+len(r) : s.used+len(r)]
+	s.used += len(r)
+	copy(dst, r)
+	return dst
 }
 
 // Score runs inference in the float32 datapath width.
@@ -272,11 +315,14 @@ func (b *Accel) Counters() engine.Stats {
 	return b.m.Stats()
 }
 
-// Close releases the machine's host fan-out helpers.
+// Close releases the machine's host fan-out helpers and drops the epoch
+// buffers (materialized rows, the weave stage's reweaver); a later epoch
+// rebuilds what it needs.
 func (b *Accel) Close() {
 	if b.m != nil {
 		b.m.Close()
 	}
+	b.rows32, b.slab, b.weave.rw = nil, rowSlab{}, nil
 }
 
 // InProcessStriders clamps a design's Strider count to the in-process

@@ -67,13 +67,24 @@ func chargeWeave(w *cost.Workload, job Job, passes int64) {
 	w.StriderPageCycles = weaving.PageDecodeCycles(nfeat, g.PageRows, bits)
 }
 
+// weaveBlockRows is the stage's functional page: two plane words of
+// rows, whatever the job's modeled geometry. Paging never changes
+// decoded values (weaving.ReweaveRows), and the link bytes and decode
+// cycles are charged by chargeWeave from weaving.RelationGeometry, never
+// from the pages the host happens to build — so the host builds pages
+// the 64-row block kernels are efficient on, where the modeled budget
+// degenerates to one row a page on wide tables.
+const weaveBlockRows = 128
+
 // weaveStage is Accel's per-epoch requantisation stage: the read
-// precision, the weave-page row budget, and the quantization ranges
-// (pinned by the program, or derived from the first epoch's tuples).
+// precision, the quantization ranges (pinned by the program, or derived
+// from the first epoch's tuples), and the reweaver whose buffers every
+// epoch of the configured backend reuses (built by the first epoch,
+// dropped by Accel.Close).
 type weaveStage struct {
-	bits     int
-	pageRows int
-	ranges   []storage.WeaveRange
+	bits   int
+	ranges []storage.WeaveRange
+	rw     *weaving.Reweaver
 }
 
 func newWeaveStage(caps Capabilities, p Program) (weaveStage, error) {
@@ -82,23 +93,27 @@ func newWeaveStage(caps Capabilities, p Program) (weaveStage, error) {
 		return weaveStage{}, fmt.Errorf("%w: weave precision %d outside [%d,%d]",
 			ErrUnsupported, p.Bits, caps.MinBits, caps.MaxBits)
 	}
-	nfeat := 1
-	if p.Graph.Model != nil {
-		nfeat = p.Graph.Model.Shape.Size()
-	}
-	ws := weaveStage{bits: bits, pageRows: storage.WeavePageRows(max1(p.PageSize), nfeat)}
+	ws := weaveStage{bits: bits}
 	if len(p.Ranges) > 0 {
 		ws.ranges = append([]storage.WeaveRange(nil), p.Ranges...)
 	}
 	return ws, nil
 }
 
-// requantise reweaves one epoch's rows at the configured precision.
-// Derived ranges are per-column min/max — delivery-order independent —
-// so every legal stream form of the same epoch produces bit-identical
-// rewoven rows, and therefore bit-identical model state and counters.
+// requantise reweaves one epoch's rows at the configured precision; the
+// result is the reweaver's, valid until the next epoch's call. Derived
+// ranges are per-column min/max — delivery-order independent — so every
+// legal stream form of the same epoch produces bit-identical rewoven
+// rows, and therefore bit-identical model state and counters.
 func (ws *weaveStage) requantise(rows [][]float32) ([][]float32, error) {
-	rewoven, ranges, err := weaving.ReweaveRows(rows, ws.ranges, ws.bits, ws.pageRows)
+	if ws.rw == nil {
+		rw, err := weaving.NewReweaver(ws.bits, weaveBlockRows)
+		if err != nil {
+			return nil, err
+		}
+		ws.rw = rw
+	}
+	rewoven, ranges, err := ws.rw.Reweave(rows, ws.ranges)
 	if err != nil {
 		return nil, err
 	}

@@ -296,3 +296,49 @@ func indexOf(xs []int, x int) int {
 	}
 	return -1
 }
+
+// TestWeaveCloseDropsOnlyBuffers: Close releases the stage's reweaver
+// and the materialisation slab, not the stage — an epoch after Close
+// requantises as before (rebuilding what it needs) and lands on the
+// bits of a twin that was never closed, in both stream forms.
+func TestWeaveCloseDropsOnlyBuffers(t *testing.T) {
+	env := backend.ConformanceEnv()
+	sc := backend.GenScenario(4)
+	p, err := backend.BuildProgram(sc, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Bits = 8
+	batches := &backend.Stream{Batches: func(emit func([][]float32) error) error {
+		for at := 0; at < len(sc.Rows32); at += 7 {
+			if err := emit(sc.Rows32[at:min(at+7, len(sc.Rows32))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}}
+	closed, twin := backend.NewWeaveAccel(env), backend.NewWeaveAccel(env)
+	for _, be := range []*backend.Accel{closed, twin} {
+		if err := be.Configure(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e, st := range []*backend.Stream{{Rows32: sc.Rows32}, batches, batches, {Rows32: sc.Rows32}} {
+		if err := closed.RunEpoch(st); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		closed.Close()
+		if err := twin.RunEpoch(st); err != nil {
+			t.Fatalf("epoch %d (twin): %v", e, err)
+		}
+	}
+	cm, tm := closed.Model(), twin.Model()
+	for i := range tm {
+		if math.Float64bits(cm[i]) != math.Float64bits(tm[i]) {
+			t.Fatalf("model[%d] %v after Close between epochs, %v without", i, cm[i], tm[i])
+		}
+	}
+	if cc, tc := closed.Counters(), twin.Counters(); cc != tc {
+		t.Fatalf("counters diverge:\n  closed=%+v\n  twin=%+v", cc, tc)
+	}
+}

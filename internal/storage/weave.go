@@ -269,10 +269,18 @@ func (p WeavePage) Validate() error {
 }
 
 // BuildWeavePage weaves rows of feature values plus labels into a
-// vertical page. feats holds nrows rows of exactly len(ranges) feature
-// values; values outside a column's range clamp to its domain edges
-// (quantization saturates).
+// freshly allocated vertical page. feats holds nrows rows of exactly
+// len(ranges) feature values; values outside a column's range clamp to
+// its domain edges (quantization saturates).
 func BuildWeavePage(ranges []WeaveRange, feats [][]float32, labels []float32) (WeavePage, error) {
+	return BuildWeavePageInto(nil, ranges, feats, labels)
+}
+
+// BuildWeavePageInto is BuildWeavePage into the caller's buffer: when
+// buf has the capacity the page is built in it (whatever it held — every
+// byte of the page is written) and the result aliases it; an undersized
+// buf is left alone and a fresh page returned.
+func BuildWeavePageInto(buf []byte, ranges []WeaveRange, feats [][]float32, labels []float32) (WeavePage, error) {
 	ncols, nrows := len(ranges), len(feats)
 	if ncols < 1 || ncols > WeaveMaxCols {
 		return nil, fmt.Errorf("%w: %d feature columns", ErrWeaveUnsupported, ncols)
@@ -288,39 +296,109 @@ func BuildWeavePage(ranges []WeaveRange, feats [][]float32, labels []float32) (W
 			return nil, fmt.Errorf("%w: column %d range {off=%v scale=%v}", ErrWeaveUnsupported, c, r.Offset, r.Scale)
 		}
 	}
-	p := WeavePage(make([]byte, WeavePageSize(ncols, nrows)))
-	binary.LittleEndian.PutUint32(p, WeaveMagic)
-	binary.LittleEndian.PutUint16(p[4:], WeaveVersion)
-	binary.LittleEndian.PutUint16(p[6:], uint16(ncols))
-	binary.LittleEndian.PutUint32(p[8:], uint32(nrows))
-	binary.LittleEndian.PutUint32(p[12:], uint32(weavePlaneWords(nrows)))
-	for c, r := range ranges {
-		off := p.rangeOff() + c*WeaveRangeSize
-		binary.LittleEndian.PutUint32(p[off:], math.Float32bits(r.Offset))
-		binary.LittleEndian.PutUint32(p[off+4:], math.Float32bits(r.Scale))
-	}
-	for i, lb := range labels {
-		binary.LittleEndian.PutUint32(p[p.labelOff()+4*i:], math.Float32bits(lb))
-	}
-	pw := weavePlaneWords(nrows)
 	for row, vals := range feats {
 		if len(vals) != ncols {
 			return nil, fmt.Errorf("%w: row %d has %d features, want %d", ErrWeaveUnsupported, row, len(vals), ncols)
 		}
-		word, bit := row/64, uint(row%64)
-		for c, v := range vals {
-			q := WeaveQuantize(v, ranges[c])
-			for level := 0; level < WeaveMaxBits; level++ {
-				if q&(1<<uint(WeaveMaxBits-1-level)) == 0 {
-					continue
-				}
-				off := p.planeOff() + ((level*ncols+c)*pw+word)*8
-				w := binary.LittleEndian.Uint64(p[off:])
-				binary.LittleEndian.PutUint64(p[off:], w|uint64(1)<<bit)
+	}
+	p := weaveBuffer(buf, WeavePageSize(ncols, nrows))
+	weavePlanes(p, weaveFixed(p, ranges, labels), ranges, feats)
+	return p, nil
+}
+
+// weaveBuffer cuts buf to a page of size bytes, or makes the page when
+// buf cannot hold it.
+func weaveBuffer(buf []byte, size int) WeavePage {
+	if cap(buf) < size {
+		return make([]byte, size)
+	}
+	return buf[:size]
+}
+
+// weaveFixed writes the page's precision-independent bytes — header,
+// column ranges, labels — and returns the offset the plane area starts
+// at. p has exactly the page's size.
+//
+//dana:hotpath
+func weaveFixed(p WeavePage, ranges []WeaveRange, labels []float32) int {
+	binary.LittleEndian.PutUint32(p, WeaveMagic)
+	binary.LittleEndian.PutUint16(p[4:], WeaveVersion)
+	binary.LittleEndian.PutUint16(p[6:], uint16(len(ranges)))
+	binary.LittleEndian.PutUint32(p[8:], uint32(len(labels)))
+	binary.LittleEndian.PutUint32(p[12:], uint32(weavePlaneWords(len(labels))))
+	binary.LittleEndian.PutUint64(p[16:], 0) // reserved
+	off := WeaveHeaderSize
+	for _, r := range ranges {
+		binary.LittleEndian.PutUint32(p[off:], math.Float32bits(r.Offset))
+		binary.LittleEndian.PutUint32(p[off+4:], math.Float32bits(r.Scale))
+		off += WeaveRangeSize
+	}
+	for _, lb := range labels {
+		binary.LittleEndian.PutUint32(p[off:], math.Float32bits(lb))
+		off += 4
+	}
+	return off
+}
+
+// weaveChunkCols is how many columns one pass over a word's rows
+// quantizes: 16 float32 values, one cache line of each row, so the row
+// reads stay sequential while the code scratch stays on the stack.
+const weaveChunkCols = 16
+
+// weaveCodes is the builder's code scratch: a chunk of columns by one
+// plane word's 64 rows, column-major.
+type weaveCodes [weaveChunkCols][64]uint32
+
+// weavePlanes writes the plane area, a (column, 64-row word) block at a
+// time: the word's rows are quantized row-major, a chunk of columns per
+// pass, then each column's 64 codes are transposed by the block kernel
+// and its 32 plane words stored, each exactly once. A partial last word
+// is the same code with the missing rows' codes zero. The inputs are
+// already checked.
+//
+//dana:hotpath
+func weavePlanes(p WeavePage, planeBase int, ranges []WeaveRange, feats [][]float32) {
+	ncols, nrows := len(ranges), len(feats)
+	pw := weavePlaneWords(nrows)
+	var codes weaveCodes
+	var planes [32]uint64
+	for w := 0; w < pw; w++ {
+		rows := feats[w*64 : min(w*64+64, nrows)]
+		if len(rows) < 64 {
+			codes = weaveCodes{}
+		}
+		for c0 := 0; c0 < ncols; c0 += weaveChunkCols {
+			chunk := ranges[c0:min(c0+weaveChunkCols, ncols)]
+			quantizeChunk(&codes, rows, chunk, c0)
+			for i := range chunk {
+				WeaveBlock(&codes[i], &planes)
+				storePlanes(p, planeBase+((c0+i)*pw+w)*8, ncols*pw*8, &planes)
 			}
 		}
 	}
-	return p, nil
+}
+
+// quantizeChunk fills codes[i][r] with row r's code in column c0+i.
+//
+//dana:hotpath
+func quantizeChunk(codes *weaveCodes, rows [][]float32, chunk []WeaveRange, c0 int) {
+	for r, vals := range rows {
+		vals = vals[c0 : c0+len(chunk)]
+		for i, rg := range chunk {
+			codes[i][r&63] = WeaveQuantize(vals[i], rg)
+		}
+	}
+}
+
+// storePlanes writes a block's 32 plane words, level 0 at byte `at` and
+// each next level levelStride bytes on.
+//
+//dana:hotpath
+func storePlanes(p WeavePage, at, levelStride int, planes *[32]uint64) {
+	for _, word := range planes {
+		binary.LittleEndian.PutUint64(p[at:], word)
+		at += levelStride
+	}
 }
 
 // CheckWeaveSchema reports whether a heap schema can be rewoven: all
@@ -361,22 +439,31 @@ func checkWeaveTuple(s *Schema, raw []byte) error {
 
 // WeaveRanges computes per-column quantization ranges over a row set:
 // Offset = column minimum, Scale = spread widened one ULP so the
-// maximum stays inside [0,1) (degenerate columns get Scale 1).
+// maximum stays inside [0,1) (degenerate columns get Scale 1). Rows
+// shorter than ncols contribute the columns they have; NaN never
+// compares, so it is skipped.
 func WeaveRanges(feats [][]float32, ncols int) []WeaveRange {
 	ranges := make([]WeaveRange, ncols)
+	// One row-major pass, Offset standing in for the running minimum and
+	// Scale for the running maximum.
 	for c := range ranges {
-		lo, hi := float32(math.Inf(1)), float32(math.Inf(-1))
-		for _, row := range feats {
-			if c >= len(row) {
-				continue
+		ranges[c] = WeaveRange{Offset: float32(math.Inf(1)), Scale: float32(math.Inf(-1))}
+	}
+	for _, row := range feats {
+		if len(row) > ncols {
+			row = row[:ncols]
+		}
+		for c, v := range row {
+			if v < ranges[c].Offset {
+				ranges[c].Offset = v
 			}
-			if v := row[c]; v < lo {
-				lo = v
-			}
-			if v := row[c]; v > hi {
-				hi = v
+			if v > ranges[c].Scale {
+				ranges[c].Scale = v
 			}
 		}
+	}
+	for c, r := range ranges {
+		lo, hi := r.Offset, r.Scale
 		if lo > hi { // no rows
 			lo, hi = 0, 0
 		}

@@ -5,7 +5,9 @@ package storage_test
 // without an import cycle (weaving imports storage).
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -43,9 +45,20 @@ func weavePageSeeds(tb testing.TB) [][]byte {
 
 	whole := build(3, 130) // 3 plane words: one partial
 	tiny := build(1, 1)
+	// The block kernels' edges: exactly one plane word, and one row into
+	// a second whose padding bits are set (a valid page: no reader may
+	// look at them).
+	full := build(2, 64)
+	padded := build(2, 65)
+	for level := 0; level < storage.WeaveMaxBits; level++ {
+		for c := 0; c < 2; c++ {
+			off := padded.PlaneOffset(level, c) + 8
+			binary.LittleEndian.PutUint64(padded[off:], binary.LittleEndian.Uint64(padded[off:])|^uint64(1))
+		}
+	}
 
 	var seeds [][]byte
-	seeds = append(seeds, []byte(whole), []byte(tiny))
+	seeds = append(seeds, []byte(whole), []byte(tiny), []byte(full), []byte(padded))
 	// Truncations at each structural boundary: header, ranges, labels,
 	// mid-plane, one byte short.
 	for _, cut := range []int{
@@ -78,10 +91,23 @@ func weavePageSeeds(tb testing.TB) [][]byte {
 	return seeds
 }
 
+// scalarWeaveValue reads row r's column c the slow way: the code's top
+// bits one plane bit at a time through the page's accessors, then the
+// scalar dequantization.
+func scalarWeaveValue(p storage.WeavePage, bits, r, c int) float32 {
+	var q uint32
+	for level := 0; level < bits; level++ {
+		word := binary.LittleEndian.Uint64(p[p.PlaneOffset(level, c)+r/64*8:])
+		q |= uint32(word>>uint(r%64)&1) << uint(storage.WeaveMaxBits-1-level)
+	}
+	return storage.WeaveDequantize(q, bits, p.Range(c))
+}
+
 // FuzzWeavePageDecode throws arbitrary bytes at the weave page reader
 // and the any-precision extraction engine: validation and decode must
 // fail with the typed weave sentinels on garbage — never panic, never
-// over-read, never return rows from an invalid page.
+// over-read, never return rows from an invalid page — and on a valid
+// page the block-kernel decode must equal the scalar one bit for bit.
 func FuzzWeavePageDecode(f *testing.F) {
 	for _, s := range weavePageSeeds(f) {
 		f.Add(s)
@@ -109,6 +135,20 @@ func FuzzWeavePageDecode(f *testing.F) {
 			}
 			if len(rows) != p.NumRows() {
 				t.Fatalf("decode at %d bits returned %d rows from a %d-row page", bits, len(rows), p.NumRows())
+			}
+			ncols := p.NumCols()
+			for r, row := range rows {
+				if len(row) != ncols+1 {
+					t.Fatalf("decode at %d bits: row %d has %d values, page has %d columns", bits, r, len(row), ncols)
+				}
+				for c, v := range row[:ncols] {
+					if want := scalarWeaveValue(p, bits, r, c); math.Float32bits(v) != math.Float32bits(want) {
+						t.Fatalf("decode at %d bits: row %d col %d is %v, scalar decode %v", bits, r, c, v, want)
+					}
+				}
+				if math.Float32bits(row[ncols]) != math.Float32bits(p.Label(r)) {
+					t.Fatalf("decode at %d bits: row %d label %v, page holds %v", bits, r, row[ncols], p.Label(r))
+				}
 			}
 		}
 	})

@@ -85,9 +85,16 @@ func (sc *WeaveScenario) CheckWeaveOracle(bits int) error {
 	if err != nil {
 		return fmt.Errorf("oracle W: %w", err)
 	}
+	return sc.CheckWeaveDecoder(bits, e.DecodeRows)
+}
+
+// CheckWeaveDecoder is CheckWeaveOracle over any page decoder claiming
+// to read at the given precision — the extraction engine's, or a test's
+// copy of it with a fault planted.
+func (sc *WeaveScenario) CheckWeaveDecoder(bits int, decode func(storage.WeavePage) ([][]float32, error)) error {
 	next := 0
 	for pn, p := range sc.Pages {
-		rows, err := e.DecodeRows(p)
+		rows, err := decode(p)
 		if err != nil {
 			return fmt.Errorf("oracle W: page %d: %w", pn, err)
 		}

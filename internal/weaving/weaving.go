@@ -26,9 +26,16 @@ import (
 // concurrent use; the host executor gives each worker its own.
 type Extractor struct {
 	bits int
+	// inv is 2^-bits, the exact constant a truncated code is scaled by:
+	// multiplying by a power of two rounds nothing, so it is
+	// storage.WeaveDequantize's division bit for bit.
+	inv float64
 	// codes is the per-page scratch: nrows × ncols truncated codes in
 	// row-major order, reassembled from the planes.
 	codes []uint32
+	// offs and scales are the page's column ranges, decoded once per page
+	// and widened to the float64 the dequantization runs in.
+	offs, scales []float64
 }
 
 // NewExtractor builds an extractor for k-bit reads (1..32).
@@ -36,22 +43,21 @@ func NewExtractor(bits int) (*Extractor, error) {
 	if bits < 1 || bits > storage.WeaveMaxBits {
 		return nil, fmt.Errorf("weaving: precision %d outside [1,%d]", bits, storage.WeaveMaxBits)
 	}
-	return &Extractor{bits: bits}, nil
+	return &Extractor{bits: bits, inv: 1 / float64(uint64(1)<<uint(bits))}, nil
 }
 
 // Bits returns the configured precision.
 func (e *Extractor) Bits() int { return e.bits }
 
 // Prepare sizes the scratch buffers for a page geometry. DecodePage
-// calls it; it is exported so hot loops can hoist the growth out.
+// calls it; it is exported so hot loops can hoist the growth out. The
+// scratch is not cleared: a decode writes every code it exposes.
 func (e *Extractor) Prepare(ncols, nrows int) {
-	n := ncols * nrows
-	if cap(e.codes) < n {
+	if n := ncols * nrows; cap(e.codes) < n {
 		e.codes = make([]uint32, n)
 	}
-	e.codes = e.codes[:n]
-	for i := range e.codes {
-		e.codes[i] = 0
+	if cap(e.offs) < ncols {
+		e.offs, e.scales = make([]float64, ncols), make([]float64, ncols)
 	}
 }
 
@@ -65,13 +71,13 @@ func (e *Extractor) DecodePage(p storage.WeavePage, row []float32, emit func(row
 	}
 	ncols, nrows := p.NumCols(), p.NumRows()
 	e.Prepare(ncols, nrows)
-	gatherPlanes(p, e.bits, e.codes)
+	e.gather(p)
 	if cap(row) < ncols+1 {
 		row = make([]float32, ncols+1)
 	}
 	row = row[:ncols+1]
 	for r := 0; r < nrows; r++ {
-		dequantizeRow(p, e.bits, r, e.codes[r*ncols:(r+1)*ncols], row)
+		e.dequantizeRow(p, r, row)
 		if err := emit(row); err != nil {
 			return err
 		}
@@ -79,85 +85,116 @@ func (e *Extractor) DecodePage(p storage.WeavePage, row []float32, emit func(row
 	return nil
 }
 
-// DecodeRows decodes a whole page into freshly allocated rows of
-// ncols+1 values — the materializing convenience wrapper around
+// DecodeRows decodes a whole page into caller-owned rows of ncols+1
+// values, cut from one slab per page — the materializing form of
 // DecodePage (tests, reference paths).
 func (e *Extractor) DecodeRows(p storage.WeavePage) ([][]float32, error) {
-	var out [][]float32
-	err := e.DecodePage(p, nil, func(row []float32) error {
-		out = append(out, append([]float32(nil), row...))
-		return nil
-	})
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	ncols, nrows := p.NumCols(), p.NumRows()
+	e.Prepare(ncols, nrows)
+	out := make([][]float32, nrows)
+	e.decodeInto(p, make([]float32, nrows*(ncols+1)), out)
 	return out, nil
 }
 
+// decodeInto decodes a validated page the scratch is prepared for into
+// slab (nrows × (ncols+1) values) and points rows at its row slices.
+//
+//dana:hotpath
+func (e *Extractor) decodeInto(p storage.WeavePage, slab []float32, rows [][]float32) {
+	e.gather(p)
+	width := p.NumCols() + 1
+	for r := range rows {
+		row := slab[r*width : (r+1)*width : (r+1)*width]
+		e.dequantizeRow(p, r, row)
+		rows[r] = row
+	}
+}
+
+// gather loads the page's column ranges and truncated codes into the
+// scratch, cut to the page's geometry.
+//
+//dana:hotpath
+func (e *Extractor) gather(p storage.WeavePage) {
+	ncols := p.NumCols()
+	e.codes = e.codes[:ncols*p.NumRows()]
+	e.offs, e.scales = e.offs[:ncols], e.scales[:ncols]
+	for c := range e.offs {
+		r := p.Range(c)
+		e.offs[c], e.scales[c] = float64(r.Offset), float64(r.Scale)
+	}
+	gatherPlanes(p, e.bits, e.codes)
+}
+
 // gatherPlanes reassembles the top `bits` levels of every code on the
-// page into codes (row-major nrows × ncols), word-parallel: each plane
-// word carries 64 rows' bits at one (level, column), and all-zero words
-// — the common case for high-order planes of small values — are skipped
-// whole. The page must be validated and codes zeroed, len nrows*ncols.
+// page into codes (row-major nrows × ncols), a (column, 64-row word)
+// block at a time: the block's `bits` plane words are loaded, transposed
+// back by the block kernel and stored as 64 truncated codes. All-zero
+// blocks — the common case for high-order planes of small values — skip
+// the kernel. Every code is written, so codes need not be cleared; the
+// page must be validated and codes hold nrows*ncols.
 //
 //dana:hotpath
 func gatherPlanes(p storage.WeavePage, bits int, codes []uint32) {
 	ncols, nrows, pw := p.NumCols(), p.NumRows(), p.PlaneWords()
-	base := p.PlaneOffset(0, 0)
-	for level := 0; level < bits; level++ {
-		shift := uint(storage.WeaveMaxBits - 1 - level)
+	base, levelStride := p.PlaneOffset(0, 0), ncols*pw*8
+	var planes [32]uint64
+	var block [64]uint32
+	for w := 0; w < pw; w++ {
+		n := min(64, nrows-w*64)
+		word := codes[w*64*ncols : (w*64+n)*ncols]
 		for c := 0; c < ncols; c++ {
-			off := base + ((level*ncols+c)*pw)*8
-			for w := 0; w < pw; w++ {
-				word := binary.LittleEndian.Uint64(p[off+w*8:])
-				if word == 0 {
-					continue
-				}
-				rowBase := w * 64
-				for word != 0 {
-					// Isolate the lowest set bit: row rowBase+tz has this level set.
-					tz := trailingZeros64(word)
-					word &= word - 1
-					r := rowBase + tz
-					if r >= nrows {
-						break
-					}
-					codes[r*ncols+c] |= 1 << shift
-				}
+			at := base + (c*pw+w)*8
+			if loadPlanes(p, at, levelStride, bits, &planes) == 0 {
+				block = [64]uint32{}
+			} else {
+				storage.UnweaveBlock(&planes, bits, &block)
 			}
+			storeCodes(word, ncols, c, n, &block)
 		}
 	}
 }
 
-// dequantizeRow converts one row's truncated codes back into the
-// float32 datapath: features through the per-column affine ranges at
-// the read precision, the label verbatim. dst must hold ncols+1.
+// loadPlanes reads a block's top `bits` plane words — level 0 at byte
+// `at`, each next level levelStride bytes on — and returns their OR.
 //
 //dana:hotpath
-func dequantizeRow(p storage.WeavePage, bits, r int, codes []uint32, dst []float32) {
-	for c := 0; c < len(codes); c++ {
-		dst[c] = storage.WeaveDequantize(codes[c], bits, p.Range(c))
+func loadPlanes(p storage.WeavePage, at, levelStride, bits int, planes *[32]uint64) (union uint64) {
+	for level := 0; level < bits; level++ {
+		planes[level&31] = binary.LittleEndian.Uint64(p[at:])
+		union |= planes[level&31]
+		at += levelStride
 	}
-	dst[len(codes)] = p.Label(r)
+	return union
 }
 
-// trailingZeros64 is bits.TrailingZeros64 without the import — the de
-// Bruijn sequence form, branch-free, safe for the hotpath allocation
-// contract.
+// storeCodes writes a block's first n codes down column c of the
+// row-major word scratch.
 //
 //dana:hotpath
-func trailingZeros64(x uint64) int {
-	if x == 0 {
-		return 64
+func storeCodes(word []uint32, ncols, c, n int, block *[64]uint32) {
+	for r := 0; r < n; r++ {
+		word[r*ncols+c] = block[r&63]
 	}
-	return int(deBruijnIdx[(x&-x)*0x03f79d71b4ca8b09>>58])
 }
 
-var deBruijnIdx = [64]byte{
-	0, 1, 56, 2, 57, 49, 28, 3, 61, 58, 42, 50, 38, 29, 17, 4,
-	62, 47, 59, 36, 45, 43, 51, 22, 53, 39, 33, 30, 24, 18, 12, 5,
-	63, 55, 48, 27, 60, 41, 37, 16, 46, 35, 44, 21, 52, 32, 23, 11,
-	54, 26, 40, 15, 34, 20, 31, 10, 25, 14, 19, 9, 13, 8, 7, 6,
+// dequantizeRow converts row r's truncated codes back into the float32
+// datapath: features through the per-column affine ranges at the read
+// precision, the label verbatim. dst must hold ncols+1.
+//
+//dana:hotpath
+func (e *Extractor) dequantizeRow(p storage.WeavePage, r int, dst []float32) {
+	ncols := len(e.offs)
+	codes := e.codes[r*ncols : (r+1)*ncols]
+	scales := e.scales[:ncols]
+	down := uint(storage.WeaveMaxBits - e.bits)
+	for c, off := range e.offs {
+		x := float64(codes[c]>>down) * e.inv
+		dst[c] = float32(off + scales[c]*x)
+	}
+	dst[ncols] = p.Label(r)
 }
 
 // DefaultReweaveRows is the page row budget ReweaveRows uses when the
@@ -173,8 +210,45 @@ const DefaultReweaveRows = 1024
 // legal stream form of the same epoch reweaves identically. This is the
 // single reweaving semantics: the weave backend trains on its output
 // and its conformance reference trains the golden float64 trainer on
-// the same output.
+// the same output. It is a one-shot Reweaver, so the rows are the
+// caller's to keep.
 func ReweaveRows(rows [][]float32, ranges []storage.WeaveRange, bits, pageRows int) ([][]float32, []storage.WeaveRange, error) {
+	w, err := NewReweaver(bits, pageRows)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w.Reweave(rows, ranges)
+}
+
+// Reweaver is ReweaveRows with its buffers kept: the extractor, one
+// page, the per-page feature views and one output slab are reused from
+// call to call, so a steady stream of equally sized epochs allocates
+// nothing. The rows a call returns are valid until the next call.
+type Reweaver struct {
+	ex       *Extractor
+	pageRows int
+	page     []byte
+	feats    [][]float32
+	labels   []float32
+	slab     []float32
+	out      [][]float32
+}
+
+// NewReweaver builds a reweaver for k-bit reads through pages of
+// pageRows rows (out of range = DefaultReweaveRows).
+func NewReweaver(bits, pageRows int) (*Reweaver, error) {
+	e, err := NewExtractor(bits)
+	if err != nil {
+		return nil, err
+	}
+	if pageRows <= 0 || pageRows > storage.WeaveMaxRows {
+		pageRows = DefaultReweaveRows
+	}
+	return &Reweaver{ex: e, pageRows: pageRows}, nil
+}
+
+// Reweave is ReweaveRows into the reweaver's own buffers.
+func (w *Reweaver) Reweave(rows [][]float32, ranges []storage.WeaveRange) ([][]float32, []storage.WeaveRange, error) {
 	if len(rows) == 0 {
 		return nil, ranges, nil
 	}
@@ -183,43 +257,67 @@ func ReweaveRows(rows [][]float32, ranges []storage.WeaveRange, bits, pageRows i
 		return nil, nil, fmt.Errorf("%w: rows carry %d values, need features plus a label",
 			storage.ErrWeaveUnsupported, len(rows[0]))
 	}
-	feats := make([][]float32, len(rows))
-	labels := make([]float32, len(rows))
 	for i, r := range rows {
 		if len(r) != nfeat+1 {
 			return nil, nil, fmt.Errorf("%w: ragged row %d (%d values, want %d)",
 				storage.ErrWeaveUnsupported, i, len(r), nfeat+1)
 		}
-		feats[i] = r[:nfeat]
-		labels[i] = r[nfeat]
 	}
 	if ranges == nil {
-		ranges = storage.WeaveRanges(feats, nfeat)
+		ranges = storage.WeaveRanges(rows, nfeat)
 	}
-	if pageRows <= 0 || pageRows > storage.WeaveMaxRows {
-		pageRows = DefaultReweaveRows
+	if len(ranges) != nfeat {
+		return nil, nil, fmt.Errorf("%w: %d ranges for rows of %d features",
+			storage.ErrWeaveUnsupported, len(ranges), nfeat)
 	}
-	e, err := NewExtractor(bits)
-	if err != nil {
+	w.grow(len(rows), nfeat)
+	if err := w.run(rows, ranges); err != nil {
 		return nil, nil, err
 	}
-	out := make([][]float32, 0, len(rows))
-	for at := 0; at < len(rows); at += pageRows {
-		end := at + pageRows
-		if end > len(rows) {
-			end = len(rows)
-		}
-		p, err := storage.BuildWeavePage(ranges, feats[at:end], labels[at:end])
-		if err != nil {
-			return nil, nil, err
-		}
-		decoded, err := e.DecodeRows(p)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, decoded...)
+	return w.out, ranges, nil
+}
+
+// grow sizes every buffer for an epoch of nrows rows of nfeat features.
+func (w *Reweaver) grow(nrows, nfeat int) {
+	pageRows := min(w.pageRows, nrows)
+	w.ex.Prepare(nfeat, pageRows)
+	if size := storage.WeavePageSize(nfeat, pageRows); cap(w.page) < size {
+		w.page = make([]byte, size)
 	}
-	return out, ranges, nil
+	if cap(w.feats) < pageRows {
+		w.feats, w.labels = make([][]float32, pageRows), make([]float32, pageRows)
+	}
+	if n := nrows * (nfeat + 1); cap(w.slab) < n {
+		w.slab = make([]float32, n)
+	}
+	if cap(w.out) < nrows {
+		w.out = make([][]float32, nrows)
+	}
+	w.out = w.out[:nrows]
+}
+
+// run reweaves rows page by page: split features from labels, build the
+// page in the held buffer, decode it into the slab.
+//
+//dana:hotpath
+func (w *Reweaver) run(rows [][]float32, ranges []storage.WeaveRange) error {
+	nfeat := len(ranges)
+	for at := 0; at < len(rows); at += w.pageRows {
+		end := min(at+w.pageRows, len(rows))
+		feats, labels := w.feats[:end-at], w.labels[:end-at]
+		for i, r := range rows[at:end] {
+			feats[i], labels[i] = r[:nfeat], r[nfeat]
+		}
+		p, err := storage.BuildWeavePageInto(w.page, ranges, feats, labels)
+		if err != nil {
+			return err
+		}
+		if err := p.Validate(); err != nil {
+			return err
+		}
+		w.ex.decodeInto(p, w.slab[at*(nfeat+1):end*(nfeat+1)], w.out[at:end])
+	}
+	return nil
 }
 
 // PageDecodeCycles models the cycles an any-precision Strider spends

@@ -163,7 +163,7 @@ func TestDecodePageEmitError(t *testing.T) {
 
 func TestDecodeReusesScratchAcrossPages(t *testing.T) {
 	// A second, smaller page must not see stale codes from the first:
-	// Prepare re-zeros the scratch prefix it exposes.
+	// the scratch is never cleared, every decode writes all it exposes.
 	big, _, _ := buildPage(t, 3, 150, 6, true)
 	small, feats, _ := buildPage(t, 2, 40, 7, true)
 	e, _ := NewExtractor(storage.WeaveMaxBits)

@@ -25,7 +25,15 @@ type obsLeg struct {
 	noCache  bool
 }
 
-func trainWallOnce(t *testing.T, leg obsLeg, disable bool) time.Duration {
+// obsTimedEpochs is the length of one timed Train. The quantity under
+// test is per epoch, so the epochs only lengthen the timed region: at 6
+// a Train was ~17 ms and a scheduler hiccup read as tens of percent; at
+// 30 it is ~85 ms.
+const obsTimedEpochs = 30
+
+// obsTrainer opens an engine on the leg's workload, with the counters on
+// or off, warms it, and returns a function that times one Train.
+func obsTrainer(t *testing.T, leg obsLeg, disable bool) func() float64 {
 	t.Helper()
 	eng, err := Open(Config{
 		PageSize: 32 << 10, PoolBytes: 128 << 20,
@@ -42,20 +50,21 @@ func trainWallOnce(t *testing.T, leg obsLeg, disable bool) time.Duration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetEpochs(6)
+	a.SetEpochs(obsTimedEpochs)
 	if err := eng.RegisterUDF(a, leg.merge); err != nil {
 		t.Fatal(err)
 	}
+	train := func() float64 {
+		start := time.Now()
+		if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start).Seconds()
+	}
 	// Warm the pool and the process (JIT-free, but page cache, branch
 	// predictors, and the allocator all settle on the first run).
-	if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
-		t.Fatal(err)
-	}
-	return time.Since(start)
+	train()
+	return train
 }
 
 func TestObsOverheadBudget(t *testing.T) {
@@ -71,35 +80,48 @@ func TestObsOverheadBudget(t *testing.T) {
 }
 
 func obsOverheadBudget(t *testing.T, leg obsLeg) {
-	// Interleave on/off measurements so slow drift (thermal, noisy
-	// neighbors) hits both sides equally, then compare the minima:
-	// scheduler noise only ever adds time, so the fastest round is the
-	// least-contaminated estimate of each side's true cost. A systematic
-	// regression shows up in every attempt, so a budget miss is only
-	// fatal if it reproduces across independent measurement attempts.
+	// Each round times the two sides back to back, alternating which goes
+	// first, and contributes one on/off ratio: slow drift (thermal, noisy
+	// neighbours) and whatever running second costs hit both sides of a
+	// pair alike. The median ratio is the verdict — one disturbed pair
+	// moves it by a rank, not by its size, which comparing the two sides'
+	// minima (or means) does not give.
 	measure := func() float64 {
-		const rounds = 7
-		var on, off []float64
+		// Fresh engines per measurement: where an engine's pages landed is
+		// a bias of its own, and attempts that shared a pair would share it.
+		on, off := obsTrainer(t, leg, false), obsTrainer(t, leg, true)
+		const rounds = 9
+		ratios := make([]float64, 0, rounds)
 		for i := 0; i < rounds; i++ {
-			on = append(on, trainWallOnce(t, leg, false).Seconds())
-			off = append(off, trainWallOnce(t, leg, true).Seconds())
+			var tOn, tOff float64
+			if i%2 == 0 {
+				tOn, tOff = on(), off()
+			} else {
+				tOff, tOn = off(), on()
+			}
+			ratios = append(ratios, tOn/tOff)
 		}
-		best := func(xs []float64) float64 {
-			s := append([]float64(nil), xs...)
-			sort.Float64s(s)
-			return s[0]
-		}
-		mOn, mOff := best(on), best(off)
-		t.Logf("obs on %.3fms, off %.3fms, overhead %.2f%%", mOn*1e3, mOff*1e3, 100*(mOn/mOff-1))
-		return mOn/mOff - 1
+		sort.Float64s(ratios)
+		median := ratios[rounds/2]
+		t.Logf("obs on/off over %d pairs of %d-epoch trains: median %+.2f%%, range %+.2f%% … %+.2f%%",
+			rounds, obsTimedEpochs, 100*(median-1), 100*(ratios[0]-1), 100*(ratios[rounds-1]-1))
+		return median - 1
 	}
-	const budget = 0.05
+	// On a shared two-core host the median of nine pairs still strays
+	// several per cent either way (−7 % … +5 % over 24 measurements on an
+	// idle host, −12 % … +6 % with other packages' tests running
+	// alongside), so one reading over budget is not a verdict. A
+	// systematic regression shows up in every attempt
+	// (the per-batch instrument this test exists for reads +40 %), so a
+	// budget miss is fatal only if it reproduces in every one of
+	// obsAttempts independent measurements.
+	const budget, obsAttempts = 0.05, 5
 	var overhead float64
-	for attempt := 0; attempt < 3; attempt++ {
+	for attempt := 0; attempt < obsAttempts; attempt++ {
 		if overhead = measure(); overhead <= budget {
 			return
 		}
 	}
-	t.Fatalf("observability overhead %.2f%% exceeds the 5%% budget in 3 consecutive measurements",
-		100*overhead)
+	t.Fatalf("observability overhead %.2f%% exceeds the 5%% budget in %d consecutive measurements",
+		100*overhead, obsAttempts)
 }
