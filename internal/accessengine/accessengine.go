@@ -29,12 +29,12 @@ type Engine struct {
 
 	prog []strider.Instr
 	cfg  strider.Config
-	vms  []*strider.VM
+	vms  []*strider.VM // run only the pages walk declines (every page without direct)
 
-	// allF32 marks a packed all-float4 schema: the tuple payload is a
-	// flat little-endian float32 stream, decodable without the per-column
-	// type dispatch.
-	allF32 bool
+	// walk is the direct pass; direct is false for InnoDB engines and
+	// layouts it does not cover.
+	walk   walker
+	direct bool
 
 	faults *fault.Injector
 
@@ -93,12 +93,18 @@ func New(layout strider.PageLayout, schema *storage.Schema, numStriders int) (*E
 	if err != nil {
 		return nil, err
 	}
-	return newWith(layout, schema, numStriders, prog, cfg)
+	e, err := newWith(layout, schema, numStriders, prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.walk, e.direct = newWalker(layout, schema)
+	return e, nil
 }
 
 // NewInnoDB builds an access engine for MySQL/InnoDB-style pages: the
 // Striders run the chain-walking program instead of the line-pointer
 // walker, demonstrating the ISA's cross-engine portability (§5.1.2).
+// Every page runs in the VM: the chain walk has no direct counterpart.
 func NewInnoDB(pageSize int, schema *storage.Schema, numStriders int) (*Engine, error) {
 	prog, cfg, err := strider.GenerateInnoDB(strider.InnoDBLayout(pageSize, schema))
 	if err != nil {
@@ -112,13 +118,6 @@ func newWith(layout strider.PageLayout, schema *storage.Schema, numStriders int,
 		return nil, fmt.Errorf("accessengine: need at least one strider, got %d", numStriders)
 	}
 	e := &Engine{Layout: layout, Schema: schema, NumStriders: numStriders, prog: prog, cfg: cfg}
-	e.allF32 = schema.DataWidth() == 4*schema.NumCols()
-	for i, col := range schema.Cols {
-		if col.Type != storage.TFloat32 || schema.ColOffset(i) != 4*i {
-			e.allF32 = false
-			break
-		}
-	}
 	for i := 0; i < numStriders; i++ {
 		vm := strider.NewVM(prog, cfg)
 		vm.Reserve(layout.PageSize)
@@ -149,21 +148,30 @@ func Deformat(schema *storage.Schema, data []byte, dst []float32) ([]float32, er
 		return dst, fmt.Errorf("accessengine: payload %d bytes, schema needs %d", len(data), schema.DataWidth())
 	}
 	for i, col := range schema.Cols {
-		off := schema.ColOffset(i)
-		switch col.Type {
-		case storage.TFloat32:
-			dst = append(dst, math.Float32frombits(binary.LittleEndian.Uint32(data[off:])))
-		case storage.TFloat64:
-			dst = append(dst, float32(math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))))
-		case storage.TInt32:
-			dst = append(dst, float32(int32(binary.LittleEndian.Uint32(data[off:]))))
-		case storage.TInt64:
-			dst = append(dst, float32(int64(binary.LittleEndian.Uint64(data[off:]))))
-		default:
+		v, ok := colFloat(col.Type, data[schema.ColOffset(i):])
+		if !ok {
 			return dst, fmt.Errorf("accessengine: column %q has unsupported type", col.Name)
 		}
+		dst = append(dst, v)
 	}
 	return dst, nil
+}
+
+// colFloat converts one column's little-endian bytes to the engine's
+// float32 (ints converted to float; float8 narrowed); ok is false for a
+// type with no conversion.
+func colFloat(t storage.ColType, b []byte) (v float32, ok bool) {
+	switch t {
+	case storage.TFloat32:
+		return math.Float32frombits(binary.LittleEndian.Uint32(b)), true
+	case storage.TFloat64:
+		return float32(math.Float64frombits(binary.LittleEndian.Uint64(b))), true
+	case storage.TInt32:
+		return float32(int32(binary.LittleEndian.Uint32(b))), true
+	case storage.TInt64:
+		return float32(int64(binary.LittleEndian.Uint64(b))), true
+	}
+	return 0, false
 }
 
 // PageResult is one page's extraction output: the tuple values live in a
@@ -187,8 +195,43 @@ type PageResult struct {
 	WalkNs int64 // host wall-clock of the walk (observability only, never modeled)
 }
 
-// ExtractPage runs the page through Strider vmIdx and deformats the
-// emitted tuples into res, reusing res.Data/res.Rows capacity. It does
+// reserve empties res.Data and gives it room for total values: its own
+// capacity reused first, then an extent carved from Arena, then the heap.
+//
+//dana:hotpath
+func (res *PageResult) reserve(total int) {
+	res.Data = res.Data[:0]
+	if cap(res.Data) < total {
+		if res.Arena != nil {
+			res.Data = res.Arena.Alloc(total)
+		} else {
+			//danalint:ignore hotalloc -- capacity-guarded growth for arena-less callers
+			res.Data = make([]float32, 0, total)
+		}
+	}
+}
+
+// setRows rebuilds res.Rows as n views of cols values over res.Data,
+// whose backing array must be final.
+//
+//dana:hotpath
+func (res *PageResult) setRows(n, cols int) {
+	rows := res.Rows[:0]
+	if cap(rows) < n {
+		//danalint:ignore hotalloc -- capacity-guarded growth, reused once recycled
+		rows = make([][]float32, 0, n)
+	}
+	for i := 0; i < n; i++ {
+		rows = append(rows, res.Data[i*cols:(i+1)*cols:(i+1)*cols])
+	}
+	res.Rows = rows
+}
+
+// ExtractPage unpacks the page on Strider vmIdx into res, reusing
+// res.Data/res.Rows capacity, and sets the modeled counters the Strider
+// program charges for it. The walker decodes the page directly and
+// charges the program's closed-form cost; a page it declines runs in
+// the VM, which alone defines trap behaviour and error text. It does
 // not touch the engine's stats (see Collector); calls are safe
 // concurrently as long as each goroutine uses a distinct vmIdx — the
 // host-parallel analogue of the S independent Striders.
@@ -198,6 +241,17 @@ func (e *Engine) ExtractPage(vmIdx int, page storage.Page, res *PageResult) erro
 	if err := e.faults.TrapFault(vmIdx, res.PageNo); err != nil {
 		return err
 	}
+	if e.direct && e.walk.extract(page, res) {
+		return nil
+	}
+	return e.extractVM(vmIdx, page, res)
+}
+
+// extractVM interprets the Strider program over the page and deformats
+// the bytes it emits: the definition the walker is diffed against.
+//
+//dana:hotpath
+func (e *Engine) extractVM(vmIdx int, page storage.Page, res *PageResult) error {
 	vm := e.vms[vmIdx]
 	if err := vm.Run(page); err != nil {
 		return fmt.Errorf("accessengine: strider %d, page %d: %w", vmIdx, res.PageNo, err)
@@ -209,44 +263,15 @@ func (e *Engine) ExtractPage(vmIdx int, page storage.Page, res *PageResult) erro
 	}
 	n := len(out) / w
 	cols := e.Schema.NumCols()
-	total := n * cols
-	data := res.Data[:0]
-	if cap(data) < total {
-		if res.Arena != nil {
-			data = res.Arena.Alloc(total)
-		} else {
-			//danalint:ignore hotalloc -- capacity-guarded growth for arena-less callers
-			data = make([]float32, 0, total)
-		}
-	}
-	if e.allF32 {
-		// Packed float4 schema: the payload is one flat little-endian
-		// float32 stream, so the page decodes in a single pass.
-		data = data[:total]
-		for i := range data {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(out[i*4 : i*4+4]))
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			var err error
-			data, err = Deformat(e.Schema, out[i*w:(i+1)*w], data)
-			if err != nil {
-				return err
-			}
-		}
-	}
-	// Build the row views only after every append: the arena's backing
-	// array is final now.
-	rows := res.Rows[:0]
-	if cap(rows) < n {
-		//danalint:ignore hotalloc -- capacity-guarded growth, reused once recycled
-		rows = make([][]float32, 0, n)
-	}
+	res.reserve(n * cols)
 	for i := 0; i < n; i++ {
-		rows = append(rows, data[i*cols:(i+1)*cols:(i+1)*cols])
+		var err error
+		res.Data, err = Deformat(e.Schema, out[i*w:(i+1)*w], res.Data)
+		if err != nil {
+			return err
+		}
 	}
-	res.Data = data
-	res.Rows = rows
+	res.setRows(n, cols)
 	res.Cycles = vm.Cycles()
 	res.Bytes = int64(len(out))
 	res.Steps = vm.Steps()

@@ -209,6 +209,9 @@ func TestInnoDBAccessEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if e.direct {
+		t.Error("InnoDB engine has a line-pointer walker; the chain walk must stay on the VM")
+	}
 	var pages []storage.Page
 	for i := 0; i < rel.NumPages(); i++ {
 		pg, err := rel.Page(i)

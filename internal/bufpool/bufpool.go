@@ -215,7 +215,12 @@ func (p *Pool) ResetStats() {
 	p.stats = Stats{}
 }
 
-// Invalidate drops every cached page (the cold-cache setting).
+// Invalidate drops every cached page (the cold-cache setting). Frames
+// keep their page buffers, and the clock hand returns to frame 0: with
+// every frame free the hand decides only which empty frame fills first,
+// so no counter moves, but without the rewind each cold scan would
+// demand-fill buffers in the next stretch of frames round the clock
+// until every frame of the pool held one.
 func (p *Pool) Invalidate() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -226,9 +231,10 @@ func (p *Pool) Invalidate() error {
 	}
 	dropped := int64(len(p.table))
 	for i := range p.frames {
-		p.frames[i] = frame{}
+		p.frames[i] = frame{page: p.frames[i].page}
 	}
-	p.table = make(map[PageID]int, len(p.frames))
+	clear(p.table)
+	p.hand = 0
 	p.invals++
 	p.obsRing.Emit(obs.EvPoolInval, dropped, 0)
 	return nil

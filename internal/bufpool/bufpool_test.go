@@ -200,6 +200,44 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// TestInvalidateKeepsFrameBuffers: repeated cold scans reuse the page
+// buffers of the frames they filled the first time — the clock hand
+// rewinds, so a pool larger than the table never grows past one buffer
+// per page — and each cycle's counters equal a never-invalidated pool's
+// first scan, on both sides of the pool-fits-table line (the state
+// after a full invalidate is the same at every hand position).
+func TestInvalidateKeepsFrameBuffers(t *testing.T) {
+	r := testRelation(t, "t", 2000)
+	scan := func(p *Pool) Stats {
+		p.ResetStats()
+		if err := p.Prefetch("t", 0, r.NumPages()); err != nil {
+			t.Fatal(err)
+		}
+		return p.Stats()
+	}
+	for _, frames := range []int{3 * r.NumPages(), r.NumPages() / 2} {
+		want := scan(newPool(t, frames, r))
+		p := newPool(t, frames, r)
+		for cycle := 0; cycle < 4; cycle++ {
+			if err := p.Invalidate(); err != nil {
+				t.Fatal(err)
+			}
+			if got := scan(p); got != want {
+				t.Errorf("%d frames, cycle %d: stats %+v, fresh pool %+v", frames, cycle, got, want)
+			}
+		}
+		held := 0
+		for i := range p.frames {
+			if p.frames[i].page != nil {
+				held++
+			}
+		}
+		if want := min(frames, r.NumPages()); held != want {
+			t.Errorf("%d frames hold a buffer after 4 cold scans of %d pages, want %d", held, r.NumPages(), want)
+		}
+	}
+}
+
 func TestAttachWrongPageSize(t *testing.T) {
 	s := storage.NumericSchema(1)
 	r := storage.NewRelation("w", s, storage.PageSize32K)

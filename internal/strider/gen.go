@@ -62,7 +62,7 @@ func Generate(layout PageLayout) ([]Instr, Config, error) {
 \\ Page header processing
 readB %d, 2, %%cr0          \\ pd_lower: end of the line pointer array
 readB %d, 2, %%cr1          \\ pd_upper: start of tuple data (free-space end)
-readB 18, 2, %%cr2          \\ page size | layout version
+readB %d, 2, %%cr2          \\ page size | layout version
 ad %d, 0, %%t0              \\ t0 = address of first line pointer
 \\ Tuple extraction and processing
 bentr
@@ -74,7 +74,7 @@ cln %%t2, %d, %%t3          \\ emit cleaned payload to the engines
 ad %%t0, %d, %%t0           \\ advance to the next line pointer
 bexit 1, %%t0, %%cr0        \\ exit once the pointer reaches pd_lower
 `,
-		layout.LowerOffset, layout.UpperOffset, layout.HeaderSize,
+		layout.LowerOffset, layout.UpperOffset, sizeVersionOffset, layout.HeaderSize,
 		layout.ItemIDSize, layout.TupleHeaderSize, layout.TupleHeaderSize,
 		layout.ItemIDSize)
 	prog, err := Assemble(src)
@@ -96,6 +96,31 @@ func verifyGenerated(prog []Instr, cfg Config, pageSize int) error {
 		return fmt.Errorf("strider: generated program failed verification: %w", err)
 	}
 	return nil
+}
+
+// sizeVersionOffset is pd_pagesize_version, the third header field the
+// generated program loads.
+const sizeVersionOffset = 18
+
+// HeaderReadEnd returns how many page bytes the generated program's
+// three 2-byte header readBs need; a shorter page traps the walk.
+func (l PageLayout) HeaderReadEnd() int {
+	return max(l.LowerOffset, l.UpperOffset, sizeVersionOffset) + 2
+}
+
+// WalkCost is the one statement of what the program Generate emits
+// costs on a page it walks to completion, in the VM's own units: the
+// three header readBs, the ad and bentr retire once, the seven-
+// instruction loop body once per line pointer, and each cln adds one
+// cycle per 8 payload bytes moved. In general Cycles = Steps +
+// Σ⌈payloadᵢ/8⌉ and Bytes = Σ payloadᵢ; items of one payload width —
+// the only pages a caller may charge without running the VM — close it.
+// A do-while walk retires at least one item, and a 2-byte pd_lower
+// bounds items far below the VM's step budget.
+func WalkCost(items, payload int) (steps, cycles, bytes int64) {
+	n := int64(items)
+	steps = 5 + 7*n
+	return steps, steps + n*int64((payload+7)/8), n * int64(payload)
 }
 
 // ExpectedOutputBytes returns how many bytes the generated program emits

@@ -323,6 +323,10 @@ func TestGeneratedProgramFullPageProperty(t *testing.T) {
 		if !bytes.Equal(vm.Out(), want) {
 			t.Fatalf("trial %d (nf=%d n=%d): output mismatch", trial, nf, n)
 		}
+		if steps, cycles, emitted := WalkCost(n, schema.DataWidth()); steps != vm.Steps() || cycles != vm.Cycles() || emitted != int64(len(want)) {
+			t.Fatalf("trial %d (nf=%d n=%d): WalkCost %d/%d/%d, VM retired %d steps, %d cycles, %d bytes",
+				trial, nf, n, steps, cycles, emitted, vm.Steps(), vm.Cycles(), len(want))
+		}
 	}
 }
 
