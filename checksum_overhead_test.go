@@ -10,78 +10,66 @@ package dana
 // verify path actually executes.
 
 import (
-	"sort"
 	"testing"
 	"time"
 )
 
-func trainChecksumOnce(t *testing.T, verify bool) time.Duration {
-	t.Helper()
-	eng, err := Open(Config{
-		PageSize: 32 << 10, PoolBytes: 128 << 20,
-		Workers: 1, NoExtractCache: true, VerifyChecksums: verify,
-	})
-	if err != nil {
-		t.Fatal(err)
+// checksumTimedTrains is how many ColdCache + Train cycles one timing
+// covers. The verify pass runs once per cold Train (the pool holds the
+// table, so only the first of its 6 epochs reads the disk): more epochs
+// would dilute the quantity under test, more cycles only lengthen the
+// timed region — one was ~9 ms, where a scheduler hiccup reads as tens of
+// per cent.
+const checksumTimedTrains = 5
+
+// checksumTrainer returns a function that opens a fresh engine — where
+// an engine's pages landed is a bias of its own, so no two timings share
+// one — settles it on a warm-up Train, and times checksumTimedTrains
+// cold-cache Trains, so every page goes through the disk-read (and
+// verify) path.
+func checksumTrainer(t *testing.T, verify bool) func() float64 {
+	return func() float64 {
+		t.Helper()
+		eng, err := Open(Config{
+			PageSize: 32 << 10, PoolBytes: 128 << 20,
+			Workers: 1, NoExtractCache: true, VerifyChecksums: verify,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := eng.LoadWorkload("Remote Sensing LR", 0.02, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := d.DSLAlgo(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.SetEpochs(6)
+		if err := eng.RegisterUDF(a, 64); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		for i := 0; i < checksumTimedTrains; i++ {
+			if err := eng.ColdCache(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(start).Seconds()
 	}
-	d, err := eng.LoadWorkload("Remote Sensing LR", 0.02, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := d.DSLAlgo(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.SetEpochs(6)
-	if err := eng.RegisterUDF(a, 64); err != nil {
-		t.Fatal(err)
-	}
-	// Settle the process on a warm-up run, then measure a cold-cache
-	// train so every page goes through the disk-read (and verify) path.
-	if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.ColdCache(); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
-		t.Fatal(err)
-	}
-	return time.Since(start)
 }
 
 func TestChecksumOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement; skipped in -short mode")
 	}
-	// Compare minima, not medians: scheduler noise only ever adds time,
-	// so the fastest round is the least-contaminated estimate. A
-	// systematic regression shows up in every attempt, so a budget miss
-	// is only fatal if it reproduces across independent measurements.
-	measure := func() float64 {
-		const rounds = 7
-		var on, off []float64
-		for i := 0; i < rounds; i++ {
-			on = append(on, trainChecksumOnce(t, true).Seconds())
-			off = append(off, trainChecksumOnce(t, false).Seconds())
-		}
-		best := func(xs []float64) float64 {
-			s := append([]float64(nil), xs...)
-			sort.Float64s(s)
-			return s[0]
-		}
-		mOn, mOff := best(on), best(off)
-		t.Logf("checksums on %.3fms, off %.3fms, overhead %.2f%%", mOn*1e3, mOff*1e3, 100*(mOn/mOff-1))
-		return mOn/mOff - 1
-	}
-	const budget = 0.05
-	var overhead float64
-	for attempt := 0; attempt < 3; attempt++ {
-		if overhead = measure(); overhead <= budget {
-			return
-		}
-	}
-	t.Fatalf("checksum overhead %.2f%% exceeds the 5%% budget in 3 consecutive measurements",
-		100*overhead)
+	requireOverheadBudget(t, "checksum", func() (on, off func() float64) {
+		return checksumTrainer(t, true), checksumTrainer(t, false)
+	})
 }

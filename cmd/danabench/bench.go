@@ -41,10 +41,13 @@ import (
 const benchSchema = 1
 
 type benchFile struct {
-	Schema     int                   `json:"schema"`
-	Name       string                `json:"name"`
-	GoOS       string                `json:"goos"`
-	GoArch     string                `json:"goarch"`
+	Schema int    `json:"schema"`
+	Name   string `json:"name"`
+	GoOS   string `json:"goos"`
+	GoArch string `json:"goarch"`
+	// The host the wall times are from (the `go test` child inherits both).
+	NProc      int                   `json:"nproc"`
+	GoMaxProcs int                   `json:"gomaxprocs"`
 	Count      int                   `json:"count"`
 	Benchmarks map[string]benchEntry `json:"benchmarks"`
 	// Modeled holds deterministic simulator counters (engine / strider
@@ -81,6 +84,7 @@ func runBenchMode(benchRe string, count int, pkgs, name, outDir, baseline string
 	bf := &benchFile{
 		Schema: benchSchema, Name: name,
 		GoOS: runtime.GOOS, GoArch: runtime.GOARCH,
+		NProc: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0),
 		Count: count, Benchmarks: results,
 	}
 	modeled, err := modeledCounters()

@@ -29,7 +29,7 @@ type Engine struct {
 
 	prog []strider.Instr
 	cfg  strider.Config
-	vms  []*strider.VM // run only the pages walk declines (every page without direct)
+	vms  []*strider.VM // vms[i] runs the pages walk declines on Strider i; nil until the first (see vm)
 
 	// walk is the direct pass; direct is false for InnoDB engines and
 	// layouts it does not cover.
@@ -86,16 +86,28 @@ func (e *Engine) SetObs(r *obs.Registry) {
 // the injector whether the (strider, page) walk traps (nil detaches).
 func (e *Engine) SetFaults(in *fault.Injector) { e.faults = in }
 
-// New builds the engine: it generates the Strider program for the page
-// layout (compiler step) and instantiates the page-buffer/Strider pairs.
+// New generates the Strider program for the page layout (the compiler
+// step) and builds the engine around it: the form for callers with no
+// catalog to load a verified program from (NewFor).
 func New(layout strider.PageLayout, schema *storage.Schema, numStriders int) (*Engine, error) {
 	prog, cfg, err := strider.Generate(layout)
 	if err != nil {
 		return nil, err
 	}
-	e, err := newWith(layout, schema, numStriders, prog, cfg)
-	if err != nil {
-		return nil, err
+	return NewFor(layout, schema, numStriders, prog, cfg)
+}
+
+// NewFor builds the engine around an already generated Strider program
+// for the layout, which it keeps and never writes. Nothing runs prog
+// until the walker declines a page: Strider i's VM is built by the first
+// page ExtractPage(i, …) declines.
+func NewFor(layout strider.PageLayout, schema *storage.Schema, numStriders int, prog []strider.Instr, cfg strider.Config) (*Engine, error) {
+	if numStriders < 1 {
+		return nil, fmt.Errorf("accessengine: need at least one strider, got %d", numStriders)
+	}
+	e := &Engine{
+		Layout: layout, Schema: schema, NumStriders: numStriders,
+		prog: prog, cfg: cfg, vms: make([]*strider.VM, numStriders),
 	}
 	e.walk, e.direct = newWalker(layout, schema)
 	return e, nil
@@ -104,32 +116,37 @@ func New(layout strider.PageLayout, schema *storage.Schema, numStriders int) (*E
 // NewInnoDB builds an access engine for MySQL/InnoDB-style pages: the
 // Striders run the chain-walking program instead of the line-pointer
 // walker, demonstrating the ISA's cross-engine portability (§5.1.2).
-// Every page runs in the VM: the chain walk has no direct counterpart.
+// Every page runs in the VM — the chain walk has no direct counterpart,
+// and the bare layout resolves no walker — so the VMs are built here.
 func NewInnoDB(pageSize int, schema *storage.Schema, numStriders int) (*Engine, error) {
 	prog, cfg, err := strider.GenerateInnoDB(strider.InnoDBLayout(pageSize, schema))
 	if err != nil {
 		return nil, err
 	}
-	return newWith(strider.PageLayout{PageSize: pageSize}, schema, numStriders, prog, cfg)
-}
-
-func newWith(layout strider.PageLayout, schema *storage.Schema, numStriders int, prog []strider.Instr, cfg strider.Config) (*Engine, error) {
-	if numStriders < 1 {
-		return nil, fmt.Errorf("accessengine: need at least one strider, got %d", numStriders)
+	e, err := NewFor(strider.PageLayout{PageSize: pageSize}, schema, numStriders, prog, cfg)
+	if err != nil {
+		return nil, err
 	}
-	e := &Engine{Layout: layout, Schema: schema, NumStriders: numStriders, prog: prog, cfg: cfg}
-	for i := 0; i < numStriders; i++ {
-		vm := strider.NewVM(prog, cfg)
-		vm.Reserve(layout.PageSize)
-		e.vms = append(e.vms, vm)
+	for i := range e.vms {
+		e.vm(i)
 	}
 	return e, nil
 }
 
-// Program returns the generated Strider program (for the catalog).
+// vm returns Strider i's VM, built on first use. Only the goroutine that
+// owns index i calls vm(i) (ExtractPage's contract): no lock.
+func (e *Engine) vm(i int) *strider.VM {
+	if e.vms[i] == nil {
+		e.vms[i] = strider.NewVM(e.prog, e.cfg)
+		e.vms[i].Reserve(e.Layout.PageSize)
+	}
+	return e.vms[i]
+}
+
+// Program returns the Strider program the engine was built around.
 func (e *Engine) Program() []strider.Instr { return e.prog }
 
-// Config returns the Strider configuration (for the catalog).
+// Config returns the Strider configuration the engine was built around.
 func (e *Engine) Config() strider.Config { return e.cfg }
 
 // Stats returns a snapshot of the counters.
@@ -252,7 +269,8 @@ func (e *Engine) ExtractPage(vmIdx int, page storage.Page, res *PageResult) erro
 //
 //dana:hotpath
 func (e *Engine) extractVM(vmIdx int, page storage.Page, res *PageResult) error {
-	vm := e.vms[vmIdx]
+	//danalint:ignore hotcall -- one-time lazy VM build on a Strider's first declined page, reused afterwards
+	vm := e.vm(vmIdx)
 	if err := vm.Run(page); err != nil {
 		return fmt.Errorf("accessengine: strider %d, page %d: %w", vmIdx, res.PageNo, err)
 	}

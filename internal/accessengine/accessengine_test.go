@@ -212,6 +212,11 @@ func TestInnoDBAccessEngine(t *testing.T) {
 	if e.direct {
 		t.Error("InnoDB engine has a line-pointer walker; the chain walk must stay on the VM")
 	}
+	for i, vm := range e.vms {
+		if vm == nil {
+			t.Errorf("strider %d: no VM built up front, and every InnoDB page runs in one", i)
+		}
+	}
 	var pages []storage.Page
 	for i := 0; i < rel.NumPages(); i++ {
 		pg, err := rel.Page(i)

@@ -13,13 +13,10 @@ import "sync/atomic"
 // or finished with them.
 //
 // A reservation that does not fit falls back to an ordinary heap
-// allocation — correctness never depends on the sizing estimate — and
-// is counted so the benchmarks and the allocation guard can prove the
-// fallback stays cold.
+// allocation — correctness never depends on the sizing estimate.
 type Arena struct {
-	data     []float32
-	off      atomic.Int64
-	overflow atomic.Int64
+	data []float32
+	off  atomic.Int64
 }
 
 // NewArena allocates a slab of the given float32 capacity.
@@ -34,13 +31,6 @@ func NewArena(capacity int) *Arena {
 // still references it (epoch barrier).
 func (a *Arena) Reset() { a.off.Store(0) }
 
-// Cap returns the slab capacity in float32 values.
-func (a *Arena) Cap() int { return len(a.data) }
-
-// Overflows returns how many reservations missed the slab and fell
-// back to the heap.
-func (a *Arena) Overflows() int64 { return a.overflow.Load() }
-
 // Alloc reserves an extent of n float32 values, returned with length 0
 // and capacity exactly n (so appends cannot cross into a neighboring
 // extent). Safe for concurrent use by the extraction workers.
@@ -53,8 +43,7 @@ func (a *Arena) Alloc(n int) []float32 {
 	end := a.off.Add(int64(n))
 	if end > int64(len(a.data)) {
 		a.off.Add(int64(-n)) // hand the unusable reservation back
-		a.overflow.Add(1)
-		//danalint:ignore hotalloc -- counted heap fallback for undersized slabs
+		//danalint:ignore hotalloc -- heap fallback for undersized slabs
 		return make([]float32, 0, n)
 	}
 	start := int(end) - n

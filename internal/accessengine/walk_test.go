@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dana/internal/datagen"
@@ -308,9 +309,9 @@ func TestPageCyclesIsOneBelowTheWalk(t *testing.T) {
 }
 
 // TestExtractPageRecycledAllocatesNothing: a recycled PageResult makes
-// the direct pass allocation-free, and the VMs' output buffers — 32 KB
-// each, reserved lazily — are never allocated by a scan in which no
-// page declines (Train reaches them only through ExtractPage).
+// the direct pass allocation-free, and no Strider VM — nor its 32 KB
+// output buffer — exists after a scan in which no page declines (Train
+// reaches the VMs only through ExtractPage).
 func TestExtractPageRecycledAllocatesNothing(t *testing.T) {
 	for _, schema := range []*storage.Schema{storage.NumericSchema(54), storage.RatingSchema()} {
 		rel, _ := buildRelation(t, schema, 3000, 9)
@@ -332,20 +333,71 @@ func TestExtractPageRecycledAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: recycled scan of %d pages allocates %.0f times", schema, rel.NumPages(), n)
 		}
 		for i, vm := range e.vms {
-			if cap(vm.Out()) != 0 {
-				t.Errorf("%s: strider %d reserved a %d-byte output buffer with no page declined", schema, i, cap(vm.Out()))
+			if vm != nil {
+				t.Errorf("%s: strider %d built a VM with no page declined", schema, i)
 			}
 		}
-		// A declined page is what allocates one, on its own Strider only.
+		// A declined page is what builds one, on its own Strider only.
 		pg, _ := rel.Page(0)
 		short := append(storage.Page(nil), pg...)
 		binary.LittleEndian.PutUint32(short[storage.PageHeaderSize:], 0)
 		if err := e.ExtractPage(1, short, &results[1]); err == nil {
 			t.Fatal("zeroed line pointer accepted")
 		}
-		if cap(e.vms[0].Out()) != 0 || cap(e.vms[1].Out()) == 0 {
-			t.Errorf("%s: output buffers after one declined page on strider 1: %d, %d bytes",
-				schema, cap(e.vms[0].Out()), cap(e.vms[1].Out()))
+		if e.vms[0] != nil || e.vms[1] == nil || cap(e.vms[1].Out()) == 0 {
+			t.Errorf("%s: VMs after one declined page on strider 1: %v, %v", schema, e.vms[0], e.vms[1])
+		}
+	}
+}
+
+// TestDeclinedPagesBuildOnlyTheirOwnVM (run under -race): two goroutines
+// on distinct vmIdx share one engine, each walking the labelled seed
+// pages of its schema. A goroutine handed only covered pages builds no
+// VM; one handed the damaged pages builds exactly its own, and gets the
+// VM path's result for every page.
+func TestDeclinedPagesBuildOnlyTheirOwnVM(t *testing.T) {
+	seeds := walkSeeds(t)
+	for ei, ws := range walkSchemas {
+		for _, damaged := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+			build := func() *Engine {
+				e, err := New(strider.PostgresLayout(storage.PageSize8K), ws.schema, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			// The engine under test, and an oracle per goroutine (each runs
+			// its pages on its own VM 0).
+			e, oracles := build(), [2]*Engine{build(), build()}
+			var wg sync.WaitGroup
+			for g := 0; g < 2; g++ {
+				wg.Add(1)
+				go func(vmIdx int) {
+					defer wg.Done()
+					oracle := oracles[vmIdx]
+					for _, s := range seeds {
+						if s.engine != ei || (!s.accept && !damaged[vmIdx]) {
+							continue
+						}
+						got, want := PageResult{PageNo: 7}, PageResult{PageNo: 7}
+						err := e.ExtractPage(vmIdx, s.page, &got)
+						wantErr := oracle.extractVM(0, s.page, &want)
+						if (err == nil) != (wantErr == nil) {
+							t.Errorf("%s on strider %d: error %v, VM path %v", s.name, vmIdx, err, wantErr)
+						} else if err == nil {
+							if d := samePage(&got, &want); d != nil {
+								t.Errorf("%s on strider %d: %v", s.name, vmIdx, d)
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			for i, vm := range e.vms {
+				if want := i < 2 && damaged[i]; (vm != nil) != want {
+					t.Errorf("%s, damaged pages on %v: strider %d VM built = %v, want %v", ws.name, damaged, i, vm != nil, want)
+				}
+			}
 		}
 	}
 }

@@ -117,10 +117,6 @@ type Expr struct {
 	algo *Algo
 }
 
-// IsScalar reports whether the expression was declared scalar (leaves
-// only; operation shapes are inferred by the translator).
-func (e *Expr) IsScalar() bool { return len(e.Dims) == 0 }
-
 // String renders a compact form of the node.
 func (e *Expr) String() string {
 	switch {

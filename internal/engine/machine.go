@@ -622,11 +622,12 @@ func (m *Machine) chargeMergeBatch(n, k int) {
 }
 
 // EpochStream feeds one epoch's tuples to the machine incrementally, in
-// merge-coefficient batches, without requiring the whole epoch to be
-// materialized first. It forms exactly the batches RunEpoch would form
-// on the concatenated tuple sequence, so cycle counts and the trained
-// model are bit-identical whether tuples arrive all at once or page by
-// page while later pages are still being extracted (§5.1.1 overlap).
+// merge-coefficient batches, for the producer that recycles row storage
+// between Feeds (the extraction pipeline's Stream.Batches); a caller that
+// holds the whole epoch calls RunEpoch. It forms exactly the batches
+// RunEpoch forms on the concatenated tuple sequence, so cycle counts and
+// the trained model are bit-identical whether tuples arrive all at once
+// or page by page while later pages are still being extracted (§5.1.1).
 type EpochStream struct {
 	m         *Machine
 	batchSize int
@@ -710,13 +711,19 @@ func (s *EpochStream) Finish() error {
 	return err
 }
 
-// RunEpoch processes the tuples in merge-coefficient batches.
+// RunEpoch runs one epoch over rows the caller holds for the whole call:
+// RunBatch over consecutive batchSize slices of tuples, the final short
+// slice included — the batches Feed + Finish form — with no copy.
+//
+//dana:hotpath
 func (m *Machine) RunEpoch(tuples [][]float32, batchSize int) error {
-	s := m.StreamEpoch(batchSize)
-	if err := s.Feed(tuples); err != nil {
-		return err
+	batchSize = max(batchSize, 1)
+	for lo := 0; lo < len(tuples); lo += batchSize {
+		if err := m.RunBatch(tuples[lo:min(lo+batchSize, len(tuples))]); err != nil {
+			return err
+		}
 	}
-	return s.Finish()
+	return nil
 }
 
 // Converged evaluates the convergence program (thread 0) on the plan.

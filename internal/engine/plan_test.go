@@ -57,19 +57,7 @@ func diffPlanReference(c diffCase) error {
 	if run == nil {
 		run = (*Machine).RunBatch
 	}
-	same := func(what string) error {
-		a, b := pm.Model(), rm.Model()
-		for i := range a {
-			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-				return fmt.Errorf("%s: model[%d] plan %v (%#x) != reference %v (%#x)",
-					what, i, a[i], math.Float32bits(a[i]), b[i], math.Float32bits(b[i]))
-			}
-		}
-		if pm.Stats() != rm.Stats() {
-			return fmt.Errorf("%s: stats diverge:\n  plan      %+v\n  reference %+v", what, pm.Stats(), rm.Stats())
-		}
-		return nil
-	}
+	same := func(what string) error { return sameMachine(what, "plan", pm, "reference", rm) }
 	batches := c.batches
 	forks := pm.hostWorkers > 1 && c.cfg.Threads > 1 && c.prog.HasMerge() && pm.cycPerTuple > 0 && len(batches) > 0
 	if forks {
@@ -109,6 +97,22 @@ func diffPlanReference(c diffCase) error {
 	}
 	if forks && len(pm.helperCh) == 0 {
 		return fmt.Errorf("workers=%d: a batch of %d × %d cycles never forked", c.workers, len(batches[len(batches)-1]), pm.cycPerTuple)
+	}
+	return nil
+}
+
+// sameMachine reports the first difference between two machines' models
+// (as bits) and Stats; an and bn name the sides in the report.
+func sameMachine(what, an string, a *Machine, bn string, b *Machine) error {
+	am, bm := a.Model(), b.Model()
+	for i := range am {
+		if math.Float32bits(am[i]) != math.Float32bits(bm[i]) {
+			return fmt.Errorf("%s: model[%d] %s %v (%#x) != %s %v (%#x)",
+				what, i, an, am[i], math.Float32bits(am[i]), bn, bm[i], math.Float32bits(bm[i]))
+		}
+	}
+	if a.Stats() != b.Stats() {
+		return fmt.Errorf("%s: stats diverge:\n  %s %+v\n  %s %+v", what, an, a.Stats(), bn, b.Stats())
 	}
 	return nil
 }

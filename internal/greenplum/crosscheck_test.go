@@ -5,6 +5,7 @@ import (
 
 	"dana/internal/algos"
 	"dana/internal/bufpool"
+	"dana/internal/golden"
 	"dana/internal/greenplum"
 	"dana/internal/ml"
 	"dana/internal/storage"
@@ -17,7 +18,7 @@ import (
 // These crosschecks pin the implementation to that reference and to
 // the golden trainer in the single-segment (= plain SGD) case.
 
-func clusterFor(t *testing.T, sp verify.GoldenSpec, tuples [][]float64, segments int) *greenplum.Cluster {
+func clusterFor(t *testing.T, sp golden.Spec, tuples [][]float64, segments int) *greenplum.Cluster {
 	t.Helper()
 	var schema *storage.Schema
 	if sp.Kind == algos.KindLRMF {
@@ -73,7 +74,7 @@ func referenceTrain(algo ml.Algorithm, tuples [][]float64, segments, epochs int)
 // segments than tuples) across GLM kinds: the cluster's averaged model
 // must be bit-identical to the explicit reference loop.
 func TestGreenplumMatchesReference(t *testing.T) {
-	specs := []verify.GoldenSpec{
+	specs := []golden.Spec{
 		{Kind: algos.KindLinear, NFeat: 5, LR: 0.05, Epochs: 3, MergeCoef: 1},
 		{Kind: algos.KindLogistic, NFeat: 4, LR: 0.1, Epochs: 2, MergeCoef: 1},
 		{Kind: algos.KindSVM, NFeat: 6, LR: 0.05, Lambda: 0.01, Epochs: 2, MergeCoef: 1},
@@ -82,7 +83,7 @@ func TestGreenplumMatchesReference(t *testing.T) {
 		sp := sp
 		t.Run(string(sp.Kind), func(t *testing.T) {
 			g := verify.NewGen(int64(0x6B00 + si))
-			tuples := verify.TrainingTuples(g, sp, 35)
+			tuples := golden.TrainingTuples(g, sp, 35)
 			for _, segments := range []int{1, 2, 4, 8, 64} {
 				c := clusterFor(t, sp, tuples, segments)
 				got, st, err := c.Train(sp.Epochs)
@@ -93,7 +94,7 @@ func TestGreenplumMatchesReference(t *testing.T) {
 					t.Errorf("segments=%d: stats report %d segments", segments, st.Segments)
 				}
 				want := referenceTrain(sp.Algorithm(), tuples, segments, sp.Epochs)
-				if err := verify.CompareModels("cluster vs reference", got, want, 0); err != nil {
+				if err := golden.CompareModels("cluster vs reference", got, want, 0); err != nil {
 					t.Errorf("segments=%d: %v", segments, err)
 				}
 			}
@@ -105,19 +106,19 @@ func TestGreenplumMatchesReference(t *testing.T) {
 // so the cluster must agree with the independent golden trainer within
 // float round-off.
 func TestSingleSegmentMatchesGolden(t *testing.T) {
-	sp := verify.GoldenSpec{Kind: algos.KindLinear, NFeat: 6, LR: 0.05, Epochs: 3, MergeCoef: 1}
+	sp := golden.Spec{Kind: algos.KindLinear, NFeat: 6, LR: 0.05, Epochs: 3, MergeCoef: 1}
 	g := verify.NewGen(0x6B10)
-	tuples := verify.TrainingTuples(g, sp, 40)
+	tuples := golden.TrainingTuples(g, sp, 40)
 	c := clusterFor(t, sp, tuples, 1)
 	got, _, err := c.Train(sp.Epochs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden := ml.InitModel(sp.Algorithm(), 1)
-	if err := sp.Train(golden, tuples); err != nil {
+	want := ml.InitModel(sp.Algorithm(), 1)
+	if err := sp.Train(want, tuples); err != nil {
 		t.Fatal(err)
 	}
-	if err := verify.CompareModels("cluster vs golden", got, golden, 1e-9); err != nil {
+	if err := golden.CompareModels("cluster vs golden", got, want, 1e-9); err != nil {
 		t.Error(err)
 	}
 }
@@ -126,9 +127,9 @@ func TestSingleSegmentMatchesGolden(t *testing.T) {
 // reference with the wrong shard assignment must NOT match, proving the
 // comparator pins the actual partitioning.
 func TestGreenplumCrosscheckDetectsShardDrift(t *testing.T) {
-	sp := verify.GoldenSpec{Kind: algos.KindLinear, NFeat: 4, LR: 0.05, Epochs: 2, MergeCoef: 1}
+	sp := golden.Spec{Kind: algos.KindLinear, NFeat: 4, LR: 0.05, Epochs: 2, MergeCoef: 1}
 	g := verify.NewGen(0x6B20)
-	tuples := verify.TrainingTuples(g, sp, 33)
+	tuples := golden.TrainingTuples(g, sp, 33)
 	c := clusterFor(t, sp, tuples, 4)
 	got, _, err := c.Train(sp.Epochs)
 	if err != nil {
@@ -137,7 +138,7 @@ func TestGreenplumCrosscheckDetectsShardDrift(t *testing.T) {
 	// Rotate the tuple order before sharding: same data, wrong shards.
 	rotated := append(append([][]float64(nil), tuples[1:]...), tuples[0])
 	wrong := referenceTrain(sp.Algorithm(), rotated, 4, sp.Epochs)
-	if err := verify.CompareModels("meta", got, wrong, 0); err == nil {
+	if err := golden.CompareModels("meta", got, wrong, 0); err == nil {
 		t.Fatal("comparator accepted a reference with drifted shard assignment")
 	}
 }

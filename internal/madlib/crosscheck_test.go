@@ -5,6 +5,7 @@ import (
 
 	"dana/internal/algos"
 	"dana/internal/bufpool"
+	"dana/internal/golden"
 	"dana/internal/madlib"
 	"dana/internal/ml"
 	"dana/internal/storage"
@@ -20,7 +21,7 @@ import (
 // relationFor writes the tuples into a fresh heap relation attached to
 // a fresh buffer pool. Values are float32-quantized by the generator so
 // the float4 on-disk columns round-trip exactly.
-func relationFor(t *testing.T, sp verify.GoldenSpec, tuples [][]float64, pageSize int) (*bufpool.Pool, *storage.Relation) {
+func relationFor(t *testing.T, sp golden.Spec, tuples [][]float64, pageSize int) (*bufpool.Pool, *storage.Relation) {
 	t.Helper()
 	var schema *storage.Schema
 	if sp.Kind == algos.KindLRMF {
@@ -46,17 +47,17 @@ func relationFor(t *testing.T, sp verify.GoldenSpec, tuples [][]float64, pageSiz
 func TestMADlibMatchesGoldenTrainer(t *testing.T) {
 	cases := []struct {
 		name string
-		sp   verify.GoldenSpec
+		sp   golden.Spec
 	}{
-		{"linear", verify.GoldenSpec{Kind: algos.KindLinear, NFeat: 6, LR: 0.05, Epochs: 3, MergeCoef: 1}},
-		{"logistic", verify.GoldenSpec{Kind: algos.KindLogistic, NFeat: 4, LR: 0.1, Epochs: 3, MergeCoef: 1}},
-		{"svm", verify.GoldenSpec{Kind: algos.KindSVM, NFeat: 8, LR: 0.05, Lambda: 0.01, Epochs: 2, MergeCoef: 1}},
-		{"lrmf", verify.GoldenSpec{Kind: algos.KindLRMF, Users: 5, Items: 4, Rank: 2, LR: 0.05, Epochs: 2, MergeCoef: 1}},
+		{"linear", golden.Spec{Kind: algos.KindLinear, NFeat: 6, LR: 0.05, Epochs: 3, MergeCoef: 1}},
+		{"logistic", golden.Spec{Kind: algos.KindLogistic, NFeat: 4, LR: 0.1, Epochs: 3, MergeCoef: 1}},
+		{"svm", golden.Spec{Kind: algos.KindSVM, NFeat: 8, LR: 0.05, Lambda: 0.01, Epochs: 2, MergeCoef: 1}},
+		{"lrmf", golden.Spec{Kind: algos.KindLRMF, Users: 5, Items: 4, Rank: 2, LR: 0.05, Epochs: 2, MergeCoef: 1}},
 	}
 	for ci, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := verify.NewGen(int64(0xBA5E + ci))
-			tuples := verify.TrainingTuples(g, tc.sp, 40)
+			tuples := golden.TrainingTuples(g, tc.sp, 40)
 			pool, rel := relationFor(t, tc.sp, tuples, storage.PageSize8K)
 			algo := tc.sp.Algorithm()
 
@@ -78,17 +79,17 @@ func TestMADlibMatchesGoldenTrainer(t *testing.T) {
 			if err := ml.TrainSGD(algo, ref, tuples, tc.sp.Epochs); err != nil {
 				t.Fatal(err)
 			}
-			if err := verify.CompareModels("madlib vs ml.TrainSGD", got, ref, 0); err != nil {
+			if err := golden.CompareModels("madlib vs ml.TrainSGD", got, ref, 0); err != nil {
 				t.Error(err)
 			}
 
 			// Leg 2: the independent golden trainer, 1e-9 for FP op-order
 			// differences.
-			golden := ml.InitModel(algo, 1)
-			if err := tc.sp.Train(golden, tuples); err != nil {
+			want := ml.InitModel(algo, 1)
+			if err := tc.sp.Train(want, tuples); err != nil {
 				t.Fatal(err)
 			}
-			if err := verify.CompareModels("madlib vs golden", got, golden, 1e-9); err != nil {
+			if err := golden.CompareModels("madlib vs golden", got, want, 1e-9); err != nil {
 				t.Error(err)
 			}
 		})
@@ -98,9 +99,9 @@ func TestMADlibMatchesGoldenTrainer(t *testing.T) {
 // TestMADlibCrosscheckDetectsTamper is the meta-test for this file: a
 // perturbed model must trip the bit-exact comparator.
 func TestMADlibCrosscheckDetectsTamper(t *testing.T) {
-	sp := verify.GoldenSpec{Kind: algos.KindLinear, NFeat: 4, LR: 0.05, Epochs: 2, MergeCoef: 1}
+	sp := golden.Spec{Kind: algos.KindLinear, NFeat: 4, LR: 0.05, Epochs: 2, MergeCoef: 1}
 	g := verify.NewGen(0xBA5E)
-	tuples := verify.TrainingTuples(g, sp, 30)
+	tuples := golden.TrainingTuples(g, sp, 30)
 	pool, rel := relationFor(t, sp, tuples, storage.PageSize8K)
 	tr, err := madlib.New(pool, rel, sp.Algorithm())
 	if err != nil {
@@ -112,7 +113,7 @@ func TestMADlibCrosscheckDetectsTamper(t *testing.T) {
 	}
 	tampered := append([]float64(nil), got...)
 	tampered[0] += 1e-12
-	if err := verify.CompareModels("meta", got, tampered, 0); err == nil {
+	if err := golden.CompareModels("meta", got, tampered, 0); err == nil {
 		t.Fatal("bit-exact comparator accepted a perturbed model")
 	}
 }

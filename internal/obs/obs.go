@@ -166,14 +166,6 @@ type HistSnapshot struct {
 	Buckets map[string]int64 `json:"buckets,omitempty"` // "2^k" -> count
 }
 
-// Mean returns sum/count, or 0 when empty.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 func (h *Histogram) snapshot() HistSnapshot {
 	s := HistSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
 	if s.Count > 0 {

@@ -38,6 +38,7 @@ import (
 
 	"dana/internal/accessengine"
 	"dana/internal/backend"
+	"dana/internal/catalog"
 	"dana/internal/fault"
 	"dana/internal/obs"
 	"dana/internal/storage"
@@ -174,8 +175,9 @@ func (w *workerError) Unwrap() error { return w.err }
 // stream from the buffer pool through Striders into the engine, with
 // the record cache and the host-parallel extraction —
 // when the backend is Streaming, the relation's tuples materialized
-// once (in both widths) otherwise.
-func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, nStriders int) (*epochRunner, error) {
+// once (in both widths) otherwise. The Striders run acc's program, the
+// one buildAccelerator verified: nothing is regenerated per Train.
+func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, acc *catalog.Accelerator, nStriders int) (*epochRunner, error) {
 	caps := be.Capabilities()
 	if !caps.Streaming {
 		rows64, rows32, err := rel.NarrowedRows(true)
@@ -187,7 +189,7 @@ func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, nStride
 			rows: &backend.Stream{Rows32: rows32, Rows64: rows64},
 		}, nil
 	}
-	ae, err := accessengine.New(strider.PostgresLayout(s.Opts.PageSize), rel.Schema, nStriders)
+	ae, err := accessengine.NewFor(strider.PostgresLayout(s.Opts.PageSize), rel.Schema, nStriders, acc.StriderProg, acc.StriderCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +247,7 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 // is deliberately NOT reset while recycled PageResults still own
 // extents), so a window of twice the recycled results suffices. An
 // undersized slab is never incorrect: Arena.Alloc falls back to the
-// heap and counts the overflow.
+// heap.
 func (r *epochRunner) sizeArena() {
 	pages := max(r.rel.NumPages(), 1)
 	perPage := (r.rel.NumTuples() + pages - 1) / pages // ceil avg tuples/page

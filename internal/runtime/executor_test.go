@@ -390,7 +390,7 @@ func newBenchRunner(t *testing.T, workers int, noCache bool) (*epochRunner, *bac
 	if ns > 16 {
 		ns = 16
 	}
-	ae, err := accessengine.New(strider.PostgresLayout(opts.PageSize), d.Rel.Schema, ns)
+	ae, err := accessengine.NewFor(strider.PostgresLayout(opts.PageSize), d.Rel.Schema, ns, acc.StriderProg, acc.StriderCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,5 +517,73 @@ func TestResultCycleOutlivesTheSink(t *testing.T) {
 			t.Fatalf("workers=%d: leaked page pins", w)
 		}
 		m.Close()
+	}
+}
+
+// TestTrainRunsCatalogProgram (white box): the Strider program a Train's
+// access engine holds is the catalog's own — the slice buildAccelerator
+// verified and danactl prints, not a regenerated equal — and Trains
+// verify nothing again.
+func TestTrainRunsCatalogProgram(t *testing.T) {
+	s, udfName, table := ftSystem(t)
+	udf, rel, acc, job, err := s.resolve(udfName, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, _, job, err := s.disp.Resolve(s.Opts.Backend, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := s.programFor(udf, rel, acc, job.Bits)
+	if err := be.Configure(prog); err != nil {
+		t.Fatal(err)
+	}
+	defer be.(backend.Closer).Close()
+	feed, err := s.newEpochFeed(rel, be, acc, prog.Striders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if feed.ae == nil {
+		t.Fatal("the default backend got no access engine")
+	}
+	got := feed.ae.Program()
+	if len(got) == 0 || len(got) != len(acc.StriderProg) || &got[0] != &acc.StriderProg[0] {
+		t.Errorf("the feed runs a %d-instruction program at %p; the catalog holds %d at %p",
+			len(got), got, len(acc.StriderProg), acc.StriderProg)
+	}
+	if feed.ae.Config() != acc.StriderCfg {
+		t.Errorf("the feed's Strider config %+v is not the catalog's %+v", feed.ae.Config(), acc.StriderCfg)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.Train(udfName, table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs := obsCount(t, s, obs.StriderVerifyRuns); runs != 1 {
+		t.Errorf("%d Strider verifications after Register and 3 Trains, want Register's one", runs)
+	}
+}
+
+// TestTrainAllocBudget: a Train served by the record cache allocates at
+// most half of what it did while every call regenerated, assembled and
+// verified the Strider program, built 16 VMs and copied the epoch's tail
+// batch: 148 allocations on this configuration then (196 on its bench
+// twin, glm_cached), 24 now. The rest is per-Train by design — the
+// configured machine, its plan and the result.
+func TestTrainAllocBudget(t *testing.T) {
+	s, udfName, table := ftSystem(t, func(o *Options) { o.Workers = 1 })
+	train := func() {
+		if _, err := s.Train(udfName, table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	train() // fills the record cache
+	misses := obsCount(t, s, obs.RuntimeCacheMisses)
+	const budget = 148 / 2
+	if a := testing.AllocsPerRun(5, train); a > budget {
+		t.Errorf("a cache-served Train allocates %.0f times, budget %d", a, budget)
+	}
+	if got := obsCount(t, s, obs.RuntimeCacheMisses); got != misses {
+		t.Errorf("the measured Trains missed the record cache %d times", got-misses)
 	}
 }

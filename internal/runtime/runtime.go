@@ -471,7 +471,7 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 	trainStart := time.Now()
 	s.obsTrainRuns.Inc()
 	s.obs.Trace(obs.EvTrainStart, int64(job.Epochs), int64(rel.NumPages()))
-	feed, err := s.newEpochFeed(rel, be, prog.Striders)
+	feed, err := s.newEpochFeed(rel, be, acc, prog.Striders)
 	if err != nil {
 		return nil, err
 	}

@@ -24,23 +24,11 @@ import (
 //	golden ≈ engine simulator       5e-3 (float32 datapath)
 //	engine plan == reference exec   bit-identical float32 + every counter
 
-// GoldenSpec describes one training instance (internal/golden owns the
-// trainer; the oracles below cross-check it).
-type GoldenSpec = golden.Spec
-
 // CompareModels checks |a-b| <= tol * (1 + max(|a|,|b|)) per parameter;
 // tol 0 demands bit-identity.
 func CompareModels(what string, a, b []float64, tol float64) error {
 	return golden.CompareModels(what, a, b, tol)
 }
-
-// TrainingTuples draws a well-scaled dataset for the spec from g.
-func TrainingTuples(g *Gen, sp GoldenSpec, n int) [][]float64 {
-	return golden.TrainingTuples(g, sp, n)
-}
-
-// InitModelFor draws an initial model for the spec from g.
-func InitModelFor(g *Gen, sp GoldenSpec) []float64 { return golden.InitModelFor(g, sp) }
 
 // EquivalenceOpt tunes CheckTrainingEquivalence.
 type EquivalenceOpt struct {
@@ -51,7 +39,7 @@ type EquivalenceOpt struct {
 
 // CheckTrainingEquivalence runs the full Oracle C hierarchy for one
 // (spec, init, tuples) instance.
-func CheckTrainingEquivalence(sp GoldenSpec, init []float64, tuples [][]float64, opt EquivalenceOpt) error {
+func CheckTrainingEquivalence(sp golden.Spec, init []float64, tuples [][]float64, opt EquivalenceOpt) error {
 	if opt.EngineTol == 0 {
 		opt.EngineTol = 5e-3
 	}

@@ -7,6 +7,7 @@ import (
 
 	"dana/internal/algos"
 	"dana/internal/engine"
+	"dana/internal/golden"
 	"dana/internal/storage"
 	"dana/internal/strider"
 )
@@ -146,7 +147,7 @@ func TestOracleBDetectsFlippedPayloadByte(t *testing.T) {
 // TestOracleCDetectsWrongValue perturbs one trained parameter and
 // requires the model comparator to fail at every tolerance tier.
 func TestOracleCDetectsWrongValue(t *testing.T) {
-	sp := GoldenSpec{Kind: algos.KindLinear, NFeat: 4, LR: 0.05, Epochs: 2, MergeCoef: 2}
+	sp := golden.Spec{Kind: algos.KindLinear, NFeat: 4, LR: 0.05, Epochs: 2, MergeCoef: 2}
 	g := NewGen(metaSeed + 4)
 	tuples, init := trainingData(g, sp, 25)
 	golden := append([]float64(nil), init...)
@@ -169,7 +170,7 @@ func TestOracleCDetectsWrongValue(t *testing.T) {
 // spec whose golden trainer deliberately disagrees (wrong LR): the
 // interpreter leg must fire.
 func TestOracleCDetectsWrongTrainer(t *testing.T) {
-	sp := GoldenSpec{Kind: algos.KindLogistic, NFeat: 5, LR: 0.1, Epochs: 2, MergeCoef: 1}
+	sp := golden.Spec{Kind: algos.KindLogistic, NFeat: 5, LR: 0.1, Epochs: 2, MergeCoef: 1}
 	g := NewGen(metaSeed + 5)
 	tuples, init := trainingData(g, sp, 25)
 	if err := CheckTrainingEquivalence(sp, init, tuples, EquivalenceOpt{SkipEngine: true}); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dana/internal/algos"
+	"dana/internal/golden"
 )
 
 // BaseSeed anchors the deterministic differential suite. Every subtest
@@ -22,8 +23,8 @@ var kinds = []algos.Kind{algos.KindLinear, algos.KindLogistic, algos.KindSVM, al
 // specFor draws a random training spec. Hyper-parameters are kept in
 // ranges where float32/float64 divergence stays well under the engine
 // tolerance (no knife-edge SVM margins, bounded feature scale).
-func specFor(g *Gen) GoldenSpec {
-	sp := GoldenSpec{
+func specFor(g *Gen) golden.Spec {
+	sp := golden.Spec{
 		Kind:      kinds[g.Intn(len(kinds))],
 		LR:        0.01 + 0.04*float64(g.Intn(5)),
 		Epochs:    1 + g.Intn(3),
@@ -45,9 +46,9 @@ func specFor(g *Gen) GoldenSpec {
 }
 
 // trainingData draws a well-scaled dataset and init model for the spec
-// (see TrainingTuples / InitModelFor, which external crosschecks reuse).
-func trainingData(g *Gen, sp GoldenSpec, n int) ([][]float64, []float64) {
-	return TrainingTuples(g, sp, n), InitModelFor(g, sp)
+// (see golden.TrainingTuples / InitModelFor, which external crosschecks reuse).
+func trainingData(g *Gen, sp golden.Spec, n int) ([][]float64, []float64) {
+	return golden.TrainingTuples(g, sp, n), golden.InitModelFor(g, sp)
 }
 
 // TestDifferentialSuite runs NumInstances random (schema, relation,
@@ -117,7 +118,7 @@ func TestDifferentialSuite(t *testing.T) {
 // TestGoldenMatchesInterpAllKinds pins the bit-identity claim per kind,
 // including merge batching, on fixed seeds (fast, always on).
 func TestGoldenMatchesInterpAllKinds(t *testing.T) {
-	cases := []GoldenSpec{
+	cases := []golden.Spec{
 		{Kind: algos.KindLinear, NFeat: 4, LR: 0.05, Epochs: 3, MergeCoef: 1},
 		{Kind: algos.KindLinear, NFeat: 6, LR: 0.05, Epochs: 2, MergeCoef: 4},
 		{Kind: algos.KindLogistic, NFeat: 5, LR: 0.1, Epochs: 3, MergeCoef: 1},

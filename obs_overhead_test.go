@@ -12,7 +12,6 @@ package dana
 // a per-batch instrument is a per-tuple one.
 
 import (
-	"sort"
 	"testing"
 	"time"
 )
@@ -80,48 +79,8 @@ func TestObsOverheadBudget(t *testing.T) {
 }
 
 func obsOverheadBudget(t *testing.T, leg obsLeg) {
-	// Each round times the two sides back to back, alternating which goes
-	// first, and contributes one on/off ratio: slow drift (thermal, noisy
-	// neighbours) and whatever running second costs hit both sides of a
-	// pair alike. The median ratio is the verdict — one disturbed pair
-	// moves it by a rank, not by its size, which comparing the two sides'
-	// minima (or means) does not give.
-	measure := func() float64 {
-		// Fresh engines per measurement: where an engine's pages landed is
-		// a bias of its own, and attempts that shared a pair would share it.
-		on, off := obsTrainer(t, leg, false), obsTrainer(t, leg, true)
-		const rounds = 9
-		ratios := make([]float64, 0, rounds)
-		for i := 0; i < rounds; i++ {
-			var tOn, tOff float64
-			if i%2 == 0 {
-				tOn, tOff = on(), off()
-			} else {
-				tOff, tOn = off(), on()
-			}
-			ratios = append(ratios, tOn/tOff)
-		}
-		sort.Float64s(ratios)
-		median := ratios[rounds/2]
-		t.Logf("obs on/off over %d pairs of %d-epoch trains: median %+.2f%%, range %+.2f%% … %+.2f%%",
-			rounds, obsTimedEpochs, 100*(median-1), 100*(ratios[0]-1), 100*(ratios[rounds-1]-1))
-		return median - 1
-	}
-	// On a shared two-core host the median of nine pairs still strays
-	// several per cent either way (−7 % … +5 % over 24 measurements on an
-	// idle host, −12 % … +6 % with other packages' tests running
-	// alongside), so one reading over budget is not a verdict. A
-	// systematic regression shows up in every attempt
-	// (the per-batch instrument this test exists for reads +40 %), so a
-	// budget miss is fatal only if it reproduces in every one of
-	// obsAttempts independent measurements.
-	const budget, obsAttempts = 0.05, 5
-	var overhead float64
-	for attempt := 0; attempt < obsAttempts; attempt++ {
-		if overhead = measure(); overhead <= budget {
-			return
-		}
-	}
-	t.Fatalf("observability overhead %.2f%% exceeds the 5%% budget in %d consecutive measurements",
-		100*overhead, obsAttempts)
+	// The per-batch instrument this test exists for reads +40 %.
+	requireOverheadBudget(t, "observability", func() (on, off func() float64) {
+		return obsTrainer(t, leg, false), obsTrainer(t, leg, true)
+	})
 }
