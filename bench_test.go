@@ -583,12 +583,9 @@ func BenchmarkDAnAFunctionalEpoch(b *testing.B) {
 
 // openTrainBench deploys a multi-page workload on an engine with the
 // given executor configuration and registers its UDF.
-func openTrainBench(b *testing.B, workload string, scale float64, mergeCoef, workers, epochs int, noCache bool) (*Engine, *Dataset, *Algo) {
+func openTrainBench(b *testing.B, workload string, scale float64, mergeCoef, workers, epochs int) (*Engine, *Dataset, *Algo) {
 	b.Helper()
-	eng, err := Open(Config{
-		PageSize: 32 << 10, PoolBytes: 128 << 20,
-		Workers: workers, NoExtractCache: noCache,
-	})
+	eng, err := Open(Config{PageSize: 32 << 10, PoolBytes: 128 << 20, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -607,18 +604,22 @@ func openTrainBench(b *testing.B, workload string, scale float64, mergeCoef, wor
 	return eng, d, a
 }
 
-// BenchmarkParallelExtract measures the wall-clock of one full
-// extraction epoch (buffer pool -> Strider VMs -> deformat -> engine)
-// with the record cache disabled, so every iteration re-walks every
-// page: serial vs the pipelined worker pool at 4 and 8 workers.
-// Modeled cycle counts are identical across all variants.
+// BenchmarkParallelExtract measures the wall-clock of one full cold
+// extraction epoch (disk read -> buffer pool -> Strider walk -> deformat
+// -> engine, filling the record cache): every iteration drops the caches
+// first, so it re-reads and re-walks every page — serial vs the
+// pipelined worker pool at 4 and 8 workers. Modeled cycle counts are
+// identical across all variants.
 func BenchmarkParallelExtract(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng, d, a := openTrainBench(b, "Remote Sensing LR", 0.02, 64, workers, 1, true)
+			eng, d, a := openTrainBench(b, "Remote Sensing LR", 0.02, 64, workers, 1)
 			b.SetBytes(int64(d.Rel.NumPages()) * int64(storage.PageSize32K))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if err := eng.ColdCache(); err != nil {
+					b.Fatal(err)
+				}
 				if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
 					b.Fatal(err)
 				}
@@ -649,7 +650,7 @@ func BenchmarkEngineFanout(b *testing.B) {
 			workers int
 		}{{"inline", 1}, {"fanned", 2}} {
 			b.Run(wl.name+"/"+cfg.name, func(b *testing.B) {
-				eng, d, a := openTrainBench(b, wl.workload, wl.scale, 64, cfg.workers, epochs, false)
+				eng, d, a := openTrainBench(b, wl.workload, wl.scale, 64, cfg.workers, epochs)
 				if _, err := eng.Train(a.Name, d.Rel.Name); err != nil { // fill the record cache
 					b.Fatal(err)
 				}
@@ -666,9 +667,10 @@ func BenchmarkEngineFanout(b *testing.B) {
 }
 
 // BenchmarkTrainWallClock measures a multi-epoch training query end to
-// end: the serial re-extracting executor versus the pipelined worker
-// pool combined with the cross-epoch record cache (epochs >= 2 skip the
-// buffer pool and Strider walk entirely).
+// end, at one extraction worker and at the pipelined worker pool. The
+// first iteration's first epoch fills the cross-epoch record cache;
+// everything after replays it (the buffer pool and the Strider walk are
+// skipped entirely), so the steady state is the engine's.
 func BenchmarkTrainWallClock(b *testing.B) {
 	const epochs = 8
 	workloads := []struct {
@@ -683,16 +685,15 @@ func BenchmarkTrainWallClock(b *testing.B) {
 	configs := []struct {
 		name    string
 		workers int
-		noCache bool
 	}{
-		{"serial", 1, true},
-		{"parallel4+cache", 4, false},
-		{"parallel8+cache", 8, false},
+		{"serial", 1},
+		{"parallel4+cache", 4},
+		{"parallel8+cache", 8},
 	}
 	for _, wl := range workloads {
 		for _, cfg := range configs {
 			b.Run(wl.name+"/"+cfg.name, func(b *testing.B) {
-				eng, d, a := openTrainBench(b, wl.workload, wl.scale, wl.mergeCoef, cfg.workers, epochs, cfg.noCache)
+				eng, d, a := openTrainBench(b, wl.workload, wl.scale, wl.mergeCoef, cfg.workers, epochs)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
@@ -845,9 +846,10 @@ func BenchmarkCalibration(b *testing.B) {
 }
 
 // BenchmarkObsOverhead measures the cost of the observability layer on
-// an end-to-end LR training query: identical runs with the counters
-// enabled (default) and disabled (obs.Noop). TestObsOverheadBudget
-// gates the delta at < 5%.
+// an end-to-end LR training query over a pool smaller than the table
+// (every epoch re-reads and re-extracts every page): identical runs with
+// the counters enabled (default) and disabled (obs.Noop).
+// TestObsOverheadBudget gates the delta at < 5%.
 func BenchmarkObsOverhead(b *testing.B) {
 	for _, cfg := range []struct {
 		name    string
@@ -855,8 +857,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}{{"obs=on", false}, {"obs=off", true}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			eng, err := Open(Config{
-				PageSize: 32 << 10, PoolBytes: 128 << 20,
-				Workers: 1, NoExtractCache: true, DisableObs: cfg.disable,
+				PageSize: 32 << 10, PoolBytes: 1 << 20,
+				Workers: 1, DisableObs: cfg.disable,
 			})
 			if err != nil {
 				b.Fatal(err)

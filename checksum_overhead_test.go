@@ -5,9 +5,8 @@ package dana
 // checksum is one pass over each page at pool-read time (cold path), and
 // stamping is lazy — once per mutated page, not per insert — so the
 // real overhead is small; the gate catches a future change that puts
-// checksumming on a per-pin or per-tuple path. The run is cold-cache
-// each epoch (NoExtractCache plus a ColdCache before training) so the
-// verify path actually executes.
+// checksumming on a per-pin or per-tuple path. Every timed Train follows
+// a ColdCache, so the verify path actually executes.
 
 import (
 	"testing"
@@ -16,10 +15,10 @@ import (
 
 // checksumTimedTrains is how many ColdCache + Train cycles one timing
 // covers. The verify pass runs once per cold Train (the pool holds the
-// table, so only the first of its 6 epochs reads the disk): more epochs
-// would dilute the quantity under test, more cycles only lengthen the
-// timed region — one was ~9 ms, where a scheduler hiccup reads as tens of
-// per cent.
+// table, so only the first of its 6 epochs reads the disk; the rest
+// replay the record cache): more epochs would dilute the quantity under
+// test, more cycles only lengthen the timed region — one was ~9 ms, where
+// a scheduler hiccup reads as tens of per cent.
 const checksumTimedTrains = 5
 
 // checksumTrainer returns a function that opens a fresh engine — where
@@ -32,7 +31,7 @@ func checksumTrainer(t *testing.T, verify bool) func() float64 {
 		t.Helper()
 		eng, err := Open(Config{
 			PageSize: 32 << 10, PoolBytes: 128 << 20,
-			Workers: 1, NoExtractCache: true, VerifyChecksums: verify,
+			Workers: 1, VerifyChecksums: verify,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,13 +6,10 @@
 //	pinbalance   every bufpool Pin is Unpinned on all paths (or handed off)
 //	determinism  no wall-clock/rand/map-order effects in modeled-cycle packages
 //	obsguard     obs call sites stay zero-alloc and lookup-free under obs.Noop
-//	hotalloc     no heap allocation in //dana:hotpath extraction/merge functions
 //	faulterrors  typed fault sentinels survive wrapping (%w, not %v)
 //	backendreg   every backend.Backend impl is registered with non-empty Capabilities
-//	shadow       no same-typed shadowing of a variable still used afterwards
-//	nilcheck     no dereference of a variable proven nil
 //	tenantflow   tenant-private System/registry/injector values stay in their tenant
-//	hotcall      //dana:hotpath allocation-freedom closed over the call graph
+//	hotcall      no heap allocation in a //dana:hotpath function or anything it calls
 //	golifecycle  go statements in server/runtime join on all paths; lock order acyclic
 //
 // The last three are interprocedural: danalint builds a module-wide

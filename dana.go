@@ -81,9 +81,6 @@ type Config struct {
 	// channel.<i>.* (the obs split is capped at 32 series; see `danactl
 	// stats`). Host scheduling never depends on it.
 	Channels int
-	// NoExtractCache disables the cross-epoch extracted-record cache,
-	// forcing every epoch to re-walk the heap through the Striders.
-	NoExtractCache bool
 	// DisableObs runs the engine without observability counters
 	// (obs.Noop): every instrument site degrades to a nil-check.
 	// Counters never feed back into the model either way — modeled
@@ -148,7 +145,6 @@ func Open(cfg Config) (*Engine, error) {
 	opts.Segments = cfg.Segments
 	opts.Workers = cfg.Workers
 	opts.Cost.Link.Channels = cfg.Channels
-	opts.NoExtractCache = cfg.NoExtractCache
 	opts.DisableObs = cfg.DisableObs
 	opts.Faults = cfg.Faults
 	opts.EpochTimeout = cfg.EpochTimeout

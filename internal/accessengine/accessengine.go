@@ -152,9 +152,6 @@ func (e *Engine) Config() strider.Config { return e.cfg }
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// ResetStats zeroes the counters.
-func (e *Engine) ResetStats() { e.stats = Stats{} }
-
 // Deformat converts one tuple's payload bytes into float32 values, one
 // per column (ints converted to float; float8 narrowed). This is the
 // "transform user data into a floating point format" step of §6.2.
@@ -209,7 +206,6 @@ type PageResult struct {
 	Cycles int64
 	Bytes  int64
 	Steps  int64 // strider VM instructions retired on this page
-	WalkNs int64 // host wall-clock of the walk (observability only, never modeled)
 }
 
 // reserve empties res.Data and gives it room for total values: its own
@@ -222,7 +218,7 @@ func (res *PageResult) reserve(total int) {
 		if res.Arena != nil {
 			res.Data = res.Arena.Alloc(total)
 		} else {
-			//danalint:ignore hotalloc -- capacity-guarded growth for arena-less callers
+			//danalint:ignore hotcall -- capacity-guarded growth for arena-less callers
 			res.Data = make([]float32, 0, total)
 		}
 	}
@@ -235,7 +231,7 @@ func (res *PageResult) reserve(total int) {
 func (res *PageResult) setRows(n, cols int) {
 	rows := res.Rows[:0]
 	if cap(rows) < n {
-		//danalint:ignore hotalloc -- capacity-guarded growth, reused once recycled
+		//danalint:ignore hotcall -- capacity-guarded growth, reused once recycled
 		rows = make([][]float32, 0, n)
 	}
 	for i := 0; i < n; i++ {
@@ -355,49 +351,10 @@ func (c *Collector) Flush() {
 	}
 }
 
-// ProcessPage unpacks one page through a single Strider and returns the
-// extracted tuples as float32 records. It charges the page's own cycles
-// to Stats.Cycles, so the single-page and batch entry points agree.
-func (e *Engine) ProcessPage(page storage.Page) ([][]float32, error) {
-	var res PageResult
-	if err := e.ExtractPage(0, page, &res); err != nil {
-		return nil, err
-	}
-	c := e.NewCollector()
-	c.Add(&res)
-	c.Flush()
-	return res.Rows, nil
-}
-
-// ProcessPages unpacks a batch of pages across the striders. Pages are
-// assigned round-robin; the charged cycle cost of each group of
-// NumStriders pages is the maximum strider time in the group (they run
-// concurrently), summed over groups.
-func (e *Engine) ProcessPages(pages []storage.Page) ([][]float32, error) {
-	var all [][]float32
-	c := e.NewCollector()
-	for i, pg := range pages {
-		var res PageResult
-		if err := e.ExtractPage(i%e.NumStriders, pg, &res); err != nil {
-			return nil, err
-		}
-		c.Add(&res)
-		all = append(all, res.Rows...)
-	}
-	c.Flush()
-	return all, nil
-}
-
-// EstimatePageCycles returns the static Strider cycle cost of unpacking
-// one page holding n tuples of the schema: the loop body is 7
-// instructions plus the emit cycles (1 per 8 payload bytes), plus the 4
-// header instructions.
-func (e *Engine) EstimatePageCycles(tuplesPerPage int) int64 {
-	return PageCycles(e.Schema, tuplesPerPage)
-}
-
-// PageCycles is EstimatePageCycles without an Engine instance (used by
-// the cost model on full-size workloads).
+// PageCycles returns the static Strider cycle cost of unpacking one page
+// holding n tuples of the schema: the loop body is 7 instructions plus
+// the emit cycles (1 per 8 payload bytes), plus the 4 header
+// instructions. The cost model prices full-size workloads with it.
 func PageCycles(schema *storage.Schema, tuplesPerPage int) int64 {
 	emit := int64((schema.DataWidth() + 7) / 8)
 	return 4 + int64(tuplesPerPage)*(7+emit)

@@ -41,6 +41,26 @@ func newEngine(t *testing.T, schema *storage.Schema, striders int) *Engine {
 	return e
 }
 
+// extractAll runs pages through the engine the way the executor does —
+// page i on Strider i mod NumStriders, every result through one
+// Collector, which charges each group of NumStriders pages its slowest
+// Strider — and returns the extracted records in page order.
+func extractAll(t *testing.T, e *Engine, pages []storage.Page) [][]float32 {
+	t.Helper()
+	var all [][]float32
+	c := e.NewCollector()
+	for i, pg := range pages {
+		var res PageResult
+		if err := e.ExtractPage(i%e.NumStriders, pg, &res); err != nil {
+			t.Fatal(err)
+		}
+		c.Add(&res)
+		all = append(all, res.Rows...)
+	}
+	c.Flush()
+	return all
+}
+
 func TestProcessPageRoundTrip(t *testing.T) {
 	schema := storage.NumericSchema(9)
 	rel, data := buildRelation(t, schema, 500, 1)
@@ -51,11 +71,7 @@ func TestProcessPageRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := e.ProcessPage(pg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, recs...)
+		got = append(got, extractAll(t, e, []storage.Page{pg})...)
 	}
 	if len(got) != len(data) {
 		t.Fatalf("extracted %d tuples, want %d", len(got), len(data))
@@ -86,15 +102,9 @@ func TestProcessPagesParallelCycles(t *testing.T) {
 	}
 
 	e1 := newEngine(t, schema, 1)
-	recs1, err := e1.ProcessPages(pages)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs1 := extractAll(t, e1, pages)
 	e4 := newEngine(t, schema, 4)
-	recs4, err := e4.ProcessPages(pages)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs4 := extractAll(t, e4, pages)
 	if len(recs1) != len(data) || len(recs4) != len(data) {
 		t.Fatalf("tuple counts: %d / %d, want %d", len(recs1), len(recs4), len(data))
 	}
@@ -157,11 +167,9 @@ func TestEstimatePageCyclesTracksMeasured(t *testing.T) {
 	rel, _ := buildRelation(t, schema, 400, 3)
 	e := newEngine(t, schema, 1)
 	pg, _ := rel.Page(0)
-	if _, err := e.ProcessPage(pg); err != nil {
-		t.Fatal(err)
-	}
+	extractAll(t, e, []storage.Page{pg})
 	measured := e.Stats().TotalCycles
-	est := e.EstimatePageCycles(pg.NumItems())
+	est := PageCycles(schema, pg.NumItems())
 	ratio := float64(measured) / float64(est)
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Errorf("estimate %d vs measured %d (ratio %.2f)", est, measured, ratio)
@@ -177,10 +185,7 @@ func TestRatingSchemaEndToEnd(t *testing.T) {
 		pg, _ := rel.Page(pn)
 		pages = append(pages, pg)
 	}
-	recs, err := e.ProcessPages(pages)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := extractAll(t, e, pages)
 	for i := range data {
 		for j := range data[i] {
 			if float64(recs[i][j]) != data[i][j] {
@@ -225,10 +230,7 @@ func TestInnoDBAccessEngine(t *testing.T) {
 		}
 		pages = append(pages, storage.Page(pg))
 	}
-	recs, err := e.ProcessPages(pages)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := extractAll(t, e, pages)
 	if len(recs) != len(want) {
 		t.Fatalf("extracted %d records, want %d", len(recs), len(want))
 	}

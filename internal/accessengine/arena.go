@@ -43,7 +43,7 @@ func (a *Arena) Alloc(n int) []float32 {
 	end := a.off.Add(int64(n))
 	if end > int64(len(a.data)) {
 		a.off.Add(int64(-n)) // hand the unusable reservation back
-		//danalint:ignore hotalloc -- heap fallback for undersized slabs
+		//danalint:ignore hotcall -- heap fallback for undersized slabs
 		return make([]float32, 0, n)
 	}
 	start := int(end) - n

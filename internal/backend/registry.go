@@ -107,6 +107,16 @@ func (d *Dispatcher) Names() []string {
 	return out
 }
 
+// DarkEnv returns the environment the dispatcher builds backends in,
+// with observation off (Obs: obs.Noop): for pricing every candidate as
+// Resolve would build it, without a throw-away backend charging a
+// counter.
+func (d *Dispatcher) DarkEnv() Env {
+	env := d.env
+	env.Obs = obs.Noop
+	return env
+}
+
 // Registrations returns the registration snapshot (sorted by name).
 func (d *Dispatcher) Registrations() []Registration {
 	return append([]Registration(nil), d.regs...)

@@ -71,15 +71,6 @@ type Stats struct {
 	ChecksumFailures int64
 }
 
-// HitRatio returns hits / (hits+misses), or 1 when there were no accesses.
-func (s Stats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 1
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 type frame struct {
 	id    PageID
 	page  storage.Page
@@ -98,6 +89,7 @@ type Pool struct {
 	rels     map[string]*storage.Relation
 	disk     DiskModel
 	stats    Stats
+	runIO    float64 // IOSeconds charged since the last TakeRunIO
 	pageSize int
 	invals   uint64 // bumped by Invalidate/InvalidateRelation
 
@@ -327,8 +319,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		lastErr = nil
 		if ierr := p.faults.ReadFault(rel, pageNo); ierr != nil {
 			// The failed request still spent its latency on the device.
-			p.stats.IOSeconds += p.disk.ReadLatencySec
-			p.obsIOSec.Add(p.disk.ReadLatencySec)
+			p.chargeIO(p.disk.ReadLatencySec)
 			//danalint:ignore hotcall -- wrap runs only under an injected read fault, never in the fault-free steady state
 			lastErr = fmt.Errorf("bufpool: read %v: %w", id, ierr)
 		} else {
@@ -340,8 +331,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 			copy(f.page, src)
 			p.faults.CorruptCopy(rel, pageNo, f.page)
 			rt := p.disk.ReadTime(p.pageSize) + p.faults.ReadLatencySec(rel, pageNo)
-			p.stats.IOSeconds += rt
-			p.obsIOSec.Add(rt)
+			p.chargeIO(rt)
 			if verify {
 				p.obsCkVerified.Inc()
 				if !f.page.ChecksumOK() {
@@ -382,6 +372,27 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	p.obsMisses.Inc()
 	p.obsBytes.Add(int64(p.pageSize))
 	return f.page, nil
+}
+
+// chargeIO books simulated disk time on the lifetime ledger, the run
+// ledger TakeRunIO drains, and the obs counter.
+func (p *Pool) chargeIO(sec float64) {
+	p.stats.IOSeconds += sec
+	p.runIO += sec
+	p.obsIOSec.Add(sec)
+}
+
+// TakeRunIO returns the simulated disk seconds charged since the last
+// call and starts a new run at zero. A run's I/O is summed from zero
+// rather than read as a difference of Stats().IOSeconds, so the same
+// reads cost the same bits on a fresh pool and on one that has served
+// a thousand runs.
+func (p *Pool) TakeRunIO() float64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sec := p.runIO
+	p.runIO = 0
+	return sec
 }
 
 // evictLocked runs the clock sweep and returns a usable frame index.
@@ -460,14 +471,6 @@ func (p *Pool) Warm(rel string) error {
 	}
 	p.ResetStats()
 	return nil
-}
-
-// Cached reports whether the page currently resides in the pool.
-func (p *Pool) Cached(rel string, pageNo uint32) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.table[PageID{Rel: rel, Page: pageNo}]
-	return ok
 }
 
 // PinnedCount returns the number of currently pinned frames (for tests

@@ -510,7 +510,7 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 		//danalint:ignore hotcall -- one-time lazy helper spawn; channels and goroutines are reused for the machine's lifetime
 		m.ensureHelpers(W)
 		if cap(m.partErrs) < W {
-			//danalint:ignore hotalloc -- capacity-guarded first-batch growth, reused afterwards
+			//danalint:ignore hotcall -- capacity-guarded first-batch growth, reused afterwards
 			m.partErrs = make([]error, W)
 		}
 		errs := m.partErrs[:W]
@@ -681,7 +681,7 @@ func (s *EpochStream) Feed(tuples [][]float32) error {
 				if blk < 1024 {
 					blk = 1024
 				}
-				//danalint:ignore hotalloc -- capacity-guarded arena growth, reused across batches
+				//danalint:ignore hotcall -- capacity-guarded arena growth, reused across batches
 				s.arena = make([]float32, 0, blk)
 				start = 0
 			}

@@ -1,21 +1,18 @@
 package lint
 
-// All returns the danalint analyzer suite in its canonical order. The
-// first four encode repo invariants discovered (expensively) at runtime
-// by PRs 1–4; shadow and nilcheck substitute for the x/tools vet
-// analyzers of the same names, which hermetic builds cannot install.
-// The final three (PR 10) are interprocedural: they consume the
-// module-wide call graph and summaries on Pass.Mod.
+// All returns the danalint analyzer suite in its canonical order. Each
+// encodes a repo invariant first discovered (expensively) at runtime and
+// is kept by a planted mutation only it catches (mutation_test.go,
+// interproc_test.go; roster in DESIGN.md "Static analysis"). The final
+// three are interprocedural: they consume the module-wide call graph
+// and summaries on Pass.Mod.
 func All() []*Analyzer {
 	return []*Analyzer{
 		PinBalance,
 		Determinism,
 		ObsGuard,
-		HotAlloc,
 		FaultErrors,
 		BackendReg,
-		Shadow,
-		NilCheck,
 		TenantFlow,
 		HotCall,
 		GoLifecycle,

@@ -11,7 +11,6 @@ package lint
 import (
 	"go/token"
 	"sort"
-	"strings"
 )
 
 // Suppression is one //danalint:ignore directive.
@@ -37,26 +36,9 @@ func CollectSuppressionRecords(pkgs []*Package) []Suppression {
 			seenFile[filename] = true
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
-					text = strings.TrimSpace(text)
-					if !strings.HasPrefix(text, ignoreDirective) {
-						continue
+					if name, reason, ok := parseIgnore(c.Text); ok {
+						recs = append(recs, Suppression{Pos: pkg.Fset.Position(c.Pos()), Analyzer: name, Reason: reason})
 					}
-					rest := strings.TrimSpace(strings.TrimPrefix(text, ignoreDirective))
-					reason := ""
-					if i := strings.Index(rest, "--"); i >= 0 {
-						reason = strings.TrimSpace(strings.TrimSuffix(rest[i+2:], "*/"))
-						rest = strings.TrimSpace(rest[:i])
-					}
-					name := ""
-					if rest != "" {
-						name = strings.Fields(rest)[0]
-					}
-					recs = append(recs, Suppression{
-						Pos:      pkg.Fset.Position(c.Pos()),
-						Analyzer: name,
-						Reason:   reason,
-					})
 				}
 			}
 		}

@@ -212,15 +212,3 @@ func sortedLater(pass *Pass, file *ast.File, rng *ast.RangeStmt, obj types.Objec
 	})
 	return found
 }
-
-// exprString renders a short expression for messages.
-func exprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	default:
-		return "expr"
-	}
-}

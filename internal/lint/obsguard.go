@@ -207,12 +207,7 @@ func allocatingCall(info *types.Info, call *ast.CallExpr) (bool, string) {
 }
 
 func isStringType(info *types.Info, e ast.Expr) bool {
-	tv, ok := info.Types[e]
-	if !ok {
-		return false
-	}
-	b, ok := tv.Type.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
+	return isStringUnderlying(info.Types[e].Type)
 }
 
 func typeShort(t types.Type) string {

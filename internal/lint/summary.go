@@ -1,8 +1,8 @@
 package lint
 
 // Interprocedural layer, part 2: per-function summaries. Each declared
-// function gets a small lattice of facts — does its body allocate on a
-// hot (non-early-exit) path, does it spawn a goroutine, which of its
+// function gets a small lattice of facts — does its body allocate (or
+// spawn a goroutine) on a hot (non-early-exit) path, which of its
 // parameters may escape into package-level state, which locks can it
 // acquire — and the transitive closures of those facts are computed
 // bottom-up over the call graph's strongly connected components, with a
@@ -30,22 +30,16 @@ type Summary struct {
 
 	// AllocWhat is non-empty when the body itself contains a hot-path
 	// allocation that is neither inside an early-exit branch nor
-	// covered by an audited hotalloc/hotcall suppression; AllocPos is
-	// the first such site.
+	// covered by an audited hotcall suppression; AllocPos is the first
+	// such site.
 	AllocWhat string
 	AllocPos  token.Pos
 
-	// Spawns marks a go statement in the body.
-	Spawns   bool
-	SpawnPos token.Pos
-
-	// TransAllocs / TransSpawns close AllocWhat / Spawns over all
-	// non-cold call edges; TransAllocDesc renders the offending chain
-	// for diagnostics ("mid → leafAlloc: make at file.go:12").
+	// TransAllocs closes AllocWhat over all non-cold call edges;
+	// TransAllocDesc renders the offending chain for diagnostics
+	// ("mid → leafAlloc: make at file.go:12").
 	TransAllocs    bool
 	TransAllocDesc string
-	TransSpawns    bool
-	TransSpawnDesc string
 
 	// Escapes maps parameter index (receiver = -1) to a description of
 	// how that parameter may reach package-level state, directly or
@@ -75,7 +69,6 @@ func buildSummaries(m *Module) {
 		fi := m.Funcs[id]
 		s := &Summary{ID: id, Escapes: map[int]string{}, transLockSet: map[string]bool{}}
 		s.AllocPos, s.AllocWhat = bodyAllocation(fi.Pkg, fi.Decl, m.sups[fi.Pkg])
-		s.SpawnPos, s.Spawns = bodySpawn(fi.Decl)
 		for _, acq := range fi.lockAcqs {
 			s.transLockSet[acq.id] = true
 		}
@@ -126,11 +119,6 @@ func (m *Module) closeSummary(id string) bool {
 		s.TransAllocDesc = fmt.Sprintf("%s at %s", s.AllocWhat, m.Fset.Position(s.AllocPos))
 		changed = true
 	}
-	if !s.TransSpawns && s.Spawns {
-		s.TransSpawns = true
-		s.TransSpawnDesc = fmt.Sprintf("go statement at %s", m.Fset.Position(s.SpawnPos))
-		changed = true
-	}
 	for _, site := range fi.Calls {
 		if site.Cold {
 			continue // early-exit branch: does not disprove steady state
@@ -146,11 +134,6 @@ func (m *Module) closeSummary(id string) bool {
 				if cs.TransAllocs && !s.TransAllocs {
 					s.TransAllocs = true
 					s.TransAllocDesc = shortFuncID(callee) + " → " + cs.TransAllocDesc
-					changed = true
-				}
-				if cs.TransSpawns && !s.TransSpawns {
-					s.TransSpawns = true
-					s.TransSpawnDesc = shortFuncID(callee) + " → " + cs.TransSpawnDesc
 					changed = true
 				}
 				continue
@@ -326,31 +309,17 @@ func (m *Module) calleesOf(id string) []string {
 }
 
 // bodyAllocation scans one body for the first allocation that is hot
-// (not in an early-exit branch) and unaudited (no hotalloc/hotcall
-// suppression on its line). The construct set is hotalloc's own: both
-// read the one site classifier, walkAllocSites.
+// (not in an early-exit branch) and unaudited (no hotcall suppression on
+// its line). The construct set is the one runHotCall reports at depth
+// 0: both read the one site classifier, walkAllocSites.
 func bodyAllocation(pkg *Package, fn *ast.FuncDecl, sup suppressions) (firstPos token.Pos, firstWhat string) {
 	walkAllocSites(pkg.TypesInfo, fn.Body, func(n ast.Node, stack []ast.Node, what, _ string) {
-		p := pkg.Fset.Position(n.Pos())
-		if firstWhat != "" || coldSite(n, stack) || sup.suppressed(HotAlloc.Name, p) || sup.suppressed(HotCall.Name, p) {
+		if firstWhat != "" || coldSite(n, stack) || sup.suppressed(HotCall.Name, pkg.Fset.Position(n.Pos())) {
 			return // already found; cold; or audited (amortized or pool-fallback allocation)
 		}
 		firstPos, firstWhat = n.Pos(), what
 	})
 	return firstPos, firstWhat
-}
-
-// bodySpawn reports the first go statement in the body.
-func bodySpawn(fn *ast.FuncDecl) (token.Pos, bool) {
-	var pos token.Pos
-	found := false
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok && !found {
-			pos, found = g.Pos(), true
-		}
-		return !found
-	})
-	return pos, found
 }
 
 // externAllocFree lists external (stdlib) functions and methods proven

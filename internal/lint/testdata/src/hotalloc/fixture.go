@@ -1,6 +1,7 @@
-// Package fixture exercises the hotalloc analyzer: functions marked
-// //dana:hotpath must not heap-allocate, while unmarked functions and
-// the capacity-backed reuse idioms stay silent.
+// Package fixture exercises hotcall at depth 0: the body of a function
+// marked //dana:hotpath must not heap-allocate, while unmarked functions
+// and the capacity-backed reuse idioms stay silent. (Allocations behind
+// a call are the hotcall fixture's half.)
 package fixture
 
 import "fmt"
@@ -38,7 +39,7 @@ func (r *runner) churn(rows [][]float32, id int) error {
 	for _, row := range rows {
 		r.buf = append(r.shared.data, row...) // want `append to a different slice in hot path churn`
 	}
-	r.shared.name = "page" + fmt.Sprint(id) // want `string concatenation in hot path churn`
+	r.shared.name = "page" + fmt.Sprint(id) // want `string concatenation in hot path churn` // want `hotpath churn calls fmt.Sprint: not allowlisted`
 	payload := []byte(r.shared.name)        // want `string conversion in hot path churn`
 	go func() {                             // want `go statement in hot path churn` // want `func literal in hot path churn`
 		_ = payload
@@ -47,23 +48,23 @@ func (r *runner) churn(rows [][]float32, id int) error {
 }
 
 // clean shows every exemption at once: self-appends (plain and
-// resliced), value struct literals, deferred closures, plain function
-// calls on the error path, and an audited suppression.
+// resliced), value struct literals, deferred closures, a call that
+// allocates only on an early-exit error path, and an audited
+// suppression.
 //
 //dana:hotpath
 func (r *runner) clean(rows [][]float32) (err error) {
-	defer func() {
-		if err != nil {
-			err = fmt.Errorf("clean: %w", err)
-		}
-	}()
+	defer func() { r.shared.name = "" }()
+	if len(rows) == 0 {
+		return fmt.Errorf("clean: no rows for %s", r.shared.name)
+	}
 	r.buf = append(r.buf[:0], 1.0)
 	for _, row := range rows {
 		r.buf = append(r.buf, row...)
 	}
 	r.shared = result{data: r.buf}
 	if cap(r.buf) < len(rows) {
-		//danalint:ignore hotalloc -- capacity-guarded growth, reused afterwards
+		//danalint:ignore hotcall -- capacity-guarded growth, reused afterwards
 		r.buf = make([]float32, 0, len(rows))
 	}
 	return nil

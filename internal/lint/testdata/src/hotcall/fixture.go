@@ -1,4 +1,4 @@
-// Package fixture exercises the hotcall analyzer: a //dana:hotpath
+// Package fixture exercises hotcall below depth 0: a //dana:hotpath
 // function may only call callees whose summaries prove transitive
 // allocation-freedom. The interesting cases are allocations hidden
 // behind one or two call hops, cold (early-exit) callees, interface
@@ -86,10 +86,10 @@ func hotAuditedCallSite(n int) {
 	_ = mid(n)
 }
 
-// auditedLeaf's allocation carries an audited hotalloc suppression, so
-// it does not propagate into callers' summaries.
+// auditedLeaf's allocation carries an audited suppression, so it does
+// not propagate into callers' summaries.
 func auditedLeaf(n int) []int {
-	//danalint:ignore hotalloc -- fixture: pool fallback, audited
+	//danalint:ignore hotcall -- fixture: pool fallback, audited
 	return make([]int, n)
 }
 

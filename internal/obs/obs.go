@@ -31,7 +31,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -315,19 +314,4 @@ func (r *Registry) Reset() {
 		}
 	}
 	r.ring.Clear()
-}
-
-// CounterNames returns the sorted names of all registered counters.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

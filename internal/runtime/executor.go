@@ -115,24 +115,22 @@ type epochRunner struct {
 	// injected cluster faults.
 	accelerated bool
 
-	// Both need the whole relation to fit in the buffer pool, so page
-	// access order cannot change eviction behavior: out-of-order pinning
+	// fits: the whole relation fits in the buffer pool, so page access
+	// order cannot change eviction behavior. Out-of-order pinning
 	// (workers > 1) and the record cache (epochs ≥ 2 would be pure pool
-	// hits, i.e. no modeled I/O).
+	// hits, i.e. no modeled I/O) both need it.
 	workers int
-	cacheOK bool
+	fits    bool
 
 	// The record arena (one slab, lazily sized from the relation's
 	// page/tuple counts) and the reusable extraction buffers hoisted out
 	// of the per-epoch hot paths: the serial group window, its pin list,
-	// and the recycled PageResults — one for the serial twin, a cycle of
-	// pipelineDepth+2 per parallel worker (see extractParallel).
-	arena     *accessengine.Arena
-	group     []storage.Page
-	pinned    []uint32
-	serialRes accessengine.PageResult
-	cycle     []accessengine.PageResult
-	col       *accessengine.Collector
+	// and the one PageResult a larger-than-pool scan recycles.
+	arena    *accessengine.Arena
+	group    []storage.Page
+	pinned   []uint32
+	spillRes accessengine.PageResult
+	col      *accessengine.Collector
 
 	// The two Stream shells handed to the backend, built once: the
 	// extraction form (Batches bound to r.batches) and the replay form
@@ -223,7 +221,7 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 	r := &epochRunner{
 		s: s, ae: ae, rel: rel, be: be,
 		workers: workers,
-		cacheOK: fits && !s.Opts.NoExtractCache,
+		fits:    fits,
 
 		accelerated:    be.Capabilities().Accelerated,
 		faults:         s.Opts.Faults,
@@ -243,17 +241,17 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 
 // sizeArena allocates the record slab. On the cache-fill path every
 // page takes a fresh extent, so the slab covers every tuple; on the
-// recycling path extents are reused across pages (and epochs — the arena
-// is deliberately NOT reset while recycled PageResults still own
-// extents), so a window of twice the recycled results suffices. An
-// undersized slab is never incorrect: Arena.Alloc falls back to the
-// heap.
+// recycling path the one extent is reused across pages (and epochs — the
+// arena is deliberately NOT reset while the recycled PageResult still
+// owns it), so a 16-page window — the extent, plus room for a page with
+// more tuples than the extent it inherits — suffices. An undersized slab
+// is never incorrect: Arena.Alloc falls back to the heap.
 func (r *epochRunner) sizeArena() {
 	pages := max(r.rel.NumPages(), 1)
 	perPage := (r.rel.NumTuples() + pages - 1) / pages // ceil avg tuples/page
 	capPages := pages + 1
-	if !r.cacheOK {
-		capPages = min(capPages, 2*(r.workers*(pipelineDepth+2)+2))
+	if !r.fits {
+		capPages = min(capPages, 16)
 	}
 	r.arena = accessengine.NewArena(capPages * perPage * r.ae.Schema.NumCols())
 }
@@ -378,7 +376,7 @@ func (r *epochRunner) runEpoch(epoch int) error {
 	var err error
 	if r.rows != nil {
 		err = r.be.RunEpoch(r.rows)
-	} else if r.cacheOK {
+	} else if r.fits {
 		if ent := r.s.cache.lookup(r.rel, r.s.DB.Pool.InvalidationCount()); ent != nil {
 			cached = true
 			r.s.obsCacheHits.Inc()
@@ -444,7 +442,7 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 	col := r.col
 	col.Reset()
 	var ent *cacheEntry
-	if r.cacheOK {
+	if r.fits {
 		ent = &cacheEntry{
 			rel:     r.rel,
 			gen:     r.rel.Generation(),
@@ -473,19 +471,14 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 		}
 		return nil
 	}
-	// When the cache is not retaining results, page buffers (arena
-	// extent + row views) are recycled across pages instead of
-	// reallocated — the engine's epoch stream copies anything it buffers,
-	// so a consumed PageResult is immediately reusable.
-	reuse := ent == nil
 	// Quarantine can shrink the worker pool below the configured count:
 	// each live worker needs its own healthy VM.
 	w := min(r.workers, len(r.healthy))
 	var err error
 	if w > 1 {
-		err = r.extractParallel(w, sink, reuse)
+		err = r.extractParallel(w, sink)
 	} else {
-		err = r.extractSerial(sink, reuse)
+		err = r.extractSerial(sink)
 	}
 	if err != nil {
 		return err
@@ -496,33 +489,35 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 }
 
 // extractPage is the per-page body the serial and parallel twins share:
-// deadline check, result slot, Strider walk on VM vmIdx, and the walk's
-// host time in res.WalkNs for the caller's busy-ns charge. A nil slot
-// means the record cache retains the result, so it takes a fresh one.
+// deadline check, result, Strider walk on VM vmIdx, and the walk's host
+// time charged to the worker-busy counter. A larger-than-pool
+// scan (always serial) recycles one result, arena extent and row views
+// included: the engine's epoch stream copies anything it buffers, so a
+// consumed PageResult is immediately reusable.
 //
 //dana:hotpath
-func (r *epochRunner) extractPage(vmIdx, pn int, pg storage.Page, slot *accessengine.PageResult) (*accessengine.PageResult, error) {
+func (r *epochRunner) extractPage(vmIdx, pn int, pg storage.Page) (*accessengine.PageResult, error) {
 	if err := r.checkDeadline(); err != nil {
 		return nil, err
 	}
-	res := slot
-	if res == nil {
-		//danalint:ignore hotalloc -- fresh results are retained by the record cache
+	res := &r.spillRes
+	if r.fits {
+		//danalint:ignore hotcall -- fresh results are retained by the record cache
 		res = new(accessengine.PageResult)
 	}
 	res.PageNo, res.Arena = pn, r.arena
 	start := time.Now()
 	err := r.extract(vmIdx, pg, res)
-	res.WalkNs = time.Since(start).Nanoseconds()
+	r.s.obsWorkerBusy.Add(time.Since(start).Nanoseconds())
 	return res, err
 }
 
 // extractSerial pins pages in groups of NumStriders (modeling the page
 // buffers, and matching the pre-parallel executor's pool access order
 // exactly) and extracts them one Strider VM at a time. The group
-// window, pin list, and the shared PageResult live on the runner, so a
-// steady-state epoch allocates nothing here.
-func (r *epochRunner) extractSerial(sink func(*accessengine.PageResult) error, reuse bool) error {
+// window, pin list, and the recycled PageResult live on the runner, so a
+// steady-state larger-than-pool epoch allocates nothing here.
+func (r *epochRunner) extractSerial(sink func(*accessengine.PageResult) error) error {
 	n := r.rel.NumPages()
 	for pn := 0; pn < n; pn++ {
 		pg, err := r.s.DB.Pool.Pin(r.rel.Name, uint32(pn))
@@ -537,20 +532,19 @@ func (r *epochRunner) extractSerial(sink func(*accessengine.PageResult) error, r
 		r.group = append(r.group, pg)
 		r.pinned = append(r.pinned, uint32(pn))
 		if len(r.group) == r.ae.NumStriders {
-			if err := r.flushSerialGroup(sink, reuse); err != nil {
+			if err := r.flushSerialGroup(sink); err != nil {
 				return err
 			}
 		}
 	}
-	return r.flushSerialGroup(sink, reuse)
+	return r.flushSerialGroup(sink)
 }
 
 // flushSerialGroup extracts the pinned group in page order and hands
 // each result to the sink.
 //
 //dana:hotpath
-func (r *epochRunner) flushSerialGroup(sink func(*accessengine.PageResult) error, reuse bool) (err error) {
-	var busy int64
+func (r *epochRunner) flushSerialGroup(sink func(*accessengine.PageResult) error) (err error) {
 	// Pins are released even when extraction fails mid-group: a
 	// failed epoch must leave the pool with zero pinned frames.
 	defer func() {
@@ -561,18 +555,12 @@ func (r *epochRunner) flushSerialGroup(sink func(*accessengine.PageResult) error
 		}
 		r.group = r.group[:0]
 		r.pinned = r.pinned[:0]
-		r.s.obsWorkerBusy.Add(busy)
 	}()
-	var slot *accessengine.PageResult
-	if reuse {
-		slot = &r.serialRes
-	}
 	for i, pg := range r.group {
-		res, err := r.extractPage(r.healthy[i%len(r.healthy)], int(r.pinned[i]), pg, slot)
+		res, err := r.extractPage(r.healthy[i%len(r.healthy)], int(r.pinned[i]), pg)
 		if err != nil {
 			return err
 		}
-		busy += res.WalkNs
 		if err := sink(res); err != nil {
 			return err
 		}
@@ -584,46 +572,30 @@ func (r *epochRunner) flushSerialGroup(sink func(*accessengine.PageResult) error
 // pn ≡ i mod w and healthy Strider VM healthy[i]; each pins, walks and
 // unpins its pages itself) and delivers results to the sink in global
 // page order by walking the same deal over the per-worker output
-// channels.
-//
-// When the cache does not retain results, worker i recycles a private
-// cycle of pipelineDepth+2 PageResults with no hand-back from the
-// coordinator: an output channel of capacity pipelineDepth bounds a
-// worker's in-flight pages to that many queued + 1 being sunk + 1 being
-// filled, so by the time the worker's page n+pipelineDepth+2 is
-// extracted the coordinator has taken its page n+1 and therefore
-// finished sinking page n.
-func (r *epochRunner) extractParallel(w int, sink func(*accessengine.PageResult) error, reuse bool) error {
+// channels. It runs only on a table that fits the pool, so every result
+// is a fresh one the record cache keeps: nothing a worker hands over is
+// written again.
+func (r *epochRunner) extractParallel(w int, sink func(*accessengine.PageResult) error) error {
 	n := r.rel.NumPages()
-	const slots = pipelineDepth + 2
-	if reuse && len(r.cycle) < w*slots {
-		r.cycle = make([]accessengine.PageResult, w*slots)
-	}
 	outs := make([]chan *accessengine.PageResult, w)
 	errCh := make(chan error, w) // one send per worker at most
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		// The capacity bounds the extracted-but-unconsumed page batches per
-		// worker, and is what the result cycle's length rests on.
+		// worker.
 		outs[i] = make(chan *accessengine.PageResult, pipelineDepth)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer close(outs[i])
-			var busy int64
-			defer func() { r.s.obsWorkerBusy.Add(busy) }()
-			for pn, k := i, 0; pn < n; pn, k = pn+w, k+1 {
-				var slot *accessengine.PageResult
-				if reuse {
-					slot = &r.cycle[i*slots+k%slots]
-				}
+			for pn := i; pn < n; pn += w {
 				// The arena holds copies of the tuple values, so the frame is
 				// released before the engine consumes the batch.
 				pg, err := r.s.DB.Pool.Pin(r.rel.Name, uint32(pn))
 				var res *accessengine.PageResult
 				if err == nil {
-					res, err = r.extractPage(r.healthy[i], pn, pg, slot)
+					res, err = r.extractPage(r.healthy[i], pn, pg)
 					if uerr := r.s.DB.Pool.Unpin(r.rel.Name, uint32(pn)); err == nil {
 						err = uerr
 					}
@@ -632,7 +604,6 @@ func (r *epochRunner) extractParallel(w int, sink func(*accessengine.PageResult)
 					errCh <- err
 					return
 				}
-				busy += res.WalkNs
 				select {
 				case outs[i] <- res:
 				case <-done:

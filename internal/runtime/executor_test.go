@@ -1,10 +1,10 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
 	hostrt "runtime"
 	"testing"
-	"time"
 
 	"dana/internal/accessengine"
 	"dana/internal/backend"
@@ -15,22 +15,36 @@ import (
 	"dana/internal/strider"
 )
 
+// spillPoolBytes is a pool of 16 frames at the tests' 8 KB pages: one
+// serial group of the widest Strider array, and smaller than every table
+// a spill leg trains on.
+const spillPoolBytes = 16 * storage.PageSize8K
+
 // trainConfigured runs one full Train of a workload under the given
-// executor configuration and returns the result. mods adjust the
-// Options before the system is built (fault schedules, timeouts).
-func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, epochs, workers int, noCache bool, mods ...func(*Options)) *TrainResult {
+// executor configuration and returns the result. spill shrinks the pool
+// below the table, so every epoch re-walks the heap through the serial
+// twin into its one recycled result; otherwise the table fits, epoch 1
+// extracts into fresh results and later epochs replay the record cache.
+// mods adjust the Options before the system is built (fault schedules,
+// timeouts).
+func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, epochs, workers int, spill bool, mods ...func(*Options)) *TrainResult {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
 	opts.PoolBytes = 32 << 20
+	if spill {
+		opts.PoolBytes = spillPoolBytes
+	}
 	opts.MaxEpochs = epochs
 	opts.Workers = workers
-	opts.NoExtractCache = noCache
 	for _, mod := range mods {
 		mod(&opts)
 	}
 	s := New(opts)
 	d := deployScaled(t, s, workload, scale)
+	if fits := d.Rel.NumPages() <= s.Pool().NumFrames(); fits == spill {
+		t.Fatalf("%s: %d pages in %d frames, spill=%v", workload, d.Rel.NumPages(), s.Pool().NumFrames(), spill)
+	}
 	a, err := d.DSLAlgo(mergeCoef)
 	if err != nil {
 		t.Fatal(err)
@@ -49,10 +63,40 @@ func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, ep
 	return res
 }
 
+// requireSameModeled fails unless got trained the same model bits, epoch
+// count and modeled cycle stats as want — and, when sim is non-nil, the
+// same simulated seconds as sim (a run over the same pool: a table that
+// spills pays its disk reads every epoch, so simulated seconds are only
+// comparable between runs that share a pool size and link).
+func requireSameModeled(t *testing.T, name string, got, want, sim *TrainResult) {
+	t.Helper()
+	if got.Epochs != want.Epochs {
+		t.Errorf("%s: epochs %d != %d", name, got.Epochs, want.Epochs)
+	}
+	if len(got.Model) != len(want.Model) {
+		t.Fatalf("%s: model size %d != %d", name, len(got.Model), len(want.Model))
+	}
+	for i := range got.Model {
+		if math.Float32bits(got.Model[i]) != math.Float32bits(want.Model[i]) {
+			t.Fatalf("%s: model[%d] = %v != %v (not bit-identical)", name, i, got.Model[i], want.Model[i])
+		}
+	}
+	if got.Engine != want.Engine {
+		t.Errorf("%s: engine stats %+v != %+v", name, got.Engine, want.Engine)
+	}
+	if got.Access != want.Access {
+		t.Errorf("%s: access stats %+v != %+v", name, got.Access, want.Access)
+	}
+	if sim != nil && got.SimulatedSeconds != sim.SimulatedSeconds {
+		t.Errorf("%s: simulated %v != %v", name, got.SimulatedSeconds, sim.SimulatedSeconds)
+	}
+}
+
 // TestParallelExecutorDeterminism: the concurrent pipelined executor
 // (and the record cache) must change host wall-clock only. Model bits,
-// epoch counts, modeled cycle stats, and simulated seconds are
-// bit-identical to the serial, uncached path on LR, SVM, and LRMF.
+// epoch counts and modeled cycle stats are bit-identical to the serial
+// path that re-walks a larger-than-pool table every epoch, and simulated
+// seconds to the serial run over the same pool, on LR, SVM, and LRMF.
 func TestParallelExecutorDeterminism(t *testing.T) {
 	// Give the scheduler real parallelism even on small CI hosts so the
 	// worker pool and the engine batch fan-out actually run concurrently
@@ -66,43 +110,27 @@ func TestParallelExecutorDeterminism(t *testing.T) {
 	}{
 		{"Remote Sensing LR", 0.002, 16, 4},
 		{"Remote Sensing SVM", 0.002, 16, 4},
-		{"Netflix", 0.0005, 1, 2},
+		{"Netflix", 0.0015, 1, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.workload, func(t *testing.T) {
-			serial := trainConfigured(t, tc.workload, tc.scale, tc.mergeCoef, tc.epochs, 1, true)
-			configs := []struct {
+			serialSpill := trainConfigured(t, tc.workload, tc.scale, tc.mergeCoef, tc.epochs, 1, true)
+			serialFits := trainConfigured(t, tc.workload, tc.scale, tc.mergeCoef, tc.epochs, 1, false)
+			requireSameModeled(t, "serial+cache", serialFits, serialSpill, nil)
+			for _, cfg := range []struct {
 				name    string
 				workers int
-				noCache bool
+				spill   bool
 			}{
 				{"parallel8+cache", 8, false},
-				{"parallel4-nocache", 4, true},
-				{"serial+cache", 1, false},
-			}
-			for _, cfg := range configs {
-				got := trainConfigured(t, tc.workload, tc.scale, tc.mergeCoef, tc.epochs, cfg.workers, cfg.noCache)
-				if got.Epochs != serial.Epochs {
-					t.Errorf("%s: epochs %d != serial %d", cfg.name, got.Epochs, serial.Epochs)
+				{"parallel4+spill", 4, true}, // a table that spills stays serial at any worker count
+			} {
+				got := trainConfigured(t, tc.workload, tc.scale, tc.mergeCoef, tc.epochs, cfg.workers, cfg.spill)
+				sim := serialFits
+				if cfg.spill {
+					sim = serialSpill
 				}
-				if len(got.Model) != len(serial.Model) {
-					t.Fatalf("%s: model size %d != %d", cfg.name, len(got.Model), len(serial.Model))
-				}
-				for i := range got.Model {
-					if math.Float32bits(got.Model[i]) != math.Float32bits(serial.Model[i]) {
-						t.Fatalf("%s: model[%d] = %v != serial %v (not bit-identical)",
-							cfg.name, i, got.Model[i], serial.Model[i])
-					}
-				}
-				if got.Engine != serial.Engine {
-					t.Errorf("%s: engine stats %+v != serial %+v", cfg.name, got.Engine, serial.Engine)
-				}
-				if got.Access != serial.Access {
-					t.Errorf("%s: access stats %+v != serial %+v", cfg.name, got.Access, serial.Access)
-				}
-				if got.SimulatedSeconds != serial.SimulatedSeconds {
-					t.Errorf("%s: simulated %v != serial %v", cfg.name, got.SimulatedSeconds, serial.SimulatedSeconds)
-				}
+				requireSameModeled(t, cfg.name, got, serialSpill, sim)
 			}
 		})
 	}
@@ -208,11 +236,43 @@ func TestExtractCacheSkipsPoolAndInvalidates(t *testing.T) {
 	}
 }
 
+// TestColdTrainsOnOneEngineBitIdentical: a cold Train costs the same
+// modeled time the first time and the fifth on a long-lived System — the
+// run is charged the disk seconds of its own reads, not the pool's
+// lifetime total (which had a cold Train read 0.24 s on a fresh engine
+// and 12 s after ninety) — and re-extracting in parallel into the reset
+// arena trains the same bits from the same counters.
+func TestColdTrainsOnOneEngineBitIdentical(t *testing.T) {
+	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(4))
+	s, udf, table := ftSystem(t)
+	var first *TrainResult
+	for i := 0; i < 5; i++ {
+		if err := s.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Train(udf, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		requireSameModeled(t, fmt.Sprintf("cold train %d", i+1), res, first, first)
+		if want := int64(i+1) * first.Pool.Misses; res.Pool.Misses != want || res.Pool.IOSeconds <= first.Pool.IOSeconds {
+			t.Errorf("cold train %d: pool reads %d misses, %v s: TrainResult.Pool is the lifetime view (want %d misses)",
+				i+1, res.Pool.Misses, res.Pool.IOSeconds, want)
+		}
+	}
+}
+
 // TestWorkerSweepBitIdentity is the metamorphic serial-vs-parallel
 // check from the differential verification harness: the full worker
-// grid {1,2,4,8} x {cache,nocache} must produce bit-identical models
-// and identical modeled cycle stats to the serial uncached baseline.
-// Parallelism and caching may only change host wall-clock.
+// grid {1,2,4,8} x {cache,spill} must produce bit-identical models and
+// identical modeled cycle stats to the serial baseline that re-walks a
+// larger-than-pool table every epoch, and simulated seconds identical
+// to the serial run over the same pool. Parallelism and caching may only
+// change host wall-clock.
 func TestWorkerSweepBitIdentity(t *testing.T) {
 	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(4))
 	const (
@@ -221,48 +281,30 @@ func TestWorkerSweepBitIdentity(t *testing.T) {
 		mergeCoef = 16
 		epochs    = 3
 	)
-	serial := trainConfigured(t, workload, scale, mergeCoef, epochs, 1, true)
+	serial := map[bool]*TrainResult{}
+	for _, spill := range []bool{true, false} {
+		serial[spill] = trainConfigured(t, workload, scale, mergeCoef, epochs, 1, spill)
+	}
 	// The grid also runs with a zero-rate fault schedule attached: the
 	// injection hooks, checksum verification, and recovery scaffolding
 	// must be invisible when no fault fires.
 	zeroFaults := func(o *Options) { o.Faults = fault.New(fault.Config{Seed: 7}) }
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, cfg := range []struct {
-			noCache bool
+			spill   bool
 			faulted bool
 		}{{false, false}, {true, false}, {false, true}, {true, true}} {
-			noCache := cfg.noCache
-			name := "cache"
-			if noCache {
-				name = "nocache"
+			name := fmt.Sprintf("workers=%d/cache", workers)
+			if cfg.spill {
+				name = fmt.Sprintf("workers=%d/spill", workers)
 			}
 			var mods []func(*Options)
 			if cfg.faulted {
 				name += "+zerofaults"
 				mods = append(mods, zeroFaults)
 			}
-			got := trainConfigured(t, workload, scale, mergeCoef, epochs, workers, noCache, mods...)
-			if got.Epochs != serial.Epochs {
-				t.Errorf("workers=%d/%s: epochs %d != serial %d", workers, name, got.Epochs, serial.Epochs)
-			}
-			if len(got.Model) != len(serial.Model) {
-				t.Fatalf("workers=%d/%s: model size %d != %d", workers, name, len(got.Model), len(serial.Model))
-			}
-			for i := range got.Model {
-				if math.Float32bits(got.Model[i]) != math.Float32bits(serial.Model[i]) {
-					t.Fatalf("workers=%d/%s: model[%d] = %v != serial %v (not bit-identical)",
-						workers, name, i, got.Model[i], serial.Model[i])
-				}
-			}
-			if got.Engine != serial.Engine {
-				t.Errorf("workers=%d/%s: engine stats %+v != serial %+v", workers, name, got.Engine, serial.Engine)
-			}
-			if got.Access != serial.Access {
-				t.Errorf("workers=%d/%s: access stats %+v != serial %+v", workers, name, got.Access, serial.Access)
-			}
-			if got.SimulatedSeconds != serial.SimulatedSeconds {
-				t.Errorf("workers=%d/%s: simulated %v != serial %v", workers, name, got.SimulatedSeconds, serial.SimulatedSeconds)
-			}
+			got := trainConfigured(t, workload, scale, mergeCoef, epochs, workers, cfg.spill, mods...)
+			requireSameModeled(t, name, got, serial[true], serial[cfg.spill])
 		}
 	}
 }
@@ -270,13 +312,13 @@ func TestWorkerSweepBitIdentity(t *testing.T) {
 // TestChannelSweepBitIdentity extends the worker sweep along the
 // memory-channel axis, driven through the one number behind it
 // (Cost.Link.Channels): over the full {workers} × {channels} grid —
-// cache on and off, and with the PR 4 zero-rate fault schedule attached
-// — models, modeled cycle stats and epoch counts are bit-identical to
-// the serial single-channel uncached baseline, simulated seconds are
-// bit-identical to a serial run at the same link (the channel count is
-// a modeled quantity, so it moves the transfer charge and nothing
-// else), and the per-channel obs split re-partitions the Strider totals
-// exactly.
+// on a table the pool holds and on one it does not, and with the PR 4
+// zero-rate fault schedule attached — models, modeled cycle stats and
+// epoch counts are bit-identical to the serial single-channel spilling
+// baseline, simulated seconds are bit-identical to a serial run at the
+// same link and pool (the channel count is a modeled quantity, so it
+// moves the transfer charge and nothing else), and the per-channel obs
+// split re-partitions the Strider totals exactly.
 //
 // The grid runs with the explicit Backend="accelerator" override while
 // the baseline uses the "" default: both resolve to the same backend
@@ -294,15 +336,18 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 	zeroFaults := func(o *Options) { o.Faults = fault.New(fault.Config{Seed: 7}) }
 	for _, channels := range []int{1, 2, 4} {
 		link := func(o *Options) { o.Cost.Link.Channels = channels }
-		serialAtLink := trainConfigured(t, workload, scale, mergeCoef, epochs, 1, true, link)
+		serialAtLink := map[bool]*TrainResult{}
+		for _, spill := range []bool{true, false} {
+			serialAtLink[spill] = trainConfigured(t, workload, scale, mergeCoef, epochs, 1, spill, link)
+		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, cfg := range []struct {
-				noCache bool
+				spill   bool
 				faulted bool
 			}{{false, false}, {true, false}, {true, true}} {
-				name := "cache"
-				if cfg.noCache {
-					name = "nocache"
+				name := fmt.Sprintf("w=%d/c=%d/cache", workers, channels)
+				if cfg.spill {
+					name = fmt.Sprintf("w=%d/c=%d/spill", workers, channels)
 				}
 				reg := obs.New()
 				mods := []func(*Options){link, func(o *Options) {
@@ -313,35 +358,13 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 					name += "+zerofaults"
 					mods = append(mods, zeroFaults)
 				}
-				got := trainConfigured(t, workload, scale, mergeCoef, epochs, workers, cfg.noCache, mods...)
+				got := trainConfigured(t, workload, scale, mergeCoef, epochs, workers, cfg.spill, mods...)
 				if got.Backend != "accelerator" || serial.Backend != "accelerator" {
-					t.Fatalf("w=%d/c=%d/%s: backend %q (serial %q), want accelerator on both dispatch paths",
-						workers, channels, name, got.Backend, serial.Backend)
+					t.Fatalf("%s: backend %q (serial %q), want accelerator on both dispatch paths", name, got.Backend, serial.Backend)
 				}
-				if got.Epochs != serial.Epochs {
-					t.Errorf("w=%d/c=%d/%s: epochs %d != serial %d", workers, channels, name, got.Epochs, serial.Epochs)
-				}
-				if len(got.Model) != len(serial.Model) {
-					t.Fatalf("w=%d/c=%d/%s: model size %d != %d", workers, channels, name, len(got.Model), len(serial.Model))
-				}
-				for i := range got.Model {
-					if math.Float32bits(got.Model[i]) != math.Float32bits(serial.Model[i]) {
-						t.Fatalf("w=%d/c=%d/%s: model[%d] = %v != serial %v (not bit-identical)",
-							workers, channels, name, i, got.Model[i], serial.Model[i])
-					}
-				}
-				if got.Engine != serial.Engine {
-					t.Errorf("w=%d/c=%d/%s: engine stats %+v != serial %+v", workers, channels, name, got.Engine, serial.Engine)
-				}
-				if got.Access != serial.Access {
-					t.Errorf("w=%d/c=%d/%s: access stats %+v != serial %+v", workers, channels, name, got.Access, serial.Access)
-				}
-				if got.SimulatedSeconds != serialAtLink.SimulatedSeconds {
-					t.Errorf("w=%d/c=%d/%s: simulated %v != serial at the same link %v",
-						workers, channels, name, got.SimulatedSeconds, serialAtLink.SimulatedSeconds)
-				}
+				requireSameModeled(t, name, got, serial, serialAtLink[cfg.spill])
 				if n := reg.Get(obs.ChannelCount); n != int64(channels) {
-					t.Fatalf("w=%d/c=%d/%s: channel.count = %d", workers, channels, name, n)
+					t.Fatalf("%s: channel.count = %d", name, n)
 				}
 				var sumBytes, sumBusy int64
 				for c := 0; c < channels; c++ {
@@ -349,8 +372,8 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 					sumBusy += reg.Get(obs.ChannelBusyCycles(c))
 				}
 				if sumBytes != reg.Get(obs.StriderBytes) || sumBusy != reg.Get(obs.StriderCyclesTotal) {
-					t.Errorf("w=%d/c=%d/%s: channel split %d bytes / %d busy cycles != strider totals %d / %d",
-						workers, channels, name, sumBytes, sumBusy, reg.Get(obs.StriderBytes), reg.Get(obs.StriderCyclesTotal))
+					t.Errorf("%s: channel split %d bytes / %d busy cycles != strider totals %d / %d",
+						name, sumBytes, sumBusy, reg.Get(obs.StriderBytes), reg.Get(obs.StriderCyclesTotal))
 				}
 			}
 		}
@@ -359,15 +382,17 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 
 // newBenchRunner assembles an epochRunner the way Train does (access
 // engine, configured accelerator backend, runner) so the allocation
-// guard can drive epochs directly. The caller must Close the returned
-// backend.
-func newBenchRunner(t *testing.T, workers int, noCache bool) (*epochRunner, *backend.Accel) {
+// guard can drive epochs directly; spill gives it a pool smaller than
+// the table. The caller must Close the returned backend.
+func newBenchRunner(t *testing.T, workers int, spill bool) (*epochRunner, *backend.Accel) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
 	opts.PoolBytes = 64 << 20
+	if spill {
+		opts.PoolBytes = spillPoolBytes
+	}
 	opts.Workers = workers
-	opts.NoExtractCache = noCache
 	opts.DisableObs = true
 	s := New(opts)
 	d := deployScaled(t, s, "Remote Sensing LR", 0.01)
@@ -410,111 +435,35 @@ func newBenchRunner(t *testing.T, workers int, noCache bool) (*epochRunner, *bac
 	return s.newEpochRunner(ae, d.Rel, be), be
 }
 
-// TestHotPathsAllocationFree is the runtime counterpart of the hotalloc
-// analyzer: after warm-up (arena sized, buffers grown, pool hot), a
-// steady-state epoch must allocate O(1) — never per page or per tuple.
-// The relation here spans dozens of pages and thousands of tuples, so
-// any per-page regression blows through the bounds by an order of
-// magnitude.
+// TestHotPathsAllocationFree is the runtime counterpart of the hotcall
+// analyzer: after warm-up (arena sized, buffers grown), a steady-state
+// epoch must allocate O(1) — never per page or per tuple — on both of
+// the shapes a run settles into: the serial re-walk of a table larger
+// than the pool, through its one recycled result, and the record-cache
+// replay of one that fits. The relation here spans dozens of pages and
+// thousands of tuples, so any per-page regression blows through the
+// bound by an order of magnitude.
 func TestHotPathsAllocationFree(t *testing.T) {
-	measure := func(workers int) float64 {
-		r, m := newBenchRunner(t, workers, true)
-		defer m.Close()
+	for _, leg := range []struct {
+		name  string
+		spill bool
+	}{{"serial recycling", true}, {"cache replay", false}} {
+		r, m := newBenchRunner(t, 4, leg.spill)
+		if fits := r.rel.NumPages() <= r.s.Pool().NumFrames(); fits == leg.spill {
+			t.Fatalf("%s: %d pages in %d frames", leg.name, r.rel.NumPages(), r.s.Pool().NumFrames())
+		}
 		for e := 0; e < 2; e++ {
 			if err := r.runEpoch(e); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return testing.AllocsPerRun(3, func() {
+		allocs := testing.AllocsPerRun(3, func() {
 			if err := r.runEpoch(2); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-	pages := 0
-	{
-		r, m := newBenchRunner(t, 1, true)
-		pages = r.rel.NumPages()
-		m.Close()
-	}
-	if serial := measure(1); serial > 16 {
-		t.Errorf("serial recycling epoch allocates %.0f times (%d pages); hot path regressed", serial, pages)
-	}
-	// The parallel path pays a fixed per-epoch fan-out cost (output
-	// channels, worker goroutines) that scales with workers, never with
-	// pages or tuples.
-	if par := measure(4); par > 128 {
-		t.Errorf("parallel epoch allocates %.0f times (%d pages); fan-out should be O(workers)", par, pages)
-	}
-}
-
-// TestResultCycleOutlivesTheSink pins the length of the parallel
-// workers' private result cycle (run it under -race). With the record
-// cache off a worker recycles pipelineDepth+2 PageResults and the
-// coordinator hands nothing back, so the bound rests on the output
-// channel's capacity alone: page pn's rows must still be intact while
-// the coordinator sinks page pn+1 (another worker's page — pn's worker
-// may by then be pipelineDepth+1 pages ahead, filling every slot but
-// pn's). One slot fewer and that worker overwrites pn's rows under the
-// reader. Workers = 3 is the count the channel-sharded plan used to run
-// as two.
-func TestResultCycleOutlivesTheSink(t *testing.T) {
-	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(4))
-	flatten := func(rows [][]float32) []float32 {
-		var out []float32
-		for _, row := range rows {
-			out = append(out, row...)
-		}
-		return out
-	}
-	ref, m := newBenchRunner(t, 1, true)
-	ref.sizeArena()
-	var want [][]float32
-	err := ref.extractSerial(func(res *accessengine.PageResult) error {
-		want = append(want, flatten(res.Rows))
-		return nil
-	}, true)
-	m.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{2, 3, 4} {
-		r, m := newBenchRunner(t, w, true)
-		r.sizeArena()
-		var prev *accessengine.PageResult
-		check := func() {
-			got := flatten(prev.Rows)
-			if len(got) != len(want[prev.PageNo]) {
-				t.Fatalf("workers=%d: page %d has %d values, want %d", w, prev.PageNo, len(got), len(want[prev.PageNo]))
-			}
-			for i := range got {
-				if math.Float32bits(got[i]) != math.Float32bits(want[prev.PageNo][i]) {
-					t.Fatalf("workers=%d: page %d overwritten while the next page was sunk", w, prev.PageNo)
-				}
-			}
-		}
-		sink := func(res *accessengine.PageResult) error {
-			// Dawdle over the first laps so every worker runs as far ahead
-			// as its channel lets it. The sleep only gives a too-short
-			// cycle time to show; the check holds at any speed.
-			if res.PageNo < 3*w*(pipelineDepth+2) {
-				time.Sleep(100 * time.Microsecond)
-			}
-			if prev != nil {
-				check()
-			}
-			prev = res
-			return nil
-		}
-		for epoch := 0; epoch < 2; epoch++ { // the cycle is kept across epochs
-			prev = nil
-			if err := r.extractParallel(w, sink, true); err != nil {
-				t.Fatal(err)
-			}
-			check()
-		}
-		if r.s.Pool().PinnedCount() != 0 {
-			t.Fatalf("workers=%d: leaked page pins", w)
+		if allocs > 16 {
+			t.Errorf("%s epoch allocates %.0f times (%d pages); hot path regressed", leg.name, allocs, r.rel.NumPages())
 		}
 		m.Close()
 	}

@@ -64,9 +64,6 @@ type Options struct {
 	// 1 = serial). Parallelism affects wall-clock time only: modeled
 	// cycle counts are charged in page order and stay bit-identical.
 	Workers int
-	// NoExtractCache disables the cross-epoch extracted-record cache, so
-	// every epoch re-walks the heap pages through the Striders.
-	NoExtractCache bool
 
 	// Faults attaches a seeded fault-injection schedule threaded through
 	// the buffer pool (read errors, latency spikes, page corruption
@@ -338,13 +335,15 @@ type TrainResult struct {
 
 	Engine engine.Stats
 	Access accessengine.Stats
+	// Pool is the buffer pool's lifetime view after the run, earlier
+	// runs on the same System included.
 	Pool   bufpool.Stats
 	Design hwgen.Design
 
 	// SimulatedSeconds is the modeled time for the run: for the
 	// accelerator pipeline, engine/strider/transfer overlapped at the
-	// FPGA clock plus I/O (from the run's actual counters); for other
-	// backends, the analytic cost-model estimate.
+	// FPGA clock plus this run's I/O (from the run's actual counters);
+	// for other backends, the analytic cost-model estimate.
 	SimulatedSeconds float64
 
 	// Degraded reports that the backend faulted mid-train and the
@@ -475,6 +474,7 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.DB.Pool.TakeRunIO() // reads before this run (a scan, an earlier Train) are not its I/O
 	if err := trainLoop(res, be, job.Epochs, feed.runEpochRecover); err != nil {
 		// The failing epoch is the one after the last completed.
 		if errors.Is(err, fault.ErrEpochTimeout) {
@@ -512,7 +512,7 @@ func (s *System) Train(udfName, table string) (*TrainResult, error) {
 		EngineCycles:  res.Engine.Cycles,
 		StriderCycles: res.Access.Cycles,
 		Pages:         res.Access.Pages,
-		IOSeconds:     res.Pool.IOSeconds,
+		IOSeconds:     s.DB.Pool.TakeRunIO(),
 	})
 	return res, nil
 }
@@ -608,10 +608,7 @@ func (s *System) EstimateBackends(udfName, table string) ([]BackendCost, error) 
 	var out []BackendCost
 	for _, reg := range s.disp.Registrations() {
 		bc := BackendCost{Name: reg.Name}
-		c, err := reg.New(backend.Env{
-			Obs: obs.Noop, Cost: s.Opts.Cost, FPGA: s.Opts.FPGA,
-			Workers: s.Opts.Workers, Segments: s.Opts.Segments,
-		}).EstimateCost(job)
+		c, err := reg.New(s.disp.DarkEnv()).EstimateCost(job)
 		if err != nil {
 			bc.Err = err.Error()
 		} else {

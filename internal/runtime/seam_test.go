@@ -4,9 +4,11 @@ package runtime
 // the commit before modeled time moved behind Backend.ModeledSeconds:
 // the exact SimulatedSeconds bits, epoch count, model hash, and the
 // engine and access counters of one fixed-seed Patient train on every
-// registration, with and without the record cache. A refactor that
-// moves the timing formula, the weave stage, or the epoch loop must
-// reproduce every row bit for bit.
+// registration. A refactor that moves the timing formula, the weave
+// stage, or the epoch loop must reproduce every row bit for bit — and a
+// pool the table does not fit (three serial walks instead of one
+// extracting epoch and two replays) must reproduce everything but the
+// simulated seconds, which then carry three epochs of disk reads.
 
 import (
 	"encoding/binary"
@@ -22,38 +24,37 @@ func TestSeamCharacterisation(t *testing.T) {
 	type key struct {
 		backend string
 		bits    int
-		noCache bool
 	}
 	want := map[key]string{
-		{"accelerator", 0, false}: "3fbf37865cae8a4e e3 mcdd92142ebaea09b {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
-		{"accelerator", 0, true}:  "3fbf37865cae8a4e e3 mcdd92142ebaea09b {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
-		{"weave", 8, false}:       "3fc248749ad3f8b4 e3 mf2a6ac9bff9b35c2 {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
-		{"weave", 8, true}:        "3fc248749ad3f8b4 e3 mf2a6ac9bff9b35c2 {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
-		{"weave", 32, false}:      "3fc9db3b0688a7a8 e3 m1f6346986d5eccba {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
-		{"weave", 32, true}:       "3fc9db3b0688a7a8 e3 m1f6346986d5eccba {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
-		{"tabla", 0, false}:       "3fc66b3082204da0 e3 mcdd92142ebaea09b {284124 107538 19296 157290 3210 402 13644 157290 107538 0} {0 0 0 0 0 0}",
-		{"tabla", 0, true}:        "3fc66b3082204da0 e3 mcdd92142ebaea09b {284124 107538 19296 157290 3210 402 13644 157290 107538 0} {0 0 0 0 0 0}",
-		{"cpu", 0, false}:         "3fa34aa26fb62576 e3 m76cdcb58ed3e8c5d {0 0 0 0 0 0 0 0 0 0} {0 0 0 0 0 0}",
-		{"cpu", 0, true}:          "3fa34aa26fb62576 e3 m76cdcb58ed3e8c5d {0 0 0 0 0 0 0 0 0 0} {0 0 0 0 0 0}",
-		{"sharded", 0, false}:     "3fb07fb61a352b20 e3 m132429b6be890633 {0 0 0 0 0 0 0 0 0 0} {0 0 0 0 0 0}",
-		{"sharded", 0, true}:      "3fb07fb61a352b20 e3 m132429b6be890633 {0 0 0 0 0 0 0 0 0 0} {0 0 0 0 0 0}",
+		{"accelerator", 0}: "3fbf37865cae8a4e e3 mcdd92142ebaea09b {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
+		{"weave", 8}:       "3fc248749ad3f8b4 e3 mf2a6ac9bff9b35c2 {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
+		{"weave", 32}:      "3fc9db3b0688a7a8 e3 m1f6346986d5eccba {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
+		{"tabla", 0}:       "3fc66b3082204da0 e3 mcdd92142ebaea09b {284124 107538 19296 157290 3210 402 13644 157290 107538 0} {0 0 0 0 0 0}",
+		{"cpu", 0}:         "3fa34aa26fb62576 e3 m76cdcb58ed3e8c5d {0 0 0 0 0 0 0 0 0 0} {0 0 0 0 0 0}",
+		{"sharded", 0}:     "3fb07fb61a352b20 e3 m132429b6be890633 {0 0 0 0 0 0 0 0 0 0} {0 0 0 0 0 0}",
 	}
 	for _, tc := range []struct {
-		backend string
-		bits    int
+		backend   string
+		bits      int
+		streaming bool
 	}{
-		{backend.NameAccelerator, 0},
-		{backend.NameWeave, 8},
-		{backend.NameWeave, 32},
-		{backend.NameTabla, 0},
-		{backend.NameCPU, 0},
-		{backend.NameSharded, 0},
+		{backend.NameAccelerator, 0, true},
+		{backend.NameWeave, 8, true},
+		{backend.NameWeave, 32, true},
+		{backend.NameTabla, 0, false},
+		{backend.NameCPU, 0, false},
+		{backend.NameSharded, 0, false},
 	} {
-		for _, noCache := range []bool{false, true} {
-			k := key{tc.backend, tc.bits, noCache}
+		for _, spill := range []bool{false, true} {
+			if spill && !tc.streaming {
+				continue // row-fed backends never touch the pool
+			}
+			k := key{tc.backend, tc.bits}
 			opts := precisionOpts(tc.bits)
 			opts.Backend = tc.backend
-			opts.NoExtractCache = noCache
+			if spill {
+				opts.PoolBytes = spillPoolBytes
+			}
 			opts.MaxEpochs = 3 // one extracting epoch, two replays (or three walks)
 			if tc.bits == 32 {
 				// Full-width weave is reached by the explicit override alone.
@@ -69,8 +70,15 @@ func TestSeamCharacterisation(t *testing.T) {
 			}
 			got := fmt.Sprintf("%016x e%d m%016x %v %v", math.Float64bits(res.SimulatedSeconds),
 				res.Epochs, h.Sum64(), res.Engine, res.Access)
-			if got != want[k] {
-				t.Errorf("modeled outputs drifted for %+v:\n got %s\nwant %s", k, got, want[k])
+			row := want[k]
+			if spill {
+				if res.Pool.Evictions == 0 {
+					t.Errorf("%+v: the spill leg's table fit its pool", k)
+				}
+				got, row = got[16:], row[16:] // everything after the simulated-seconds bits
+			}
+			if got != row {
+				t.Errorf("modeled outputs drifted for %+v (spill=%v):\n got %s\nwant %s", k, spill, got, row)
 			}
 		}
 	}

@@ -65,16 +65,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 // TenantName is the generated name of tenant i.
 func TenantName(i int) string { return fmt.Sprintf("tenant%d", i) }
 
-// TenantNames lists the load's tenant names in index order.
-func (c LoadConfig) TenantNames() []string {
-	c = c.withDefaults()
-	names := make([]string, c.Tenants)
-	for i := range names {
-		names[i] = TenantName(i)
-	}
-	return names
-}
-
 // GenLoad produces the seeded open-loop job schedule: deterministic in
 // the config, with exponential inter-arrival times and a Zipf-ish
 // workload draw.

@@ -24,7 +24,6 @@ import (
 
 	"dana/internal/backend"
 	"dana/internal/bufpool"
-	"dana/internal/catalog"
 	"dana/internal/datagen"
 	"dana/internal/dsl"
 	"dana/internal/fault"
@@ -612,12 +611,4 @@ func joinLines(xs []string) string {
 		out += x
 	}
 	return out
-}
-
-// Catalog returns the named tenant's catalog (danasrv stdin mode).
-func (s *Server) Catalog(name string) *catalog.Catalog {
-	if t, ok := s.tenants[name]; ok {
-		return t.sys.Catalog()
-	}
-	return nil
 }

@@ -133,7 +133,6 @@ type InnoRelation struct {
 	Schema   *Schema
 	PageSize int
 	pages    []InnoPage
-	ntup     int
 }
 
 // NewInnoRelation creates an empty InnoDB-style relation.
@@ -143,9 +142,6 @@ func NewInnoRelation(name string, schema *Schema, pageSize int) *InnoRelation {
 
 // NumPages returns the page count.
 func (r *InnoRelation) NumPages() int { return len(r.pages) }
-
-// NumTuples returns the tuple count.
-func (r *InnoRelation) NumTuples() int { return r.ntup }
 
 // Page returns page i.
 func (r *InnoRelation) Page(i int) (InnoPage, error) {
@@ -172,6 +168,5 @@ func (r *InnoRelation) Insert(vals []float64) error {
 			return err
 		}
 	}
-	r.ntup++
 	return nil
 }

@@ -224,30 +224,6 @@ func (r *Relation) NarrowedRows(with32 bool) (rows64 [][]float64, rows32 [][]flo
 	return rows64, rows32, nil
 }
 
-// ScanRaw invokes fn for every live tuple in heap order with its raw
-// bytes (header included). The slice aliases the page; callers must not
-// retain it. The weave-relation builder uses this to audit tuple
-// headers (null bitmaps, varlena tails) before reweaving.
-func (r *Relation) ScanRaw(fn func(tid TID, raw []byte) error) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for pn, p := range r.pages {
-		for i := 0; i < p.NumItems(); i++ {
-			raw, err := p.Item(i)
-			if err != nil {
-				if id, e2 := p.ItemID(i); e2 == nil && id.Flags != LPNormal {
-					continue // deleted tuple
-				}
-				return err
-			}
-			if err := fn(TID{Page: uint32(pn), Item: uint16(i)}, raw); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Validate checks every page's invariants.
 func (r *Relation) Validate() error {
 	r.mu.RLock()

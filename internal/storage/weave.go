@@ -418,25 +418,6 @@ func CheckWeaveSchema(s *Schema) error {
 	return nil
 }
 
-// checkWeaveTuple audits one raw heap tuple for the vertical layout:
-// null bitmaps and trailing varlena data both fail typed. The weave
-// format stores exactly ncols+1 fixed-width float32 values per row;
-// dynamic-offset tuples would silently misquantize through the static
-// schema offsets, so they are rejected instead.
-func checkWeaveTuple(s *Schema, raw []byte) error {
-	m, err := DecodeTupleMeta(raw)
-	if err != nil {
-		return err
-	}
-	if m.Infomask&InfomaskHasNull != 0 {
-		return fmt.Errorf("%w: tuple carries a null bitmap", ErrWeaveUnsupported)
-	}
-	if extra := len(raw) - int(m.Hoff) - s.DataWidth(); extra > 0 {
-		return fmt.Errorf("%w: tuple carries %d trailing bytes (varlena datum?)", ErrWeaveUnsupported, extra)
-	}
-	return nil
-}
-
 // WeaveRanges computes per-column quantization ranges over a row set:
 // Offset = column minimum, Scale = spread widened one ULP so the
 // maximum stays inside [0,1) (degenerate columns get Scale 1). Rows
@@ -474,61 +455,4 @@ func WeaveRanges(feats [][]float32, ncols int) []WeaveRange {
 		ranges[c] = WeaveRange{Offset: lo, Scale: scale}
 	}
 	return ranges
-}
-
-// BuildWeaveRelation reweaves a heap relation into vertical pages of up
-// to pageRows rows each (0 = size pages against the relation's heap
-// page size). The schema must pass CheckWeaveSchema and every tuple the
-// fixed-width audit (checkWeaveTuple); ranges nil computes per-column
-// ranges over the whole relation first.
-func BuildWeaveRelation(rel *Relation, ranges []WeaveRange, pageRows int) ([]WeavePage, error) {
-	if err := CheckWeaveSchema(rel.Schema); err != nil {
-		return nil, err
-	}
-	nfeat := rel.Schema.NumCols() - 1
-	var feats [][]float32
-	var labels []float32
-	vals := make([]float64, 0, rel.Schema.NumCols())
-	err := rel.ScanRaw(func(_ TID, raw []byte) error {
-		if err := checkWeaveTuple(rel.Schema, raw); err != nil {
-			return err
-		}
-		var derr error
-		vals, derr = DecodeTuple(rel.Schema, vals[:0], raw)
-		if derr != nil {
-			return derr
-		}
-		row := make([]float32, nfeat)
-		for i := 0; i < nfeat; i++ {
-			row[i] = float32(vals[i])
-		}
-		feats = append(feats, row)
-		labels = append(labels, float32(vals[nfeat]))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(feats) == 0 {
-		return nil, fmt.Errorf("%w: relation %q is empty", ErrWeaveUnsupported, rel.Name)
-	}
-	if ranges == nil {
-		ranges = WeaveRanges(feats, nfeat)
-	}
-	if pageRows <= 0 {
-		pageRows = WeavePageRows(rel.PageSize, nfeat)
-	}
-	var pages []WeavePage
-	for at := 0; at < len(feats); at += pageRows {
-		end := at + pageRows
-		if end > len(feats) {
-			end = len(feats)
-		}
-		p, err := BuildWeavePage(ranges, feats[at:end], labels[at:end])
-		if err != nil {
-			return nil, err
-		}
-		pages = append(pages, p)
-	}
-	return pages, nil
 }

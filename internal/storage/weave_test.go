@@ -274,31 +274,6 @@ func TestCheckWeaveSchema(t *testing.T) {
 	}
 }
 
-func TestCheckWeaveTupleRejections(t *testing.T) {
-	s := NumericSchema(2)
-	clean, err := EncodeTuple(s, []float64{0.25, 0.5, 1}, 2, TID{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkWeaveTuple(s, clean); err != nil {
-		t.Fatalf("clean tuple: %v", err)
-	}
-	nulled, err := EncodeTupleWithNulls(s, []float64{0.25, 0, 1}, []bool{false, true, false}, 2, TID{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkWeaveTuple(s, nulled); !errors.Is(err, ErrWeaveUnsupported) {
-		t.Errorf("null bitmap: err = %v, want ErrWeaveUnsupported", err)
-	}
-	varlena, err := AppendVarlena(append([]byte(nil), clean...), []byte("towed array"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkWeaveTuple(s, varlena); !errors.Is(err, ErrWeaveUnsupported) {
-		t.Errorf("varlena tail: err = %v, want ErrWeaveUnsupported", err)
-	}
-}
-
 func TestWeaveRanges(t *testing.T) {
 	feats := [][]float32{{-2, 5, 3}, {4, 5, 1}, {0, 5, 2}}
 	ranges := WeaveRanges(feats, 3)
@@ -315,53 +290,48 @@ func TestWeaveRanges(t *testing.T) {
 	}
 }
 
+// TestBuildWeaveRelation weaves a whole table the way the weave stage
+// does: ranges over every row, then one BuildWeavePage per WeavePageRows
+// rows. The pages validate and hold every row's label, in order.
 func TestBuildWeaveRelation(t *testing.T) {
 	const nfeat, ntup = 3, 1200 // an 8K weave page holds ~500 3-feature rows
-	rel := NewRelation("train", NumericSchema(nfeat), PageSize8K)
 	rng := rand.New(rand.NewSource(3))
-	var want [][]float64
-	for i := 0; i < ntup; i++ {
-		row := make([]float64, nfeat+1)
-		for c := 0; c < nfeat; c++ {
-			row[c] = float64(gridVal(rng.Uint32()))
+	feats := make([][]float32, ntup)
+	labels := make([]float32, ntup)
+	for i := range feats {
+		feats[i] = make([]float32, nfeat)
+		for c := range feats[i] {
+			feats[i][c] = gridVal(rng.Uint32())
 		}
-		row[nfeat] = float64(int(rng.Int31n(2))*2 - 1)
-		want = append(want, row)
-		if _, err := rel.Insert(row); err != nil {
-			t.Fatal(err)
+		labels[i] = float32(int(rng.Int31n(2))*2 - 1)
+	}
+	ranges := WeaveRanges(feats, nfeat)
+	pageRows := WeavePageRows(PageSize8K, nfeat)
+	rows, pages := 0, 0
+	for at := 0; at < ntup; at += pageRows {
+		end := min(at+pageRows, ntup)
+		p, err := BuildWeavePage(ranges, feats[at:end], labels[at:end])
+		if err != nil {
+			t.Fatalf("page %d: %v", pages, err)
 		}
-	}
-	pages, err := BuildWeaveRelation(rel, nil, 0)
-	if err != nil {
-		t.Fatalf("BuildWeaveRelation: %v", err)
-	}
-	rows := 0
-	for i, p := range pages {
 		if err := p.Validate(); err != nil {
-			t.Fatalf("page %d: %v", i, err)
+			t.Fatalf("page %d: %v", pages, err)
 		}
 		if p.NumCols() != nfeat {
-			t.Fatalf("page %d: %d cols", i, p.NumCols())
+			t.Fatalf("page %d: %d cols", pages, p.NumCols())
 		}
 		for r := 0; r < p.NumRows(); r++ {
-			if got, wantLb := float64(p.Label(r)), want[rows+r][nfeat]; got != wantLb {
-				t.Fatalf("page %d row %d label %v, want %v", i, r, got, wantLb)
+			if got := p.Label(r); got != labels[rows+r] {
+				t.Fatalf("page %d row %d label %v, want %v", pages, r, got, labels[rows+r])
 			}
 		}
 		rows += p.NumRows()
+		pages++
 	}
 	if rows != ntup {
-		t.Fatalf("pages hold %d rows, relation has %d", rows, ntup)
+		t.Fatalf("pages hold %d rows, the table has %d", rows, ntup)
 	}
-	if len(pages) < 2 {
-		t.Fatalf("expected multiple pages for %d tuples on 8K budget, got %d", ntup, len(pages))
-	}
-
-	// Typed rejections surface through the relation path too.
-	if _, err := BuildWeaveRelation(NewRelation("r", RatingSchema(), 0), nil, 0); !errors.Is(err, ErrWeaveUnsupported) {
-		t.Errorf("rating schema: err = %v, want ErrWeaveUnsupported", err)
-	}
-	if _, err := BuildWeaveRelation(NewRelation("e", NumericSchema(2), 0), nil, 0); !errors.Is(err, ErrWeaveUnsupported) {
-		t.Errorf("empty relation: err = %v, want ErrWeaveUnsupported", err)
+	if pages < 2 {
+		t.Fatalf("expected multiple pages for %d tuples on 8K budget, got %d", ntup, pages)
 	}
 }

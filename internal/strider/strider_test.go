@@ -159,9 +159,6 @@ writeB %t0, 4, 8
 	if got := uint32(page[8]) | uint32(page[9])<<8; got != 0x0200 {
 		t.Errorf("written value = %#x", got)
 	}
-	if vm.BytesWritten() != 4 {
-		t.Errorf("BytesWritten = %d", vm.BytesWritten())
-	}
 }
 
 func TestVMInsertEmits(t *testing.T) {

@@ -186,8 +186,6 @@ type interval struct{ lo, hi uint64 }
 func ivConst(v uint64) interval { return interval{v, v} }
 func ivTop() interval           { return interval{0, ^uint64(0)} }
 
-func (a interval) isTop() bool { return a.lo == 0 && a.hi == ^uint64(0) }
-
 func (a interval) join(b interval) interval {
 	if b.lo < a.lo {
 		a.lo = b.lo

@@ -25,7 +25,6 @@ type VM struct {
 	loops   []int // bentr return stack, reused across Runs
 	cycles  int64
 	steps   int64 // instructions retired
-	writes  int   // count of writeB-modified bytes
 }
 
 // Default step bound: generous for a 32 KB page walk.
@@ -59,9 +58,6 @@ func (vm *VM) Cycles() int64 { return vm.cycles }
 // minus the extra byte-move cycles of cln/ins).
 func (vm *VM) Steps() int64 { return vm.steps }
 
-// BytesWritten returns how many page bytes writeB modified in the last Run.
-func (vm *VM) BytesWritten() int { return vm.writes }
-
 // Run executes the program over the page, appending emitted bytes to an
 // internal buffer (retrievable via Out).
 func (vm *VM) Run(page []byte) error {
@@ -73,7 +69,6 @@ func (vm *VM) Run(page []byte) error {
 	vm.out = vm.out[:0]
 	vm.cycles = 0
 	vm.steps = 0
-	vm.writes = 0
 	vm.t = [NumTempRegs]uint64{}
 	vm.cr = vm.Config.CR
 
@@ -122,7 +117,6 @@ func (vm *VM) Run(page []byte) error {
 			for i := uint64(0); i < n; i++ {
 				vm.page[addr+i] = byte(src >> (8 * i))
 			}
-			vm.writes += int(n)
 		case OpExtrBi:
 			src := vm.val(in.A)
 			fdIdx := vm.val(in.B)

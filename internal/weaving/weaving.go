@@ -8,7 +8,7 @@
 // datapath width. Labels pass through untouched.
 //
 // The decode kernels are //dana:hotpath (allocation-free, enforced by
-// danalint hotalloc); scratch buffers live on the Extractor and are
+// danalint hotcall); scratch buffers live on the Extractor and are
 // grown only in Prepare. The cycle model mirrors the Strider one:
 // PageDecodeCycles prices a page as one cycle per plane word touched
 // plus one per row of assembly/dequantization, so modeled decode time —
@@ -46,10 +46,7 @@ func NewExtractor(bits int) (*Extractor, error) {
 	return &Extractor{bits: bits, inv: 1 / float64(uint64(1)<<uint(bits))}, nil
 }
 
-// Bits returns the configured precision.
-func (e *Extractor) Bits() int { return e.bits }
-
-// Prepare sizes the scratch buffers for a page geometry. DecodePage
+// Prepare sizes the scratch buffers for a page geometry. DecodeRows
 // calls it; it is exported so hot loops can hoist the growth out. The
 // scratch is not cleared: a decode writes every code it exposes.
 func (e *Extractor) Prepare(ncols, nrows int) {
@@ -61,33 +58,9 @@ func (e *Extractor) Prepare(ncols, nrows int) {
 	}
 }
 
-// DecodePage validates p and decodes it at the extractor's precision,
-// appending one row of ncols+1 float32 values (features then label) per
-// page row via emit. The emitted slice is reused across calls — like
-// Relation.Scan, consumers copy if they retain.
-func (e *Extractor) DecodePage(p storage.WeavePage, row []float32, emit func(row []float32) error) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	ncols, nrows := p.NumCols(), p.NumRows()
-	e.Prepare(ncols, nrows)
-	e.gather(p)
-	if cap(row) < ncols+1 {
-		row = make([]float32, ncols+1)
-	}
-	row = row[:ncols+1]
-	for r := 0; r < nrows; r++ {
-		e.dequantizeRow(p, r, row)
-		if err := emit(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecodeRows decodes a whole page into caller-owned rows of ncols+1
-// values, cut from one slab per page — the materializing form of
-// DecodePage (tests, reference paths).
+// DecodeRows validates p and decodes it at the extractor's precision
+// into caller-owned rows of ncols+1 float32 values (features then
+// label), cut from one slab per page.
 func (e *Extractor) DecodeRows(p storage.WeavePage) ([][]float32, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -382,21 +355,4 @@ func RelationGeometry(tuples, nfeat, pageSize int) Geometry {
 		g.BitBytes += storage.WeaveBitPageBytes(nfeat, n)
 	}
 	return g
-}
-
-// DecodeCycles prices decoding the whole geometry once at k bits.
-func DecodeCycles(g Geometry, tuples, nfeat, bits int) int64 {
-	var total int64
-	rows := g.PageRows
-	if rows < 1 {
-		return 0
-	}
-	for at := 0; at < tuples; at += rows {
-		n := tuples - at
-		if n > rows {
-			n = rows
-		}
-		total += PageDecodeCycles(nfeat, n, bits)
-	}
-	return total
 }

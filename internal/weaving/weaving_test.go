@@ -51,8 +51,7 @@ func TestNewExtractorBounds(t *testing.T) {
 			t.Errorf("NewExtractor(%d) accepted", bits)
 		}
 	}
-	e, err := NewExtractor(32)
-	if err != nil || e.Bits() != 32 {
+	if e, err := NewExtractor(32); err != nil {
 		t.Fatalf("NewExtractor(32) = %v, %v", e, err)
 	}
 }
@@ -136,28 +135,11 @@ func TestDecodePageRejectsCorrupt(t *testing.T) {
 	e, _ := NewExtractor(8)
 	bad := append(storage.WeavePage(nil), p...)
 	bad[0] ^= 0xFF
-	if err := e.DecodePage(bad, nil, func([]float32) error { return nil }); !errors.Is(err, storage.ErrWeaveCorrupt) {
+	if _, err := e.DecodeRows(bad); !errors.Is(err, storage.ErrWeaveCorrupt) {
 		t.Fatalf("bad magic: err = %v, want ErrWeaveCorrupt", err)
 	}
-	if err := e.DecodePage(p[:len(p)-1], nil, func([]float32) error { return nil }); !errors.Is(err, storage.ErrWeaveCorrupt) {
+	if _, err := e.DecodeRows(p[:len(p)-1]); !errors.Is(err, storage.ErrWeaveCorrupt) {
 		t.Fatalf("truncated planes: err = %v, want ErrWeaveCorrupt", err)
-	}
-}
-
-func TestDecodePageEmitError(t *testing.T) {
-	p, _, _ := buildPage(t, 2, 70, 5, true)
-	e, _ := NewExtractor(8)
-	boom := errors.New("boom")
-	calls := 0
-	err := e.DecodePage(p, nil, func([]float32) error {
-		calls++
-		if calls == 3 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) || calls != 3 {
-		t.Fatalf("err = %v after %d calls, want boom after 3", err, calls)
 	}
 }
 
@@ -226,21 +208,26 @@ func TestRelationGeometryExact(t *testing.T) {
 	if g.Pages < 2 {
 		t.Fatalf("geometry = %+v, want multiple pages", g)
 	}
-	// Cross-check against the real builder: page count and exact bytes.
-	rel := storage.NewRelation("t", storage.NumericSchema(nfeat), pageSize)
+	// Cross-check against the real builder, paged the way the weave stage
+	// pages: page count and exact bytes.
 	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < tuples; i++ {
-		row := make([]float64, nfeat+1)
-		for c := range row {
-			row[c] = rng.Float64()
+	feats, labels := make([][]float32, tuples), make([]float32, tuples)
+	for i := range feats {
+		feats[i] = make([]float32, nfeat)
+		for c := range feats[i] {
+			feats[i][c] = rng.Float32()
 		}
-		if _, err := rel.Insert(row); err != nil {
+		labels[i] = rng.Float32()
+	}
+	ranges := storage.WeaveRanges(feats, nfeat)
+	var pages []storage.WeavePage
+	for at := 0; at < tuples; at += g.PageRows {
+		end := min(at+g.PageRows, tuples)
+		p, err := storage.BuildWeavePage(ranges, feats[at:end], labels[at:end])
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	pages, err := storage.BuildWeaveRelation(rel, nil, 0)
-	if err != nil {
-		t.Fatal(err)
+		pages = append(pages, p)
 	}
 	if len(pages) != g.Pages {
 		t.Fatalf("builder made %d pages, geometry says %d", len(pages), g.Pages)
@@ -265,15 +252,6 @@ func TestRelationGeometryExact(t *testing.T) {
 	}
 	if RelationGeometry(0, nfeat, pageSize) != (Geometry{}) {
 		t.Fatal("empty relation must have zero geometry")
-	}
-
-	// DecodeCycles sums the per-page model over the same paging.
-	var cycles int64
-	for _, p := range pages {
-		cycles += PageDecodeCycles(p.NumCols(), p.NumRows(), 8)
-	}
-	if got := DecodeCycles(g, tuples, nfeat, 8); got != cycles {
-		t.Fatalf("DecodeCycles = %d, per-page sum = %d", got, cycles)
 	}
 }
 
@@ -300,11 +278,10 @@ func BenchmarkDecodePage(b *testing.B) {
 				b.Fatal(err)
 			}
 			e, _ := NewExtractor(bits)
-			row := make([]float32, len(ranges)+1)
 			b.SetBytes(int64(storage.WeaveFixedPageBytes(8, 512) + int64(bits)*storage.WeaveBitPageBytes(8, 512)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := e.DecodePage(p, row, func([]float32) error { return nil }); err != nil {
+				if _, err := e.DecodeRows(p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,8 +6,9 @@ package dana
 // per batch or per tuple (the engine keeps a plain ledger and publishes
 // it once an epoch), so the real overhead is far below the gate; the
 // gate exists so a future change that accidentally puts an instrument in
-// a hot loop fails loudly. Two legs: an LR train at merge 64 that
-// re-extracts every epoch, and a cached LRMF train at merge 1, where a
+// a hot loop fails loudly. Two legs: an LR train at merge 64 whose table
+// does not fit its pool, so every epoch re-reads and re-extracts every
+// page, and a cached LRMF train at merge 1, where a
 // batch is one tuple and the engine is the whole op — the shape on which
 // a per-batch instrument is a per-tuple one.
 
@@ -21,7 +22,9 @@ type obsLeg struct {
 	workload string
 	scale    float64
 	merge    int
-	noCache  bool
+	// poolBytes sizes the buffer pool: below the table, every epoch goes
+	// through the pool's and the Striders' per-page charge sites.
+	poolBytes int64
 }
 
 // obsTimedEpochs is the length of one timed Train. The quantity under
@@ -35,8 +38,8 @@ const obsTimedEpochs = 30
 func obsTrainer(t *testing.T, leg obsLeg, disable bool) func() float64 {
 	t.Helper()
 	eng, err := Open(Config{
-		PageSize: 32 << 10, PoolBytes: 128 << 20,
-		Workers: 1, NoExtractCache: leg.noCache, DisableObs: disable,
+		PageSize: 32 << 10, PoolBytes: leg.poolBytes,
+		Workers: 1, DisableObs: disable,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +74,8 @@ func TestObsOverheadBudget(t *testing.T) {
 		t.Skip("wall-clock measurement; skipped in -short mode")
 	}
 	for _, leg := range []obsLeg{
-		{workload: "Remote Sensing LR", scale: 0.02, merge: 64, noCache: true},
-		{workload: "Netflix", scale: 0.01, merge: 1},
+		{workload: "Remote Sensing LR", scale: 0.02, merge: 64, poolBytes: 1 << 20}, // 32 frames under ~95 pages
+		{workload: "Netflix", scale: 0.01, merge: 1, poolBytes: 128 << 20},
 	} {
 		t.Run(leg.workload, func(t *testing.T) { obsOverheadBudget(t, leg) })
 	}
