@@ -258,6 +258,11 @@ func printStats(eng *dana.Engine, res *runtime.TrainResult, udfName, table strin
 	ch, cm := r.Get(obs.RuntimeCacheHits), r.Get(obs.RuntimeCacheMisses)
 	fmt.Printf("  %-22s %14d hits, %d misses (%.1f%% hit rate)\n",
 		"record cache", ch, cm, pct(ch, ch+cm))
+	if wb, wd := r.Get(obs.WeaveBuilds), r.Get(obs.WeaveDecodes); wb+wd > 0 {
+		// A job that found its pages held reads "0 builds".
+		fmt.Printf("  %-22s %14d builds, %d decodes, %d bytes held beside the record cache\n",
+			"weave pages", wb, wd, r.Get(obs.WeaveHeldBytes))
+	}
 	trainNs := r.Get(obs.RuntimeTrainWallNs)
 	fmt.Printf("  %-22s %11.3f ms wall (%.3f ms/epoch mean)\n",
 		"host time", float64(trainNs)/1e6, float64(r.Get(obs.RuntimeEpochWallNs))/1e6/float64(max64(1, nEpochs)))

@@ -143,6 +143,7 @@ func (b *Accel) configure(p Program, cfg engine.Config) error {
 		if weave, err = newWeaveStage(caps, p); err != nil {
 			return err
 		}
+		weave.SetObs(b.env.obs())
 	}
 	class := Classify(p.Graph)
 	if !caps.Supports(class) {
@@ -198,7 +199,7 @@ func (b *Accel) RunEpoch(st *Stream) error {
 		return err
 	}
 	if b.weave.bits > 0 && rows != nil {
-		if rows, err = b.weave.requantise(rows); err != nil {
+		if rows, err = b.weave.requantise(rows, st.Held); err != nil {
 			return err
 		}
 	}
@@ -316,13 +317,14 @@ func (b *Accel) Counters() engine.Stats {
 }
 
 // Close releases the machine's host fan-out helpers and drops the epoch
-// buffers (materialized rows, the weave stage's reweaver); a later epoch
-// rebuilds what it needs.
+// buffers (materialized rows, the weave stage's reweaver and decoded
+// rows); a later epoch rebuilds what it needs.
 func (b *Accel) Close() {
 	if b.m != nil {
 		b.m.Close()
 	}
-	b.rows32, b.slab, b.weave.rw = nil, rowSlab{}, nil
+	b.rows32, b.slab = nil, rowSlab{}
+	b.weave.drop()
 }
 
 // InProcessStriders clamps a design's Strider count to the in-process

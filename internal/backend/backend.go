@@ -26,6 +26,7 @@ import (
 	"dana/internal/hwgen"
 	"dana/internal/ml"
 	"dana/internal/storage"
+	"dana/internal/weaving"
 )
 
 // Typed errors. Every "can't do that" outcome at the backend seam is
@@ -285,11 +286,21 @@ type Program struct {
 //
 // Backends prefer the form matching their precision and convert
 // otherwise (float32 -> float64 widening is exact).
+//
+// Held, set beside Rows32, is the producer's word that these rows are
+// stable — the same values every time this holder comes with them — and
+// its loan of a place to keep what a consumer derives from them. The
+// producer owns it and drops it with the rows; what is inside is the
+// consumer's business (the weave stage keeps the rows' woven form there).
 type Stream struct {
 	Batches func(emit func([][]float32) error) error
 	Rows32  [][]float32
 	Rows64  [][]float64
+	Held    *Held
 }
+
+// Held is the holder a Stream lends. The zero value is empty.
+type Held = weaving.Slot
 
 // Widened returns the epoch as float64 rows for reference-precision
 // backends: Rows64 as delivered, either float32 form widened (exact)

@@ -7,8 +7,9 @@ package backend
 //   - bit-identical where promised: DeterministicCounters backends must
 //     produce bit-identical modeled counters AND model bits across
 //     repeat runs — including across different Stream delivery forms
-//     (page-order batch stream vs materialized rows), the invariant the
-//     runtime's record cache replays depend on; BitExactModel backends
+//     (page-order batch stream vs materialized rows, and materialized
+//     rows with a lent holder vs without), the invariant the runtime's
+//     record cache replays depend on; BitExactModel backends
 //     must match their declared reference semantics bit for bit;
 //   - toleranced elsewhere: float32-datapath backends must land within
 //     Capabilities.ModelTolerance of the reference (Oracle-C scaled
@@ -337,6 +338,21 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 				cb2 := be2.(CounterBackend)
 				if a, b := cb.Counters(), cb2.Counters(); a != b {
 					add(CheckDeterminism, "modeled counters diverge across delivery forms:\n  a=%+v\n  b=%+v", a, b)
+				}
+			}
+			// Rows32 with a lent holder against the same rows without one:
+			// what a backend keeps in the holder must not show.
+			if caps.Streaming {
+				be3 := reg.New(env)
+				if err := train(be3, p, sc, &Stream{Rows32: sc.Rows32, Held: new(Held)}); err != nil {
+					add(CheckDeterminism, "run with a lent holder: %v", err)
+				} else {
+					if err := compareBits("model with a lent holder", be3.Model(), got); err != nil {
+						add(CheckDeterminism, "%v", err)
+					}
+					if a, b := cb.Counters(), be3.(CounterBackend).Counters(); a != b {
+						add(CheckDeterminism, "modeled counters diverge with a lent holder:\n  without=%+v\n  with=%+v", a, b)
+					}
 				}
 			}
 		}

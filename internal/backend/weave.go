@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dana/internal/cost"
+	"dana/internal/obs"
 	"dana/internal/storage"
 	"dana/internal/weaving"
 )
@@ -76,15 +77,25 @@ func chargeWeave(w *cost.Workload, job Job, passes int64) {
 // degenerates to one row a page on wide tables.
 const weaveBlockRows = 128
 
-// weaveStage is Accel's per-epoch requantisation stage: the read
-// precision, the quantization ranges (pinned by the program, or derived
-// from the first epoch's tuples), and the reweaver whose buffers every
-// epoch of the configured backend reuses (built by the first epoch,
-// dropped by Accel.Close).
+// weaveStage is Accel's requantisation stage: the read precision, the
+// quantization ranges (pinned by the program, or derived from the first
+// epoch's tuples), the reweaver whose buffers every epoch of the
+// configured backend reuses, and the last epoch's decoded rows with the
+// holder they were decoded under. The buffers are built by the first
+// epoch and dropped by Accel.Close.
 type weaveStage struct {
 	bits   int
 	ranges []storage.WeaveRange
 	rw     *weaving.Reweaver
+	// rows are rw's decoded rows and from the holder that came with the
+	// rows they were decoded from (nil = none lent). The same holder again
+	// means the same rows again, so rows are returned as they are.
+	rows [][]float32
+	from *Held
+
+	// Read-only observability: weaves done, decode passes done, and the
+	// bytes of woven form published into lent holders.
+	builds, decodes, heldBytes *obs.Counter
 }
 
 func newWeaveStage(caps Capabilities, p Program) (weaveStage, error) {
@@ -100,12 +111,25 @@ func newWeaveStage(caps Capabilities, p Program) (weaveStage, error) {
 	return ws, nil
 }
 
-// requantise reweaves one epoch's rows at the configured precision; the
-// result is the reweaver's, valid until the next epoch's call. Derived
-// ranges are per-column min/max — delivery-order independent — so every
-// legal stream form of the same epoch produces bit-identical rewoven
-// rows, and therefore bit-identical model state and counters.
-func (ws *weaveStage) requantise(rows [][]float32) ([][]float32, error) {
+// SetObs resolves the stage's counters.
+func (ws *weaveStage) SetObs(r *obs.Registry) {
+	ws.builds = r.Counter(obs.WeaveBuilds)
+	ws.decodes = r.Counter(obs.WeaveDecodes)
+	ws.heldBytes = r.Counter(obs.WeaveHeldBytes)
+}
+
+// requantise returns one epoch's rows rewoven at the configured
+// precision; the result is the stage's, valid until the next epoch's
+// call. Rows that come with a holder are woven once for as long as the
+// holder lives — by whichever Train gets there first — and decoded once
+// per configured backend; rows without one are rewoven every epoch.
+// Derived ranges are per-column min/max — delivery-order independent — so
+// every legal stream form of the same epoch produces bit-identical
+// rewoven rows, and therefore bit-identical model state and counters.
+func (ws *weaveStage) requantise(rows [][]float32, held *Held) ([][]float32, error) {
+	if held != nil && held == ws.from {
+		return ws.rows, nil
+	}
 	if ws.rw == nil {
 		rw, err := weaving.NewReweaver(ws.bits, weaveBlockRows)
 		if err != nil {
@@ -113,12 +137,27 @@ func (ws *weaveStage) requantise(rows [][]float32) ([][]float32, error) {
 		}
 		ws.rw = rw
 	}
-	rewoven, ranges, err := ws.rw.Reweave(rows, ws.ranges)
-	if err != nil {
+	wv, built, err := ws.rw.Weave(rows, ws.ranges, held)
+	if err != nil || wv == nil {
 		return nil, err
 	}
-	ws.ranges = ranges
-	return rewoven, nil
+	if built {
+		ws.builds.Inc()
+		if held != nil {
+			ws.heldBytes.Add(int64(wv.Bytes()))
+		}
+	}
+	ws.decodes.Inc()
+	ws.ranges = wv.Ranges()
+	ws.rows, ws.from = ws.rw.Decode(wv), held
+	return ws.rows, nil
+}
+
+// drop releases the stage's buffers: the reweaver, the decoded rows and
+// the note of where they came from go together, so nothing stale is ever
+// returned for a holder seen before.
+func (ws *weaveStage) drop() {
+	ws.rw, ws.rows, ws.from = nil, nil, nil
 }
 
 // WeaveReference is the weave registration's declared reference

@@ -9,12 +9,15 @@ package backend_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"dana/internal/backend"
 	"dana/internal/cost"
+	"dana/internal/engine"
 	"dana/internal/ml"
+	"dana/internal/obs"
 	"dana/internal/storage"
 	"dana/internal/weaving"
 )
@@ -340,5 +343,282 @@ func TestWeaveCloseDropsOnlyBuffers(t *testing.T) {
 	}
 	if cc, tc := closed.Counters(), twin.Counters(); cc != tc {
 		t.Fatalf("counters diverge:\n  closed=%+v\n  twin=%+v", cc, tc)
+	}
+}
+
+// heldBits is the precision ladder the held-form tests walk: sweepBits
+// plus 31, the widest read that is not the full page.
+var heldBits = []int{1, 2, 4, 8, 16, 31, 32}
+
+// countingEnv is the conformance environment with live counters.
+func countingEnv() (backend.Env, *obs.Registry) {
+	env := backend.ConformanceEnv()
+	env.Obs = obs.New()
+	return env, env.Obs
+}
+
+// requireSameRun holds a weave backend to a reference: model bits,
+// modeled counters, and the modeled seconds the same run integrates to.
+func requireSameRun(t *testing.T, what string, job backend.Job, got, want *backend.Accel) {
+	t.Helper()
+	gm, wm := got.Model(), want.Model()
+	if len(gm) == 0 || len(gm) != len(wm) {
+		t.Fatalf("%s: model lengths %d vs %d", what, len(gm), len(wm))
+	}
+	for i := range wm {
+		if math.Float64bits(gm[i]) != math.Float64bits(wm[i]) {
+			t.Fatalf("%s: model[%d] = %v, reference %v", what, i, gm[i], wm[i])
+		}
+	}
+	gc, wc := got.Counters(), want.Counters()
+	if gc != wc {
+		t.Fatalf("%s: counters diverge:\n   got=%+v\n  want=%+v", what, gc, wc)
+	}
+	run := func(c engine.Stats) backend.Run {
+		return backend.Run{EngineCycles: c.Cycles, StriderCycles: 1 << 16, Pages: int64(2 * job.Pages)}
+	}
+	if g, w := got.ModeledSeconds(job, run(gc)), got.ModeledSeconds(job, run(wc)); math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("%s: modeled seconds %v, reference %v", what, g, w)
+	}
+}
+
+// TestWeaveHeldEqualsPerEpochReweave: with a holder lent, the first
+// backend weaves once and decodes once, a second one on the same holder
+// only decodes, and both land on the bits of the accelerator machine fed
+// weaving.ReweaveRows' output epoch by epoch — at every precision, with
+// derived and with pinned ranges.
+func TestWeaveHeldEqualsPerEpochReweave(t *testing.T) {
+	for _, seed := range []int64{1, 3} { // logistic, linear
+		sc := backend.GenScenario(seed)
+		nfeat := sc.Spec.TupleWidth() - 1
+		for _, bits := range heldBits {
+			for _, ranges := range [][]storage.WeaveRange{nil, gridRanges(nfeat)} {
+				env, reg := countingEnv()
+				p, err := backend.BuildProgram(sc, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				job := backend.JobFor(sc, p)
+				job.Bits = bits
+
+				ref := backend.NewAccel(backend.ConformanceEnv())
+				if err := ref.Configure(p); err != nil {
+					t.Fatal(err)
+				}
+				for e := 0; e < sc.Spec.Epochs; e++ {
+					rewoven, _, err := weaving.ReweaveRows(sc.Rows32, ranges, bits, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := ref.RunEpoch(&backend.Stream{Rows32: rewoven}); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				pw := p
+				pw.Bits, pw.Ranges = bits, ranges
+				var held backend.Held
+				for i, want := range []struct{ builds, decodes int64 }{{1, 1}, {1, 2}} {
+					be := backend.NewWeaveAccel(env)
+					if err := be.Configure(pw); err != nil {
+						t.Fatal(err)
+					}
+					for e := 0; e < sc.Spec.Epochs; e++ {
+						if err := be.RunEpoch(&backend.Stream{Rows32: sc.Rows32, Held: &held}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					what := fmt.Sprintf("seed %d bits %d pinned=%v backend %d", seed, bits, ranges != nil, i)
+					requireSameRun(t, what, job, be, ref)
+					if b, d := reg.Get(obs.WeaveBuilds), reg.Get(obs.WeaveDecodes); b != want.builds || d != want.decodes {
+						t.Errorf("%s: %d builds, %d decodes after %d epochs, want %d and %d", what, b, d, sc.Spec.Epochs, want.builds, want.decodes)
+					}
+					be.Close()
+				}
+				if got := reg.Get(obs.WeaveHeldBytes); got <= 0 {
+					t.Errorf("seed %d bits %d: %d held bytes after a build into a lent holder", seed, bits, got)
+				}
+			}
+		}
+	}
+}
+
+// TestWeaveHolderReplacedByOtherRequest: one holder, one woven form — a
+// backend at another precision, or with other pinned ranges, rebuilds it
+// and still trains to its own reference; going back rebuilds again.
+func TestWeaveHolderReplacedByOtherRequest(t *testing.T) {
+	sc := backend.GenScenario(1)
+	nfeat := sc.Spec.TupleWidth() - 1
+	env, reg := countingEnv()
+	p, err := backend.BuildProgram(sc, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := backend.JobFor(sc, p)
+	var held backend.Held
+	for i, tc := range []struct {
+		bits   int
+		ranges []storage.WeaveRange
+		builds int64
+	}{
+		{8, nil, 1}, {8, nil, 1}, {4, nil, 2}, {8, nil, 3}, {8, gridRanges(nfeat), 4}, {8, gridRanges(nfeat), 4}, {8, nil, 5},
+	} {
+		pw := p
+		pw.Bits, pw.Ranges = tc.bits, tc.ranges
+		be, ref := backend.NewWeaveAccel(env), backend.NewWeaveAccel(backend.ConformanceEnv())
+		for _, b := range []*backend.Accel{be, ref} {
+			if err := b.Configure(pw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for e := 0; e < sc.Spec.Epochs; e++ {
+			if err := be.RunEpoch(&backend.Stream{Rows32: sc.Rows32, Held: &held}); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.RunEpoch(&backend.Stream{Rows32: sc.Rows32}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		job.Bits = tc.bits
+		requireSameRun(t, fmt.Sprintf("step %d (bits %d pinned=%v)", i, tc.bits, tc.ranges != nil), job, be, ref)
+		if got := reg.Get(obs.WeaveBuilds); got != tc.builds {
+			t.Errorf("step %d: %d builds so far, want %d", i, got, tc.builds)
+		}
+	}
+}
+
+// TestWeaveStageDropsDecodedRows: Close and a second Configure drop the
+// decoded rows with the reweaver and the note of their holder — the next
+// epoch under the same holder decodes again (never returning rows that
+// are gone, or another precision's) and lands on an untouched twin's
+// bits.
+func TestWeaveStageDropsDecodedRows(t *testing.T) {
+	sc := backend.GenScenario(4)
+	env, reg := countingEnv()
+	p, err := backend.BuildProgram(sc, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Bits = 8
+	job := backend.JobFor(sc, p)
+	var held, twinHeld backend.Held
+	be, twin := backend.NewWeaveAccel(env), backend.NewWeaveAccel(backend.ConformanceEnv())
+	epoch := func(b *backend.Accel, h *backend.Held) {
+		t.Helper()
+		if err := b.RunEpoch(&backend.Stream{Rows32: sc.Rows32, Held: h}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range []*backend.Accel{be, twin} {
+		if err := b.Configure(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch(be, &held)
+	epoch(be, &held)
+	be.Close()
+	epoch(be, &held)
+	for e := 0; e < 3; e++ {
+		epoch(twin, &twinHeld)
+	}
+	requireSameRun(t, "Close between epochs", job, be, twin)
+	if b, d := reg.Get(obs.WeaveBuilds), reg.Get(obs.WeaveDecodes); b != 1 || d != 2 {
+		t.Errorf("%d builds, %d decodes over three epochs and a Close, want 1 and 2", b, d)
+	}
+
+	// Reconfigured at another precision, the same instance under the same
+	// holder must not be handed the k=8 rows it decoded before.
+	p.Bits, job.Bits = 4, 4
+	for _, b := range []*backend.Accel{be, twin} {
+		if err := b.Configure(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch(be, &held)
+	epoch(twin, new(backend.Held))
+	requireSameRun(t, "second Configure", job, be, twin)
+}
+
+// TestWeaveFailedEpochReusesHolder: an epoch that fails after the weave
+// stage ran (rows one value too wide for the program) leaves a complete
+// woven form in the holder and complete decoded rows in the stage; its
+// re-run weaves and decodes nothing again. An epoch that fails inside the
+// weave leaves the holder as it was.
+func TestWeaveFailedEpochReusesHolder(t *testing.T) {
+	sc := backend.GenScenario(3)
+	env, reg := countingEnv()
+	p, err := backend.BuildProgram(sc, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Bits = 8
+	be := backend.NewWeaveAccel(env)
+	if err := be.Configure(p); err != nil {
+		t.Fatal(err)
+	}
+	wide := make([][]float32, len(sc.Rows32))
+	for i, r := range sc.Rows32 {
+		wide[i] = append([]float32{0.5}, r...)
+	}
+	var held backend.Held
+	before := be.Model()
+	for attempt := 0; attempt < 2; attempt++ {
+		if err := be.RunEpoch(&backend.Stream{Rows32: wide, Held: &held}); err == nil {
+			t.Fatal("an epoch of rows wider than the program's tuples ran")
+		}
+		if err := be.SetModel(before); err != nil { // what runEpochRecover does
+			t.Fatal(err)
+		}
+		if b, d := reg.Get(obs.WeaveBuilds), reg.Get(obs.WeaveDecodes); b != 1 || d != 1 {
+			t.Fatalf("attempt %d: %d builds, %d decodes, want 1 and 1", attempt, b, d)
+		}
+	}
+
+	// Reconfigured: the ranges the wide rows fixed go with the stage.
+	if err := be.Configure(p); err != nil {
+		t.Fatal(err)
+	}
+	ragged := append([][]float32{{1, 2}}, sc.Rows32...)
+	var empty backend.Held
+	if err := be.RunEpoch(&backend.Stream{Rows32: ragged, Held: &empty}); !errors.Is(err, storage.ErrWeaveUnsupported) {
+		t.Fatalf("ragged rows: %v, want ErrWeaveUnsupported", err)
+	}
+	if b := reg.Get(obs.WeaveBuilds); b != 1 {
+		t.Errorf("%d builds after a weave that failed, want 1", b)
+	}
+	// The holder is still empty: good rows under it weave from scratch.
+	if err := be.RunEpoch(&backend.Stream{Rows32: sc.Rows32, Held: &empty}); err != nil {
+		t.Fatal(err)
+	}
+	if b := reg.Get(obs.WeaveBuilds); b != 2 {
+		t.Errorf("%d builds after the first good epoch under the holder, want 2", b)
+	}
+}
+
+// TestWeaveHeldEpochAllocationFree: from the second epoch under one
+// holder on, the weave stage hands back the rows it decoded and the epoch
+// is the engine's alone — nothing is allocated.
+func TestWeaveHeldEpochAllocationFree(t *testing.T) {
+	sc := backend.GenScenario(1)
+	p, err := backend.BuildProgram(sc, backend.ConformanceEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Bits = 8
+	be := backend.NewWeaveAccel(backend.ConformanceEnv())
+	if err := be.Configure(p); err != nil {
+		t.Fatal(err)
+	}
+	defer be.Close()
+	st := &backend.Stream{Rows32: sc.Rows32, Held: new(backend.Held)}
+	if err := be.RunEpoch(st); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := be.RunEpoch(st); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a held weave epoch allocates %v times from the second on, want 0", allocs)
 	}
 }

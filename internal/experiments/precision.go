@@ -154,8 +154,11 @@ func PrecisionSweep(env Env) ([]PrecisionRow, error) {
 			budget := precisionEpochBudget(epochs, bits)
 			margin := precisionLossMargin(bits)
 			ran, loss := 0, math.Inf(1)
+			// The scenario's rows never change, so one holder per sweep
+			// point lets the epoch budget weave them once.
+			st := &backend.Stream{Rows32: sc.Rows32, Held: new(backend.Held)}
 			for e := 1; e <= budget; e++ {
-				if err := be.RunEpoch(&backend.Stream{Rows32: sc.Rows32}); err != nil {
+				if err := be.RunEpoch(st); err != nil {
 					return nil, err
 				}
 				ran = e

@@ -87,6 +87,15 @@ const (
 	RuntimeTrainWallNs  = "runtime.train_wall_ns"
 	RuntimeTrainRuns    = "runtime.train_runs"
 
+	// Any-precision weave stage (internal/backend): WeaveBuilds counts
+	// row sets woven into pages, WeaveDecodes decode passes over a woven
+	// form, WeaveHeldBytes the bytes of woven form published beside a
+	// record-cache entry. A Train that only read what an earlier one wove
+	// shows decodes and no builds.
+	WeaveBuilds    = "weave.builds"
+	WeaveDecodes   = "weave.decodes"
+	WeaveHeldBytes = "weave.held_bytes"
+
 	// Memory channels (internal/runtime): the modeled per-channel
 	// stream split under round-robin page interleaving (page pn streams
 	// on channel pn mod Channels — the same policy internal/cost

@@ -29,6 +29,8 @@ package runtime
 // The cache is invalidated by any heap mutation (storage.Relation
 // generation counter) and by pool invalidation (DropCaches / DROP
 // TABLE), so cold-cache experiments still re-read and re-charge disk.
+// What a backend keeps about an entry's rows (the any-precision path's
+// woven pages) sits in the entry and goes with it.
 
 import (
 	"errors"
@@ -67,6 +69,10 @@ type cacheEntry struct {
 	poolGen uint64
 	pages   []accessengine.PageResult
 	rows    [][]float32 // concatenation of pages[i].Rows, in page order
+	// held is lent to the backend with rows at every replay: a place for
+	// what it derives from them (the weave stage's woven form), which
+	// lives and dies with the entry — no rule of its own.
+	held backend.Held
 }
 
 // lookup returns the entry for rel if it is still valid: same relation
@@ -421,9 +427,9 @@ func (r *epochRunner) replay(ent *cacheEntry) error {
 		r.chargeChannel(&ent.pages[i])
 	}
 	col.Flush()
-	r.replayStream.Rows32 = ent.rows
+	r.replayStream.Rows32, r.replayStream.Held = ent.rows, &ent.held
 	err := r.be.RunEpoch(r.replayStream)
-	r.replayStream.Rows32 = nil
+	r.replayStream.Rows32, r.replayStream.Held = nil, nil
 	return err
 }
 

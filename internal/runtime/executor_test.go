@@ -475,7 +475,7 @@ func TestHotPathsAllocationFree(t *testing.T) {
 // verify nothing again.
 func TestTrainRunsCatalogProgram(t *testing.T) {
 	s, udfName, table := ftSystem(t)
-	udf, rel, acc, job, err := s.resolve(udfName, table)
+	udf, rel, acc, job, err := s.resolve(udfName, table, s.Opts.Precision)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,21 +518,33 @@ func TestTrainRunsCatalogProgram(t *testing.T) {
 // verified the Strider program, built 16 VMs and copied the epoch's tail
 // batch: 148 allocations on this configuration then (196 on its bench
 // twin, glm_cached), 24 now. The rest is per-Train by design — the
-// configured machine, its plan and the result.
+// configured machine, its plan and the result. A weave Train that finds
+// its pages held adds only what decoding them once takes (the reweaver,
+// its extractor's scratch, the decoded rows' slab and views): 39, and
+// its budget is the 43 it took while every epoch rewove through a
+// 32-level page buffer of its own.
 func TestTrainAllocBudget(t *testing.T) {
-	s, udfName, table := ftSystem(t, func(o *Options) { o.Workers = 1 })
-	train := func() {
-		if _, err := s.Train(udfName, table); err != nil {
-			t.Fatal(err)
+	for _, leg := range []struct {
+		name      string
+		precision int
+		budget    float64
+	}{{"accelerator", 0, 148 / 2}, {"weave, pages held", 8, 43}} {
+		s, udfName, table := ftSystem(t, func(o *Options) { o.Workers, o.Precision = 1, leg.precision })
+		train := func() {
+			if _, err := s.Train(udfName, table); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	train() // fills the record cache
-	misses := obsCount(t, s, obs.RuntimeCacheMisses)
-	const budget = 148 / 2
-	if a := testing.AllocsPerRun(5, train); a > budget {
-		t.Errorf("a cache-served Train allocates %.0f times, budget %d", a, budget)
-	}
-	if got := obsCount(t, s, obs.RuntimeCacheMisses); got != misses {
-		t.Errorf("the measured Trains missed the record cache %d times", got-misses)
+		train() // fills the record cache (and weaves the pages held beside it)
+		misses, builds := obsCount(t, s, obs.RuntimeCacheMisses), obsCount(t, s, obs.WeaveBuilds)
+		if a := testing.AllocsPerRun(5, train); a > leg.budget {
+			t.Errorf("%s: a cache-served Train allocates %.0f times, budget %.0f", leg.name, a, leg.budget)
+		}
+		if got := obsCount(t, s, obs.RuntimeCacheMisses); got != misses {
+			t.Errorf("%s: the measured Trains missed the record cache %d times", leg.name, got-misses)
+		}
+		if got := obsCount(t, s, obs.WeaveBuilds); got != builds {
+			t.Errorf("%s: the measured Trains wove %d times", leg.name, got-builds)
+		}
 	}
 }

@@ -359,8 +359,9 @@ type TrainResult struct {
 
 // resolve is the lookup preamble shared by Train and EstimateBackends:
 // the catalog entries for a (UDF, table) pair, the stored accelerator
-// (built on first use), and the dispatch job they classify into.
-func (s *System) resolve(udfName, table string) (*catalog.UDF, *storage.Relation, *catalog.Accelerator, backend.Job, error) {
+// (built on first use), and the dispatch job they classify into at the
+// given read precision.
+func (s *System) resolve(udfName, table string, precision int) (*catalog.UDF, *storage.Relation, *catalog.Accelerator, backend.Job, error) {
 	udf, err := s.DB.Cat.UDF(udfName)
 	if err != nil {
 		return nil, nil, nil, backend.Job{}, err
@@ -375,7 +376,7 @@ func (s *System) resolve(udfName, table string) (*catalog.UDF, *storage.Relation
 			return nil, nil, nil, backend.Job{}, err
 		}
 	}
-	return udf, rel, acc, s.jobFor(udf, rel, acc), nil
+	return udf, rel, acc, s.jobFor(udf, rel, acc, precision), nil
 }
 
 // jobFor classifies a (UDF, table) pair into a dispatch job: the
@@ -383,7 +384,7 @@ func (s *System) resolve(udfName, table string) (*catalog.UDF, *storage.Relation
 // carries only a reduced read precision; which backend serves it — and
 // what an explicit any-precision override reads at Precision 0 — is the
 // dispatcher's call (backend.Dispatcher.Resolve).
-func (s *System) jobFor(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Accelerator) backend.Job {
+func (s *System) jobFor(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Accelerator, precision int) backend.Job {
 	class := backend.Classify(udf.Graph)
 	pages := rel.NumPages()
 	perPage := 0
@@ -398,8 +399,8 @@ func (s *System) jobFor(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Ac
 		epochs = s.Opts.MaxEpochs
 	}
 	bits := 0
-	if s.Opts.Precision >= 1 && s.Opts.Precision < storage.WeaveMaxBits {
-		bits = s.Opts.Precision
+	if precision >= 1 && precision < storage.WeaveMaxBits {
+		bits = precision
 	}
 	return backend.Job{
 		Class:             class,
@@ -443,11 +444,19 @@ func (s *System) programFor(udf *catalog.UDF, rel *storage.Relation, acc *catalo
 // backend consumes is the epoch feed's concern, and what the run's
 // modeled time is, the backend's own.
 func (s *System) Train(udfName, table string) (*TrainResult, error) {
-	if s.Opts.Precision < 0 || s.Opts.Precision > storage.WeaveMaxBits {
+	return s.train(udfName, table, s.Opts.Precision)
+}
+
+// train is Train at an explicit read precision: everything a run reads
+// of the precision comes through the parameter, so runs at different
+// precisions can share a System — its record cache and the woven pages
+// held beside it.
+func (s *System) train(udfName, table string, precision int) (*TrainResult, error) {
+	if precision < 0 || precision > storage.WeaveMaxBits {
 		return nil, fmt.Errorf("%w: precision %d outside [0, %d]",
-			backend.ErrUnsupported, s.Opts.Precision, storage.WeaveMaxBits)
+			backend.ErrUnsupported, precision, storage.WeaveMaxBits)
 	}
-	udf, rel, acc, job, err := s.resolve(udfName, table)
+	udf, rel, acc, job, err := s.resolve(udfName, table, precision)
 	if err != nil {
 		return nil, err
 	}
@@ -598,7 +607,7 @@ type BackendCost struct {
 // backend: the dispatcher's view before it picks. The returned slice is
 // in registry (name) order.
 func (s *System) EstimateBackends(udfName, table string) ([]BackendCost, error) {
-	_, _, _, job, err := s.resolve(udfName, table)
+	_, _, _, job, err := s.resolve(udfName, table, s.Opts.Precision)
 	if err != nil {
 		return nil, err
 	}

@@ -214,8 +214,8 @@ func reweaveDirect(w *Reweaver, rows [][]float32, ranges []storage.WeaveRange) (
 }
 
 // diffReweaver holds a Reweaver that is reused — across epochs of
-// different sizes and widths, at every block size, its page and code
-// scratch scribbled over between epochs — to the scalar
+// different sizes and widths, at every block size, its page, held
+// prefixes and code scratch scribbled over between epochs — to the scalar
 // pipeline (quantize, truncate, dequantize per value) and to a fresh
 // ReweaveRows, float32 bit for bit.
 func diffReweaver(reweave reweaveFunc, newExtractor func(bits int) (*Extractor, error)) error {
@@ -239,8 +239,10 @@ func diffReweaver(reweave reweaveFunc, newExtractor func(bits int) (*Extractor, 
 				rows := kernelRowsOf(int64(i), sh.ncols, sh.nrows)
 				ranges := kernelRanges(sh.ncols)
 				// Whatever the last epoch left behind must not show.
-				for j := range w.page {
-					w.page[j] = 0xA5
+				for _, buf := range [][]byte{w.page, w.own.data[:cap(w.own.data)]} {
+					for j := range buf {
+						buf[j] = 0xA5
+					}
 				}
 				for j := range w.ex.codes[:cap(w.ex.codes)] {
 					w.ex.codes[:cap(w.ex.codes)][j] = 0xDEADBEEF

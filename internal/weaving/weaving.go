@@ -13,11 +13,19 @@
 // PageDecodeCycles prices a page as one cycle per plane word touched
 // plus one per row of assembly/dequantization, so modeled decode time —
 // like modeled transfer — shrinks almost linearly with k.
+//
+// Rows routed through the layout and back (ReweaveRows, the Reweaver) are
+// woven into a Woven — each page's k-level prefix, nothing a k-bit read
+// does not touch — and decoded from it. Whoever owns stable rows can lend
+// a Slot to keep the Woven in: the rows are then woven once for as long
+// as the slot lives and only decoded after that.
 package weaving
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"dana/internal/storage"
 )
@@ -193,9 +201,57 @@ func ReweaveRows(rows [][]float32, ranges []storage.WeaveRange, bits, pageRows i
 	return w.Reweave(rows, ranges)
 }
 
-// Reweaver is ReweaveRows with its buffers kept: the extractor, one
-// page, the per-page feature views and one output slab are reused from
-// call to call, so a steady stream of equally sized epochs allocates
+// Woven is a row set in the form the any-precision path keeps: every
+// page's k-level prefix — header, ranges, labels and the first k bit
+// levels, the bytes Geometry.EffectiveBytes(k) counts — back to back in
+// one buffer. A k-bit read touches nothing past that prefix, so decoding
+// a Woven yields the bits decoding the 32-level pages would. Every page
+// was validated whole before its prefix was kept. Once a Slot holds it, a
+// Woven is never written again.
+type Woven struct {
+	bits int
+	// ranges quantized the rows; derived says they are also what deriving
+	// from these rows gives, so the Woven serves a request that pins none.
+	ranges  []storage.WeaveRange
+	derived bool
+	// nrows rows, pageRows to a page (the last may be short), one prefix
+	// after another in data.
+	nrows, pageRows int
+	data            []byte
+}
+
+// Ranges returns the quantization ranges the rows were woven against.
+func (wv *Woven) Ranges() []storage.WeaveRange { return wv.ranges }
+
+// Bytes returns the size of the held prefixes.
+func (wv *Woven) Bytes() int { return len(wv.data) }
+
+// serves reports whether wv is what weaving its rows at bits against
+// ranges (nil = derived) would build.
+func (wv *Woven) serves(bits int, ranges []storage.WeaveRange) bool {
+	if wv.bits != bits {
+		return false
+	}
+	if ranges == nil {
+		return wv.derived
+	}
+	return slices.Equal(wv.ranges, ranges)
+}
+
+// Slot is a place to keep the Woven of one stable row set: whoever owns
+// the rows owns the slot, lends it with them, and drops it when they
+// change, so what it holds never outlives the rows it was woven from. It
+// holds one Woven — a different precision or different ranges replace it —
+// and concurrent readers and builders are safe: a Woven is published
+// complete or not at all. The zero Slot is empty.
+type Slot struct {
+	wv atomic.Pointer[Woven]
+}
+
+// Reweaver is ReweaveRows with its buffers kept: the extractor, the
+// build scratch (one 32-level page and its feature views), a Woven of its
+// own for rows nobody lent a slot with, and one output slab are reused
+// from call to call, so a steady stream of equally sized epochs allocates
 // nothing. The rows a call returns are valid until the next call.
 type Reweaver struct {
 	ex       *Extractor
@@ -203,6 +259,7 @@ type Reweaver struct {
 	page     []byte
 	feats    [][]float32
 	labels   []float32
+	own      Woven
 	slab     []float32
 	out      [][]float32
 }
@@ -220,77 +277,154 @@ func NewReweaver(bits, pageRows int) (*Reweaver, error) {
 	return &Reweaver{ex: e, pageRows: pageRows}, nil
 }
 
-// Reweave is ReweaveRows into the reweaver's own buffers.
+// Reweave is ReweaveRows into the reweaver's own buffers: weave, then
+// decode.
 func (w *Reweaver) Reweave(rows [][]float32, ranges []storage.WeaveRange) ([][]float32, []storage.WeaveRange, error) {
-	if len(rows) == 0 {
+	wv, _, err := w.Weave(rows, ranges, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	if wv == nil {
 		return nil, ranges, nil
+	}
+	return w.Decode(wv), wv.ranges, nil
+}
+
+// Weave returns rows' Woven at the reweaver's precision against ranges
+// (nil = derived from rows): the one slot holds when it serves the
+// request, else one built now — every page validated — and published to
+// slot. With no slot lent the Woven is the reweaver's own, rebuilt by the
+// next call. built says which happened; no rows weave to nil.
+func (w *Reweaver) Weave(rows [][]float32, ranges []storage.WeaveRange, slot *Slot) (wv *Woven, built bool, err error) {
+	if len(rows) == 0 {
+		return nil, false, nil
+	}
+	if slot != nil {
+		if wv := slot.wv.Load(); wv != nil && wv.serves(w.ex.bits, ranges) {
+			return wv, false, nil
+		}
 	}
 	nfeat := len(rows[0]) - 1
 	if nfeat < 1 {
-		return nil, nil, fmt.Errorf("%w: rows carry %d values, need features plus a label",
+		return nil, false, fmt.Errorf("%w: rows carry %d values, need features plus a label",
 			storage.ErrWeaveUnsupported, len(rows[0]))
 	}
 	for i, r := range rows {
 		if len(r) != nfeat+1 {
-			return nil, nil, fmt.Errorf("%w: ragged row %d (%d values, want %d)",
+			return nil, false, fmt.Errorf("%w: ragged row %d (%d values, want %d)",
 				storage.ErrWeaveUnsupported, i, len(r), nfeat+1)
 		}
 	}
-	if ranges == nil {
+	wv = &w.own
+	if slot != nil {
+		wv = new(Woven)
+	}
+	wv.derived = ranges == nil
+	switch {
+	case wv.derived:
 		ranges = storage.WeaveRanges(rows, nfeat)
+	case slot != nil:
+		// What is published keeps its own copy of the caller's ranges. And
+		// pinned ranges that are the rows' own serve a deriving request too:
+		// a Train pins its first epoch's derived ranges for the later ones.
+		ranges = slices.Clone(ranges)
+		wv.derived = slices.Equal(ranges, storage.WeaveRanges(rows, nfeat))
 	}
 	if len(ranges) != nfeat {
-		return nil, nil, fmt.Errorf("%w: %d ranges for rows of %d features",
+		return nil, false, fmt.Errorf("%w: %d ranges for rows of %d features",
 			storage.ErrWeaveUnsupported, len(ranges), nfeat)
 	}
-	w.grow(len(rows), nfeat)
-	if err := w.run(rows, ranges); err != nil {
-		return nil, nil, err
+	if err := w.build(wv, rows, ranges); err != nil {
+		return nil, false, err
 	}
-	return w.out, ranges, nil
+	if slot != nil {
+		slot.wv.Store(wv)
+	}
+	return wv, true, nil
 }
 
-// grow sizes every buffer for an epoch of nrows rows of nfeat features.
-func (w *Reweaver) grow(nrows, nfeat int) {
+// prefixBytes is the size of a page's k-level prefix: its fixed bytes and
+// the first bits bit levels.
+func prefixBytes(nfeat, nrows, bits int) int {
+	return int(storage.WeaveFixedPageBytes(nfeat, nrows) + int64(bits)*storage.WeaveBitPageBytes(nfeat, nrows))
+}
+
+// build weaves rows into wv page by page: split features from labels,
+// build and validate the 32-level page in the scratch, keep its k-level
+// prefix.
+func (w *Reweaver) build(wv *Woven, rows [][]float32, ranges []storage.WeaveRange) error {
+	bits, nfeat, nrows := w.ex.bits, len(ranges), len(rows)
 	pageRows := min(w.pageRows, nrows)
-	w.ex.Prepare(nfeat, pageRows)
-	if size := storage.WeavePageSize(nfeat, pageRows); cap(w.page) < size {
-		w.page = make([]byte, size)
+	size := nrows / pageRows * prefixBytes(nfeat, pageRows, bits)
+	if tail := nrows % pageRows; tail > 0 {
+		size += prefixBytes(nfeat, tail, bits)
+	}
+	if cap(wv.data) < size {
+		wv.data = make([]byte, size)
+	}
+	wv.bits, wv.ranges, wv.nrows, wv.pageRows = bits, ranges, nrows, pageRows
+	wv.data = wv.data[:size]
+	if full := storage.WeavePageSize(nfeat, pageRows); cap(w.page) < full {
+		w.page = make([]byte, full)
 	}
 	if cap(w.feats) < pageRows {
 		w.feats, w.labels = make([][]float32, pageRows), make([]float32, pageRows)
 	}
-	if n := nrows * (nfeat + 1); cap(w.slab) < n {
-		w.slab = make([]float32, n)
-	}
-	if cap(w.out) < nrows {
-		w.out = make([][]float32, nrows)
-	}
-	w.out = w.out[:nrows]
+	return w.weavePages(wv, rows)
 }
 
-// run reweaves rows page by page: split features from labels, build the
-// page in the held buffer, decode it into the slab.
+// weavePages is build's loop.
 //
 //dana:hotpath
-func (w *Reweaver) run(rows [][]float32, ranges []storage.WeaveRange) error {
-	nfeat := len(ranges)
-	for at := 0; at < len(rows); at += w.pageRows {
-		end := min(at+w.pageRows, len(rows))
+func (w *Reweaver) weavePages(wv *Woven, rows [][]float32) error {
+	nfeat := len(wv.ranges)
+	for at, off := 0, 0; at < len(rows); at += wv.pageRows {
+		end := min(at+wv.pageRows, len(rows))
 		feats, labels := w.feats[:end-at], w.labels[:end-at]
 		for i, r := range rows[at:end] {
 			feats[i], labels[i] = r[:nfeat], r[nfeat]
 		}
-		p, err := storage.BuildWeavePageInto(w.page, ranges, feats, labels)
+		p, err := storage.BuildWeavePageInto(w.page, wv.ranges, feats, labels)
 		if err != nil {
 			return err
 		}
 		if err := p.Validate(); err != nil {
 			return err
 		}
-		w.ex.decodeInto(p, w.slab[at*(nfeat+1):end*(nfeat+1)], w.out[at:end])
+		off += copy(wv.data[off:], p[:prefixBytes(nfeat, end-at, wv.bits)])
 	}
 	return nil
+}
+
+// Decode decodes wv — of the reweaver's precision — into the reweaver's
+// rows. A reweaver that only decodes never sizes the build scratch.
+func (w *Reweaver) Decode(wv *Woven) [][]float32 {
+	nfeat := len(wv.ranges)
+	w.ex.Prepare(nfeat, wv.pageRows)
+	if n := wv.nrows * (nfeat + 1); cap(w.slab) < n {
+		w.slab = make([]float32, n)
+	}
+	if cap(w.out) < wv.nrows {
+		w.out = make([][]float32, wv.nrows)
+	}
+	w.out = w.out[:wv.nrows]
+	w.decodePages(wv)
+	return w.out
+}
+
+// decodePages is the held-decode loop: each page's prefix through the
+// extractor into the slab.
+//
+//dana:hotpath
+func (w *Reweaver) decodePages(wv *Woven) {
+	nfeat := len(wv.ranges)
+	width, stride := nfeat+1, prefixBytes(nfeat, wv.pageRows, wv.bits)
+	for at, off := 0, 0; at < wv.nrows; at += wv.pageRows {
+		end := min(at+wv.pageRows, wv.nrows)
+		p := storage.WeavePage(wv.data[off:min(off+stride, len(wv.data))])
+		w.ex.decodeInto(p, w.slab[at*width:end*width], w.out[at:end])
+		off += len(p)
+	}
 }
 
 // PageDecodeCycles models the cycles an any-precision Strider spends

@@ -10,9 +10,12 @@ package dana
 // does not fit its pool, so every epoch re-reads and re-extracts every
 // page, and a cached LRMF train at merge 1, where a
 // batch is one tuple and the engine is the whole op — the shape on which
-// a per-batch instrument is a per-tuple one.
+// a per-batch instrument is a per-tuple one. A third leg is the first at
+// Precision 8: with no record cache to hold woven pages beside, every
+// epoch reweaves, which is as often as the weave stage's counters fire.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -25,6 +28,8 @@ type obsLeg struct {
 	// poolBytes sizes the buffer pool: below the table, every epoch goes
 	// through the pool's and the Striders' per-page charge sites.
 	poolBytes int64
+	// precision is Config.Precision (0 = the accelerator path).
+	precision int
 }
 
 // obsTimedEpochs is the length of one timed Train. The quantity under
@@ -39,7 +44,7 @@ func obsTrainer(t *testing.T, leg obsLeg, disable bool) func() float64 {
 	t.Helper()
 	eng, err := Open(Config{
 		PageSize: 32 << 10, PoolBytes: leg.poolBytes,
-		Workers: 1, DisableObs: disable,
+		Workers: 1, DisableObs: disable, Precision: leg.precision,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +81,13 @@ func TestObsOverheadBudget(t *testing.T) {
 	for _, leg := range []obsLeg{
 		{workload: "Remote Sensing LR", scale: 0.02, merge: 64, poolBytes: 1 << 20}, // 32 frames under ~95 pages
 		{workload: "Netflix", scale: 0.01, merge: 1, poolBytes: 128 << 20},
+		{workload: "Remote Sensing LR", scale: 0.01, merge: 64, poolBytes: 1 << 20, precision: 8}, // 32 frames under 46 pages
 	} {
-		t.Run(leg.workload, func(t *testing.T) { obsOverheadBudget(t, leg) })
+		name := leg.workload
+		if leg.precision > 0 {
+			name = fmt.Sprintf("%s k=%d", name, leg.precision)
+		}
+		t.Run(name, func(t *testing.T) { obsOverheadBudget(t, leg) })
 	}
 }
 
