@@ -10,9 +10,12 @@ package dana
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"dana/internal/accessengine"
+	"dana/internal/algos"
 	"dana/internal/bufpool"
 	"dana/internal/catalog"
 	"dana/internal/compiler"
@@ -843,6 +846,122 @@ func BenchmarkCalibration(b *testing.B) {
 	if acc == 42 {
 		b.Fatal("unreachable: defeat dead-code elimination")
 	}
+}
+
+// BenchmarkEngineRowKernel names the roofline of the engine's row kernel
+// (ROADMAP 3(a)): the compiled Netflix program — two gathered rows of a
+// 9 992 × 10 model, a dot, two SGD steps, two row writes per tuple —
+// through RunEpoch at merge coefficient 1 ("plan"), beside the same
+// tuple written by hand against a flat model ("hand": the same
+// float32 operations and roundings, no plan, no charging; the two models
+// must end bit-equal). frac_of_gather = hand / plan is the share of the
+// plan's time the arithmetic and the two row copies account for.
+func BenchmarkEngineRowKernel(b *testing.B) {
+	const tuplesPerEpoch = 4096
+	w, err := datagen.ByName("Netflix")
+	if err != nil {
+		b.Fatal(err)
+	}
+	users, items, rank := w.Topology[0], w.Topology[1], w.Topology[2]
+	g, err := hdfg.Translate(algos.LRMF(users, items, rank, algos.Hyper{LR: w.LR}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := compiler.Compile(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	init := make([]float32, prog.ModelSlot.Len)
+	for i := range init {
+		init[i] = float32(rng.NormFloat64() * 0.1)
+	}
+	tuples := make([][]float32, tuplesPerEpoch)
+	for i := range tuples {
+		tuples[i] = []float32{float32(rng.Intn(users)), float32(users + rng.Intn(items)), float32(1 + rng.Intn(5))}
+	}
+	newMachine := func(b *testing.B) *engine.Machine {
+		m, err := engine.NewMachine(prog, engine.Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.SetModel(init); err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	lr := prog.Consts[0]
+
+	// One epoch each way from the same model: the hand loop is the plan's
+	// arithmetic or the ratio below compares two different kernels.
+	m, hand := newMachine(b), append([]float32(nil), init...)
+	if err := m.RunEpoch(tuples, 1); err != nil {
+		b.Fatal(err)
+	}
+	if !handRowKernel(hand, rank, lr, tuples) {
+		b.Fatal("hand loop rejected a row index")
+	}
+	for i, v := range m.Model() {
+		if math.Float32bits(v) != math.Float32bits(hand[i]) {
+			b.Fatalf("model[%d]: plan %v, hand loop %v", i, v, hand[i])
+		}
+	}
+
+	var handNs float64
+	b.Run("hand", func(b *testing.B) {
+		model := append([]float32(nil), init...)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !handRowKernel(model, rank, lr, tuples) {
+				b.Fatal("hand loop rejected a row index")
+			}
+		}
+		handNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N*tuplesPerEpoch)
+		b.ReportMetric(handNs, "ns/tuple")
+	})
+	b.Run("plan", func(b *testing.B) {
+		m := newMachine(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := m.RunEpoch(tuples, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		planNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N*tuplesPerEpoch)
+		b.ReportMetric(planNs, "ns/tuple")
+		if handNs > 0 { // "hand" was not filtered out
+			b.ReportMetric(handNs/planNs, "frac_of_gather")
+		}
+	})
+}
+
+// handRowKernel runs LRMF's update over tuples of (u, v, rating) against
+// a flat rows × rank model: round and bounds-check both indexes, dot,
+// the two steps from the rows as gathered, then the two row writes.
+func handRowKernel(model []float32, rank int, lr float32, tuples [][]float32) bool {
+	var uNew, vNew [16]float32
+	rows := len(model) / rank
+	for _, t := range tuples {
+		iu, iv := int(math.Round(float64(t[0]))), int(math.Round(float64(t[1])))
+		if iu < 0 || iu >= rows || iv < 0 || iv >= rows {
+			return false
+		}
+		u, v := model[iu*rank:(iu+1)*rank], model[iv*rank:(iv+1)*rank]
+		dot := float32(u[0] * v[0])
+		for i := 1; i < rank; i++ {
+			dot = dot + float32(u[i]*v[i])
+		}
+		e := dot - t[2]
+		for i := range u {
+			uNew[i] = u[i] - float32(lr*float32(e*v[i]))
+		}
+		for i := range v {
+			vNew[i] = v[i] - float32(lr*float32(e*u[i]))
+		}
+		copy(u, uNew[:rank])
+		copy(v, vNew[:rank])
+	}
+	return true
 }
 
 // BenchmarkObsOverhead measures the cost of the observability layer on

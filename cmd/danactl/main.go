@@ -155,6 +155,9 @@ func main() {
 				fmt.Printf("  %s\n", in)
 			}
 			fmt.Printf("\nexecution engine program:\n%s", engine.Listing(acc.Program))
+			if pl, err := engine.PlanListing(acc.Program, acc.Design.Engine); err == nil {
+				fmt.Printf("\nlowered plan:\n%s", pl)
+			}
 			if mp, err := engine.Lower(acc.Program, acc.Design.Engine); err == nil {
 				pt, pm, cv := mp.Count()
 				fmt.Printf("\nmicro-instruction footprint: %d per-tuple, %d post-merge, %d convergence\n", pt, pm, cv)

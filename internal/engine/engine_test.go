@@ -289,13 +289,6 @@ func TestMoreLanesFewerCycles(t *testing.T) {
 	}
 }
 
-func TestStatsSeconds(t *testing.T) {
-	s := Stats{Cycles: 150e6}
-	if got := s.Seconds(150e6); got != 1 {
-		t.Errorf("Seconds = %v", got)
-	}
-}
-
 func TestLog2Ceil(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 8: 3, 9: 4}
 	for in, want := range cases {

@@ -206,6 +206,22 @@ func kDot(o *op, f *frame) error {
 	return nil
 }
 
+// kStep is ew.mul by the inner scalar, ew.mul by the outer one and the
+// ew.sub, with both scaled vectors left in registers: each product is
+// rounded to float32 on its own, as the stored ones were, before the
+// next operation meets it.
+//
+//dana:hotpath
+func kStep(o *op, f *frame) error {
+	dst := o.dest(f)
+	a, b := o.a.view(f)[:len(dst)], o.b.view(f)[:len(dst)]
+	s1, s2 := o.s1.at(f), o.s2.at(f)
+	for i := range dst {
+		dst[i] = a[i] - float32(s1*float32(s2*b[i]))
+	}
+	return nil
+}
+
 // dotLanes is how many threads' dots dotN keeps in flight: a float32 add
 // has a 3-4 cycle latency and a dot is one chain of them, so four
 // independent chains fill the adder a single chain leaves idle.
@@ -241,6 +257,21 @@ func kGather(o *op, f *frame) error {
 		f.idx[o.reg] = idx
 	}
 	copy(f.base[spThread][o.dst:o.dst+o.rowLen], o.b.view(f)[idx*o.rowLen:(idx+1)*o.rowLen])
+	return nil
+}
+
+// kGatherView is kGather without the copy: the row stays in the model and
+// base[spView+reg] selects it, for the readers viewable() proved done
+// before the tuple next writes the model.
+//
+//dana:hotpath
+func kGatherView(o *op, f *frame) error {
+	idx := int(math.Round(float64(o.a.at(f))))
+	if idx < 0 || idx >= o.rows {
+		return fmt.Errorf("engine: gather row %d outside model of %d rows", idx, o.rows)
+	}
+	f.idx[o.reg] = idx
+	f.base[spView+space(o.reg)] = o.b.view(f)[idx*o.rowLen : (idx+1)*o.rowLen]
 	return nil
 }
 

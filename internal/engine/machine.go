@@ -34,9 +34,6 @@ type Stats struct {
 	IdleCycles        int64 // idle thread-slot cycles during merge batches
 }
 
-// Seconds converts the cycle count to simulated seconds at the clock.
-func (s Stats) Seconds(clockHz float64) float64 { return float64(s.Cycles) / clockHz }
-
 // Utilization returns the fraction of the threads' cycle capacity doing
 // work over the modeled makespan (Figure 12's compute-utilization axis).
 func (s Stats) Utilization(threads int) float64 {

@@ -8,26 +8,31 @@ package engine
 // plan skip work the hardware is *charged* for (the per-thread tuple
 // load, the 64-way model broadcast) whenever it carries no information.
 //
-// Three rules keep the plan bit-identical to the reference executor
+// Four rules keep the plan bit-identical to the reference executor
 // (reference.go), which tests and internal/verify diff it against:
 //
 //   - order: every kernel performs the interpreter's float32 operations
 //     in the interpreter's order, element by element;
 //   - rounding: a fused product is written float32(x*y) before it meets
-//     an add — the Go spec lets a compiler fuse x*y+z into one rounding
-//     (it does on arm64, ppc64, s390x) and only an explicit conversion
-//     forbids it;
+//     an add or a subtract — the Go spec lets a compiler fuse x*y+z into
+//     one rounding (it does on arm64, ppc64le, s390x, riscv64) and only
+//     an explicit conversion forbids it;
 //   - liveness: a temporary is elided only when dead() proves no
-//     instruction reads it before it is rewritten.
+//     instruction reads it before it is rewritten;
+//   - aliasing: a gathered row is read where it lies in the model only
+//     when viewable() proves every read of it falls before the tuple's
+//     next model write, and no kernel reads a view while writing the
+//     model under it.
 
 // space names the memory an operand is read from.
 type space uint8
 
 const (
-	spThread space = iota // the executing thread's scratchpad
-	spRow                 // the caller's tuple, read in place
-	spModel               // thread 0's scratchpad: the one model copy a merge batch reads
-	numSpaces
+	spThread  space = iota // the executing thread's scratchpad
+	spRow                  // the caller's tuple, read in place
+	spModel                // thread 0's scratchpad: the one model copy a merge batch reads
+	spView                 // spView+r: the model row index register r's gather selected, read in place
+	numSpaces = spView + maxIdxRegs
 )
 
 // operand is a resolved read: n words at off of a frame's base[sp].
@@ -37,17 +42,18 @@ type operand struct {
 	n   int
 }
 
-// maxIdxRegs bounds the row indexes a tuple's gathers can hand to its
-// scatters (LRMF uses two).
+// maxIdxRegs bounds the index registers of a tuple: each holds the row
+// index a gather rounded, for its paired scatter and, when the gather is
+// a view, for the row base[spView+r] selects (LRMF uses two).
 const maxIdxRegs = 4
 
 // frame is what a kernel runs against: the memories of one model thread
 // for one tuple.
 type frame struct {
-	base  [numSpaces][]float32
-	acc   []float32       // merge accumulator a fused accumulate adds into
-	first bool            // acc holds nothing yet: store, do not add
-	idx   [maxIdxRegs]int // row indexes rounded by this tuple's gathers
+	base  [numSpaces][]float32 // base[spView+r] is set by register r's viewing gather
+	acc   []float32            // merge accumulator a fused accumulate adds into
+	first bool                 // acc holds nothing yet: store, do not add
+	idx   [maxIdxRegs]int      // row indexes rounded by this tuple's gathers
 }
 
 // kernel executes one op.
@@ -67,10 +73,12 @@ const (
 	opReduce                      // grouped strided reduction
 	opDot                         // ew.mul + red.add, product vector elided
 	opGather                      // model row -> scratch, index rounded and checked
+	opGatherView                  // model row -> view register, index rounded and checked, nothing copied
 	opScatter                     // scratch -> model row, index rounded and checked
 	opScatterPaired               // scatter reusing its gather's index register
 	opAccMulSV                    // acc += scalar × vector (MergeSrc elided)
 	opAccVV                       // acc += vector ∘ vector
+	opStep                        // dst = a − s1·(s2·b): two ew.mul by a scalar and the ew.sub, both temps elided
 	numOpKinds
 )
 
@@ -78,21 +86,23 @@ var kernels = [numOpKinds]kernel{
 	opFail: kFail, opScalar: kScalar, opEW1: kEW1, opEWvv: kEWvv, opEWvs: kEWvs, opEWsv: kEWsv,
 	opEWwrap: kEWwrap, opReduce: kReduce, opDot: kDot, opGather: kGather, opScatter: kScatter,
 	opScatterPaired: kScatterPaired, opAccMulSV: kAccMulSV, opAccVV: kAccVV,
+	opGatherView: kGatherView, opStep: kStep,
 }
 
 // op is one pre-decoded step of the plan.
 type op struct {
-	run  kernel // kernels[kind], resolved once so the run loop is one indirect call
-	kind opKind
-	alu  AluOp
-	dst  int // destination words [dst, dst+n) of the thread's scratchpad
-	n    int
-	a, b operand
+	run    kernel // kernels[kind], resolved once so the run loop is one indirect call
+	kind   opKind
+	alu    AluOp
+	dst    int // destination words [dst, dst+n) of the thread's scratchpad
+	n      int
+	a, b   operand
+	s1, s2 operand // step: the outer and the inner scalar
 
 	group, gstride, estride int // reduce: element (g, e) is a[g*gstride+e*estride]
 
 	rowLen, rows int // gather/scatter row geometry
-	reg          int // index register a gather fills and its paired scatter reads; -1 = none
+	reg          int // index register a gather fills and its paired scatter reads (a view: its row too); -1 = none
 
 	src *Instr // the macro instruction (error text)
 }
@@ -285,6 +295,61 @@ func (p *Program) dead(temp Slot, prod, cons int, mergeFused bool) bool {
 	return true
 }
 
+// viewable reports whether the row PerTuple[g] gathers may be read where
+// it lies in the model instead of being copied out. Without a merge a
+// tuple runs PerTuple then RowUpdates back to back on thread 0, and the
+// copy would go stale at the first model write after the gather; so
+// every read of the row's scratch words must lie wholly inside them and
+// strictly between the gather and that write — none before the gather
+// (on the wrap it would see the last tuple's row), none by the writing
+// instruction itself, none in Convergence (PostMerge never runs without
+// a merge) — and nothing but the gather may write those words or name
+// them.
+func (p *Program) viewable(g int) bool {
+	row := Slot{p.PerTuple[g].Dst.Base, p.PerTuple[g].RowLen}
+	if p.HasMerge() {
+		return false
+	}
+	for _, s := range [...]Slot{p.ModelSlot, p.InputSlot, p.ConstSlot, p.UpdatedSlot, p.ConvSlot} {
+		if overlaps(s, row) {
+			return false
+		}
+	}
+	open := false // between the gather and the tuple's next model write
+	n, u := len(p.PerTuple), len(p.PerTuple)+len(p.RowUpdates)
+	for i := 0; i < u+len(p.Convergence); i++ {
+		var in *Instr
+		switch {
+		case i < n:
+			in = &p.PerTuple[i]
+		case i < u:
+			in = &p.RowUpdates[i-n]
+		default:
+			in = &p.Convergence[i-u]
+		}
+		reads, write, _ := p.access(in)
+		if i == g {
+			if overlaps(reads[0], row) { // its index word
+				return false
+			}
+			open = true
+			continue
+		}
+		if overlaps(write, row) {
+			return false
+		}
+		if overlaps(write, p.ModelSlot) || i >= u {
+			open = false
+		}
+		for _, r := range reads {
+			if overlaps(r, row) && !(open && within(r, row)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // lowerer carries what resolving an operand needs.
 type lowerer struct {
 	p        *Program
@@ -292,10 +357,34 @@ type lowerer struct {
 	share    bool // per-tuple model reads resolve to thread 0
 	perTuple bool // lowering the per-tuple stage
 	rowHere  bool // the tuple's row is at hand in this stage
+
+	// The gathers viewable() passed, in program order: views[r] fills
+	// index register r, and a read inside its row resolves to spView+r.
+	views  [maxIdxRegs]*Instr
+	nviews int
 }
 
-// operand resolves a read of s to the memory that holds it.
+// findViews takes a register for every gather of the per-tuple stage
+// whose row can be read in place, while registers last.
+func (lw *lowerer) findViews() {
+	list := lw.p.PerTuple
+	for g := range list {
+		if list[g].Kind == KGather && lw.nviews < maxIdxRegs && lw.p.viewable(g) {
+			lw.views[lw.nviews] = &list[g]
+			lw.nviews++
+		}
+	}
+}
+
+// operand resolves a read of s to the memory that holds it. A read that
+// touches a viewed row lies wholly inside it (viewable), and the row's
+// scratch words overlap no other region.
 func (lw *lowerer) operand(s Slot) operand {
+	for r, g := range lw.views[:lw.nviews] {
+		if within(s, Slot{g.Dst.Base, g.RowLen}) {
+			return operand{spView + space(r), s.Base - g.Dst.Base, s.Len}
+		}
+	}
 	switch {
 	case lw.inPlace && lw.rowHere && within(s, lw.p.InputSlot):
 		return operand{spRow, s.Base - lw.p.InputSlot.Base, s.Len}
@@ -310,6 +399,7 @@ func (lw *lowerer) operand(s Slot) operand {
 // count is its capacity.
 func lower(p *Program, cfg Config) plan {
 	lw := lowerer{p: p, inPlace: p.inputInPlace(), share: cfg.Threads > 1 && p.modelShareable()}
+	lw.findViews()
 	pl := plan{copyInput: !lw.inPlace, shareModel: lw.share}
 	slab := make([]op, 0, len(p.PerTuple)+len(p.PostMerge)+len(p.RowUpdates)+len(p.Convergence))
 
@@ -322,7 +412,7 @@ func lower(p *Program, cfg Config) plan {
 	slab, pl.convergence = lw.lowerList(slab, p.Convergence)
 
 	if !p.HasMerge() {
-		pairIndexes(p, pl.perTuple, pl.rowUpdates)
+		pairIndexes(p, pl.perTuple, pl.rowUpdates, lw.nviews)
 	}
 	for i := range slab {
 		slab[i].run = kernels[slab[i].kind]
@@ -349,9 +439,10 @@ func (lw *lowerer) lowerList(slab []op, list []Instr) ([]op, []op) {
 }
 
 // lowerPerTuple decodes the per-tuple stage, fusing what the compiled
-// update rules contain: ew.mul feeding a full red.add becomes a dot, and
-// the instruction producing MergeSrc accumulates straight into the
-// merge accumulator — each only when dead() lets the temp between go.
+// update rules contain: ew.mul feeding a full red.add becomes a dot, two
+// scalings feeding an ew.sub become a step, and the instruction
+// producing MergeSrc accumulates straight into the merge accumulator —
+// each only when dead() lets the temps between go.
 func (lw *lowerer) lowerPerTuple(slab []op) ([]op, []op, bool) {
 	p := lw.p
 	list := p.PerTuple
@@ -363,6 +454,13 @@ func (lw *lowerer) lowerPerTuple(slab []op) ([]op, []op, bool) {
 			slab = append(slab, lw.dotOp(in, &list[i+1]))
 			i++
 			continue
+		}
+		if i+2 < len(list) {
+			if o, ok := lw.stepOp(i); ok {
+				slab = append(slab, o)
+				i += 2
+				continue
+			}
 		}
 		if i == len(list)-1 && p.HasMerge() && p.MergeOp == AAdd && in.Kind == KEW && in.Dst == p.MergeSrc {
 			if o, ok := lw.decode(in); ok && accKernel(&o) && p.dead(in.Dst, i, i, true) {
@@ -392,6 +490,64 @@ func (lw *lowerer) dotOp(mul, red *Instr) op {
 		kind: opDot, alu: AAdd, dst: red.Dst.Base, n: 1, reg: -1, src: red,
 		a: lw.operand(Slot{mul.A.Base, n}), b: lw.operand(Slot{mul.B.Base, n}),
 	}
+}
+
+// scaling matches ew.mul of n > 1 words by a scalar, in either operand
+// order (the compiler commutes a float multiply as it likes), and
+// returns the scalar and the vector's first n words.
+func scaling(in *Instr, n int) (s, v Slot, ok bool) {
+	if in.Kind != KEW || in.Op != AMul || in.Dst.Len != n || n < 2 {
+		return s, v, false
+	}
+	s, v = in.A, in.B
+	if v.Len == 1 {
+		s, v = v, s
+	}
+	return s, Slot{v.Base, n}, s.Len == 1 && v.Len >= n
+}
+
+// isStep matches the SGD step that ends a merge-free update rule,
+// t1 = s2·b; t2 = s1·t1; dst = a − t2, and returns its four sources.
+func isStep(m1, m2, sub *Instr) (a, b, s1, s2 Slot, ok bool) {
+	n := sub.Dst.Len
+	s2, b, ok1 := scaling(m1, n)
+	s1, t1, ok2 := scaling(m2, n)
+	ok = ok1 && ok2 && t1 == m1.Dst && sub.Kind == KEW && sub.Op == ASub && sub.B == m2.Dst && sub.A.Len >= n
+	return Slot{sub.A.Base, n}, b, s1, s2, ok
+}
+
+// stepOp fuses the step at PerTuple[i..i+2] into one loop that reads
+// a[j] and b[j] and writes dst[j]. That is the interpreter's arithmetic
+// when both temporaries are dead and the loop cannot read what it, or
+// either store it skips, wrote: no source in t1 or t2, dst clear of t2,
+// and only a — which the interpreter's ew.sub reads as it writes dst,
+// element by element, too — on dst; nor may a view be read while dst is
+// in the model under it. The merge value is left to the accumulating
+// kernels: an ew.sub that produces it lowers as it always has.
+func (lw *lowerer) stepOp(i int) (op, bool) {
+	p := lw.p
+	m1, m2, sub := &p.PerTuple[i], &p.PerTuple[i+1], &p.PerTuple[i+2]
+	a, b, s1, s2, ok := isStep(m1, m2, sub)
+	t1, t2, dst := m1.Dst, m2.Dst, sub.Dst
+	if !ok || overlaps(dst, t2) || overlaps(dst, p.MergeSrc) {
+		return op{}, false
+	}
+	for k, r := range [...]Slot{a, b, s1, s2} {
+		if overlaps(r, t1) || overlaps(r, t2) || (k > 0 && overlaps(r, dst)) {
+			return op{}, false
+		}
+	}
+	if !p.dead(t1, i, i+2, false) || !p.dead(t2, i+1, i+2, false) {
+		return op{}, false
+	}
+	o := op{
+		kind: opStep, alu: ASub, dst: dst.Base, n: dst.Len, reg: -1, src: sub,
+		a: lw.operand(a), b: lw.operand(b), s1: lw.operand(s1), s2: lw.operand(s2),
+	}
+	if overlaps(dst, p.ModelSlot) && (o.a.sp >= spView || o.b.sp >= spView) {
+		return op{}, false
+	}
+	return o, true
 }
 
 // accKernel swaps a decoded elementwise op's kernel for its accumulating
@@ -457,6 +613,11 @@ func (lw *lowerer) decode(in *Instr) (op, bool) {
 	case KGather:
 		o.kind, o.dst, o.rowLen, o.rows = opGather, in.Dst.Base, in.RowLen, lw.p.ModelSlot.Len/in.RowLen
 		o.a, o.b = lw.operand(Slot{in.A.Base, 1}), lw.operand(lw.p.ModelSlot)
+		for r, g := range lw.views[:lw.nviews] {
+			if g == in {
+				o.kind, o.reg = opGatherView, r
+			}
+		}
 	case KScatter:
 		o.kind, o.dst, o.rowLen, o.rows = opScatter, lw.p.ModelSlot.Base, in.RowLen, lw.p.ModelSlot.Len/in.RowLen
 		o.a, o.b = lw.operand(Slot{in.A.Base, in.RowLen}), lw.operand(Slot{in.B.Base, 1})
@@ -468,8 +629,8 @@ func (lw *lowerer) decode(in *Instr) (op, bool) {
 // already rounded and bounds-checked: same index word, same row length,
 // and nothing in between that could rewrite the word. Without a merge
 // the two lists run back to back for each tuple, so they pair across.
-func pairIndexes(p *Program, perTuple, rowUpdates []op) {
-	regs := 0
+// Registers below regs belong to the viewing gathers already.
+func pairIndexes(p *Program, perTuple, rowUpdates []op, regs int) {
 	at := func(i int) *op {
 		if i < len(perTuple) {
 			return &perTuple[i]
@@ -488,9 +649,10 @@ func pairIndexes(p *Program, perTuple, rowUpdates []op) {
 			if _, write, _ := p.access(g.src); overlaps(write, word) {
 				break
 			}
-			// A fused dot stands for two instructions; the product it
-			// elided was dead, and its sum is the write checked above.
-			if g.kind != opGather || g.src.A.Base != word.Base || g.rowLen != sc.rowLen {
+			// A fused dot or step stands for two or three instructions;
+			// the temporaries it elided were dead, and its last
+			// instruction's is the write checked above.
+			if (g.kind != opGather && g.kind != opGatherView) || g.src.A.Base != word.Base || g.rowLen != sc.rowLen {
 				continue
 			}
 			if g.reg < 0 && regs < maxIdxRegs {

@@ -117,6 +117,77 @@ func TestMetaSkippedLivenessCaught(t *testing.T) {
 	requireCaught(t, c, "model[")
 }
 
+// lrmfMetaCase is an LRMF-shaped program at one thread, a tuple a batch:
+// views, dot, steps and paired scatters, every fifth tuple with u == v.
+func lrmfMetaCase(prog *Program) diffCase {
+	rng := rand.New(rand.NewSource(78))
+	init := make([]float32, prog.ModelSlot.Len)
+	for i := range init {
+		init[i] = float32(rng.NormFloat64() * 0.3)
+	}
+	tuples := diffTuples(rng, 40, 3, 6)
+	for i := 0; i < len(tuples); i += 5 {
+		tuples[i][1] = tuples[i][0]
+	}
+	return diffCase{
+		prog:    prog,
+		cfg:     Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6},
+		init:    init,
+		batches: diffBatches(tuples, 1),
+		workers: 1,
+	}
+}
+
+// kStepFused is kStep with the float32(...) around the outer product
+// dropped on a target that fuses: one rounding for a − s1·t instead of
+// two (spelled with math.FMA for the reason kDotFused is).
+func kStepFused(o *op, f *frame) error {
+	dst := o.dest(f)
+	a, b := o.a.view(f), o.b.view(f)
+	s1, s2 := o.s1.at(f), o.s2.at(f)
+	for i := range dst {
+		dst[i] = float32(math.FMA(-float64(s1), float64(float32(s2*b[i])), float64(a[i])))
+	}
+	return nil
+}
+
+func TestMetaStepRoundingCaught(t *testing.T) {
+	c := lrmfMetaCase(lrmfProg(6, 4))
+	c.mutate = func(m *Machine) {
+		for i := range m.plan.perTuple {
+			if m.plan.perTuple[i].kind == opStep {
+				m.plan.perTuple[i].run = kStepFused
+				return
+			}
+		}
+		t.Fatal("no step in the plan to mutate")
+	}
+	requireCaught(t, c, "model[")
+}
+
+// Taking a view across a model write: this program reads both gathered
+// rows again after the scatters, so lowering must copy them out. The
+// mutant runs the per-tuple list lowering produces when those reads are
+// not there — rows viewed, nothing copied — against it.
+func TestMetaViewAcrossModelWriteCaught(t *testing.T) {
+	progs, _ := lrmfVariants(6, 4)
+	c := lrmfMetaCase(progs["row-read-after-scatter"])
+	c.mutate = func(m *Machine) {
+		vm, err := NewMachine(progs["base"], m.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			g, v := m.plan.perTuple[i], vm.plan.perTuple[i]
+			if g.kind != opGather || v.kind != opGatherView || g.reg != v.reg {
+				t.Fatalf("gather %d lowered to kind %d reg %d, its clean twin to kind %d reg %d; want a copy and a view on one register", i, g.kind, g.reg, v.kind, v.reg)
+			}
+		}
+		m.plan.perTuple = vm.plan.perTuple
+	}
+	requireCaught(t, c, "model[")
+}
+
 // Stats.Instructions counts macro instructions; the plan runs fewer ops.
 // The mutant charges what it ran.
 func TestMetaFusedOpCountCaught(t *testing.T) {

@@ -271,6 +271,10 @@ func glmVariants(f int) map[string]*Program {
 	p.PerTuple = append(p.PerTuple, base.PostMerge[0], base.PostMerge[1])
 	p.PerTuple[5].B = grad
 	v["no-merge"] = p
+
+	p = cloneProg(p) // and the linear rule: the same step after a plain difference
+	p.PerTuple[2].Op = AMov
+	v["no-merge-linear"] = p
 	return v
 }
 
@@ -303,6 +307,108 @@ func lrmfProg(rows, r int) *Program {
 			{Kind: KScatter, A: nR, B: iR, RowLen: r},
 		},
 	}
+}
+
+// lrmfShape is what lowering must decide for an LRMF variant: how many
+// gathers become views, how many update triples become steps, how many
+// scatters reuse their gather's index.
+type lrmfShape struct{ views, steps, paired int }
+
+// lrmfVariants are lrmfProg bent in each way that must switch a view or
+// a step off (or keep it on), with the verdict for each. Instruction
+// numbers are lrmfProg's.
+func lrmfVariants(rows, r int) (map[string]*Program, map[string]lrmfShape) {
+	base := lrmfProg(rows, r)
+	L, R := base.PerTuple[0].Dst, base.PerTuple[1].Dst
+	iL, lr := base.PerTuple[0].A, base.ConstSlot
+	gL, sL, nL, nR := base.PerTuple[5].Dst, base.PerTuple[6].Dst, base.PerTuple[7].Dst, base.PerTuple[10].Dst
+	spare, spare2 := Slot{base.Slots, r}, Slot{base.Slots + r, r}
+	grow := func(p *Program) *Program { p.Slots += 2*r + 1; return p }
+	ew := func(op AluOp, dst, a, b Slot) Instr { return Instr{Kind: KEW, Op: op, Dst: dst, A: a, B: b} }
+	v := map[string]*Program{"base": base}
+	want := map[string]lrmfShape{"base": {2, 2, 2}}
+
+	p := grow(cloneProg(base)) // both rows read again after the scatters, into a third row write
+	p.RowUpdates = append(p.RowUpdates, ew(AAdd, spare, L, R), Instr{Kind: KScatter, A: spare, B: iL, RowLen: r})
+	v["row-read-after-scatter"], want["row-read-after-scatter"] = p, lrmfShape{0, 2, 3}
+
+	p = cloneProg(base) // the left row read before its gather: the last tuple's
+	p.PerTuple = append([]Instr{ew(AAdd, nR, nR, L)}, p.PerTuple...)
+	v["row-read-before-gather"], want["row-read-before-gather"] = p, lrmfShape{1, 2, 2}
+
+	p = grow(cloneProg(base)) // no scatter: the write-back shifts the whole model, then Convergence sums the last tuple's left row
+	upd := Slot{p.Slots, base.ModelSlot.Len}
+	p.Slots += upd.Len
+	p.PerTuple = append(p.PerTuple, ew(AAdd, upd, base.ModelSlot, Slot{lr.Base, 1}))
+	p.RowUpdates, p.UpdatedSlot = nil, upd
+	p.Convergence = []Instr{{Kind: KReduce, Op: AAdd, Dst: Slot{spare.Base, 1}, A: L, GroupSize: r, EStride: 1}}
+	p.ConvSlot = Slot{spare.Base, 1}
+	v["row-read-in-convergence"], want["row-read-in-convergence"] = p, lrmfShape{1, 2, 0}
+
+	p = cloneProg(base) // the left gather's index is a word of the row it gathered last
+	p.PerTuple[0].A = Slot{L.Base, 1}
+	v["index-inside-own-row"], want["index-inside-own-row"] = p, lrmfShape{1, 2, 1}
+
+	p = cloneProg(base) // a read running off the left row into the right one
+	p.PerTuple = append(p.PerTuple, ew(AAdd, nR, nR, Slot{L.Base + 1, r}))
+	v["read-straddles-row-edge"], want["read-straddles-row-edge"] = p, lrmfShape{0, 2, 2}
+
+	p = cloneProg(base) // the left row scaled where it was gathered
+	p.PerTuple = append(p.PerTuple[:2:2], append([]Instr{ew(AMul, L, L, Slot{lr.Base, 1})}, base.PerTuple[2:]...)...)
+	v["row-written-in-scratch"], want["row-written-in-scratch"] = p, lrmfShape{1, 2, 2}
+
+	p = cloneProg(base) // the right gather's index is the left row's first word
+	p.PerTuple[1].A = Slot{L.Base, 1}
+	v["index-inside-viewed-row"], want["index-inside-viewed-row"] = p, lrmfShape{2, 2, 1}
+
+	p = cloneProg(base) // RowUpdates writes the model elementwise, then reads the left row
+	p.RowUpdates = append([]Instr{ew(AMov, Slot{0, r}, nL, Slot{}), ew(AAdd, nR, nR, L)}, p.RowUpdates...)
+	v["model-written-before-read"], want["model-written-before-read"] = p, lrmfShape{1, 2, 2}
+
+	p = cloneProg(base) // the left step's outer temp is read by a later instruction
+	p.PerTuple = append(p.PerTuple, ew(AAdd, nR, nR, sL))
+	v["step-temp-read-later"], want["step-temp-read-later"] = p, lrmfShape{2, 1, 2}
+
+	p = grow(cloneProg(base)) // the left step's inner temp is read by Convergence
+	p.Convergence = []Instr{{Kind: KReduce, Op: AAdd, Dst: Slot{spare.Base, 1}, A: gL, GroupSize: r, EStride: 1}}
+	p.ConvSlot = Slot{spare.Base, 1}
+	v["step-temp-read-in-convergence"], want["step-temp-read-in-convergence"] = p, lrmfShape{2, 1, 2}
+
+	p = grow(cloneProg(base)) // the left step writes one word into the vector it scales
+	p.PerTuple = append(p.PerTuple[:5:5], append([]Instr{ew(AMov, spare, R, Slot{})}, base.PerTuple[5:]...)...)
+	p.PerTuple[6].B = spare
+	p.PerTuple[8].Dst = Slot{spare.Base + 1, r}
+	p.RowUpdates[0].A = Slot{spare.Base + 1, r}
+	v["step-dst-overlaps-b"], want["step-dst-overlaps-b"] = p, lrmfShape{2, 1, 2}
+
+	p = cloneProg(base) // the left step writes over its outer temp two words on; a later read of one word past it
+	p.PerTuple[7].Dst = Slot{sL.Base + 2, r}
+	p.PerTuple = append(p.PerTuple, ew(AAdd, Slot{nR.Base, 1}, Slot{nR.Base, 1}, Slot{sL.Base + r + 1, 1}))
+	v["step-dst-overlaps-temp"], want["step-dst-overlaps-temp"] = p, lrmfShape{2, 1, 2}
+
+	p = cloneProg(base) // the right step first; then the left one writes the model across rows 0 and 1, under the right row's view
+	p.PerTuple = append(append(p.PerTuple[:5:5], base.PerTuple[8:11]...), base.PerTuple[5:8]...)
+	p.PerTuple[10].Dst = Slot{1, r}
+	p.RowUpdates = p.RowUpdates[1:]
+	v["step-writes-model-under-view"], want["step-writes-model-under-view"] = p, lrmfShape{1, 1, 1}
+
+	p = cloneProg(base) // the left step's learning rate is a word of its own destination
+	p.PerTuple[6].A = Slot{nL.Base + 2, 1}
+	v["step-scalar-inside-dst"], want["step-scalar-inside-dst"] = p, lrmfShape{2, 1, 2}
+
+	p = grow(cloneProg(base)) // both steps update a copy of their row in place
+	p.PerTuple = append(p.PerTuple[:5:5], append([]Instr{ew(AMov, spare, L, Slot{}), ew(AMov, spare2, R, Slot{})}, base.PerTuple[5:]...)...)
+	p.PerTuple[9].Dst, p.PerTuple[9].A = spare, spare
+	p.PerTuple[12].Dst, p.PerTuple[12].A = spare2, spare2
+	p.RowUpdates[0].A, p.RowUpdates[1].A = spare, spare2
+	v["step-dst-is-a"], want["step-dst-is-a"] = p, lrmfShape{2, 2, 2}
+
+	p = cloneProg(base) // ew.mul(vec, scalar), both times
+	for _, i := range []int{5, 6, 8, 9} {
+		p.PerTuple[i].A, p.PerTuple[i].B = p.PerTuple[i].B, p.PerTuple[i].A
+	}
+	v["step-commuted-mul"], want["step-commuted-mul"] = p, lrmfShape{2, 2, 2}
+	return v, want
 }
 
 func withGOMAXPROCS(t *testing.T, n int) {
@@ -340,15 +446,19 @@ func TestPlanMatchesReferenceShapes(t *testing.T) {
 			tuples[i][1] = tuples[i][0]
 		}
 	}
+	// (Factors stay inside ±0.45, so a variant that reads a row index out
+	// of a gathered row rounds it to row 0.)
 	init := make([]float32, 24)
 	for i := range init {
-		init[i] = float32(rng.NormFloat64() * 0.3)
+		init[i] = float32(math.Max(-0.45, math.Min(0.45, rng.NormFloat64()*0.3)))
 	}
 	// And with the left index word overwritten between its gather and its
 	// scatter: the scatter must round the new value, not reuse the old.
 	q := cloneProg(p)
 	q.PerTuple = append(q.PerTuple, Instr{Kind: KEW, Op: AMov, Dst: q.RowUpdates[0].B, A: q.RowUpdates[1].B})
-	for name, prog := range map[string]*Program{"lrmf": p, "lrmf-index-rewritten": q} {
+	progs, _ := lrmfVariants(6, 4)
+	progs["lrmf"], progs["lrmf-index-rewritten"] = p, q
+	for name, prog := range progs {
 		for _, threads := range []int{1, 3} {
 			cfg.Threads = threads
 			if err := diffPlanReference(diffCase{prog: prog, cfg: cfg, init: init, batches: diffBatches(tuples, 1), workers: 1}); err != nil {
@@ -365,7 +475,7 @@ func TestPlanShape(t *testing.T) {
 	const f = 12
 	cfg := Config{Threads: 4, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
 	type shape struct {
-		dot, fusedAcc, copyInput, shareModel bool
+		dot, fusedAcc, copyInput, shareModel, step bool
 	}
 	want := map[string]shape{
 		"base":                         {dot: true, fusedAcc: true, shareModel: true},
@@ -381,7 +491,8 @@ func TestPlanShape(t *testing.T) {
 		"overlapping-and-wrapped":      {fusedAcc: true, shareModel: true},
 		"svm-shape":                    {dot: true, fusedAcc: true, shareModel: true},
 		"merge-by-product":             {dot: true, shareModel: true},
-		"no-merge":                     {dot: true},
+		"no-merge":                     {dot: true, step: true},
+		"no-merge-linear":              {dot: true, step: true},
 	}
 	for name, p := range glmVariants(f) {
 		m, err := NewMachine(p, cfg)
@@ -391,21 +502,57 @@ func TestPlanShape(t *testing.T) {
 		got := shape{fusedAcc: m.plan.fusedAcc, copyInput: m.plan.copyInput, shareModel: m.plan.shareModel}
 		for _, o := range m.plan.perTuple {
 			got.dot = got.dot || o.kind == opDot
+			got.step = got.step || o.kind == opStep
 		}
 		if got != want[name] {
 			t.Errorf("%s: lowered to %+v, want %+v", name, got, want[name])
 		}
 	}
-	m, err := NewMachine(lrmfProg(6, 4), Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6})
+
+	// LRMF is view, view, dot, scalar, step, step and two paired scatters:
+	// 8 ops for 13 instructions.
+	lrmfCfg := Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	m, err := NewMachine(lrmfProg(6, 4), lrmfCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.plan.copyInput || len(m.plan.perTuple) != 10 || m.plan.perTuple[2].kind != opDot {
-		t.Errorf("lrmf: copyInput=%v, %d per-tuple ops, op 2 kind %d; want in-place input, 10 ops, a dot", m.plan.copyInput, len(m.plan.perTuple), m.plan.perTuple[2].kind)
+	var kinds []opKind
+	for _, o := range m.plan.perTuple {
+		kinds = append(kinds, o.kind)
+	}
+	if wantKinds := []opKind{opGatherView, opGatherView, opDot, opScalar, opStep, opStep}; m.plan.copyInput || fmt.Sprint(kinds) != fmt.Sprint(wantKinds) {
+		t.Errorf("lrmf: copyInput=%v, per-tuple kinds %v; want in-place input, kinds %v", m.plan.copyInput, kinds, wantKinds)
 	}
 	for i, o := range m.plan.rowUpdates {
-		if o.kind != opScatterPaired || o.reg != i {
+		if o.kind != opScatterPaired || o.reg != i || m.plan.perTuple[i].reg != i {
 			t.Errorf("lrmf: row update %d is kind %d reg %d, want a scatter paired with gather %d", i, o.kind, o.reg, i)
+		}
+	}
+	progs, wantLRMF := lrmfVariants(6, 4)
+	for name, p := range progs {
+		m, err := NewMachine(p, lrmfCfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got lrmfShape
+		for _, list := range [][]op{m.plan.perTuple, m.plan.rowUpdates} {
+			for _, o := range list {
+				switch o.kind {
+				case opGatherView:
+					got.views++
+				case opStep:
+					got.steps++
+				case opScatterPaired:
+					got.paired++
+				}
+			}
+		}
+		if got != wantLRMF[name] {
+			t.Errorf("lrmf %s: lowered to %+v, want %+v", name, got, wantLRMF[name])
+		}
+		// The second gather of this one reads its index through the first's view.
+		if g := m.plan.perTuple[1]; name == "index-inside-viewed-row" && g.a.sp != spView+space(m.plan.perTuple[0].reg) {
+			t.Errorf("lrmf %s: second gather reads its index from memory %d, want view %d", name, g.a.sp, m.plan.perTuple[0].reg)
 		}
 	}
 }
@@ -413,8 +560,10 @@ func TestPlanShape(t *testing.T) {
 // randProgram draws a straight-line program over a small scratchpad with
 // no regard for what overlaps what: regions, operands and destinations
 // land anywhere Validate allows. Most of these lower with no fusion at
-// all; dotPairs plants ew.mul+red.add pairs and a MergeSrc producer so
-// the liveness rule sees both verdicts.
+// all; dotPair plants ew.mul+red.add pairs, stepTriple the SGD step,
+// rowGroup a gather, a reader of its row and a scatter, and the last
+// per-tuple instruction is often a MergeSrc producer, so the liveness and
+// aliasing rules see both verdicts.
 func randProgram(rng *rand.Rand) (*Program, int) {
 	slots := 40 + rng.Intn(40)
 	slot := func(n int) Slot {
@@ -475,12 +624,51 @@ func randProgram(rng *rand.Rand) (*Program, int) {
 		return []Instr{{Kind: KEW, Op: AMul, Dst: t, A: slot(n), B: slot(n)},
 			{Kind: KReduce, Op: AAdd, Dst: slot(1), A: t, GroupSize: n, EStride: 1}}
 	}
+	flip := func(in Instr) Instr {
+		if rng.Intn(4) == 0 {
+			in.A, in.B = in.B, in.A
+		}
+		return in
+	}
+	// own is, half the time, words past everything slot() can reach: a
+	// temporary nothing else in the program touches.
+	own := func(n int) Slot {
+		if rng.Intn(2) == 0 {
+			return slot(n)
+		}
+		p.Slots += n
+		return Slot{p.Slots - n, n}
+	}
+	stepTriple := func() []Instr {
+		n := 2 + rng.Intn(6)
+		t1, t2 := own(n), own(n)
+		return []Instr{flip(Instr{Kind: KEW, Op: AMul, Dst: t1, A: slot(1), B: slot(n)}),
+			flip(Instr{Kind: KEW, Op: AMul, Dst: t2, A: slot(1), B: t1}),
+			{Kind: KEW, Op: ASub, Dst: own(n), A: slot(n), B: t2}}
+	}
+	var scatters []Instr
+	rowGroup := func() []Instr {
+		row, out, idx := own(rowLen), slot(rowLen), Slot{p.InputSlot.Base + rng.Intn(2), 1}
+		scatters = append(scatters, Instr{Kind: KScatter, A: out, B: idx, RowLen: rowLen})
+		g := []Instr{{Kind: KGather, Dst: row, A: idx, RowLen: rowLen},
+			{Kind: KEW, Op: ops[rng.Intn(3)], Dst: out, A: row, B: slot(1)}}
+		if rng.Intn(6) == 0 { // read on the wrap: the last tuple's row
+			g[0], g[1] = g[1], g[0]
+		}
+		return g
+	}
 	p.PerTuple = list(3)
+	for i, n := 0, rng.Intn(3); i < n; i++ {
+		p.PerTuple = append(p.PerTuple, rowGroup()...)
+	}
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		p.PerTuple = append(p.PerTuple, dotPair()...)
 		p.PerTuple = append(p.PerTuple, list(2)...)
 	}
-	if p.HasMerge() && rng.Intn(3) > 0 {
+	for i, n := 0, rng.Intn(3); i < n; i++ {
+		p.PerTuple = append(p.PerTuple, stepTriple()...)
+	}
+	if p.HasMerge() && rng.Intn(6) > 0 {
 		n := p.MergeSrc.Len
 		in := Instr{Kind: KEW, Op: []AluOp{AMul, ASub, AAdd}[rng.Intn(3)], Dst: p.MergeSrc, A: slot(n), B: slot(n)}
 		if in.Op == AMul {
@@ -496,7 +684,7 @@ func randProgram(rng *rand.Rand) (*Program, int) {
 	if p.HasMerge() {
 		p.PostMerge = list(3)
 	}
-	p.RowUpdates = list(2)
+	p.RowUpdates = append(list(2), scatters...)
 	if rng.Intn(3) == 0 {
 		p.Convergence = list(2)
 		p.ConvSlot = slot(1)
@@ -512,6 +700,7 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 	withGOMAXPROCS(t, 4)
 	rng := rand.New(rand.NewSource(14))
 	fused, elided, refused := 0, 0, 0
+	var steps, stepShapes, views, gathers int // gathers: of merge-free programs, the only ones that can view
 	for trial := 0; trial < 1500; trial++ {
 		p, rows := randProgram(rng)
 		if err := p.Validate(); err != nil {
@@ -543,8 +732,29 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 				}
 			}
 		}
+		for i := range p.PerTuple {
+			if i+2 < len(p.PerTuple) {
+				if _, _, _, _, ok := isStep(&p.PerTuple[i], &p.PerTuple[i+1], &p.PerTuple[i+2]); ok {
+					stepShapes++
+				}
+			}
+			if p.PerTuple[i].Kind == KGather && !p.HasMerge() {
+				gathers++
+			}
+		}
+		for _, o := range m.plan.perTuple {
+			switch o.kind {
+			case opStep:
+				steps++
+			case opGatherView:
+				views++
+			}
+		}
 	}
 	if fused < 40 || elided < 80 || refused < 80 {
 		t.Errorf("generator too tame: %d fused accumulates, %d product vectors elided, %d kept live; want ≥ 40, 80, 80", fused, elided, refused)
+	}
+	if steps < 80 || stepShapes-steps < 80 || views < 80 || gathers-views < 80 {
+		t.Errorf("generator too tame: %d steps fused, %d refused, %d gathers viewed, %d copied; want ≥ 80 each", steps, stepShapes-steps, views, gathers-views)
 	}
 }

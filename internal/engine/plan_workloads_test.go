@@ -3,6 +3,7 @@ package engine_test
 import (
 	"math"
 	"math/rand"
+	"regexp"
 	hostrt "runtime"
 	"testing"
 
@@ -36,18 +37,7 @@ func TestPlanMatchesReferenceTable3(t *testing.T) {
 		} else {
 			sp.NFeat = w.Topology[0]
 		}
-		a, err := algos.Build(sp.Kind, sp.Topology(), sp.Hyper())
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		g, err := hdfg.Translate(a)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		prog, err := compiler.Compile(g)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
+		prog := compileAlgo(t, w.Name, sp.Kind, sp.Topology(), sp.Hyper())
 		rng := rand.New(rand.NewSource(9))
 		tuples := narrow(golden.TrainingTuples(rng, sp, 11*k+3))
 		init := narrow([][]float64{golden.InitModelFor(rng, sp)})[0]
@@ -92,6 +82,99 @@ func TestPlanMatchesReferenceTable3(t *testing.T) {
 			pm.Close()
 		}
 	}
+}
+
+// table3Lowering is what each Table 3 algorithm lowers to at 8 threads,
+// merge coefficient 16: PlanListing with the slot offsets stripped, so
+// the pin is op kinds and operand memories. The four merge programs read
+// exactly as they did before views and steps existed (compared against
+// that lowering when this was written); LRMF is the 8-op row kernel.
+var table3Lowering = map[algos.Kind]string{
+	algos.KindLogistic: `copy-input=false share-model=true fused-accumulate=true
+per-tuple:
+    0: dot thread <- model, row
+    1: scalar.sigmoid thread <- thread
+    2: scalar.sub thread <- thread, row
+    3: acc.mul.sv merge-acc <- thread, row
+post-merge:
+    0: ew.sv.mul thread <- thread, thread
+    1: ew.vv.sub thread <- thread, thread
+6 ops for 7 instructions
+`,
+	algos.KindLinear: `copy-input=false share-model=true fused-accumulate=true
+per-tuple:
+    0: dot thread <- model, row
+    1: scalar.sub thread <- thread, row
+    2: acc.mul.sv merge-acc <- thread, row
+post-merge:
+    0: ew.sv.mul thread <- thread, thread
+    1: ew.vv.sub thread <- thread, thread
+5 ops for 6 instructions
+`,
+	algos.KindSVM: `copy-input=false share-model=true fused-accumulate=true
+per-tuple:
+    0: ew.sv.mul thread <- thread, model
+    1: dot thread <- model, row
+    2: scalar.mul thread <- row, thread
+    3: scalar.lt thread <- thread, thread
+    4: ew.sv.mul thread <- row, row
+    5: ew.sv.mul thread <- thread, thread
+    6: acc.vv.sub merge-acc <- thread, thread
+post-merge:
+    0: ew.sv.mul thread <- thread, thread
+    1: ew.vv.sub thread <- thread, thread
+9 ops for 10 instructions
+`,
+	algos.KindLRMF: `copy-input=false share-model=false fused-accumulate=false
+per-tuple:
+    0: gather.view view0 <- thread at round(row) -> r0
+    1: gather.view view1 <- thread at round(row) -> r1
+    2: dot thread <- view0, view1
+    3: scalar.sub thread <- thread, row
+    4: step thread <- view0 - thread * (thread * view1)
+    5: step thread <- view1 - thread * (thread * view0)
+row-updates:
+    0: scatter.paired thread at r0 <- thread
+    1: scatter.paired thread at r1 <- thread
+8 ops for 13 instructions
+`,
+}
+
+// TestPlanTable3Lowering pins what lowering decides for the programs the
+// benchmark and the paper's tables run: a change to a fusion or an
+// aliasing rule that moves any of them shows here, by name.
+func TestPlanTable3Lowering(t *testing.T) {
+	const k = 8
+	cfg := engine.Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	offsets := regexp.MustCompile(`\[\d+\+\d+\]`)
+	for _, w := range datagen.Real() {
+		prog := compileAlgo(t, w.Name, w.Kind, w.Topology, algos.Hyper{LR: w.LR, Lambda: w.Lambda, MergeCoef: 2 * k, Epochs: 1})
+		got, err := engine.PlanListing(prog, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if got = offsets.ReplaceAllString(got, ""); got != table3Lowering[w.Kind] {
+			t.Errorf("%s lowers to\n%s\nwant\n%s", w.Name, got, table3Lowering[w.Kind])
+		}
+	}
+}
+
+// compileAlgo builds and compiles one of the paper's algorithms.
+func compileAlgo(t *testing.T, name string, kind algos.Kind, topology []int, h algos.Hyper) *engine.Program {
+	t.Helper()
+	a, err := algos.Build(kind, topology, h)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	g, err := hdfg.Translate(a)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	prog, err := compiler.Compile(g)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return prog
 }
 
 func narrow(rows [][]float64) [][]float32 {
