@@ -16,6 +16,7 @@ import (
 
 	"dana/internal/accessengine"
 	"dana/internal/algos"
+	"dana/internal/backend"
 	"dana/internal/bufpool"
 	"dana/internal/catalog"
 	"dana/internal/compiler"
@@ -666,6 +667,59 @@ func BenchmarkEngineFanout(b *testing.B) {
 				b.ReportMetric(epochs*float64(d.Tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 			})
 		}
+	}
+}
+
+// BenchmarkAccelConfigure is the fixed cost a train job pays before its
+// first tuple: Accel.Configure (engine.NewMachine — lowering, scratchpads,
+// accumulators — plus the epoch stream) and Close, on the four programs of
+// the benchmark's server_mix as its tenants register them (scale 0.002,
+// merge coefficient 1024, 2 epochs). B/op is the row to watch: a
+// scratchpad per model thread was 191-911 KB of it.
+func BenchmarkAccelConfigure(b *testing.B) {
+	for _, wl := range []struct{ name, workload string }{
+		{"WLAN", "WLAN"}, {"Patient", "Patient"}, {"Blog", "Blog Feedback"}, {"RemoteSensingLR", "Remote Sensing LR"},
+	} {
+		b.Run(wl.name, func(b *testing.B) {
+			eng, err := Open(Defaults())
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := eng.LoadWorkload(wl.workload, 0.002, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := d.DSLAlgo(1024)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a.SetEpochs(2)
+			if _, err := eng.sys.Register(a, 1024, d.Tuples); err != nil {
+				b.Fatal(err)
+			}
+			udf, err := eng.Catalog().UDF(a.Name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			acc, ok := eng.Catalog().Accelerator(a.Name)
+			if !ok {
+				b.Fatalf("no accelerator for %q", a.Name)
+			}
+			prog := backend.Program{
+				Graph: udf.Graph, Engine: acc.Program, EngineCfg: acc.Design.Engine,
+				Striders:  backend.InProcessStriders(acc.Design.NumStriders),
+				MergeCoef: udf.Graph.MergeCoef, PageSize: Defaults().PageSize, Tuples: d.Tuples,
+			}
+			be := backend.NewAccel(backend.Env{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := be.Configure(prog); err != nil {
+					b.Fatal(err)
+				}
+				be.Close()
+			}
+		})
 	}
 }
 

@@ -49,10 +49,19 @@ type Machine struct {
 	Prog *Program
 	Cfg  Config
 
-	// One slab per machine: thread t's scratchpad is words
-	// [t*Slots, (t+1)*Slots) of scratch, its merge accumulator words
-	// [t*MergeSrc.Len, (t+1)*MergeSrc.Len) of accs (nil without a merge).
+	// One slab of scratchpads: pad i is words [i*Slots, (i+1)*Slots) of
+	// scratch. The modeled machine has Cfg.Threads of them and is charged
+	// for all; the host holds pads of them — one per model thread, or, when
+	// plan.sharePads, one per host lane that can have a tuple in flight
+	// (dotLanes in runDirect, a fan-out worker each), or the one a
+	// merge-free program ever runs on. Pad 0 is model thread 0's always:
+	// the model and the once-a-batch stages live there.
+	//
+	// accs holds merge accumulators of MergeSrc.Len words (nil without a
+	// merge): the merged vector and a spare the inline partition folds
+	// through, until the first fanned batch makes it one per model thread.
 	scratch []float32
+	pads    int
 	accs    []float32
 	stats   Stats
 
@@ -79,9 +88,10 @@ type Machine struct {
 	cycBroadcast   int64
 
 	// Host fan-out of merge batches (SetHostWorkers): the k model
-	// threads of a batch are independent (each owns its scratchpad and
-	// merge accumulator), so they are dealt w, w+W, ... to W host
-	// goroutines. Helpers are spawned lazily and live until Close.
+	// threads of a batch are independent (each owns its merge accumulator,
+	// and its scratchpad or its worker's), so they are dealt w, w+W, ...
+	// to W host goroutines. Helpers are spawned lazily and live until
+	// Close.
 	hostWorkers int
 	helperCh    []chan batchJob
 	helperDone  chan struct{}
@@ -160,8 +170,8 @@ type batchJob struct {
 }
 
 // NewMachine instantiates the accelerator and lowers the program to its
-// plan. It allocates the machine, one slab of thread scratchpads, one
-// of merge accumulators (merge programs) and one of plan ops.
+// plan. It allocates the machine, one slab of plan ops, one of scratchpads
+// and (merge programs) the two accumulators an inline batch needs.
 func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -169,14 +179,15 @@ func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{Prog: p, Cfg: cfg, scratch: make([]float32, cfg.Threads*p.Slots)}
-	for t := 0; t < cfg.Threads; t++ {
-		copy(m.thread(t)[p.ConstSlot.Base:p.ConstSlot.Base+p.ConstSlot.Len], p.Consts)
+	m := &Machine{Prog: p, Cfg: cfg, plan: lower(p, cfg)}
+	m.pads = m.plan.pads(p, cfg)
+	m.scratch = make([]float32, m.pads*p.Slots)
+	for i := 0; i < m.pads; i++ {
+		copy(m.thread(i)[p.ConstSlot.Base:p.ConstSlot.Base+p.ConstSlot.Len], p.Consts)
 	}
 	if p.HasMerge() {
-		m.accs = make([]float32, cfg.Threads*p.MergeSrc.Len)
+		m.accs = make([]float32, 2*p.MergeSrc.Len)
 	}
-	m.plan = lower(p, cfg)
 	m.cycPerTuple = listCycles(p.PerTuple, cfg)
 	m.cycPostMerge = listCycles(p.PostMerge, cfg)
 	m.cycRowUpdates = listCycles(p.RowUpdates, cfg)
@@ -189,16 +200,40 @@ func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// thread returns model thread t's scratchpad.
-func (m *Machine) thread(t int) []float32 {
+// thread returns scratchpad i: model thread i's, or host lane i's when the
+// plan shares pads. thread(0) is model thread 0's either way.
+func (m *Machine) thread(i int) []float32 {
 	n := m.Prog.Slots
-	return m.scratch[t*n : (t+1)*n : (t+1)*n]
+	return m.scratch[i*n : (i+1)*n : (i+1)*n]
 }
 
-// acc returns model thread t's merge accumulator.
+// acc returns merge accumulator t: model thread t's once a fanned batch
+// (or the reference executor) has built them all; before that acc(0) is
+// the merged vector and acc(1) the inline partition's spare.
 func (m *Machine) acc(t int) []float32 {
 	n := m.Prog.MergeSrc.Len
 	return m.accs[t*n : (t+1)*n : (t+1)*n]
+}
+
+// accPerThread replaces the inline layout's two accumulators with one per
+// model thread. They hold nothing between batches, so nothing is copied.
+func (m *Machine) accPerThread() {
+	if n := m.Cfg.Threads * m.Prog.MergeSrc.Len; len(m.accs) < n {
+		m.accs = make([]float32, n)
+	}
+}
+
+// growPads extends the scratchpad slab to n pads, each new one a copy of
+// pad 0: the constants (and the model, for the reference executor's
+// per-thread copies; a plan that shares pads never reads it there).
+func (m *Machine) growPads(n int) {
+	old := m.scratch
+	m.scratch = make([]float32, n*m.Prog.Slots)
+	copy(m.scratch, old)
+	for i := m.pads; i < n; i++ {
+		copy(m.thread(i), m.thread(0))
+	}
+	m.pads = n
 }
 
 // SetHostWorkers sets how many host goroutines execute a merge batch's
@@ -232,8 +267,19 @@ func (m *Machine) Close() {
 	m.helperCh = nil
 }
 
-// ensureHelpers lazily spawns helpers 1..W-1 (the caller acts as 0).
-func (m *Machine) ensureHelpers(w int) {
+// ensureFanOut builds, on the first batch that fans W ways, what only a
+// fanned batch needs: helpers 1..W-1 (the caller acts as 0) and their
+// error slots; an accumulator per model thread, since workers finish
+// threads out of thread order and the tree merge wants them all; and, when
+// pads are shared, a pad per worker.
+func (m *Machine) ensureFanOut(w int) {
+	if cap(m.partErrs) < w {
+		m.partErrs = make([]error, w)
+	}
+	m.accPerThread()
+	if m.plan.sharePads && m.pads < w {
+		m.growPads(w)
+	}
 	if m.helperDone == nil {
 		m.helperDone = make(chan struct{}, m.hostWorkers)
 	}
@@ -255,15 +301,15 @@ func (m *Machine) errTupleWidth(tuple []float32) error {
 	return fmt.Errorf("engine: tuple width %d, input region %d", len(tuple), m.Prog.InputSlot.Len)
 }
 
-// bind points f at model thread t and its next tuple: the load stage.
+// bind points f at a scratchpad and its next tuple: the load stage.
 //
 //dana:hotpath
-func (m *Machine) bind(f *frame, t int, row []float32) error {
+func (m *Machine) bind(f *frame, pad int, row []float32) error {
 	in := m.Prog.InputSlot
 	if len(row) != in.Len {
 		return m.errTupleWidth(row)
 	}
-	th := m.thread(t)
+	th := m.thread(pad)
 	if m.plan.copyInput {
 		copy(th[in.Base:in.Base+in.Len], row)
 	}
@@ -283,16 +329,27 @@ func (m *Machine) mergeValue(f *frame) {
 
 // runPartition executes model threads w, w+W, ... of one merge batch on
 // the plan: the per-tuple ops and the thread-local merge accumulate. It
-// writes only those threads' scratchpads and accumulators and reads
-// thread 0's model at most, so partitions are mutually independent; no
-// shared stats are written (the caller charges them in closed form).
+// writes only those threads' accumulators and their scratchpads — or,
+// sharing pads, pad w alone — and reads thread 0's model at most, so
+// partitions are mutually independent; no shared stats are written (the
+// caller charges them in closed form). The lone partition of an inline
+// batch (W == 1) finishes its threads in thread order, so it folds each
+// into acc(0) as it goes, through the spare acc(1): the sums the tree
+// merge makes over k accumulators, in its order.
 //
 //dana:hotpath
 func (m *Machine) runPartition(f *frame, tuples [][]float32, k, w, W int) error {
 	for t := w; t < k; t += W {
-		f.acc = m.acc(t)
+		pad, acc, fold := t, t, W == 1 && t > 0
+		if m.plan.sharePads {
+			pad = w
+		}
+		if fold {
+			acc = 1
+		}
+		f.acc = m.acc(acc)
 		for i := t; i < len(tuples); i += k {
-			if err := m.bind(f, t, tuples[i]); err != nil {
+			if err := m.bind(f, pad, tuples[i]); err != nil {
 				return err
 			}
 			f.first = i == t
@@ -300,6 +357,9 @@ func (m *Machine) runPartition(f *frame, tuples [][]float32, k, w, W int) error 
 				return err
 			}
 			m.mergeValue(f)
+		}
+		if fold {
+			accumulate(m.acc(0), f.acc, m.Prog.MergeOp, false)
 		}
 	}
 	return nil
@@ -312,7 +372,9 @@ func (m *Machine) runPartition(f *frame, tuples [][]float32, k, w, W int) error 
 // since the threads share nothing they write, their per-tuple lists may
 // interleave: dotLanes threads run their ops up to the first dot, then
 // the dots together (dotN: one latency chain per thread, in flight at
-// once, each in its own order), then the rest thread by thread.
+// once, each in its own order), then the rest thread by thread. A lane
+// holds its tuple's temporaries across the interleave, so sharing pads
+// takes one per lane.
 //
 //dana:hotpath
 func (m *Machine) runDirect(tuples [][]float32) error {
@@ -328,8 +390,11 @@ func (m *Machine) runDirect(tuples [][]float32) error {
 			g = dotLanes
 		}
 		for j := 0; j < g; j++ {
-			f := &fs[j]
-			if err := m.bind(f, t+j, tuples[t+j]); err != nil {
+			f, pad := &fs[j], t+j
+			if pl.sharePads {
+				pad = j
+			}
+			if err := m.bind(f, pad, tuples[t+j]); err != nil {
 				return err
 			}
 			f.acc, f.first = m.acc(0), t+j == 0
@@ -367,14 +432,14 @@ func (m *Machine) Model() []float32 {
 	return out
 }
 
-// SetModel loads model parameters into every thread.
+// SetModel loads model parameters into every scratchpad.
 func (m *Machine) SetModel(vals []float32) error {
 	s := m.Prog.ModelSlot
 	if len(vals) != s.Len {
 		return fmt.Errorf("engine: model has %d parameters, got %d", s.Len, len(vals))
 	}
-	for t := 0; t < m.Cfg.Threads; t++ {
-		copy(m.thread(t)[s.Base:s.Base+s.Len], vals)
+	for i := 0; i < m.pads; i++ {
+		copy(m.thread(i)[s.Base:s.Base+s.Len], vals)
 	}
 	return nil
 }
@@ -456,11 +521,11 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 		return nil
 	}
 	m.beginBatch(n)
-	th0 := m.thread(0)
 	mdl, upd := p.ModelSlot, p.UpdatedSlot
 
 	f := &m.frames[0]
 	if !p.HasMerge() {
+		th0 := m.thread(0)
 		for _, row := range tuples {
 			if err := m.bind(f, 0, row); err != nil {
 				return err
@@ -494,22 +559,18 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 	if int64(n)*m.cycPerTuple < fanOutFloorCycles {
 		W = 1
 	}
-	direct := W <= 1 && n == k
-	if direct {
+	switch {
+	case W <= 1 && n == k:
 		if err := m.runDirect(tuples); err != nil {
 			return err
 		}
-	} else if W <= 1 {
+	case W <= 1:
 		if err := m.runPartition(f, tuples, k, 0, 1); err != nil {
 			return err
 		}
-	} else {
-		//danalint:ignore hotcall -- one-time lazy helper spawn; channels and goroutines are reused for the machine's lifetime
-		m.ensureHelpers(W)
-		if cap(m.partErrs) < W {
-			//danalint:ignore hotcall -- capacity-guarded first-batch growth, reused afterwards
-			m.partErrs = make([]error, W)
-		}
+	default:
+		//danalint:ignore hotcall -- first fanned batch only; helpers, accumulators and pads are reused for the machine's lifetime
+		m.ensureFanOut(W)
 		errs := m.partErrs[:W]
 		for w := 1; w < W; w++ {
 			m.helperCh[w-1] <- batchJob{tuples: tuples, k: k, w: w, W: W, errs: errs}
@@ -523,17 +584,14 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 				return e
 			}
 		}
-	}
-
-	// Tree-bus merge in thread order; the direct case already summed into
-	// thread 0's accumulator in that order.
-	merged := m.acc(0)
-	if !direct {
+		// Tree-bus merge in thread order; the inline cases have already
+		// summed into thread 0's accumulator in that order.
 		for t := 1; t < k; t++ {
-			accumulate(merged, m.acc(t), p.MergeOp, false)
+			accumulate(m.acc(0), m.acc(t), p.MergeOp, false)
 		}
 	}
-	copy(th0[p.MergeDst.Base:p.MergeDst.Base+p.MergeDst.Len], merged)
+	th0 := m.thread(0) // a first fanned batch may have moved the pads
+	copy(th0[p.MergeDst.Base:p.MergeDst.Base+p.MergeDst.Len], m.acc(0))
 
 	// Post-merge stage on thread 0.
 	f.base[spThread], f.base[spModel], f.base[spRow] = th0, th0, nil
@@ -552,7 +610,7 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 		synced = copy(th0[mdl.Base:mdl.Base+mdl.Len], th0[upd.Base:upd.Base+upd.Len])
 	}
 	if !pl.shareModel && (upd.Len > 0 || len(p.RowUpdates) > 0) {
-		for t := 1; t < m.Cfg.Threads; t++ {
+		for t := 1; t < m.pads; t++ {
 			copy(m.thread(t)[mdl.Base:mdl.Base+synced], th0[mdl.Base:])
 		}
 	}

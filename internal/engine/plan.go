@@ -6,9 +6,10 @@ package engine
 // from here: they are closed forms of the batch size over the static
 // cyc* tables (chargeMergeBatch and friends), which is what lets the
 // plan skip work the hardware is *charged* for (the per-thread tuple
-// load, the 64-way model broadcast) whenever it carries no information.
+// load, the 64-way model broadcast, a scratchpad for every thread)
+// whenever it carries no information.
 //
-// Four rules keep the plan bit-identical to the reference executor
+// Five rules keep the plan bit-identical to the reference executor
 // (reference.go), which tests and internal/verify diff it against:
 //
 //   - order: every kernel performs the interpreter's float32 operations
@@ -22,7 +23,10 @@ package engine
 //   - aliasing: a gathered row is read where it lies in the model only
 //     when viewable() proves every read of it falls before the tuple's
 //     next model write, and no kernel reads a view while writing the
-//     model under it.
+//     model under it;
+//   - privacy: a tuple runs on its host lane's scratchpad rather than its
+//     model thread's only when padShareable() proves the per-tuple stage
+//     hands no word of it from one tuple to the next.
 
 // space names the memory an operand is read from.
 type space uint8
@@ -114,7 +118,22 @@ type plan struct {
 	dotAt      int  // index of perTuple's first dot, -1 if none (runDirect interleaves there)
 	copyInput  bool // tuples are copied into the input region: some read could not be served from the row
 	shareModel bool // per-tuple model reads go to thread 0; the broadcast is charged, not copied
+	sharePads  bool // a tuple runs on its host lane's scratchpad, not its model thread's: the machine holds a pad per lane
 	fusedAcc   bool // perTuple's last op adds the merge value straight into frame.acc
+}
+
+// pads is how many scratchpads a machine running the plan starts with: one
+// where tuple-at-a-time SGD never leaves thread 0, one per runDirect lane
+// where tuples may share them (a fanned batch adds its workers'), one per
+// model thread otherwise.
+func (pl *plan) pads(p *Program, cfg Config) int {
+	switch {
+	case !p.HasMerge():
+		return 1
+	case pl.sharePads:
+		return min(dotLanes, cfg.Threads)
+	}
+	return cfg.Threads
 }
 
 func overlaps(a, b Slot) bool {
@@ -248,6 +267,27 @@ func (l *liveness) list(list []Instr) {
 	}
 }
 
+// afterTuple walks what a thread can run between the end of one tuple's
+// per-tuple stage and PerTuple[prod] of its next: nothing (path 0); or,
+// on thread 0, the merge landing, PostMerge, RowUpdates and the model
+// write-back first (path 1); or Convergence as well (path 2).
+func (l *liveness) afterTuple(path, prod int) {
+	p := l.p
+	if path > 0 {
+		if p.HasMerge() {
+			l.write(p.MergeDst)
+			l.list(p.PostMerge)
+		}
+		l.list(p.RowUpdates)
+		l.read(p.UpdatedSlot)
+	}
+	if path > 1 {
+		l.list(p.Convergence)
+		l.read(p.ConvSlot)
+	}
+	l.list(p.PerTuple[:prod])
+}
+
 // dead reports whether the words of temp — written in full by
 // PerTuple[prod] and consumed only by the fusion that ends at
 // PerTuple[cons] — are never read again before prod rewrites them.
@@ -275,21 +315,70 @@ func (p *Program) dead(temp Slot, prod, cons int, mergeFused bool) bool {
 		if p.HasMerge() && !mergeFused {
 			l.read(p.MergeSrc)
 		}
-		if path > 0 {
-			if p.HasMerge() {
-				l.write(p.MergeDst)
-				l.list(p.PostMerge)
-			}
-			l.list(p.RowUpdates)
-			l.read(p.UpdatedSlot)
-		}
-		if path > 1 {
-			l.list(p.Convergence)
-			l.read(p.ConvSlot)
-		}
-		l.list(p.PerTuple[:prod])
+		l.afterTuple(path, prod)
 		if l.live {
 			return false
+		}
+	}
+	return true
+}
+
+// padShareable reports whether the per-tuple stage of a merge program
+// carries no thread-private word from one tuple to the next, so that a
+// tuple may run on whichever scratchpad its host lane owns. It is asked
+// only under inputInPlace and modelShareable, which send row and model
+// reads past the pad altogether. Of the rest, every read — the merge's
+// read of MergeSrc included — must lie inside a constant nothing in the
+// program overwrites, or inside words one per-tuple instruction writes in
+// full; and no such written word may be read, on any continuation a
+// thread can take (afterTuple), before the same tuple has rewritten it:
+// not by the next tuple, which under sharing is another thread's, nor by
+// thread 0's once-a-batch stages, which find on pad 0 whatever tuple ran
+// there last. The merge value reaches them through the accumulators.
+func (p *Program) padShareable() bool {
+	writes := func(r Slot) bool { // does anything, at any stage, write into r
+		for _, list := range [...][]Instr{p.PerTuple, p.PostMerge, p.RowUpdates, p.Convergence} {
+			for i := range list {
+				if _, write, _ := p.access(&list[i]); overlaps(write, r) {
+					return true
+				}
+			}
+		}
+		return overlaps(p.MergeDst, r)
+	}
+	onPad := func(r Slot) bool { // is r a read the pad serves, and safely
+		if r.Len <= 0 || within(r, p.InputSlot) || within(r, p.ModelSlot) {
+			return true
+		}
+		if within(r, p.ConstSlot) && !writes(r) {
+			return true
+		}
+		for i := range p.PerTuple { // no scatter under a shared model: every write here is total
+			if _, write, _ := p.access(&p.PerTuple[i]); within(r, write) {
+				return true
+			}
+		}
+		return false
+	}
+	if !onPad(p.MergeSrc) {
+		return false
+	}
+	for i := range p.PerTuple {
+		reads, write, _ := p.access(&p.PerTuple[i])
+		for _, r := range reads {
+			if !onPad(r) {
+				return false
+			}
+		}
+		for path := 0; path < 3 && write.Len > 0; path++ {
+			l := liveness{p: p, temp: write}
+			l.afterTuple(path, i)
+			for _, r := range reads {
+				l.read(r)
+			}
+			if l.live {
+				return false
+			}
 		}
 	}
 	return true
@@ -400,7 +489,7 @@ func (lw *lowerer) operand(s Slot) operand {
 func lower(p *Program, cfg Config) plan {
 	lw := lowerer{p: p, inPlace: p.inputInPlace(), share: cfg.Threads > 1 && p.modelShareable()}
 	lw.findViews()
-	pl := plan{copyInput: !lw.inPlace, shareModel: lw.share}
+	pl := plan{copyInput: !lw.inPlace, shareModel: lw.share, sharePads: lw.inPlace && lw.share && p.padShareable()}
 	slab := make([]op, 0, len(p.PerTuple)+len(p.PostMerge)+len(p.RowUpdates)+len(p.Convergence))
 
 	lw.perTuple, lw.rowHere = true, true

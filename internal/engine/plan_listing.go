@@ -66,7 +66,7 @@ func PlanListing(p *Program, cfg Config) (string, error) {
 	}
 	pl := lower(p, cfg)
 	var b strings.Builder
-	fmt.Fprintf(&b, "copy-input=%v share-model=%v fused-accumulate=%v\n", pl.copyInput, pl.shareModel, pl.fusedAcc)
+	fmt.Fprintf(&b, "copy-input=%v share-model=%v fused-accumulate=%v pads=%d\n", pl.copyInput, pl.shareModel, pl.fusedAcc, pl.pads(p, cfg))
 	ops := 0
 	for _, l := range []struct {
 		name string

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	hostrt "runtime"
 	"strings"
 	"testing"
 )
@@ -188,6 +189,34 @@ func TestMetaViewAcrossModelWriteCaught(t *testing.T) {
 	requireCaught(t, c, "model[")
 }
 
+// Skipping the pad proof: each of these shapes hands a word from one
+// tuple of a thread to the next, or to thread 0's once-a-batch stages, so
+// lowering must leave every model thread its own scratchpad. The mutant
+// runs tuples on their host lane's pad regardless — what lowering decides
+// when the clause that refuses the shape is not there.
+func TestMetaThreadCarriedTempCaught(t *testing.T) {
+	variants := glmVariants(12)
+	for _, name := range []string{
+		"prod-read-in-postmerge", "prod-read-by-next-tuple", "mergesrc-read-in-convergence",
+		"temp-partly-rewritten-before-read", "const-written-in-postmerge",
+		"postmerge-word-read-per-tuple", "mergesrc-never-written-per-tuple",
+		"temp-rewritten-in-postmerge", "running-sum-across-tuples", "mergedst-lands-on-const",
+	} {
+		t.Run(name, func(t *testing.T) {
+			c := metaCase()
+			c.prog, c.cfg.Threads = variants[name], 6
+			c.mutate = func(m *Machine) {
+				if m.plan.sharePads || m.plan.copyInput || !m.plan.shareModel || m.pads != 6 {
+					t.Fatalf("lowered to sharePads=%v copyInput=%v shareModel=%v on %d pads; want only the pad proof refusing, 6 pads",
+						m.plan.sharePads, m.plan.copyInput, m.plan.shareModel, m.pads)
+				}
+				m.plan.sharePads = true
+			}
+			requireCaught(t, c, "")
+		})
+	}
+}
+
 // Stats.Instructions counts macro instructions; the plan runs fewer ops.
 // The mutant charges what it ran.
 func TestMetaFusedOpCountCaught(t *testing.T) {
@@ -246,9 +275,9 @@ func TestPlanErrorTrichotomy(t *testing.T) {
 	}
 }
 
-// TestRunBatchAllocationFree: neither the inline nor the fanned path
-// allocates per batch once the helpers exist; the serial (no-merge) path
-// never does.
+// TestRunBatchAllocationFree: the inline path never allocates, the serial
+// (no-merge) path never does, and the fanned path does on its first batch
+// only — the helper, its error slot, an accumulator per model thread.
 func TestRunBatchAllocationFree(t *testing.T) {
 	withGOMAXPROCS(t, 2)
 	rng := rand.New(rand.NewSource(5))
@@ -261,6 +290,7 @@ func TestRunBatchAllocationFree(t *testing.T) {
 	}{
 		{"inline", glmProg(12, true), 4, diffTuples(rng, 9, 13, 0), false},
 		{"fanned", mergeProg(fannedFeatures), 4, randTuples(32, fannedFeatures, 1), true},
+		{"fanned, pads per lane", glmProg(fannedFeatures, true), 8, randTuples(96, fannedFeatures, 1), true},
 		{"serial", lrmfProg(6, 4), 1, diffTuples(rng, 16, 3, 6), false},
 	} {
 		m, err := NewMachine(c.prog, Config{Threads: c.threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
@@ -268,11 +298,20 @@ func TestRunBatchAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.SetHostWorkers(2)
-		if err := m.RunBatch(c.tuples); err != nil { // spawns the helper, sizes partErrs
+		// AllocsPerRun warms up with a call it does not count: the first
+		// batch is measured by hand.
+		var before, after hostrt.MemStats
+		hostrt.ReadMemStats(&before)
+		err = m.RunBatch(c.tuples)
+		hostrt.ReadMemStats(&after)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if (len(m.helperCh) > 0) != c.fans {
 			t.Fatalf("%s: %d helpers", c.name, len(m.helperCh))
+		}
+		if first := after.Mallocs - before.Mallocs; !c.fans && first != 0 {
+			t.Errorf("%s: the first RunBatch allocates %d times", c.name, first)
 		}
 		if n := testing.AllocsPerRun(20, func() { _ = m.RunBatch(c.tuples) }); n != 0 {
 			t.Errorf("%s: RunBatch allocates %v times a batch", c.name, n)
@@ -282,9 +321,10 @@ func TestRunBatchAllocationFree(t *testing.T) {
 }
 
 // TestNewMachineAllocations pins the per-Configure allocation budget:
-// the machine, one scratchpad slab, one accumulator slab (merge programs
-// only) and one op slab for all four lowered lists — whatever the thread
-// count. (The parent made 2×Threads+5 of them by its first batch.)
+// the machine, one op slab for all four lowered lists, one scratchpad slab
+// and the inline path's two accumulators (merge programs only) — whatever
+// the thread count. No accumulator per model thread is built before a
+// batch fans out (TestServerMixMachineFootprint pins the bytes).
 func TestNewMachineAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -304,5 +344,12 @@ func TestNewMachineAllocations(t *testing.T) {
 		if got > c.want {
 			t.Errorf("%s: NewMachine allocates %v times, budget %v", c.name, got, c.want)
 		}
+	}
+	m, err := NewMachine(glmProg(54, true), Config{Threads: 64, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(m.accs), 2*54; got != want {
+		t.Errorf("glm 64 threads: %d accumulator words at construction, want %d (the merged vector and the spare)", got, want)
 	}
 }

@@ -202,7 +202,7 @@ func cloneProg(p *Program) *Program {
 // every one, and TestPlanShape pins what the lowering decided.
 func glmVariants(f int) map[string]*Program {
 	base := glmProg(f, true)
-	prod, grad := base.PerTuple[0].Dst, base.MergeSrc
+	prod, grad, merged, lr := base.PerTuple[0].Dst, base.MergeSrc, base.MergeDst, base.ConstSlot
 	x, y := Slot{f, f}, Slot{2 * f, 1}
 	spare := Slot{base.Slots, f}
 	grow := func(p *Program) *Program { p.Slots += f; return p }
@@ -265,6 +265,69 @@ func glmVariants(f int) map[string]*Program {
 	p = cloneProg(base) // a non-add merge: no accumulating kernel
 	p.MergeOp = AMul
 	v["merge-by-product"] = p
+
+	// The rest bend what padShareable walks, one clause each (three more
+	// are above: a temp the last tuple left, PostMerge and Convergence
+	// reading one). sig and errS are the scalar chain's words.
+	sig, errS := base.PerTuple[2].Dst, base.PerTuple[3].Dst
+	half := Slot{spare.Base, f / 2}
+
+	p = grow(cloneProg(base)) // the gradient is taken over a vector whose upper half the last tuple wrote
+	p.PerTuple = append(p.PerTuple[:4:4],
+		Instr{Kind: KEW, Op: AMov, Dst: half, A: x},
+		Instr{Kind: KEW, Op: AMul, Dst: grad, A: errS, B: spare},
+		Instr{Kind: KEW, Op: AMov, Dst: spare, A: x})
+	v["temp-partly-rewritten-before-read"] = p
+
+	p = grow(cloneProg(base)) // the same vector rewritten whole, in two halves' worth of instructions, before the read
+	p.PerTuple = append(p.PerTuple[:4:4],
+		Instr{Kind: KEW, Op: AMov, Dst: spare, A: x},
+		Instr{Kind: KEW, Op: AMul, Dst: half, A: half, B: sig},
+		Instr{Kind: KEW, Op: AMul, Dst: grad, A: errS, B: spare})
+	v["temp-rewritten-before-read"] = p
+
+	p = cloneProg(base) // thread 0 decays its learning rate after every batch, and every tuple scales its error by its thread's
+	p.PerTuple = append(p.PerTuple[:4:4], Instr{Kind: KEW, Op: AMul, Dst: errS, A: errS, B: lr}, base.PerTuple[4])
+	p.PostMerge = append(p.PostMerge, Instr{Kind: KEW, Op: AMul, Dst: lr, A: lr, B: lr})
+	v["const-written-in-postmerge"] = p
+
+	p = grow(cloneProg(base)) // every tuple reads a word only thread 0's PostMerge writes
+	p.PerTuple = append(p.PerTuple[:4:4], Instr{Kind: KEW, Op: AAdd, Dst: errS, A: errS, B: Slot{spare.Base, 1}}, base.PerTuple[4])
+	p.PostMerge = append(p.PostMerge, Instr{Kind: KEW, Op: AMov, Dst: Slot{spare.Base, 1}, A: Slot{merged.Base, 1}})
+	v["postmerge-word-read-per-tuple"] = p
+
+	p = grow(cloneProg(base)) // the merge value is a word no tuple writes: each thread's own, which only thread 0's PostMerge ever sets
+	p.MergeSrc, p.MergeDst = Slot{spare.Base, 1}, Slot{merged.Base, 1}
+	p.PostMerge = append(p.PostMerge, Instr{Kind: KEW, Op: AAdd, Dst: Slot{spare.Base, 1}, A: Slot{spare.Base, 1}, B: lr})
+	v["mergesrc-never-written-per-tuple"] = p
+
+	p = grow(cloneProg(base)) // thread 0's PostMerge rewrites the vector whole; every thread's next tuple reads it before writing it
+	p.PerTuple = append(p.PerTuple[:4:4],
+		Instr{Kind: KEW, Op: AMul, Dst: grad, A: errS, B: spare},
+		Instr{Kind: KEW, Op: AMov, Dst: spare, A: x})
+	p.PostMerge = append(p.PostMerge, Instr{Kind: KEW, Op: AMov, Dst: spare, A: merged})
+	v["temp-rewritten-in-postmerge"] = p
+
+	p = grow(cloneProg(base)) // a running sum of the thread's inputs: the instruction that writes it reads it
+	p.PerTuple = append(p.PerTuple[:4:4],
+		Instr{Kind: KEW, Op: AAdd, Dst: spare, A: spare, B: x},
+		Instr{Kind: KEW, Op: AMul, Dst: grad, A: errS, B: spare})
+	v["running-sum-across-tuples"] = p
+
+	p = grow(cloneProg(base)) // the merged vector lands on thread 0's copy of a constant every tuple reads
+	p.ConstSlot, p.MergeDst = Slot{spare.Base, 1}, spare
+	p.PerTuple = append(p.PerTuple[:4:4], Instr{Kind: KEW, Op: AMul, Dst: errS, A: errS, B: p.ConstSlot}, base.PerTuple[4])
+	p.PostMerge[0].A, p.PostMerge[0].B = p.ConstSlot, spare
+	v["mergedst-lands-on-const"] = p
+
+	p = cloneProg(base) // every tuple parks its label in the last model word, which nothing reads again and the write-back stops short of
+	p.PerTuple = append([]Instr{{Kind: KEW, Op: AMov, Dst: Slot{f - 1, 1}, A: y}}, p.PerTuple...)
+	p.PostMerge = []Instr{
+		{Kind: KEW, Op: AMul, Dst: Slot{base.PostMerge[0].Dst.Base, f - 1}, A: lr, B: Slot{merged.Base, f - 1}},
+		{Kind: KEW, Op: ASub, Dst: Slot{base.UpdatedSlot.Base, f - 1}, A: Slot{0, f - 1}, B: Slot{base.PostMerge[0].Dst.Base, f - 1}},
+	}
+	p.UpdatedSlot = Slot{base.UpdatedSlot.Base, f - 1}
+	v["pertuple-parks-word-in-model"] = p
 
 	p = cloneProg(base) // plain SGD: same rule, no merge
 	p.MergeSrc, p.MergeDst, p.PostMerge = Slot{}, Slot{}, nil
@@ -475,31 +538,41 @@ func TestPlanShape(t *testing.T) {
 	const f = 12
 	cfg := Config{Threads: 4, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
 	type shape struct {
-		dot, fusedAcc, copyInput, shareModel, step bool
+		dot, fusedAcc, copyInput, shareModel, sharePads, step bool
 	}
 	want := map[string]shape{
-		"base":                         {dot: true, fusedAcc: true, shareModel: true},
+		"base":                         {dot: true, fusedAcc: true, shareModel: true, sharePads: true},
 		"prod-read-in-postmerge":       {fusedAcc: true, shareModel: true},
 		"prod-read-by-next-tuple":      {fusedAcc: true, shareModel: true},
 		"mergesrc-read-in-convergence": {dot: true, shareModel: true},
-		"mergedst-is-mergesrc":         {dot: true, fusedAcc: true, shareModel: true},
+		"mergedst-is-mergesrc":         {dot: true, fusedAcc: true, shareModel: true, sharePads: true},
 		"input-read-in-postmerge":      {dot: true, fusedAcc: true, copyInput: true, shareModel: true},
 		"pertuple-writes-model":        {dot: true, fusedAcc: true},
 		"read-straddles-model-edge":    {dot: true, fusedAcc: true, copyInput: true},
-		"dot-operand-overlaps-product": {fusedAcc: true, shareModel: true},
+		"dot-operand-overlaps-product": {fusedAcc: true, shareModel: true}, // the straddling read is refused, though the loop feeds on this tuple's products only
 		"input-overlaps-model":         {dot: true, fusedAcc: true, copyInput: true},
-		"overlapping-and-wrapped":      {fusedAcc: true, shareModel: true},
-		"svm-shape":                    {dot: true, fusedAcc: true, shareModel: true},
-		"merge-by-product":             {dot: true, shareModel: true},
+		"overlapping-and-wrapped":      {fusedAcc: true, shareModel: true, sharePads: true},
+		"svm-shape":                    {dot: true, fusedAcc: true, shareModel: true, sharePads: true},
+		"merge-by-product":             {dot: true, shareModel: true, sharePads: true},
 		"no-merge":                     {dot: true, step: true},
 		"no-merge-linear":              {dot: true, step: true},
+
+		"temp-partly-rewritten-before-read": {dot: true, shareModel: true},
+		"temp-rewritten-before-read":        {dot: true, fusedAcc: true, shareModel: true, sharePads: true},
+		"const-written-in-postmerge":        {dot: true, fusedAcc: true, shareModel: true},
+		"postmerge-word-read-per-tuple":     {dot: true, fusedAcc: true, shareModel: true},
+		"mergesrc-never-written-per-tuple":  {dot: true, shareModel: true},
+		"temp-rewritten-in-postmerge":       {dot: true, shareModel: true},
+		"running-sum-across-tuples":         {dot: true, fusedAcc: true, shareModel: true},
+		"mergedst-lands-on-const":           {dot: true, fusedAcc: true, shareModel: true},
+		"pertuple-parks-word-in-model":      {dot: true, fusedAcc: true}, // an unshared model alone refuses it: Model() reads the word
 	}
 	for name, p := range glmVariants(f) {
 		m, err := NewMachine(p, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got := shape{fusedAcc: m.plan.fusedAcc, copyInput: m.plan.copyInput, shareModel: m.plan.shareModel}
+		got := shape{fusedAcc: m.plan.fusedAcc, copyInput: m.plan.copyInput, shareModel: m.plan.shareModel, sharePads: m.plan.sharePads}
 		for _, o := range m.plan.perTuple {
 			got.dot = got.dot || o.kind == opDot
 			got.step = got.step || o.kind == opStep
@@ -563,8 +636,13 @@ func TestPlanShape(t *testing.T) {
 // all; dotPair plants ew.mul+red.add pairs, stepTriple the SGD step,
 // rowGroup a gather, a reader of its row and a scatter, and the last
 // per-tuple instruction is often a MergeSrc producer, so the liveness and
-// aliasing rules see both verdicts.
+// aliasing rules see both verdicts. Programs this loose all but never
+// reach the pad proof (two in 1500 pass inputInPlace and modelShareable),
+// so one draw in four is randGLM's instead.
 func randProgram(rng *rand.Rand) (*Program, int) {
+	if rng.Intn(4) == 0 {
+		return randGLM(rng), 0
+	}
 	slots := 40 + rng.Intn(40)
 	slot := func(n int) Slot {
 		if n > slots {
@@ -692,6 +770,51 @@ func randProgram(rng *rand.Rand) (*Program, int) {
 	return p, rows
 }
 
+// randGLM draws a tidy merge program — glmProg at a random width, regions
+// disjoint, row and model read in place — and bends it up to three times:
+// extra per-tuple work on a temporary of its own, written whole before it
+// is read (pads stay shareable) or read first (a thread-carried temp:
+// they do not); a once-a-batch stage reading the merged vector (shareable)
+// or one of the per-tuple stage's temporaries (not).
+func randGLM(rng *rand.Rand) *Program {
+	f := 2 + rng.Intn(9)
+	p := glmProg(f, rng.Intn(2) == 0)
+	x, lr, merged := Slot{f, f}, p.ConstSlot, p.MergeDst
+	temps := []Slot{p.PerTuple[0].Dst, p.PerTuple[1].Dst, p.PerTuple[2].Dst, p.PerTuple[3].Dst, p.MergeSrc}
+	own := func(n int) Slot { p.Slots += n; return Slot{p.Slots - n, n} }
+	errS := p.PerTuple[3].Dst
+	for i, n := 0, rng.Intn(4); i < n; i++ {
+		switch rng.Intn(5) {
+		case 0, 1: // v = x·lr; err += v[j] — the read before the write one time in three
+			v := own(f)
+			work := []Instr{{Kind: KEW, Op: AMul, Dst: v, A: x, B: lr},
+				{Kind: KEW, Op: AAdd, Dst: errS, A: errS, B: Slot{v.Base + rng.Intn(f), 1}}}
+			if rng.Intn(3) == 0 {
+				work[0], work[1] = work[1], work[0]
+			}
+			p.PerTuple = append(p.PerTuple[:4:4], append(work, p.PerTuple[4:]...)...)
+		case 2: // PostMerge folds a word into the new model
+			src := merged
+			if rng.Intn(2) == 0 {
+				src = temps[rng.Intn(len(temps))]
+			}
+			p.PostMerge = append(p.PostMerge, Instr{Kind: KEW, Op: AAdd, Dst: p.UpdatedSlot, A: p.UpdatedSlot, B: Slot{src.Base, 1}})
+		case 3: // Convergence tests a word
+			src := merged
+			if rng.Intn(2) == 0 {
+				src = temps[rng.Intn(len(temps))]
+			}
+			p.ConvSlot = own(1)
+			p.Convergence = []Instr{{Kind: KEW, Op: ALt, Dst: p.ConvSlot, A: Slot{src.Base, 1}, B: lr}}
+		case 4: // the merged value lands back on MergeSrc
+			p.MergeDst = p.MergeSrc
+			p.PostMerge[0].B = p.MergeSrc
+			merged = p.MergeSrc
+		}
+	}
+	return p
+}
+
 // TestPlanMatchesReferenceRandom: seeded random programs, every batch
 // shape, host workers 1/2/4. The config has one lane per thread, which
 // keeps the floor-clearing batch of these small programs to a few
@@ -701,7 +824,8 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	fused, elided, refused := 0, 0, 0
 	var steps, stepShapes, views, gathers int // gathers: of merge-free programs, the only ones that can view
-	for trial := 0; trial < 1500; trial++ {
+	var laned, threaded int                   // of programs lowered to in-place rows and a shared model at > dotLanes threads: pads per lane, per thread
+	for trial := 0; trial < 2000; trial++ {
 		p, rows := randProgram(rng)
 		if err := p.Validate(); err != nil {
 			t.Fatalf("trial %d: generator made an invalid program: %v", trial, err)
@@ -722,6 +846,13 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 		m, _ := NewMachine(p, cfg)
 		if m.plan.fusedAcc {
 			fused++
+		}
+		if m.plan.shareModel && !m.plan.copyInput && k > dotLanes {
+			if m.plan.sharePads {
+				laned++
+			} else {
+				threaded++
+			}
 		}
 		for i := 0; i+1 < len(p.PerTuple); i++ {
 			if isDot(&p.PerTuple[i], &p.PerTuple[i+1]) {
@@ -756,5 +887,8 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 	}
 	if steps < 80 || stepShapes-steps < 80 || views < 80 || gathers-views < 80 {
 		t.Errorf("generator too tame: %d steps fused, %d refused, %d gathers viewed, %d copied; want ≥ 80 each", steps, stepShapes-steps, views, gathers-views)
+	}
+	if laned < 40 || threaded < 40 {
+		t.Errorf("generator too tame: %d programs ran on a pad per lane, %d were refused one; want ≥ 40 each", laned, threaded)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"regexp"
 	hostrt "runtime"
+	"strconv"
 	"testing"
 
 	"dana/internal/algos"
@@ -89,8 +90,11 @@ func TestPlanMatchesReferenceTable3(t *testing.T) {
 // the pin is op kinds and operand memories. The four merge programs read
 // exactly as they did before views and steps existed (compared against
 // that lowering when this was written); LRMF is the 8-op row kernel.
+// pads= is how many scratchpads the 8-thread machine starts with: all five
+// merge programs (two are logistic) pass padShareable and take one per
+// runDirect lane; LRMF has no merge, never leaves thread 0, and takes one.
 var table3Lowering = map[algos.Kind]string{
-	algos.KindLogistic: `copy-input=false share-model=true fused-accumulate=true
+	algos.KindLogistic: `copy-input=false share-model=true fused-accumulate=true pads=4
 per-tuple:
     0: dot thread <- model, row
     1: scalar.sigmoid thread <- thread
@@ -101,7 +105,7 @@ post-merge:
     1: ew.vv.sub thread <- thread, thread
 6 ops for 7 instructions
 `,
-	algos.KindLinear: `copy-input=false share-model=true fused-accumulate=true
+	algos.KindLinear: `copy-input=false share-model=true fused-accumulate=true pads=4
 per-tuple:
     0: dot thread <- model, row
     1: scalar.sub thread <- thread, row
@@ -111,7 +115,7 @@ post-merge:
     1: ew.vv.sub thread <- thread, thread
 5 ops for 6 instructions
 `,
-	algos.KindSVM: `copy-input=false share-model=true fused-accumulate=true
+	algos.KindSVM: `copy-input=false share-model=true fused-accumulate=true pads=4
 per-tuple:
     0: ew.sv.mul thread <- thread, model
     1: dot thread <- model, row
@@ -125,7 +129,7 @@ post-merge:
     1: ew.vv.sub thread <- thread, thread
 9 ops for 10 instructions
 `,
-	algos.KindLRMF: `copy-input=false share-model=false fused-accumulate=false
+	algos.KindLRMF: `copy-input=false share-model=false fused-accumulate=false pads=1
 per-tuple:
     0: gather.view view0 <- thread at round(row) -> r0
     1: gather.view view1 <- thread at round(row) -> r1
@@ -156,6 +160,51 @@ func TestPlanTable3Lowering(t *testing.T) {
 		if got = offsets.ReplaceAllString(got, ""); got != table3Lowering[w.Kind] {
 			t.Errorf("%s lowers to\n%s\nwant\n%s", w.Name, got, table3Lowering[w.Kind])
 		}
+	}
+}
+
+// TestServerMixMachineFootprint pins the host footprint of the machines the
+// benchmark's server_mix configures 36 times a drain, at the 64 model
+// threads its designs have: lowering grants all four a scratchpad per
+// runDirect lane (pads= of the listing), and NewMachine allocates those
+// pads of Slots words, two accumulators, itself and its ops — where a pad
+// and an accumulator per model thread were 191-911 KB of zeroed memory a
+// job. (What a fanned batch adds, TestFannedSharedPadsMatchInline pins.)
+func TestServerMixMachineFootprint(t *testing.T) {
+	cfg := engine.Config{Threads: 64, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	padsOf := regexp.MustCompile(`pads=(\d+)\n`)
+	for _, name := range []string{"WLAN", "Patient", "Blog Feedback", "Remote Sensing LR"} {
+		w, err := datagen.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := compileAlgo(t, name, w.Kind, w.Topology, algos.Hyper{LR: w.LR, Lambda: w.Lambda, MergeCoef: 1024, Epochs: 2})
+		listing, err := engine.PlanListing(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pads := 0
+		if m := padsOf.FindStringSubmatch(listing); m != nil {
+			pads, _ = strconv.Atoi(m[1])
+		}
+		if pads < 1 || pads > 8 {
+			t.Errorf("%s: lowered to %d pads for 64 threads, want one per lane", name, pads)
+			continue
+		}
+		var before, after hostrt.MemStats
+		hostrt.ReadMemStats(&before)
+		m, err := engine.NewMachine(prog, cfg)
+		hostrt.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The slabs, a size class of rounding on each, and 16 KB for the
+		// machine and its ops.
+		want := uint64(pads*prog.Slots+2*prog.MergeSrc.Len) * 4
+		if got := after.TotalAlloc - before.TotalAlloc; got > want+want/8+16<<10 {
+			t.Errorf("%s: NewMachine allocated %d B, want about %d pads × %d slots × 4 B = %d", name, got, pads, prog.Slots, want)
+		}
+		hostrt.KeepAlive(m)
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 //
 // A Machine is driven by one executor for its lifetime: the plan leaves
 // elided temporaries and the other threads' model copies stale, which
-// the reference would read.
+// the reference would read. Nor does NewMachine lay out a scratchpad and
+// an accumulator per model thread any more; the reference builds its own
+// on its first merge batch (referenceLayout), so production never does.
 
 // exec runs one macro instruction on thread t, decoding it as it goes.
 func (m *Machine) exec(t int, in *Instr) error {
@@ -201,6 +203,16 @@ func (m *Machine) loadTuple(t int, tuple []float32) error {
 	return nil
 }
 
+// referenceLayout gives every model thread its own scratchpad — a copy of
+// pad 0, which before the first batch is what NewMachine and SetModel
+// would have put there — and its own merge accumulator.
+func (m *Machine) referenceLayout() {
+	if m.pads < m.Cfg.Threads {
+		m.growPads(m.Cfg.Threads)
+	}
+	m.accPerThread()
+}
+
 // RunBatchReference is RunBatch on the reference executor.
 func (m *Machine) RunBatchReference(tuples [][]float32) error {
 	p := m.Prog
@@ -240,6 +252,8 @@ func (m *Machine) RunBatchReference(tuples [][]float32) error {
 		return nil
 	}
 
+	m.referenceLayout()
+	th0 = m.thread(0)
 	n := len(tuples)
 	k := m.Cfg.Threads
 	if k > n {

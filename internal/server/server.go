@@ -555,14 +555,28 @@ func (t *tenant) score(s *Server, pl *Placement) (int, error) {
 			model[i] = float64(v)
 		}
 	}
-	rows, _, err := rel.NarrowedRows(false)
+	sc, err := backend.NewRowScorer[float64](ue.class, udf.Graph, model)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := backend.ScoreFloat64(ue.class, udf.Graph, model, rows); err != nil {
+	// Score as the scan delivers: each row narrowed through float32 — the
+	// values extraction would deliver (Relation.NarrowedRows) — into one
+	// buffer; the scores themselves are not kept.
+	row := make([]float64, 0, rel.Schema.NumCols())
+	n := 0
+	err = rel.Scan(func(_ storage.TID, vals []float64) error {
+		row = row[:0]
+		for _, v := range vals {
+			row = append(row, float64(float32(v)))
+		}
+		_, err := sc.Score(n, row)
+		n++
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
-	return len(rows), nil
+	return n, nil
 }
 
 // IdentityError checks the cross-registry sum identity: for engine and

@@ -169,7 +169,7 @@ func (r *Relation) Get(tid TID) ([]float64, error) {
 func (r *Relation) Scan(fn func(tid TID, vals []float64) error) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var vals []float64
+	vals := make([]float64, 0, r.Schema.NumCols())
 	for pn, p := range r.pages {
 		for i := 0; i < p.NumItems(); i++ {
 			raw, err := p.Item(i)
