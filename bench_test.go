@@ -633,43 +633,6 @@ func BenchmarkParallelExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFanout times a cached multi-epoch Train (the engine is
-// the whole op) on the two sides of the engine's fan-out floor: the
-// 54-feature program, whose merge-64 batch is below it, and the
-// 8000-feature one, above. "inline" pins Workers: 1; "fanned" configures
-// two host workers and leaves the fork to the floor — so f54/fanned
-// tracks f54/inline (a batch that small must not pay a fork/join) and
-// f8000/fanned beats f8000/inline on a host with a second core.
-func BenchmarkEngineFanout(b *testing.B) {
-	const epochs = 4
-	for _, wl := range []struct {
-		name, workload string
-		scale          float64
-	}{
-		{"f54", "Remote Sensing LR", 0.02},
-		{"f8000", "S/N Linear", 0.003},
-	} {
-		for _, cfg := range []struct {
-			name    string
-			workers int
-		}{{"inline", 1}, {"fanned", 2}} {
-			b.Run(wl.name+"/"+cfg.name, func(b *testing.B) {
-				eng, d, a := openTrainBench(b, wl.workload, wl.scale, 64, cfg.workers, epochs)
-				if _, err := eng.Train(a.Name, d.Rel.Name); err != nil { // fill the record cache
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(epochs*float64(d.Tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-			})
-		}
-	}
-}
-
 // BenchmarkAccelConfigure is the fixed cost a train job pays before its
 // first tuple: Accel.Configure (engine.NewMachine — lowering, scratchpads,
 // accumulators — plus the epoch stream) and Close, on the four programs of

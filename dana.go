@@ -66,11 +66,9 @@ type Config struct {
 	Segments int
 	// Workers sets the host goroutines running Strider VMs during page
 	// extraction (0 = GOMAXPROCS capped at the Strider count; 1 =
-	// serial); worker i of W takes the pages pn ≡ i mod W. The engine
-	// fans merge batches over the same count once a batch is large
-	// enough to repay the fork/join. Host parallelism changes wall-clock
-	// time only — modeled cycle counts and simulated seconds are
-	// bit-identical either way.
+	// serial); worker i of W takes the pages pn ≡ i mod W. Host
+	// parallelism changes wall-clock time only — modeled cycle counts
+	// and simulated seconds are bit-identical either way.
 	Workers int
 	// Channels models the accelerator link as N independent memory
 	// channels (0/1 = the single legacy channel). It is a modeled

@@ -2,7 +2,6 @@ package backend
 
 import (
 	"fmt"
-	hostrt "runtime"
 
 	"dana/internal/cost"
 	"dana/internal/engine"
@@ -125,9 +124,8 @@ func (b *Accel) ModeledSeconds(job Job, run Run) float64 {
 	return pipe + run.IOSeconds + b.env.Cost.SetupSec
 }
 
-// Configure builds the engine machine for the program, applies the
-// host-worker fan-out (wall-clock only; modeled cycles are
-// schedule-determined), and seeds the initial model.
+// Configure builds the engine machine for the program and seeds the
+// initial model.
 func (b *Accel) Configure(p Program) error { return b.configure(p, p.EngineCfg) }
 
 // configure is shared with the embedding Tabla backend, which passes
@@ -154,7 +152,6 @@ func (b *Accel) configure(p Program, cfg engine.Config) error {
 		return err
 	}
 	m.SetObs(b.env.obs())
-	m.SetHostWorkers(HostWorkers(b.env.Workers, p.Striders))
 	init := initModel(p)
 	if init != nil {
 		if err := m.SetModel(narrow32(init)); err != nil {
@@ -162,9 +159,6 @@ func (b *Accel) configure(p Program, cfg engine.Config) error {
 		}
 	}
 	b.batch = max1(p.MergeCoef)
-	if b.m != nil {
-		b.m.Close()
-	}
 	b.m, b.class, b.graph, b.weave = m, class, p.Graph, weave
 	b.stream = m.StreamEpoch(b.batch)
 	b.feed = b.stream.Feed
@@ -316,13 +310,9 @@ func (b *Accel) Counters() engine.Stats {
 	return b.m.Stats()
 }
 
-// Close releases the machine's host fan-out helpers and drops the epoch
-// buffers (materialized rows, the weave stage's reweaver and decoded
-// rows); a later epoch rebuilds what it needs.
+// Close drops the epoch buffers (materialized rows, the weave stage's
+// reweaver and decoded rows); a later epoch rebuilds what it needs.
 func (b *Accel) Close() {
-	if b.m != nil {
-		b.m.Close()
-	}
 	b.rows32, b.slab = nil, rowSlab{}
 	b.weave.drop()
 }
@@ -330,22 +320,6 @@ func (b *Accel) Close() {
 // InProcessStriders clamps a design's Strider count to the in-process
 // VM instances the host runs (the cycle model is unchanged by the clamp).
 func InProcessStriders(n int) int { return min(max(n, 1), 16) }
-
-// HostWorkers is the one host fan-out clamp, shared by the engine-side
-// batch fan-out here and the integration layer's extraction workers: 0
-// means GOMAXPROCS, capped at the design's in-process Strider count.
-func HostWorkers(workers, striders int) int {
-	if workers <= 0 {
-		workers = hostrt.GOMAXPROCS(0)
-	}
-	if striders > 0 && workers > striders {
-		workers = striders
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
 
 // initModel resolves a program's starting model: the explicit Init, or
 // the class-canonical initialization (LRMF factor models cannot start

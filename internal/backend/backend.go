@@ -252,8 +252,8 @@ type Program struct {
 	// backends ignore them (and accept their absence).
 	Engine    *engine.Program
 	EngineCfg engine.Config
-	// Striders caps the in-process host fan-out (the design's Strider
-	// count clamped by the integration layer; 0 = no cap).
+	// Striders is how many in-process Striders extraction runs (the
+	// design's Strider count clamped by the integration layer).
 	Striders int
 	// MergeCoef is the gradient-merge batch size (< 1 = 1).
 	MergeCoef int
@@ -396,7 +396,7 @@ type CounterBackend interface {
 }
 
 // Closer is implemented by backends holding releasable host resources
-// (engine fan-out helpers).
+// (the accelerator's epoch buffers).
 type Closer interface {
 	Close()
 }

@@ -87,7 +87,7 @@ func GenScenario(seed int64) Scenario {
 // ConformanceEnv is the fixed environment the conformance suite runs
 // backends under.
 func ConformanceEnv() Env {
-	return Env{Obs: obs.Noop, Cost: cost.Default(), FPGA: hwgen.VU9P(), Workers: 1, Segments: 4}
+	return Env{Obs: obs.Noop, Cost: cost.Default(), FPGA: hwgen.VU9P(), Segments: 4}
 }
 
 // BuildProgram compiles the scenario's algorithm down to a backend

@@ -11,12 +11,11 @@ import (
 
 // Env is the ambient configuration a backend factory closes over — the
 // observability registry, the analytic cost parameters, the modeled
-// FPGA (for derived design points), and host-side knobs.
+// FPGA (for derived design points), and the Sharded segment count.
 type Env struct {
 	Obs      *obs.Registry
 	Cost     cost.Params
 	FPGA     hwgen.FPGA
-	Workers  int
 	Segments int // Sharded fan-out (<= 0 = DefaultSegments)
 }
 

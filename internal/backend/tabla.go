@@ -68,7 +68,5 @@ func (b *Tabla) Configure(p Program) error {
 	if p.Graph == nil || p.Engine == nil {
 		return fmt.Errorf("%w: %s needs a compiled engine program", ErrUnsupported, NameTabla)
 	}
-	// TABLA has no Striders: the host fan-out cap is the single thread.
-	p.Striders = 1
 	return b.configure(p, b.engineConfig(p.Engine, p.EngineCfg, p.PageSize, p.Tuples))
 }

@@ -377,6 +377,3 @@ func withDanaEpochs(w Workload) Workload {
 	}
 	return w
 }
-
-// Speedup returns a.TotalSec / b.TotalSec — how much faster b is.
-func Speedup(a, b Breakdown) float64 { return a.TotalSec / b.TotalSec }

@@ -199,14 +199,6 @@ func TestSVMLibrariesSlowerThanMADlib(t *testing.T) {
 	}
 }
 
-func TestSpeedupHelper(t *testing.T) {
-	a := Breakdown{TotalSec: 10}
-	b := Breakdown{TotalSec: 2}
-	if Speedup(a, b) != 5 {
-		t.Errorf("Speedup = %v", Speedup(a, b))
-	}
-}
-
 func TestDiskBreakEven(t *testing.T) {
 	// Crossover check: as the dataset grows past the pool, cold and warm
 	// converge (everything is I/O).

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"math"
-	"math/rand"
-	hostrt "runtime"
 	"strings"
 	"testing"
 )
@@ -48,26 +46,6 @@ func mergeProg(f int) *Program {
 	return p
 }
 
-// fannedFeatures is wide enough that a 32-tuple batch of mergeProg clears
-// fanOutFloorCycles at the test configs (asserted where it is used).
-const fannedFeatures = 2048
-
-// randTuples draws n tuples for linearProg(f), scaled so SGD at lr 0.1
-// over a merged batch stays bounded at any width.
-func randTuples(n, f int, seed int64) [][]float32 {
-	rng := rand.New(rand.NewSource(seed))
-	scale := 0.25 / math.Sqrt(float64(f))
-	tuples := make([][]float32, n)
-	for i := range tuples {
-		tup := make([]float32, f+1)
-		for j := range tup {
-			tup[j] = float32(rng.NormFloat64() * scale)
-		}
-		tuples[i] = tup
-	}
-	return tuples
-}
-
 func defaultCfg() Config {
 	return Config{Threads: 1, ACsPerThread: 2, AUsPerAC: DefaultAUsPerAC, ClockHz: 150e6}
 }
@@ -97,48 +75,6 @@ func TestMachineSGDStep(t *testing.T) {
 	}
 	if st.Cycles <= 0 || st.ComputeCycles <= 0 || st.LoadCycles <= 0 {
 		t.Errorf("cycle accounting missing: %+v", st)
-	}
-}
-
-// TestRunBatchHostFanOutDeterminism: fanning a merge batch's model
-// threads across host goroutines must leave the model bits and every
-// cycle counter untouched relative to the serial machine. The program
-// is wide enough to clear the fan-out floor, so workers > 1 really fork.
-func TestRunBatchHostFanOutDeterminism(t *testing.T) {
-	old := hostrt.GOMAXPROCS(4)
-	defer hostrt.GOMAXPROCS(old)
-	p := mergeProg(fannedFeatures)
-	cfg := Config{Threads: 8, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}
-	tuples := randTuples(300, fannedFeatures, 7)
-	run := func(workers int) ([]float32, Stats) {
-		m, err := NewMachine(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.SetHostWorkers(workers)
-		defer m.Close()
-		for e := 0; e < 3; e++ {
-			if err := m.RunEpoch(tuples, 32); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if want := min(workers, 4) - 1; len(m.helperCh) != want {
-			t.Fatalf("workers=%d: %d helpers spawned, want %d (32 × %d cycles vs floor %d)",
-				workers, len(m.helperCh), want, m.cycPerTuple, fanOutFloorCycles)
-		}
-		return m.Model(), m.Stats()
-	}
-	wantModel, wantStats := run(1)
-	for _, w := range []int{2, 4, 8} {
-		gotModel, gotStats := run(w)
-		for i := range wantModel {
-			if math.Float32bits(gotModel[i]) != math.Float32bits(wantModel[i]) {
-				t.Fatalf("workers=%d: model[%d] = %v != serial %v", w, i, gotModel[i], wantModel[i])
-			}
-		}
-		if gotStats != wantStats {
-			t.Errorf("workers=%d: stats %+v != serial %+v", w, gotStats, wantStats)
-		}
 	}
 }
 

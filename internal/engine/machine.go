@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	hostrt "runtime"
 
 	"dana/internal/obs"
 )
@@ -53,13 +52,12 @@ type Machine struct {
 	// scratch. The modeled machine has Cfg.Threads of them and is charged
 	// for all; the host holds pads of them — one per model thread, or, when
 	// plan.sharePads, one per host lane that can have a tuple in flight
-	// (dotLanes in runDirect, a fan-out worker each), or the one a
-	// merge-free program ever runs on. Pad 0 is model thread 0's always:
-	// the model and the once-a-batch stages live there.
+	// (dotLanes in runDirect), or the one a merge-free program ever runs
+	// on. Pad 0 is model thread 0's always: the model and the once-a-batch
+	// stages live there.
 	//
 	// accs holds merge accumulators of MergeSrc.Len words (nil without a
-	// merge): the merged vector and a spare the inline partition folds
-	// through, until the first fanned batch makes it one per model thread.
+	// merge): the merged vector and the spare runPartition folds through.
 	scratch []float32
 	pads    int
 	accs    []float32
@@ -67,9 +65,9 @@ type Machine struct {
 
 	// plan is Prog lowered for Cfg (plan.go): what RunBatch and Converged
 	// execute. The reference executor (reference.go) never reads it.
-	// frames are the caller goroutine's kernel frames (one, or dotLanes
-	// for runDirect), kept here because a frame passed to a kernel
-	// through its func value escapes; each fan-out helper owns another.
+	// frames are the kernel frames (one, or dotLanes for runDirect), kept
+	// here because a frame passed to a kernel through its func value
+	// escapes.
 	plan   plan
 	frames [dotLanes]frame
 
@@ -86,16 +84,6 @@ type Machine struct {
 	cycLocalAcc    int64
 	cycWriteBack   int64
 	cycBroadcast   int64
-
-	// Host fan-out of merge batches (SetHostWorkers): the k model
-	// threads of a batch are independent (each owns its merge accumulator,
-	// and its scratchpad or its worker's), so they are dealt w, w+W, ...
-	// to W host goroutines. Helpers are spawned lazily and live until
-	// Close.
-	hostWorkers int
-	helperCh    []chan batchJob
-	helperDone  chan struct{}
-	partErrs    []error
 
 	// Observability handles (SetObs); nil handles are no-ops. stats is
 	// the single ledger: PublishObs adds its growth since the last
@@ -133,18 +121,6 @@ func (m *Machine) SetObs(r *obs.Registry) {
 	m.obsBatchHist = r.Hist(obs.HistBatchTuples)
 }
 
-// fanOutFloorCycles is the static modeled cost (tuples × per-tuple
-// program cycles, both known before the batch runs) below which a merge
-// batch runs inline even with host workers configured: the fork/join
-// costs a few tens of µs, and only an inline batch whose threads own one
-// tuple each can fold merge values straight into the merged vector.
-// Re-measured at merge 64 on the plan's kernels (EXPERIMENTS.md, "Engine
-// fan-out floor"): a modeled cycle costs about half the host time it did
-// under the interpreter, so the break-even doubled — inline now wins up
-// to the 2000-feature program (13 056 cycles a batch); the 8000-feature
-// one (48 576) stays on the fanned side.
-const fanOutFloorCycles = 16384
-
 // PublishObs adds what stats gained since the last publish to the
 // registry counters. The owner of the machine calls it once per epoch
 // (and Converged does): registry totals after a run equal the ledger.
@@ -160,13 +136,6 @@ func (m *Machine) PublishObs() {
 	m.obsInstrs.Add(d.Instructions - p.Instructions)
 	m.obsBatchHist.ObserveN(m.runSize, m.runLen)
 	m.published, m.runLen = d, 0
-}
-
-// batchJob is one helper's share of a merge batch.
-type batchJob struct {
-	tuples  [][]float32
-	k, w, W int
-	errs    []error
 }
 
 // NewMachine instantiates the accelerator and lowers the program to its
@@ -207,93 +176,11 @@ func (m *Machine) thread(i int) []float32 {
 	return m.scratch[i*n : (i+1)*n : (i+1)*n]
 }
 
-// acc returns merge accumulator t: model thread t's once a fanned batch
-// (or the reference executor) has built them all; before that acc(0) is
-// the merged vector and acc(1) the inline partition's spare.
+// acc returns merge accumulator t: acc(0) is the merged vector and acc(1)
+// runPartition's spare; the reference executor builds one per model thread.
 func (m *Machine) acc(t int) []float32 {
 	n := m.Prog.MergeSrc.Len
 	return m.accs[t*n : (t+1)*n : (t+1)*n]
-}
-
-// accPerThread replaces the inline layout's two accumulators with one per
-// model thread. They hold nothing between batches, so nothing is copied.
-func (m *Machine) accPerThread() {
-	if n := m.Cfg.Threads * m.Prog.MergeSrc.Len; len(m.accs) < n {
-		m.accs = make([]float32, n)
-	}
-}
-
-// growPads extends the scratchpad slab to n pads, each new one a copy of
-// pad 0: the constants (and the model, for the reference executor's
-// per-thread copies; a plan that shares pads never reads it there).
-func (m *Machine) growPads(n int) {
-	old := m.scratch
-	m.scratch = make([]float32, n*m.Prog.Slots)
-	copy(m.scratch, old)
-	for i := m.pads; i < n; i++ {
-		copy(m.thread(i), m.thread(0))
-	}
-	m.pads = n
-}
-
-// SetHostWorkers sets how many host goroutines execute a merge batch's
-// independent model threads (1 = serial, the default) once the batch
-// clears fanOutFloorCycles. This changes
-// wall-clock time only: each model thread's tuple order, accumulation
-// order, and the tree-bus merge order are unchanged, so results and
-// modeled cycles are bit-identical for any value. A machine with
-// workers > 1 must be Closed to release its helper goroutines.
-func (m *Machine) SetHostWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	// Clamp to schedulable cores here, at configuration time: more
-	// workers than GOMAXPROCS cannot speed up a CPU-bound loop, and the
-	// per-batch runtime query this replaces sat on the //dana:hotpath
-	// (surfaced by the hotcall analyzer). Fan-out width changes
-	// wall-clock only, never results, so clamping early is equivalent.
-	if maxp := hostrt.GOMAXPROCS(0); n > maxp {
-		n = maxp
-	}
-	m.hostWorkers = n
-}
-
-// Close releases the helper goroutines (idempotent; only needed after
-// SetHostWorkers with n > 1).
-func (m *Machine) Close() {
-	for _, ch := range m.helperCh {
-		close(ch)
-	}
-	m.helperCh = nil
-}
-
-// ensureFanOut builds, on the first batch that fans W ways, what only a
-// fanned batch needs: helpers 1..W-1 (the caller acts as 0) and their
-// error slots; an accumulator per model thread, since workers finish
-// threads out of thread order and the tree merge wants them all; and, when
-// pads are shared, a pad per worker.
-func (m *Machine) ensureFanOut(w int) {
-	if cap(m.partErrs) < w {
-		m.partErrs = make([]error, w)
-	}
-	m.accPerThread()
-	if m.plan.sharePads && m.pads < w {
-		m.growPads(w)
-	}
-	if m.helperDone == nil {
-		m.helperDone = make(chan struct{}, m.hostWorkers)
-	}
-	for len(m.helperCh) < w-1 {
-		ch := make(chan batchJob)
-		m.helperCh = append(m.helperCh, ch)
-		go func() {
-			var f frame
-			for job := range ch {
-				job.errs[job.w] = m.runPartition(&f, job.tuples, job.k, job.w, job.W)
-				m.helperDone <- struct{}{}
-			}
-		}()
-	}
 }
 
 // errTupleWidth is the load stage's rejection of a mis-sized tuple.
@@ -327,27 +214,22 @@ func (m *Machine) mergeValue(f *frame) {
 	}
 }
 
-// runPartition executes model threads w, w+W, ... of one merge batch on
-// the plan: the per-tuple ops and the thread-local merge accumulate. It
-// writes only those threads' accumulators and their scratchpads — or,
-// sharing pads, pad w alone — and reads thread 0's model at most, so
-// partitions are mutually independent; no shared stats are written (the
-// caller charges them in closed form). The lone partition of an inline
-// batch (W == 1) finishes its threads in thread order, so it folds each
-// into acc(0) as it goes, through the spare acc(1): the sums the tree
-// merge makes over k accumulators, in its order.
+// runPartition is the batch in which a thread owns more than one tuple:
+// thread t runs tuples t, t+k, ... through the per-tuple ops and the
+// thread-local merge accumulate — on its own scratchpad, or on pad 0 when
+// the plan shares pads. Threads finish in thread order, so thread t > 0
+// accumulates in the spare acc(1) and is folded into acc(0) as it ends:
+// the sums the tree merge makes over k accumulators, in its order. No
+// stats are written (the caller charges them in closed form).
 //
 //dana:hotpath
-func (m *Machine) runPartition(f *frame, tuples [][]float32, k, w, W int) error {
-	for t := w; t < k; t += W {
-		pad, acc, fold := t, t, W == 1 && t > 0
+func (m *Machine) runPartition(f *frame, tuples [][]float32, k int) error {
+	for t := 0; t < k; t++ {
+		pad := t
 		if m.plan.sharePads {
-			pad = w
+			pad = 0
 		}
-		if fold {
-			acc = 1
-		}
-		f.acc = m.acc(acc)
+		f.acc = m.acc(min(t, 1))
 		for i := t; i < len(tuples); i += k {
 			if err := m.bind(f, pad, tuples[i]); err != nil {
 				return err
@@ -358,14 +240,14 @@ func (m *Machine) runPartition(f *frame, tuples [][]float32, k, w, W int) error 
 			}
 			m.mergeValue(f)
 		}
-		if fold {
+		if t > 0 {
 			accumulate(m.acc(0), f.acc, m.Prog.MergeOp, false)
 		}
 	}
 	return nil
 }
 
-// runDirect is the inline batch in which thread t owns exactly tuple t.
+// runDirect is the batch in which thread t owns exactly tuple t.
 // Two things follow. The merge value of thread t can be folded straight
 // into thread 0's accumulator — where the tree merge would put it, in
 // the same thread order — leaving the merge loop nothing to do. And
@@ -548,49 +430,19 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 	if k > n {
 		k = n
 	}
-	// Run the k independent model threads, fanned across host workers
-	// when configured. Every thread sees its tuples (i ≡ t mod k) in
-	// increasing order and the counters are closed forms of (n, k), so
-	// the partitioning is invisible to results and modeled cycles.
-	W := m.hostWorkers // already clamped to GOMAXPROCS by SetHostWorkers
-	if W > k {
-		W = k
+	// Every thread sees its tuples (i ≡ t mod k) in increasing order and
+	// both shapes leave acc(0) holding the tree-bus merge's sums in thread
+	// order; the counters are closed forms of (n, k).
+	var err error
+	if n == k {
+		err = m.runDirect(tuples)
+	} else {
+		err = m.runPartition(f, tuples, k)
 	}
-	if int64(n)*m.cycPerTuple < fanOutFloorCycles {
-		W = 1
+	if err != nil {
+		return err
 	}
-	switch {
-	case W <= 1 && n == k:
-		if err := m.runDirect(tuples); err != nil {
-			return err
-		}
-	case W <= 1:
-		if err := m.runPartition(f, tuples, k, 0, 1); err != nil {
-			return err
-		}
-	default:
-		//danalint:ignore hotcall -- first fanned batch only; helpers, accumulators and pads are reused for the machine's lifetime
-		m.ensureFanOut(W)
-		errs := m.partErrs[:W]
-		for w := 1; w < W; w++ {
-			m.helperCh[w-1] <- batchJob{tuples: tuples, k: k, w: w, W: W, errs: errs}
-		}
-		errs[0] = m.runPartition(f, tuples, k, 0, W)
-		for w := 1; w < W; w++ {
-			<-m.helperDone
-		}
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		// Tree-bus merge in thread order; the inline cases have already
-		// summed into thread 0's accumulator in that order.
-		for t := 1; t < k; t++ {
-			accumulate(m.acc(0), m.acc(t), p.MergeOp, false)
-		}
-	}
-	th0 := m.thread(0) // a first fanned batch may have moved the pads
+	th0 := m.thread(0)
 	copy(th0[p.MergeDst.Base:p.MergeDst.Base+p.MergeDst.Len], m.acc(0))
 
 	// Post-merge stage on thread 0.
@@ -823,11 +675,4 @@ func (m *Machine) Train(tuples [][]float32, batchSize, maxEpochs int) (int, erro
 		}
 	}
 	return maxEpochs, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

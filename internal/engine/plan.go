@@ -124,8 +124,7 @@ type plan struct {
 
 // pads is how many scratchpads a machine running the plan starts with: one
 // where tuple-at-a-time SGD never leaves thread 0, one per runDirect lane
-// where tuples may share them (a fanned batch adds its workers'), one per
-// model thread otherwise.
+// where tuples may share them, one per model thread otherwise.
 func (pl *plan) pads(p *Program, cfg Config) int {
 	switch {
 	case !p.HasMerge():

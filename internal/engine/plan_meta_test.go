@@ -28,7 +28,6 @@ func metaCase() diffCase {
 		cfg:     Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6},
 		init:    init,
 		batches: diffBatches(diffTuples(rng, 11*k, f+1, 0), k),
-		workers: 1,
 	}
 }
 
@@ -135,7 +134,6 @@ func lrmfMetaCase(prog *Program) diffCase {
 		cfg:     Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6},
 		init:    init,
 		batches: diffBatches(tuples, 1),
-		workers: 1,
 	}
 }
 
@@ -275,29 +273,23 @@ func TestPlanErrorTrichotomy(t *testing.T) {
 	}
 }
 
-// TestRunBatchAllocationFree: the inline path never allocates, the serial
-// (no-merge) path never does, and the fanned path does on its first batch
-// only — the helper, its error slot, an accumulator per model thread.
+// TestRunBatchAllocationFree: the merge path never allocates, nor does the
+// serial (no-merge) one — the first batch included.
 func TestRunBatchAllocationFree(t *testing.T) {
-	withGOMAXPROCS(t, 2)
 	rng := rand.New(rand.NewSource(5))
 	for _, c := range []struct {
 		name    string
 		prog    *Program
 		threads int
 		tuples  [][]float32
-		fans    bool
 	}{
-		{"inline", glmProg(12, true), 4, diffTuples(rng, 9, 13, 0), false},
-		{"fanned", mergeProg(fannedFeatures), 4, randTuples(32, fannedFeatures, 1), true},
-		{"fanned, pads per lane", glmProg(fannedFeatures, true), 8, randTuples(96, fannedFeatures, 1), true},
-		{"serial", lrmfProg(6, 4), 1, diffTuples(rng, 16, 3, 6), false},
+		{"inline", glmProg(12, true), 4, diffTuples(rng, 9, 13, 0)},
+		{"serial", lrmfProg(6, 4), 1, diffTuples(rng, 16, 3, 6)},
 	} {
 		m, err := NewMachine(c.prog, Config{Threads: c.threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetHostWorkers(2)
 		// AllocsPerRun warms up with a call it does not count: the first
 		// batch is measured by hand.
 		var before, after hostrt.MemStats
@@ -307,24 +299,19 @@ func TestRunBatchAllocationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (len(m.helperCh) > 0) != c.fans {
-			t.Fatalf("%s: %d helpers", c.name, len(m.helperCh))
-		}
-		if first := after.Mallocs - before.Mallocs; !c.fans && first != 0 {
+		if first := after.Mallocs - before.Mallocs; first != 0 {
 			t.Errorf("%s: the first RunBatch allocates %d times", c.name, first)
 		}
 		if n := testing.AllocsPerRun(20, func() { _ = m.RunBatch(c.tuples) }); n != 0 {
 			t.Errorf("%s: RunBatch allocates %v times a batch", c.name, n)
 		}
-		m.Close()
 	}
 }
 
 // TestNewMachineAllocations pins the per-Configure allocation budget:
 // the machine, one op slab for all four lowered lists, one scratchpad slab
-// and the inline path's two accumulators (merge programs only) — whatever
-// the thread count. No accumulator per model thread is built before a
-// batch fans out (TestServerMixMachineFootprint pins the bytes).
+// and the two merge accumulators (merge programs only) — whatever the
+// thread count (TestServerMixMachineFootprint pins the bytes).
 func TestNewMachineAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name    string

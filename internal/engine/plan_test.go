@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	hostrt "runtime"
 	"testing"
 )
 
@@ -20,10 +19,6 @@ type diffCase struct {
 	cfg     Config
 	init    []float32     // initial model (nil = zeros)
 	batches [][][]float32 // fed in order, Converged after each third
-	// workers is SetHostWorkers on the plan side. Above 1, one more batch
-	// is fed: the others end to end, repeated until it clears the fan-out
-	// floor, so the fanned partition is diffed too (asserted).
-	workers int
 
 	// mutate plants a fault in the plan-side machine after NewMachine,
 	// run replaces its RunBatch (mutation meta-tests only).
@@ -36,12 +31,10 @@ func diffPlanReference(c diffCase) error {
 	if err != nil {
 		return err
 	}
-	defer pm.Close()
 	rm, err := NewMachine(c.prog, c.cfg)
 	if err != nil {
 		return err
 	}
-	pm.SetHostWorkers(c.workers)
 	if c.init != nil {
 		if err := pm.SetModel(c.init); err != nil {
 			return err
@@ -58,18 +51,7 @@ func diffPlanReference(c diffCase) error {
 		run = (*Machine).RunBatch
 	}
 	same := func(what string) error { return sameMachine(what, "plan", pm, "reference", rm) }
-	batches := c.batches
-	forks := pm.hostWorkers > 1 && c.cfg.Threads > 1 && c.prog.HasMerge() && pm.cycPerTuple > 0 && len(batches) > 0
-	if forks {
-		var big [][]float32
-		for need := int(fanOutFloorCycles/pm.cycPerTuple) + 1; len(big) < need; {
-			for _, b := range c.batches {
-				big = append(big, b...)
-			}
-		}
-		batches = append(batches[:len(batches):len(batches)], big)
-	}
-	for bi, batch := range batches {
+	for bi, batch := range c.batches {
 		perr, rerr := run(pm, batch), rm.RunBatchReference(batch)
 		if perr != nil || rerr != nil {
 			if perr == nil || rerr == nil || perr.Error() != rerr.Error() {
@@ -94,9 +76,6 @@ func diffPlanReference(c diffCase) error {
 				return err
 			}
 		}
-	}
-	if forks && len(pm.helperCh) == 0 {
-		return fmt.Errorf("workers=%d: a batch of %d × %d cycles never forked", c.workers, len(batches[len(batches)-1]), pm.cycPerTuple)
 	}
 	return nil
 }
@@ -474,16 +453,9 @@ func lrmfVariants(rows, r int) (map[string]*Program, map[string]lrmfShape) {
 	return v, want
 }
 
-func withGOMAXPROCS(t *testing.T, n int) {
-	t.Helper()
-	old := hostrt.GOMAXPROCS(n)
-	t.Cleanup(func() { hostrt.GOMAXPROCS(old) })
-}
-
 // TestPlanMatchesReferenceShapes: every bent GLM and the LRMF shape, on
-// every batch shape, at host workers 1/2/4.
+// every batch shape.
 func TestPlanMatchesReferenceShapes(t *testing.T) {
-	withGOMAXPROCS(t, 4)
 	const f, k = 12, 6 // a direct batch is one full group of interleaved dots and a remainder
 	cfg := Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
 	rng := rand.New(rand.NewSource(21))
@@ -493,10 +465,8 @@ func TestPlanMatchesReferenceShapes(t *testing.T) {
 		for i := range init {
 			init[i] = float32(rng.NormFloat64() * 0.1)
 		}
-		for _, w := range []int{1, 2, 4} {
-			if err := diffPlanReference(diffCase{prog: p, cfg: cfg, init: init, batches: diffBatches(tuples, k), workers: w}); err != nil {
-				t.Errorf("%s workers=%d: %v", name, w, err)
-			}
+		if err := diffPlanReference(diffCase{prog: p, cfg: cfg, init: init, batches: diffBatches(tuples, k)}); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 	// LRMF: gather index == scatter index (a tuple whose two rows are
@@ -524,7 +494,7 @@ func TestPlanMatchesReferenceShapes(t *testing.T) {
 	for name, prog := range progs {
 		for _, threads := range []int{1, 3} {
 			cfg.Threads = threads
-			if err := diffPlanReference(diffCase{prog: prog, cfg: cfg, init: init, batches: diffBatches(tuples, 1), workers: 1}); err != nil {
+			if err := diffPlanReference(diffCase{prog: prog, cfg: cfg, init: init, batches: diffBatches(tuples, 1)}); err != nil {
 				t.Errorf("%s threads=%d: %v", name, threads, err)
 			}
 		}
@@ -816,11 +786,8 @@ func randGLM(rng *rand.Rand) *Program {
 }
 
 // TestPlanMatchesReferenceRandom: seeded random programs, every batch
-// shape, host workers 1/2/4. The config has one lane per thread, which
-// keeps the floor-clearing batch of these small programs to a few
-// hundred tuples.
+// shape.
 func TestPlanMatchesReferenceRandom(t *testing.T) {
-	withGOMAXPROCS(t, 4)
 	rng := rand.New(rand.NewSource(14))
 	fused, elided, refused := 0, 0, 0
 	var steps, stepShapes, views, gathers int // gathers: of merge-free programs, the only ones that can view
@@ -837,11 +804,9 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 		for i := range init {
 			init[i] = float32(rng.NormFloat64() * 0.3)
 		}
-		for _, w := range []int{1, 2, 4} {
-			c := diffCase{prog: p, cfg: cfg, init: init, batches: diffBatches(tuples, k), workers: w}
-			if err := diffPlanReference(c); err != nil {
-				t.Fatalf("trial %d threads=%d workers=%d: %v\n%s", trial, k, w, err, Listing(p))
-			}
+		c := diffCase{prog: p, cfg: cfg, init: init, batches: diffBatches(tuples, k)}
+		if err := diffPlanReference(c); err != nil {
+			t.Fatalf("trial %d threads=%d: %v\n%s", trial, k, err, Listing(p))
 		}
 		m, _ := NewMachine(p, cfg)
 		if m.plan.fusedAcc {

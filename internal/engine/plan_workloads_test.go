@@ -21,12 +21,10 @@ import (
 // paper's widths) run bit-identically on the plan and on the reference
 // executor, counters included, after every batch: n < k, n == k,
 // n = 3k+1, merge-coefficient batches with a trailing partial one, and
-// one wide enough to clear the fan-out floor, at host workers 1/2/4.
+// one of 40 000 modeled cycles, every thread many tuples deep.
 // (Package engine cannot import the compiler, so this file drives the
 // exported API; plan_test.go holds the in-package harness.)
 func TestPlanMatchesReferenceTable3(t *testing.T) {
-	old := hostrt.GOMAXPROCS(4)
-	defer hostrt.GOMAXPROCS(old)
 	const k = 8
 	cfg := engine.Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
 	for _, w := range datagen.Real() {
@@ -44,43 +42,39 @@ func TestPlanMatchesReferenceTable3(t *testing.T) {
 		init := narrow([][]float64{golden.InitModelFor(rng, sp)})[0]
 		wide := int(40000/prog.Estimate(cfg).PerTuple) + 1
 		sizes := []int{k - 1, k, 3*k + 1, 2 * k, 2 * k, 2 * k, k / 2, wide}
-		for _, workers := range []int{1, 2, 4} {
-			pm, err := engine.NewMachine(prog, cfg)
-			if err != nil {
-				t.Fatalf("%s: %v", w.Name, err)
+		pm, err := engine.NewMachine(prog, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		rm, _ := engine.NewMachine(prog, cfg)
+		if err := pm.SetModel(init); err != nil {
+			t.Fatal(err)
+		}
+		if err := rm.SetModel(init); err != nil {
+			t.Fatal(err)
+		}
+		at := 0
+		for bi, n := range sizes {
+			batch := make([][]float32, n)
+			for i := range batch {
+				batch[i] = tuples[(at+i)%len(tuples)]
 			}
-			rm, _ := engine.NewMachine(prog, cfg)
-			pm.SetHostWorkers(workers)
-			if err := pm.SetModel(init); err != nil {
-				t.Fatal(err)
+			at += n
+			if err := pm.RunBatch(batch); err != nil {
+				t.Fatalf("%s: plan: %v", w.Name, err)
 			}
-			if err := rm.SetModel(init); err != nil {
-				t.Fatal(err)
+			if err := rm.RunBatchReference(batch); err != nil {
+				t.Fatalf("%s: reference: %v", w.Name, err)
 			}
-			at := 0
-			for bi, n := range sizes {
-				batch := make([][]float32, n)
-				for i := range batch {
-					batch[i] = tuples[(at+i)%len(tuples)]
-				}
-				at += n
-				if err := pm.RunBatch(batch); err != nil {
-					t.Fatalf("%s: plan: %v", w.Name, err)
-				}
-				if err := rm.RunBatchReference(batch); err != nil {
-					t.Fatalf("%s: reference: %v", w.Name, err)
-				}
-				got, want := pm.Model(), rm.Model()
-				for i := range want {
-					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("%s workers=%d batch %d (n=%d): model[%d] plan %v != reference %v", w.Name, workers, bi, n, i, got[i], want[i])
-					}
-				}
-				if pm.Stats() != rm.Stats() {
-					t.Fatalf("%s workers=%d batch %d (n=%d): stats diverge:\n  plan      %+v\n  reference %+v", w.Name, workers, bi, n, pm.Stats(), rm.Stats())
+			got, want := pm.Model(), rm.Model()
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s batch %d (n=%d): model[%d] plan %v != reference %v", w.Name, bi, n, i, got[i], want[i])
 				}
 			}
-			pm.Close()
+			if pm.Stats() != rm.Stats() {
+				t.Fatalf("%s batch %d (n=%d): stats diverge:\n  plan      %+v\n  reference %+v", w.Name, bi, n, pm.Stats(), rm.Stats())
+			}
 		}
 	}
 }
@@ -169,7 +163,7 @@ func TestPlanTable3Lowering(t *testing.T) {
 // runDirect lane (pads= of the listing), and NewMachine allocates those
 // pads of Slots words, two accumulators, itself and its ops — where a pad
 // and an accumulator per model thread were 191-911 KB of zeroed memory a
-// job. (What a fanned batch adds, TestFannedSharedPadsMatchInline pins.)
+// job.
 func TestServerMixMachineFootprint(t *testing.T) {
 	cfg := engine.Config{Threads: 64, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
 	padsOf := regexp.MustCompile(`pads=(\d+)\n`)

@@ -213,6 +213,26 @@ func (m *Machine) referenceLayout() {
 	m.accPerThread()
 }
 
+// accPerThread replaces the plan's two accumulators with one per model
+// thread. They hold nothing between batches, so nothing is copied.
+func (m *Machine) accPerThread() {
+	if n := m.Cfg.Threads * m.Prog.MergeSrc.Len; len(m.accs) < n {
+		m.accs = make([]float32, n)
+	}
+}
+
+// growPads extends the scratchpad slab to n pads, each new one a copy of
+// pad 0: the constants and the model.
+func (m *Machine) growPads(n int) {
+	old := m.scratch
+	m.scratch = make([]float32, n*m.Prog.Slots)
+	copy(m.scratch, old)
+	for i := m.pads; i < n; i++ {
+		copy(m.thread(i), m.thread(0))
+	}
+	m.pads = n
+}
+
 // RunBatchReference is RunBatch on the reference executor.
 func (m *Machine) RunBatchReference(tuples [][]float32) error {
 	p := m.Prog

@@ -94,7 +94,7 @@ func snapScenarioToGrid(sc *backend.Scenario, nfeat int) {
 // PrecisionSweep trains the committed scenarios across PrecisionBits
 // and verifies the three contracts above at every point.
 func PrecisionSweep(env Env) ([]PrecisionRow, error) {
-	benv := backend.Env{Cost: env.Cost, FPGA: env.FPGA, Workers: 1, Segments: env.Segments}
+	benv := backend.Env{Cost: env.Cost, FPGA: env.FPGA, Segments: env.Segments}
 	var rows []PrecisionRow
 	for _, seed := range PrecisionSeeds {
 		sc := backend.GenScenario(seed)

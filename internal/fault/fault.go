@@ -163,14 +163,6 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, attempts: make(map[attemptKey]int)}
 }
 
-// Config returns the injector's schedule (zero value when nil).
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}
-	}
-	return in.cfg
-}
-
 // Count returns how many times point p actually fired.
 func (in *Injector) Count(p Point) int64 {
 	if in == nil {

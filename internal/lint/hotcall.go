@@ -106,7 +106,7 @@ func runHotCall(pass *Pass) error {
 // unaudited one. Two shapes are exempt: appends whose destination
 // reuses the appended slice's backing array, and func literals consumed
 // by an open-coded defer (those stay on the stack).
-// Plain struct values (batchJob{...} handed to a channel, PageResult{}
+// Plain struct values (a struct handed to a channel, PageResult{}
 // zeroing) live in registers or on the stack and pass.
 func walkAllocSites(info *types.Info, body *ast.BlockStmt, visit func(n ast.Node, stack []ast.Node, what, fix string)) {
 	selfAppends := map[*ast.CallExpr]bool{}

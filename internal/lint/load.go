@@ -105,9 +105,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load expands the patterns ("./...", "./internal/foo", "dana/...",
 // absolute or relative directories) and returns the analysis packages,
 // sorted by import path. Directories named testdata are skipped by

@@ -65,14 +65,6 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // FloatCounter accumulates a float64 sum (e.g. simulated I/O seconds).
 // A nil *FloatCounter ignores all writes.
 type FloatCounter struct {

@@ -127,7 +127,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Get("engine.cycles") != 100 || s.GetFloat("bufpool.io_seconds") != 0.25 {
+	if s.Counters["engine.cycles"] != 100 || s.Floats["bufpool.io_seconds"] != 0.25 {
 		t.Fatalf("round-trip lost counters: %+v", s)
 	}
 	if len(s.Events) != 1 || s.Events[0].Name != "epoch" {

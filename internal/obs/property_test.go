@@ -116,14 +116,33 @@ func TestRingWraparound(t *testing.T) {
 		t.Errorf("newest event = {Seq:%d A:%d}, want {%d %d}", last.Seq, last.A, capacity, capacity)
 	}
 
+	// Wrapped more than twice over: still the newest capacity events,
+	// oldest first, with contiguous ascending sequence numbers.
+	const total = 2*capacity + capacity/2 + 1
+	for i := capacity + 1; i < total; i++ {
+		r.Emit("ev", int64(i), 0)
+	}
+	evs = r.Events()
+	if len(evs) != capacity || cap(r.buf) != capacity {
+		t.Fatalf("after %d events: %d held in a buffer of %d, want %d", total, len(evs), cap(r.buf), capacity)
+	}
+	for i, ev := range evs {
+		if want := uint64(total - capacity + i); ev.Seq != want || ev.A != int64(want) {
+			t.Fatalf("after %d events: event %d = {Seq:%d A:%d}, want {%d %d}", total, i, ev.Seq, ev.A, want, want)
+		}
+	}
+	if r.Dropped() != total-capacity {
+		t.Fatalf("after %d events: dropped %d, want %d", total, r.Dropped(), total-capacity)
+	}
+
 	// Clear empties the buffer but sequence numbers keep increasing.
 	r.Clear()
 	if len(r.Events()) != 0 || r.Dropped() != 0 {
 		t.Fatal("Clear left state behind")
 	}
 	r.Emit("ev", 99, 0)
-	if evs := r.Events(); len(evs) != 1 || evs[0].Seq != uint64(capacity)+1 {
-		t.Fatalf("post-Clear event = %+v, want Seq %d", evs, capacity+1)
+	if evs := r.Events(); len(evs) != 1 || evs[0].Seq != total {
+		t.Fatalf("post-Clear event = %+v, want Seq %d", evs, total)
 	}
 
 	// Degenerate capacity clamps to 1.

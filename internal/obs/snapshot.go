@@ -52,12 +52,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	return s
 }
 
-// Get returns a counter value from the snapshot (0 when absent).
-func (s *Snapshot) Get(name string) int64 { return s.Counters[name] }
-
-// GetFloat returns a float counter value from the snapshot.
-func (s *Snapshot) GetFloat(name string) float64 { return s.Floats[name] }
-
 // MarshalJSON renders the snapshot with deterministic key order.
 func (s *Snapshot) MarshalJSON() ([]byte, error) {
 	type alias Snapshot // drop the method to avoid recursion

@@ -26,6 +26,7 @@ type Event struct {
 type Ring struct {
 	mu      sync.Mutex
 	buf     []Event
+	head    int // index of the oldest event once buf is full (0 before)
 	seq     uint64
 	dropped uint64
 }
@@ -51,8 +52,8 @@ func (r *Ring) Emit(name string, a, b int64) {
 		r.buf = append(r.buf, ev)
 		return
 	}
-	copy(r.buf, r.buf[1:])
-	r.buf[len(r.buf)-1] = ev
+	r.buf[r.head] = ev
+	r.head = (r.head + 1) % len(r.buf)
 	r.dropped++
 }
 
@@ -64,7 +65,8 @@ func (r *Ring) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]Event, len(r.buf))
-	copy(out, r.buf)
+	n := copy(out, r.buf[r.head:])
+	copy(out[n:], r.buf[:r.head])
 	return out
 }
 
@@ -85,6 +87,6 @@ func (r *Ring) Clear() {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.buf = r.buf[:0]
+	r.buf, r.head = r.buf[:0], 0
 	r.dropped = 0
 }

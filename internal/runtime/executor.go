@@ -35,6 +35,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	hostrt "runtime"
 	"sync"
 	"time"
 
@@ -202,12 +203,21 @@ func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, acc *ca
 	return s.newEpochRunner(ae, rel, be), nil
 }
 
+// hostWorkers resolves Options.Workers to an extraction worker count: 0
+// means GOMAXPROCS, capped at the design's in-process Strider count.
+func hostWorkers(workers, striders int) int {
+	if workers <= 0 {
+		workers = hostrt.GOMAXPROCS(0)
+	}
+	if striders > 0 && workers > striders {
+		workers = striders
+	}
+	return workers
+}
+
 func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, be backend.Backend) *epochRunner {
 	fits := rel.NumPages() <= s.DB.Pool.NumFrames()
-	workers := backend.HostWorkers(s.Opts.Workers, ae.NumStriders)
-	// The engine-side batch fan-out never touches the buffer pool and
-	// follows the configured worker count even when extraction must stay
-	// serial below; the backend applied it at Configure.
+	workers := hostWorkers(s.Opts.Workers, ae.NumStriders)
 	if !fits {
 		// Larger-than-pool tables keep the serial pin order so clock-sweep
 		// eviction (and therefore modeled I/O) stays deterministic.

@@ -99,8 +99,7 @@ func requireSameModeled(t *testing.T, name string, got, want, sim *TrainResult) 
 // seconds to the serial run over the same pool, on LR, SVM, and LRMF.
 func TestParallelExecutorDeterminism(t *testing.T) {
 	// Give the scheduler real parallelism even on small CI hosts so the
-	// worker pool and the engine batch fan-out actually run concurrently
-	// (particularly under -race).
+	// worker pool actually runs concurrently (particularly under -race).
 	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(4))
 	cases := []struct {
 		workload  string
@@ -420,7 +419,7 @@ func newBenchRunner(t *testing.T, workers int, spill bool) (*epochRunner, *backe
 		t.Fatal(err)
 	}
 	ae.SetObs(s.obs)
-	be := backend.NewAccel(backend.Env{Obs: s.obs, Cost: opts.Cost, FPGA: opts.FPGA, Workers: workers})
+	be := backend.NewAccel(backend.Env{Obs: s.obs, Cost: opts.Cost, FPGA: opts.FPGA})
 	if err := be.Configure(backend.Program{
 		Graph:     graph,
 		Engine:    acc.Program,

@@ -216,7 +216,6 @@ func New(opts Options) *System {
 		Obs:      reg,
 		Cost:     opts.Cost,
 		FPGA:     opts.FPGA,
-		Workers:  opts.Workers,
 		Segments: opts.Segments,
 	}, regs...)
 	return s
@@ -472,7 +471,7 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 		return nil, err
 	}
 	if cl, ok := be.(backend.Closer); ok {
-		defer cl.Close() // releases batch fan-out helpers, if any
+		defer cl.Close() // drops the epoch buffers
 	}
 
 	res := &TrainResult{UDF: udfName, Table: table, Design: acc.Design, Backend: reg.Name}

@@ -47,7 +47,7 @@ func perEpochReference(t *testing.T, s *System, udfName, table string, precision
 	if ent == nil {
 		t.Fatal("no record-cache entry to take the reference's rows from")
 	}
-	ref := backend.NewAccel(backend.Env{Cost: s.Opts.Cost, FPGA: s.Opts.FPGA, Workers: 1})
+	ref := backend.NewAccel(backend.Env{Cost: s.Opts.Cost, FPGA: s.Opts.FPGA})
 	if err := ref.Configure(s.programFor(udf, rel, acc, 0)); err != nil {
 		t.Fatal(err)
 	}

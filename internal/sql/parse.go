@@ -170,18 +170,6 @@ func ParseAll(src string) ([]Statement, error) {
 	}
 }
 
-// Parse parses exactly one statement.
-func Parse(src string) (Statement, error) {
-	stmts, err := ParseAll(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("sql: expected one statement, got %d", len(stmts))
-	}
-	return stmts[0], nil
-}
-
 func (p *sqlParser) peek() sqlTok { return p.toks[p.pos] }
 
 func (p *sqlParser) next() sqlTok {

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,8 +14,20 @@ func newTestDB(t *testing.T) *DB {
 	return NewDB(storage.PageSize8K, 1<<22, bufpool.DefaultDisk())
 }
 
+// parseOne parses a script that must hold exactly one statement.
+func parseOne(src string) (Statement, error) {
+	stmts, err := ParseAll(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(stmts) != 1 {
+		return nil, fmt.Errorf("sql: expected one statement, got %d", len(stmts))
+	}
+	return stmts[0], nil
+}
+
 func TestParseCreateTable(t *testing.T) {
-	s, err := Parse("CREATE TABLE pts (x float4, y double precision, n int)")
+	s, err := parseOne("CREATE TABLE pts (x float4, y double precision, n int)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +44,7 @@ func TestParseCreateTable(t *testing.T) {
 }
 
 func TestParseSelectVariants(t *testing.T) {
-	s, err := Parse("SELECT a, b FROM t WHERE a >= 1.5 LIMIT 10")
+	s, err := parseOne("SELECT a, b FROM t WHERE a >= 1.5 LIMIT 10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +52,14 @@ func TestParseSelectVariants(t *testing.T) {
 	if len(sel.Columns) != 2 || sel.Where == nil || sel.Where.Op != ">=" || sel.Limit != 10 {
 		t.Errorf("sel = %+v", sel)
 	}
-	s2, err := Parse("SELECT COUNT(*) FROM t")
+	s2, err := parseOne("SELECT COUNT(*) FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s2.(Select).CountAll {
 		t.Error("CountAll not set")
 	}
-	s3, err := Parse("SELECT * FROM dana.linearR('training_data_table')")
+	s3, err := parseOne("SELECT * FROM dana.linearR('training_data_table')")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +80,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM dana.f(t)",
 	}
 	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q) should fail", src)
+		if _, err := ParseAll(src); err == nil {
+			t.Errorf("ParseAll(%q) should fail", src)
 		}
 	}
 }

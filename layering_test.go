@@ -4,12 +4,14 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dana/internal/lint"
 )
 
 // TestLayerOrder pins the dependency direction: production packages
@@ -58,88 +60,222 @@ func TestReferenceExecutorStaysOutOfProduction(t *testing.T) {
 	}
 }
 
+// TestEngineIsSingleGoroutine: a Machine is single-goroutine by
+// construction — the model threads are a modeled quantity, charged in
+// closed form (§6.1), and the host runs them in one loop. Non-test files
+// of internal/engine hold no go statement, no channel type and import
+// neither runtime nor sync; the check is shown to fail on a planted fork.
+func TestEngineIsSingleGoroutine(t *testing.T) {
+	files, err := filepath.Glob("internal/engine/*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no Go files under internal/engine (%v)", err)
+	}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, found := range hostConcurrency(t, f, string(src)) {
+			t.Errorf("%s: %s", f, found)
+		}
+	}
+	planted := "package engine\nfunc (m *Machine) fork() { go func() {}() }\n"
+	if got := hostConcurrency(t, "planted.go", planted); len(got) != 1 || got[0] != "go statement" {
+		t.Errorf("a planted go statement reads %q", got)
+	}
+}
+
+// hostConcurrency lists what a source file holds of goroutines, channels
+// and the packages that schedule them.
+func hostConcurrency(t *testing.T, name, src string) []string {
+	f, err := parser.ParseFile(token.NewFileSet(), name, src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found []string
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"runtime"` || imp.Path.Value == `"sync"` || strings.HasPrefix(imp.Path.Value, `"sync/`) {
+			found = append(found, "imports "+imp.Path.Value)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.GoStmt:
+			found = append(found, "go statement")
+		case *ast.ChanType:
+			found = append(found, "channel type")
+		}
+		return true
+	})
+	return found
+}
+
 // unreferencedOK is the whole list of functions that may stay in
-// production although no non-test file names them, each with what
-// keeps it (ROADMAP item 6: a caller, a paper capability, or a safety
-// hook — otherwise it is deleted, not parked).
+// production although no non-test file references them, each with what
+// keeps it (ROADMAP item 8: a caller, a paper capability, or a safety
+// hook — otherwise it is deleted, not parked). Keys are pkg.Func and
+// pkg.Type.Method.
 var unreferencedOK = map[string]string{
-	"NewInnoDB":         "paper capability: the Strider ISA walks a second engine's pages (§5.1.2)",
-	"ExportAccelerator": "paper capability: an accelerator is catalog metadata that outlives the process (§4)",
-	"ImportAccelerator": "paper capability: the reader of ExportAccelerator's format",
-	"PinnedCount":       "safety hook: every pin-leak check (chaos, executor, failover) reads it",
-	"TotalCount":        "safety hook: the chaos suites assert on how many faults fired",
-	"ConformanceEnv":    "safety harness: the env of the conformance battery every backend's tests run",
-	"NewMicroMachine":   "reference executor: the micro-op schedule's oracle",
-	"RunTuple":          "reference executor: NewMicroMachine's step",
-	"CheckWeaveSchema":  "input check: the weave layout's admission rule, which the backend's class gate is pinned to",
-	"Import":            "implements go/types.Importer for the lint loader",
-	"Unwrap":            "implements the errors.Unwrap protocol (errors.Is through workerError)",
-	"ParseSnapshot":     "public API: reads the snapshot JSON that Engine.Obs() and `danactl stats -json` export, for tools outside the module",
-	"Tables":            apiSurface, // Engine.Catalog()
-	"UDFs":              apiSurface,
-	"Consumers":         apiSurface, // dana.Algo
-	"TuplesPerPage":     apiSurface, // Dataset.Rel
-	"SizeBytes":         apiSurface,
-	"FreeSpace":         apiSurface, // the pages Engine.Pool() pins
-	"LSN":               apiSurface,
-	"SetLSN":            apiSurface,
+	"accessengine.NewInnoDB":         "paper capability: the Strider ISA walks a second engine's pages (§5.1.2)",
+	"catalog.ExportAccelerator":      "paper capability: an accelerator is catalog metadata that outlives the process (§4)",
+	"catalog.ImportAccelerator":      "paper capability: the reader of ExportAccelerator's format",
+	"bufpool.Pool.PinnedCount":       "safety hook: every pin-leak check (chaos, executor, failover) reads it",
+	"fault.Injector.TotalCount":      "safety hook: the chaos suites assert on how many faults fired",
+	"backend.ConformanceEnv":         "safety harness: the env of the conformance battery every backend's tests run",
+	"backend.Check":                  "safety harness: the conformance battery itself, run per registration by the backend and greenplum tests",
+	"engine.NewMicroMachine":         "reference executor: the micro-op schedule's oracle",
+	"engine.MicroMachine.RunTuple":   "reference executor: NewMicroMachine's step",
+	"engine.MicroMachine.SetModel":   "reference executor: NewMicroMachine's input",
+	"engine.MicroMachine.Model":      "reference executor: NewMicroMachine's output",
+	"storage.CheckWeaveSchema":       "input check: the weave layout's admission rule, which the backend's class gate is pinned to",
+	"runtime.workerError.Unwrap":     "implements the errors.Unwrap protocol (errors.Is through workerError)",
+	"obs.ParseSnapshot":              "public API: reads the snapshot JSON that Engine.Obs() and `danactl stats -json` export, for tools outside the module",
+	"obs.Registry.Reset":             apiSurface, // Engine.Obs(): the one way to zero a long-lived engine's counters between runs
+	"fault.Injector.Count":           apiSurface, // dana.FaultInjector
+	"fault.Injector.Reset":           apiSurface,
+	"catalog.Catalog.Tables":         apiSurface, // Engine.Catalog()
+	"catalog.Catalog.UDFs":           apiSurface,
+	"dsl.Algo.Consumers":             apiSurface, // dana.Algo
+	"storage.Relation.TuplesPerPage": apiSurface, // Dataset.Rel
+	"storage.Relation.SizeBytes":     apiSurface,
+	"storage.Relation.Get":           apiSurface, // the reader of the TID Relation.Insert returns
+	"storage.Page.FreeSpace":         apiSurface, // the pages Engine.Pool() pins
+	"storage.Page.Version":           apiSurface,
+	"storage.Page.LSN":               apiSurface,
+	"storage.Page.SetLSN":            apiSurface,
 }
 
 const apiSurface = "public API: a method of a type the dana package hands out, pinned by its own test"
 
 // TestNoTestOnlyProductionFunctions fails when a function declared in a
 // non-test file has no reference from any non-test file and is not on
-// unreferencedOK. Matching is by name, so it under-reports; it exists so
-// the sweep that emptied the list cannot silently regrow. Exempt by
-// directory: bench/ (its own module), the root package (the public API),
-// internal/verify (oracles: their callers are tests by design) and
-// internal/fuzzcorpus (the fuzz targets' corpus writers).
+// unreferencedOK. The match is by type-checked object (internal/lint's
+// loader), so a method is told from its homonyms on other types: it is
+// referenced when a non-test file names it, or when its receiver
+// implements an interface — the module's or the standard library's —
+// that has a method of its name (the call then goes through the
+// interface, or through fmt, sort, errors). Exempt by directory: bench/
+// (its own module), the root package (the public API), internal/verify
+// (oracles: their callers are tests by design) and internal/fuzzcorpus
+// (the fuzz targets' corpus writers).
 func TestNoTestOnlyProductionFunctions(t *testing.T) {
-	declared, used := map[string]string{}, map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			if err == nil && path != "." && (d.Name() == "testdata" || d.Name()[0] == '.') {
-				return filepath.SkipDir
-			}
-			return err
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		exempt := dir == "." || dir == "bench" || dir == "internal/verify" || dir == "internal/fuzzcorpus"
-		own := map[*ast.Ident]bool{}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok {
-				own[fn.Name] = true
-				if name := fn.Name.Name; !exempt && name != "main" && name != "init" {
-					declared[name] = path
-				}
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !own[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
+	unused, err := unreferencedFuncs(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, path := range declared {
-		if !used[name] && unreferencedOK[name] == "" {
-			t.Errorf("%s: %s has no non-test reference: delete it, or list it in unreferencedOK with its reason", path, name)
+	for name, pos := range unused {
+		if unreferencedOK[name] == "" {
+			t.Errorf("%s: %s has no non-test reference: delete it, or list it in unreferencedOK with its reason", pos, name)
 		}
 	}
 	for name := range unreferencedOK {
-		if used[name] || declared[name] == "" {
+		if unused[name] == "" {
 			t.Errorf("unreferencedOK lists %s, which is now referenced or gone: drop the entry", name)
 		}
 	}
+}
+
+// unreferencedFuncs type-checks the module's non-test files under root
+// and returns the non-exempt functions and methods nothing in them
+// references, keyed as unreferencedOK is, with their positions.
+func unreferencedFuncs(root string) (map[string]string, error) {
+	l, err := lint.NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		return nil, err
+	}
+	used := map[types.Object]bool{}
+	var ifaces []*types.Interface
+	std := map[*types.Package]bool{}
+	var visitStd func(p *types.Package)
+	visitStd = func(p *types.Package) {
+		if std[p] || p.Path() == l.ModulePath || strings.HasPrefix(p.Path(), l.ModulePath+"/") {
+			return
+		}
+		std[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
+					if named, ok := tn.Type().(*types.Named); !ok || named.TypeParams().Len() == 0 {
+						ifaces = append(ifaces, it)
+					}
+				}
+			}
+		}
+		for _, q := range p.Imports() {
+			visitStd(q)
+		}
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, pkg := range pkgs {
+		for _, obj := range pkg.TypesInfo.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin()] = true
+			}
+		}
+		for e, tv := range pkg.TypesInfo.Types {
+			if _, ok := e.(*ast.InterfaceType); ok && tv.IsType() {
+				if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+		for _, q := range pkg.Types.Imports() {
+			visitStd(q)
+		}
+	}
+	// recvType is a method's receiver type with any pointer stripped.
+	recvType := func(fn *types.Func) types.Type {
+		recv := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		return recv
+	}
+	viaInterface := func(fn *types.Func) bool {
+		recv := recvType(fn)
+		for _, it := range ifaces {
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == fn.Name() && (types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it)) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	unused := map[string]string{}
+	for _, pkg := range pkgs {
+		rel, _ := filepath.Rel(l.Root, pkg.Dir)
+		switch filepath.ToSlash(rel) {
+		case ".", "bench", "internal/verify", "internal/fuzzcorpus":
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Name.Name == "main" || fd.Name.Name == "init" || fd.Name.Name == "_" {
+					continue
+				}
+				fn := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
+				name := pkg.Types.Name() + "." + fn.Name()
+				if used[fn] {
+					continue
+				}
+				if fn.Type().(*types.Signature).Recv() != nil {
+					if viaInterface(fn) {
+						continue
+					}
+					name = pkg.Types.Name() + "." + recvType(fn).(*types.Named).Obj().Name() + "." + fn.Name()
+				}
+				unused[name] = pkg.Fset.Position(fd.Pos()).String()
+			}
+		}
+	}
+	return unused, nil
 }
