@@ -981,6 +981,136 @@ func handRowKernel(model []float32, rank int, lr float32, tuples [][]float32) bo
 	return true
 }
 
+// BenchmarkEngineMergeKernel names the roofline of the engine's direct
+// merge batch (ROADMAP 3(c)): the compiled Remote Sensing LR program — a
+// 54-feature dot, a logistic, a subtract and a scalar × row accumulate per
+// tuple, the optimizer step per batch — at 64 threads through RunEpoch at
+// merge coefficient 64 ("plan"), beside the same batches written by hand
+// against a flat model ("hand": runDirect's grouping — four tuples a
+// sweep, op-major, the accumulator met once per group — and the same
+// float32 operations and roundings, no plan, no charging; the two models
+// must end bit-equal). frac_of_hand = hand / plan is the share of the
+// plan's time the arithmetic accounts for.
+func BenchmarkEngineMergeKernel(b *testing.B) {
+	const tuplesPerEpoch, threads = 4096, 64
+	w, err := datagen.ByName("Remote Sensing LR")
+	if err != nil {
+		b.Fatal(err)
+	}
+	nf := w.Topology[0]
+	g, err := hdfg.Translate(algos.Logistic(nf, algos.Hyper{LR: w.LR, MergeCoef: threads}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := compiler.Compile(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(24))
+	init := make([]float32, nf)
+	for i := range init {
+		init[i] = float32(rng.NormFloat64() * 0.1)
+	}
+	tuples := make([][]float32, tuplesPerEpoch)
+	for i := range tuples {
+		tuples[i] = make([]float32, nf+1)
+		for j := range tuples[i][:nf] {
+			tuples[i][j] = float32(rng.NormFloat64() * 0.5)
+		}
+		tuples[i][nf] = float32(rng.Intn(2))
+	}
+	newMachine := func(b *testing.B) *engine.Machine {
+		m, err := engine.NewMachine(prog, engine.Config{Threads: threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.SetModel(init); err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	lr := prog.Consts[0]
+
+	// One epoch each way from the same model: the hand loop is the plan's
+	// arithmetic or the ratio below compares two different kernels.
+	m, hand := newMachine(b), append([]float32(nil), init...)
+	if err := m.RunEpoch(tuples, threads); err != nil {
+		b.Fatal(err)
+	}
+	handMergeKernel(hand, lr, tuples, threads)
+	for i, v := range m.Model() {
+		if math.Float32bits(v) != math.Float32bits(hand[i]) {
+			b.Fatalf("model[%d]: plan %v, hand loop %v", i, v, hand[i])
+		}
+	}
+
+	var handNs float64
+	b.Run("hand", func(b *testing.B) {
+		model := append([]float32(nil), init...)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			handMergeKernel(model, lr, tuples, threads)
+		}
+		handNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N*tuplesPerEpoch)
+		b.ReportMetric(handNs, "ns/tuple")
+	})
+	b.Run("plan", func(b *testing.B) {
+		m := newMachine(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := m.RunEpoch(tuples, threads); err != nil {
+				b.Fatal(err)
+			}
+		}
+		planNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N*tuplesPerEpoch)
+		b.ReportMetric(planNs, "ns/tuple")
+		if handNs > 0 { // "hand" was not filtered out
+			b.ReportMetric(handNs/planNs, "frac_of_hand")
+		}
+	})
+}
+
+// handMergeKernel runs logistic regression's merge batches over tuples of
+// (x[0:f], y) against a flat model of f ≤ 64 weights: batch tuples a
+// batch, four a group (both divide evenly: every group is full), the four
+// dots as four chains, then the four logistics, the four errors, and one
+// pass over the gradient sum per group — the batch's first group storing
+// its first tuple's — then model −= lr · sum.
+func handMergeKernel(model []float32, lr float32, tuples [][]float32, batch int) {
+	var sum [64]float32
+	f := len(model)
+	acc := sum[:f]
+	for lo := 0; lo < len(tuples); lo += batch {
+		for t := lo; t < lo+batch; t += 4 {
+			x0, x1, x2, x3 := tuples[t][:f+1], tuples[t+1][:f+1], tuples[t+2][:f+1], tuples[t+3][:f+1]
+			s0, s1, s2, s3 := float32(model[0]*x0[0]), float32(model[0]*x1[0]), float32(model[0]*x2[0]), float32(model[0]*x3[0])
+			for i := 1; i < f; i++ {
+				s0 = s0 + float32(model[i]*x0[i])
+				s1 = s1 + float32(model[i]*x1[i])
+				s2 = s2 + float32(model[i]*x2[i])
+				s3 = s3 + float32(model[i]*x3[i])
+			}
+			s0 = float32(1 / (1 + math.Exp(-float64(s0))))
+			s1 = float32(1 / (1 + math.Exp(-float64(s1))))
+			s2 = float32(1 / (1 + math.Exp(-float64(s2))))
+			s3 = float32(1 / (1 + math.Exp(-float64(s3))))
+			s0, s1, s2, s3 = s0-x0[f], s1-x1[f], s2-x2[f], s3-x3[f]
+			if t == lo {
+				for j := range acc {
+					acc[j] = ((float32(s0*x0[j]) + float32(s1*x1[j])) + float32(s2*x2[j])) + float32(s3*x3[j])
+				}
+				continue
+			}
+			for j := range acc {
+				acc[j] = (((acc[j] + float32(s0*x0[j])) + float32(s1*x1[j])) + float32(s2*x2[j])) + float32(s3*x3[j])
+			}
+		}
+		for j := range acc {
+			model[j] = model[j] - float32(lr*acc[j])
+		}
+	}
+}
+
 // BenchmarkObsOverhead measures the cost of the observability layer on
 // an end-to-end LR training query over a pool smaller than the table
 // (every epoch re-reads and re-extracts every page): identical runs with

@@ -222,9 +222,10 @@ func kStep(o *op, f *frame) error {
 	return nil
 }
 
-// dotLanes is how many threads' dots dotN keeps in flight: a float32 add
-// has a 3-4 cycle latency and a dot is one chain of them, so four
-// independent chains fill the adder a single chain leaves idle.
+// dotLanes is how many threads' tuples runDirect keeps in flight, a lane
+// group: a float32 add has a 3-4 cycle latency and a dot is one chain of
+// them, so four independent chains fill the adder a single chain leaves
+// idle — and so with four logistics.
 const dotLanes = 4
 
 // dotN is kDot for dotLanes frames at once. Each frame's sum is its own
@@ -348,6 +349,30 @@ func kAccVV(o *op, f *frame) error {
 		}
 	}
 	return nil
+}
+
+// accMulSVN is kAccMulSV for dotLanes frames at once, all on one
+// accumulator: the four values are added in lane order, each product
+// rounded on its own, so acc[j] goes through exactly the sums four
+// kAccMulSV calls give it — loaded and stored once, not four times. The
+// batch's first group, whose lane 0 stores rather than adds, takes them.
+//
+//dana:hotpath
+func accMulSVN(o *op, fs *[dotLanes]frame) {
+	if fs[0].first {
+		for j := range fs {
+			_ = kAccMulSV(o, &fs[j]) // cannot fail
+		}
+		return
+	}
+	x0 := o.b.view(&fs[0])
+	n := len(x0)
+	x1, x2, x3 := o.b.view(&fs[1])[:n], o.b.view(&fs[2])[:n], o.b.view(&fs[3])[:n]
+	s0, s1, s2, s3 := o.a.at(&fs[0]), o.a.at(&fs[1]), o.a.at(&fs[2]), o.a.at(&fs[3])
+	acc := fs[0].acc[:n]
+	for j := range acc {
+		acc[j] = (((acc[j] + float32(s0*x0[j])) + float32(s1*x1[j])) + float32(s2*x2[j])) + float32(s3*x3[j])
+	}
 }
 
 // accumulate folds a thread's merge value into acc when no kernel fused

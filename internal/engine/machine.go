@@ -252,52 +252,53 @@ func (m *Machine) runPartition(f *frame, tuples [][]float32, k int) error {
 // into thread 0's accumulator — where the tree merge would put it, in
 // the same thread order — leaving the merge loop nothing to do. And
 // since the threads share nothing they write, their per-tuple lists may
-// interleave: dotLanes threads run their ops up to the first dot, then
-// the dots together (dotN: one latency chain per thread, in flight at
-// once, each in its own order), then the rest thread by thread. A lane
-// holds its tuple's temporaries across the interleave, so sharing pads
-// takes one per lane.
+// interleave: a group of dotLanes threads is bound and walks the list
+// op-major, each op for lanes 0..g-1 before the next, so that four
+// independent latency chains (four logistics, four dots) are in flight
+// where a tuple alone has one. A full group takes the op's lane kernel
+// when it has one (dotN, accMulSVN). The accumulator meets the lanes in
+// lane order — thread order — because the accumulating op is the list's
+// last. A lane holds its tuple's temporaries across the interleave, so
+// sharing pads takes one per lane.
+//
+// A lane that fails retires itself and every lane above it; the lanes
+// below run on and may fail earlier in their own lists. The batch returns
+// the lowest failed lane's error: the one the reference, which runs thread
+// by thread, stops at.
 //
 //dana:hotpath
 func (m *Machine) runDirect(tuples [][]float32) error {
-	pl := &m.plan
-	head, tail := pl.perTuple, pl.perTuple[len(pl.perTuple):]
-	if pl.dotAt >= 0 {
-		head, tail = pl.perTuple[:pl.dotAt], pl.perTuple[pl.dotAt+1:]
-	}
-	fs := &m.frames
+	pl, fs := &m.plan, &m.frames
 	for t := 0; t < len(tuples); t += dotLanes {
-		g := len(tuples) - t
-		if g > dotLanes {
-			g = dotLanes
-		}
+		g := min(dotLanes, len(tuples)-t)
+		var err error
 		for j := 0; j < g; j++ {
 			f, pad := &fs[j], t+j
 			if pl.sharePads {
 				pad = j
 			}
-			if err := m.bind(f, pad, tuples[t+j]); err != nil {
-				return err
-			}
 			f.acc, f.first = m.acc(0), t+j == 0
-			if err := runOps(head, f); err != nil {
-				return err
+			if e := m.bind(f, pad, tuples[t+j]); e != nil {
+				g, err = j, e
 			}
 		}
-		if pl.dotAt >= 0 {
-			if dot := &pl.perTuple[pl.dotAt]; g == dotLanes {
-				dotN(dot, fs)
-			} else {
-				for j := 0; j < g; j++ {
-					_ = dot.run(dot, &fs[j]) // a dot cannot fail
+		for i := range pl.perTuple {
+			o := &pl.perTuple[i]
+			if k := laneKernels[o.kind]; k != nil && g == dotLanes {
+				k(o, fs)
+				continue
+			}
+			for j := 0; j < g; j++ {
+				if e := o.run(o, &fs[j]); e != nil {
+					g, err = j, e
 				}
 			}
 		}
 		for j := 0; j < g; j++ {
-			if err := runOps(tail, &fs[j]); err != nil {
-				return err
-			}
 			m.mergeValue(&fs[j])
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -13,7 +13,10 @@ package engine
 // (reference.go), which tests and internal/verify diff it against:
 //
 //   - order: every kernel performs the interpreter's float32 operations
-//     in the interpreter's order, element by element;
+//     in the interpreter's order, element by element — and where a direct
+//     merge batch runs an op for a whole lane group at once (runDirect), a
+//     lane's own chain keeps its order and the merge accumulator meets the
+//     lanes' values in lane order, which is thread order;
 //   - rounding: a fused product is written float32(x*y) before it meets
 //     an add or a subtract — the Go spec lets a compiler fuse x*y+z into
 //     one rounding (it does on arm64, ppc64le, s390x, riscv64) and only
@@ -63,6 +66,10 @@ type frame struct {
 // kernel executes one op.
 type kernel func(o *op, f *frame) error
 
+// laneKernel executes one op for the dotLanes frames of a full runDirect
+// lane group at once. It cannot fail.
+type laneKernel func(o *op, fs *[dotLanes]frame)
+
 // opKind names what lowering decided an op is; kernels maps it to code.
 type opKind uint8
 
@@ -93,6 +100,10 @@ var kernels = [numOpKinds]kernel{
 	opGatherView: kGatherView, opStep: kStep,
 }
 
+// laneKernels holds the lane kernel of each kind that has one. runDirect
+// looks the kind up as it runs: an op carries nothing for it.
+var laneKernels = [numOpKinds]laneKernel{opDot: dotN, opAccMulSV: accMulSVN}
+
 // op is one pre-decoded step of the plan.
 type op struct {
 	run    kernel // kernels[kind], resolved once so the run loop is one indirect call
@@ -115,7 +126,6 @@ type op struct {
 type plan struct {
 	perTuple, postMerge, rowUpdates, convergence []op
 
-	dotAt      int  // index of perTuple's first dot, -1 if none (runDirect interleaves there)
 	copyInput  bool // tuples are copied into the input region: some read could not be served from the row
 	shareModel bool // per-tuple model reads go to thread 0; the broadcast is charged, not copied
 	sharePads  bool // a tuple runs on its host lane's scratchpad, not its model thread's: the machine holds a pad per lane
@@ -504,13 +514,6 @@ func lower(p *Program, cfg Config) plan {
 	}
 	for i := range slab {
 		slab[i].run = kernels[slab[i].kind]
-	}
-	pl.dotAt = -1
-	for i := range pl.perTuple {
-		if pl.perTuple[i].kind == opDot {
-			pl.dotAt = i
-			break
-		}
 	}
 	return pl
 }

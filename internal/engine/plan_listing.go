@@ -19,8 +19,13 @@ func (o operand) String() string {
 	return fmt.Sprintf("%s[%d+%d]", mem[o.sp], o.off, o.n)
 }
 
-func (o *op) String() string {
+// listing renders o as it runs on lanes host lanes: a kind with a lane
+// kernel takes it when runDirect can fill a group.
+func (o *op) listing(lanes int) string {
 	name := opKindNames[o.kind]
+	if lanes == dotLanes && laneKernels[o.kind] != nil {
+		name += fmt.Sprintf(" ×%d", lanes)
+	}
 	dst := operand{spThread, o.dst, o.n}
 	switch o.kind {
 	case opFail:
@@ -66,18 +71,23 @@ func PlanListing(p *Program, cfg Config) (string, error) {
 	}
 	pl := lower(p, cfg)
 	var b strings.Builder
-	fmt.Fprintf(&b, "copy-input=%v share-model=%v fused-accumulate=%v pads=%d\n", pl.copyInput, pl.shareModel, pl.fusedAcc, pl.pads(p, cfg))
+	lanes := 1 // tuples the per-tuple stage keeps in flight (runDirect)
+	if p.HasMerge() {
+		lanes = min(dotLanes, cfg.Threads)
+	}
+	fmt.Fprintf(&b, "copy-input=%v share-model=%v fused-accumulate=%v lanes=%d pads=%d\n", pl.copyInput, pl.shareModel, pl.fusedAcc, lanes, pl.pads(p, cfg))
 	ops := 0
 	for _, l := range []struct {
-		name string
-		ops  []op
-	}{{"per-tuple", pl.perTuple}, {"post-merge", pl.postMerge}, {"row-updates", pl.rowUpdates}, {"convergence", pl.convergence}} {
+		name  string
+		ops   []op
+		lanes int // the once-a-batch stages run on thread 0
+	}{{"per-tuple", pl.perTuple, lanes}, {"post-merge", pl.postMerge, 1}, {"row-updates", pl.rowUpdates, 1}, {"convergence", pl.convergence, 1}} {
 		if len(l.ops) == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "%s:\n", l.name)
 		for i := range l.ops {
-			fmt.Fprintf(&b, "  %3d: %v\n", i, &l.ops[i])
+			fmt.Fprintf(&b, "  %3d: %s\n", i, l.ops[i].listing(l.lanes))
 		}
 		ops += len(l.ops)
 	}

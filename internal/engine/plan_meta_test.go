@@ -94,6 +94,91 @@ func TestMetaDirectMergeOrderCaught(t *testing.T) {
 	requireCaught(t, c, "model[")
 }
 
+// laneMetaCase is metaCase at 16 threads: its n == k-1, n == k and trailing
+// batches are direct batches of several lane groups, so full groups past
+// the batch's first — the only ones accMulSVN's sums run for — exist.
+func laneMetaCase() diffCase {
+	const k = 16
+	c := metaCase()
+	c.cfg.Threads = k
+	c.batches = diffBatches(diffTuples(rand.New(rand.NewSource(79)), 11*k+9, 13, 0), k)
+	return c
+}
+
+// accMulSVNBent is accMulSVN with up to three faults: the lanes added in
+// another order, the first of them through one rounding instead of two
+// (math.FMA, for the reason kDotFused is), the batch's first group added
+// onto whatever the accumulator held instead of stored. With none it is
+// accMulSVN, which TestMetaLaneGroupFaultsCaught checks first ("unbent").
+func accMulSVNBent(order [dotLanes]int, fused, addOnFirst bool) laneKernel {
+	return func(o *op, fs *[dotLanes]frame) {
+		if fs[0].first && !addOnFirst {
+			accMulSVN(o, fs)
+			return
+		}
+		acc := fs[0].acc[:o.b.n]
+		for j := range acc {
+			v := acc[j]
+			for i, l := range order {
+				s, x := o.a.at(&fs[l]), o.b.view(&fs[l])[j]
+				if fused && i == 0 {
+					v = float32(math.FMA(float64(s), float64(x), float64(v)))
+				} else {
+					v = v + float32(s*x)
+				}
+			}
+			acc[j] = v
+		}
+	}
+}
+
+// The lane-group accumulate is the reference's sums only in lane order,
+// every product rounded on its own, and with the batch's first tuple
+// stored, not added to the last batch's sums. laneKernels is the package's
+// table, so each fault is planted for one differential run and taken back.
+func TestMetaLaneGroupFaultsCaught(t *testing.T) {
+	inOrder := [dotLanes]int{0, 1, 2, 3}
+	plant := func(t *testing.T, k laneKernel) func(*Machine) {
+		return func(m *Machine) {
+			if last := m.plan.perTuple[len(m.plan.perTuple)-1]; last.kind != opAccMulSV {
+				t.Fatal("no lane-group accumulate in the plan to mutate")
+			}
+			laneKernels[opAccMulSV] = k
+			t.Cleanup(func() { laneKernels[opAccMulSV] = accMulSVN })
+		}
+	}
+	t.Run("unbent", func(t *testing.T) {
+		c := laneMetaCase()
+		c.mutate = plant(t, accMulSVNBent(inOrder, false, false))
+		if err := diffPlanReference(c); err != nil {
+			t.Fatalf("the unbent twin of accMulSVN diverges, so a bent one proves nothing: %v", err)
+		}
+	})
+	for _, f := range []struct {
+		name string
+		bent laneKernel
+	}{
+		{"lanes added 3,2,1,0", accMulSVNBent([dotLanes]int{3, 2, 1, 0}, false, false)},
+		{"one product fused into its add", accMulSVNBent(inOrder, true, false)},
+		{"first group added, not stored", accMulSVNBent(inOrder, false, true)},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			c := laneMetaCase()
+			c.mutate = plant(t, f.bent)
+			requireCaught(t, c, "model[")
+		})
+	}
+	// metaCase's 4 threads cannot see the first two: its only group is the
+	// batch's first, which never reaches the grouped sums.
+	t.Run("unseen at 4 threads", func(t *testing.T) {
+		c := metaCase()
+		c.mutate = plant(t, accMulSVNBent([dotLanes]int{3, 2, 1, 0}, true, false))
+		if err := diffPlanReference(c); err != nil {
+			t.Fatalf("4 threads reached the grouped sums: %v", err)
+		}
+	})
+}
+
 // Skipping the liveness check: PostMerge folds thread 0's product vector
 // into the model, so lowering must keep the ew.mul and the red.add
 // apart. The mutant runs the per-tuple list lowering produces when that
@@ -269,6 +354,64 @@ func TestPlanErrorTrichotomy(t *testing.T) {
 		perr, rerr := pm.RunBatch([][]float32{c.tuple}), rm.RunBatchReference([][]float32{c.tuple})
 		if perr == nil || rerr == nil || perr.Error() != rerr.Error() || !strings.HasPrefix(perr.Error(), c.want) {
 			t.Errorf("%s: plan %v, reference %v, want %q", c.name, perr, rerr, c.want)
+		}
+	}
+
+	// Direct batches with more than one bad tuple: the reference runs thread
+	// by thread and stops at the lowest bad one, wherever in its own list it
+	// fails; runDirect binds a lane group and walks it op-major, so a higher
+	// lane can fail first. gath gathers model row round(x[0]) before the
+	// dot; gathEmpty also fails every tuple at its ew.sub.
+	gath := cloneProg(glmProg(4, false))
+	gath.Slots++
+	gath.PerTuple = append([]Instr{{Kind: KGather, Dst: Slot{gath.Slots - 1, 1}, A: Slot{4, 1}, RowLen: 1}}, gath.PerTuple...)
+	gathEmpty := cloneProg(gath)
+	gathEmpty.PerTuple[4].B = Slot{}
+	ok, short, row9, rowNeg := []float32{1, 2, 3, 4, 5}, []float32{1, 2}, []float32{9, 2, 3, 4, 5}, []float32{-3, 2, 3, 4, 5}
+	const width, gather9, gatherNeg, emptySub = "engine: tuple width 2, input region 5", "engine: gather row 9 outside model of 4 rows",
+		"engine: gather row -3 outside model of 4 rows", "engine: EW with empty source: ew.sub"
+	cfg.Threads = 8
+	for _, c := range []struct {
+		name  string
+		prog  *Program
+		batch [][]float32
+		want  string
+	}{
+		{"the issue's: op failure below a bind failure", emptyB, [][]float32{ok, short}, emptySub},
+		{"bind failure below an op failure", emptyB, [][]float32{short, ok}, width},
+		{"one group: gather below width", gath, [][]float32{ok, row9, ok, short}, gather9},
+		{"one group: width below gather", gath, [][]float32{ok, short, row9, ok}, width},
+		{"one group: two gathers", gath, [][]float32{ok, ok, rowNeg, row9}, gatherNeg},
+		{"one group: lane 0's late failure beats both", gathEmpty, [][]float32{ok, row9, short, ok}, emptySub},
+		{"one group: gather in lane 0 beats the late failure", gathEmpty, [][]float32{row9, ok, short, ok}, gather9},
+		{"two groups: gather in the first, width in the second", gath, [][]float32{ok, ok, row9, ok, ok, short, ok, ok}, gather9},
+		{"two groups: width in the first, gather in the second", gath, [][]float32{ok, short, ok, ok, ok, ok, row9, ok}, width},
+		{"two groups: first group's last lane, second group's first", gath, [][]float32{ok, ok, ok, rowNeg, short, ok, ok, ok}, gatherNeg},
+		{"short last group: its last tuple", gath, [][]float32{ok, ok, ok, ok, ok, short}, width},
+		{"short last group: both its tuples", gath, [][]float32{ok, ok, ok, ok, row9, short}, gather9},
+		{"short last group: late failure below a bind failure", gathEmpty, [][]float32{ok, short}, emptySub},
+		{"short only group of three: width, gather, late", gathEmpty, [][]float32{short, rowNeg, ok}, width},
+	} {
+		pm, err := NewMachine(c.prog, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rm, _ := NewMachine(c.prog, cfg)
+		if c.prog != emptyB && c.prog != gathEmpty { // a batch that ran, so there is something a failure could add to
+			good := [][]float32{ok, ok, ok, ok, ok}
+			if perr, rerr := pm.RunBatch(good), rm.RunBatchReference(good); perr != nil || rerr != nil {
+				t.Fatalf("%s: clean batch: plan %v, reference %v", c.name, perr, rerr)
+			}
+		}
+		before := pm.Stats()
+		perr, rerr := pm.RunBatch(c.batch), rm.RunBatchReference(c.batch)
+		if perr == nil || rerr == nil || perr.Error() != rerr.Error() || !strings.HasPrefix(perr.Error(), c.want) {
+			t.Errorf("%s: plan %v, reference %v, want %q", c.name, perr, rerr, c.want)
+		}
+		before.Batches++
+		before.Tuples += int64(len(c.batch))
+		if after := pm.Stats(); after != before {
+			t.Errorf("%s: the failed batch charged\n  %+v\nover the count of itself and its tuples on\n  %+v", c.name, after, before)
 		}
 	}
 }

@@ -456,17 +456,22 @@ func lrmfVariants(rows, r int) (map[string]*Program, map[string]lrmfShape) {
 // TestPlanMatchesReferenceShapes: every bent GLM and the LRMF shape, on
 // every batch shape.
 func TestPlanMatchesReferenceShapes(t *testing.T) {
-	const f, k = 12, 6 // a direct batch is one full group of interleaved dots and a remainder
-	cfg := Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	// At 6 threads a direct batch is one full lane group and a remainder; at
+	// 13, the batch's first group, two more full ones and a remainder of one.
+	const f = 12
+	cfg := Config{ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
 	rng := rand.New(rand.NewSource(21))
-	for name, p := range glmVariants(f) {
-		tuples := diffTuples(rng, 11*k, p.InputSlot.Len, 0)
-		init := make([]float32, f)
-		for i := range init {
-			init[i] = float32(rng.NormFloat64() * 0.1)
-		}
-		if err := diffPlanReference(diffCase{prog: p, cfg: cfg, init: init, batches: diffBatches(tuples, k)}); err != nil {
-			t.Errorf("%s: %v", name, err)
+	for _, k := range []int{6, 13} {
+		cfg.Threads = k
+		for name, p := range glmVariants(f) {
+			tuples := diffTuples(rng, 11*k, p.InputSlot.Len, 0)
+			init := make([]float32, f)
+			for i := range init {
+				init[i] = float32(rng.NormFloat64() * 0.1)
+			}
+			if err := diffPlanReference(diffCase{prog: p, cfg: cfg, init: init, batches: diffBatches(tuples, k)}); err != nil {
+				t.Errorf("%s threads=%d: %v", name, k, err)
+			}
 		}
 	}
 	// LRMF: gather index == scatter index (a tuple whose two rows are

@@ -21,60 +21,75 @@ import (
 // paper's widths) run bit-identically on the plan and on the reference
 // executor, counters included, after every batch: n < k, n == k,
 // n = 3k+1, merge-coefficient batches with a trailing partial one, and
-// one of 40 000 modeled cycles, every thread many tuples deep.
+// one of 40 000 modeled cycles, every thread many tuples deep. The merge
+// programs then run at 64 threads over direct batches of n ∈ {1, 3, 4, 5,
+// 7, 8, 9, 13, 64}: a short only group, a full first group alone, full
+// groups after it with every length of short last group, and the
+// benchmark's batch of sixteen groups.
 // (Package engine cannot import the compiler, so this file drives the
 // exported API; plan_test.go holds the in-package harness.)
 func TestPlanMatchesReferenceTable3(t *testing.T) {
-	const k = 8
-	cfg := engine.Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
 	for _, w := range datagen.Real() {
-		sp := golden.Spec{Kind: w.Kind, LR: w.LR, Lambda: w.Lambda, MergeCoef: 2 * k, Epochs: 1}
-		if w.Kind == algos.KindLRMF {
-			// Netflix's shape at a tenth of its rows (the row count only
-			// sizes the model; rank 10 is the kernel's width).
-			sp.Users, sp.Items, sp.Rank, sp.MergeCoef = w.Topology[0]/10, w.Topology[1]/10, w.Topology[2], 1
-		} else {
-			sp.NFeat = w.Topology[0]
+		table3Diff(t, w, 8, nil)
+		if w.Kind != algos.KindLRMF {
+			table3Diff(t, w, 64, []int{1, 3, 4, 5, 7, 8, 9, 13, 64})
 		}
-		prog := compileAlgo(t, w.Name, sp.Kind, sp.Topology(), sp.Hyper())
-		rng := rand.New(rand.NewSource(9))
-		tuples := narrow(golden.TrainingTuples(rng, sp, 11*k+3))
-		init := narrow([][]float64{golden.InitModelFor(rng, sp)})[0]
+	}
+}
+
+// table3Diff runs w's compiled program at k threads on both executors over
+// batches of the given sizes (nil: the shapes above).
+func table3Diff(t *testing.T, w datagen.Workload, k int, sizes []int) {
+	t.Helper()
+	cfg := engine.Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	sp := golden.Spec{Kind: w.Kind, LR: w.LR, Lambda: w.Lambda, MergeCoef: 2 * k, Epochs: 1}
+	if w.Kind == algos.KindLRMF {
+		// Netflix's shape at a tenth of its rows (the row count only
+		// sizes the model; rank 10 is the kernel's width).
+		sp.Users, sp.Items, sp.Rank, sp.MergeCoef = w.Topology[0]/10, w.Topology[1]/10, w.Topology[2], 1
+	} else {
+		sp.NFeat = w.Topology[0]
+	}
+	prog := compileAlgo(t, w.Name, sp.Kind, sp.Topology(), sp.Hyper())
+	rng := rand.New(rand.NewSource(9))
+	tuples := narrow(golden.TrainingTuples(rng, sp, 11*k+3))
+	init := narrow([][]float64{golden.InitModelFor(rng, sp)})[0]
+	if sizes == nil {
 		wide := int(40000/prog.Estimate(cfg).PerTuple) + 1
-		sizes := []int{k - 1, k, 3*k + 1, 2 * k, 2 * k, 2 * k, k / 2, wide}
-		pm, err := engine.NewMachine(prog, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
+		sizes = []int{k - 1, k, 3*k + 1, 2 * k, 2 * k, 2 * k, k / 2, wide}
+	}
+	pm, err := engine.NewMachine(prog, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
+	}
+	rm, _ := engine.NewMachine(prog, cfg)
+	if err := pm.SetModel(init); err != nil {
+		t.Fatal(err)
+	}
+	if err := rm.SetModel(init); err != nil {
+		t.Fatal(err)
+	}
+	at := 0
+	for bi, n := range sizes {
+		batch := make([][]float32, n)
+		for i := range batch {
+			batch[i] = tuples[(at+i)%len(tuples)]
 		}
-		rm, _ := engine.NewMachine(prog, cfg)
-		if err := pm.SetModel(init); err != nil {
-			t.Fatal(err)
+		at += n
+		if err := pm.RunBatch(batch); err != nil {
+			t.Fatalf("%s: plan: %v", w.Name, err)
 		}
-		if err := rm.SetModel(init); err != nil {
-			t.Fatal(err)
+		if err := rm.RunBatchReference(batch); err != nil {
+			t.Fatalf("%s: reference: %v", w.Name, err)
 		}
-		at := 0
-		for bi, n := range sizes {
-			batch := make([][]float32, n)
-			for i := range batch {
-				batch[i] = tuples[(at+i)%len(tuples)]
+		got, want := pm.Model(), rm.Model()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s batch %d (n=%d): model[%d] plan %v != reference %v", w.Name, bi, n, i, got[i], want[i])
 			}
-			at += n
-			if err := pm.RunBatch(batch); err != nil {
-				t.Fatalf("%s: plan: %v", w.Name, err)
-			}
-			if err := rm.RunBatchReference(batch); err != nil {
-				t.Fatalf("%s: reference: %v", w.Name, err)
-			}
-			got, want := pm.Model(), rm.Model()
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%s batch %d (n=%d): model[%d] plan %v != reference %v", w.Name, bi, n, i, got[i], want[i])
-				}
-			}
-			if pm.Stats() != rm.Stats() {
-				t.Fatalf("%s batch %d (n=%d): stats diverge:\n  plan      %+v\n  reference %+v", w.Name, bi, n, pm.Stats(), rm.Stats())
-			}
+		}
+		if pm.Stats() != rm.Stats() {
+			t.Fatalf("%s batch %d (n=%d): stats diverge:\n  plan      %+v\n  reference %+v", w.Name, bi, n, pm.Stats(), rm.Stats())
 		}
 	}
 }
@@ -88,31 +103,31 @@ func TestPlanMatchesReferenceTable3(t *testing.T) {
 // merge programs (two are logistic) pass padShareable and take one per
 // runDirect lane; LRMF has no merge, never leaves thread 0, and takes one.
 var table3Lowering = map[algos.Kind]string{
-	algos.KindLogistic: `copy-input=false share-model=true fused-accumulate=true pads=4
+	algos.KindLogistic: `copy-input=false share-model=true fused-accumulate=true lanes=4 pads=4
 per-tuple:
-    0: dot thread <- model, row
+    0: dot ×4 thread <- model, row
     1: scalar.sigmoid thread <- thread
     2: scalar.sub thread <- thread, row
-    3: acc.mul.sv merge-acc <- thread, row
+    3: acc.mul.sv ×4 merge-acc <- thread, row
 post-merge:
     0: ew.sv.mul thread <- thread, thread
     1: ew.vv.sub thread <- thread, thread
 6 ops for 7 instructions
 `,
-	algos.KindLinear: `copy-input=false share-model=true fused-accumulate=true pads=4
+	algos.KindLinear: `copy-input=false share-model=true fused-accumulate=true lanes=4 pads=4
 per-tuple:
-    0: dot thread <- model, row
+    0: dot ×4 thread <- model, row
     1: scalar.sub thread <- thread, row
-    2: acc.mul.sv merge-acc <- thread, row
+    2: acc.mul.sv ×4 merge-acc <- thread, row
 post-merge:
     0: ew.sv.mul thread <- thread, thread
     1: ew.vv.sub thread <- thread, thread
 5 ops for 6 instructions
 `,
-	algos.KindSVM: `copy-input=false share-model=true fused-accumulate=true pads=4
+	algos.KindSVM: `copy-input=false share-model=true fused-accumulate=true lanes=4 pads=4
 per-tuple:
     0: ew.sv.mul thread <- thread, model
-    1: dot thread <- model, row
+    1: dot ×4 thread <- model, row
     2: scalar.mul thread <- row, thread
     3: scalar.lt thread <- thread, thread
     4: ew.sv.mul thread <- row, row
@@ -123,7 +138,7 @@ post-merge:
     1: ew.vv.sub thread <- thread, thread
 9 ops for 10 instructions
 `,
-	algos.KindLRMF: `copy-input=false share-model=false fused-accumulate=false pads=1
+	algos.KindLRMF: `copy-input=false share-model=false fused-accumulate=false lanes=1 pads=1
 per-tuple:
     0: gather.view view0 <- thread at round(row) -> r0
     1: gather.view view1 <- thread at round(row) -> r1
