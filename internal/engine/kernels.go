@@ -248,11 +248,15 @@ func dotN(o *op, fs *[dotLanes]frame) {
 	fs[2].base[spThread][o.dst], fs[3].base[spThread][o.dst] = s2, s3
 }
 
+func errGatherRow(idx, rows int) error {
+	return fmt.Errorf("engine: gather row %d outside model of %d rows", idx, rows)
+}
+
 //dana:hotpath
 func kGather(o *op, f *frame) error {
 	idx := int(math.Round(float64(o.a.at(f))))
 	if idx < 0 || idx >= o.rows {
-		return fmt.Errorf("engine: gather row %d outside model of %d rows", idx, o.rows)
+		return errGatherRow(idx, o.rows)
 	}
 	if o.reg >= 0 {
 		f.idx[o.reg] = idx
@@ -269,7 +273,7 @@ func kGather(o *op, f *frame) error {
 func kGatherView(o *op, f *frame) error {
 	idx := int(math.Round(float64(o.a.at(f))))
 	if idx < 0 || idx >= o.rows {
-		return fmt.Errorf("engine: gather row %d outside model of %d rows", idx, o.rows)
+		return errGatherRow(idx, o.rows)
 	}
 	f.idx[o.reg] = idx
 	f.base[spView+space(o.reg)] = o.b.view(f)[idx*o.rowLen : (idx+1)*o.rowLen]
@@ -294,6 +298,52 @@ func kScatter(o *op, f *frame) error {
 func kScatterPaired(o *op, f *frame) error {
 	row := o.dst + f.idx[o.reg]*o.rowLen
 	copy(f.base[spThread][row:row+o.rowLen], o.a.view(f))
+	return nil
+}
+
+// kRowSGD is LRMF's tuple, the eight kernels of o.parts inlined in their
+// order (isRowSGD names them): kGatherView twice — each index rounded and
+// checked before the next is read — kDot, kScalar, kStep twice, and
+// kScatterPaired to r0, then to r1, so a tuple with u == v ends with the
+// second step's row as it does op by op. Each scalar is read where its op
+// read it and each scratch word is written where its op wrote it; only the
+// view and index registers, which no later op reads, are kept in locals.
+//
+//dana:hotpath
+func kRowSGD(o *op, f *frame) error {
+	g0, g1, d, sc, st0, st1 := &o.parts[0], &o.parts[1], &o.parts[2], &o.parts[3], &o.parts[4], &o.parts[5]
+	i0 := int(math.Round(float64(g0.a.at(f))))
+	if i0 < 0 || i0 >= g0.rows {
+		return errGatherRow(i0, g0.rows)
+	}
+	i1 := int(math.Round(float64(g1.a.at(f))))
+	if i1 < 0 || i1 >= g1.rows {
+		return errGatherRow(i1, g1.rows)
+	}
+	th, n := f.base[spThread], g0.rowLen
+	mdl := g0.b.view(f)
+	u, v := mdl[i0*n:][:n], mdl[i1*n:][:n]
+
+	dot := float32(u[0] * v[0])
+	for i := 1; i < n; i++ {
+		dot = dot + float32(u[i]*v[i])
+	}
+	th[d.dst] = dot
+	th[sc.dst] = alu(sc.alu, sc.a.at(f), sc.b.at(f))
+
+	uNew := th[st0.dst:][:n]
+	s1, s2 := st0.s1.at(f), st0.s2.at(f)
+	for i := range uNew {
+		uNew[i] = u[i] - float32(s1*float32(s2*v[i]))
+	}
+	vNew := th[st1.dst:][:n]
+	s1, s2 = st1.s1.at(f), st1.s2.at(f)
+	for i := range vNew {
+		vNew[i] = v[i] - float32(s1*float32(s2*u[i]))
+	}
+
+	copy(u, uNew)
+	copy(v, vNew)
 	return nil
 }
 

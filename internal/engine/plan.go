@@ -16,7 +16,10 @@ package engine
 //     in the interpreter's order, element by element — and where a direct
 //     merge batch runs an op for a whole lane group at once (runDirect), a
 //     lane's own chain keeps its order and the merge accumulator meets the
-//     lanes' values in lane order, which is thread order;
+//     lanes' values in lane order, which is thread order; where one kernel
+//     stands for several ops (kRowSGD), it is their kernels inlined in
+//     their order, each word written and each scalar read where its own
+//     op would, so it needs no proof they did not already have;
 //   - rounding: a fused product is written float32(x*y) before it meets
 //     an add or a subtract — the Go spec lets a compiler fuse x*y+z into
 //     one rounding (it does on arm64, ppc64le, s390x, riscv64) and only
@@ -90,6 +93,7 @@ const (
 	opAccMulSV                    // acc += scalar × vector (MergeSrc elided)
 	opAccVV                       // acc += vector ∘ vector
 	opStep                        // dst = a − s1·(s2·b): two ew.mul by a scalar and the ew.sub, both temps elided
+	opRowSGD                      // LRMF's whole tuple: the rowSGDOps ops of parts, inlined in order
 	numOpKinds
 )
 
@@ -97,7 +101,7 @@ var kernels = [numOpKinds]kernel{
 	opFail: kFail, opScalar: kScalar, opEW1: kEW1, opEWvv: kEWvv, opEWvs: kEWvs, opEWsv: kEWsv,
 	opEWwrap: kEWwrap, opReduce: kReduce, opDot: kDot, opGather: kGather, opScatter: kScatter,
 	opScatterPaired: kScatterPaired, opAccMulSV: kAccMulSV, opAccVV: kAccVV,
-	opGatherView: kGatherView, opStep: kStep,
+	opGatherView: kGatherView, opStep: kStep, opRowSGD: kRowSGD,
 }
 
 // laneKernels holds the lane kernel of each kind that has one. runDirect
@@ -109,7 +113,8 @@ type op struct {
 	run    kernel // kernels[kind], resolved once so the run loop is one indirect call
 	kind   opKind
 	alu    AluOp
-	dst    int // destination words [dst, dst+n) of the thread's scratchpad
+	reg    int8 // index register a gather fills and its paired scatter reads (a view: its row too); -1 = none
+	dst    int  // destination words [dst, dst+n) of the thread's scratchpad
 	n      int
 	a, b   operand
 	s1, s2 operand // step: the outer and the inner scalar
@@ -117,7 +122,8 @@ type op struct {
 	group, gstride, estride int // reduce: element (g, e) is a[g*gstride+e*estride]
 
 	rowLen, rows int // gather/scatter row geometry
-	reg          int // index register a gather fills and its paired scatter reads (a view: its row too); -1 = none
+
+	parts *[rowSGDOps]op // rowSGD: the ops it stands for, where lowering left them in the slab
 
 	src *Instr // the macro instruction (error text)
 }
@@ -494,7 +500,8 @@ func (lw *lowerer) operand(s Slot) operand {
 
 // lower builds the plan of p for cfg. The ops of all four lists share
 // one slab; fusions only ever shrink a list, so the macro instruction
-// count is its capacity.
+// count is its capacity — and a row kernel, which stands for at least
+// thirteen instructions with eight ops, finds room past them.
 func lower(p *Program, cfg Config) plan {
 	lw := lowerer{p: p, inPlace: p.inputInPlace(), share: cfg.Threads > 1 && p.modelShareable()}
 	lw.findViews()
@@ -511,6 +518,7 @@ func lower(p *Program, cfg Config) plan {
 
 	if !p.HasMerge() {
 		pairIndexes(p, pl.perTuple, pl.rowUpdates, lw.nviews)
+		slab = pl.fuseRowSGD(slab)
 	}
 	for i := range slab {
 		slab[i].run = kernels[slab[i].kind]
@@ -706,7 +714,7 @@ func (lw *lowerer) decode(in *Instr) (op, bool) {
 		o.a, o.b = lw.operand(Slot{in.A.Base, 1}), lw.operand(lw.p.ModelSlot)
 		for r, g := range lw.views[:lw.nviews] {
 			if g == in {
-				o.kind, o.reg = opGatherView, r
+				o.kind, o.reg = opGatherView, int8(r)
 			}
 		}
 	case KScatter:
@@ -747,7 +755,7 @@ func pairIndexes(p *Program, perTuple, rowUpdates []op, regs int) {
 				continue
 			}
 			if g.reg < 0 && regs < maxIdxRegs {
-				g.reg = regs
+				g.reg = int8(regs)
 				regs++
 			}
 			if g.reg >= 0 {
@@ -756,4 +764,52 @@ func pairIndexes(p *Program, perTuple, rowUpdates []op, regs int) {
 			break
 		}
 	}
+}
+
+// rowSGDOps is how many ops LRMF's row kernel stands for.
+const rowSGDOps = 8
+
+// isRowSGD matches a merge-free plan that lowered to exactly LRMF's row
+// kernel: view r0, view r1, the dot of the two rows, a scalar, the step
+// r0 − s1·(s2·r1), the step r1 − s1′·(s2′·r0), then the paired scatters of
+// the first step's destination to r0 and the second's to r1, every vector
+// a whole row and every scalar read from memory other than a view (the
+// kernel holds the views in locals, so none may be read through the frame).
+func isRowSGD(perTuple, rowUpdates []op) bool {
+	if len(perTuple) != 6 || len(rowUpdates) != 2 {
+		return false
+	}
+	g0, g1, d, sc, st0, st1 := &perTuple[0], &perTuple[1], &perTuple[2], &perTuple[3], &perTuple[4], &perTuple[5]
+	w0, w1 := &rowUpdates[0], &rowUpdates[1]
+	n, mdl := g0.rowLen, g0.b
+	v0, v1 := operand{spView, 0, n}, operand{spView + 1, 0, n}
+	rows := g0.kind == opGatherView && g0.reg == 0 && g1.kind == opGatherView && g1.reg == 1 &&
+		g1.rowLen == n && g1.b == mdl && mdl.sp == spThread
+	arith := d.kind == opDot && d.a == v0 && d.b == v1 && sc.kind == opScalar &&
+		st0.kind == opStep && st0.n == n && st0.a == v0 && st0.b == v1 &&
+		st1.kind == opStep && st1.n == n && st1.a == v1 && st1.b == v0
+	writes := w0.kind == opScatterPaired && w0.reg == 0 && w0.rowLen == n && w0.dst == mdl.off && w0.a == (operand{spThread, st0.dst, n}) &&
+		w1.kind == opScatterPaired && w1.reg == 1 && w1.rowLen == n && w1.dst == mdl.off && w1.a == (operand{spThread, st1.dst, n})
+	for _, s := range [...]operand{g0.a, g1.a, sc.a, sc.b, st0.s1, st0.s2, st1.s1, st1.s2} {
+		if s.sp >= spView {
+			return false
+		}
+	}
+	return rows && arith && writes
+}
+
+// fuseRowSGD replaces a plan that is exactly LRMF's row kernel with one op
+// standing for its eight: every proof those ops stood on holds for the op
+// that does what they did, in their order. The eight stay where lowering
+// put them — slab[:8], the per-tuple list first and the row updates
+// straight after — and the new op goes past the last list, so the slab
+// needs no second allocation. No later op reads a view or an index
+// register: the row-update list is empty, Convergence may not read a view.
+func (pl *plan) fuseRowSGD(slab []op) []op {
+	if !isRowSGD(pl.perTuple, pl.rowUpdates) {
+		return slab
+	}
+	slab = append(slab, op{kind: opRowSGD, reg: -1, parts: (*[rowSGDOps]op)(slab[:rowSGDOps])})
+	pl.perTuple, pl.rowUpdates = slab[len(slab)-1:], nil
+	return slab
 }

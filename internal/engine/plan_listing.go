@@ -9,6 +9,7 @@ var opKindNames = [numOpKinds]string{
 	opFail: "fail", opScalar: "scalar", opEW1: "ew1", opEWvv: "ew.vv", opEWvs: "ew.vs", opEWsv: "ew.sv",
 	opEWwrap: "ew.wrap", opReduce: "reduce", opDot: "dot", opGather: "gather", opGatherView: "gather.view",
 	opScatter: "scatter", opScatterPaired: "scatter.paired", opAccMulSV: "acc.mul.sv", opAccVV: "acc.vv", opStep: "step",
+	opRowSGD: "row.sgd",
 }
 
 func (o operand) String() string {
@@ -52,6 +53,12 @@ func (o *op) listing(lanes int) string {
 		return fmt.Sprintf("%s.%s merge-acc <- %v, %v", name, o.alu, o.a, o.b)
 	case opStep:
 		return fmt.Sprintf("%s %v <- %v - %v * (%v * %v)", name, dst, o.a, o.s1, o.s2, o.b)
+	case opRowSGD: // the ops it inlines follow, indented under it
+		s := fmt.Sprintf("%s: the %d ops below, inlined", name, len(o.parts))
+		for i := range o.parts {
+			s += "\n         " + o.parts[i].listing(1)
+		}
+		return s
 	}
 	if o.alu.IsUnary() {
 		return fmt.Sprintf("%s.%s %v <- %v", name, o.alu, dst, o.a)
@@ -91,6 +98,10 @@ func PlanListing(p *Program, cfg Config) (string, error) {
 		}
 		ops += len(l.ops)
 	}
-	fmt.Fprintf(&b, "%d ops for %d instructions\n", ops, len(p.PerTuple)+len(p.PostMerge)+len(p.RowUpdates)+len(p.Convergence))
+	plural := "s"
+	if ops == 1 {
+		plural = ""
+	}
+	fmt.Fprintf(&b, "%d op%s for %d instructions\n", ops, plural, len(p.PerTuple)+len(p.PostMerge)+len(p.RowUpdates)+len(p.Convergence))
 	return b.String(), nil
 }

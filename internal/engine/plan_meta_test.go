@@ -235,8 +235,12 @@ func kStepFused(o *op, f *frame) error {
 	return nil
 }
 
+// TestMetaStepRoundingCaught runs on step-dst-is-a — both rows viewed,
+// both steps fused, each updating a copy of its row in place — because
+// the plain LRMF tuple is one row kernel and has no step op to bend.
 func TestMetaStepRoundingCaught(t *testing.T) {
-	c := lrmfMetaCase(lrmfProg(6, 4))
+	progs, _ := lrmfVariants(6, 4)
+	c := lrmfMetaCase(progs["step-dst-is-a"])
 	c.mutate = func(m *Machine) {
 		for i := range m.plan.perTuple {
 			if m.plan.perTuple[i].kind == opStep {
@@ -244,32 +248,142 @@ func TestMetaStepRoundingCaught(t *testing.T) {
 				return
 			}
 		}
-		t.Fatal("no step in the plan to mutate")
+		t.Fatal("no step in the plan to mutate: the mutation changes nothing")
 	}
 	requireCaught(t, c, "model[")
 }
 
-// Taking a view across a model write: this program reads both gathered
-// rows again after the scatters, so lowering must copy them out. The
-// mutant runs the per-tuple list lowering produces when those reads are
-// not there — rows viewed, nothing copied — against it.
+// Taking a view across a model write: this program — step-dst-is-a, which
+// views both rows and lowers to steps, not to a row kernel — also reads
+// both gathered rows after the scatters, so lowering must copy them out.
+// The mutant runs the per-tuple list lowering produces when those reads
+// are not there — rows viewed, nothing copied — against it.
 func TestMetaViewAcrossModelWriteCaught(t *testing.T) {
 	progs, _ := lrmfVariants(6, 4)
-	c := lrmfMetaCase(progs["row-read-after-scatter"])
+	viewed := progs["step-dst-is-a"]
+	p := cloneProg(viewed)
+	L, R, iL := p.PerTuple[0].Dst, p.PerTuple[1].Dst, p.PerTuple[0].A
+	spare := Slot{p.Slots, L.Len}
+	p.Slots += L.Len
+	p.RowUpdates = append(p.RowUpdates, Instr{Kind: KEW, Op: AAdd, Dst: spare, A: L, B: R}, Instr{Kind: KScatter, A: spare, B: iL, RowLen: L.Len})
+	c := lrmfMetaCase(p)
 	c.mutate = func(m *Machine) {
-		vm, err := NewMachine(progs["base"], m.Cfg)
+		vm, err := NewMachine(viewed, m.Cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 2; i++ {
 			g, v := m.plan.perTuple[i], vm.plan.perTuple[i]
 			if g.kind != opGather || v.kind != opGatherView || g.reg != v.reg {
-				t.Fatalf("gather %d lowered to kind %d reg %d, its clean twin to kind %d reg %d; want a copy and a view on one register", i, g.kind, g.reg, v.kind, v.reg)
+				t.Fatalf("gather %d lowered to kind %d reg %d, its clean twin to kind %d reg %d; want a copy and a view on one register, or the mutation changes nothing", i, g.kind, g.reg, v.kind, v.reg)
 			}
 		}
 		m.plan.perTuple = vm.plan.perTuple
 	}
 	requireCaught(t, c, "model[")
+}
+
+// kRowSGDBent is kRowSGD with up to three faults: the first step's outer
+// product fused into its subtract (math.FMA, for the reason kDotFused is),
+// the two row writes in the other order, the second step scaling the first
+// step's output where it should scale the row as gathered. With none it is
+// kRowSGD, which TestMetaRowKernelFaultsCaught checks first ("unbent").
+func kRowSGDBent(fused, swapped, chained bool) kernel {
+	return func(o *op, f *frame) error {
+		g0, g1, d, sc, st0, st1 := &o.parts[0], &o.parts[1], &o.parts[2], &o.parts[3], &o.parts[4], &o.parts[5]
+		i0, i1 := int(math.Round(float64(g0.a.at(f)))), int(math.Round(float64(g1.a.at(f))))
+		if i0 < 0 || i0 >= g0.rows || i1 < 0 || i1 >= g1.rows {
+			return errGatherRow(i0, g0.rows) // every tuple of lrmfMetaCase is in range
+		}
+		th, n := f.base[spThread], g0.rowLen
+		u, v := g0.b.view(f)[i0*n:(i0+1)*n], g0.b.view(f)[i1*n:(i1+1)*n]
+		dot := float32(u[0] * v[0])
+		for i := 1; i < n; i++ {
+			dot = dot + float32(u[i]*v[i])
+		}
+		th[d.dst] = dot
+		th[sc.dst] = alu(sc.alu, sc.a.at(f), sc.b.at(f))
+		uNew, vNew := th[st0.dst:st0.dst+n], th[st1.dst:st1.dst+n]
+		s1, s2 := st0.s1.at(f), st0.s2.at(f)
+		for i := range uNew {
+			if fused {
+				uNew[i] = float32(math.FMA(-float64(s1), float64(float32(s2*v[i])), float64(u[i])))
+			} else {
+				uNew[i] = u[i] - float32(s1*float32(s2*v[i]))
+			}
+		}
+		src := u
+		if chained {
+			src = uNew
+		}
+		s1, s2 = st1.s1.at(f), st1.s2.at(f)
+		for i := range vNew {
+			vNew[i] = v[i] - float32(s1*float32(s2*src[i]))
+		}
+		if swapped {
+			copy(v, vNew)
+			copy(u, uNew)
+		} else {
+			copy(u, uNew)
+			copy(v, vNew)
+		}
+		return nil
+	}
+}
+
+// The row kernel is the eight ops it stands for only with each step's
+// products rounded on their own, r0's row written before r1's, and both
+// steps reading the rows as gathered. The program is LRMF with the right
+// row's step scaled by the tuple's rating rather than the learning rate:
+// in lrmfProg a tuple with u == v makes the two new rows bit-equal, so
+// the order they are written in could not show.
+func TestMetaRowKernelFaultsCaught(t *testing.T) {
+	prog := lrmfProg(6, 4)
+	prog.PerTuple[9].A = prog.PerTuple[4].B
+	plant := func(t *testing.T, k kernel) func(*Machine) {
+		return func(m *Machine) {
+			if len(m.plan.perTuple) != 1 || m.plan.perTuple[0].kind != opRowSGD {
+				t.Fatal("no row kernel in the plan to mutate: the mutation changes nothing")
+			}
+			m.plan.perTuple[0].run = k
+		}
+	}
+	t.Run("unbent", func(t *testing.T) {
+		c := lrmfMetaCase(prog)
+		c.mutate = plant(t, kRowSGDBent(false, false, false))
+		if err := diffPlanReference(c); err != nil {
+			t.Fatalf("the unbent twin of kRowSGD diverges, so a bent one proves nothing: %v", err)
+		}
+	})
+	for _, f := range []struct {
+		name string
+		bent kernel
+	}{
+		{"one step's product fused into its subtract", kRowSGDBent(true, false, false)},
+		{"row writes swapped", kRowSGDBent(false, true, false)},
+		{"second step reads the first's output", kRowSGDBent(false, false, true)},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			c := lrmfMetaCase(prog)
+			c.mutate = plant(t, f.bent)
+			requireCaught(t, c, "model[")
+		})
+	}
+	// Only a tuple with u == v can see the order of the row writes.
+	t.Run("swap unseen without u == v", func(t *testing.T) {
+		c := lrmfMetaCase(prog)
+		for _, batch := range c.batches {
+			for _, tup := range batch {
+				if tup[0] == tup[1] {
+					tup[1] = float32((int(tup[0]) + 1) % 6)
+				}
+			}
+		}
+		c.mutate = plant(t, kRowSGDBent(false, true, false))
+		if err := diffPlanReference(c); err != nil {
+			t.Fatalf("the swapped row writes showed without a u == v tuple: %v", err)
+		}
+	})
 }
 
 // Skipping the pad proof: each of these shapes hands a word from one

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -353,8 +354,26 @@ func lrmfProg(rows, r int) *Program {
 
 // lrmfShape is what lowering must decide for an LRMF variant: how many
 // gathers become views, how many update triples become steps, how many
-// scatters reuse their gather's index.
-type lrmfShape struct{ views, steps, paired int }
+// scatters reuse their gather's index (counted inside a row kernel too),
+// and whether the whole tuple became one row kernel.
+type lrmfShape struct {
+	views, steps, paired int
+	rowSGD               bool
+}
+
+// unfused lists the ops a plan list runs, a row kernel by the ops it
+// inlines.
+func unfused(list []op) []op {
+	var out []op
+	for _, o := range list {
+		if o.kind == opRowSGD {
+			out = append(out, o.parts[:]...)
+			continue
+		}
+		out = append(out, o)
+	}
+	return out
+}
 
 // lrmfVariants are lrmfProg bent in each way that must switch a view or
 // a step off (or keep it on), with the verdict for each. Instruction
@@ -368,15 +387,15 @@ func lrmfVariants(rows, r int) (map[string]*Program, map[string]lrmfShape) {
 	grow := func(p *Program) *Program { p.Slots += 2*r + 1; return p }
 	ew := func(op AluOp, dst, a, b Slot) Instr { return Instr{Kind: KEW, Op: op, Dst: dst, A: a, B: b} }
 	v := map[string]*Program{"base": base}
-	want := map[string]lrmfShape{"base": {2, 2, 2}}
+	want := map[string]lrmfShape{"base": {2, 2, 2, true}}
 
 	p := grow(cloneProg(base)) // both rows read again after the scatters, into a third row write
 	p.RowUpdates = append(p.RowUpdates, ew(AAdd, spare, L, R), Instr{Kind: KScatter, A: spare, B: iL, RowLen: r})
-	v["row-read-after-scatter"], want["row-read-after-scatter"] = p, lrmfShape{0, 2, 3}
+	v["row-read-after-scatter"], want["row-read-after-scatter"] = p, lrmfShape{0, 2, 3, false}
 
 	p = cloneProg(base) // the left row read before its gather: the last tuple's
 	p.PerTuple = append([]Instr{ew(AAdd, nR, nR, L)}, p.PerTuple...)
-	v["row-read-before-gather"], want["row-read-before-gather"] = p, lrmfShape{1, 2, 2}
+	v["row-read-before-gather"], want["row-read-before-gather"] = p, lrmfShape{1, 2, 2, false}
 
 	p = grow(cloneProg(base)) // no scatter: the write-back shifts the whole model, then Convergence sums the last tuple's left row
 	upd := Slot{p.Slots, base.ModelSlot.Len}
@@ -385,71 +404,71 @@ func lrmfVariants(rows, r int) (map[string]*Program, map[string]lrmfShape) {
 	p.RowUpdates, p.UpdatedSlot = nil, upd
 	p.Convergence = []Instr{{Kind: KReduce, Op: AAdd, Dst: Slot{spare.Base, 1}, A: L, GroupSize: r, EStride: 1}}
 	p.ConvSlot = Slot{spare.Base, 1}
-	v["row-read-in-convergence"], want["row-read-in-convergence"] = p, lrmfShape{1, 2, 0}
+	v["row-read-in-convergence"], want["row-read-in-convergence"] = p, lrmfShape{1, 2, 0, false}
 
 	p = cloneProg(base) // the left gather's index is a word of the row it gathered last
 	p.PerTuple[0].A = Slot{L.Base, 1}
-	v["index-inside-own-row"], want["index-inside-own-row"] = p, lrmfShape{1, 2, 1}
+	v["index-inside-own-row"], want["index-inside-own-row"] = p, lrmfShape{1, 2, 1, false}
 
 	p = cloneProg(base) // a read running off the left row into the right one
 	p.PerTuple = append(p.PerTuple, ew(AAdd, nR, nR, Slot{L.Base + 1, r}))
-	v["read-straddles-row-edge"], want["read-straddles-row-edge"] = p, lrmfShape{0, 2, 2}
+	v["read-straddles-row-edge"], want["read-straddles-row-edge"] = p, lrmfShape{0, 2, 2, false}
 
 	p = cloneProg(base) // the left row scaled where it was gathered
 	p.PerTuple = append(p.PerTuple[:2:2], append([]Instr{ew(AMul, L, L, Slot{lr.Base, 1})}, base.PerTuple[2:]...)...)
-	v["row-written-in-scratch"], want["row-written-in-scratch"] = p, lrmfShape{1, 2, 2}
+	v["row-written-in-scratch"], want["row-written-in-scratch"] = p, lrmfShape{1, 2, 2, false}
 
 	p = cloneProg(base) // the right gather's index is the left row's first word
 	p.PerTuple[1].A = Slot{L.Base, 1}
-	v["index-inside-viewed-row"], want["index-inside-viewed-row"] = p, lrmfShape{2, 2, 1}
+	v["index-inside-viewed-row"], want["index-inside-viewed-row"] = p, lrmfShape{2, 2, 1, false}
 
 	p = cloneProg(base) // RowUpdates writes the model elementwise, then reads the left row
 	p.RowUpdates = append([]Instr{ew(AMov, Slot{0, r}, nL, Slot{}), ew(AAdd, nR, nR, L)}, p.RowUpdates...)
-	v["model-written-before-read"], want["model-written-before-read"] = p, lrmfShape{1, 2, 2}
+	v["model-written-before-read"], want["model-written-before-read"] = p, lrmfShape{1, 2, 2, false}
 
 	p = cloneProg(base) // the left step's outer temp is read by a later instruction
 	p.PerTuple = append(p.PerTuple, ew(AAdd, nR, nR, sL))
-	v["step-temp-read-later"], want["step-temp-read-later"] = p, lrmfShape{2, 1, 2}
+	v["step-temp-read-later"], want["step-temp-read-later"] = p, lrmfShape{2, 1, 2, false}
 
 	p = grow(cloneProg(base)) // the left step's inner temp is read by Convergence
 	p.Convergence = []Instr{{Kind: KReduce, Op: AAdd, Dst: Slot{spare.Base, 1}, A: gL, GroupSize: r, EStride: 1}}
 	p.ConvSlot = Slot{spare.Base, 1}
-	v["step-temp-read-in-convergence"], want["step-temp-read-in-convergence"] = p, lrmfShape{2, 1, 2}
+	v["step-temp-read-in-convergence"], want["step-temp-read-in-convergence"] = p, lrmfShape{2, 1, 2, false}
 
 	p = grow(cloneProg(base)) // the left step writes one word into the vector it scales
 	p.PerTuple = append(p.PerTuple[:5:5], append([]Instr{ew(AMov, spare, R, Slot{})}, base.PerTuple[5:]...)...)
 	p.PerTuple[6].B = spare
 	p.PerTuple[8].Dst = Slot{spare.Base + 1, r}
 	p.RowUpdates[0].A = Slot{spare.Base + 1, r}
-	v["step-dst-overlaps-b"], want["step-dst-overlaps-b"] = p, lrmfShape{2, 1, 2}
+	v["step-dst-overlaps-b"], want["step-dst-overlaps-b"] = p, lrmfShape{2, 1, 2, false}
 
 	p = cloneProg(base) // the left step writes over its outer temp two words on; a later read of one word past it
 	p.PerTuple[7].Dst = Slot{sL.Base + 2, r}
 	p.PerTuple = append(p.PerTuple, ew(AAdd, Slot{nR.Base, 1}, Slot{nR.Base, 1}, Slot{sL.Base + r + 1, 1}))
-	v["step-dst-overlaps-temp"], want["step-dst-overlaps-temp"] = p, lrmfShape{2, 1, 2}
+	v["step-dst-overlaps-temp"], want["step-dst-overlaps-temp"] = p, lrmfShape{2, 1, 2, false}
 
 	p = cloneProg(base) // the right step first; then the left one writes the model across rows 0 and 1, under the right row's view
 	p.PerTuple = append(append(p.PerTuple[:5:5], base.PerTuple[8:11]...), base.PerTuple[5:8]...)
 	p.PerTuple[10].Dst = Slot{1, r}
 	p.RowUpdates = p.RowUpdates[1:]
-	v["step-writes-model-under-view"], want["step-writes-model-under-view"] = p, lrmfShape{1, 1, 1}
+	v["step-writes-model-under-view"], want["step-writes-model-under-view"] = p, lrmfShape{1, 1, 1, false}
 
 	p = cloneProg(base) // the left step's learning rate is a word of its own destination
 	p.PerTuple[6].A = Slot{nL.Base + 2, 1}
-	v["step-scalar-inside-dst"], want["step-scalar-inside-dst"] = p, lrmfShape{2, 1, 2}
+	v["step-scalar-inside-dst"], want["step-scalar-inside-dst"] = p, lrmfShape{2, 1, 2, false}
 
 	p = grow(cloneProg(base)) // both steps update a copy of their row in place
 	p.PerTuple = append(p.PerTuple[:5:5], append([]Instr{ew(AMov, spare, L, Slot{}), ew(AMov, spare2, R, Slot{})}, base.PerTuple[5:]...)...)
 	p.PerTuple[9].Dst, p.PerTuple[9].A = spare, spare
 	p.PerTuple[12].Dst, p.PerTuple[12].A = spare2, spare2
 	p.RowUpdates[0].A, p.RowUpdates[1].A = spare, spare2
-	v["step-dst-is-a"], want["step-dst-is-a"] = p, lrmfShape{2, 2, 2}
+	v["step-dst-is-a"], want["step-dst-is-a"] = p, lrmfShape{2, 2, 2, false}
 
 	p = cloneProg(base) // ew.mul(vec, scalar), both times
 	for _, i := range []int{5, 6, 8, 9} {
 		p.PerTuple[i].A, p.PerTuple[i].B = p.PerTuple[i].B, p.PerTuple[i].A
 	}
-	v["step-commuted-mul"], want["step-commuted-mul"] = p, lrmfShape{2, 2, 2}
+	v["step-commuted-mul"], want["step-commuted-mul"] = p, lrmfShape{2, 2, 2, true}
 	return v, want
 }
 
@@ -557,23 +576,28 @@ func TestPlanShape(t *testing.T) {
 		}
 	}
 
-	// LRMF is view, view, dot, scalar, step, step and two paired scatters:
-	// 8 ops for 13 instructions.
+	// LRMF is one row kernel standing for view, view, dot, scalar, step,
+	// step and two paired scatters: 1 op for 13 instructions, inside the
+	// slab of 13 the eight were lowered into.
 	lrmfCfg := Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
 	m, err := NewMachine(lrmfProg(6, 4), lrmfCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(m.plan.perTuple) != 1 || m.plan.perTuple[0].kind != opRowSGD || len(m.plan.rowUpdates) != 0 {
+		t.Fatalf("lrmf: per-tuple %d ops, row updates %d; want one row kernel and nothing else", len(m.plan.perTuple), len(m.plan.rowUpdates))
+	}
+	parts := m.plan.perTuple[0].parts
 	var kinds []opKind
-	for _, o := range m.plan.perTuple {
+	for _, o := range parts {
 		kinds = append(kinds, o.kind)
 	}
-	if wantKinds := []opKind{opGatherView, opGatherView, opDot, opScalar, opStep, opStep}; m.plan.copyInput || fmt.Sprint(kinds) != fmt.Sprint(wantKinds) {
-		t.Errorf("lrmf: copyInput=%v, per-tuple kinds %v; want in-place input, kinds %v", m.plan.copyInput, kinds, wantKinds)
+	if wantKinds := []opKind{opGatherView, opGatherView, opDot, opScalar, opStep, opStep, opScatterPaired, opScatterPaired}; m.plan.copyInput || fmt.Sprint(kinds) != fmt.Sprint(wantKinds) {
+		t.Errorf("lrmf: copyInput=%v, row kernel of kinds %v; want in-place input, kinds %v", m.plan.copyInput, kinds, wantKinds)
 	}
-	for i, o := range m.plan.rowUpdates {
-		if o.kind != opScatterPaired || o.reg != i || m.plan.perTuple[i].reg != i {
-			t.Errorf("lrmf: row update %d is kind %d reg %d, want a scatter paired with gather %d", i, o.kind, o.reg, i)
+	for i, o := range parts[6:] {
+		if int(o.reg) != i || int(parts[i].reg) != i {
+			t.Errorf("lrmf: row update %d is reg %d, want a scatter paired with gather %d", i, o.reg, i)
 		}
 	}
 	progs, wantLRMF := lrmfVariants(6, 4)
@@ -582,9 +606,9 @@ func TestPlanShape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		var got lrmfShape
+		got := lrmfShape{rowSGD: m.plan.perTuple[0].kind == opRowSGD}
 		for _, list := range [][]op{m.plan.perTuple, m.plan.rowUpdates} {
-			for _, o := range list {
+			for _, o := range unfused(list) {
 				switch o.kind {
 				case opGatherView:
 					got.views++
@@ -599,7 +623,10 @@ func TestPlanShape(t *testing.T) {
 			t.Errorf("lrmf %s: lowered to %+v, want %+v", name, got, wantLRMF[name])
 		}
 		// The second gather of this one reads its index through the first's view.
-		if g := m.plan.perTuple[1]; name == "index-inside-viewed-row" && g.a.sp != spView+space(m.plan.perTuple[0].reg) {
+		if name != "index-inside-viewed-row" {
+			continue
+		}
+		if g := m.plan.perTuple[1]; g.a.sp != spView+space(m.plan.perTuple[0].reg) {
 			t.Errorf("lrmf %s: second gather reads its index from memory %d, want view %d", name, g.a.sp, m.plan.perTuple[0].reg)
 		}
 	}
@@ -613,10 +640,14 @@ func TestPlanShape(t *testing.T) {
 // per-tuple instruction is often a MergeSrc producer, so the liveness and
 // aliasing rules see both verdicts. Programs this loose all but never
 // reach the pad proof (two in 1500 pass inputInPlace and modelShareable),
-// so one draw in four is randGLM's instead.
+// so one draw in four is randGLM's instead; nor LRMF's row kernel, which
+// needs eight ops in one exact shape, so one in eight is randLRMF's.
 func randProgram(rng *rand.Rand) (*Program, int) {
 	if rng.Intn(4) == 0 {
 		return randGLM(rng), 0
+	}
+	if rng.Intn(8) == 0 {
+		return randLRMF(rng)
 	}
 	slots := 40 + rng.Intn(40)
 	slot := func(n int) Slot {
@@ -790,6 +821,39 @@ func randGLM(rng *rand.Rand) *Program {
 	return p
 }
 
+// randLRMF draws LRMF at a random row count and rank: half the time one of
+// the bent lrmfVariants, most of which refuse the row kernel; otherwise
+// the base shape with what the kernel must take as it comes varied — the
+// error's operator, the learning rate read from the tuple instead of a
+// constant, each scaling's operands commuted — and, one time in four, the
+// dot's operands swapped, which the kernel's shape refuses.
+func randLRMF(rng *rand.Rand) (*Program, int) {
+	rows, r := 2+rng.Intn(7), 2+rng.Intn(9)
+	progs, _ := lrmfVariants(rows, r)
+	if rng.Intn(2) == 0 {
+		names := make([]string, 0, len(progs))
+		for name := range progs {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return progs[names[rng.Intn(len(names))]], rows
+	}
+	p := progs["base"]
+	p.PerTuple[4].Op = []AluOp{ASub, ASub, AAdd, AMul, ASigmoid}[rng.Intn(5)]
+	if rng.Intn(3) == 0 {
+		p.PerTuple[6].A, p.PerTuple[9].A = p.PerTuple[4].B, p.PerTuple[4].B // the rating as learning rate
+	}
+	for _, i := range []int{5, 6, 8, 9} {
+		if rng.Intn(2) == 0 {
+			p.PerTuple[i].A, p.PerTuple[i].B = p.PerTuple[i].B, p.PerTuple[i].A
+		}
+	}
+	if rng.Intn(4) == 0 {
+		p.PerTuple[2].A, p.PerTuple[2].B = p.PerTuple[2].B, p.PerTuple[2].A
+	}
+	return p, rows
+}
+
 // TestPlanMatchesReferenceRandom: seeded random programs, every batch
 // shape.
 func TestPlanMatchesReferenceRandom(t *testing.T) {
@@ -797,6 +861,7 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 	fused, elided, refused := 0, 0, 0
 	var steps, stepShapes, views, gathers int // gathers: of merge-free programs, the only ones that can view
 	var laned, threaded int                   // of programs lowered to in-place rows and a shared model at > dotLanes threads: pads per lane, per thread
+	var rowKernels, nearRowKernels int        // programs lowered to one row kernel; to two views and a step but not one
 	for trial := 0; trial < 2000; trial++ {
 		p, rows := randProgram(rng)
 		if err := p.Validate(); err != nil {
@@ -843,13 +908,21 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 				gathers++
 			}
 		}
-		for _, o := range m.plan.perTuple {
+		pv, ps := 0, 0 // this program's views and steps
+		for _, o := range unfused(m.plan.perTuple) {
 			switch o.kind {
 			case opStep:
-				steps++
+				ps++
 			case opGatherView:
-				views++
+				pv++
 			}
+		}
+		steps, views = steps+ps, views+pv
+		switch {
+		case len(m.plan.perTuple) > 0 && m.plan.perTuple[0].kind == opRowSGD:
+			rowKernels++
+		case pv >= 2 && ps >= 1:
+			nearRowKernels++
 		}
 	}
 	if fused < 40 || elided < 80 || refused < 80 {
@@ -857,6 +930,9 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 	}
 	if steps < 80 || stepShapes-steps < 80 || views < 80 || gathers-views < 80 {
 		t.Errorf("generator too tame: %d steps fused, %d refused, %d gathers viewed, %d copied; want ≥ 80 each", steps, stepShapes-steps, views, gathers-views)
+	}
+	if rowKernels < 40 || nearRowKernels < 40 {
+		t.Errorf("generator too tame: %d programs lowered to a row kernel, %d to two views and a step without one; want ≥ 40 each", rowKernels, nearRowKernels)
 	}
 	if laned < 40 || threaded < 40 {
 		t.Errorf("generator too tame: %d programs ran on a pad per lane, %d were refused one; want ≥ 40 each", laned, threaded)

@@ -98,7 +98,8 @@ func table3Diff(t *testing.T, w datagen.Workload, k int, sizes []int) {
 // merge coefficient 16: PlanListing with the slot offsets stripped, so
 // the pin is op kinds and operand memories. The four merge programs read
 // exactly as they did before views and steps existed (compared against
-// that lowering when this was written); LRMF is the 8-op row kernel.
+// that lowering when this was written); LRMF is one op, the row kernel,
+// listed over the eight it inlines.
 // pads= is how many scratchpads the 8-thread machine starts with: all five
 // merge programs (two are logistic) pass padShareable and take one per
 // runDirect lane; LRMF has no merge, never leaves thread 0, and takes one.
@@ -140,16 +141,16 @@ post-merge:
 `,
 	algos.KindLRMF: `copy-input=false share-model=false fused-accumulate=false lanes=1 pads=1
 per-tuple:
-    0: gather.view view0 <- thread at round(row) -> r0
-    1: gather.view view1 <- thread at round(row) -> r1
-    2: dot thread <- view0, view1
-    3: scalar.sub thread <- thread, row
-    4: step thread <- view0 - thread * (thread * view1)
-    5: step thread <- view1 - thread * (thread * view0)
-row-updates:
-    0: scatter.paired thread at r0 <- thread
-    1: scatter.paired thread at r1 <- thread
-8 ops for 13 instructions
+    0: row.sgd: the 8 ops below, inlined
+         gather.view view0 <- thread at round(row) -> r0
+         gather.view view1 <- thread at round(row) -> r1
+         dot thread <- view0, view1
+         scalar.sub thread <- thread, row
+         step thread <- view0 - thread * (thread * view1)
+         step thread <- view1 - thread * (thread * view0)
+         scatter.paired thread at r0 <- thread
+         scatter.paired thread at r1 <- thread
+1 op for 13 instructions
 `,
 }
 

@@ -7,12 +7,14 @@ package runtime
 // on real cores. Each training epoch streams pages through three
 // overlapping stages:
 //
-//	pool Pin -> Strider VM walk + deformat (W workers)  -> engine compute
-//	                (bounded per-worker channels)          (coordinator)
+//	pool Pin -> direct walk + deformat (W workers)  -> engine compute
+//	            (bounded per-worker channels)          (coordinator)
 //
-// Worker i of W owns the pages pn ≡ i (mod W) and Strider VM healthy[i];
-// the coordinator drains the workers' output channels in global page
-// order by walking the same deal. Extracted records live in one flat
+// The walk is accessengine's direct pass, charged by strider.WalkCost's
+// closed form; a Strider's VM runs only the pages that pass declines, and
+// InnoDB's. Worker i of W owns the pages pn ≡ i (mod W) and Strider
+// healthy[i]; the coordinator drains the workers' output channels in
+// global page order by walking the same deal. Extracted records live in one flat
 // arena (a slab sized once per run; Arena.Alloc is a lock-free bump, so
 // workers share it). All modeled counters (access-engine cycles, engine
 // cycles, simulated seconds, and the per-memory-channel bytes/busy split
@@ -25,8 +27,8 @@ package runtime
 // pages have been extracted (and the relation fits in the buffer pool,
 // so later epochs would be pure pool hits with no modeled I/O), epochs
 // ≥ 2 replay the cached flat-arena records and their per-page cycle
-// counters instead of re-walking every heap page in the Go interpreter.
-// The cache is invalidated by any heap mutation (storage.Relation
+// counters instead of pinning, walking and deformatting every heap page
+// again. The cache is invalidated by any heap mutation (storage.Relation
 // generation counter) and by pool invalidation (DropCaches / DROP
 // TABLE), so cold-cache experiments still re-read and re-charge disk.
 // What a backend keeps about an entry's rows (the any-precision path's
