@@ -1,12 +1,10 @@
 package dana
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (run `go test -bench=. -benchmem`). The figure benchmarks
-// execute the full modeling pipeline (DSL -> hDFG -> compile -> hwgen
-// -> cost model) every iteration and report the headline numbers the
-// paper reports as custom metrics (e.g. geomean speedups). Component
-// benchmarks at the bottom measure the real throughput of the
-// simulators themselves.
+// Benchmark harness (run `go test -bench=. -benchmem`): component
+// benchmarks that measure the real throughput of the simulators
+// themselves, plus the two supplementary studies. The paper's tables and
+// figures are regenerated by `danabench -exp` and checked by
+// internal/experiments' tests, not timed here.
 
 import (
 	"fmt"
@@ -31,177 +29,7 @@ import (
 	"dana/internal/weaving"
 )
 
-// --- Tables ------------------------------------------------------------
-
-func BenchmarkTable3DatasetInventory(b *testing.B) {
-	env := experiments.DefaultEnv()
-	var pages int
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3(env)
-		pages = 0
-		for _, r := range rows {
-			pages += r.Pages32K
-		}
-	}
-	b.ReportMetric(float64(pages), "total-32k-pages")
-}
-
-func BenchmarkTable5AbsoluteRuntimes(b *testing.B) {
-	env := experiments.DefaultEnv()
-	var rows []experiments.Table5Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Table5(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Name == "Remote Sensing LR" {
-			b.ReportMetric(r.PGSec, "rs-lr-madlib-sec")
-			b.ReportMetric(r.DAnASec, "rs-lr-dana-sec")
-		}
-	}
-}
-
-// --- Figures 8-10 --------------------------------------------------------
-
-func benchClassSpeedups(b *testing.B, class string) {
-	env := experiments.DefaultEnv()
-	var warm, cold experiments.SpeedupRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, warm, err = experiments.ClassSpeedups(class, env, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, cold, err = experiments.ClassSpeedups(class, env, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(warm.DAnAvsPG, "warm-dana-vs-pg-x")
-	b.ReportMetric(warm.DAnAvsGP, "warm-dana-vs-gp-x")
-	b.ReportMetric(warm.GPvsPG, "warm-gp-vs-pg-x")
-	b.ReportMetric(cold.DAnAvsPG, "cold-dana-vs-pg-x")
-}
-
-func BenchmarkFig8RealDatasets(b *testing.B)        { benchClassSpeedups(b, "real") }
-func BenchmarkFig9SyntheticNominal(b *testing.B)    { benchClassSpeedups(b, "S/N") }
-func BenchmarkFig10SyntheticExtensive(b *testing.B) { benchClassSpeedups(b, "S/E") }
-
-// --- Figure 11 ------------------------------------------------------------
-
-func BenchmarkFig11StriderBenefit(b *testing.B) {
-	env := experiments.DefaultEnv()
-	var gm experiments.StriderRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, gm, err = experiments.StriderBenefit(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(gm.WithoutStrider, "without-strider-x")
-	b.ReportMetric(gm.WithStrider, "with-strider-x")
-	b.ReportMetric(gm.WithStrider/gm.WithoutStrider, "strider-amplification-x")
-}
-
-// --- Figure 12 ------------------------------------------------------------
-
-func BenchmarkFig12ThreadSweep(b *testing.B) {
-	env := experiments.DefaultEnv()
-	coefs := []int{1, 4, 16, 64, 256, 1024}
-	for _, name := range experiments.Fig12Workloads {
-		b.Run(name, func(b *testing.B) {
-			var pts []experiments.ThreadPoint
-			for i := 0; i < b.N; i++ {
-				var err error
-				pts, err = experiments.ThreadSweep(name, env, coefs)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			last := pts[len(pts)-1]
-			b.ReportMetric(last.RelRuntime, "runtime-at-1024-rel")
-			b.ReportMetric(100*last.Utilization, "utilization-pct")
-		})
-	}
-}
-
-// --- Figure 13 ------------------------------------------------------------
-
-func BenchmarkFig13SegmentSweep(b *testing.B) {
-	env := experiments.DefaultEnv()
-	var gm experiments.SegmentRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, gm, err = experiments.SegmentSweep(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(gm.PG, "pg-rel-to-8seg")
-	b.ReportMetric(gm.Seg4, "4seg-rel-to-8seg")
-	b.ReportMetric(gm.Seg16, "16seg-rel-to-8seg")
-}
-
-// --- Figure 14 ------------------------------------------------------------
-
-func BenchmarkFig14BandwidthSweep(b *testing.B) {
-	env := experiments.DefaultEnv()
-	var rows []experiments.BandwidthRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.BandwidthSweep(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var quarter, quad []float64
-	for _, r := range rows {
-		quarter = append(quarter, r.Speedups[0.25])
-		quad = append(quad, r.Speedups[4])
-	}
-	b.ReportMetric(experiments.Geomean(quarter), "geomean-0.25x-bw")
-	b.ReportMetric(experiments.Geomean(quad), "geomean-4x-bw")
-}
-
-// --- Figure 15 ------------------------------------------------------------
-
-func BenchmarkFig15ExternalLibraries(b *testing.B) {
-	env := experiments.DefaultEnv()
-	var rows []experiments.ExtLibRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.ExternalLibraries(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	var danaVsDW []float64
-	for _, r := range rows {
-		danaVsDW = append(danaVsDW, r.DimmWittedSec/r.DAnASec)
-	}
-	b.ReportMetric(experiments.Geomean(danaVsDW), "dana-vs-dimmwitted-x")
-}
-
-// --- Figure 16 ------------------------------------------------------------
-
-func BenchmarkFig16TablaComparison(b *testing.B) {
-	env := experiments.DefaultEnv()
-	var gm experiments.TablaRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, gm, err = experiments.TablaComparison(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(gm.Speedup, "dana-vs-tabla-x")
-}
-
-// --- Supplementary experiments and ablations --------------------------------
+// --- Supplementary experiments ----------------------------------------------
 
 // BenchmarkPageSizeSweep reproduces the paper's 8/16/32 KB page-size
 // sensitivity study (no significant impact).
@@ -243,23 +71,6 @@ func BenchmarkBatchConvergence(b *testing.B) {
 	}
 	b.ReportMetric(float64(rows[0].Epochs[1]), "epochs-batch1")
 	b.ReportMetric(float64(rows[0].Epochs[64]), "epochs-batch64")
-}
-
-// BenchmarkDesignAblations scores the DESIGN.md ablation study.
-func BenchmarkDesignAblations(b *testing.B) {
-	env := experiments.DefaultEnv()
-	var gm experiments.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, gm, err = experiments.Ablations(env)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(gm.Full, "full-x")
-	b.ReportMetric(gm.NoInterleave, "no-interleave-x")
-	b.ReportMetric(gm.TupleGranularity, "tuple-dma-x")
-	b.ReportMetric(gm.NoStrider, "no-strider-x")
 }
 
 // BenchmarkStriderInnoDBWalk measures the MySQL/InnoDB chain walker.
@@ -612,10 +423,10 @@ func openTrainBench(b *testing.B, workload string, scale float64, mergeCoef, wor
 // extraction epoch (disk read -> buffer pool -> Strider walk -> deformat
 // -> engine, filling the record cache): every iteration drops the caches
 // first, so it re-reads and re-walks every page — serial vs the
-// pipelined worker pool at 4 and 8 workers. Modeled cycle counts are
-// identical across all variants.
+// pipelined worker pool at 4 workers. Modeled cycle counts are identical
+// across the variants.
 func BenchmarkParallelExtract(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			eng, d, a := openTrainBench(b, "Remote Sensing LR", 0.02, 64, workers, 1)
 			b.SetBytes(int64(d.Rel.NumPages()) * int64(storage.PageSize32K))
@@ -842,28 +653,7 @@ func BenchmarkCatalogSerialization(b *testing.B) {
 	}
 }
 
-// --- Observability benchmarks ------------------------------------------------
-
-// BenchmarkCalibration is a fixed arithmetic workload with no I/O, no
-// allocation, and no dependence on repository code. The CI regression
-// gate divides every benchmark's ns/op by this one's before comparing
-// against the committed baseline, cancelling out raw machine speed so
-// the gate tracks relative slowdowns rather than runner hardware.
-func BenchmarkCalibration(b *testing.B) {
-	acc := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < b.N; i++ {
-		x := acc + uint64(i)
-		for j := 0; j < 1024; j++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-		}
-		acc += x
-	}
-	if acc == 42 {
-		b.Fatal("unreachable: defeat dead-code elimination")
-	}
-}
+// --- Engine rooflines ------------------------------------------------------
 
 // BenchmarkEngineRowKernel names the roofline of the engine's row kernel
 // (ROADMAP 3(a)): the compiled Netflix program — two gathered rows of a
@@ -1110,6 +900,8 @@ func handMergeKernel(model []float32, lr float32, tuples [][]float32, batch int)
 		}
 	}
 }
+
+// --- Observability benchmarks ------------------------------------------------
 
 // BenchmarkObsOverhead measures the cost of the observability layer on
 // an end-to-end LR training query over a pool smaller than the table

@@ -33,8 +33,8 @@ func main() {
 	pkgs := flag.String("benchpkgs", "./...", "bench mode: packages passed to go test")
 	name := flag.String("name", "local", "bench mode: label; output file is BENCH_<name>.json")
 	outDir := flag.String("outdir", ".", "bench mode: directory for BENCH_<name>.json")
-	baseline := flag.String("baseline", "", "bench mode: baseline BENCH_*.json to gate wall times against")
-	maxReg := flag.Float64("maxreg", 0.15, "bench mode: max tolerated wall-time regression vs baseline")
+	baseline := flag.String("baseline", "", "bench mode: baseline BENCH_*.json to gate modeled counters and allocs/op against")
+	maxReg := flag.Float64("maxreg", 0.15, "bench mode: max tolerated allocs/op growth vs baseline")
 	flag.Parse()
 	if *bench != "" {
 		if err := runBenchMode(*bench, *count, *pkgs, *name, *outDir, *baseline, *maxReg); err != nil {
