@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	hostrt "runtime"
 	"testing"
 
 	"dana/internal/accessengine"
@@ -396,11 +397,14 @@ func BenchmarkDAnAFunctionalEpoch(b *testing.B) {
 
 // --- Host-parallel executor benchmarks ---------------------------------------
 
-// openTrainBench deploys a multi-page workload on an engine with the
-// given executor configuration and registers its UDF.
-func openTrainBench(b *testing.B, workload string, scale float64, mergeCoef, workers, epochs int) (*Engine, *Dataset, *Algo) {
+// openTrainBench deploys a multi-page workload on an engine, registers
+// its UDF, and sets GOMAXPROCS — where extraction takes its walker count
+// from — to procs until the benchmark ends.
+func openTrainBench(b *testing.B, workload string, scale float64, mergeCoef, procs, epochs int) (*Engine, *Dataset, *Algo) {
 	b.Helper()
-	eng, err := Open(Config{PageSize: 32 << 10, PoolBytes: 128 << 20, Workers: workers})
+	prev := hostrt.GOMAXPROCS(procs)
+	b.Cleanup(func() { hostrt.GOMAXPROCS(prev) })
+	eng, err := Open(Config{PageSize: 32 << 10, PoolBytes: 128 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -422,9 +426,9 @@ func openTrainBench(b *testing.B, workload string, scale float64, mergeCoef, wor
 // BenchmarkParallelExtract measures the wall-clock of one full cold
 // extraction epoch (disk read -> buffer pool -> Strider walk -> deformat
 // -> engine, filling the record cache): every iteration drops the caches
-// first, so it re-reads and re-walks every page — serial vs the
-// pipelined worker pool at 4 workers. Modeled cycle counts are identical
-// across the variants.
+// first, so it re-reads and re-walks every page — one goroutine
+// (GOMAXPROCS 1) vs four walkers (GOMAXPROCS 4). Modeled cycle counts
+// are identical across the variants.
 func BenchmarkParallelExtract(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -498,7 +502,7 @@ func BenchmarkAccelConfigure(b *testing.B) {
 }
 
 // BenchmarkTrainWallClock measures a multi-epoch training query end to
-// end, at one extraction worker and at the pipelined worker pool. The
+// end, at GOMAXPROCS 1 (one extraction goroutine), 4 and 8. The
 // first iteration's first epoch fills the cross-epoch record cache;
 // everything after replays it (the buffer pool and the Strider walk are
 // skipped entirely), so the steady state is the engine's.
@@ -514,8 +518,8 @@ func BenchmarkTrainWallClock(b *testing.B) {
 		{"LRMF", "Netflix", 0.004, 1},
 	}
 	configs := []struct {
-		name    string
-		workers int
+		name  string
+		procs int
 	}{
 		{"serial", 1},
 		{"parallel4+cache", 4},
@@ -524,7 +528,7 @@ func BenchmarkTrainWallClock(b *testing.B) {
 	for _, wl := range workloads {
 		for _, cfg := range configs {
 			b.Run(wl.name+"/"+cfg.name, func(b *testing.B) {
-				eng, d, a := openTrainBench(b, wl.workload, wl.scale, wl.mergeCoef, cfg.workers, epochs)
+				eng, d, a := openTrainBench(b, wl.workload, wl.scale, wl.mergeCoef, cfg.procs, epochs)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := eng.Train(a.Name, d.Rel.Name); err != nil {
@@ -915,8 +919,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}{{"obs=on", false}, {"obs=off", true}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			eng, err := Open(Config{
-				PageSize: 32 << 10, PoolBytes: 1 << 20,
-				Workers: 1, DisableObs: cfg.disable,
+				PageSize: 32 << 10, PoolBytes: 1 << 20, DisableObs: cfg.disable,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -1014,7 +1017,7 @@ func BenchmarkBuildWeavePage(b *testing.B) {
 // measured one decodes them once and is otherwise the engine's.
 func BenchmarkWeaveTrain(b *testing.B) {
 	const epochs = 2
-	eng, err := Open(Config{PageSize: 32 << 10, PoolBytes: 128 << 20, Workers: 1, Precision: 8})
+	eng, err := Open(Config{PageSize: 32 << 10, PoolBytes: 128 << 20, Precision: 8})
 	if err != nil {
 		b.Fatal(err)
 	}

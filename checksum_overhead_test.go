@@ -30,8 +30,7 @@ func checksumTrainer(t *testing.T, verify bool) func() float64 {
 	return func() float64 {
 		t.Helper()
 		eng, err := Open(Config{
-			PageSize: 32 << 10, PoolBytes: 128 << 20,
-			Workers: 1, VerifyChecksums: verify,
+			PageSize: 32 << 10, PoolBytes: 128 << 20, VerifyChecksums: verify,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -32,7 +32,11 @@ import (
 	"dana/internal/storage"
 )
 
-// Config controls an Engine instance.
+// Config controls an Engine instance. No field sets host parallelism:
+// page extraction walks a table the buffer pool holds on
+// min(GOMAXPROCS, Striders) goroutines, and a larger one on the calling
+// goroutine, and modeled cycle counts, simulated seconds and model bits
+// are bit-identical at any GOMAXPROCS.
 type Config struct {
 	// PageSize is the heap/buffer page size in bytes (8, 16, or 32 KB;
 	// the paper's default is 32 KB).
@@ -64,12 +68,6 @@ type Config struct {
 	// Greenplum baseline's 8 segments). Only the "sharded" backend
 	// reads it.
 	Segments int
-	// Workers sets the host goroutines running Strider VMs during page
-	// extraction (0 = GOMAXPROCS capped at the Strider count; 1 =
-	// serial); worker i of W takes the pages pn ≡ i mod W. Host
-	// parallelism changes wall-clock time only — modeled cycle counts
-	// and simulated seconds are bit-identical either way.
-	Workers int
 	// Channels models the accelerator link as N independent memory
 	// channels (0/1 = the single legacy channel). It is a modeled
 	// quantity only: the cost model charges epoch transfer as the
@@ -141,7 +139,6 @@ func Open(cfg Config) (*Engine, error) {
 	opts.Backend = cfg.Backend
 	opts.Precision = cfg.Precision
 	opts.Segments = cfg.Segments
-	opts.Workers = cfg.Workers
 	opts.Cost.Link.Channels = cfg.Channels
 	opts.DisableObs = cfg.DisableObs
 	opts.Faults = cfg.Faults

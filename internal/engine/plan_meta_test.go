@@ -543,21 +543,31 @@ func TestRunBatchAllocationFree(t *testing.T) {
 		{"inline", glmProg(12, true), 4, diffTuples(rng, 9, 13, 0)},
 		{"serial", lrmfProg(6, 4), 1, diffTuples(rng, 16, 3, 6)},
 	} {
-		m, err := NewMachine(c.prog, Config{Threads: c.threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// AllocsPerRun warms up with a call it does not count: the first
-		// batch is measured by hand.
-		var before, after hostrt.MemStats
-		hostrt.ReadMemStats(&before)
-		err = m.RunBatch(c.tuples)
-		hostrt.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		// batch is measured by hand, each attempt on a fresh machine.
+		// MemStats counts the whole process, so one reading can include
+		// another goroutine's allocation: the first batch fails only if
+		// it allocates on every attempt.
+		var m *Machine
+		first := uint64(math.MaxUint64)
+		for attempt := 0; attempt < 5 && first != 0; attempt++ {
+			var err error
+			if m, err = NewMachine(c.prog, Config{Threads: c.threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}); err != nil {
+				t.Fatal(err)
+			}
+			var before, after hostrt.MemStats
+			hostrt.ReadMemStats(&before)
+			err = m.RunBatch(c.tuples)
+			hostrt.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := after.Mallocs - before.Mallocs; n < first {
+				first = n
+			}
 		}
-		if first := after.Mallocs - before.Mallocs; first != 0 {
-			t.Errorf("%s: the first RunBatch allocates %d times", c.name, first)
+		if first != 0 {
+			t.Errorf("%s: the first RunBatch allocates %d times on every attempt", c.name, first)
 		}
 		if n := testing.AllocsPerRun(20, func() { _ = m.RunBatch(c.tuples) }); n != 0 {
 			t.Errorf("%s: RunBatch allocates %v times a batch", c.name, n)

@@ -4,24 +4,26 @@ package runtime
 //
 // The modeled hardware always overlaps Strider page extraction with
 // execution-engine compute; this file makes the *simulator* do the same
-// on real cores. Each training epoch streams pages through three
-// overlapping stages:
+// on real cores:
 //
-//	pool Pin -> direct walk + deformat (W workers)  -> engine compute
-//	            (bounded per-worker channels)          (coordinator)
+//	pin group k+1 (coordinator) -> walk + deformat (W walkers) -> sink group k (coordinator)
 //
-// The walk is accessengine's direct pass, charged by strider.WalkCost's
-// closed form; a Strider's VM runs only the pages that pass declines, and
-// InnoDB's. Worker i of W owns the pages pn ≡ i (mod W) and Strider
-// healthy[i]; the coordinator drains the workers' output channels in
-// global page order by walking the same deal. Extracted records live in one flat
-// arena (a slab sized once per run; Arena.Alloc is a lock-free bump, so
-// workers share it). All modeled counters (access-engine cycles, engine
-// cycles, simulated seconds, and the per-memory-channel bytes/busy split
-// of Cost.Link.Channels) are charged by the coordinator in page order,
-// so they are bit-identical to the serial path no matter how the host
-// schedules the workers — the worker count changes wall-clock time
-// only, and the modeled channel count never touches host scheduling.
+// Only the coordinator touches the buffer pool. It pins NumStriders
+// pages at a time in page order (a group per set of page buffers,
+// §5.1.1) and unpins group k before it pins k+1, so the pool's clock
+// sweep and float I/O ledger see one sequence at every W. Slot j runs on
+// Strider healthy[j mod h] and walker i owns the Striders ≡ i (mod W),
+// so no VM is shared and trap outcomes do not depend on W. W is
+// min(GOMAXPROCS, healthy Striders, pages) on a table the pool holds,
+// else 1: the coordinator then walks and sinks each page itself, through
+// the one PageResult a spill scan recycles. The walk is accessengine's
+// direct pass (strider.WalkCost's closed form); a Strider's VM runs only
+// the pages that pass declines, and InnoDB's. Records live in one flat
+// arena (Arena.Alloc is a lock-free bump, so walkers share it). Every
+// modeled counter — access-engine and engine cycles, page retries,
+// simulated seconds, the per-channel split of Cost.Link.Channels — is
+// charged by the coordinator in page order: host parallelism changes
+// wall-clock time only.
 //
 // A cross-epoch record cache completes the picture: once a relation's
 // pages have been extracted (and the relation fits in the buffer pool,
@@ -49,10 +51,6 @@ import (
 	"dana/internal/storage"
 	"dana/internal/strider"
 )
-
-// pipelineDepth is the per-worker bound on extracted-but-unconsumed page
-// batches, keeping memory bounded for large tables.
-const pipelineDepth = 4
 
 // defaultMaxPageRetries is the same-Strider re-walk budget after a VM
 // trap when Options.MaxPageRetries is unset.
@@ -124,20 +122,19 @@ type epochRunner struct {
 	// injected cluster faults.
 	accelerated bool
 
-	// fits: the whole relation fits in the buffer pool, so page access
-	// order cannot change eviction behavior. Out-of-order pinning
-	// (workers > 1) and the record cache (epochs ≥ 2 would be pure pool
-	// hits, i.e. no modeled I/O) both need it.
-	workers int
-	fits    bool
+	// fits: the whole relation fits in the buffer pool. The record cache
+	// (epochs ≥ 2 would be pure pool hits, i.e. no modeled I/O) and fresh
+	// per-page results — which walkers need — both need it.
+	fits bool
 
 	// The record arena (one slab, lazily sized from the relation's
 	// page/tuple counts) and the reusable extraction buffers hoisted out
-	// of the per-epoch hot paths: the serial group window, its pin list,
-	// and the one PageResult a larger-than-pool scan recycles.
+	// of the per-epoch hot paths: the pinned page groups (the second, and
+	// what walkers made of both, built by the first epoch that runs
+	// walkers) and the one PageResult a larger-than-pool scan recycles.
 	arena    *accessengine.Arena
-	group    []storage.Page
-	pinned   []uint32
+	groups   [2][]storage.Page
+	walks    [2][]walk
 	spillRes accessengine.PageResult
 	col      *accessengine.Collector
 
@@ -151,8 +148,8 @@ type epochRunner struct {
 	pendingEnt    *cacheEntry
 
 	// Fault handling. healthy lists the usable Strider VM indices:
-	// quarantine removes persistently-trapping VMs, and both extraction
-	// paths map work onto the healthy subset (VM identity never affects
+	// quarantine removes persistently-trapping VMs, and slot j of a page
+	// group runs on healthy[j mod len(healthy)] (VM identity never affects
 	// modeled cycles, so the mapping is free). maxPageRetries bounds
 	// same-VM re-walk attempts for a trapped page; deadline is the
 	// current epoch's wall-clock budget (zero = none).
@@ -163,8 +160,16 @@ type epochRunner struct {
 	deadline       time.Time
 }
 
+// walk is what walking one page made: the result, the same-Strider
+// retries the walk took, and the error it ended with.
+type walk struct {
+	res     *accessengine.PageResult
+	retries int
+	err     error
+}
+
 // workerError carries which Strider VM failed on which page, so the
-// epoch-level recovery can quarantine the right worker. It wraps the
+// epoch-level recovery can quarantine the right Strider. It wraps the
 // underlying typed fault error.
 type workerError struct {
 	vmIdx  int
@@ -205,26 +210,7 @@ func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, acc *ca
 	return s.newEpochRunner(ae, rel, be), nil
 }
 
-// hostWorkers resolves Options.Workers to an extraction worker count: 0
-// means GOMAXPROCS, capped at the design's in-process Strider count.
-func hostWorkers(workers, striders int) int {
-	if workers <= 0 {
-		workers = hostrt.GOMAXPROCS(0)
-	}
-	if striders > 0 && workers > striders {
-		workers = striders
-	}
-	return workers
-}
-
 func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, be backend.Backend) *epochRunner {
-	fits := rel.NumPages() <= s.DB.Pool.NumFrames()
-	workers := hostWorkers(s.Opts.Workers, ae.NumStriders)
-	if !fits {
-		// Larger-than-pool tables keep the serial pin order so clock-sweep
-		// eviction (and therefore modeled I/O) stays deterministic.
-		workers = 1
-	}
 	retries := s.Opts.MaxPageRetries
 	switch {
 	case retries == 0:
@@ -238,16 +224,14 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 	}
 	r := &epochRunner{
 		s: s, ae: ae, rel: rel, be: be,
-		workers: workers,
-		fits:    fits,
+		fits: rel.NumPages() <= s.DB.Pool.NumFrames(),
 
 		accelerated:    be.Capabilities().Accelerated,
 		faults:         s.Opts.Faults,
 		healthy:        healthy,
 		maxPageRetries: retries,
 
-		group:  make([]storage.Page, 0, ae.NumStriders),
-		pinned: make([]uint32, 0, ae.NumStriders),
+		groups: [2][]storage.Page{make([]storage.Page, 0, ae.NumStriders)},
 		col:    ae.NewCollector(),
 	}
 	// Bound once: the streaming Batches closure and both Stream shells,
@@ -259,7 +243,7 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 
 // sizeArena allocates the record slab. On the cache-fill path every
 // page takes a fresh extent, so the slab covers every tuple; on the
-// recycling path the one extent is reused across pages (and epochs — the
+// spill path the one extent is reused across pages (and epochs — the
 // arena is deliberately NOT reset while the recycled PageResult still
 // owns it), so a 16-page window — the extent, plus room for a page with
 // more tuples than the extent it inherits — suffices. An undersized slab
@@ -343,11 +327,11 @@ func (r *epochRunner) quarantine(vmIdx, pageNo int) {
 }
 
 // checkDeadline enforces the per-epoch wall-clock budget cooperatively
-// (checked at page granularity by workers and coordinator alike).
+// (checked at page granularity by whichever goroutine walks the page).
 func (r *epochRunner) checkDeadline() error {
 	if !r.deadline.IsZero() && !time.Now().Before(r.deadline) {
 		// Early-exit error branch: the wrap allocation is cold, so hot
-		// callers (extractPage) keep their proven
+		// callers (walk) keep their proven
 		// steady-state allocation-freedom.
 		return fmt.Errorf("runtime: epoch %d exceeded its %v budget: %w",
 			r.epoch, r.s.Opts.EpochTimeout, fault.ErrEpochTimeout)
@@ -358,28 +342,27 @@ func (r *epochRunner) checkDeadline() error {
 // extract runs one page through Strider vmIdx with injected-stall and
 // trap-retry handling: a transient trap clears within the same-VM retry
 // budget; a persistent one surfaces as a *workerError for quarantine.
-func (r *epochRunner) extract(vmIdx int, pg storage.Page, res *accessengine.PageResult) error {
+// drain counts the retries it returns, in page order.
+func (r *epochRunner) extract(vmIdx int, pg storage.Page, res *accessengine.PageResult) (retries int, err error) {
 	if d := r.faults.StallDelay(r.epoch, res.PageNo); d > 0 {
 		time.Sleep(d)
 	}
-	var err error
-	for attempt := 0; ; attempt++ {
+	for ; ; retries++ {
 		err = r.ae.ExtractPage(vmIdx, pg, res)
 		if err == nil {
-			return nil
+			return retries, nil
 		}
 		if !errors.Is(err, fault.ErrVMTrap) {
-			return err
+			return retries, err
 		}
-		if attempt >= r.maxPageRetries {
-			return &workerError{vmIdx: vmIdx, pageNo: res.PageNo, err: err}
+		if retries >= r.maxPageRetries {
+			return retries, &workerError{vmIdx: vmIdx, pageNo: res.PageNo, err: err}
 		}
-		r.s.obsPageRetries.Inc()
 	}
 }
 
 // runEpoch extracts every page of the relation and runs the engine over
-// the tuples, overlapping the two when workers > 1. Cached epochs skip
+// the tuples, overlapping the two when walkers run. Cached epochs skip
 // the buffer pool and Strider walk entirely, replaying the identical
 // modeled counters. epoch is the zero-based epoch index (trace only).
 func (r *epochRunner) runEpoch(epoch int) error {
@@ -448,7 +431,7 @@ func (r *epochRunner) replay(ent *cacheEntry) error {
 // batches is the Stream.Batches body: it extracts every page of the
 // relation in page order and emits each page's record batch to the
 // backend (the engine feed), overlapping extraction with compute when
-// workers > 1.
+// walkers run.
 func (r *epochRunner) batches(emit func([][]float32) error) error {
 	// The collector lives on the runner and is reset per epoch, so
 	// steady-state epochs allocate nothing here. The arena is sized on
@@ -489,16 +472,7 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 		}
 		return nil
 	}
-	// Quarantine can shrink the worker pool below the configured count:
-	// each live worker needs its own healthy VM.
-	w := min(r.workers, len(r.healthy))
-	var err error
-	if w > 1 {
-		err = r.extractParallel(w, sink)
-	} else {
-		err = r.extractSerial(sink)
-	}
-	if err != nil {
+	if err := r.extractPages(sink); err != nil {
 		return err
 	}
 	col.Flush()
@@ -506,145 +480,171 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 	return nil
 }
 
-// extractPage is the per-page body the serial and parallel twins share:
-// deadline check, result, Strider walk on VM vmIdx, and the walk's host
-// time charged to the worker-busy counter. A larger-than-pool
-// scan (always serial) recycles one result, arena extent and row views
-// included: the engine's epoch stream copies anything it buffers, so a
-// consumed PageResult is immediately reusable.
-//
-//dana:hotpath
-func (r *epochRunner) extractPage(vmIdx, pn int, pg storage.Page) (*accessengine.PageResult, error) {
-	if err := r.checkDeadline(); err != nil {
-		return nil, err
-	}
-	res := &r.spillRes
+// extractPages runs every page of the relation through the pipeline the
+// file header describes and hands each result to sink, in page order, on
+// the calling goroutine — the only one that pins or unpins.
+func (r *epochRunner) extractPages(sink func(*accessengine.PageResult) error) error {
+	n, size := r.rel.NumPages(), r.ae.NumStriders
+	w := 1
 	if r.fits {
-		//danalint:ignore hotcall -- fresh results are retained by the record cache
-		res = new(accessengine.PageResult)
+		// Quarantine shrinks the healthy set between epochs: each walker
+		// owns at least one Strider, and one slot of the first group.
+		w = min(hostrt.GOMAXPROCS(0), len(r.healthy), n)
 	}
-	res.PageNo, res.Arena = pn, r.arena
-	start := time.Now()
-	err := r.extract(vmIdx, pg, res)
-	r.s.obsWorkerBusy.Add(time.Since(start).Nanoseconds())
-	return res, err
-}
-
-// extractSerial pins pages in groups of NumStriders (modeling the page
-// buffers, and matching the pre-parallel executor's pool access order
-// exactly) and extracts them one Strider VM at a time. The group
-// window, pin list, and the recycled PageResult live on the runner, so a
-// steady-state larger-than-pool epoch allocates nothing here.
-func (r *epochRunner) extractSerial(sink func(*accessengine.PageResult) error) error {
-	n := r.rel.NumPages()
-	for pn := 0; pn < n; pn++ {
-		pg, err := r.s.DB.Pool.Pin(r.rel.Name, uint32(pn))
-		if err != nil {
-			// Release the partially-accumulated group before surfacing.
-			for _, p := range r.pinned {
-				_ = r.s.DB.Pool.Unpin(r.rel.Name, p)
+	if w <= 1 {
+		for first := 0; first < n; first += size {
+			err := r.pinGroup(0, first)
+			if err == nil {
+				err = r.drain(0, first, false, sink)
+				if uerr := r.unpinGroup(0, first); err == nil {
+					err = uerr
+				}
 			}
-			r.group, r.pinned = r.group[:0], r.pinned[:0]
-			return err
-		}
-		r.group = append(r.group, pg)
-		r.pinned = append(r.pinned, uint32(pn))
-		if len(r.group) == r.ae.NumStriders {
-			if err := r.flushSerialGroup(sink); err != nil {
+			if err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	return r.flushSerialGroup(sink)
-}
-
-// flushSerialGroup extracts the pinned group in page order and hands
-// each result to the sink.
-//
-//dana:hotpath
-func (r *epochRunner) flushSerialGroup(sink func(*accessengine.PageResult) error) (err error) {
-	// Pins are released even when extraction fails mid-group: a
-	// failed epoch must leave the pool with zero pinned frames.
-	defer func() {
-		for _, pn := range r.pinned {
-			if uerr := r.s.DB.Pool.Unpin(r.rel.Name, pn); err == nil {
-				err = uerr
+	if r.walks[0] == nil {
+		r.groups[1] = make([]storage.Page, 0, size)
+		r.walks = [2][]walk{make([]walk, size), make([]walk, size)}
+	}
+	r.groups[1] = r.groups[1][:0]
+	// Walker i walks the slots j of group b, which starts at page first,
+	// whose Strider healthy[j mod h] sits at an index ≡ i (mod W).
+	h := len(r.healthy)
+	var busy sync.WaitGroup
+	in := make([]chan [2]int, w)
+	for i := range in {
+		in[i] = make(chan [2]int, 1)
+		go func(i, w int) {
+			for g := range in[i] {
+				b, first := g[0], g[1]
+				for j, pg := range r.groups[b] {
+					if j%h%w == i {
+						r.walks[b][j] = r.walk(j, first+j, pg)
+					}
+				}
+				busy.Done()
 			}
+			busy.Done() // exited
+		}(i, w)
+	}
+	defer func() {
+		busy.Add(w)
+		for _, c := range in {
+			close(c)
 		}
-		r.group = r.group[:0]
-		r.pinned = r.pinned[:0]
+		busy.Wait()
 	}()
-	for i, pg := range r.group {
-		res, err := r.extractPage(r.healthy[i%len(r.healthy)], int(r.pinned[i]), pg)
-		if err != nil {
+	// Group b^1, from page first−size on, is walked and waits to be
+	// sunk; before page 0 it is the empty group 1.
+	for b, first := 0, 0; ; b, first = b^1, first+size {
+		busy.Wait()
+		err := r.unpinGroup(b^1, first-size)
+		failed := false
+		for j := range r.groups[b^1] {
+			failed = failed || r.walks[b^1][j].err != nil
+		}
+		if err != nil || failed || first >= n {
+			// A failed slot ends the epoch where one goroutine would have:
+			// the slots before it sunk, nothing after its group pinned.
+			if err == nil {
+				err = r.drain(b^1, first-size, true, sink)
+			}
 			return err
 		}
-		if err := sink(res); err != nil {
+		perr := r.pinGroup(b, first)
+		if perr == nil {
+			busy.Add(w)
+			for _, c := range in {
+				c <- [2]int{b, first}
+			}
+		}
+		if err = r.drain(b^1, first-size, true, sink); err == nil {
+			err = perr
+		}
+		if err != nil {
+			if perr == nil {
+				busy.Wait()
+				_ = r.unpinGroup(b, first)
+			}
+			return err
+		}
+	}
+}
+
+// pinGroup pins the group of pages from first on, in page order, into
+// group buffer b. A failed pin releases the pages already pinned.
+func (r *epochRunner) pinGroup(b, first int) error {
+	r.groups[b] = r.groups[b][:0]
+	for pn := first; pn < min(first+r.ae.NumStriders, r.rel.NumPages()); pn++ {
+		pg, err := r.s.DB.Pool.Pin(r.rel.Name, uint32(pn))
+		if err != nil {
+			_ = r.unpinGroup(b, first)
+			return err
+		}
+		r.groups[b] = append(r.groups[b], pg)
+	}
+	return nil
+}
+
+// unpinGroup releases every pin of group b, which starts at page first,
+// in page order, and reports the first failure.
+func (r *epochRunner) unpinGroup(b, first int) (err error) {
+	for j := range r.groups[b] {
+		if uerr := r.s.DB.Pool.Unpin(r.rel.Name, uint32(first+j)); err == nil {
+			err = uerr
+		}
+	}
+	return err
+}
+
+// drain hands group b's results to sink in page order: what the walkers
+// made of each page when walked is set, else a walk of the page right
+// here (W = 1). Each page's retries are counted as it is reached, and the
+// first failed page ends the drain.
+//
+//dana:hotpath
+func (r *epochRunner) drain(b, first int, walked bool, sink func(*accessengine.PageResult) error) error {
+	for j, pg := range r.groups[b] {
+		var w walk
+		if walked {
+			w = r.walks[b][j]
+		} else {
+			w = r.walk(j, first+j, pg)
+		}
+		r.s.obsPageRetries.Add(int64(w.retries))
+		if w.err != nil {
+			return w.err
+		}
+		if err := sink(w.res); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// extractParallel deals pages over w workers (worker i owns the pages
-// pn ≡ i mod w and healthy Strider VM healthy[i]; each pins, walks and
-// unpins its pages itself) and delivers results to the sink in global
-// page order by walking the same deal over the per-worker output
-// channels. It runs only on a table that fits the pool, so every result
-// is a fresh one the record cache keeps: nothing a worker hands over is
-// written again.
-func (r *epochRunner) extractParallel(w int, sink func(*accessengine.PageResult) error) error {
-	n := r.rel.NumPages()
-	outs := make([]chan *accessengine.PageResult, w)
-	errCh := make(chan error, w) // one send per worker at most
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		// The capacity bounds the extracted-but-unconsumed page batches per
-		// worker.
-		outs[i] = make(chan *accessengine.PageResult, pipelineDepth)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer close(outs[i])
-			for pn := i; pn < n; pn += w {
-				// The arena holds copies of the tuple values, so the frame is
-				// released before the engine consumes the batch.
-				pg, err := r.s.DB.Pool.Pin(r.rel.Name, uint32(pn))
-				var res *accessengine.PageResult
-				if err == nil {
-					res, err = r.extractPage(r.healthy[i], pn, pg)
-					if uerr := r.s.DB.Pool.Unpin(r.rel.Name, uint32(pn)); err == nil {
-						err = uerr
-					}
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
-				select {
-				case outs[i] <- res:
-				case <-done:
-					return
-				}
-			}
-		}(i)
+// walk walks page pn, slot j of a pinned group, on Strider
+// healthy[j mod h], whichever goroutine calls it, and charges its host
+// time to the worker-busy counter. A larger-than-pool scan (always
+// W = 1) recycles one result, arena extent and row views included: the
+// engine's epoch stream copies anything it buffers.
+//
+//dana:hotpath
+func (r *epochRunner) walk(j, pn int, pg storage.Page) (w walk) {
+	if w.err = r.checkDeadline(); w.err != nil {
+		return w
 	}
-	var err error
-	for pn := 0; pn < n && err == nil; pn++ {
-		if err = r.checkDeadline(); err != nil {
-			break
-		}
-		res, ok := <-outs[pn%w]
-		if !ok {
-			err = <-errCh
-			break
-		}
-		err = sink(res)
+	w.res = &r.spillRes
+	if r.fits {
+		//danalint:ignore hotcall -- fresh results are retained by the record cache
+		w.res = new(accessengine.PageResult)
 	}
-	// A worker that failed closed its channel without delivering the
-	// page, so the loop above has already collected its error.
-	close(done)
-	wg.Wait()
-	return err
+	w.res.PageNo, w.res.Arena = pn, r.arena
+	start := time.Now()
+	w.retries, w.err = r.extract(r.healthy[j%len(r.healthy)], pg, w.res)
+	r.s.obsWorkerBusy.Add(time.Since(start).Nanoseconds())
+	return w
 }

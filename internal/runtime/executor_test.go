@@ -20,15 +20,17 @@ import (
 // a spill leg trains on.
 const spillPoolBytes = 16 * storage.PageSize8K
 
-// trainConfigured runs one full Train of a workload under the given
-// executor configuration and returns the result. spill shrinks the pool
-// below the table, so every epoch re-walks the heap through the serial
-// twin into its one recycled result; otherwise the table fits, epoch 1
-// extracts into fresh results and later epochs replay the record cache.
-// mods adjust the Options before the system is built (fault schedules,
-// timeouts).
-func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, epochs, workers int, spill bool, mods ...func(*Options)) *TrainResult {
+// trainConfigured runs one full Train of a workload at GOMAXPROCS procs
+// (where the executor takes its walker count from) and returns the
+// result. spill shrinks the pool below the table, so every epoch
+// re-walks the heap on the calling goroutine into its one recycled
+// result; otherwise the table fits, epoch 1 extracts into fresh results
+// on min(procs, Striders) walkers and later epochs replay the record
+// cache. mods adjust the Options before the system is built (fault
+// schedules, timeouts).
+func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, epochs, procs int, spill bool, mods ...func(*Options)) *TrainResult {
 	t.Helper()
+	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(procs))
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
 	opts.PoolBytes = 32 << 20
@@ -36,7 +38,6 @@ func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, ep
 		opts.PoolBytes = spillPoolBytes
 	}
 	opts.MaxEpochs = epochs
-	opts.Workers = workers
 	for _, mod := range mods {
 		mod(&opts)
 	}
@@ -58,7 +59,7 @@ func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, ep
 		t.Fatal(err)
 	}
 	if s.Pool().PinnedCount() != 0 {
-		t.Fatalf("%s workers=%d: leaked page pins", workload, workers)
+		t.Fatalf("%s GOMAXPROCS=%d: leaked page pins", workload, procs)
 	}
 	return res
 }
@@ -92,15 +93,12 @@ func requireSameModeled(t *testing.T, name string, got, want, sim *TrainResult) 
 	}
 }
 
-// TestParallelExecutorDeterminism: the concurrent pipelined executor
-// (and the record cache) must change host wall-clock only. Model bits,
-// epoch counts and modeled cycle stats are bit-identical to the serial
-// path that re-walks a larger-than-pool table every epoch, and simulated
-// seconds to the serial run over the same pool, on LR, SVM, and LRMF.
+// TestParallelExecutorDeterminism: the walkers (and the record cache)
+// must change host wall-clock only. Model bits, epoch counts and modeled
+// cycle stats are bit-identical to the one-goroutine run that re-walks a
+// larger-than-pool table every epoch, and simulated seconds to the
+// one-goroutine run over the same pool, on LR, SVM, and LRMF.
 func TestParallelExecutorDeterminism(t *testing.T) {
-	// Give the scheduler real parallelism even on small CI hosts so the
-	// worker pool actually runs concurrently (particularly under -race).
-	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(4))
 	cases := []struct {
 		workload  string
 		scale     float64
@@ -117,14 +115,14 @@ func TestParallelExecutorDeterminism(t *testing.T) {
 			serialFits := trainConfigured(t, tc.workload, tc.scale, tc.mergeCoef, tc.epochs, 1, false)
 			requireSameModeled(t, "serial+cache", serialFits, serialSpill, nil)
 			for _, cfg := range []struct {
-				name    string
-				workers int
-				spill   bool
+				name  string
+				procs int
+				spill bool
 			}{
 				{"parallel8+cache", 8, false},
-				{"parallel4+spill", 4, true}, // a table that spills stays serial at any worker count
+				{"parallel4+spill", 4, true}, // a table that spills has one goroutine at any GOMAXPROCS
 			} {
-				got := trainConfigured(t, tc.workload, tc.scale, tc.mergeCoef, tc.epochs, cfg.workers, cfg.spill)
+				got := trainConfigured(t, tc.workload, tc.scale, tc.mergeCoef, tc.epochs, cfg.procs, cfg.spill)
 				sim := serialFits
 				if cfg.spill {
 					sim = serialSpill
@@ -144,7 +142,6 @@ func TestExtractCacheSkipsPoolAndInvalidates(t *testing.T) {
 	opts.PageSize = storage.PageSize8K
 	opts.PoolBytes = 32 << 20
 	opts.MaxEpochs = 3
-	opts.Workers = 4
 	s := New(opts)
 	d := deployScaled(t, s, "Remote Sensing LR", 0.002)
 	a, err := d.DSLAlgo(16)
@@ -266,14 +263,14 @@ func TestColdTrainsOnOneEngineBitIdentical(t *testing.T) {
 }
 
 // TestWorkerSweepBitIdentity is the metamorphic serial-vs-parallel
-// check from the differential verification harness: the full worker
-// grid {1,2,4,8} x {cache,spill} must produce bit-identical models and
-// identical modeled cycle stats to the serial baseline that re-walks a
-// larger-than-pool table every epoch, and simulated seconds identical
-// to the serial run over the same pool. Parallelism and caching may only
-// change host wall-clock.
+// check from the differential verification harness: the full grid of
+// GOMAXPROCS {1,2,4,8} (the walker count) x {cache,spill} must produce
+// bit-identical models and identical modeled cycle stats to the
+// one-goroutine baseline that re-walks a larger-than-pool table every
+// epoch, and simulated seconds identical to the one-goroutine run over
+// the same pool. Parallelism and caching may only change host
+// wall-clock.
 func TestWorkerSweepBitIdentity(t *testing.T) {
-	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(4))
 	const (
 		workload  = "Remote Sensing LR"
 		scale     = 0.002
@@ -288,29 +285,29 @@ func TestWorkerSweepBitIdentity(t *testing.T) {
 	// injection hooks, checksum verification, and recovery scaffolding
 	// must be invisible when no fault fires.
 	zeroFaults := func(o *Options) { o.Faults = fault.New(fault.Config{Seed: 7}) }
-	for _, workers := range []int{1, 2, 4, 8} {
+	for _, procs := range []int{1, 2, 4, 8} {
 		for _, cfg := range []struct {
 			spill   bool
 			faulted bool
 		}{{false, false}, {true, false}, {false, true}, {true, true}} {
-			name := fmt.Sprintf("workers=%d/cache", workers)
+			name := fmt.Sprintf("GOMAXPROCS=%d/cache", procs)
 			if cfg.spill {
-				name = fmt.Sprintf("workers=%d/spill", workers)
+				name = fmt.Sprintf("GOMAXPROCS=%d/spill", procs)
 			}
 			var mods []func(*Options)
 			if cfg.faulted {
 				name += "+zerofaults"
 				mods = append(mods, zeroFaults)
 			}
-			got := trainConfigured(t, workload, scale, mergeCoef, epochs, workers, cfg.spill, mods...)
+			got := trainConfigured(t, workload, scale, mergeCoef, epochs, procs, cfg.spill, mods...)
 			requireSameModeled(t, name, got, serial[true], serial[cfg.spill])
 		}
 	}
 }
 
-// TestChannelSweepBitIdentity extends the worker sweep along the
+// TestChannelSweepBitIdentity extends the GOMAXPROCS sweep along the
 // memory-channel axis, driven through the one number behind it
-// (Cost.Link.Channels): over the full {workers} × {channels} grid —
+// (Cost.Link.Channels): over the full {GOMAXPROCS} × {channels} grid —
 // on a table the pool holds and on one it does not, and with the PR 4
 // zero-rate fault schedule attached — models, modeled cycle stats and
 // epoch counts are bit-identical to the serial single-channel spilling
@@ -324,7 +321,6 @@ func TestWorkerSweepBitIdentity(t *testing.T) {
 // through the dispatch seam, so the sweep also proves the Backend
 // refactor did not perturb any modeled quantity on the paper path.
 func TestChannelSweepBitIdentity(t *testing.T) {
-	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(4))
 	const (
 		workload  = "Remote Sensing LR"
 		scale     = 0.002
@@ -339,14 +335,14 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 		for _, spill := range []bool{true, false} {
 			serialAtLink[spill] = trainConfigured(t, workload, scale, mergeCoef, epochs, 1, spill, link)
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
+		for _, procs := range []int{1, 2, 4, 8} {
 			for _, cfg := range []struct {
 				spill   bool
 				faulted bool
 			}{{false, false}, {true, false}, {true, true}} {
-				name := fmt.Sprintf("w=%d/c=%d/cache", workers, channels)
+				name := fmt.Sprintf("p=%d/c=%d/cache", procs, channels)
 				if cfg.spill {
-					name = fmt.Sprintf("w=%d/c=%d/spill", workers, channels)
+					name = fmt.Sprintf("p=%d/c=%d/spill", procs, channels)
 				}
 				reg := obs.New()
 				mods := []func(*Options){link, func(o *Options) {
@@ -357,7 +353,7 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 					name += "+zerofaults"
 					mods = append(mods, zeroFaults)
 				}
-				got := trainConfigured(t, workload, scale, mergeCoef, epochs, workers, cfg.spill, mods...)
+				got := trainConfigured(t, workload, scale, mergeCoef, epochs, procs, cfg.spill, mods...)
 				if got.Backend != "accelerator" || serial.Backend != "accelerator" {
 					t.Fatalf("%s: backend %q (serial %q), want accelerator on both dispatch paths", name, got.Backend, serial.Backend)
 				}
@@ -383,7 +379,7 @@ func TestChannelSweepBitIdentity(t *testing.T) {
 // engine, configured accelerator backend, runner) so the allocation
 // guard can drive epochs directly; spill gives it a pool smaller than
 // the table. The caller must Close the returned backend.
-func newBenchRunner(t *testing.T, workers int, spill bool) (*epochRunner, *backend.Accel) {
+func newBenchRunner(t *testing.T, spill bool) (*epochRunner, *backend.Accel) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
@@ -391,7 +387,6 @@ func newBenchRunner(t *testing.T, workers int, spill bool) (*epochRunner, *backe
 	if spill {
 		opts.PoolBytes = spillPoolBytes
 	}
-	opts.Workers = workers
 	opts.DisableObs = true
 	s := New(opts)
 	d := deployScaled(t, s, "Remote Sensing LR", 0.01)
@@ -447,7 +442,7 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		name  string
 		spill bool
 	}{{"serial recycling", true}, {"cache replay", false}} {
-		r, m := newBenchRunner(t, 4, leg.spill)
+		r, m := newBenchRunner(t, leg.spill)
 		if fits := r.rel.NumPages() <= r.s.Pool().NumFrames(); fits == leg.spill {
 			t.Fatalf("%s: %d pages in %d frames", leg.name, r.rel.NumPages(), r.s.Pool().NumFrames())
 		}
@@ -528,7 +523,7 @@ func TestTrainAllocBudget(t *testing.T) {
 		precision int
 		budget    float64
 	}{{"accelerator", 0, 148 / 2}, {"weave, pages held", 8, 43}} {
-		s, udfName, table := ftSystem(t, func(o *Options) { o.Workers, o.Precision = 1, leg.precision })
+		s, udfName, table := ftSystem(t, func(o *Options) { o.Precision = leg.precision })
 		train := func() {
 			if _, err := s.Train(udfName, table); err != nil {
 				t.Fatal(err)

@@ -47,6 +47,13 @@ const (
 	ftScale     = 0.002
 	ftMergeCoef = 16
 	ftEpochs    = 3
+
+	// A persistent trap schedule that quarantines Striders and recovers
+	// on the ft workload (4 quarantines; seed 23, its earlier value,
+	// trapped no (Strider, page) pair once slot j of a group runs on
+	// healthy[j mod h]).
+	persistentTrapSeed = 9
+	persistentTrapRate = 0.02
 )
 
 // ftSystem builds a system with the workload deployed and UDF
@@ -57,7 +64,6 @@ func ftSystem(t *testing.T, mods ...func(*Options)) (*System, string, string) {
 	opts.PageSize = 8 << 10
 	opts.PoolBytes = 32 << 20
 	opts.MaxEpochs = ftEpochs
-	opts.Workers = 4
 	for _, mod := range mods {
 		mod(&opts)
 	}
@@ -120,8 +126,8 @@ func TestPersistentTrapQuarantinesWorker(t *testing.T) {
 
 	s, udf, table := ftSystem(t, func(o *Options) {
 		o.Faults = fault.New(fault.Config{
-			Seed:              23,
-			Rates:             rate(fault.StriderTrap, 0.02),
+			Seed:              persistentTrapSeed,
+			Rates:             rate(fault.StriderTrap, persistentTrapRate),
 			TransientAttempts: -1, // persistent: retries never clear it
 		})
 	})

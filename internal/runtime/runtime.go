@@ -59,12 +59,6 @@ type Options struct {
 	// (0 = backend.DefaultSegments).
 	Segments int
 
-	// Workers sets the host goroutines that run Strider VMs during
-	// extraction (0 = GOMAXPROCS, capped at the design's Strider count;
-	// 1 = serial). Parallelism affects wall-clock time only: modeled
-	// cycle counts are charged in page order and stay bit-identical.
-	Workers int
-
 	// Faults attaches a seeded fault-injection schedule threaded through
 	// the buffer pool (read errors, latency spikes, page corruption
 	// caught by checksums), the access engine (Strider traps), and the

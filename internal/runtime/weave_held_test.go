@@ -22,10 +22,7 @@ import (
 // weaveSystem is ftSystem pinned to the weave backend, so every
 // precision — 0, the full 32 planes, included — takes the weave stage.
 func weaveSystem(t *testing.T, mods ...func(*Options)) (*System, string, string) {
-	return ftSystem(t, append([]func(*Options){func(o *Options) {
-		o.Backend = backend.NameWeave
-		o.Workers = 1
-	}}, mods...)...)
+	return ftSystem(t, append([]func(*Options){func(o *Options) { o.Backend = backend.NameWeave }}, mods...)...)
 }
 
 // perEpochReference trains the accelerator machine on the record cache's

@@ -44,7 +44,9 @@ type TenantConfig struct {
 	Faults *fault.Config
 }
 
-// Config parameterizes a Server.
+// Config parameterizes a Server. Host parallelism is not a setting: a
+// tenant system extracts a table its pool holds on min(GOMAXPROCS,
+// Striders) walkers, which changes wall-clock time only.
 type Config struct {
 	Tenants   []TenantConfig
 	Instances int    // accelerator instances in the pool (0 = 2)
@@ -55,7 +57,6 @@ type Config struct {
 	Seed          int64
 	PageSize      int   // 0 = 32 KB
 	PoolBytes     int64 // per-tenant buffer pool frames (0 = 64 MB)
-	Workers       int   // host extraction workers per tenant system (0 = 1)
 	BatchSlackSec float64
 	// Obs receives the server-level tenant.* counters (nil = a fresh
 	// enabled registry). Tenant systems always get their own private
@@ -151,9 +152,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PoolBytes <= 0 {
 		cfg.PoolBytes = 64 << 20
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
 	env := workload.DefaultEnv()
 	env.PageSize = cfg.PageSize
 	reg := cfg.Obs
@@ -190,7 +188,6 @@ func New(cfg Config) (*Server, error) {
 			Disk:      bufpool.DefaultDisk(),
 			FPGA:      env.FPGA,
 			Cost:      env.Cost,
-			Workers:   cfg.Workers,
 			Obs:       treg,
 			Faults:    inj,
 		})

@@ -2,7 +2,7 @@ package verify_test
 
 // Chaos suite: seeded fault-injection scenarios crossed with the
 // differential harness's scenario generator. Every scenario draws a
-// workload, executor configuration, and fault schedule from one logged
+// workload, page size, and fault schedule from one logged
 // seed, trains through the full DAnA pipeline, and asserts one of two
 // legal outcomes:
 //
@@ -192,7 +192,12 @@ func runChaosScenario(t *testing.T, seed int64) {
 	g := verify.NewGen(seed)
 	wl := chaosWorkloads[g.Intn(len(chaosWorkloads))]
 	pageSize := g.PageSize()
-	workers := []int{1, 2, 4, 8}[g.Intn(4)]
+	// No walker-count axis: t.Parallel subtests cannot set GOMAXPROCS, so
+	// every scenario walks at the test binary's own. runtime's
+	// TestTrapOutcomesIgnoreHostParallelism and
+	// TestPoolLedgerIgnoresHostParallelism sweep it. The axis's draw
+	// stays, so a seed still names the schedule it always did.
+	_ = g.Intn(4)
 
 	// Fault schedule: one primary injection point, sometimes a second,
 	// at a drawn rate and transience.
@@ -219,7 +224,6 @@ func runChaosScenario(t *testing.T, seed int64) {
 	mods := []func(*runtime.Options){
 		func(o *runtime.Options) {
 			o.Faults = fault.New(cfg)
-			o.Workers = workers
 			o.DisableCPUFallback = disableFallback
 			if timeout {
 				o.EpochTimeout = time.Nanosecond

@@ -44,7 +44,7 @@ func obsTrainer(t *testing.T, leg obsLeg, disable bool) func() float64 {
 	t.Helper()
 	eng, err := Open(Config{
 		PageSize: 32 << 10, PoolBytes: leg.poolBytes,
-		Workers: 1, DisableObs: disable, Precision: leg.precision,
+		DisableObs: disable, Precision: leg.precision,
 	})
 	if err != nil {
 		t.Fatal(err)
