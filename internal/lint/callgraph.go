@@ -381,7 +381,7 @@ func terminatesEarly(list []ast.Stmt) bool {
 
 // lockOp classifies a call as a mutex acquire/release and names the
 // lock. Lock identity is normalized to the owning type and field
-// ("server.tenant.mu") — two instances of the same field are one lock
+// ("server.Server.mu") — two instances of the same field are one lock
 // for ordering purposes, which is the useful granularity for a
 // consistent-order discipline (and errs toward reporting).
 func lockOp(pkg *Package, fi *FuncInfo, call *ast.CallExpr) (id string, acquire, release bool) {

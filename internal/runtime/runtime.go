@@ -456,6 +456,12 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 	if got, want := rel.Schema.NumCols(), udf.Graph.TupleWidth(); got != want {
 		return nil, fmt.Errorf("runtime: table %q has %d columns, UDF %q consumes %d", table, got, udfName, want)
 	}
+	// DAnA trains over append-only snapshots (see Relation.Vacuum).
+	// Refusing dead tuples before dispatch gives every backend one answer.
+	if n := rel.NumDead(); n > 0 {
+		return nil, fmt.Errorf("runtime: table %q holds %d dead tuples; VACUUM it before training: %w",
+			table, n, storage.ErrBadItem)
+	}
 	be, reg, job, err := s.disp.Resolve(s.Opts.Backend, job)
 	if err != nil {
 		return nil, err

@@ -1,11 +1,13 @@
 package runtime
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"dana/internal/algos"
+	"dana/internal/backend"
 	"dana/internal/catalog"
 	"dana/internal/datagen"
 	"dana/internal/dsl"
@@ -227,6 +229,84 @@ func TestTrainSchemaMismatch(t *testing.T) {
 	}
 	if _, err := s.Train("linearR", d.Rel.Name); err == nil {
 		t.Error("schema mismatch accepted")
+	}
+}
+
+// TestTrainRefusesDeadTuples: a Delete leaves a dead line pointer with
+// its storage, which the direct walker would decode and the row-fed
+// backends would skip. Train refuses the relation typed whichever
+// backend is asked for; after Vacuum the accelerator and the CPU backend
+// train on the same live tuples.
+func TestTrainRefusesDeadTuples(t *testing.T) {
+	s := smallSystem(t)
+	d := deployScaled(t, s, "Patient", 0.02)
+	a, err := d.DSLAlgo(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetEpochs(2)
+	if _, err := s.Register(a, 8, d.Tuples); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Rel.Delete(storage.TID{Page: 0, Item: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"", backend.NameCPU, backend.NameAuto} {
+		s.Opts.Backend = name
+		_, err := s.Train(a.Name, d.Rel.Name)
+		if !errors.Is(err, storage.ErrBadItem) || !strings.Contains(err.Error(), "VACUUM") {
+			t.Errorf("backend %q: Train after Delete = %v, want ErrBadItem naming VACUUM", name, err)
+		}
+	}
+
+	if err := d.Rel.Vacuum(); err != nil {
+		t.Fatal(err)
+	}
+	var tuples [][]float64
+	if err := d.Rel.Scan(func(_ storage.TID, vals []float64) error {
+		row := make([]float64, len(vals))
+		for i, v := range vals {
+			row[i] = float64(float32(v))
+		}
+		tuples = append(tuples, row)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tuples) != d.Tuples-1 {
+		t.Fatalf("%d live tuples after Vacuum, want %d", len(tuples), d.Tuples-1)
+	}
+	s.Opts.Backend = ""
+	acc, err := s.Train(a.Name, d.Rel.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(acc.Epochs * len(tuples)); acc.Engine.Tuples != want || acc.Access.Tuples != want {
+		t.Errorf("accelerator: engine %d, strider %d tuples over %d epochs, want %d",
+			acc.Engine.Tuples, acc.Access.Tuples, acc.Epochs, want)
+	}
+	s.Opts.Backend = backend.NameCPU
+	cpu, err := s.Train(a.Name, d.Rel.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	udf, err := s.Catalog().UDF(a.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := hdfg.NewInterp(udf.Graph, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < cpu.Epochs; e++ {
+		if err := it.Epoch(tuples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, v := range it.Model() {
+		if math.Float32bits(cpu.Model[i]) != math.Float32bits(float32(v)) {
+			t.Fatalf("cpu model[%d] = %v, interpreter over the %d live tuples %v", i, cpu.Model[i], len(tuples), v)
+		}
 	}
 }
 

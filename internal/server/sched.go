@@ -105,15 +105,10 @@ type Estimator interface {
 
 // Placement is one scheduling decision, all times virtual.
 type Placement struct {
-	Seq      int // index into the planned spec slice
-	Spec     JobSpec
-	Key      string // configuration identity placed
-	Instance int
-	// TenantSeq orders the tenant's jobs by virtual start; functional
-	// execution replays each tenant's jobs in exactly this order, which
-	// is what keeps per-job modeled cycles bit-identical to a
-	// single-tenant run.
-	TenantSeq  int
+	Seq        int // index into the planned spec slice
+	Spec       JobSpec
+	Key        string // configuration identity placed
+	Instance   int
 	Reused     bool
 	StartSec   float64 // virtual start (configuration load begins)
 	ConfigSec  float64 // reconfiguration or reuse-handshake charge
@@ -160,7 +155,11 @@ var (
 
 // Plan is the full virtual-time schedule of one batch.
 type Plan struct {
-	Placements []Placement  // in virtual placement order
+	// Placements are in virtual placement order, so each tenant's appear
+	// in its virtual-start order: the order execution replays them in,
+	// which keeps per-job modeled cycles bit-identical to a single-tenant
+	// run.
+	Placements []Placement
 	BySeq      []*Placement // indexed by input spec order
 	Makespan   float64      // virtual seconds, 0 for an empty batch
 	Reuses     int
@@ -193,7 +192,6 @@ type planTenant struct {
 	vt      float64    // accumulated weighted service (fair-share clock)
 	inBytes int64      // modeled bytes of running jobs
 	inJobs  int
-	nextSeq int
 }
 
 type planInstance struct {
@@ -308,12 +306,10 @@ func BuildPlan(specs []JobSpec, est Estimator, cfg PlanConfig) (*Plan, error) {
 			busy: true, freeAt: fin, loadedKey: j.est.Key, owner: t, bytes: j.est.Bytes,
 		}
 		plan.Placements = append(plan.Placements, Placement{
-			Seq: j.seq, Spec: j.spec, Key: j.est.Key, Instance: instance,
-			TenantSeq: t.nextSeq, Reused: reuse,
+			Seq: j.seq, Spec: j.spec, Key: j.est.Key, Instance: instance, Reused: reuse,
 			StartSec: now, ConfigSec: configSec, ServiceSec: j.est.ServiceSec,
 			FinishSec: fin, EstBytes: j.est.Bytes,
 		})
-		t.nextSeq++
 		if reuse {
 			plan.Reuses++
 		} else {

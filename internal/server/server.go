@@ -8,18 +8,21 @@
 //
 // Scheduling runs in virtual (modeled) time against the analytic cost
 // model, so placement decisions are a pure function of the seed and
-// arrival schedule; the functional runs then execute the plan with real
-// host parallelism (one executor per modeled instance), each tenant's
-// jobs replayed in virtual-start order. Isolation is structural: every
-// tenant owns a private runtime.System — its own catalog, buffer pool,
-// record cache, obs registry, and (optionally) fault injector — so one
-// tenant's trap storm cannot perturb another tenant's modeled cycles.
+// arrival schedule; the instances exist only in that model. The
+// functional runs then execute the plan on one goroutine per tenant,
+// each replaying its tenant's jobs in virtual-start order. Isolation is
+// structural: every tenant owns a private runtime.System — its own
+// catalog, buffer pool, record cache, obs registry, and (optionally)
+// fault injector — so tenants share nothing a concurrent run could
+// race on, and one tenant's trap storm cannot perturb another tenant's
+// modeled cycles.
 package server
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"dana/internal/backend"
@@ -48,8 +51,11 @@ type TenantConfig struct {
 // tenant system extracts a table its pool holds on min(GOMAXPROCS,
 // Striders) walkers, which changes wall-clock time only.
 type Config struct {
-	Tenants   []TenantConfig
-	Instances int    // accelerator instances in the pool (0 = 2)
+	Tenants []TenantConfig
+	// Instances sizes the modeled accelerator pool the planner places
+	// jobs on (0 = 2). On the host each tenant gets one goroutine,
+	// whatever the pool size.
+	Instances int
 	Policy    Policy // scheduling policy (default sequence-aware)
 	// Seed drives per-tenant dataset generation (every tenant sees the
 	// same bytes for the same workload, like shards of one logical
@@ -75,13 +81,13 @@ type udfEntry struct {
 }
 
 // tenant is one session principal: a private System plus the server's
-// per-tenant instrument handles.
+// per-tenant instrument handles. Only its execute goroutine touches it
+// during a drain.
 type tenant struct {
 	name string
 	sys  *runtime.System
 	reg  *obs.Registry
 
-	mu       sync.Mutex                  // serializes this tenant's functional runs
 	deployed map[string]*datagen.Dataset // workload -> dataset (scale pinned)
 	scales   map[string]float64          // workload -> deployed scale
 	udfs     map[string]udfEntry         // config key -> artifacts
@@ -249,6 +255,10 @@ func (s *Server) Policy() Policy { return s.cfg.Policy }
 func (s *Server) Submit(spec JobSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.submitLocked(spec)
+}
+
+func (s *Server) submitLocked(spec JobSpec) error {
 	t, ok := s.tenants[spec.Tenant]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, spec.Tenant)
@@ -274,7 +284,7 @@ func (s *Server) Submit(spec JobSpec) error {
 
 // Drain plans the pending batch (carrying loaded configurations and
 // fair-share clocks over from earlier drains) and executes it, one
-// executor goroutine per accelerator instance. Returns nil, nil when
+// goroutine per tenant with jobs in the batch. Returns nil, nil when
 // nothing is pending.
 func (s *Server) Drain() (*Report, error) {
 	s.drainMu.Lock()
@@ -315,71 +325,42 @@ func (s *Server) Replan(specs []JobSpec, pol Policy) (*Plan, error) {
 	return BuildPlan(specs, s.est, cfg)
 }
 
-// Run submits specs (validating each) and drains them as one batch.
+// Run submits specs and drains them as one batch. It is all-or-nothing:
+// every spec is validated and queued under one hold of the lock, and
+// the first invalid one leaves the queue as Run found it.
 func (s *Server) Run(specs []JobSpec) (*Report, error) {
+	s.mu.Lock()
+	pending, arriveAt := s.pending, s.arriveAt
 	for _, sp := range specs {
-		if err := s.Submit(sp); err != nil {
+		if err := s.submitLocked(sp); err != nil {
+			s.pending, s.arriveAt = pending, arriveAt
+			s.mu.Unlock()
 			return nil, err
 		}
 	}
+	s.mu.Unlock()
 	return s.Drain()
 }
 
-// seqGate replays one tenant's placements in virtual-start order even
-// when they land on different instance executors.
-type seqGate struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	next int
-}
-
-func newSeqGate() *seqGate {
-	g := &seqGate{}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-func (g *seqGate) wait(seq int) {
-	g.mu.Lock()
-	for g.next != seq {
-		g.cond.Wait()
-	}
-	g.mu.Unlock()
-}
-
-func (g *seqGate) done() {
-	g.mu.Lock()
-	g.next++
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// execute runs the plan functionally: one goroutine per instance
-// consuming its placements in virtual order, per-tenant order enforced
-// by seq gates. Results are indexed by input spec order.
+// execute runs the plan functionally on one goroutine per tenant, each
+// replaying its tenant's placements in placement order, which is the
+// tenant's virtual-start order. Results are indexed by input spec order.
 func (s *Server) execute(plan *Plan) []JobResult {
-	perInst := make([][]*Placement, s.cfg.Instances)
+	byTenant := map[string][]*Placement{}
 	for i := range plan.Placements {
 		pl := &plan.Placements[i]
-		perInst[pl.Instance] = append(perInst[pl.Instance], pl)
-	}
-	gates := map[string]*seqGate{}
-	for _, name := range s.order {
-		gates[name] = newSeqGate()
+		byTenant[pl.Spec.Tenant] = append(byTenant[pl.Spec.Tenant], pl)
 	}
 	results := make([]JobResult, len(plan.BySeq))
 	var wg sync.WaitGroup
-	for i := range perInst {
+	for _, pls := range byTenant {
 		wg.Add(1)
 		go func(pls []*Placement) {
 			defer wg.Done()
 			for _, pl := range pls {
-				g := gates[pl.Spec.Tenant]
-				g.wait(pl.TenantSeq)
 				results[pl.Seq] = s.runJob(pl)
-				g.done()
 			}
-		}(perInst[i])
+		}(pls)
 	}
 	wg.Wait()
 	return results
@@ -390,9 +371,6 @@ func (s *Server) execute(plan *Plan) []JobResult {
 // match the tenant registries exactly (IdentityError).
 func (s *Server) runJob(pl *Placement) JobResult {
 	t := s.tenants[pl.Spec.Tenant]
-	t.mu.Lock()
-	defer t.mu.Unlock()
-
 	e0 := t.reg.Get(obs.EngineCycles)
 	s0 := t.reg.Get(obs.StriderCyclesTotal)
 
@@ -608,18 +586,7 @@ func (s *Server) IdentityError() error {
 	}
 	if len(wrong) > 0 {
 		return fmt.Errorf("server: per-tenant counter identity violated:\n  %s",
-			joinLines(wrong))
+			strings.Join(wrong, "\n  "))
 	}
 	return nil
-}
-
-func joinLines(xs []string) string {
-	out := ""
-	for i, x := range xs {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += x
-	}
-	return out
 }

@@ -2,9 +2,17 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"reflect"
+	hostrt "runtime"
+	"strings"
 	"sync"
 	"testing"
+
+	"dana/internal/fault"
+	"dana/internal/obs"
 )
 
 func smallLoad(seed int64) LoadConfig {
@@ -195,6 +203,121 @@ func TestConcurrentSubmit(t *testing.T) {
 	}
 	if err := srv.IdentityError(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunIsAllOrNothing: a Run whose batch holds an invalid spec queues
+// none of it, and leaves what was queued before it, and the arrival
+// clock, as it found them.
+func TestRunIsAllOrNothing(t *testing.T) {
+	srv := newTestServer(t, LoadConfig{Tenants: 1}, 1)
+	job := JobSpec{Tenant: TenantName(0), Workload: "WLAN", Scale: 0.002, Epochs: 1}
+	if err := srv.Submit(job); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Run([]JobSpec{job, {Tenant: "ghost", Workload: "WLAN"}}); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("Run with an unknown tenant: got %v", err)
+	}
+	rep, err := srv.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Jobs != 1 || rep.Results[0].Placement.Spec.ArriveSec != 1e-3 {
+		t.Fatalf("drain after a failed Run ran %d jobs (first arriving at %v), want the 1 submitted before it at 0.001",
+			rep.Jobs, rep.Results[0].Placement.Spec.ArriveSec)
+	}
+	if rep, err = srv.Run([]JobSpec{job}); err != nil {
+		t.Fatal(err)
+	}
+	if at := rep.Results[0].Placement.Spec.ArriveSec; at != 2e-3 {
+		t.Fatalf("next auto-assigned arrival %v, want 0.002", at)
+	}
+}
+
+// modeledSnapshot is r's snapshot without what the host clock writes:
+// the wall-time counters, the epoch wall histogram, event timestamps and
+// the epoch events' wall nanoseconds.
+func modeledSnapshot(r *obs.Registry) *obs.Snapshot {
+	s := r.Snapshot()
+	for _, name := range []string{obs.RuntimeWorkerBusyNs, obs.RuntimeEpochWallNs, obs.RuntimeTrainWallNs} {
+		delete(s.Counters, name)
+	}
+	delete(s.Histograms, obs.HistEpochWallNs)
+	for i := range s.Events {
+		s.Events[i].AtNs = 0
+		if ev := s.Events[i].Name; ev == obs.EvEpoch || ev == obs.EvEpochCached {
+			s.Events[i].B = 0
+		}
+	}
+	return s
+}
+
+// TestHostInterleavingInvisible: a drain runs up to one job per tenant
+// at once, so nothing it reports may depend on how the host interleaves
+// them. One seeded load, with tenant0 under danasrv -faulty's persistent
+// Strider trap storm, is drained at GOMAXPROCS 1, 2 and 8; every job
+// result, the report and every registry must come out equal.
+func TestHostInterleavingInvisible(t *testing.T) {
+	load := LoadConfig{
+		Seed: 5, Tenants: 4, Jobs: 16, RateJobsPerSec: 16,
+		Workloads: []string{"WLAN", "Patient"}, Scale: 0.002, Epochs: 1,
+	}
+	specs := GenLoad(load)
+	type outcome struct {
+		Results string
+		Report  Report
+		Snaps   []*obs.Snapshot
+	}
+	run := func(procs int) outcome {
+		defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(procs))
+		tcs := DefaultTenants(load.Tenants)
+		var rates [fault.NumPoints]float64
+		rates[fault.StriderTrap] = 1
+		tcs[0].Faults = &fault.Config{Seed: uint64(load.Seed), Rates: rates, TransientAttempts: -1}
+		srv, err := New(Config{Tenants: tcs, Instances: 2, Seed: load.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := srv.Run(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.IdentityError(); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, r := range rep.Results {
+			fmt.Fprintf(&b, "%+v err=%v backend=%s degraded=%v epochs=%d engine=%d strider=%d rows=%d model=",
+				r.Placement, r.Err, r.Backend, r.Degraded, r.Epochs, r.EngineCycles, r.StriderCycles, r.ScoredRows)
+			for _, v := range r.Model {
+				fmt.Fprintf(&b, "%08x", math.Float32bits(v))
+			}
+			b.WriteByte('\n')
+		}
+		out := outcome{Results: b.String(), Report: *rep, Snaps: []*obs.Snapshot{modeledSnapshot(srv.Obs())}}
+		out.Report.Results = nil
+		for _, name := range srv.TenantNames() {
+			out.Snaps = append(out.Snaps, modeledSnapshot(srv.TenantObs(name)))
+		}
+		return out
+	}
+	want := run(1)
+	if !strings.Contains(want.Results, "degraded=true") {
+		t.Fatal("the trap storm degraded no job")
+	}
+	for _, procs := range []int{2, 8} {
+		got := run(procs)
+		if got.Results != want.Results {
+			t.Fatalf("GOMAXPROCS %d: job results differ from GOMAXPROCS 1:\n%s\nvs\n%s", procs, got.Results, want.Results)
+		}
+		if !reflect.DeepEqual(got.Report, want.Report) {
+			t.Fatalf("GOMAXPROCS %d: report differs from GOMAXPROCS 1", procs)
+		}
+		for i := range want.Snaps {
+			if !reflect.DeepEqual(got.Snaps[i], want.Snaps[i]) {
+				t.Fatalf("GOMAXPROCS %d: registry %d differs from GOMAXPROCS 1:\n%+v\nvs\n%+v", procs, i, got.Snaps[i], want.Snaps[i])
+			}
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ type Relation struct {
 	pages   []Page
 	dirty   []bool // pages[i] mutated since its checksum was last stamped
 	ntup    int
+	ndead   int // line pointers Delete marked dead, until Vacuum
 	nextXID uint32
 	gen     uint64
 }
@@ -41,6 +42,14 @@ func (r *Relation) NumTuples() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.ntup
+}
+
+// NumDead returns the number of dead line pointers Delete has left in
+// the heap since the last Vacuum.
+func (r *Relation) NumDead() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.ndead
 }
 
 // Generation returns a counter that advances on every heap mutation
@@ -237,7 +246,8 @@ func (r *Relation) Validate() error {
 }
 
 // Delete marks the tuple at tid dead (it keeps its storage until
-// Vacuum, exactly like PostgreSQL before autovacuum runs).
+// Vacuum, exactly like PostgreSQL before autovacuum runs). Training
+// refuses a relation with dead tuples until it is vacuumed.
 func (r *Relation) Delete(tid TID) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -259,6 +269,7 @@ func (r *Relation) Delete(tid TID) error {
 		r.dirty[tid.Page] = true
 	}
 	r.ntup--
+	r.ndead++
 	r.gen++
 	return nil
 }
@@ -273,7 +284,7 @@ func (r *Relation) Vacuum() error {
 	old := r.pages
 	r.pages = nil
 	r.dirty = nil
-	r.ntup = 0
+	r.ntup, r.ndead = 0, 0
 	r.gen++
 	for _, p := range old {
 		for i := 0; i < p.NumItems(); i++ {
