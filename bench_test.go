@@ -449,11 +449,13 @@ func BenchmarkParallelExtract(b *testing.B) {
 }
 
 // BenchmarkAccelConfigure is the fixed cost a train job pays before its
-// first tuple: Accel.Configure (engine.NewMachine — lowering, scratchpads,
-// accumulators — plus the epoch stream) and Close, on the four programs of
-// the benchmark's server_mix as its tenants register them (scale 0.002,
-// merge coefficient 1024, 2 epochs). B/op is the row to watch: a
-// scratchpad per model thread was 191-911 KB of it.
+// first tuple on the backend its tenant's last good Train of the UDF left
+// configured: Accel.Configure (a Reset of the machine built for the same
+// program — scratchpads zeroed, constants copied back — plus the epoch
+// stream) and Close, on the four programs of the benchmark's server_mix
+// as its tenants register them (scale 0.002, merge coefficient 1024, 2
+// epochs). B/op is the row to watch: building the machine each job was
+// 9.6-73 KB of it, a scratchpad per model thread 191-911 KB.
 func BenchmarkAccelConfigure(b *testing.B) {
 	for _, wl := range []struct{ name, workload string }{
 		{"WLAN", "WLAN"}, {"Patient", "Patient"}, {"Blog", "Blog Feedback"}, {"RemoteSensingLR", "Remote Sensing LR"},

@@ -124,8 +124,8 @@ func (b *Accel) ModeledSeconds(job Job, run Run) float64 {
 	return pipe + run.IOSeconds + b.env.Cost.SetupSec
 }
 
-// Configure builds the engine machine for the program and seeds the
-// initial model.
+// Configure builds the engine machine for the program (or resets the one
+// built for the same program and config) and seeds the initial model.
 func (b *Accel) Configure(p Program) error { return b.configure(p, p.EngineCfg) }
 
 // configure is shared with the embedding Tabla backend, which passes
@@ -136,8 +136,8 @@ func (b *Accel) configure(p Program, cfg engine.Config) error {
 		return fmt.Errorf("%w: %s needs a compiled engine program", ErrUnsupported, caps.Name)
 	}
 	var weave weaveStage
+	var err error
 	if caps.MaxBits > 0 {
-		var err error
 		if weave, err = newWeaveStage(caps, p); err != nil {
 			return err
 		}
@@ -147,13 +147,15 @@ func (b *Accel) configure(p Program, cfg engine.Config) error {
 	if !caps.Supports(class) {
 		return fmt.Errorf("%w: %s cannot run class=%s", ErrUnsupported, caps.Name, class)
 	}
-	m, err := engine.NewMachine(p.Engine, cfg)
-	if err != nil {
+	m := b.m
+	if m != nil && m.Prog == p.Engine && m.Cfg == cfg {
+		m.Reset()
+	} else if m, err = engine.NewMachine(p.Engine, cfg); err != nil {
 		return err
+	} else {
+		m.SetObs(b.env.obs())
 	}
-	m.SetObs(b.env.obs())
-	init := initModel(p)
-	if init != nil {
+	if init := initModel(p); init != nil {
 		if err := m.SetModel(narrow32(init)); err != nil {
 			return err
 		}
@@ -311,10 +313,14 @@ func (b *Accel) Counters() engine.Stats {
 }
 
 // Close drops the epoch buffers (materialized rows, the weave stage's
-// reweaver and decoded rows); a later epoch rebuilds what it needs.
+// reweaver and decoded rows, the machine's views of the last batch),
+// leaving configuration and no rows; a later epoch rebuilds what it needs.
 func (b *Accel) Close() {
 	b.rows32, b.slab = nil, rowSlab{}
 	b.weave.drop()
+	if b.m != nil {
+		b.m.Unbind()
+	}
 }
 
 // InProcessStriders clamps a design's Strider count to the in-process

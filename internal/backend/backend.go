@@ -342,10 +342,11 @@ func (st *Stream) Widened(scratch *[][]float64) ([][]float64, error) {
 }
 
 // Backend is the unified execution seam. Lifecycle: Configure once per
-// training job, then RunEpoch per epoch (the caller owns epoch count
-// and convergence policy, consulting Converger when implemented), then
-// Model for the result. Score is inference over an explicit model and
-// requires a prior Configure (for the graph's class and shapes).
+// training job — an instance configured again is a fresh one — then
+// RunEpoch per epoch (the caller owns epoch count and convergence
+// policy, consulting Converger when implemented), then Model for the
+// result. Score is inference over an explicit model and requires a
+// prior Configure (for the graph's class and shapes).
 type Backend interface {
 	Capabilities() Capabilities
 	// EstimateCost prices the job with the internal/cost analytic model;

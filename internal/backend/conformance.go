@@ -30,6 +30,7 @@ import (
 	"dana/internal/algos"
 	"dana/internal/compiler"
 	"dana/internal/cost"
+	"dana/internal/engine"
 	"dana/internal/golden"
 	"dana/internal/hdfg"
 	"dana/internal/hwgen"
@@ -165,6 +166,7 @@ const (
 	CheckDeterminism   = "counter-determinism"
 	CheckScore         = "score"
 	CheckModeledTime   = "modeled-seconds"
+	CheckReconfigure   = "reconfigure"
 )
 
 // classUnknown is a workload class no backend supports; every backend
@@ -399,6 +401,36 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 		}
 	} else if err := golden.CompareModels("predictions", wantPreds, preds, caps.ModelTolerance); err != nil {
 		add(CheckScore, "%v", err)
+	}
+
+	// Reconfigure: be, configured again with its program left to the
+	// canonical initial model (as the runtime leaves it), then with the
+	// next scenario's, is a fresh instance (%v of a float64 round-trips).
+	// It compares instances, so it runs only if fresh ones passed above.
+	if len(vs) > 0 {
+		return vs
+	}
+	trained := func(b Backend, p Program, sc Scenario) string {
+		err := train(b, p, sc, primaryStream(caps, sc))
+		var counters engine.Stats
+		if cb, ok := b.(CounterBackend); ok {
+			counters = cb.Counters()
+		}
+		sec := b.ModeledSeconds(JobFor(sc, p), Run{EngineCycles: counters.Cycles})
+		return fmt.Sprintf("model %v counters %+v seconds %v error %v", b.Model(), counters, sec, err)
+	}
+	next := GenScenario(sc.Seed + 1)
+	np, err := BuildProgram(next, env)
+	if err != nil {
+		add(CheckReconfigure, "building the next scenario's program: %v", err)
+	}
+	p.Init = nil
+	for i, p := range []Program{p, np} {
+		if sc := []Scenario{sc, next}[i]; p.Graph != nil && caps.Supports(Classify(p.Graph)) {
+			if got, want := trained(be, p, sc), trained(reg.New(env), p, sc); got != want {
+				add(CheckReconfigure, "seed %d: reconfigured %s, fresh %s", sc.Seed, got, want)
+			}
+		}
 	}
 	return vs
 }

@@ -106,6 +106,9 @@ func (b *CPU) SetModel(m []float64) error {
 	return b.it.SetModel(m)
 }
 
+// Close drops rows64, the widened copy of the table; an epoch rebuilds it.
+func (b *CPU) Close() { b.rows64 = nil }
+
 func (b *CPU) Converged() (bool, error) {
 	if b.it == nil {
 		return false, ErrNotConfigured

@@ -25,6 +25,12 @@ type wrapper struct {
 
 	countersDelta int64
 	secondsDelta  float64
+
+	// reconfigure, when set, runs in place of every Configure after the
+	// first; stale is a counter ledger it left uncleared.
+	reconfigure func(w *wrapper, p backend.Program) error
+	configured  int
+	stale       engine.Stats
 }
 
 func (w *wrapper) Capabilities() backend.Capabilities {
@@ -47,7 +53,12 @@ func (w *wrapper) ModeledSeconds(job backend.Job, run backend.Run) float64 {
 	return w.inner.ModeledSeconds(job, run) + w.secondsDelta
 }
 
-func (w *wrapper) Configure(p backend.Program) error { return w.inner.Configure(p) }
+func (w *wrapper) Configure(p backend.Program) error {
+	if w.configured++; w.configured > 1 && w.reconfigure != nil {
+		return w.reconfigure(w, p)
+	}
+	return w.inner.Configure(p)
+}
 
 func (w *wrapper) RunEpoch(st *backend.Stream) error {
 	err := w.inner.RunEpoch(st)
@@ -81,7 +92,18 @@ func (w *wrapper) Counters() engine.Stats {
 		st = cb.Counters()
 	}
 	st.Cycles += w.countersDelta
-	return st
+	return addStats(st, w.stale)
+}
+
+// addStats sums two counter ledgers field by field.
+func addStats(a, b engine.Stats) engine.Stats {
+	return engine.Stats{
+		Cycles: a.Cycles + b.Cycles, ComputeCycles: a.ComputeCycles + b.ComputeCycles,
+		MergeCycles: a.MergeCycles + b.MergeCycles, LoadCycles: a.LoadCycles + b.LoadCycles,
+		Tuples: a.Tuples + b.Tuples, Batches: a.Batches + b.Batches, Instructions: a.Instructions + b.Instructions,
+		SpanLoadCycles: a.SpanLoadCycles + b.SpanLoadCycles, SpanComputeCycles: a.SpanComputeCycles + b.SpanComputeCycles,
+		IdleCycles: a.IdleCycles + b.IdleCycles,
+	}
 }
 
 // metaScenario is the fixed scenario the mutants run on: seed 3 is a
@@ -206,4 +228,47 @@ func TestMetaModeledTimeCheckFires(t *testing.T) {
 			return &wrapper{inner: backend.NewAccel(env), secondsDelta: instances}
 		},
 	}, backend.CheckModeledTime)
+}
+
+// TestMetaReconfigureCheckFires plants, one at a time, what an
+// accelerator whose Reset forgot a step would show when configured
+// again, and requires the reconfigure leg alone to catch it: the last
+// run's model where the program sets none (the scratchpads, whose model
+// words a job reads before it writes them), zero constants (the
+// constants, copied back after the scratchpads are zeroed), and counters
+// that carry on from the last run (the stats ledger). Reset's other two
+// steps leave nothing a job reads; the engine's TestResetEqualsNewMachine
+// catches their omission.
+func TestMetaReconfigureCheckFires(t *testing.T) {
+	for _, c := range []struct {
+		step        string
+		reconfigure func(w *wrapper, p backend.Program) error
+	}{
+		{"scratch", func(w *wrapper, p backend.Program) error {
+			last := w.inner.Model()
+			if err := w.inner.Configure(p); err != nil || p.Init != nil {
+				return err
+			}
+			return w.inner.SetModel(last)
+		}},
+		{"constants", func(w *wrapper, p backend.Program) error {
+			prog := *p.Engine
+			prog.Consts = make([]float32, len(prog.Consts))
+			p.Engine = &prog
+			return w.inner.Configure(p)
+		}},
+		{"stats ledger", func(w *wrapper, p backend.Program) error {
+			w.stale = addStats(w.stale, w.inner.(backend.CounterBackend).Counters())
+			return w.inner.Configure(p)
+		}},
+	} {
+		t.Run(c.step, func(t *testing.T) {
+			runMutant(t, backend.Registration{
+				Name: backend.NameAccelerator,
+				New: func(env backend.Env) backend.Backend {
+					return &wrapper{inner: backend.NewAccel(env), reconfigure: c.reconfigure}
+				},
+			}, backend.CheckReconfigure)
+		})
+	}
 }

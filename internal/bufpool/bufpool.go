@@ -74,10 +74,10 @@ type Stats struct {
 type frame struct {
 	id    PageID
 	page  storage.Page
-	pins  int
-	usage uint8 // clock-sweep usage count (capped at 5, like PostgreSQL)
+	gen   uint64 // Relation.PageGeneration when the page was read
+	pins  int32  // int32 keeps a frame at 64 bytes
+	usage uint8  // clock-sweep usage count (capped at 5, like PostgreSQL)
 	valid bool
-	dirty bool
 }
 
 // Pool is a fixed-size shared buffer pool over a set of relations.
@@ -272,12 +272,19 @@ func (p *Pool) InvalidateRelation(rel string) error {
 // Pin fetches the page into the pool (reading from the relation on a
 // miss), pins it, and returns the frame's page. The caller must Unpin.
 // The returned Page aliases the frame; it stays valid while pinned.
+// A frame read before its page's last mutation is re-read in place (a
+// miss), unless pinned: its holders keep their copy.
 func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	id := PageID{Rel: rel, Page: pageNo}
-	if fi, ok := p.table[id]; ok {
-		f := &p.frames[fi]
+	r, ok := p.rels[rel]
+	if !ok {
+		return nil, fmt.Errorf("bufpool: unknown relation %q", rel)
+	}
+	gen := r.PageGeneration(int(pageNo))
+	fi, cached := p.table[id]
+	if f := &p.frames[fi]; cached && (f.gen == gen || f.pins > 0) {
 		f.pins++
 		if f.usage < 5 {
 			f.usage++
@@ -286,21 +293,21 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		p.obsHits.Inc()
 		return f.page, nil
 	}
-	// Miss: find a victim via clock sweep, then read with retry.
-	r, ok := p.rels[rel]
-	if !ok {
-		return nil, fmt.Errorf("bufpool: unknown relation %q", rel)
-	}
-	fi, err := p.evictLocked()
-	if err != nil {
-		return nil, err
+	if !cached {
+		// Miss: find a victim via clock sweep, then read with retry.
+		var err error
+		if fi, err = p.evictLocked(); err != nil {
+			return nil, err
+		}
 	}
 	f := &p.frames[fi]
-	if f.valid {
+	if f.valid { // a victim, or the stale frame, which a failed read leaves free
 		delete(p.table, f.id)
 		f.valid = false
-		p.stats.Evictions++
-		p.obsEvict.Inc()
+		if !cached {
+			p.stats.Evictions++
+			p.obsEvict.Inc()
+		}
 	}
 	if f.page == nil {
 		//danalint:ignore hotcall -- demand-fill on first use of a frame: one page buffer per frame, reused for the pool's lifetime
@@ -361,9 +368,8 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		p.obsBackoff.Add(back)
 		p.obsRing.Emit(obs.EvReadRetry, int64(pageNo), int64(attempt))
 	}
-	f.id = id
+	f.id, f.gen = id, gen
 	f.valid = true
-	f.dirty = false
 	f.pins = 1
 	f.usage = 1
 	p.table[id] = fi

@@ -400,3 +400,97 @@ func TestInvalidateRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPinRereadsMutatedPage: a frame read before its page was mutated is
+// re-read on the next pin — a miss charged like any other — and only that
+// page is: an Insert into the last page leaves the others hits, a Delete
+// re-reads its own page. A pinned frame stays the copy its holders read.
+func TestPinRereadsMutatedPage(t *testing.T) {
+	perPage := storage.NewRelation("t", storage.NumericSchema(9), storage.PageSize8K).TuplesPerPage()
+	r := testRelation(t, "t", perPage+25) // two pages, the second part full
+	p := newPool(t, 4, r)
+	items := func(pn uint32) int {
+		t.Helper()
+		pg, err := p.Pin("t", pn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Unpin("t", pn); err != nil {
+			t.Fatal(err)
+		}
+		return pg.NumItems()
+	}
+	want := func(what string, misses, hits int64) {
+		t.Helper()
+		if st := p.Stats(); st.Misses != misses || st.Hits != hits || st.Evictions != 0 {
+			t.Errorf("%s: %+v, want %d misses, %d hits, no evictions", what, st, misses, hits)
+		}
+	}
+	n0, n1 := items(0), items(1)
+	if r.NumPages() != 2 {
+		t.Fatalf("%d pages, want 2", r.NumPages())
+	}
+	tid, err := r.Insert(make([]float64, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tid.Page != 1 {
+		t.Fatalf("insert landed on page %d, want the last page", tid.Page)
+	}
+	if got := items(0); got != n0 {
+		t.Errorf("page 0: %d items, want %d", got, n0)
+	}
+	if got := items(1); got != n1+1 {
+		t.Errorf("page 1 after Insert: %d items, want %d", got, n1+1)
+	}
+	want("after Insert", 3, 1)
+	if got := items(1); got != n1+1 {
+		t.Errorf("page 1 re-pinned: %d items, want %d", got, n1+1)
+	}
+	want("re-pinned", 3, 2)
+
+	if err := r.Delete(storage.TID{Page: 0, Item: 0}); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := p.Pin("t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := pg.ItemID(0); err != nil || id.Flags == storage.LPNormal {
+		t.Errorf("page 0 after Delete: item 0 is %+v (%v), want it dead", id, err)
+	}
+	want("after Delete", 4, 2)
+
+	// Mutated while pinned: a second pin shares the held copy; once
+	// released, the next pin reads the page's current contents.
+	if _, err := r.Insert(make([]float64, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Delete(storage.TID{Page: 0, Item: 1}); err != nil {
+		t.Fatal(err)
+	}
+	held, err := p.Pin("t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, _ := held.ItemID(1); id.Flags != storage.LPNormal {
+		t.Error("a pinned frame was re-read under its holder")
+	}
+	want("second pin of a held frame", 4, 3)
+	for i := 0; i < 2; i++ {
+		if err := p.Unpin("t", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := items(1); got != n1+2 {
+		t.Errorf("page 1 after the second Insert: %d items, want %d", got, n1+2)
+	}
+	if pg, err = p.Pin("t", 0); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Unpin("t", 0)
+	if id, _ := pg.ItemID(1); id.Flags == storage.LPNormal {
+		t.Error("page 0 after release: item 1 still live")
+	}
+	want("after release", 6, 3)
+}

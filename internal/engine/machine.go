@@ -151,9 +151,6 @@ func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	m := &Machine{Prog: p, Cfg: cfg, plan: lower(p, cfg)}
 	m.pads = m.plan.pads(p, cfg)
 	m.scratch = make([]float32, m.pads*p.Slots)
-	for i := 0; i < m.pads; i++ {
-		copy(m.thread(i)[p.ConstSlot.Base:p.ConstSlot.Base+p.ConstSlot.Len], p.Consts)
-	}
 	if p.HasMerge() {
 		m.accs = make([]float32, 2*p.MergeSrc.Len)
 	}
@@ -166,8 +163,24 @@ func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	m.cycLocalAcc = int64(ceilDiv(p.MergeSrc.Len, cfg.Lanes()))
 	m.cycWriteBack = int64(ceilDiv(p.ModelSlot.Len, cfg.Lanes()))
 	m.cycBroadcast = int64(ceilDiv(p.ModelSlot.Len, 8))
+	m.Reset()
 	return m, nil
 }
+
+// Reset returns the machine to the state NewMachine leaves it in, its
+// allocations and obs handles kept: a reset machine is a fresh one.
+func (m *Machine) Reset() {
+	clear(m.scratch)
+	for i, c := 0, m.Prog.ConstSlot; i < m.pads; i++ {
+		copy(m.thread(i)[c.Base:c.Base+c.Len], m.Prog.Consts)
+	}
+	clear(m.accs)
+	m.stats, m.published, m.runSize, m.runLen = Stats{}, Stats{}, 0, 0
+	m.Unbind()
+}
+
+// Unbind drops the frames' views of the last batch: it keeps no rows alive.
+func (m *Machine) Unbind() { m.frames = [dotLanes]frame{} }
 
 // thread returns scratchpad i: model thread i's, or host lane i's when the
 // plan shares pads. thread(0) is model thread 0's either way.

@@ -575,10 +575,11 @@ func TestRunBatchAllocationFree(t *testing.T) {
 	}
 }
 
-// TestNewMachineAllocations pins the per-Configure allocation budget:
-// the machine, one op slab for all four lowered lists, one scratchpad slab
-// and the two merge accumulators (merge programs only) — whatever the
-// thread count (TestServerMixMachineFootprint pins the bytes).
+// TestNewMachineAllocations pins what building a machine allocates (a
+// Configure that resets its backend's machine builds none): the machine,
+// one op slab for all four lowered lists, one scratchpad slab and the two
+// merge accumulators (merge programs only) — whatever the thread count
+// (TestServerMixMachineFootprint pins the bytes).
 func TestNewMachineAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name    string

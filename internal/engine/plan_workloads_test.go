@@ -174,12 +174,12 @@ func TestPlanTable3Lowering(t *testing.T) {
 }
 
 // TestServerMixMachineFootprint pins the host footprint of the machines the
-// benchmark's server_mix configures 36 times a drain, at the 64 model
-// threads its designs have: lowering grants all four a scratchpad per
-// runDirect lane (pads= of the listing), and NewMachine allocates those
-// pads of Slots words, two accumulators, itself and its ops — where a pad
-// and an accumulator per model thread were 191-911 KB of zeroed memory a
-// job.
+// benchmark's server_mix builds (one per training tenant and program), at
+// the 64 model threads its designs have: lowering grants all four a
+// scratchpad per runDirect lane (pads= of the listing), and NewMachine
+// allocates those pads of Slots words, two accumulators, itself and its
+// ops — where a pad and an accumulator per model thread were 191-911 KB
+// of zeroed memory a job.
 func TestServerMixMachineFootprint(t *testing.T) {
 	cfg := engine.Config{Threads: 64, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
 	padsOf := regexp.MustCompile(`pads=(\d+)\n`)

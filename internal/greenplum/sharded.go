@@ -168,6 +168,13 @@ func (b *Sharded) RunEpoch(st *backend.Stream) error {
 	return nil
 }
 
+// Close drops the epoch scratch: the widened copy of the table and the
+// shards' views of its rows. A later epoch rebuilds both.
+func (b *Sharded) Close() {
+	b.rows64 = nil
+	clear(b.shards)
+}
+
 // Score evaluates at float64 precision, like the inner trainers.
 func (b *Sharded) Score(model []float64, rows [][]float64) ([]float64, error) {
 	if b.inners == nil {

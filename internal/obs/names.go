@@ -86,6 +86,10 @@ const (
 	RuntimeEpochWallNs  = "runtime.epoch_wall_ns"
 	RuntimeTrainWallNs  = "runtime.train_wall_ns"
 	RuntimeTrainRuns    = "runtime.train_runs"
+	// A Train runs on the backend its UDF's last good Train on the same
+	// registration configured (reused) or on a new one (built).
+	RuntimeBackendsBuilt  = "runtime.backends_built"
+	RuntimeBackendsReused = "runtime.backends_reused"
 
 	// Any-precision weave stage (internal/backend): WeaveBuilds counts
 	// row sets woven into pages, WeaveDecodes decode passes over a woven

@@ -9,6 +9,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"dana/internal/accessengine"
@@ -123,6 +124,10 @@ type System struct {
 	cache recordCache // cross-epoch extracted-record cache
 
 	disp *backend.Dispatcher // registered execution backends
+	// kept maps a UDF and registration name to the backend the UDF's last
+	// good Train on it configured; a Train takes it out for the whole run.
+	keptMu sync.Mutex
+	kept   map[[2]string]backend.Backend
 
 	channels int // modeled channel count: Opts.Cost.Link.Channels clamped to [1, MaxChannels]
 
@@ -136,6 +141,8 @@ type System struct {
 	obsEpochWall    *obs.Counter
 	obsTrainWall    *obs.Counter
 	obsTrainRuns    *obs.Counter
+	obsBuilt        *obs.Counter // Trains on a backend built for them
+	obsReused       *obs.Counter // Trains on a kept backend
 	obsEpochHist    *obs.Histogram
 	// Fault-recovery instruments.
 	obsPageRetries  *obs.Counter
@@ -164,6 +171,7 @@ func New(opts Options) *System {
 	s := &System{
 		Opts: opts,
 		DB:   sql.NewDB(opts.PageSize, opts.PoolBytes, opts.Disk),
+		kept: map[[2]string]backend.Backend{},
 	}
 	s.DB.Runner = s
 	reg := opts.Obs
@@ -182,6 +190,8 @@ func New(opts Options) *System {
 	s.obsEpochWall = reg.Counter(obs.RuntimeEpochWallNs)
 	s.obsTrainWall = reg.Counter(obs.RuntimeTrainWallNs)
 	s.obsTrainRuns = reg.Counter(obs.RuntimeTrainRuns)
+	s.obsBuilt = reg.Counter(obs.RuntimeBackendsBuilt)
+	s.obsReused = reg.Counter(obs.RuntimeBackendsReused)
 	s.obsEpochHist = reg.Hist(obs.HistEpochWallNs)
 	s.obsPageRetries = reg.Counter(obs.RuntimePageRetries)
 	s.obsQuarantines = reg.Counter(obs.RuntimeQuarantines)
@@ -466,14 +476,31 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 	if err != nil {
 		return nil, err
 	}
+	key := [2]string{udfName, reg.Name}
+	s.keptMu.Lock()
+	if kept, ok := s.kept[key]; ok {
+		be = kept
+		delete(s.kept, key)
+		s.obsReused.Inc()
+	} else {
+		s.obsBuilt.Inc()
+	}
+	s.keptMu.Unlock()
+	keep := false // a Train that fails or degrades keeps nothing; a failover target is never kept
+	defer func() {
+		if cl, ok := be.(backend.Closer); ok {
+			cl.Close() // drops the epoch buffers, before another Train can take be
+		}
+		if keep {
+			s.keptMu.Lock()
+			s.kept[key] = be
+			s.keptMu.Unlock()
+		}
+	}()
 	prog := s.programFor(udf, rel, acc, job.Bits)
 	if err := be.Configure(prog); err != nil {
 		return nil, err
 	}
-	if cl, ok := be.(backend.Closer); ok {
-		defer cl.Close() // drops the epoch buffers
-	}
-
 	res := &TrainResult{UDF: udfName, Table: table, Design: acc.Design, Backend: reg.Name}
 	trainStart := time.Now()
 	s.obsTrainRuns.Inc()
@@ -522,6 +549,7 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 		Pages:         res.Access.Pages,
 		IOSeconds:     s.DB.Pool.TakeRunIO(),
 	})
+	keep = !res.Degraded
 	return res, nil
 }
 

@@ -310,6 +310,55 @@ func TestTrainRefusesDeadTuples(t *testing.T) {
 	}
 }
 
+// TestTrainSeesEveryHeapMutation: a Train after a Delete and Vacuum,
+// after an Insert into the page the last Train read, and after one that
+// starts a page, extracts exactly the live tuples. The buffer pool
+// re-reads only the pages a mutation touched: each Insert costs one miss.
+func TestTrainSeesEveryHeapMutation(t *testing.T) {
+	s := smallSystem(t)
+	s.Opts.MaxEpochs = 1
+	d := deployScaled(t, s, "Patient", 0.02)
+	a, err := d.DSLAlgo(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Register(a, 8, d.Tuples); err != nil {
+		t.Fatal(err)
+	}
+	var last *TrainResult
+	train := func(what string) {
+		t.Helper()
+		res, err := s.Train(a.Name, d.Rel.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live := int64(d.Rel.NumTuples()); res.Engine.Tuples != live || res.Access.Tuples != live {
+			t.Errorf("%s: engine %d, strider %d tuples of %d live", what, res.Engine.Tuples, res.Access.Tuples, live)
+		}
+		last = res
+	}
+	train("first")
+	if err := d.Rel.Delete(storage.TID{Page: 0, Item: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Rel.Vacuum(); err != nil {
+		t.Fatal(err)
+	}
+	train("after Delete and Vacuum")
+	row := make([]float64, d.Rel.Schema.NumCols())
+	for _, what := range []string{"after an Insert into the last page", "after an Insert that starts a page"} {
+		tid, err := d.Rel.Insert(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		misses := last.Pool.Misses
+		train(what)
+		if got := last.Pool.Misses - misses; got != 1 {
+			t.Errorf("%s (page %d): %d pool misses, want 1", what, tid.Page, got)
+		}
+	}
+}
+
 func TestConvergenceStopsEarly(t *testing.T) {
 	s := smallSystem(t)
 	w, _ := datagen.ByName("Patient")

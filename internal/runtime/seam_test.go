@@ -8,7 +8,10 @@ package runtime
 // stage, or the epoch loop must reproduce every row bit for bit — and a
 // pool the table does not fit (three serial walks instead of one
 // extracting epoch and two replays) must reproduce everything but the
-// simulated seconds, which then carry three epochs of disk reads.
+// simulated seconds, which then carry three epochs of disk reads. Every
+// row trains a second time on the same System, on the backend the first
+// Train left configured: everything but the simulated seconds, which no
+// longer carry the first Train's disk reads, must equal the row again.
 
 import (
 	"encoding/binary"
@@ -18,6 +21,7 @@ import (
 	"testing"
 
 	"dana/internal/backend"
+	"dana/internal/obs"
 )
 
 func TestSeamCharacterisation(t *testing.T) {
@@ -60,25 +64,34 @@ func TestSeamCharacterisation(t *testing.T) {
 				// Full-width weave is reached by the explicit override alone.
 				opts.Precision = 0
 			}
-			_, res, _ := trainPatientWith(t, opts)
-			if res.Backend != tc.backend {
-				t.Errorf("%+v: trained on %q", k, res.Backend)
+			s, first, _ := trainPatientWith(t, opts)
+			again, err := s.Train(first.UDF, first.Table)
+			if err != nil {
+				t.Fatal(err)
 			}
-			h := fnv.New64a()
-			for _, v := range res.Model {
-				binary.Write(h, binary.LittleEndian, math.Float32bits(v))
+			if built, reused := s.Obs().Get(obs.RuntimeBackendsBuilt), s.Obs().Get(obs.RuntimeBackendsReused); built != 1 || reused != 1 {
+				t.Errorf("%+v (spill=%v): %d backends built and %d reused over two Trains, want 1 and 1", k, spill, built, reused)
 			}
-			got := fmt.Sprintf("%016x e%d m%016x %v %v", math.Float64bits(res.SimulatedSeconds),
-				res.Epochs, h.Sum64(), res.Engine, res.Access)
-			row := want[k]
-			if spill {
-				if res.Pool.Evictions == 0 {
+			for i, res := range []*TrainResult{first, again} {
+				if res.Backend != tc.backend {
+					t.Errorf("%+v: trained on %q", k, res.Backend)
+				}
+				h := fnv.New64a()
+				for _, v := range res.Model {
+					binary.Write(h, binary.LittleEndian, math.Float32bits(v))
+				}
+				got := fmt.Sprintf("%016x e%d m%016x %v %v", math.Float64bits(res.SimulatedSeconds),
+					res.Epochs, h.Sum64(), res.Engine, res.Access)
+				row := want[k]
+				if spill && res.Pool.Evictions == 0 {
 					t.Errorf("%+v: the spill leg's table fit its pool", k)
 				}
-				got, row = got[16:], row[16:] // everything after the simulated-seconds bits
-			}
-			if got != row {
-				t.Errorf("modeled outputs drifted for %+v (spill=%v):\n got %s\nwant %s", k, spill, got, row)
+				if spill || i == 1 {
+					got, row = got[16:], row[16:] // everything after the simulated-seconds bits
+				}
+				if got != row {
+					t.Errorf("modeled outputs drifted for %+v (spill=%v, Train %d):\n got %s\nwant %s", k, spill, i+1, got, row)
+				}
 			}
 		}
 	}

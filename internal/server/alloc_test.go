@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	hostrt "runtime"
 	"testing"
+
+	"dana/internal/obs"
 )
 
 // benchMix is bench/workloads.go's server_mix traffic (the bench module
@@ -32,19 +34,29 @@ func benchMix() []JobSpec {
 }
 
 // TestServerMixAllocBudget drains the benchmark's server_mix twice on one
-// server and bounds what the second, warm drain allocates. The parent of
-// the change that added it allocated 35.4 MB here, 31.4 of them zeroed
-// scratchpads (a pad per model thread per train job) and 3.8 the tables
-// its score jobs materialised (2 200 of its 3 731 objects); a drain now
-// allocates about 2.7 MB in about 1 540 objects. The bounds sit between: a
-// pad per model thread, or one materialised table per score job, breaks
-// one of them several times over.
+// server and bounds what the second, warm drain allocates. Two changes
+// set the bounds. The first stopped giving a train job a pad per model
+// thread and a score job a materialised table: 35.4 MB in 3 731 objects
+// became 2.7 MB in 1 500. The second lets a train job reuse the backend
+// its tenant's last good Train of the same UDF configured: 2.08 of those
+// 2.7 MB were machines built per job, and a drain now allocates about
+// 0.59 MB in about 1 280 objects. A machine per job, a pad per model
+// thread or one materialised table per score job each break a bound.
+// The first drain builds one backend per training tenant and program —
+// three tenants train four programs, tenant3 only scores — and the warm
+// drain builds none.
 func TestServerMixAllocBudget(t *testing.T) {
 	srv, err := New(Config{Tenants: DefaultTenants(4), Instances: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := benchMix()
+	built := func() (n int64) {
+		for _, name := range srv.TenantNames() {
+			n += srv.TenantObs(name).Get(obs.RuntimeBackendsBuilt)
+		}
+		return n
+	}
 	drain := func() {
 		rep, err := srv.Run(specs)
 		if err != nil {
@@ -55,13 +67,19 @@ func TestServerMixAllocBudget(t *testing.T) {
 		}
 	}
 	drain()
+	if got := built(); got != 12 {
+		t.Errorf("the first drain built %d backends, want 12 (3 training tenants × 4 programs)", got)
+	}
 	var before, after hostrt.MemStats
 	hostrt.ReadMemStats(&before)
 	drain()
 	hostrt.ReadMemStats(&after)
 	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	t.Logf("second drain: %d B in %d objects", bytes, objects)
-	if bytes > 4<<20 || objects > 2000 {
-		t.Errorf("second drain allocated %d B in %d objects, budget 4 MiB in 2000", bytes, objects)
+	if bytes > 1<<20 || objects > 1450 {
+		t.Errorf("second drain allocated %d B in %d objects, budget 1 MiB in 1450", bytes, objects)
+	}
+	if got := built(); got != 12 {
+		t.Errorf("the warm drain built %d backends, want 0", got-12)
 	}
 }

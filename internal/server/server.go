@@ -15,7 +15,11 @@
 // catalog, buffer pool, record cache, obs registry, and (optionally)
 // fault injector — so tenants share nothing a concurrent run could
 // race on, and one tenant's trap storm cannot perturb another tenant's
-// modeled cycles.
+// modeled cycles. Functional configuration reuse is the tenant System's
+// too: it keeps the backend its last good Train of a UDF configured, so a
+// tenant's jobs of one program share a machine and never charge another
+// tenant's registry. Placement.Reused stays the planner's view of its
+// modeled instances.
 package server
 
 import (

@@ -15,11 +15,17 @@ type Relation struct {
 
 	mu      sync.RWMutex
 	pages   []Page
-	dirty   []bool // pages[i] mutated since its checksum was last stamped
+	meta    []pageMeta // one per page
 	ntup    int
 	ndead   int // line pointers Delete marked dead, until Vacuum
 	nextXID uint32
 	gen     uint64
+}
+
+// pageMeta is what a relation keeps about one of its pages.
+type pageMeta struct {
+	dirty bool   // mutated since its checksum was last stamped
+	gen   uint64 // the relation's generation at the page's last mutation
 }
 
 // NewRelation creates an empty heap relation with the given page size.
@@ -62,6 +68,19 @@ func (r *Relation) Generation() uint64 {
 	return r.gen
 }
 
+// PageGeneration returns the generation at page i's last mutation (0 for
+// a page that does not exist). A copy of the page taken when it read g is
+// current exactly while it still reads g: the buffer pool's frames
+// compare it on every pin.
+func (r *Relation) PageGeneration(i int) uint64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if i < 0 || i >= len(r.meta) {
+		return 0
+	}
+	return r.meta[i].gen
+}
+
 // SizeBytes returns the total heap size in bytes.
 func (r *Relation) SizeBytes() int64 {
 	return int64(r.NumPages()) * int64(r.PageSize)
@@ -97,9 +116,9 @@ func (r *Relation) Page(i int) (Page, error) {
 	if i < 0 || i >= len(r.pages) {
 		return nil, fmt.Errorf("storage: relation %q has no page %d (of %d)", r.Name, i, len(r.pages))
 	}
-	if i < len(r.dirty) && r.dirty[i] {
+	if i < len(r.meta) && r.meta[i].dirty {
 		r.pages[i].StampChecksum()
-		r.dirty[i] = false
+		r.meta[i].dirty = false
 	}
 	return r.pages[i], nil
 }
@@ -115,7 +134,7 @@ func (r *Relation) Insert(vals []float64) (TID, error) {
 func (r *Relation) insertLocked(vals []float64) (TID, error) {
 	if len(r.pages) == 0 {
 		r.pages = append(r.pages, NewPage(r.PageSize, 0))
-		r.dirty = append(r.dirty, true)
+		r.meta = append(r.meta, pageMeta{dirty: true})
 	}
 	pageNo := len(r.pages) - 1
 	p := r.pages[pageNo]
@@ -128,7 +147,7 @@ func (r *Relation) insertLocked(vals []float64) (TID, error) {
 		// Page full: start a new page and retry once.
 		p = NewPage(r.PageSize, 0)
 		r.pages = append(r.pages, p)
-		r.dirty = append(r.dirty, true)
+		r.meta = append(r.meta, pageMeta{dirty: true})
 		pageNo++
 		tid = TID{Page: uint32(pageNo), Item: 0}
 		raw, err = EncodeTuple(r.Schema, vals, r.nextXID, tid)
@@ -140,11 +159,18 @@ func (r *Relation) insertLocked(vals []float64) (TID, error) {
 				TupleHeaderSize+r.Schema.DataWidth(), r.PageSize, err)
 		}
 	}
-	r.dirty[pageNo] = true
+	r.touchLocked(pageNo)
 	r.nextXID++
 	r.ntup++
-	r.gen++
 	return tid, nil
+}
+
+// touchLocked records a mutation of page i: the relation's generation
+// advances, and the page's checksum is stale and its generation the new
+// one.
+func (r *Relation) touchLocked(i int) {
+	r.gen++
+	r.meta[i] = pageMeta{dirty: true, gen: r.gen}
 }
 
 // InsertBatch appends many rows, amortizing lock acquisition.
@@ -265,12 +291,9 @@ func (r *Relation) Delete(tid TID) error {
 	if err := p.DeleteItem(int(tid.Item)); err != nil {
 		return err
 	}
-	if int(tid.Page) < len(r.dirty) {
-		r.dirty[tid.Page] = true
-	}
+	r.touchLocked(int(tid.Page))
 	r.ntup--
 	r.ndead++
-	r.gen++
 	return nil
 }
 
@@ -282,8 +305,7 @@ func (r *Relation) Vacuum() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	old := r.pages
-	r.pages = nil
-	r.dirty = nil
+	r.pages, r.meta = nil, nil
 	r.ntup, r.ndead = 0, 0
 	r.gen++
 	for _, p := range old {
