@@ -5,7 +5,6 @@ import (
 
 	"dana/internal/cost"
 	"dana/internal/engine"
-	"dana/internal/hdfg"
 	"dana/internal/ml"
 )
 
@@ -27,8 +26,6 @@ type Accel struct {
 	m      *engine.Machine
 	stream *engine.EpochStream
 	batch  int
-	class  Class
-	graph  *hdfg.Graph
 	// feed is stream.Feed bound once at Configure, so the per-epoch
 	// streaming path allocates no closures.
 	feed func([][]float32) error
@@ -62,8 +59,8 @@ func (b *Accel) Capabilities() Capabilities { return b.caps }
 
 func (b *Accel) checkJob(job Job) error {
 	if !admissible(b.caps, job) {
-		return fmt.Errorf("%w: %s cannot run class=%s precision=%q bits=%d",
-			ErrUnsupported, b.caps.Name, job.Class, job.Precision, job.Bits)
+		return fmt.Errorf("%w: %s cannot run class=%s bits=%d",
+			ErrUnsupported, b.caps.Name, job.Class, job.Bits)
 	}
 	return nil
 }
@@ -161,7 +158,7 @@ func (b *Accel) configure(p Program, cfg engine.Config) error {
 		}
 	}
 	b.batch = max1(p.MergeCoef)
-	b.m, b.class, b.graph, b.weave = m, class, p.Graph, weave
+	b.m, b.weave = m, weave
 	b.stream = m.StreamEpoch(b.batch)
 	b.feed = b.stream.Feed
 	return nil
@@ -273,14 +270,6 @@ func (s *rowSlab) keep(r []float32) []float32 {
 	s.used += len(r)
 	copy(dst, r)
 	return dst
-}
-
-// Score runs inference in the float32 datapath width.
-func (b *Accel) Score(model []float64, rows [][]float64) ([]float64, error) {
-	if b.m == nil {
-		return nil, ErrNotConfigured
-	}
-	return score[float32](b.class, b.graph, model, rows)
 }
 
 func (b *Accel) Model() []float64 {

@@ -4,9 +4,9 @@
 // design, the golden float64 CPU trainer, and the greenplum-style
 // Sharded wrapper. The runtime integration layer speaks only this
 // interface; a heterogeneous dispatcher classifies jobs (workload
-// class, precision, size) and picks the cheapest capable backend by
-// the internal/cost analytic model, with an explicit per-system
-// override.
+// class, weave read precision, size) and picks the cheapest capable
+// backend by the internal/cost analytic model, with an explicit
+// per-system override.
 //
 // The contract is enforced, not assumed: the conformance harness in
 // conformance.go runs every registered backend through seeded scenarios
@@ -18,6 +18,7 @@ package backend
 
 import (
 	"errors"
+	"fmt"
 
 	"dana/internal/cost"
 	"dana/internal/dsl"
@@ -34,12 +35,12 @@ import (
 // rejects backends that fail untyped.
 var (
 	// ErrUnsupported reports a job outside the backend's declared
-	// Capabilities (unknown workload class, wrong precision, ...).
+	// Capabilities (unknown workload class, bits outside the window, ...).
 	ErrUnsupported = errors.New("backend: job not supported")
 	// ErrUnknownBackend reports a dispatch request naming no registered
 	// backend.
 	ErrUnknownBackend = errors.New("backend: unknown backend")
-	// ErrNotConfigured reports RunEpoch/Score before Configure.
+	// ErrNotConfigured reports RunEpoch before Configure.
 	ErrNotConfigured = errors.New("backend: not configured")
 	// ErrNoFailover reports that no registered backend can absorb a
 	// failover for the job.
@@ -153,9 +154,6 @@ func (c Capabilities) Supports(class Class) bool {
 // the integration layer (mirroring experiments.CostWorkload).
 type Job struct {
 	Class Class
-	// Precision, when set, restricts dispatch to backends of that
-	// arithmetic width ("" = any).
-	Precision string
 	// Bits, when set (1..32), requests k-bit weave extraction: only
 	// backends whose Capabilities declare a covering [MinBits, MaxBits]
 	// window are admissible. 0 requests the full-width float path.
@@ -284,8 +282,8 @@ type Program struct {
 //     been narrowed through float32 upstream, so both views name the
 //     same numbers).
 //
-// Backends prefer the form matching their precision and convert
-// otherwise (float32 -> float64 widening is exact).
+// The float32 backends take any form, narrowing Rows64; the float64
+// backends take Rows64 only (Float64Rows).
 //
 // Held, set beside Rows32, is the producer's word that these rows are
 // stable — the same values every time this holder comes with them — and
@@ -302,51 +300,25 @@ type Stream struct {
 // Held is the holder a Stream lends. The zero value is empty.
 type Held = weaving.Slot
 
-// Widened returns the epoch as float64 rows for reference-precision
-// backends: Rows64 as delivered, either float32 form widened (exact)
-// into *scratch, whose row storage is recycled from epoch to epoch.
-// Nil means the stream carried no tuples.
-func (st *Stream) Widened(scratch *[][]float64) ([][]float64, error) {
+// Float64Rows returns Rows64 for the reference-precision backends, which
+// every producer feeding them delivers. A stream carrying only a float32
+// form fails with ErrUnsupported rather than train as an empty epoch; an
+// empty stream is an empty epoch.
+func (st *Stream) Float64Rows() ([][]float64, error) {
 	if st == nil {
 		return nil, nil
 	}
-	if st.Rows64 != nil || (st.Rows32 == nil && st.Batches == nil) {
-		return st.Rows64, nil // delivered as-is, or an empty stream
+	if st.Rows64 == nil && (st.Rows32 != nil || st.Batches != nil) {
+		return nil, fmt.Errorf("%w: a float64 backend needs Rows64", ErrUnsupported)
 	}
-	out := (*scratch)[:0]
-	widen := func(rows [][]float32) error {
-		for _, row := range rows {
-			var w []float64
-			if len(out) < cap(out) {
-				w = out[:len(out)+1][len(out)] // the row parked here last epoch
-			}
-			if cap(w) < len(row) {
-				w = make([]float64, len(row))
-			}
-			w = w[:len(row)]
-			for j, v := range row {
-				w[j] = float64(v)
-			}
-			out = append(out, w)
-		}
-		return nil
-	}
-	var err error
-	if st.Rows32 != nil {
-		err = widen(st.Rows32)
-	} else {
-		err = st.Batches(widen)
-	}
-	*scratch = out
-	return out, err
+	return st.Rows64, nil
 }
 
 // Backend is the unified execution seam. Lifecycle: Configure once per
 // training job — an instance configured again is a fresh one — then
 // RunEpoch per epoch (the caller owns epoch count and convergence
 // policy, consulting Converger when implemented), then Model for the
-// result. Score is inference over an explicit model and requires a
-// prior Configure (for the graph's class and shapes).
+// result.
 type Backend interface {
 	Capabilities() Capabilities
 	// EstimateCost prices the job with the internal/cost analytic model;
@@ -364,10 +336,6 @@ type Backend interface {
 	Configure(prog Program) error
 	// RunEpoch consumes one epoch's tuple stream, updating the model.
 	RunEpoch(st *Stream) error
-	// Score returns one prediction per row for the given model (raw
-	// margin for SVM, probability for logistic, dot products otherwise).
-	// Rows may be full training tuples; only the feature prefix is read.
-	Score(model []float64, rows [][]float64) ([]float64, error)
 	// Model returns a copy of the current model state (float64 view).
 	Model() []float64
 	// SetModel replaces the model state (float64 view; values outside

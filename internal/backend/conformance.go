@@ -13,7 +13,7 @@ package backend
 //     must match their declared reference semantics bit for bit;
 //   - toleranced elsewhere: float32-datapath backends must land within
 //     Capabilities.ModelTolerance of the reference (Oracle-C scaled
-//     comparison), for the trained model and for Score predictions;
+//     comparison) for the trained model;
 //   - typed errors for unsupported jobs: out-of-capability jobs fail
 //     with ErrUnsupported, pre-Configure use with ErrNotConfigured —
 //     never untyped, never silently wrong.
@@ -164,7 +164,6 @@ const (
 	CheckNotConfigured = "not-configured"
 	CheckTrain         = "train"
 	CheckDeterminism   = "counter-determinism"
-	CheckScore         = "score"
 	CheckModeledTime   = "modeled-seconds"
 	CheckReconfigure   = "reconfigure"
 )
@@ -299,9 +298,6 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 	if err := fresh.RunEpoch(&Stream{Rows64: sc.Tuples}); !errors.Is(err, ErrNotConfigured) {
 		add(CheckNotConfigured, "RunEpoch before Configure = %v, want ErrNotConfigured", err)
 	}
-	if _, err := fresh.Score(sc.Init, sc.Tuples); !errors.Is(err, ErrNotConfigured) {
-		add(CheckNotConfigured, "Score before Configure = %v, want ErrNotConfigured", err)
-	}
 
 	// Train and compare against the declared reference semantics.
 	if err := train(be, p, sc, primaryStream(caps, sc)); err != nil {
@@ -381,26 +377,6 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 		} else if math.Float64bits(sec) != math.Float64bits(c.Seconds) {
 			add(CheckModeledTime, "row-fed ModeledSeconds = %v, want EstimateCost(job).Seconds = %v exactly", sec, c.Seconds)
 		}
-	}
-
-	// Score: predictions against the float64 scoring rule, at the
-	// backend's declared equivalence level.
-	preds, err := be.Score(got, sc.Tuples)
-	if err != nil {
-		add(CheckScore, "Score: %v", err)
-		return vs
-	}
-	wantPreds, err := score[float64](Classify(p.Graph), p.Graph, got, sc.Tuples)
-	if err != nil {
-		add(CheckScore, "reference score: %v", err)
-		return vs
-	}
-	if caps.BitExactModel {
-		if err := compareBits("predictions", preds, wantPreds); err != nil {
-			add(CheckScore, "%v", err)
-		}
-	} else if err := golden.CompareModels("predictions", wantPreds, preds, caps.ModelTolerance); err != nil {
-		add(CheckScore, "%v", err)
 	}
 
 	// Reconfigure: be, configured again with its program left to the

@@ -10,6 +10,7 @@ package backend_test
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"dana/internal/backend"
@@ -109,5 +110,42 @@ func TestShardedRejectsLRMF(t *testing.T) {
 	}
 	if err := be.Configure(p); !errors.Is(err, backend.ErrUnsupported) {
 		t.Errorf("Configure(lrmf) = %v, want ErrUnsupported", err)
+	}
+}
+
+// TestFloat64BackendsRefuseFloat32Streams: the reference-precision
+// backends train Rows64 only. A stream carrying only a float32 form —
+// materialized rows or a page-order batch stream — fails typed and
+// leaves the model as it was, bit for bit.
+func TestFloat64BackendsRefuseFloat32Streams(t *testing.T) {
+	env := backend.ConformanceEnv()
+	sc := backend.GenScenario(3) // linear: both backends run it
+	p, err := backend.BuildProgram(sc, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := func(emit func([][]float32) error) error { return emit(sc.Rows32) }
+	for _, be := range []backend.Backend{backend.NewCPU(env), greenplum.NewSharded(env)} {
+		name := be.Capabilities().Name
+		if err := be.Configure(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.RunEpoch(&backend.Stream{Rows64: sc.Tuples}); err != nil {
+			t.Fatal(err)
+		}
+		want := be.Model()
+		for _, c := range []struct {
+			form string
+			st   backend.Stream
+		}{{"Rows32", backend.Stream{Rows32: sc.Rows32}}, {"Batches", backend.Stream{Batches: batches}}} {
+			if err := be.RunEpoch(&c.st); !errors.Is(err, backend.ErrUnsupported) {
+				t.Errorf("%s: RunEpoch(%s) = %v, want ErrUnsupported", name, c.form, err)
+			}
+			for i, v := range be.Model() {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("%s: model[%d] = %v after a refused %s epoch, %v before", name, i, v, c.form, want[i])
+				}
+			}
+		}
 	}
 }

@@ -15,11 +15,7 @@ import (
 type CPU struct {
 	env Env
 
-	it    *hdfg.Interp
-	graph *hdfg.Graph
-	class Class
-	// rows64 is the scratch buffer for float32-form epochs.
-	rows64 [][]float64
+	it *hdfg.Interp
 }
 
 // NewCPU builds an unconfigured CPU backend.
@@ -40,8 +36,7 @@ func (b *CPU) Capabilities() Capabilities {
 // scans, the closest analytic analogue of the interpreter.
 func (b *CPU) EstimateCost(job Job) (Cost, error) {
 	if !admissible(b.Capabilities(), job) {
-		return Cost{}, fmt.Errorf("%w: %s cannot run class=%s precision=%q",
-			ErrUnsupported, NameCPU, job.Class, job.Precision)
+		return Cost{}, fmt.Errorf("%w: %s cannot run class=%s", ErrUnsupported, NameCPU, job.Class)
 	}
 	bd := cost.MADlibPostgres(job.Workload(), b.env.Cost, job.Warm)
 	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
@@ -63,33 +58,22 @@ func (b *CPU) Configure(p Program) error {
 	if err != nil {
 		return err
 	}
-	b.it, b.graph, b.class = it, p.Graph, class
+	b.it = it
 	return nil
 }
 
-// RunEpoch runs one interpreter epoch. Float32 input is widened to
-// float64 — exact, so a CPU epoch over Strider-extracted records sees
-// the same values the accelerator datapath would. A batch stream is
-// drained first: the interpreter has no incremental feed, and the CPU
-// path has no modeled counters that could depend on arrival
-// granularity.
+// RunEpoch runs one interpreter epoch over the stream's Rows64 (values
+// narrowed through float32 upstream, so a CPU epoch over Strider-extracted
+// records sees the same values the accelerator datapath would).
 func (b *CPU) RunEpoch(st *Stream) error {
 	if b.it == nil {
 		return ErrNotConfigured
 	}
-	rows, err := st.Widened(&b.rows64)
+	rows, err := st.Float64Rows()
 	if err != nil {
 		return err
 	}
 	return b.it.Epoch(rows)
-}
-
-// Score runs inference at float64 precision.
-func (b *CPU) Score(model []float64, rows [][]float64) ([]float64, error) {
-	if b.it == nil {
-		return nil, ErrNotConfigured
-	}
-	return score[float64](b.class, b.graph, model, rows)
 }
 
 func (b *CPU) Model() []float64 {
@@ -105,9 +89,6 @@ func (b *CPU) SetModel(m []float64) error {
 	}
 	return b.it.SetModel(m)
 }
-
-// Close drops rows64, the widened copy of the table; an epoch rebuilds it.
-func (b *CPU) Close() { b.rows64 = nil }
 
 func (b *CPU) Converged() (bool, error) {
 	if b.it == nil {

@@ -193,12 +193,6 @@ func TestDispatcherOverride(t *testing.T) {
 		t.Errorf("New(weave, full-width job) = %v, want ErrUnsupported", err)
 	}
 
-	f32 := job
-	f32.Precision = backend.PrecisionFloat32
-	if _, _, err := disp.New(backend.NameCPU, f32); !errors.Is(err, backend.ErrUnsupported) {
-		t.Errorf("New(cpu, float32 job) = %v, want ErrUnsupported", err)
-	}
-
 	lrmf := jobForSeed(t, 15, env)
 	if _, _, err := disp.New(backend.NameSharded, lrmf); !errors.Is(err, backend.ErrUnsupported) {
 		t.Errorf("New(sharded, lrmf job) = %v, want ErrUnsupported", err)
@@ -221,11 +215,8 @@ func (f *fakeBackend) ModeledSeconds(backend.Job, backend.Run) float64 {
 }
 func (f *fakeBackend) Configure(backend.Program) error { return nil }
 func (f *fakeBackend) RunEpoch(*backend.Stream) error  { return nil }
-func (f *fakeBackend) Score([]float64, [][]float64) ([]float64, error) {
-	return nil, nil
-}
-func (f *fakeBackend) Model() []float64         { return nil }
-func (f *fakeBackend) SetModel([]float64) error { return nil }
+func (f *fakeBackend) Model() []float64                { return nil }
+func (f *fakeBackend) SetModel([]float64) error        { return nil }
 
 func fakeReg(name string, sec float64, fallback bool) backend.Registration {
 	return backend.Registration{

@@ -21,7 +21,6 @@ type wrapper struct {
 	costHook  func(backend.Cost, error) (backend.Cost, error)
 	runHook   func(err error) error
 	modelHook func([]float64) []float64
-	scoreHook func([]float64)
 
 	countersDelta int64
 	secondsDelta  float64
@@ -66,14 +65,6 @@ func (w *wrapper) RunEpoch(st *backend.Stream) error {
 		return w.runHook(err)
 	}
 	return err
-}
-
-func (w *wrapper) Score(model []float64, rows [][]float64) ([]float64, error) {
-	preds, err := w.inner.Score(model, rows)
-	if err == nil && w.scoreHook != nil {
-		w.scoreHook(preds)
-	}
-	return preds, err
 }
 
 func (w *wrapper) Model() []float64 {
@@ -185,14 +176,6 @@ func TestMetaTrainCheckFires(t *testing.T) {
 			return mm
 		}
 	}), backend.CheckTrain)
-}
-
-func TestMetaScoreCheckFires(t *testing.T) {
-	runMutant(t, cpuMutant(func(w *wrapper) {
-		w.scoreHook = func(preds []float64) {
-			preds[0] += 1 // mispredicts
-		}
-	}), backend.CheckScore)
 }
 
 // TestMetaDeterminismCheckFires wraps the accelerator (the backend that

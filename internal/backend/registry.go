@@ -131,17 +131,13 @@ func (d *Dispatcher) lookup(name string) (Registration, bool) {
 }
 
 // admissible reports whether the backend's capabilities cover the job's
-// class, precision, and requested weave-bit window. The bits check is
-// two-sided: a full-width backend (MaxBits == 0) cannot honor a k-bit
-// weave request, and a weave backend only serves jobs that ask for
-// weave extraction — a Bits == 0 job wants the float path and must not
-// be silently rerouted through quantization, however cheap the rewoven
-// stream prices.
+// class and requested weave-bit window. The bits check is two-sided: a
+// full-width backend (MaxBits == 0) cannot honor a k-bit weave request,
+// and a weave backend only serves jobs that ask for weave extraction — a
+// Bits == 0 job wants the float path and must not be silently rerouted
+// through quantization, however cheap the rewoven stream prices.
 func admissible(caps Capabilities, job Job) bool {
 	if !caps.Supports(job.Class) {
-		return false
-	}
-	if job.Precision != "" && caps.Precision != job.Precision {
 		return false
 	}
 	if caps.MaxBits == 0 {
@@ -176,8 +172,8 @@ func (d *Dispatcher) named(name string, job Job, widen bool) (Backend, Registrat
 		job.Bits = caps.MaxBits
 	}
 	if !admissible(caps, job) {
-		return nil, Registration{}, job, fmt.Errorf("%w: backend %q cannot run class=%s precision=%q bits=%d jobs",
-			ErrUnsupported, name, job.Class, job.Precision, job.Bits)
+		return nil, Registration{}, job, fmt.Errorf("%w: backend %q cannot run class=%s bits=%d jobs",
+			ErrUnsupported, name, job.Class, job.Bits)
 	}
 	return be, reg, job, nil
 }
@@ -215,7 +211,7 @@ func (d *Dispatcher) Resolve(name string, job Job) (Backend, Registration, Job, 
 // deterministic:
 //
 //  1. classify — filter to backends whose Capabilities cover the job's
-//     workload class and requested precision;
+//     workload class and requested weave bits;
 //  2. price — ask each survivor for EstimateCost (the internal/cost
 //     analytic model, so size decides: tiny jobs amortize no
 //     accelerator setup and fall to the CPU, large ones win on the
@@ -226,8 +222,7 @@ func (d *Dispatcher) Resolve(name string, job Job) (Backend, Registration, Job, 
 func (d *Dispatcher) Pick(job Job) (Backend, Registration, Cost, error) {
 	be, reg, c, ok := d.cheapest(job, nil)
 	if !ok {
-		return nil, Registration{}, Cost{}, fmt.Errorf("%w: no backend for class=%s precision=%q",
-			ErrUnsupported, job.Class, job.Precision)
+		return nil, Registration{}, Cost{}, fmt.Errorf("%w: no backend for class=%s", ErrUnsupported, job.Class)
 	}
 	return be, reg, c, nil
 }

@@ -303,9 +303,7 @@ func indexOf(xs []int, x int) int {
 // TestWeaveCloseDropsOnlyBuffers: Close releases the stage's reweaver
 // and the materialisation slab, not the stage — an epoch after Close
 // requantises as before (rebuilding what it needs) and lands on the
-// bits of a twin that was never closed, in both stream forms. The CPU
-// and Sharded backends' Close drops their widened rows64 copy the same
-// way: the next epoch widens again and trains the twin's bits.
+// bits of a twin that was never closed, in both stream forms.
 func TestWeaveCloseDropsOnlyBuffers(t *testing.T) {
 	env := backend.ConformanceEnv()
 	sc := backend.GenScenario(4)
@@ -322,36 +320,29 @@ func TestWeaveCloseDropsOnlyBuffers(t *testing.T) {
 		}
 		return nil
 	}}
-	for _, reg := range allRegistrations() {
-		if reg.Name != backend.NameWeave && reg.Name != backend.NameCPU && reg.Name != backend.NameSharded {
-			continue
+	closed, twin := backend.NewWeaveAccel(env), backend.NewWeaveAccel(env)
+	for _, be := range []*backend.Accel{closed, twin} {
+		if err := be.Configure(p); err != nil {
+			t.Fatal(err)
 		}
-		closed, twin := reg.New(env), reg.New(env)
-		for _, be := range []backend.Backend{closed, twin} {
-			if err := be.Configure(p); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for e, st := range []*backend.Stream{{Rows32: sc.Rows32}, batches, batches, {Rows32: sc.Rows32}} {
+		if err := closed.RunEpoch(st); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
 		}
-		for e, st := range []*backend.Stream{{Rows32: sc.Rows32}, batches, batches, {Rows32: sc.Rows32}} {
-			if err := closed.RunEpoch(st); err != nil {
-				t.Fatalf("%s epoch %d: %v", reg.Name, e, err)
-			}
-			closed.(backend.Closer).Close()
-			if err := twin.RunEpoch(st); err != nil {
-				t.Fatalf("%s epoch %d (twin): %v", reg.Name, e, err)
-			}
+		closed.Close()
+		if err := twin.RunEpoch(st); err != nil {
+			t.Fatalf("epoch %d (twin): %v", e, err)
 		}
-		cm, tm := closed.Model(), twin.Model()
-		for i := range tm {
-			if math.Float64bits(cm[i]) != math.Float64bits(tm[i]) {
-				t.Fatalf("%s: model[%d] %v after Close between epochs, %v without", reg.Name, i, cm[i], tm[i])
-			}
+	}
+	cm, tm := closed.Model(), twin.Model()
+	for i := range tm {
+		if math.Float64bits(cm[i]) != math.Float64bits(tm[i]) {
+			t.Fatalf("model[%d] %v after Close between epochs, %v without", i, cm[i], tm[i])
 		}
-		if cb, ok := closed.(backend.CounterBackend); ok {
-			if cc, tc := cb.Counters(), twin.(backend.CounterBackend).Counters(); cc != tc {
-				t.Fatalf("%s: counters diverge:\n  closed=%+v\n  twin=%+v", reg.Name, cc, tc)
-			}
-		}
+	}
+	if cc, tc := closed.Counters(), twin.Counters(); cc != tc {
+		t.Fatalf("counters diverge:\n  closed=%+v\n  twin=%+v", cc, tc)
 	}
 }
 

@@ -1,13 +1,13 @@
 package greenplum
 
-// Sharded is the Greenplum-style distributed-IGD path recast as a
-// composable execution backend: it wraps any inner per-segment Trainer
-// (by default the golden float64 CPU trainer) and adds MADlib's
-// distributed semantics around it — round-robin tuple sharding, one
-// inner epoch per segment from the shared model, coordinator merge by
-// averaging the segments that saw data. Cluster.Train delegates its
-// epoch loop to the same core, so the classic crosscheck tests pin the
-// wrapper's float64 operation sequence bit for bit.
+// Sharded is the Greenplum-style distributed-IGD path recast as an
+// execution backend: it runs one golden float64 CPU trainer per segment
+// and adds MADlib's distributed semantics around them — round-robin
+// tuple sharding, one inner epoch per segment from the shared model,
+// coordinator merge by averaging the segments that saw data.
+// Cluster.Train delegates its epoch loop to the same core, so the
+// classic crosscheck tests pin the wrapper's float64 operation sequence
+// bit for bit.
 
 import (
 	"fmt"
@@ -15,7 +15,6 @@ import (
 
 	"dana/internal/backend"
 	"dana/internal/cost"
-	"dana/internal/hdfg"
 	"dana/internal/ml"
 )
 
@@ -47,43 +46,20 @@ func (t *mlTrainer) RunEpoch(st *backend.Stream) error {
 
 func (t *mlTrainer) Model() []float64 { return t.model }
 
-// InnerFactory builds one per-segment Trainer for a configured program.
-type InnerFactory func(env backend.Env, p backend.Program) (backend.Trainer, error)
-
-// cpuInner is the default inner: the golden float64 CPU backend.
-func cpuInner(env backend.Env, p backend.Program) (backend.Trainer, error) {
-	be := backend.NewCPU(env)
-	if err := be.Configure(p); err != nil {
-		return nil, err
-	}
-	return be, nil
-}
-
-// Sharded implements backend.Backend over N inner trainers.
+// Sharded implements backend.Backend over one CPU trainer per segment.
 type Sharded struct {
-	env   backend.Env
-	inner InnerFactory
+	env backend.Env
 
 	segments int
 	inners   []backend.Trainer
 	model    []float64
-	graph    *hdfg.Graph
-	class    backend.Class
 
-	// Per-epoch scratch, reused across RunEpoch calls.
+	// shards is per-epoch scratch, reused across RunEpoch calls.
 	shards [][][]float64
-	rows64 [][]float64
 }
 
-// NewSharded builds an unconfigured Sharded backend over the default
-// (CPU) inner trainer.
-func NewSharded(env backend.Env) *Sharded { return NewShardedOver(env, cpuInner) }
-
-// NewShardedOver composes the distributed-averaging wrapper over a
-// caller-supplied inner trainer factory.
-func NewShardedOver(env backend.Env, inner InnerFactory) *Sharded {
-	return &Sharded{env: env, inner: inner}
-}
+// NewSharded builds an unconfigured Sharded backend.
+func NewSharded(env backend.Env) *Sharded { return &Sharded{env: env} }
 
 func (b *Sharded) Capabilities() backend.Capabilities {
 	return backend.Capabilities{
@@ -99,10 +75,9 @@ func (b *Sharded) Capabilities() backend.Capabilities {
 // EstimateCost prices the job as cost.MADlibGreenplum: the per-segment
 // CPU epoch over 1/Nth of the tuples, plus per-epoch merge traffic.
 func (b *Sharded) EstimateCost(job backend.Job) (backend.Cost, error) {
-	if !b.Capabilities().Supports(job.Class) ||
-		(job.Precision != "" && job.Precision != backend.PrecisionFloat64) {
-		return backend.Cost{}, fmt.Errorf("%w: %s cannot run class=%s precision=%q",
-			backend.ErrUnsupported, backend.NameSharded, job.Class, job.Precision)
+	if !b.Capabilities().Supports(job.Class) {
+		return backend.Cost{}, fmt.Errorf("%w: %s cannot run class=%s",
+			backend.ErrUnsupported, backend.NameSharded, job.Class)
 	}
 	bd := costGreenplum(job, b.env)
 	return backend.Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
@@ -125,11 +100,11 @@ func (b *Sharded) Configure(p backend.Program) error {
 	segs := segmentsOf(b.env)
 	inners := make([]backend.Trainer, segs)
 	for s := range inners {
-		t, err := b.inner(b.env, p)
-		if err != nil {
+		cpu := backend.NewCPU(b.env)
+		if err := cpu.Configure(p); err != nil {
 			return err
 		}
-		inners[s] = t
+		inners[s] = cpu
 	}
 	model := p.Init
 	if model == nil {
@@ -137,7 +112,6 @@ func (b *Sharded) Configure(p backend.Program) error {
 	}
 	b.segments, b.inners = segs, inners
 	b.model = append([]float64(nil), model...)
-	b.graph, b.class = p.Graph, class
 	b.shards = make([][][]float64, segs)
 	return nil
 }
@@ -149,7 +123,7 @@ func (b *Sharded) RunEpoch(st *backend.Stream) error {
 	if b.inners == nil {
 		return backend.ErrNotConfigured
 	}
-	rows, err := st.Widened(&b.rows64)
+	rows, err := st.Float64Rows()
 	if err != nil {
 		return err
 	}
@@ -168,20 +142,9 @@ func (b *Sharded) RunEpoch(st *backend.Stream) error {
 	return nil
 }
 
-// Close drops the epoch scratch: the widened copy of the table and the
-// shards' views of its rows. A later epoch rebuilds both.
-func (b *Sharded) Close() {
-	b.rows64 = nil
-	clear(b.shards)
-}
-
-// Score evaluates at float64 precision, like the inner trainers.
-func (b *Sharded) Score(model []float64, rows [][]float64) ([]float64, error) {
-	if b.inners == nil {
-		return nil, backend.ErrNotConfigured
-	}
-	return backend.ScoreFloat64(b.class, b.graph, model, rows)
-}
+// Close drops the shards' views of the epoch's rows; a later epoch
+// rebuilds them.
+func (b *Sharded) Close() { clear(b.shards) }
 
 func (b *Sharded) Model() []float64 {
 	if b.inners == nil {

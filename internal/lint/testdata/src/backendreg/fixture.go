@@ -12,11 +12,8 @@ type base struct{}
 func (base) EstimateCost(backend.Job) (backend.Cost, error) { return backend.Cost{}, nil }
 func (base) Configure(backend.Program) error                { return nil }
 func (base) RunEpoch(*backend.Stream) error                 { return nil }
-func (base) Score([]float64, [][]float64) ([]float64, error) {
-	return nil, nil
-}
-func (base) Model() []float64         { return nil }
-func (base) SetModel([]float64) error { return nil }
+func (base) Model() []float64                               { return nil }
+func (base) SetModel([]float64) error                       { return nil }
 func (base) ModeledSeconds(backend.Job, backend.Run) float64 {
 	return 0
 }

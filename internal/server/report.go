@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -47,14 +48,8 @@ func percentile(xs []float64, q float64) float64 {
 	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
-	i := int(q*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
+	i := int(math.Ceil(q*float64(len(s)))) - 1
+	return s[min(max(i, 0), len(s)-1)]
 }
 
 func mean(xs []float64) float64 {

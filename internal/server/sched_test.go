@@ -239,3 +239,36 @@ func TestPlanTypedErrors(t *testing.T) {
 		t.Fatalf("zero instances: got %v", err)
 	}
 }
+
+// TestPercentileNearestRank: the q-quantile of n values is the
+// ⌈q·n⌉-th smallest. The sample holds 1..n in descending order, so the
+// expected value is the rank itself.
+func TestPercentileNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n        int
+		p50, p99 float64
+	}{
+		{1, 1, 1},
+		{48, 24, 48},
+		{50, 25, 50},
+		{70, 35, 70},
+		{100, 50, 99},
+	} {
+		xs := make([]float64, c.n)
+		for i := range xs {
+			xs[i] = float64(c.n - i)
+		}
+		if got := percentile(xs, 0.50); got != c.p50 {
+			t.Errorf("n=%d: p50 = %v, want %v", c.n, got, c.p50)
+		}
+		if got := percentile(xs, 0.99); got != c.p99 {
+			t.Errorf("n=%d: p99 = %v, want %v", c.n, got, c.p99)
+		}
+		if got := percentile(xs, 1); got != float64(c.n) {
+			t.Errorf("n=%d: p100 = %v, want %d", c.n, got, c.n)
+		}
+	}
+	if got := percentile(nil, 0.99); got != 0 {
+		t.Errorf("empty sample: p99 = %v, want 0", got)
+	}
+}

@@ -75,12 +75,11 @@ type Config struct {
 }
 
 // udfEntry pins the artifacts of one configuration key on one tenant:
-// the registered UDF (renamed to be unique per key), its table, and the
-// epoch budget fixed at first use.
+// the registered UDF (renamed to be unique per key), its table and its
+// workload class.
 type udfEntry struct {
 	udfName string
 	table   string
-	epochs  int
 	class   backend.Class
 }
 
@@ -492,7 +491,6 @@ func (t *tenant) ensureUDF(s *Server, spec JobSpec, key string) (udfEntry, error
 	ue := udfEntry{
 		udfName: a.Name,
 		table:   ds.Rel.Name,
-		epochs:  a.Epochs,
 		class:   backend.Classify(udf.Graph),
 	}
 	t.udfs[key] = ue
@@ -534,7 +532,7 @@ func (t *tenant) score(s *Server, pl *Placement) (int, error) {
 			model[i] = float64(v)
 		}
 	}
-	sc, err := backend.NewRowScorer[float64](ue.class, udf.Graph, model)
+	sc, err := backend.NewRowScorer(ue.class, udf.Graph, model)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package dana_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -278,4 +279,86 @@ func unreferencedFuncs(root string) (map[string]string, error) {
 		}
 	}
 	return unused, nil
+}
+
+// TestBackendSeamIsDriven fails when a method of backend.Backend has no
+// call site in a non-test file other than the conformance harness
+// (internal/backend/conformance.go, which calls every method by design):
+// the seam holds only what production drives. A call counts when its
+// receiver is a Backend, a type that implements one, or an interface a
+// Backend satisfies (greenplum's segments run through backend.Trainer).
+func TestBackendSeamIsDriven(t *testing.T) {
+	undriven, err := undrivenSeamMethods(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range undriven {
+		t.Errorf("backend.Backend.%s has no call site outside the conformance harness: take it out of the seam", name)
+	}
+}
+
+// undrivenSeamMethods type-checks the module's non-test files under root
+// and returns the backend.Backend methods none of them calls, the harness
+// aside.
+func undrivenSeamMethods(root string) ([]string, error) {
+	l, err := lint.NewLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		return nil, err
+	}
+	var backendType types.Type
+	for _, pkg := range pkgs {
+		if pkg.PkgPath == l.ModulePath+"/internal/backend" {
+			if obj := pkg.Types.Scope().Lookup("Backend"); obj != nil {
+				backendType = obj.Type()
+			}
+		}
+	}
+	var seam *types.Interface
+	if backendType != nil {
+		seam, _ = backendType.Underlying().(*types.Interface)
+	}
+	if seam == nil {
+		return nil, fmt.Errorf("no interface backend.Backend under %s", l.Root)
+	}
+	// reaches reports whether a method called on recv can run a Backend's.
+	reaches := func(recv types.Type) bool {
+		if it, ok := recv.Underlying().(*types.Interface); ok {
+			return types.Implements(backendType, it)
+		}
+		return types.Implements(recv, seam) || types.Implements(types.NewPointer(recv), seam)
+	}
+	harness := filepath.Join(l.Root, "internal", "backend", "conformance.go")
+	called := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			if pkg.Fset.Position(f.Pos()).Filename == harness {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				se, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if sel := pkg.TypesInfo.Selections[se]; sel != nil && sel.Kind() == types.MethodVal && reaches(sel.Recv()) {
+					called[sel.Obj().Name()] = true
+				}
+				return true
+			})
+		}
+	}
+	var undriven []string
+	for i := 0; i < seam.NumMethods(); i++ {
+		if name := seam.Method(i).Name(); !called[name] {
+			undriven = append(undriven, name)
+		}
+	}
+	return undriven, nil
 }
