@@ -7,12 +7,10 @@
 //	determinism  no wall-clock/rand/map-order effects in modeled-cycle packages
 //	obsguard     obs call sites stay zero-alloc and lookup-free under obs.Noop
 //	faulterrors  typed fault sentinels survive wrapping (%w, not %v)
-//	backendreg   every backend.Backend impl is registered with non-empty Capabilities
-//	tenantflow   tenant-private System/registry/injector values stay in their tenant
 //	hotcall      no heap allocation in a //dana:hotpath function or anything it calls
-//	golifecycle  go statements in server/runtime join on all paths; lock order acyclic
+//	lockorder    mutexes are acquired in one module-wide order (no lock-order cycle)
 //
-// The last three are interprocedural: danalint builds a module-wide
+// The last two are interprocedural: danalint builds a module-wide
 // call graph (CHA with receiver narrowing) and per-function summaries
 // bottom-up over its SCCs, then checks whole-closure facts at each
 // call site.
@@ -28,7 +26,7 @@
 // finding with `//danalint:ignore <analyzer> -- reason` on (or above)
 // the offending line. The reason tail is mandatory: `-audit` lists
 // every suppression in the module and exits non-zero if any directive
-// omits it.
+// omits it or names an analyzer the suite does not have.
 package main
 
 import (
@@ -107,7 +105,8 @@ func main() {
 }
 
 // runAudit prints the module's suppression inventory and exits non-zero
-// when any directive lacks the mandatory `-- reason` tail.
+// when any directive lacks the mandatory `-- reason` tail or names no
+// analyzer of the suite.
 func runAudit(pkgs []*lint.Package) {
 	recs := lint.CollectSuppressionRecords(pkgs)
 	unaudited := 0
@@ -117,13 +116,13 @@ func runAudit(pkgs []*lint.Package) {
 			analyzer = "(all)"
 		}
 		reason := r.Reason
-		if reason == "" {
-			reason = "<MISSING REASON>"
+		if p := r.Problem(); p != "" {
+			reason = strings.TrimSpace(p + " " + reason)
 			unaudited++
 		}
 		fmt.Printf("%s:%d: %-12s %s\n", r.Pos.Filename, r.Pos.Line, analyzer, reason)
 	}
-	fmt.Fprintf(os.Stderr, "danalint: %d suppression(s), %d without a reason\n", len(recs), unaudited)
+	fmt.Fprintf(os.Stderr, "danalint: %d suppression(s), %d without a reason or a known analyzer\n", len(recs), unaudited)
 	if unaudited > 0 {
 		os.Exit(1)
 	}

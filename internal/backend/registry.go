@@ -36,8 +36,8 @@ type Factory func(env Env) Backend
 
 // Registration ties a dispatch name to a backend factory and, for the
 // conformance suite, to the reference semantics the backend promises to
-// match. danalint's backendreg check requires every Backend
-// implementation to appear in exactly such a registration.
+// match. The root TestEveryBackendIsRegistered requires every Backend
+// implementation to be built by such a registration.
 type Registration struct {
 	Name string
 	New  Factory

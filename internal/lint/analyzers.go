@@ -4,18 +4,16 @@ package lint
 // encodes a repo invariant first discovered (expensively) at runtime and
 // is kept by a planted mutation only it catches (mutation_test.go,
 // interproc_test.go; roster in DESIGN.md "Static analysis"). The final
-// three are interprocedural: they consume the module-wide call graph
-// and summaries on Pass.Mod.
+// two are interprocedural: they consume the module-wide call graph and
+// summaries on Pass.Mod.
 func All() []*Analyzer {
 	return []*Analyzer{
 		PinBalance,
 		Determinism,
 		ObsGuard,
 		FaultErrors,
-		BackendReg,
-		TenantFlow,
 		HotCall,
-		GoLifecycle,
+		LockOrder,
 	}
 }
 

@@ -6,7 +6,9 @@ package lint
 // every directive into a structured record so the CLI can print the
 // full suppression inventory (file:line, analyzer, reason) and fail the
 // build on any directive whose reason is missing — an unaudited
-// suppression is a finding someone silenced without saying why.
+// suppression is a finding someone silenced without saying why — or
+// that names no analyzer of the suite: a leftover name of a deleted
+// analyzer, or a typo, suppresses nothing while reading as audited.
 
 import (
 	"go/token"
@@ -18,6 +20,18 @@ type Suppression struct {
 	Pos      token.Position
 	Analyzer string // "" suppresses every analyzer on the line
 	Reason   string // text after "--"; empty means unaudited
+}
+
+// Problem says why the directive fails the audit, or "" when it names
+// an analyzer of All() (or none) and carries a reason.
+func (s Suppression) Problem() string {
+	if s.Analyzer != "" && ByName(s.Analyzer) == nil {
+		return "<UNKNOWN ANALYZER>"
+	}
+	if s.Reason == "" {
+		return "<MISSING REASON>"
+	}
+	return ""
 }
 
 // CollectSuppressionRecords parses every ignore directive in pkgs,

@@ -2,11 +2,10 @@ package lint
 
 // Interprocedural layer, part 1: the module-wide call graph. PR 5's
 // analyzers were deliberately intra-function — every invariant was
-// decidable from one body plus its package's types. The invariants that
-// matter most since PR 8 are not: tenant isolation is a property of
-// where values flow *between* functions, hotpath allocation-freedom is
-// a property of the whole call closure, and goroutine join discipline
-// couples a spawn site to the code around it. This file lifts the
+// decidable from one body plus its package's types. Two invariants are
+// not: hotpath allocation-freedom is a property of the whole call
+// closure, and lock order couples the locks a caller holds to every
+// lock its callees take. This file lifts the
 // loader's output into a Module: an index of every declared function,
 // with call edges resolved by CHA (class-hierarchy analysis) narrowed
 // by receiver types — a static call through a concrete receiver gets
@@ -30,9 +29,8 @@ import (
 // Pass.Mod: every declared function, its resolved call sites, and the
 // bottom-up summaries computed over the call graph's SCCs.
 type Module struct {
-	Pkgs  []*Package
 	Fset  *token.FileSet
-	Funcs map[string]*FuncInfo // FuncID -> info, for functions declared in Pkgs
+	Funcs map[string]*FuncInfo // FuncID -> info, for functions declared in the packages
 
 	// Summaries holds the per-function facts computed bottom-up over
 	// the call graph (see summary.go).
@@ -63,19 +61,17 @@ type FuncInfo struct {
 	// precision an analyzer can re-walk the body itself).
 	Calls []*CallSite
 
-	lockAcqs   []lockAcq
-	siteByCall map[*ast.CallExpr]*CallSite
+	lockAcqs []lockAcq
 }
 
 // CallSite is one resolved call expression.
 type CallSite struct {
-	Call *ast.CallExpr
-	Pos  token.Pos
+	Pos token.Pos
 
 	// Callees holds the FuncIDs the call may reach, sorted. A static
 	// call has exactly one; an interface call holds the CHA fan-out
 	// over module implementations. External (stdlib) callees appear
-	// here too and are classified by externEffect.
+	// here too and are classified by externAllocs.
 	Callees []string
 
 	// Dynamic marks interface dispatch (Callees is a CHA
@@ -91,8 +87,8 @@ type CallSite struct {
 	// steady-state allocation-freedom.
 	Cold bool
 
-	// Go and Defer record how the call is consumed.
-	Go    bool
+	// Defer marks a deferred call (a deferred Unlock releases only at
+	// exit).
 	Defer bool
 
 	// Held snapshots the lock IDs held (per the linear intra-function
@@ -118,7 +114,6 @@ func FuncID(fn *types.Func) string { return fn.FullName() }
 // (TestAnalyzerDeterminism pins this).
 func BuildModule(pkgs []*Package) *Module {
 	m := &Module{
-		Pkgs:      pkgs,
 		Funcs:     map[string]*FuncInfo{},
 		Summaries: map[string]*Summary{},
 		implCache: map[string][]string{},
@@ -148,12 +143,11 @@ func BuildModule(pkgs []*Package) *Module {
 					continue
 				}
 				fi := &FuncInfo{
-					ID:         FuncID(obj),
-					Obj:        obj,
-					Decl:       fd,
-					Pkg:        pkg,
-					Hot:        isHotpathMarked(fd.Doc),
-					siteByCall: map[*ast.CallExpr]*CallSite{},
+					ID:   FuncID(obj),
+					Obj:  obj,
+					Decl: fd,
+					Pkg:  pkg,
+					Hot:  isHotpathMarked(fd.Doc),
 				}
 				m.Funcs[fi.ID] = fi
 			}
@@ -174,10 +168,6 @@ func BuildModule(pkgs []*Package) *Module {
 	return m
 }
 
-// Site returns the resolved CallSite for a call expression inside fn
-// (nil when the expression was not indexed).
-func (fi *FuncInfo) Site(call *ast.CallExpr) *CallSite { return fi.siteByCall[call] }
-
 // FuncIDs returns the sorted IDs of all indexed functions.
 func (m *Module) FuncIDs() []string { return m.funcIDs }
 
@@ -190,14 +180,9 @@ func (m *Module) collectCalls(fi *FuncInfo) {
 		if !ok {
 			return true
 		}
-		site := &CallSite{Call: call, Pos: call.Pos(), Cold: coldSite(call, stack)}
+		site := &CallSite{Pos: call.Pos(), Cold: coldSite(call, stack)}
 		if len(stack) > 0 {
-			switch stack[len(stack)-1].(type) {
-			case *ast.GoStmt:
-				site.Go = true
-			case *ast.DeferStmt:
-				site.Defer = true
-			}
+			_, site.Defer = stack[len(stack)-1].(*ast.DeferStmt)
 		}
 		callees, dynamic, unresolved := m.resolveCall(fi.Pkg, call)
 		site.Callees, site.Dynamic, site.Unresolved = callees, dynamic, unresolved
@@ -220,7 +205,6 @@ func (m *Module) collectCalls(fi *FuncInfo) {
 			}
 		}
 		fi.Calls = append(fi.Calls, site)
-		fi.siteByCall[call] = site
 		return true
 	})
 }

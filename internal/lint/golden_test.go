@@ -79,10 +79,8 @@ func TestAnalyzersGolden(t *testing.T) {
 		{ObsGuard, "obsguard"},
 		{HotCall, "hotalloc"}, // depth 0: the marked body's own sites
 		{FaultErrors, "faulterrors"},
-		{BackendReg, "backendreg"},
-		{TenantFlow, "tenantflow"},
 		{HotCall, "hotcall"},
-		{GoLifecycle, "golifecycle"},
+		{LockOrder, "lockorder"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.dir, func(t *testing.T) {

@@ -52,8 +52,8 @@ type Pass struct {
 
 	// Mod is the module-wide interprocedural view (call graph and
 	// function summaries) shared by every pass of one RunAnalyzers
-	// invocation. Interprocedural analyzers (tenantflow, hotcall,
-	// golifecycle) consume it; intra-function analyzers ignore it.
+	// invocation. Interprocedural analyzers (hotcall, lockorder)
+	// consume it; intra-function analyzers ignore it.
 	Mod *Module
 
 	// Unit is the loader's package record for this pass, usable as a

@@ -178,86 +178,6 @@ func (r *runner) extractPage(tuples [][]float32, cols int) *pageResult {
 }
 `
 
-// scratchBackend is a minimal stand-in for internal/backend: backendreg
-// resolves the vocabulary (Backend, Registration, Capabilities) by
-// package name and scope, so the scratch module exercises the same
-// resolution path as the real registry.
-const scratchBackend = `package backend
-
-type Env struct{}
-
-type Capabilities struct {
-	Name    string
-	Classes []string
-}
-
-type Program struct{}
-type Stream struct{}
-
-type Backend interface {
-	Capabilities() Capabilities
-	Configure(p Program) error
-	RunEpoch(st *Stream) error
-	Model() []float64
-}
-
-type Registration struct {
-	Name string
-	New  func(Env) Backend
-}
-`
-
-// backendUnregistered reintroduces the drift backendreg exists for: a
-// new Backend implementation wired up by hand somewhere, bypassing the
-// Registration list — so the dispatcher, the failover policy, and the
-// conformance suite never see it.
-const backendUnregistered = `package engines
-
-import "scratch/backend"
-
-type FPGA struct{}
-
-func (FPGA) Capabilities() backend.Capabilities {
-	return backend.Capabilities{Name: "fpga", Classes: []string{"linear"}}
-}
-func (FPGA) Configure(backend.Program) error { return nil }
-func (FPGA) RunEpoch(*backend.Stream) error  { return nil }
-func (FPGA) Model() []float64                { return nil }
-`
-
-// backendRegistered is the fix: the implementation appears in a
-// Registration factory.
-const backendRegistered = backendUnregistered + `
-func Registrations() []backend.Registration {
-	return []backend.Registration{
-		{Name: "fpga", New: func(backend.Env) backend.Backend { return FPGA{} }},
-	}
-}
-`
-
-// backendEmptyCaps registers the backend but hollows out its
-// capability declaration (no Classes), making it invisible to the
-// dispatcher's admissibility filter.
-const backendEmptyCaps = `package engines
-
-import "scratch/backend"
-
-type FPGA struct{}
-
-func (FPGA) Capabilities() backend.Capabilities {
-	return backend.Capabilities{Name: "fpga"}
-}
-func (FPGA) Configure(backend.Program) error { return nil }
-func (FPGA) RunEpoch(*backend.Stream) error  { return nil }
-func (FPGA) Model() []float64                { return nil }
-
-func Registrations() []backend.Registration {
-	return []backend.Registration{
-		{Name: "fpga", New: func(backend.Env) backend.Backend { return FPGA{} }},
-	}
-}
-`
-
 // scratchObs is a minimal stand-in for internal/obs: obsguard matches
 // receivers by package path suffix, and exempts the package itself.
 const scratchObs = `package obs
@@ -437,42 +357,6 @@ func TestHotAllocCatchesPerPageAllocationRegression(t *testing.T) {
 	}, HotCall)
 	if len(fixed) != 0 {
 		t.Fatalf("reuse-idiom extraction loop still flagged: %v", fixed)
-	}
-}
-
-func TestBackendRegCatchesUnregisteredBackend(t *testing.T) {
-	buggy := analyzeScratch(t, map[string]string{
-		"backend/backend.go": scratchBackend,
-		"engines/fpga.go":    backendUnregistered,
-	}, BackendReg)
-	if len(buggy) != 1 || !strings.Contains(buggy[0].Message, "no backend.Registration constructs it") {
-		t.Fatalf("unregistered backend: got %v, want one registration finding", buggy)
-	}
-
-	fixed := analyzeScratch(t, map[string]string{
-		"backend/backend.go": scratchBackend,
-		"engines/fpga.go":    backendRegistered,
-	}, BackendReg)
-	if len(fixed) != 0 {
-		t.Fatalf("registered backend still flagged: %v", fixed)
-	}
-}
-
-func TestBackendRegCatchesEmptyCapabilities(t *testing.T) {
-	buggy := analyzeScratch(t, map[string]string{
-		"backend/backend.go": scratchBackend,
-		"engines/fpga.go":    backendEmptyCaps,
-	}, BackendReg)
-	if len(buggy) != 1 || !strings.Contains(buggy[0].Message, "must declare Name and workload Classes") {
-		t.Fatalf("empty capabilities: got %v, want one capabilities finding", buggy)
-	}
-
-	fixed := analyzeScratch(t, map[string]string{
-		"backend/backend.go": scratchBackend,
-		"engines/fpga.go":    backendRegistered,
-	}, BackendReg)
-	if len(fixed) != 0 {
-		t.Fatalf("complete capabilities still flagged: %v", fixed)
 	}
 }
 

@@ -2,15 +2,13 @@ package lint
 
 // Interprocedural layer, part 2: per-function summaries. Each declared
 // function gets a small lattice of facts — does its body allocate (or
-// spawn a goroutine) on a hot (non-early-exit) path, which of its
-// parameters may escape into package-level state, which locks can it
+// spawn a goroutine) on a hot (non-early-exit) path, which locks can it
 // acquire — and the transitive closures of those facts are computed
 // bottom-up over the call graph's strongly connected components, with a
 // fixed point inside each SCC so recursion converges. Analyzers then
 // consume whole-closure facts at a single call site: hotcall asks
-// "does anything this call can reach allocate", tenantflow asks "does
-// this callee leak its argument into a package-level var", golifecycle
-// asks "what locks does this callee take while I hold mine".
+// "does anything this call can reach allocate", lockorder asks "what
+// locks does this callee take while I hold mine".
 //
 // The facts are monotone booleans and sets, so the fixed point
 // terminates; all iteration is over sorted FuncIDs for determinism.
@@ -19,15 +17,12 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
 
 // Summary is the interprocedural fact set of one function.
 type Summary struct {
-	ID string
-
 	// AllocWhat is non-empty when the body itself contains a hot-path
 	// allocation that is neither inside an early-exit branch nor
 	// covered by an audited hotcall suppression; AllocPos is the first
@@ -41,15 +36,8 @@ type Summary struct {
 	TransAllocs    bool
 	TransAllocDesc string
 
-	// Escapes maps parameter index (receiver = -1) to a description of
-	// how that parameter may reach package-level state, directly or
-	// through callees.
-	Escapes map[int]string
-
-	// TransLocks is the sorted set of lock IDs this function may
-	// acquire, directly or through callees.
-	TransLocks []string
-
+	// transLockSet holds the lock IDs this function may acquire,
+	// directly or through callees.
 	transLockSet map[string]bool
 }
 
@@ -67,7 +55,7 @@ type LockEdge struct {
 func buildSummaries(m *Module) {
 	for _, id := range m.funcIDs {
 		fi := m.Funcs[id]
-		s := &Summary{ID: id, Escapes: map[int]string{}, transLockSet: map[string]bool{}}
+		s := &Summary{transLockSet: map[string]bool{}}
 		s.AllocPos, s.AllocWhat = bodyAllocation(fi.Pkg, fi.Decl, m.sups[fi.Pkg])
 		for _, acq := range fi.lockAcqs {
 			s.transLockSet[acq.id] = true
@@ -84,26 +72,6 @@ func buildSummaries(m *Module) {
 				}
 			}
 		}
-		// Escapes need the callee summaries stabilized first, then a
-		// fixed point of their own within the SCC (a recursive helper
-		// can leak its parameter through itself).
-		for changed := true; changed; {
-			changed = false
-			for _, id := range scc {
-				if m.computeEscapes(id) {
-					changed = true
-				}
-			}
-		}
-	}
-
-	for _, id := range m.funcIDs {
-		s := m.Summaries[id]
-		s.TransLocks = make([]string, 0, len(s.transLockSet))
-		for l := range s.transLockSet {
-			s.TransLocks = append(s.TransLocks, l)
-		}
-		sort.Strings(s.TransLocks)
 	}
 	m.buildLockEdges()
 }
@@ -162,50 +130,6 @@ func (m *Module) closeSummary(id string) bool {
 		}
 	}
 	return changed
-}
-
-// computeEscapes re-runs the intra-function taint pass for id with the
-// current callee summaries; reports whether the escape set grew.
-func (m *Module) computeEscapes(id string) bool {
-	fi := m.Funcs[id]
-	s := m.Summaries[id]
-	seeds := map[types.Object]taintOrigin{}
-	sig := fi.Obj.Type().(*types.Signature)
-	if recv := sig.Recv(); recv != nil {
-		seeds[recv] = taintOrigin{label: recv.Name(), param: -1}
-	}
-	// The parameter objects in the AST are resolved through Defs on the
-	// field names; the signature vars are the same objects.
-	for i := 0; i < sig.Params().Len(); i++ {
-		p := sig.Params().At(i)
-		seeds[p] = taintOrigin{label: p.Name(), param: i}
-	}
-	grew := false
-	record := func(idx int, why string) {
-		if idx < -1 {
-			return
-		}
-		if _, ok := s.Escapes[idx]; !ok {
-			s.Escapes[idx] = why
-			grew = true
-		}
-	}
-	runTaint(fi, taintConfig{
-		pkg:   fi.Pkg,
-		mod:   m,
-		seeds: seeds,
-		sinkGlobal: func(origins []taintOrigin, obj types.Object, pos token.Pos) {
-			for _, o := range origins {
-				record(o.param, fmt.Sprintf("stores it into package-level %s", obj.Name()))
-			}
-		},
-		sinkCall: func(origins []taintOrigin, calleeID, why string, pos token.Pos) {
-			for _, o := range origins {
-				record(o.param, fmt.Sprintf("passes it to %s, which %s", shortFuncID(calleeID), why))
-			}
-		},
-	})
-	return grew
 }
 
 // buildLockEdges assembles the module lock-order graph: intra-function

@@ -9,11 +9,93 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
+	"dana/internal/backend"
 	"dana/internal/lint"
+	"dana/internal/runtime"
 )
+
+// harness lists the packages production never imports (TestLayerOrder).
+// With bench/, its own module, they are the non-production packages the
+// type-checked checks below skip.
+var harness = []string{"dana/internal/experiments", "dana/internal/verify", "dana/internal/lint"}
+
+// isProduction reports whether a loaded package is production code.
+func isProduction(pkg *lint.Package) bool {
+	for _, h := range harness {
+		if pkg.PkgPath == h {
+			return false
+		}
+	}
+	return pkg.PkgPath != "dana/bench" && !strings.HasPrefix(pkg.PkgPath, "dana/bench/")
+}
+
+// moduleFacts is what the type-checked root tests read off one load of
+// the module's non-test files. The load is made once, reduced to these
+// facts and dropped, so the tests that run after them do not carry its
+// ≈ 40 MB of syntax trees and type information.
+type moduleFacts struct {
+	unreferenced map[string]string   // unreferencedFuncs
+	undriven     []string            // undrivenSeamMethods
+	goStmts      map[string][]string // production function -> its go statements' positions
+	tenantVars   []string            // tenantStateVars
+	backends     map[string]string   // production type implementing backend.Backend -> its position
+}
+
+var module struct {
+	once  sync.Once
+	facts moduleFacts
+	err   error
+}
+
+func loadFacts(t *testing.T) *moduleFacts {
+	t.Helper()
+	module.once.Do(func() { module.facts, module.err = readFacts() })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return &module.facts
+}
+
+func readFacts() (f moduleFacts, err error) {
+	l, err := lint.NewLoader(".")
+	if err != nil {
+		return f, err
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		return f, err
+	}
+	backendType, seam, err := seamOf(l, pkgs)
+	if err != nil {
+		return f, err
+	}
+	if f.tenantVars, err = tenantStateVars(pkgs); err != nil {
+		return f, err
+	}
+	f.unreferenced = unreferencedFuncs(l, pkgs)
+	f.undriven = undrivenSeamMethods(l, pkgs, backendType, seam)
+	f.goStmts = goStatements(pkgs)
+	f.backends = backendImpls(pkgs, seam)
+	return f, nil
+}
+
+// funcKey names a function pkg.Func, a method pkg.Type.Method.
+func funcKey(fn *types.Func) string {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		return fn.Pkg().Name() + "." + t.(*types.Named).Obj().Name() + "." + fn.Name()
+	}
+	return fn.Pkg().Name() + "." + fn.Name()
+}
 
 // TestLayerOrder pins the dependency direction: production packages
 // never (transitively) import a harness package. `go list -deps` is the
@@ -21,7 +103,6 @@ import (
 // from backend, fails here.
 func TestLayerOrder(t *testing.T) {
 	production := []string{"runtime", "backend", "server", "greenplum", "cost", "engine", "accessengine", "storage", "bufpool"}
-	harness := []string{"dana/internal/experiments", "dana/internal/verify", "dana/internal/lint"}
 	for _, pkg := range production {
 		out, err := exec.Command("go", "list", "-deps", "./internal/"+pkg).Output()
 		if err != nil {
@@ -163,10 +244,7 @@ const apiSurface = "public API: a method of a type the dana package hands out, p
 // (oracles: their callers are tests by design) and internal/fuzzcorpus
 // (the fuzz targets' corpus writers).
 func TestNoTestOnlyProductionFunctions(t *testing.T) {
-	unused, err := unreferencedFuncs(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	unused := loadFacts(t).unreferenced
 	for name, pos := range unused {
 		if unreferencedOK[name] == "" {
 			t.Errorf("%s: %s has no non-test reference: delete it, or list it in unreferencedOK with its reason", pos, name)
@@ -179,18 +257,10 @@ func TestNoTestOnlyProductionFunctions(t *testing.T) {
 	}
 }
 
-// unreferencedFuncs type-checks the module's non-test files under root
-// and returns the non-exempt functions and methods nothing in them
-// references, keyed as unreferencedOK is, with their positions.
-func unreferencedFuncs(root string) (map[string]string, error) {
-	l, err := lint.NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		return nil, err
-	}
+// unreferencedFuncs returns the non-exempt functions and methods of the
+// module's non-test files that nothing in them references, keyed as
+// unreferencedOK is, with their positions.
+func unreferencedFuncs(l *lint.Loader, pkgs []*lint.Package) map[string]string {
 	used := map[types.Object]bool{}
 	var ifaces []*types.Interface
 	std := map[*types.Package]bool{}
@@ -264,21 +334,14 @@ func unreferencedFuncs(root string) (map[string]string, error) {
 					continue
 				}
 				fn := pkg.TypesInfo.Defs[fd.Name].(*types.Func)
-				name := pkg.Types.Name() + "." + fn.Name()
-				if used[fn] {
+				if used[fn] || fn.Type().(*types.Signature).Recv() != nil && viaInterface(fn) {
 					continue
 				}
-				if fn.Type().(*types.Signature).Recv() != nil {
-					if viaInterface(fn) {
-						continue
-					}
-					name = pkg.Types.Name() + "." + recvType(fn).(*types.Named).Obj().Name() + "." + fn.Name()
-				}
-				unused[name] = pkg.Fset.Position(fd.Pos()).String()
+				unused[funcKey(fn)] = pkg.Fset.Position(fd.Pos()).String()
 			}
 		}
 	}
-	return unused, nil
+	return unused
 }
 
 // TestBackendSeamIsDriven fails when a method of backend.Backend has no
@@ -288,42 +351,28 @@ func unreferencedFuncs(root string) (map[string]string, error) {
 // receiver is a Backend, a type that implements one, or an interface a
 // Backend satisfies (greenplum's segments run through backend.Trainer).
 func TestBackendSeamIsDriven(t *testing.T) {
-	undriven, err := undrivenSeamMethods(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range undriven {
+	for _, name := range loadFacts(t).undriven {
 		t.Errorf("backend.Backend.%s has no call site outside the conformance harness: take it out of the seam", name)
 	}
 }
 
-// undrivenSeamMethods type-checks the module's non-test files under root
-// and returns the backend.Backend methods none of them calls, the harness
-// aside.
-func undrivenSeamMethods(root string) ([]string, error) {
-	l, err := lint.NewLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := l.Load("./...")
-	if err != nil {
-		return nil, err
-	}
-	var backendType types.Type
+// seamOf finds backend.Backend among the loaded packages.
+func seamOf(l *lint.Loader, pkgs []*lint.Package) (types.Type, *types.Interface, error) {
 	for _, pkg := range pkgs {
 		if pkg.PkgPath == l.ModulePath+"/internal/backend" {
 			if obj := pkg.Types.Scope().Lookup("Backend"); obj != nil {
-				backendType = obj.Type()
+				if seam, ok := obj.Type().Underlying().(*types.Interface); ok {
+					return obj.Type(), seam, nil
+				}
 			}
 		}
 	}
-	var seam *types.Interface
-	if backendType != nil {
-		seam, _ = backendType.Underlying().(*types.Interface)
-	}
-	if seam == nil {
-		return nil, fmt.Errorf("no interface backend.Backend under %s", l.Root)
-	}
+	return nil, nil, fmt.Errorf("no interface backend.Backend under %s", l.Root)
+}
+
+// undrivenSeamMethods returns the backend.Backend methods no non-test
+// file calls, the harness aside.
+func undrivenSeamMethods(l *lint.Loader, pkgs []*lint.Package, backendType types.Type, seam *types.Interface) []string {
 	// reaches reports whether a method called on recv can run a Backend's.
 	reaches := func(recv types.Type) bool {
 		if it, ok := recv.Underlying().(*types.Interface); ok {
@@ -360,5 +409,192 @@ func undrivenSeamMethods(root string) ([]string, error) {
 			undriven = append(undriven, name)
 		}
 	}
-	return undriven, nil
+	return undriven
+}
+
+// goSites is the whole list of production functions that hold a go
+// statement, each with the join it relies on. A goroutine is added with
+// its join, here, or not at all.
+var goSites = map[string]string{
+	"runtime.epochRunner.extractPages": "W walkers, each signalling busy.Done per group and on exit; a deferred close + busy.Wait joins them on every return",
+	"server.Server.execute":            "one goroutine per tenant, joined by wg.Wait before the results are read",
+	"greenplum.EpochShards":            "one goroutine per segment, joined by wg.Wait before the coordinator merge",
+}
+
+// TestProductionGoroutinesAreListed fails on a go statement in a
+// production function goSites does not list, and on a goSites entry that
+// no longer holds one. Keys are pkg.Func and pkg.Type.Method.
+func TestProductionGoroutinesAreListed(t *testing.T) {
+	goStmts := loadFacts(t).goStmts
+	for name, at := range goStmts {
+		if goSites[name] == "" {
+			t.Errorf("%s: go statement in %s, which goSites does not list: join it and list it with its join", at[0], name)
+		}
+	}
+	for name := range goSites {
+		if goStmts[name] == nil {
+			t.Errorf("goSites lists %s, which holds no go statement: drop the entry", name)
+		}
+	}
+}
+
+// goStatements maps each production function holding a go statement to
+// the statements' positions.
+func goStatements(pkgs []*lint.Package) map[string][]string {
+	out := map[string][]string{}
+	for _, pkg := range pkgs {
+		if !isProduction(pkg) {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					name := funcKey(pkg.TypesInfo.Defs[fd.Name].(*types.Func))
+					ast.Inspect(fd.Body, func(n ast.Node) bool {
+						if g, ok := n.(*ast.GoStmt); ok {
+							out[name] = append(out[name], pkg.Fset.Position(g.Pos()).String())
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestTenantStateHasNoPackageVar: a tenant owns its runtime.System, obs
+// registry and fault injector, so internal/server and internal/runtime
+// declare no package-level var whose type can reach one — a var every
+// tenant's goroutine would share.
+func TestTenantStateHasNoPackageVar(t *testing.T) {
+	for _, v := range loadFacts(t).tenantVars {
+		t.Errorf("%s can reach a tenant's System, registry or injector", v)
+	}
+}
+
+// tenantStateVars lists the package-level vars of internal/server and
+// internal/runtime whose type can reach a *runtime.System, *obs.Registry
+// or *fault.Injector. An interface other than error, a func (it may
+// capture one) and a type parameter count as able to reach them.
+func tenantStateVars(pkgs []*lint.Package) ([]string, error) {
+	tenantState := map[string]bool{
+		"dana/internal/runtime.System": true,
+		"dana/internal/obs.Registry":   true,
+		"dana/internal/fault.Injector": true,
+	}
+	errType := types.Universe.Lookup("error").Type()
+	var reaches func(t types.Type, seen map[types.Type]bool) bool
+	reaches = func(t types.Type, seen map[types.Type]bool) bool {
+		if seen[t] {
+			return false
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Named:
+			if t == errType {
+				return false
+			}
+			if obj := t.Obj(); obj.Pkg() != nil && tenantState[obj.Pkg().Path()+"."+obj.Name()] {
+				return true
+			}
+			return reaches(t.Underlying(), seen)
+		case *types.Pointer:
+			return reaches(t.Elem(), seen)
+		case *types.Slice:
+			return reaches(t.Elem(), seen)
+		case *types.Array:
+			return reaches(t.Elem(), seen)
+		case *types.Chan:
+			return reaches(t.Elem(), seen)
+		case *types.Map:
+			return reaches(t.Key(), seen) || reaches(t.Elem(), seen)
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if reaches(t.Field(i).Type(), seen) {
+					return true
+				}
+			}
+			return false
+		case *types.Basic:
+			return false
+		default: // interface, func, type parameter
+			return true
+		}
+	}
+	var out []string
+	checked := 0
+	for _, pkg := range pkgs {
+		if pkg.PkgPath != "dana/internal/server" && pkg.PkgPath != "dana/internal/runtime" {
+			continue
+		}
+		checked++
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			if v, ok := scope.Lookup(name).(*types.Var); ok && reaches(v.Type(), map[types.Type]bool{}) {
+				out = append(out, fmt.Sprintf("%s: package-level var %s (%s)", pkg.Fset.Position(v.Pos()), name, v.Type()))
+			}
+		}
+	}
+	if checked != 2 {
+		return nil, fmt.Errorf("loaded %d of internal/server and internal/runtime", checked)
+	}
+	return out, nil
+}
+
+// TestEveryBackendIsRegistered: the dispatcher, failover and the
+// conformance suite see only registered backends, so every production
+// type that implements backend.Backend must be the dynamic type of some
+// registration's New(env), over the registrations runtime.New hands its
+// dispatcher.
+func TestEveryBackendIsRegistered(t *testing.T) {
+	backends := loadFacts(t).backends
+	if len(backends) == 0 {
+		t.Fatal("no production type implements backend.Backend")
+	}
+	registered := map[string]bool{}
+	for _, reg := range systemRegistrations(t) {
+		rt := reflect.TypeOf(reg.New(backend.Env{}))
+		if rt.Kind() == reflect.Pointer {
+			rt = rt.Elem()
+		}
+		registered[rt.PkgPath()+"."+rt.Name()] = true
+	}
+	for name, pos := range backends {
+		if !registered[name] {
+			t.Errorf("%s: %s implements backend.Backend but no registration runtime.New assembles builds it", pos, name)
+		}
+	}
+}
+
+// backendImpls maps each production type implementing the seam, by
+// import path and name, to its position.
+func backendImpls(pkgs []*lint.Package, seam *types.Interface) map[string]string {
+	out := map[string]string{}
+	for _, pkg := range pkgs {
+		if !isProduction(pkg) {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			if types.Implements(tn.Type(), seam) || types.Implements(types.NewPointer(tn.Type()), seam) {
+				out[pkg.PkgPath+"."+name] = pkg.Fset.Position(tn.Pos()).String()
+			}
+		}
+	}
+	return out
+}
+
+// systemRegistrations reads the registrations off a fresh System's
+// dispatcher, which runtime.New assembles and keeps unexported.
+func systemRegistrations(t *testing.T) []backend.Registration {
+	f := reflect.ValueOf(runtime.New(runtime.Options{})).Elem().FieldByName("disp")
+	if !f.IsValid() || f.Type() != reflect.TypeOf((*backend.Dispatcher)(nil)) {
+		t.Fatal("runtime.System keeps no *backend.Dispatcher in field disp")
+	}
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface().(*backend.Dispatcher).Registrations()
 }
