@@ -395,6 +395,26 @@ func BenchmarkDAnAFunctionalEpoch(b *testing.B) {
 	b.ReportMetric(float64(d.Tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 }
 
+// BenchmarkScorePass is one warm batch-scoring pass, a server score job's
+// work: System.Score over Remote Sensing LR at scale 0.02, every heap page
+// decoded by the walker of the UDF's accelerator and every row scored by
+// backend.RowScorer, on the pass the first Score left kept. allocs/op is
+// the row to watch: it does not grow with the table.
+func BenchmarkScorePass(b *testing.B) {
+	eng, d, a := openTrainBench(b, "Remote Sensing LR", 0.02, 64, hostrt.GOMAXPROCS(0), 1)
+	if _, err := eng.sys.Score(a.Name, d.Rel.Name, nil); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.sys.Score(a.Name, d.Rel.Name, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(d.Tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
+}
+
 // --- Host-parallel executor benchmarks ---------------------------------------
 
 // openTrainBench deploys a multi-page workload on an engine, registers

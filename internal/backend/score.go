@@ -11,8 +11,8 @@ import (
 // scoring rule — dot product (linear), sigmoid probability (logistic), raw
 // margin (SVM), factor-row dot product (LRMF) — evaluated in float64, one
 // row at a time, for a caller that streams rows rather than holding them
-// (the server's score jobs score as the scan delivers). Scoring has no
-// cycle model yet.
+// (runtime's System.Score scores each row as extraction delivers it).
+// Scoring has no cycle model yet.
 type RowScorer struct {
 	class Class
 	g     *hdfg.Graph

@@ -128,6 +128,11 @@ type System struct {
 	// good Train on it configured; a Train takes it out for the whole run.
 	keptMu sync.Mutex
 	kept   map[[2]string]backend.Backend
+	// scoring maps a UDF to the pass its last good Score ran, and scoreBuf
+	// is the buffer every pass decodes into; both are checked out under
+	// keptMu the same way.
+	scoring  map[string]*scorePass
+	scoreBuf *scoreBuf
 
 	channels int // modeled channel count: Opts.Cost.Link.Channels clamped to [1, MaxChannels]
 
@@ -169,9 +174,10 @@ func New(opts Options) *System {
 		opts = DefaultOptions()
 	}
 	s := &System{
-		Opts: opts,
-		DB:   sql.NewDB(opts.PageSize, opts.PoolBytes, opts.Disk),
-		kept: map[[2]string]backend.Backend{},
+		Opts:    opts,
+		DB:      sql.NewDB(opts.PageSize, opts.PoolBytes, opts.Disk),
+		kept:    map[[2]string]backend.Backend{},
+		scoring: map[string]*scorePass{},
 	}
 	s.DB.Runner = s
 	reg := opts.Obs
@@ -466,11 +472,9 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 	if got, want := rel.Schema.NumCols(), udf.Graph.TupleWidth(); got != want {
 		return nil, fmt.Errorf("runtime: table %q has %d columns, UDF %q consumes %d", table, got, udfName, want)
 	}
-	// DAnA trains over append-only snapshots (see Relation.Vacuum).
 	// Refusing dead tuples before dispatch gives every backend one answer.
-	if n := rel.NumDead(); n > 0 {
-		return nil, fmt.Errorf("runtime: table %q holds %d dead tuples; VACUUM it before training: %w",
-			table, n, storage.ErrBadItem)
+	if err := refuseDead(rel); err != nil {
+		return nil, err
 	}
 	be, reg, job, err := s.disp.Resolve(s.Opts.Backend, job)
 	if err != nil {

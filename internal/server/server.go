@@ -19,7 +19,10 @@
 // too: it keeps the backend its last good Train of a UDF configured, so a
 // tenant's jobs of one program share a machine and never charge another
 // tenant's registry. Placement.Reused stays the planner's view of its
-// modeled instances.
+// modeled instances. A score job is a host job on the tenant System:
+// System.Score decodes the table's heap pages through the walker of the
+// UDF's accelerator, so it scores the values extraction hands Train, and
+// it pins no frame and charges no modeled cycle or I/O.
 package server
 
 import (
@@ -29,7 +32,6 @@ import (
 	"strings"
 	"sync"
 
-	"dana/internal/backend"
 	"dana/internal/bufpool"
 	"dana/internal/datagen"
 	"dana/internal/dsl"
@@ -75,12 +77,10 @@ type Config struct {
 }
 
 // udfEntry pins the artifacts of one configuration key on one tenant:
-// the registered UDF (renamed to be unique per key), its table and its
-// workload class.
+// the registered UDF (renamed to be unique per key) and its table.
 type udfEntry struct {
 	udfName string
 	table   string
-	class   backend.Class
 }
 
 // tenant is one session principal: a private System plus the server's
@@ -484,15 +484,7 @@ func (t *tenant) ensureUDF(s *Server, spec JobSpec, key string) (udfEntry, error
 	if _, err := t.sys.Register(a, merge, ds.Tuples); err != nil {
 		return udfEntry{}, err
 	}
-	udf, err := t.sys.Catalog().UDF(a.Name)
-	if err != nil {
-		return udfEntry{}, err
-	}
-	ue := udfEntry{
-		udfName: a.Name,
-		table:   ds.Rel.Name,
-		class:   backend.Classify(udf.Graph),
-	}
+	ue := udfEntry{udfName: a.Name, table: ds.Rel.Name}
 	t.udfs[key] = ue
 	return ue, nil
 }
@@ -518,42 +510,7 @@ func (t *tenant) score(s *Server, pl *Placement) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	udf, err := t.sys.Catalog().UDF(ue.udfName)
-	if err != nil {
-		return 0, err
-	}
-	rel, err := t.sys.Catalog().Table(ue.table)
-	if err != nil {
-		return 0, err
-	}
-	model := make([]float64, udf.Graph.ModelSize())
-	if m := t.models[pl.Key]; m != nil {
-		for i, v := range m {
-			model[i] = float64(v)
-		}
-	}
-	sc, err := backend.NewRowScorer(ue.class, udf.Graph, model)
-	if err != nil {
-		return 0, err
-	}
-	// Score as the scan delivers: each row narrowed through float32 — the
-	// values extraction would deliver (Relation.NarrowedRows) — into one
-	// buffer; the scores themselves are not kept.
-	row := make([]float64, 0, rel.Schema.NumCols())
-	n := 0
-	err = rel.Scan(func(_ storage.TID, vals []float64) error {
-		row = row[:0]
-		for _, v := range vals {
-			row = append(row, float64(float32(v)))
-		}
-		_, err := sc.Score(n, row)
-		n++
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
+	return t.sys.Score(ue.udfName, ue.table, t.models[pl.Key])
 }
 
 // IdentityError checks the cross-registry sum identity: for engine and

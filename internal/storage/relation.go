@@ -229,10 +229,9 @@ func (r *Relation) Scan(fn func(tid TID, vals []float64) error) error {
 
 // NarrowedRows materializes the live tuples with every value narrowed
 // through float32 — the Strider datapath width — so consumers that skip
-// the extraction pipeline (row-fed backends, failover targets, batch
-// scoring) see exactly the values it would deliver. rows64 holds the
-// narrowed values widened back (exact); rows32 is built only when
-// with32 is set.
+// the extraction pipeline (row-fed backends, failover targets) see
+// exactly the values it would deliver. rows64 holds the narrowed values
+// widened back (exact); rows32 is built only when with32 is set.
 func (r *Relation) NarrowedRows(with32 bool) (rows64 [][]float64, rows32 [][]float32, err error) {
 	err = r.Scan(func(_ TID, vals []float64) error {
 		r64 := make([]float64, len(vals))
