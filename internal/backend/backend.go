@@ -285,11 +285,14 @@ type Program struct {
 // The float32 backends take any form, narrowing Rows64; the float64
 // backends take Rows64 only (Float64Rows).
 //
-// Held, set beside Rows32, is the producer's word that these rows are
-// stable — the same values every time this holder comes with them — and
-// its loan of a place to keep what a consumer derives from them. The
-// producer owns it and drops it with the rows; what is inside is the
-// consumer's business (the weave stage keeps the rows' woven form there).
+// Held, set beside Rows32 or Batches, is the producer's word that these
+// rows are stable — the same values every time this holder comes with
+// them, in whichever form — and its loan of a place to keep what a
+// consumer derives from them. The producer owns it and drops it with the
+// rows; what is inside is the consumer's business (the weave stage keeps
+// the rows' woven form there). The runtime lends a record-cache entry's
+// holder on the extracting epoch that fills the entry and on every replay
+// of it.
 type Stream struct {
 	Batches func(emit func([][]float32) error) error
 	Rows32  [][]float32

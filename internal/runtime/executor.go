@@ -140,9 +140,11 @@ type epochRunner struct {
 
 	// The two Stream shells handed to the backend, built once: the
 	// extraction form (Batches bound to r.batches) and the replay form
-	// (Rows32 pointed at the cache entry per replay). pendingEnt carries
-	// a freshly-filled cache entry from r.batches to runEpoch, which
-	// stores it only after the backend's epoch fully succeeds.
+	// (Rows32 pointed at the cache entry per replay). pendingEnt is the
+	// cache entry an extracting epoch on a pool-fitting table fills:
+	// runEpoch creates it and lends its holder on the extraction stream,
+	// r.batches fills it, and runEpoch stores it only after the backend's
+	// epoch fully succeeds.
 	extractStream *backend.Stream
 	replayStream  *backend.Stream
 	pendingEnt    *cacheEntry
@@ -384,14 +386,27 @@ func (r *epochRunner) runEpoch(epoch int) error {
 			err = r.replay(ent)
 		} else {
 			r.s.obsCacheMisses.Inc()
+			// The entry exists before its rows do, so its holder goes with
+			// the extraction: what the backend derives from this epoch's rows
+			// is kept for the replays that bring the same holder.
+			r.pendingEnt = &cacheEntry{
+				rel:     r.rel,
+				gen:     r.rel.Generation(),
+				poolGen: r.s.DB.Pool.InvalidationCount(),
+				pages:   make([]accessengine.PageResult, 0, r.rel.NumPages()),
+			}
+			r.extractStream.Held = &r.pendingEnt.held
 			err = r.be.RunEpoch(r.extractStream)
+			r.extractStream.Held = nil
 		}
 	} else {
 		err = r.be.RunEpoch(r.extractStream)
 	}
 	if err == nil && r.pendingEnt != nil {
 		// Store only after the backend's epoch fully succeeded (stream
-		// finished), preserving the historical store-after-Finish order.
+		// finished), preserving the historical store-after-Finish order. A
+		// failed epoch's entry, holder and all, is dropped: a retry starts
+		// a new one.
 		r.s.cache.store(r.pendingEnt)
 	}
 	r.pendingEnt = nil
@@ -442,14 +457,8 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 	}
 	col := r.col
 	col.Reset()
-	var ent *cacheEntry
-	if r.fits {
-		ent = &cacheEntry{
-			rel:     r.rel,
-			gen:     r.rel.Generation(),
-			poolGen: r.s.DB.Pool.InvalidationCount(),
-			pages:   make([]accessengine.PageResult, 0, r.rel.NumPages()),
-		}
+	ent := r.pendingEnt
+	if ent != nil {
 		// Fresh-results path: every page takes a fresh arena extent, so
 		// reclaim the slab first. Safe here — a previous fill's extents
 		// are only referenced by a cache entry this store will replace
@@ -476,7 +485,6 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 		return err
 	}
 	col.Flush()
-	r.pendingEnt = ent
 	return nil
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"dana/internal/backend"
 	"dana/internal/engine"
+	"dana/internal/fault"
 	"dana/internal/obs"
 	"dana/internal/weaving"
 )
@@ -141,46 +142,90 @@ func insertRows(t *testing.T, s *System, table string, n int) {
 }
 
 // TestHeldRebuiltWithItsEntry: the held pages follow the record cache's
-// rule and no other. A warm Train builds nothing; a heap mutation
-// (generation bump) and a pool invalidation (ColdCache) each replace the
-// entry, so the next Train weaves the extracting epoch's rows and then
-// the new entry's; another precision replaces the one held form, and
-// going back replaces it again. Every Train equals the reference on the
-// rows it saw.
+// rule and no other. A cold Train weaves the extracting epoch's rows into
+// the holder of the entry that epoch fills, so its replays decode
+// nothing more; a warm Train builds nothing; a heap mutation (generation
+// bump) and a pool invalidation (ColdCache) each replace the entry, so
+// the next Train weaves once again; another precision replaces the one
+// held form, and going back replaces it again. Every Train equals the
+// reference on the rows it saw.
 func TestHeldRebuiltWithItsEntry(t *testing.T) {
 	s, udfName, table := weaveSystem(t)
-	step := func(what string, precision int, wantBuilds, wantDecodes int64) {
+	step := func(what string, precision int, cold bool, wantBuilds, wantDecodes int64) {
 		t.Helper()
 		b0, d0 := weaveCounts(s)
 		res, err := s.train(udfName, table, precision)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireReference(t, what, s, udfName, table, precision, res, wantBuilds < 2)
+		requireReference(t, what, s, udfName, table, precision, res, !cold)
 		if b, d := weaveCounts(s); b-b0 != wantBuilds || d-d0 != wantDecodes {
 			t.Errorf("%s: %d builds, %d decodes, want %d and %d", what, b-b0, d-d0, wantBuilds, wantDecodes)
 		}
 	}
-	step("cold", 8, 2, 2)
+	step("cold", 8, true, 1, 1)
 	held := s.Obs().Get(obs.WeaveHeldBytes)
 	if held <= 0 {
 		t.Fatal("a cold Train published no held bytes")
 	}
-	step("warm", 8, 0, 1)
-	step("warm again", 8, 0, 1)
+	step("warm", 8, false, 0, 1)
+	step("warm again", 8, false, 0, 1)
 	if got := s.Obs().Get(obs.WeaveHeldBytes); got != held {
 		t.Errorf("warm Trains published %d more held bytes", got-held)
 	}
 	insertRows(t, s, table, 100)
-	step("after Insert", 8, 2, 2)
-	step("warm after Insert", 8, 0, 1)
+	step("after Insert", 8, true, 1, 1)
+	step("warm after Insert", 8, false, 0, 1)
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	step("after ColdCache", 8, 2, 2)
-	step("other precision", 4, 1, 1)
-	step("other precision, warm", 4, 0, 1)
-	step("first precision again", 8, 1, 1)
+	step("after ColdCache", 8, true, 1, 1)
+	step("other precision", 4, false, 1, 1)
+	step("other precision, warm", 4, false, 0, 1)
+	step("first precision again", 8, false, 1, 1)
+}
+
+// TestFailedExtractionDropsHeldWithEntry: a Strider that keeps trapping fails
+// a cold Train's extracting epoch, which is retried on the healthy
+// Striders. The entry the failed attempt was filling goes, holder and
+// all; the retry fills a new one and weaves once more, into that one's
+// holder. The Train equals the per-epoch reference, publishes the held
+// bytes of a fault-free cold Train once, and the next Train only decodes.
+func TestFailedExtractionDropsHeldWithEntry(t *testing.T) {
+	clean, udfName, table := weaveSystem(t)
+	if _, err := clean.train(udfName, table, 8); err != nil {
+		t.Fatal(err)
+	}
+	s, udfName, table := weaveSystem(t, func(o *Options) {
+		o.Faults = fault.New(fault.Config{
+			Seed:              persistentTrapSeed,
+			Rates:             rate(fault.StriderTrap, persistentTrapRate),
+			TransientAttempts: -1,
+		})
+	})
+	res, err := s.train(udfName, table, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Degraded || obsCount(t, s, obs.RuntimeEpochRetries) == 0 {
+		t.Fatalf("degraded %v after %d epoch retries: the schedule must fail and then recover the extracting epoch",
+			res.Degraded, obsCount(t, s, obs.RuntimeEpochRetries))
+	}
+	requireReference(t, "faulted cold", s, udfName, table, 8, res, false)
+	if b, d := weaveCounts(s); b != 1 || d != 1 {
+		t.Errorf("faulted cold Train: %d builds, %d decodes, want 1 and 1", b, d)
+	}
+	if got, want := s.Obs().Get(obs.WeaveHeldBytes), clean.Obs().Get(obs.WeaveHeldBytes); got != want {
+		t.Errorf("faulted cold Train published %d held bytes, a fault-free one %d", got, want)
+	}
+	res, err = s.train(udfName, table, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireReference(t, "warm after the fault", s, udfName, table, 8, res, true)
+	if b, d := weaveCounts(s); b != 1 || d != 2 {
+		t.Errorf("warm Train after the fault: %d builds, %d decodes in all, want 1 and 2", b, d)
+	}
 }
 
 // trainAfterInsert trains at k=8, grows the table, extracts the new rows

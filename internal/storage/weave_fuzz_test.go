@@ -107,7 +107,8 @@ func scalarWeaveValue(p storage.WeavePage, bits, r, c int) float32 {
 // and the any-precision extraction engine: validation and decode must
 // fail with the typed weave sentinels on garbage — never panic, never
 // over-read, never return rows from an invalid page — and on a valid
-// page the block-kernel decode must equal the scalar one bit for bit.
+// page the block-kernel decode must equal the scalar one bit for bit, at
+// the edge precisions, an odd one, and 8, the weave benchmark's.
 func FuzzWeavePageDecode(f *testing.F) {
 	for _, s := range weavePageSeeds(f) {
 		f.Add(s)
@@ -118,7 +119,7 @@ func FuzzWeavePageDecode(f *testing.F) {
 		if verr != nil && !errors.Is(verr, storage.ErrWeaveCorrupt) {
 			t.Fatalf("Validate returned an untyped error: %v", verr)
 		}
-		for _, bits := range []int{1, 7, 32} {
+		for _, bits := range []int{1, 7, 8, 32} {
 			e, err := weaving.NewExtractor(bits)
 			if err != nil {
 				t.Fatal(err)

@@ -1,8 +1,9 @@
 package weaving
 
-// The gather kernel and the Reweaver against their oracles: the
-// bit-at-a-time gather the kernel replaced survives here, and the
-// reusable Reweaver must return ReweaveRows' bits at every block size.
+// The decode pass and the Reweaver against their oracles: the pass must
+// write the rows the bit-at-a-time gather it replaced, followed by the
+// scalar dequantization, would — both survive here — and the reusable
+// Reweaver must return ReweaveRows' bits at every block size.
 // The mutation meta-tests plant one fault each and require the same
 // differentials to go red.
 
@@ -106,63 +107,156 @@ func kernelRanges(ncols int) []storage.WeaveRange {
 	return ranges
 }
 
+// pageRanges are the ranges kernelPage weaves against, cycling per column
+// (a cycle of 7 against kernelRowsOf's 5, so every value kind meets every
+// range): the grid; a negative-zero offset, whose zero code dequantizes
+// to +0, not to the offset; a narrow range nearly every value saturates;
+// and a range whose upper codes dequantize past float32's maximum, to +Inf.
+var pageRanges = []storage.WeaveRange{
+	gridRange,
+	{Offset: float32(math.Copysign(0, -1)), Scale: 1},
+	gridRange,
+	{Offset: 0.25, Scale: 1e-6},
+	gridRange,
+	{Offset: 3e38, Scale: 3e38},
+	{Offset: -0.5, Scale: 0.75},
+}
+
 func kernelPage(seed int64, ncols, nrows int) (storage.WeavePage, error) {
 	rows := kernelRowsOf(seed, ncols, nrows)
 	feats, labels := make([][]float32, nrows), make([]float32, nrows)
 	for i, r := range rows {
 		feats[i], labels[i] = r[:ncols], r[ncols]
 	}
-	return storage.BuildWeavePage(kernelRanges(ncols), feats, labels)
+	ranges := make([]storage.WeaveRange, ncols)
+	for c := range ranges {
+		ranges[c] = pageRanges[c%len(pageRanges)]
+	}
+	return storage.BuildWeavePage(ranges, feats, labels)
 }
 
-type gatherFunc func(p storage.WeavePage, bits int, codes []uint32)
+type decodeFunc func(e *Extractor, p storage.WeavePage, slab []float32, rows [][]float32)
 
-// gatherWith is gatherPlanes with the block kernel swapped: the same
-// loop over the same helpers, so with storage.UnweaveBlock it is the
-// production gather (which the pre-mutation run shows).
-func gatherWith(unweave func(*[32]uint64, int, *[64]uint32)) gatherFunc {
-	return func(p storage.WeavePage, bits int, codes []uint32) {
+// passFaults are the faults decodeWith can plant; the zero value plants
+// none.
+type passFaults struct {
+	unweave    func(*[32]uint64, int, *[64]uint32) // the block kernel (nil: storage.UnweaveBlock)
+	skipZero   bool                                // an all-zero block writes nothing
+	zeroAsZero bool                                // an all-zero block writes 0, not its q = 0 value
+	noLabel    bool                                // the label is not written
+	tileShift  bool                                // codes shift down by 32 − tile, not 32 − k
+}
+
+// decodeWith is decodeInto with the faults in f planted: the same pass
+// over the same helpers, so with none it is the production pass (which
+// the pre-mutation run shows).
+func decodeWith(f passFaults) decodeFunc {
+	unweave := f.unweave
+	if unweave == nil {
+		unweave = storage.UnweaveBlock
+	}
+	return func(e *Extractor, p storage.WeavePage, slab []float32, rows [][]float32) {
 		ncols, nrows, pw := p.NumCols(), p.NumRows(), p.PlaneWords()
+		width := ncols + 1
+		for r := range rows {
+			row := slab[r*width : (r+1)*width : (r+1)*width]
+			if !f.noLabel {
+				row[ncols] = p.Label(r)
+			}
+			rows[r] = row
+		}
+		e.offs, e.scales = e.offs[:ncols], e.scales[:ncols]
+		for c := range e.offs {
+			r := p.Range(c)
+			e.offs[c], e.scales[c] = float64(r.Offset), float64(r.Scale)
+		}
 		base, levelStride := p.PlaneOffset(0, 0), ncols*pw*8
+		shift := e.bits
+		for f.tileShift && shift&(shift-1) != 0 {
+			shift++
+		}
+		down := uint(storage.WeaveMaxBits - shift)
 		var planes [32]uint64
 		var block [64]uint32
 		for w := 0; w < pw; w++ {
 			n := min(64, nrows-w*64)
-			word := codes[w*64*ncols : (w*64+n)*ncols]
-			for c := 0; c < ncols; c++ {
-				if loadPlanes(p, base+(c*pw+w)*8, levelStride, bits, &planes) == 0 {
-					block = [64]uint32{}
-				} else {
-					unweave(&planes, bits, &block)
+			word := slab[w*64*width : (w*64+n)*width]
+			for c, off := range e.offs {
+				scale := e.scales[c]
+				if loadPlanes(p, base+(c*pw+w)*8, levelStride, e.bits, &planes) == 0 {
+					if f.skipZero {
+						continue
+					}
+					v := dequantize(0, down, off, scale, e.inv)
+					if f.zeroAsZero {
+						v = 0
+					}
+					for i := c; i < len(word); i += width {
+						word[i] = v
+					}
+					continue
 				}
-				storeCodes(word, ncols, c, n, &block)
+				unweave(&planes, e.bits, &block)
+				for r := 0; r < n; r++ {
+					word[r*width+c] = dequantize(block[r&63], down, off, scale, e.inv)
+				}
 			}
 		}
 	}
 }
 
-// diffGather holds gather to the scalar gather at every precision over
-// the kernel geometries. The scratch arrives dirty: the kernel's
-// contract is that it writes every code.
-func diffGather(gather gatherFunc) error {
+// dirtyValue is what a slab holds before a decode: a NaN no decode
+// produces, so an unwritten value shows by its bits.
+var dirtyValue = math.Float32frombits(0x7FDEADBE)
+
+// checkDecoded holds rows decoded from p at bits to the scalar gather plus
+// the scalar dequantization (storage.WeaveDequantize), float32 bit for
+// bit, and their labels to the page's. codes is the scalar gather's
+// scratch.
+func checkDecoded(p storage.WeavePage, bits int, rows [][]float32, codes []uint32) error {
+	ncols := p.NumCols()
+	gatherPlanesScalar(p, bits, codes)
+	for r, row := range rows {
+		if len(row) != ncols+1 {
+			return fmt.Errorf("row %d has %d values, want %d", r, len(row), ncols+1)
+		}
+		for c, v := range row[:ncols] {
+			want := storage.WeaveDequantize(codes[r*ncols+c], bits, p.Range(c))
+			if math.Float32bits(v) != math.Float32bits(want) {
+				return fmt.Errorf("row %d col %d decoded %v (%#08x), scalar gather and dequantize %v (%#08x)",
+					r, c, v, math.Float32bits(v), want, math.Float32bits(want))
+			}
+		}
+		if got, want := row[ncols], p.Label(r); math.Float32bits(got) != math.Float32bits(want) {
+			return fmt.Errorf("row %d label %v (%#08x), page holds %v", r, got, math.Float32bits(got), want)
+		}
+	}
+	return nil
+}
+
+// diffDecode holds the pass to the scalar gather and dequantization at
+// every precision over the kernel geometries. The slab arrives dirty: the
+// pass's contract is that it writes every value.
+func diffDecode(decode decodeFunc) error {
 	for _, nrows := range kernelRows {
 		for _, ncols := range kernelCols {
 			p, err := kernelPage(int64(1000*nrows+ncols), ncols, nrows)
 			if err != nil {
 				return err
 			}
-			got, want := make([]uint32, nrows*ncols), make([]uint32, nrows*ncols)
+			slab, rows, codes := make([]float32, nrows*(ncols+1)), make([][]float32, nrows), make([]uint32, nrows*ncols)
 			for bits := 1; bits <= storage.WeaveMaxBits; bits++ {
-				for i := range got {
-					got[i] = 0xDEADBEEF
+				e, err := NewExtractor(bits)
+				if err != nil {
+					return err
 				}
-				gather(p, bits, got)
-				gatherPlanesScalar(p, bits, want)
-				for i := range want {
-					if got[i] != want[i] {
-						return fmt.Errorf("%d rows × %d cols at %d bits: row %d col %d gathered %#08x, scalar gather %#08x",
-							nrows, ncols, bits, i/ncols, i%ncols, got[i], want[i])
-					}
+				e.prepare(ncols)
+				for i := range slab {
+					slab[i] = dirtyValue
+				}
+				decode(e, p, slab, rows)
+				if err := checkDecoded(p, bits, rows, codes); err != nil {
+					return fmt.Errorf("%d rows × %d cols at %d bits: %w", nrows, ncols, bits, err)
 				}
 			}
 		}
@@ -170,14 +264,15 @@ func diffGather(gather gatherFunc) error {
 	return nil
 }
 
+// The production pass against the scalar gather and dequantization.
 func TestGatherPlanesMatchesScalar(t *testing.T) {
-	if err := diffGather(gatherPlanes); err != nil {
+	if err := diffDecode((*Extractor).decodeInto); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // Padding bits past the last row of a partial word are not the page's to
-// define: both gathers must ignore them.
+// define: the pass, like the scalar gather, must ignore them.
 func TestGatherPlanesIgnoresPadding(t *testing.T) {
 	p, err := kernelPage(9, 3, 70)
 	if err != nil {
@@ -190,14 +285,16 @@ func TestGatherPlanesIgnoresPadding(t *testing.T) {
 			binary.LittleEndian.PutUint64(p[off:], binary.LittleEndian.Uint64(p[off:])|padding)
 		}
 	}
-	got, want := make([]uint32, 70*3), make([]uint32, 70*3)
+	slab, rows, codes := make([]float32, 70*4), make([][]float32, 70), make([]uint32, 70*3)
 	for _, bits := range []int{1, 8, 32} {
-		gatherPlanes(p, bits, got)
-		gatherPlanesScalar(p, bits, want)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("bits %d: code %d gathered %#08x, scalar gather %#08x", bits, i, got[i], want[i])
-			}
+		e, err := NewExtractor(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.prepare(3)
+		e.decodeInto(p, slab, rows)
+		if err := checkDecoded(p, bits, rows, codes); err != nil {
+			t.Fatalf("bits %d: %v", bits, err)
 		}
 	}
 }
@@ -215,7 +312,7 @@ func reweaveDirect(w *Reweaver, rows [][]float32, ranges []storage.WeaveRange) (
 
 // diffReweaver holds a Reweaver that is reused — across epochs of
 // different sizes and widths, at every block size, its page, held
-// prefixes and code scratch scribbled over between epochs — to the scalar
+// prefixes and output slab scribbled over between epochs — to the scalar
 // pipeline (quantize, truncate, dequantize per value) and to a fresh
 // ReweaveRows, float32 bit for bit.
 func diffReweaver(reweave reweaveFunc, newExtractor func(bits int) (*Extractor, error)) error {
@@ -244,8 +341,8 @@ func diffReweaver(reweave reweaveFunc, newExtractor func(bits int) (*Extractor, 
 						buf[j] = 0xA5
 					}
 				}
-				for j := range w.ex.codes[:cap(w.ex.codes)] {
-					w.ex.codes[:cap(w.ex.codes)][j] = 0xDEADBEEF
+				for j := range w.slab[:cap(w.slab)] {
+					w.slab[:cap(w.slab)][j] = dirtyValue
 				}
 				got, err := reweave(w, rows, ranges)
 				if err != nil {
@@ -365,33 +462,28 @@ func TestReweaverSteadyStateAllocations(t *testing.T) {
 // requires the differential to report it, after the same harness passed
 // without the fault.
 
-// gatherMutants are the gather with one fault each.
-var gatherMutants = map[string]gatherFunc{
+// passMutants are the pass with one fault each.
+var passMutants = map[string]passFaults{
 	// The kernel's store order flipped in each 32-row half.
-	"codes stored un-reversed": gatherWith(func(planes *[32]uint64, bits int, block *[64]uint32) {
+	"codes stored un-reversed": {unweave: func(planes *[32]uint64, bits int, block *[64]uint32) {
 		storage.UnweaveBlock(planes, bits, block)
 		for r := 0; r < 16; r++ {
 			block[r], block[31-r] = block[31-r], block[r]
 			block[32+r], block[63-r] = block[63-r], block[32+r]
 		}
-	}),
-	"high 32-row half dropped": gatherWith(func(planes *[32]uint64, bits int, block *[64]uint32) {
+	}},
+	"high 32-row half dropped": {unweave: func(planes *[32]uint64, bits int, block *[64]uint32) {
 		for l := range planes {
 			planes[l] &= 1<<32 - 1
 		}
 		storage.UnweaveBlock(planes, bits, block)
-	}),
-	// The old contract: skip the all-zero block and trust a cleared
-	// scratch, which nothing clears any more.
-	"stale codes left under an all-zero block": func(p storage.WeavePage, bits int, codes []uint32) {
-		keep := append([]uint32(nil), codes...)
-		gatherPlanes(p, bits, codes)
-		for i, q := range codes {
-			if q == 0 {
-				codes[i] = keep[i]
-			}
-		}
-	},
+	}},
+	// Skip the all-zero block and trust a cleared slab, which nothing
+	// clears.
+	"stale codes left under an all-zero block":          {skipZero: true},
+	"all-zero block filled with 0, not its q = 0 value": {zeroAsZero: true},
+	"label not written":                                 {noLabel: true},
+	"codes shifted by 32 − tile, not 32 − k":            {tileShift: true},
 }
 
 // nonPowerOfTwo plants the dequantization fault: scaling codes onto
@@ -406,12 +498,12 @@ func nonPowerOfTwo(bits int) (*Extractor, error) {
 }
 
 func TestMetaGatherFaultsCaught(t *testing.T) {
-	if err := diffGather(gatherWith(storage.UnweaveBlock)); err != nil {
+	if err := diffDecode(decodeWith(passFaults{})); err != nil {
 		t.Fatalf("pre-mutation: %v", err)
 	}
-	for name, gather := range gatherMutants {
+	for name, faults := range passMutants {
 		t.Run(name, func(t *testing.T) {
-			err := diffGather(gather)
+			err := diffDecode(decodeWith(faults))
 			if err == nil {
 				t.Fatal("mutant passed the differential: the check cannot fail")
 			}

@@ -2,14 +2,15 @@
 // vertical (MLWeaving-style) page layout in internal/storage: the
 // sibling of the Strider page walkers, but for bit-plane pages. An
 // Extractor configured for k bits reads only the first k bit levels of
-// a weave page — one contiguous prefix of the plane area — and
-// reassembles each feature's truncated fixed-point code word-parallel,
-// 64 rows per plane word, before dequantizing back into the float32
-// datapath width. Labels pass through untouched.
+// a weave page — one contiguous prefix of the plane area — and decodes
+// it into rows in one pass: each feature's truncated fixed-point codes
+// are reassembled word-parallel, 64 rows per plane word, and written
+// straight down that column of the caller's rows, dequantized into the
+// float32 datapath width. Labels pass through untouched.
 //
 // The decode kernels are //dana:hotpath (allocation-free, enforced by
-// danalint hotcall); scratch buffers live on the Extractor and are
-// grown only in Prepare. The cycle model mirrors the Strider one:
+// danalint hotcall); the column-range scratch lives on the Extractor and
+// is grown only in prepare. The cycle model mirrors the Strider one:
 // PageDecodeCycles prices a page as one cycle per plane word touched
 // plus one per row of assembly/dequantization, so modeled decode time —
 // like modeled transfer — shrinks almost linearly with k.
@@ -18,7 +19,9 @@
 // woven into a Woven — each page's k-level prefix, nothing a k-bit read
 // does not touch — and decoded from it. Whoever owns stable rows can lend
 // a Slot to keep the Woven in: the rows are then woven once for as long
-// as the slot lives and only decoded after that.
+// as the slot lives and only decoded after that. The runtime lends a
+// record-cache entry's slot from the extracting epoch that fills the
+// entry on, so a cold Train weaves once.
 package weaving
 
 import (
@@ -38,9 +41,6 @@ type Extractor struct {
 	// multiplying by a power of two rounds nothing, so it is
 	// storage.WeaveDequantize's division bit for bit.
 	inv float64
-	// codes is the per-page scratch: nrows × ncols truncated codes in
-	// row-major order, reassembled from the planes.
-	codes []uint32
 	// offs and scales are the page's column ranges, decoded once per page
 	// and widened to the float64 the dequantization runs in.
 	offs, scales []float64
@@ -54,13 +54,9 @@ func NewExtractor(bits int) (*Extractor, error) {
 	return &Extractor{bits: bits, inv: 1 / float64(uint64(1)<<uint(bits))}, nil
 }
 
-// Prepare sizes the scratch buffers for a page geometry. DecodeRows
-// calls it; it is exported so hot loops can hoist the growth out. The
-// scratch is not cleared: a decode writes every code it exposes.
-func (e *Extractor) Prepare(ncols, nrows int) {
-	if n := ncols * nrows; cap(e.codes) < n {
-		e.codes = make([]uint32, n)
-	}
+// prepare sizes the column-range scratch for pages of ncols features, so
+// the decode loops never grow it.
+func (e *Extractor) prepare(ncols int) {
 	if cap(e.offs) < ncols {
 		e.offs, e.scales = make([]float64, ncols), make([]float64, ncols)
 	}
@@ -74,68 +70,67 @@ func (e *Extractor) DecodeRows(p storage.WeavePage) ([][]float32, error) {
 		return nil, err
 	}
 	ncols, nrows := p.NumCols(), p.NumRows()
-	e.Prepare(ncols, nrows)
+	e.prepare(ncols)
 	out := make([][]float32, nrows)
 	e.decodeInto(p, make([]float32, nrows*(ncols+1)), out)
 	return out, nil
 }
 
 // decodeInto decodes a validated page the scratch is prepared for into
-// slab (nrows × (ncols+1) values) and points rows at its row slices.
+// slab (nrows × (ncols+1) values) and points rows at its row slices, in
+// one pass over (64-row plane word, column) blocks: the block's top
+// `bits` plane words are loaded, transposed back by the block kernel and
+// dequantized straight down that column of the slab. An all-zero block —
+// the common case for high-order planes of small values — skips the
+// kernel and fills its rows with the zero code's value. Every value is
+// written, so the slab need not be cleared.
 //
 //dana:hotpath
 func (e *Extractor) decodeInto(p storage.WeavePage, slab []float32, rows [][]float32) {
-	e.gather(p)
-	width := p.NumCols() + 1
+	ncols, nrows, pw := p.NumCols(), p.NumRows(), p.PlaneWords()
+	width := ncols + 1
 	for r := range rows {
 		row := slab[r*width : (r+1)*width : (r+1)*width]
-		e.dequantizeRow(p, r, row)
+		row[ncols] = p.Label(r)
 		rows[r] = row
 	}
-}
-
-// gather loads the page's column ranges and truncated codes into the
-// scratch, cut to the page's geometry.
-//
-//dana:hotpath
-func (e *Extractor) gather(p storage.WeavePage) {
-	ncols := p.NumCols()
-	e.codes = e.codes[:ncols*p.NumRows()]
 	e.offs, e.scales = e.offs[:ncols], e.scales[:ncols]
 	for c := range e.offs {
 		r := p.Range(c)
 		e.offs[c], e.scales[c] = float64(r.Offset), float64(r.Scale)
 	}
-	gatherPlanes(p, e.bits, e.codes)
-}
-
-// gatherPlanes reassembles the top `bits` levels of every code on the
-// page into codes (row-major nrows × ncols), a (column, 64-row word)
-// block at a time: the block's `bits` plane words are loaded, transposed
-// back by the block kernel and stored as 64 truncated codes. All-zero
-// blocks — the common case for high-order planes of small values — skip
-// the kernel. Every code is written, so codes need not be cleared; the
-// page must be validated and codes hold nrows*ncols.
-//
-//dana:hotpath
-func gatherPlanes(p storage.WeavePage, bits int, codes []uint32) {
-	ncols, nrows, pw := p.NumCols(), p.NumRows(), p.PlaneWords()
 	base, levelStride := p.PlaneOffset(0, 0), ncols*pw*8
+	down := uint(storage.WeaveMaxBits - e.bits)
 	var planes [32]uint64
 	var block [64]uint32
 	for w := 0; w < pw; w++ {
 		n := min(64, nrows-w*64)
-		word := codes[w*64*ncols : (w*64+n)*ncols]
-		for c := 0; c < ncols; c++ {
-			at := base + (c*pw+w)*8
-			if loadPlanes(p, at, levelStride, bits, &planes) == 0 {
-				block = [64]uint32{}
-			} else {
-				storage.UnweaveBlock(&planes, bits, &block)
+		word := slab[w*64*width : (w*64+n)*width]
+		for c, off := range e.offs {
+			scale := e.scales[c]
+			if loadPlanes(p, base+(c*pw+w)*8, levelStride, e.bits, &planes) == 0 {
+				v := dequantize(0, down, off, scale, e.inv)
+				for i := c; i < len(word); i += width {
+					word[i] = v
+				}
+				continue
 			}
-			storeCodes(word, ncols, c, n, &block)
+			storage.UnweaveBlock(&planes, e.bits, &block)
+			for r := 0; r < n; r++ {
+				word[r*width+c] = dequantize(block[r&63], down, off, scale, e.inv)
+			}
 		}
 	}
+}
+
+// dequantize maps a gathered code back into the float32 datapath: its top
+// bits (q >> down) scaled by inv = 2^-bits into the column's affine range
+// — storage.WeaveDequantize bit for bit.
+//
+//dana:hotpath
+func dequantize(q uint32, down uint, off, scale, inv float64) float32 {
+	x := float64(q>>down) * inv
+	return float32(off + scale*x)
 }
 
 // loadPlanes reads a block's top `bits` plane words — level 0 at byte
@@ -149,33 +144,6 @@ func loadPlanes(p storage.WeavePage, at, levelStride, bits int, planes *[32]uint
 		at += levelStride
 	}
 	return union
-}
-
-// storeCodes writes a block's first n codes down column c of the
-// row-major word scratch.
-//
-//dana:hotpath
-func storeCodes(word []uint32, ncols, c, n int, block *[64]uint32) {
-	for r := 0; r < n; r++ {
-		word[r*ncols+c] = block[r&63]
-	}
-}
-
-// dequantizeRow converts row r's truncated codes back into the float32
-// datapath: features through the per-column affine ranges at the read
-// precision, the label verbatim. dst must hold ncols+1.
-//
-//dana:hotpath
-func (e *Extractor) dequantizeRow(p storage.WeavePage, r int, dst []float32) {
-	ncols := len(e.offs)
-	codes := e.codes[r*ncols : (r+1)*ncols]
-	scales := e.scales[:ncols]
-	down := uint(storage.WeaveMaxBits - e.bits)
-	for c, off := range e.offs {
-		x := float64(codes[c]>>down) * e.inv
-		dst[c] = float32(off + scales[c]*x)
-	}
-	dst[ncols] = p.Label(r)
 }
 
 // DefaultReweaveRows is the page row budget ReweaveRows uses when the
@@ -400,7 +368,7 @@ func (w *Reweaver) weavePages(wv *Woven, rows [][]float32) error {
 // rows. A reweaver that only decodes never sizes the build scratch.
 func (w *Reweaver) Decode(wv *Woven) [][]float32 {
 	nfeat := len(wv.ranges)
-	w.ex.Prepare(nfeat, wv.pageRows)
+	w.ex.prepare(nfeat)
 	if n := wv.nrows * (nfeat + 1); cap(w.slab) < n {
 		w.slab = make([]float32, n)
 	}
