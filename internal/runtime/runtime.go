@@ -633,17 +633,44 @@ type BackendCost struct {
 	Err string
 }
 
-// EstimateBackends prices a registered (UDF, table) job — as the
-// configured backend override would run it — on every registered
-// backend: the dispatcher's view before it picks. The returned slice is
-// in registry (name) order.
-func (s *System) EstimateBackends(udfName, table string) ([]BackendCost, error) {
+// dispatch is the preamble EstimateCost and EstimateBackends share
+// with Train: the registered (UDF, table) job at the configured read
+// precision, then the backend the configured override resolves it to,
+// and the job as that backend runs it. When the override admits no
+// backend, the error wraps backend.ErrUnknownBackend or
+// backend.ErrUnsupported, and the job comes back unresolved.
+func (s *System) dispatch(udfName, table string) (backend.Backend, backend.Job, error) {
 	_, _, _, job, err := s.resolve(udfName, table, s.Opts.Precision)
 	if err != nil {
-		return nil, err
+		return nil, job, err
 	}
-	if _, _, j, err := s.disp.Resolve(s.Opts.Backend, job); err == nil {
-		job = j
+	be, _, resolved, err := s.disp.Resolve(s.Opts.Backend, job)
+	if err != nil {
+		return nil, job, err
+	}
+	return be, resolved, nil
+}
+
+// EstimateCost prices a registered (UDF, table) job on the backend
+// Train would run it on, and returns the job as that backend prices it.
+func (s *System) EstimateCost(udfName, table string) (backend.Job, backend.Cost, error) {
+	be, job, err := s.dispatch(udfName, table)
+	if err != nil {
+		return job, backend.Cost{}, err
+	}
+	c, err := be.EstimateCost(job)
+	return job, c, err
+}
+
+// EstimateBackends prices a registered (UDF, table) job — as the
+// configured backend override would run it — on every registered
+// backend: the dispatcher's view before it picks. An override that
+// admits no backend prices the unresolved job. The returned slice is in
+// registry (name) order.
+func (s *System) EstimateBackends(udfName, table string) ([]BackendCost, error) {
+	_, job, err := s.dispatch(udfName, table)
+	if err != nil && !errors.Is(err, backend.ErrUnknownBackend) && !errors.Is(err, backend.ErrUnsupported) {
+		return nil, err
 	}
 	var out []BackendCost
 	for _, reg := range s.disp.Registrations() {

@@ -82,7 +82,7 @@ type JobSpec struct {
 	Kind     Kind
 	Workload string  // Table 3 workload name (datagen.ByName)
 	Scale    float64 // dataset scale in (0, 1]; 0 = 1
-	Epochs   int     // training epoch budget (0 = workload default)
+	Epochs   int     // training epoch budget (0 = workload default); score jobs are not held to it
 	Merge    int     // merge coefficient (0 = environment default)
 	// ArriveSec is the job's virtual arrival time within its batch.
 	ArriveSec float64
@@ -90,11 +90,15 @@ type JobSpec struct {
 
 // Estimate prices one job for admission and placement: its
 // configuration identity, modeled service seconds on an
-// already-configured instance, and modeled dataset bytes.
+// already-configured instance, and modeled dataset bytes. The server's
+// estimates also carry the registered UDF and table the job runs, which
+// the planner hands to its Placement.
 type Estimate struct {
 	Key        string
 	ServiceSec float64
 	Bytes      int64
+
+	udf, table string
 }
 
 // Estimator prices jobs for the planner. Implementations need not be
@@ -115,6 +119,8 @@ type Placement struct {
 	ServiceSec float64
 	FinishSec  float64
 	EstBytes   int64
+
+	udf, table string // what execution runs, from the job's Estimate
 }
 
 // WaitSec is the virtual queueing delay before the instance was won.
@@ -308,7 +314,7 @@ func BuildPlan(specs []JobSpec, est Estimator, cfg PlanConfig) (*Plan, error) {
 		plan.Placements = append(plan.Placements, Placement{
 			Seq: j.seq, Spec: j.spec, Key: j.est.Key, Instance: instance, Reused: reuse,
 			StartSec: now, ConfigSec: configSec, ServiceSec: j.est.ServiceSec,
-			FinishSec: fin, EstBytes: j.est.Bytes,
+			FinishSec: fin, EstBytes: j.est.Bytes, udf: j.est.udf, table: j.est.table,
 		})
 		if reuse {
 			plan.Reuses++

@@ -12,11 +12,20 @@
 // functional runs then execute the plan on one goroutine per tenant,
 // each replaying its tenant's jobs in virtual-start order. Isolation is
 // structural: every tenant owns a private runtime.System — its own
-// catalog, buffer pool, record cache, obs registry, and (optionally)
-// fault injector — so tenants share nothing a concurrent run could
-// race on, and one tenant's trap storm cannot perturb another tenant's
-// modeled cycles. Functional configuration reuse is the tenant System's
-// too: it keeps the backend its last good Train of a UDF configured, so a
+// catalog, buffer pool frames, record cache, kept backends, obs
+// registry, and (optionally) fault injector — so one tenant's trap storm
+// cannot perturb another tenant's modeled cycles. Tenants share one
+// thing: the server generates each (workload, scale) once, and every
+// tenant attaches that one immutable heap. Nothing the server runs
+// writes a heap; pages are read under the relation's lock and copied
+// into private frames, and a fault injector corrupts only its frame
+// copy.
+//
+// The first admitted job of a (tenant, workload, merge) deploys its
+// table, registers its UDF on the tenant System, and is priced by the
+// EstimateCost of the backend Train resolves for it; every later
+// estimate is a lookup. Functional configuration reuse is the tenant
+// System's too: it keeps the backend its last good Train of a UDF configured, so a
 // tenant's jobs of one program share a machine and never charge another
 // tenant's registry. Placement.Reused stays the planner's view of its
 // modeled instances. A score job is a host job on the tenant System:
@@ -33,8 +42,8 @@ import (
 	"sync"
 
 	"dana/internal/bufpool"
+	"dana/internal/cost"
 	"dana/internal/datagen"
-	"dana/internal/dsl"
 	"dana/internal/fault"
 	"dana/internal/obs"
 	"dana/internal/runtime"
@@ -63,9 +72,9 @@ type Config struct {
 	// whatever the pool size.
 	Instances int
 	Policy    Policy // scheduling policy (default sequence-aware)
-	// Seed drives per-tenant dataset generation (every tenant sees the
-	// same bytes for the same workload, like shards of one logical
-	// catalog).
+	// Seed drives dataset generation: each (workload, scale) is generated
+	// once per server, and every tenant attaches the same heap, like
+	// shards of one logical catalog.
 	Seed          int64
 	PageSize      int   // 0 = 32 KB
 	PoolBytes     int64 // per-tenant buffer pool frames (0 = 64 MB)
@@ -76,25 +85,70 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// udfEntry pins the artifacts of one configuration key on one tenant:
-// the registered UDF (renamed to be unique per key) and its table.
+// ErrPinConflict refuses a job whose scale or epoch budget differs from
+// what earlier jobs of its configuration pinned: a tenant holds one table
+// per workload and one UDF per configuration.
+var ErrPinConflict = errors.New("server: job conflicts with its configuration's pinned scale or epochs")
+
+type dataKey struct {
+	workload string
+	scale    float64
+}
+
+// udfKey is a configuration: the program an instance must have loaded to
+// run a job. Training and scoring the same workload share one, which is
+// the affinity the sequence-aware policy exploits for mixed traffic.
+type udfKey struct {
+	workload string
+	merge    int
+}
+
+// udfEntry is one configuration on one tenant. est carries its key and
+// dataset bytes and, once registered, the UDF and table execution runs;
+// train and score are the service seconds of each job kind. epochs is
+// the budget its UDF trains, which the first admitted train job pins;
+// until then it is the budget the first score job named, or def, the
+// workload's own.
 type udfEntry struct {
-	udfName string
-	table   string
+	est          Estimate
+	train, score float64
+	epochs, def  int
+	pinned       bool
+}
+
+// pin is one change admit made to a tenant's pins, kept so that a
+// refused batch can put back what it found.
+type pin struct {
+	t        *tenant
+	k        udfKey
+	old      udfEntry
+	had      bool // t.udfs held k before
+	newScale bool // the change pinned k.workload's scale too
+}
+
+func (p pin) restore() {
+	if p.had {
+		p.t.udfs[p.k] = p.old
+	} else {
+		delete(p.t.udfs, p.k)
+	}
+	if p.newScale {
+		delete(p.t.scales, p.k.workload)
+	}
 }
 
 // tenant is one session principal: a private System plus the server's
-// per-tenant instrument handles. Only its execute goroutine touches it
-// during a drain.
+// per-tenant instrument handles. Submit pins, deploys, registers and
+// prices on it under the server lock; a drain's execute goroutine for it
+// reads only its placements and models.
 type tenant struct {
 	name string
 	sys  *runtime.System
 	reg  *obs.Registry
 
-	deployed map[string]*datagen.Dataset // workload -> dataset (scale pinned)
-	scales   map[string]float64          // workload -> deployed scale
-	udfs     map[string]udfEntry         // config key -> artifacts
-	models   map[string][]float32        // config key -> last trained model
+	scales map[string]float64   // workload -> pinned scale
+	udfs   map[udfKey]udfEntry  // configuration -> pins, registration and price
+	models map[string][]float32 // config key -> last trained model (execution only)
 
 	cJobs      *obs.Counter
 	cTrains    *obs.Counter
@@ -114,8 +168,9 @@ type Server struct {
 	env workload.Env
 	reg *obs.Registry
 
-	mu       sync.Mutex // guards pending, planner state, estimator
-	est      *costEstimator
+	mu       sync.Mutex // guards pending, planner state, data, sizes and every tenant's scales and udfs
+	data     map[dataKey]*datagen.Dataset
+	sizes    map[dataKey]int64 // heap bytes, a pure function of the key
 	pending  []JobSpec
 	keys     []string           // loaded configuration per instance
 	vt       map[string]float64 // fair-share carry-over
@@ -145,9 +200,9 @@ type JobResult struct {
 }
 
 // New builds the server: one private System per tenant (obs registry,
-// buffer pool, optional fault injector), the shared cost estimator,
-// and the per-tenant counter handles in the server registry (resolved
-// here, at setup time, per the obsguard rule).
+// buffer pool, optional fault injector) and the per-tenant counter
+// handles in the server registry (resolved here, at setup time, per the
+// obsguard rule).
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, errors.New("server: no tenants configured")
@@ -171,7 +226,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		env:     env,
 		reg:     reg,
-		est:     newCostEstimator(env),
+		data:    map[dataKey]*datagen.Dataset{},
+		sizes:   map[dataKey]int64{},
 		tenants: map[string]*tenant{},
 		keys:    make([]string, cfg.Instances),
 		vt:      map[string]float64{},
@@ -202,10 +258,9 @@ func New(cfg Config) (*Server, error) {
 		})
 		t := &tenant{
 			name: tc.Name, sys: sys, reg: treg,
-			deployed: map[string]*datagen.Dataset{},
-			scales:   map[string]float64{},
-			udfs:     map[string]udfEntry{},
-			models:   map[string][]float32{},
+			scales: map[string]float64{},
+			udfs:   map[udfKey]udfEntry{},
+			models: map[string][]float32{},
 		}
 		t.cJobs = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricJobs))
 		t.cTrains = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricTrains))
@@ -251,37 +306,54 @@ func (s *Server) TenantObs(name string) *obs.Registry {
 // Policy reports the configured scheduling policy.
 func (s *Server) Policy() Policy { return s.cfg.Policy }
 
-// Submit validates a job (tenant known, workload priceable, quota
-// satisfiable) and queues it for the next Drain. A zero ArriveSec gets
-// a monotonically increasing virtual arrival, preserving submit order.
-// Safe for concurrent use.
+// Submit validates a job (tenant and workload known, pins matched, quota
+// satisfiable) and queues it for the next Drain. The first job of a
+// configuration deploys, registers and prices it on its tenant, while a
+// drain may be executing. A zero ArriveSec gets a monotonically
+// increasing virtual arrival, preserving submit order. Safe for
+// concurrent use.
 func (s *Server) Submit(spec JobSpec) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.submitLocked(spec)
+	return s.submitLocked([]JobSpec{spec})
 }
 
-func (s *Server) submitLocked(spec JobSpec) error {
-	t, ok := s.tenants[spec.Tenant]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownTenant, spec.Tenant)
+// submitLocked admits a batch all or nothing: every spec is checked and
+// pinned before anything is generated or registered, and a refusal puts
+// back the pins and queues nothing. The batch's new configurations are
+// then registered and the batch queued. A failed registration is a fault,
+// not a refusal: it fails the batch too, and only the configurations
+// registered before it keep their pins. The caller holds s.mu.
+func (s *Server) submitLocked(specs []JobSpec) error {
+	var pins []pin
+	var err error
+	for i := 0; i < len(specs) && err == nil; i++ {
+		var p pin
+		if p, err = s.admit(specs[i]); p.t != nil {
+			pins = append(pins, p)
+		}
 	}
-	e, err := s.est.Estimate(spec)
+	done := 0
+	for err == nil && done < len(pins) {
+		if err = s.register(pins[done]); err == nil {
+			done++
+		}
+	}
 	if err != nil {
+		for i := len(pins) - 1; i >= done; i-- {
+			pins[i].restore()
+		}
 		return err
 	}
-	q := s.planCfg.Quotas[spec.Tenant]
-	if q.MemBytes > 0 && e.Bytes > q.MemBytes {
-		return fmt.Errorf("%w: %s %q needs %d bytes, tenant %q allows %d",
-			ErrQuotaImpossible, spec.Kind, spec.Workload, e.Bytes, t.name, q.MemBytes)
+	for _, spec := range specs {
+		if spec.ArriveSec <= 0 {
+			s.arriveAt += 1e-3
+			spec.ArriveSec = s.arriveAt
+		} else if spec.ArriveSec > s.arriveAt {
+			s.arriveAt = spec.ArriveSec
+		}
+		s.pending = append(s.pending, spec)
 	}
-	if spec.ArriveSec <= 0 {
-		s.arriveAt += 1e-3
-		spec.ArriveSec = s.arriveAt
-	} else if spec.ArriveSec > s.arriveAt {
-		s.arriveAt = spec.ArriveSec
-	}
-	s.pending = append(s.pending, spec)
 	return nil
 }
 
@@ -299,7 +371,7 @@ func (s *Server) Drain() (*Report, error) {
 	cfg := s.planCfg
 	cfg.InitialKeys = s.keys
 	cfg.InitialVT = s.vt
-	plan, err := BuildPlan(specs, s.est, cfg)
+	plan, err := BuildPlan(specs, estimateFunc(s.estimate), cfg)
 	if err == nil && plan != nil {
 		s.keys = plan.FinalKeys
 		s.vt = plan.FinalVT
@@ -319,29 +391,27 @@ func (s *Server) Drain() (*Report, error) {
 // Replan prices an alternative: the same specs planned from a cold pool
 // under another policy, without executing anything (per-tenant
 // functional outcomes are placement-independent, so comparing makespans
-// isolates the scheduler's contribution).
+// isolates the scheduler's contribution). It prices each spec at its
+// configuration as admitted jobs registered it, and pins and registers
+// nothing: a configuration no admitted job named is an error.
 func (s *Server) Replan(specs []JobSpec, pol Policy) (*Plan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cfg := s.planCfg
 	cfg.Policy = pol
-	return BuildPlan(specs, s.est, cfg)
+	return BuildPlan(specs, estimateFunc(s.estimate), cfg)
 }
 
 // Run submits specs and drains them as one batch. It is all-or-nothing:
-// every spec is validated and queued under one hold of the lock, and
-// the first invalid one leaves the queue as Run found it.
+// the first invalid spec leaves the queue, the arrival clock and every
+// tenant's pins as Run found them.
 func (s *Server) Run(specs []JobSpec) (*Report, error) {
 	s.mu.Lock()
-	pending, arriveAt := s.pending, s.arriveAt
-	for _, sp := range specs {
-		if err := s.submitLocked(sp); err != nil {
-			s.pending, s.arriveAt = pending, arriveAt
-			s.mu.Unlock()
-			return nil, err
-		}
-	}
+	err := s.submitLocked(specs)
 	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	return s.Drain()
 }
 
@@ -380,11 +450,14 @@ func (s *Server) runJob(pl *Placement) JobResult {
 	r := JobResult{Placement: *pl}
 	switch pl.Spec.Kind {
 	case KindScore:
-		r.ScoredRows, r.Err = t.score(s, pl)
+		// A score job scores with the tenant's last trained model for its
+		// configuration: zeros before any train, which is deterministic and
+		// honest about a cold model.
+		r.ScoredRows, r.Err = t.sys.Score(pl.udf, pl.table, t.models[pl.Key])
 		r.Backend = "host"
 	default:
 		var res *runtime.TrainResult
-		res, r.Err = t.train(s, pl)
+		res, r.Err = t.train(pl)
 		if res != nil {
 			r.Backend = res.Backend
 			r.Degraded = res.Degraded
@@ -423,94 +496,164 @@ func (s *Server) runJob(pl *Placement) JobResult {
 	return r
 }
 
-// ensureDeployed generates and attaches the workload's dataset on
-// first use. The scale is pinned by the first job: the relation name is
-// the workload's table name, so one tenant cannot hold the same
-// workload at two scales.
-func (t *tenant) ensureDeployed(s *Server, spec JobSpec) (*datagen.Dataset, error) {
-	scale := spec.Scale
+// estimateFunc adapts the server's price lookup to Estimator.
+type estimateFunc func(JobSpec) (Estimate, error)
+
+func (f estimateFunc) Estimate(spec JobSpec) (Estimate, error) { return f(spec) }
+
+// key is the configuration a job names.
+func (s *Server) key(spec JobSpec) udfKey {
+	if spec.Merge <= 0 {
+		return udfKey{spec.Workload, s.env.MergeCoef}
+	}
+	return udfKey{spec.Workload, spec.Merge}
+}
+
+// estimate prices an admitted job: a lookup of the configuration its
+// tenant registered. The caller holds s.mu.
+func (s *Server) estimate(spec JobSpec) (Estimate, error) {
+	t, ok := s.tenants[spec.Tenant]
+	if !ok {
+		return Estimate{}, fmt.Errorf("%w: %q", ErrUnknownTenant, spec.Tenant)
+	}
+	k := s.key(spec)
+	ue, ok := t.udfs[k]
+	if !ok {
+		return Estimate{}, fmt.Errorf("server: tenant %q admitted no job of %q at merge %d", t.name, k.workload, k.merge)
+	}
+	e := ue.est
+	e.ServiceSec = ue.train
+	if spec.Kind == KindScore {
+		e.ServiceSec = ue.score
+	}
+	return e, nil
+}
+
+// admit checks a job against its tenant's pins and memory quota and pins
+// what it is first to fix: its workload's scale, its configuration and,
+// for a train job, the epoch budget. A new configuration's bytes follow
+// datagen.Generate's page arithmetic, so a job that could never fit is
+// refused before its data exists. p.t is nil when admit changed nothing.
+func (s *Server) admit(spec JobSpec) (p pin, err error) {
+	t, ok := s.tenants[spec.Tenant]
+	if !ok {
+		return p, fmt.Errorf("%w: %q", ErrUnknownTenant, spec.Tenant)
+	}
+	k, scale := s.key(spec), spec.Scale
 	if scale <= 0 {
 		scale = 1
 	}
-	if ds, ok := t.deployed[spec.Workload]; ok {
-		if t.scales[spec.Workload] != scale {
-			return nil, fmt.Errorf("server: tenant %q already deployed %q at scale %g (job wants %g)",
-				t.name, spec.Workload, t.scales[spec.Workload], scale)
+	have, deployed := t.scales[k.workload]
+	if deployed && have != scale {
+		return p, fmt.Errorf("%w: tenant %q holds %q at scale %g; job wants %g",
+			ErrPinConflict, t.name, k.workload, have, scale)
+	}
+	ue, had := t.udfs[k]
+	p = pin{t: t, k: k, old: ue, had: had, newScale: !deployed}
+	if !had {
+		w, err := datagen.ByName(k.workload)
+		if err != nil {
+			return pin{}, err
 		}
-		return ds, nil
+		if scale > 1 {
+			return pin{}, fmt.Errorf("server: scale %g out of (0, 1]", scale)
+		}
+		ue = udfEntry{epochs: w.Epochs, def: w.Epochs, est: Estimate{Key: fmt.Sprintf("%s/m%d", k.workload, k.merge)}}
+		dk := dataKey{k.workload, scale}
+		if ue.est.Bytes = s.sizes[dk]; ue.est.Bytes == 0 {
+			w.Tuples = w.ScaledTuples(scale)
+			ue.est.Bytes = int64(w.PagesAt(s.cfg.PageSize)) * int64(s.cfg.PageSize)
+			s.sizes[dk] = ue.est.Bytes
+		}
+		if spec.Epochs > 0 {
+			ue.epochs = spec.Epochs // a score job's guess at the budget a train job will pin
+		}
 	}
-	w, err := datagen.ByName(spec.Workload)
-	if err != nil {
-		return nil, err
+	if q := s.planCfg.Quotas[t.name]; q.MemBytes > 0 && ue.est.Bytes > q.MemBytes {
+		return pin{}, fmt.Errorf("%w: %s %q needs %d bytes, tenant %q allows %d",
+			ErrQuotaImpossible, spec.Kind, spec.Workload, ue.est.Bytes, t.name, q.MemBytes)
 	}
-	ds, err := datagen.Generate(w, scale, s.cfg.PageSize, s.cfg.Seed)
-	if err != nil {
-		return nil, err
+	if spec.Kind == KindTrain {
+		b := spec.Epochs
+		if b <= 0 {
+			b = ue.def
+		}
+		if ue.pinned && b != ue.epochs {
+			return pin{}, fmt.Errorf("%w: tenant %q trains %s for %d epochs; job wants %d",
+				ErrPinConflict, t.name, ue.est.Key, ue.epochs, b)
+		}
+		if b != ue.epochs {
+			ue.est.udf = "" // registered by score jobs at another budget: register again at b
+		}
+		ue.epochs, ue.pinned = b, true
 	}
-	if err := t.sys.Deploy(ds); err != nil {
-		return nil, err
+	if had && ue == p.old {
+		return pin{}, nil
 	}
-	t.deployed[spec.Workload] = ds
-	t.scales[spec.Workload] = scale
-	return ds, nil
+	t.udfs[k] = ue
+	if !deployed {
+		t.scales[k.workload] = scale
+	}
+	return p, nil
 }
 
-// udfNameFor makes the registered UDF name unique per configuration
-// key (algo names like "logisticR" repeat across workloads).
-func udfNameFor(a *dsl.Algo, key string) string {
-	return a.Name + "@" + key
+// register deploys, registers and prices a pinned configuration unless it
+// is registered as pinned: the server generates each dataset once, the
+// tenant attaches it and registers the UDF at its epoch budget, building
+// its accelerator (the functional analogue of loading the configuration),
+// and the backend Train would resolve prices it.
+func (s *Server) register(p pin) error {
+	t, k := p.t, p.k
+	ue := t.udfs[k]
+	if ue.est.udf != "" {
+		return nil
+	}
+	dk := dataKey{k.workload, t.scales[k.workload]}
+	ds, ok := s.data[dk]
+	if !ok {
+		w, err := datagen.ByName(k.workload)
+		if err != nil {
+			return err
+		}
+		if ds, err = datagen.Generate(w, dk.scale, s.cfg.PageSize, s.cfg.Seed); err != nil {
+			return err
+		}
+		s.data[dk] = ds
+	}
+	a, err := ds.DSLAlgo(k.merge)
+	if err != nil {
+		return err
+	}
+	a.SetEpochs(ue.epochs)
+	// Algo names like "logisticR" repeat across workloads, and a
+	// configuration registers again when a train job pins another budget.
+	a.Name = fmt.Sprintf("%s@%s/e%d", a.Name, ue.est.Key, ue.epochs)
+	if _, err := t.sys.Register(a, k.merge, ds.Tuples); err != nil {
+		return err
+	}
+	if p.newScale {
+		if err := t.sys.Deploy(ds); err != nil {
+			return err
+		}
+	}
+	job, c, err := t.sys.EstimateCost(a.Name, ds.Rel.Name)
+	if err != nil {
+		return err
+	}
+	ue.est.udf, ue.est.table = a.Name, ds.Rel.Name
+	ue.train = cost.ServerServiceSec(c.Seconds, s.env.Cost)
+	ue.score = cost.ScoreServiceSec(job.Workload(), s.env.Cost)
+	t.udfs[k] = ue
+	return nil
 }
 
-// ensureUDF registers the configuration's UDF and builds its
-// accelerator on first use (the functional analogue of loading the
-// configuration). The epoch budget is pinned at first use per key.
-func (t *tenant) ensureUDF(s *Server, spec JobSpec, key string) (udfEntry, error) {
-	if ue, ok := t.udfs[key]; ok {
-		return ue, nil
-	}
-	ds, err := t.ensureDeployed(s, spec)
-	if err != nil {
-		return udfEntry{}, err
-	}
-	merge := s.est.effectiveMerge(spec.Merge)
-	a, err := ds.DSLAlgo(merge)
-	if err != nil {
-		return udfEntry{}, err
-	}
-	if spec.Epochs > 0 {
-		a.SetEpochs(spec.Epochs)
-	}
-	a.Name = udfNameFor(a, key)
-	if _, err := t.sys.Register(a, merge, ds.Tuples); err != nil {
-		return udfEntry{}, err
-	}
-	ue := udfEntry{udfName: a.Name, table: ds.Rel.Name}
-	t.udfs[key] = ue
-	return ue, nil
-}
-
-func (t *tenant) train(s *Server, pl *Placement) (*runtime.TrainResult, error) {
-	ue, err := t.ensureUDF(s, pl.Spec, pl.Key)
-	if err != nil {
-		return nil, err
-	}
-	res, err := t.sys.Train(ue.udfName, ue.table)
+func (t *tenant) train(pl *Placement) (*runtime.TrainResult, error) {
+	res, err := t.sys.Train(pl.udf, pl.table)
 	if err != nil {
 		return res, err
 	}
 	t.models[pl.Key] = res.Model
 	return res, nil
-}
-
-// score runs a batch-scoring pass over the workload's table with the
-// tenant's last trained model for this configuration (zeros before any
-// train — deterministic, and honest about a cold model).
-func (t *tenant) score(s *Server, pl *Placement) (int, error) {
-	ue, err := t.ensureUDF(s, pl.Spec, pl.Key)
-	if err != nil {
-		return 0, err
-	}
-	return t.sys.Score(ue.udfName, ue.table, t.models[pl.Key])
 }
 
 // IdentityError checks the cross-registry sum identity: for engine and

@@ -1,8 +1,8 @@
 // Package workload compiles a Table 3 workload at a given size — DSL ->
 // hDFG -> engine program -> hardware design point — and assembles the
-// analytic cost-model inputs of the result. It is the piece the
-// experiment harness and the server's estimator share, kept below both
-// so that production code never imports the harness.
+// analytic cost-model inputs of the result. It sits below the
+// experiment harness, and the server takes its modeled environment
+// (Env) from here, so that production code never imports the harness.
 package workload
 
 import (
