@@ -927,6 +927,78 @@ func handMergeKernel(model []float32, lr float32, tuples [][]float32, batch int)
 	}
 }
 
+// BenchmarkEnginePartitionBatch times the merge batch the benchmark's
+// server_mix spends most of its engine time in: the compiled Patient
+// program (384 features) at 64 threads over a batch of 107 tuples, so that
+// threads 0–42 run two tuples and 43–63 one, and lane group 40–43 holds
+// both. One batch from the same model must end bit-equal, model and Stats,
+// on RunBatch and on RunBatchReference, or the benchmark fails.
+func BenchmarkEnginePartitionBatch(b *testing.B) {
+	const n, threads = 107, 64
+	w, err := datagen.ByName("Patient")
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := algos.Build(w.Kind, w.Topology, algos.Hyper{LR: w.LR, Lambda: w.Lambda, MergeCoef: n, Epochs: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := hdfg.Translate(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := compiler.Compile(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(35))
+	init := make([]float32, prog.ModelSlot.Len)
+	for i := range init {
+		init[i] = float32(rng.NormFloat64() * 0.1)
+	}
+	batch := make([][]float32, n)
+	for i := range batch {
+		batch[i] = make([]float32, prog.InputSlot.Len)
+		for j := range batch[i] {
+			batch[i][j] = float32(rng.NormFloat64() * 0.5)
+		}
+	}
+	newMachine := func() *engine.Machine {
+		m, err := engine.NewMachine(prog, engine.Config{Threads: threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := m.SetModel(init); err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+
+	pm, rm := newMachine(), newMachine()
+	if err := pm.RunBatch(batch); err != nil {
+		b.Fatal(err)
+	}
+	if err := rm.RunBatchReference(batch); err != nil {
+		b.Fatal(err)
+	}
+	for i, v := range rm.Model() {
+		if got := pm.Model()[i]; math.Float32bits(got) != math.Float32bits(v) {
+			b.Fatalf("model[%d]: plan %v, reference %v", i, got, v)
+		}
+	}
+	if pm.Stats() != rm.Stats() {
+		b.Fatalf("stats: plan %+v, reference %+v", pm.Stats(), rm.Stats())
+	}
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pm.RunBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
+}
+
 // --- Observability benchmarks ------------------------------------------------
 
 // BenchmarkObsOverhead measures the cost of the observability layer on

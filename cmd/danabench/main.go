@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -42,8 +43,18 @@ func main() {
 		}
 		return
 	}
+	if err := runExperiments(os.Stdout, os.Stderr, *exp); err != nil {
+		fail(err)
+	}
+}
+
+// runExperiments writes experiment exp to w, or every experiment in name
+// order for "all" — each one run even when another fails, so one broken
+// scenario does not hide the state of the rest, its error reported on
+// errw and the run failed at the end.
+func runExperiments(w, errw io.Writer, exp string) error {
 	env := experiments.DefaultEnv()
-	runners := map[string]func(experiments.Env) error{
+	runners := map[string]func(experiments.Env, io.Writer) error{
 		"table3": table3, "table4": table4, "table5": table5,
 		"fig8": figSpeedups("fig8", "real"), "fig9": figSpeedups("fig9", "S/N"),
 		"fig10": figSpeedups("fig10", "S/E"),
@@ -54,123 +65,118 @@ func main() {
 		"channels": channelSweep, "tenants": tenants,
 		"precision": precisionSweep,
 	}
-	if *exp == "all" {
-		names := make([]string, 0, len(runners))
-		for n := range runners {
-			names = append(names, n)
+	if exp != "all" {
+		r, ok := runners[exp]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q", exp)
 		}
-		sort.Strings(names)
-		// Run every experiment even when one errors, so a single broken
-		// scenario doesn't hide the state of the rest — but still exit
-		// non-zero if anything failed.
-		var failed []string
-		for _, n := range names {
-			if err := runners[n](env); err != nil {
-				fmt.Fprintf(os.Stderr, "danabench: %s: %v\n", n, err)
-				failed = append(failed, n)
-			}
+		return r(env, w)
+	}
+	names := make([]string, 0, len(runners))
+	for n := range runners {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var failed []string
+	for _, n := range names {
+		if err := runners[n](env, w); err != nil {
+			fmt.Fprintf(errw, "danabench: %s: %v\n", n, err)
+			failed = append(failed, n)
 		}
-		if len(failed) > 0 {
-			fail(fmt.Errorf("%d experiment(s) failed: %s", len(failed), strings.Join(failed, ", ")))
-		}
-		return
 	}
-	r, ok := runners[*exp]
-	if !ok {
-		fail(fmt.Errorf("unknown experiment %q", *exp))
+	if len(failed) > 0 {
+		return fmt.Errorf("%d experiment(s) failed: %s", len(failed), strings.Join(failed, ", "))
 	}
-	if err := r(env); err != nil {
-		fail(err)
-	}
+	return nil
 }
 
-func custom(env experiments.Env) error {
-	header("Comparison with hand-coded FPGA designs (§7.3)")
+func custom(env experiments.Env, w io.Writer) error {
+	header(w, "Comparison with hand-coded FPGA designs (§7.3)")
 	rows, err := experiments.CustomDesignComparison(env)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-34s %-20s %12s %10s %11s\n", "Custom design", "Workload", "DAnA/custom", "DAnA GOPS", "Custom GOPS")
+	fmt.Fprintf(w, "%-34s %-20s %12s %10s %11s\n", "Custom design", "Workload", "DAnA/custom", "DAnA GOPS", "Custom GOPS")
 	for _, r := range rows {
-		fmt.Printf("%-34s %-20s %11.2fx %10.2f %11.2f\n", r.Design, r.Workload, r.SpeedRatio, r.DAnAGOPS, r.CustomGOPS)
+		fmt.Fprintf(w, "%-34s %-20s %11.2fx %10.2f %11.2f\n", r.Design, r.Workload, r.SpeedRatio, r.DAnAGOPS, r.CustomGOPS)
 	}
 	return nil
 }
 
-func schedule(env experiments.Env) error {
-	header("List-scheduler throughput analysis (per-tuple program)")
+func schedule(env experiments.Env, w io.Writer) error {
+	header(w, "List-scheduler throughput analysis (per-tuple program)")
 	rows, err := experiments.SchedulerStudy(env)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s %10s %10s %10s %6s\n", "Workload", "serial", "scheduled", "critpath", "ILP")
+	fmt.Fprintf(w, "%-20s %10s %10s %10s %6s\n", "Workload", "serial", "scheduled", "critpath", "ILP")
 	for _, r := range rows {
-		fmt.Printf("%-20s %10d %10d %10d %6.2f\n", r.Name, r.Serial, r.Makespan, r.CriticalPath, r.ILP)
+		fmt.Fprintf(w, "%-20s %10d %10d %10d %6.2f\n", r.Name, r.Serial, r.Makespan, r.CriticalPath, r.ILP)
 	}
 	return nil
 }
 
-func scorecard(env experiments.Env) error {
-	header("Reproduction scorecard: headline paper numbers vs this reproduction")
+func scorecard(env experiments.Env, w io.Writer) error {
+	header(w, "Reproduction scorecard: headline paper numbers vs this reproduction")
 	rows, err := experiments.Scorecard(env)
 	if err != nil {
 		return err
 	}
 	pass := 0
 	for _, r := range rows {
-		fmt.Println(r)
+		fmt.Fprintln(w, r)
 		if r.OK() {
 			pass++
 		}
 	}
-	fmt.Printf("%d/%d headline metrics within band\n", pass, len(rows))
+	fmt.Fprintf(w, "%d/%d headline metrics within band\n", pass, len(rows))
 	return nil
 }
 
-func pageSweep(env experiments.Env) error {
-	header("Page-size sweep (paper §7: no significant impact): runtime relative to 32 KB")
+func pageSweep(env experiments.Env, w io.Writer) error {
+	header(w, "Page-size sweep (paper §7: no significant impact): runtime relative to 32 KB")
 	rows, err := experiments.PageSizeSweep(env)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s %8s %8s %8s | %8s %8s %8s\n", "Workload", "PG 8K", "PG 16K", "PG 32K", "GP 8K", "GP 16K", "GP 32K")
+	fmt.Fprintf(w, "%-20s %8s %8s %8s | %8s %8s %8s\n", "Workload", "PG 8K", "PG 16K", "PG 32K", "GP 8K", "GP 16K", "GP 32K")
 	for _, r := range rows {
-		fmt.Printf("%-20s %8.3f %8.3f %8.3f | %8.3f %8.3f %8.3f\n",
+		fmt.Fprintf(w, "%-20s %8.3f %8.3f %8.3f | %8.3f %8.3f %8.3f\n",
 			r.Name, r.PG8K, r.PG16K, r.PG32K, r.GP8K, r.GP16K, r.GP32K)
 	}
 	return nil
 }
 
-func batchConv(env experiments.Env) error {
-	header("Batch size vs epochs-to-converge (functional, scaled datasets)")
+func batchConv(env experiments.Env, w io.Writer) error {
+	header(w, "Batch size vs epochs-to-converge (functional, scaled datasets)")
 	names := []string{"Remote Sensing LR", "Remote Sensing SVM", "Patient", "Blog Feedback"}
 	rows, err := experiments.BatchConvergence(names, env, 0.002, 0.5, 300)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s", "Workload")
+	fmt.Fprintf(w, "%-20s", "Workload")
 	for _, b := range experiments.BatchSizes {
-		fmt.Printf(" batch=%-4d", b)
+		fmt.Fprintf(w, " batch=%-4d", b)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, r := range rows {
-		fmt.Printf("%-20s", r.Name)
+		fmt.Fprintf(w, "%-20s", r.Name)
 		for _, b := range experiments.BatchSizes {
-			fmt.Printf(" %-10d", r.Epochs[b])
+			fmt.Fprintf(w, " %-10d", r.Epochs[b])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func ablations(env experiments.Env) error {
-	header("Design ablations: speedup over MADlib+PG (warm)")
+func ablations(env experiments.Env, w io.Writer) error {
+	header(w, "Design ablations: speedup over MADlib+PG (warm)")
 	rows, gm, err := experiments.Ablations(env)
 	if err != nil {
 		return err
 	}
 	for _, r := range append(rows, gm) {
-		fmt.Println(experiments.FormatAblation(r))
+		fmt.Fprintln(w, experiments.FormatAblation(r))
 	}
 	return nil
 }
@@ -181,15 +187,15 @@ func ablations(env experiments.Env) error {
 // point violates the channel model's charging identities (aggregate =
 // channels × per-channel, 1-channel ≡ legacy scalar, transfer ≡ serial
 // per-page recomputation).
-func channelSweep(env experiments.Env) error {
-	header("Channel sweep: epoch pipeline vs bandwidth × memory channels (Fig 14 extended, CSV)")
+func channelSweep(env experiments.Env, w io.Writer) error {
+	header(w, "Channel sweep: epoch pipeline vs bandwidth × memory channels (Fig 14 extended, CSV)")
 	rows, err := experiments.ChannelSweep(env)
 	if err != nil {
 		return err
 	}
-	fmt.Println("workload,channels,scale,aggregate_gb_s,transfer_s,pipeline_s,speedup,saturated")
+	fmt.Fprintln(w, "workload,channels,scale,aggregate_gb_s,transfer_s,pipeline_s,speedup,saturated")
 	for _, r := range rows {
-		fmt.Printf("%s,%d,%g,%.3f,%.6g,%.6g,%.3f,%t\n",
+		fmt.Fprintf(w, "%s,%d,%g,%.3f,%.6g,%.6g,%.3f,%t\n",
 			r.Name, r.Channels, r.Scale, r.AggregateBW/1e9,
 			r.TransferSec, r.PipelineSec, r.Speedup, r.Saturated)
 	}
@@ -204,14 +210,14 @@ func channelSweep(env experiments.Env) error {
 // full-width run is not bit-identical to the accelerator path (model
 // and counters), or if any reduced-precision run misses its epoch
 // budget.
-func precisionSweep(env experiments.Env) error {
-	header("Precision sweep: any-precision weave path, transfer vs epochs-to-converge (MLWeaving tradeoff)")
+func precisionSweep(env experiments.Env, w io.Writer) error {
+	header(w, "Precision sweep: any-precision weave path, transfer vs epochs-to-converge (MLWeaving tradeoff)")
 	rows, err := experiments.PrecisionSweep(env)
 	if err != nil {
 		return err
 	}
 	for _, r := range rows {
-		fmt.Println(experiments.FormatPrecision(r))
+		fmt.Fprintln(w, experiments.FormatPrecision(r))
 	}
 	return nil
 }
@@ -222,9 +228,9 @@ func precisionSweep(env experiments.Env) error {
 // experiment errors — and -exp all exits non-zero — if any job fails,
 // the per-tenant counter identity breaks, or sequence-aware fails to
 // beat always-reconfigure on modeled makespan.
-func tenants(env experiments.Env) error {
-	header("Multi-tenant server: sequence-aware vs always-reconfigure (seeded open-loop load)")
-	_, err := server.TenantExperiment(os.Stdout, server.DefaultExperiment())
+func tenants(env experiments.Env, w io.Writer) error {
+	header(w, "Multi-tenant server: sequence-aware vs always-reconfigure (seeded open-loop load)")
+	_, err := server.TenantExperiment(w, server.DefaultExperiment())
 	return err
 }
 
@@ -233,40 +239,40 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-func header(title string) {
-	fmt.Printf("\n=== %s ===\n", title)
+func header(w io.Writer, title string) {
+	fmt.Fprintf(w, "\n=== %s ===\n", title)
 }
 
-func table3(env experiments.Env) error {
-	header("Table 3: datasets and models (ours vs paper)")
-	fmt.Printf("%-20s %-9s %-18s %12s %10s %9s %10s %8s\n",
+func table3(env experiments.Env, w io.Writer) error {
+	header(w, "Table 3: datasets and models (ours vs paper)")
+	fmt.Fprintf(w, "%-20s %-9s %-18s %12s %10s %9s %10s %8s\n",
 		"Workload", "Algo", "Topology", "Tuples", "Pages32K", "SizeMB", "PaperPgs", "PaperMB")
 	for _, r := range experiments.Table3(env) {
-		fmt.Printf("%-20s %-9s %-18s %12d %10d %9.0f %10d %8d\n",
+		fmt.Fprintf(w, "%-20s %-9s %-18s %12d %10d %9.0f %10d %8d\n",
 			r.Name, r.Algorithm, fmt.Sprint(r.Topology), r.Tuples, r.Pages32K, r.SizeMB,
 			r.PaperPages32K, r.PaperSizeMB)
 	}
 	return nil
 }
 
-func table4(env experiments.Env) error {
-	header("Table 4: FPGA specification")
+func table4(env experiments.Env, w io.Writer) error {
+	header(w, "Table 4: FPGA specification")
 	f := env.FPGA
-	fmt.Printf("%s\n  LUTs=%d  FFs=%d  clock=%.0f MHz  BRAM=%d MB  DSPs=%d  max AUs=%d\n",
+	fmt.Fprintf(w, "%s\n  LUTs=%d  FFs=%d  clock=%.0f MHz  BRAM=%d MB  DSPs=%d  max AUs=%d\n",
 		f.Name, f.LUTs, f.FlipFlops, f.ClockHz/1e6, f.BRAMBytes>>20, f.DSPs, f.MaxAUsAvailable())
 	_ = hwgen.VU9P()
 	return nil
 }
 
-func table5(env experiments.Env) error {
-	header("Table 5: absolute runtimes (modeled, warm cache)")
+func table5(env experiments.Env, w io.Writer) error {
+	header(w, "Table 5: absolute runtimes (modeled, warm cache)")
 	rows, err := experiments.Table5(env)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s %14s %14s %14s\n", "Workload", "MADlib+PG", "MADlib+GP", "DAnA+PG")
+	fmt.Fprintf(w, "%-20s %14s %14s %14s\n", "Workload", "MADlib+PG", "MADlib+GP", "DAnA+PG")
 	for _, r := range rows {
-		fmt.Printf("%-20s %14s %14s %14s\n", r.Name,
+		fmt.Fprintf(w, "%-20s %14s %14s %14s\n", r.Name,
 			experiments.FormatSeconds(r.PGSec),
 			experiments.FormatSeconds(r.GPSec),
 			experiments.FormatSeconds(r.DAnASec))
@@ -274,114 +280,114 @@ func table5(env experiments.Env) error {
 	return nil
 }
 
-func figSpeedups(fig, class string) func(experiments.Env) error {
-	return func(env experiments.Env) error {
+func figSpeedups(fig, class string) func(experiments.Env, io.Writer) error {
+	return func(env experiments.Env, w io.Writer) error {
 		for _, warm := range []bool{true, false} {
 			cache := "warm"
 			if !warm {
 				cache = "cold"
 			}
-			header(fmt.Sprintf("%s (%s datasets, %s cache): end-to-end speedup over MADlib+PostgreSQL", fig, class, cache))
+			header(w, fmt.Sprintf("%s (%s datasets, %s cache): end-to-end speedup over MADlib+PostgreSQL", fig, class, cache))
 			rows, gm, err := experiments.ClassSpeedups(class, env, warm)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-20s %12s %12s %12s\n", "Workload", "GP/PG", "DAnA/PG", "DAnA/GP")
+			fmt.Fprintf(w, "%-20s %12s %12s %12s\n", "Workload", "GP/PG", "DAnA/PG", "DAnA/GP")
 			for _, r := range append(rows, gm) {
-				fmt.Printf("%-20s %11.1fx %11.1fx %11.1fx\n", r.Name, r.GPvsPG, r.DAnAvsPG, r.DAnAvsGP)
+				fmt.Fprintf(w, "%-20s %11.1fx %11.1fx %11.1fx\n", r.Name, r.GPvsPG, r.DAnAvsPG, r.DAnAvsGP)
 			}
 		}
 		return nil
 	}
 }
 
-func fig11(env experiments.Env) error {
-	header("Figure 11: DAnA with vs without Striders (speedup over MADlib+PG, warm)")
+func fig11(env experiments.Env, w io.Writer) error {
+	header(w, "Figure 11: DAnA with vs without Striders (speedup over MADlib+PG, warm)")
 	rows, gm, err := experiments.StriderBenefit(env)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s %14s %14s\n", "Workload", "w/o Strider", "with Strider")
+	fmt.Fprintf(w, "%-20s %14s %14s\n", "Workload", "w/o Strider", "with Strider")
 	for _, r := range append(rows, gm) {
-		fmt.Printf("%-20s %13.1fx %13.1fx\n", r.Name, r.WithoutStrider, r.WithStrider)
+		fmt.Fprintf(w, "%-20s %13.1fx %13.1fx\n", r.Name, r.WithoutStrider, r.WithStrider)
 	}
 	return nil
 }
 
-func fig12(env experiments.Env) error {
-	header("Figure 12: accelerator runtime vs merge coefficient (relative to 1 thread)")
+func fig12(env experiments.Env, w io.Writer) error {
+	header(w, "Figure 12: accelerator runtime vs merge coefficient (relative to 1 thread)")
 	coefs := []int{1, 4, 16, 64, 256, 1024}
 	for _, name := range experiments.Fig12Workloads {
 		pts, err := experiments.ThreadSweep(name, env, coefs)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%s:\n", name)
+		fmt.Fprintf(w, "%s:\n", name)
 		for _, p := range pts {
 			bar := strings.Repeat("#", int(p.RelRuntime*40))
-			fmt.Printf("  coef %5d: threads %4d util %5.1f%% runtime %.3f %s\n",
+			fmt.Fprintf(w, "  coef %5d: threads %4d util %5.1f%% runtime %.3f %s\n",
 				p.Coef, p.Threads, 100*p.Utilization, p.RelRuntime, bar)
 		}
 	}
 	return nil
 }
 
-func fig13(env experiments.Env) error {
-	header("Figure 13: Greenplum segment sweep (speedup relative to 8 segments)")
+func fig13(env experiments.Env, w io.Writer) error {
+	header(w, "Figure 13: Greenplum segment sweep (speedup relative to 8 segments)")
 	rows, gm, err := experiments.SegmentSweep(env)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s %10s %10s %10s %10s\n", "Workload", "PG", "4 seg", "8 seg", "16 seg")
+	fmt.Fprintf(w, "%-20s %10s %10s %10s %10s\n", "Workload", "PG", "4 seg", "8 seg", "16 seg")
 	for _, r := range append(rows, gm) {
-		fmt.Printf("%-20s %9.2fx %9.2fx %9.2fx %9.2fx\n", r.Name, r.PG, r.Seg4, r.Seg8, r.Seg16)
+		fmt.Fprintf(w, "%-20s %9.2fx %9.2fx %9.2fx %9.2fx\n", r.Name, r.PG, r.Seg4, r.Seg8, r.Seg16)
 	}
 	return nil
 }
 
-func fig14(env experiments.Env) error {
-	header("Figure 14: FPGA time vs link bandwidth (speedup over baseline bandwidth)")
+func fig14(env experiments.Env, w io.Writer) error {
+	header(w, "Figure 14: FPGA time vs link bandwidth (speedup over baseline bandwidth)")
 	rows, err := experiments.BandwidthSweep(env)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s", "Workload")
+	fmt.Fprintf(w, "%-20s", "Workload")
 	for _, sc := range experiments.BandwidthScales {
-		fmt.Printf(" %7.2fx", sc)
+		fmt.Fprintf(w, " %7.2fx", sc)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, r := range rows {
-		fmt.Printf("%-20s", r.Name)
+		fmt.Fprintf(w, "%-20s", r.Name)
 		for _, sc := range experiments.BandwidthScales {
-			fmt.Printf(" %7.2f ", r.Speedups[sc])
+			fmt.Fprintf(w, " %7.2f ", r.Speedups[sc])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func fig15(env experiments.Env) error {
+func fig15(env experiments.Env, w io.Writer) error {
 	rows, err := experiments.ExternalLibraries(env)
 	if err != nil {
 		return err
 	}
-	header("Figure 15a: external library runtime breakdown (1 epoch)")
-	fmt.Printf("%-20s %-10s %10s %10s %10s\n", "Workload", "Library", "Export%", "Transform%", "Compute%")
+	header(w, "Figure 15a: external library runtime breakdown (1 epoch)")
+	fmt.Fprintf(w, "%-20s %-10s %10s %10s %10s\n", "Workload", "Library", "Export%", "Transform%", "Compute%")
 	for _, r := range rows {
 		if !isNaN(r.LiblinearSec) {
 			b := r.LiblinearBreakdown
-			fmt.Printf("%-20s %-10s %9.1f%% %9.1f%% %9.1f%%\n", r.Name, "Liblinear",
+			fmt.Fprintf(w, "%-20s %-10s %9.1f%% %9.1f%% %9.1f%%\n", r.Name, "Liblinear",
 				100*b.ExportSec/b.TotalSec, 100*b.TransformSec/b.TotalSec, 100*b.ComputeSec/b.TotalSec)
 		}
 		b := r.DimmWittedBreakdown
-		fmt.Printf("%-20s %-10s %9.1f%% %9.1f%% %9.1f%%\n", r.Name, "DimmWitted",
+		fmt.Fprintf(w, "%-20s %-10s %9.1f%% %9.1f%% %9.1f%%\n", r.Name, "DimmWitted",
 			100*b.ExportSec/b.TotalSec, 100*b.TransformSec/b.TotalSec, 100*b.ComputeSec/b.TotalSec)
 	}
-	header("Figure 15b/c: compute and end-to-end times (1 epoch, seconds)")
-	fmt.Printf("%-20s %10s %10s %10s %10s | %10s %10s %10s\n",
+	header(w, "Figure 15b/c: compute and end-to-end times (1 epoch, seconds)")
+	fmt.Fprintf(w, "%-20s %10s %10s %10s %10s | %10s %10s %10s\n",
 		"Workload", "PGcomp", "LLcomp", "DWcomp", "DAnAcomp", "LLtotal", "DWtotal", "DAnAtotal")
 	for _, r := range rows {
-		fmt.Printf("%-20s %10.2f %10.2f %10.2f %10.4f | %10.2f %10.2f %10.3f\n",
+		fmt.Fprintf(w, "%-20s %10.2f %10.2f %10.2f %10.4f | %10.2f %10.2f %10.3f\n",
 			r.Name, r.PGComputeSec, r.LiblinearComputeSec, r.DimmWittedComputeSec, r.DAnAComputeSec,
 			r.LiblinearSec, r.DimmWittedSec, r.DAnASec)
 	}
@@ -390,14 +396,14 @@ func fig15(env experiments.Env) error {
 
 func isNaN(f float64) bool { return f != f }
 
-func fig16(env experiments.Env) error {
-	header("Figure 16: DAnA vs TABLA (execution-engine compute speedup)")
+func fig16(env experiments.Env, w io.Writer) error {
+	header(w, "Figure 16: DAnA vs TABLA (execution-engine compute speedup)")
 	rows, gm, err := experiments.TablaComparison(env)
 	if err != nil {
 		return err
 	}
 	for _, r := range append(rows, gm) {
-		fmt.Printf("%-20s %8.1fx\n", r.Name, r.Speedup)
+		fmt.Fprintf(w, "%-20s %8.1fx\n", r.Name, r.Speedup)
 	}
 	return nil
 }

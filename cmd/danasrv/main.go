@@ -26,6 +26,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -35,39 +36,60 @@ import (
 	"dana/internal/server"
 )
 
-func main() {
-	var (
-		tenants   = flag.Int("tenants", 4, "number of named tenants (tenant0..tenantN-1)")
-		jobs      = flag.Int("jobs", 32, "jobs in the generated open-loop load")
-		rate      = flag.Float64("rate", 8, "open-loop arrival rate, jobs per virtual second")
-		scale     = flag.Float64("scale", 0.002, "dataset scale per job")
-		epochs    = flag.Int("epochs", 2, "training epoch budget per job")
-		seed      = flag.Int64("seed", 1, "load and dataset seed")
-		instances = flag.Int("instances", 2, "accelerator instances in the pool")
-		policy    = flag.String("policy", "sequence", "scheduling policy: sequence | reconfigure")
-		slack     = flag.Float64("slack", 0, "affinity batching fair-share slack in virtual seconds (0 = default)")
-		scoreFrac = flag.Float64("score-frac", 0.25, "fraction of jobs that are batch-scoring requests")
-		faulty    = flag.String("faulty", "", "tenant name to run under a persistent Strider trap storm")
-		compare   = flag.Bool("compare", false, "also plan the load under always-reconfigure and report the makespan ratio")
-		stdin     = flag.Bool("stdin", false, "read a job script from stdin instead of generating a load")
-	)
-	flag.Parse()
+// options are danasrv's flags.
+type options struct {
+	tenants, jobs, epochs, instances int
+	rate, scale, slack, scoreFrac    float64
+	seed                             int64
+	policy, faulty                   string
+	compare, stdin                   bool
+}
 
-	pol, err := server.ParsePolicy(*policy)
-	check(err)
-	load := server.LoadConfig{
-		Seed: *seed, Tenants: *tenants, Jobs: *jobs, RateJobsPerSec: *rate,
-		Scale: *scale, Epochs: *epochs, ScoreFraction: *scoreFrac,
+// parseFlags parses args as the command line does, exiting on a bad one.
+func parseFlags(args []string) options {
+	var o options
+	fs := flag.NewFlagSet("danasrv", flag.ExitOnError)
+	fs.IntVar(&o.tenants, "tenants", 4, "number of named tenants (tenant0..tenantN-1)")
+	fs.IntVar(&o.jobs, "jobs", 32, "jobs in the generated open-loop load")
+	fs.Float64Var(&o.rate, "rate", 8, "open-loop arrival rate, jobs per virtual second")
+	fs.Float64Var(&o.scale, "scale", 0.002, "dataset scale per job")
+	fs.IntVar(&o.epochs, "epochs", 2, "training epoch budget per job")
+	fs.Int64Var(&o.seed, "seed", 1, "load and dataset seed")
+	fs.IntVar(&o.instances, "instances", 2, "accelerator instances in the pool")
+	fs.StringVar(&o.policy, "policy", "sequence", "scheduling policy: sequence | reconfigure")
+	fs.Float64Var(&o.slack, "slack", 0, "affinity batching fair-share slack in virtual seconds (0 = default)")
+	fs.Float64Var(&o.scoreFrac, "score-frac", 0.25, "fraction of jobs that are batch-scoring requests")
+	fs.StringVar(&o.faulty, "faulty", "", "tenant name to run under a persistent Strider trap storm")
+	fs.BoolVar(&o.compare, "compare", false, "also plan the load under always-reconfigure and report the makespan ratio")
+	fs.BoolVar(&o.stdin, "stdin", false, "read a job script from stdin instead of generating a load")
+	_ = fs.Parse(args) // ExitOnError: Parse returns only on success
+	return o
+}
+
+func main() {
+	check(run(os.Stdout, parseFlags(os.Args[1:])))
+}
+
+// run builds the server o describes and either serves the stdin protocol
+// or drains the generated load, writing its report to w.
+func run(w io.Writer, o options) error {
+	pol, err := server.ParsePolicy(o.policy)
+	if err != nil {
+		return err
 	}
-	tcs := server.DefaultTenants(*tenants)
-	if *faulty != "" {
+	load := server.LoadConfig{
+		Seed: o.seed, Tenants: o.tenants, Jobs: o.jobs, RateJobsPerSec: o.rate,
+		Scale: o.scale, Epochs: o.epochs, ScoreFraction: o.scoreFrac,
+	}
+	tcs := server.DefaultTenants(o.tenants)
+	if o.faulty != "" {
 		found := false
 		for i := range tcs {
-			if tcs[i].Name == *faulty {
+			if tcs[i].Name == o.faulty {
 				var rates [fault.NumPoints]float64
 				rates[fault.StriderTrap] = 1.0
 				tcs[i].Faults = &fault.Config{
-					Seed:              uint64(*seed),
+					Seed:              uint64(o.seed),
 					Rates:             rates,
 					TransientAttempts: -1,
 				}
@@ -75,41 +97,50 @@ func main() {
 			}
 		}
 		if !found {
-			check(fmt.Errorf("-faulty %q: no such tenant", *faulty))
+			return fmt.Errorf("-faulty %q: no such tenant", o.faulty)
 		}
 	}
 	srv, err := server.New(server.Config{
 		Tenants:       tcs,
-		Instances:     *instances,
+		Instances:     o.instances,
 		Policy:        pol,
-		Seed:          *seed,
-		BatchSlackSec: *slack,
+		Seed:          o.seed,
+		BatchSlackSec: o.slack,
 	})
-	check(err)
+	if err != nil {
+		return err
+	}
 
-	if *stdin {
+	if o.stdin {
 		repl(srv, load)
-		return
+		return nil
 	}
 
 	specs := server.GenLoad(load)
 	rep, err := srv.Run(specs)
-	check(err)
-	server.WriteReport(os.Stdout, rep)
-	if *compare {
+	if err != nil {
+		return err
+	}
+	server.WriteReport(w, rep)
+	if o.compare {
 		base, err := srv.Replan(specs, server.PolicyAlwaysReconfigure)
-		check(err)
+		if err != nil {
+			return err
+		}
 		ratio := 0.0
 		if rep.MakespanSec > 0 {
 			ratio = base.Makespan / rep.MakespanSec
 		}
-		fmt.Printf("always-reconfigure plan: makespan %.3fs (%.2fx vs %s)\n",
+		fmt.Fprintf(w, "always-reconfigure plan: makespan %.3fs (%.2fx vs %s)\n",
 			base.Makespan, ratio, rep.Policy)
 	}
-	check(srv.IdentityError())
-	if rep.Errors > 0 && *faulty == "" {
-		check(fmt.Errorf("%d job(s) failed on a fault-free run", rep.Errors))
+	if err := srv.IdentityError(); err != nil {
+		return err
 	}
+	if rep.Errors > 0 && o.faulty == "" {
+		return fmt.Errorf("%d job(s) failed on a fault-free run", rep.Errors)
+	}
+	return nil
 }
 
 // repl reads the stdin line protocol, batching submissions until "run".

@@ -222,10 +222,10 @@ func kStep(o *op, f *frame) error {
 	return nil
 }
 
-// dotLanes is how many threads' tuples runDirect keeps in flight, a lane
-// group: a float32 add has a 3-4 cycle latency and a dot is one chain of
-// them, so four independent chains fill the adder a single chain leaves
-// idle — and so with four logistics.
+// dotLanes is how many threads' tuples a merge batch keeps in flight, a
+// lane group (runDirect, runPartition): a float32 add has a 3-4 cycle
+// latency and a dot is one chain of them, so four independent chains fill
+// the adder a single chain leaves idle — and so with four logistics.
 const dotLanes = 4
 
 // dotN is kDot for dotLanes frames at once. Each frame's sum is its own
@@ -424,6 +424,65 @@ func accMulSVN(o *op, fs *[dotLanes]frame) {
 		acc[j] = (((acc[j] + float32(s0*x0[j])) + float32(s1*x1[j])) + float32(s2*x2[j])) + float32(s3*x3[j])
 	}
 }
+
+// accMulSVLanes is kAccMulSV for dotLanes frames at once, each into its
+// own accumulator — a full round of a partition lane group that does not
+// fold — so that four independent chains of loads, products and stores
+// share one loop. A group's lanes start together, so they store together.
+//
+//dana:hotpath
+func accMulSVLanes(o *op, fs *[dotLanes]frame) {
+	x0 := o.b.view(&fs[0])
+	n := len(x0)
+	x1, x2, x3 := o.b.view(&fs[1])[:n], o.b.view(&fs[2])[:n], o.b.view(&fs[3])[:n]
+	a0, a1, a2, a3 := fs[0].acc[:n], fs[1].acc[:n], fs[2].acc[:n], fs[3].acc[:n]
+	s0, s1, s2, s3 := o.a.at(&fs[0]), o.a.at(&fs[1]), o.a.at(&fs[2]), o.a.at(&fs[3])
+	if fs[0].first {
+		for j := range a0 {
+			a0[j], a1[j], a2[j], a3[j] = float32(s0*x0[j]), float32(s1*x1[j]), float32(s2*x2[j]), float32(s3*x3[j])
+		}
+		return
+	}
+	for j := range a0 {
+		a0[j] = a0[j] + float32(s0*x0[j])
+		a1[j] = a1[j] + float32(s1*x1[j])
+		a2[j] = a2[j] + float32(s2*x2[j])
+		a3[j] = a3[j] + float32(s3*x3[j])
+	}
+}
+
+// accFoldN ends the last round of a full partition lane group whose four
+// threads had earlier tuples, so each lane holds a partial sum a_j in its
+// spare: lane j's thread finishes its sum with the round's product p_j =
+// float32(s_j·x_j[j]) and the four sums meet the merged vector in lane
+// order, which is thread order — acc[j] = (((acc[j] + (a0[j]+p0)) +
+// (a1[j]+p1)) + (a2[j]+p2)) + (a3[j]+p3): the reference's last
+// thread-local add for each thread, then its tree-merge adds for threads
+// t…t+3, with acc[j] loaded and stored once instead of eight times. The
+// spares are read, never written.
+//
+//dana:hotpath
+func accFoldN(o *op, fs *[dotLanes]frame, acc []float32) {
+	x0 := o.b.view(&fs[0])
+	n := len(x0)
+	x1, x2, x3 := o.b.view(&fs[1])[:n], o.b.view(&fs[2])[:n], o.b.view(&fs[3])[:n]
+	a0, a1, a2, a3 := fs[0].acc[:n], fs[1].acc[:n], fs[2].acc[:n], fs[3].acc[:n]
+	s0, s1, s2, s3 := o.a.at(&fs[0]), o.a.at(&fs[1]), o.a.at(&fs[2]), o.a.at(&fs[3])
+	acc = acc[:n]
+	for j := range acc {
+		acc[j] = (((acc[j] + (a0[j] + float32(s0*x0[j]))) + (a1[j] + float32(s1*x1[j]))) +
+			(a2[j] + float32(s2*x2[j]))) + (a3[j] + float32(s3*x3[j]))
+	}
+}
+
+// The acc.mul.sv of a full round of a partition lane group whose lanes
+// keep their threads' sums in spares (runGroup): spareAdd when the round
+// does not fold, spareFold when it folds them into the merged vector.
+// Like laneKernels, they are looked up as the group runs.
+var (
+	spareAdd  laneKernel = accMulSVLanes
+	spareFold            = accFoldN
+)
 
 // accumulate folds a thread's merge value into acc when no kernel fused
 // it: the reference's copy for the first tuple, its add loop after.

@@ -52,12 +52,12 @@ type Machine struct {
 	// scratch. The modeled machine has Cfg.Threads of them and is charged
 	// for all; the host holds pads of them — one per model thread, or, when
 	// plan.sharePads, one per host lane that can have a tuple in flight
-	// (dotLanes in runDirect), or the one a merge-free program ever runs
-	// on. Pad 0 is model thread 0's always: the model and the once-a-batch
-	// stages live there.
+	// (the dotLanes of a lane group), or the one a merge-free program ever
+	// runs on. Pad 0 is model thread 0's always: the model and the
+	// once-a-batch stages live there.
 	//
 	// accs holds merge accumulators of MergeSrc.Len words (nil without a
-	// merge): the merged vector and the spare runPartition folds through.
+	// merge): the merged vector and a spare per lane of a lane group.
 	scratch []float32
 	pads    int
 	accs    []float32
@@ -65,7 +65,7 @@ type Machine struct {
 
 	// plan is Prog lowered for Cfg (plan.go): what RunBatch and Converged
 	// execute. The reference executor (reference.go) never reads it.
-	// frames are the kernel frames (one, or dotLanes for runDirect), kept
+	// frames are the kernel frames (one, or dotLanes for a lane group), kept
 	// here because a frame passed to a kernel through its func value
 	// escapes.
 	plan   plan
@@ -140,7 +140,7 @@ func (m *Machine) PublishObs() {
 
 // NewMachine instantiates the accelerator and lowers the program to its
 // plan. It allocates the machine, one slab of plan ops, one of scratchpads
-// and (merge programs) the two accumulators an inline batch needs.
+// and (merge programs) one of the 1 + dotLanes accumulators a batch needs.
 func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -152,7 +152,7 @@ func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	m.pads = m.plan.pads(p, cfg)
 	m.scratch = make([]float32, m.pads*p.Slots)
 	if p.HasMerge() {
-		m.accs = make([]float32, 2*p.MergeSrc.Len)
+		m.accs = make([]float32, (1+dotLanes)*p.MergeSrc.Len)
 	}
 	m.cycPerTuple = listCycles(p.PerTuple, cfg)
 	m.cycPostMerge = listCycles(p.PostMerge, cfg)
@@ -189,8 +189,8 @@ func (m *Machine) thread(i int) []float32 {
 	return m.scratch[i*n : (i+1)*n : (i+1)*n]
 }
 
-// acc returns merge accumulator t: acc(0) is the merged vector and acc(1)
-// runPartition's spare; the reference executor builds one per model thread.
+// acc returns merge accumulator t: acc(0) is the merged vector and acc(1+j)
+// lane j's spare; the reference executor builds one per model thread.
 func (m *Machine) acc(t int) []float32 {
 	n := m.Prog.MergeSrc.Len
 	return m.accs[t*n : (t+1)*n : (t+1)*n]
@@ -228,34 +228,102 @@ func (m *Machine) mergeValue(f *frame) {
 }
 
 // runPartition is the batch in which a thread owns more than one tuple:
-// thread t runs tuples t, t+k, ... through the per-tuple ops and the
-// thread-local merge accumulate — on its own scratchpad, or on pad 0 when
-// the plan shares pads. Threads finish in thread order, so thread t > 0
-// accumulates in the spare acc(1) and is folded into acc(0) as it ends:
-// the sums the tree merge makes over k accumulators, in its order. No
-// stats are written (the caller charges them in closed form).
+// thread t owns tuples t, t+k, t+2k, … and takes each through the
+// per-tuple ops and the thread-local accumulate. Threads run dotLanes at a
+// time, as lane groups in thread order (runGroup), and every thread's sum
+// meets acc(0) in thread order: the sums the tree merge makes over k
+// accumulators, in its order. A full group after the first whose four
+// threads have as many tuples as each other, under a plan that ends in
+// acc.mul.sv, folds its last round straight into acc(0). No stats are
+// written (the caller charges them in closed form).
 //
 //dana:hotpath
-func (m *Machine) runPartition(f *frame, tuples [][]float32, k int) error {
-	for t := 0; t < k; t++ {
-		pad := t
-		if m.plan.sharePads {
-			pad = 0
-		}
-		f.acc = m.acc(min(t, 1))
-		for i := t; i < len(tuples); i += k {
-			if err := m.bind(f, pad, tuples[i]); err != nil {
-				return err
+func (m *Machine) runPartition(tuples [][]float32, k int) error {
+	pl := &m.plan
+	foldable := pl.fusedAcc && pl.perTuple[len(pl.perTuple)-1].kind == opAccMulSV
+	rounds, long := len(tuples)/k, len(tuples)%k // threads below long have one tuple more
+	for t := 0; t < k; t += dotLanes {
+		g := min(dotLanes, k-t)
+		fold := -1
+		if foldable && t > 0 && g == dotLanes && (t >= long || t+g <= long) {
+			fold = rounds - 1
+			if t < long {
+				fold = rounds
 			}
-			f.first = i == t
-			if err := runOps(m.plan.perTuple, f); err != nil {
-				return err
+		}
+		if err := m.runGroup(tuples, t, k, g, fold); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runGroup runs threads t…t+g−1 of a partition batch as one lane group,
+// round by round: round r binds tuple t+j+r·k, if there is one, to lane j
+// and walks the per-tuple ops op-major, as runDirect walks its one round.
+// A full round takes an op's lane kernel when its kind has one, except
+// that acc.mul.sv adds into each lane's spare acc(1+j) (spareAdd). Lane j
+// holds its tuple's temporaries across the interleave, so sharing pads
+// takes one per lane. After the last round the spares meet acc(0) in lane
+// order, thread 0's a store — unless round fold (−1: none) is full: then
+// its acc.mul.sv folds the four threads' sums straight into acc(0),
+// through accMulSVN on acc(0) when this is each thread's only tuple and
+// through spareFold when it is not, and the spares are done.
+//
+// A lane that fails retires itself and every lane above it; the lanes
+// below run on and may fail later in their own lists or rounds. The group
+// returns the lowest failed lane's error: the one the reference, which
+// runs thread by thread, stops at.
+//
+//dana:hotpath
+func (m *Machine) runGroup(tuples [][]float32, t, k, g, fold int) error {
+	pl, fs, acc0 := &m.plan, &m.frames, m.acc(0)
+	var err error
+	for r, at := 0, t; at < len(tuples) && g > 0; r, at = r+1, at+k {
+		live := min(g, len(tuples)-at)
+		for j := 0; j < live; j++ {
+			f, pad := &fs[j], t+j
+			if pl.sharePads {
+				pad = j
 			}
-			m.mergeValue(f)
+			f.acc, f.first = m.acc(1+j), r == 0
+			if r == fold && r == 0 {
+				f.acc, f.first = acc0, false
+			}
+			if e := m.bind(f, pad, tuples[at+j]); e != nil {
+				g, live, err = j, j, e
+			}
 		}
-		if t > 0 {
-			accumulate(m.acc(0), f.acc, m.Prog.MergeOp, false)
+		for i := range pl.perTuple {
+			o := &pl.perTuple[i]
+			if live == dotLanes {
+				switch {
+				case o.kind == opAccMulSV && r != fold:
+					spareAdd(o, fs)
+					continue
+				case o.kind == opAccMulSV && r > 0:
+					spareFold(o, fs, acc0)
+					continue
+				case laneKernels[o.kind] != nil:
+					laneKernels[o.kind](o, fs)
+					continue
+				}
+			}
+			for j := 0; j < live; j++ {
+				if e := o.run(o, &fs[j]); e != nil {
+					g, live, err = j, j, e
+				}
+			}
 		}
+		for j := 0; j < live; j++ {
+			m.mergeValue(&fs[j])
+		}
+	}
+	if err != nil || fold >= 0 {
+		return err
+	}
+	for j := 0; j < g; j++ {
+		accumulate(acc0, m.acc(1+j), m.Prog.MergeOp, t+j == 0)
 	}
 	return nil
 }
@@ -417,11 +485,10 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 		return nil
 	}
 	m.beginBatch(n)
-	mdl, upd := p.ModelSlot, p.UpdatedSlot
 
-	f := &m.frames[0]
 	if !p.HasMerge() {
-		th0 := m.thread(0)
+		f, th0 := &m.frames[0], m.thread(0)
+		mdl, upd := p.ModelSlot, p.UpdatedSlot
 		for _, row := range tuples {
 			if err := m.bind(f, 0, row); err != nil {
 				return err
@@ -440,23 +507,30 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 		return nil
 	}
 
-	k := m.Cfg.Threads
-	if k > n {
-		k = n
-	}
 	// Every thread sees its tuples (i ≡ t mod k) in increasing order and
 	// both shapes leave acc(0) holding the tree-bus merge's sums in thread
 	// order; the counters are closed forms of (n, k).
+	k := min(m.Cfg.Threads, n)
 	var err error
 	if n == k {
 		err = m.runDirect(tuples)
 	} else {
-		err = m.runPartition(f, tuples, k)
+		err = m.runPartition(tuples, k)
 	}
 	if err != nil {
 		return err
 	}
-	th0 := m.thread(0)
+	return m.endMergeBatch(n, k)
+}
+
+// endMergeBatch lands the merged vector acc(0) in thread 0's MergeDst, runs
+// the post-merge stage and the row updates there, syncs the model and
+// charges the batch of n tuples on k threads.
+//
+//dana:hotpath
+func (m *Machine) endMergeBatch(n, k int) error {
+	p, pl, f, th0 := m.Prog, &m.plan, &m.frames[0], m.thread(0)
+	mdl, upd := p.ModelSlot, p.UpdatedSlot
 	copy(th0[p.MergeDst.Base:p.MergeDst.Base+p.MergeDst.Len], m.acc(0))
 
 	// Post-merge stage on thread 0.

@@ -13,13 +13,14 @@ package engine
 // (reference.go), which tests and internal/verify diff it against:
 //
 //   - order: every kernel performs the interpreter's float32 operations
-//     in the interpreter's order, element by element — and where a direct
-//     merge batch runs an op for a whole lane group at once (runDirect), a
-//     lane's own chain keeps its order and the merge accumulator meets the
-//     lanes' values in lane order, which is thread order; where one kernel
-//     stands for several ops (kRowSGD), it is their kernels inlined in
-//     their order, each word written and each scalar read where its own
-//     op would, so it needs no proof they did not already have;
+//     in the interpreter's order, element by element — and where a merge
+//     batch runs an op for a whole lane group at once (runDirect,
+//     runPartition), a lane's own chain keeps its order and the merged
+//     vector meets the lanes' sums in lane order, which is thread order;
+//     where one kernel stands for several ops (kRowSGD), it is their
+//     kernels inlined in their order, each word written and each scalar
+//     read where its own op would, so it needs no proof they did not
+//     already have;
 //   - rounding: a fused product is written float32(x*y) before it meets
 //     an add or a subtract — the Go spec lets a compiler fuse x*y+z into
 //     one rounding (it does on arm64, ppc64le, s390x, riscv64) and only
@@ -69,8 +70,8 @@ type frame struct {
 // kernel executes one op.
 type kernel func(o *op, f *frame) error
 
-// laneKernel executes one op for the dotLanes frames of a full runDirect
-// lane group at once. It cannot fail.
+// laneKernel executes one op for the dotLanes frames of a full lane group
+// at once. It cannot fail.
 type laneKernel func(o *op, fs *[dotLanes]frame)
 
 // opKind names what lowering decided an op is; kernels maps it to code.
@@ -105,7 +106,9 @@ var kernels = [numOpKinds]kernel{
 }
 
 // laneKernels holds the lane kernel of each kind that has one. runDirect
-// looks the kind up as it runs: an op carries nothing for it.
+// and runPartition look the kind up as they run: an op carries nothing for
+// it. A partition group whose lanes keep spares accumulates through
+// spareAdd and spareFold instead.
 var laneKernels = [numOpKinds]laneKernel{opDot: dotN, opAccMulSV: accMulSVN}
 
 // op is one pre-decoded step of the plan.
@@ -139,8 +142,8 @@ type plan struct {
 }
 
 // pads is how many scratchpads a machine running the plan starts with: one
-// where tuple-at-a-time SGD never leaves thread 0, one per runDirect lane
-// where tuples may share them, one per model thread otherwise.
+// where tuple-at-a-time SGD never leaves thread 0, one per lane of a lane
+// group where tuples may share them, one per model thread otherwise.
 func (pl *plan) pads(p *Program, cfg Config) int {
 	switch {
 	case !p.HasMerge():

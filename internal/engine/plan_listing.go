@@ -21,7 +21,7 @@ func (o operand) String() string {
 }
 
 // listing renders o as it runs on lanes host lanes: a kind with a lane
-// kernel takes it when runDirect can fill a group.
+// kernel takes it when a lane group is full.
 func (o *op) listing(lanes int) string {
 	name := opKindNames[o.kind]
 	if lanes == dotLanes && laneKernels[o.kind] != nil {
@@ -78,7 +78,7 @@ func PlanListing(p *Program, cfg Config) (string, error) {
 	}
 	pl := lower(p, cfg)
 	var b strings.Builder
-	lanes := 1 // tuples the per-tuple stage keeps in flight (runDirect)
+	lanes := 1 // tuples the per-tuple stage keeps in flight (a lane group)
 	if p.HasMerge() {
 		lanes = min(dotLanes, cfg.Threads)
 	}

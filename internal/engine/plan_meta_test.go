@@ -62,12 +62,23 @@ func kDotFused(o *op, f *frame) error {
 	return nil
 }
 
+// dotNFused is dotN with kDotFused's fault in each of its four chains.
+func dotNFused(o *op, fs *[dotLanes]frame) {
+	for j := range fs {
+		_ = kDotFused(o, &fs[j])
+	}
+}
+
+// A dot runs through o.run in a short group and through dotN in a full
+// one, so the fault is planted in both.
 func TestMetaDroppedRoundingCaught(t *testing.T) {
 	c := metaCase()
 	c.mutate = func(m *Machine) {
 		for i := range m.plan.perTuple {
 			if m.plan.perTuple[i].kind == opDot {
 				m.plan.perTuple[i].run = kDotFused
+				laneKernels[opDot] = dotNFused
+				t.Cleanup(func() { laneKernels[opDot] = dotN })
 				return
 			}
 		}
@@ -94,9 +105,10 @@ func TestMetaDirectMergeOrderCaught(t *testing.T) {
 	requireCaught(t, c, "model[")
 }
 
-// laneMetaCase is metaCase at 16 threads: its n == k-1, n == k and trailing
-// batches are direct batches of several lane groups, so full groups past
-// the batch's first — the only ones accMulSVN's sums run for — exist.
+// laneMetaCase is metaCase at 16 threads: its batches have full groups
+// past the batch's first — the only ones that fold — of one tuple a thread
+// (n == k−1, n == k), of several (n = 3k+1, 2k), and with one- and
+// two-tuple lanes in one group (n = k+9).
 func laneMetaCase() diffCase {
 	const k = 16
 	c := metaCase()
@@ -177,6 +189,138 @@ func TestMetaLaneGroupFaultsCaught(t *testing.T) {
 			t.Fatalf("4 threads reached the grouped sums: %v", err)
 		}
 	})
+}
+
+// foldBent is accFoldN with up to three faults: the lanes folded in
+// another order, the first of them with its product fused into its partial
+// sum (math.FMA, for the reason kDotFused is), each lane's product added
+// to the merged vector ahead of its partial sum. With none it is accFoldN,
+// which TestMetaPartitionFaultsCaught checks first ("unbent").
+func foldBent(order [dotLanes]int, fused, pFirst bool) func(*op, *[dotLanes]frame, []float32) {
+	return func(o *op, fs *[dotLanes]frame, acc []float32) {
+		for j := range acc[:o.b.n] {
+			v := acc[j]
+			for i, l := range order {
+				s, x, a := o.a.at(&fs[l]), o.b.view(&fs[l])[j], fs[l].acc[j]
+				switch {
+				case fused && i == 0:
+					v = v + float32(math.FMA(float64(s), float64(x), float64(a)))
+				case pFirst:
+					v = (v + float32(s*x)) + a
+				default:
+					v = v + (a + float32(s*x))
+				}
+			}
+			acc[j] = v
+		}
+	}
+}
+
+// lanesBent is accMulSVLanes with, if fused, lane 0's product fused into
+// its add in every round that adds (math.FMA, for the reason kDotFused
+// is). Without the fault it is accMulSVLanes, lane by lane.
+func lanesBent(fused bool) laneKernel {
+	return func(o *op, fs *[dotLanes]frame) {
+		for l := range fs {
+			s, x, a := o.a.at(&fs[l]), o.b.view(&fs[l]), fs[l].acc
+			for j := range x {
+				switch {
+				case fs[l].first:
+					a[j] = float32(s * x[j])
+				case fused && l == 0:
+					a[j] = float32(math.FMA(float64(s), float64(x[j]), float64(a[j])))
+				default:
+					a[j] = a[j] + float32(s*x[j])
+				}
+			}
+		}
+	}
+}
+
+// foldAt is runPartition's choice of the round group t folds in (−1:
+// none), for laneMetaCase's plan, which ends in acc.mul.sv — with two
+// faults it can plant: group 0 folding as well, into the merged vector
+// thread 0 should store; a group folding in its last lane's last round
+// while the lanes below still have a tuple to add.
+func foldAt(group0, early bool) func(n, t, k int) int {
+	return func(n, t, k int) int {
+		rounds, lastRounds := (n-t+k-1)/k, (n-t-dotLanes+k)/k
+		if (t == 0 && !group0) || t+dotLanes > k || (lastRounds != rounds && !early) {
+			return -1
+		}
+		return lastRounds - 1
+	}
+}
+
+// partitionAt is RunBatch for a partition batch with the fold rounds
+// chosen by fold instead of runPartition.
+func partitionAt(fold func(n, t, k int) int) func(*Machine, [][]float32) error {
+	return func(m *Machine, batch [][]float32) error {
+		n, k := len(batch), min(m.Cfg.Threads, len(batch))
+		if n == k {
+			return m.RunBatch(batch)
+		}
+		m.beginBatch(n)
+		for t := 0; t < k; t += dotLanes {
+			if err := m.runGroup(batch, t, k, min(dotLanes, k-t), fold(n, t, k)); err != nil {
+				return err
+			}
+		}
+		return m.endMergeBatch(n, k)
+	}
+}
+
+// A partition group's lanes add each product to their own spare, rounded
+// on its own, and its fold is the reference's sums only in lane order,
+// every product rounded on its own, each lane's partial sum completed
+// before it meets the merged vector, and never on the batch's first group,
+// whose thread 0 stores, nor a round early. spareAdd and spareFold are
+// the package's, so each kernel fault is planted for one differential run
+// and taken back; each fault of the rule runs the batch through
+// partitionAt.
+// (A group of one tuple a thread folds through accMulSVN, whose faults
+// TestMetaLaneGroupFaultsCaught plants.)
+func TestMetaPartitionFaultsCaught(t *testing.T) {
+	inOrder := [dotLanes]int{0, 1, 2, 3}
+	plant := func(t *testing.T, add laneKernel, fold func(*op, *[dotLanes]frame, []float32)) func(*Machine) {
+		return func(m *Machine) {
+			if last := m.plan.perTuple[len(m.plan.perTuple)-1]; last.kind != opAccMulSV {
+				t.Fatal("no lane-group accumulate in the plan to mutate")
+			}
+			spareAdd, spareFold = add, fold
+			t.Cleanup(func() { spareAdd, spareFold = accMulSVLanes, accFoldN })
+		}
+	}
+	t.Run("unbent", func(t *testing.T) {
+		c := laneMetaCase()
+		c.mutate = plant(t, lanesBent(false), foldBent(inOrder, false, false))
+		c.run = partitionAt(foldAt(false, false))
+		if err := diffPlanReference(c); err != nil {
+			t.Fatalf("the unbent twins of the kernels and the fold rule diverge, so a bent one proves nothing: %v", err)
+		}
+	})
+	for _, f := range []struct {
+		name          string
+		add           laneKernel
+		fold          func(*op, *[dotLanes]frame, []float32)
+		group0, early bool
+	}{
+		{"lanes folded 3,2,1,0", accMulSVLanes, foldBent([dotLanes]int{3, 2, 1, 0}, false, false), false, false},
+		{"one product fused into its partial sum", accMulSVLanes, foldBent(inOrder, true, false), false, false},
+		{"a spare's product fused into its add", lanesBent(true), accFoldN, false, false},
+		{"accFoldN adds p to acc before a", accMulSVLanes, foldBent(inOrder, false, true), false, false},
+		{"the fold taken on group 0", accMulSVLanes, accFoldN, true, false},
+		{"lane folded before its thread's sum is complete", accMulSVLanes, accFoldN, false, true},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			c := laneMetaCase()
+			c.mutate = plant(t, f.add, f.fold)
+			if f.group0 || f.early {
+				c.run = partitionAt(foldAt(f.group0, f.early))
+			}
+			requireCaught(t, c, "model[")
+		})
+	}
 }
 
 // Skipping the liveness check: PostMerge folds thread 0's product vector
@@ -471,11 +615,13 @@ func TestPlanErrorTrichotomy(t *testing.T) {
 		}
 	}
 
-	// Direct batches with more than one bad tuple: the reference runs thread
-	// by thread and stops at the lowest bad one, wherever in its own list it
-	// fails; runDirect binds a lane group and walks it op-major, so a higher
-	// lane can fail first. gath gathers model row round(x[0]) before the
-	// dot; gathEmpty also fails every tuple at its ew.sub.
+	// Batches with more than one bad tuple: the reference runs thread by
+	// thread and stops at the lowest bad one, wherever in its own list or
+	// its own tuples it fails; a lane group walks its ops op-major and its
+	// rounds in order, so a higher lane can fail first. gath gathers model
+	// row round(x[0]) before the dot; gathEmpty also fails every tuple at
+	// its ew.sub. At 8 threads a batch of 16 is two rounds of two groups,
+	// the second of which folds.
 	gath := cloneProg(glmProg(4, false))
 	gath.Slots++
 	gath.PerTuple = append([]Instr{{Kind: KGather, Dst: Slot{gath.Slots - 1, 1}, A: Slot{4, 1}, RowLen: 1}}, gath.PerTuple...)
@@ -505,6 +651,11 @@ func TestPlanErrorTrichotomy(t *testing.T) {
 		{"short last group: both its tuples", gath, [][]float32{ok, ok, ok, ok, row9, short}, gather9},
 		{"short last group: late failure below a bind failure", gathEmpty, [][]float32{ok, short}, emptySub},
 		{"short only group of three: width, gather, late", gathEmpty, [][]float32{short, rowNeg, ok}, width},
+		{"partition: thread 1 in round 0, thread 0 in round 1", gath, partitionBatch(ok, map[int][]float32{1: row9, 8: short}), width},
+		{"partition: thread 1's width in round 0, thread 0's gather in round 1", gath, partitionBatch(ok, map[int][]float32{1: short, 8: row9}), gather9},
+		{"partition: thread 5 in round 0, thread 4 in round 1 of a folding group", gath, partitionBatch(ok, map[int][]float32{5: row9, 12: rowNeg}), gatherNeg},
+		{"partition: thread 7 in round 1 of a folding group", gath, partitionBatch(ok, map[int][]float32{15: short}), width},
+		{"partition: thread 0's late failure in round 0", gathEmpty, partitionBatch(ok, map[int][]float32{1: row9, 9: short}), emptySub},
 	} {
 		pm, err := NewMachine(c.prog, cfg)
 		if err != nil {
@@ -528,6 +679,18 @@ func TestPlanErrorTrichotomy(t *testing.T) {
 			t.Errorf("%s: the failed batch charged\n  %+v\nover the count of itself and its tuples on\n  %+v", c.name, after, before)
 		}
 	}
+}
+
+// partitionBatch is sixteen copies of ok with the tuples bad names put in.
+func partitionBatch(ok []float32, bad map[int][]float32) [][]float32 {
+	b := make([][]float32, 16)
+	for i := range b {
+		b[i] = ok
+		if v, in := bad[i]; in {
+			b[i] = v
+		}
+	}
+	return b
 }
 
 // TestRunBatchAllocationFree: the merge path never allocates, nor does the
@@ -577,8 +740,8 @@ func TestRunBatchAllocationFree(t *testing.T) {
 
 // TestNewMachineAllocations pins what building a machine allocates (a
 // Configure that resets its backend's machine builds none): the machine,
-// one op slab for all four lowered lists, one scratchpad slab and the two
-// merge accumulators (merge programs only) — whatever the thread count
+// one op slab for all four lowered lists, one scratchpad slab and one slab
+// of merge accumulators (merge programs only) — whatever the thread count
 // (TestServerMixMachineFootprint pins the bytes).
 func TestNewMachineAllocations(t *testing.T) {
 	for _, c := range []struct {
@@ -604,7 +767,7 @@ func TestNewMachineAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(m.accs), 2*54; got != want {
-		t.Errorf("glm 64 threads: %d accumulator words at construction, want %d (the merged vector and the spare)", got, want)
+	if got, want := len(m.accs), (1+dotLanes)*54; got != want {
+		t.Errorf("glm 64 threads: %d accumulator words at construction, want %d (the merged vector and a spare per lane)", got, want)
 	}
 }

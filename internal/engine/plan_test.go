@@ -97,9 +97,10 @@ func sameMachine(what, an string, a *Machine, bn string, b *Machine) error {
 	return nil
 }
 
-// diffBatches cuts tuples into the batch shapes the issue names for k
-// threads: n < k, n == k, n = 3k+1, then merge-coefficient batches to
-// the end with whatever partial batch trails.
+// diffBatches cuts tuples into the batch shapes that matter at k threads:
+// n < k, n == k, n = 3k+1, then (k ≥ 2) k < n < 2k with n − k odd, so one
+// lane group holds threads of two tuples and threads of one, then
+// merge-coefficient batches to the end with whatever partial batch trails.
 func diffBatches(tuples [][]float32, k int) [][][]float32 {
 	var out [][][]float32
 	take := func(n int) {
@@ -114,6 +115,9 @@ func diffBatches(tuples [][]float32, k int) [][][]float32 {
 	take(k - 1)
 	take(k)
 	take(3*k + 1)
+	if k >= 2 {
+		take(k + (k/2 | 1))
+	}
 	for len(tuples) > 0 {
 		take(2 * k)
 	}

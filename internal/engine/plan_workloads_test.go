@@ -22,17 +22,21 @@ import (
 // executor, counters included, after every batch: n < k, n == k,
 // n = 3k+1, merge-coefficient batches with a trailing partial one, and
 // one of 40 000 modeled cycles, every thread many tuples deep. The merge
-// programs then run at 64 threads over direct batches of n ∈ {1, 3, 4, 5,
-// 7, 8, 9, 13, 64}: a short only group, a full first group alone, full
-// groups after it with every length of short last group, and the
-// benchmark's batch of sixteen groups.
+// programs then run at 64 threads over batches of one tuple a thread, n ∈
+// {1, 3, 4, 5, 7, 8, 9, 13, 64}: a short only group, a full first group
+// alone, full groups after it with every length of short last group, and
+// the benchmark's batch of sixteen groups; and over the partition batches
+// the benchmark's server_mix runs, Patient's and Blog Feedback's n = 107
+// at 64 threads (two-tuple and one-tuple threads in one group) and Remote
+// Sensing LR's n = 1 024 and 138 at 128.
 // (Package engine cannot import the compiler, so this file drives the
 // exported API; plan_test.go holds the in-package harness.)
 func TestPlanMatchesReferenceTable3(t *testing.T) {
 	for _, w := range datagen.Real() {
 		table3Diff(t, w, 8, nil)
 		if w.Kind != algos.KindLRMF {
-			table3Diff(t, w, 64, []int{1, 3, 4, 5, 7, 8, 9, 13, 64})
+			table3Diff(t, w, 64, []int{1, 3, 4, 5, 7, 8, 9, 13, 64, 107})
+			table3Diff(t, w, 128, []int{1024, 138})
 		}
 	}
 }
@@ -102,7 +106,7 @@ func table3Diff(t *testing.T, w datagen.Workload, k int, sizes []int) {
 // listed over the eight it inlines.
 // pads= is how many scratchpads the 8-thread machine starts with: all five
 // merge programs (two are logistic) pass padShareable and take one per
-// runDirect lane; LRMF has no merge, never leaves thread 0, and takes one.
+// lane of a lane group; LRMF has no merge, never leaves thread 0, and takes one.
 var table3Lowering = map[algos.Kind]string{
 	algos.KindLogistic: `copy-input=false share-model=true fused-accumulate=true lanes=4 pads=4
 per-tuple:
@@ -176,9 +180,9 @@ func TestPlanTable3Lowering(t *testing.T) {
 // TestServerMixMachineFootprint pins the host footprint of the machines the
 // benchmark's server_mix builds (one per training tenant and program), at
 // the 64 model threads its designs have: lowering grants all four a
-// scratchpad per runDirect lane (pads= of the listing), and NewMachine
-// allocates those pads of Slots words, two accumulators, itself and its
-// ops — where a pad and an accumulator per model thread were 191-911 KB
+// scratchpad per lane of a lane group (pads= of the listing), and
+// NewMachine allocates those pads of Slots words, five accumulators (the
+// merged vector and a spare per lane), itself and its ops — where a pad and an accumulator per model thread were 191-911 KB
 // of zeroed memory a job.
 func TestServerMixMachineFootprint(t *testing.T) {
 	cfg := engine.Config{Threads: 64, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
@@ -210,7 +214,7 @@ func TestServerMixMachineFootprint(t *testing.T) {
 		}
 		// The slabs, a size class of rounding on each, and 16 KB for the
 		// machine and its ops.
-		want := uint64(pads*prog.Slots+2*prog.MergeSrc.Len) * 4
+		want := uint64(pads*prog.Slots+5*prog.MergeSrc.Len) * 4
 		if got := after.TotalAlloc - before.TotalAlloc; got > want+want/8+16<<10 {
 			t.Errorf("%s: NewMachine allocated %d B, want about %d pads × %d slots × 4 B = %d", name, got, pads, prog.Slots, want)
 		}

@@ -213,7 +213,7 @@ func (m *Machine) referenceLayout() {
 	m.accPerThread()
 }
 
-// accPerThread replaces the plan's two accumulators with one per model
+// accPerThread replaces the plan's accumulators with one per model
 // thread. They hold nothing between batches, so nothing is copied.
 func (m *Machine) accPerThread() {
 	if n := m.Cfg.Threads * m.Prog.MergeSrc.Len; len(m.accs) < n {
