@@ -109,7 +109,9 @@ func WeaveQuantize(v float32, r WeaveRange) uint32 {
 func WeaveDequantize(q uint32, bits int, r WeaveRange) float32 {
 	q >>= uint(WeaveMaxBits - bits)
 	x := float64(q) / float64(uint64(1)<<uint(bits))
-	return float32(float64(r.Offset) + float64(r.Scale)*x)
+	// The product is rounded on its own: a fused multiply-add would make
+	// the value depend on GOARCH.
+	return float32(float64(r.Offset) + float64(float64(r.Scale)*x))
 }
 
 // weavePlaneWords returns the 64-bit words per plane for nrows rows.

@@ -87,31 +87,32 @@ func WeaveBlock(codes *[64]uint32, planes *[32]uint64) {
 	transposePlanes(planes, 32)
 }
 
-// UnweaveBlock is WeaveBlock's inverse at the top `bits` levels:
-// planes[0:bits] are the block's plane words, codes receives the 64
-// codes truncated to their top bits (the rest zero). Only the smallest
-// power-of-two tile that holds `bits` levels is transposed, so a k-bit
-// read does not pay for 32 levels. planes is scratch: it is overwritten.
+// WeaveLaneBits is the width of the lanes UnweaveLanes leaves a k-bit
+// read's codes in: 8 for bits ≤ 8, 16 for bits ≤ 16, else 32.
+func WeaveLaneBits(bits int) int {
+	switch {
+	case bits <= 8:
+		return 8
+	case bits <= 16:
+		return 16
+	}
+	return 32
+}
+
+// UnweaveLanes is WeaveBlock's inverse at the top `bits` levels, in
+// place: planes[0:bits] are the block's plane words. It zeroes the levels
+// from bits up to the lane width w = WeaveLaneBits(bits) and transposes
+// each w×w tile of planes[0:w]. Row r of the block, q = r mod 32, then
+// sits in the w-bit lane at bit 32·(r/32) + q&^(w-1) of plane word
+// w-1 - q mod w: its code's top `bits` levels, MSB first, and w-bits
+// zeros — the code truncated to bits, shifted down by 32-w. Levels past w
+// are neither read nor written.
 //
 //dana:hotpath
-func UnweaveBlock(planes *[32]uint64, bits int, codes *[64]uint32) {
-	tile := 1
-	for tile < bits {
-		tile <<= 1
-	}
-	for l := bits; l < tile; l++ {
+func UnweaveLanes(planes *[32]uint64, bits int) {
+	w := WeaveLaneBits(bits)
+	for l := bits; l < w; l++ {
 		planes[l&31] = 0
 	}
-	transposePlanes(planes, tile)
-	// Tile g of row i now holds row g+tile-1-i of each half, its levels
-	// MSB-first in the tile's `tile` columns.
-	up := uint(WeaveMaxBits - tile)
-	for g := 0; g < 32; g += tile {
-		for i := 0; i < tile; i++ {
-			v := planes[i&31] >> uint(g)
-			r := (g + tile - 1 - i) & 31
-			codes[r] = uint32(v) << up
-			codes[r+32] = uint32(v>>32) << up
-		}
-	}
+	transposePlanes(planes, w)
 }

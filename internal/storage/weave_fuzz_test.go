@@ -107,8 +107,10 @@ func scalarWeaveValue(p storage.WeavePage, bits, r, c int) float32 {
 // and the any-precision extraction engine: validation and decode must
 // fail with the typed weave sentinels on garbage — never panic, never
 // over-read, never return rows from an invalid page — and on a valid
-// page the block-kernel decode must equal the scalar one bit for bit, at
-// the edge precisions, an odd one, and 8, the weave benchmark's.
+// page the lane decode must equal the scalar one bit for bit, at the
+// edge precisions, 8 (the weave benchmark's), and on both sides of each
+// lane-width boundary: 4 and 7 pad 8-bit lanes, 9 and 16 fill 16-bit
+// ones, 17 pads 32-bit ones.
 func FuzzWeavePageDecode(f *testing.F) {
 	for _, s := range weavePageSeeds(f) {
 		f.Add(s)
@@ -119,7 +121,7 @@ func FuzzWeavePageDecode(f *testing.F) {
 		if verr != nil && !errors.Is(verr, storage.ErrWeaveCorrupt) {
 			t.Fatalf("Validate returned an untyped error: %v", verr)
 		}
-		for _, bits := range []int{1, 7, 8, 32} {
+		for _, bits := range []int{1, 4, 7, 8, 9, 16, 17, 32} {
 			e, err := weaving.NewExtractor(bits)
 			if err != nil {
 				t.Fatal(err)

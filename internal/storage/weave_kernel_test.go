@@ -182,6 +182,14 @@ func scalarBlock(codes *[64]uint32) (planes [32]uint64) {
 	return planes
 }
 
+// laneOf reads row r's w-bit lane where UnweaveLanes documents it.
+func laneOf(planes *[32]uint64, w, r int) uint64 {
+	q := r % 32
+	return planes[w-1-q%w] >> uint(32*(r/32)+q/w*w) & (1<<uint(w) - 1)
+}
+
+// WeaveBlock then UnweaveLanes: every row's lane holds its code truncated
+// to the read's bits, at every k.
 func TestWeaveBlockRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -200,11 +208,12 @@ func TestWeaveBlockRoundTrip(t *testing.T) {
 			for l := bits; l < 32; l++ {
 				scratch[l] = ^uint64(0)
 			}
-			var back [64]uint32
-			UnweaveBlock(&scratch, bits, &back)
+			UnweaveLanes(&scratch, bits)
+			w := WeaveLaneBits(bits)
 			for r, q := range codes {
-				if want := q >> uint(32-bits) << uint(32-bits); back[r] != want {
-					t.Fatalf("trial %d bits %d row %d: unwove %#08x, want %#08x", trial, bits, r, back[r], want)
+				want := uint64(q >> uint(32-bits) << uint(w-bits))
+				if got := laneOf(&scratch, w, r); got != want {
+					t.Fatalf("trial %d bits %d row %d: lane holds %#x, want %#x", trial, bits, r, got, want)
 				}
 			}
 		}

@@ -6,13 +6,14 @@ package verify
 // and plant these same faults there; here each fault must also trip the
 // oracle's scalar-model leg, so the oracle is not blind to the class of
 // bug the kernels can have. The faults are planted from the layers'
-// exported pieces — storage.WeaveBlock / UnweaveBlock, PlaneOffset,
+// exported pieces — storage.WeaveBlock / UnweaveLanes, PlaneOffset,
 // WeaveQuantize — around which a page and a decode are reassembled the
 // way the builder and the extractor assemble them.
 
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,10 +151,11 @@ func TestWeaveOracleDetectsBuildKernelFaults(t *testing.T) {
 }
 
 // blockDecoder is a k-bit page decode assembled the extractor's way — a
-// block's plane words loaded, unwoven, its codes scaled by inv and mapped
-// through the column's range — with the block kernel and the scale as
-// parameters. With storage.UnweaveBlock and 2⁻ᵏ it is the scalar model.
-func blockDecoder(bits int, unweave func(*[32]uint64, int, *[64]uint32), inv float64) func(storage.WeavePage) ([][]float32, error) {
+// block's plane words loaded, unwoven into lanes, each row's lane shifted
+// down to its k bits, scaled by inv and mapped through the column's range
+// — with the unweave primitive and the scale as parameters. With
+// storage.UnweaveLanes and 2⁻ᵏ it is the scalar model.
+func blockDecoder(bits int, unweave func(*[32]uint64, int), inv float64) func(storage.WeavePage) ([][]float32, error) {
 	return func(p storage.WeavePage) ([][]float32, error) {
 		if err := p.Validate(); err != nil {
 			return nil, err
@@ -164,18 +166,20 @@ func blockDecoder(bits int, unweave func(*[32]uint64, int, *[64]uint32), inv flo
 			rows[r] = make([]float32, ncols+1)
 			rows[r][ncols] = p.Label(r)
 		}
-		for w := 0; w < p.PlaneWords(); w++ {
+		w := storage.WeaveLaneBits(bits)
+		for word := 0; word < p.PlaneWords(); word++ {
 			for c := 0; c < ncols; c++ {
 				var planes [32]uint64
 				for level := 0; level < bits; level++ {
-					planes[level] = binary.LittleEndian.Uint64(p[p.PlaneOffset(level, c)+w*8:])
+					planes[level] = binary.LittleEndian.Uint64(p[p.PlaneOffset(level, c)+word*8:])
 				}
-				var codes [64]uint32
-				unweave(&planes, bits, &codes)
+				unweave(&planes, bits)
 				rg := p.Range(c)
-				for r := 0; r < 64 && w*64+r < nrows; r++ {
-					x := float64(codes[r]>>uint(storage.WeaveMaxBits-bits)) * inv
-					rows[w*64+r][c] = float32(float64(rg.Offset) + float64(rg.Scale)*x)
+				for r := 0; r < 64 && word*64+r < nrows; r++ {
+					q := r % 32
+					lane := planes[w-1-q%w] >> uint(32*(r/32)+q/w*w) & (1<<uint(w) - 1)
+					x := float64(lane>>uint(w-bits)) * inv
+					rows[word*64+r][c] = float32(float64(rg.Offset) + float64(float64(rg.Scale)*x))
 				}
 			}
 		}
@@ -185,28 +189,25 @@ func blockDecoder(bits int, unweave func(*[32]uint64, int, *[64]uint32), inv flo
 
 func TestWeaveOracleDetectsDecodeKernelFaults(t *testing.T) {
 	sc := kernelScenario(t)
-	for _, bits := range []int{1, 8, 32} {
+	for _, bits := range []int{1, 8, 9, 17, 32} {
 		exact := 1 / float64(uint64(1)<<uint(bits))
-		if err := sc.CheckWeaveDecoder(bits, blockDecoder(bits, storage.UnweaveBlock, exact)); err != nil {
+		if err := sc.CheckWeaveDecoder(bits, blockDecoder(bits, storage.UnweaveLanes, exact)); err != nil {
 			t.Fatalf("bits %d pre-mutation: %v", bits, err)
 		}
 		faults := map[string]func(storage.WeavePage) ([][]float32, error){
-			"codes stored un-reversed": blockDecoder(bits, func(planes *[32]uint64, bits int, codes *[64]uint32) {
-				storage.UnweaveBlock(planes, bits, codes)
-				for r := 0; r < 16; r++ {
-					codes[r], codes[31-r] = codes[31-r], codes[r]
-					codes[32+r], codes[63-r] = codes[63-r], codes[32+r]
-				}
+			"lanes read in un-reversed row order": blockDecoder(bits, func(planes *[32]uint64, bits int) {
+				storage.UnweaveLanes(planes, bits)
+				slices.Reverse(planes[:storage.WeaveLaneBits(bits)])
 			}, exact),
-			"high 32-row half dropped": blockDecoder(bits, func(planes *[32]uint64, bits int, codes *[64]uint32) {
+			"high 32-row half dropped": blockDecoder(bits, func(planes *[32]uint64, bits int) {
 				for level := range planes {
 					planes[level] &= 1<<32 - 1
 				}
-				storage.UnweaveBlock(planes, bits, codes)
+				storage.UnweaveLanes(planes, bits)
 			}, exact),
 			// Scaling codes onto [0, 1] divides by 2ᵏ-1: its reciprocal is
 			// not exact, and neither form is the model's x/2ᵏ.
-			"division restored with a non-power-of-two": blockDecoder(bits, storage.UnweaveBlock,
+			"division restored with a non-power-of-two": blockDecoder(bits, storage.UnweaveLanes,
 				1/float64(uint64(1)<<uint(bits)-1)),
 		}
 		for name, decode := range faults {

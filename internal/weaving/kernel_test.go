@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -140,20 +141,22 @@ type decodeFunc func(e *Extractor, p storage.WeavePage, slab []float32, rows [][
 // passFaults are the faults decodeWith can plant; the zero value plants
 // none.
 type passFaults struct {
-	unweave    func(*[32]uint64, int, *[64]uint32) // the block kernel (nil: storage.UnweaveBlock)
-	skipZero   bool                                // an all-zero block writes nothing
-	zeroAsZero bool                                // an all-zero block writes 0, not its q = 0 value
-	noLabel    bool                                // the label is not written
-	tileShift  bool                                // codes shift down by 32 − tile, not 32 − k
+	unweave    func(*[32]uint64, int) // the unweave primitive (nil: storage.UnweaveLanes)
+	skipZero   bool                   // an all-zero block writes nothing
+	zeroAsZero bool                   // an all-zero block writes 0, not its q = 0 value
+	noLabel    bool                   // the label is not written
+	kScale     bool                   // lanes scaled by 2⁻ᵏ, not 2⁻ʷ (w the lane width): the w − k shift omitted
+	pastRows   bool                   // a partial word writes its 64 rows, as far as the slab's capacity goes
+	nibbles    bool                   // k ≤ 4 read as 4-bit lanes
 }
 
 // decodeWith is decodeInto with the faults in f planted: the same pass
-// over the same helpers, so with none it is the production pass (which
+// over the same kernels, so with none it is the production pass (which
 // the pre-mutation run shows).
 func decodeWith(f passFaults) decodeFunc {
 	unweave := f.unweave
 	if unweave == nil {
-		unweave = storage.UnweaveBlock
+		unweave = storage.UnweaveLanes
 	}
 	return func(e *Extractor, p storage.WeavePage, slab []float32, rows [][]float32) {
 		ncols, nrows, pw := p.NumCols(), p.NumRows(), p.PlaneWords()
@@ -165,40 +168,51 @@ func decodeWith(f passFaults) decodeFunc {
 			}
 			rows[r] = row
 		}
+		lane, inv := storage.WeaveLaneBits(e.bits), e.inv
+		if f.nibbles && e.bits <= 4 {
+			lane, inv = 4, 1.0/16
+		}
+		if f.kScale {
+			inv = 1 / float64(uint64(1)<<uint(e.bits))
+		}
 		e.offs, e.scales = e.offs[:ncols], e.scales[:ncols]
 		for c := range e.offs {
 			r := p.Range(c)
-			e.offs[c], e.scales[c] = float64(r.Offset), float64(r.Scale)
+			e.offs[c], e.scales[c] = float64(r.Offset), float64(r.Scale)*inv
 		}
 		base, levelStride := p.PlaneOffset(0, 0), ncols*pw*8
-		shift := e.bits
-		for f.tileShift && shift&(shift-1) != 0 {
-			shift++
-		}
-		down := uint(storage.WeaveMaxBits - shift)
 		var planes [32]uint64
-		var block [64]uint32
 		for w := 0; w < pw; w++ {
 			n := min(64, nrows-w*64)
+			if f.pastRows {
+				n = min(64, cap(slab)/width-w*64)
+			}
 			word := slab[w*64*width : (w*64+n)*width]
 			for c, off := range e.offs {
-				scale := e.scales[c]
+				s, col := e.scales[c], word[c:]
 				if loadPlanes(p, base+(c*pw+w)*8, levelStride, e.bits, &planes) == 0 {
 					if f.skipZero {
 						continue
 					}
-					v := dequantize(0, down, off, scale, e.inv)
+					v := value(0, off, s)
 					if f.zeroAsZero {
 						v = 0
 					}
-					for i := c; i < len(word); i += width {
-						word[i] = v
+					for i := 0; i < len(col); i += width {
+						col[i] = v
 					}
 					continue
 				}
-				unweave(&planes, e.bits, &block)
-				for r := 0; r < n; r++ {
-					word[r*width+c] = dequantize(block[r&63], down, off, scale, e.inv)
+				unweave(&planes, e.bits)
+				switch {
+				case n < 64 || lane == 4:
+					lanesPartial(&planes, lane, col, n, width, off, s)
+				case lane == 8:
+					lanes8(&planes, col, width, off, s)
+				case lane == 16:
+					lanes16(&planes, col, width, off, s)
+				default:
+					lanes32(&planes, col, width, off, s)
 				}
 			}
 		}
@@ -296,6 +310,48 @@ func TestGatherPlanesIgnoresPadding(t *testing.T) {
 		if err := checkDecoded(p, bits, rows, codes); err != nil {
 			t.Fatalf("bits %d: %v", bits, err)
 		}
+	}
+}
+
+// diffDecodeTail decodes each kernel page into a slab whose capacity
+// runs to the end of the page's last plane word, as a page's share of the
+// Reweaver's slab runs on into the next page: the values past its rows
+// must stay as they were.
+func diffDecodeTail(decode decodeFunc) error {
+	for _, nrows := range kernelRows {
+		for _, ncols := range kernelCols {
+			p, err := kernelPage(int64(1000*nrows+ncols), ncols, nrows)
+			if err != nil {
+				return err
+			}
+			width := ncols + 1
+			full, rows := make([]float32, p.PlaneWords()*64*width), make([][]float32, nrows)
+			for _, bits := range []int{1, 4, 8, 9, 16, 17, 32} {
+				e, err := NewExtractor(bits)
+				if err != nil {
+					return err
+				}
+				e.prepare(ncols)
+				for i := range full {
+					full[i] = dirtyValue
+				}
+				decode(e, p, full[:nrows*width], rows)
+				for i, v := range full[nrows*width:] {
+					if math.Float32bits(v) != math.Float32bits(dirtyValue) {
+						return fmt.Errorf("%d rows × %d cols at %d bits: value %d past the page's rows written (%v)",
+							nrows, ncols, bits, i, v)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// A page's decode writes its own rows and nothing past them.
+func TestDecodeWritesOnlyItsRows(t *testing.T) {
+	if err := diffDecodeTail((*Extractor).decodeInto); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -464,46 +520,60 @@ func TestReweaverSteadyStateAllocations(t *testing.T) {
 
 // passMutants are the pass with one fault each.
 var passMutants = map[string]passFaults{
-	// The kernel's store order flipped in each 32-row half.
-	"codes stored un-reversed": {unweave: func(planes *[32]uint64, bits int, block *[64]uint32) {
-		storage.UnweaveBlock(planes, bits, block)
-		for r := 0; r < 16; r++ {
-			block[r], block[31-r] = block[31-r], block[r]
-			block[32+r], block[63-r] = block[63-r], block[32+r]
-		}
+	// The levels between k and the lane width still hold the previous
+	// block's transposed words: the primitive told the read is lane bits
+	// wide zeroes none of them.
+	"padding levels k…lane not zeroed between blocks": {unweave: func(planes *[32]uint64, bits int) {
+		storage.UnweaveLanes(planes, storage.WeaveLaneBits(bits))
 	}},
-	"high 32-row half dropped": {unweave: func(planes *[32]uint64, bits int, block *[64]uint32) {
+	// Plane word i read as rows i, w+i, … and not w-1-i, 2w-1-i, ….
+	"lanes read in un-reversed row order": {unweave: func(planes *[32]uint64, bits int) {
+		storage.UnweaveLanes(planes, bits)
+		slices.Reverse(planes[:storage.WeaveLaneBits(bits)])
+	}},
+	"high 32-row half dropped": {unweave: func(planes *[32]uint64, bits int) {
 		for l := range planes {
 			planes[l] &= 1<<32 - 1
 		}
-		storage.UnweaveBlock(planes, bits, block)
+		storage.UnweaveLanes(planes, bits)
 	}},
 	// Skip the all-zero block and trust a cleared slab, which nothing
 	// clears.
 	"stale codes left under an all-zero block":          {skipZero: true},
 	"all-zero block filled with 0, not its q = 0 value": {zeroAsZero: true},
 	"label not written":                                 {noLabel: true},
-	"codes shifted by 32 − tile, not 32 − k":            {tileShift: true},
+	"the w − k lane shift omitted":                      {kScale: true},
+	"a partial word writes rows ≥ n":                    {pastRows: true},
+	"k ≤ 4 read as 4-bit lanes":                         {nibbles: true},
 }
 
-// nonPowerOfTwo plants the dequantization fault: scaling codes onto
-// [0, 1] divides by 2ᵏ-1, whose reciprocal is not exact, and neither
-// form is the model's x/2ᵏ.
+// checkPass is the differential the meta-test holds the pass to: values
+// and labels, then nothing written past the page's rows.
+func checkPass(decode decodeFunc) error {
+	if err := diffDecode(decode); err != nil {
+		return err
+	}
+	return diffDecodeTail(decode)
+}
+
+// nonPowerOfTwo plants the dequantization fault: scaling w-bit lanes
+// onto [0, 1] divides by 2ʷ-1, whose reciprocal is not exact, and
+// neither form is the model's x/2ᵏ.
 func nonPowerOfTwo(bits int) (*Extractor, error) {
 	e, err := NewExtractor(bits)
 	if err == nil {
-		e.inv = 1 / float64(uint64(1)<<uint(bits)-1)
+		e.inv = 1 / float64(uint64(1)<<uint(storage.WeaveLaneBits(bits))-1)
 	}
 	return e, err
 }
 
 func TestMetaGatherFaultsCaught(t *testing.T) {
-	if err := diffDecode(decodeWith(passFaults{})); err != nil {
+	if err := checkPass(decodeWith(passFaults{})); err != nil {
 		t.Fatalf("pre-mutation: %v", err)
 	}
 	for name, faults := range passMutants {
 		t.Run(name, func(t *testing.T) {
-			err := diffDecode(decodeWith(faults))
+			err := checkPass(decodeWith(faults))
 			if err == nil {
 				t.Fatal("mutant passed the differential: the check cannot fail")
 			}

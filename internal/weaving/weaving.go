@@ -3,10 +3,12 @@
 // sibling of the Strider page walkers, but for bit-plane pages. An
 // Extractor configured for k bits reads only the first k bit levels of
 // a weave page — one contiguous prefix of the plane area — and decodes
-// it into rows in one pass: each feature's truncated fixed-point codes
-// are reassembled word-parallel, 64 rows per plane word, and written
-// straight down that column of the caller's rows, dequantized into the
-// float32 datapath width. Labels pass through untouched.
+// it into rows in one pass. A block, one feature's 64 rows at one plane
+// word, is transposed in place until each row's truncated code sits in a
+// lane of the plane words: 8-bit lanes for k ≤ 8, 16-bit for k ≤ 16,
+// 32-bit above. Each lane is dequantized into the float32 datapath width
+// and written straight into its row of the caller's rows, by one
+// unrolled kernel per lane width. Labels pass through untouched.
 //
 // The decode kernels are //dana:hotpath (allocation-free, enforced by
 // danalint hotcall); the column-range scratch lives on the Extractor and
@@ -37,12 +39,15 @@ import (
 // concurrent use; the host executor gives each worker its own.
 type Extractor struct {
 	bits int
-	// inv is 2^-bits, the exact constant a truncated code is scaled by:
-	// multiplying by a power of two rounds nothing, so it is
-	// storage.WeaveDequantize's division bit for bit.
+	// inv is 2^-w, the weight of the last bit of the w-bit lanes
+	// storage.UnweaveLanes leaves a k-bit block's codes in. A lane's
+	// levels past bits are zero, so lane × inv is the truncated code over
+	// 2^bits exactly: multiplying by a power of two rounds nothing, so it
+	// is storage.WeaveDequantize's division bit for bit.
 	inv float64
 	// offs and scales are the page's column ranges, decoded once per page
-	// and widened to the float64 the dequantization runs in.
+	// and widened to the float64 the dequantization runs in; scales are
+	// premultiplied by inv, which is exact too.
 	offs, scales []float64
 }
 
@@ -51,7 +56,7 @@ func NewExtractor(bits int) (*Extractor, error) {
 	if bits < 1 || bits > storage.WeaveMaxBits {
 		return nil, fmt.Errorf("weaving: precision %d outside [1,%d]", bits, storage.WeaveMaxBits)
 	}
-	return &Extractor{bits: bits, inv: 1 / float64(uint64(1)<<uint(bits))}, nil
+	return &Extractor{bits: bits, inv: 1 / float64(uint64(1)<<uint(storage.WeaveLaneBits(bits)))}, nil
 }
 
 // prepare sizes the column-range scratch for pages of ncols features, so
@@ -79,16 +84,18 @@ func (e *Extractor) DecodeRows(p storage.WeavePage) ([][]float32, error) {
 // decodeInto decodes a validated page the scratch is prepared for into
 // slab (nrows × (ncols+1) values) and points rows at its row slices, in
 // one pass over (64-row plane word, column) blocks: the block's top
-// `bits` plane words are loaded, transposed back by the block kernel and
-// dequantized straight down that column of the slab. An all-zero block —
-// the common case for high-order planes of small values — skips the
-// kernel and fills its rows with the zero code's value. Every value is
-// written, so the slab need not be cleared.
+// `bits` plane words are loaded and unwoven in place into lanes
+// (storage.UnweaveLanes), and each lane is dequantized straight into its
+// row of that column — by the unrolled kernel of the lane width for a
+// full word, by one lane-at-a-time loop for a page's partial last word.
+// An all-zero block — the common case for high-order planes of small
+// values — skips the unweave and fills its rows with the zero code's
+// value. Every value is written, so the slab need not be cleared.
 //
 //dana:hotpath
 func (e *Extractor) decodeInto(p storage.WeavePage, slab []float32, rows [][]float32) {
 	ncols, nrows, pw := p.NumCols(), p.NumRows(), p.PlaneWords()
-	width := ncols + 1
+	width, lane := ncols+1, storage.WeaveLaneBits(e.bits)
 	for r := range rows {
 		row := slab[r*width : (r+1)*width : (r+1)*width]
 		row[ncols] = p.Label(r)
@@ -97,40 +104,111 @@ func (e *Extractor) decodeInto(p storage.WeavePage, slab []float32, rows [][]flo
 	e.offs, e.scales = e.offs[:ncols], e.scales[:ncols]
 	for c := range e.offs {
 		r := p.Range(c)
-		e.offs[c], e.scales[c] = float64(r.Offset), float64(r.Scale)
+		e.offs[c], e.scales[c] = float64(r.Offset), float64(r.Scale)*e.inv
 	}
 	base, levelStride := p.PlaneOffset(0, 0), ncols*pw*8
-	down := uint(storage.WeaveMaxBits - e.bits)
 	var planes [32]uint64
-	var block [64]uint32
 	for w := 0; w < pw; w++ {
 		n := min(64, nrows-w*64)
 		word := slab[w*64*width : (w*64+n)*width]
 		for c, off := range e.offs {
-			scale := e.scales[c]
+			s, col := e.scales[c], word[c:]
 			if loadPlanes(p, base+(c*pw+w)*8, levelStride, e.bits, &planes) == 0 {
-				v := dequantize(0, down, off, scale, e.inv)
-				for i := c; i < len(word); i += width {
-					word[i] = v
+				v := value(0, off, s)
+				for i := 0; i < len(col); i += width {
+					col[i] = v
 				}
 				continue
 			}
-			storage.UnweaveBlock(&planes, e.bits, &block)
-			for r := 0; r < n; r++ {
-				word[r*width+c] = dequantize(block[r&63], down, off, scale, e.inv)
+			storage.UnweaveLanes(&planes, e.bits)
+			switch {
+			case n < 64:
+				lanesPartial(&planes, lane, col, n, width, off, s)
+			case lane == 8:
+				lanes8(&planes, col, width, off, s)
+			case lane == 16:
+				lanes16(&planes, col, width, off, s)
+			default:
+				lanes32(&planes, col, width, off, s)
 			}
 		}
 	}
 }
 
-// dequantize maps a gathered code back into the float32 datapath: its top
-// bits (q >> down) scaled by inv = 2^-bits into the column's affine range
-// — storage.WeaveDequantize bit for bit.
+// value is one dequantized lane: off + s×lane, s the column's scale
+// times inv, the product rounded on its own — a fused multiply-add would
+// make the value depend on GOARCH.
+func value(lane uint64, off, s float64) float32 {
+	return float32(off + float64(s*float64(lane)))
+}
+
+// lanes8 writes a full block unwoven into 8-bit lanes down col, one row
+// every width values: plane word i holds rows 7-i, 15-i, …, 63-i, one a
+// byte.
 //
 //dana:hotpath
-func dequantize(q uint32, down uint, off, scale, inv float64) float32 {
-	x := float64(q>>down) * inv
-	return float32(off + scale*x)
+func lanes8(planes *[32]uint64, col []float32, width int, off, s float64) {
+	for i, x := range planes[:8] {
+		at := (7 - i) * width
+		col[at] = value(x&0xFF, off, s)
+		at += 8 * width
+		col[at] = value(x>>8&0xFF, off, s)
+		at += 8 * width
+		col[at] = value(x>>16&0xFF, off, s)
+		at += 8 * width
+		col[at] = value(x>>24&0xFF, off, s)
+		at += 8 * width
+		col[at] = value(x>>32&0xFF, off, s)
+		at += 8 * width
+		col[at] = value(x>>40&0xFF, off, s)
+		at += 8 * width
+		col[at] = value(x>>48&0xFF, off, s)
+		at += 8 * width
+		col[at] = value(x>>56, off, s)
+	}
+}
+
+// lanes16 is lanes8 for 16-bit lanes: plane word i holds rows 15-i,
+// 31-i, 47-i and 63-i.
+//
+//dana:hotpath
+func lanes16(planes *[32]uint64, col []float32, width int, off, s float64) {
+	for i, x := range planes[:16] {
+		at := (15 - i) * width
+		col[at] = value(x&0xFFFF, off, s)
+		at += 16 * width
+		col[at] = value(x>>16&0xFFFF, off, s)
+		at += 16 * width
+		col[at] = value(x>>32&0xFFFF, off, s)
+		at += 16 * width
+		col[at] = value(x>>48, off, s)
+	}
+}
+
+// lanes32 is lanes8 for 32-bit lanes: plane word i holds rows 31-i and
+// 63-i.
+//
+//dana:hotpath
+func lanes32(planes *[32]uint64, col []float32, width int, off, s float64) {
+	for i, x := range planes {
+		at := (31 - i) * width
+		col[at] = value(x&0xFFFFFFFF, off, s)
+		col[at+32*width] = value(x>>32, off, s)
+	}
+}
+
+// lanesPartial writes the first n rows of a block unwoven into lane-bit
+// lanes, one lane at a time: row r's lane is where storage.UnweaveLanes
+// documents it.
+//
+//dana:hotpath
+func lanesPartial(planes *[32]uint64, lane int, col []float32, n, width int, off, s float64) {
+	mask := uint64(1)<<uint(lane) - 1
+	for r := 0; r < n; r++ {
+		q := r & 31
+		x := planes[(lane-1-q&(lane-1))&31] >> uint(r&32|q&^(lane-1))
+		col[r*width] = value(x&mask, off, s)
+	}
 }
 
 // loadPlanes reads a block's top `bits` plane words — level 0 at byte

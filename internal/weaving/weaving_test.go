@@ -2,7 +2,6 @@ package weaving
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -255,12 +254,24 @@ func TestRelationGeometryExact(t *testing.T) {
 	}
 }
 
+// BenchmarkDecodePage decodes one page per op: 8 features × 512 rows at
+// the edge precisions and 8, and the page shape of the bench workload
+// weave_k8 — 54 features × 128 rows at k = 8.
 func BenchmarkDecodePage(b *testing.B) {
-	for _, bits := range []int{1, 8, 32} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			ranges := make([]storage.WeaveRange, 8)
-			feats := make([][]float32, 512)
-			labels := make([]float32, 512)
+	cases := []struct {
+		name               string
+		ncols, nrows, bits int
+	}{
+		{"bits=1", 8, 512, 1},
+		{"bits=8", 8, 512, 8},
+		{"bits=32", 8, 512, 32},
+		{"weave_k8", 54, 128, 8},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			ranges := make([]storage.WeaveRange, tc.ncols)
+			feats := make([][]float32, tc.nrows)
+			labels := make([]float32, tc.nrows)
 			rng := rand.New(rand.NewSource(1))
 			for c := range ranges {
 				ranges[c] = gridRange
@@ -277,8 +288,8 @@ func BenchmarkDecodePage(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, _ := NewExtractor(bits)
-			b.SetBytes(int64(storage.WeaveFixedPageBytes(8, 512) + int64(bits)*storage.WeaveBitPageBytes(8, 512)))
+			e, _ := NewExtractor(tc.bits)
+			b.SetBytes(storage.WeaveFixedPageBytes(tc.ncols, tc.nrows) + int64(tc.bits)*storage.WeaveBitPageBytes(tc.ncols, tc.nrows))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.DecodeRows(p); err != nil {
