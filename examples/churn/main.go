@@ -15,6 +15,7 @@ import (
 	"log"
 
 	"dana"
+	"dana/internal/cost"
 )
 
 func main() {
@@ -90,7 +91,7 @@ func main() {
 		agree, total, 100*float64(agree)/float64(total))
 	cpuSec := float64(mad.Tuples) * (eng.CostParams().TupleBaseSec +
 		float64(nf+1)*eng.CostParams().ColumnDeformSec)
-	pipeSec := acc.SimulatedSeconds - eng.CostParams().SetupSec
-	fmt.Printf("modeled CPU time %.4fs vs accelerator pipeline %.4fs (+%.2fs one-time setup)\n",
-		cpuSec, pipeSec, eng.CostParams().SetupSec)
+	overhead := cost.OverheadSec(eng.CostParams(), acc.Epochs)
+	fmt.Printf("modeled CPU time %.4fs vs accelerator pipeline %.4fs (+%.2fs setup and epoch dispatch)\n",
+		cpuSec, acc.SimulatedSeconds-overhead, overhead)
 }

@@ -65,10 +65,11 @@ func (b *Accel) checkJob(job Job) error {
 	return nil
 }
 
-// EstimateCost prices the job as cost.DAnA: the compiled program's
-// static cycle estimate at the design's thread count, pipelined against
-// Strider unpacking and link transfer. Under a weave window the link
-// and the Strider unpack are charged for the k-bit vertical layout.
+// EstimateCost prices the job as cost.DAnA does (cost.Price of
+// cost.DAnATerms, which the Cost carries): the compiled program's static
+// cycle estimate at the design's thread count, pipelined against Strider
+// unpacking and link transfer. Under a weave window the link and the
+// Strider unpack are charged for the k-bit vertical layout.
 func (b *Accel) EstimateCost(job Job) (Cost, error) {
 	if err := b.checkJob(job); err != nil {
 		return Cost{}, err
@@ -79,46 +80,33 @@ func (b *Accel) EstimateCost(job Job) (Cost, error) {
 		w.EpochCycles = est.EpochCycles(job.Tuples, max1(job.MergeCoef), job.Design.Engine.Threads)
 	}
 	if b.caps.MaxBits > 0 {
-		chargeWeave(&w, job, 1)
+		chargeWeave(&w, job)
 	}
-	bd := cost.DAnA(w, b.env.Cost, job.Warm)
-	return Cost{Seconds: bd.TotalSec, Breakdown: bd}, nil
+	t := cost.DAnATerms(w, b.env.Cost, job.Warm)
+	bd := cost.Price(t, b.env.Cost)
+	return Cost{Seconds: bd.TotalSec, Breakdown: bd, Terms: t}, nil
 }
 
-// ModeledSeconds integrates the run's measured counters: engine,
-// Striders, and link transfer overlap (pipeline-max at the FPGA clock),
-// then I/O and setup add. Transfer is charged through the channel model
-// (max-over-channels of the round-robin page shares); the run's page
-// stream — cached replays included — is one interleaved sequence, and
-// the zero-value Cost.Link reproduces the legacy scalar PCIe×scale
-// charge exactly. Under a weave window the link ships the vertical
-// layout instead of heap pages, one geometry pass per relation pass of
-// the actual page stream, so retries and cached replays charge the same
-// number of passes either way.
+// ModeledSeconds prices the run's counters through cost.Price, as
+// EstimateCost prices its prediction: engine and Strider makespans,
+// epochs run, disk reads, and the link charged per pass the page stream
+// made over the relation (cached replays included; a retried epoch's
+// partial pass counts as one), each pass paying its channel handshakes.
+// Under a weave window each pass ships the vertical layout.
 func (b *Accel) ModeledSeconds(job Job, run Run) float64 {
-	clock := b.env.FPGA.ClockHz
-	engineSec := float64(run.EngineCycles) / clock
-	striderSec := float64(run.StriderCycles) / clock
-	cp := b.env.Cost
-	if cp.BandwidthScale == 0 {
-		cp.BandwidthScale = 1
-	}
-	tw := cost.Workload{
-		DatasetBytes: run.Pages * int64(job.PageSize),
-		Pages:        int(run.Pages),
-	}
+	pages := int64(max1(job.Pages))
+	link := job.Workload()
+	link.Epochs = int((run.Pages + pages - 1) / pages)
 	if b.caps.MaxBits > 0 {
-		hp := int64(max1(job.Pages))
-		chargeWeave(&tw, job, (run.Pages+hp-1)/hp)
+		chargeWeave(&link, job)
 	}
-	pipe := engineSec
-	if striderSec > pipe {
-		pipe = striderSec
-	}
-	if transferSec := cost.TransferSec(tw, cp); transferSec > pipe {
-		pipe = transferSec
-	}
-	return pipe + run.IOSeconds + b.env.Cost.SetupSec
+	return cost.Price(cost.Terms{
+		Epochs:        run.Epochs,
+		EngineCycles:  float64(run.EngineCycles),
+		StriderCycles: float64(run.StriderCycles),
+		Link:          link,
+		IOSec:         run.IOSeconds,
+	}, b.env.Cost).TotalSec
 }
 
 // Configure builds the engine machine for the program (or resets the one
@@ -313,7 +301,10 @@ func (b *Accel) Close() {
 }
 
 // InProcessStriders clamps a design's Strider count to the in-process
-// VM instances the host runs (the cycle model is unchanged by the clamp).
+// VM instances the host runs. The Collector groups pages by the clamped
+// count, so a 32-Strider design (every Table 3 design) executes about
+// twice the Strider cycles its estimate unpacks over 32; the term loses
+// the pipeline max there, so the priced time does not move.
 func InProcessStriders(n int) int { return min(max(n, 1), 16) }
 
 // initModel resolves a program's starting model: the explicit Init, or

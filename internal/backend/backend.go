@@ -218,13 +218,17 @@ func FlopsPerTuple(class Class, g *hdfg.Graph) int {
 type Cost struct {
 	Seconds   float64
 	Breakdown cost.Breakdown
+	// Terms are what a DAnA-path backend priced through cost.Price (zero
+	// for the others), the prediction its executed runs are held to.
+	Terms cost.Terms
 }
 
 // Run carries the counters of one executed training run that a backend
-// integrates into its modeled time: the engine and Strider makespans,
-// the pages streamed through the extraction pipeline (cached replays
-// included), and the buffer pool's modeled I/O.
+// integrates into its modeled time: the epochs it ran, the engine and
+// Strider makespans, the pages streamed through the extraction pipeline
+// (cached replays included), and the buffer pool's modeled I/O.
 type Run struct {
+	Epochs        int
 	EngineCycles  int64
 	StriderCycles int64
 	Pages         int64
@@ -328,11 +332,11 @@ type Backend interface {
 	// unsupported jobs fail with ErrUnsupported.
 	EstimateCost(job Job) (Cost, error)
 	// ModeledSeconds is the one home of an executed run's modeled time.
-	// Streaming backends integrate the run's counters (engine, Strider,
-	// and link transfer overlapped at the FPGA clock, plus I/O and
-	// setup); row-fed backends have no modeled page stream to integrate
-	// and report EstimateCost(job).Seconds exactly. A pure function of
-	// its arguments and the backend's environment.
+	// Streaming backends price the run's counters through the function
+	// their EstimateCost prices its prediction through (cost.Price);
+	// row-fed backends have no modeled page stream to integrate and
+	// report EstimateCost(job).Seconds exactly. A pure function of its
+	// arguments and the backend's environment.
 	ModeledSeconds(job Job, run Run) float64
 	// Configure prepares the backend for one training job; unsupported
 	// programs fail with ErrUnsupported.

@@ -49,11 +49,11 @@ func jobBits(bits int) int {
 	return bits
 }
 
-// chargeWeave swaps w's heap-page stream for `passes` passes over the
-// job's vertical layout — FixedBytes + k×BitBytes from the exact page
-// geometry — and its Strider unpack for the k-bit plane-gather model.
-// EstimateCost and ModeledSeconds both price the link through here.
-func chargeWeave(w *cost.Workload, job Job, passes int64) {
+// chargeWeave swaps w's heap-page stream for the job's vertical layout
+// — FixedBytes + k×BitBytes a pass, from the exact page geometry — and
+// its Strider unpack for the k-bit plane-gather model. EstimateCost and
+// ModeledSeconds both price the link through here.
+func chargeWeave(w *cost.Workload, job Job) {
 	bits := jobBits(job.Bits)
 	nfeat := max1(job.Columns - 1)
 	pageSize := job.PageSize
@@ -62,9 +62,9 @@ func chargeWeave(w *cost.Workload, job Job, passes int64) {
 	}
 	g := weaving.RelationGeometry(job.Tuples, nfeat, pageSize)
 	w.WeaveBits = bits
-	w.WeaveFixedBytes = passes * g.FixedBytes
-	w.WeaveBitBytes = passes * g.BitBytes
-	w.Pages = int(passes) * g.Pages
+	w.WeaveFixedBytes = g.FixedBytes
+	w.WeaveBitBytes = g.BitBytes
+	w.Pages = g.Pages
 	w.StriderPageCycles = weaving.PageDecodeCycles(nfeat, g.PageRows, bits)
 }
 

@@ -46,11 +46,14 @@ func (l ChannelModel) channels() int {
 
 // ChannelBandwidth returns the effective bandwidth of one channel:
 // the configured per-channel rate (or the legacy PCIe rate) scaled by
-// the Figure-14 BandwidthScale multiplier.
+// the Figure-14 BandwidthScale multiplier (0 = unscaled).
 func ChannelBandwidth(p Params) float64 {
 	bw := p.Link.ChannelBytesPerSec
 	if bw == 0 {
 		bw = p.PCIeBytesPerSec
+	}
+	if p.BandwidthScale == 0 {
+		return bw
 	}
 	return bw * p.BandwidthScale
 }
@@ -113,8 +116,7 @@ func danaTransferSec(w Workload, p Params) float64 {
 }
 
 // TransferSec is the per-epoch transfer time of a dataset over the
-// configured link (the runtime's simulated-seconds pipeline term and
-// the danabench channel sweep both charge through here).
+// configured link (the danabench channel and precision sweeps).
 func TransferSec(w Workload, p Params) float64 {
 	we := w
 	we.Epochs = 1

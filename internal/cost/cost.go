@@ -211,48 +211,83 @@ func MADlibGreenplum(w Workload, p Params, segments int, warm bool) Breakdown {
 	return b.total()
 }
 
-// DAnA models the full system: Striders stream pages over the link
-// channels while the execution engine computes; per epoch the pipeline
-// is limited by the slowest of {engine compute, link transfer, strider
-// unpacking} (the interleaving of §5.1.1). Transfer is the
-// max-over-channels charge of danaTransferSec. Disk I/O is not
-// overlapped (§7.1).
-func DAnA(w Workload, p Params, warm bool) Breakdown {
-	w = withDanaEpochs(w)
-	compute := float64(w.Epochs) * float64(w.EpochCycles) / p.FPGAClockHz
-	transfer := danaTransferSec(w, p)
-	striders := w.Striders
-	if striders < 1 {
-		striders = 1
-	}
-	strider := float64(w.Epochs) * float64(w.Pages) * float64(w.StriderPageCycles) /
-		(float64(striders) * p.FPGAClockHz)
-	pipeline := math.Max(compute, math.Max(transfer, strider))
+// Terms are one DAnA-path run as Price sees it, in the units the
+// hardware counts: what the static schedule predicts (DAnATerms, the
+// dispatcher's estimate) or what an executed run's counters read
+// (backend.Accel.ModeledSeconds). Both sides price through Price, so an
+// estimate and its run can differ only in the terms they pass.
+type Terms struct {
+	Epochs        int     // epochs run: each pays EpochDispatchSec
+	EngineCycles  float64 // execution-engine makespan
+	StriderCycles float64 // Strider unpacking, spread over Striders units
+	Striders      int     // Strider units unpacking in parallel (< 1 = 1)
+	// Link is what the link streams: Link.Epochs passes over Link.Pages
+	// pages of linkBytes(Link) bytes, charged by danaTransferSec.
+	Link  Workload
+	IOSec float64 // disk reads into the buffer pool
+}
+
+// Seconds converts the terms' engine, Strider and link charges to
+// seconds at p's FPGA clock and link, and returns their interleaving
+// (§5.1.1): Striders stream pages over the link while the engine
+// computes, so the pipeline takes the slowest of the three.
+func (t Terms) Seconds(p Params) (engine, strider, link, pipeline float64) {
+	engine = t.EngineCycles / p.FPGAClockHz
+	strider = t.StriderCycles / (float64(max1(t.Striders)) * p.FPGAClockHz)
+	link = danaTransferSec(t.Link, p)
+	return engine, strider, link, math.Max(engine, math.Max(link, strider))
+}
+
+// OverheadSec is a DAnA-path run's fixed charge: setup once, plus the
+// scan re-issue and handshake of every epoch run.
+func OverheadSec(p Params, epochs int) float64 {
+	return p.SetupSec + float64(epochs)*p.EpochDispatchSec
+}
+
+// Price is the one function from a DAnA-path run's terms to its modeled
+// time: the pipeline, plus disk I/O (not overlapped, §7.1), plus setup
+// and the per-epoch dispatch of every epoch run. The float operations
+// run in this one order on both sides, so a run whose terms equal its
+// estimate's is priced equal to the bit.
+func Price(t Terms, p Params) Breakdown {
+	engine, _, link, pipeline := t.Seconds(p)
 	b := Breakdown{
-		IOSec:       ioSec(w, p, warm),
-		ComputeSec:  compute,
-		TransferSec: transfer,
-		OverheadSec: p.SetupSec + float64(w.Epochs)*p.EpochDispatchSec,
+		IOSec:       t.IOSec,
+		ComputeSec:  engine,
+		TransferSec: link,
+		OverheadSec: OverheadSec(p, t.Epochs),
 	}
-	// Only the pipeline bottleneck contributes to the total.
 	b.TotalSec = b.IOSec + pipeline + b.OverheadSec
 	return b
+}
+
+// DAnATerms are the terms the static schedule predicts for w: epochs ×
+// the engine's per-epoch cycles, every page of every epoch unpacked
+// over the design's Striders, the relation streamed once an epoch over
+// the link channels (danaTransferSec), and ioSec's disk reads.
+func DAnATerms(w Workload, p Params, warm bool) Terms {
+	w = withDanaEpochs(w)
+	return Terms{
+		Epochs:        w.Epochs,
+		EngineCycles:  float64(w.Epochs) * float64(w.EpochCycles),
+		StriderCycles: float64(w.Epochs) * float64(w.Pages) * float64(w.StriderPageCycles),
+		Striders:      w.Striders,
+		Link:          w,
+		IOSec:         ioSec(w, p, warm),
+	}
+}
+
+// DAnA models the full system: the predicted terms, priced.
+func DAnA(w Workload, p Params, warm bool) Breakdown {
+	return Price(DAnATerms(w, p, warm), p)
 }
 
 // DAnAPipelineSec returns only the on-FPGA pipeline time (engine,
 // transfer, strider overlap) without disk I/O or setup — the "FPGA
 // time" Figure 14 sweeps against link bandwidth.
 func DAnAPipelineSec(w Workload, p Params) float64 {
-	w = withDanaEpochs(w)
-	compute := float64(w.Epochs) * float64(w.EpochCycles) / p.FPGAClockHz
-	transfer := danaTransferSec(w, p)
-	striders := w.Striders
-	if striders < 1 {
-		striders = 1
-	}
-	strider := float64(w.Epochs) * float64(w.Pages) * float64(w.StriderPageCycles) /
-		(float64(striders) * p.FPGAClockHz)
-	return math.Max(compute, math.Max(transfer, strider))
+	_, _, _, pipeline := DAnATerms(w, p, true).Seconds(p)
+	return pipeline
 }
 
 // DAnANoStrider models the ablation of Figure 11: the CPU extracts and
@@ -260,17 +295,9 @@ func DAnAPipelineSec(w Workload, p Params) float64 {
 // page-level overlap — extraction serializes with compute.
 func DAnANoStrider(w Workload, p Params, warm bool) Breakdown {
 	w = withDanaEpochs(w)
-	compute := float64(w.Epochs) * float64(w.EpochCycles) / p.FPGAClockHz
+	b := DAnA(w, p, warm)
 	feedPerTuple := p.ExtractFraction * (p.TupleBaseSec + float64(w.Columns)*p.ColumnDeformSec)
-	feed := float64(w.Epochs) * float64(w.Tuples) * feedPerTuple
-	transfer := danaTransferSec(w, p)
-	b := Breakdown{
-		IOSec:       ioSec(w, p, warm),
-		ComputeSec:  compute,
-		FeedSec:     feed,
-		TransferSec: transfer,
-		OverheadSec: p.SetupSec + float64(w.Epochs)*p.EpochDispatchSec,
-	}
+	b.FeedSec = float64(w.Epochs) * float64(w.Tuples) * feedPerTuple
 	return b.total() // serial: no interleaving to hide anything
 }
 
@@ -321,21 +348,10 @@ func ExternalLibrary(lib LibKind, algo string, w Workload, p Params) Breakdown {
 // transfer, Strider unpacking, and engine compute run back to back
 // instead of overlapped (everything else identical to DAnA).
 func DAnANoInterleave(w Workload, p Params, warm bool) Breakdown {
-	w = withDanaEpochs(w)
-	compute := float64(w.Epochs) * float64(w.EpochCycles) / p.FPGAClockHz
-	transfer := danaTransferSec(w, p)
-	striders := w.Striders
-	if striders < 1 {
-		striders = 1
-	}
-	strider := float64(w.Epochs) * float64(w.Pages) * float64(w.StriderPageCycles) /
-		(float64(striders) * p.FPGAClockHz)
-	b := Breakdown{
-		IOSec:       ioSec(w, p, warm),
-		ComputeSec:  compute,
-		TransferSec: transfer + strider,
-		OverheadSec: p.SetupSec + float64(w.Epochs)*p.EpochDispatchSec,
-	}
+	t := DAnATerms(w, p, warm)
+	_, strider, link, _ := t.Seconds(p)
+	b := Price(t, p)
+	b.TransferSec = link + strider
 	return b.total()
 }
 
@@ -349,17 +365,10 @@ const TupleHandshakeSec = 1.2e-6
 // tuple stream interleaves round-robin across the link channels).
 func DAnATupleGranularity(w Workload, p Params, warm bool) Breakdown {
 	w = withDanaEpochs(w)
-	compute := float64(w.Epochs) * float64(w.EpochCycles) / p.FPGAClockHz
-	transfer := tupleTransferSec(w, p)
-	b := Breakdown{
-		IOSec:       ioSec(w, p, warm),
-		ComputeSec:  compute,
-		TransferSec: transfer,
-		OverheadSec: p.SetupSec + float64(w.Epochs)*p.EpochDispatchSec,
-	}
+	b := DAnA(w, p, warm)
+	b.TransferSec = tupleTransferSec(w, p)
 	// Compute can still overlap the tuple stream.
-	pipeline := math.Max(compute, transfer)
-	b.TotalSec = b.IOSec + pipeline + b.OverheadSec
+	b.TotalSec = b.IOSec + math.Max(b.ComputeSec, b.TransferSec) + b.OverheadSec
 	return b
 }
 

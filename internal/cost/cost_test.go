@@ -105,6 +105,12 @@ func TestBandwidthScalingMonotone(t *testing.T) {
 		}
 		prev = cur
 	}
+	// The zero scale is the unscaled link, on every side that prices it.
+	unset := p
+	unset.BandwidthScale = 0
+	if got, want := DAnAPipelineSec(w, unset), DAnAPipelineSec(w, p); got != want {
+		t.Errorf("BandwidthScale 0 prices %v, scale 1 %v", got, want)
+	}
 }
 
 // TestBandwidthDoesNotHelpComputeBound asserts the channel-model

@@ -9,8 +9,6 @@
 // tenant" comparable in the same unit (modeled seconds).
 package cost
 
-import "math"
-
 // ReconfigSec is the configuration charge for placing one job on an
 // instance: ConfigReuseSec when the instance's loaded configuration
 // already matches the job, ReconfigureSec when it must be switched.
@@ -52,14 +50,6 @@ func ServerServiceSec(totalSec float64, p Params) float64 {
 // model for scoring yet (ROADMAP item 4), so inference is priced as the
 // data-movement bound of one epoch with zero training compute.
 func ScoreServiceSec(w Workload, p Params) float64 {
-	w.Epochs = 1
-	w.DAnAEpochs = 0
-	transfer := danaTransferSec(w, p)
-	striders := w.Striders
-	if striders < 1 {
-		striders = 1
-	}
-	strider := float64(w.Pages) * float64(w.StriderPageCycles) /
-		(float64(striders) * p.FPGAClockHz)
-	return math.Max(transfer, strider)
+	w.Epochs, w.DAnAEpochs, w.EpochCycles = 1, 0, 0
+	return DAnAPipelineSec(w, p)
 }

@@ -350,9 +350,11 @@ type TrainResult struct {
 	Design hwgen.Design
 
 	// SimulatedSeconds is the modeled time for the run: for the
-	// accelerator pipeline, engine/strider/transfer overlapped at the
-	// FPGA clock plus this run's I/O (from the run's actual counters);
-	// for other backends, the analytic cost-model estimate.
+	// accelerator pipeline, the run's counters priced by cost.Price, the
+	// function the dispatcher's estimate goes through — engine, Strider
+	// and link overlapped at the FPGA clock, plus this run's I/O, plus
+	// setup and the dispatch of every epoch the backend ran; for other
+	// backends, the analytic cost-model estimate.
 	SimulatedSeconds float64
 
 	// Degraded reports that the backend faulted mid-train and the
@@ -547,12 +549,17 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 		res.Access = feed.ae.Stats()
 	}
 	res.Pool = s.DB.Pool.Stats()
-	res.SimulatedSeconds = be.ModeledSeconds(job, backend.Run{
+	run := backend.Run{
+		Epochs:        res.Epochs,
 		EngineCycles:  res.Engine.Cycles,
 		StriderCycles: res.Access.Cycles,
 		Pages:         res.Access.Pages,
 		IOSeconds:     s.DB.Pool.TakeRunIO(),
-	})
+	}
+	if res.Degraded {
+		run.Epochs = res.DegradedAtEpoch // the failover target ran the rest
+	}
+	res.SimulatedSeconds = be.ModeledSeconds(job, run)
 	keep = !res.Degraded
 	return res, nil
 }

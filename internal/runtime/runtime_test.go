@@ -9,6 +9,7 @@ import (
 	"dana/internal/algos"
 	"dana/internal/backend"
 	"dana/internal/catalog"
+	"dana/internal/cost"
 	"dana/internal/datagen"
 	"dana/internal/dsl"
 	"dana/internal/hdfg"
@@ -196,7 +197,7 @@ func TestDAnABeatsMAD_libOnFunctionalCycles(t *testing.T) {
 	}
 	// Modeled MADlib compute: per-tuple overhead x tuples x epochs.
 	cpu := float64(3*d.Tuples) * (s.Opts.Cost.TupleBaseSec + float64(d.Rel.Schema.NumCols())*s.Opts.Cost.ColumnDeformSec)
-	accel := res.SimulatedSeconds - s.Opts.Cost.SetupSec
+	accel := res.SimulatedSeconds - cost.OverheadSec(s.Opts.Cost, res.Epochs)
 	if accel >= cpu {
 		t.Errorf("accelerator %.4fs not faster than modeled CPU %.4fs", accel, cpu)
 	}

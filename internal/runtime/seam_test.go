@@ -30,9 +30,9 @@ func TestSeamCharacterisation(t *testing.T) {
 		bits    int
 	}
 	want := map[key]string{
-		{"accelerator", 0}: "3fbf37865cae8a4e e3 mcdd92142ebaea09b {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
-		{"weave", 8}:       "3fc248749ad3f8b4 e3 mf2a6ac9bff9b35c2 {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
-		{"weave", 32}:      "3fc9db3b0688a7a8 e3 m1f6346986d5eccba {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
+		{"accelerator", 0}: "3fc749d7a9388cd5 e3 mcdd92142ebaea09b {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
+		{"weave", 8}:       "3fc9f68915b54062 e3 mf2a6ac9bff9b35c2 {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
+		{"weave", 32}:      "3fd0c4a7c0b4f7ab e3 m1f6346986d5eccba {111756 99114 77184 157290 3210 402 13644 19698 14874 0} {642 3210 4943400 25680 42210 645210}",
 		{"tabla", 0}:       "3fc66b3082204da0 e3 mcdd92142ebaea09b {284124 107538 19296 157290 3210 402 13644 157290 107538 0} {0 0 0 0 0 0}",
 		{"cpu", 0}:         "3fa34aa26fb62576 e3 m76cdcb58ed3e8c5d {0 0 0 0 0 0 0 0 0 0} {0 0 0 0 0 0}",
 		{"sharded", 0}:     "3fb07fb61a352b20 e3 m132429b6be890633 {0 0 0 0 0 0 0 0 0 0} {0 0 0 0 0 0}",

@@ -50,7 +50,8 @@ func perEpochReference(t *testing.T, s *System, udfName, table string, precision
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	if err := trainLoop(&TrainResult{}, ref, job.Epochs, func(int) error {
+	ran := &TrainResult{}
+	if err := trainLoop(ran, ref, job.Epochs, func(int) error {
 		rewoven, _, err := weaving.ReweaveRows(ent.rows, nil, job.Bits, 0)
 		if err != nil {
 			return err
@@ -61,6 +62,7 @@ func perEpochReference(t *testing.T, s *System, udfName, table string, precision
 	}
 	stats = ref.Counters()
 	return model32(ref.Model()), stats, weave.ModeledSeconds(job, backend.Run{
+		Epochs:        ran.Epochs,
 		EngineCycles:  stats.Cycles,
 		StriderCycles: res.Access.Cycles,
 		Pages:         res.Access.Pages,
