@@ -22,8 +22,8 @@ import (
 	"dana/internal/datagen"
 	"dana/internal/engine"
 	"dana/internal/experiments"
+	"dana/internal/greenplum"
 	"dana/internal/hdfg"
-	"dana/internal/madlib"
 	"dana/internal/sql"
 	"dana/internal/storage"
 	"dana/internal/strider"
@@ -343,7 +343,8 @@ func BenchmarkSQLSeqScan(b *testing.B) {
 	b.ReportMetric(1000*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 }
 
-// BenchmarkMADlibEpoch measures the functional MADlib baseline.
+// BenchmarkMADlibEpoch measures the functional MADlib baseline: the
+// Greenplum cluster at one segment.
 func BenchmarkMADlibEpoch(b *testing.B) {
 	w, _ := datagen.ByName("Remote Sensing LR")
 	d, err := datagen.Generate(w, 0.005, storage.PageSize32K, 1)
@@ -354,7 +355,7 @@ func BenchmarkMADlibEpoch(b *testing.B) {
 	if err := pool.AttachRelation(d.Rel); err != nil {
 		b.Fatal(err)
 	}
-	tr, err := madlib.New(pool, d.Rel, d.MLAlgorithm())
+	tr, err := greenplum.New(pool, d.Rel, d.MLAlgorithm(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 	"dana/internal/fault"
 	"dana/internal/greenplum"
 	"dana/internal/hwgen"
-	"dana/internal/madlib"
 	"dana/internal/ml"
 	"dana/internal/obs"
 	"dana/internal/runtime"
@@ -278,7 +277,9 @@ func (e *Engine) LoadWorkload(name string, scale float64, seed int64) (*Dataset,
 
 // --- Baselines ---------------------------------------------------------
 
-// BaselineResult reports a CPU-baseline training run.
+// BaselineResult reports a CPU-baseline training run. FinalLoss is the
+// mean loss of the final model over one more heap scan, summed in page
+// order at every segment count.
 type BaselineResult struct {
 	Model     []float64
 	Epochs    int
@@ -286,26 +287,16 @@ type BaselineResult struct {
 	FinalLoss float64
 }
 
-// TrainMADlib runs the MADlib+PostgreSQL baseline (single-threaded
-// in-database IGD) on a deployed table.
+// TrainMADlib runs the MADlib+PostgreSQL baseline, single-threaded
+// in-database IGD on a deployed table: TrainGreenplum at one segment.
 func (e *Engine) TrainMADlib(table string, algo ml.Algorithm, epochs int) (*BaselineResult, error) {
-	rel, err := e.sys.Catalog().Table(table)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := madlib.New(e.sys.Pool(), rel, algo)
-	if err != nil {
-		return nil, err
-	}
-	model, st, err := tr.Train(epochs)
-	if err != nil {
-		return nil, err
-	}
-	return &BaselineResult{Model: model, Epochs: st.Epochs, Tuples: st.Tuples, FinalLoss: st.FinalLoss}, nil
+	return e.TrainGreenplum(table, algo, 1, epochs)
 }
 
-// TrainGreenplum runs the MADlib+Greenplum baseline (segmented parallel
-// IGD with model averaging).
+// TrainGreenplum runs the MADlib+Greenplum baseline: IGD over the
+// table's live tuples, distributed round-robin across the segments,
+// with per-epoch model averaging. The segments run in order, one pool
+// scan per epoch.
 func (e *Engine) TrainGreenplum(table string, algo ml.Algorithm, segments, epochs int) (*BaselineResult, error) {
 	rel, err := e.sys.Catalog().Table(table)
 	if err != nil {

@@ -1,8 +1,11 @@
 package dana
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"dana/internal/storage"
 )
 
 func openSmall(t *testing.T) *Engine {
@@ -124,6 +127,57 @@ func TestBaselinesThroughPublicAPI(t *testing.T) {
 	}
 	if mad.Tuples != gp.Tuples {
 		t.Errorf("tuple counts differ: %d vs %d", mad.Tuples, gp.Tuples)
+	}
+}
+
+// TestScansSkipDeadLinePointer: a deleted tuple leaves a dead line
+// pointer, which every heap scan through the pool skips, as
+// PostgreSQL's seq scan does — SQL and both CPU baselines read the live
+// tuples — while the accelerated path still refuses the unvacuumed
+// table with its typed error.
+func TestScansSkipDeadLinePointer(t *testing.T) {
+	eng := openSmall(t)
+	d, err := eng.LoadWorkload("WLAN", 0.002, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Rel.Delete(storage.TID{Page: 0, Item: 1}); err != nil {
+		t.Fatal(err)
+	}
+	live := d.Rel.NumTuples()
+	res, err := eng.SQL("SELECT COUNT(*) FROM " + d.Rel.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rows[0][0]; got != float64(live) || live != d.Tuples-1 {
+		t.Errorf("COUNT(*) = %v, live tuples %d of %d generated", got, live, d.Tuples)
+	}
+	const epochs = 2
+	mad, err := eng.TrainMADlib(d.Rel.Name, d.MLAlgorithm(), epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp, err := eng.TrainGreenplum(d.Rel.Name, d.MLAlgorithm(), 4, epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*BaselineResult{"madlib": mad, "greenplum": gp} {
+		if r.Tuples != int64(epochs*live) {
+			t.Errorf("%s: %d tuple updates, want %d", name, r.Tuples, epochs*live)
+		}
+	}
+	if pins := eng.Pool().PinnedCount(); pins != 0 {
+		t.Errorf("%d pages left pinned", pins)
+	}
+	a, err := d.DSLAlgo(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RegisterUDF(a, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Train(a.Name, d.Rel.Name); !errors.Is(err, storage.ErrBadItem) || !strings.Contains(err.Error(), "VACUUM") {
+		t.Errorf("Train on the unvacuumed table = %v, want ErrBadItem naming VACUUM", err)
 	}
 }
 

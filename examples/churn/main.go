@@ -15,6 +15,7 @@ import (
 	"log"
 
 	"dana"
+	"dana/internal/backend"
 	"dana/internal/cost"
 )
 
@@ -89,9 +90,19 @@ func main() {
 	}
 	fmt.Printf("\naccelerator vs MADlib prediction agreement: %d/%d (%.1f%%)\n",
 		agree, total, 100*float64(agree)/float64(total))
-	cpuSec := float64(mad.Tuples) * (eng.CostParams().TupleBaseSec +
-		float64(nf+1)*eng.CostParams().ColumnDeformSec)
+	// The dispatcher prices the cpu backend as cost.MADlibPostgres: the
+	// modeled MADlib+PostgreSQL run of this job.
+	costs, err := eng.BackendCosts(algo.Name, ds.Rel.Name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var cpuSec float64
+	for _, c := range costs {
+		if c.Name == backend.NameCPU {
+			cpuSec = c.Seconds
+		}
+	}
 	overhead := cost.OverheadSec(eng.CostParams(), acc.Epochs)
-	fmt.Printf("modeled CPU time %.4fs vs accelerator pipeline %.4fs (+%.2fs setup and epoch dispatch)\n",
+	fmt.Printf("modeled MADlib+PostgreSQL time %.4fs vs accelerator pipeline %.4fs (+%.2fs setup and epoch dispatch)\n",
 		cpuSec, acc.SimulatedSeconds-overhead, overhead)
 }

@@ -458,15 +458,50 @@ func (p *Pool) Prefetch(rel string, start uint32, count int) error {
 	return nil
 }
 
-// Warm loads as much of the relation as fits, starting from page 0 — the
-// paper's warm-cache setting where training tables reside in the pool
-// before query execution.
-func (p *Pool) Warm(rel string) error {
+// relation looks up an attached relation by name.
+func (p *Pool) relation(rel string) (*storage.Relation, error) {
 	p.mu.Lock()
 	r, ok := p.rels[rel]
 	p.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("bufpool: unknown relation %q", rel)
+		return nil, fmt.Errorf("bufpool: unknown relation %q", rel)
+	}
+	return r, nil
+}
+
+// Scan is the heap sequential scan through the pool: it pins rel's pages
+// in order, hands fn each live tuple's values (one slice, reused between
+// calls) and unpins. fn returns false to stop early.
+func (p *Pool) Scan(rel string, fn func(vals []float64) (bool, error)) error {
+	r, err := p.relation(rel)
+	if err != nil {
+		return err
+	}
+	vals := make([]float64, 0, r.Schema.NumCols())
+	each := func(_ int, vals []float64) (bool, error) { return fn(vals) }
+	for pn := 0; pn < r.NumPages(); pn++ {
+		pg, err := p.Pin(rel, uint32(pn))
+		if err != nil {
+			return err
+		}
+		more, err := pg.ScanTuples(r.Schema, vals, each)
+		if uerr := p.Unpin(rel, uint32(pn)); err == nil {
+			err = uerr
+		}
+		if err != nil || !more {
+			return err
+		}
+	}
+	return nil
+}
+
+// Warm loads as much of the relation as fits, starting from page 0 — the
+// paper's warm-cache setting where training tables reside in the pool
+// before query execution.
+func (p *Pool) Warm(rel string) error {
+	r, err := p.relation(rel)
+	if err != nil {
+		return err
 	}
 	n := r.NumPages()
 	if n > len(p.frames) {

@@ -16,7 +16,7 @@ import (
 // semantics: hash-shard tuples round-robin, each epoch train every
 // shard from the shared model, then average the non-empty locals.
 // These crosschecks pin the implementation to that reference and to
-// the golden trainer in the single-segment (= plain SGD) case.
+// the golden trainer in the single-segment (= plain SGD, MADlib) case.
 
 func clusterFor(t *testing.T, sp golden.Spec, tuples [][]float64, segments int) *greenplum.Cluster {
 	t.Helper()
@@ -42,8 +42,8 @@ func clusterFor(t *testing.T, sp golden.Spec, tuples [][]float64, segments int) 
 }
 
 // referenceTrain is the explicit model of Greenplum's per-epoch
-// shard-train-then-average loop, computed without storage, pools, or
-// goroutines. The cluster must match it bit-for-bit.
+// shard-train-then-average loop, computed without storage or pools. The
+// cluster must match it bit-for-bit.
 func referenceTrain(algo ml.Algorithm, tuples [][]float64, segments, epochs int) []float64 {
 	shards := make([][][]float64, segments)
 	for i, tup := range tuples {
@@ -120,6 +120,66 @@ func TestSingleSegmentMatchesGolden(t *testing.T) {
 	}
 	if err := golden.CompareModels("cluster vs golden", got, want, 1e-9); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMADlibMatchesGoldenTrainer runs the one-segment cluster — the
+// MADlib baseline — over every GLM kind and LRMF and compares against
+// (a) ml.TrainSGD from the same init, bit-identical, proving the
+// storage/bufpool path is value-preserving, and (b) the golden trainer
+// within 1e-9.
+func TestMADlibMatchesGoldenTrainer(t *testing.T) {
+	specs := []golden.Spec{
+		{Kind: algos.KindLinear, NFeat: 6, LR: 0.05, Epochs: 3, MergeCoef: 1},
+		{Kind: algos.KindLogistic, NFeat: 4, LR: 0.1, Epochs: 3, MergeCoef: 1},
+		{Kind: algos.KindSVM, NFeat: 8, LR: 0.05, Lambda: 0.01, Epochs: 2, MergeCoef: 1},
+		{Kind: algos.KindLRMF, Users: 5, Items: 4, Rank: 2, LR: 0.05, Epochs: 2, MergeCoef: 1},
+	}
+	for si, sp := range specs {
+		sp := sp
+		t.Run(string(sp.Kind), func(t *testing.T) {
+			g := verify.NewGen(int64(0xBA5E + si))
+			tuples := golden.TrainingTuples(g, sp, 40)
+			got, st, err := clusterFor(t, sp, tuples, 1).Train(sp.Epochs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(len(tuples) * sp.Epochs); st.Tuples != want {
+				t.Errorf("trained on %d tuple updates, want %d", st.Tuples, want)
+			}
+			algo := sp.Algorithm()
+			ref := ml.InitModel(algo, 1)
+			if err := ml.TrainSGD(algo, ref, tuples, sp.Epochs); err != nil {
+				t.Fatal(err)
+			}
+			if err := golden.CompareModels("madlib vs ml.TrainSGD", got, ref, 0); err != nil {
+				t.Error(err)
+			}
+			want := ml.InitModel(algo, 1)
+			if err := sp.Train(want, tuples); err != nil {
+				t.Fatal(err)
+			}
+			if err := golden.CompareModels("madlib vs golden", got, want, 1e-9); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestMADlibCrosscheckDetectsTamper is the meta-test for the bit-exact
+// leg above: a perturbed model must trip the comparator.
+func TestMADlibCrosscheckDetectsTamper(t *testing.T) {
+	sp := golden.Spec{Kind: algos.KindLinear, NFeat: 4, LR: 0.05, Epochs: 2, MergeCoef: 1}
+	g := verify.NewGen(0xBA5E)
+	tuples := golden.TrainingTuples(g, sp, 30)
+	got, _, err := clusterFor(t, sp, tuples, 1).Train(sp.Epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := append([]float64(nil), got...)
+	tampered[0] += 1e-12
+	if err := golden.CompareModels("meta", got, tampered, 0); err == nil {
+		t.Fatal("bit-exact comparator accepted a perturbed model")
 	}
 }
 

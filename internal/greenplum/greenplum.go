@@ -1,15 +1,17 @@
-// Package greenplum re-implements the paper's parallel baseline:
-// MADlib running on an N-segment Greenplum. The training table is
-// hash-partitioned across segments; each epoch every segment runs IGD
-// over its shard in parallel from the shared model, and the coordinator
-// merges the per-segment models by averaging (MADlib's distributed IGD
-// semantics).
+// Package greenplum re-implements the paper's in-database CPU
+// baselines: MADlib running on an N-segment Greenplum, and at one
+// segment MADlib on PostgreSQL. Training is a user-defined aggregate
+// over a sequential heap scan through the same buffer pool DAnA's
+// Striders read — one incremental gradient (IGD) update per tuple, the
+// Bismarck architecture MADlib uses. The table is distributed
+// round-robin across the segments; each epoch every segment runs IGD
+// over its tuples from the shared model, and the coordinator merges the
+// per-segment models by averaging (MADlib's distributed IGD semantics).
 package greenplum
 
 import (
 	"fmt"
 
-	"dana/internal/backend"
 	"dana/internal/bufpool"
 	"dana/internal/ml"
 	"dana/internal/storage"
@@ -19,7 +21,7 @@ import (
 type Stats struct {
 	Segments  int
 	Epochs    int
-	Tuples    int64
+	Tuples    int64 // tuple updates performed
 	FinalLoss float64
 	Pool      bufpool.Stats
 }
@@ -30,11 +32,10 @@ type Cluster struct {
 	Pool     *bufpool.Pool
 	Rel      *storage.Relation
 	Algo     ml.Algorithm
-
-	shards [][][]float64 // per-segment tuple slices (materialized once)
 }
 
-// New builds a cluster; segments must be >= 1.
+// New builds a cluster; segments must be >= 1 and the relation must be
+// attached to the pool.
 func New(pool *bufpool.Pool, rel *storage.Relation, algo ml.Algorithm, segments int) (*Cluster, error) {
 	if segments < 1 {
 		return nil, fmt.Errorf("greenplum: need >= 1 segment, got %d", segments)
@@ -45,78 +46,50 @@ func New(pool *bufpool.Pool, rel *storage.Relation, algo ml.Algorithm, segments 
 	return &Cluster{Segments: segments, Pool: pool, Rel: rel, Algo: algo}, nil
 }
 
-// distribute hash-partitions the table across the segments, reading it
-// through the buffer pool (this is Greenplum's data loading).
-func (c *Cluster) distribute() error {
-	if c.shards != nil {
-		return nil
-	}
-	c.shards = make([][][]float64, c.Segments)
-	var vals []float64
-	i := 0
-	for pn := 0; pn < c.Rel.NumPages(); pn++ {
-		pg, err := c.Pool.Pin(c.Rel.Name, uint32(pn))
-		if err != nil {
-			return err
-		}
-		for it := 0; it < pg.NumItems(); it++ {
-			raw, err := pg.Item(it)
-			if err != nil {
-				c.Pool.Unpin(c.Rel.Name, uint32(pn))
-				return err
-			}
-			vals = vals[:0]
-			vals, err = storage.DecodeTuple(c.Rel.Schema, vals, raw)
-			if err != nil {
-				c.Pool.Unpin(c.Rel.Name, uint32(pn))
-				return err
-			}
-			seg := i % c.Segments
-			c.shards[seg] = append(c.shards[seg], append([]float64(nil), vals...))
-			i++
-		}
-		if err := c.Pool.Unpin(c.Rel.Name, uint32(pn)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Train runs distributed IGD with per-epoch model averaging. The epoch
-// semantics live in EpochShards (shared with the Sharded backend); each
-// segment's trainer is the ml baseline's per-tuple Update, so the
-// float64 operation sequence is the classic one, bit for bit.
+// Train runs distributed IGD with per-epoch model averaging, one pool
+// scan per epoch. The i-th live tuple in heap order updates segment
+// i mod Segments's local model, which starts the epoch as a copy of the
+// shared model, so each segment sees its shard in shard order; the
+// coordinator then averages the first min(n, Segments) locals, exactly
+// the segments that saw data. One goroutine plays every segment: their
+// modeled time is priced analytically (cost.MADlibGreenplum). FinalLoss
+// is the mean loss over one more scan, summed in page order at every
+// segment count.
 func (c *Cluster) Train(epochs int) ([]float64, Stats, error) {
 	if epochs < 1 {
 		epochs = 1
 	}
-	if err := c.distribute(); err != nil {
-		return nil, Stats{}, err
-	}
 	model := ml.InitModel(c.Algo, 1)
-	inners := make([]backend.Trainer, c.Segments)
-	for s := range inners {
-		inners[s] = &mlTrainer{algo: c.Algo}
-	}
+	locals := make([][]float64, c.Segments)
 	st := Stats{Segments: c.Segments}
 	for e := 0; e < epochs; e++ {
-		next, err := EpochShards(inners, model, c.shards)
+		n := 0
+		err := c.Pool.Scan(c.Rel.Name, func(vals []float64) (bool, error) {
+			s := n % c.Segments
+			if n < c.Segments {
+				locals[s] = append(locals[s][:0], model...)
+			}
+			c.Algo.Update(locals[s], vals)
+			n++
+			return true, nil
+		})
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		model = next
-		for s := 0; s < c.Segments; s++ {
-			st.Tuples += int64(len(c.shards[s]))
+		if n > 0 {
+			model = ml.AverageModels(locals[:min(n, c.Segments)])
 		}
+		st.Tuples += int64(n)
 		st.Epochs++
 	}
 	var sum float64
 	var n int64
-	for s := range c.shards {
-		for _, tup := range c.shards[s] {
-			sum += c.Algo.Loss(model, tup)
-			n++
-		}
+	if err := c.Pool.Scan(c.Rel.Name, func(vals []float64) (bool, error) {
+		sum += c.Algo.Loss(model, vals)
+		n++
+		return true, nil
+	}); err != nil {
+		return nil, Stats{}, err
 	}
 	if n > 0 {
 		st.FinalLoss = sum / float64(n)

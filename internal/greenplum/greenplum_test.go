@@ -1,11 +1,11 @@
 package greenplum
 
 import (
+	"math"
 	"testing"
 
 	"dana/internal/bufpool"
 	"dana/internal/datagen"
-	"dana/internal/madlib"
 	"dana/internal/ml"
 	"dana/internal/storage"
 )
@@ -43,12 +43,13 @@ func TestSegmentedTrainingConverges(t *testing.T) {
 	if st.Tuples != int64(10*d.Tuples) {
 		t.Errorf("tuples = %d", st.Tuples)
 	}
-	// Model averaging should still learn: compare against zero model.
-	tr, err := madlib.New(pool, d.Rel, d.MLAlgorithm())
+	// Model averaging should still learn: compare against plain IGD,
+	// the one-segment cluster.
+	igd, err := New(pool, d.Rel, d.MLAlgorithm(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, single, err := tr.Train(10)
+	_, single, err := igd.Train(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +64,9 @@ func TestSegmentedTrainingConverges(t *testing.T) {
 	}
 }
 
+// TestSingleSegmentMatchesMADlib: one segment is MADlib's IGD, so the
+// model from the pool scans is bit-identical to ml.TrainSGD over the
+// table's tuples in heap order.
 func TestSingleSegmentMatchesMADlib(t *testing.T) {
 	pool, d := setup(t, "Blog Feedback", 0.02)
 	c, err := New(pool, d.Rel, d.MLAlgorithm(), 1)
@@ -73,18 +77,89 @@ func TestSingleSegmentMatchesMADlib(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := madlib.New(pool, d.Rel, d.MLAlgorithm())
-	if err != nil {
+	var tuples [][]float64
+	if err := d.Rel.Scan(func(_ storage.TID, vals []float64) error {
+		tuples = append(tuples, append([]float64(nil), vals...))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	mm, _, err := tr.Train(3)
-	if err != nil {
+	mm := ml.InitModel(d.MLAlgorithm(), 1)
+	if err := ml.TrainSGD(d.MLAlgorithm(), mm, tuples, 3); err != nil {
 		t.Fatal(err)
 	}
 	for i := range gm {
-		if gm[i] != mm[i] {
+		if math.Float64bits(gm[i]) != math.Float64bits(mm[i]) {
 			t.Fatalf("model[%d]: %v vs %v", i, gm[i], mm[i])
 		}
+	}
+}
+
+func TestTrainReducesLoss(t *testing.T) {
+	pool, d := setup(t, "Patient", 0.02)
+	c, err := New(pool, d.Rel, d.MLAlgorithm(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st1, err := c.Train(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st10, err := c.Train(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st10.FinalLoss >= st1.FinalLoss {
+		t.Errorf("more epochs did not reduce loss: %v -> %v", st1.FinalLoss, st10.FinalLoss)
+	}
+	if st10.Tuples != int64(10*d.Tuples) {
+		t.Errorf("tuples = %d, want %d", st10.Tuples, 10*d.Tuples)
+	}
+	if st10.Epochs != 10 {
+		t.Errorf("epochs = %d", st10.Epochs)
+	}
+	if pool.PinnedCount() != 0 {
+		t.Error("trainer leaked pins")
+	}
+}
+
+func TestTrainChargesIO(t *testing.T) {
+	pool, d := setup(t, "WLAN", 0.05)
+	c, err := New(pool, d.Rel, d.MLAlgorithm(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := c.Train(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Pool.Misses == 0 || st.Pool.IOSeconds <= 0 {
+		t.Errorf("cold run recorded no I/O: %+v", st.Pool)
+	}
+}
+
+func TestLRMFTraining(t *testing.T) {
+	pool, d := setup(t, "Netflix", 0.0005)
+	c, err := New(pool, d.Rel, d.MLAlgorithm(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, st, err := c.Train(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(model) != d.MLAlgorithm().ModelSize() {
+		t.Errorf("model size = %d", len(model))
+	}
+	if st.FinalLoss <= 0 {
+		t.Errorf("final loss = %v", st.FinalLoss)
+	}
+}
+
+func TestSchemaMismatchRejected(t *testing.T) {
+	pool, d := setup(t, "WLAN", 0.01)
+	if _, err := New(pool, d.Rel, ml.Linear{NFeatures: 3, LR: 0.1}, 1); err == nil {
+		t.Error("mismatched algorithm accepted")
 	}
 }
 

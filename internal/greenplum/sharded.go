@@ -5,13 +5,9 @@ package greenplum
 // and adds MADlib's distributed semantics around them — round-robin
 // tuple sharding, one inner epoch per segment from the shared model,
 // coordinator merge by averaging the segments that saw data.
-// Cluster.Train delegates its epoch loop to the same core, so the
-// classic crosscheck tests pin the wrapper's float64 operation sequence
-// bit for bit.
 
 import (
 	"fmt"
-	"sync"
 
 	"dana/internal/backend"
 	"dana/internal/cost"
@@ -22,29 +18,6 @@ import (
 func costGreenplum(job backend.Job, env backend.Env) cost.Breakdown {
 	return cost.MADlibGreenplum(job.Workload(), env.Cost, segmentsOf(env), job.Warm)
 }
-
-// mlTrainer adapts an ml.Algorithm to the backend.Trainer surface:
-// SetModel copies the shared model in, RunEpoch applies per-tuple
-// Update in order, Model hands the local model back. It implements
-// exactly the segment-local work of the classic Cluster epoch.
-type mlTrainer struct {
-	algo  ml.Algorithm
-	model []float64
-}
-
-func (t *mlTrainer) SetModel(m []float64) error {
-	t.model = append(t.model[:0], m...)
-	return nil
-}
-
-func (t *mlTrainer) RunEpoch(st *backend.Stream) error {
-	for _, tup := range st.Rows64 {
-		t.algo.Update(t.model, tup)
-	}
-	return nil
-}
-
-func (t *mlTrainer) Model() []float64 { return t.model }
 
 // Sharded implements backend.Backend over one CPU trainer per segment.
 type Sharded struct {
@@ -117,7 +90,7 @@ func (b *Sharded) Configure(p backend.Program) error {
 }
 
 // RunEpoch materializes the epoch's tuples, shards them round-robin
-// (the same global-tuple-order hash Cluster.distribute uses), and runs
+// (the global-tuple-order distribution Cluster.Train uses), and runs
 // one distributed epoch.
 func (b *Sharded) RunEpoch(st *backend.Stream) error {
 	if b.inners == nil {
@@ -134,12 +107,7 @@ func (b *Sharded) RunEpoch(st *backend.Stream) error {
 		s := i % b.segments
 		b.shards[s] = append(b.shards[s], row)
 	}
-	model, err := EpochShards(b.inners, b.model, b.shards)
-	if err != nil {
-		return err
-	}
-	b.model = model
-	return nil
+	return b.epoch()
 }
 
 // Close drops the shards' views of the epoch's rows; a later epoch
@@ -164,50 +132,29 @@ func (b *Sharded) SetModel(m []float64) error {
 	return nil
 }
 
-// EpochShards runs one distributed IGD epoch: every segment trains its
-// shard on its own trainer starting from the shared model, in parallel;
-// the coordinator averages the models of the segments that saw data.
-// This is the single implementation of the merge semantics — both the
-// Sharded backend and the classic Cluster.Train go through it.
-func EpochShards(inners []backend.Trainer, model []float64, shards [][][]float64) ([]float64, error) {
-	if len(inners) != len(shards) {
-		return nil, fmt.Errorf("greenplum: %d trainers for %d shards", len(inners), len(shards))
-	}
-	locals := make([][]float64, len(inners))
-	errs := make([]error, len(inners))
-	var wg sync.WaitGroup
-	for s := range inners {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			if err := inners[s].SetModel(model); err != nil {
-				errs[s] = err
-				return
-			}
-			if err := inners[s].RunEpoch(&backend.Stream{Rows64: shards[s]}); err != nil {
-				errs[s] = err
-				return
-			}
-			locals[s] = inners[s].Model()
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Coordinator merge: average only segments that saw data.
+// epoch runs one distributed IGD epoch: each segment that holds rows,
+// in order, trains its shard on its own trainer from the shared model,
+// and the coordinator averages their models. The segments share one
+// goroutine: Sharded's modeled time is priced analytically, so running
+// them side by side would buy host wall time only.
+func (b *Sharded) epoch() error {
 	var seen [][]float64
-	for s := range shards {
-		if len(shards[s]) > 0 {
-			seen = append(seen, locals[s])
+	for s, shard := range b.shards {
+		if len(shard) == 0 {
+			continue
 		}
+		if err := b.inners[s].SetModel(b.model); err != nil {
+			return err
+		}
+		if err := b.inners[s].RunEpoch(&backend.Stream{Rows64: shard}); err != nil {
+			return err
+		}
+		seen = append(seen, b.inners[s].Model())
 	}
-	if len(seen) == 0 {
-		return append([]float64(nil), model...), nil
+	if len(seen) > 0 {
+		b.model = ml.AverageModels(seen)
 	}
-	return ml.AverageModels(seen), nil
+	return nil
 }
 
 // segmentsOf resolves the env's segment count.

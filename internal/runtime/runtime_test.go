@@ -12,8 +12,8 @@ import (
 	"dana/internal/cost"
 	"dana/internal/datagen"
 	"dana/internal/dsl"
+	"dana/internal/greenplum"
 	"dana/internal/hdfg"
-	"dana/internal/madlib"
 	"dana/internal/ml"
 	"dana/internal/storage"
 )
@@ -188,7 +188,7 @@ func TestDAnABeatsMAD_libOnFunctionalCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := madlib.New(s.Pool(), d.Rel, d.MLAlgorithm())
+	tr, err := greenplum.New(s.Pool(), d.Rel, d.MLAlgorithm(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

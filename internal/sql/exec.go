@@ -162,7 +162,7 @@ func (db *DB) runSelect(s Select) (*Result, error) {
 		return db.runAggregates(rel, s, whereIdx)
 	}
 	res := &Result{Cols: outCols}
-	err = db.scan(rel, func(vals []float64) (bool, error) {
+	err = db.Pool.Scan(rel.Name, func(vals []float64) (bool, error) {
 		if s.Where != nil && !evalPred(s.Where.Op, vals[whereIdx], s.Where.Val) {
 			return true, nil
 		}
@@ -206,7 +206,7 @@ func (db *DB) runAggregates(rel *storage.Relation, s Select, whereIdx int) (*Res
 		cols[i] = sp.Func + "(" + sp.Col + ")"
 		accs[i].colIdx = ci
 	}
-	err := db.scan(rel, func(vals []float64) (bool, error) {
+	err := db.Pool.Scan(rel.Name, func(vals []float64) (bool, error) {
 		if s.Where != nil && !evalPred(s.Where.Op, vals[whereIdx], s.Where.Val) {
 			return true, nil
 		}
@@ -251,45 +251,6 @@ func (db *DB) runAggregates(rel *storage.Relation, s Select, whereIdx int) (*Res
 		}
 	}
 	return &Result{Cols: cols, Rows: [][]float64{row}}, nil
-}
-
-// scan is the heap sequential scan through the buffer pool: it pins each
-// page, iterates its items, and unpins. fn returns false to stop early.
-func (db *DB) scan(rel *storage.Relation, fn func(vals []float64) (bool, error)) error {
-	var vals []float64
-	for pn := 0; pn < rel.NumPages(); pn++ {
-		pg, err := db.Pool.Pin(rel.Name, uint32(pn))
-		if err != nil {
-			return err
-		}
-		stop := false
-		for i := 0; i < pg.NumItems() && !stop; i++ {
-			raw, err := pg.Item(i)
-			if err != nil {
-				db.Pool.Unpin(rel.Name, uint32(pn))
-				return err
-			}
-			vals = vals[:0]
-			vals, err = storage.DecodeTuple(rel.Schema, vals, raw)
-			if err != nil {
-				db.Pool.Unpin(rel.Name, uint32(pn))
-				return err
-			}
-			cont, err := fn(vals)
-			if err != nil {
-				db.Pool.Unpin(rel.Name, uint32(pn))
-				return err
-			}
-			stop = !cont
-		}
-		if err := db.Pool.Unpin(rel.Name, uint32(pn)); err != nil {
-			return err
-		}
-		if stop {
-			return nil
-		}
-	}
-	return nil
 }
 
 func evalPred(op string, a, b float64) bool {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 )
 
 // pageDecodeSeeds builds the committed corpus for FuzzPageDecode: real
-// formed pages (plain, nulls, varlena tails, deletions) for both
-// layouts, truncated and whole.
+// formed pages (plain, nulls, varlena tails, deletions, an unused line
+// pointer) for both layouts, truncated and whole.
 func pageDecodeSeeds(tb testing.TB) [][]byte {
 	rng := rand.New(rand.NewSource(99))
 	var seeds [][]byte
@@ -78,13 +79,37 @@ func pageDecodeSeeds(tb testing.TB) [][]byte {
 		}
 	}
 	seeds = append(seeds, []byte(ipage[:512]))
+
+	// A whole small page whose tuples all lie inside it: a dead and an
+	// unused line pointer between live items, for the heap page loop.
+	small := NewPage(512, 0)
+	for i := 0; i < 4; i++ {
+		vals := make([]float64, s.NumCols())
+		for j := range vals {
+			vals[j] = float64(i*len(vals) + j)
+		}
+		raw, err := EncodeTuple(s, vals, uint32(i+2), TID{Item: uint16(i)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := small.AddItem(raw); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := small.DeleteItem(1); err != nil {
+		tb.Fatal(err)
+	}
+	if err := small.SetLinePointer(2, ItemID{}); err != nil {
+		tb.Fatal(err)
+	}
+	seeds = append(seeds, []byte(small))
 	return seeds
 }
 
 // FuzzPageDecode throws arbitrary bytes at every storage reader: page
-// validation, line pointers, tuple headers, both decode paths, varlena,
-// and the InnoDB chain walker. All must return errors on garbage, never
-// panic or over-read.
+// validation, line pointers, tuple headers, both decode paths, the heap
+// page loop, varlena, and the InnoDB chain walker. All must return
+// errors on garbage, never panic or over-read.
 func FuzzPageDecode(f *testing.F) {
 	for _, s := range pageDecodeSeeds(f) {
 		f.Add(s)
@@ -122,12 +147,63 @@ func FuzzPageDecode(f *testing.F) {
 				}
 			}
 		}
+		for _, s := range schemas {
+			checkScanTuples(t, page, s)
+		}
 		_, _, _ = DecodeVarlena(data)
 		ipage := InnoPage(data)
 		for _, w := range []int{0, 8, 40} {
 			_, _ = ipage.Records(w)
 		}
 	})
+}
+
+// checkScanTuples holds the page loop to a walk by hand: fn sees exactly
+// the LPNormal items DecodeTuple accepts, in item order, with their
+// decoded values, and the loop fails at the first LPNormal item that
+// will not decode.
+func checkScanTuples(t *testing.T, page Page, s *Schema) {
+	t.Helper()
+	var want [][]float64
+	var wantItems []int
+	wantErr := false
+	for i := 0; i < page.NumItems(); i++ {
+		if id, _ := page.ItemID(i); id.Flags != LPNormal {
+			continue
+		}
+		raw, err := page.Item(i)
+		var vals []float64
+		if err == nil {
+			vals, err = DecodeTuple(s, nil, raw)
+		}
+		if err != nil {
+			wantErr = true
+			break
+		}
+		want, wantItems = append(want, vals), append(wantItems, i)
+	}
+	var got [][]float64
+	var gotItems []int
+	_, err := page.ScanTuples(s, make([]float64, 0, s.NumCols()), func(i int, vals []float64) (bool, error) {
+		got, gotItems = append(got, append([]float64(nil), vals...)), append(gotItems, i)
+		return true, nil
+	})
+	if (err != nil) != wantErr {
+		t.Fatalf("ScanTuples error = %v, want error %v", err, wantErr)
+	}
+	if len(gotItems) != len(wantItems) {
+		t.Fatalf("ScanTuples handed items %v, want %v", gotItems, wantItems)
+	}
+	for k := range wantItems {
+		if gotItems[k] != wantItems[k] || len(got[k]) != len(want[k]) {
+			t.Fatalf("ScanTuples handed items %v, want %v", gotItems, wantItems)
+		}
+		for j := range want[k] {
+			if math.Float64bits(got[k][j]) != math.Float64bits(want[k][j]) {
+				t.Fatalf("item %d column %d: %v, want %v", wantItems[k], j, got[k][j], want[k][j])
+			}
+		}
+	}
 }
 
 // TestWritePageDecodeCorpus regenerates the committed seed corpus when

@@ -241,6 +241,11 @@ func (p Page) Item(i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.item(i, id)
+}
+
+// item returns the raw bytes of item i, whose line pointer is id.
+func (p Page) item(i int, id ItemID) ([]byte, error) {
 	if id.Flags != LPNormal {
 		return nil, fmt.Errorf("%w: item %d has state %d", ErrBadItem, i, id.Flags)
 	}

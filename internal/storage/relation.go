@@ -199,6 +199,33 @@ func (r *Relation) Get(tid TID) ([]float64, error) {
 	return DecodeTuple(r.Schema, nil, raw)
 }
 
+// ScanTuples is the one heap page loop: it hands fn each live tuple of
+// p in item order, decoded into vals (pre-size it to s.NumCols() and it
+// is reused, not grown). Line pointers that are not LPNormal are
+// skipped, as PostgreSQL's seq scan skips dead, unused and redirect
+// slots; a normal item that will not decode is an error. fn returns
+// false to stop, and ScanTuples reports whether it read the page to its
+// end.
+func (p Page) ScanTuples(s *Schema, vals []float64, fn func(item int, vals []float64) (bool, error)) (bool, error) {
+	for i, n := 0, p.NumItems(); i < n; i++ {
+		id, _ := p.ItemID(i)
+		if id.Flags != LPNormal {
+			continue
+		}
+		raw, err := p.item(i, id)
+		if err != nil {
+			return false, err
+		}
+		if vals, err = DecodeTuple(s, vals[:0], raw); err != nil {
+			return false, err
+		}
+		if more, err := fn(i, vals); !more || err != nil {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
 // Scan invokes fn for every live tuple in heap order with its decoded
 // values. The values slice is reused between calls.
 func (r *Relation) Scan(fn func(tid TID, vals []float64) error) error {
@@ -206,22 +233,11 @@ func (r *Relation) Scan(fn func(tid TID, vals []float64) error) error {
 	defer r.mu.RUnlock()
 	vals := make([]float64, 0, r.Schema.NumCols())
 	for pn, p := range r.pages {
-		for i := 0; i < p.NumItems(); i++ {
-			raw, err := p.Item(i)
-			if err != nil {
-				if id, e2 := p.ItemID(i); e2 == nil && id.Flags != LPNormal {
-					continue // deleted tuple
-				}
-				return err
-			}
-			vals = vals[:0]
-			vals, err = DecodeTuple(r.Schema, vals, raw)
-			if err != nil {
-				return err
-			}
-			if err := fn(TID{Page: uint32(pn), Item: uint16(i)}, vals); err != nil {
-				return err
-			}
+		_, err := p.ScanTuples(r.Schema, vals, func(i int, vals []float64) (bool, error) {
+			return true, fn(TID{Page: uint32(pn), Item: uint16(i)}, vals)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -307,26 +323,14 @@ func (r *Relation) Vacuum() error {
 	r.pages, r.meta = nil, nil
 	r.ntup, r.ndead = 0, 0
 	r.gen++
+	vals := make([]float64, 0, r.Schema.NumCols())
 	for _, p := range old {
-		for i := 0; i < p.NumItems(); i++ {
-			id, err := p.ItemID(i)
-			if err != nil {
-				return err
-			}
-			if id.Flags != LPNormal {
-				continue
-			}
-			raw, err := p.Item(i)
-			if err != nil {
-				return err
-			}
-			vals, err := DecodeTuple(r.Schema, nil, raw)
-			if err != nil {
-				return err
-			}
-			if _, err := r.insertLocked(vals); err != nil {
-				return err
-			}
+		_, err := p.ScanTuples(r.Schema, vals, func(_ int, vals []float64) (bool, error) {
+			_, err := r.insertLocked(vals)
+			return true, err
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -418,7 +418,6 @@ func undrivenSeamMethods(l *lint.Loader, pkgs []*lint.Package, backendType types
 var goSites = map[string]string{
 	"runtime.epochRunner.extractPages": "W walkers, each signalling busy.Done per group and on exit; a deferred close + busy.Wait joins them on every return",
 	"server.Server.execute":            "one goroutine per tenant, joined by wg.Wait before the results are read",
-	"greenplum.EpochShards":            "one goroutine per segment, joined by wg.Wait before the coordinator merge",
 }
 
 // TestProductionGoroutinesAreListed fails on a go statement in a
