@@ -33,19 +33,24 @@ func (a *Arena) Reset() { a.off.Store(0) }
 
 // Alloc reserves an extent of n float32 values, returned with length 0
 // and capacity exactly n (so appends cannot cross into a neighboring
-// extent). Safe for concurrent use by the extraction workers.
+// extent). Safe for concurrent use by the extraction workers: the offset
+// only moves by a compare-and-swap that keeps it within the slab, so a
+// reservation that does not fit never moves it at all.
 //
 //dana:hotpath
 func (a *Arena) Alloc(n int) []float32 {
 	if n <= 0 {
 		return nil
 	}
-	end := a.off.Add(int64(n))
-	if end > int64(len(a.data)) {
-		a.off.Add(int64(-n)) // hand the unusable reservation back
-		//danalint:ignore hotcall -- heap fallback for undersized slabs
-		return make([]float32, 0, n)
+	for {
+		start := a.off.Load()
+		end := start + int64(n)
+		if end > int64(len(a.data)) {
+			//danalint:ignore hotcall -- heap fallback for undersized slabs
+			return make([]float32, 0, n)
+		}
+		if a.off.CompareAndSwap(start, end) {
+			return a.data[start:start:end]
+		}
 	}
-	start := int(end) - n
-	return a.data[start : start : start+n]
 }

@@ -3,6 +3,7 @@ package accessengine
 import (
 	"encoding/binary"
 	"math"
+	"unsafe"
 
 	"dana/internal/storage"
 	"dana/internal/strider"
@@ -13,6 +14,8 @@ import (
 // production path decodes a page with it in one pass and charges the
 // program's cost from strider.WalkCost, and the VM — still the
 // definition of what the program does — runs only the pages it declines.
+// A packed float4 payload is copied into its extent (decodeF32); any
+// other schema goes through the convert list, one value at a time.
 type walker struct {
 	hdrEnd   int // page bytes the program's three header readBs need
 	lowerOff int // pd_lower
@@ -112,11 +115,30 @@ func (w *walker) extract(page []byte, res *PageResult) bool {
 }
 
 // decodeF32 converts a little-endian float4 stream, len(src) == 4*len(dst).
-// Two 8-byte loads per four values: the one-load-per-value loop runs at
-// about half the rate.
+// Float32frombits is a pure bit move, so on a little-endian host the
+// stream already is the float32 extent's memory image and the conversion
+// is one copy; NaN payloads, -0 and subnormals come through unchanged.
+// The VM path (Deformat, colFloat) keeps the per-value conversion, so it
+// stays the independent definition this copy is diffed against.
 //
 //dana:hotpath
 func decodeF32(dst []float32, src []byte) {
+	if nativeLE {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 4*len(dst)), src)
+		return
+	}
+	decodeF32Loads(dst, src)
+}
+
+// nativeLE reports whether the host stores a float32 in the page's byte
+// order; it is tested once.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeF32Loads is decodeF32 on a big-endian host: two 8-byte loads per
+// four values, about twice the rate of one load per value.
+//
+//dana:hotpath
+func decodeF32Loads(dst []float32, src []byte) {
 	for len(dst) >= 4 && len(src) >= 16 {
 		a, b := binary.LittleEndian.Uint64(src), binary.LittleEndian.Uint64(src[8:])
 		dst[0] = math.Float32frombits(uint32(a))

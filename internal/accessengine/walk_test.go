@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -55,9 +56,16 @@ func samePage(a, b *PageResult) error {
 // whether the direct pass accepted.
 func checkWalk(t testing.TB, e *Engine, page storage.Page) bool {
 	t.Helper()
+	return checkDirect(t, e, page, e.walk.extract)
+}
+
+// checkDirect is checkWalk with the direct pass given: the engine's own,
+// or a planted fault of it.
+func checkDirect(t testing.TB, e *Engine, page storage.Page, pass func([]byte, *PageResult) bool) bool {
+	t.Helper()
 	const pageNo = 7
 	direct, vm, got := PageResult{PageNo: pageNo}, PageResult{PageNo: pageNo}, PageResult{PageNo: pageNo}
-	accepted := e.walk.extract(page, &direct)
+	accepted := pass(page, &direct)
 	vmErr := e.extractVM(0, page, &vm)
 	err := e.ExtractPage(0, page, &got)
 
@@ -145,11 +153,13 @@ func fuzzWalkInput(data []byte, engines int) (int, []byte) {
 }
 
 // walkSeeds builds, per schema, a small valid page and the damaged
-// variants the decline rule exists for.
+// variants the decline rule exists for, then a valid packed page whose
+// payloads are specialF32.
 func walkSeeds(tb testing.TB) []walkSeed {
 	tb.Helper()
 	const size = 1024
 	var seeds []walkSeed
+	var special walkSeed
 	for ei, ws := range walkSchemas {
 		schema := ws.schema
 		rng := rand.New(rand.NewSource(int64(40 + ei)))
@@ -213,8 +223,32 @@ func walkSeeds(tb testing.TB) []walkSeed {
 		// the page and the VM emits a whole number of tuples.
 		add("one payload two tuples wide", false, setLP(1, func(id *storage.ItemID) { id.Len = uint16(storage.TupleHeaderSize + 2*w) }))
 		add("one payload a byte short", false, setLP(4, func(id *storage.ItemID) { id.Len-- }))
+		if ws.name == "packed" {
+			// Last in the list, so the committed corpus keeps its numbering:
+			// the copy must carry every bit pattern a float32 can hold.
+			p := append(storage.Page(nil), page...)
+			for i, k := 0, 0; i < items; i++ {
+				id, err := p.ItemID(i)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				for j := 0; j < schema.NumCols(); j, k = j+1, k+1 {
+					binary.LittleEndian.PutUint32(p[int(id.Off)+storage.TupleHeaderSize+4*j:], specialF32[k%len(specialF32)])
+				}
+			}
+			special = walkSeed{name: "packed/NaN payloads, -0, subnormals and infinities", engine: ei, page: p, accept: true}
+		}
 	}
+	seeds = append(seeds, special)
 	return seeds
+}
+
+// specialF32 are the float32 bit patterns a conversion through float64
+// or an arithmetic move could alter: quiet and signalling NaNs with
+// payloads of either sign, -0, subnormals and the infinities.
+var specialF32 = []uint32{
+	0x7FC00001, 0x7F800001, 0xFFC12345, 0xFF80BEEF, 0x7FFFFFFF,
+	0x80000000, 0x00000001, 0x807FFFFF, 0x7F800000, 0xFF800000,
 }
 
 func (s walkSeed) encode() []byte { return append([]byte{byte(s.engine)}, s.page...) }
@@ -402,5 +436,123 @@ func TestDeclinedPagesBuildOnlyTheirOwnVM(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDecodeF32MatchesLoads diffs the packed copy, as bits, against the
+// portable two-loads loop and against one conversion per value, on
+// random bytes and every special pattern, at lengths 0-9 so the loop's
+// tail runs; neither may write past its extent.
+func TestDecodeF32MatchesLoads(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const sentinel = 0x5EED5EED
+	for trial := 0; trial < 200; trial++ {
+		for n := 0; n <= 9; n++ {
+			src := make([]byte, 4*n)
+			rng.Read(src)
+			for i := 0; i < n; i++ {
+				if rng.Intn(2) == 0 {
+					binary.LittleEndian.PutUint32(src[4*i:], specialF32[rng.Intn(len(specialF32))])
+				}
+			}
+			for name, decode := range map[string]func([]float32, []byte){"copy": decodeF32, "loads": decodeF32Loads} {
+				buf := make([]float32, n+1)
+				buf[n] = math.Float32frombits(sentinel)
+				decode(buf[:n], src)
+				for i := 0; i < n; i++ {
+					if got, want := math.Float32bits(buf[i]), binary.LittleEndian.Uint32(src[4*i:]); got != want {
+						t.Fatalf("%s, n=%d: value %d = %#08x, want %#08x", name, n, i, got, want)
+					}
+				}
+				if math.Float32bits(buf[n]) != sentinel {
+					t.Fatalf("%s, n=%d: wrote past its extent", name, n)
+				}
+			}
+		}
+	}
+}
+
+// recordTB stands in for a test inside a meta-test: the first failure
+// is recorded and ends the check's goroutine instead of the test.
+type recordTB struct {
+	testing.TB
+	failure string
+}
+
+func (r *recordTB) Helper() {}
+
+func (r *recordTB) Fatal(args ...any) {
+	r.failure = fmt.Sprint(args...)
+	runtime.Goexit()
+}
+
+func (r *recordTB) Fatalf(format string, args ...any) {
+	r.failure = fmt.Sprintf(format, args...)
+	runtime.Goexit()
+}
+
+// failure runs check against a recordTB and returns what it failed with.
+func failure(t *testing.T, check func(testing.TB)) string {
+	r := &recordTB{TB: t}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		check(r)
+	}()
+	<-done
+	return r.failure
+}
+
+// TestMetaPackedCopyFaultsCaught is the mutation meta-test of the packed
+// copy under checkWalk: the direct pass with its copy replaced by one
+// four bytes late, or one that drops each row's last value, must fail
+// on every packed seed page the direct pass accepts; the real copy,
+// planted the same way, must pass.
+func TestMetaPackedCopyFaultsCaught(t *testing.T) {
+	e := walkEngines(t)[0]
+	w := &e.walk
+	if w.conv != nil {
+		t.Fatal("the packed schema's walker has a convert list")
+	}
+	// planted is the engine's direct pass with every accepted row decoded
+	// again, into a cleared extent, by decode.
+	planted := func(decode func([]float32, []byte)) func([]byte, *PageResult) bool {
+		return func(page []byte, res *PageResult) bool {
+			if !w.extract(page, res) {
+				return false
+			}
+			for i, row := range res.Rows {
+				lp := uint64(binary.LittleEndian.Uint32(page[w.first+lpSize*i:]))
+				start := int(w.offField.Extract(lp)) + w.skip
+				clear(row)
+				decode(row, page[start:start+w.width])
+			}
+			return true
+		}
+	}
+	faults := map[string]func([]float32, []byte){
+		"copy four bytes late":      func(dst []float32, src []byte) { decodeF32(dst[:len(dst)-1], src[4:]) },
+		"copy drops the last value": func(dst []float32, src []byte) { decodeF32(dst[:len(dst)-1], src[:len(src)-4]) },
+	}
+	pages := 0
+	for _, s := range walkSeeds(t) {
+		if s.engine != 0 || !s.accept {
+			continue
+		}
+		pages++
+		if msg := failure(t, func(tb testing.TB) { checkDirect(tb, e, s.page, planted(decodeF32)) }); msg != "" {
+			t.Fatalf("%s: unfaulted copy: %s", s.name, msg)
+		}
+		for name, decode := range faults {
+			msg := failure(t, func(tb testing.TB) { checkDirect(tb, e, s.page, planted(decode)) })
+			if msg == "" {
+				t.Errorf("%s: %s: checkWalk did not fire", s.name, name)
+			} else {
+				t.Logf("%s: %s: %s", s.name, name, msg)
+			}
+		}
+	}
+	if pages < 4 {
+		t.Fatalf("only %d packed seed pages are accepted", pages)
 	}
 }

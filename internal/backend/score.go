@@ -38,6 +38,8 @@ func NewRowScorer(class Class, g *hdfg.Graph, model []float64) (*RowScorer, erro
 
 // Score evaluates the class's scoring rule on row, the i-th of its run.
 // Rows may be full training tuples; only the feature prefix is read.
+// Each product is rounded before its add, so no port fuses the two and
+// a score does not depend on GOARCH.
 func (s *RowScorer) Score(i int, row []float64) (float64, error) {
 	if len(row) < s.nf {
 		return 0, fmt.Errorf("backend: score row %d has %d values, need >= %d", i, len(row), s.nf)
@@ -51,12 +53,12 @@ func (s *RowScorer) Score(i int, row []float64) (float64, error) {
 			return 0, fmt.Errorf("backend: score row %d: factor index (%d,%d) out of [0,%d)", i, u, v, rowsTotal)
 		}
 		for k := 0; k < rank; k++ {
-			sum += m[u*rank+k] * m[v*rank+k]
+			sum += float64(m[u*rank+k] * m[v*rank+k])
 		}
 		return sum, nil
 	}
 	for j := 0; j < s.nf; j++ {
-		sum += m[j] * row[j]
+		sum += float64(m[j] * row[j])
 	}
 	if s.class == ClassLogistic {
 		sum = 1 / (1 + math.Exp(-sum))

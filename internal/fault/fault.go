@@ -371,5 +371,5 @@ func BackoffSec(attempt int, base float64) float64 {
 	if attempt > 5 || mult > 32 {
 		mult = 32
 	}
-	return base * float64(mult)
+	return float64(base * float64(mult)) // rounded here: an inlined caller's add must not fuse it
 }

@@ -6,12 +6,15 @@ package runtime
 // execution-engine compute; this file makes the *simulator* do the same
 // on real cores:
 //
-//	pin group k+1 (coordinator) -> walk + deformat (W walkers) -> sink group k (coordinator)
+//	pin group k+1 (walker 0) -> walk + deformat (W walkers) -> sink group k (coordinator)
 //
-// Only the coordinator touches the buffer pool. It pins NumStriders
-// pages at a time in page order (a group per set of page buffers,
-// §5.1.1) and unpins group k before it pins k+1, so the pool's clock
-// sweep and float I/O ledger see one sequence at every W. Slot j runs on
+// The buffer pool sees one sequence at every W, so its clock sweep and
+// float I/O ledger do too: NumStriders pages at a time are pinned in
+// page order (a group per set of page buffers, §5.1.1), and group k is
+// unpinned before k+1 is pinned. The coordinator unpins; walker 0 pins
+// a group before any walker walks it, while the coordinator sinks the
+// group before, and the coordinator unpins it only once every walker is
+// done with it. Slot j runs on
 // Strider healthy[j mod h] and walker i owns the Striders ≡ i (mod W),
 // so no VM is shared and trap outcomes do not depend on W. W is
 // min(GOMAXPROCS, healthy Striders, pages) on a table the pool holds,
@@ -490,7 +493,7 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 
 // extractPages runs every page of the relation through the pipeline the
 // file header describes and hands each result to sink, in page order, on
-// the calling goroutine — the only one that pins or unpins.
+// the calling goroutine.
 func (r *epochRunner) extractPages(sink func(*accessengine.PageResult) error) error {
 	n, size := r.rel.NumPages(), r.ae.NumStriders
 	w := 1
@@ -522,35 +525,52 @@ func (r *epochRunner) extractPages(sink func(*accessengine.PageResult) error) er
 	// Walker i walks the slots j of group b, which starts at page first,
 	// whose Strider healthy[j mod h] sits at an index ≡ i (mod W).
 	h := len(r.healthy)
-	var busy sync.WaitGroup
+	// busy counts the walkers at work on a group. Walker 0 pins each group
+	// before anyone walks it (pinned), so the pins leave the coordinator's
+	// path while it sinks the group before; pinErr is walker 0's verdict,
+	// read after pinned or busy. One struct, so the closures move one
+	// value to the heap.
+	var pipe struct {
+		busy, pinned sync.WaitGroup
+		pinErr       error
+	}
 	in := make([]chan [2]int, w)
 	for i := range in {
 		in[i] = make(chan [2]int, 1)
 		go func(i, w int) {
 			for g := range in[i] {
 				b, first := g[0], g[1]
+				if i == 0 {
+					pipe.pinErr = r.pinGroup(b, first)
+					pipe.pinned.Done()
+				} else {
+					pipe.pinned.Wait()
+				}
 				for j, pg := range r.groups[b] {
-					if j%h%w == i {
+					if pipe.pinErr == nil && j%h%w == i {
 						r.walks[b][j] = r.walk(j, first+j, pg)
 					}
 				}
-				busy.Done()
+				pipe.busy.Done()
 			}
-			busy.Done() // exited
+			pipe.busy.Done() // exited
 		}(i, w)
 	}
 	defer func() {
-		busy.Add(w)
+		pipe.busy.Add(w)
 		for _, c := range in {
 			close(c)
 		}
-		busy.Wait()
+		pipe.busy.Wait()
 	}()
 	// Group b^1, from page first−size on, is walked and waits to be
 	// sunk; before page 0 it is the empty group 1.
 	for b, first := 0, 0; ; b, first = b^1, first+size {
-		busy.Wait()
+		pipe.busy.Wait()
 		err := r.unpinGroup(b^1, first-size)
+		if err == nil {
+			err = pipe.pinErr
+		}
 		failed := false
 		for j := range r.groups[b^1] {
 			failed = failed || r.walks[b^1][j].err != nil
@@ -563,34 +583,29 @@ func (r *epochRunner) extractPages(sink func(*accessengine.PageResult) error) er
 			}
 			return err
 		}
-		perr := r.pinGroup(b, first)
-		if perr == nil {
-			busy.Add(w)
-			for _, c := range in {
-				c <- [2]int{b, first}
-			}
+		pipe.pinned.Add(1)
+		pipe.busy.Add(w)
+		for _, c := range in {
+			c <- [2]int{b, first}
 		}
-		if err = r.drain(b^1, first-size, true, sink); err == nil {
-			err = perr
-		}
-		if err != nil {
-			if perr == nil {
-				busy.Wait()
-				_ = r.unpinGroup(b, first)
-			}
+		if err = r.drain(b^1, first-size, true, sink); err != nil {
+			pipe.busy.Wait()
+			_ = r.unpinGroup(b, first)
 			return err
 		}
 	}
 }
 
 // pinGroup pins the group of pages from first on, in page order, into
-// group buffer b. A failed pin releases the pages already pinned.
+// group buffer b. A failed pin releases the pages already pinned and
+// leaves the group empty.
 func (r *epochRunner) pinGroup(b, first int) error {
 	r.groups[b] = r.groups[b][:0]
 	for pn := first; pn < min(first+r.ae.NumStriders, r.rel.NumPages()); pn++ {
 		pg, err := r.s.DB.Pool.Pin(r.rel.Name, uint32(pn))
 		if err != nil {
 			_ = r.unpinGroup(b, first)
+			r.groups[b] = r.groups[b][:0]
 			return err
 		}
 		r.groups[b] = append(r.groups[b], pg)

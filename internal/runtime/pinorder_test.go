@@ -8,11 +8,13 @@ package runtime
 // GOMAXPROCS, which is where the executor takes its walker count from.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	hostrt "runtime"
 	"testing"
 
+	"dana/internal/bufpool"
 	"dana/internal/datagen"
 	"dana/internal/fault"
 	"dana/internal/obs"
@@ -158,3 +160,51 @@ func TestTrapOutcomesIgnoreHostParallelism(t *testing.T) {
 		}
 	}
 }
+
+// TestPinFailureIgnoresHostParallelism: with W > 1 walker 0 pins each
+// group while the coordinator sinks the one before, so a page whose read
+// never succeeds is found off the coordinator. The run must still end
+// where one goroutine's would: the same error, the same pool traffic,
+// no pin left behind, at every GOMAXPROCS. The failing page sits past
+// the first groups, so groups before it are pinned, walked and sunk.
+func TestPinFailureIgnoresHostParallelism(t *testing.T) {
+	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(0))
+	var wantErr string
+	var wantPool bufpool.Stats
+	for _, procs := range []int{1, 2, 4, 8} {
+		hostrt.GOMAXPROCS(procs)
+		s, udf, table := ftSystem(t, func(o *Options) {
+			o.Faults = fault.New(fault.Config{
+				Seed:              pinFailureSeed,
+				Rates:             rate(fault.PoolRead, 0.01),
+				TransientAttempts: -1,
+			})
+		})
+		if err := s.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		s.Pool().ResetStats()
+		_, err := s.Train(udf, table)
+		if !errors.Is(err, fault.ErrIOTransient) {
+			t.Fatalf("GOMAXPROCS=%d: got %v, want ErrIOTransient", procs, err)
+		}
+		if s.Pool().PinnedCount() != 0 {
+			t.Fatalf("GOMAXPROCS=%d: failed run leaked page pins", procs)
+		}
+		got := s.Pool().Stats()
+		if wantErr == "" {
+			if got.Misses < 16 {
+				t.Fatalf("the failing page is among the first %d read: pick another seed", got.Misses)
+			}
+			wantErr, wantPool = err.Error(), got
+			continue
+		}
+		if err.Error() != wantErr || got != wantPool {
+			t.Errorf("GOMAXPROCS=%d: %v, pool %+v; GOMAXPROCS=1: %v, pool %+v", procs, err, got, wantErr, wantPool)
+		}
+	}
+}
+
+// pinFailureSeed puts the first page whose read never succeeds past the
+// first groups of ftSystem's table.
+const pinFailureSeed = 3

@@ -3,6 +3,7 @@ package verify
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 
 	"dana/internal/accessengine"
@@ -107,6 +108,8 @@ type plantedWalk struct {
 	boundFromLayout bool // lp_off + header + width checked against the layout's page size, not the page
 	shortSkip       bool // payload read 4 bytes into the tuple header
 	swappedColumns  bool // convert list entries 0 and 1 exchanged
+	copyLate        bool // packed float4 copy starts 4 bytes into the payload
+	copyDropsLast   bool // packed float4 copy stops 4 bytes short
 }
 
 func (p plantedWalk) extract(vmIdx int, page storage.Page, res *accessengine.PageResult) error {
@@ -147,6 +150,20 @@ func (p plantedWalk) extract(vmIdx int, page storage.Page, res *accessengine.Pag
 		if err != nil {
 			return err
 		}
+		if p.copyLate || p.copyDropsLast {
+			// A packed payload copied whole, with the bytes it copies cut
+			// short at one end; the value left out keeps a fresh extent's 0.
+			src := page[off+skip : off+skip+w]
+			if p.copyLate {
+				src = src[4:]
+			} else {
+				src = src[:w-4]
+			}
+			clear(vals)
+			for j := 0; 4*j < len(src); j++ {
+				vals[j] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:]))
+			}
+		}
 		for _, j := range order {
 			res.Data = append(res.Data, vals[j])
 		}
@@ -164,47 +181,63 @@ func (p plantedWalk) extract(vmIdx int, page storage.Page, res *accessengine.Pag
 
 // TestExtractOracleDetectsPlantedFaults is the mutation meta-test of
 // Oracle E: each fault a direct pass can have must fail CheckExtract on
-// pages the unfaulted pass clears.
+// pages the unfaulted pass clears, on a convert-list schema (Netflix)
+// and on a packed float4 one (Remote Sensing LR), whose faults include
+// the copy's.
 func TestExtractOracleDetectsPlantedFaults(t *testing.T) {
 	const striders = 2
-	wl, err := datagen.ByName("Netflix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := table3Scenario(t, NewGen(metaSeed+41), wl, storage.PageSize8K)
-	sc.Pages = append(sc.Pages, damaged(sc.Pages[0], sc.Schema.DataWidth())...)
-	layout := strider.PostgresLayout(sc.PageSize)
-	prog, cfg, err := strider.Generate(layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vms := make([]*strider.VM, striders)
-	for i := range vms {
-		vms[i] = strider.NewVM(prog, cfg)
-	}
-	clean := plantedWalk{layout: layout, schema: sc.Schema,
-		fallback: func(vmIdx int, page storage.Page, res *accessengine.PageResult) error {
-			return vmExtract(vms[vmIdx], sc.Schema, page, res)
-		}}
-	check := func(p plantedWalk) error {
-		return CheckExtract(p.extract, prog, cfg, sc.Schema, sc.Pages, striders)
-	}
-	if err := check(clean); err != nil {
-		t.Fatalf("unfaulted walk: %v", err)
-	}
 	faults := map[string]func(*plantedWalk){
 		"closed form off by one step":                     func(p *plantedWalk) { p.stepOffByOne = true },
 		"lp_off + header <= page bound taken from layout": func(p *plantedWalk) { p.boundFromLayout = true },
 		"tuple-header skip four bytes short":              func(p *plantedWalk) { p.shortSkip = true },
 		"columns 0 and 1 swapped in the convert list":     func(p *plantedWalk) { p.swappedColumns = true },
 	}
-	for name, plant := range faults {
-		p := clean
-		plant(&p)
-		if err := check(p); err == nil {
-			t.Errorf("%s: oracle E did not fire", name)
-		} else {
-			t.Logf("%s: %v", name, err)
+	copyFaults := map[string]func(*plantedWalk){
+		"packed copy four bytes late":      func(p *plantedWalk) { p.copyLate = true },
+		"packed copy drops the last value": func(p *plantedWalk) { p.copyDropsLast = true },
+	}
+	for i, c := range []struct {
+		workload string
+		faults   []map[string]func(*plantedWalk)
+	}{
+		{"Netflix", []map[string]func(*plantedWalk){faults}},
+		{"Remote Sensing LR", []map[string]func(*plantedWalk){faults, copyFaults}},
+	} {
+		wl, err := datagen.ByName(c.workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := table3Scenario(t, NewGen(metaSeed+41+int64(i)), wl, storage.PageSize8K)
+		sc.Pages = append(sc.Pages, damaged(sc.Pages[0], sc.Schema.DataWidth())...)
+		layout := strider.PostgresLayout(sc.PageSize)
+		prog, cfg, err := strider.Generate(layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vms := make([]*strider.VM, striders)
+		for i := range vms {
+			vms[i] = strider.NewVM(prog, cfg)
+		}
+		clean := plantedWalk{layout: layout, schema: sc.Schema,
+			fallback: func(vmIdx int, page storage.Page, res *accessengine.PageResult) error {
+				return vmExtract(vms[vmIdx], sc.Schema, page, res)
+			}}
+		check := func(p plantedWalk) error {
+			return CheckExtract(p.extract, prog, cfg, sc.Schema, sc.Pages, striders)
+		}
+		if err := check(clean); err != nil {
+			t.Fatalf("%s: unfaulted walk: %v", c.workload, err)
+		}
+		for _, fs := range c.faults {
+			for name, plant := range fs {
+				p := clean
+				plant(&p)
+				if err := check(p); err == nil {
+					t.Errorf("%s: %s: oracle E did not fire", c.workload, name)
+				} else {
+					t.Logf("%s: %s: %v", c.workload, name, err)
+				}
+			}
 		}
 	}
 }
