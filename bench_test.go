@@ -314,6 +314,38 @@ func BenchmarkBufferPoolPin(b *testing.B) {
 	}
 }
 
+// BenchmarkBufferPoolMiss measures miss-path pin/unpin latency: a
+// one-frame pool alternates two 32 KB pages, so every pin evicts the
+// other page and reads its own (the disk time is charged to the I/O
+// clock, not spent).
+func BenchmarkBufferPoolMiss(b *testing.B) {
+	rel := storage.NewRelation("bench", storage.NumericSchema(9), storage.PageSize32K)
+	for rel.NumPages() < 2 {
+		if _, err := rel.Insert(make([]float64, 10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pool := bufpool.New(1, storage.PageSize32K, bufpool.DefaultDisk())
+	if err := pool.AttachRelation(rel); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pn := uint32(i & 1)
+		if _, err := pool.Pin("bench", pn); err != nil {
+			b.Fatal(err)
+		}
+		if err := pool.Unpin("bench", pn); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := pool.Stats(); st.Hits != 0 || st.Misses != int64(b.N) {
+		b.Fatalf("%d hits, %d misses in %d pins: want every pin to miss", st.Hits, st.Misses, b.N)
+	}
+}
+
 // BenchmarkSQLSeqScan measures the volcano executor's scan rate.
 func BenchmarkSQLSeqScan(b *testing.B) {
 	db := sql.NewDB(storage.PageSize8K, 16<<20, bufpool.DefaultDisk())

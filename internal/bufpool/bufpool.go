@@ -71,12 +71,15 @@ type Stats struct {
 	ChecksumFailures int64
 }
 
+// frame is one buffer slot. It owns no buffer: page is the relation's
+// page image, which the heap never mutates once Relation.Page has handed
+// it out, so a frame refers to it for as long as it is cached.
 type frame struct {
 	id    PageID
-	page  storage.Page
-	gen   uint64 // Relation.PageGeneration when the page was read
-	pins  int32  // int32 keeps a frame at 64 bytes
-	usage uint8  // clock-sweep usage count (capped at 5, like PostgreSQL)
+	page  storage.Page // read-only
+	gen   uint64       // Relation.PageGeneration when the page was read
+	pins  int32        // int32 keeps a frame at 64 bytes
+	usage uint8        // clock-sweep usage count (capped at 5, like PostgreSQL)
 	valid bool
 }
 
@@ -207,12 +210,9 @@ func (p *Pool) ResetStats() {
 	p.stats = Stats{}
 }
 
-// Invalidate drops every cached page (the cold-cache setting). Frames
-// keep their page buffers, and the clock hand returns to frame 0: with
-// every frame free the hand decides only which empty frame fills first,
-// so no counter moves, but without the rewind each cold scan would
-// demand-fill buffers in the next stretch of frames round the clock
-// until every frame of the pool held one.
+// Invalidate drops every cached page (the cold-cache setting): every
+// frame lets go of its page image and the clock hand returns to frame 0,
+// so the pool is in the state New leaves it.
 func (p *Pool) Invalidate() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -222,9 +222,7 @@ func (p *Pool) Invalidate() error {
 		}
 	}
 	dropped := int64(len(p.table))
-	for i := range p.frames {
-		p.frames[i] = frame{page: p.frames[i].page}
-	}
+	clear(p.frames)
 	clear(p.table)
 	p.hand = 0
 	p.invals++
@@ -261,7 +259,7 @@ func (p *Pool) InvalidateRelation(rel string) error {
 		f := &p.frames[i]
 		if f.valid && f.id.Rel == rel {
 			delete(p.table, f.id)
-			*f = frame{page: f.page}
+			*f = frame{}
 		}
 	}
 	delete(p.rels, rel)
@@ -271,9 +269,12 @@ func (p *Pool) InvalidateRelation(rel string) error {
 
 // Pin fetches the page into the pool (reading from the relation on a
 // miss), pins it, and returns the frame's page. The caller must Unpin.
-// The returned Page aliases the frame; it stays valid while pinned.
-// A frame read before its page's last mutation is re-read in place (a
-// miss), unless pinned: its holders keep their copy.
+// The returned Page is the relation's page image itself, not a copy —
+// the disk read is charged to the I/O clock, not performed — and it must
+// not be written. It never changes: a mutation of the heap clones the
+// page, so a frame read before its page's last mutation is re-read on
+// its next pin (a miss), unless pinned: its holders keep the image they
+// read.
 func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -303,15 +304,11 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	f := &p.frames[fi]
 	if f.valid { // a victim, or the stale frame, which a failed read leaves free
 		delete(p.table, f.id)
-		f.valid = false
+		*f = frame{}
 		if !cached {
 			p.stats.Evictions++
 			p.obsEvict.Inc()
 		}
-	}
-	if f.page == nil {
-		//danalint:ignore hotcall -- demand-fill on first use of a frame: one page buffer per frame, reused for the pool's lifetime
-		f.page = make(storage.Page, p.pageSize)
 	}
 	retries := p.MaxReadRetries
 	switch {
@@ -321,6 +318,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		retries = 0
 	}
 	verify := p.VerifyChecksums || p.faults != nil
+	var pg storage.Page
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		lastErr = nil
@@ -335,19 +333,21 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 				// Structural miss (no such page): not retriable.
 				return nil, rerr
 			}
-			copy(f.page, src)
-			p.faults.CorruptCopy(rel, pageNo, f.page)
+			// An injected tear or bit flip lands in a private copy, never
+			// in src: the heap stays intact for the retry and for every
+			// other pool that reads the relation.
+			pg = p.faults.CorruptCopy(rel, pageNo, src)
 			rt := p.disk.ReadTime(p.pageSize) + p.faults.ReadLatencySec(rel, pageNo)
 			p.chargeIO(rt)
 			if verify {
 				p.obsCkVerified.Inc()
-				if !f.page.ChecksumOK() {
+				if !pg.ChecksumOK() {
 					p.stats.ChecksumFailures++
 					p.obsCkFailed.Inc()
 					p.obsRing.Emit(obs.EvChecksumFail, int64(pageNo), int64(attempt))
 					//danalint:ignore hotcall -- wrap runs only on a checksum failure (torn page), never in the fault-free steady state
 					lastErr = fmt.Errorf("bufpool: %v: stored checksum %#x != computed %#x: %w",
-						id, f.page.Checksum(), f.page.ComputeChecksum(), fault.ErrTornPage)
+						id, pg.Checksum(), pg.ComputeChecksum(), fault.ErrTornPage)
 				}
 			} else {
 				p.obsCkSkipped.Inc()
@@ -368,10 +368,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		p.obsBackoff.Add(back)
 		p.obsRing.Emit(obs.EvReadRetry, int64(pageNo), int64(attempt))
 	}
-	f.id, f.gen = id, gen
-	f.valid = true
-	f.pins = 1
-	f.usage = 1
+	*f = frame{id: id, page: pg, gen: gen, pins: 1, usage: 1, valid: true}
 	p.table[id] = fi
 	p.stats.Misses++
 	p.stats.BytesRead += int64(p.pageSize)

@@ -215,13 +215,12 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-// TestInvalidateKeepsFrameBuffers: repeated cold scans reuse the page
-// buffers of the frames they filled the first time — the clock hand
-// rewinds, so a pool larger than the table never grows past one buffer
-// per page — and each cycle's counters equal a never-invalidated pool's
-// first scan, on both sides of the pool-fits-table line (the state
-// after a full invalidate is the same at every hand position).
-func TestInvalidateKeepsFrameBuffers(t *testing.T) {
+// TestInvalidateLeavesAFreshPool: an invalidated pool lets go of every
+// page image it held — frames are the heap's pages, so a frame kept past
+// Invalidate would keep an image alive — and each cold scan's counters
+// equal a never-invalidated pool's first scan, on both sides of the
+// pool-fits-table line.
+func TestInvalidateLeavesAFreshPool(t *testing.T) {
 	r := testRelation(t, "t", 2000)
 	scan := func(p *Pool) Stats {
 		p.ResetStats()
@@ -237,18 +236,17 @@ func TestInvalidateKeepsFrameBuffers(t *testing.T) {
 			if err := p.Invalidate(); err != nil {
 				t.Fatal(err)
 			}
+			for i, f := range p.frames {
+				if f.valid || f.page != nil || f.pins != 0 || f.usage != 0 {
+					t.Fatalf("%d frames, cycle %d: frame %d (%v) still holds its page after Invalidate", frames, cycle, i, f.id)
+				}
+			}
+			if p.hand != 0 || len(p.table) != 0 {
+				t.Fatalf("%d frames, cycle %d: hand %d, %d table entries after Invalidate", frames, cycle, p.hand, len(p.table))
+			}
 			if got := scan(p); got != want {
 				t.Errorf("%d frames, cycle %d: stats %+v, fresh pool %+v", frames, cycle, got, want)
 			}
-		}
-		held := 0
-		for i := range p.frames {
-			if p.frames[i].page != nil {
-				held++
-			}
-		}
-		if want := min(frames, r.NumPages()); held != want {
-			t.Errorf("%d frames hold a buffer after 4 cold scans of %d pages, want %d", held, r.NumPages(), want)
 		}
 	}
 }

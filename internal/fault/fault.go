@@ -23,6 +23,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +76,10 @@ const (
 	PoolRead Point = iota
 	// PoolLatency adds a simulated latency spike to a pool read.
 	PoolLatency
-	// PageTear zeroes the tail of the frame copy after a pool read
-	// (a torn write: only a prefix of the page made it to disk).
+	// PageTear zeroes the tail of the bytes a pool read returns (a
+	// torn write: only a prefix of the page made it to disk).
 	PageTear
-	// PageBitFlip flips one bit of the frame copy after a pool read.
+	// PageBitFlip flips one bit of the bytes a pool read returns.
 	PageBitFlip
 	// StriderTrap faults a Strider VM on one (vm, page) walk.
 	StriderTrap
@@ -277,17 +278,19 @@ func (in *Injector) ReadLatencySec(rel string, pageNo uint32) float64 {
 	return 0
 }
 
-// CorruptCopy possibly corrupts buf — the buffer pool's private frame
-// copy of (rel, pageNo), never the heap source, so a retry re-reads
-// intact bytes. It reports whether corruption was applied; the stamped
-// page checksum catches it on verification.
-func (in *Injector) CorruptCopy(rel string, pageNo uint32, buf []byte) bool {
-	if in == nil || len(buf) == 0 {
-		return false
+// CorruptCopy returns the bytes a read of (rel, pageNo) delivers: src
+// itself, or, when a tear or bit flip fires, a private copy of src with
+// the fault applied. src — the heap's page image — is never written, so
+// a retry re-reads intact bytes; the stamped page checksum catches the
+// corrupted copy on verification.
+func (in *Injector) CorruptCopy(rel string, pageNo uint32, src []byte) []byte {
+	if in == nil || len(src) == 0 {
+		return src
 	}
 	key := pageKey(rel, pageNo)
 	if in.decideTransient(PageTear, key) {
 		// Torn write: only a prefix of the page reached the platter.
+		buf := slices.Clone(src)
 		cut := len(buf)/2 + int(splitmix64(key)%uint64(len(buf)/2+1))
 		for i := cut; i < len(buf); i++ {
 			buf[i] = 0
@@ -299,14 +302,15 @@ func (in *Injector) CorruptCopy(rel string, pageNo uint32, buf []byte) bool {
 		} else {
 			buf[len(buf)-1] ^= 0x01
 		}
-		return true
+		return buf
 	}
 	if in.decideTransient(PageBitFlip, key) {
+		buf := slices.Clone(src)
 		bit := splitmix64(key^0xb17f11b) % uint64(len(buf)*8)
 		buf[bit/8] ^= 1 << (bit % 8)
-		return true
+		return buf
 	}
-	return false
+	return src
 }
 
 // TrapFault decides whether Strider VM vmIdx traps walking pageNo this

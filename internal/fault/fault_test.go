@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -29,8 +30,8 @@ func TestNilInjectorIsDisabled(t *testing.T) {
 		t.Fatalf("latency %v on nil injector", v)
 	}
 	buf := []byte{1, 2, 3, 4}
-	if in.CorruptCopy("t", 0, buf) {
-		t.Fatal("nil injector corrupted a buffer")
+	if got := in.CorruptCopy("t", 0, buf); &got[0] != &buf[0] {
+		t.Fatal("nil injector returned other bytes than the source")
 	}
 	if err := in.TrapFault(0, 0); err != nil {
 		t.Fatal(err)
@@ -185,26 +186,24 @@ func TestCorruptCopyAltersOnlyTheCopy(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i)
 	}
-	buf := append([]byte(nil), src...)
-	if !in.CorruptCopy("t", 3, buf) {
+	orig := bytes.Clone(src)
+	buf := in.CorruptCopy("t", 3, src)
+	if in.Count(PageTear) != 1 {
 		t.Fatal("rate-1 tear did not fire")
 	}
-	same := true
-	for i := range buf {
-		if buf[i] != src[i] {
-			same = false
-			break
-		}
+	if bytes.Equal(buf, orig) {
+		t.Fatal("CorruptCopy fired but returned intact bytes")
 	}
-	if same {
-		t.Fatal("CorruptCopy fired but left the buffer intact")
+	if !bytes.Equal(src, orig) || &buf[0] == &src[0] {
+		t.Fatal("CorruptCopy wrote the source instead of a copy")
 	}
 }
 
 func TestCorruptCopyBitFlip(t *testing.T) {
 	in := New(Config{Seed: 11, Rates: rates(PageBitFlip, 1)})
-	buf := make([]byte, 64)
-	if !in.CorruptCopy("t", 0, buf) {
+	src := make([]byte, 64)
+	buf := in.CorruptCopy("t", 0, src)
+	if in.Count(PageBitFlip) != 1 {
 		t.Fatal("rate-1 bit flip did not fire")
 	}
 	flipped := 0
@@ -215,6 +214,31 @@ func TestCorruptCopyBitFlip(t *testing.T) {
 	}
 	if flipped != 1 {
 		t.Fatalf("bit flip changed %d bits, want exactly 1", flipped)
+	}
+	if !bytes.Equal(src, make([]byte, 64)) {
+		t.Fatal("bit flip reached the source")
+	}
+}
+
+// TestCorruptCopyCopiesOnlyWhenItFires: a read no fault hits returns the
+// source itself, allocating nothing, and a transient tear returns the
+// source again once it clears.
+func TestCorruptCopyCopiesOnlyWhenItFires(t *testing.T) {
+	src := make([]byte, 64)
+	quiet := New(Config{Seed: 11})
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got := quiet.CorruptCopy("t", 0, src); &got[0] != &src[0] {
+			t.Fatal("a read no fault hit returned a copy")
+		}
+	}); allocs != 0 {
+		t.Fatalf("a read no fault hit allocated %v times", allocs)
+	}
+	torn := New(Config{Seed: 11, Rates: rates(PageTear, 1), TransientAttempts: 1})
+	if got := torn.CorruptCopy("t", 0, src); &got[0] == &src[0] {
+		t.Fatal("the first read of a torn page returned the source")
+	}
+	if got := torn.CorruptCopy("t", 0, src); &got[0] != &src[0] {
+		t.Fatal("the tear did not clear on the second read")
 	}
 }
 

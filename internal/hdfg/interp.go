@@ -269,7 +269,7 @@ func evalGroup(op dsl.Op, axis int, as Shape, a []float64, out Shape) []float64 
 				dst[idx] *= x
 			}
 		case dsl.OpNorm:
-			dst[idx] += x * x
+			dst[idx] += float64(x * x) // rounded here: the add must not fuse it
 		}
 	}
 	res := make([]float64, out.Size())

@@ -17,9 +17,9 @@
 // cannot perturb another tenant's modeled cycles. Tenants share one
 // thing: the server generates each (workload, scale) once, and every
 // tenant attaches that one immutable heap. Nothing the server runs
-// writes a heap; pages are read under the relation's lock and copied
-// into private frames, and a fault injector corrupts only its frame
-// copy.
+// writes a heap: every tenant's frames refer to the same page images,
+// which a mutation would clone rather than write, and a fault injector
+// corrupts only a private copy of a page.
 //
 // The first admitted job of a (tenant, workload, merge) deploys its
 // table, registers its UDF on the tenant System, and is priced by the

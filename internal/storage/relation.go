@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -24,8 +25,9 @@ type Relation struct {
 
 // pageMeta is what a relation keeps about one of its pages.
 type pageMeta struct {
-	dirty bool   // mutated since its checksum was last stamped
-	gen   uint64 // the relation's generation at the page's last mutation
+	dirty  bool   // mutated since its checksum was last stamped
+	handed bool   // Page has handed it out: immutable, a mutation clones it
+	gen    uint64 // the relation's generation at the page's last mutation
 }
 
 // NewRelation creates an empty heap relation with the given page size.
@@ -69,8 +71,8 @@ func (r *Relation) Generation() uint64 {
 }
 
 // PageGeneration returns the generation at page i's last mutation (0 for
-// a page that does not exist). A copy of the page taken when it read g is
-// current exactly while it still reads g: the buffer pool's frames
+// a page that does not exist). A page image Page returned when it read g
+// is current exactly while it still reads g: the buffer pool's frames
 // compare it on every pin.
 func (r *Relation) PageGeneration(i int) uint64 {
 	r.mu.RLock()
@@ -103,24 +105,41 @@ func (r *Relation) TuplesPerPage() int {
 }
 
 // Page returns heap page i with its checksum stamped. The returned Page
-// aliases relation storage; treat it as read-only (the buffer pool
-// copies it into a frame).
+// is the heap's own page image, and it never changes once handed out: a
+// later Insert or Delete on the page mutates a clone (writableLocked), so
+// a buffer-pool frame or any other reader may hold it without the lock
+// and without a copy. Callers must not write it.
 //
 // Checksums are stamped lazily: mutations only mark the page dirty, and
 // the stamp happens on the next read here — so the per-insert cost stays
 // O(tuple), not O(page), and a page is re-checksummed at most once per
-// mutation no matter how many epochs re-read it.
+// mutation no matter how many epochs re-read it. A dirty page was
+// mutated since it was last handed out, so it is one nobody holds.
 func (r *Relation) Page(i int) (Page, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if i < 0 || i >= len(r.pages) {
 		return nil, fmt.Errorf("storage: relation %q has no page %d (of %d)", r.Name, i, len(r.pages))
 	}
-	if i < len(r.meta) && r.meta[i].dirty {
+	m := &r.meta[i]
+	if m.dirty {
 		r.pages[i].StampChecksum()
-		r.meta[i].dirty = false
+		m.dirty = false
 	}
+	m.handed = true
 	return r.pages[i], nil
+}
+
+// writableLocked returns page i for an in-place mutation. A page Page
+// has handed out is cloned first and the clone takes its place in the
+// heap, so its holders keep the image they read: one page copy per
+// mutation after a read.
+func (r *Relation) writableLocked(i int) Page {
+	if r.meta[i].handed {
+		r.pages[i] = slices.Clone(r.pages[i])
+		r.meta[i].handed = false
+	}
+	return r.pages[i]
 }
 
 // Insert appends one row, allocating a new page when the current one is
@@ -137,15 +156,14 @@ func (r *Relation) insertLocked(vals []float64) (TID, error) {
 		r.meta = append(r.meta, pageMeta{dirty: true})
 	}
 	pageNo := len(r.pages) - 1
-	p := r.pages[pageNo]
-	tid := TID{Page: uint32(pageNo), Item: uint16(p.NumItems())}
+	tid := TID{Page: uint32(pageNo), Item: uint16(r.pages[pageNo].NumItems())}
 	raw, err := EncodeTuple(r.Schema, vals, r.nextXID, tid)
 	if err != nil {
 		return TID{}, err
 	}
-	if _, err = p.AddItem(raw); err != nil {
+	if _, err = r.writableLocked(pageNo).AddItem(raw); err != nil {
 		// Page full: start a new page and retry once.
-		p = NewPage(r.PageSize, 0)
+		p := NewPage(r.PageSize, 0)
 		r.pages = append(r.pages, p)
 		r.meta = append(r.meta, pageMeta{dirty: true})
 		pageNo++
@@ -295,15 +313,14 @@ func (r *Relation) Delete(tid TID) error {
 	if int(tid.Page) >= len(r.pages) {
 		return fmt.Errorf("storage: %q: no page %d", r.Name, tid.Page)
 	}
-	p := r.pages[tid.Page]
-	id, err := p.ItemID(int(tid.Item))
+	id, err := r.pages[tid.Page].ItemID(int(tid.Item))
 	if err != nil {
 		return err
 	}
 	if id.Flags != LPNormal {
 		return fmt.Errorf("storage: tuple %v already dead", tid)
 	}
-	if err := p.DeleteItem(int(tid.Item)); err != nil {
+	if err := r.writableLocked(int(tid.Page)).DeleteItem(int(tid.Item)); err != nil {
 		return err
 	}
 	r.touchLocked(int(tid.Page))

@@ -179,3 +179,49 @@ func TestDeleteAndVacuum(t *testing.T) {
 		}
 	}
 }
+
+// TestMutationClonesOnlyHandedPages: the first mutation of a page Page
+// has handed out moves the heap to a clone and leaves the handed image
+// as it was; a further mutation before the next Page writes that clone
+// in place, and a page never handed out is never copied.
+func TestMutationClonesOnlyHandedPages(t *testing.T) {
+	r := NewRelation("cow", NumericSchema(2), PageSize8K)
+	if err := r.InsertBatch(makeRows(10, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	fresh := &r.pages[0][0]
+	if _, err := r.Insert(makeRows(1, 3, 2)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if &r.pages[0][0] != fresh {
+		t.Fatal("an Insert copied a page nobody was handed")
+	}
+	handed, err := r.Page(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := append(Page(nil), handed...)
+	if _, err := r.Insert(makeRows(1, 3, 3)[0]); err != nil {
+		t.Fatal(err)
+	}
+	clone := &r.pages[0][0]
+	if clone == &handed[0] {
+		t.Fatal("an Insert wrote the page Page had handed out")
+	}
+	if err := r.Delete(TID{Page: 0, Item: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if &r.pages[0][0] != clone {
+		t.Fatal("a second mutation before the next Page cloned again")
+	}
+	if string(handed) != string(image) {
+		t.Fatal("the handed image changed")
+	}
+	pg, err := r.Page(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pg.NumItems() != 12 || !pg.ChecksumOK() {
+		t.Fatalf("the current image holds %d items (want 12), checksum ok %v", pg.NumItems(), pg.ChecksumOK())
+	}
+}
