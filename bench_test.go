@@ -19,6 +19,7 @@ import (
 	"dana/internal/bufpool"
 	"dana/internal/catalog"
 	"dana/internal/compiler"
+	"dana/internal/cost"
 	"dana/internal/datagen"
 	"dana/internal/engine"
 	"dana/internal/experiments"
@@ -299,7 +300,7 @@ func BenchmarkBufferPoolPin(b *testing.B) {
 	if _, err := rel.Insert(make([]float64, 10)); err != nil {
 		b.Fatal(err)
 	}
-	pool := bufpool.New(16, storage.PageSize8K, bufpool.DefaultDisk())
+	pool := bufpool.New(16, storage.PageSize8K, cost.Default().Disk)
 	if err := pool.AttachRelation(rel); err != nil {
 		b.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func BenchmarkBufferPoolMiss(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	pool := bufpool.New(1, storage.PageSize32K, bufpool.DefaultDisk())
+	pool := bufpool.New(1, storage.PageSize32K, cost.Default().Disk)
 	if err := pool.AttachRelation(rel); err != nil {
 		b.Fatal(err)
 	}
@@ -348,7 +349,7 @@ func BenchmarkBufferPoolMiss(b *testing.B) {
 
 // BenchmarkSQLSeqScan measures the volcano executor's scan rate.
 func BenchmarkSQLSeqScan(b *testing.B) {
-	db := sql.NewDB(storage.PageSize8K, 16<<20, bufpool.DefaultDisk())
+	db := sql.NewDB(storage.PageSize8K, 16<<20, cost.Default().Disk)
 	if _, err := db.Exec("CREATE TABLE t (a float4, b float4, c float4)"); err != nil {
 		b.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func BenchmarkMADlibEpoch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pool := bufpool.New(256, storage.PageSize32K, bufpool.DefaultDisk())
+	pool := bufpool.New(256, storage.PageSize32K, cost.Default().Disk)
 	if err := pool.AttachRelation(d.Rel); err != nil {
 		b.Fatal(err)
 	}

@@ -40,7 +40,8 @@ type Config struct {
 	// PageSize is the heap/buffer page size in bytes (8, 16, or 32 KB;
 	// the paper's default is 32 KB).
 	PageSize int
-	// PoolBytes is the in-process buffer pool budget.
+	// PoolBytes is the in-process buffer pool budget, and the pool the
+	// cost model prices runs on.
 	PoolBytes int64
 	// MaxEpochs caps functional training (0 = the UDF's own budget).
 	MaxEpochs int
@@ -133,7 +134,7 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	opts := runtime.DefaultOptions()
 	opts.PageSize = cfg.PageSize
-	opts.PoolBytes = cfg.PoolBytes
+	opts.Cost.PoolBytes = cfg.PoolBytes
 	opts.MaxEpochs = cfg.MaxEpochs
 	opts.Backend = cfg.Backend
 	opts.Precision = cfg.Precision

@@ -188,6 +188,7 @@ func (j Job) Workload() cost.Workload {
 		Columns:           j.Columns,
 		Epochs:            j.Epochs,
 		DatasetBytes:      j.DatasetBytes,
+		PageSize:          j.PageSize,
 		Pages:             j.Pages,
 		FlopsPerTuple:     j.FlopsPerTuple,
 		ModelParams:       j.ModelParams,

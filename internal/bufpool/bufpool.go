@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dana/internal/cost"
 	"dana/internal/fault"
 	"dana/internal/obs"
 	"dana/internal/storage"
@@ -32,24 +33,6 @@ var ErrNoFreeFrames = errors.New("bufpool: all buffer frames are pinned")
 // defaultMaxReadRetries is the re-read budget after a failed or corrupt
 // read when Pool.MaxReadRetries is unset.
 const defaultMaxReadRetries = 3
-
-// DiskModel describes the simulated storage device.
-type DiskModel struct {
-	// SeqReadBytesPerSec is sustained sequential read bandwidth.
-	SeqReadBytesPerSec float64
-	// ReadLatencySec is the fixed per-request latency.
-	ReadLatencySec float64
-}
-
-// DefaultDisk models the paper's 256 GB SATA SSD.
-func DefaultDisk() DiskModel {
-	return DiskModel{SeqReadBytesPerSec: 500e6, ReadLatencySec: 80e-6}
-}
-
-// ReadTime returns the simulated seconds to read n bytes.
-func (d DiskModel) ReadTime(n int) float64 {
-	return d.ReadLatencySec + float64(n)/d.SeqReadBytesPerSec
-}
 
 // Stats aggregates buffer pool counters.
 type Stats struct {
@@ -90,7 +73,7 @@ type Pool struct {
 	table    map[PageID]int // page table: PageID -> frame index
 	hand     int            // clock hand
 	rels     map[string]*storage.Relation
-	disk     DiskModel
+	disk     cost.DiskModel
 	stats    Stats
 	runIO    float64 // IOSeconds charged since the last TakeRunIO
 	pageSize int
@@ -159,10 +142,8 @@ func (p *Pool) SetFaults(in *fault.Injector) {
 }
 
 // New creates a pool of nframes frames for pages of pageSize bytes.
-func New(nframes, pageSize int, disk DiskModel) *Pool {
-	if nframes < 1 {
-		nframes = 1
-	}
+func New(nframes, pageSize int, disk cost.DiskModel) *Pool {
+	nframes = max(1, nframes)
 	return &Pool{
 		frames:   make([]frame, nframes),
 		table:    make(map[PageID]int, nframes),
@@ -174,7 +155,7 @@ func New(nframes, pageSize int, disk DiskModel) *Pool {
 
 // NewSized creates a pool with a byte budget (e.g. 8 GB in the paper's
 // default setup) for the given page size.
-func NewSized(poolBytes int64, pageSize int, disk DiskModel) *Pool {
+func NewSized(poolBytes int64, pageSize int, disk cost.DiskModel) *Pool {
 	return New(int(poolBytes/int64(pageSize)), pageSize, disk)
 }
 
@@ -500,15 +481,25 @@ func (p *Pool) Warm(rel string) error {
 	if err != nil {
 		return err
 	}
-	n := r.NumPages()
-	if n > len(p.frames) {
-		n = len(p.frames)
-	}
-	if err := p.Prefetch(rel, 0, n); err != nil {
+	if err := p.Prefetch(rel, 0, min(r.NumPages(), len(p.frames))); err != nil {
 		return err
 	}
 	p.ResetStats()
 	return nil
+}
+
+// IsWarm reports whether the pool holds rel's first min(pages, frames)
+// pages at their current generation: what Warm leaves behind, and a
+// completed scan of a table that fits. An unknown relation is cold.
+func (p *Pool) IsWarm(rel string) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	r, ok := p.rels[rel]
+	for pn := 0; ok && pn < min(r.NumPages(), len(p.frames)); pn++ {
+		fi, cached := p.table[PageID{Rel: rel, Page: uint32(pn)}]
+		ok = cached && p.frames[fi].gen == r.PageGeneration(pn)
+	}
+	return ok
 }
 
 // PinnedCount returns the number of currently pinned frames (for tests

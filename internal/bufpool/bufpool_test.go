@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dana/internal/cost"
 	"dana/internal/storage"
 )
 
@@ -28,7 +29,7 @@ func testRelation(t *testing.T, name string, rows int) *storage.Relation {
 
 func newPool(t *testing.T, frames int, rels ...*storage.Relation) *Pool {
 	t.Helper()
-	p := New(frames, storage.PageSize8K, DefaultDisk())
+	p := New(frames, storage.PageSize8K, cost.Default().Disk)
 	for _, r := range rels {
 		if err := p.AttachRelation(r); err != nil {
 			t.Fatal(err)
@@ -254,24 +255,57 @@ func TestInvalidateLeavesAFreshPool(t *testing.T) {
 func TestAttachWrongPageSize(t *testing.T) {
 	s := storage.NumericSchema(1)
 	r := storage.NewRelation("w", s, storage.PageSize32K)
-	p := New(2, storage.PageSize8K, DefaultDisk())
+	p := New(2, storage.PageSize8K, cost.Default().Disk)
 	if err := p.AttachRelation(r); err == nil {
 		t.Error("page size mismatch should fail")
 	}
 }
 
 func TestNewSized(t *testing.T) {
-	p := NewSized(1<<20, storage.PageSize8K, DefaultDisk())
+	p := NewSized(1<<20, storage.PageSize8K, cost.Default().Disk)
 	if p.NumFrames() != 128 {
 		t.Errorf("NumFrames = %d, want 128", p.NumFrames())
 	}
 }
 
-func TestDiskModelReadTime(t *testing.T) {
-	d := DiskModel{SeqReadBytesPerSec: 100e6, ReadLatencySec: 1e-3}
-	got := d.ReadTime(100e6 / 2)
-	if got <= 0.5 || got > 0.502 {
-		t.Errorf("ReadTime = %v", got)
+// TestScanFloodsAsCostCounts holds a sequential scan's misses to the
+// cost model's page reads: a warm pool of F < P frames misses P − F pages
+// in the first epoch and, the clock sweep having evicted each page before
+// the next epoch reaches it, all P in every later one; a cold pool misses
+// all P in every epoch. After e epochs the misses, each at one page's
+// ReadTime, are the model's I/O for e epochs to the bit.
+func TestScanFloodsAsCostCounts(t *testing.T) {
+	r := testRelation(t, "t", 2000)
+	pages := r.NumPages()
+	p := cost.Default()
+	for _, frames := range []int{pages / 4, pages / 2, pages - 1} {
+		p.PoolBytes = int64(frames) * storage.PageSize8K
+		for _, warm := range []bool{true, false} {
+			pool := newPool(t, frames, r)
+			if warm {
+				if err := pool.Warm("t"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w := cost.Workload{DatasetBytes: int64(pages) * storage.PageSize8K, PageSize: storage.PageSize8K}
+			var misses int64
+			for w.Epochs = 1; w.Epochs <= 4; w.Epochs++ {
+				if err := pool.Prefetch("t", 0, pages); err != nil {
+					t.Fatal(err)
+				}
+				epoch := pool.Stats().Misses - misses
+				misses += epoch
+				want := int64(pages)
+				if warm && w.Epochs == 1 {
+					want -= int64(frames)
+				}
+				io := cost.MADlibPostgres(w, p, warm).IOSec
+				if epoch != want || float64(misses)*p.Disk.ReadTime(storage.PageSize8K) != io {
+					t.Errorf("P=%d F=%d warm=%v epoch %d: %d misses (%d in all), want %d; the model charges %v s",
+						pages, frames, warm, w.Epochs, epoch, misses, want, io)
+				}
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"dana/internal/cost"
 	"dana/internal/fault"
 	"dana/internal/obs"
 	"dana/internal/storage"
@@ -22,7 +23,7 @@ func faultRel(t *testing.T, npages int) (*Pool, *storage.Relation) {
 			t.Fatal(err)
 		}
 	}
-	p := New(npages+4, storage.PageSize8K, DefaultDisk())
+	p := New(npages+4, storage.PageSize8K, cost.Default().Disk)
 	if err := p.AttachRelation(rel); err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func danaTransferSec(w Workload, p Params) float64 {
 	bytes := linkBytes(w)
 	if c == 1 {
 		return float64(w.Epochs)*float64(bytes)/bw +
-			float64(w.Epochs)*p.Link.HandshakeSec
+			float64(float64(w.Epochs)*p.Link.HandshakeSec)
 	}
 	pages := w.Pages
 	if pages <= 0 {
@@ -107,7 +107,7 @@ func danaTransferSec(w Workload, p Params) float64 {
 		// The channel's byte share is proportional to its page share
 		// under round-robin interleaving.
 		share := float64(bytes) * (float64(ChannelPages(pages, c, ch)) / float64(pages))
-		t := float64(w.Epochs)*share/bw + float64(w.Epochs)*p.Link.HandshakeSec
+		t := float64(w.Epochs)*share/bw + float64(float64(w.Epochs)*p.Link.HandshakeSec)
 		if t > worst {
 			worst = t
 		}
@@ -131,7 +131,7 @@ func TransferSec(w Workload, p Params) float64 {
 func tupleTransferSec(w Workload, p Params) float64 {
 	c := p.Link.channels()
 	bw := ChannelBandwidth(p)
-	perTuple := TupleHandshakeSec + float64(w.DatasetBytes)/float64(max1(w.Tuples))/bw
+	perTuple := TupleHandshakeSec + float64(w.DatasetBytes)/float64(max(1, w.Tuples))/bw
 	tuples := w.Tuples
 	if c > 1 {
 		tuples = (tuples + c - 1) / c // worst channel: ceil(T/c)

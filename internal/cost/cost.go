@@ -32,9 +32,10 @@ type Params struct {
 	// without the UDF aggregate machinery).
 	ExtractFraction float64 // fraction of the MADlib per-tuple overhead
 
-	// Storage.
-	DiskBytesPerSec float64
-	PoolBytes       int64
+	// Storage: the disk the buffer pool reads pages from, and the pool's
+	// size, which bufpool.NewSized builds a System's pool from.
+	Disk      DiskModel
+	PoolBytes int64
 
 	// FPGA link and clock. The link is Channels independent channels
 	// (see ChannelModel); BandwidthScale is the Figure 14 multiplier
@@ -76,7 +77,7 @@ func Default() Params {
 		ColumnDeformSec:      25e-9,
 		PageProcessSec:       5e-6,
 		ExtractFraction:      0.35,
-		DiskBytesPerSec:      500e6,
+		Disk:                 DiskModel{SeqReadBytesPerSec: 500e6, ReadLatencySec: 80e-6}, // 256 GB SATA SSD
 		PoolBytes:            8 << 30,
 		PCIeBytesPerSec:      4e9, // AXI/DMA effective, not raw PCIe
 		BandwidthScale:       1,
@@ -96,8 +97,9 @@ type Workload struct {
 	Tuples        int
 	Columns       int // values per tuple (features + label, or 3 for LRMF)
 	Epochs        int
-	DatasetBytes  int64
-	Pages         int
+	DatasetBytes  int64 // the heap relation, in pages of PageSize bytes
+	PageSize      int
+	Pages         int // the pages the link streams: the heap's unless weaving
 	FlopsPerTuple int
 	ModelParams   int
 
@@ -112,11 +114,11 @@ type Workload struct {
 	// each epoch moves WeaveFixedBytes (headers, ranges, labels — paid at
 	// every precision) plus WeaveBits × WeaveBitBytes (one bit level of
 	// every feature across the relation), so transfer shrinks almost
-	// linearly with precision. DatasetBytes still describes the heap
-	// relation — disk I/O into the buffer pool is unchanged; only the
-	// accelerator link reads the rewoven form. WeaveBits == 0 is the
-	// full-width float path, charged from DatasetBytes, bit-identical to
-	// the pre-weave model.
+	// linearly with precision, and Pages counts the layout's pages.
+	// DatasetBytes still describes the heap relation — disk I/O into the
+	// buffer pool is unchanged; only the accelerator link reads the
+	// rewoven form. WeaveBits == 0 is the full-width float path, charged
+	// from DatasetBytes, bit-identical to the pre-weave model.
 	WeaveBits       int
 	WeaveFixedBytes int64
 	WeaveBitBytes   int64
@@ -146,28 +148,41 @@ func (b *Breakdown) total() Breakdown {
 	return *b
 }
 
-// ioSec models buffer-pool disk traffic for the whole run. Warm: the
-// resident fraction (pool/dataset) never touches disk; the remainder is
-// re-read every epoch (sequential scans evict their own tail). Cold:
-// one full initial read plus the warm behaviour for later epochs.
+// DiskModel describes the simulated storage device.
+type DiskModel struct {
+	SeqReadBytesPerSec float64 // sustained sequential read bandwidth
+	ReadLatencySec     float64 // fixed per-request latency
+}
+
+// ReadTime returns the simulated seconds to read n bytes in one request.
+func (d DiskModel) ReadTime(n int) float64 {
+	return d.ReadLatencySec + float64(n)/d.SeqReadBytesPerSec
+}
+
+// ioSec prices the run's reads of heap pages into the buffer pool, each
+// at Disk.ReadTime of one page, as the pool's clock sweep incurs them. A
+// warm pool holds the table's first min(pages, pool pages) pages; a
+// sequential scan of a table larger than the pool evicts every page
+// before the next epoch reaches it, so each later epoch reads them all.
 func ioSec(w Workload, p Params, warm bool) float64 {
-	ds := float64(w.DatasetBytes)
-	resident := math.Min(1, float64(p.PoolBytes)/ds)
-	missPerEpoch := ds * (1 - resident) / p.DiskBytesPerSec
-	io := float64(w.Epochs) * missPerEpoch
-	if !warm {
-		io += ds/p.DiskBytesPerSec - missPerEpoch // first epoch reads everything
-		if io < ds/p.DiskBytesPerSec {
-			io = ds / p.DiskBytesPerSec
-		}
+	if w.PageSize <= 0 {
+		return 0
 	}
-	return io
+	pages, frames := int(w.DatasetBytes/int64(w.PageSize)), int(max(1, p.PoolBytes/int64(w.PageSize)))
+	reads := pages
+	if warm {
+		reads -= min(pages, frames)
+	}
+	if pages > frames {
+		reads += (w.Epochs - 1) * pages
+	}
+	return float64(reads) * p.Disk.ReadTime(w.PageSize)
 }
 
 // madlibTupleSec is the per-tuple cost of the MADlib UDF aggregate:
 // call/state overhead, tuple deforming, and the update-rule flops.
 func madlibTupleSec(w Workload, p Params) float64 {
-	overhead := p.TupleBaseSec + float64(w.Columns)*p.ColumnDeformSec
+	overhead := p.TupleBaseSec + float64(float64(w.Columns)*p.ColumnDeformSec)
 	flops := float64(w.FlopsPerTuple) / (p.CPUClockHz * p.CPUFlopsPerCycle)
 	return overhead + flops
 }
@@ -176,8 +191,8 @@ func madlibTupleSec(w Workload, p Params) float64 {
 func MADlibPostgres(w Workload, p Params, warm bool) Breakdown {
 	b := Breakdown{
 		IOSec: ioSec(w, p, warm),
-		ComputeSec: float64(w.Epochs) * (float64(w.Tuples)*madlibTupleSec(w, p) +
-			float64(w.Pages)*p.PageProcessSec),
+		ComputeSec: float64(float64(w.Epochs) * (float64(float64(w.Tuples)*madlibTupleSec(w, p)) +
+			float64(float64(w.Pages)*p.PageProcessSec))),
 	}
 	return b.total()
 }
@@ -192,11 +207,7 @@ func greenplumParallelism(p Params, segments int) float64 {
 	s := float64(segments)
 	// Saturating speedup with contention decline, fitted to Figure 13
 	// (peak at 8 segments, ~2.1x over single-threaded PostgreSQL).
-	eff := 3.56*s/(s+2) - 0.094*s
-	if eff < 1 {
-		eff = 1
-	}
-	return eff
+	return max(1, 3.56*s/(s+2)-float64(0.094*s))
 }
 
 // MADlibGreenplum models MADlib on an S-segment Greenplum.
@@ -205,8 +216,8 @@ func MADlibGreenplum(w Workload, p Params, segments int, warm bool) Breakdown {
 	b := Breakdown{
 		IOSec:      ioSec(w, p, warm), // the disk is shared
 		ComputeSec: float64(w.Epochs) * float64(w.Tuples) * madlibTupleSec(w, p) / par,
-		OverheadSec: float64(w.Epochs) * (p.SegmentSyncSec*float64(segments) +
-			float64(w.ModelParams*8*segments)/20e9), // model exchange over memory
+		OverheadSec: float64(float64(w.Epochs) * (float64(p.SegmentSyncSec*float64(segments)) +
+			float64(w.ModelParams*8*segments)/20e9)), // model exchange over memory
 	}
 	return b.total()
 }
@@ -233,7 +244,7 @@ type Terms struct {
 // computes, so the pipeline takes the slowest of the three.
 func (t Terms) Seconds(p Params) (engine, strider, link, pipeline float64) {
 	engine = t.EngineCycles / p.FPGAClockHz
-	strider = t.StriderCycles / (float64(max1(t.Striders)) * p.FPGAClockHz)
+	strider = t.StriderCycles / (float64(max(1, t.Striders)) * p.FPGAClockHz)
 	link = danaTransferSec(t.Link, p)
 	return engine, strider, link, math.Max(engine, math.Max(link, strider))
 }
@@ -241,7 +252,7 @@ func (t Terms) Seconds(p Params) (engine, strider, link, pipeline float64) {
 // OverheadSec is a DAnA-path run's fixed charge: setup once, plus the
 // scan re-issue and handshake of every epoch run.
 func OverheadSec(p Params, epochs int) float64 {
-	return p.SetupSec + float64(epochs)*p.EpochDispatchSec
+	return p.SetupSec + float64(float64(epochs)*p.EpochDispatchSec)
 }
 
 // Price is the one function from a DAnA-path run's terms to its modeled
@@ -296,8 +307,8 @@ func DAnAPipelineSec(w Workload, p Params) float64 {
 func DAnANoStrider(w Workload, p Params, warm bool) Breakdown {
 	w = withDanaEpochs(w)
 	b := DAnA(w, p, warm)
-	feedPerTuple := p.ExtractFraction * (p.TupleBaseSec + float64(w.Columns)*p.ColumnDeformSec)
-	b.FeedSec = float64(w.Epochs) * float64(w.Tuples) * feedPerTuple
+	feedPerTuple := p.ExtractFraction * (p.TupleBaseSec + float64(float64(w.Columns)*p.ColumnDeformSec))
+	b.FeedSec = float64(float64(w.Epochs) * float64(w.Tuples) * feedPerTuple)
 	return b.total() // serial: no interleaving to hide anything
 }
 
@@ -370,13 +381,6 @@ func DAnATupleGranularity(w Workload, p Params, warm bool) Breakdown {
 	// Compute can still overlap the tuple stream.
 	b.TotalSec = b.IOSec + math.Max(b.ComputeSec, b.TransferSec) + b.OverheadSec
 	return b
-}
-
-func max1(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
 }
 
 // withDanaEpochs applies the accelerated-path epoch override.

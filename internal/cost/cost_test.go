@@ -11,6 +11,7 @@ func sampleWorkload() Workload {
 		Columns:                 55,
 		Epochs:                  3,
 		DatasetBytes:            154 << 20,
+		PageSize:                32 << 10,
 		Pages:                   4924,
 		FlopsPerTuple:           224,
 		ModelParams:             54,
@@ -40,13 +41,23 @@ func TestPGWarmVsCold(t *testing.T) {
 func TestPGOutOfMemoryDatasetPaysIOEveryEpoch(t *testing.T) {
 	w := sampleWorkload()
 	w.DatasetBytes = 32 << 30 // 32 GB > 8 GB pool
+	w.Pages = 1 << 20         // of 32 KB pages
 	w.Epochs = 10
 	p := Default()
 	warm := MADlibPostgres(w, p, true)
-	// At least (32-8) GB must be re-read per epoch.
-	minIO := float64(w.Epochs) * float64(24<<30) / p.DiskBytesPerSec
-	if warm.IOSec < minIO*0.99 {
-		t.Errorf("IO = %v, want >= %v", warm.IOSec, minIO)
+	// The 24 GB the pool does not hold in the first epoch, then all 32 GB
+	// every later epoch: a sequential scan floods the pool.
+	reads := (1<<20 - 8<<30/(32<<10)) + 9*(1<<20)
+	if want := float64(reads) * p.Disk.ReadTime(32<<10); warm.IOSec != want {
+		t.Errorf("IO = %v, want %v (%d page reads)", warm.IOSec, want, reads)
+	}
+}
+
+func TestDiskModelReadTime(t *testing.T) {
+	d := DiskModel{SeqReadBytesPerSec: 100e6, ReadLatencySec: 1e-3}
+	got := d.ReadTime(100e6 / 2)
+	if got <= 0.5 || got > 0.502 {
+		t.Errorf("ReadTime = %v", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"dana/internal/algos"
 	"dana/internal/bufpool"
+	"dana/internal/cost"
 	"dana/internal/golden"
 	"dana/internal/greenplum"
 	"dana/internal/ml"
@@ -30,7 +31,7 @@ func clusterFor(t *testing.T, sp golden.Spec, tuples [][]float64, segments int) 
 	if err := rel.InsertBatch(tuples); err != nil {
 		t.Fatal(err)
 	}
-	pool := bufpool.New(64, storage.PageSize8K, bufpool.DefaultDisk())
+	pool := bufpool.New(64, storage.PageSize8K, cost.Default().Disk)
 	if err := pool.AttachRelation(rel); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dana/internal/bufpool"
+	"dana/internal/cost"
 	"dana/internal/datagen"
 	"dana/internal/ml"
 	"dana/internal/storage"
@@ -20,7 +21,7 @@ func setup(t *testing.T, workload string, scale float64) (*bufpool.Pool, *datage
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := bufpool.New(512, storage.PageSize8K, bufpool.DefaultDisk())
+	pool := bufpool.New(512, storage.PageSize8K, cost.Default().Disk)
 	if err := pool.AttachRelation(d.Rel); err != nil {
 		t.Fatal(err)
 	}

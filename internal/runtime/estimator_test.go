@@ -11,6 +11,12 @@ package runtime
 //     reads substituted;
 //   - an early-converging run reads the estimate at the epochs it ran.
 //
+// On the streaming backends the estimate's disk term is the run's pool
+// misses, each at one page's Disk.ReadTime, to the bit: the model counts
+// the reads the pool's clock sweep makes. The pool sums its reads one at
+// a time, so a cold or spilling run's own I/O is not that product's bits,
+// and the price check substitutes it.
+//
 // On the streaming backends the Strider term must lose the pipeline max
 // on both sides, because the two sides disagree on it, and the gate logs
 // the executed over the estimated Strider seconds per row. On the
@@ -80,6 +86,8 @@ type gateRun struct {
 	job backend.Job     // the job as Train priced it
 	est backend.Cost    // the estimate, at the epochs run on a streaming row
 	run backend.Run     // the counters Train priced
+	// misses is how many pages the run read from disk.
+	misses int64
 }
 
 // streaming rows price their counters; the row-fed backends report
@@ -118,9 +126,9 @@ func runGateRow(t *testing.T, r gateRow) gateRun {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
-	opts.PoolBytes = 32 << 20
+	opts.Cost.PoolBytes = 32 << 20
 	if r.cache == "spill" {
-		opts.PoolBytes = spillPoolBytes
+		opts.Cost.PoolBytes = spillPoolBytes
 	}
 	opts.Backend, opts.Precision = r.backend, r.bits
 	if r.link {
@@ -158,7 +166,7 @@ func runGateRow(t *testing.T, r gateRow) gateRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := s.Pool().Stats().IOSeconds
+	before := s.Pool().Stats()
 	res, err := s.Train(a.Name, d.Rel.Name)
 	if err != nil {
 		t.Fatal(err)
@@ -167,9 +175,9 @@ func runGateRow(t *testing.T, r gateRow) gateRun {
 	// first reader, and a warm one reads nothing.
 	io := res.Pool.IOSeconds
 	if r.cache == "warm" {
-		io -= read
-	} else if read != 0 {
-		t.Fatalf("%v: the pool read %v s before the run", r, read)
+		io -= before.IOSeconds
+	} else if before.IOSeconds != 0 {
+		t.Fatalf("%v: the pool read %v s before the run", r, before.IOSeconds)
 	}
 	be, _, job, err := s.disp.Resolve(r.backend, job)
 	if err != nil {
@@ -184,7 +192,7 @@ func runGateRow(t *testing.T, r gateRow) gateRun {
 		StriderCycles: res.Access.Cycles,
 		Pages:         res.Access.Pages,
 		IOSeconds:     io,
-	}}
+	}, misses: res.Pool.Misses - before.Misses}
 	if sim := be.ModeledSeconds(job, g.run); math.Float64bits(sim) != math.Float64bits(res.SimulatedSeconds) {
 		t.Fatalf("%v: Train priced %v s, its counters price %v s", r, res.SimulatedSeconds, sim)
 	}
@@ -201,10 +209,14 @@ func runGateRow(t *testing.T, r gateRow) gateRun {
 	return g
 }
 
-// check holds the run, priced by price, to its estimate. On a
+// check holds the run, priced by price, to its estimate, and on a
+// streaming row the estimate's disk term to the run's reads. On a
 // streaming row it returns the executed over the estimated Strider
 // seconds.
 func (g gateRun) check(price func(backend.Job, backend.Run) float64) (striderRatio float64, err error) {
+	if reads := float64(g.misses) * g.p.Disk.ReadTime(g.job.PageSize); g.streaming() && g.est.Terms.IOSec != reads {
+		return 0, fmt.Errorf("estimated %v s of disk reads, the run's %d misses read %v s", g.est.Terms.IOSec, g.misses, reads)
+	}
 	executed, want := price(g.job, g.run), g.est.Seconds
 	if g.streaming() && g.row.cache != "warm" {
 		t := g.est.Terms
@@ -240,17 +252,18 @@ func TestEstimateIsTheExecutedPrice(t *testing.T) {
 	}
 }
 
-// TestMetaEstimatorGateCatchesPricingFaults plants three faults in the
-// executed side's pricing, each a way to charge dispatch or the link
-// that once was or nearly was the code, and requires each to fail the
-// gate on some accelerator row.
+// TestMetaEstimatorGateCatchesPricingFaults plants five faults, each a
+// way to charge dispatch, the link or the disk that once was or nearly
+// was the code, and requires each to fail the gate on some accelerator
+// row: three in the executed side's pricing, and two in the estimate's
+// disk term.
 func TestMetaEstimatorGateCatchesPricingFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains every Table 3 workload")
 	}
 	var runs []gateRun
 	for _, r := range gateRows() {
-		if r.backend == backend.NameAccelerator && r.cache == "warm" && !r.early {
+		if r.backend == backend.NameAccelerator && !r.early {
 			runs = append(runs, runGateRow(t, r))
 		}
 	}
@@ -259,27 +272,49 @@ func TestMetaEstimatorGateCatchesPricingFaults(t *testing.T) {
 			t.Fatalf("%v fails unmutated: %v", g.row, err)
 		}
 	}
-	mutants := map[string]func(g gateRun, job backend.Job, run backend.Run) float64{
-		"dispatch dropped from the executed side": func(g gateRun, job backend.Job, run backend.Run) float64 {
-			run.Epochs = 0
-			return g.be.ModeledSeconds(job, run)
+	type price = func(backend.Job, backend.Run) float64
+	// Each mutant plants its fault in g and returns the executed side's
+	// pricing.
+	mutants := map[string]func(g *gateRun) price{
+		"dispatch dropped from the executed side": func(g *gateRun) price {
+			return func(job backend.Job, run backend.Run) float64 {
+				run.Epochs = 0
+				return g.be.ModeledSeconds(job, run)
+			}
 		},
-		"one link handshake a run": func(g gateRun, job backend.Job, run backend.Run) float64 {
-			job.Pages *= run.Epochs // the run's pages as one pass
-			job.DatasetBytes *= int64(run.Epochs)
-			return g.be.ModeledSeconds(job, run)
+		"one link handshake a run": func(g *gateRun) price {
+			return func(job backend.Job, run backend.Run) float64 {
+				job.Pages *= run.Epochs // the run's pages as one pass
+				job.DatasetBytes *= int64(run.Epochs)
+				return g.be.ModeledSeconds(job, run)
+			}
 		},
-		"dispatch added after the undispatched sum": func(g gateRun, job backend.Job, run backend.Run) float64 {
-			epochs := run.Epochs
-			run.Epochs = 0
-			return g.be.ModeledSeconds(job, run) + float64(epochs)*g.p.EpochDispatchSec
+		"dispatch added after the undispatched sum": func(g *gateRun) price {
+			return func(job backend.Job, run backend.Run) float64 {
+				epochs := run.Epochs
+				run.Epochs = 0
+				return g.be.ModeledSeconds(job, run) + float64(epochs)*g.p.EpochDispatchSec
+			}
+		},
+		"a page read priced at its bytes alone": func(g *gateRun) price {
+			g.est.Terms.IOSec = float64(g.misses) * float64(g.job.PageSize) / g.p.Disk.SeqReadBytesPerSec
+			return g.be.ModeledSeconds
+		},
+		"a spilled table's resident pages survive every epoch": func(g *gateRun) price {
+			pages := g.job.Pages
+			resident := min(pages, int(g.p.PoolBytes/int64(g.job.PageSize)))
+			reads := g.job.Epochs * (pages - resident)
+			if !g.job.Warm {
+				reads += resident
+			}
+			g.est.Terms.IOSec = float64(reads) * g.p.Disk.ReadTime(g.job.PageSize)
+			return g.be.ModeledSeconds
 		},
 	}
 	for name, mutant := range mutants {
 		var caught []string
 		for _, g := range runs {
-			price := func(job backend.Job, run backend.Run) float64 { return mutant(g, job, run) }
-			if _, err := g.check(price); err != nil {
+			if _, err := g.check(mutant(&g)); err != nil {
 				caught = append(caught, g.row.String())
 			}
 		}

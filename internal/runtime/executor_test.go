@@ -33,9 +33,9 @@ func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, ep
 	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(procs))
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
-	opts.PoolBytes = 32 << 20
+	opts.Cost.PoolBytes = 32 << 20
 	if spill {
-		opts.PoolBytes = spillPoolBytes
+		opts.Cost.PoolBytes = spillPoolBytes
 	}
 	opts.MaxEpochs = epochs
 	for _, mod := range mods {
@@ -140,7 +140,7 @@ func TestParallelExecutorDeterminism(t *testing.T) {
 func TestExtractCacheSkipsPoolAndInvalidates(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
-	opts.PoolBytes = 32 << 20
+	opts.Cost.PoolBytes = 32 << 20
 	opts.MaxEpochs = 3
 	s := New(opts)
 	d := deployScaled(t, s, "Remote Sensing LR", 0.002)
@@ -383,9 +383,9 @@ func newBenchRunner(t *testing.T, spill bool) (*epochRunner, *backend.Accel) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
-	opts.PoolBytes = 64 << 20
+	opts.Cost.PoolBytes = 64 << 20
 	if spill {
-		opts.PoolBytes = spillPoolBytes
+		opts.Cost.PoolBytes = spillPoolBytes
 	}
 	opts.DisableObs = true
 	s := New(opts)

@@ -62,7 +62,7 @@ func ftSystem(t *testing.T, mods ...func(*Options)) (*System, string, string) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.PageSize = 8 << 10
-	opts.PoolBytes = 32 << 20
+	opts.Cost.PoolBytes = 32 << 20
 	opts.MaxEpochs = ftEpochs
 	for _, mod := range mods {
 		mod(&opts)

@@ -47,7 +47,7 @@ func TestReadPathsNeverWriteTheHeap(t *testing.T) {
 		t.Helper()
 		opts := DefaultOptions()
 		opts.PageSize = storage.PageSize8K
-		opts.PoolBytes = poolBytes
+		opts.Cost.PoolBytes = poolBytes
 		opts.MaxEpochs = 2
 		opts.Faults = in
 		s := New(opts)

@@ -17,7 +17,7 @@ func trainWithObs(t *testing.T, disable bool) (*System, *TrainResult) {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.PageSize = 8 << 10
-	opts.PoolBytes = 32 << 20
+	opts.Cost.PoolBytes = 32 << 20
 	opts.MaxEpochs = 6
 	opts.DisableObs = disable
 	s := New(opts)

@@ -46,7 +46,7 @@ func trainPatientWith(t *testing.T, opts Options) (*System, *TrainResult, [][]fl
 func precisionOpts(bits int) Options {
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
-	opts.PoolBytes = 32 << 20
+	opts.Cost.PoolBytes = 32 << 20
 	opts.MaxEpochs = 20
 	opts.Precision = bits
 	return opts

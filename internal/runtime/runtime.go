@@ -32,11 +32,11 @@ import (
 
 // Options configure a System.
 type Options struct {
-	PageSize  int
-	PoolBytes int64
-	Disk      bufpool.DiskModel
-	FPGA      hwgen.FPGA
-	Cost      cost.Params
+	PageSize int
+	FPGA     hwgen.FPGA
+	// Cost prices every run, and its Disk and PoolBytes build the buffer
+	// pool the runs read through.
+	Cost cost.Params
 	// MaxEpochs caps functional training regardless of the UDF's epoch
 	// budget (0 = use the UDF's).
 	MaxEpochs int
@@ -97,17 +97,16 @@ type Options struct {
 	DisableObs bool
 }
 
-// DefaultOptions mirrors the paper's default setup: 32 KB pages, 8 GB
-// buffer pool, VU9P FPGA. The pool is capped at 256 MB of frames for
-// in-process runs; the cost model still uses the full 8 GB figure.
+// DefaultOptions mirrors the paper's default setup, 32 KB pages and a
+// VU9P FPGA, with the buffer pool capped at 256 MB for in-process runs
+// (the paper's is 8 GB); the cost model prices that same pool.
 func DefaultOptions() Options {
 	p := cost.Default()
+	p.PoolBytes = 256 << 20
 	return Options{
-		PageSize:  storage.PageSize32K,
-		PoolBytes: 256 << 20,
-		Disk:      bufpool.DefaultDisk(),
-		FPGA:      hwgen.VU9P(),
-		Cost:      p,
+		PageSize: storage.PageSize32K,
+		FPGA:     hwgen.VU9P(),
+		Cost:     p,
 	}
 }
 
@@ -175,7 +174,7 @@ func New(opts Options) *System {
 	}
 	s := &System{
 		Opts:    opts,
-		DB:      sql.NewDB(opts.PageSize, opts.PoolBytes, opts.Disk),
+		DB:      sql.NewDB(opts.PageSize, opts.Cost.PoolBytes, opts.Cost.Disk),
 		kept:    map[[2]string]backend.Backend{},
 		scoring: map[string]*scorePass{},
 	}
@@ -428,7 +427,7 @@ func (s *System) jobFor(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Ac
 		Design:            acc.Design,
 		StriderPageCycles: accessengine.PageCycles(rel.Schema, perPage),
 		FlopsPerTuple:     backend.FlopsPerTuple(class, udf.Graph),
-		Warm:              true,
+		Warm:              s.DB.Pool.IsWarm(rel.Name),
 	}
 }
 

@@ -22,7 +22,7 @@ func smallSystem(t *testing.T) *System {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
-	opts.PoolBytes = 32 << 20
+	opts.Cost.PoolBytes = 32 << 20
 	opts.MaxEpochs = 20
 	return New(opts)
 }

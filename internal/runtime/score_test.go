@@ -28,7 +28,7 @@ func TestScoreMatchesNarrowedRows(t *testing.T) {
 		g := verify.NewGen(seed)
 		opts := DefaultOptions()
 		opts.PageSize = g.PageSize()
-		opts.PoolBytes = 8 << 20
+		opts.Cost.PoolBytes = 8 << 20
 		s := New(opts)
 		sch := g.Schema(16)
 		for sch.NumCols() < 2 {

@@ -41,7 +41,6 @@ import (
 	"strings"
 	"sync"
 
-	"dana/internal/bufpool"
 	"dana/internal/cost"
 	"dana/internal/datagen"
 	"dana/internal/fault"
@@ -77,7 +76,7 @@ type Config struct {
 	// shards of one logical catalog.
 	Seed          int64
 	PageSize      int   // 0 = 32 KB
-	PoolBytes     int64 // per-tenant buffer pool frames (0 = 64 MB)
+	PoolBytes     int64 // each tenant's buffer pool, and the pool its jobs are priced on (0 = 64 MB)
 	BatchSlackSec float64
 	// Obs receives the server-level tenant.* counters (nil = a fresh
 	// enabled registry). Tenant systems always get their own private
@@ -218,6 +217,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	env := workload.DefaultEnv()
 	env.PageSize = cfg.PageSize
+	env.Cost.PoolBytes = cfg.PoolBytes
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.New()
@@ -248,13 +248,11 @@ func New(cfg Config) (*Server, error) {
 		}
 		treg := obs.New()
 		sys := runtime.New(runtime.Options{
-			PageSize:  cfg.PageSize,
-			PoolBytes: cfg.PoolBytes,
-			Disk:      bufpool.DefaultDisk(),
-			FPGA:      env.FPGA,
-			Cost:      env.Cost,
-			Obs:       treg,
-			Faults:    inj,
+			PageSize: cfg.PageSize,
+			FPGA:     env.FPGA,
+			Cost:     env.Cost,
+			Obs:      treg,
+			Faults:   inj,
 		})
 		t := &tenant{
 			name: tc.Name, sys: sys, reg: treg,

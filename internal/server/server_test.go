@@ -447,7 +447,9 @@ func TestTenantExperimentSmoke(t *testing.T) {
 
 // TestLRMFTrainsThroughServer: a Netflix job is admitted, trains, and is
 // planned at exactly what its tenant System's accelerator backend
-// charges for it, less the per-query setup the planner prices apart.
+// charges for it, less the per-query setup the planner prices apart. The
+// job was priced before its tenant's pool had read the table, so the
+// backend is asked again on a cold pool.
 func TestLRMFTrainsThroughServer(t *testing.T) {
 	srv := newTestServer(t, LoadConfig{Tenants: 1}, 1)
 	rep, err := srv.Run([]JobSpec{{Tenant: TenantName(0), Workload: "Netflix", Scale: 0.002, Epochs: 2}})
@@ -458,7 +460,11 @@ func TestLRMFTrainsThroughServer(t *testing.T) {
 	if r.Err != nil || r.Epochs == 0 || r.EngineCycles == 0 {
 		t.Fatalf("Netflix job: err %v, %d epochs, %d engine cycles", r.Err, r.Epochs, r.EngineCycles)
 	}
-	costs, err := srv.tenants[TenantName(0)].sys.EstimateBackends(r.Placement.udf, r.Placement.table)
+	sys := srv.tenants[TenantName(0)].sys
+	if err := sys.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	costs, err := sys.EstimateBackends(r.Placement.udf, r.Placement.table)
 	if err != nil {
 		t.Fatal(err)
 	}

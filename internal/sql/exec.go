@@ -5,6 +5,7 @@ import (
 
 	"dana/internal/bufpool"
 	"dana/internal/catalog"
+	"dana/internal/cost"
 	"dana/internal/storage"
 )
 
@@ -32,7 +33,7 @@ type DB struct {
 
 // NewDB creates a database with the given page size and buffer pool
 // byte budget.
-func NewDB(pageSize int, poolBytes int64, disk bufpool.DiskModel) *DB {
+func NewDB(pageSize int, poolBytes int64, disk cost.DiskModel) *DB {
 	return &DB{
 		Cat:      catalog.New(),
 		Pool:     bufpool.NewSized(poolBytes, pageSize, disk),

@@ -5,13 +5,13 @@ import (
 	"strings"
 	"testing"
 
-	"dana/internal/bufpool"
+	"dana/internal/cost"
 	"dana/internal/storage"
 )
 
 func newTestDB(t *testing.T) *DB {
 	t.Helper()
-	return NewDB(storage.PageSize8K, 1<<22, bufpool.DefaultDisk())
+	return NewDB(storage.PageSize8K, 1<<22, cost.Default().Disk)
 }
 
 // parseOne parses a script that must hold exactly one statement.
@@ -189,7 +189,7 @@ func TestUDFDispatch(t *testing.T) {
 func TestScanSpillsOverPool(t *testing.T) {
 	// A pool much smaller than the relation still scans correctly
 	// (eviction path) and records misses.
-	db := NewDB(storage.PageSize8K, 4*storage.PageSize8K, bufpool.DefaultDisk())
+	db := NewDB(storage.PageSize8K, 4*storage.PageSize8K, cost.Default().Disk)
 	if _, err := db.Exec("CREATE TABLE big (a float4, b float4)"); err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func chaosSystem(t *testing.T, wl chaosWorkload, pageSize int, mods ...func(*run
 	t.Helper()
 	opts := runtime.DefaultOptions()
 	opts.PageSize = pageSize
-	opts.PoolBytes = 32 << 20
+	opts.Cost.PoolBytes = 32 << 20
 	opts.MaxEpochs = wl.epochs
 	for _, mod := range mods {
 		mod(&opts)

@@ -122,6 +122,7 @@ func (c *Compiled) CostWorkload(env Env) cost.Workload {
 		Columns:                 w.Schema().NumCols(),
 		Epochs:                  w.Epochs,
 		DatasetBytes:            int64(pages) * int64(env.PageSize),
+		PageSize:                env.PageSize,
 		Pages:                   pages,
 		FlopsPerTuple:           mlFor(w).FlopsPerUpdate(),
 		ModelParams:             w.ModelSize(),
