@@ -300,11 +300,17 @@ func (b *Accel) Close() {
 	}
 }
 
-// InProcessStriders clamps a design's Strider count to the in-process
-// VM instances the host runs. The Collector groups pages by the clamped
-// count, so a 32-Strider design (every Table 3 design) executes about
-// twice the Strider cycles its estimate unpacks over 32; the term loses
-// the pipeline max there, so the priced time does not move.
+// InProcessStriders clamps a design's Strider count to 16. It saves no
+// VM instances: a Strider's VM is built only for a page the direct walk
+// declines. The clamp has two roles left. It bounds the executor's pin
+// group, one page per Strider, so a group fits a small pool: a 32-page
+// group does not fit the estimator gate's 16-frame spill pool. And it
+// keeps Train's access.Cycles equal to bench/replica.go's, which clamps
+// to 16 on its own and must report the same counters. The Collector
+// groups pages by the clamped count, so a 32-Strider design (every
+// Table 3 design) executes about twice the Strider cycles its estimate
+// unpacks over 32; the term loses the pipeline max there, so the priced
+// time does not move.
 func InProcessStriders(n int) int { return min(max(n, 1), 16) }
 
 // initModel resolves a program's starting model: the explicit Init, or

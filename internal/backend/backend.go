@@ -255,8 +255,9 @@ type Program struct {
 	// backends ignore them (and accept their absence).
 	Engine    *engine.Program
 	EngineCfg engine.Config
-	// Striders is how many in-process Striders extraction runs (the
-	// design's Strider count clamped by the integration layer).
+	// Striders is how many Striders extraction groups pages by: the
+	// design's count through InProcessStriders, whose clamp bounds the
+	// pin group and keeps the bench replica's counters equal to Train's.
 	Striders int
 	// MergeCoef is the gradient-merge batch size (< 1 = 1).
 	MergeCoef int

@@ -20,10 +20,13 @@ package runtime
 // On the streaming backends the Strider term must lose the pipeline max
 // on both sides, because the two sides disagree on it, and the gate logs
 // the executed over the estimated Strider seconds per row. On the
-// accelerator the executor groups pages by the in-process Strider count
-// (InProcessStriders), so executed Strider cycles run about twice the
-// estimate's. On weave the estimate prices the k-bit plane gather while
-// the executor walks heap pages.
+// accelerator the executor groups pages by InProcessStriders' 16 where
+// the estimate unpacks over the design's 32 Striders, so executed
+// Strider cycles run about twice the estimate's. The clamp stays because
+// it bounds the pin group (a 32-page group does not fit this gate's
+// 16-frame spill pool) and keeps Train's access counters equal to the
+// bench replica's. On weave the estimate prices the k-bit plane gather
+// while the executor walks heap pages.
 
 import (
 	"fmt"
