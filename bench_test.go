@@ -240,7 +240,7 @@ func BenchmarkEngineUpdateRule(b *testing.B) {
 		b.Fatal(err)
 	}
 	m, err := engine.NewMachine(prog, engine.Config{
-		Threads: 8, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6,
+		Threads: 8, ACsPerThread: 2, AUsPerAC: 8,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -649,7 +649,7 @@ func BenchmarkMicroMachineUpdateRule(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mp, err := engine.Lower(prog, engine.Config{Threads: 1, ACsPerThread: 4, AUsPerAC: 8, ClockHz: 150e6})
+	mp, err := engine.Lower(prog, engine.Config{Threads: 1, ACsPerThread: 4, AUsPerAC: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -748,7 +748,7 @@ func BenchmarkEngineRowKernel(b *testing.B) {
 		tuples[i] = []float32{float32(rng.Intn(users)), float32(users + rng.Intn(items)), float32(1 + rng.Intn(5))}
 	}
 	newMachine := func(b *testing.B) *engine.Machine {
-		m, err := engine.NewMachine(prog, engine.Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+		m, err := engine.NewMachine(prog, engine.Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -870,7 +870,7 @@ func BenchmarkEngineMergeKernel(b *testing.B) {
 		tuples[i][nf] = float32(rng.Intn(2))
 	}
 	newMachine := func(b *testing.B) *engine.Machine {
-		m, err := engine.NewMachine(prog, engine.Config{Threads: threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+		m, err := engine.NewMachine(prog, engine.Config{Threads: threads, ACsPerThread: 2, AUsPerAC: 8})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -998,7 +998,7 @@ func BenchmarkEnginePartitionBatch(b *testing.B) {
 		}
 	}
 	newMachine := func() *engine.Machine {
-		m, err := engine.NewMachine(prog, engine.Config{Threads: threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+		m, err := engine.NewMachine(prog, engine.Config{Threads: threads, ACsPerThread: 2, AUsPerAC: 8})
 		if err != nil {
 			b.Fatal(err)
 		}

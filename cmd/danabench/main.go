@@ -230,7 +230,7 @@ func precisionSweep(env experiments.Env, w io.Writer) error {
 // beat always-reconfigure on modeled makespan.
 func tenants(env experiments.Env, w io.Writer) error {
 	header(w, "Multi-tenant server: sequence-aware vs always-reconfigure (seeded open-loop load)")
-	_, err := server.TenantExperiment(w, server.DefaultExperiment())
+	_, err := server.TenantExperiment(w)
 	return err
 }
 

@@ -25,11 +25,8 @@
 //	                         # table and marks the backend that served
 //	danactl stats -json      # machine-readable obs snapshot instead
 //	danactl trace            # train, then dump the trace-event ring
-//	danactl sessions         # run a seeded multi-tenant load through the
-//	                         # accelerator server and print the per-tenant
-//	                         # session view (jobs, reuse, cycles); exits
-//	                         # non-zero if the per-tenant counter identity
-//	                         # breaks (see -help after the subcommand)
+//
+// The multi-tenant server has its own command, danasrv.
 package main
 
 import (
@@ -47,13 +44,9 @@ import (
 func main() {
 	args := os.Args[1:]
 	mode := "train"
-	if len(args) > 0 && (args[0] == "stats" || args[0] == "trace" || args[0] == "sessions") {
+	if len(args) > 0 && (args[0] == "stats" || args[0] == "trace") {
 		mode = args[0]
 		args = args[1:]
-	}
-	if mode == "sessions" {
-		runSessions(args)
-		return
 	}
 	check(run(os.Stdout, mode, args))
 }
@@ -79,6 +72,9 @@ func run(w io.Writer, mode string, args []string) error {
 		asJSON   = fs.Bool("json", false, "with the stats subcommand: print the obs snapshot as JSON")
 	)
 	_ = fs.Parse(args) // ExitOnError: Parse returns only on success
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (subcommands: stats, trace)", fs.Arg(0))
+	}
 
 	eng, err := dana.Open(dana.Config{
 		PageSize: *pageKB << 10, PoolBytes: 256 << 20, Channels: *channels,

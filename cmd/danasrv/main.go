@@ -39,7 +39,7 @@ import (
 // options are danasrv's flags.
 type options struct {
 	tenants, jobs, epochs, instances int
-	rate, scale, slack, scoreFrac    float64
+	rate, scale, scoreFrac           float64
 	seed                             int64
 	policy, faulty                   string
 	compare, stdin                   bool
@@ -57,7 +57,6 @@ func parseFlags(args []string) options {
 	fs.Int64Var(&o.seed, "seed", 1, "load and dataset seed")
 	fs.IntVar(&o.instances, "instances", 2, "accelerator instances in the pool")
 	fs.StringVar(&o.policy, "policy", "sequence", "scheduling policy: sequence | reconfigure")
-	fs.Float64Var(&o.slack, "slack", 0, "affinity batching fair-share slack in virtual seconds (0 = default)")
 	fs.Float64Var(&o.scoreFrac, "score-frac", 0.25, "fraction of jobs that are batch-scoring requests")
 	fs.StringVar(&o.faulty, "faulty", "", "tenant name to run under a persistent Strider trap storm")
 	fs.BoolVar(&o.compare, "compare", false, "also plan the load under always-reconfigure and report the makespan ratio")
@@ -101,11 +100,10 @@ func run(w io.Writer, o options) error {
 		}
 	}
 	srv, err := server.New(server.Config{
-		Tenants:       tcs,
-		Instances:     o.instances,
-		Policy:        pol,
-		Seed:          o.seed,
-		BatchSlackSec: o.slack,
+		Tenants:   tcs,
+		Instances: o.instances,
+		Policy:    pol,
+		Seed:      o.seed,
 	})
 	if err != nil {
 		return err
@@ -206,7 +204,7 @@ func repl(srv *server.Server, load server.LoadConfig) {
 }
 
 // printSessions renders the live per-tenant counter view from the
-// server registry (same numbers danactl sessions shows).
+// server registry.
 func printSessions(srv *server.Server) {
 	r := srv.Obs()
 	fmt.Printf("%-10s %5s %6s %6s %5s %5s %6s %8s %10s %14s %14s\n",

@@ -117,7 +117,7 @@ func buildPage(pageSize, tuples, features int) storage.Page {
 // inspect); a concrete cfg gives the stronger exact-value proof.
 // Definite traps — or any diagnostic under strict — exit non-zero.
 func verifySource(name, src string, cfg *strider.Config, pageSize int, strict bool) []strider.Instr {
-	opts := strider.VerifyOptions{PageSize: pageSize, Strict: strict}
+	opts := strider.VerifyOptions{PageSize: pageSize}
 	var conf strider.Config
 	if cfg != nil {
 		conf = *cfg

@@ -140,7 +140,9 @@ func Open(cfg Config) (*Engine, error) {
 	opts.Precision = cfg.Precision
 	opts.Segments = cfg.Segments
 	opts.Cost.Link.Channels = cfg.Channels
-	opts.DisableObs = cfg.DisableObs
+	if cfg.DisableObs {
+		opts.Obs = obs.Noop
+	}
 	opts.Faults = cfg.Faults
 	opts.EpochTimeout = cfg.EpochTimeout
 	opts.MaxPageRetries = cfg.MaxPageRetries

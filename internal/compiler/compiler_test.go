@@ -161,7 +161,7 @@ func crossValidate(t *testing.T, a *dsl.Algo, cfg engine.Config, tuples [][]floa
 }
 
 func cfg(threads, acs int) engine.Config {
-	return engine.Config{Threads: threads, ACsPerThread: acs, AUsPerAC: engine.DefaultAUsPerAC, ClockHz: 150e6}
+	return engine.Config{Threads: threads, ACsPerThread: acs, AUsPerAC: engine.DefaultAUsPerAC}
 }
 
 func TestLinearSGDMatchesReference(t *testing.T) {

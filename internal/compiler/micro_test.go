@@ -77,7 +77,7 @@ func TestMicroLoweringLRMF(t *testing.T) {
 	for i := range init {
 		init[i] = float32(0.2 * rng.Float64())
 	}
-	cfg := engine.Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := engine.Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8}
 	mac, err := engine.NewMachine(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestMicroInstructionFootprint(t *testing.T) {
 	// The micro expansion of a 54-feature linear program should stay in
 	// the hundreds of AC instructions — a compact footprint per §5.1.2.
 	_, p := mustCompile(t, linearAlgo(54, 16, 0.01))
-	mp, err := engine.Lower(p, engine.Config{Threads: 1, ACsPerThread: 7, AUsPerAC: 8, ClockHz: 150e6})
+	mp, err := engine.Lower(p, engine.Config{Threads: 1, ACsPerThread: 7, AUsPerAC: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func schedCfg() engine.Config {
-	return engine.Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}
+	return engine.Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8}
 }
 
 func TestScheduleRespectsBounds(t *testing.T) {

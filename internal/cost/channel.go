@@ -18,17 +18,13 @@ package cost
 // in the limit — so every pre-channel experiment reproduces.
 
 // ChannelModel describes the accelerator's data link as N independent
-// channels. The zero value is the legacy single link: one channel at
-// PCIeBytesPerSec with no handshake.
+// channels, each at Params.PCIeBytesPerSec. The zero value is the legacy
+// single link: one channel with no handshake.
 type ChannelModel struct {
 	// Channels is the number of independent channels (<= 1 models the
-	// single legacy link).
+	// single legacy link). Aggregate link bandwidth is Channels ×
+	// per-channel — the invariant AggregateBandwidth asserts.
 	Channels int
-	// ChannelBytesPerSec is the bandwidth of ONE channel before the
-	// Figure-14 BandwidthScale multiplier (0 = Params.PCIeBytesPerSec).
-	// Aggregate link bandwidth is Channels × per-channel — the invariant
-	// AggregateBandwidth asserts.
-	ChannelBytesPerSec float64
 	// HandshakeSec is the per-epoch, per-channel DMA setup latency
 	// (descriptor ring, doorbell). Charged once per channel per epoch,
 	// inside the max — a channel's stream cannot start before its
@@ -44,18 +40,14 @@ func (l ChannelModel) channels() int {
 	return l.Channels
 }
 
-// ChannelBandwidth returns the effective bandwidth of one channel:
-// the configured per-channel rate (or the legacy PCIe rate) scaled by
-// the Figure-14 BandwidthScale multiplier (0 = unscaled).
+// ChannelBandwidth returns the effective bandwidth of one channel: the
+// PCIe rate scaled by the Figure-14 BandwidthScale multiplier (0 =
+// unscaled).
 func ChannelBandwidth(p Params) float64 {
-	bw := p.Link.ChannelBytesPerSec
-	if bw == 0 {
-		bw = p.PCIeBytesPerSec
-	}
 	if p.BandwidthScale == 0 {
-		return bw
+		return p.PCIeBytesPerSec
 	}
-	return bw * p.BandwidthScale
+	return p.PCIeBytesPerSec * p.BandwidthScale
 }
 
 // AggregateBandwidth is the total link bandwidth: channels × per-channel.

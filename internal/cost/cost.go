@@ -19,7 +19,6 @@ type Params struct {
 	// CPU (paper: 4-core Intel i7-6700 @ 3.40 GHz).
 	CPUClockHz       float64
 	CPUFlopsPerCycle float64 // effective MADlib inner-loop throughput
-	Cores            int
 
 	// MADlib/PostgreSQL per-tuple costs: UDF-call overhead plus
 	// per-column tuple deforming, and a small per-page processing cost
@@ -72,7 +71,6 @@ func Default() Params {
 	return Params{
 		CPUClockHz:           3.4e9,
 		CPUFlopsPerCycle:     4,
-		Cores:                4,
 		TupleBaseSec:         1e-6,
 		ColumnDeformSec:      25e-9,
 		PageProcessSec:       5e-6,
@@ -200,7 +198,7 @@ func MADlibPostgres(w Workload, p Params, warm bool) Breakdown {
 // greenplumParallelism is the effective speedup of S segments on the
 // 4-core host: limited by cores (with SMT headroom) and degraded by
 // inter-segment contention, peaking near 8 segments as in Figure 13.
-func greenplumParallelism(p Params, segments int) float64 {
+func greenplumParallelism(segments int) float64 {
 	if segments <= 1 {
 		return 1
 	}
@@ -212,7 +210,7 @@ func greenplumParallelism(p Params, segments int) float64 {
 
 // MADlibGreenplum models MADlib on an S-segment Greenplum.
 func MADlibGreenplum(w Workload, p Params, segments int, warm bool) Breakdown {
-	par := greenplumParallelism(p, segments)
+	par := greenplumParallelism(segments)
 	b := Breakdown{
 		IOSec:      ioSec(w, p, warm), // the disk is shared
 		ComputeSec: float64(w.Epochs) * float64(w.Tuples) * madlibTupleSec(w, p) / par,

@@ -62,14 +62,13 @@ func TestDiskModelReadTime(t *testing.T) {
 }
 
 func TestGreenplumPeaksAtEight(t *testing.T) {
-	p := Default()
-	p4 := greenplumParallelism(p, 4)
-	p8 := greenplumParallelism(p, 8)
-	p16 := greenplumParallelism(p, 16)
+	p4 := greenplumParallelism(4)
+	p8 := greenplumParallelism(8)
+	p16 := greenplumParallelism(16)
 	if !(p8 > p4 && p8 > p16) {
 		t.Errorf("parallelism 4/8/16 = %v/%v/%v, want a peak at 8", p4, p8, p16)
 	}
-	if greenplumParallelism(p, 1) != 1 {
+	if greenplumParallelism(1) != 1 {
 		t.Error("1 segment must be 1x")
 	}
 	// Figure 13 magnitude: ~2.1x at 8 segments.

@@ -187,7 +187,7 @@ func (w Workload) ScaledTuples(scale float64) int {
 // given scale (0 < scale <= 1 of the full tuple count). Deterministic in
 // seed.
 func Generate(w Workload, scale float64, pageSize int, seed int64) (*Dataset, error) {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return nil, fmt.Errorf("datagen: scale %v out of (0, 1]", scale)
 	}
 	n := w.ScaledTuples(scale)
@@ -211,7 +211,7 @@ func Generate(w Workload, scale float64, pageSize int, seed int64) (*Dataset, er
 		for i := 0; i < n; i++ {
 			u := rng.Intn(users)
 			v := rng.Intn(items)
-			r := dotRows(truthU, truthV, u, v, rank) + 0.05*rng.NormFloat64()
+			r := dotRows(truthU, truthV, u, v, rank) + float64(0.05*rng.NormFloat64())
 			rows = append(rows, []float64{float64(u), float64(users + v), float64(float32(r))})
 		}
 	default:
@@ -225,18 +225,18 @@ func Generate(w Workload, scale float64, pageSize int, seed int64) (*Dataset, er
 			s := 0.0
 			for j := 0; j < nf; j++ {
 				x[j] = float64(float32(rng.NormFloat64()))
-				s += truth[j] * x[j]
+				s += float64(truth[j] * x[j])
 			}
 			s /= math.Sqrt(float64(nf)) // keep activations O(1) at any width
 			switch w.Kind {
 			case algos.KindLinear:
-				x[nf] = float64(float32(s + 0.05*rng.NormFloat64()))
+				x[nf] = float64(float32(s + float64(0.05*rng.NormFloat64())))
 			case algos.KindLogistic:
-				if ml.Sigmoid(s)+0.05*rng.NormFloat64() > 0.5 {
+				if ml.Sigmoid(s)+float64(0.05*rng.NormFloat64()) > 0.5 {
 					x[nf] = 1
 				}
 			case algos.KindSVM:
-				if s+0.05*rng.NormFloat64() >= 0 {
+				if s+float64(0.05*rng.NormFloat64()) >= 0 {
 					x[nf] = 1
 				} else {
 					x[nf] = -1
@@ -262,7 +262,7 @@ func randMatrix(rng *rand.Rand, rows, cols int, scale float64) []float64 {
 func dotRows(u, v []float64, ui, vi, rank int) float64 {
 	s := 0.0
 	for k := 0; k < rank; k++ {
-		s += u[ui*rank+k] * v[vi*rank+k]
+		s += float64(u[ui*rank+k] * v[vi*rank+k])
 	}
 	return s
 }

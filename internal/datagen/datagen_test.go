@@ -168,6 +168,9 @@ func TestGenerateBadScale(t *testing.T) {
 	if _, err := Generate(w, 1.5, storage.PageSize32K, 1); err == nil {
 		t.Error("scale > 1 accepted")
 	}
+	if _, err := Generate(w, math.NaN(), storage.PageSize32K, 1); err == nil {
+		t.Error("scale NaN accepted")
+	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {

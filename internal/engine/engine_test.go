@@ -47,7 +47,7 @@ func mergeProg(f int) *Program {
 }
 
 func defaultCfg() Config {
-	return Config{Threads: 1, ACsPerThread: 2, AUsPerAC: DefaultAUsPerAC, ClockHz: 150e6}
+	return Config{Threads: 1, ACsPerThread: 2, AUsPerAC: DefaultAUsPerAC}
 }
 
 func TestMachineSGDStep(t *testing.T) {

@@ -23,7 +23,7 @@ type epochCase struct {
 }
 
 func epochCases() []epochCase {
-	cfg := func(k int) Config { return Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6} }
+	cfg := func(k int) Config { return Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8} }
 	return []epochCase{
 		{"glm/merge64", glmProg(12, true), cfg(8), 64, 13, 0},
 		{"lrmf/merge1", lrmfProg(6, 3), cfg(1), 1, 3, 6},

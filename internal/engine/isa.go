@@ -217,7 +217,6 @@ type Config struct {
 	Threads      int // parallel update-rule threads
 	ACsPerThread int // analytic clusters per thread
 	AUsPerAC     int // fixed to 8 in the paper for timing closure
-	ClockHz      float64
 }
 
 // DefaultAUsPerAC mirrors the paper's fixed 8 AUs per AC.

@@ -57,15 +57,15 @@ func lowerAndCompare(t *testing.T, p *Program, cfg Config, tupleWidth, n int, se
 func linearProgWithMerge() *Program { return mergeProg(4) }
 
 func TestLowerHandProgramMatchesMacro(t *testing.T) {
-	lowerAndCompare(t, handProg(), Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}, 5, 60, 1, []float32{0.5, -0.25, 1, 2})
+	lowerAndCompare(t, handProg(), Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8}, 5, 60, 1, []float32{0.5, -0.25, 1, 2})
 }
 
 func TestLowerSingleACConfig(t *testing.T) {
-	lowerAndCompare(t, handProg(), Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}, 5, 40, 2, nil)
+	lowerAndCompare(t, handProg(), Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8}, 5, 40, 2, nil)
 }
 
 func TestLowerMergeProgram(t *testing.T) {
-	lowerAndCompare(t, linearProgWithMerge(), Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}, 5, 40, 3, nil)
+	lowerAndCompare(t, linearProgWithMerge(), Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8}, 5, 40, 3, nil)
 }
 
 func TestLowerGatherScatterProgram(t *testing.T) {
@@ -82,7 +82,7 @@ func TestLowerGatherScatterProgram(t *testing.T) {
 			{Kind: KScatter, A: Slot{12, 2}, B: Slot{8, 1}, RowLen: 2},
 		},
 	}
-	cfg := Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8}
 	mac, err := NewMachine(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestLowerStridedReduce(t *testing.T) {
 				GroupSize: 3, GStride: 1, EStride: 4},
 		},
 	}
-	cfg := Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8}
 	mp, err := Lower(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestLowerStridedReduce(t *testing.T) {
 
 func TestLowerMaskSanity(t *testing.T) {
 	p := handProg()
-	cfg := Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8}
 	mp, err := Lower(p, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestLowerMaskSanity(t *testing.T) {
 
 func TestLowerListingStrings(t *testing.T) {
 	p := handProg()
-	mp, err := Lower(p, Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+	mp, err := Lower(p, Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestLowerListingStrings(t *testing.T) {
 
 func TestMicroMachineValidation(t *testing.T) {
 	p := handProg()
-	mp, err := Lower(p, Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+	mp, err := Lower(p, Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestLowerRandomEWPrograms(t *testing.T) {
 				{Kind: KEW, Op: AMul, Dst: Slot{8 + 2*n, n}, A: Slot{8, n}, B: Slot{8 + n, n}},
 			},
 		}
-		cfg := Config{Threads: 1, ACsPerThread: 1 + rng.Intn(3), AUsPerAC: 8, ClockHz: 150e6}
+		cfg := Config{Threads: 1, ACsPerThread: 1 + rng.Intn(3), AUsPerAC: 8}
 		mp, err := Lower(p, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +270,7 @@ func TestLowerRandomEWPrograms(t *testing.T) {
 // (alignProgram used to park the translation in a package variable that
 // Lower read back, so overlapping calls raced and could swap MapSlots.)
 func TestLowerConcurrentKeepsOwnRemap(t *testing.T) {
-	cfg := Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := Config{Threads: 1, ACsPerThread: 2, AUsPerAC: 8}
 	progs := []*Program{linearProg(5), linearProg(37)}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

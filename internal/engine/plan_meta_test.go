@@ -25,7 +25,7 @@ func metaCase() diffCase {
 	}
 	return diffCase{
 		prog:    glmProg(f, true),
-		cfg:     Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6},
+		cfg:     Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8},
 		init:    init,
 		batches: diffBatches(diffTuples(rng, 11*k, f+1, 0), k),
 	}
@@ -360,7 +360,7 @@ func lrmfMetaCase(prog *Program) diffCase {
 	}
 	return diffCase{
 		prog:    prog,
-		cfg:     Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6},
+		cfg:     Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8},
 		init:    init,
 		batches: diffBatches(tuples, 1),
 	}
@@ -579,7 +579,7 @@ func TestMetaFusedOpCountCaught(t *testing.T) {
 // scatter row outside the model, an elementwise instruction with an
 // empty source.
 func TestPlanErrorTrichotomy(t *testing.T) {
-	cfg := Config{Threads: 2, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := Config{Threads: 2, ACsPerThread: 1, AUsPerAC: 8}
 	lrmf := lrmfProg(6, 4)
 	scatterOnly := cloneProg(lrmf)
 	scatterOnly.PerTuple = nil
@@ -715,7 +715,7 @@ func TestRunBatchAllocationFree(t *testing.T) {
 		first := uint64(math.MaxUint64)
 		for attempt := 0; attempt < 5 && first != 0; attempt++ {
 			var err error
-			if m, err = NewMachine(c.prog, Config{Threads: c.threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}); err != nil {
+			if m, err = NewMachine(c.prog, Config{Threads: c.threads, ACsPerThread: 2, AUsPerAC: 8}); err != nil {
 				t.Fatal(err)
 			}
 			var before, after hostrt.MemStats
@@ -753,7 +753,7 @@ func TestNewMachineAllocations(t *testing.T) {
 		{"glm 64 threads", glmProg(54, true), 64, 4},
 		{"lrmf 1 thread", lrmfProg(100, 10), 1, 3},
 	} {
-		cfg := Config{Threads: c.threads, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6}
+		cfg := Config{Threads: c.threads, ACsPerThread: 2, AUsPerAC: 8}
 		got := testing.AllocsPerRun(20, func() {
 			if _, err := NewMachine(c.prog, cfg); err != nil {
 				t.Fatal(err)
@@ -763,7 +763,7 @@ func TestNewMachineAllocations(t *testing.T) {
 			t.Errorf("%s: NewMachine allocates %v times, budget %v", c.name, got, c.want)
 		}
 	}
-	m, err := NewMachine(glmProg(54, true), Config{Threads: 64, ACsPerThread: 2, AUsPerAC: 8, ClockHz: 150e6})
+	m, err := NewMachine(glmProg(54, true), Config{Threads: 64, ACsPerThread: 2, AUsPerAC: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -482,7 +482,7 @@ func TestPlanMatchesReferenceShapes(t *testing.T) {
 	// At 6 threads a direct batch is one full lane group and a remainder; at
 	// 13, the batch's first group, two more full ones and a remainder of one.
 	const f = 12
-	cfg := Config{ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := Config{ACsPerThread: 1, AUsPerAC: 8}
 	rng := rand.New(rand.NewSource(21))
 	for _, k := range []int{6, 13} {
 		cfg.Threads = k
@@ -534,7 +534,7 @@ func TestPlanMatchesReferenceShapes(t *testing.T) {
 // nothing (or a liveness rule that refuses everything).
 func TestPlanShape(t *testing.T) {
 	const f = 12
-	cfg := Config{Threads: 4, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := Config{Threads: 4, ACsPerThread: 1, AUsPerAC: 8}
 	type shape struct {
 		dot, fusedAcc, copyInput, shareModel, sharePads, step bool
 	}
@@ -583,7 +583,7 @@ func TestPlanShape(t *testing.T) {
 	// LRMF is one row kernel standing for view, view, dot, scalar, step,
 	// step and two paired scatters: 1 op for 13 instructions, inside the
 	// slab of 13 the eight were lowered into.
-	lrmfCfg := Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	lrmfCfg := Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8}
 	m, err := NewMachine(lrmfProg(6, 4), lrmfCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -872,7 +872,7 @@ func TestPlanMatchesReferenceRandom(t *testing.T) {
 			t.Fatalf("trial %d: generator made an invalid program: %v", trial, err)
 		}
 		k := 1 + rng.Intn(6)
-		cfg := Config{Threads: k, ACsPerThread: 1, AUsPerAC: 1, ClockHz: 150e6}
+		cfg := Config{Threads: k, ACsPerThread: 1, AUsPerAC: 1}
 		tuples := diffTuples(rng, 9*k+3, p.InputSlot.Len, rows)
 		init := make([]float32, p.ModelSlot.Len)
 		for i := range init {

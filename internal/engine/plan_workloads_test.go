@@ -45,7 +45,7 @@ func TestPlanMatchesReferenceTable3(t *testing.T) {
 // batches of the given sizes (nil: the shapes above).
 func table3Diff(t *testing.T, w datagen.Workload, k int, sizes []int) {
 	t.Helper()
-	cfg := engine.Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := engine.Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8}
 	sp := golden.Spec{Kind: w.Kind, LR: w.LR, Lambda: w.Lambda, MergeCoef: 2 * k, Epochs: 1}
 	if w.Kind == algos.KindLRMF {
 		// Netflix's shape at a tenth of its rows (the row count only
@@ -163,7 +163,7 @@ per-tuple:
 // aliasing rule that moves any of them shows here, by name.
 func TestPlanTable3Lowering(t *testing.T) {
 	const k = 8
-	cfg := engine.Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := engine.Config{Threads: k, ACsPerThread: 1, AUsPerAC: 8}
 	offsets := regexp.MustCompile(`\[\d+\+\d+\]`)
 	for _, w := range datagen.Real() {
 		prog := compileAlgo(t, w.Name, w.Kind, w.Topology, algos.Hyper{LR: w.LR, Lambda: w.Lambda, MergeCoef: 2 * k, Epochs: 1})
@@ -185,7 +185,7 @@ func TestPlanTable3Lowering(t *testing.T) {
 // merged vector and a spare per lane), itself and its ops — where a pad and an accumulator per model thread were 191-911 KB
 // of zeroed memory a job.
 func TestServerMixMachineFootprint(t *testing.T) {
-	cfg := engine.Config{Threads: 64, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := engine.Config{Threads: 64, ACsPerThread: 1, AUsPerAC: 8}
 	padsOf := regexp.MustCompile(`pads=(\d+)\n`)
 	for _, name := range []string{"WLAN", "Patient", "Blog Feedback", "Remote Sensing LR"} {
 		w, err := datagen.ByName(name)

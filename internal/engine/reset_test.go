@@ -21,7 +21,7 @@ import (
 // sees them; the backend conformance suite's reconfigure leg sees the
 // other three.
 func TestResetEqualsNewMachine(t *testing.T) {
-	cfg := Config{Threads: 8, ACsPerThread: 1, AUsPerAC: 8, ClockHz: 150e6}
+	cfg := Config{Threads: 8, ACsPerThread: 1, AUsPerAC: 8}
 	rng := rand.New(rand.NewSource(5))
 	forgets := map[string]func(m, before *Machine){
 		"scratch": func(m, before *Machine) { copy(m.scratch, before.scratch) },

@@ -65,7 +65,7 @@ func precisionEpochBudget(epochs, bits int) int {
 // precisionLossMargin is the allowed slack over the golden trainer's
 // loss: the 2⁻ᵏ quantization floor plus a small float32 allowance.
 func precisionLossMargin(bits int) float64 {
-	return 1.5*math.Pow(2, -float64(bits)) + 0.02
+	return float64(1.5*math.Pow(2, -float64(bits))) + 0.02
 }
 
 // snapScenarioToGrid rewrites the scenario's features onto the 2⁻²³
@@ -81,7 +81,7 @@ func snapScenarioToGrid(sc *backend.Scenario, nfeat int) {
 		if n > (1<<24)-1 {
 			n = (1 << 24) - 1
 		}
-		return n/(1<<23) - 1
+		return float64(n/(1<<23)) - 1
 	}
 	for i, t := range sc.Tuples {
 		for c := 0; c < nfeat; c++ {

@@ -76,7 +76,7 @@ func (sp Spec) grad(model, tuple, grad []float64) error {
 	nf := sp.NFeat
 	s := 0.0
 	for i := 0; i < nf; i++ {
-		s += model[i] * tuple[i]
+		s += float64(model[i] * tuple[i])
 	}
 	out := tuple[nf]
 	switch sp.Kind {
@@ -99,7 +99,7 @@ func (sp Spec) grad(model, tuple, grad []float64) error {
 		}
 		for i := 0; i < nf; i++ {
 			// Sub(Mul(lam, mo), Mul(ind, Mul(out, in))).
-			grad[i] = sp.Lambda*model[i] - ind*(out*tuple[i])
+			grad[i] = float64(sp.Lambda*model[i]) - float64(ind*(out*tuple[i]))
 		}
 	default:
 		return fmt.Errorf("golden: grad undefined for kind %q", sp.Kind)
@@ -140,7 +140,7 @@ func (sp Spec) Train(model []float64, tuples [][]float64) error {
 					}
 					for i := range model {
 						// Sub(mo, Mul(lr, grad)).
-						model[i] = model[i] - sp.LR*g[i]
+						model[i] = model[i] - float64(sp.LR*g[i])
 					}
 				}
 				continue
@@ -160,7 +160,7 @@ func (sp Spec) Train(model []float64, tuples [][]float64) error {
 				}
 			}
 			for i := range model {
-				model[i] = model[i] - sp.LR*acc[i]
+				model[i] = model[i] - float64(sp.LR*acc[i])
 			}
 		}
 	}
@@ -189,15 +189,15 @@ func (sp Spec) trainLRMF(model []float64, tuples [][]float64) error {
 			copy(vr, model[v*rank:(v+1)*rank])
 			pred := 0.0
 			for k := 0; k < rank; k++ {
-				pred += ur[k] * vr[k]
+				pred += float64(ur[k] * vr[k])
 			}
 			e := pred - t[2]
 			for k := 0; k < rank; k++ {
 				// Sub(ur, Mul(lr, Mul(e, vr))).
-				model[u*rank+k] = ur[k] - sp.LR*(e*vr[k])
+				model[u*rank+k] = ur[k] - float64(sp.LR*(e*vr[k]))
 			}
 			for k := 0; k < rank; k++ {
-				model[v*rank+k] = vr[k] - sp.LR*(e*ur[k])
+				model[v*rank+k] = vr[k] - float64(sp.LR*(e*ur[k]))
 			}
 		}
 	}
@@ -267,7 +267,7 @@ func InitModelFor(g Source, sp Spec) []float64 {
 	init := make([]float64, sp.ModelSize())
 	if sp.Kind == algos.KindLRMF {
 		for i := range init {
-			init[i] = float64(float32(0.05 + 0.01*float64(g.Intn(10))))
+			init[i] = float64(float32(0.05 + float64(0.01*float64(g.Intn(10)))))
 		}
 	}
 	return init

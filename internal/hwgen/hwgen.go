@@ -24,21 +24,18 @@ type FPGA struct {
 	// MaxAUs caps instantiable compute units (timing/placement limit;
 	// 1024 on UltraScale+ per §7.2).
 	MaxAUs int
-	// OffChipBytesPerSec is the AXI/PCIe bandwidth into the FPGA.
-	OffChipBytesPerSec float64
 }
 
 // VU9P returns the paper's Xilinx Virtex UltraScale+ VU9P (Table 4).
 func VU9P() FPGA {
 	return FPGA{
-		Name:               "Xilinx Virtex UltraScale+ VU9P",
-		LUTs:               1182_000,
-		FlipFlops:          2364_000,
-		ClockHz:            150e6,
-		BRAMBytes:          44 << 20,
-		DSPs:               6840,
-		MaxAUs:             1024,
-		OffChipBytesPerSec: 16e9, // PCIe gen3 x16
+		Name:      "Xilinx Virtex UltraScale+ VU9P",
+		LUTs:      1182_000,
+		FlipFlops: 2364_000,
+		ClockHz:   150e6,
+		BRAMBytes: 44 << 20,
+		DSPs:      6840,
+		MaxAUs:    1024,
 	}
 }
 
@@ -82,20 +79,17 @@ type Params struct {
 	PageSize  int
 	MergeCoef int // maximum threads (merge coefficient)
 	NumTuples int // training-set size used to score design points
-	// MaxStriders caps page buffers (config-FSM fanout limit).
-	MaxStriders int
-	// MaxPageBuffers caps resident pages.
-	MaxPageBuffers int
 }
 
-// DefaultParams fills unset fields.
+const (
+	// maxStriders caps Striders (config-FSM fanout limit).
+	maxStriders = 32
+	// maxPageBuffers caps resident pages.
+	maxPageBuffers = 256
+)
+
+// withDefaults fills unset fields.
 func (p Params) withDefaults() Params {
-	if p.MaxStriders == 0 {
-		p.MaxStriders = 32
-	}
-	if p.MaxPageBuffers == 0 {
-		p.MaxPageBuffers = 256
-	}
 	if p.MergeCoef < 1 {
 		p.MergeCoef = 1
 	}
@@ -162,7 +156,6 @@ func Generate(prog *engine.Program, fpga FPGA, params Params) (Design, error) {
 			Threads:      threads,
 			ACsPerThread: acs,
 			AUsPerAC:     engine.DefaultAUsPerAC,
-			ClockHz:      fpga.ClockHz,
 		}
 		scratch := scratchPerThread * int64(threads)
 		if scratch > fpga.BRAMBytes {
@@ -170,16 +163,11 @@ func Generate(prog *engine.Program, fpga FPGA, params Params) (Design, error) {
 		}
 		remaining := fpga.BRAMBytes - scratch
 		buffers := int(remaining / int64(params.PageSize))
-		if buffers > params.MaxPageBuffers {
-			buffers = params.MaxPageBuffers
-		}
+		buffers = min(buffers, maxPageBuffers)
 		if buffers < 1 {
 			continue
 		}
-		striders := buffers
-		if striders > params.MaxStriders {
-			striders = params.MaxStriders
-		}
+		striders := min(buffers, maxStriders)
 		// Control-store constraint: the per-AC selective-SIMD program
 		// must fit the instruction buffers.
 		ms := engine.Expand(prog, cfg)

@@ -32,7 +32,7 @@ type Algorithm interface {
 func dot(w, x []float64, n int) float64 {
 	s := 0.0
 	for i := 0; i < n; i++ {
-		s += w[i] * x[i]
+		s += float64(w[i] * x[i])
 	}
 	return s
 }
@@ -50,7 +50,7 @@ func (l Linear) TupleWidth() int { return l.NFeatures + 1 }
 func (l Linear) Update(model, tuple []float64) {
 	e := dot(model, tuple, l.NFeatures) - tuple[l.NFeatures]
 	for i := 0; i < l.NFeatures; i++ {
-		model[i] -= l.LR * e * tuple[i]
+		model[i] -= float64(l.LR * e * tuple[i])
 	}
 }
 
@@ -78,7 +78,7 @@ func (l Logistic) Update(model, tuple []float64) {
 	p := Sigmoid(dot(model, tuple, l.NFeatures))
 	e := p - tuple[l.NFeatures]
 	for i := 0; i < l.NFeatures; i++ {
-		model[i] -= l.LR * e * tuple[i]
+		model[i] -= float64(l.LR * e * tuple[i])
 	}
 }
 
@@ -86,7 +86,7 @@ func (l Logistic) Loss(model, tuple []float64) float64 {
 	p := Sigmoid(dot(model, tuple, l.NFeatures))
 	y := tuple[l.NFeatures]
 	const eps = 1e-12
-	return -(y*math.Log(p+eps) + (1-y)*math.Log(1-p+eps))
+	return -(float64(y*math.Log(p+eps)) + float64((1-y)*math.Log(1-p+eps)))
 }
 
 func (l Logistic) FlopsPerUpdate() int { return 4*l.NFeatures + 8 }
@@ -107,26 +107,26 @@ func (s SVM) Update(model, tuple []float64) {
 	y := tuple[s.NFeatures]
 	margin := y * dot(model, tuple, s.NFeatures)
 	for i := 0; i < s.NFeatures; i++ {
-		g := s.Lambda * model[i]
+		g := float64(s.Lambda * model[i])
 		if margin < 1 {
-			g -= y * tuple[i]
+			g -= float64(y * tuple[i])
 		}
-		model[i] -= s.LR * g
+		model[i] -= float64(s.LR * g)
 	}
 }
 
 func (s SVM) Loss(model, tuple []float64) float64 {
 	y := tuple[s.NFeatures]
-	margin := y * dot(model, tuple, s.NFeatures)
+	margin := float64(y * dot(model, tuple, s.NFeatures))
 	loss := 0.0
 	if margin < 1 {
 		loss = 1 - margin
 	}
 	reg := 0.0
 	for i := 0; i < s.NFeatures; i++ {
-		reg += model[i] * model[i]
+		reg += float64(model[i] * model[i])
 	}
-	return loss + 0.5*s.Lambda*reg
+	return loss + float64(0.5*s.Lambda*reg)
 }
 
 func (s SVM) FlopsPerUpdate() int { return 6 * s.NFeatures }
@@ -154,8 +154,8 @@ func (m LRMF) Update(model, tuple []float64) {
 	e := dot(u, v, m.Rank) - tuple[2]
 	for i := 0; i < m.Rank; i++ {
 		ui, vi := u[i], v[i]
-		u[i] = ui - m.LR*e*vi
-		v[i] = vi - m.LR*e*ui
+		u[i] = ui - float64(m.LR*e*vi)
+		v[i] = vi - float64(m.LR*e*ui)
 	}
 }
 

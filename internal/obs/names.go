@@ -148,8 +148,8 @@ func ChannelBusyCycles(ch int) string {
 // runtime.System) and charges tenant.<name>.<metric> counters in its
 // own registry from registry deltas taken around each job, so the
 // per-tenant cycle counters sum exactly to the per-tenant registries'
-// engine/strider totals even when sessions interleave — `danactl
-// sessions` asserts the identity and exits non-zero on violation.
+// engine/strider totals even when sessions interleave — danasrv
+// asserts the identity and exits non-zero on violation.
 // Handles are resolved once at server construction, like every other
 // instrument.
 const (

@@ -387,7 +387,7 @@ func newBenchRunner(t *testing.T, spill bool) (*epochRunner, *backend.Accel) {
 	if spill {
 		opts.Cost.PoolBytes = spillPoolBytes
 	}
-	opts.DisableObs = true
+	opts.Obs = obs.Noop
 	s := New(opts)
 	d := deployScaled(t, s, "Remote Sensing LR", 0.01)
 	a, err := d.DSLAlgo(16)

@@ -19,7 +19,9 @@ func trainWithObs(t *testing.T, disable bool) (*System, *TrainResult) {
 	opts.PageSize = 8 << 10
 	opts.Cost.PoolBytes = 32 << 20
 	opts.MaxEpochs = 6
-	opts.DisableObs = disable
+	if disable {
+		opts.Obs = obs.Noop
+	}
 	s := New(opts)
 	d := deployScaled(t, s, "Remote Sensing LR", 0.01)
 	a, err := d.DSLAlgo(8)
@@ -173,7 +175,7 @@ func TestObsRuntimeCountersAndTrace(t *testing.T) {
 	}
 }
 
-// TestObsDisabledIsBitIdenticalAndDark: DisableObs leaves every modeled
+// TestObsDisabledIsBitIdenticalAndDark: Obs: obs.Noop leaves every modeled
 // statistic and model bit unchanged, and records nothing.
 func TestObsDisabledIsBitIdenticalAndDark(t *testing.T) {
 	sOn, resOn := trainWithObs(t, false)

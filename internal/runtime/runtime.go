@@ -87,19 +87,19 @@ type Options struct {
 	// always verify when Faults is non-nil).
 	VerifyChecksums bool
 
-	// Obs supplies the observability registry every subsystem charges
-	// (nil = the System creates its own enabled registry). Observation
-	// is strictly additive: modeled cycles, simulated seconds, and
-	// trained models are bit-identical with obs on, off, or shared.
+	// Obs is the observability registry every subsystem charges.
+	// DefaultOptions supplies a fresh enabled one; obs.Noop (nil) runs
+	// the system dark, every counter site degrading to a nil-check.
+	// Observation is strictly additive: modeled cycles, simulated
+	// seconds, and trained models are bit-identical with obs on, off, or
+	// shared.
 	Obs *obs.Registry
-	// DisableObs runs the system dark (obs.Noop): every counter site
-	// degrades to a nil-check. Overrides Obs.
-	DisableObs bool
 }
 
 // DefaultOptions mirrors the paper's default setup, 32 KB pages and a
 // VU9P FPGA, with the buffer pool capped at 256 MB for in-process runs
-// (the paper's is 8 GB); the cost model prices that same pool.
+// (the paper's is 8 GB); the cost model prices that same pool. Each
+// call returns a fresh registry.
 func DefaultOptions() Options {
 	p := cost.Default()
 	p.PoolBytes = 256 << 20
@@ -107,6 +107,7 @@ func DefaultOptions() Options {
 		PageSize: storage.PageSize32K,
 		FPGA:     hwgen.VU9P(),
 		Cost:     p,
+		Obs:      obs.New(),
 	}
 }
 
@@ -180,11 +181,6 @@ func New(opts Options) *System {
 	}
 	s.DB.Runner = s
 	reg := opts.Obs
-	if opts.DisableObs {
-		reg = obs.Noop
-	} else if reg == nil {
-		reg = obs.New()
-	}
 	s.obs = reg
 	s.DB.Pool.SetObs(reg)
 	s.obsEpochs = reg.Counter(obs.RuntimeEpochs)

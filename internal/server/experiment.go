@@ -5,59 +5,32 @@ import (
 	"io"
 )
 
-// ExperimentConfig sizes the tenants experiment (danabench -exp
-// tenants): a fixed-seed open-loop load planned under both policies,
-// with the sequence-aware plan also executed functionally.
-type ExperimentConfig struct {
-	Load      LoadConfig
-	Instances int
-}
-
-// DefaultExperiment is the CI-sized tenants experiment.
-func DefaultExperiment() ExperimentConfig {
-	return ExperimentConfig{
-		Load: LoadConfig{
-			Seed: 1, Tenants: 6, Jobs: 48, RateJobsPerSec: 24,
-			Scale: 0.002, Epochs: 2,
-		},
-		Instances: 2,
-	}
-}
-
-// ExperimentResult reports both policies on the same load.
-type ExperimentResult struct {
-	SeqAware          *Report // functional run under PolicySequenceAware
-	ReconfPlan        *Plan   // the same load planned under PolicyAlwaysReconfigure
-	SpeedupOnMakespan float64
-}
-
-// TenantExperiment runs the seeded many-tenant open-loop load under
-// sequence-aware scheduling (functionally, isolation and counter
-// identities included) and re-plans the identical schedule under
-// always-reconfigure. It errors — danabench exits non-zero — if the
-// counter identity breaks, any job fails, or sequence-aware does not
-// beat always-reconfigure on modeled makespan (the PR's acceptance
-// criterion).
-func TenantExperiment(w io.Writer, cfg ExperimentConfig) (*ExperimentResult, error) {
-	load := cfg.Load
+// TenantExperiment is danabench -exp tenants: a fixed-seed open-loop
+// load (seed 1, 6 tenants, 48 jobs at 24 per virtual second, scale
+// 0.002, 2 epochs) run functionally under sequence-aware scheduling on 2
+// instances, isolation and counter identities included, and the
+// identical schedule re-planned under always-reconfigure. It returns the
+// modeled-makespan speedup, and errors — danabench exits non-zero — if
+// the counter identity breaks, any job fails, or sequence-aware does
+// not beat always-reconfigure on makespan and reuse rate.
+func TenantExperiment(w io.Writer) (speedup float64, err error) {
+	load := LoadConfig{Seed: 1, Tenants: 6, Jobs: 48, RateJobsPerSec: 24, Scale: 0.002, Epochs: 2}
 	specs := GenLoad(load)
-	load = load.withDefaults()
-
 	srv, err := New(Config{
 		Tenants:   DefaultTenants(load.Tenants),
-		Instances: cfg.Instances,
+		Instances: 2,
 		Policy:    PolicySequenceAware,
 		Seed:      load.Seed,
 	})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	rep, err := srv.Run(specs)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	if err := srv.IdentityError(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	if rep.Errors > 0 {
 		for _, r := range rep.Results {
@@ -67,33 +40,30 @@ func TenantExperiment(w io.Writer, cfg ExperimentConfig) (*ExperimentResult, err
 					r.Placement.Spec.Tenant, r.Err)
 			}
 		}
-		return nil, fmt.Errorf("tenants experiment: %d job(s) failed under a fault-free schedule", rep.Errors)
+		return 0, fmt.Errorf("tenants experiment: %d job(s) failed under a fault-free schedule", rep.Errors)
 	}
 
 	// Same load, baseline policy — plan only.
 	basePlan, err := srv.Replan(specs, PolicyAlwaysReconfigure)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-
-	res := &ExperimentResult{SeqAware: rep, ReconfPlan: basePlan}
 	if rep.MakespanSec > 0 {
-		res.SpeedupOnMakespan = basePlan.Makespan / rep.MakespanSec
+		speedup = basePlan.Makespan / rep.MakespanSec
 	}
 
 	WriteReport(w, rep)
 	fmt.Fprintf(w, "always-reconfigure baseline: makespan %.3fs, reuse rate %.0f%%\n",
 		basePlan.Makespan, 100*basePlan.ReuseRate())
-	fmt.Fprintf(w, "sequence-aware vs always-reconfigure on modeled makespan: %.2fx\n",
-		res.SpeedupOnMakespan)
+	fmt.Fprintf(w, "sequence-aware vs always-reconfigure on modeled makespan: %.2fx\n", speedup)
 
 	if rep.MakespanSec >= basePlan.Makespan {
-		return res, fmt.Errorf("tenants experiment: sequence-aware makespan %.3fs did not beat always-reconfigure %.3fs",
+		return speedup, fmt.Errorf("tenants experiment: sequence-aware makespan %.3fs did not beat always-reconfigure %.3fs",
 			rep.MakespanSec, basePlan.Makespan)
 	}
 	if rep.ReuseRate <= basePlan.ReuseRate() {
-		return res, fmt.Errorf("tenants experiment: sequence-aware reuse rate %.2f not above baseline %.2f",
+		return speedup, fmt.Errorf("tenants experiment: sequence-aware reuse rate %.2f not above baseline %.2f",
 			rep.ReuseRate, basePlan.ReuseRate())
 	}
-	return res, nil
+	return speedup, nil
 }

@@ -125,7 +125,7 @@ func buildReport(s *Server, plan *Plan, results []JobResult) *Report {
 }
 
 // WriteReport prints the batch summary plus the per-tenant table
-// (shared by danasrv, danactl sessions, and danabench -exp tenants).
+// (shared by danasrv and danabench -exp tenants).
 func WriteReport(w io.Writer, rep *Report) {
 	fmt.Fprintf(w, "policy %s: %d jobs, makespan %.3fs (virtual), %.2f jobs/s, reuse rate %.0f%% (%d reuse / %d reconfig)\n",
 		rep.Policy, rep.Jobs, rep.MakespanSec, rep.JobsPerSec,

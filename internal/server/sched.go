@@ -134,14 +134,7 @@ type PlanConfig struct {
 	Instances int
 	Policy    Policy
 	Cost      cost.Params
-	// BatchSlackSec bounds affinity batching's fairness debt: a tenant
-	// may be served ahead of the fair-share head only while its virtual
-	// time exceeds the head's by at most this many modeled seconds, so
-	// batching can never starve the head (0 = DefaultBatchSlackSec,
-	// negative = batching off).
-	BatchSlackSec float64
-	Quotas        map[string]Quota   // tenant name -> quota (defines the tenant set)
-	Weights       map[string]float64 // fair-share weights (absent/0 = 1)
+	Quotas    map[string]Quota // tenant name -> quota (defines the tenant set)
 	// InitialKeys carries loaded configurations across batches: entry i
 	// is instance i's resident configuration ("" = blank fabric).
 	InitialKeys []string
@@ -149,8 +142,11 @@ type PlanConfig struct {
 	InitialVT map[string]float64
 }
 
-// DefaultBatchSlackSec is the affinity-batching fairness bound.
-const DefaultBatchSlackSec = 0.25
+// batchSlackSec bounds affinity batching's fairness debt: a tenant may
+// be served ahead of the fair-share head only while its virtual time
+// exceeds the head's by at most this many modeled seconds, so batching
+// can never starve the head.
+const batchSlackSec = 0.25
 
 // Typed scheduler errors.
 var (
@@ -193,9 +189,8 @@ type planJob struct {
 type planTenant struct {
 	name    string
 	quota   Quota
-	weight  float64
 	queue   []*planJob // FIFO
-	vt      float64    // accumulated weighted service (fair-share clock)
+	vt      float64    // accumulated service (fair-share clock)
 	inBytes int64      // modeled bytes of running jobs
 	inJobs  int
 }
@@ -216,13 +211,6 @@ func BuildPlan(specs []JobSpec, est Estimator, cfg PlanConfig) (*Plan, error) {
 	if cfg.Instances < 1 {
 		return nil, ErrNoInstances
 	}
-	slack := cfg.BatchSlackSec
-	if slack == 0 {
-		slack = DefaultBatchSlackSec
-	}
-	if slack < 0 {
-		slack = 0
-	}
 
 	order := make([]string, 0, len(cfg.Quotas))
 	for name := range cfg.Quotas {
@@ -231,13 +219,7 @@ func BuildPlan(specs []JobSpec, est Estimator, cfg PlanConfig) (*Plan, error) {
 	sort.Strings(order)
 	tenants := make(map[string]*planTenant, len(order))
 	for _, name := range order {
-		w := cfg.Weights[name]
-		if w <= 0 {
-			w = 1
-		}
-		tenants[name] = &planTenant{
-			name: name, quota: cfg.Quotas[name], weight: w, vt: cfg.InitialVT[name],
-		}
+		tenants[name] = &planTenant{name: name, quota: cfg.Quotas[name], vt: cfg.InitialVT[name]}
 	}
 
 	jobs := make([]*planJob, len(specs))
@@ -245,6 +227,9 @@ func BuildPlan(specs []JobSpec, est Estimator, cfg PlanConfig) (*Plan, error) {
 		t, ok := tenants[sp.Tenant]
 		if !ok {
 			return nil, fmt.Errorf("%w: %q (job %d)", ErrUnknownTenant, sp.Tenant, i)
+		}
+		if !finite(sp.ArriveSec) {
+			return nil, fmt.Errorf("%w: job %d arrives at %g", ErrBadSpec, i, sp.ArriveSec)
 		}
 		e, err := est.Estimate(sp)
 		if err != nil {
@@ -305,7 +290,7 @@ func BuildPlan(specs []JobSpec, est Estimator, cfg PlanConfig) (*Plan, error) {
 		fin := now + configSec + j.est.ServiceSec
 		t.queue = t.queue[1:]
 		pendingByKey[j.est.Key]--
-		t.vt += (configSec + j.est.ServiceSec) / t.weight
+		t.vt += configSec + j.est.ServiceSec
 		t.inJobs++
 		t.inBytes += j.est.Bytes
 		inst[instance] = planInstance{
@@ -378,7 +363,7 @@ func BuildPlan(specs []JobSpec, est Estimator, cfg PlanConfig) (*Plan, error) {
 			gain := cost.AmortizedReconfigSec(cfg.Cost, upcoming) - cost.ReconfigSec(cfg.Cost, true)
 			if gain > 0 {
 				for _, c := range elig[1:] {
-					if c.t.vt-head.t.vt > slack {
+					if c.t.vt-head.t.vt > batchSlackSec {
 						break
 					}
 					if i := matchFree(c.j.est.Key); i >= 0 {
@@ -424,7 +409,7 @@ func BuildPlan(specs []JobSpec, est Estimator, cfg PlanConfig) (*Plan, error) {
 				next = inst[i].freeAt
 			}
 		}
-		if math.IsInf(next, 1) || next <= now {
+		if math.IsInf(next, 1) || !(next > now) {
 			// Cannot happen for feasible inputs (per-job quota checked at
 			// admission); guard so a planner bug fails loudly instead of
 			// spinning.

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -270,5 +274,71 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 	if got := percentile(nil, 0.99); got != 0 {
 		t.Errorf("empty sample: p99 = %v, want 0", got)
+	}
+}
+
+// planDigest hashes what a plan decides: each placement's Seq,
+// Instance, Reused and the bits of its start and finish, then the final
+// fair-share clock of every tenant, in name order.
+func planDigest(p *Plan, names []string) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, pl := range p.Placements {
+		put(uint64(pl.Seq))
+		put(uint64(pl.Instance))
+		if pl.Reused {
+			put(1)
+		} else {
+			put(0)
+		}
+		put(math.Float64bits(pl.StartSec))
+		put(math.Float64bits(pl.FinishSec))
+	}
+	for _, n := range names {
+		put(math.Float64bits(p.FinalVT[n]))
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// TestPlanBitsPinned pins the planner's decisions to the bit: three
+// seeded loads with one quota'd tenant and mixed service times, and one
+// load drained in two batches through InitialKeys / InitialVT. A change
+// to BuildPlan that moves any placement, time or virtual clock fails it.
+func TestPlanBitsPinned(t *testing.T) {
+	est := &fakeEstimator{
+		svc:   map[string]float64{"key0": 0.3, "key1": 1.1, "key2": 0.07},
+		bytes: map[string]int64{"key0": 3 << 20, "key1": 1 << 20, "key2": 2 << 20},
+	}
+	build := func(specs []JobSpec, names []string, carry *Plan) *Plan {
+		t.Helper()
+		cfg := testPlanConfig(names, 3)
+		cfg.Quotas[names[0]] = Quota{MemBytes: 4 << 20, MaxInFlight: 2}
+		if carry != nil {
+			cfg.InitialKeys, cfg.InitialVT = carry.FinalKeys, carry.FinalVT
+		}
+		p, err := BuildPlan(specs, est, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, c := range []struct {
+		seed int64
+		want string
+	}{{1, "b69d9d68827461ce"}, {7, "87cbd82a7a502c5e"}, {42, "2d4afacf225f348e"}} {
+		specs, names := synthLoad(c.seed, 4, 60, 8)
+		if got := planDigest(build(specs, names, nil), names); got != c.want {
+			t.Errorf("seed %d: plan digest %s, want %s", c.seed, got, c.want)
+		}
+	}
+	specs, names := synthLoad(3, 4, 80, 8)
+	first := build(specs[:40], names, nil)
+	second := build(specs[40:], names, first)
+	if got, want := planDigest(first, names)+planDigest(second, names), "0b5897062ce2860c1540ae88fc1fbd7c"; got != want {
+		t.Errorf("two-drain carry-over: plan digests %s, want %s", got, want)
 	}
 }

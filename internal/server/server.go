@@ -37,6 +37,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -46,24 +47,25 @@ import (
 	"dana/internal/fault"
 	"dana/internal/obs"
 	"dana/internal/runtime"
-	"dana/internal/storage"
 	"dana/internal/workload"
 )
 
 // TenantConfig declares one tenant.
 type TenantConfig struct {
-	Name   string
-	Quota  Quota
-	Weight float64 // fair-share weight (0 = 1)
+	Name  string
+	Quota Quota
 	// Faults attaches a seeded chaos schedule to this tenant's private
 	// System (nil = healthy). Isolation means a schedule here can
 	// degrade only this tenant's jobs.
 	Faults *fault.Config
 }
 
-// Config parameterizes a Server. Host parallelism is not a setting: a
-// tenant system extracts a table its pool holds on min(GOMAXPROCS,
-// Striders) walkers, which changes wall-clock time only.
+// Config parameterizes a Server. Everything else is fixed: 32 KB pages,
+// a tenantPoolBytes buffer pool per tenant, the batchSlackSec fairness
+// bound, equal fair shares, and a fresh registry for the tenant.*
+// counters. Host parallelism is not a setting either: a tenant system
+// extracts a table its pool holds on min(GOMAXPROCS, Striders) walkers,
+// which changes wall-clock time only.
 type Config struct {
 	Tenants []TenantConfig
 	// Instances sizes the modeled accelerator pool the planner places
@@ -74,20 +76,21 @@ type Config struct {
 	// Seed drives dataset generation: each (workload, scale) is generated
 	// once per server, and every tenant attaches the same heap, like
 	// shards of one logical catalog.
-	Seed          int64
-	PageSize      int   // 0 = 32 KB
-	PoolBytes     int64 // each tenant's buffer pool, and the pool its jobs are priced on (0 = 64 MB)
-	BatchSlackSec float64
-	// Obs receives the server-level tenant.* counters (nil = a fresh
-	// enabled registry). Tenant systems always get their own private
-	// registries regardless.
-	Obs *obs.Registry
+	Seed int64
 }
+
+// tenantPoolBytes is each tenant's buffer pool, and the pool its jobs
+// are priced on.
+const tenantPoolBytes = 64 << 20
 
 // ErrPinConflict refuses a job whose scale or epoch budget differs from
 // what earlier jobs of its configuration pinned: a tenant holds one table
 // per workload and one UDF per configuration.
 var ErrPinConflict = errors.New("server: job conflicts with its configuration's pinned scale or epochs")
+
+// ErrBadSpec refuses a job whose scale or arrival no plan can hold: a
+// scale outside (0, 1], or a NaN or infinite scale or arrival.
+var ErrBadSpec = errors.New("server: job spec out of range")
 
 type dataKey struct {
 	workload string
@@ -209,19 +212,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Instances <= 0 {
 		cfg.Instances = 2
 	}
-	if cfg.PageSize <= 0 {
-		cfg.PageSize = storage.PageSize32K
-	}
-	if cfg.PoolBytes <= 0 {
-		cfg.PoolBytes = 64 << 20
-	}
 	env := workload.DefaultEnv()
-	env.PageSize = cfg.PageSize
-	env.Cost.PoolBytes = cfg.PoolBytes
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.New()
-	}
+	env.Cost.PoolBytes = tenantPoolBytes
+	reg := obs.New()
 	s := &Server{
 		cfg:     cfg,
 		env:     env,
@@ -233,7 +226,6 @@ func New(cfg Config) (*Server, error) {
 		vt:      map[string]float64{},
 	}
 	quotas := map[string]Quota{}
-	weights := map[string]float64{}
 	for _, tc := range cfg.Tenants {
 		if tc.Name == "" {
 			return nil, errors.New("server: tenant with empty name")
@@ -248,7 +240,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		treg := obs.New()
 		sys := runtime.New(runtime.Options{
-			PageSize: cfg.PageSize,
+			PageSize: env.PageSize,
 			FPGA:     env.FPGA,
 			Cost:     env.Cost,
 			Obs:      treg,
@@ -273,16 +265,13 @@ func New(cfg Config) (*Server, error) {
 		s.tenants[tc.Name] = t
 		s.order = append(s.order, tc.Name)
 		quotas[tc.Name] = tc.Quota
-		weights[tc.Name] = tc.Weight
 	}
 	sort.Strings(s.order)
 	s.planCfg = PlanConfig{
-		Instances:     cfg.Instances,
-		Policy:        cfg.Policy,
-		Cost:          env.Cost,
-		BatchSlackSec: cfg.BatchSlackSec,
-		Quotas:        quotas,
-		Weights:       weights,
+		Instances: cfg.Instances,
+		Policy:    cfg.Policy,
+		Cost:      env.Cost,
+		Quotas:    quotas,
 	}
 	return s, nil
 }
@@ -537,6 +526,9 @@ func (s *Server) admit(spec JobSpec) (p pin, err error) {
 	if !ok {
 		return p, fmt.Errorf("%w: %q", ErrUnknownTenant, spec.Tenant)
 	}
+	if !finite(spec.Scale) || !finite(spec.ArriveSec) {
+		return p, fmt.Errorf("%w: scale %g, arrival %g", ErrBadSpec, spec.Scale, spec.ArriveSec)
+	}
 	k, scale := s.key(spec), spec.Scale
 	if scale <= 0 {
 		scale = 1
@@ -554,13 +546,13 @@ func (s *Server) admit(spec JobSpec) (p pin, err error) {
 			return pin{}, err
 		}
 		if scale > 1 {
-			return pin{}, fmt.Errorf("server: scale %g out of (0, 1]", scale)
+			return pin{}, fmt.Errorf("%w: scale %g out of (0, 1]", ErrBadSpec, scale)
 		}
 		ue = udfEntry{epochs: w.Epochs, def: w.Epochs, est: Estimate{Key: fmt.Sprintf("%s/m%d", k.workload, k.merge)}}
 		dk := dataKey{k.workload, scale}
 		if ue.est.Bytes = s.sizes[dk]; ue.est.Bytes == 0 {
 			w.Tuples = w.ScaledTuples(scale)
-			ue.est.Bytes = int64(w.PagesAt(s.cfg.PageSize)) * int64(s.cfg.PageSize)
+			ue.est.Bytes = int64(w.PagesAt(s.env.PageSize)) * int64(s.env.PageSize)
 			s.sizes[dk] = ue.est.Bytes
 		}
 		if spec.Epochs > 0 {
@@ -613,7 +605,7 @@ func (s *Server) register(p pin) error {
 		if err != nil {
 			return err
 		}
-		if ds, err = datagen.Generate(w, dk.scale, s.cfg.PageSize, s.cfg.Seed); err != nil {
+		if ds, err = datagen.Generate(w, dk.scale, s.env.PageSize, s.cfg.Seed); err != nil {
 			return err
 		}
 		s.data[dk] = ds
@@ -644,6 +636,9 @@ func (s *Server) register(p pin) error {
 	t.udfs[k] = ue
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func (t *tenant) train(pl *Placement) (*runtime.TrainResult, error) {
 	res, err := t.sys.Train(pl.udf, pl.table)

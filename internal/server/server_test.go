@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dana/internal/cost"
 	"dana/internal/fault"
@@ -433,13 +434,13 @@ func TestTenantExperimentSmoke(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		prev := hostrt.GOMAXPROCS(procs)
 		var b strings.Builder
-		res, err := TenantExperiment(&b, DefaultExperiment())
+		speedup, err := TenantExperiment(&b)
 		hostrt.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.SpeedupOnMakespan <= 1 {
-			t.Fatalf("GOMAXPROCS %d: speedup %.3fx", procs, res.SpeedupOnMakespan)
+		if speedup <= 1 {
+			t.Fatalf("GOMAXPROCS %d: speedup %.3fx", procs, speedup)
 		}
 		checkGolden(t, "tenants.txt", b.String())
 	}
@@ -645,5 +646,58 @@ func TestSubmitDuringDrain(t *testing.T) {
 	}
 	if err := srv.IdentityError(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSubmitRefusesNonFiniteSpecs: a NaN scale passes every ordered
+// range check, and a NaN or infinite arrival stalls or poisons the
+// planner's clock. Each is refused with ErrBadSpec before admit pins
+// anything, so the tenant's next valid job of the same workload is
+// admitted and the queue and arrival clock stay as they were.
+func TestSubmitRefusesNonFiniteSpecs(t *testing.T) {
+	srv := newTestServer(t, LoadConfig{Tenants: 1}, 1)
+	job := JobSpec{Tenant: TenantName(0), Workload: "WLAN", Scale: 0.002, Epochs: 1}
+	bad := []JobSpec{job, job, job, job}
+	bad[0].Scale = math.NaN()
+	bad[1].Scale = math.Inf(1)
+	bad[2].ArriveSec = math.NaN()
+	bad[3].ArriveSec = math.Inf(1)
+	for _, sp := range bad {
+		if err := srv.Submit(sp); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("scale %v, arrival %v: got %v, want ErrBadSpec", sp.Scale, sp.ArriveSec, err)
+		}
+	}
+	if ta := srv.tenants[job.Tenant]; len(srv.pending) != 0 || srv.arriveAt != 0 || len(ta.scales) != 0 || len(ta.udfs) != 0 {
+		t.Fatalf("refusals left %d queued jobs, arrival clock %v, %d scale pins, %d configurations",
+			len(srv.pending), srv.arriveAt, len(ta.scales), len(ta.udfs))
+	}
+	rep, err := srv.Run([]JobSpec{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 {
+		t.Fatalf("%d errors on the valid job after the refusals", rep.Errors)
+	}
+}
+
+// TestBuildPlanRefusesNonFiniteArrival: Replan hands BuildPlan specs
+// admit never saw, so the planner refuses a NaN or infinite arrival
+// itself instead of spinning on a NaN clock.
+func TestBuildPlanRefusesNonFiniteArrival(t *testing.T) {
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := BuildPlan([]JobSpec{{Tenant: "a", Workload: "k", ArriveSec: at}},
+				&fakeEstimator{}, testPlanConfig([]string{"a"}, 1))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrBadSpec) {
+				t.Errorf("arrival %v: got %v, want ErrBadSpec", at, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("arrival %v: BuildPlan still running after 10 s", at)
+		}
 	}
 }

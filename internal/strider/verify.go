@@ -28,8 +28,8 @@ import (
 // over-approximation, so a violation by the interval's *minimum* is a
 // violation by all values). A Warning means the verifier cannot prove
 // safety: some value in the interval could trap, or a loop has no
-// termination argument. Strict mode (VerifyOptions.Strict) promotes
-// warnings to rejections; a program accepted under Strict can never
+// termination argument. Strict mode (Report.OK(true)) promotes
+// warnings to rejections; a program accepted under strict can never
 // trap the VM on a page of the configured size, which is the invariant
 // the fuzz harness drives.
 
@@ -67,9 +67,6 @@ type VerifyOptions struct {
 	// PageSize is the page buffer size the program will run against.
 	// Required: page-bounds proofs are relative to it.
 	PageSize int
-	// Strict promotes warnings to rejections in Report.OK: accepted
-	// programs are fully proven, not merely free of definite traps.
-	Strict bool
 	// MaxOutputBytes, when non-zero, warns if the worst-case output
 	// FIFO volume is unbounded or exceeds this limit.
 	MaxOutputBytes uint64
@@ -119,7 +116,7 @@ func (r *Report) Warnings() []Diag {
 }
 
 // OK reports whether the program is admissible: free of definite traps,
-// and under Strict free of any diagnostic at all.
+// and with strict set free of any diagnostic at all.
 func (r *Report) OK(strict bool) bool {
 	if strict {
 		return len(r.Diags) == 0

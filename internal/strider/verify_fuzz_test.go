@@ -64,7 +64,7 @@ cln %t0, 0, 8
 		if err != nil || len(prog) == 0 {
 			return // not a decodable program; nothing to verify
 		}
-		rep := Verify(prog, Config{}, VerifyOptions{PageSize: pageSize, Strict: true})
+		rep := Verify(prog, Config{}, VerifyOptions{PageSize: pageSize})
 		if !rep.OK(true) {
 			return // rejected or unproven: the VM's dynamic guards own it
 		}

@@ -261,7 +261,7 @@ bexit 1, %t0, 31
 ins %t0, 4
 `
 	prog := mustAssemble(t, clean)
-	r := Verify(prog, Config{}, VerifyOptions{PageSize: 128, Strict: true})
+	r := Verify(prog, Config{}, VerifyOptions{PageSize: 128})
 	if !r.OK(true) {
 		t.Fatalf("expected strict acceptance, got %v", r.Diags)
 	}

@@ -46,7 +46,7 @@ func (g *Gen) WeaveScenario(pageSize, maxRows int) (*WeaveScenario, error) {
 			// n·2⁻²³ − 1 is exact in float32 for n < 2²⁴ and survives
 			// Q0.32 quantization against {−1, 2} without rounding.
 			n := g.rng.Intn(1 << 24)
-			row[c] = float32(n)/(1<<23) - 1
+			row[c] = float32(float32(n)/(1<<23)) - 1
 		}
 		sc.Feats[i] = row
 		sc.Labels[i] = float32(g.rng.NormFloat64())
@@ -113,7 +113,7 @@ func (sc *WeaveScenario) CheckWeaveDecoder(bits int, decode func(storage.WeavePa
 					return fmt.Errorf("oracle W: row %d col %d at %d bits: decoded %v, scalar model says %v",
 						next, c, bits, v, exact)
 				}
-				bound := float64(rng.Scale)*(math.Pow(2, -float64(bits))+math.Pow(2, -31)) + 1e-5
+				bound := float64(float64(rng.Scale)*(math.Pow(2, -float64(bits))+math.Pow(2, -31))) + 1e-5
 				if diff := math.Abs(float64(v) - float64(want[c])); diff > bound {
 					return fmt.Errorf("oracle W: row %d col %d at %d bits: error %g exceeds bound %g",
 						next, c, bits, diff, bound)

@@ -45,6 +45,7 @@ type moduleFacts struct {
 	goStmts      map[string][]string // production function -> its go statements' positions
 	tenantVars   []string            // tenantStateVars
 	backends     map[string]string   // production type implementing backend.Backend -> its position
+	settings     map[string]string   // uncalledSettings
 }
 
 var module struct {
@@ -82,6 +83,7 @@ func readFacts() (f moduleFacts, err error) {
 	f.undriven = undrivenSeamMethods(l, pkgs, backendType, seam)
 	f.goStmts = goStatements(pkgs)
 	f.backends = backendImpls(pkgs, seam)
+	f.settings = uncalledSettings(pkgs, isProduction)
 	return f, nil
 }
 
@@ -255,6 +257,216 @@ func TestNoTestOnlyProductionFunctions(t *testing.T) {
 			t.Errorf("unreferencedOK lists %s, which is now referenced or gone: drop the entry", name)
 		}
 	}
+}
+
+// settingsOK is the whole list of settings that may stay although no
+// non-test file outside bench/ both writes and reads them, each with
+// what keeps it. Keys are pkg.Type.Field.
+var settingsOK = map[string]string{
+	"cost.ChannelModel.HandshakeSec":       "the estimator gate's channel row sets it, so the per-channel handshake term stays priced and checked",
+	"fault.Config.StallDuration":           "the chaos suites set it to exercise worker stalls",
+	"fault.Config.LatencySpikeSec":         "the chaos suites set it to exercise pool latency spikes",
+	"server.LoadConfig.Workloads":          "tests size their loads with it",
+	"strider.VerifyOptions.MaxOutputBytes": "its verifier test sets it to check the output-volume warning",
+	"dana.Config.MaxEpochs":                publicConfig,
+	"dana.Config.Faults":                   publicConfig,
+	"dana.Config.EpochTimeout":             publicConfig,
+	"dana.Config.MaxPageRetries":           publicConfig,
+	"dana.Config.MaxReadRetries":           publicConfig,
+	"dana.Config.DisableCPUFallback":       publicConfig,
+	"dana.Config.VerifyChecksums":          publicConfig,
+}
+
+const publicConfig = "public API: dana.Open maps it onto the runtime.Options field of its name, which the runtime and chaos suites set"
+
+// TestEverySettingHasACaller fails when a setting — an exported field of
+// an exported production struct type named *Config, *Options or
+// *Params, or Env, Quota, ChannelModel or FPGA — is not both written and
+// read by some non-test file, and is not on settingsOK. An unwritten
+// setting is a configuration nothing runs; an unread one claims an
+// effect it does not have. A write is a composite-literal key, an
+// assignment, ++ or an op-assignment, taking the field's address, or an
+// element write x.F[i] = …; a default fill, if x.F <cmp> … { x.F = … },
+// is not one. The check is shown to fail on a planted setting only a
+// default fill writes.
+func TestEverySettingHasACaller(t *testing.T) {
+	found := loadFacts(t).settings
+	for name, what := range found {
+		if settingsOK[name] == "" {
+			t.Errorf("setting %s is %s outside tests: delete it, or list it in settingsOK with its reason", name, what)
+		}
+	}
+	for name := range settingsOK {
+		if found[name] == "" {
+			t.Errorf("settingsOK lists %s, which is now set and read, or gone: drop the entry", name)
+		}
+	}
+
+	planted := `package planted
+type Config struct{ Set, Unset int }
+func use(c Config) int {
+	if c.Unset == 0 {
+		c.Unset = 4
+	}
+	return Config{Set: 1}.Set + c.Set + c.Unset
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "planted.go", planted, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := &lint.Package{PkgPath: "planted", Fset: fset, Files: []*ast.File{f}, TypesInfo: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{},
+		Defs: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	if pkg.Types, err = new(types.Config).Check("planted", fset, pkg.Files, pkg.TypesInfo); err != nil {
+		t.Fatal(err)
+	}
+	got := uncalledSettings([]*lint.Package{pkg}, func(*lint.Package) bool { return true })
+	if len(got) != 1 || got["planted.Config.Unset"] != "never written" {
+		t.Errorf("a planted setting only a default fill writes reads %v", got)
+	}
+}
+
+// isSetting reports whether an exported struct type's name puts its
+// exported fields in TestEverySettingHasACaller's scope.
+func isSetting(name string) bool {
+	switch name {
+	case "Env", "Quota", "ChannelModel", "FPGA":
+		return true
+	}
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Params")
+}
+
+// uncalledSettings maps each setting of the packages inScope selects
+// that pkgs' files do not both write and read to what it lacks: "never
+// written", "never read" or "never written or read".
+func uncalledSettings(pkgs []*lint.Package, inScope func(*lint.Package) bool) map[string]string {
+	names := map[*types.Var]string{}
+	for _, pkg := range pkgs {
+		if !inScope(pkg) {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !isSetting(name) {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						names[f] = pkg.Types.Name() + "." + name + "." + f.Name()
+					}
+				}
+			}
+		}
+	}
+	written, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, pkg := range pkgs {
+		field := func(e ast.Expr) *types.Var {
+			if se, ok := e.(*ast.SelectorExpr); ok {
+				if sel := pkg.TypesInfo.Selections[se]; sel != nil && sel.Kind() == types.FieldVal {
+					return sel.Obj().(*types.Var)
+				}
+			}
+			return nil
+		}
+		for _, f := range pkg.Files {
+			// writes holds the selectors that are written, not read;
+			// fills the default fills' assignments, neither.
+			writes, fills := map[*ast.SelectorExpr]bool{}, map[*ast.SelectorExpr]bool{}
+			lhs := func(e ast.Expr) {
+				for {
+					switch x := e.(type) {
+					case *ast.SelectorExpr:
+						writes[x] = true
+						e = x.X
+					case *ast.IndexExpr:
+						e = x.X
+					case *ast.ParenExpr:
+						e = x.X
+					case *ast.StarExpr:
+						e = x.X
+					default:
+						return
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						lhs(e)
+					}
+				case *ast.IncDecStmt:
+					lhs(n.X)
+				case *ast.UnaryExpr:
+					if v := field(n.X); n.Op == token.AND && v != nil {
+						written[v] = true // and read, through the pointer
+					}
+				case *ast.CompositeLit:
+					st, isStruct := pkg.TypesInfo.Types[n].Type.Underlying().(*types.Struct)
+					for i, elt := range n.Elts {
+						if !isStruct {
+							break
+						}
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							written[pkg.TypesInfo.Uses[kv.Key.(*ast.Ident)].(*types.Var)] = true
+						} else {
+							written[st.Field(i)] = true
+						}
+					}
+				case *ast.IfStmt:
+					cmp, ok := n.Cond.(*ast.BinaryExpr)
+					if !ok || !(cmp.Op == token.EQL || cmp.Op == token.NEQ || cmp.Op == token.LSS ||
+						cmp.Op == token.LEQ || cmp.Op == token.GTR || cmp.Op == token.GEQ) {
+						return true
+					}
+					for _, st := range n.Body.List {
+						as, ok := st.(*ast.AssignStmt)
+						if !ok || len(as.Lhs) != 1 || field(as.Lhs[0]) == nil {
+							continue
+						}
+						for _, op := range []ast.Expr{cmp.X, cmp.Y} {
+							if call, ok := op.(*ast.CallExpr); ok && len(call.Args) == 1 && types.ExprString(call.Fun) == "len" {
+								op = call.Args[0]
+							}
+							if field(op) == field(as.Lhs[0]) && types.ExprString(op) == types.ExprString(as.Lhs[0]) {
+								fills[as.Lhs[0].(*ast.SelectorExpr)] = true
+							}
+						}
+					}
+				}
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				if se, ok := n.(*ast.SelectorExpr); ok {
+					if v := field(se); v != nil && !fills[se] {
+						if writes[se] {
+							written[v] = true
+						} else {
+							read[v] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	out := map[string]string{}
+	for v, name := range names {
+		switch {
+		case !written[v] && !read[v]:
+			out[name] = "never written or read"
+		case !written[v]:
+			out[name] = "never written"
+		case !read[v]:
+			out[name] = "never read"
+		}
+	}
+	return out
 }
 
 // unreferencedFuncs returns the non-exempt functions and methods of the
