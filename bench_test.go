@@ -1088,7 +1088,7 @@ func weaveBenchRows(b *testing.B) (rows [][]float32, pageRows int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_, rows, err = d.Rel.NarrowedRows(true)
+	rows, err = storage.NarrowedRows[float32](d.Rel)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -276,9 +276,14 @@ func TestConvergenceProgram(t *testing.T) {
 			tuples[i][j] = float32(i + j)
 		}
 	}
-	epochs, err := m.Train(tuples, g.MergeCoef, 50)
-	if err != nil {
-		t.Fatal(err)
+	epochs := 0
+	for done := false; !done && epochs < 50; epochs++ {
+		if err := m.RunEpoch(tuples, g.MergeCoef); err != nil {
+			t.Fatal(err)
+		}
+		if done, err = m.Converged(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if epochs != 1 {
 		t.Errorf("epochs = %d, want 1", epochs)

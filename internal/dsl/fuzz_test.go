@@ -103,7 +103,18 @@ func FuzzDSLParse(f *testing.F) {
 		for i := range tuple {
 			tuple[i] = 0.5
 		}
-		_, _ = it.Train([][]float64{tuple, tuple}, 2)
+		limit := g.Epochs // the algorithm's budget, at most 2
+		if limit <= 0 || limit > 2 {
+			limit = 2
+		}
+		for e := 0; e < limit; e++ {
+			if it.Epoch([][]float64{tuple, tuple}) != nil {
+				break
+			}
+			if done, err := it.Converged(); err != nil || done {
+				break
+			}
+		}
 	})
 }
 

@@ -743,24 +743,3 @@ func (m *Machine) chargeConvergence() {
 	m.stats.Cycles += m.cycConvergence
 	m.stats.SpanComputeCycles += m.cycConvergence
 }
-
-// Train runs up to maxEpochs epochs (0 = the program's own budget is
-// managed by the caller), checking convergence after each.
-func (m *Machine) Train(tuples [][]float32, batchSize, maxEpochs int) (int, error) {
-	if maxEpochs < 1 {
-		maxEpochs = 1
-	}
-	for e := 1; e <= maxEpochs; e++ {
-		if err := m.RunEpoch(tuples, batchSize); err != nil {
-			return e - 1, err
-		}
-		done, err := m.Converged()
-		if err != nil {
-			return e, err
-		}
-		if done {
-			return e, nil
-		}
-	}
-	return maxEpochs, nil
-}

@@ -384,8 +384,8 @@ func (m *Machine) ConvergedReference() (bool, error) {
 	return m.thread(0)[p.ConvSlot.Base] > 0.5, nil
 }
 
-// TrainReference is Train on the reference executor: the same batches,
-// the same convergence check after every epoch.
+// TrainReference trains on the reference executor: up to maxEpochs
+// epochs of batches of batchSize, checking convergence after each.
 func (m *Machine) TrainReference(tuples [][]float32, batchSize, maxEpochs int) (int, error) {
 	if batchSize < 1 {
 		batchSize = 1

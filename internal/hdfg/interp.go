@@ -469,29 +469,3 @@ func (it *Interp) Converged() (bool, error) {
 	}
 	return v[0] > 0.5, nil
 }
-
-// Train runs up to the algo's epoch budget (or maxEpochs if smaller and
-// positive), stopping early on convergence. It returns the number of
-// epochs executed.
-func (it *Interp) Train(tuples [][]float64, maxEpochs int) (int, error) {
-	limit := it.G.Epochs
-	if limit <= 0 || (maxEpochs > 0 && maxEpochs < limit) {
-		limit = maxEpochs
-	}
-	if limit <= 0 {
-		limit = 1
-	}
-	for e := 1; e <= limit; e++ {
-		if err := it.Epoch(tuples); err != nil {
-			return e - 1, err
-		}
-		done, err := it.Converged()
-		if err != nil {
-			return e, err
-		}
-		if done {
-			return e, nil
-		}
-	}
-	return limit, nil
-}

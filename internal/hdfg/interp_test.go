@@ -118,7 +118,7 @@ func TestInterpLinearConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := it.Train(tuples, 0); err != nil {
+	if _, err := trainInterp(it, tuples); err != nil {
 		t.Fatal(err)
 	}
 	for i := range truth {
@@ -145,7 +145,7 @@ func TestInterpConvergenceStopsTraining(t *testing.T) {
 	// All-zero labels and a zero model: gradient is exactly zero, so
 	// training converges after the first epoch.
 	tuples := [][]float64{{1, 2, 3, 0}, {4, 5, 6, 0}, {7, 8, 9, 0}, {1, 1, 1, 0}}
-	epochs, err := it.Train(tuples, 0)
+	epochs, err := trainInterp(it, tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,4 +431,20 @@ func TestInterpMatrixAxisReductions(t *testing.T) {
 	if v := it.vals[colsN.ID]; v[0] != 10 || v[1] != 14 || v[2] != 18 {
 		t.Errorf("col sums = %v", v)
 	}
+}
+
+// trainInterp runs the algorithm's epoch budget (at least one epoch),
+// stopping after the first epoch that converges; it returns the epochs
+// run.
+func trainInterp(it *Interp, tuples [][]float64) (int, error) {
+	limit := max(it.G.Epochs, 1)
+	for e := 1; e <= limit; e++ {
+		if err := it.Epoch(tuples); err != nil {
+			return e - 1, err
+		}
+		if done, err := it.Converged(); err != nil || done {
+			return e, err
+		}
+	}
+	return limit, nil
 }

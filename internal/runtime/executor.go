@@ -192,18 +192,25 @@ func (w *workerError) Unwrap() error { return w.err }
 // stream from the buffer pool through Striders into the engine, with
 // the record cache and the host-parallel extraction —
 // when the backend is Streaming, the relation's tuples materialized
-// once (in both widths) otherwise. The Striders run acc's program, the
-// one buildAccelerator verified: nothing is regenerated per Train.
+// once, in the one width be's Precision reads, otherwise. The Striders
+// run acc's program, the one buildAccelerator verified: nothing is
+// regenerated per Train.
 func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, acc *catalog.Accelerator, nStriders int) (*epochRunner, error) {
 	caps := be.Capabilities()
 	if !caps.Streaming {
-		rows64, rows32, err := rel.NarrowedRows(true)
+		rows := &backend.Stream{}
+		var err error
+		if caps.Precision == backend.PrecisionFloat64 {
+			rows.Rows64, err = storage.NarrowedRows[float64](rel)
+		} else {
+			rows.Rows32, err = storage.NarrowedRows[float32](rel)
+		}
 		if err != nil {
 			return nil, err
 		}
 		return &epochRunner{
 			s: s, rel: rel, be: be, faults: s.Opts.Faults, accelerated: caps.Accelerated,
-			rows: &backend.Stream{Rows32: rows32, Rows64: rows64},
+			rows: rows,
 		}, nil
 	}
 	ae, err := accessengine.NewFor(strider.PostgresLayout(s.Opts.PageSize), rel.Schema, nStriders, acc.StriderProg, acc.StriderCfg)

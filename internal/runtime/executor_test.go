@@ -507,6 +507,56 @@ func TestTrainRunsCatalogProgram(t *testing.T) {
 	}
 }
 
+// TestRowFedTrainsHoldOneWidth (white box): a backend that takes
+// materialized rows gets every live tuple in the one width its Precision
+// reads — Rows64 for cpu and sharded, Rows32 for tabla — and a streaming
+// backend gets none, so a Train holds no copy of the table it never
+// reads.
+func TestRowFedTrainsHoldOneWidth(t *testing.T) {
+	s, udfName, table := ftSystem(t)
+	udf, rel, acc, job, err := s.resolve(udfName, table, s.Opts.Precision)
+	if err != nil {
+		t.Fatal(err)
+	}
+	widths := map[string]bool{}
+	for _, name := range s.disp.Names() {
+		be, _, job, err := s.disp.Resolve(name, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := s.programFor(udf, rel, acc, job.Bits)
+		if err := be.Configure(prog); err != nil {
+			t.Fatal(err)
+		}
+		feed, err := s.newEpochFeed(rel, be, acc, prog.Striders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cl, ok := be.(backend.Closer); ok {
+			cl.Close()
+		}
+		caps := be.Capabilities()
+		if caps.Streaming {
+			if feed.rows != nil {
+				t.Errorf("%s streams pages but its feed also holds rows", name)
+			}
+			continue
+		}
+		n32, n64 := len(feed.rows.Rows32), len(feed.rows.Rows64)
+		want32, want64 := rel.NumTuples(), 0
+		if caps.Precision == backend.PrecisionFloat64 {
+			want32, want64 = 0, rel.NumTuples()
+		}
+		if n32 != want32 || n64 != want64 {
+			t.Errorf("%s (%s) feed holds %d float32 and %d float64 rows; want %d and %d", name, caps.Precision, n32, n64, want32, want64)
+		}
+		widths[caps.Precision] = true
+	}
+	if !widths[backend.PrecisionFloat32] || !widths[backend.PrecisionFloat64] {
+		t.Errorf("row-fed backends covered precisions %v; want both", widths)
+	}
+}
+
 // TestTrainAllocBudget: a Train served by the record cache allocates at
 // most half of what it did while every call regenerated, assembled and
 // verified the Strider program, built 16 VMs and copied the epoch's tail

@@ -612,7 +612,7 @@ func (s *System) failover(res *TrainResult, job backend.Job, prog backend.Progra
 	if cl, ok := fb.(backend.Closer); ok {
 		defer cl.Close()
 	}
-	rows64, _, err := rel.NarrowedRows(false)
+	rows64, err := storage.NarrowedRows[float64](rel)
 	if err != nil {
 		return err
 	}

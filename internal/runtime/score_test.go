@@ -51,7 +51,7 @@ func TestScoreMatchesNarrowedRows(t *testing.T) {
 		for _, c := range sch.Cols {
 			types[c.Type] = true
 		}
-		rows, _, err := rel.NarrowedRows(false)
+		rows, err := storage.NarrowedRows[float64](rel)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,7 +89,8 @@ const tenantPoolBytes = 64 << 20
 var ErrPinConflict = errors.New("server: job conflicts with its configuration's pinned scale or epochs")
 
 // ErrBadSpec refuses a job whose scale or arrival no plan can hold: a
-// scale outside (0, 1], or a NaN or infinite scale or arrival.
+// scale outside [0, 1] (0 is full scale), or a NaN or infinite scale or
+// arrival.
 var ErrBadSpec = errors.New("server: job spec out of range")
 
 type dataKey struct {
@@ -526,11 +527,11 @@ func (s *Server) admit(spec JobSpec) (p pin, err error) {
 	if !ok {
 		return p, fmt.Errorf("%w: %q", ErrUnknownTenant, spec.Tenant)
 	}
-	if !finite(spec.Scale) || !finite(spec.ArriveSec) {
+	if !finite(spec.Scale) || !finite(spec.ArriveSec) || spec.Scale < 0 || spec.Scale > 1 {
 		return p, fmt.Errorf("%w: scale %g, arrival %g", ErrBadSpec, spec.Scale, spec.ArriveSec)
 	}
 	k, scale := s.key(spec), spec.Scale
-	if scale <= 0 {
+	if scale == 0 {
 		scale = 1
 	}
 	have, deployed := t.scales[k.workload]
@@ -544,9 +545,6 @@ func (s *Server) admit(spec JobSpec) (p pin, err error) {
 		w, err := datagen.ByName(k.workload)
 		if err != nil {
 			return pin{}, err
-		}
-		if scale > 1 {
-			return pin{}, fmt.Errorf("%w: scale %g out of (0, 1]", ErrBadSpec, scale)
 		}
 		ue = udfEntry{epochs: w.Epochs, def: w.Epochs, est: Estimate{Key: fmt.Sprintf("%s/m%d", k.workload, k.merge)}}
 		dk := dataKey{k.workload, scale}

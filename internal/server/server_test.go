@@ -594,6 +594,43 @@ func TestRefusalsLeaveNoPins(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeScaleRefusedFirst: a scale below 0 or above 1 is
+// ErrBadSpec before any pin is read. A negative scale is not full scale
+// (0 is), and a scale above 1 on a workload the tenant already holds is
+// out of range, not a pin conflict. Neither refusal pins, generates or
+// queues anything.
+func TestOutOfRangeScaleRefusedFirst(t *testing.T) {
+	srv, err := New(Config{Tenants: []TenantConfig{{Name: "a"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ta := srv.tenants["a"]
+	job := func(scale float64) JobSpec {
+		return JobSpec{Tenant: "a", Workload: "Remote Sensing LR", Scale: scale, Epochs: 1}
+	}
+	state := func() string {
+		return fmt.Sprintf("%d datasets, scale pins %v, %d configurations, %d queued", len(srv.data), ta.scales, len(ta.udfs), len(srv.pending))
+	}
+	if err := srv.Submit(job(-0.5)); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("scale -0.5: got %v, want ErrBadSpec", err)
+	}
+	if got, want := state(), "0 datasets, scale pins map[], 0 configurations, 0 queued"; got != want {
+		t.Fatalf("a refused negative scale left %s", got)
+	}
+	if err := srv.Submit(job(0.002)); err != nil {
+		t.Fatal(err)
+	}
+	before := state()
+	for _, scale := range []float64{2, -0.5} {
+		if err := srv.Submit(job(scale)); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("scale %g on a deployed workload: got %v, want ErrBadSpec", scale, err)
+		}
+		if got := state(); got != before {
+			t.Fatalf("a refused scale %g moved %s to %s", scale, before, got)
+		}
+	}
+}
+
 // TestSubmitDuringDrain submits jobs of new workloads, LRMF among them,
 // to tenants whose drain is executing: Submit deploys, registers and
 // prices them on the very Systems the drain trains on, so under -race

@@ -208,3 +208,81 @@ func TestRandomItemsProperty(t *testing.T) {
 		}
 	}
 }
+
+// quantize makes v exactly representable by the column type, so encode →
+// decode is the identity.
+func quantize(t ColType, v float64) float64 {
+	switch t {
+	case TFloat32:
+		return float64(float32(v))
+	case TInt32, TInt64:
+		return float64(int32(v * 100))
+	default:
+		return v
+	}
+}
+
+func randRow(rng *rand.Rand, s *Schema) []float64 {
+	vals := make([]float64, s.NumCols())
+	for i, c := range s.Cols {
+		vals[i] = quantize(c.Type, rng.NormFloat64()*10)
+	}
+	return vals
+}
+
+// TestPageFillToErrPageFull fills pages of every size to ErrPageFull and
+// checks the free-space accounting never goes negative and every stored
+// tuple stays readable.
+func TestPageFillToErrPageFull(t *testing.T) {
+	s := NumericSchema(15)
+	rng := rand.New(rand.NewSource(23))
+	for _, size := range []int{PageSize8K, PageSize16K, PageSize32K} {
+		page := NewPage(size, 0)
+		n := 0
+		for {
+			vals := randRow(rng, s)
+			raw, err := EncodeTuple(s, vals, 2, TID{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := page.AddItem(raw); err != nil {
+				if !errorsIs(err, ErrPageFull) {
+					t.Fatalf("size=%d: %v", size, err)
+				}
+				break
+			}
+			n++
+			if page.FreeSpace() < 0 {
+				t.Fatalf("size=%d: negative free space", size)
+			}
+		}
+		expect := (size - PageHeaderSize) / (alignUp(TupleHeaderSize+s.DataWidth(), MaxAlign) + ItemIDSize)
+		if n != expect {
+			t.Errorf("size=%d: filled %d tuples, geometry predicts %d", size, n, expect)
+		}
+		if err := page.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := page.Item(i); err != nil {
+				t.Fatalf("size=%d item=%d: %v", size, i, err)
+			}
+		}
+	}
+}
+
+// errorsIs avoids importing errors in this file twice.
+func errorsIs(err, target error) bool {
+	for err != nil {
+		if err == target {
+			return true
+		}
+		type unwrapper interface{ Unwrap() error }
+		u, ok := err.(unwrapper)
+		if !ok {
+			return false
+		}
+		err = u.Unwrap()
+	}
+	return false
+}

@@ -261,35 +261,25 @@ func (r *Relation) Scan(fn func(tid TID, vals []float64) error) error {
 	return nil
 }
 
-// NarrowedRows materializes the live tuples with every value narrowed
+// NarrowedRows materializes rel's live tuples with every value narrowed
 // through float32 — the Strider datapath width — so consumers that skip
 // the extraction pipeline (row-fed backends, failover targets) see
-// exactly the values it would deliver. rows64 holds the narrowed values
-// widened back (exact); rows32 is built only when with32 is set.
-func (r *Relation) NarrowedRows(with32 bool) (rows64 [][]float64, rows32 [][]float32, err error) {
-	err = r.Scan(func(_ TID, vals []float64) error {
-		r64 := make([]float64, len(vals))
-		var r32 []float32
-		if with32 {
-			r32 = make([]float32, len(vals))
-		}
+// exactly the values it would deliver, in the width T they read (as
+// float64, widened back exactly).
+func NarrowedRows[T float32 | float64](rel *Relation) ([][]T, error) {
+	var rows [][]T
+	err := rel.Scan(func(_ TID, vals []float64) error {
+		row := make([]T, len(vals))
 		for i, v := range vals {
-			f := float32(v)
-			r64[i] = float64(f)
-			if with32 {
-				r32[i] = f
-			}
+			row[i] = T(float32(v))
 		}
-		rows64 = append(rows64, r64)
-		if with32 {
-			rows32 = append(rows32, r32)
-		}
+		rows = append(rows, row)
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return rows64, rows32, nil
+	return rows, nil
 }
 
 // Validate checks every page's invariants.

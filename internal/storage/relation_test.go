@@ -225,3 +225,38 @@ func TestMutationClonesOnlyHandedPages(t *testing.T) {
 		t.Fatalf("the current image holds %d items (want 12), checksum ok %v", pg.NumItems(), pg.ChecksumOK())
 	}
 }
+
+// TestZeroLiveTuplePages: pages whose every item is dead (or redirected)
+// must scan as empty without error, at the relation level too.
+func TestZeroLiveTuplePages(t *testing.T) {
+	s := NumericSchema(3)
+	rel := NewRelation("ghosts", s, PageSize8K)
+	for i := 0; i < 10; i++ {
+		if _, err := rel.Insert([]float64{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if err := rel.Delete(TID{Page: 0, Item: uint16(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Re-point one dead slot as a redirect: scanners must skip it too.
+	pg, _ := rel.Page(0)
+	if err := pg.SetLinePointer(3, ItemID{Off: 4, Flags: LPRedirect, Len: 0}); err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	if err := rel.Scan(func(TID, []float64) error { rows++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 0 {
+		t.Fatalf("scanned %d rows from a zero-live relation", rows)
+	}
+	if err := rel.Vacuum(); err != nil {
+		t.Fatal(err)
+	}
+	if rel.NumTuples() != 0 {
+		t.Fatalf("vacuum left %d tuples", rel.NumTuples())
+	}
+}

@@ -57,9 +57,6 @@ type TupleMeta struct {
 	Hoff       uint8
 }
 
-// NAttrs returns the attribute count recorded in infomask2.
-func (m TupleMeta) NAttrs() int { return int(m.Infomask2 & 0x07FF) }
-
 // EncodeTuple serializes a heap tuple (header + row data) for the given
 // schema into a fresh byte slice.
 func EncodeTuple(s *Schema, vals []float64, xmin uint32, ctid TID) ([]byte, error) {
@@ -101,19 +98,10 @@ func DecodeTupleMeta(raw []byte) (TupleMeta, error) {
 	return m, nil
 }
 
-// TupleData returns the user-data portion of a raw heap tuple.
-func TupleData(raw []byte) ([]byte, error) {
-	m, err := DecodeTupleMeta(raw)
-	if err != nil {
-		return nil, err
-	}
-	return raw[m.Hoff:], nil
-}
-
-// DecodeTuple parses a raw heap tuple into float64 column values. It is
-// the fixed-width NOT NULL fast path: tuples carrying a null bitmap are
-// rejected (their attribute offsets are dynamic — use
-// DecodeTupleWithNulls), rather than silently misread through the
+// DecodeTuple parses a raw heap tuple into float64 column values. It
+// reads only fixed-width NOT NULL tuples, the only ones the program
+// forms: a tuple carrying a null bitmap is refused (its attribute
+// offsets are dynamic), rather than silently misread through the
 // schema's static offset table.
 func DecodeTuple(s *Schema, dst []float64, raw []byte) ([]float64, error) {
 	m, err := DecodeTupleMeta(raw)
@@ -121,7 +109,7 @@ func DecodeTuple(s *Schema, dst []float64, raw []byte) ([]float64, error) {
 		return dst, err
 	}
 	if m.Infomask&InfomaskHasNull != 0 {
-		return dst, fmt.Errorf("%w: tuple has a null bitmap; use DecodeTupleWithNulls", ErrCorrupt)
+		return dst, fmt.Errorf("%w: tuple has a null bitmap", ErrCorrupt)
 	}
 	return s.DecodeValues(dst, raw[m.Hoff:])
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,8 +83,8 @@ func TestTupleEncodeDecodeRoundTrip(t *testing.T) {
 	if meta.Ctid != (TID{Page: 3, Item: 7}) {
 		t.Errorf("Ctid = %v", meta.Ctid)
 	}
-	if meta.NAttrs() != 3 {
-		t.Errorf("NAttrs = %d", meta.NAttrs())
+	if n := meta.Infomask2 & 0x07FF; n != 3 {
+		t.Errorf("infomask2 attribute count = %d", n)
 	}
 	if meta.Hoff != TupleHeaderSize {
 		t.Errorf("Hoff = %d", meta.Hoff)
@@ -141,5 +142,39 @@ func TestEncodeValuesErrors(t *testing.T) {
 	}
 	if err := s.EncodeValues(make([]byte, 2), []float64{1, 2, 3}); err == nil {
 		t.Error("short buffer should fail")
+	}
+}
+
+// TestNullBitmapTupleRefused: no writer forms a tuple with HEAP_HASNULL,
+// and the fixed-width readers refuse one, typed, rather than misread its
+// shifted columns through the static offsets: DecodeTuple, and a
+// Relation.Scan over its page after handing out the tuple before it.
+func TestNullBitmapTupleRefused(t *testing.T) {
+	s := NumericSchema(3)
+	rel := NewRelation("nulls", s, PageSize8K)
+	for i := 0; i < 3; i++ {
+		if _, err := rel.Insert([]float64{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pg, err := rel.Page(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := pg.Item(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeTuple(s, nil, raw); err != nil {
+		t.Fatalf("before the bit is set: %v", err)
+	}
+	raw[tupInfomaskOff] |= InfomaskHasNull
+	if _, err := DecodeTuple(s, nil, raw); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeTuple on a null-bitmap tuple: got %v, want ErrCorrupt", err)
+	}
+	rows := 0
+	err = rel.Scan(func(TID, []float64) error { rows++; return nil })
+	if !errors.Is(err, ErrCorrupt) || rows != 1 {
+		t.Fatalf("Scan over a null-bitmap tuple: %d rows, error %v; want 1 row, ErrCorrupt", rows, err)
 	}
 }

@@ -14,9 +14,9 @@ package storage
 // array (GLM labels are ±1 or small reals and must stay exact).
 //
 // The layout is deliberately restrictive: float32 feature columns plus
-// a float32 label, NOT NULL, fixed width. Null bitmaps, varlena tails,
-// and non-float32 schemas are rejected with the typed ErrWeaveUnsupported
-// — the heap layout remains the general format.
+// a float32 label, NOT NULL, fixed width. Non-float32 schemas are
+// rejected with the typed ErrWeaveUnsupported — the heap layout remains
+// the general format.
 //
 //	WeavePage layout (little-endian):
 //	  [ 0, 4)   magic    "WEAV"
@@ -61,8 +61,8 @@ const (
 // Typed weave errors.
 var (
 	// ErrWeaveUnsupported reports data the vertical layout does not
-	// accept: non-float32 columns, tuples with null bitmaps, or trailing
-	// varlena data. The heap layout remains the general format.
+	// accept, non-float32 columns among it. The heap layout remains the
+	// general format.
 	ErrWeaveUnsupported = errors.New("storage: unsupported by weave layout")
 	// ErrWeaveCorrupt reports a weave page violating its structural
 	// invariants.

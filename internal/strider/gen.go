@@ -122,9 +122,3 @@ func WalkCost(items, payload int) (steps, cycles, bytes int64) {
 	steps = 5 + 7*n
 	return steps, steps + n*int64((payload+7)/8), n * int64(payload)
 }
-
-// ExpectedOutputBytes returns how many bytes the generated program emits
-// for a page holding n tuples of the given schema.
-func ExpectedOutputBytes(schema *storage.Schema, n int) int {
-	return n * schema.DataWidth()
-}

@@ -287,9 +287,6 @@ func TestGeneratedProgramExtractsTuples(t *testing.T) {
 	if !bytes.Equal(vm.Out(), want) {
 		t.Fatalf("extracted %d bytes != expected %d bytes", len(vm.Out()), len(want))
 	}
-	if got := ExpectedOutputBytes(schema, 25); got != len(want) {
-		t.Errorf("ExpectedOutputBytes = %d, want %d", got, len(want))
-	}
 	if vm.Cycles() <= 0 {
 		t.Error("no cycles counted")
 	}

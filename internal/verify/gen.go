@@ -23,8 +23,7 @@ import (
 )
 
 // MaxSchemaCols is the widest schema the generator produces (PostgreSQL
-// caps heap tuples at MaxHeapAttributeNumber=1600; we stop at 256, which
-// still crosses every null-bitmap byte boundary of interest).
+// caps heap tuples at MaxHeapAttributeNumber=1600; we stop at 256).
 const MaxSchemaCols = 256
 
 // Gen is a deterministic scenario generator. All methods consume the
@@ -89,23 +88,6 @@ func (g *Gen) Row(s *storage.Schema) []float64 {
 	return vals
 }
 
-// NullMask draws a null mask where each column is null with probability
-// num/den; returns nil (no bitmap) when no column came up null.
-func (g *Gen) NullMask(ncols, num, den int) []bool {
-	mask := make([]bool, ncols)
-	any := false
-	for i := range mask {
-		if g.rng.Intn(den) < num {
-			mask[i] = true
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return mask
-}
-
 // PageScenario is a formed page plus its ground truth for Oracle A.
 type PageScenario struct {
 	Schema *storage.Schema
@@ -114,50 +96,26 @@ type PageScenario struct {
 	// Ground truth for live (LPNormal) items, in item order.
 	LiveItems []int
 	Rows      [][]float64
-	Nulls     [][]bool // nil entry = tuple has no null bitmap
-	VarTails  [][]byte // nil entry = no trailing varlena datum
 }
 
-// PageScenario fills a page of the given size with random tuples —
-// mixing null bitmaps, trailing varlena datums, deletions, and a
-// fabricated redirect — and records the surviving ground truth.
+// PageScenario fills a page of the given size with random tuples, kills
+// some and fabricates a redirect, and records the surviving ground truth.
 func (g *Gen) PageScenario(pageSize int) (*PageScenario, error) {
 	s := g.Schema(64)
 	sc := &PageScenario{Schema: s, Page: storage.NewPage(pageSize, 0)}
 	nrows := 1 + g.rng.Intn(120)
 
-	type stored struct {
-		vals []float64
-		mask []bool
-		tail []byte
-	}
-	var all []stored
+	var all [][]float64
 	for i := 0; i < nrows; i++ {
 		vals := g.Row(s)
-		var mask []bool
-		if g.rng.Intn(3) == 0 {
-			mask = g.NullMask(s.NumCols(), 1, 4)
-		}
-		raw, err := storage.EncodeTupleWithNulls(s, vals, mask, uint32(i+2), storage.TID{Item: uint16(i)})
+		raw, err := storage.EncodeTuple(s, vals, uint32(i+2), storage.TID{Item: uint16(i)})
 		if err != nil {
 			return nil, err
-		}
-		var tail []byte
-		if mask == nil && g.rng.Intn(4) == 0 {
-			// Trailing varlena datum on a no-null tuple: its offset is
-			// statically hoff + DataWidth.
-			payload := make([]byte, g.rng.Intn(200))
-			g.rng.Read(payload)
-			raw, err = storage.AppendVarlena(raw, payload)
-			if err != nil {
-				return nil, err
-			}
-			tail = payload
 		}
 		if _, err := sc.Page.AddItem(raw); err != nil {
 			break // page full — keep what fits
 		}
-		all = append(all, stored{vals, mask, tail})
+		all = append(all, vals)
 	}
 	if len(all) == 0 {
 		return nil, fmt.Errorf("verify: no tuple of schema %v fits a %d-byte page", s, pageSize)
@@ -183,14 +141,12 @@ func (g *Gen) PageScenario(pageSize int) (*PageScenario, error) {
 			}
 		}
 	}
-	for i, st := range all {
+	for i, vals := range all {
 		if dead[i] {
 			continue
 		}
 		sc.LiveItems = append(sc.LiveItems, i)
-		sc.Rows = append(sc.Rows, st.vals)
-		sc.Nulls = append(sc.Nulls, st.mask)
-		sc.VarTails = append(sc.VarTails, st.tail)
+		sc.Rows = append(sc.Rows, vals)
 	}
 	return sc, nil
 }
@@ -255,8 +211,7 @@ func (g *Gen) InnoScenario(pageSize, maxRows int) (*InnoScenario, error) {
 }
 
 // StriderScenario holds pages the generated Strider walker can legally
-// traverse: every line pointer live, at least one tuple per page, no
-// null bitmaps (the walker's fixed 24-byte skip assumes t_hoff = 24).
+// traverse: every line pointer live, at least one tuple per page.
 type StriderScenario struct {
 	Schema   *storage.Schema
 	PageSize int

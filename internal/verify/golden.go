@@ -70,7 +70,11 @@ func CheckTrainingEquivalence(sp golden.Spec, init []float64, tuples [][]float64
 	if err != nil {
 		return err
 	}
-	if _, err := it.Train(tuples, sp.Epochs); err != nil {
+	limit := graph.Epochs // the algorithm's budget, or sp.Epochs if smaller and positive
+	if limit <= 0 || (sp.Epochs > 0 && sp.Epochs < limit) {
+		limit = sp.Epochs
+	}
+	if err := trainEpochs(limit, func() error { return it.Epoch(tuples) }, it.Converged); err != nil {
 		return fmt.Errorf("oracle C: interp: %w", err)
 	}
 	if err := CompareModels("golden vs interp", golden, it.Model(), 0); err != nil {
@@ -122,7 +126,8 @@ func CheckTrainingEquivalence(sp golden.Spec, init []float64, tuples [][]float64
 			}
 			t32[i] = row
 		}
-		if _, err := m.Train(t32, maxInt(sp.MergeCoef, 1), maxInt(sp.Epochs, 1)); err != nil {
+		batch := maxInt(sp.MergeCoef, 1)
+		if err := trainEpochs(sp.Epochs, func() error { return m.RunEpoch(t32, batch) }, m.Converged); err != nil {
 			return fmt.Errorf("oracle C: machine train: %w", err)
 		}
 		got := make([]float64, len(golden))
@@ -133,7 +138,7 @@ func CheckTrainingEquivalence(sp golden.Spec, init []float64, tuples [][]float64
 			return err
 		}
 
-		// Leg 4: the engine's lowered plan (what Train just ran) against
+		// Leg 4: the engine's lowered plan (what leg 3 just ran) against
 		// its reference executor, the macro-instruction interpreter, on
 		// the same design: model bits and every modeled counter equal.
 		ref, err := engine.NewMachine(prog, design.Engine)
@@ -150,6 +155,21 @@ func CheckTrainingEquivalence(sp golden.Spec, init []float64, tuples [][]float64
 			return err
 		}
 		if err := CompareEngineStats("plan vs reference", m.Stats(), ref.Stats()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// trainEpochs is Oracle C's epoch loop for the interpreter and engine
+// legs: up to limit epochs (at least one), stopping after the first
+// epoch whose convergence check passes.
+func trainEpochs(limit int, epoch func() error, converged func() (bool, error)) error {
+	for e := 0; e < maxInt(limit, 1); e++ {
+		if err := epoch(); err != nil {
+			return err
+		}
+		if done, err := converged(); err != nil || done {
 			return err
 		}
 	}

@@ -42,11 +42,11 @@ func (sc *StriderScenario) CheckProgram(prog []strider.Instr, cfg strider.Config
 			if err != nil {
 				return fmt.Errorf("oracle B: page %d item %d: %w", p, i, err)
 			}
-			data, err := storage.TupleData(raw)
+			m, err := storage.DecodeTupleMeta(raw)
 			if err != nil {
 				return fmt.Errorf("oracle B: page %d item %d: %w", p, i, err)
 			}
-			direct = append(direct, data...)
+			direct = append(direct, raw[m.Hoff:]...)
 		}
 	}
 
@@ -58,7 +58,7 @@ func (sc *StriderScenario) CheckProgram(prog []strider.Instr, cfg strider.Config
 		truth = append(truth, buf...)
 	}
 
-	if want := strider.ExpectedOutputBytes(sc.Schema, len(sc.Rows)); len(vmOut) != want {
+	if want := len(sc.Rows) * sc.Schema.DataWidth(); len(vmOut) != want {
 		return fmt.Errorf("oracle B: VM emitted %d bytes, layout predicts %d", len(vmOut), want)
 	}
 	if !bytes.Equal(vmOut, direct) {

@@ -214,6 +214,14 @@ var unreferencedOK = map[string]string{
 	"engine.MicroMachine.RunTuple":   "reference executor: NewMicroMachine's step",
 	"engine.MicroMachine.SetModel":   "reference executor: NewMicroMachine's input",
 	"engine.MicroMachine.Model":      "reference executor: NewMicroMachine's output",
+	"engine.Machine.TrainReference":  "reference executor: Oracle C and the engine's tests hold the lowered plan's model and counters equal to it",
+	"ml.TrainSGD":                    "reference: the MADlib-style SGD Oracle C and greenplum's crosscheck compare models against",
+	"storage.InnoPage.Records":       "reference: the InnoDB record walk Oracle A and the InnoDB walker's tests compare against",
+	"storage.WeaveDequantize":        "reference: the scalar dequantisation the weave decode kernels are held equal to, bit for bit",
+	"accessengine.Engine.Program":    "safety hook: TestTrainRunsCatalogProgram reads the program a Train's Striders run",
+	"accessengine.Engine.Config":     "safety hook: TestTrainRunsCatalogProgram reads the config a Train's Striders run",
+	"storage.Relation.Validate":      "safety hook: checks every page's invariants after a fault or a vacuum",
+	"storage.Page.SetLinePointer":    "safety hook: the only way to fabricate the LP_REDIRECT state that scans must skip",
 	"storage.CheckWeaveSchema":       "input check: the weave layout's admission rule, which the backend's class gate is pinned to",
 	"runtime.workerError.Unwrap":     "implements the errors.Unwrap protocol (errors.Is through workerError)",
 	"obs.ParseSnapshot":              "public API: reads the snapshot JSON that Engine.Obs() and `danactl stats -json` export, for tools outside the module",
@@ -226,6 +234,8 @@ var unreferencedOK = map[string]string{
 	"storage.Relation.TuplesPerPage": apiSurface, // Dataset.Rel
 	"storage.Relation.SizeBytes":     apiSurface,
 	"storage.Relation.Get":           apiSurface, // the reader of the TID Relation.Insert returns
+	"storage.Relation.Delete":        apiSurface,
+	"storage.Relation.Vacuum":        apiSurface,
 	"storage.Page.FreeSpace":         apiSurface, // the pages Engine.Pool() pins
 	"storage.Page.Version":           apiSurface,
 	"storage.Page.LSN":               apiSurface,
@@ -241,10 +251,13 @@ const apiSurface = "public API: a method of a type the dana package hands out, p
 // referenced when a non-test file names it, or when its receiver
 // implements an interface — the module's or the standard library's —
 // that has a method of its name (the call then goes through the
-// interface, or through fmt, sort, errors). Exempt by directory: bench/
-// (its own module), the root package (the public API), internal/verify
-// (oracles: their callers are tests by design) and internal/fuzzcorpus
-// (the fuzz targets' corpus writers).
+// interface, or through fmt, sort, errors). Exempt by package: bench/
+// (its own module), the root package (the public API), and testOnly's
+// internal/verify (oracles) and internal/fuzzcorpus (the fuzz targets'
+// corpus writers), whose references count as test references too: a
+// production function only an oracle calls is test-only. The check is
+// shown to fail on a planted function only a planted verify package
+// calls.
 func TestNoTestOnlyProductionFunctions(t *testing.T) {
 	unused := loadFacts(t).unreferenced
 	for name, pos := range unused {
@@ -256,6 +269,20 @@ func TestNoTestOnlyProductionFunctions(t *testing.T) {
 		if unused[name] == "" {
 			t.Errorf("unreferencedOK lists %s, which is now referenced or gone: drop the entry", name)
 		}
+	}
+
+	prod := plantPackage(t, "dana/internal/planted", `package planted
+func init() { used() }
+func used() {}
+func OnlyVerify() {}
+`, nil)
+	verify := plantPackage(t, "dana/internal/verify", `package verify
+import "dana/internal/planted"
+func Check() { planted.OnlyVerify() }
+`, plantedImports{"dana/internal/planted": prod.Types})
+	got := unreferencedFuncs(&lint.Loader{ModulePath: "dana"}, []*lint.Package{prod, verify})
+	if len(got) != 1 || got["planted.OnlyVerify"] == "" {
+		t.Errorf("a planted production function only a planted verify package calls reads %v", got)
 	}
 }
 
@@ -311,22 +338,41 @@ func use(c Config) int {
 	return Config{Set: 1}.Set + c.Set + c.Unset
 }
 `
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "planted.go", planted, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg := &lint.Package{PkgPath: "planted", Fset: fset, Files: []*ast.File{f}, TypesInfo: &types.Info{
-		Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{},
-		Defs: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}}
-	if pkg.Types, err = new(types.Config).Check("planted", fset, pkg.Files, pkg.TypesInfo); err != nil {
-		t.Fatal(err)
-	}
+	pkg := plantPackage(t, "planted", planted, nil)
 	got := uncalledSettings([]*lint.Package{pkg}, func(*lint.Package) bool { return true })
 	if len(got) != 1 || got["planted.Config.Unset"] != "never written" {
 		t.Errorf("a planted setting only a default fill writes reads %v", got)
 	}
+}
+
+// plantedImports resolves a planted package's imports among the
+// packages planted before it.
+type plantedImports map[string]*types.Package
+
+func (m plantedImports) Import(path string) (*types.Package, error) {
+	if p := m[path]; p != nil {
+		return p, nil
+	}
+	return nil, fmt.Errorf("no planted package %q", path)
+}
+
+// plantPackage parses and type-checks src as the one file of package
+// path, its imports resolved by imp, for a check's planted leg.
+func plantPackage(t *testing.T, path, src string, imp plantedImports) *lint.Package {
+	t.Helper()
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "planted.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := &lint.Package{PkgPath: path, Fset: fset, Files: []*ast.File{f}, TypesInfo: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{},
+		Defs: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	if pkg.Types, err = (&types.Config{Importer: imp}).Check(path, fset, pkg.Files, pkg.TypesInfo); err != nil {
+		t.Fatal(err)
+	}
+	return pkg
 }
 
 // isSetting reports whether an exported struct type's name puts its
@@ -469,6 +515,11 @@ func uncalledSettings(pkgs []*lint.Package, inScope func(*lint.Package) bool) ma
 	return out
 }
 
+// testOnly are the packages only tests import (module-relative paths):
+// their functions are exempt from TestNoTestOnlyProductionFunctions and
+// their references are test references.
+var testOnly = map[string]bool{"internal/verify": true, "internal/fuzzcorpus": true}
+
 // unreferencedFuncs returns the non-exempt functions and methods of the
 // module's non-test files that nothing in them references, keyed as
 // unreferencedOK is, with their positions.
@@ -498,7 +549,7 @@ func unreferencedFuncs(l *lint.Loader, pkgs []*lint.Package) map[string]string {
 	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	for _, pkg := range pkgs {
 		for _, obj := range pkg.TypesInfo.Uses {
-			if fn, ok := obj.(*types.Func); ok {
+			if fn, ok := obj.(*types.Func); ok && !testOnly[strings.TrimPrefix(pkg.PkgPath, l.ModulePath+"/")] {
 				used[fn.Origin()] = true
 			}
 		}
@@ -534,9 +585,7 @@ func unreferencedFuncs(l *lint.Loader, pkgs []*lint.Package) map[string]string {
 	}
 	unused := map[string]string{}
 	for _, pkg := range pkgs {
-		rel, _ := filepath.Rel(l.Root, pkg.Dir)
-		switch filepath.ToSlash(rel) {
-		case ".", "bench", "internal/verify", "internal/fuzzcorpus":
+		if rel := strings.TrimPrefix(pkg.PkgPath, l.ModulePath+"/"); pkg.PkgPath == l.ModulePath || rel == "bench" || testOnly[rel] {
 			continue
 		}
 		for _, f := range pkg.Files {
