@@ -188,16 +188,26 @@ func colFloat(t storage.ColType, b []byte) (v float32, ok bool) {
 	return 0, false
 }
 
-// PageResult is one page's extraction output: the tuple values live in a
-// single flat arena (Data) with one row view per tuple (Rows), avoiding
-// a per-tuple allocation. Cycles and Bytes carry the modeled Strider
-// counters so stats can be charged later — and deterministically — by a
-// Collector, independent of which host goroutine ran the extraction.
+// PageResult is one page's extraction output: one row view per tuple
+// (Rows), over a single flat extent (Data) or over the page image
+// itself, avoiding a per-tuple allocation. Cycles and Bytes carry the
+// modeled Strider counters so stats can be charged later — and
+// deterministically — by a Collector, independent of which host
+// goroutine ran the extraction.
+//
+// A fresh result (no Rows capacity yet) is always filled by copy, so
+// its rows lie contiguous in Data: the form a caller that keeps the rows
+// (the record cache) replays. A recycled result, one that already held
+// a page's rows, gets rows that are views of the page when the walker
+// can take them straight from the image (a packed float4 payload,
+// 4-aligned, on a little-endian host); Data is then empty. Such rows
+// alias the pinned page image, which is immutable — a mutation of the
+// heap clones it first — and must never be written.
 //
 // When Arena is set, Data extents that outgrow their current capacity
-// are carved from that slab instead of the heap (the zero-copy
-// path); Data capacity is still reused first, so a recycled
-// PageResult touches the arena only when a page needs a larger extent.
+// are carved from that slab instead of the heap; Data capacity is
+// still reused first, so a recycled PageResult touches the arena only
+// when a page needs a larger extent.
 type PageResult struct {
 	PageNo int
 	Rows   [][]float32
@@ -224,16 +234,24 @@ func (res *PageResult) reserve(total int) {
 	}
 }
 
-// setRows rebuilds res.Rows as n views of cols values over res.Data,
-// whose backing array must be final.
+// emptyRows returns res.Rows emptied, with room for n rows.
 //
 //dana:hotpath
-func (res *PageResult) setRows(n, cols int) {
+func (res *PageResult) emptyRows(n int) [][]float32 {
 	rows := res.Rows[:0]
 	if cap(rows) < n {
 		//danalint:ignore hotcall -- capacity-guarded growth, reused once recycled
 		rows = make([][]float32, 0, n)
 	}
+	return rows
+}
+
+// setRows rebuilds res.Rows as n views of cols values over res.Data,
+// whose backing array must be final.
+//
+//dana:hotpath
+func (res *PageResult) setRows(n, cols int) {
+	rows := res.emptyRows(n)
 	for i := 0; i < n; i++ {
 		rows = append(rows, res.Data[i*cols:(i+1)*cols:(i+1)*cols])
 	}

@@ -14,8 +14,11 @@ import (
 // production path decodes a page with it in one pass and charges the
 // program's cost from strider.WalkCost, and the VM — still the
 // definition of what the program does — runs only the pages it declines.
-// A packed float4 payload is copied into its extent (decodeF32); any
-// other schema goes through the convert list, one value at a time.
+// A packed float4 payload already is its row's memory image on a
+// little-endian host, so a recycled result's rows are views of the page
+// (view); a fresh result's are copied into its extent (decodeF32), and
+// so is a page with a payload that is not 4-aligned. Any other schema
+// goes through the convert list, one value at a time.
 type walker struct {
 	hdrEnd   int // page bytes the program's three header readBs need
 	lowerOff int // pd_lower
@@ -26,6 +29,7 @@ type walker struct {
 	width    int // Schema.DataWidth(): the one payload length accepted
 	cols     int
 	conv     []colConv // nil when the payload is a packed float4 stream
+	views    bool      // a packed stream the host reads in place: rows may be views
 }
 
 // colConv is one column's slot in the convert list: where in the payload
@@ -44,6 +48,11 @@ const lpSize = 4
 func newWalker(layout strider.PageLayout, schema *storage.Schema) (w walker, ok bool) {
 	if layout.ItemIDSize != lpSize {
 		return walker{}, false
+	}
+	for _, f := range [...]strider.FieldDesc{layout.ItemOffField, layout.ItemLenField} {
+		if f.Width == 0 || f.Width > 32 {
+			return walker{}, false // payload reads the fields without Extract's guard
+		}
 	}
 	w = walker{
 		hdrEnd:   layout.HeaderReadEnd(),
@@ -68,6 +77,7 @@ func newWalker(layout strider.PageLayout, schema *storage.Schema) (w walker, ok 
 			w.conv[i] = colConv{off: schema.ColOffset(i), typ: col.Type}
 		}
 	}
+	w.views = packed && nativeLE && w.cols > 0
 	return w, true
 }
 
@@ -91,14 +101,66 @@ func (w *walker) extract(page []byte, res *PageResult) bool {
 	if w.first+lpSize*n > len(page) {
 		return false
 	}
-	cols, skip, width := w.cols, w.skip, w.width
+	lps := page[w.first : w.first+lpSize*n]
+	// Only a recycled result takes views: a fresh one is what a caller
+	// that keeps rows hands in, and kept rows are replayed faster from
+	// one contiguous extent than from views scattered over pages.
+	viewed := w.views && cap(res.Rows) > 0 && w.view(page, lps, res)
+	if !viewed && !w.copyRows(page, lps, res) {
+		return false
+	}
+	res.Steps, res.Cycles, res.Bytes = strider.WalkCost(n, w.width)
+	return true
+}
+
+// payload returns where the payload of line pointer i of lps starts, and
+// whether it is exactly one tuple payload wide and inside a page of
+// pageLen bytes.
+//
+//dana:hotpath
+func (w *walker) payload(lps []byte, i, pageLen int) (start int, ok bool) {
+	lp := uint64(binary.LittleEndian.Uint32(lps[lpSize*i:]))
+	off, ln := w.offField, w.lenField // Extract, its guard settled by newWalker
+	start = int(lp>>off.Start&(1<<off.Width-1)) + w.skip
+	return start, int(lp>>ln.Start&(1<<ln.Width-1))-w.skip == w.width && start+w.width <= pageLen
+}
+
+// view points res.Rows at the packed payloads in the page image itself,
+// one row of w.cols values each, and empties res.Data. It gives up
+// (false) on a payload that is not one tuple wide or not 4-aligned and
+// leaves the page to copyRows, which declines the one and copies the
+// other.
+//
+//dana:hotpath
+func (w *walker) view(page, lps []byte, res *PageResult) bool {
+	n := len(lps) / lpSize
+	rows := res.emptyRows(n)
+	for i := 0; i < n; i++ {
+		start, ok := w.payload(lps, i, len(page))
+		if !ok {
+			return false
+		}
+		p := unsafe.Pointer(&page[start])
+		if uintptr(p)%4 != 0 {
+			return false
+		}
+		rows = append(rows, unsafe.Slice((*float32)(p), w.cols))
+	}
+	res.Rows, res.Data = rows, res.Data[:0]
+	return true
+}
+
+// copyRows decodes every payload into res's extent and points res.Rows
+// at it, or declines (false).
+//
+//dana:hotpath
+func (w *walker) copyRows(page, lps []byte, res *PageResult) bool {
+	n, cols, width := len(lps)/lpSize, w.cols, w.width
 	res.reserve(n * cols) // a declined page keeps the extent for the VM path
 	data := res.Data[:n*cols]
-	lps := page[w.first : w.first+lpSize*n]
 	for i := 0; i < n; i++ {
-		lp := uint64(binary.LittleEndian.Uint32(lps[lpSize*i:]))
-		start := int(w.offField.Extract(lp)) + skip
-		if int(w.lenField.Extract(lp))-skip != width || start+width > len(page) {
+		start, ok := w.payload(lps, i, len(page))
+		if !ok {
 			return false
 		}
 		src, dst := page[start:start+width], data[i*cols:(i+1)*cols]
@@ -110,16 +172,16 @@ func (w *walker) extract(page []byte, res *PageResult) bool {
 	}
 	res.Data = data
 	res.setRows(n, cols)
-	res.Steps, res.Cycles, res.Bytes = strider.WalkCost(n, width)
 	return true
 }
 
 // decodeF32 converts a little-endian float4 stream, len(src) == 4*len(dst).
 // Float32frombits is a pure bit move, so on a little-endian host the
 // stream already is the float32 extent's memory image and the conversion
-// is one copy; NaN payloads, -0 and subnormals come through unchanged.
-// The VM path (Deformat, colFloat) keeps the per-value conversion, so it
-// stays the independent definition this copy is diffed against.
+// is one copy (and a view needs none); NaN payloads, -0 and subnormals
+// come through unchanged. The VM path (Deformat, colFloat) keeps the
+// per-value conversion, so it stays the independent definition this copy
+// and the views are diffed against.
 //
 //dana:hotpath
 func decodeF32(dst []float32, src []byte) {

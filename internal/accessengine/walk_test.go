@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dana/internal/datagen"
 	"dana/internal/fuzzcorpus"
@@ -22,19 +23,16 @@ import (
 // labelled seed pages and FuzzExtractDirect.
 
 // samePage reports the first difference between two extraction results
-// (float32 values compared as bits: fuzzed payloads hold NaNs).
-func samePage(a, b *PageResult) error {
+// (float32 values compared as bits: fuzzed payloads hold NaNs), or a
+// result whose rows take neither form PageResult allows: views of the
+// page with Data empty, or rows that cover Data end to end.
+func samePage(a, b *PageResult, page []byte) error {
 	if a.Steps != b.Steps || a.Cycles != b.Cycles || a.Bytes != b.Bytes {
 		return fmt.Errorf("counters: steps/cycles/bytes %d/%d/%d vs %d/%d/%d",
 			a.Steps, a.Cycles, a.Bytes, b.Steps, b.Cycles, b.Bytes)
 	}
-	if len(a.Rows) != len(b.Rows) || len(a.Data) != len(b.Data) {
-		return fmt.Errorf("shape: %d rows over %d values vs %d over %d", len(a.Rows), len(a.Data), len(b.Rows), len(b.Data))
-	}
-	for i := range a.Data {
-		if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
-			return fmt.Errorf("data[%d]: %v vs %v", i, a.Data[i], b.Data[i])
-		}
+	if len(a.Rows) != len(b.Rows) {
+		return fmt.Errorf("shape: %d rows vs %d", len(a.Rows), len(b.Rows))
 	}
 	for i := range a.Rows {
 		if len(a.Rows[i]) != len(b.Rows[i]) {
@@ -46,7 +44,57 @@ func samePage(a, b *PageResult) error {
 			}
 		}
 	}
+	for _, r := range []*PageResult{a, b} {
+		if !viewsOf(r, page) && !coversData(r) {
+			return fmt.Errorf("shape: %d rows are neither views of the page nor cover the %d values of Data", len(r.Rows), len(r.Data))
+		}
+	}
 	return nil
+}
+
+// viewsOf reports whether res's rows are views of the page: Data empty
+// and every row's values inside the page's bytes.
+func viewsOf(res *PageResult, page []byte) bool {
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(page)))
+	for _, r := range res.Rows {
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(r)))
+		if at < lo || at+4*uintptr(len(r)) > lo+uintptr(len(page)) {
+			return false
+		}
+	}
+	return len(res.Data) == 0
+}
+
+// coversData reports whether res's rows lie end to end over the whole of
+// res.Data, in order.
+func coversData(res *PageResult) bool {
+	at := 0
+	for _, r := range res.Rows {
+		if len(r) > len(res.Data)-at || (len(r) > 0 && &r[0] != &res.Data[at]) {
+			return false
+		}
+		at += len(r)
+	}
+	return at == len(res.Data)
+}
+
+// result returns an empty result for page pageNo: a fresh one, or one
+// recycled from an earlier page, which still holds that page's rows.
+func result(pageNo int, fresh bool) PageResult {
+	if fresh {
+		return PageResult{PageNo: pageNo}
+	}
+	data := []float32{1, 2, 3, 4}
+	return PageResult{PageNo: pageNo, Data: data, Rows: [][]float32{data[:2], data[2:]}}
+}
+
+// withSlack returns a copy of page at an aligned address, with room past
+// its end: a planted view that runs over the page then still reads inside
+// one allocation, which the race detector's pointer checks require.
+func withSlack(page []byte) []byte {
+	buf := make([]byte, len(page)+8)
+	copy(buf, page)
+	return buf[:len(page)]
 }
 
 // checkWalk asserts, for one page: the direct pass accepted ⇒ the VM
@@ -60,30 +108,48 @@ func checkWalk(t testing.TB, e *Engine, page storage.Page) bool {
 }
 
 // checkDirect is checkWalk with the direct pass given: the engine's own,
-// or a planted fault of it.
+// or a planted fault of it. Both run on the page as given (a fuzzed page
+// sits at an odd address) and on an aligned copy, each into a fresh and
+// a recycled result, since rows may be copies or views (PageResult).
 func checkDirect(t testing.TB, e *Engine, page storage.Page, pass func([]byte, *PageResult) bool) bool {
 	t.Helper()
 	const pageNo = 7
-	direct, vm, got := PageResult{PageNo: pageNo}, PageResult{PageNo: pageNo}, PageResult{PageNo: pageNo}
-	accepted := pass(page, &direct)
+	vm := PageResult{PageNo: pageNo}
 	vmErr := e.extractVM(0, page, &vm)
-	err := e.ExtractPage(0, page, &got)
-
-	if (err == nil) != (vmErr == nil) || (err != nil && err.Error() != vmErr.Error()) {
-		t.Fatalf("ExtractPage error %v, VM path %v", err, vmErr)
+	accepted := pass(page, &PageResult{PageNo: pageNo})
+	type form struct {
+		name  string
+		page  storage.Page
+		fresh bool
 	}
-	if err == nil {
-		if d := samePage(&got, &vm); d != nil {
-			t.Fatalf("ExtractPage vs VM path (direct accepted: %v): %v", accepted, d)
+	aligned := withSlack(page)
+	for _, f := range []form{
+		{"page as given, fresh result", page, true}, {"page as given, recycled result", page, false},
+		{"aligned copy, fresh result", aligned, true}, {"aligned copy, recycled result", aligned, false},
+	} {
+		direct, got := result(pageNo, f.fresh), result(pageNo, f.fresh)
+		if pass(f.page, &direct) != accepted {
+			t.Fatalf("%s: direct pass accepted %v, %v on the page as given", f.name, !accepted, accepted)
+		}
+		err := e.ExtractPage(0, f.page, &got)
+		if (err == nil) != (vmErr == nil) || (err != nil && err.Error() != vmErr.Error()) {
+			t.Fatalf("%s: ExtractPage error %v, VM path %v", f.name, err, vmErr)
+		}
+		if err == nil {
+			if d := samePage(&got, &vm, f.page); d != nil {
+				t.Fatalf("%s: ExtractPage vs VM path (direct accepted: %v): %v", f.name, accepted, d)
+			}
+		}
+		if accepted {
+			if vmErr != nil {
+				t.Fatalf("direct pass accepted a page the VM rejects: %v", vmErr)
+			}
+			if d := samePage(&direct, &vm, f.page); d != nil {
+				t.Fatalf("%s: direct pass vs VM path: %v", f.name, d)
+			}
 		}
 	}
 	if accepted {
-		if vmErr != nil {
-			t.Fatalf("direct pass accepted a page the VM rejects: %v", vmErr)
-		}
-		if d := samePage(&direct, &vm); d != nil {
-			t.Fatalf("direct pass vs VM path: %v", d)
-		}
 		return true
 	}
 	if vmErr == nil {
@@ -389,9 +455,10 @@ func TestExtractPageRecycledAllocatesNothing(t *testing.T) {
 
 // TestDeclinedPagesBuildOnlyTheirOwnVM (run under -race): two goroutines
 // on distinct vmIdx share one engine, each walking the labelled seed
-// pages of its schema. A goroutine handed only covered pages builds no
-// VM; one handed the damaged pages builds exactly its own, and gets the
-// VM path's result for every page.
+// pages of its schema into the one result it recycles, as a scan does. A
+// goroutine handed only covered pages builds no VM; one handed the
+// damaged pages builds exactly its own, and gets the VM path's result
+// for every page.
 func TestDeclinedPagesBuildOnlyTheirOwnVM(t *testing.T) {
 	seeds := walkSeeds(t)
 	for ei, ws := range walkSchemas {
@@ -412,17 +479,19 @@ func TestDeclinedPagesBuildOnlyTheirOwnVM(t *testing.T) {
 				go func(vmIdx int) {
 					defer wg.Done()
 					oracle := oracles[vmIdx]
+					var got PageResult
 					for _, s := range seeds {
 						if s.engine != ei || (!s.accept && !damaged[vmIdx]) {
 							continue
 						}
-						got, want := PageResult{PageNo: 7}, PageResult{PageNo: 7}
+						want := PageResult{PageNo: 7}
+						got.PageNo = 7
 						err := e.ExtractPage(vmIdx, s.page, &got)
 						wantErr := oracle.extractVM(0, s.page, &want)
 						if (err == nil) != (wantErr == nil) {
 							t.Errorf("%s on strider %d: error %v, VM path %v", s.name, vmIdx, err, wantErr)
 						} else if err == nil {
-							if d := samePage(&got, &want); d != nil {
+							if d := samePage(&got, &want, s.page); d != nil {
 								t.Errorf("%s on strider %d: %v", s.name, vmIdx, d)
 							}
 						}
@@ -503,36 +572,42 @@ func failure(t *testing.T, check func(testing.TB)) string {
 	return r.failure
 }
 
-// TestMetaPackedCopyFaultsCaught is the mutation meta-test of the packed
-// copy under checkWalk: the direct pass with its copy replaced by one
-// four bytes late, or one that drops each row's last value, must fail
-// on every packed seed page the direct pass accepts; the real copy,
-// planted the same way, must pass.
-func TestMetaPackedCopyFaultsCaught(t *testing.T) {
+// TestMetaPackedViewFaultsCaught is the mutation meta-test of the packed
+// rows under checkWalk: the direct pass with every row replaced by a view
+// of the page four bytes late, or one value short, must fail on every
+// packed seed page the direct pass accepts; the real view, planted the
+// same way, must pass. A planted row is only ever pointed elsewhere,
+// never written: it is the heap's page image.
+func TestMetaPackedViewFaultsCaught(t *testing.T) {
 	e := walkEngines(t)[0]
 	w := &e.walk
-	if w.conv != nil {
-		t.Fatal("the packed schema's walker has a convert list")
+	if w.conv != nil || !w.views {
+		t.Fatal("the packed schema's walker has a convert list or takes no views")
 	}
-	// planted is the engine's direct pass with every accepted row decoded
-	// again, into a cleared extent, by decode.
-	planted := func(decode func([]float32, []byte)) func([]byte, *PageResult) bool {
+	// planted is the engine's direct pass with every accepted row made a
+	// view of the page again, by at, from the start of its payload.
+	planted := func(at func(page []byte, start int) []float32) func([]byte, *PageResult) bool {
 		return func(page []byte, res *PageResult) bool {
 			if !w.extract(page, res) {
 				return false
 			}
-			for i, row := range res.Rows {
-				lp := uint64(binary.LittleEndian.Uint32(page[w.first+lpSize*i:]))
-				start := int(w.offField.Extract(lp)) + w.skip
-				clear(row)
-				decode(row, page[start:start+w.width])
+			for i := range res.Rows {
+				start, _ := w.payload(page[w.first:], i, len(page))
+				res.Rows[i] = at(page, start)
 			}
+			res.Data = res.Data[:0]
 			return true
 		}
 	}
-	faults := map[string]func([]float32, []byte){
-		"copy four bytes late":      func(dst []float32, src []byte) { decodeF32(dst[:len(dst)-1], src[4:]) },
-		"copy drops the last value": func(dst []float32, src []byte) { decodeF32(dst[:len(dst)-1], src[:len(src)-4]) },
+	view := func(page []byte, start, n int) []float32 {
+		return unsafe.Slice((*float32)(unsafe.Pointer(&page[start])), n)
+	}
+	real := func(page []byte, start int) []float32 { return view(page, start, w.cols) }
+	faults := map[string]func([]byte, int) []float32{
+		// The last payload ends the page: withSlack's room keeps the
+		// late view inside the page's allocation.
+		"view four bytes late": func(page []byte, start int) []float32 { return view(page, start+4, w.cols) },
+		"view one value short": func(page []byte, start int) []float32 { return view(page, start, w.cols-1) },
 	}
 	pages := 0
 	for _, s := range walkSeeds(t) {
@@ -540,11 +615,12 @@ func TestMetaPackedCopyFaultsCaught(t *testing.T) {
 			continue
 		}
 		pages++
-		if msg := failure(t, func(tb testing.TB) { checkDirect(tb, e, s.page, planted(decodeF32)) }); msg != "" {
-			t.Fatalf("%s: unfaulted copy: %s", s.name, msg)
+		page := withSlack(s.page)
+		if msg := failure(t, func(tb testing.TB) { checkDirect(tb, e, page, planted(real)) }); msg != "" {
+			t.Fatalf("%s: unfaulted view: %s", s.name, msg)
 		}
-		for name, decode := range faults {
-			msg := failure(t, func(tb testing.TB) { checkDirect(tb, e, s.page, planted(decode)) })
+		for name, at := range faults {
+			msg := failure(t, func(tb testing.TB) { checkDirect(tb, e, page, planted(at)) })
 			if msg == "" {
 				t.Errorf("%s: %s: checkWalk did not fire", s.name, name)
 			} else {
@@ -554,5 +630,43 @@ func TestMetaPackedCopyFaultsCaught(t *testing.T) {
 	}
 	if pages < 4 {
 		t.Fatalf("only %d packed seed pages are accepted", pages)
+	}
+}
+
+// TestRowsAreViewsOnlyWhenRecycled pins when ExtractPage's packed rows
+// are views of the page: into a recycled result, on a page image at a
+// 4-aligned address. A fresh result always copies — the record cache
+// keeps fresh results, and its replays read one contiguous extent — and
+// so does a page at an address that is not 4-aligned. Every form matches
+// the VM path value for value.
+func TestRowsAreViewsOnlyWhenRecycled(t *testing.T) {
+	rel, _ := buildRelation(t, storage.NumericSchema(54), 200, 3)
+	e := newEngine(t, rel.Schema, 1)
+	src, err := rel.Page(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vm PageResult
+	if err := e.extractVM(0, src, &vm); err != nil {
+		t.Fatal(err)
+	}
+	for shift := 0; shift < 4; shift++ {
+		buf := make([]byte, len(src)+shift)
+		page := buf[shift:]
+		copy(page, src)
+		for _, fresh := range []bool{true, false} {
+			got := result(0, fresh)
+			if err := e.ExtractPage(0, page, &got); err != nil {
+				t.Fatal(err)
+			}
+			if d := samePage(&got, &vm, page); d != nil {
+				t.Fatalf("page %d bytes past an aligned address, fresh result %v: %v", shift, fresh, d)
+			}
+			wantViews := !fresh && shift == 0
+			if len(got.Rows) == 0 || viewsOf(&got, page) != wantViews || coversData(&got) == wantViews {
+				t.Errorf("page %d bytes past an aligned address, fresh result %v: views %v, rows cover Data %v; want views %v",
+					shift, fresh, viewsOf(&got, page), coversData(&got), wantViews)
+			}
+		}
 	}
 }

@@ -22,35 +22,19 @@ func ShouldWrite() bool { return os.Getenv(WriteEnv) != "" }
 // dir (conventionally "testdata/fuzz/<target>"). Existing seed files
 // named seed-* are replaced; fuzzer-discovered files are left alone.
 func WriteBytes(dir string, seeds [][]byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	old, err := filepath.Glob(filepath.Join(dir, "seed-*"))
-	if err != nil {
-		return err
-	}
-	for _, f := range old {
-		if err := os.Remove(f); err != nil {
-			return err
-		}
-	}
+	ss := make([]string, len(seeds))
 	for i, s := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(s)))
-		name := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			return err
-		}
+		ss[i] = string(s)
 	}
-	return nil
+	return write(dir, "[]byte", ss)
 }
 
 // WriteStrings writes string-typed seeds in the same layout.
-func WriteStrings(dir string, seeds []string) error {
-	bs := make([][]byte, len(seeds))
-	for i, s := range seeds {
-		bs[i] = []byte(s)
-	}
-	// The fuzz encoding differs only in the Go literal type.
+func WriteStrings(dir string, seeds []string) error { return write(dir, "string", seeds) }
+
+// write is both writers: the fuzz encoding differs only in the Go
+// literal type each seed is written as.
+func write(dir, typ string, seeds []string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -63,8 +47,8 @@ func WriteStrings(dir string, seeds []string) error {
 			return err
 		}
 	}
-	for i, s := range bs {
-		body := fmt.Sprintf("go test fuzz v1\nstring(%s)\n", strconv.Quote(string(s)))
+	for i, s := range seeds {
+		body := fmt.Sprintf("go test fuzz v1\n%s(%s)\n", typ, strconv.Quote(s))
 		name := filepath.Join(dir, fmt.Sprintf("seed-%03d", i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
 			return err

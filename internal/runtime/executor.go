@@ -19,10 +19,12 @@ package runtime
 // so no VM is shared and trap outcomes do not depend on W. W is
 // min(GOMAXPROCS, healthy Striders, pages) on a table the pool holds,
 // else 1: the coordinator then walks and sinks each page itself, through
-// the one PageResult a spill scan recycles. The walk is accessengine's
+// the one PageResult a spill scan recycles, whose packed rows are views
+// of the pinned page images (PageResult). The walk is accessengine's
 // direct pass (strider.WalkCost's closed form); a Strider's VM runs only
-// the pages that pass declines, and InnoDB's. Records live in one flat
-// arena (Arena.Alloc is a lock-free bump, so walkers share it). Every
+// the pages that pass declines, and InnoDB's. The records of a table the
+// pool holds are copied into one flat arena (Arena.Alloc is a lock-free
+// bump, so walkers share it), which the record cache keeps. Every
 // modeled counter — access-engine and engine cycles, page retries,
 // simulated seconds, the per-channel split of Cost.Link.Channels — is
 // charged by the coordinator in page order: host parallelism changes
@@ -131,7 +133,8 @@ type epochRunner struct {
 	fits bool
 
 	// The record arena (one slab, lazily sized from the relation's
-	// page/tuple counts) and the reusable extraction buffers hoisted out
+	// page/tuple counts, on a table the pool holds only) and the
+	// reusable extraction buffers hoisted out
 	// of the per-epoch hot paths: the pinned page groups (the second, and
 	// what walkers made of both, built by the first epoch that runs
 	// walkers) and the one PageResult a larger-than-pool scan recycles.
@@ -253,21 +256,17 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 	return r
 }
 
-// sizeArena allocates the record slab. On the cache-fill path every
-// page takes a fresh extent, so the slab covers every tuple; on the
-// spill path the one extent is reused across pages (and epochs — the
-// arena is deliberately NOT reset while the recycled PageResult still
-// owns it), so a 16-page window — the extent, plus room for a page with
-// more tuples than the extent it inherits — suffices. An undersized slab
-// is never incorrect: Arena.Alloc falls back to the heap.
+// sizeArena allocates the record slab for a table the pool holds, whose
+// pages each take a fresh extent for the record cache: the slab covers
+// every tuple, and a page more. A spill scan has no slab: its one
+// recycled result copies only its first page, and any page the walker
+// cannot view, into an extent it keeps across pages and epochs, and
+// views the rest in the page images. An undersized slab is never
+// incorrect: Arena.Alloc falls back to the heap.
 func (r *epochRunner) sizeArena() {
 	pages := max(r.rel.NumPages(), 1)
 	perPage := (r.rel.NumTuples() + pages - 1) / pages // ceil avg tuples/page
-	capPages := pages + 1
-	if !r.fits {
-		capPages = min(capPages, 16)
-	}
-	r.arena = accessengine.NewArena(capPages * perPage * r.ae.Schema.NumCols())
+	r.arena = accessengine.NewArena((pages + 1) * perPage * r.ae.Schema.NumCols())
 }
 
 // chargeChannel records one page's modeled stream activity on its
@@ -462,7 +461,7 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 	// steady-state epochs allocate nothing here. The arena is sized on
 	// the first epoch that really extracts: cache replays never reach
 	// this function, so they never pay for (or zero) the slab.
-	if r.arena == nil {
+	if r.fits && r.arena == nil {
 		r.sizeArena()
 	}
 	col := r.col
@@ -659,8 +658,11 @@ func (r *epochRunner) drain(b, first int, walked bool, sink func(*accessengine.P
 // walk walks page pn, slot j of a pinned group, on Strider
 // healthy[j mod h], whichever goroutine calls it, and charges its host
 // time to the worker-busy counter. A larger-than-pool scan (always
-// W = 1) recycles one result, arena extent and row views included: the
-// engine's epoch stream copies anything it buffers.
+// W = 1) recycles one result, so its rows are views of the pinned page
+// images wherever the walker can take them: the engine's epoch stream
+// copies anything it buffers, and an image outlives its unpin unchanged.
+// A table the pool holds takes a fresh result per page, which copies
+// into the arena: the record cache keeps those rows.
 //
 //dana:hotpath
 func (r *epochRunner) walk(j, pn int, pg storage.Page) (w walk) {

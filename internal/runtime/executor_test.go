@@ -232,6 +232,47 @@ func TestExtractCacheSkipsPoolAndInvalidates(t *testing.T) {
 	}
 }
 
+// TestRecordCacheRowsAreContiguous: the pages an extracting epoch keeps
+// for the record cache are fresh results, which copy, so every cached
+// page's rows lie end to end in its Data and none is a view of a page
+// image. Replays read the cache many times over, and read views scattered
+// over pages more slowly than one contiguous extent.
+func TestRecordCacheRowsAreContiguous(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(procs))
+			s := smallSystem(t)
+			d := deployScaled(t, s, "Remote Sensing LR", 0.002)
+			a, err := d.DSLAlgo(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.SetEpochs(2)
+			if _, err := s.Register(a, 16, d.Tuples); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Train(a.Name, d.Rel.Name); err != nil {
+				t.Fatal(err)
+			}
+			ent := s.cache.lookup(d.Rel, s.DB.Pool.InvalidationCount())
+			if ent == nil || len(ent.pages) != d.Rel.NumPages() || len(ent.rows) != d.Tuples {
+				t.Fatalf("GOMAXPROCS %d: cache entry %v", procs, ent != nil)
+			}
+			cols := d.Rel.Schema.NumCols()
+			for pn, pg := range ent.pages {
+				if len(pg.Data) != len(pg.Rows)*cols {
+					t.Fatalf("GOMAXPROCS %d, page %d: %d rows over %d values", procs, pn, len(pg.Rows), len(pg.Data))
+				}
+				for i, row := range pg.Rows {
+					if len(row) != cols || &row[0] != &pg.Data[i*cols] {
+						t.Fatalf("GOMAXPROCS %d, page %d: row %d is not its slot of Data", procs, pn, i)
+					}
+				}
+			}
+		}()
+	}
+}
+
 // TestColdTrainsOnOneEngineBitIdentical: a cold Train costs the same
 // modeled time the first time and the fifth on a long-lived System — the
 // run is charged the disk seconds of its own reads, not the pool's

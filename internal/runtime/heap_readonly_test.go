@@ -1,9 +1,15 @@
 package runtime
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,4 +216,129 @@ func TestInsertWhilePagesAreRead(t *testing.T) {
 	if n, err := s.Score(a.Name, rel.Name, nil); err != nil || n != rel.NumTuples() {
 		t.Fatalf("Score after the inserts: %d rows of %d, %v", n, rel.NumTuples(), err)
 	}
+}
+
+// TestInsertWhileViewsAreRead (run under -race): a spill-sized Train and
+// a Score read rows that are views of the heap's page images while
+// another goroutine inserts onto the relation, paced by the wall clock,
+// until each reader has finished two passes. Insert clones an image
+// before it writes, so the race detector sees no write to memory a view
+// reads, and both readers finish cleanly.
+func TestInsertWhileViewsAreRead(t *testing.T) {
+	opts := DefaultOptions()
+	opts.PageSize = storage.PageSize8K
+	opts.Cost.PoolBytes = spillPoolBytes
+	opts.MaxEpochs = 2
+	s := New(opts)
+	d := deployScaled(t, s, "Patient", 0.02)
+	if d.Rel.NumPages() <= s.Pool().NumFrames() {
+		t.Fatalf("%d pages fit the %d-frame pool", d.Rel.NumPages(), s.Pool().NumFrames())
+	}
+	a, err := d.DSLAlgo(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Register(a, 8, d.Tuples); err != nil {
+		t.Fatal(err)
+	}
+	rel := d.Rel
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var passes [2]atomic.Int64
+	var wg sync.WaitGroup
+	for i, read := range []func() error{
+		func() error { _, err := s.Train(a.Name, rel.Name); return err },
+		func() error {
+			n, err := s.Score(a.Name, rel.Name, nil)
+			if err == nil && n < d.Tuples {
+				err = fmt.Errorf("a Score beside inserts saw %d rows of at least %d", n, d.Tuples)
+			}
+			return err
+		},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if err := read(); err != nil {
+					errs <- err
+					return
+				}
+				passes[i].Add(1)
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+			}
+		}()
+	}
+	row := make([]float64, rel.Schema.NumCols())
+	for len(errs) == 0 && (passes[0].Load() < 2 || passes[1].Load() < 2) {
+		if _, err := rel.Insert(row); err != nil {
+			t.Error(err)
+			break
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if rel.NumTuples() == d.Tuples {
+		t.Error("no insert landed beside the readers")
+	}
+	if s.Pool().PinnedCount() != 0 {
+		t.Error("leaked page pins")
+	}
+}
+
+// TestMetaViewWriteCaught plants a write through a view — the walker,
+// internal/accessengine/walk.go rebuilt through a build overlay, negates
+// the first value of every row it takes from a page image — and requires
+// TestReadPathsNeverWriteTheHeap to fail against it on a read path that
+// takes views.
+func TestMetaViewWriteCaught(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds this package's tests again against a planted access engine")
+	}
+	src, err := filepath.Abs(filepath.Join("..", "accessengine", "walk.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const view = "rows = append(rows, unsafe.Slice((*float32)(p), w.cols))"
+	if n := bytes.Count(code, []byte(view)); n != 1 {
+		t.Fatalf("walk.go holds %q %d times, want once: the planted fault needs updating", view, n)
+	}
+	dir := t.TempDir()
+	planted := filepath.Join(dir, "walk.go")
+	if err := os.WriteFile(planted, bytes.Replace(code, []byte(view), []byte(view+"; rows[i][0] = -rows[i][0]"), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	overlay, err := json.Marshal(map[string]map[string]string{"Replace": {src: planted}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ovPath := filepath.Join(dir, "overlay.json")
+	if err := os.WriteFile(ovPath, overlay, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command("go", "test", "-overlay", ovPath, "-count=1",
+		"-run", "^TestReadPathsNeverWriteTheHeap$", ".").CombinedOutput()
+	if err == nil {
+		t.Fatalf("TestReadPathsNeverWriteTheHeap passed against a walker that writes through its views:\n%s", out)
+	}
+	if !bytes.Contains(out, []byte("wrote heap page")) {
+		t.Errorf("the planted fault failed for another reason:\n%s", out)
+	}
+	t.Logf("%s", out)
 }
