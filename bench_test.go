@@ -1152,8 +1152,8 @@ func BenchmarkBuildWeavePage(b *testing.B) {
 
 // BenchmarkWeaveTrain measures a warm two-epoch Precision 8 Train on the
 // bench workload weave_k8's shape: the first Train wove the table's
-// pages and left their k-level prefixes beside the record cache, so each
-// measured one decodes them once and is otherwise the engine's.
+// pages and left their decoded rows beside the record cache, so each
+// measured one neither weaves nor decodes and is otherwise the engine's.
 func BenchmarkWeaveTrain(b *testing.B) {
 	const epochs = 2
 	eng, err := Open(Config{PageSize: 32 << 10, PoolBytes: 128 << 20, Precision: 8})

@@ -290,11 +290,12 @@ func (b *Accel) Counters() engine.Stats {
 }
 
 // Close drops the epoch buffers (materialized rows, the weave stage's
-// reweaver and decoded rows, the machine's views of the last batch),
-// leaving configuration and no rows; a later epoch rebuilds what it needs.
+// reweaver and the rows it decoded, the machine's views of the last
+// batch), leaving configuration and no rows; a later epoch rebuilds what
+// it needs. Rows decoded into a lent holder are the holder's.
 func (b *Accel) Close() {
 	b.rows32, b.slab = nil, rowSlab{}
-	b.weave.drop()
+	b.weave.rw = nil
 	if b.m != nil {
 		b.m.Unbind()
 	}

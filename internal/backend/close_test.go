@@ -10,9 +10,10 @@ import (
 
 // TestCloseLeavesNoRowsViewed: after a Precision-8 run — three epochs of
 // held rows, as a Train's record-cache replays deliver them — Close
-// leaves the backend holding nothing of the rows it decoded: the weave
-// stage's decode slab, which the engine's kernel frames view until they
-// are unbound, is collectable while the backend itself is kept alive.
+// leaves the backend holding nothing of the rows it trained on: the
+// decoded rows, which the engine's kernel frames view until they are
+// unbound, live in the holder alone, so they are collectable once the
+// holder is dropped while the backend itself is kept alive.
 func TestCloseLeavesNoRowsViewed(t *testing.T) {
 	env := ConformanceEnv()
 	sc := GenScenario(1) // logistic at merge coefficient 8: batches run four frames wide
@@ -31,16 +32,21 @@ func TestCloseLeavesNoRowsViewed(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows := be.weave.rows
-	if len(rows) == 0 {
-		t.Fatal("the weave stage decoded no rows")
+	wv := st.Held.Lookup(8, nil)
+	if wv == nil || len(wv.Rows()) == 0 {
+		t.Fatal("the weave stage published no decoded rows into the holder")
 	}
+	rows := wv.Rows()
 	decoded := weak.Make(&rows[len(rows)-1][0])
-	rows = nil
+	rows, wv = nil, nil
 	be.Close()
+	if be.weave.rw != nil {
+		t.Error("Close kept the weave stage's reweaver")
+	}
+	st.Held = nil
 	runtime.GC()
 	if decoded.Value() != nil {
-		t.Error("the decoded rows outlive Close")
+		t.Error("the decoded rows outlive Close and their holder")
 	}
 	runtime.KeepAlive(be)
 	runtime.KeepAlive(st)

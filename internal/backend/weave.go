@@ -79,22 +79,15 @@ const weaveBlockRows = 128
 
 // weaveStage is Accel's requantisation stage: the read precision, the
 // quantization ranges (pinned by the program, or derived from the first
-// epoch's tuples), the reweaver whose buffers every epoch of the
-// configured backend reuses, and the last epoch's decoded rows with the
-// holder they were decoded under. The buffers are built by the first
-// epoch and dropped by Accel.Close.
+// epoch's tuples) and the reweaver whose buffers every epoch without a
+// holder reuses — built by the first such epoch, dropped by Accel.Close.
 type weaveStage struct {
 	bits   int
 	ranges []storage.WeaveRange
 	rw     *weaving.Reweaver
-	// rows are rw's decoded rows and from the holder that came with the
-	// rows they were decoded from (nil = none lent). The same holder again
-	// means the same rows again, so rows are returned as they are.
-	rows [][]float32
-	from *Held
 
-	// Read-only observability: weaves done, decode passes done, and the
-	// bytes of woven form published into lent holders.
+	// Read-only observability: weaves done, decode passes done (one per
+	// weave), and the bytes of decoded rows published into lent holders.
 	builds, decodes, heldBytes *obs.Counter
 }
 
@@ -119,16 +112,21 @@ func (ws *weaveStage) SetObs(r *obs.Registry) {
 }
 
 // requantise returns one epoch's rows rewoven at the configured
-// precision; the result is the stage's, valid until the next epoch's
-// call. Rows that come with a holder are woven once for as long as the
-// holder lives — by whichever Train gets there first — and decoded once
-// per configured backend; rows without one are rewoven every epoch.
-// Derived ranges are per-column min/max — delivery-order independent — so
-// every legal stream form of the same epoch produces bit-identical
-// rewoven rows, and therefore bit-identical model state and counters.
+// precision. Rows that come with a holder are woven and decoded once for
+// as long as the holder lives — by whichever Train gets there first — and
+// every later epoch, of this Train or another, with the same request gets
+// the holder's decoded rows back as they are (read-only: the engine never
+// writes its input rows). Rows without one are rewoven every epoch into
+// the stage's buffers, valid until the next epoch's call. Derived ranges
+// are per-column min/max — delivery-order independent — so every legal
+// stream form of the same epoch produces bit-identical rewoven rows, and
+// therefore bit-identical model state and counters.
 func (ws *weaveStage) requantise(rows [][]float32, held *Held) ([][]float32, error) {
-	if held != nil && held == ws.from {
-		return ws.rows, nil
+	if held != nil {
+		if wv := held.Lookup(ws.bits, ws.ranges); wv != nil {
+			ws.ranges = wv.Ranges()
+			return wv.Rows(), nil
+		}
 	}
 	if ws.rw == nil {
 		rw, err := weaving.NewReweaver(ws.bits, weaveBlockRows)
@@ -137,27 +135,17 @@ func (ws *weaveStage) requantise(rows [][]float32, held *Held) ([][]float32, err
 		}
 		ws.rw = rw
 	}
-	wv, built, err := ws.rw.Weave(rows, ws.ranges, held)
+	wv, err := ws.rw.Weave(rows, ws.ranges, held)
 	if err != nil || wv == nil {
 		return nil, err
 	}
-	if built {
-		ws.builds.Inc()
-		if held != nil {
-			ws.heldBytes.Add(int64(wv.Bytes()))
-		}
-	}
+	ws.builds.Inc()
 	ws.decodes.Inc()
+	if held != nil {
+		ws.heldBytes.Add(int64(wv.Bytes()))
+	}
 	ws.ranges = wv.Ranges()
-	ws.rows, ws.from = ws.rw.Decode(wv), held
-	return ws.rows, nil
-}
-
-// drop releases the stage's buffers: the reweaver, the decoded rows and
-// the note of where they came from go together, so nothing stale is ever
-// returned for a holder seen before.
-func (ws *weaveStage) drop() {
-	ws.rw, ws.rows, ws.from = nil, nil, nil
+	return wv.Rows(), nil
 }
 
 // WeaveReference is the weave registration's declared reference

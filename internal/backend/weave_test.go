@@ -384,7 +384,7 @@ func requireSameRun(t *testing.T, what string, job backend.Job, got, want *backe
 
 // TestWeaveHeldEqualsPerEpochReweave: with a holder lent, the first
 // backend weaves once and decodes once, a second one on the same holder
-// only decodes, and both land on the bits of the accelerator machine fed
+// does neither, and both land on the bits of the accelerator machine fed
 // weaving.ReweaveRows' output epoch by epoch — at every precision, with
 // derived and with pinned ranges.
 func TestWeaveHeldEqualsPerEpochReweave(t *testing.T) {
@@ -418,7 +418,7 @@ func TestWeaveHeldEqualsPerEpochReweave(t *testing.T) {
 				pw := p
 				pw.Bits, pw.Ranges = bits, ranges
 				var held backend.Held
-				for i, want := range []struct{ builds, decodes int64 }{{1, 1}, {1, 2}} {
+				for i, want := range []struct{ builds, decodes int64 }{{1, 1}, {1, 1}} {
 					be := backend.NewWeaveAccel(env)
 					if err := be.Configure(pw); err != nil {
 						t.Fatal(err)
@@ -487,11 +487,12 @@ func TestWeaveHolderReplacedByOtherRequest(t *testing.T) {
 	}
 }
 
-// TestWeaveStageDropsDecodedRows: Close and a second Configure drop the
-// decoded rows with the reweaver and the note of their holder — the next
-// epoch under the same holder decodes again (never returning rows that
-// are gone, or another precision's) and lands on an untouched twin's
-// bits.
+// TestWeaveStageDropsDecodedRows: the decoded rows are the holder's, not
+// the stage's. Close drops only the stage's reweaver — the next epoch
+// under the same holder takes the held rows without decoding again, and
+// the count holds only decodes that ran — and a second Configure at
+// another precision is never handed the rows decoded at the first; both
+// land on an untouched twin's bits.
 func TestWeaveStageDropsDecodedRows(t *testing.T) {
 	sc := backend.GenScenario(4)
 	env, reg := countingEnv()
@@ -522,8 +523,8 @@ func TestWeaveStageDropsDecodedRows(t *testing.T) {
 		epoch(twin, &twinHeld)
 	}
 	requireSameRun(t, "Close between epochs", job, be, twin)
-	if b, d := reg.Get(obs.WeaveBuilds), reg.Get(obs.WeaveDecodes); b != 1 || d != 2 {
-		t.Errorf("%d builds, %d decodes over three epochs and a Close, want 1 and 2", b, d)
+	if b, d := reg.Get(obs.WeaveBuilds), reg.Get(obs.WeaveDecodes); b != 1 || d != 1 {
+		t.Errorf("%d builds, %d decodes over three epochs and a Close, want 1 and 1", b, d)
 	}
 
 	// Reconfigured at another precision, the same instance under the same
@@ -540,9 +541,9 @@ func TestWeaveStageDropsDecodedRows(t *testing.T) {
 }
 
 // TestWeaveFailedEpochReusesHolder: an epoch that fails after the weave
-// stage ran (rows one value too wide for the program) leaves a complete
-// woven form in the holder and complete decoded rows in the stage; its
-// re-run weaves and decodes nothing again. An epoch that fails inside the
+// stage ran (rows one value too wide for the program) leaves complete
+// decoded rows in the holder; its re-run weaves and decodes nothing
+// again. An epoch that fails inside the
 // weave leaves the holder as it was.
 func TestWeaveFailedEpochReusesHolder(t *testing.T) {
 	sc := backend.GenScenario(3)
@@ -596,8 +597,8 @@ func TestWeaveFailedEpochReusesHolder(t *testing.T) {
 }
 
 // TestWeaveHeldEpochAllocationFree: from the second epoch under one
-// holder on, the weave stage hands back the rows it decoded and the epoch
-// is the engine's alone — nothing is allocated.
+// holder on, the weave stage hands back the holder's decoded rows and the
+// epoch is the engine's alone — nothing is allocated.
 func TestWeaveHeldEpochAllocationFree(t *testing.T) {
 	sc := backend.GenScenario(1)
 	p, err := backend.BuildProgram(sc, backend.ConformanceEnv())

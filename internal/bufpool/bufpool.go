@@ -66,12 +66,16 @@ type frame struct {
 	valid bool
 }
 
-// Pool is a fixed-size shared buffer pool over a set of relations.
+// Pool is a fixed-size shared buffer pool over a set of relations. Its
+// frame table grows to the pages it holds: frames holds the frames the
+// clock hand has reached, nframes the budget, and a frame not yet
+// allocated is an invalid one past the end of frames.
 type Pool struct {
 	mu       sync.Mutex
 	frames   []frame
+	nframes  int
 	table    map[PageID]int // page table: PageID -> frame index
-	hand     int            // clock hand
+	hand     int            // clock hand, never past len(frames)
 	rels     map[string]*storage.Relation
 	disk     cost.DiskModel
 	stats    Stats
@@ -141,12 +145,12 @@ func (p *Pool) SetFaults(in *fault.Injector) {
 	p.faults = in
 }
 
-// New creates a pool of nframes frames for pages of pageSize bytes.
+// New creates a pool of nframes frames for pages of pageSize bytes. No
+// frame is allocated until the clock hand reaches it.
 func New(nframes, pageSize int, disk cost.DiskModel) *Pool {
-	nframes = max(1, nframes)
 	return &Pool{
-		frames:   make([]frame, nframes),
-		table:    make(map[PageID]int, nframes),
+		nframes:  max(1, nframes),
+		table:    make(map[PageID]int),
 		rels:     make(map[string]*storage.Relation),
 		disk:     disk,
 		pageSize: pageSize,
@@ -170,8 +174,8 @@ func (p *Pool) AttachRelation(r *storage.Relation) error {
 	return nil
 }
 
-// NumFrames returns the frame count.
-func (p *Pool) NumFrames() int { return len(p.frames) }
+// NumFrames returns the frame budget, allocated or not.
+func (p *Pool) NumFrames() int { return p.nframes }
 
 // PageSize returns the pool's page size.
 func (p *Pool) PageSize() int { return p.pageSize }
@@ -204,6 +208,7 @@ func (p *Pool) Invalidate() error {
 	}
 	dropped := int64(len(p.table))
 	clear(p.frames)
+	p.frames = p.frames[:0]
 	clear(p.table)
 	p.hand = 0
 	p.invals++
@@ -266,14 +271,16 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	}
 	gen := r.PageGeneration(int(pageNo))
 	fi, cached := p.table[id]
-	if f := &p.frames[fi]; cached && (f.gen == gen || f.pins > 0) {
-		f.pins++
-		if f.usage < 5 {
-			f.usage++
+	if cached {
+		if f := &p.frames[fi]; f.gen == gen || f.pins > 0 {
+			f.pins++
+			if f.usage < 5 {
+				f.usage++
+			}
+			p.stats.Hits++
+			p.obsHits.Inc()
+			return f.page, nil
 		}
-		p.stats.Hits++
-		p.obsHits.Inc()
-		return f.page, nil
 	}
 	if !cached {
 		// Miss: find a victim via clock sweep, then read with retry.
@@ -379,17 +386,23 @@ func (p *Pool) TakeRunIO() float64 {
 	return sec
 }
 
-// evictLocked runs the clock sweep and returns a usable frame index.
+// evictLocked runs the clock sweep and returns a usable frame index. The
+// hand reaching the end of the allocated frames reaches an invalid frame:
+// the table grows by it.
 func (p *Pool) evictLocked() (int, error) {
-	n := len(p.frames)
+	n := p.nframes
 	// Two full sweeps decrementing usage counts is enough to find a
 	// victim unless everything is pinned: a frame with usage 0 and no
 	// pins is chosen.
 	for pass := 0; pass < 6*n; pass++ {
-		f := &p.frames[p.hand]
 		idx := p.hand
 		p.hand = (p.hand + 1) % n
 		p.obsSweep.Inc()
+		if idx == len(p.frames) {
+			p.frames = append(p.frames, frame{})
+			return idx, nil
+		}
+		f := &p.frames[idx]
 		if !f.valid {
 			return idx, nil
 		}
@@ -481,7 +494,7 @@ func (p *Pool) Warm(rel string) error {
 	if err != nil {
 		return err
 	}
-	if err := p.Prefetch(rel, 0, min(r.NumPages(), len(p.frames))); err != nil {
+	if err := p.Prefetch(rel, 0, min(r.NumPages(), p.nframes)); err != nil {
 		return err
 	}
 	p.ResetStats()
@@ -495,7 +508,7 @@ func (p *Pool) IsWarm(rel string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	r, ok := p.rels[rel]
-	for pn := 0; ok && pn < min(r.NumPages(), len(p.frames)); pn++ {
+	for pn := 0; ok && pn < min(r.NumPages(), p.nframes); pn++ {
 		fi, cached := p.table[PageID{Rel: rel, Page: uint32(pn)}]
 		ok = cached && p.frames[fi].gen == r.PageGeneration(pn)
 	}

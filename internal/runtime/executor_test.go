@@ -604,10 +604,10 @@ func TestRowFedTrainsHoldOneWidth(t *testing.T) {
 // batch: 148 allocations on this configuration then (196 on its bench
 // twin, glm_cached), 24 now. The rest is per-Train by design — the
 // configured machine, its plan and the result. A weave Train that finds
-// its pages held adds only what decoding them once takes (the reweaver,
-// its extractor's scratch, the decoded rows' slab and views): 39, and
-// its budget is the 43 it took while every epoch rewove through a
-// 32-level page buffer of its own.
+// its rows held decodes nothing and allocates nothing in its stage: 27,
+// the 8 over an accelerator Train's 19 the dispatcher's pick among the
+// backends that admit a k-bit job. Its budget is the 43 it took while
+// every epoch rewove through a 32-level page buffer of its own.
 func TestTrainAllocBudget(t *testing.T) {
 	for _, leg := range []struct {
 		name      string

@@ -1,14 +1,16 @@
 package runtime
 
-// The woven pages held beside the record cache: a Train that finds them
-// decodes once and trains the bits of a Train that rewove every epoch;
-// they are rebuilt exactly when the entry they sit in is replaced or
-// another precision is asked of it; and Trains at different precisions
-// can share one entry from different goroutines. (Pinned ranges are not
+// The rewoven rows held beside the record cache: a Train that finds them
+// neither weaves nor decodes and trains the bits of a Train that rewove
+// every epoch; they are rebuilt exactly when the entry they sit in is
+// replaced or another precision is asked of it; and Trains at different
+// precisions can share one entry from different goroutines. (Pinned ranges are not
 // reachable through Train; the backend's own tests cover them.)
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sync"
 	"testing"
@@ -98,8 +100,7 @@ func weaveCounts(s *System) (builds, decodes int64) {
 // TestTrainHeldEqualsPerEpochReweave: at every precision, the Train that
 // weaves the held pages and the Train that only reads them both equal
 // the per-epoch reference in model bits, engine counters and simulated
-// seconds; the first weaves once, the second not at all, each decodes
-// once.
+// seconds; the first weaves and decodes once, the second does neither.
 func TestTrainHeldEqualsPerEpochReweave(t *testing.T) {
 	s, udfName, table := weaveSystem(t)
 	if _, err := s.train(udfName, table, 8); err != nil { // fills the record cache
@@ -117,8 +118,8 @@ func TestTrainHeldEqualsPerEpochReweave(t *testing.T) {
 				t.Fatalf("%s: %d epochs on %q", what, res.Epochs, res.Backend)
 			}
 			requireReference(t, what, s, udfName, table, precision, res, true)
-			if b, d := weaveCounts(s); b-b0 != wantBuilds || d-d0 != 1 {
-				t.Errorf("%s: %d builds and %d decodes over %d epochs, want %d and 1", what, b-b0, d-d0, res.Epochs, wantBuilds)
+			if b, d := weaveCounts(s); b-b0 != wantBuilds || d-d0 != wantBuilds {
+				t.Errorf("%s: %d builds and %d decodes over %d epochs, want %d of each", what, b-b0, d-d0, res.Epochs, wantBuilds)
 			}
 		}
 	}
@@ -143,13 +144,13 @@ func insertRows(t *testing.T, s *System, table string, n int) {
 	}
 }
 
-// TestHeldRebuiltWithItsEntry: the held pages follow the record cache's
-// rule and no other. A cold Train weaves the extracting epoch's rows into
-// the holder of the entry that epoch fills, so its replays decode
-// nothing more; a warm Train builds nothing; a heap mutation (generation
-// bump) and a pool invalidation (ColdCache) each replace the entry, so
-// the next Train weaves once again; another precision replaces the one
-// held form, and going back replaces it again. Every Train equals the
+// TestHeldRebuiltWithItsEntry: the held rows follow the record cache's
+// rule and no other. A cold Train weaves and decodes the extracting
+// epoch's rows into the holder of the entry that epoch fills, so its
+// replays do neither; a warm Train weaves and decodes nothing; a heap
+// mutation (generation bump) and a pool invalidation (ColdCache) each
+// replace the entry, so the next Train weaves once again; another
+// precision replaces the one held form, and going back replaces it again. Every Train equals the
 // reference on the rows it saw.
 func TestHeldRebuiltWithItsEntry(t *testing.T) {
 	s, udfName, table := weaveSystem(t)
@@ -170,20 +171,20 @@ func TestHeldRebuiltWithItsEntry(t *testing.T) {
 	if held <= 0 {
 		t.Fatal("a cold Train published no held bytes")
 	}
-	step("warm", 8, false, 0, 1)
-	step("warm again", 8, false, 0, 1)
+	step("warm", 8, false, 0, 0)
+	step("warm again", 8, false, 0, 0)
 	if got := s.Obs().Get(obs.WeaveHeldBytes); got != held {
 		t.Errorf("warm Trains published %d more held bytes", got-held)
 	}
 	insertRows(t, s, table, 100)
 	step("after Insert", 8, true, 1, 1)
-	step("warm after Insert", 8, false, 0, 1)
+	step("warm after Insert", 8, false, 0, 0)
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
 	step("after ColdCache", 8, true, 1, 1)
 	step("other precision", 4, false, 1, 1)
-	step("other precision, warm", 4, false, 0, 1)
+	step("other precision, warm", 4, false, 0, 0)
 	step("first precision again", 8, false, 1, 1)
 }
 
@@ -192,7 +193,8 @@ func TestHeldRebuiltWithItsEntry(t *testing.T) {
 // Striders. The entry the failed attempt was filling goes, holder and
 // all; the retry fills a new one and weaves once more, into that one's
 // holder. The Train equals the per-epoch reference, publishes the held
-// bytes of a fault-free cold Train once, and the next Train only decodes.
+// bytes of a fault-free cold Train once, and the next Train neither
+// weaves nor decodes.
 func TestFailedExtractionDropsHeldWithEntry(t *testing.T) {
 	clean, udfName, table := weaveSystem(t)
 	if _, err := clean.train(udfName, table, 8); err != nil {
@@ -225,8 +227,8 @@ func TestFailedExtractionDropsHeldWithEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireReference(t, "warm after the fault", s, udfName, table, 8, res, true)
-	if b, d := weaveCounts(s); b != 1 || d != 2 {
-		t.Errorf("warm Train after the fault: %d builds, %d decodes in all, want 1 and 2", b, d)
+	if b, d := weaveCounts(s); b != 1 || d != 1 {
+		t.Errorf("warm Train after the fault: %d builds, %d decodes in all, want 1 and 1", b, d)
 	}
 }
 
@@ -338,5 +340,95 @@ func TestConcurrentWeaveTrainsShareOneEntry(t *testing.T) {
 	wg.Wait()
 	if got := obsCount(t, s, obs.RuntimeCacheMisses); got != misses {
 		t.Errorf("the concurrent Trains missed the record cache %d times", got-misses)
+	}
+}
+
+// heldChecksum folds the bits of the rows a holder keeps at k=8.
+func heldChecksum(t *testing.T, ent *cacheEntry) uint64 {
+	t.Helper()
+	wv := ent.held.Lookup(8, nil)
+	if wv == nil {
+		t.Fatal("the record-cache entry holds no k=8 rows")
+	}
+	h := fnv.New64a()
+	var b [4]byte
+	for _, row := range wv.Rows() {
+		for _, v := range row {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestWarmWeaveTrainDecodesNothing: a warm Precision-8 Train on one
+// System takes the rows the first Train decoded into the record-cache
+// entry's holder. weave.decodes does not move, the Train allocates no
+// more than a warm Train of the same table on the accelerator backend
+// (no row slab, no reweaver), the held rows are bit-unchanged after it,
+// and every Train's model, engine counters and simulated seconds equal a
+// twin's that gets a new holder before every Train.
+func TestWarmWeaveTrainDecodesNothing(t *testing.T) {
+	precision8 := func(o *Options) { o.Precision = 8 }
+	s, udfName, table := weaveSystem(t, precision8)
+	twin, _, _ := weaveSystem(t, precision8)
+	entry := func(s *System) *cacheEntry {
+		t.Helper()
+		rel, err := s.DB.Cat.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent := s.cache.lookup(rel, s.DB.Pool.InvalidationCount())
+		if ent == nil {
+			t.Fatal("no record-cache entry after a Train")
+		}
+		return ent
+	}
+	for i := 0; i < 3; i++ {
+		res, err := s.Train(udfName, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Train(udfName, table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The twin's entry again, with an empty holder of its own.
+		ent := entry(twin)
+		twin.cache.store(&cacheEntry{rel: ent.rel, gen: ent.gen, poolGen: ent.poolGen, pages: ent.pages, rows: ent.rows})
+		if res.Engine != want.Engine || math.Float64bits(res.SimulatedSeconds) != math.Float64bits(want.SimulatedSeconds) {
+			t.Fatalf("Train %d: modeled outputs differ from a twin with a new holder every Train", i)
+		}
+		for j := range want.Model {
+			if math.Float32bits(res.Model[j]) != math.Float32bits(want.Model[j]) {
+				t.Fatalf("Train %d: model[%d] = %v, a twin with a new holder every Train %v", i, j, res.Model[j], want.Model[j])
+			}
+		}
+	}
+	if b := obsCount(t, twin, obs.WeaveBuilds); b != 3 {
+		t.Fatalf("the twin wove %d times over three Trains, want 3", b)
+	}
+
+	sum, decodes := heldChecksum(t, entry(s)), obsCount(t, s, obs.WeaveDecodes)
+	weaveAllocs := testing.AllocsPerRun(5, func() {
+		if _, err := s.Train(udfName, table); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := obsCount(t, s, obs.WeaveDecodes); got != decodes {
+		t.Errorf("warm Trains decoded %d times", got-decodes)
+	}
+	if got := heldChecksum(t, entry(s)); got != sum {
+		t.Error("the held rows changed under a warm Train")
+	}
+	accel, udfName, table := ftSystem(t, func(o *Options) { o.Backend = backend.NameAccelerator })
+	train := func() {
+		if _, err := accel.Train(udfName, table); err != nil {
+			t.Fatal(err)
+		}
+	}
+	train()
+	if accelAllocs := testing.AllocsPerRun(5, train); weaveAllocs > accelAllocs {
+		t.Errorf("a warm k=8 Train allocates %.0f times, a warm full-precision one %.0f", weaveAllocs, accelAllocs)
 	}
 }

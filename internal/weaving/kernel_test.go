@@ -367,10 +367,10 @@ func reweaveDirect(w *Reweaver, rows [][]float32, ranges []storage.WeaveRange) (
 }
 
 // diffReweaver holds a Reweaver that is reused — across epochs of
-// different sizes and widths, at every block size, its page, held
-// prefixes and output slab scribbled over between epochs — to the scalar
-// pipeline (quantize, truncate, dequantize per value) and to a fresh
-// ReweaveRows, float32 bit for bit.
+// different sizes and widths, at every block size, its page and output
+// slab scribbled over between epochs — to the scalar pipeline (quantize,
+// truncate, dequantize per value) and to a fresh ReweaveRows, float32 bit
+// for bit.
 func diffReweaver(reweave reweaveFunc, newExtractor func(bits int) (*Extractor, error)) error {
 	shapes := []struct{ ncols, nrows int }{{54, 300}, {7, 129}, {384, 65}, {2, 1}, {54, 300}}
 	// The modeled page rows of these widths at 8 KB: 1 (54 and 384
@@ -392,13 +392,12 @@ func diffReweaver(reweave reweaveFunc, newExtractor func(bits int) (*Extractor, 
 				rows := kernelRowsOf(int64(i), sh.ncols, sh.nrows)
 				ranges := kernelRanges(sh.ncols)
 				// Whatever the last epoch left behind must not show.
-				for _, buf := range [][]byte{w.page, w.own.data[:cap(w.own.data)]} {
-					for j := range buf {
-						buf[j] = 0xA5
-					}
+				for j := range w.page {
+					w.page[j] = 0xA5
 				}
-				for j := range w.slab[:cap(w.slab)] {
-					w.slab[:cap(w.slab)][j] = dirtyValue
+				slab := w.own.slab[:cap(w.own.slab)]
+				for j := range slab {
+					slab[j] = dirtyValue
 				}
 				got, err := reweave(w, rows, ranges)
 				if err != nil {

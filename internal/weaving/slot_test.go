@@ -1,15 +1,16 @@
 package weaving
 
-// The held form against its oracle. A Reweaver that weaves into a lent
-// Slot, or only decodes what the slot already holds, must return a fresh
-// ReweaveRows' bits whatever was asked of the slot before: another
-// precision, other ranges, other rows under another slot. The mutation
+// The held form against its oracle. Rows a Reweaver wove into a lent
+// Slot, or a Lookup found there, must be a fresh ReweaveRows' bits
+// whatever was asked of the slot before: another precision, other
+// ranges, other rows under another slot. The mutation
 // meta-test plants one fault each in the lookup and in the owner's rule
 // and requires the same differential to go red.
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,31 +19,32 @@ import (
 
 type heldFunc func(w *Reweaver, rows [][]float32, ranges []storage.WeaveRange, slot *Slot) ([][]float32, error)
 
-// reweaveHeld is the production composition: the slot's Woven or a new
-// one, decoded.
+// reweaveHeld is the production composition: the rows the slot holds,
+// or new ones woven into it.
 func reweaveHeld(w *Reweaver, rows [][]float32, ranges []storage.WeaveRange, slot *Slot) ([][]float32, error) {
-	wv, _, err := w.Weave(rows, ranges, slot)
+	if wv := slot.Lookup(w.ex.bits, ranges); wv != nil {
+		return wv.Rows(), nil
+	}
+	wv, err := w.Weave(rows, ranges, slot)
 	if err != nil {
 		return nil, err
 	}
-	return w.Decode(wv), nil
+	return wv.Rows(), nil
 }
 
-// heldWith is reweaveHeld with the slot lookup swapped: a hit decodes
-// what the slot holds, a miss weaves as production does (into an empty
-// slot) and publishes. With (*Woven).serves it is Weave's own rule, which
-// the pre-mutation run shows.
+// heldWith is reweaveHeld with the slot lookup swapped. With
+// (*Woven).serves it is Lookup's own rule, which the pre-mutation run
+// shows.
 func heldWith(serves func(wv *Woven, bits int, ranges []storage.WeaveRange) bool) heldFunc {
 	return func(w *Reweaver, rows [][]float32, ranges []storage.WeaveRange, slot *Slot) ([][]float32, error) {
 		if wv := slot.wv.Load(); wv != nil && serves(wv, w.ex.bits, ranges) {
-			return w.Decode(wv), nil
+			return wv.Rows(), nil
 		}
-		wv, _, err := w.Weave(rows, ranges, new(Slot))
+		wv, err := w.Weave(rows, ranges, slot)
 		if err != nil {
 			return nil, err
 		}
-		slot.wv.Store(wv)
-		return w.Decode(wv), nil
+		return wv.Rows(), nil
 	}
 }
 
@@ -68,8 +70,7 @@ type heldStep struct {
 }
 
 // heldScript walks the slot through every replacement: the same request
-// again, precision down and back up (twice: a Woven read at more levels
-// than it carries runs off its prefix), pinned ranges after derived and
+// again, precision down and back up (twice), pinned ranges after derived and
 // other pinned ranges after those, the rows' own ranges pinned and then
 // derived, and new rows (a new version) under each of those.
 var heldScript = []heldStep{
@@ -83,8 +84,7 @@ var heldScript = []heldStep{
 // reweavers kept per precision (as a Train keeps one) and the slot the
 // owner's rule slotOf names for the step's version, and holds every
 // result to a fresh ReweaveRows, float32 bit for bit. A step that panics
-// (a Woven decoded at a precision it does not carry) is a failure like
-// any other.
+// is a failure like any other.
 func diffHeld(reweave heldFunc, slotOf func(slots []Slot, version int) *Slot) error {
 	const block = 128
 	for _, sh := range []struct{ ncols, nrows int }{{54, 300}, {7, 129}, {3, 64}, {2, 1}} {
@@ -202,7 +202,7 @@ func TestWeaveBuildsOnlyOnAMiss(t *testing.T) {
 	w8, _ := NewReweaver(8, 128)
 	w4, _ := NewReweaver(4, 128)
 	var first *Woven
-	var firstBytes []byte
+	var firstRows []float32
 	for i, tc := range []struct {
 		w      *Reweaver
 		ranges []storage.WeaveRange
@@ -211,68 +211,76 @@ func TestWeaveBuildsOnlyOnAMiss(t *testing.T) {
 		{w8, nil, true}, {w8, nil, false}, {w8, own, false}, {w8, kernelRanges(54), true},
 		{w8, nil, true}, {w4, nil, true}, {w4, own, false}, {w8, own, true}, {w8, nil, false},
 	} {
-		wv, built, err := tc.w.Weave(rows, tc.ranges, &slot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if built != tc.built {
+		wv := slot.Lookup(tc.w.ex.bits, tc.ranges)
+		if built := wv == nil; built != tc.built {
 			t.Errorf("step %d: built = %v, want %v", i, built, tc.built)
+		}
+		if wv == nil {
+			var err error
+			if wv, err = tc.w.Weave(rows, tc.ranges, &slot); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if slot.wv.Load() != wv {
 			t.Errorf("step %d: the slot does not hold the Woven the call returned", i)
 		}
-		want := 2*prefixBytes(54, 128, wv.bits) + prefixBytes(54, 44, wv.bits)
-		if wv.Bytes() != want {
-			t.Errorf("step %d: %d held bytes, want the k-level prefixes' %d", i, wv.Bytes(), want)
+		if want := 300*55*4 + 300*24; wv.Bytes() != want {
+			t.Errorf("step %d: %d held bytes, want the decoded rows' %d", i, wv.Bytes(), want)
 		}
 		if first == nil {
-			first, firstBytes = wv, append([]byte(nil), wv.data...)
+			first, firstRows = wv, slices.Clone(wv.slab)
 		}
-		tc.w.Decode(wv)
 	}
-	if string(first.data) != string(firstBytes) || first.bits != 8 || !first.derived {
+	if !slices.Equal(first.slab, firstRows) || first.bits != 8 || !first.derived {
 		t.Error("a published Woven changed after later builds")
 	}
-	// No slot: the reweaver's own Woven, rebuilt by every call.
+	// No slot: the reweaver's own Woven, rebuilt by every call, and the
+	// slot untouched.
+	held := slot.wv.Load()
 	for i := 0; i < 2; i++ {
-		if _, built, err := w8.Weave(rows, nil, nil); err != nil || !built {
-			t.Errorf("slotless call %d: built = %v, err = %v", i, built, err)
+		if wv, err := w8.Weave(rows, nil, nil); err != nil || wv != &w8.own {
+			t.Errorf("slotless call %d: Woven %p, err = %v", i, wv, err)
 		}
 	}
-	// A failed build publishes nothing and leaves what the slot held.
-	held := slot.wv.Load()
-	if _, _, err := w4.Weave(rows, kernelRanges(3), &slot); err == nil {
+	// A failed build publishes nothing either.
+	if _, err := w4.Weave(rows, kernelRanges(3), &slot); err == nil {
 		t.Error("54 features against 3 ranges wove")
 	}
 	if slot.wv.Load() != held {
-		t.Error("a failed build replaced the slot's Woven")
+		t.Error("a slotless or failed build replaced the slot's Woven")
 	}
 }
 
-// TestDecodeOnlySizesNoBuildScratch: a reweaver that only ever reads a
-// slot another one filled never allocates the 32-level page or the
-// feature views.
-func TestDecodeOnlySizesNoBuildScratch(t *testing.T) {
+// TestHeldLookupAllocatesNothing: a reader of a slot another reweaver
+// filled needs no reweaver of its own — Lookup hands it the builder's
+// decoded rows, ReweaveRows' bits, and allocates nothing.
+func TestHeldLookupAllocatesNothing(t *testing.T) {
 	rows := heldRowsOf(4, 54, 300)
 	var slot Slot
 	builder, _ := NewReweaver(8, 128)
-	if _, _, err := builder.Weave(rows, nil, &slot); err != nil {
+	built, err := builder.Weave(rows, nil, &slot)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reader, _ := NewReweaver(8, 128)
-	wv, built, err := reader.Weave(rows, nil, &slot)
-	if err != nil || built {
-		t.Fatalf("reader built = %v, err = %v", built, err)
+	wv := slot.Lookup(8, nil)
+	if wv != built {
+		t.Fatal("Lookup missed the Woven the builder published")
 	}
-	reader.Decode(wv)
-	if reader.page != nil || reader.feats != nil || reader.labels != nil || reader.own.data != nil {
-		t.Error("a decode-only reweaver sized its build scratch")
+	want, _, err := ReweaveRows(rows, nil, 8, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range want {
+		if !slices.EqualFunc(wv.Rows()[r], want[r], func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+			t.Fatalf("held row %d differs from ReweaveRows", r)
+		}
 	}
 	if allocs := testing.AllocsPerRun(5, func() {
-		wv, _, _ := reader.Weave(rows, nil, &slot)
-		reader.Decode(wv)
+		if slot.Lookup(8, wv.Ranges()) == nil {
+			t.Fatal("Lookup with the rows' own ranges pinned missed")
+		}
 	}); allocs != 0 {
-		t.Errorf("a held decode allocates %v times from the second on, want 0", allocs)
+		t.Errorf("a held lookup allocates %v times, want 0", allocs)
 	}
 }
 

@@ -18,12 +18,13 @@
 // like modeled transfer — shrinks almost linearly with k.
 //
 // Rows routed through the layout and back (ReweaveRows, the Reweaver) are
-// woven into a Woven — each page's k-level prefix, nothing a k-bit read
-// does not touch — and decoded from it. Whoever owns stable rows can lend
-// a Slot to keep the Woven in: the rows are then woven once for as long
-// as the slot lives and only decoded after that. The runtime lends a
-// record-cache entry's slot from the extracting epoch that fills the
-// entry on, so a cold Train weaves once.
+// woven page by page and each page decoded at k bits, into a Woven.
+// Whoever owns stable rows can lend a Slot to keep the Woven in: the rows
+// are then woven and decoded once for as long as the slot lives, and
+// every later reader with the same request takes the decoded rows as they
+// are. The runtime lends a record-cache entry's slot from the extracting
+// epoch that fills the entry on, so a cold Train weaves once and a warm
+// one not at all.
 package weaving
 
 import (
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"slices"
 	"sync/atomic"
+	"unsafe"
 
 	"dana/internal/storage"
 )
@@ -247,30 +249,34 @@ func ReweaveRows(rows [][]float32, ranges []storage.WeaveRange, bits, pageRows i
 	return w.Reweave(rows, ranges)
 }
 
-// Woven is a row set in the form the any-precision path keeps: every
-// page's k-level prefix — header, ranges, labels and the first k bit
-// levels, the bytes Geometry.EffectiveBytes(k) counts — back to back in
-// one buffer. A k-bit read touches nothing past that prefix, so decoding
-// a Woven yields the bits decoding the 32-level pages would. Every page
-// was validated whole before its prefix was kept. Once a Slot holds it, a
-// Woven is never written again.
+// Woven is a row set as the any-precision path delivers it: every page
+// built, validated and read at k bit levels, its rows decoded into one
+// slab. A k-bit read touches only a page's k-level prefix — header,
+// ranges, labels and the first k levels, the bytes
+// Geometry.EffectiveBytes(k) counts — so the rows are what decoding those
+// prefixes gives. Once a Slot holds it, a Woven is never written again.
 type Woven struct {
 	bits int
 	// ranges quantized the rows; derived says they are also what deriving
 	// from these rows gives, so the Woven serves a request that pins none.
 	ranges  []storage.WeaveRange
 	derived bool
-	// nrows rows, pageRows to a page (the last may be short), one prefix
-	// after another in data.
-	nrows, pageRows int
-	data            []byte
+	// rows are the decoded rows (features then label), cut from slab.
+	rows [][]float32
+	slab []float32
 }
 
 // Ranges returns the quantization ranges the rows were woven against.
 func (wv *Woven) Ranges() []storage.WeaveRange { return wv.ranges }
 
-// Bytes returns the size of the held prefixes.
-func (wv *Woven) Bytes() int { return len(wv.data) }
+// Rows returns the decoded rows. They are read-only: a Woven a Slot
+// holds is shared by every reader of the slot.
+func (wv *Woven) Rows() [][]float32 { return wv.rows }
+
+// Bytes returns the size of the decoded rows: their values and views.
+func (wv *Woven) Bytes() int {
+	return len(wv.slab)*4 + len(wv.rows)*int(unsafe.Sizeof(wv.rows[0]))
+}
 
 // serves reports whether wv is what weaving its rows at bits against
 // ranges (nil = derived) would build.
@@ -294,11 +300,21 @@ type Slot struct {
 	wv atomic.Pointer[Woven]
 }
 
+// Lookup returns the Woven the slot holds when it is what weaving the
+// slot's rows at bits against ranges (nil = derived) would build, else
+// nil. A hit costs no weave, no decode and no allocation.
+func (s *Slot) Lookup(bits int, ranges []storage.WeaveRange) *Woven {
+	if wv := s.wv.Load(); wv != nil && wv.serves(bits, ranges) {
+		return wv
+	}
+	return nil
+}
+
 // Reweaver is ReweaveRows with its buffers kept: the extractor, the
-// build scratch (one 32-level page and its feature views), a Woven of its
-// own for rows nobody lent a slot with, and one output slab are reused
-// from call to call, so a steady stream of equally sized epochs allocates
-// nothing. The rows a call returns are valid until the next call.
+// build scratch (one 32-level page and its feature views) and a Woven of
+// its own for rows nobody lent a slot with are reused from call to call,
+// so a steady stream of equally sized epochs allocates nothing. The rows
+// a slotless call returns are valid until the next call.
 type Reweaver struct {
 	ex       *Extractor
 	pageRows int
@@ -306,8 +322,6 @@ type Reweaver struct {
 	feats    [][]float32
 	labels   []float32
 	own      Woven
-	slab     []float32
-	out      [][]float32
 }
 
 // NewReweaver builds a reweaver for k-bit reads through pages of
@@ -323,45 +337,40 @@ func NewReweaver(bits, pageRows int) (*Reweaver, error) {
 	return &Reweaver{ex: e, pageRows: pageRows}, nil
 }
 
-// Reweave is ReweaveRows into the reweaver's own buffers: weave, then
-// decode.
+// Reweave is ReweaveRows into the reweaver's own buffers.
 func (w *Reweaver) Reweave(rows [][]float32, ranges []storage.WeaveRange) ([][]float32, []storage.WeaveRange, error) {
-	wv, _, err := w.Weave(rows, ranges, nil)
+	wv, err := w.Weave(rows, ranges, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	if wv == nil {
 		return nil, ranges, nil
 	}
-	return w.Decode(wv), wv.ranges, nil
+	return wv.rows, wv.ranges, nil
 }
 
-// Weave returns rows' Woven at the reweaver's precision against ranges
-// (nil = derived from rows): the one slot holds when it serves the
-// request, else one built now — every page validated — and published to
-// slot. With no slot lent the Woven is the reweaver's own, rebuilt by the
-// next call. built says which happened; no rows weave to nil.
-func (w *Reweaver) Weave(rows [][]float32, ranges []storage.WeaveRange, slot *Slot) (wv *Woven, built bool, err error) {
+// Weave weaves rows at the reweaver's precision against ranges (nil =
+// derived from rows), every page validated, and decodes them. With a
+// slot lent the Woven is a new one, its rows in a slab of their own, and
+// is published to the slot (a reader that finds it there with Lookup
+// neither weaves nor decodes); with none it is the reweaver's own,
+// rebuilt by the next call. No rows weave to nil.
+func (w *Reweaver) Weave(rows [][]float32, ranges []storage.WeaveRange, slot *Slot) (*Woven, error) {
 	if len(rows) == 0 {
-		return nil, false, nil
-	}
-	if slot != nil {
-		if wv := slot.wv.Load(); wv != nil && wv.serves(w.ex.bits, ranges) {
-			return wv, false, nil
-		}
+		return nil, nil
 	}
 	nfeat := len(rows[0]) - 1
 	if nfeat < 1 {
-		return nil, false, fmt.Errorf("%w: rows carry %d values, need features plus a label",
+		return nil, fmt.Errorf("%w: rows carry %d values, need features plus a label",
 			storage.ErrWeaveUnsupported, len(rows[0]))
 	}
 	for i, r := range rows {
 		if len(r) != nfeat+1 {
-			return nil, false, fmt.Errorf("%w: ragged row %d (%d values, want %d)",
+			return nil, fmt.Errorf("%w: ragged row %d (%d values, want %d)",
 				storage.ErrWeaveUnsupported, i, len(r), nfeat+1)
 		}
 	}
-	wv = &w.own
+	wv := &w.own
 	if slot != nil {
 		wv = new(Woven)
 	}
@@ -377,55 +386,53 @@ func (w *Reweaver) Weave(rows [][]float32, ranges []storage.WeaveRange, slot *Sl
 		wv.derived = slices.Equal(ranges, storage.WeaveRanges(rows, nfeat))
 	}
 	if len(ranges) != nfeat {
-		return nil, false, fmt.Errorf("%w: %d ranges for rows of %d features",
+		return nil, fmt.Errorf("%w: %d ranges for rows of %d features",
 			storage.ErrWeaveUnsupported, len(ranges), nfeat)
 	}
 	if err := w.build(wv, rows, ranges); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if slot != nil {
 		slot.wv.Store(wv)
 	}
-	return wv, true, nil
+	return wv, nil
 }
 
-// prefixBytes is the size of a page's k-level prefix: its fixed bytes and
-// the first bits bit levels.
-func prefixBytes(nfeat, nrows, bits int) int {
-	return int(storage.WeaveFixedPageBytes(nfeat, nrows) + int64(bits)*storage.WeaveBitPageBytes(nfeat, nrows))
-}
-
-// build weaves rows into wv page by page: split features from labels,
-// build and validate the 32-level page in the scratch, keep its k-level
-// prefix.
+// build sizes wv's rows and the build scratch, then weaves and decodes
+// rows page by page. A new Woven's slab is allocated here; the
+// reweaver's own is reused when it is large enough.
 func (w *Reweaver) build(wv *Woven, rows [][]float32, ranges []storage.WeaveRange) error {
-	bits, nfeat, nrows := w.ex.bits, len(ranges), len(rows)
+	nfeat, nrows := len(ranges), len(rows)
+	n := nrows * (nfeat + 1)
+	if cap(wv.slab) < n {
+		wv.slab = make([]float32, n)
+	}
+	if cap(wv.rows) < nrows {
+		wv.rows = make([][]float32, nrows)
+	}
+	wv.bits, wv.ranges = w.ex.bits, ranges
+	wv.slab, wv.rows = wv.slab[:n], wv.rows[:nrows]
 	pageRows := min(w.pageRows, nrows)
-	size := nrows / pageRows * prefixBytes(nfeat, pageRows, bits)
-	if tail := nrows % pageRows; tail > 0 {
-		size += prefixBytes(nfeat, tail, bits)
-	}
-	if cap(wv.data) < size {
-		wv.data = make([]byte, size)
-	}
-	wv.bits, wv.ranges, wv.nrows, wv.pageRows = bits, ranges, nrows, pageRows
-	wv.data = wv.data[:size]
 	if full := storage.WeavePageSize(nfeat, pageRows); cap(w.page) < full {
 		w.page = make([]byte, full)
 	}
 	if cap(w.feats) < pageRows {
 		w.feats, w.labels = make([][]float32, pageRows), make([]float32, pageRows)
 	}
-	return w.weavePages(wv, rows)
+	w.ex.prepare(nfeat)
+	return w.weavePages(wv, rows, pageRows)
 }
 
-// weavePages is build's loop.
+// weavePages is build's loop: split a page's features from its labels,
+// build and validate the 32-level page in the scratch, decode its first
+// k levels into the page's rows of wv.
 //
 //dana:hotpath
-func (w *Reweaver) weavePages(wv *Woven, rows [][]float32) error {
+func (w *Reweaver) weavePages(wv *Woven, rows [][]float32, pageRows int) error {
 	nfeat := len(wv.ranges)
-	for at, off := 0, 0; at < len(rows); at += wv.pageRows {
-		end := min(at+wv.pageRows, len(rows))
+	width := nfeat + 1
+	for at := 0; at < len(rows); at += pageRows {
+		end := min(at+pageRows, len(rows))
 		feats, labels := w.feats[:end-at], w.labels[:end-at]
 		for i, r := range rows[at:end] {
 			feats[i], labels[i] = r[:nfeat], r[nfeat]
@@ -437,40 +444,9 @@ func (w *Reweaver) weavePages(wv *Woven, rows [][]float32) error {
 		if err := p.Validate(); err != nil {
 			return err
 		}
-		off += copy(wv.data[off:], p[:prefixBytes(nfeat, end-at, wv.bits)])
+		w.ex.decodeInto(p, wv.slab[at*width:end*width], wv.rows[at:end])
 	}
 	return nil
-}
-
-// Decode decodes wv — of the reweaver's precision — into the reweaver's
-// rows. A reweaver that only decodes never sizes the build scratch.
-func (w *Reweaver) Decode(wv *Woven) [][]float32 {
-	nfeat := len(wv.ranges)
-	w.ex.prepare(nfeat)
-	if n := wv.nrows * (nfeat + 1); cap(w.slab) < n {
-		w.slab = make([]float32, n)
-	}
-	if cap(w.out) < wv.nrows {
-		w.out = make([][]float32, wv.nrows)
-	}
-	w.out = w.out[:wv.nrows]
-	w.decodePages(wv)
-	return w.out
-}
-
-// decodePages is the held-decode loop: each page's prefix through the
-// extractor into the slab.
-//
-//dana:hotpath
-func (w *Reweaver) decodePages(wv *Woven) {
-	nfeat := len(wv.ranges)
-	width, stride := nfeat+1, prefixBytes(nfeat, wv.pageRows, wv.bits)
-	for at, off := 0, 0; at < wv.nrows; at += wv.pageRows {
-		end := min(at+wv.pageRows, wv.nrows)
-		p := storage.WeavePage(wv.data[off:min(off+stride, len(wv.data))])
-		w.ex.decodeInto(p, w.slab[at*width:end*width], w.out[at:end])
-		off += len(p)
-	}
 }
 
 // PageDecodeCycles models the cycles an any-precision Strider spends
