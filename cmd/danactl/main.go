@@ -278,10 +278,9 @@ func printStats(w io.Writer, eng *dana.Engine, res *runtime.TrainResult, udfName
 	ch, cm := r.Get(obs.RuntimeCacheHits), r.Get(obs.RuntimeCacheMisses)
 	fmt.Fprintf(w, "  %-22s %14d hits, %d misses (%.1f%% hit rate)\n",
 		"record cache", ch, cm, pct(ch, ch+cm))
-	if wb, wd := r.Get(obs.WeaveBuilds), r.Get(obs.WeaveDecodes); wb+wd > 0 {
-		// A job that found its rows held reads "0 builds, 0 decodes".
-		fmt.Fprintf(w, "  %-22s %14d builds, %d decodes, %d bytes held beside the record cache\n",
-			"weave pages", wb, wd, r.Get(obs.WeaveHeldBytes))
+	if wb := r.Get(obs.WeaveBuilds); wb > 0 {
+		fmt.Fprintf(w, "  %-22s %14d builds, %d bytes held beside the record cache\n",
+			"weave pages", wb, r.Get(obs.WeaveHeldBytes))
 	}
 	trainNs := r.Get(obs.RuntimeTrainWallNs)
 	fmt.Fprintf(w, "  %-22s %11.3f ms wall (%.3f ms/epoch mean)\n",

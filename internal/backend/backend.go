@@ -8,12 +8,12 @@
 // backend by the internal/cost analytic model, with an explicit
 // per-system override.
 //
-// The contract is enforced, not assumed: the conformance harness in
-// conformance.go runs every registered backend through seeded scenarios
-// and asserts the trichotomy — bit-identical modeled counters where
-// Capabilities promise them, toleranced model bits against the
-// backend's declared reference semantics elsewhere, and typed errors
-// for unsupported jobs.
+// The contract is enforced, not assumed: the conformance harness,
+// internal/backend/backendtest, runs every registered backend through
+// seeded scenarios and asserts the trichotomy — bit-identical modeled
+// counters where Capabilities promise them, toleranced model bits
+// against the backend's declared reference semantics elsewhere, and
+// typed errors for unsupported jobs.
 package backend
 
 import (

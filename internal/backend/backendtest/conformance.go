@@ -1,8 +1,10 @@
-package backend
-
-// Backend conformance harness. Every registered backend is run through
-// seeded scenarios (the PR-2 differential generator) and held to the
-// trichotomy its Capabilities declare:
+// Package backendtest is the backend conformance harness, in the
+// net/http/httptest idiom: a non-test package that only tests and the
+// experiment harness import, so no production binary links it.
+//
+// Every registered backend is run through seeded scenarios (the
+// differential generator) and held to the trichotomy its Capabilities
+// declare:
 //
 //   - bit-identical where promised: DeterministicCounters backends must
 //     produce bit-identical modeled counters AND model bits across
@@ -18,8 +20,9 @@ package backend
 //     with ErrUnsupported, pre-Configure use with ErrNotConfigured —
 //     never untyped, never silently wrong.
 //
-// The harness lives in non-test code so the conformance tests and the
-// mutation meta-tests (which prove each check can fail) share it.
+// The conformance tests and the mutation meta-tests (which prove each
+// check can fail) share the harness through this package.
+package backendtest
 
 import (
 	"errors"
@@ -28,13 +31,17 @@ import (
 	"math/rand"
 
 	"dana/internal/algos"
+	"dana/internal/backend"
 	"dana/internal/compiler"
 	"dana/internal/cost"
 	"dana/internal/engine"
 	"dana/internal/golden"
 	"dana/internal/hdfg"
 	"dana/internal/hwgen"
+	"dana/internal/ml"
 	"dana/internal/obs"
+	"dana/internal/storage"
+	"dana/internal/weaving"
 )
 
 // Scenario is one seeded conformance instance: a golden spec, its
@@ -80,44 +87,47 @@ func GenScenario(seed int64) Scenario {
 	}
 	sc.Rows32 = make([][]float32, len(sc.Tuples))
 	for i, t := range sc.Tuples {
-		sc.Rows32[i] = narrow32(t)
+		sc.Rows32[i] = make([]float32, len(t))
+		for j, v := range t {
+			sc.Rows32[i][j] = float32(v)
+		}
 	}
 	return sc
 }
 
-// ConformanceEnv is the fixed environment the conformance suite runs
-// backends under.
-func ConformanceEnv() Env {
-	return Env{Obs: obs.Noop, Cost: cost.Default(), FPGA: hwgen.VU9P(), Segments: 4}
+// Env is the fixed environment the conformance suite runs backends
+// under.
+func Env() backend.Env {
+	return backend.Env{Obs: obs.Noop, Cost: cost.Default(), FPGA: hwgen.VU9P(), Segments: 4}
 }
 
 // BuildProgram compiles the scenario's algorithm down to a backend
 // Program: DSL -> hDFG -> engine program -> hardware design point.
-func BuildProgram(sc Scenario, env Env) (Program, error) {
+func BuildProgram(sc Scenario, env backend.Env) (backend.Program, error) {
 	const pageSize = 8192
 	a, err := algos.Build(sc.Spec.Kind, sc.Spec.Topology(), sc.Spec.Hyper())
 	if err != nil {
-		return Program{}, err
+		return backend.Program{}, err
 	}
 	graph, err := hdfg.Translate(a)
 	if err != nil {
-		return Program{}, err
+		return backend.Program{}, err
 	}
 	prog, err := compiler.Compile(graph)
 	if err != nil {
-		return Program{}, err
+		return backend.Program{}, err
 	}
 	design, err := hwgen.Generate(prog, env.FPGA, hwgen.Params{
-		PageSize: pageSize, MergeCoef: max1(sc.Spec.MergeCoef), NumTuples: len(sc.Tuples),
+		PageSize: pageSize, MergeCoef: max(sc.Spec.MergeCoef, 1), NumTuples: len(sc.Tuples),
 	})
 	if err != nil {
-		return Program{}, err
+		return backend.Program{}, err
 	}
-	return Program{
+	return backend.Program{
 		Graph:     graph,
 		Engine:    prog,
 		EngineCfg: design.Engine,
-		Striders:  InProcessStriders(design.NumStriders),
+		Striders:  backend.InProcessStriders(design.NumStriders),
 		MergeCoef: sc.Spec.MergeCoef,
 		PageSize:  pageSize,
 		Tuples:    len(sc.Tuples),
@@ -127,10 +137,10 @@ func BuildProgram(sc Scenario, env Env) (Program, error) {
 }
 
 // JobFor classifies the scenario's program into a dispatch job.
-func JobFor(sc Scenario, p Program) Job {
+func JobFor(sc Scenario, p backend.Program) backend.Job {
 	pages := len(sc.Tuples)/8 + 1
-	class := Classify(p.Graph)
-	return Job{
+	class := backend.Classify(p.Graph)
+	return backend.Job{
 		Class:         class,
 		Bits:          sc.Bits,
 		Tuples:        len(sc.Tuples),
@@ -138,10 +148,10 @@ func JobFor(sc Scenario, p Program) Job {
 		Pages:         pages,
 		PageSize:      p.PageSize,
 		DatasetBytes:  int64(pages) * int64(p.PageSize),
-		Epochs:        max1(sc.Spec.Epochs),
-		MergeCoef:     max1(sc.Spec.MergeCoef),
+		Epochs:        max(sc.Spec.Epochs, 1),
+		MergeCoef:     max(sc.Spec.MergeCoef, 1),
 		ModelParams:   sc.Spec.ModelSize(),
-		FlopsPerTuple: FlopsPerTuple(class, p.Graph),
+		FlopsPerTuple: backend.FlopsPerTuple(class, p.Graph),
 		Engine:        p.Engine,
 		Design:        hwgen.Design{Engine: p.EngineCfg, NumStriders: p.Striders},
 		Warm:          true,
@@ -170,25 +180,25 @@ const (
 
 // classUnknown is a workload class no backend supports; every backend
 // must reject it typed.
-const classUnknown Class = "conformance-unknown"
+const classUnknown backend.Class = "conformance-unknown"
 
 // primaryStream is the delivery form matching the backend's
 // capabilities: the page-order batch stream for streaming backends,
 // materialized rows (both widths) otherwise.
-func primaryStream(caps Capabilities, sc Scenario) *Stream {
+func primaryStream(caps backend.Capabilities, sc Scenario) *backend.Stream {
 	if caps.Streaming {
-		return &Stream{Batches: batchFeed(sc.Rows32, 7)}
+		return &backend.Stream{Batches: batchFeed(sc.Rows32, 7)}
 	}
-	return &Stream{Rows32: sc.Rows32, Rows64: sc.Tuples}
+	return &backend.Stream{Rows32: sc.Rows32, Rows64: sc.Tuples}
 }
 
 // alternateStream is a different legal delivery of the same epoch; a
 // deterministic backend must not be able to tell them apart.
-func alternateStream(caps Capabilities, sc Scenario) *Stream {
+func alternateStream(caps backend.Capabilities, sc Scenario) *backend.Stream {
 	if caps.Streaming {
-		return &Stream{Rows32: sc.Rows32}
+		return &backend.Stream{Rows32: sc.Rows32}
 	}
-	return &Stream{Rows64: sc.Tuples}
+	return &backend.Stream{Rows64: sc.Tuples}
 }
 
 // batchFeed emits rows in fixed-size batches, modeling page-granular
@@ -209,11 +219,21 @@ func batchFeed(rows [][]float32, per int) func(emit func([][]float32) error) err
 	}
 }
 
-// reference resolves the registration's declared reference semantics
-// (default: the golden trainer).
-func reference(reg Registration, env Env, sc Scenario) ([]float64, error) {
-	if reg.Reference != nil {
-		return reg.Reference(env, sc)
+// Reference computes the expected model for a scenario under the
+// reference semantics the named registration declares (env carries the
+// knobs a semantics depends on, the Sharded segment count):
+//
+//   - weave: the golden trainer over the tuples rewoven at the
+//     scenario's precision (WeaveReference);
+//   - sharded: per-segment golden epochs from the shared model, averaged
+//     (shardedReference);
+//   - every other backend: the golden trainer (GoldenReference).
+func Reference(name string, env backend.Env, sc Scenario) ([]float64, error) {
+	switch name {
+	case backend.NameWeave:
+		return WeaveReference(sc)
+	case backend.NameSharded:
+		return shardedReference(env, sc)
 	}
 	return GoldenReference(sc)
 }
@@ -221,8 +241,74 @@ func reference(reg Registration, env Env, sc Scenario) ([]float64, error) {
 // GoldenReference trains the scenario on the golden float64 trainer —
 // the default reference semantics a backend is compared against.
 func GoldenReference(sc Scenario) ([]float64, error) {
+	return trainGolden(sc.Spec, sc.Init, sc.Tuples)
+}
+
+// WeaveReference is the weave registration's reference semantics: the
+// golden float64 trainer over the scenario's tuples rewoven at the
+// scenario's precision — the same weaving.ReweaveRows call the weave
+// stage makes, so backend and reference see identical feature values and
+// only datapath width separates them. Quantization error lives in the
+// reference, not in the backend's declared tolerance.
+func WeaveReference(sc Scenario) ([]float64, error) {
+	bits := sc.Bits
+	if bits == 0 {
+		bits = storage.WeaveMaxBits
+	}
+	rewoven, _, err := weaving.ReweaveRows(sc.Rows32, nil, bits, 0)
+	if err != nil {
+		return nil, err
+	}
+	tuples := make([][]float64, len(rewoven))
+	for i, r := range rewoven {
+		tuples[i] = make([]float64, len(r))
+		for j, v := range r {
+			tuples[i][j] = float64(v)
+		}
+	}
+	return trainGolden(sc.Spec, sc.Init, tuples)
+}
+
+// shardedReference is the Sharded registration's reference semantics:
+// shard the scenario round-robin, run each epoch as one golden epoch per
+// segment from the shared model, average the non-empty segments. The
+// inner CPU trainers are bit-identical to the golden trainer, so the
+// comparison is bit-exact.
+func shardedReference(env backend.Env, sc Scenario) ([]float64, error) {
+	segs := env.Segments
+	if segs < 1 {
+		segs = backend.DefaultSegments
+	}
+	shards := make([][][]float64, segs)
+	for i, t := range sc.Tuples {
+		shards[i%segs] = append(shards[i%segs], t)
+	}
+	oneEpoch := sc.Spec
+	oneEpoch.Epochs = 1
 	model := append([]float64(nil), sc.Init...)
-	if err := sc.Spec.Train(model, sc.Tuples); err != nil {
+	for e := 0; e < max(sc.Spec.Epochs, 1); e++ {
+		var seen [][]float64
+		for _, shard := range shards {
+			if len(shard) == 0 {
+				continue
+			}
+			local, err := trainGolden(oneEpoch, model, shard)
+			if err != nil {
+				return nil, err
+			}
+			seen = append(seen, local)
+		}
+		if len(seen) > 0 {
+			model = ml.AverageModels(seen)
+		}
+	}
+	return model, nil
+}
+
+// trainGolden trains a copy of init on the golden trainer.
+func trainGolden(sp golden.Spec, init []float64, tuples [][]float64) ([]float64, error) {
+	model := append([]float64(nil), init...)
+	if err := sp.Train(model, tuples); err != nil {
 		return nil, err
 	}
 	return model, nil
@@ -231,11 +317,11 @@ func GoldenReference(sc Scenario) ([]float64, error) {
 // train configures a fresh instance and runs exactly the scenario's
 // epoch budget through the given stream (convergence policy belongs to
 // the integration layer, and the reference trainer runs uncapped).
-func train(be Backend, p Program, sc Scenario, st *Stream) error {
+func train(be backend.Backend, p backend.Program, sc Scenario, st *backend.Stream) error {
 	if err := be.Configure(p); err != nil {
 		return err
 	}
-	for e := 0; e < max1(sc.Spec.Epochs); e++ {
+	for e := 0; e < max(sc.Spec.Epochs, 1); e++ {
 		if err := be.RunEpoch(st); err != nil {
 			return fmt.Errorf("epoch %d: %w", e, err)
 		}
@@ -244,8 +330,9 @@ func train(be Backend, p Program, sc Scenario, st *Stream) error {
 }
 
 // Check runs the full conformance suite for one registration on one
-// scenario and returns every violation found (empty = conformant).
-func Check(reg Registration, env Env, sc Scenario) []Violation {
+// scenario and returns every violation found (empty = conformant). The
+// model is compared against Reference(reg.Name, env, sc).
+func Check(reg backend.Registration, env backend.Env, sc Scenario) []Violation {
 	var vs []Violation
 	add := func(check string, format string, args ...interface{}) {
 		vs = append(vs, Violation{Check: check, Err: fmt.Errorf(format, args...)})
@@ -261,7 +348,7 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 	if len(caps.Classes) == 0 {
 		add(CheckCapabilities, "backend %q declares no workload classes", reg.Name)
 	}
-	if caps.Precision != PrecisionFloat32 && caps.Precision != PrecisionFloat64 {
+	if caps.Precision != backend.PrecisionFloat32 && caps.Precision != backend.PrecisionFloat64 {
 		add(CheckCapabilities, "backend %q declares no precision", reg.Name)
 	}
 	if !caps.BitExactModel && !(caps.ModelTolerance > 0) {
@@ -280,14 +367,14 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 	// backend genuinely doesn't support it.
 	unknown := job
 	unknown.Class = classUnknown
-	if _, err := be.EstimateCost(unknown); !errors.Is(err, ErrUnsupported) {
+	if _, err := be.EstimateCost(unknown); !errors.Is(err, backend.ErrUnsupported) {
 		add(CheckUnsupported, "EstimateCost(class=%s) = %v, want ErrUnsupported", classUnknown, err)
 	}
 	if !caps.Supports(job.Class) {
-		if _, err := be.EstimateCost(job); !errors.Is(err, ErrUnsupported) {
+		if _, err := be.EstimateCost(job); !errors.Is(err, backend.ErrUnsupported) {
 			add(CheckUnsupported, "EstimateCost(unsupported class %s) = %v, want ErrUnsupported", job.Class, err)
 		}
-		if err := be.Configure(p); !errors.Is(err, ErrUnsupported) {
+		if err := be.Configure(p); !errors.Is(err, backend.ErrUnsupported) {
 			add(CheckUnsupported, "Configure(unsupported class %s) = %v, want ErrUnsupported", job.Class, err)
 		}
 		return vs // nothing to train
@@ -295,7 +382,7 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 
 	// Pre-Configure use fails typed.
 	fresh := reg.New(env)
-	if err := fresh.RunEpoch(&Stream{Rows64: sc.Tuples}); !errors.Is(err, ErrNotConfigured) {
+	if err := fresh.RunEpoch(&backend.Stream{Rows64: sc.Tuples}); !errors.Is(err, backend.ErrNotConfigured) {
 		add(CheckNotConfigured, "RunEpoch before Configure = %v, want ErrNotConfigured", err)
 	}
 
@@ -305,7 +392,7 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 		return vs
 	}
 	got := be.Model()
-	want, err := reference(reg, env, sc)
+	want, err := Reference(reg.Name, env, sc)
 	if err != nil {
 		add(CheckTrain, "reference trainer: %v", err)
 		return vs
@@ -322,7 +409,7 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 	// reproduce the model bits and, where promised, the modeled
 	// counters, bit for bit.
 	if caps.DeterministicCounters {
-		cb, ok := be.(CounterBackend)
+		cb, ok := be.(backend.CounterBackend)
 		if !ok {
 			add(CheckDeterminism, "backend %q promises deterministic counters but exposes none", reg.Name)
 		} else {
@@ -333,7 +420,7 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 				if err := compareBits("repeat-run model", be2.Model(), got); err != nil {
 					add(CheckDeterminism, "%v", err)
 				}
-				cb2 := be2.(CounterBackend)
+				cb2 := be2.(backend.CounterBackend)
 				if a, b := cb.Counters(), cb2.Counters(); a != b {
 					add(CheckDeterminism, "modeled counters diverge across delivery forms:\n  a=%+v\n  b=%+v", a, b)
 				}
@@ -342,13 +429,13 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 			// what a backend keeps in the holder must not show.
 			if caps.Streaming {
 				be3 := reg.New(env)
-				if err := train(be3, p, sc, &Stream{Rows32: sc.Rows32, Held: new(Held)}); err != nil {
+				if err := train(be3, p, sc, &backend.Stream{Rows32: sc.Rows32, Held: new(backend.Held)}); err != nil {
 					add(CheckDeterminism, "run with a lent holder: %v", err)
 				} else {
 					if err := compareBits("model with a lent holder", be3.Model(), got); err != nil {
 						add(CheckDeterminism, "%v", err)
 					}
-					if a, b := cb.Counters(), be3.(CounterBackend).Counters(); a != b {
+					if a, b := cb.Counters(), be3.(backend.CounterBackend).Counters(); a != b {
 						add(CheckDeterminism, "modeled counters diverge with a lent holder:\n  without=%+v\n  with=%+v", a, b)
 					}
 				}
@@ -360,8 +447,8 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 	// registration — two instances, one of them never configured, must
 	// agree bit for bit — and for row-fed backends, which have no
 	// modeled page stream to integrate, exactly the analytic estimate.
-	run := Run{StriderCycles: 1 << 20, Pages: int64(3 * job.Pages), IOSeconds: 0.125}
-	if cb, ok := be.(CounterBackend); ok {
+	run := backend.Run{StriderCycles: 1 << 20, Pages: int64(3 * job.Pages), IOSeconds: 0.125}
+	if cb, ok := be.(backend.CounterBackend); ok {
 		run.EngineCycles = cb.Counters().Cycles
 	}
 	sec := be.ModeledSeconds(job, run)
@@ -386,13 +473,13 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 	if len(vs) > 0 {
 		return vs
 	}
-	trained := func(b Backend, p Program, sc Scenario) string {
+	trained := func(b backend.Backend, p backend.Program, sc Scenario) string {
 		err := train(b, p, sc, primaryStream(caps, sc))
 		var counters engine.Stats
-		if cb, ok := b.(CounterBackend); ok {
+		if cb, ok := b.(backend.CounterBackend); ok {
 			counters = cb.Counters()
 		}
-		sec := b.ModeledSeconds(JobFor(sc, p), Run{EngineCycles: counters.Cycles})
+		sec := b.ModeledSeconds(JobFor(sc, p), backend.Run{EngineCycles: counters.Cycles})
 		return fmt.Sprintf("model %v counters %+v seconds %v error %v", b.Model(), counters, sec, err)
 	}
 	next := GenScenario(sc.Seed + 1)
@@ -401,8 +488,8 @@ func Check(reg Registration, env Env, sc Scenario) []Violation {
 		add(CheckReconfigure, "building the next scenario's program: %v", err)
 	}
 	p.Init = nil
-	for i, p := range []Program{p, np} {
-		if sc := []Scenario{sc, next}[i]; p.Graph != nil && caps.Supports(Classify(p.Graph)) {
+	for i, p := range []backend.Program{p, np} {
+		if sc := []Scenario{sc, next}[i]; p.Graph != nil && caps.Supports(backend.Classify(p.Graph)) {
 			if got, want := trained(be, p, sc), trained(reg.New(env), p, sc); got != want {
 				add(CheckReconfigure, "seed %d: reconfigured %s, fresh %s", sc.Seed, got, want)
 			}

@@ -1,11 +1,14 @@
 //go:build go1.24
 
-package backend
+package backend_test
 
 import (
 	"runtime"
 	"testing"
 	"weak"
+
+	"dana/internal/backend"
+	"dana/internal/backend/backendtest"
 )
 
 // TestCloseLeavesNoRowsViewed: after a Precision-8 run — three epochs of
@@ -15,18 +18,18 @@ import (
 // unbound, live in the holder alone, so they are collectable once the
 // holder is dropped while the backend itself is kept alive.
 func TestCloseLeavesNoRowsViewed(t *testing.T) {
-	env := ConformanceEnv()
-	sc := GenScenario(1) // logistic at merge coefficient 8: batches run four frames wide
-	p, err := BuildProgram(sc, env)
+	env := backendtest.Env()
+	sc := backendtest.GenScenario(1) // logistic at merge coefficient 8: batches run four frames wide
+	p, err := backendtest.BuildProgram(sc, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Bits = 8
-	be := NewWeaveAccel(env)
+	be := backend.NewWeaveAccel(env)
 	if err := be.Configure(p); err != nil {
 		t.Fatal(err)
 	}
-	st := &Stream{Rows32: sc.Rows32, Held: new(Held)}
+	st := &backend.Stream{Rows32: sc.Rows32, Held: new(backend.Held)}
 	for e := 0; e < 3; e++ {
 		if err := be.RunEpoch(st); err != nil {
 			t.Fatal(err)
@@ -40,7 +43,7 @@ func TestCloseLeavesNoRowsViewed(t *testing.T) {
 	decoded := weak.Make(&rows[len(rows)-1][0])
 	rows, wv = nil, nil
 	be.Close()
-	if be.weave.rw != nil {
+	if backend.HoldsReweaver(be) {
 		t.Error("Close kept the weave stage's reweaver")
 	}
 	st.Held = nil

@@ -14,11 +14,12 @@ import (
 	"testing"
 
 	"dana/internal/backend"
+	"dana/internal/backend/backendtest"
 	"dana/internal/greenplum"
 )
 
 // conformanceSeeds covers all four workload classes (linear, logistic,
-// svm, lrmf) and merge coefficients 1/4/8 — see GenScenario.
+// svm, lrmf) and merge coefficients 1/4/8 — see backendtest.GenScenario.
 var conformanceSeeds = []int64{1, 2, 3, 4, 5, 9, 10, 13, 15, 16}
 
 // allRegistrations is the full dispatch registry the runtime assembles:
@@ -28,14 +29,14 @@ func allRegistrations() []backend.Registration {
 }
 
 func TestBackendConformance(t *testing.T) {
-	env := backend.ConformanceEnv()
+	env := backendtest.Env()
 	for _, reg := range allRegistrations() {
 		reg := reg
 		t.Run(reg.Name, func(t *testing.T) {
 			trained := 0
 			for _, seed := range conformanceSeeds {
-				sc := backend.GenScenario(seed)
-				if vs := backend.Check(reg, env, sc); len(vs) > 0 {
+				sc := backendtest.GenScenario(seed)
+				if vs := backendtest.Check(reg, env, sc); len(vs) > 0 {
 					for _, v := range vs {
 						t.Errorf("seed %d (%s): %s", seed, sc.Spec.Kind, v)
 					}
@@ -59,8 +60,8 @@ func TestBackendConformance(t *testing.T) {
 func TestConformanceClassCoverage(t *testing.T) {
 	seen := map[backend.Class]bool{}
 	for _, seed := range conformanceSeeds {
-		sc := backend.GenScenario(seed)
-		p, err := backend.BuildProgram(sc, backend.ConformanceEnv())
+		sc := backendtest.GenScenario(seed)
+		p, err := backendtest.BuildProgram(sc, backendtest.Env())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -76,7 +77,7 @@ func TestConformanceClassCoverage(t *testing.T) {
 // TestScenarioDeterminism: same seed, same scenario — the property that
 // makes every conformance failure reproducible from its seed.
 func TestScenarioDeterminism(t *testing.T) {
-	a, b := backend.GenScenario(7), backend.GenScenario(7)
+	a, b := backendtest.GenScenario(7), backendtest.GenScenario(7)
 	if a.Spec != b.Spec || len(a.Tuples) != len(b.Tuples) {
 		t.Fatalf("seed 7 scenarios differ: %+v vs %+v", a.Spec, b.Spec)
 	}
@@ -94,13 +95,13 @@ func TestScenarioDeterminism(t *testing.T) {
 // out of capability, and both EstimateCost and Configure must say so
 // with ErrUnsupported.
 func TestShardedRejectsLRMF(t *testing.T) {
-	env := backend.ConformanceEnv()
-	sc := backend.GenScenario(15) // lrmf
-	p, err := backend.BuildProgram(sc, env)
+	env := backendtest.Env()
+	sc := backendtest.GenScenario(15) // lrmf
+	p, err := backendtest.BuildProgram(sc, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := backend.JobFor(sc, p)
+	job := backendtest.JobFor(sc, p)
 	if job.Class != backend.ClassLRMF {
 		t.Fatalf("seed 15 classified as %s, want lrmf", job.Class)
 	}
@@ -118,9 +119,9 @@ func TestShardedRejectsLRMF(t *testing.T) {
 // materialized rows or a page-order batch stream — fails typed and
 // leaves the model as it was, bit for bit.
 func TestFloat64BackendsRefuseFloat32Streams(t *testing.T) {
-	env := backend.ConformanceEnv()
-	sc := backend.GenScenario(3) // linear: both backends run it
-	p, err := backend.BuildProgram(sc, env)
+	env := backendtest.Env()
+	sc := backendtest.GenScenario(3) // linear: both backends run it
+	p, err := backendtest.BuildProgram(sc, env)
 	if err != nil {
 		t.Fatal(err)
 	}

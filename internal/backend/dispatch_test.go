@@ -10,27 +10,31 @@ package backend_test
 
 import (
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dana/internal/backend"
+	"dana/internal/backend/backendtest"
 	"dana/internal/cost"
 	"dana/internal/hwgen"
 )
 
 func newTestDispatcher() (*backend.Dispatcher, backend.Env) {
-	env := backend.ConformanceEnv()
+	env := backendtest.Env()
 	return backend.NewDispatcher(env, allRegistrations()...), env
 }
 
 // jobForSeed builds the dispatch job for one scenario seed.
 func jobForSeed(t *testing.T, seed int64, env backend.Env) backend.Job {
 	t.Helper()
-	sc := backend.GenScenario(seed)
-	p, err := backend.BuildProgram(sc, env)
+	sc := backendtest.GenScenario(seed)
+	p, err := backendtest.BuildProgram(sc, env)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	return backend.JobFor(sc, p)
+	return backendtest.JobFor(sc, p)
 }
 
 // scaled grows the job by a tuple factor, keeping pages and bytes
@@ -132,7 +136,7 @@ func TestDispatcherCostConsistency(t *testing.T) {
 // dispatcher rebuilds with shuffled registration order (NewDispatcher
 // sorts by name).
 func TestDispatcherDeterministic(t *testing.T) {
-	env := backend.ConformanceEnv()
+	env := backendtest.Env()
 	regs := allRegistrations()
 	reversed := make([]backend.Registration, len(regs))
 	for i, r := range regs {
@@ -236,7 +240,7 @@ func fakeReg(name string, sec float64, fallback bool) backend.Registration {
 // TestDispatcherTieBreak: equal modeled cost resolves by name order, so
 // selection never depends on registration order or map iteration.
 func TestDispatcherTieBreak(t *testing.T) {
-	env := backend.ConformanceEnv()
+	env := backendtest.Env()
 	disp := backend.NewDispatcher(env,
 		fakeReg("zeta", 1.0, false),
 		fakeReg("alpha", 1.0, false),
@@ -298,8 +302,104 @@ func TestDispatcherFailover(t *testing.T) {
 func mustCaps(disp *backend.Dispatcher, name string) backend.Capabilities {
 	for _, reg := range disp.Registrations() {
 		if reg.Name == name {
-			return reg.New(backend.ConformanceEnv()).Capabilities()
+			return reg.New(backendtest.Env()).Capabilities()
 		}
 	}
 	panic("unregistered backend " + name)
+}
+
+// counted wraps each registration's factory so that every backend it
+// builds is counted in builds.
+func counted(builds *atomic.Int64, regs ...backend.Registration) []backend.Registration {
+	out := make([]backend.Registration, len(regs))
+	for i, reg := range regs {
+		out[i] = backend.Registration{Name: reg.Name, New: func(env backend.Env) backend.Backend {
+			builds.Add(1)
+			return reg.New(env)
+		}}
+	}
+	return out
+}
+
+// TestDispatcherBuildsOnlyWhatItReturns: NewDispatcher builds one dark
+// instance per registration, once; after that Pick, New and Failover
+// build exactly the backend they hand out, Resolve and EstimateCost
+// build nothing, and pricing on a dark instance equals pricing on the
+// backend Pick builds.
+func TestDispatcherBuildsOnlyWhatItReturns(t *testing.T) {
+	var builds atomic.Int64
+	env := backendtest.Env()
+	regs := allRegistrations()
+	disp := backend.NewDispatcher(env, counted(&builds, regs...)...)
+	if got := builds.Load(); got != int64(len(regs)) {
+		t.Fatalf("NewDispatcher built %d backends for %d registrations", got, len(regs))
+	}
+	job := jobForSeed(t, 3, env)
+	for _, c := range []struct {
+		what  string
+		call  func() error
+		build int64
+	}{
+		{"Pick", func() error { _, _, _, err := disp.Pick(job); return err }, 1},
+		{"New", func() error { _, _, err := disp.New(backend.NameTabla, job); return err }, 1},
+		{"Failover", func() error { _, _, err := disp.Failover(job, backend.NameAccelerator); return err }, 1},
+		{"Resolve(\"\")", func() error { _, _, err := disp.Resolve("", job); return err }, 0},
+		{"Resolve(auto)", func() error { _, _, err := disp.Resolve(backend.NameAuto, job); return err }, 0},
+		{"EstimateCost", func() error { _, err := disp.EstimateCost(backend.NameSharded, job); return err }, 0},
+	} {
+		before := builds.Load()
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.what, err)
+		}
+		if got := builds.Load() - before; got != c.build {
+			t.Errorf("%s built %d backends, want %d", c.what, got, c.build)
+		}
+	}
+	be, reg, c, err := disp.Pick(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live, err := be.EstimateCost(job); err != nil || live.Seconds != c.Seconds {
+		t.Errorf("%s prices the job at %v (%v) built, %v dark", reg.Name, live.Seconds, err, c.Seconds)
+	}
+}
+
+// TestDispatcherConcurrentPricing: the dark instances are shared by
+// every caller, so concurrent Pick and EstimateCost on one dispatcher
+// must be race-free (run under -race) and agree with a serial run.
+func TestDispatcherConcurrentPricing(t *testing.T) {
+	disp, env := newTestDispatcher()
+	job := jobForSeed(t, 1, env)
+	_, want, wantCost, err := disp.Pick(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if _, reg, c, err := disp.Pick(job); err != nil || reg.Name != want.Name || c.Seconds != wantCost.Seconds {
+					errs <- fmt.Errorf("concurrent Pick chose %s at %v (%v), serial %s at %v", reg.Name, c.Seconds, err, want.Name, wantCost.Seconds)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if c, err := disp.EstimateCost(want.Name, job); err != nil || c.Seconds != wantCost.Seconds {
+					errs <- fmt.Errorf("concurrent EstimateCost read %v (%v), serial %v", c.Seconds, err, wantCost.Seconds)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dana/internal/backend"
+	"dana/internal/backend/backendtest"
 	"dana/internal/engine"
 )
 
@@ -99,13 +100,13 @@ func addStats(a, b engine.Stats) engine.Stats {
 
 // metaScenario is the fixed scenario the mutants run on: seed 3 is a
 // small linear job every backend supports.
-func metaScenario() backend.Scenario { return backend.GenScenario(3) }
+func metaScenario() backendtest.Scenario { return backendtest.GenScenario(3) }
 
 // runMutant asserts the mutated registration fails conformance with the
 // expected check — and only that check.
 func runMutant(t *testing.T, reg backend.Registration, wantCheck string) {
 	t.Helper()
-	vs := backend.Check(reg, backend.ConformanceEnv(), metaScenario())
+	vs := backendtest.Check(reg, backendtest.Env(), metaScenario())
 	if len(vs) == 0 {
 		t.Fatalf("mutant passed conformance: check %q cannot fail", wantCheck)
 	}
@@ -132,7 +133,7 @@ func cpuMutant(mutate func(*wrapper)) backend.Registration {
 // conformant, so mutant failures are attributable to the planted defect.
 func TestMetaWrapperTransparent(t *testing.T) {
 	reg := cpuMutant(func(w *wrapper) {})
-	if vs := backend.Check(reg, backend.ConformanceEnv(), metaScenario()); len(vs) > 0 {
+	if vs := backendtest.Check(reg, backendtest.Env(), metaScenario()); len(vs) > 0 {
 		t.Fatalf("transparent wrapper fails conformance: %v", vs)
 	}
 }
@@ -143,7 +144,7 @@ func TestMetaCapabilitiesCheckFires(t *testing.T) {
 			c.Name = "impostor" // lies about its identity
 			return c
 		}
-	}), backend.CheckCapabilities)
+	}), backendtest.CheckCapabilities)
 }
 
 func TestMetaUnsupportedCheckFires(t *testing.T) {
@@ -154,7 +155,7 @@ func TestMetaUnsupportedCheckFires(t *testing.T) {
 			}
 			return c, err
 		}
-	}), backend.CheckUnsupported)
+	}), backendtest.CheckUnsupported)
 }
 
 func TestMetaNotConfiguredCheckFires(t *testing.T) {
@@ -165,7 +166,7 @@ func TestMetaNotConfiguredCheckFires(t *testing.T) {
 			}
 			return err
 		}
-	}), backend.CheckNotConfigured)
+	}), backendtest.CheckNotConfigured)
 }
 
 func TestMetaTrainCheckFires(t *testing.T) {
@@ -175,7 +176,7 @@ func TestMetaTrainCheckFires(t *testing.T) {
 			mm[0] += 1 // trains to the wrong model
 			return mm
 		}
-	}), backend.CheckTrain)
+	}), backendtest.CheckTrain)
 }
 
 // TestMetaDeterminismCheckFires wraps the accelerator (the backend that
@@ -191,7 +192,7 @@ func TestMetaDeterminismCheckFires(t *testing.T) {
 			return &wrapper{inner: backend.NewAccel(env), countersDelta: instances}
 		},
 	}
-	runMutant(t, reg, backend.CheckDeterminism)
+	runMutant(t, reg, backendtest.CheckDeterminism)
 }
 
 // TestMetaModeledTimeCheckFires plants both defects the modeled-seconds
@@ -201,7 +202,7 @@ func TestMetaDeterminismCheckFires(t *testing.T) {
 func TestMetaModeledTimeCheckFires(t *testing.T) {
 	runMutant(t, cpuMutant(func(w *wrapper) {
 		w.secondsDelta = 1e-9 // no longer EstimateCost(job).Seconds exactly
-	}), backend.CheckModeledTime)
+	}), backendtest.CheckModeledTime)
 
 	instances := 0.0
 	runMutant(t, backend.Registration{
@@ -210,7 +211,7 @@ func TestMetaModeledTimeCheckFires(t *testing.T) {
 			instances++
 			return &wrapper{inner: backend.NewAccel(env), secondsDelta: instances}
 		},
-	}, backend.CheckModeledTime)
+	}, backendtest.CheckModeledTime)
 }
 
 // TestMetaReconfigureCheckFires plants, one at a time, what an
@@ -251,7 +252,7 @@ func TestMetaReconfigureCheckFires(t *testing.T) {
 				New: func(env backend.Env) backend.Backend {
 					return &wrapper{inner: backend.NewAccel(env), reconfigure: c.reconfigure}
 				},
-			}, backend.CheckReconfigure)
+			}, backendtest.CheckReconfigure)
 		})
 	}
 }

@@ -34,18 +34,12 @@ func (e Env) obs() *obs.Registry {
 // Factory builds one backend instance for an environment.
 type Factory func(env Env) Backend
 
-// Registration ties a dispatch name to a backend factory and, for the
-// conformance suite, to the reference semantics the backend promises to
-// match. The root TestEveryBackendIsRegistered requires every Backend
-// implementation to be built by such a registration.
+// Registration ties a dispatch name to a backend factory. The root
+// TestEveryBackendIsRegistered requires every Backend implementation to
+// be built by such a registration.
 type Registration struct {
 	Name string
 	New  Factory
-	// Reference computes the expected model for a conformance scenario
-	// under this backend's declared semantics (env carries knobs the
-	// semantics depend on, e.g. the Sharded segment count); nil means the
-	// golden trainer (plain/merged IGD per the scenario spec).
-	Reference func(env Env, sc Scenario) ([]float64, error)
 }
 
 // Builtins returns the registrations of the backends this package
@@ -58,7 +52,7 @@ func Builtins() []Registration {
 		{Name: NameAccelerator, New: func(env Env) Backend { return NewAccel(env) }},
 		{Name: NameTabla, New: func(env Env) Backend { return NewTabla(env) }},
 		{Name: NameCPU, New: func(env Env) Backend { return NewCPU(env) }},
-		{Name: NameWeave, New: func(env Env) Backend { return NewWeaveAccel(env) }, Reference: WeaveReference},
+		{Name: NameWeave, New: func(env Env) Backend { return NewWeaveAccel(env) }},
 	}
 }
 
@@ -74,18 +68,26 @@ const (
 )
 
 // Dispatcher holds the registered backends and implements the
-// heterogeneous selection policy.
+// heterogeneous selection policy. It answers what a registration can
+// run and what it would cost from one dark instance per registration —
+// built once, with observation off, and never configured — so it builds
+// only the backend it hands out.
 type Dispatcher struct {
 	env  Env
 	regs []Registration
+	dark []Backend // dark[i] is regs[i].New in env with Obs: obs.Noop
 }
 
 // NewDispatcher snapshots the registrations (sorted by name, so every
-// iteration order below is deterministic). Duplicate or anonymous
-// registrations are programmer errors and panic.
+// iteration order below is deterministic) and builds their dark
+// instances. Duplicate or anonymous registrations are programmer errors
+// and panic.
 func NewDispatcher(env Env, regs ...Registration) *Dispatcher {
 	sorted := append([]Registration(nil), regs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+	darkEnv := env
+	darkEnv.Obs = obs.Noop
+	dark := make([]Backend, len(sorted))
 	for i, r := range sorted {
 		if r.Name == "" || r.New == nil {
 			panic("backend: registration without name or factory")
@@ -93,8 +95,9 @@ func NewDispatcher(env Env, regs ...Registration) *Dispatcher {
 		if i > 0 && sorted[i-1].Name == r.Name {
 			panic("backend: duplicate registration " + r.Name)
 		}
+		dark[i] = r.New(darkEnv)
 	}
-	return &Dispatcher{env: env, regs: sorted}
+	return &Dispatcher{env: env, regs: sorted, dark: dark}
 }
 
 // Names lists the registered backend names in sorted order.
@@ -106,28 +109,35 @@ func (d *Dispatcher) Names() []string {
 	return out
 }
 
-// DarkEnv returns the environment the dispatcher builds backends in,
-// with observation off (Obs: obs.Noop): for pricing every candidate as
-// Resolve would build it, without a throw-away backend charging a
-// counter.
-func (d *Dispatcher) DarkEnv() Env {
-	env := d.env
-	env.Obs = obs.Noop
-	return env
-}
-
 // Registrations returns the registration snapshot (sorted by name).
 func (d *Dispatcher) Registrations() []Registration {
 	return append([]Registration(nil), d.regs...)
 }
 
-func (d *Dispatcher) lookup(name string) (Registration, bool) {
-	for _, r := range d.regs {
+// lookup returns the index of the named registration, or -1.
+func (d *Dispatcher) lookup(name string) int {
+	for i, r := range d.regs {
 		if r.Name == name {
-			return r, true
+			return i
 		}
 	}
-	return Registration{}, false
+	return -1
+}
+
+// Build instantiates a registration in the dispatcher's environment: the
+// one backend a Resolve that found no kept one trains on.
+func (d *Dispatcher) Build(reg Registration) Backend { return reg.New(d.env) }
+
+// EstimateCost prices the job on the named registration's dark instance.
+// A backend's estimate reads only the job and its environment's cost
+// parameters, so it is the price the instance Build makes would quote.
+// Unknown names fail with ErrUnknownBackend.
+func (d *Dispatcher) EstimateCost(name string, job Job) (Cost, error) {
+	i := d.lookup(name)
+	if i < 0 {
+		return Cost{}, fmt.Errorf("%w: %q (have %v)", ErrUnknownBackend, name, d.Names())
+	}
+	return d.dark[i].EstimateCost(job)
 }
 
 // admissible reports whether the backend's capabilities cover the job's
@@ -154,32 +164,36 @@ func admissible(caps Capabilities, job Job) bool {
 // path). Unknown names fail with ErrUnknownBackend; a backend whose
 // capabilities don't cover the job fails with ErrUnsupported.
 func (d *Dispatcher) New(name string, job Job) (Backend, Registration, error) {
-	be, reg, _, err := d.named(name, job, false)
-	return be, reg, err
+	i, _, err := d.named(name, job, false)
+	if err != nil {
+		return nil, Registration{}, err
+	}
+	return d.Build(d.regs[i]), d.regs[i], nil
 }
 
-// named is New, optionally widening a job that requests no read
-// precision to the named backend's whole window (a no-op for full-width
-// backends, whose MaxBits is 0).
-func (d *Dispatcher) named(name string, job Job, widen bool) (Backend, Registration, Job, error) {
-	reg, ok := d.lookup(name)
-	if !ok {
-		return nil, Registration{}, job, fmt.Errorf("%w: %q (have %v)", ErrUnknownBackend, name, d.Names())
+// named is New's choice, without the build, optionally widening a job
+// that requests no read precision to the named backend's whole window (a
+// no-op for full-width backends, whose MaxBits is 0).
+func (d *Dispatcher) named(name string, job Job, widen bool) (int, Job, error) {
+	i := d.lookup(name)
+	if i < 0 {
+		return -1, job, fmt.Errorf("%w: %q (have %v)", ErrUnknownBackend, name, d.Names())
 	}
-	be := reg.New(d.env)
-	caps := be.Capabilities()
+	caps := d.dark[i].Capabilities()
 	if widen && job.Bits == 0 {
 		job.Bits = caps.MaxBits
 	}
 	if !admissible(caps, job) {
-		return nil, Registration{}, job, fmt.Errorf("%w: backend %q cannot run class=%s bits=%d jobs",
+		return -1, job, fmt.Errorf("%w: backend %q cannot run class=%s bits=%d jobs",
 			ErrUnsupported, name, job.Class, job.Bits)
 	}
-	return be, reg, job, nil
+	return i, job, nil
 }
 
-// Resolve maps the integration layer's backend override to the backend
-// that trains the job, and the job as that backend will run it:
+// Resolve maps the integration layer's backend override to the
+// registration that trains the job, and the job as that backend will run
+// it; it builds nothing (Build does, when the caller keeps no backend of
+// the registration):
 //
 //   - "" is the paper path: the Streaming backend whose read window
 //     admits the job — the full-width pipeline for Bits 0, the
@@ -189,22 +203,28 @@ func (d *Dispatcher) named(name string, job Job, widen bool) (Backend, Registrat
 //   - any other name is an explicit override (New), except that naming
 //     a windowed backend without a reduced precision reads its whole
 //     window — full-width values through the vertical layout.
-func (d *Dispatcher) Resolve(name string, job Job) (Backend, Registration, Job, error) {
+func (d *Dispatcher) Resolve(name string, job Job) (Registration, Job, error) {
 	switch name {
 	case "":
-		for _, reg := range d.regs {
-			be := reg.New(d.env)
+		for i, be := range d.dark {
 			if caps := be.Capabilities(); caps.Streaming && admissible(caps, job) {
-				return be, reg, job, nil
+				return d.regs[i], job, nil
 			}
 		}
-		return nil, Registration{}, job, fmt.Errorf("%w: no streaming backend for class=%s bits=%d",
+		return Registration{}, job, fmt.Errorf("%w: no streaming backend for class=%s bits=%d",
 			ErrUnsupported, job.Class, job.Bits)
 	case NameAuto:
-		be, reg, _, err := d.Pick(job)
-		return be, reg, job, err
+		i, _, ok := d.cheapest(job, nil)
+		if !ok {
+			return Registration{}, job, errNoBackend(job)
+		}
+		return d.regs[i], job, nil
 	}
-	return d.named(name, job, true)
+	i, job, err := d.named(name, job, true)
+	if err != nil {
+		return Registration{}, job, err
+	}
+	return d.regs[i], job, nil
 }
 
 // Pick is the heterogeneous dispatch policy, documented and
@@ -218,23 +238,27 @@ func (d *Dispatcher) Resolve(name string, job Job) (Backend, Registration, Job, 
 //     accelerated paths);
 //  3. choose — minimum modeled seconds, ties broken by name order.
 //
-// No admissible backend is ErrUnsupported.
+// It builds the chosen backend only. No admissible backend is
+// ErrUnsupported.
 func (d *Dispatcher) Pick(job Job) (Backend, Registration, Cost, error) {
-	be, reg, c, ok := d.cheapest(job, nil)
+	i, c, ok := d.cheapest(job, nil)
 	if !ok {
-		return nil, Registration{}, Cost{}, fmt.Errorf("%w: no backend for class=%s", ErrUnsupported, job.Class)
+		return nil, Registration{}, Cost{}, errNoBackend(job)
 	}
-	return be, reg, c, nil
+	return d.Build(d.regs[i]), d.regs[i], c, nil
 }
 
-// cheapest prices the job on every admissible registration that passes
-// keep (nil keeps all) and returns the minimum by modeled seconds, ties
-// by name order.
-func (d *Dispatcher) cheapest(job Job, keep func(Registration, Capabilities) bool) (best Backend, bestReg Registration, bestCost Cost, found bool) {
-	for _, reg := range d.regs {
-		be := reg.New(d.env)
+func errNoBackend(job Job) error {
+	return fmt.Errorf("%w: no backend for class=%s", ErrUnsupported, job.Class)
+}
+
+// cheapest prices the job on the dark instance of every admissible
+// registration that passes keep (nil keeps all) and returns the index of
+// the minimum by modeled seconds, ties by name order.
+func (d *Dispatcher) cheapest(job Job, keep func(Registration, Capabilities) bool) (best int, bestCost Cost, found bool) {
+	for i, be := range d.dark {
 		caps := be.Capabilities()
-		if (keep != nil && !keep(reg, caps)) || !admissible(caps, job) {
+		if (keep != nil && !keep(d.regs[i], caps)) || !admissible(caps, job) {
 			continue
 		}
 		c, err := be.EstimateCost(job)
@@ -242,23 +266,23 @@ func (d *Dispatcher) cheapest(job Job, keep func(Registration, Capabilities) boo
 			continue
 		}
 		if !found || c.Seconds < bestCost.Seconds {
-			best, bestReg, bestCost, found = be, reg, c, true
+			best, bestCost, found = i, c, true
 		}
 	}
-	return best, bestReg, bestCost, found
+	return best, bestCost, found
 }
 
 // Failover selects the degradation target after backend `failed`
 // faulted: among backends declaring Capabilities.Fallback (accelerator-
 // independent, reference precision) and admissible for the job, the
 // cheapest by modeled cost, ties by name. The failed backend is
-// excluded even if it declares Fallback.
+// excluded even if it declares Fallback. It builds the target only.
 func (d *Dispatcher) Failover(job Job, failed string) (Backend, Registration, error) {
-	be, reg, _, ok := d.cheapest(job, func(reg Registration, caps Capabilities) bool {
+	i, _, ok := d.cheapest(job, func(reg Registration, caps Capabilities) bool {
 		return reg.Name != failed && caps.Fallback
 	})
 	if !ok {
 		return nil, Registration{}, fmt.Errorf("%w: after %q faulted on class=%s", ErrNoFailover, failed, job.Class)
 	}
-	return be, reg, nil
+	return d.Build(d.regs[i]), d.regs[i], nil
 }

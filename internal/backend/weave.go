@@ -20,8 +20,8 @@ import (
 // window only switches Accel's requantisation stage on.
 //
 // Reference semantics: the golden float64 trainer over the *rewoven*
-// tuples (weaving.ReweaveRows is shared between RunEpoch and
-// WeaveReference), so the declared ModelTolerance covers only the
+// tuples (backendtest.WeaveReference reweaves them through the same
+// weaving.ReweaveRows), so the declared ModelTolerance covers only the
 // float32-datapath divergence, at every precision — quantization error
 // lives in the reference, not the tolerance.
 func NewWeaveAccel(env Env) *Accel {
@@ -86,9 +86,10 @@ type weaveStage struct {
 	ranges []storage.WeaveRange
 	rw     *weaving.Reweaver
 
-	// Read-only observability: weaves done, decode passes done (one per
-	// weave), and the bytes of decoded rows published into lent holders.
-	builds, decodes, heldBytes *obs.Counter
+	// Read-only observability: weaves done (each ends in the one decode
+	// pass that fills its rows), and the bytes of decoded rows published
+	// into lent holders.
+	builds, heldBytes *obs.Counter
 }
 
 func newWeaveStage(caps Capabilities, p Program) (weaveStage, error) {
@@ -107,7 +108,6 @@ func newWeaveStage(caps Capabilities, p Program) (weaveStage, error) {
 // SetObs resolves the stage's counters.
 func (ws *weaveStage) SetObs(r *obs.Registry) {
 	ws.builds = r.Counter(obs.WeaveBuilds)
-	ws.decodes = r.Counter(obs.WeaveDecodes)
 	ws.heldBytes = r.Counter(obs.WeaveHeldBytes)
 }
 
@@ -140,31 +140,9 @@ func (ws *weaveStage) requantise(rows [][]float32, held *Held) ([][]float32, err
 		return nil, err
 	}
 	ws.builds.Inc()
-	ws.decodes.Inc()
 	if held != nil {
 		ws.heldBytes.Add(int64(wv.Bytes()))
 	}
 	ws.ranges = wv.Ranges()
 	return wv.Rows(), nil
-}
-
-// WeaveReference is the weave registration's declared reference
-// semantics: the golden float64 trainer over the scenario's tuples
-// rewoven at the scenario's precision — the same ReweaveRows call
-// RunEpoch makes, so backend and reference see identical feature
-// values and only datapath width separates them.
-func WeaveReference(env Env, sc Scenario) ([]float64, error) {
-	rewoven, _, err := weaving.ReweaveRows(sc.Rows32, nil, jobBits(sc.Bits), 0)
-	if err != nil {
-		return nil, err
-	}
-	tuples := make([][]float64, len(rewoven))
-	for i, r := range rewoven {
-		tuples[i] = widen64(r)
-	}
-	model := append([]float64(nil), sc.Init...)
-	if err := sc.Spec.Train(model, tuples); err != nil {
-		return nil, err
-	}
-	return model, nil
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dana/internal/backend"
+	"dana/internal/backend/backendtest"
 	"dana/internal/cost"
 	"dana/internal/engine"
 	"dana/internal/ml"
@@ -41,7 +42,7 @@ func weaveRegistration(t *testing.T) backend.Registration {
 // an exact multiple of 2⁻²⁴ survive quantize→dequantize bit-for-bit at
 // k=32, so the rewoven epoch is byte-identical to the float epoch.
 // Labels are untouched (they are never quantized).
-func snapToGrid(sc *backend.Scenario, nfeat int) {
+func snapToGrid(sc *backendtest.Scenario, nfeat int) {
 	snap := func(v float64) float64 {
 		n := math.Round((v + 1) * (1 << 23))
 		if n < 0 {
@@ -74,12 +75,12 @@ func gridRanges(nfeat int) []storage.WeaveRange {
 // delivery forms, scoring — at every rung of the precision ladder.
 func TestWeaveConformanceAcrossPrecisions(t *testing.T) {
 	reg := weaveRegistration(t)
-	env := backend.ConformanceEnv()
+	env := backendtest.Env()
 	for _, seed := range []int64{1, 2, 3} { // logistic, svm, linear
-		sc := backend.GenScenario(seed)
+		sc := backendtest.GenScenario(seed)
 		for _, bits := range sweepBits {
 			sc.Bits = bits
-			if vs := backend.Check(reg, env, sc); len(vs) > 0 {
+			if vs := backendtest.Check(reg, env, sc); len(vs) > 0 {
 				for _, v := range vs {
 					t.Errorf("seed %d (%s) bits=%d: %s", seed, sc.Spec.Kind, bits, v)
 				}
@@ -93,14 +94,14 @@ func TestWeaveConformanceAcrossPrecisions(t *testing.T) {
 // the dispatch surface and the storage layer refuse, each with its own
 // sentinel.
 func TestWeaveRejectsLRMF(t *testing.T) {
-	env := backend.ConformanceEnv()
-	sc := backend.GenScenario(15) // lrmf
+	env := backendtest.Env()
+	sc := backendtest.GenScenario(15) // lrmf
 	sc.Bits = 8
-	p, err := backend.BuildProgram(sc, env)
+	p, err := backendtest.BuildProgram(sc, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := backend.JobFor(sc, p)
+	job := backendtest.JobFor(sc, p)
 	if job.Class != backend.ClassLRMF {
 		t.Fatalf("seed 15 classified as %s, want lrmf", job.Class)
 	}
@@ -124,10 +125,10 @@ func TestWeaveRejectsLRMF(t *testing.T) {
 // identity `danabench -exp precision` re-verifies on its committed
 // seed.
 func TestWeaveFullWidthMatchesAccelerator(t *testing.T) {
-	env := backend.ConformanceEnv()
+	env := backendtest.Env()
 	for _, seed := range []int64{1, 2, 3} {
-		sc := backend.GenScenario(seed)
-		p, err := backend.BuildProgram(sc, env)
+		sc := backendtest.GenScenario(seed)
+		p, err := backendtest.BuildProgram(sc, env)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,15 +177,15 @@ func TestWeaveFullWidthMatchesAccelerator(t *testing.T) {
 // floor) and a few more epochs, exactly the tradeoff the paper's
 // figure sweeps.
 func TestWeavePrecisionSweepConvergence(t *testing.T) {
-	env := backend.ConformanceEnv()
+	env := backendtest.Env()
 	for _, seed := range []int64{1, 2} { // logistic (LR), svm
-		sc := backend.GenScenario(seed)
-		p, err := backend.BuildProgram(sc, env)
+		sc := backendtest.GenScenario(seed)
+		p, err := backendtest.BuildProgram(sc, env)
 		if err != nil {
 			t.Fatal(err)
 		}
 		algo := sc.Spec.Algorithm()
-		golden, err := backend.GoldenReference(sc)
+		golden, err := backendtest.GoldenReference(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,13 +245,13 @@ func weaveLossMargin(bits int) float64 {
 // effective bytes — the same float64 expression, not a tolerance — and
 // the byte counts themselves scale exactly linearly in k.
 func TestWeaveTransferBytesExact(t *testing.T) {
-	env := backend.ConformanceEnv()
-	sc := backend.GenScenario(1)
-	p, err := backend.BuildProgram(sc, env)
+	env := backendtest.Env()
+	sc := backendtest.GenScenario(1)
+	p, err := backendtest.BuildProgram(sc, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := backend.JobFor(sc, p)
+	job := backendtest.JobFor(sc, p)
 	job.Epochs = 1 // per-epoch identity
 	nfeat := job.Columns - 1
 	g := weaving.RelationGeometry(job.Tuples, nfeat, job.PageSize)
@@ -305,9 +306,9 @@ func indexOf(xs []int, x int) int {
 // requantises as before (rebuilding what it needs) and lands on the
 // bits of a twin that was never closed, in both stream forms.
 func TestWeaveCloseDropsOnlyBuffers(t *testing.T) {
-	env := backend.ConformanceEnv()
-	sc := backend.GenScenario(4)
-	p, err := backend.BuildProgram(sc, env)
+	env := backendtest.Env()
+	sc := backendtest.GenScenario(4)
+	p, err := backendtest.BuildProgram(sc, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +353,7 @@ var heldBits = []int{1, 2, 4, 8, 16, 31, 32}
 
 // countingEnv is the conformance environment with live counters.
 func countingEnv() (backend.Env, *obs.Registry) {
-	env := backend.ConformanceEnv()
+	env := backendtest.Env()
 	env.Obs = obs.New()
 	return env, env.Obs
 }
@@ -383,25 +384,25 @@ func requireSameRun(t *testing.T, what string, job backend.Job, got, want *backe
 }
 
 // TestWeaveHeldEqualsPerEpochReweave: with a holder lent, the first
-// backend weaves once and decodes once, a second one on the same holder
+// backend weaves (and decodes) once, a second one on the same holder
 // does neither, and both land on the bits of the accelerator machine fed
 // weaving.ReweaveRows' output epoch by epoch — at every precision, with
 // derived and with pinned ranges.
 func TestWeaveHeldEqualsPerEpochReweave(t *testing.T) {
 	for _, seed := range []int64{1, 3} { // logistic, linear
-		sc := backend.GenScenario(seed)
+		sc := backendtest.GenScenario(seed)
 		nfeat := sc.Spec.TupleWidth() - 1
 		for _, bits := range heldBits {
 			for _, ranges := range [][]storage.WeaveRange{nil, gridRanges(nfeat)} {
 				env, reg := countingEnv()
-				p, err := backend.BuildProgram(sc, env)
+				p, err := backendtest.BuildProgram(sc, env)
 				if err != nil {
 					t.Fatal(err)
 				}
-				job := backend.JobFor(sc, p)
+				job := backendtest.JobFor(sc, p)
 				job.Bits = bits
 
-				ref := backend.NewAccel(backend.ConformanceEnv())
+				ref := backend.NewAccel(backendtest.Env())
 				if err := ref.Configure(p); err != nil {
 					t.Fatal(err)
 				}
@@ -418,7 +419,7 @@ func TestWeaveHeldEqualsPerEpochReweave(t *testing.T) {
 				pw := p
 				pw.Bits, pw.Ranges = bits, ranges
 				var held backend.Held
-				for i, want := range []struct{ builds, decodes int64 }{{1, 1}, {1, 1}} {
+				for i := range 2 {
 					be := backend.NewWeaveAccel(env)
 					if err := be.Configure(pw); err != nil {
 						t.Fatal(err)
@@ -430,8 +431,8 @@ func TestWeaveHeldEqualsPerEpochReweave(t *testing.T) {
 					}
 					what := fmt.Sprintf("seed %d bits %d pinned=%v backend %d", seed, bits, ranges != nil, i)
 					requireSameRun(t, what, job, be, ref)
-					if b, d := reg.Get(obs.WeaveBuilds), reg.Get(obs.WeaveDecodes); b != want.builds || d != want.decodes {
-						t.Errorf("%s: %d builds, %d decodes after %d epochs, want %d and %d", what, b, d, sc.Spec.Epochs, want.builds, want.decodes)
+					if b := reg.Get(obs.WeaveBuilds); b != 1 {
+						t.Errorf("%s: %d builds after %d epochs, want 1", what, b, sc.Spec.Epochs)
 					}
 					be.Close()
 				}
@@ -447,14 +448,14 @@ func TestWeaveHeldEqualsPerEpochReweave(t *testing.T) {
 // backend at another precision, or with other pinned ranges, rebuilds it
 // and still trains to its own reference; going back rebuilds again.
 func TestWeaveHolderReplacedByOtherRequest(t *testing.T) {
-	sc := backend.GenScenario(1)
+	sc := backendtest.GenScenario(1)
 	nfeat := sc.Spec.TupleWidth() - 1
 	env, reg := countingEnv()
-	p, err := backend.BuildProgram(sc, env)
+	p, err := backendtest.BuildProgram(sc, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := backend.JobFor(sc, p)
+	job := backendtest.JobFor(sc, p)
 	var held backend.Held
 	for i, tc := range []struct {
 		bits   int
@@ -465,7 +466,7 @@ func TestWeaveHolderReplacedByOtherRequest(t *testing.T) {
 	} {
 		pw := p
 		pw.Bits, pw.Ranges = tc.bits, tc.ranges
-		be, ref := backend.NewWeaveAccel(env), backend.NewWeaveAccel(backend.ConformanceEnv())
+		be, ref := backend.NewWeaveAccel(env), backend.NewWeaveAccel(backendtest.Env())
 		for _, b := range []*backend.Accel{be, ref} {
 			if err := b.Configure(pw); err != nil {
 				t.Fatal(err)
@@ -489,21 +490,21 @@ func TestWeaveHolderReplacedByOtherRequest(t *testing.T) {
 
 // TestWeaveStageDropsDecodedRows: the decoded rows are the holder's, not
 // the stage's. Close drops only the stage's reweaver — the next epoch
-// under the same holder takes the held rows without decoding again, and
-// the count holds only decodes that ran — and a second Configure at
+// under the same holder takes the held rows without weaving again, and
+// the count holds only weaves that ran — and a second Configure at
 // another precision is never handed the rows decoded at the first; both
 // land on an untouched twin's bits.
 func TestWeaveStageDropsDecodedRows(t *testing.T) {
-	sc := backend.GenScenario(4)
+	sc := backendtest.GenScenario(4)
 	env, reg := countingEnv()
-	p, err := backend.BuildProgram(sc, env)
+	p, err := backendtest.BuildProgram(sc, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Bits = 8
-	job := backend.JobFor(sc, p)
+	job := backendtest.JobFor(sc, p)
 	var held, twinHeld backend.Held
-	be, twin := backend.NewWeaveAccel(env), backend.NewWeaveAccel(backend.ConformanceEnv())
+	be, twin := backend.NewWeaveAccel(env), backend.NewWeaveAccel(backendtest.Env())
 	epoch := func(b *backend.Accel, h *backend.Held) {
 		t.Helper()
 		if err := b.RunEpoch(&backend.Stream{Rows32: sc.Rows32, Held: h}); err != nil {
@@ -523,8 +524,8 @@ func TestWeaveStageDropsDecodedRows(t *testing.T) {
 		epoch(twin, &twinHeld)
 	}
 	requireSameRun(t, "Close between epochs", job, be, twin)
-	if b, d := reg.Get(obs.WeaveBuilds), reg.Get(obs.WeaveDecodes); b != 1 || d != 1 {
-		t.Errorf("%d builds, %d decodes over three epochs and a Close, want 1 and 1", b, d)
+	if b := reg.Get(obs.WeaveBuilds); b != 1 {
+		t.Errorf("%d builds over three epochs and a Close, want 1", b)
 	}
 
 	// Reconfigured at another precision, the same instance under the same
@@ -546,9 +547,9 @@ func TestWeaveStageDropsDecodedRows(t *testing.T) {
 // again. An epoch that fails inside the
 // weave leaves the holder as it was.
 func TestWeaveFailedEpochReusesHolder(t *testing.T) {
-	sc := backend.GenScenario(3)
+	sc := backendtest.GenScenario(3)
 	env, reg := countingEnv()
-	p, err := backend.BuildProgram(sc, env)
+	p, err := backendtest.BuildProgram(sc, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,8 +571,8 @@ func TestWeaveFailedEpochReusesHolder(t *testing.T) {
 		if err := be.SetModel(before); err != nil { // what runEpochRecover does
 			t.Fatal(err)
 		}
-		if b, d := reg.Get(obs.WeaveBuilds), reg.Get(obs.WeaveDecodes); b != 1 || d != 1 {
-			t.Fatalf("attempt %d: %d builds, %d decodes, want 1 and 1", attempt, b, d)
+		if b := reg.Get(obs.WeaveBuilds); b != 1 {
+			t.Fatalf("attempt %d: %d builds, want 1", attempt, b)
 		}
 	}
 
@@ -600,13 +601,13 @@ func TestWeaveFailedEpochReusesHolder(t *testing.T) {
 // holder on, the weave stage hands back the holder's decoded rows and the
 // epoch is the engine's alone — nothing is allocated.
 func TestWeaveHeldEpochAllocationFree(t *testing.T) {
-	sc := backend.GenScenario(1)
-	p, err := backend.BuildProgram(sc, backend.ConformanceEnv())
+	sc := backendtest.GenScenario(1)
+	p, err := backendtest.BuildProgram(sc, backendtest.Env())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Bits = 8
-	be := backend.NewWeaveAccel(backend.ConformanceEnv())
+	be := backend.NewWeaveAccel(backendtest.Env())
 	if err := be.Configure(p); err != nil {
 		t.Fatal(err)
 	}

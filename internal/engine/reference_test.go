@@ -12,8 +12,9 @@ import (
 // merges them in a loop, really broadcasts the model, and counts cycles
 // thread by thread as it goes — none of which the plan does — so that
 // equal model bits and equal Stats after every batch say the plan's
-// fusions and closed forms changed nothing. Only tests and
-// internal/verify call it (pinned by the root TestReferenceExecutorStaysOutOfProduction).
+// fusions and closed forms changed nothing. It is a test file, so no
+// binary links it: engine's own tests call it, and package engine_test
+// holds the plan to it over Oracle C's generated programs.
 //
 // A Machine is driven by one executor for its lifetime: the plan leaves
 // elided temporaries and the other threads' model copies stale, which

@@ -21,6 +21,7 @@ import (
 	"math"
 
 	"dana/internal/backend"
+	"dana/internal/backend/backendtest"
 	"dana/internal/cost"
 	"dana/internal/ml"
 	"dana/internal/storage"
@@ -31,7 +32,7 @@ import (
 var PrecisionBits = []int{32, 16, 8, 4, 2, 1}
 
 // PrecisionSeeds are the committed scenario seeds the sweep trains
-// (a logistic-regression and an SVM workload; see backend.GenScenario).
+// (a logistic-regression and an SVM workload; see backendtest.GenScenario).
 var PrecisionSeeds = []int64{1, 2}
 
 // PrecisionRow is one (scenario, bits) sweep point.
@@ -72,7 +73,7 @@ func precisionLossMargin(bits int) float64 {
 // grid of the fixed range {Offset: -1, Scale: 2}, so a full-width weave
 // read reconstructs every value bit-for-bit and the k=32 identity leg
 // is exact, not toleranced.
-func snapScenarioToGrid(sc *backend.Scenario, nfeat int) {
+func snapScenarioToGrid(sc *backendtest.Scenario, nfeat int) {
 	snap := func(v float64) float64 {
 		n := math.Round((v + 1) * (1 << 23))
 		if n < 0 {
@@ -97,8 +98,8 @@ func PrecisionSweep(env Env) ([]PrecisionRow, error) {
 	benv := backend.Env{Cost: env.Cost, FPGA: env.FPGA, Segments: env.Segments}
 	var rows []PrecisionRow
 	for _, seed := range PrecisionSeeds {
-		sc := backend.GenScenario(seed)
-		p, err := backend.BuildProgram(sc, benv)
+		sc := backendtest.GenScenario(seed)
+		p, err := backendtest.BuildProgram(sc, benv)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +107,7 @@ func PrecisionSweep(env Env) ([]PrecisionRow, error) {
 		snapScenarioToGrid(&sc, nfeat)
 
 		algo := sc.Spec.Algorithm()
-		golden, err := backend.GoldenReference(sc)
+		golden, err := backendtest.GoldenReference(sc)
 		if err != nil {
 			return nil, err
 		}

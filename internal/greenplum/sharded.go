@@ -165,48 +165,13 @@ func segmentsOf(env backend.Env) int {
 	return env.Segments
 }
 
-// ShardedRegistration is the dispatch registration, with the averaged
-// reference semantics the conformance suite compares against: shard the
-// scenario round-robin, run each epoch as one golden epoch per segment
-// from the shared model, average the non-empty segments. The inner CPU
-// trainers are bit-identical to the golden trainer, so the comparison
-// is bit-exact.
+// ShardedRegistration is the dispatch registration. Its reference
+// semantics, which the conformance suite compares against bit for bit,
+// are backendtest's: per-segment golden epochs from the shared model,
+// averaged.
 func ShardedRegistration() backend.Registration {
 	return backend.Registration{
-		Name:      backend.NameSharded,
-		New:       func(env backend.Env) backend.Backend { return NewSharded(env) },
-		Reference: shardedReference,
+		Name: backend.NameSharded,
+		New:  func(env backend.Env) backend.Backend { return NewSharded(env) },
 	}
-}
-
-func shardedReference(env backend.Env, sc backend.Scenario) ([]float64, error) {
-	segs := segmentsOf(env)
-	shards := make([][][]float64, segs)
-	for i, t := range sc.Tuples {
-		shards[i%segs] = append(shards[i%segs], t)
-	}
-	oneEpoch := sc.Spec
-	oneEpoch.Epochs = 1
-	model := append([]float64(nil), sc.Init...)
-	epochs := sc.Spec.Epochs
-	if epochs < 1 {
-		epochs = 1
-	}
-	for e := 0; e < epochs; e++ {
-		var seen [][]float64
-		for s := range shards {
-			if len(shards[s]) == 0 {
-				continue
-			}
-			local := append([]float64(nil), model...)
-			if err := oneEpoch.Train(local, shards[s]); err != nil {
-				return nil, err
-			}
-			seen = append(seen, local)
-		}
-		if len(seen) > 0 {
-			model = ml.AverageModels(seen)
-		}
-	}
-	return model, nil
 }

@@ -92,12 +92,11 @@ const (
 	RuntimeBackendsReused = "runtime.backends_reused"
 
 	// Any-precision weave stage (internal/backend): WeaveBuilds counts
-	// row sets woven into pages, WeaveDecodes decode passes over a woven
-	// form, WeaveHeldBytes the bytes of woven form published beside a
+	// row sets woven into pages (each decoded once, in the same pass),
+	// WeaveHeldBytes the bytes of decoded rows published beside a
 	// record-cache entry. A Train that only read what an earlier one wove
-	// shows decodes and no builds.
+	// shows no builds.
 	WeaveBuilds    = "weave.builds"
-	WeaveDecodes   = "weave.decodes"
 	WeaveHeldBytes = "weave.held_bytes"
 
 	// Memory channels (internal/runtime): the modeled per-channel

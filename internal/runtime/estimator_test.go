@@ -182,10 +182,11 @@ func runGateRow(t *testing.T, r gateRow) gateRun {
 	} else if before.IOSeconds != 0 {
 		t.Fatalf("%v: the pool read %v s before the run", r, before.IOSeconds)
 	}
-	be, _, job, err := s.disp.Resolve(r.backend, job)
+	reg, job, err := s.disp.Resolve(r.backend, job)
 	if err != nil {
 		t.Fatal(err)
 	}
+	be := s.disp.Build(reg)
 	if r.cache == "spill" && be.Capabilities().Streaming && res.Pool.Evictions == 0 {
 		t.Fatalf("%v: the table fit the spill pool", r)
 	}

@@ -514,10 +514,11 @@ func TestTrainRunsCatalogProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, _, job, err := s.disp.Resolve(s.Opts.Backend, job)
+	reg, job, err := s.disp.Resolve(s.Opts.Backend, job)
 	if err != nil {
 		t.Fatal(err)
 	}
+	be := s.disp.Build(reg)
 	prog := s.programFor(udf, rel, acc, job.Bits)
 	if err := be.Configure(prog); err != nil {
 		t.Fatal(err)
@@ -561,10 +562,11 @@ func TestRowFedTrainsHoldOneWidth(t *testing.T) {
 	}
 	widths := map[string]bool{}
 	for _, name := range s.disp.Names() {
-		be, _, job, err := s.disp.Resolve(name, job)
+		reg, job, err := s.disp.Resolve(name, job)
 		if err != nil {
 			t.Fatal(err)
 		}
+		be := s.disp.Build(reg)
 		prog := s.programFor(udf, rel, acc, job.Bits)
 		if err := be.Configure(prog); err != nil {
 			t.Fatal(err)
@@ -602,12 +604,15 @@ func TestRowFedTrainsHoldOneWidth(t *testing.T) {
 // most half of what it did while every call regenerated, assembled and
 // verified the Strider program, built 16 VMs and copied the epoch's tail
 // batch: 148 allocations on this configuration then (196 on its bench
-// twin, glm_cached), 24 now. The rest is per-Train by design — the
+// twin, glm_cached), 17 now. The rest is per-Train by design — the
 // configured machine, its plan and the result. A weave Train that finds
-// its rows held decodes nothing and allocates nothing in its stage: 27,
-// the 8 over an accelerator Train's 19 the dispatcher's pick among the
-// backends that admit a k-bit job. Its budget is the 43 it took while
-// every epoch rewove through a 32-level page buffer of its own.
+// its rows held decodes nothing and allocates nothing in its stage: 19,
+// 2 over an accelerator Train's 17. It took 27 while the dispatcher built
+// every backend that admits a k-bit job to pick one; now the dispatcher
+// prices them on the dark instances it built once, and a Train on its
+// kept backend builds none (TestKeptTrainBuildsNoBackend). Its budget is
+// the 43 it took while every epoch rewove through a 32-level page buffer
+// of its own.
 func TestTrainAllocBudget(t *testing.T) {
 	for _, leg := range []struct {
 		name      string

@@ -9,9 +9,12 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"dana/internal/backend"
 	"dana/internal/fault"
+	"dana/internal/greenplum"
 	"dana/internal/obs"
 )
 
@@ -106,5 +109,38 @@ func TestConcurrentTrainsCheckOutTheirBackends(t *testing.T) {
 	wg.Wait()
 	if built, reused := backendCounts(s); built+reused != 2+2*rounds || reused == 0 {
 		t.Errorf("%d built and %d reused over %d Trains", built, reused, 2+2*rounds)
+	}
+}
+
+// TestKeptTrainBuildsNoBackend: a Train builds only the backend it runs
+// on, and a warm Train that checks out its kept backend builds none —
+// at full width and at a reduced precision, where the dispatcher chooses
+// among the windowed backends. The factories of the System's
+// registrations are wrapped to count every instance they build.
+func TestKeptTrainBuildsNoBackend(t *testing.T) {
+	for _, precision := range []int{0, 8} {
+		s, udf, table := ftSystem(t, func(o *Options) { o.Precision = precision })
+		var builds atomic.Int64
+		var regs []backend.Registration
+		for _, reg := range append(backend.Builtins(), greenplum.ShardedRegistration()) {
+			regs = append(regs, backend.Registration{Name: reg.Name, New: func(env backend.Env) backend.Backend {
+				builds.Add(1)
+				return reg.New(env)
+			}})
+		}
+		s.disp = backend.NewDispatcher(backend.Env{Obs: s.obs, Cost: s.Opts.Cost, FPGA: s.Opts.FPGA, Segments: s.Opts.Segments}, regs...)
+		dark := builds.Load()
+		for i, want := range []int64{1, 0, 0} {
+			before := builds.Load()
+			if _, err := s.Train(udf, table); err != nil {
+				t.Fatal(err)
+			}
+			if got := builds.Load() - before; got != want {
+				t.Errorf("precision %d, Train %d: built %d backends, want %d", precision, i, got, want)
+			}
+		}
+		if dark != int64(len(regs)) {
+			t.Errorf("precision %d: the dispatcher built %d dark instances for %d registrations", precision, dark, len(regs))
+		}
 	}
 }

@@ -473,20 +473,21 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 	if err := refuseDead(rel); err != nil {
 		return nil, err
 	}
-	be, reg, job, err := s.disp.Resolve(s.Opts.Backend, job)
+	reg, job, err := s.disp.Resolve(s.Opts.Backend, job)
 	if err != nil {
 		return nil, err
 	}
 	key := [2]string{udfName, reg.Name}
 	s.keptMu.Lock()
-	if kept, ok := s.kept[key]; ok {
-		be = kept
-		delete(s.kept, key)
+	be, ok := s.kept[key]
+	delete(s.kept, key)
+	s.keptMu.Unlock()
+	if ok {
 		s.obsReused.Inc()
 	} else {
+		be = s.disp.Build(reg)
 		s.obsBuilt.Inc()
 	}
-	s.keptMu.Unlock()
 	keep := false // a Train that fails or degrades keeps nothing; a failover target is never kept
 	defer func() {
 		if cl, ok := be.(backend.Closer); ok {
@@ -637,30 +638,30 @@ type BackendCost struct {
 
 // dispatch is the preamble EstimateCost and EstimateBackends share
 // with Train: the registered (UDF, table) job at the configured read
-// precision, then the backend the configured override resolves it to,
-// and the job as that backend runs it. When the override admits no
+// precision, then the registration the configured override resolves it
+// to, and the job as that backend runs it. When the override admits no
 // backend, the error wraps backend.ErrUnknownBackend or
 // backend.ErrUnsupported, and the job comes back unresolved.
-func (s *System) dispatch(udfName, table string) (backend.Backend, backend.Job, error) {
+func (s *System) dispatch(udfName, table string) (backend.Registration, backend.Job, error) {
 	_, _, _, job, err := s.resolve(udfName, table, s.Opts.Precision)
 	if err != nil {
-		return nil, job, err
+		return backend.Registration{}, job, err
 	}
-	be, _, resolved, err := s.disp.Resolve(s.Opts.Backend, job)
+	reg, resolved, err := s.disp.Resolve(s.Opts.Backend, job)
 	if err != nil {
-		return nil, job, err
+		return backend.Registration{}, job, err
 	}
-	return be, resolved, nil
+	return reg, resolved, nil
 }
 
 // EstimateCost prices a registered (UDF, table) job on the backend
 // Train would run it on, and returns the job as that backend prices it.
 func (s *System) EstimateCost(udfName, table string) (backend.Job, backend.Cost, error) {
-	be, job, err := s.dispatch(udfName, table)
+	reg, job, err := s.dispatch(udfName, table)
 	if err != nil {
 		return job, backend.Cost{}, err
 	}
-	c, err := be.EstimateCost(job)
+	c, err := s.disp.EstimateCost(reg.Name, job)
 	return job, c, err
 }
 
@@ -677,7 +678,7 @@ func (s *System) EstimateBackends(udfName, table string) ([]BackendCost, error) 
 	var out []BackendCost
 	for _, reg := range s.disp.Registrations() {
 		bc := BackendCost{Name: reg.Name}
-		c, err := reg.New(s.disp.DarkEnv()).EstimateCost(job)
+		c, err := s.disp.EstimateCost(reg.Name, job)
 		if err != nil {
 			bc.Err = err.Error()
 		} else {

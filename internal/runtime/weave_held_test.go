@@ -39,10 +39,11 @@ func perEpochReference(t *testing.T, s *System, udfName, table string, precision
 	if err != nil {
 		t.Fatal(err)
 	}
-	weave, _, job, err := s.disp.Resolve(backend.NameWeave, job)
+	reg, job, err := s.disp.Resolve(backend.NameWeave, job)
 	if err != nil {
 		t.Fatal(err)
 	}
+	weave := s.disp.Build(reg)
 	ent := s.cache.lookup(rel, s.DB.Pool.InvalidationCount())
 	if ent == nil {
 		t.Fatal("no record-cache entry to take the reference's rows from")
@@ -92,15 +93,14 @@ func requireReference(t *testing.T, what string, s *System, udfName, table strin
 	}
 }
 
-// weaveCounts reads the weave stage's counters.
-func weaveCounts(s *System) (builds, decodes int64) {
-	return s.Obs().Get(obs.WeaveBuilds), s.Obs().Get(obs.WeaveDecodes)
-}
+// weaveBuilds reads the weave stage's build counter (each build decodes
+// its rows once, in the same pass).
+func weaveBuilds(s *System) int64 { return s.Obs().Get(obs.WeaveBuilds) }
 
 // TestTrainHeldEqualsPerEpochReweave: at every precision, the Train that
 // weaves the held pages and the Train that only reads them both equal
 // the per-epoch reference in model bits, engine counters and simulated
-// seconds; the first weaves and decodes once, the second does neither.
+// seconds; the first weaves (and decodes) once, the second does neither.
 func TestTrainHeldEqualsPerEpochReweave(t *testing.T) {
 	s, udfName, table := weaveSystem(t)
 	if _, err := s.train(udfName, table, 8); err != nil { // fills the record cache
@@ -108,7 +108,7 @@ func TestTrainHeldEqualsPerEpochReweave(t *testing.T) {
 	}
 	for _, precision := range []int{1, 2, 4, 16, 31, 0, 8} {
 		for i, wantBuilds := range []int64{1, 0} {
-			b0, d0 := weaveCounts(s)
+			b0 := weaveBuilds(s)
 			res, err := s.train(udfName, table, precision)
 			if err != nil {
 				t.Fatal(err)
@@ -118,8 +118,8 @@ func TestTrainHeldEqualsPerEpochReweave(t *testing.T) {
 				t.Fatalf("%s: %d epochs on %q", what, res.Epochs, res.Backend)
 			}
 			requireReference(t, what, s, udfName, table, precision, res, true)
-			if b, d := weaveCounts(s); b-b0 != wantBuilds || d-d0 != wantBuilds {
-				t.Errorf("%s: %d builds and %d decodes over %d epochs, want %d of each", what, b-b0, d-d0, res.Epochs, wantBuilds)
+			if b := weaveBuilds(s); b-b0 != wantBuilds {
+				t.Errorf("%s: %d builds over %d epochs, want %d", what, b-b0, res.Epochs, wantBuilds)
 			}
 		}
 	}
@@ -154,38 +154,38 @@ func insertRows(t *testing.T, s *System, table string, n int) {
 // reference on the rows it saw.
 func TestHeldRebuiltWithItsEntry(t *testing.T) {
 	s, udfName, table := weaveSystem(t)
-	step := func(what string, precision int, cold bool, wantBuilds, wantDecodes int64) {
+	step := func(what string, precision int, cold bool, wantBuilds int64) {
 		t.Helper()
-		b0, d0 := weaveCounts(s)
+		b0 := weaveBuilds(s)
 		res, err := s.train(udfName, table, precision)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireReference(t, what, s, udfName, table, precision, res, !cold)
-		if b, d := weaveCounts(s); b-b0 != wantBuilds || d-d0 != wantDecodes {
-			t.Errorf("%s: %d builds, %d decodes, want %d and %d", what, b-b0, d-d0, wantBuilds, wantDecodes)
+		if b := weaveBuilds(s); b-b0 != wantBuilds {
+			t.Errorf("%s: %d builds, want %d", what, b-b0, wantBuilds)
 		}
 	}
-	step("cold", 8, true, 1, 1)
+	step("cold", 8, true, 1)
 	held := s.Obs().Get(obs.WeaveHeldBytes)
 	if held <= 0 {
 		t.Fatal("a cold Train published no held bytes")
 	}
-	step("warm", 8, false, 0, 0)
-	step("warm again", 8, false, 0, 0)
+	step("warm", 8, false, 0)
+	step("warm again", 8, false, 0)
 	if got := s.Obs().Get(obs.WeaveHeldBytes); got != held {
 		t.Errorf("warm Trains published %d more held bytes", got-held)
 	}
 	insertRows(t, s, table, 100)
-	step("after Insert", 8, true, 1, 1)
-	step("warm after Insert", 8, false, 0, 0)
+	step("after Insert", 8, true, 1)
+	step("warm after Insert", 8, false, 0)
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	step("after ColdCache", 8, true, 1, 1)
-	step("other precision", 4, false, 1, 1)
-	step("other precision, warm", 4, false, 0, 0)
-	step("first precision again", 8, false, 1, 1)
+	step("after ColdCache", 8, true, 1)
+	step("other precision", 4, false, 1)
+	step("other precision, warm", 4, false, 0)
+	step("first precision again", 8, false, 1)
 }
 
 // TestFailedExtractionDropsHeldWithEntry: a Strider that keeps trapping fails
@@ -216,8 +216,8 @@ func TestFailedExtractionDropsHeldWithEntry(t *testing.T) {
 			res.Degraded, obsCount(t, s, obs.RuntimeEpochRetries))
 	}
 	requireReference(t, "faulted cold", s, udfName, table, 8, res, false)
-	if b, d := weaveCounts(s); b != 1 || d != 1 {
-		t.Errorf("faulted cold Train: %d builds, %d decodes, want 1 and 1", b, d)
+	if b := weaveBuilds(s); b != 1 {
+		t.Errorf("faulted cold Train: %d builds, want 1", b)
 	}
 	if got, want := s.Obs().Get(obs.WeaveHeldBytes), clean.Obs().Get(obs.WeaveHeldBytes); got != want {
 		t.Errorf("faulted cold Train published %d held bytes, a fault-free one %d", got, want)
@@ -227,8 +227,8 @@ func TestFailedExtractionDropsHeldWithEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireReference(t, "warm after the fault", s, udfName, table, 8, res, true)
-	if b, d := weaveCounts(s); b != 1 || d != 1 {
-		t.Errorf("warm Train after the fault: %d builds, %d decodes in all, want 1 and 1", b, d)
+	if b := weaveBuilds(s); b != 1 {
+		t.Errorf("warm Train after the fault: %d builds in all, want 1", b)
 	}
 }
 
@@ -363,7 +363,7 @@ func heldChecksum(t *testing.T, ent *cacheEntry) uint64 {
 
 // TestWarmWeaveTrainDecodesNothing: a warm Precision-8 Train on one
 // System takes the rows the first Train decoded into the record-cache
-// entry's holder. weave.decodes does not move, the Train allocates no
+// entry's holder. weave.builds does not move, the Train allocates no
 // more than a warm Train of the same table on the accelerator backend
 // (no row slab, no reweaver), the held rows are bit-unchanged after it,
 // and every Train's model, engine counters and simulated seconds equal a
@@ -409,14 +409,14 @@ func TestWarmWeaveTrainDecodesNothing(t *testing.T) {
 		t.Fatalf("the twin wove %d times over three Trains, want 3", b)
 	}
 
-	sum, decodes := heldChecksum(t, entry(s)), obsCount(t, s, obs.WeaveDecodes)
+	sum, builds := heldChecksum(t, entry(s)), obsCount(t, s, obs.WeaveBuilds)
 	weaveAllocs := testing.AllocsPerRun(5, func() {
 		if _, err := s.Train(udfName, table); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got := obsCount(t, s, obs.WeaveDecodes); got != decodes {
-		t.Errorf("warm Trains decoded %d times", got-decodes)
+	if got := obsCount(t, s, obs.WeaveBuilds); got != builds {
+		t.Errorf("warm Trains wove and decoded %d times", got-builds)
 	}
 	if got := heldChecksum(t, entry(s)); got != sum {
 		t.Error("the held rows changed under a warm Train")

@@ -229,6 +229,26 @@ func TestPlanCarryOver(t *testing.T) {
 	}
 }
 
+// TestPlanAdmitsAJobAtItsQuota: Quota.MemBytes is a bound a job may
+// meet. A job whose estimate is exactly the quota is planned and placed;
+// one byte more is ErrQuotaImpossible.
+func TestPlanAdmitsAJobAtItsQuota(t *testing.T) {
+	const quota = 4 << 20
+	est := &fakeEstimator{bytes: map[string]int64{"exact": quota, "over": quota + 1}}
+	cfg := testPlanConfig([]string{"a"}, 1)
+	cfg.Quotas["a"] = Quota{MemBytes: quota}
+	p, err := BuildPlan([]JobSpec{{Tenant: "a", Workload: "exact"}, {Tenant: "a", Workload: "exact"}}, est, cfg)
+	if err != nil {
+		t.Fatalf("a job at its tenant's quota: %v", err)
+	}
+	if len(p.Placements) != 2 {
+		t.Fatalf("%d of 2 jobs at the quota placed", len(p.Placements))
+	}
+	if _, err := BuildPlan([]JobSpec{{Tenant: "a", Workload: "over"}}, est, cfg); !errors.Is(err, ErrQuotaImpossible) {
+		t.Fatalf("a job one byte over its tenant's quota: got %v", err)
+	}
+}
+
 func TestPlanTypedErrors(t *testing.T) {
 	est := &fakeEstimator{bytes: map[string]int64{"big": 8 << 30}}
 	cfg := testPlanConfig([]string{"a"}, 1)

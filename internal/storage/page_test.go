@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -28,6 +30,25 @@ func TestNewPageInvariants(t *testing.T) {
 		if got := p.NumItems(); got != 0 {
 			t.Errorf("NumItems() = %d, want 0", got)
 		}
+	}
+}
+
+// TestHeaderSizedPagePassesTheLengthGate: Validate's first check refuses
+// only a buffer shorter than a page header. A page of exactly
+// PageHeaderSize bytes, lower = upper = special = the header, passes it;
+// it is refused by the size check after it, because pd_pagesize_version
+// records a size in multiples of 256 and so reads 0 for 24 bytes. One
+// byte shorter is refused as smaller than the header.
+func TestHeaderSizedPagePassesTheLengthGate(t *testing.T) {
+	p := NewPage(PageHeaderSize, 0)
+	if p.Lower() != PageHeaderSize || p.Upper() != PageHeaderSize || p.Special() != PageHeaderSize {
+		t.Fatalf("lower=%d upper=%d special=%d, want %d each", p.Lower(), p.Upper(), p.Special(), PageHeaderSize)
+	}
+	if err := p.Validate(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "header size 0 != actual 24") {
+		t.Errorf("a header-sized page: %v, want the size check's refusal", err)
+	}
+	if err := p[:PageHeaderSize-1].Validate(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "smaller than header") {
+		t.Errorf("a page one byte short of a header: %v, want the length check's refusal", err)
 	}
 }
 

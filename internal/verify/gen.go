@@ -22,6 +22,16 @@ import (
 	"dana/internal/storage"
 )
 
+// BaseSeed anchors the deterministic differential suite. Every subtest
+// derives its generators from BaseSeed+i and logs the seed, so a failure
+// reproduces with:
+//
+//	go test -run 'TestDifferentialSuite/seed=0x<seed>' ./internal/verify
+const BaseSeed = 0xDA7A
+
+// NumInstances is the suite size (the acceptance floor is 100).
+const NumInstances = 120
+
 // MaxSchemaCols is the widest schema the generator produces (PostgreSQL
 // caps heap tuples at MaxHeapAttributeNumber=1600; we stop at 256).
 const MaxSchemaCols = 256

@@ -22,7 +22,10 @@ import (
 //	golden == hDFG interpreter      bit-identical float64
 //	golden ≈ ml baseline (MADlib)   1e-9 (same math, different op order)
 //	golden ≈ engine simulator       5e-3 (float32 datapath)
-//	engine plan == reference exec   bit-identical float32 + every counter
+//
+// and the engine's tests close the chain on the same instances
+// (TrainingCase): engine plan == reference executor, bit-identical
+// float32 and every counter.
 
 // CompareModels checks |a-b| <= tol * (1 + max(|a|,|b|)) per parameter;
 // tol 0 demands bit-identity.
@@ -94,37 +97,25 @@ func CheckTrainingEquivalence(sp golden.Spec, init []float64, tuples [][]float64
 	}
 
 	// Leg 3: engine simulator (float32 datapath) on the hwgen design.
+	// Its plan is held bit-equal, model and Stats, to the engine's
+	// reference executor on these same instances by the engine's own
+	// tests (TestPlanMatchesReferenceOnOracleC), so the chain runs golden
+	// ↔ plan ↔ reference.
 	if !opt.SkipEngine {
-		prog, err := compiler.Compile(graph)
+		prog, cfg, err := EngineProgram(sp, len(tuples))
 		if err != nil {
-			return fmt.Errorf("oracle C: compile: %w", err)
+			return err
 		}
-		design, err := hwgen.Generate(prog, hwgen.VU9P(), hwgen.Params{
-			PageSize:  8192,
-			MergeCoef: maxInt(sp.MergeCoef, 1),
-			NumTuples: len(tuples),
-		})
-		if err != nil {
-			return fmt.Errorf("oracle C: hwgen: %w", err)
-		}
-		m, err := engine.NewMachine(prog, design.Engine)
+		m, err := engine.NewMachine(prog, cfg)
 		if err != nil {
 			return fmt.Errorf("oracle C: machine: %w", err)
 		}
-		init32 := make([]float32, len(init))
-		for i, v := range init {
-			init32[i] = float32(v)
-		}
-		if err := m.SetModel(init32); err != nil {
+		if err := m.SetModel(Narrow(init)); err != nil {
 			return fmt.Errorf("oracle C: machine: %w", err)
 		}
 		t32 := make([][]float32, len(tuples))
 		for i, t := range tuples {
-			row := make([]float32, len(t))
-			for j, v := range t {
-				row[j] = float32(v)
-			}
-			t32[i] = row
+			t32[i] = Narrow(t)
 		}
 		batch := maxInt(sp.MergeCoef, 1)
 		if err := trainEpochs(sp.Epochs, func() error { return m.RunEpoch(t32, batch) }, m.Converged); err != nil {
@@ -137,28 +128,76 @@ func CheckTrainingEquivalence(sp golden.Spec, init []float64, tuples [][]float64
 		if err := CompareModels("golden vs engine", golden, got, opt.EngineTol); err != nil {
 			return err
 		}
-
-		// Leg 4: the engine's lowered plan (what leg 3 just ran) against
-		// its reference executor, the macro-instruction interpreter, on
-		// the same design: model bits and every modeled counter equal.
-		ref, err := engine.NewMachine(prog, design.Engine)
-		if err != nil {
-			return fmt.Errorf("oracle C: reference machine: %w", err)
-		}
-		if err := ref.SetModel(init32); err != nil {
-			return fmt.Errorf("oracle C: reference machine: %w", err)
-		}
-		if _, err := ref.TrainReference(t32, maxInt(sp.MergeCoef, 1), maxInt(sp.Epochs, 1)); err != nil {
-			return fmt.Errorf("oracle C: reference train: %w", err)
-		}
-		if err := CompareModelBits("plan vs reference", m.Model(), ref.Model()); err != nil {
-			return err
-		}
-		if err := CompareEngineStats("plan vs reference", m.Stats(), ref.Stats()); err != nil {
-			return err
-		}
 	}
 	return nil
+}
+
+// TrainingCase draws Oracle C's instance for a differential seed, from a
+// generator of its own: a training spec whose hyper-parameters stay where
+// float32/float64 divergence is well under the engine tolerance (no
+// knife-edge SVM margins, bounded feature scale), 20–59 well-scaled
+// tuples and an initial model. The differential suite's Oracle C and the
+// engine's plan-vs-reference test draw the same instances from it.
+func TrainingCase(seed int64) (golden.Spec, [][]float64, []float64) {
+	g := NewGen(seed)
+	sp := golden.Spec{
+		Kind:      trainingKinds[g.Intn(len(trainingKinds))],
+		LR:        0.01 + 0.04*float64(g.Intn(5)),
+		Epochs:    1 + g.Intn(3),
+		MergeCoef: []int{1, 1, 2, 4, 8}[g.Intn(5)],
+	}
+	switch sp.Kind {
+	case algos.KindLRMF:
+		sp.Users = 2 + g.Intn(6)
+		sp.Items = 2 + g.Intn(6)
+		sp.Rank = 1 + g.Intn(4)
+		sp.MergeCoef = 1 // row updates imply single-threaded (no merge)
+	case algos.KindSVM:
+		sp.NFeat = 2 + g.Intn(14)
+		sp.Lambda = 0.01
+	default:
+		sp.NFeat = 2 + g.Intn(14)
+	}
+	n := 20 + g.Intn(40)
+	return sp, golden.TrainingTuples(g, sp, n), golden.InitModelFor(g, sp)
+}
+
+var trainingKinds = []algos.Kind{algos.KindLinear, algos.KindLogistic, algos.KindSVM, algos.KindLRMF}
+
+// EngineProgram compiles a spec down to the engine program and the
+// engine configuration of the design point hwgen chooses for nTuples
+// tuples: the machine Oracle C's engine leg trains.
+func EngineProgram(sp golden.Spec, nTuples int) (*engine.Program, engine.Config, error) {
+	a, err := algos.Build(sp.Kind, sp.Topology(), sp.Hyper())
+	if err != nil {
+		return nil, engine.Config{}, err
+	}
+	graph, err := hdfg.Translate(a)
+	if err != nil {
+		return nil, engine.Config{}, err
+	}
+	prog, err := compiler.Compile(graph)
+	if err != nil {
+		return nil, engine.Config{}, fmt.Errorf("oracle C: compile: %w", err)
+	}
+	design, err := hwgen.Generate(prog, hwgen.VU9P(), hwgen.Params{
+		PageSize:  8192,
+		MergeCoef: maxInt(sp.MergeCoef, 1),
+		NumTuples: nTuples,
+	})
+	if err != nil {
+		return nil, engine.Config{}, fmt.Errorf("oracle C: hwgen: %w", err)
+	}
+	return prog, design.Engine, nil
+}
+
+// Narrow rounds a float64 vector to the engine's float32 datapath.
+func Narrow(v []float64) []float32 {
+	out := make([]float32, len(v))
+	for i, x := range v {
+		out[i] = float32(x)
+	}
+	return out
 }
 
 // trainEpochs is Oracle C's epoch loop for the interpreter and engine

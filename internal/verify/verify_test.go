@@ -8,43 +8,6 @@ import (
 	"dana/internal/golden"
 )
 
-// BaseSeed anchors the deterministic differential suite. Every subtest
-// derives its generator from BaseSeed+i and logs the seed, so a failure
-// reproduces with:
-//
-//	go test -run 'TestDifferentialSuite/seed=0x<seed>' ./internal/verify
-const BaseSeed = 0xDA7A
-
-// NumInstances is the suite size (the acceptance floor is 100).
-const NumInstances = 120
-
-var kinds = []algos.Kind{algos.KindLinear, algos.KindLogistic, algos.KindSVM, algos.KindLRMF}
-
-// specFor draws a random training spec. Hyper-parameters are kept in
-// ranges where float32/float64 divergence stays well under the engine
-// tolerance (no knife-edge SVM margins, bounded feature scale).
-func specFor(g *Gen) golden.Spec {
-	sp := golden.Spec{
-		Kind:      kinds[g.Intn(len(kinds))],
-		LR:        0.01 + 0.04*float64(g.Intn(5)),
-		Epochs:    1 + g.Intn(3),
-		MergeCoef: []int{1, 1, 2, 4, 8}[g.Intn(5)],
-	}
-	switch sp.Kind {
-	case algos.KindLRMF:
-		sp.Users = 2 + g.Intn(6)
-		sp.Items = 2 + g.Intn(6)
-		sp.Rank = 1 + g.Intn(4)
-		sp.MergeCoef = 1 // row updates imply single-threaded (no merge)
-	case algos.KindSVM:
-		sp.NFeat = 2 + g.Intn(14)
-		sp.Lambda = 0.01
-	default:
-		sp.NFeat = 2 + g.Intn(14)
-	}
-	return sp
-}
-
 // trainingData draws a well-scaled dataset and init model for the spec
 // (see golden.TrainingTuples / InitModelFor, which external crosschecks reuse).
 func trainingData(g *Gen, sp golden.Spec, n int) ([][]float64, []float64) {
@@ -101,12 +64,12 @@ func TestDifferentialSuite(t *testing.T) {
 				t.Error(err)
 			}
 
-			// Oracle C: training equivalence. The engine leg (compile +
-			// design-space exploration + simulate) runs on a third of
-			// the instances to keep the suite inside its time budget;
-			// the golden/interp/ml legs run everywhere.
-			sp := specFor(g)
-			tuples, init := trainingData(g, sp, 20+g.Intn(40))
+			// Oracle C: training equivalence, on the seed's TrainingCase.
+			// The engine leg (compile + design-space exploration +
+			// simulate) runs on a third of the instances to keep the
+			// suite inside its time budget; the golden/interp/ml legs run
+			// everywhere.
+			sp, tuples, init := TrainingCase(seed)
 			opt := EquivalenceOpt{SkipEngine: i%3 != 0}
 			if err := CheckTrainingEquivalence(sp, init, tuples, opt); err != nil {
 				t.Error(err)

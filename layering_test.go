@@ -20,10 +20,19 @@ import (
 	"dana/internal/runtime"
 )
 
-// harness lists the packages production never imports (TestLayerOrder).
-// With bench/, its own module, they are the non-production packages the
+// harness lists the packages production never imports (TestLayerOrder):
+// the experiment harness, the linter, and testOnly's packages. With
+// bench/, its own module, they are the non-production packages the
 // type-checked checks below skip.
-var harness = []string{"dana/internal/experiments", "dana/internal/verify", "dana/internal/lint"}
+var harness = []string{
+	"dana/internal/experiments", "dana/internal/lint", "dana/internal/verify",
+	"dana/internal/fuzzcorpus", "dana/internal/golden", "dana/internal/backend/backendtest",
+}
+
+// harnessBinaries are the commands built on a harness package — danabench
+// runs internal/experiments, danalint internal/lint — so their imports are
+// not production's.
+var harnessBinaries = map[string]bool{"dana/cmd/danabench": true, "dana/cmd/danalint": true}
 
 // isProduction reports whether a loaded package is production code.
 func isProduction(pkg *lint.Package) bool {
@@ -99,49 +108,62 @@ func funcKey(fn *types.Func) string {
 	return fn.Pkg().Name() + "." + fn.Name()
 }
 
-// TestLayerOrder pins the dependency direction: production packages
-// never (transitively) import a harness package. `go list -deps` is the
-// whole mechanism — re-importing experiments from server, or verify
-// from backend, fails here.
+// TestLayerOrder pins the dependency direction: no production package —
+// every package `go list ./...` names but the harness and its binaries,
+// the root and the other commands included — imports a harness package,
+// even transitively. `go list`'s transitive Deps are the whole mechanism:
+// re-importing experiments from server, or golden from backend, fails
+// here, and so does a planted command that reaches golden through a
+// planted production package.
 func TestLayerOrder(t *testing.T) {
-	production := []string{"runtime", "backend", "server", "greenplum", "cost", "engine", "accessengine", "storage", "bufpool"}
-	for _, pkg := range production {
-		out, err := exec.Command("go", "list", "-deps", "./internal/"+pkg).Output()
-		if err != nil {
-			t.Fatalf("go list -deps ./internal/%s: %v", pkg, err)
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}} {{join .Deps " "}}`, "./...").Output()
+	if err != nil {
+		t.Fatalf("go list ./...: %v", err)
+	}
+	listing := strings.Split(strings.TrimSpace(string(out)), "\n")
+	checked := 0
+	for _, line := range listing {
+		if pkg := strings.Fields(line)[0]; pkg == "dana" || pkg == "dana/cmd/danactl" || pkg == "dana/cmd/danasrv" {
+			checked++
 		}
-		deps := strings.Fields(string(out))
-		for _, h := range harness {
-			for _, d := range deps {
-				if d == h {
-					t.Errorf("production package internal/%s depends on harness package %s", pkg, h)
-				}
-			}
-		}
+	}
+	if checked != 3 {
+		t.Fatalf("go list ./... names %d of dana, cmd/danactl and cmd/danasrv", checked)
+	}
+	for _, v := range harnessImports(listing) {
+		t.Error(v)
+	}
+
+	planted := append(listing[:len(listing):len(listing)],
+		"dana/internal/planted dana/internal/golden dana/internal/algos",
+		"dana/cmd/planted dana/internal/planted dana/internal/golden dana/internal/algos")
+	got := harnessImports(planted)
+	if len(got) != 2 || !strings.Contains(got[0]+got[1], "dana/cmd/planted depends on harness package dana/internal/golden") {
+		t.Errorf("a planted command reaching golden through a planted package reads %q", got)
 	}
 }
 
-// TestReferenceExecutorStaysOutOfProduction: the engine's macro
-// interpreter (internal/engine/reference.go) is the oracle its lowered
-// plan is diffed against; only tests and internal/verify may call it.
-func TestReferenceExecutorStaysOutOfProduction(t *testing.T) {
-	for _, dir := range []string{"internal/backend", "internal/runtime", "internal/server", "cmd/*"} {
-		files, err := filepath.Glob(dir + "/*.go")
-		if err != nil || len(files) == 0 {
-			t.Fatalf("no Go files under %s (%v)", dir, err)
+// harnessImports reports every production package of a `go list`
+// listing (each line a package and its transitive dependencies) that
+// depends on a harness package.
+func harnessImports(listing []string) []string {
+	isHarness := map[string]bool{}
+	for _, h := range harness {
+		isHarness[h] = true
+	}
+	var out []string
+	for _, line := range listing {
+		f := strings.Fields(line)
+		if isHarness[f[0]] || harnessBinaries[f[0]] {
+			continue
 		}
-		for _, f := range files {
-			src, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range []string{"RunBatchReference", "ConvergedReference", "TrainReference"} {
-				if !strings.HasSuffix(f, "_test.go") && strings.Contains(string(src), name) {
-					t.Errorf("%s names the reference executor (%s)", f, name)
-				}
+		for _, dep := range f[1:] {
+			if isHarness[dep] {
+				out = append(out, fmt.Sprintf("production package %s depends on harness package %s", f[0], dep))
 			}
 		}
 	}
+	return out
 }
 
 // TestEngineIsSingleGoroutine: a Machine is single-goroutine by
@@ -208,13 +230,6 @@ var unreferencedOK = map[string]string{
 	"catalog.ImportAccelerator":      "paper capability: the reader of ExportAccelerator's format",
 	"bufpool.Pool.PinnedCount":       "safety hook: every pin-leak check (chaos, executor, failover) reads it",
 	"fault.Injector.TotalCount":      "safety hook: the chaos suites assert on how many faults fired",
-	"backend.ConformanceEnv":         "safety harness: the env of the conformance battery every backend's tests run",
-	"backend.Check":                  "safety harness: the conformance battery itself, run per registration by the backend and greenplum tests",
-	"engine.NewMicroMachine":         "reference executor: the micro-op schedule's oracle",
-	"engine.MicroMachine.RunTuple":   "reference executor: NewMicroMachine's step",
-	"engine.MicroMachine.SetModel":   "reference executor: NewMicroMachine's input",
-	"engine.MicroMachine.Model":      "reference executor: NewMicroMachine's output",
-	"engine.Machine.TrainReference":  "reference executor: Oracle C and the engine's tests hold the lowered plan's model and counters equal to it",
 	"ml.TrainSGD":                    "reference: the MADlib-style SGD Oracle C and greenplum's crosscheck compare models against",
 	"storage.InnoPage.Records":       "reference: the InnoDB record walk Oracle A and the InnoDB walker's tests compare against",
 	"storage.WeaveDequantize":        "reference: the scalar dequantisation the weave decode kernels are held equal to, bit for bit",
@@ -515,10 +530,13 @@ func uncalledSettings(pkgs []*lint.Package, inScope func(*lint.Package) bool) ma
 	return out
 }
 
-// testOnly are the packages only tests import (module-relative paths):
-// their functions are exempt from TestNoTestOnlyProductionFunctions and
-// their references are test references.
-var testOnly = map[string]bool{"internal/verify": true, "internal/fuzzcorpus": true}
+// testOnly are the packages only tests (and the experiment harness)
+// import, module-relative: their functions are exempt from
+// TestNoTestOnlyProductionFunctions, their references are test
+// references, and their calls drive no seam method.
+var testOnly = map[string]bool{
+	"internal/verify": true, "internal/fuzzcorpus": true, "internal/golden": true, "internal/backend/backendtest": true,
+}
 
 // unreferencedFuncs returns the non-exempt functions and methods of the
 // module's non-test files that nothing in them references, keyed as
@@ -606,8 +624,9 @@ func unreferencedFuncs(l *lint.Loader, pkgs []*lint.Package) map[string]string {
 }
 
 // TestBackendSeamIsDriven fails when a method of backend.Backend has no
-// call site in a non-test file other than the conformance harness
-// (internal/backend/conformance.go, which calls every method by design):
+// call site in a non-test file outside testOnly's packages (the
+// conformance harness, internal/backend/backendtest, calls every method
+// by design):
 // the seam holds only what production drives. A call counts when its
 // receiver is a Backend, a type that implements one, or an interface a
 // Backend satisfies (greenplum's segments run through backend.Trainer).
@@ -641,13 +660,12 @@ func undrivenSeamMethods(l *lint.Loader, pkgs []*lint.Package, backendType types
 		}
 		return types.Implements(recv, seam) || types.Implements(types.NewPointer(recv), seam)
 	}
-	harness := filepath.Join(l.Root, "internal", "backend", "conformance.go")
 	called := map[string]bool{}
 	for _, pkg := range pkgs {
+		if testOnly[strings.TrimPrefix(pkg.PkgPath, l.ModulePath+"/")] {
+			continue
+		}
 		for _, f := range pkg.Files {
-			if pkg.Fset.Position(f.Pos()).Filename == harness {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
