@@ -158,35 +158,6 @@ func fullPage(b *testing.B, schema *storage.Schema, pageSize int) storage.Page {
 	return page
 }
 
-// BenchmarkAccessEngineDeformat measures page -> float32 record
-// conversion the way the access engine's oracle does it: the Strider VM
-// walks the page and every emitted payload goes through Deformat.
-func BenchmarkAccessEngineDeformat(b *testing.B) {
-	schema := storage.NumericSchema(54)
-	page := fullPage(b, schema, storage.PageSize32K)
-	prog, cfg, err := strider.Generate(strider.PostgresLayout(storage.PageSize32K))
-	if err != nil {
-		b.Fatal(err)
-	}
-	vm := strider.NewVM(prog, cfg)
-	vm.Reserve(storage.PageSize32K)
-	w := schema.DataWidth()
-	var rec []float32
-	b.SetBytes(int64(storage.PageSize32K))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := vm.Run(page); err != nil {
-			b.Fatal(err)
-		}
-		rec = rec[:0]
-		for out := vm.Out(); len(out) >= w; out = out[w:] {
-			if rec, err = accessengine.Deformat(schema, out[:w], rec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkExtractPage measures the production extraction path — one
 // direct pass over a full 32 KB page — on the packed float4 schema
 // (Remote Sensing: 54 features + label) and on the int/int/float rating
@@ -658,8 +629,9 @@ func BenchmarkListScheduler(b *testing.B) {
 	b.ReportMetric(ilp, "ilp")
 }
 
-// BenchmarkStriderPostgresVsInnoDB contrasts the two layout walkers on
-// identical data (see examples/mysqlpages).
+// BenchmarkCatalogSerialization times an accelerator's round trip
+// through the catalog's export format: ExportAccelerator, then
+// ImportAccelerator.
 func BenchmarkCatalogSerialization(b *testing.B) {
 	env := experiments.DefaultEnv()
 	w, _ := datagen.ByName("Remote Sensing LR")

@@ -10,9 +10,7 @@
 package accessengine
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"dana/internal/fault"
 	"dana/internal/obs"
@@ -27,15 +25,7 @@ type Engine struct {
 	Schema      *storage.Schema
 	NumStriders int
 
-	prog []strider.Instr
-	cfg  strider.Config
-	vms  []*strider.VM // vms[i] runs the pages walk declines on Strider i; nil until the first (see vm)
-
-	// walk is the direct pass; direct is false for InnoDB engines and
-	// layouts it does not cover.
-	walk   walker
-	direct bool
-
+	walk   walker // the Strider program's function for Layout and Schema
 	faults *fault.Injector
 
 	stats Stats
@@ -56,7 +46,7 @@ type Stats struct {
 	Pages        int64
 	Tuples       int64
 	Bytes        int64 // payload bytes emitted to the execution engine
-	Instructions int64 // strider VM instructions retired
+	Instructions int64 // Strider instructions the program retires (strider.WalkCost's Steps)
 	Cycles       int64 // strider cycles (max across concurrent striders per group)
 	TotalCycles  int64 // sum of strider cycles across all striders (utilization)
 }
@@ -86,107 +76,23 @@ func (e *Engine) SetObs(r *obs.Registry) {
 // the injector whether the (strider, page) walk traps (nil detaches).
 func (e *Engine) SetFaults(in *fault.Injector) { e.faults = in }
 
-// New generates the Strider program for the page layout (the compiler
-// step) and builds the engine around it: the form for callers with no
-// catalog to load a verified program from (NewFor).
+// New builds the engine for a page layout and schema around the walk,
+// the function of the Strider program strider.Generate emits for the
+// layout (the compiler step, §6.2). It refuses a layout or schema the
+// walk does not cover.
 func New(layout strider.PageLayout, schema *storage.Schema, numStriders int) (*Engine, error) {
-	prog, cfg, err := strider.Generate(layout)
-	if err != nil {
-		return nil, err
-	}
-	return NewFor(layout, schema, numStriders, prog, cfg)
-}
-
-// NewFor builds the engine around an already generated Strider program
-// for the layout, which it keeps and never writes. Nothing runs prog
-// until the walker declines a page: Strider i's VM is built by the first
-// page ExtractPage(i, …) declines.
-func NewFor(layout strider.PageLayout, schema *storage.Schema, numStriders int, prog []strider.Instr, cfg strider.Config) (*Engine, error) {
 	if numStriders < 1 {
 		return nil, fmt.Errorf("accessengine: need at least one strider, got %d", numStriders)
 	}
-	e := &Engine{
-		Layout: layout, Schema: schema, NumStriders: numStriders,
-		prog: prog, cfg: cfg, vms: make([]*strider.VM, numStriders),
-	}
-	e.walk, e.direct = newWalker(layout, schema)
-	return e, nil
-}
-
-// NewInnoDB builds an access engine for MySQL/InnoDB-style pages: the
-// Striders run the chain-walking program instead of the line-pointer
-// walker, demonstrating the ISA's cross-engine portability (§5.1.2).
-// Every page runs in the VM — the chain walk has no direct counterpart,
-// and the bare layout resolves no walker — so the VMs are built here.
-func NewInnoDB(pageSize int, schema *storage.Schema, numStriders int) (*Engine, error) {
-	prog, cfg, err := strider.GenerateInnoDB(strider.InnoDBLayout(pageSize, schema))
+	w, err := newWalker(layout, schema)
 	if err != nil {
 		return nil, err
 	}
-	e, err := NewFor(strider.PageLayout{PageSize: pageSize}, schema, numStriders, prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i := range e.vms {
-		e.vm(i)
-	}
-	return e, nil
+	return &Engine{Layout: layout, Schema: schema, NumStriders: numStriders, walk: w}, nil
 }
-
-// vm returns Strider i's VM, built on first use. Only the goroutine that
-// owns index i calls vm(i) (ExtractPage's contract): no lock.
-func (e *Engine) vm(i int) *strider.VM {
-	if e.vms[i] == nil {
-		e.vms[i] = strider.NewVM(e.prog, e.cfg)
-		e.vms[i].Reserve(e.Layout.PageSize)
-	}
-	return e.vms[i]
-}
-
-// Program returns the Strider program the engine was built around.
-func (e *Engine) Program() []strider.Instr { return e.prog }
-
-// Config returns the Strider configuration the engine was built around.
-func (e *Engine) Config() strider.Config { return e.cfg }
 
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// Deformat converts one tuple's payload bytes into float32 values, one
-// per column (ints converted to float; float8 narrowed). This is the
-// "transform user data into a floating point format" step of §6.2.
-//
-//dana:hotpath
-func Deformat(schema *storage.Schema, data []byte, dst []float32) ([]float32, error) {
-	if len(data) < schema.DataWidth() {
-		return dst, fmt.Errorf("accessengine: payload %d bytes, schema needs %d", len(data), schema.DataWidth())
-	}
-	for i, col := range schema.Cols {
-		v, ok := colFloat(col.Type, data[schema.ColOffset(i):])
-		if !ok {
-			return dst, fmt.Errorf("accessengine: column %q has unsupported type", col.Name)
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
-}
-
-// colFloat converts one column's little-endian bytes to the engine's
-// float32 (ints converted to float; float8 narrowed); ok is false for a
-// type with no conversion.
-func colFloat(t storage.ColType, b []byte) (v float32, ok bool) {
-	switch t {
-	case storage.TFloat32:
-		return math.Float32frombits(binary.LittleEndian.Uint32(b)), true
-	case storage.TFloat64:
-		return float32(math.Float64frombits(binary.LittleEndian.Uint64(b))), true
-	case storage.TInt32:
-		return float32(int32(binary.LittleEndian.Uint32(b))), true
-	case storage.TInt64:
-		return float32(int64(binary.LittleEndian.Uint64(b))), true
-	}
-	return 0, false
-}
 
 // PageResult is one page's extraction output: one row view per tuple
 // (Rows), over a single flat extent (Data) or over the page image
@@ -215,7 +121,7 @@ type PageResult struct {
 	Arena  *Arena // optional slab backing Data (nil = heap)
 	Cycles int64
 	Bytes  int64
-	Steps  int64 // strider VM instructions retired on this page
+	Steps  int64 // Strider instructions the program retires on this page
 }
 
 // reserve empties res.Data and gives it room for total values: its own
@@ -258,55 +164,23 @@ func (res *PageResult) setRows(n, cols int) {
 	res.Rows = rows
 }
 
-// ExtractPage unpacks the page on Strider vmIdx into res, reusing
+// ExtractPage unpacks the page on Strider si into res, reusing
 // res.Data/res.Rows capacity, and sets the modeled counters the Strider
-// program charges for it. The walker decodes the page directly and
-// charges the program's closed-form cost; a page it declines runs in
-// the VM, which alone defines trap behaviour and error text. It does
-// not touch the engine's stats (see Collector); calls are safe
-// concurrently as long as each goroutine uses a distinct vmIdx — the
-// host-parallel analogue of the S independent Striders.
+// program charges for it. The walk returns what the program emits, as
+// float32 rows, and an error wrapping fault.ErrVMTrap wherever the
+// program traps; strider.VM, the program's interpreter, is the
+// definition it is held to (Oracle E). It does not touch the engine's
+// stats (see Collector). The walk keeps no state, so calls are safe
+// concurrently; si keys the injected traps, one schedule per Strider.
 //
 //dana:hotpath
-func (e *Engine) ExtractPage(vmIdx int, page storage.Page, res *PageResult) error {
-	if err := e.faults.TrapFault(vmIdx, res.PageNo); err != nil {
+func (e *Engine) ExtractPage(si int, page storage.Page, res *PageResult) error {
+	if err := e.faults.TrapFault(si, res.PageNo); err != nil {
 		return err
 	}
-	if e.direct && e.walk.extract(page, res) {
-		return nil
+	if err := e.walk.extract(page, res); err != nil {
+		return fmt.Errorf("accessengine: strider %d, page %d: %w", si, res.PageNo, err)
 	}
-	return e.extractVM(vmIdx, page, res)
-}
-
-// extractVM interprets the Strider program over the page and deformats
-// the bytes it emits: the definition the walker is diffed against.
-//
-//dana:hotpath
-func (e *Engine) extractVM(vmIdx int, page storage.Page, res *PageResult) error {
-	//danalint:ignore hotcall -- one-time lazy VM build on a Strider's first declined page, reused afterwards
-	vm := e.vm(vmIdx)
-	if err := vm.Run(page); err != nil {
-		return fmt.Errorf("accessengine: strider %d, page %d: %w", vmIdx, res.PageNo, err)
-	}
-	out := vm.Out()
-	w := e.Schema.DataWidth()
-	if len(out)%w != 0 {
-		return fmt.Errorf("accessengine: strider emitted %d bytes, not a multiple of tuple width %d", len(out), w)
-	}
-	n := len(out) / w
-	cols := e.Schema.NumCols()
-	res.reserve(n * cols)
-	for i := 0; i < n; i++ {
-		var err error
-		res.Data, err = Deformat(e.Schema, out[i*w:(i+1)*w], res.Data)
-		if err != nil {
-			return err
-		}
-	}
-	res.setRows(n, cols)
-	res.Cycles = vm.Cycles()
-	res.Bytes = int64(len(out))
-	res.Steps = vm.Steps()
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package accessengine
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -119,46 +118,30 @@ func TestProcessPagesParallelCycles(t *testing.T) {
 	}
 }
 
-func TestDeformatMixedTypes(t *testing.T) {
-	schema := storage.RatingSchema() // int4, int4, float4
-	buf := make([]byte, schema.DataWidth())
-	if err := schema.EncodeValues(buf, []float64{42, 7, 3.5}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Deformat(schema, buf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec[0] != 42 || rec[1] != 7 || rec[2] != 3.5 {
-		t.Errorf("rec = %v", rec)
-	}
-}
-
-func TestDeformatFloat64Narrowing(t *testing.T) {
-	schema := storage.NewSchema(storage.Column{Name: "x", Type: storage.TFloat64})
-	buf := make([]byte, schema.DataWidth())
-	if err := schema.EncodeValues(buf, []float64{math.Pi}); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Deformat(schema, buf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec[0] != float32(math.Pi) {
-		t.Errorf("rec = %v", rec)
-	}
-}
-
-func TestDeformatShortPayload(t *testing.T) {
-	schema := storage.NumericSchema(4)
-	if _, err := Deformat(schema, make([]byte, 3), nil); err == nil {
-		t.Error("short payload accepted")
-	}
-}
-
+// TestNewEngineValidation: New refuses a Strider count below one, and
+// every layout or schema the walk does not cover.
 func TestNewEngineValidation(t *testing.T) {
-	if _, err := New(strider.PostgresLayout(storage.PageSize8K), storage.NumericSchema(2), 0); err == nil {
+	pg := strider.PostgresLayout(storage.PageSize8K)
+	if _, err := New(pg, storage.NumericSchema(2), 0); err == nil {
 		t.Error("0 striders accepted")
+	}
+	wideLP, noLen, wideLen := pg, pg, pg
+	wideLP.ItemIDSize = 8
+	noLen.ItemLenField.Width = 0
+	wideLen.ItemLenField.Width = 33
+	for name, c := range map[string]struct {
+		layout strider.PageLayout
+		schema *storage.Schema
+	}{
+		"8-byte line pointers":        {wideLP, storage.NumericSchema(2)},
+		"a zero-width lp_len":         {noLen, storage.NumericSchema(2)},
+		"a 33-bit lp_len":             {wideLen, storage.NumericSchema(2)},
+		"a schema with no columns":    {pg, storage.NewSchema()},
+		"a column with no float form": {pg, storage.NewSchema(storage.Column{Name: "x", Type: storage.TInvalid})},
+	} {
+		if _, err := New(c.layout, c.schema, 1); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -190,54 +173,6 @@ func TestRatingSchemaEndToEnd(t *testing.T) {
 		for j := range data[i] {
 			if float64(recs[i][j]) != data[i][j] {
 				t.Fatalf("tuple %d col %d: %v != %v", i, j, recs[i][j], data[i][j])
-			}
-		}
-	}
-}
-
-func TestInnoDBAccessEngine(t *testing.T) {
-	schema := storage.NumericSchema(7)
-	rel := storage.NewInnoRelation("inno", schema, storage.PageSize8K)
-	rng := rand.New(rand.NewSource(12))
-	var want [][]float64
-	for i := 0; i < 300; i++ {
-		vals := make([]float64, 8)
-		for j := range vals {
-			vals[j] = float64(float32(rng.NormFloat64()))
-		}
-		if err := rel.Insert(vals); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, vals)
-	}
-	e, err := NewInnoDB(storage.PageSize8K, schema, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.direct {
-		t.Error("InnoDB engine has a line-pointer walker; the chain walk must stay on the VM")
-	}
-	for i, vm := range e.vms {
-		if vm == nil {
-			t.Errorf("strider %d: no VM built up front, and every InnoDB page runs in one", i)
-		}
-	}
-	var pages []storage.Page
-	for i := 0; i < rel.NumPages(); i++ {
-		pg, err := rel.Page(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pages = append(pages, storage.Page(pg))
-	}
-	recs := extractAll(t, e, pages)
-	if len(recs) != len(want) {
-		t.Fatalf("extracted %d records, want %d", len(recs), len(want))
-	}
-	for i := range want {
-		for j := range want[i] {
-			if float64(recs[i][j]) != want[i][j] {
-				t.Fatalf("rec %d col %d: %v != %v", i, j, recs[i][j], want[i][j])
 			}
 		}
 	}

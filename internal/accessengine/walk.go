@@ -2,23 +2,31 @@ package accessengine
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"unsafe"
 
+	"dana/internal/fault"
 	"dana/internal/storage"
 	"dana/internal/strider"
 )
 
 // walker is the function of the program strider.Generate emits for a
-// line-pointer layout, with everything a page needs resolved once: the
-// production path decodes a page with it in one pass and charges the
-// program's cost from strider.WalkCost, and the VM — still the
-// definition of what the program does — runs only the pages it declines.
-// A packed float4 payload already is its row's memory image on a
-// little-endian host, so a recycled result's rows are views of the page
-// (view); a fresh result's are copied into its extent (decodeF32), and
-// so is a page with a payload that is not 4-aligned. Any other schema
-// goes through the convert list, one value at a time.
+// line-pointer layout, with everything a page needs resolved once: it
+// decodes a page in one pass, charges the program's cost from
+// strider.WalkCost, and returns an error wrapping fault.ErrVMTrap at
+// every bound where the program's readB or cln traps. strider.VM, which
+// interprets the program, stays its definition (Oracle E).
+//
+// A page whose items are all exactly one payload wide, which is every
+// page the storage layer writes, takes a fast path. A packed float4
+// payload already is its row's memory image on a little-endian host, so
+// a recycled result's rows are views of the page (view); a fresh
+// result's are copied into its extent (decodeF32), and so is a page with
+// a payload that is not 4-aligned. Any other schema goes through the
+// convert list, one value at a time. Every other page takes the general
+// path, which cuts the stream of payloads into tuples as the program
+// emits it.
 type walker struct {
 	hdrEnd   int // page bytes the program's three header readBs need
 	lowerOff int // pd_lower
@@ -26,35 +34,38 @@ type walker struct {
 	offField strider.FieldDesc
 	lenField strider.FieldDesc
 	skip     int // tuple header bytes cln strips
-	width    int // Schema.DataWidth(): the one payload length accepted
+	width    int // Schema.DataWidth()
 	cols     int
 	conv     []colConv // nil when the payload is a packed float4 stream
 	views    bool      // a packed stream the host reads in place: rows may be views
 }
 
 // colConv is one column's slot in the convert list: where in the payload
-// it sits and how it becomes a float32 (Deformat's dispatch, resolved).
+// it sits and how it becomes a float32.
 type colConv struct {
 	off int
 	typ storage.ColType
 }
 
-// lpSize is the line pointer width the walker reads; a layout with
-// another ItemIDSize gets no walker and stays on the VM.
+// lpSize is the one line pointer width the walker reads.
 const lpSize = 4
 
-// newWalker resolves the walker for a layout and schema; ok is false when
-// the direct pass does not cover them.
-func newWalker(layout strider.PageLayout, schema *storage.Schema) (w walker, ok bool) {
+// newWalker resolves the walker for a layout and schema, or says why the
+// walk does not cover them.
+func newWalker(layout strider.PageLayout, schema *storage.Schema) (walker, error) {
 	if layout.ItemIDSize != lpSize {
-		return walker{}, false
+		return walker{}, fmt.Errorf("accessengine: %d-byte line pointers; the walk reads %d", layout.ItemIDSize, lpSize)
 	}
 	for _, f := range [...]strider.FieldDesc{layout.ItemOffField, layout.ItemLenField} {
 		if f.Width == 0 || f.Width > 32 {
-			return walker{}, false // payload reads the fields without Extract's guard
+			// payload and item read the fields without Extract's guard
+			return walker{}, fmt.Errorf("accessengine: line pointer field %+v is not 1 to 32 bits wide", f)
 		}
 	}
-	w = walker{
+	if schema.NumCols() == 0 {
+		return walker{}, fmt.Errorf("accessengine: schema %s has no columns", schema)
+	}
+	w := walker{
 		hdrEnd:   layout.HeaderReadEnd(),
 		lowerOff: layout.LowerOffset,
 		first:    layout.HeaderSize,
@@ -67,7 +78,7 @@ func newWalker(layout strider.PageLayout, schema *storage.Schema) (w walker, ok 
 	packed := w.width == 4*w.cols
 	for i, col := range schema.Cols {
 		if col.Type.Size() == 0 {
-			return walker{}, false // Deformat's unsupported-type error stays the VM path's
+			return walker{}, fmt.Errorf("accessengine: column %q of type %v has no float conversion", col.Name, col.Type)
 		}
 		packed = packed && col.Type == storage.TFloat32 && schema.ColOffset(i) == 4*i
 	}
@@ -77,20 +88,19 @@ func newWalker(layout strider.PageLayout, schema *storage.Schema) (w walker, ok 
 			w.conv[i] = colConv{off: schema.ColOffset(i), typ: col.Type}
 		}
 	}
-	w.views = packed && nativeLE && w.cols > 0
-	return w, true
+	w.views = packed && nativeLE
+	return w, nil
 }
 
-// extract decodes the page into res and charges the walk's closed-form
-// cost, or declines (false) on a page it does not cover: one the VM
-// would trap on, or whose items are not all exactly one tuple payload
-// wide. Every bound below is one the program's readB or cln applies. A
-// decline leaves in res only what the VM path overwrites.
+// extract decodes the page into res and charges the walk's cost, or
+// returns the error the program's run ends in: a trap at the header
+// reads or the pointer array here, at an item's payload in general, and
+// a plain error for a stream that is not whole tuples.
 //
 //dana:hotpath
-func (w *walker) extract(page []byte, res *PageResult) bool {
+func (w *walker) extract(page []byte, res *PageResult) error {
 	if len(page) < w.hdrEnd {
-		return false
+		return fmt.Errorf("accessengine: page of %d bytes, the header reads need %d: %w", len(page), w.hdrEnd, fault.ErrVMTrap)
 	}
 	// The loop is a do-while: the pointer at first is read before t0 is
 	// compared with pd_lower, and the walk ends at the first t0 >= pd_lower.
@@ -99,7 +109,7 @@ func (w *walker) extract(page []byte, res *PageResult) bool {
 		n = (lower - w.first + lpSize - 1) / lpSize
 	}
 	if w.first+lpSize*n > len(page) {
-		return false
+		return fmt.Errorf("accessengine: %d line pointers at %d on a page of %d bytes: %w", n, w.first, len(page), fault.ErrVMTrap)
 	}
 	lps := page[w.first : w.first+lpSize*n]
 	// Only a recycled result takes views: a fresh one is what a caller
@@ -107,10 +117,19 @@ func (w *walker) extract(page []byte, res *PageResult) bool {
 	// one contiguous extent than from views scattered over pages.
 	viewed := w.views && cap(res.Rows) > 0 && w.view(page, lps, res)
 	if !viewed && !w.copyRows(page, lps, res) {
-		return false
+		return w.general(page, lps, res)
 	}
 	res.Steps, res.Cycles, res.Bytes = strider.WalkCost(n, w.width)
-	return true
+	return nil
+}
+
+// item returns line pointer i of lps's lp_off and lp_len.
+//
+//dana:hotpath
+func (w *walker) item(lps []byte, i int) (off, ln int) {
+	lp := uint64(binary.LittleEndian.Uint32(lps[lpSize*i:]))
+	o, l := w.offField, w.lenField // Extract, its guard settled by newWalker
+	return int(lp >> o.Start & (1<<o.Width - 1)), int(lp >> l.Start & (1<<l.Width - 1))
 }
 
 // payload returns where the payload of line pointer i of lps starts, and
@@ -119,17 +138,15 @@ func (w *walker) extract(page []byte, res *PageResult) bool {
 //
 //dana:hotpath
 func (w *walker) payload(lps []byte, i, pageLen int) (start int, ok bool) {
-	lp := uint64(binary.LittleEndian.Uint32(lps[lpSize*i:]))
-	off, ln := w.offField, w.lenField // Extract, its guard settled by newWalker
-	start = int(lp>>off.Start&(1<<off.Width-1)) + w.skip
-	return start, int(lp>>ln.Start&(1<<ln.Width-1))-w.skip == w.width && start+w.width <= pageLen
+	off, ln := w.item(lps, i)
+	return off + w.skip, ln-w.skip == w.width && off+ln <= pageLen
 }
 
 // view points res.Rows at the packed payloads in the page image itself,
 // one row of w.cols values each, and empties res.Data. It gives up
 // (false) on a payload that is not one tuple wide or not 4-aligned and
-// leaves the page to copyRows, which declines the one and copies the
-// other.
+// leaves the page to copyRows, which hands the one to the general path
+// and copies the other.
 //
 //dana:hotpath
 func (w *walker) view(page, lps []byte, res *PageResult) bool {
@@ -151,12 +168,13 @@ func (w *walker) view(page, lps []byte, res *PageResult) bool {
 }
 
 // copyRows decodes every payload into res's extent and points res.Rows
-// at it, or declines (false).
+// at it, or gives up (false) on a payload that is not one tuple wide
+// inside the page, leaving the page to the general path.
 //
 //dana:hotpath
 func (w *walker) copyRows(page, lps []byte, res *PageResult) bool {
 	n, cols, width := len(lps)/lpSize, w.cols, w.width
-	res.reserve(n * cols) // a declined page keeps the extent for the VM path
+	res.reserve(n * cols) // the general path reuses the extent
 	data := res.Data[:n*cols]
 	for i := 0; i < n; i++ {
 		start, ok := w.payload(lps, i, len(page))
@@ -179,9 +197,8 @@ func (w *walker) copyRows(page, lps []byte, res *PageResult) bool {
 // Float32frombits is a pure bit move, so on a little-endian host the
 // stream already is the float32 extent's memory image and the conversion
 // is one copy (and a view needs none); NaN payloads, -0 and subnormals
-// come through unchanged. The VM path (Deformat, colFloat) keeps the
-// per-value conversion, so it stays the independent definition this copy
-// and the views are diffed against.
+// come through unchanged. Oracle E converts value by value, so it stays
+// the independent definition this copy and the views are diffed against.
 //
 //dana:hotpath
 func decodeF32(dst []float32, src []byte) {
@@ -219,6 +236,67 @@ func decodeF32Loads(dst []float32, src []byte) {
 //dana:hotpath
 func (w *walker) convert(dst []float32, src []byte) {
 	for j, c := range w.conv {
-		dst[j], _ = colFloat(c.typ, src[c.off:]) // newWalker admitted only convertible types
+		dst[j] = colFloat(c.typ, src[c.off:])
 	}
+}
+
+// colFloat converts one column's little-endian bytes to the engine's
+// float32 (ints converted to float; float8 narrowed): the "transform
+// user data into a floating point format" step of §6.2. newWalker admits
+// only the four types it converts.
+func colFloat(t storage.ColType, b []byte) float32 {
+	switch t {
+	case storage.TFloat32:
+		return math.Float32frombits(binary.LittleEndian.Uint32(b))
+	case storage.TFloat64:
+		return float32(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+	case storage.TInt32:
+		return float32(int32(binary.LittleEndian.Uint32(b)))
+	case storage.TInt64:
+		return float32(int64(binary.LittleEndian.Uint64(b)))
+	}
+	return 0
+}
+
+// general walks a page whose items are not all one payload wide inside
+// the page, as the program does: cln emits each item's payload, lp_len −
+// TupleHeaderSize bytes from lp_off + TupleHeaderSize, into one stream,
+// which is cut into DataWidth-byte tuples. An lp_len below the tuple
+// header or a payload past the page traps the program's cln; a stream
+// that is not whole tuples is a plain error. It charges WalkCost's
+// general form: Steps = 5 + 7n, Cycles = Steps + Σ⌈pᵢ/8⌉, Bytes = Σpᵢ.
+// No page the storage layer writes comes here, so the stream is built
+// in a buffer of its own.
+func (w *walker) general(page, lps []byte, res *PageResult) error {
+	n := len(lps) / lpSize
+	var stream []byte
+	emit := int64(0)
+	for i := 0; i < n; i++ {
+		off, ln := w.item(lps, i)
+		if ln < w.skip || off+ln > len(page) {
+			return fmt.Errorf("accessengine: item %d, lp_off %d, lp_len %d, a %d-byte tuple header, on a page of %d bytes: %w",
+				i, off, ln, w.skip, len(page), fault.ErrVMTrap)
+		}
+		stream = append(stream, page[off+w.skip:off+ln]...)
+		emit += int64(ln-w.skip+7) / 8
+	}
+	if len(stream)%w.width != 0 {
+		return fmt.Errorf("accessengine: the items emit %d bytes, not a multiple of tuple width %d", len(stream), w.width)
+	}
+	tuples, cols := len(stream)/w.width, w.cols
+	res.reserve(tuples * cols)
+	res.Data = res.Data[:tuples*cols]
+	for t := 0; t < tuples; t++ {
+		src, dst := stream[t*w.width:(t+1)*w.width], res.Data[t*cols:(t+1)*cols]
+		if w.conv == nil {
+			decodeF32(dst, src)
+		} else {
+			w.convert(dst, src)
+		}
+	}
+	res.setRows(tuples, cols)
+	res.Steps, res.Cycles, _ = strider.WalkCost(n, 0)
+	res.Cycles += emit
+	res.Bytes = int64(len(stream))
+	return nil
 }

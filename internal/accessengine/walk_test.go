@@ -2,6 +2,7 @@ package accessengine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,43 +12,132 @@ import (
 	"unsafe"
 
 	"dana/internal/datagen"
+	"dana/internal/fault"
 	"dana/internal/fuzzcorpus"
 	"dana/internal/storage"
 	"dana/internal/strider"
 )
 
-// The walker against its oracle. extractVM — the Strider program
-// interpreted by strider.VM, its output through Deformat — defines what
-// ExtractPage returns; the direct pass may only ever agree with it or
-// decline. checkWalk is the per-page statement of that, shared by the
-// labelled seed pages and FuzzExtractDirect.
+// The walk against its definition. The Strider program strider.Generate
+// emits, interpreted by strider.VM, with the stream it emits cut into
+// tuples and each value converted on its own (vmPath), defines what
+// ExtractPage returns on every page: the same rows as bits, the same
+// counters, an error exactly where the VM path errs and a trap exactly
+// where it traps. checkWalk is the per-page statement of that, shared by
+// the labelled seed pages and FuzzExtractDirect.
 
-// samePage reports the first difference between two extraction results
-// (float32 values compared as bits: fuzzed payloads hold NaNs), or a
-// result whose rows take neither form PageResult allows: views of the
-// page with Data empty, or rows that cover Data end to end.
-func samePage(a, b *PageResult, page []byte) error {
-	if a.Steps != b.Steps || a.Cycles != b.Cycles || a.Bytes != b.Bytes {
-		return fmt.Errorf("counters: steps/cycles/bytes %d/%d/%d vs %d/%d/%d",
-			a.Steps, a.Cycles, a.Bytes, b.Steps, b.Cycles, b.Bytes)
+// outcome is how a page's extraction ends.
+type outcome int
+
+const (
+	rows     outcome = iota // rows and counters
+	trap                    // an error wrapping fault.ErrVMTrap
+	plainErr                // any other error: a stream that is not whole tuples
+)
+
+func (o outcome) String() string { return [...]string{"rows", "trap", "plain error"}[o] }
+
+func outcomeOf(err error) outcome {
+	switch {
+	case err == nil:
+		return rows
+	case errors.Is(err, fault.ErrVMTrap):
+		return trap
 	}
-	if len(a.Rows) != len(b.Rows) {
-		return fmt.Errorf("shape: %d rows vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		if len(a.Rows[i]) != len(b.Rows[i]) {
-			return fmt.Errorf("row %d: %d vs %d values", i, len(a.Rows[i]), len(b.Rows[i]))
+	return plainErr
+}
+
+// programs caches the program strider.Generate emits per layout, which
+// vmPath runs on every fuzzed page.
+var programs = struct {
+	sync.Mutex
+	m map[strider.PageLayout]program
+}{m: map[strider.PageLayout]program{}}
+
+type program struct {
+	prog []strider.Instr
+	cfg  strider.Config
+}
+
+// vmPath is the definition ExtractPage is held to: the engine's layout's
+// program run by strider.VM, its stream cut into DataWidth-byte tuples
+// and every value converted by valueOf.
+func vmPath(tb testing.TB, e *Engine, page []byte) (PageResult, error) {
+	tb.Helper()
+	programs.Lock()
+	p, ok := programs.m[e.Layout]
+	if !ok {
+		prog, cfg, err := strider.Generate(e.Layout)
+		if err != nil {
+			programs.Unlock()
+			tb.Fatal(err)
 		}
-		for j := range a.Rows[i] {
-			if math.Float32bits(a.Rows[i][j]) != math.Float32bits(b.Rows[i][j]) {
-				return fmt.Errorf("row %d col %d: %v vs %v", i, j, a.Rows[i][j], b.Rows[i][j])
+		p = program{prog, cfg}
+		programs.m[e.Layout] = p
+	}
+	programs.Unlock()
+	vm := strider.NewVM(p.prog, p.cfg)
+	var res PageResult
+	if err := vm.Run(page); err != nil {
+		return res, err
+	}
+	out, w := vm.Out(), e.Schema.DataWidth()
+	if len(out)%w != 0 {
+		return res, fmt.Errorf("the VM emitted %d bytes, not a multiple of tuple width %d", len(out), w)
+	}
+	for ; len(out) > 0; out = out[w:] {
+		row := make([]float32, e.Schema.NumCols())
+		for j, col := range e.Schema.Cols {
+			row[j] = valueOf(col.Type, out[e.Schema.ColOffset(j):])
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	res.Steps, res.Cycles, res.Bytes = vm.Steps(), vm.Cycles(), int64(len(vm.Out()))
+	return res, nil
+}
+
+// valueOf converts one little-endian column value to float32, byte by
+// byte: written apart from the walk's colFloat, which it checks.
+func valueOf(t storage.ColType, b []byte) float32 {
+	var u uint64
+	for i := t.Size() - 1; i >= 0; i-- {
+		u = u<<8 | uint64(b[i])
+	}
+	switch t {
+	case storage.TFloat32:
+		return math.Float32frombits(uint32(u))
+	case storage.TFloat64:
+		return float32(math.Float64frombits(u))
+	case storage.TInt32:
+		return float32(int32(uint32(u)))
+	}
+	return float32(int64(u))
+}
+
+// samePage reports the first difference between an extraction result and
+// the VM path's (float32 values compared as bits: fuzzed payloads hold
+// NaNs), or a result whose rows take neither form PageResult allows:
+// views of the page with Data empty, or rows that cover Data end to end.
+func samePage(got, want *PageResult, page []byte) error {
+	if got.Steps != want.Steps || got.Cycles != want.Cycles || got.Bytes != want.Bytes {
+		return fmt.Errorf("counters: steps/cycles/bytes %d/%d/%d, VM path %d/%d/%d",
+			got.Steps, got.Cycles, got.Bytes, want.Steps, want.Cycles, want.Bytes)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		return fmt.Errorf("shape: %d rows, VM path %d", len(got.Rows), len(want.Rows))
+	}
+	for i := range got.Rows {
+		if len(got.Rows[i]) != len(want.Rows[i]) {
+			return fmt.Errorf("row %d: %d values, VM path %d", i, len(got.Rows[i]), len(want.Rows[i]))
+		}
+		for j := range got.Rows[i] {
+			if math.Float32bits(got.Rows[i][j]) != math.Float32bits(want.Rows[i][j]) {
+				return fmt.Errorf("row %d col %d: %v, VM path %v", i, j, got.Rows[i][j], want.Rows[i][j])
 			}
 		}
 	}
-	for _, r := range []*PageResult{a, b} {
-		if !viewsOf(r, page) && !coversData(r) {
-			return fmt.Errorf("shape: %d rows are neither views of the page nor cover the %d values of Data", len(r.Rows), len(r.Data))
-		}
+	if !viewsOf(got, page) && !coversData(got) {
+		return fmt.Errorf("shape: %d rows are neither views of the page nor cover the %d values of Data", len(got.Rows), len(got.Data))
 	}
 	return nil
 }
@@ -97,26 +187,22 @@ func withSlack(page []byte) []byte {
 	return buf[:len(page)]
 }
 
-// checkWalk asserts, for one page: the direct pass accepted ⇒ the VM
-// path returns nil with identical rows and counters; it declined ⇒
-// ExtractPage's result and error are the VM path's; and it declined ⇔
-// the VM traps or some item's payload is not one tuple wide. It returns
-// whether the direct pass accepted.
-func checkWalk(t testing.TB, e *Engine, page storage.Page) bool {
+// checkWalk asserts, for one page, that ExtractPage ends as the VM path
+// does — rows, a trap or a plain error — and, with rows, returns the
+// same rows and counters. It returns the outcome.
+func checkWalk(t testing.TB, e *Engine, page storage.Page) outcome {
 	t.Helper()
-	return checkDirect(t, e, page, e.walk.extract)
+	return checkDirect(t, e, page, func(page []byte, res *PageResult) error { return e.ExtractPage(0, page, res) })
 }
 
-// checkDirect is checkWalk with the direct pass given: the engine's own,
-// or a planted fault of it. Both run on the page as given (a fuzzed page
-// sits at an odd address) and on an aligned copy, each into a fresh and
-// a recycled result, since rows may be copies or views (PageResult).
-func checkDirect(t testing.TB, e *Engine, page storage.Page, pass func([]byte, *PageResult) bool) bool {
+// checkDirect is checkWalk with the walk given: the engine's own, or a
+// planted fault of it. It runs on the page as given (a fuzzed page sits
+// at an odd address) and on an aligned copy, each into a fresh and a
+// recycled result, since rows may be copies or views (PageResult).
+func checkDirect(t testing.TB, e *Engine, page storage.Page, walk func([]byte, *PageResult) error) outcome {
 	t.Helper()
 	const pageNo = 7
-	vm := PageResult{PageNo: pageNo}
-	vmErr := e.extractVM(0, page, &vm)
-	accepted := pass(page, &PageResult{PageNo: pageNo})
+	want, wantErr := vmPath(t, e, page)
 	type form struct {
 		name  string
 		page  storage.Page
@@ -127,43 +213,18 @@ func checkDirect(t testing.TB, e *Engine, page storage.Page, pass func([]byte, *
 		{"page as given, fresh result", page, true}, {"page as given, recycled result", page, false},
 		{"aligned copy, fresh result", aligned, true}, {"aligned copy, recycled result", aligned, false},
 	} {
-		direct, got := result(pageNo, f.fresh), result(pageNo, f.fresh)
-		if pass(f.page, &direct) != accepted {
-			t.Fatalf("%s: direct pass accepted %v, %v on the page as given", f.name, !accepted, accepted)
-		}
-		err := e.ExtractPage(0, f.page, &got)
-		if (err == nil) != (vmErr == nil) || (err != nil && err.Error() != vmErr.Error()) {
-			t.Fatalf("%s: ExtractPage error %v, VM path %v", f.name, err, vmErr)
+		got := result(pageNo, f.fresh)
+		err := walk(f.page, &got)
+		if outcomeOf(err) != outcomeOf(wantErr) {
+			t.Fatalf("%s: %s (%v), VM path %s (%v)", f.name, outcomeOf(err), err, outcomeOf(wantErr), wantErr)
 		}
 		if err == nil {
-			if d := samePage(&got, &vm, f.page); d != nil {
-				t.Fatalf("%s: ExtractPage vs VM path (direct accepted: %v): %v", f.name, accepted, d)
-			}
-		}
-		if accepted {
-			if vmErr != nil {
-				t.Fatalf("direct pass accepted a page the VM rejects: %v", vmErr)
-			}
-			if d := samePage(&direct, &vm, f.page); d != nil {
-				t.Fatalf("%s: direct pass vs VM path: %v", f.name, d)
+			if d := samePage(&got, &want, f.page); d != nil {
+				t.Fatalf("%s: walk vs VM path: %v", f.name, d)
 			}
 		}
 	}
-	if accepted {
-		return true
-	}
-	if vmErr == nil {
-		// The VM walked (Steps-5)/7 line pointers; one of them must be odd.
-		odd := false
-		for i := 0; i < int(vm.Steps-5)/7; i++ {
-			lp := binary.LittleEndian.Uint32(page[storage.PageHeaderSize+storage.ItemIDSize*i:])
-			odd = odd || int(lp>>17&0x7FFF)-storage.TupleHeaderSize != e.Schema.DataWidth()
-		}
-		if !odd {
-			t.Fatal("direct pass declined a page the VM walks with every payload one tuple wide")
-		}
-	}
-	return false
+	return outcomeOf(wantErr)
 }
 
 // walkSchemas are the three decode shapes: the packed float4 stream, the
@@ -191,21 +252,18 @@ func walkEngines(tb testing.TB) []*Engine {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if !e.direct {
-			tb.Fatalf("no walker for the %s schema", s.name)
-		}
 		es = append(es, e)
 	}
 	return es
 }
 
-// walkSeed is one labelled page: which engine decodes it and whether the
-// direct pass must accept it.
+// walkSeed is one labelled page: which engine decodes it and how its
+// extraction must end.
 type walkSeed struct {
 	name   string
 	engine int
 	page   []byte
-	accept bool
+	want   outcome
 }
 
 // fuzzWalkInput maps fuzz bytes onto (engine, page): byte 0 picks the
@@ -218,14 +276,17 @@ func fuzzWalkInput(data []byte, engines int) (int, []byte) {
 	return int(data[0]) % engines, data[1:min(len(data), 1+storage.PageSize32K)]
 }
 
-// walkSeeds builds, per schema, a small valid page and the damaged
-// variants the decline rule exists for, then a valid packed page whose
-// payloads are specialF32.
+// walkSeeds builds, per schema, a small valid page and damaged variants
+// at every bound where the program traps or emits a stream that is not
+// whole tuples, then a valid packed page whose payloads are specialF32,
+// then, per schema, the pages whose tuples straddle items. The first 43
+// keep the committed corpus's numbering.
 func walkSeeds(tb testing.TB) []walkSeed {
 	tb.Helper()
 	const size = 1024
 	var seeds []walkSeed
 	var special walkSeed
+	var straddling []walkSeed
 	for ei, ws := range walkSchemas {
 		schema := ws.schema
 		rng := rand.New(rand.NewSource(int64(40 + ei)))
@@ -248,9 +309,12 @@ func walkSeeds(tb testing.TB) []walkSeed {
 			}
 		}
 		w := schema.DataWidth()
-		add := func(name string, accept bool, mutate func(p storage.Page) []byte) {
+		seed := func(name string, want outcome, mutate func(p storage.Page) []byte) walkSeed {
 			p := append(storage.Page(nil), page...)
-			seeds = append(seeds, walkSeed{name: ws.name + "/" + name, engine: ei, page: mutate(p), accept: accept})
+			return walkSeed{name: ws.name + "/" + name, engine: ei, page: mutate(p), want: want}
+		}
+		add := func(name string, want outcome, mutate func(p storage.Page) []byte) {
+			seeds = append(seeds, seed(name, want, mutate))
 		}
 		setLower := func(v int) func(storage.Page) []byte {
 			return func(p storage.Page) []byte {
@@ -271,24 +335,37 @@ func walkSeeds(tb testing.TB) []walkSeed {
 				return p
 			}
 		}
+		both := func(a, b func(storage.Page) []byte) func(storage.Page) []byte {
+			return func(p storage.Page) []byte { return b(a(p)) }
+		}
 		lower := page.Lower()
-		add("valid", true, func(p storage.Page) []byte { return p })
-		add("truncated below the header reads", false, func(p storage.Page) []byte { return p[:19] })
-		add("truncated inside the pointer array", false, func(p storage.Page) []byte { return p[:lower-2] })
-		add("truncated inside the tuples", false, func(p storage.Page) []byte { return p[:size-w/2] })
+		add("valid", rows, func(p storage.Page) []byte { return p })
+		add("truncated below the header reads", trap, func(p storage.Page) []byte { return p[:19] })
+		add("truncated inside the pointer array", trap, func(p storage.Page) []byte { return p[:lower-2] })
+		add("truncated inside the tuples", trap, func(p storage.Page) []byte { return p[:size-w/2] })
 		// A do-while walk retires one pointer whatever pd_lower says.
-		add("pd_lower zero", true, setLower(0))
-		add("pd_lower below the header", true, setLower(storage.PageHeaderSize-4))
-		add("pd_lower past the page", false, setLower(0xFFFF))
-		add("pd_lower not a multiple of 4, same count", true, setLower(lower-2))
-		add("pd_lower not a multiple of 4, one unused pointer more", false, setLower(lower+1))
-		add("lp_len below the tuple header", false, setLP(2, func(id *storage.ItemID) { id.Len = storage.TupleHeaderSize - 8 }))
-		add("lp_off + lp_len past the page", false, setLP(3, func(id *storage.ItemID) { id.Off = size - 8 }))
-		add("lp_off past the page", false, setLP(0, func(id *storage.ItemID) { id.Off = 0x7FFF }))
+		add("pd_lower zero", rows, setLower(0))
+		add("pd_lower below the header", rows, setLower(storage.PageHeaderSize-4))
+		add("pd_lower past the page", trap, setLower(0xFFFF))
+		add("pd_lower not a multiple of 4, same count", rows, setLower(lower-2))
+		// The unused pointer is zero: an lp_len below the tuple header.
+		add("pd_lower not a multiple of 4, one unused pointer more", trap, setLower(lower+1))
+		add("lp_len below the tuple header", trap, setLP(2, func(id *storage.ItemID) { id.Len = storage.TupleHeaderSize - 8 }))
+		add("lp_off + lp_len past the page", trap, setLP(3, func(id *storage.ItemID) { id.Off = size - 8 }))
+		add("lp_off past the page", trap, setLP(0, func(id *storage.ItemID) { id.Off = 0x7FFF }))
 		// Item 1 sits below item 0, so a payload two tuples wide stays on
-		// the page and the VM emits a whole number of tuples.
-		add("one payload two tuples wide", false, setLP(1, func(id *storage.ItemID) { id.Len = uint16(storage.TupleHeaderSize + 2*w) }))
-		add("one payload a byte short", false, setLP(4, func(id *storage.ItemID) { id.Len-- }))
+		// the page and the program emits a whole number of tuples.
+		add("one payload two tuples wide", rows, setLP(1, func(id *storage.ItemID) { id.Len = uint16(storage.TupleHeaderSize + 2*w) }))
+		add("one payload a byte short", plainErr, setLP(4, func(id *storage.ItemID) { id.Len-- }))
+		// Item 3 ends where item 2's tuple starts: moving two bytes of
+		// stream from item 2 to item 3 splits a value across items.
+		straddling = append(straddling,
+			seed("a tuple straddles two items", rows, both(
+				setLP(2, func(id *storage.ItemID) { id.Len -= 2 }),
+				setLP(3, func(id *storage.ItemID) { id.Len += 2 }))),
+			seed("an empty payload beside one two tuples wide", rows, both(
+				setLP(4, func(id *storage.ItemID) { id.Len = storage.TupleHeaderSize }),
+				setLP(5, func(id *storage.ItemID) { id.Len += uint16(w) }))))
 		if ws.name == "packed" {
 			// Last in the list, so the committed corpus keeps its numbering:
 			// the copy must carry every bit pattern a float32 can hold.
@@ -302,11 +379,10 @@ func walkSeeds(tb testing.TB) []walkSeed {
 					binary.LittleEndian.PutUint32(p[int(id.Off)+storage.TupleHeaderSize+4*j:], specialF32[k%len(specialF32)])
 				}
 			}
-			special = walkSeed{name: "packed/NaN payloads, -0, subnormals and infinities", engine: ei, page: p, accept: true}
+			special = walkSeed{name: "packed/NaN payloads, -0, subnormals and infinities", engine: ei, page: p, want: rows}
 		}
 	}
-	seeds = append(seeds, special)
-	return seeds
+	return append(append(seeds, special), straddling...)
 }
 
 // specialF32 are the float32 bit patterns a conversion through float64
@@ -320,22 +396,21 @@ var specialF32 = []uint32{
 func (s walkSeed) encode() []byte { return append([]byte{byte(s.engine)}, s.page...) }
 
 // TestWalkSeedsDecideAsLabelled runs checkWalk on every seed page and
-// pins which of them the direct pass takes.
+// pins how each extraction ends.
 func TestWalkSeedsDecideAsLabelled(t *testing.T) {
 	engines := walkEngines(t)
 	for _, s := range walkSeeds(t) {
 		t.Run(s.name, func(t *testing.T) {
 			ei, page := fuzzWalkInput(s.encode(), len(engines))
-			if got := checkWalk(t, engines[ei], page); got != s.accept {
-				t.Errorf("direct pass accepted = %v, want %v", got, s.accept)
+			if got := checkWalk(t, engines[ei], page); got != s.want {
+				t.Errorf("ends in %s, labelled %s", got, s.want)
 			}
 		})
 	}
 }
 
-// FuzzExtractDirect: over arbitrary page bytes the direct pass never
-// disagrees with the VM — it declines instead — and never panics or
-// over-reads.
+// FuzzExtractDirect: over arbitrary page bytes the walk agrees with the
+// VM path (checkWalk), and never panics or over-reads.
 func FuzzExtractDirect(f *testing.F) {
 	for _, s := range walkSeeds(f) {
 		f.Add(s.encode())
@@ -363,8 +438,8 @@ func TestWriteExtractDirectCorpus(t *testing.T) {
 }
 
 // TestPageCyclesIsOneBelowTheWalk pins the estimator's known bias: on a
-// full page of every Table 3 schema the closed form and the VM agree,
-// and PageCycles — which prices EstimateCost and so is left alone here —
+// full page of every Table 3 schema the walk and the VM agree, and
+// PageCycles — which prices EstimateCost and so is left alone here —
 // counts four header instructions where the program retires five (bentr).
 // The bias stays inside the Strider term, which loses the pipeline max on
 // every row of the estimator gate (runtime's TestEstimateIsTheExecutedPrice);
@@ -393,16 +468,17 @@ func TestPageCyclesIsOneBelowTheWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var direct, vm PageResult
-			if !e.walk.extract(pg, &direct) {
-				t.Fatalf("%s @%d: direct pass declined a full page", wl.Name, pageSize)
-			}
-			if err := e.extractVM(0, pg, &vm); err != nil {
+			var walk PageResult
+			if err := e.ExtractPage(0, pg, &walk); err != nil {
 				t.Fatal(err)
 			}
-			if est := PageCycles(schema, n); rel.NumPages() != 1 || direct.Cycles != vm.Cycles || vm.Cycles != est+1 {
-				t.Errorf("%s @%d, %d tuples on %d page(s): closed form %d, VM %d, PageCycles %d",
-					wl.Name, pageSize, n, rel.NumPages(), direct.Cycles, vm.Cycles, est)
+			vm, err := vmPath(t, e, pg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est := PageCycles(schema, n); rel.NumPages() != 1 || walk.Cycles != vm.Cycles || vm.Cycles != est+1 {
+				t.Errorf("%s @%d, %d tuples on %d page(s): walk %d, VM %d, PageCycles %d",
+					wl.Name, pageSize, n, rel.NumPages(), walk.Cycles, vm.Cycles, est)
 			}
 		}
 		if len(seen) < 3 {
@@ -412,9 +488,7 @@ func TestPageCyclesIsOneBelowTheWalk(t *testing.T) {
 }
 
 // TestExtractPageRecycledAllocatesNothing: a recycled PageResult makes
-// the direct pass allocation-free, and no Strider VM — nor its 32 KB
-// output buffer — exists after a scan in which no page declines (Train
-// reaches the VMs only through ExtractPage).
+// the walk allocation-free.
 func TestExtractPageRecycledAllocatesNothing(t *testing.T) {
 	for _, schema := range []*storage.Schema{storage.NumericSchema(54), storage.RatingSchema()} {
 		rel, _ := buildRelation(t, schema, 3000, 9)
@@ -435,75 +509,11 @@ func TestExtractPageRecycledAllocatesNothing(t *testing.T) {
 		if n := testing.AllocsPerRun(10, scan); n != 0 {
 			t.Errorf("%s: recycled scan of %d pages allocates %.0f times", schema, rel.NumPages(), n)
 		}
-		for i, vm := range e.vms {
-			if vm != nil {
-				t.Errorf("%s: strider %d built a VM with no page declined", schema, i)
-			}
-		}
-		// A declined page is what builds one, on its own Strider only.
 		pg, _ := rel.Page(0)
 		short := append(storage.Page(nil), pg...)
 		binary.LittleEndian.PutUint32(short[storage.PageHeaderSize:], 0)
-		if err := e.ExtractPage(1, short, &results[1]); err == nil {
-			t.Fatal("zeroed line pointer accepted")
-		}
-		if e.vms[0] != nil || e.vms[1] == nil || cap(e.vms[1].Out()) == 0 {
-			t.Errorf("%s: VMs after one declined page on strider 1: %v, %v", schema, e.vms[0], e.vms[1])
-		}
-	}
-}
-
-// TestDeclinedPagesBuildOnlyTheirOwnVM (run under -race): two goroutines
-// on distinct vmIdx share one engine, each walking the labelled seed
-// pages of its schema into the one result it recycles, as a scan does. A
-// goroutine handed only covered pages builds no VM; one handed the
-// damaged pages builds exactly its own, and gets the VM path's result
-// for every page.
-func TestDeclinedPagesBuildOnlyTheirOwnVM(t *testing.T) {
-	seeds := walkSeeds(t)
-	for ei, ws := range walkSchemas {
-		for _, damaged := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-			build := func() *Engine {
-				e, err := New(strider.PostgresLayout(storage.PageSize8K), ws.schema, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return e
-			}
-			// The engine under test, and an oracle per goroutine (each runs
-			// its pages on its own VM 0).
-			e, oracles := build(), [2]*Engine{build(), build()}
-			var wg sync.WaitGroup
-			for g := 0; g < 2; g++ {
-				wg.Add(1)
-				go func(vmIdx int) {
-					defer wg.Done()
-					oracle := oracles[vmIdx]
-					var got PageResult
-					for _, s := range seeds {
-						if s.engine != ei || (!s.accept && !damaged[vmIdx]) {
-							continue
-						}
-						want := PageResult{PageNo: 7}
-						got.PageNo = 7
-						err := e.ExtractPage(vmIdx, s.page, &got)
-						wantErr := oracle.extractVM(0, s.page, &want)
-						if (err == nil) != (wantErr == nil) {
-							t.Errorf("%s on strider %d: error %v, VM path %v", s.name, vmIdx, err, wantErr)
-						} else if err == nil {
-							if d := samePage(&got, &want, s.page); d != nil {
-								t.Errorf("%s on strider %d: %v", s.name, vmIdx, d)
-							}
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			for i, vm := range e.vms {
-				if want := i < 2 && damaged[i]; (vm != nil) != want {
-					t.Errorf("%s, damaged pages on %v: strider %d VM built = %v, want %v", ws.name, damaged, i, vm != nil, want)
-				}
-			}
+		if err := e.ExtractPage(1, short, &results[1]); !errors.Is(err, fault.ErrVMTrap) {
+			t.Fatalf("zeroed line pointer: %v, want a trap", err)
 		}
 	}
 }
@@ -572,31 +582,43 @@ func failure(t *testing.T, check func(testing.TB)) string {
 	return r.failure
 }
 
+// onePayloadWide reports whether the first items line pointers of the
+// page all hold exactly one tuple payload inside it: the pages the walk's
+// fast path takes.
+func onePayloadWide(w *walker, page []byte, items int) bool {
+	for i := 0; i < items; i++ {
+		if _, ok := w.payload(page[w.first:], i, len(page)); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // TestMetaPackedViewFaultsCaught is the mutation meta-test of the packed
-// rows under checkWalk: the direct pass with every row replaced by a view
-// of the page four bytes late, or one value short, must fail on every
-// packed seed page the direct pass accepts; the real view, planted the
-// same way, must pass. A planted row is only ever pointed elsewhere,
-// never written: it is the heap's page image.
+// rows under checkWalk: the walk with every row replaced by a view of the
+// page four bytes late, or one value short, must fail on every packed
+// seed page the fast path takes; the real view, planted the same way,
+// must pass. A planted row is only ever pointed elsewhere, never written:
+// it is the heap's page image.
 func TestMetaPackedViewFaultsCaught(t *testing.T) {
 	e := walkEngines(t)[0]
 	w := &e.walk
 	if w.conv != nil || !w.views {
 		t.Fatal("the packed schema's walker has a convert list or takes no views")
 	}
-	// planted is the engine's direct pass with every accepted row made a
-	// view of the page again, by at, from the start of its payload.
-	planted := func(at func(page []byte, start int) []float32) func([]byte, *PageResult) bool {
-		return func(page []byte, res *PageResult) bool {
-			if !w.extract(page, res) {
-				return false
+	// planted is the engine's walk with every row made a view of the page
+	// again, by at, from the start of its payload.
+	planted := func(at func(page []byte, start int) []float32) func([]byte, *PageResult) error {
+		return func(page []byte, res *PageResult) error {
+			if err := w.extract(page, res); err != nil {
+				return err
 			}
 			for i := range res.Rows {
 				start, _ := w.payload(page[w.first:], i, len(page))
 				res.Rows[i] = at(page, start)
 			}
 			res.Data = res.Data[:0]
-			return true
+			return nil
 		}
 	}
 	view := func(page []byte, start, n int) []float32 {
@@ -611,7 +633,8 @@ func TestMetaPackedViewFaultsCaught(t *testing.T) {
 	}
 	pages := 0
 	for _, s := range walkSeeds(t) {
-		if s.engine != 0 || !s.accept {
+		var probe PageResult
+		if s.engine != 0 || w.extract(s.page, &probe) != nil || !onePayloadWide(w, s.page, int(probe.Steps-5)/7) {
 			continue
 		}
 		pages++
@@ -629,7 +652,7 @@ func TestMetaPackedViewFaultsCaught(t *testing.T) {
 		}
 	}
 	if pages < 4 {
-		t.Fatalf("only %d packed seed pages are accepted", pages)
+		t.Fatalf("only %d packed seed pages take the fast path", pages)
 	}
 }
 
@@ -646,8 +669,8 @@ func TestRowsAreViewsOnlyWhenRecycled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var vm PageResult
-	if err := e.extractVM(0, src, &vm); err != nil {
+	vm, err := vmPath(t, e, src)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for shift := 0; shift < 4; shift++ {

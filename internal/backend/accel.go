@@ -302,8 +302,7 @@ func (b *Accel) Close() {
 }
 
 // InProcessStriders clamps a design's Strider count to 16. It saves no
-// VM instances: a Strider's VM is built only for a page the direct walk
-// declines. The clamp has two roles left. It bounds the executor's pin
+// Strider state: the walk keeps none. The clamp has two roles left. It bounds the executor's pin
 // group, one page per Strider, so a group fits a small pool: a 32-page
 // group does not fit the estimator gate's 16-frame spill pool. And it
 // keeps Train's access.Cycles equal to bench/replica.go's, which clamps

@@ -396,3 +396,43 @@ func BenchmarkBuildModule(b *testing.B) {
 		BuildModule(pkgs)
 	}
 }
+
+// TestExternalTestSeesExportTest: an external test package that calls
+// what the package's export_test.go adds, and hands a type of the
+// package to a module package that imports it, type-checks as `go test`
+// builds it. Without test variants the first call is undefined and the
+// second a mismatch between two packages of one path.
+func TestExternalTestSeesExportTest(t *testing.T) {
+	root := writeScratchModule(t, map[string]string{
+		"core/core.go":        "package core\n\ntype T struct{ n int }\n",
+		"core/export_test.go": "package core\n\nfunc N(t T) int { return t.n }\n",
+		"core/core_test.go": `package core_test
+
+import (
+	"testing"
+
+	"scratch/core"
+	"scratch/helper"
+)
+
+func TestN(t *testing.T) { _ = core.N(helper.Make()) }
+`,
+		"helper/helper.go": "package helper\n\nimport \"scratch/core\"\n\nfunc Make() core.T { return core.T{} }\n",
+	})
+	ld, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld.IncludeTests = true
+	pkgs, err := ld.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.PkgPath)
+	}
+	if got := strings.Join(paths, " "); got != "scratch/core scratch/core_test scratch/helper" {
+		t.Errorf("loaded %s", got)
+	}
+}

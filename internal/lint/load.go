@@ -206,6 +206,7 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 	}
 	pkgPath := l.pkgPathFor(dir)
 	var pkgs []*Package
+	xtImp := &moduleImporter{l: l, dir: dir}
 	if !l.IncludeTests || len(bp.TestGoFiles) == 0 {
 		plain, err := l.loadPlain(dir)
 		if err != nil {
@@ -214,14 +215,15 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 		pkgs = append(pkgs, plain)
 	} else {
 		files := append(append([]string{}, bp.GoFiles...), bp.TestGoFiles...)
-		aug, err := l.typeCheck(pkgPath, dir, files)
+		aug, err := l.typeCheck(pkgPath, dir, files, nil)
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, aug)
+		xtImp.under, xtImp.variants = pkgPath, map[string]*types.Package{pkgPath: aug.Types}
 	}
 	if l.IncludeTests && len(bp.XTestGoFiles) > 0 {
-		xt, err := l.typeCheck(pkgPath+"_test", dir, bp.XTestGoFiles)
+		xt, err := l.typeCheck(pkgPath+"_test", dir, bp.XTestGoFiles, xtImp)
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +270,7 @@ func (l *Loader) loadPlain(dir string) (*Package, error) {
 	if err != nil {
 		err = fmt.Errorf("lint: %s: %w", dir, err)
 	} else {
-		pkg, err = l.typeCheck(l.pkgPathFor(dir), dir, bp.GoFiles)
+		pkg, err = l.typeCheck(l.pkgPathFor(dir), dir, bp.GoFiles, nil)
 	}
 
 	l.mu.Lock()
@@ -278,8 +280,9 @@ func (l *Loader) loadPlain(dir string) (*Package, error) {
 	return pkg, err
 }
 
-// typeCheck parses and type-checks one file set as a package.
-func (l *Loader) typeCheck(pkgPath, dir string, fileNames []string) (*Package, error) {
+// typeCheck parses and type-checks one file set as a package, resolving
+// imports through imp (nil: the plain packages).
+func (l *Loader) typeCheck(pkgPath, dir string, fileNames []string, imp *moduleImporter) (*Package, error) {
 	sort.Strings(fileNames)
 	var files []*ast.File
 	for _, name := range fileNames {
@@ -298,8 +301,11 @@ func (l *Loader) typeCheck(pkgPath, dir string, fileNames []string) (*Package, e
 		Implicits:  map[ast.Node]types.Object{},
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
+	if imp == nil {
+		imp = &moduleImporter{l: l, dir: dir}
+	}
 	conf := types.Config{
-		Importer: &moduleImporter{l: l, dir: dir},
+		Importer: imp,
 		Error:    func(error) {}, // keep going; first error returned below
 	}
 	tpkg, err := conf.Check(pkgPath, l.fset, files, info)
@@ -318,19 +324,57 @@ func (l *Loader) typeCheck(pkgPath, dir string, fileNames []string) (*Package, e
 
 // moduleImporter resolves imports: module-internal paths load from
 // source through the Loader, everything else (the standard library)
-// goes through the GOROOT source importer.
+// goes through the GOROOT source importer. For an external test package
+// it resolves as `go test` builds one: the package under test to its
+// form with the in-package test files (what an export_test.go adds),
+// and every module package that imports it to a copy re-checked against
+// that form, so a type reaches the test as one type.
 type moduleImporter struct {
-	l   *Loader
-	dir string
+	l        *Loader
+	dir      string
+	under    string                    // the package under test; "" outside an external test
+	variants map[string]*types.Package // import path → test variant
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if rest, ok := strings.CutPrefix(path, m.l.ModulePath); ok && (rest == "" || rest[0] == '/') {
-		pkg, err := m.l.loadPlain(filepath.Join(m.l.Root, filepath.FromSlash(rest)))
-		if err != nil {
-			return nil, err
-		}
+	rest, ok := strings.CutPrefix(path, m.l.ModulePath)
+	if !ok || (rest != "" && rest[0] != '/') {
+		return m.l.std.ImportFrom(path, m.dir, 0)
+	}
+	if v := m.variants[path]; v != nil {
+		return v, nil
+	}
+	dir := filepath.Join(m.l.Root, filepath.FromSlash(rest))
+	pkg, err := m.l.loadPlain(dir)
+	if err != nil {
+		return nil, err
+	}
+	if m.under == "" || !imports(pkg.Types, m.under, map[*types.Package]bool{}) {
 		return pkg.Types, nil
 	}
-	return m.l.std.ImportFrom(path, m.dir, 0)
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	v, err := m.l.typeCheck(path, dir, bp.GoFiles, m)
+	if err != nil {
+		return nil, err
+	}
+	m.variants[path] = v.Types
+	return v.Types, nil
+}
+
+// imports reports whether p imports the package at path, directly or
+// through others.
+func imports(p *types.Package, path string, seen map[*types.Package]bool) bool {
+	if seen[p] {
+		return false
+	}
+	seen[p] = true
+	for _, imp := range p.Imports() {
+		if imp.Path() == path || imports(imp, path, seen) {
+			return true
+		}
+	}
+	return false
 }

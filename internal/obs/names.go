@@ -38,15 +38,6 @@ const (
 	StriderCycles      = "strider.cycles"
 	StriderCyclesTotal = "strider.cycles_total"
 
-	// Static verification of Strider programs (internal/strider
-	// verify.go): one verify run per program built for dispatch; a
-	// reject means the program had a definite trap and never reached a
-	// Strider, warnings count unprovable properties the VM still
-	// guards dynamically.
-	StriderVerifyRuns     = "strider.verify_runs"
-	StriderVerifyWarnings = "strider.verify_warnings"
-	StriderVerifyRejects  = "strider.verify_rejects"
-
 	// Execution engine (internal/engine): the critical-path (span)
 	// cycle split. Invariant: EngineCyclesLoad + EngineCyclesCompute +
 	// EngineCyclesMerge == EngineCycles, exactly. EngineCyclesIdle is

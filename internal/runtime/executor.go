@@ -16,13 +16,13 @@ package runtime
 // group before, and the coordinator unpins it only once every walker is
 // done with it. Slot j runs on
 // Strider healthy[j mod h] and walker i owns the Striders ≡ i (mod W),
-// so no VM is shared and trap outcomes do not depend on W. W is
+// so trap outcomes do not depend on W. W is
 // min(GOMAXPROCS, healthy Striders, pages) on a table the pool holds,
 // else 1: the coordinator then walks and sinks each page itself, through
 // the one PageResult a spill scan recycles, whose packed rows are views
-// of the pinned page images (PageResult). The walk is accessengine's
-// direct pass (strider.WalkCost's closed form); a Strider's VM runs only
-// the pages that pass declines, and InnoDB's. The records of a table the
+// of the pinned page images (PageResult). The walk is accessengine's one
+// extraction path, the function of the Strider program, charged by
+// strider.WalkCost's closed form. The records of a table the
 // pool holds are copied into one flat arena (Arena.Alloc is a lock-free
 // bump, so walkers share it), which the record cache keeps. Every
 // modeled counter — access-engine and engine cycles, page retries,
@@ -50,7 +50,6 @@ import (
 
 	"dana/internal/accessengine"
 	"dana/internal/backend"
-	"dana/internal/catalog"
 	"dana/internal/fault"
 	"dana/internal/obs"
 	"dana/internal/storage"
@@ -196,9 +195,9 @@ func (w *workerError) Unwrap() error { return w.err }
 // the record cache and the host-parallel extraction —
 // when the backend is Streaming, the relation's tuples materialized
 // once, in the one width be's Precision reads, otherwise. The Striders
-// run acc's program, the one buildAccelerator verified: nothing is
-// regenerated per Train.
-func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, acc *catalog.Accelerator, nStriders int) (*epochRunner, error) {
+// walk the relation's pages with the function of the program the
+// catalog holds.
+func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, nStriders int) (*epochRunner, error) {
 	caps := be.Capabilities()
 	if !caps.Streaming {
 		rows := &backend.Stream{}
@@ -216,7 +215,7 @@ func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, acc *ca
 			rows: rows,
 		}, nil
 	}
-	ae, err := accessengine.NewFor(strider.PostgresLayout(s.Opts.PageSize), rel.Schema, nStriders, acc.StriderProg, acc.StriderCfg)
+	ae, err := accessengine.New(strider.PostgresLayout(s.Opts.PageSize), rel.Schema, nStriders)
 	if err != nil {
 		return nil, err
 	}

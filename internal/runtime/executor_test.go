@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	hostrt "runtime"
+	"slices"
 	"testing"
 
 	"dana/internal/accessengine"
 	"dana/internal/backend"
+	"dana/internal/catalog"
 	"dana/internal/fault"
 	"dana/internal/hdfg"
 	"dana/internal/obs"
@@ -450,7 +452,7 @@ func newBenchRunner(t *testing.T, spill bool) (*epochRunner, *backend.Accel) {
 	if ns > 16 {
 		ns = 16
 	}
-	ae, err := accessengine.NewFor(strider.PostgresLayout(opts.PageSize), d.Rel.Schema, ns, acc.StriderProg, acc.StriderCfg)
+	ae, err := accessengine.New(strider.PostgresLayout(opts.PageSize), d.Rel.Schema, ns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,10 +506,10 @@ func TestHotPathsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestTrainRunsCatalogProgram (white box): the Strider program a Train's
-// access engine holds is the catalog's own — the slice buildAccelerator
-// verified and danactl prints, not a regenerated equal — and Trains
-// verify nothing again.
+// TestTrainRunsCatalogProgram (white box): the Strider program the
+// catalog holds for an accelerator — what danactl prints and
+// ExportAccelerator writes — is the one strider.Generate emits for the
+// system's page layout, and a Train's access engine walks that layout.
 func TestTrainRunsCatalogProgram(t *testing.T) {
 	s, udfName, table := ftSystem(t)
 	udf, rel, acc, job, err := s.resolve(udfName, table, s.Opts.Precision)
@@ -524,28 +526,35 @@ func TestTrainRunsCatalogProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer be.(backend.Closer).Close()
-	feed, err := s.newEpochFeed(rel, be, acc, prog.Striders)
+	feed, err := s.newEpochFeed(rel, be, prog.Striders)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if feed.ae == nil {
 		t.Fatal("the default backend got no access engine")
 	}
-	got := feed.ae.Program()
-	if len(got) == 0 || len(got) != len(acc.StriderProg) || &got[0] != &acc.StriderProg[0] {
-		t.Errorf("the feed runs a %d-instruction program at %p; the catalog holds %d at %p",
-			len(got), got, len(acc.StriderProg), acc.StriderProg)
+	if want := strider.PostgresLayout(s.Opts.PageSize); feed.ae.Layout != want {
+		t.Errorf("the feed walks layout %+v, want %+v", feed.ae.Layout, want)
 	}
-	if feed.ae.Config() != acc.StriderCfg {
-		t.Errorf("the feed's Strider config %+v is not the catalog's %+v", feed.ae.Config(), acc.StriderCfg)
-	}
+	catalogHoldsGenerated(t, s, acc)
 	for i := 0; i < 3; i++ {
 		if _, err := s.Train(udfName, table); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if runs := obsCount(t, s, obs.StriderVerifyRuns); runs != 1 {
-		t.Errorf("%d Strider verifications after Register and 3 Trains, want Register's one", runs)
+}
+
+// catalogHoldsGenerated fails unless acc's Strider program and config
+// are what strider.Generate emits for the system's page layout.
+func catalogHoldsGenerated(t *testing.T, s *System, acc *catalog.Accelerator) {
+	t.Helper()
+	prog, cfg, err := strider.Generate(strider.PostgresLayout(s.Opts.PageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(acc.StriderProg, prog) || acc.StriderCfg != cfg {
+		t.Errorf("the catalog holds a %d-instruction Strider program and config %+v; Generate emits %d and %+v",
+			len(acc.StriderProg), acc.StriderCfg, len(prog), cfg)
 	}
 }
 
@@ -571,7 +580,7 @@ func TestRowFedTrainsHoldOneWidth(t *testing.T) {
 		if err := be.Configure(prog); err != nil {
 			t.Fatal(err)
 		}
-		feed, err := s.newEpochFeed(rel, be, acc, prog.Striders)
+		feed, err := s.newEpochFeed(rel, be, prog.Striders)
 		if err != nil {
 			t.Fatal(err)
 		}

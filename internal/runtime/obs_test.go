@@ -165,14 +165,13 @@ func TestObsRuntimeCountersAndTrace(t *testing.T) {
 	if nEpochEvents != res.Epochs {
 		t.Fatalf("trace has %d epoch events, want %d", nEpochEvents, res.Epochs)
 	}
-	// The Strider program was statically verified exactly once, at
-	// accelerator build time, and admitted.
-	if got := r.Get(obs.StriderVerifyRuns); got != 1 {
-		t.Fatalf("verify runs = %d, want 1", got)
+	// The accelerator the Train ran holds the program Generate emits
+	// (and verified) for the layout.
+	acc, ok := s.DB.Cat.Accelerator(res.UDF)
+	if !ok {
+		t.Fatalf("no accelerator for %s", res.UDF)
 	}
-	if got := r.Get(obs.StriderVerifyRejects); got != 0 {
-		t.Fatalf("verify rejects = %d, want 0", got)
-	}
+	catalogHoldsGenerated(t, s, acc)
 }
 
 // TestObsDisabledIsBitIdenticalAndDark: Obs: obs.Noop leaves every modeled

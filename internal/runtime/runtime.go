@@ -156,10 +156,6 @@ type System struct {
 	obsEpochTimeout *obs.Counter
 	obsCPUFallbacks *obs.Counter
 	obsFailovers    *obs.Counter
-	// Static-verification instruments.
-	obsVerifyRuns     *obs.Counter
-	obsVerifyWarnings *obs.Counter
-	obsVerifyRejects  *obs.Counter
 	// Per-channel stream instruments (one handle per modeled channel,
 	// resolved at New like every other instrument; charged by the
 	// coordinator in page order alongside the Collector).
@@ -200,9 +196,6 @@ func New(opts Options) *System {
 	s.obsEpochTimeout = reg.Counter(obs.RuntimeEpochTimeout)
 	s.obsCPUFallbacks = reg.Counter(obs.RuntimeCPUFallbacks)
 	s.obsFailovers = reg.Counter(obs.RuntimeFailovers)
-	s.obsVerifyRuns = reg.Counter(obs.StriderVerifyRuns)
-	s.obsVerifyWarnings = reg.Counter(obs.StriderVerifyWarnings)
-	s.obsVerifyRejects = reg.Counter(obs.StriderVerifyRejects)
 	s.channels = min(max(opts.Cost.Link.Channels, 1), MaxChannels)
 	s.obsChanBytes = make([]*obs.Counter, s.channels)
 	s.obsChanBusy = make([]*obs.Counter, s.channels)
@@ -295,20 +288,11 @@ func (s *System) buildAccelerator(udf *catalog.UDF, mergeCoef, numTuples int) (*
 	if err != nil {
 		return nil, err
 	}
+	// Generate verifies the program it emits and refuses one with a
+	// definite trap: a compiler bug, never data.
 	sprog, scfg, err := strider.Generate(strider.PostgresLayout(s.Opts.PageSize))
 	if err != nil {
 		return nil, err
-	}
-	// Verify once per program, here at build time: every later dispatch
-	// (each epoch, each page) reuses this admission decision. A definite
-	// trap is a compiler bug, rejected before it can quarantine workers.
-	rep := strider.Verify(sprog, scfg, strider.VerifyOptions{PageSize: s.Opts.PageSize})
-	s.obsVerifyRuns.Inc()
-	nWarn := int64(len(rep.Warnings()))
-	s.obsVerifyWarnings.Add(nWarn)
-	if err := rep.Err(false); err != nil {
-		s.obsVerifyRejects.Inc()
-		return nil, fmt.Errorf("runtime: refusing to dispatch unverified Strider program for %s: %w", udf.Name, err)
 	}
 	sched := compiler.ScheduleProgram(prog, design.Engine)
 	acc := &catalog.Accelerator{
@@ -507,7 +491,7 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 	trainStart := time.Now()
 	s.obsTrainRuns.Inc()
 	s.obs.Trace(obs.EvTrainStart, int64(job.Epochs), int64(rel.NumPages()))
-	feed, err := s.newEpochFeed(rel, be, acc, prog.Striders)
+	feed, err := s.newEpochFeed(rel, be, prog.Striders)
 	if err != nil {
 		return nil, err
 	}

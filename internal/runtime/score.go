@@ -48,9 +48,9 @@ func refuseDead(rel *storage.Relation) error {
 // Score runs a batch-scoring pass of a registered UDF over a table with
 // model (nil scores with zeros) and returns the number of rows scored;
 // the scores themselves are not kept. Every row is the value extraction
-// hands Train: each heap page goes through the walker of the UDF's
-// accelerator, and through its Strider VM only when the walker declines
-// it. The pages come from the relation itself, not the buffer pool, and
+// hands Train: each heap page goes through the access engine's walk, the
+// function of the accelerator's Strider program. The pages come from the
+// relation itself, not the buffer pool, and
 // no fault injector is attached: a Score pins no frame, reads no modeled
 // I/O and charges no Strider or engine cycles. It runs on the caller, on
 // Strider 0.
@@ -104,10 +104,10 @@ func (s *System) score(udfName, table string, model []float32, each func(i int, 
 }
 
 // newScorePass builds the pass for a resolved (UDF, relation,
-// accelerator): one Strider running the accelerator's verified program,
-// as Train's extraction does.
+// accelerator): one Strider walking the relation's pages, as Train's
+// extraction does.
 func (s *System) newScorePass(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Accelerator, class backend.Class) (*scorePass, error) {
-	ae, err := accessengine.NewFor(strider.PostgresLayout(s.Opts.PageSize), rel.Schema, 1, acc.StriderProg, acc.StriderCfg)
+	ae, err := accessengine.New(strider.PostgresLayout(s.Opts.PageSize), rel.Schema, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -151,22 +151,21 @@ func (r *InnoRelation) Page(i int) (InnoPage, error) {
 	return r.pages[i], nil
 }
 
-// Insert appends one row.
+// Insert appends one row, on a new page when the last one is full. A row
+// the schema cannot encode, or one wider than an empty page, is refused
+// and leaves the relation as it was.
 func (r *InnoRelation) Insert(vals []float64) error {
 	buf := make([]byte, r.Schema.DataWidth())
 	if err := r.Schema.EncodeValues(buf, vals); err != nil {
 		return err
 	}
-	if len(r.pages) == 0 {
-		r.pages = append(r.pages, NewInnoPage(r.PageSize))
+	if n := len(r.pages); n > 0 && r.pages[n-1].AddRecord(buf) == nil {
+		return nil
 	}
-	p := r.pages[len(r.pages)-1]
+	p := NewInnoPage(r.PageSize)
 	if err := p.AddRecord(buf); err != nil {
-		p = NewInnoPage(r.PageSize)
-		r.pages = append(r.pages, p)
-		if err := p.AddRecord(buf); err != nil {
-			return err
-		}
+		return err
 	}
+	r.pages = append(r.pages, p)
 	return nil
 }

@@ -92,7 +92,10 @@ func NewPage(size, specialSize int) Page {
 // Init formats p as an empty page with specialSize bytes reserved at the
 // end (PostgreSQL heap pages use 0; index pages use more). A buffer too
 // small to hold a header is left zeroed (every accessor then reports it
-// as corrupt instead of panicking).
+// as corrupt instead of panicking). Init formats any longer buffer, but
+// pd_pagesize_version keeps the size in its high byte, so Validate
+// accepts only the lengths it can record, multiples of 256 up to
+// 65 280: a page of any other length that Init formats is refused.
 func (p Page) Init(specialSize int) {
 	for i := range p {
 		p[i] = 0

@@ -110,23 +110,37 @@ func TestGenerateInnoDBOutOfOrderChain(t *testing.T) {
 	}
 }
 
+// TestInnoRelationSpillsPages: rows that spill over several InnoDB pages
+// come back from the chain-walking program page by page, every value in
+// insertion order.
 func TestInnoRelationSpillsPages(t *testing.T) {
 	schema := storage.NumericSchema(100)
 	r := storage.NewInnoRelation("inno", schema, storage.PageSize8K)
+	rng := rand.New(rand.NewSource(12))
+	var want []byte
+	buf := make([]byte, schema.DataWidth())
 	for i := 0; i < 100; i++ {
-		if err := r.Insert(make([]float64, 101)); err != nil {
+		vals := make([]float64, 101)
+		for j := range vals {
+			vals[j] = float64(float32(rng.NormFloat64()))
+		}
+		if err := r.Insert(vals); err != nil {
 			t.Fatal(err)
 		}
+		if err := schema.EncodeValues(buf, vals); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, buf...)
 	}
 	if r.NumPages() < 2 {
 		t.Errorf("pages = %d, want >= 2", r.NumPages())
 	}
-	total := 0
 	prog, cfg, err := GenerateInnoDB(InnoDBLayout(storage.PageSize8K, schema))
 	if err != nil {
 		t.Fatal(err)
 	}
 	vm := NewVM(prog, cfg)
+	var got []byte
 	for i := 0; i < r.NumPages(); i++ {
 		pg, err := r.Page(i)
 		if err != nil {
@@ -135,10 +149,13 @@ func TestInnoRelationSpillsPages(t *testing.T) {
 		if err := vm.Run([]byte(pg)); err != nil {
 			t.Fatal(err)
 		}
-		total += len(vm.Out()) / schema.DataWidth()
+		got = append(got, vm.Out()...)
 	}
-	if total != 100 {
-		t.Errorf("strider extracted %d tuples, want 100", total)
+	if n := len(got) / schema.DataWidth(); n != 100 {
+		t.Errorf("strider extracted %d tuples, want 100", n)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the extracted stream is not the inserted rows in order")
 	}
 }
 

@@ -104,17 +104,6 @@ func (r *Report) Errors() []Diag {
 	return out
 }
 
-// Warnings returns only the unproven-property diagnostics.
-func (r *Report) Warnings() []Diag {
-	var out []Diag
-	for _, d := range r.Diags {
-		if d.Sev == SevWarning {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // OK reports whether the program is admissible: free of definite traps,
 // and with strict set free of any diagnostic at all.
 func (r *Report) OK(strict bool) bool {

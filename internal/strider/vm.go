@@ -63,7 +63,6 @@ func (vm *VM) Steps() int64 { return vm.steps }
 func (vm *VM) Run(page []byte) error {
 	vm.page = page
 	if cap(vm.out) < vm.reserve {
-		//danalint:ignore hotcall -- capacity-guarded emit-buffer growth, reused across pages
 		vm.out = make([]byte, 0, vm.reserve)
 	}
 	vm.out = vm.out[:0]

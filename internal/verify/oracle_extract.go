@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -13,16 +14,44 @@ import (
 	"dana/internal/strider"
 )
 
-// Oracle E: extraction equivalence. The access engine decodes a page
-// directly and charges the Strider program's cost from a closed form;
+// Oracle E: extraction equivalence. The access engine walks a page in
+// one pass and charges the Strider program's cost from a closed form;
 // what it must return is defined by the program itself. The oracle here
 // is that definition rebuilt from exported pieces — strider.VM running
-// the program, every emitted payload through accessengine.Deformat,
-// counters read off the VM — so a fault in the direct pass, in its
-// closed form, or in the engine's own VM fallback breaks the comparison.
+// the program strider.Generate emits, every emitted tuple through
+// deformat, counters read off the VM — so a fault in the walk's fast
+// path, its general path or its closed form breaks the comparison.
 
 // ExtractFunc is the shape of accessengine.Engine.ExtractPage.
 type ExtractFunc func(strider int, page storage.Page, res *accessengine.PageResult) error
+
+// deformat converts one tuple's payload bytes into float32 values, one
+// per column, appended to dst: ints converted to float, float8 narrowed.
+// It is the oracle's own statement of the "transform user data into a
+// floating point format" step of §6.2, kept apart from the walk's.
+func deformat(schema *storage.Schema, data []byte, dst []float32) ([]float32, error) {
+	if len(data) < schema.DataWidth() {
+		return dst, fmt.Errorf("oracle E: payload %d bytes, schema needs %d", len(data), schema.DataWidth())
+	}
+	for i, col := range schema.Cols {
+		b := data[schema.ColOffset(i):]
+		var v float32
+		switch col.Type {
+		case storage.TFloat32:
+			v = math.Float32frombits(binary.LittleEndian.Uint32(b))
+		case storage.TFloat64:
+			v = float32(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+		case storage.TInt32:
+			v = float32(int32(binary.LittleEndian.Uint32(b)))
+		case storage.TInt64:
+			v = float32(int64(binary.LittleEndian.Uint64(b)))
+		default:
+			return dst, fmt.Errorf("oracle E: column %q has unsupported type %v", col.Name, col.Type)
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
+}
 
 // vmExtract is the oracle for one page.
 func vmExtract(vm *strider.VM, schema *storage.Schema, page storage.Page, res *accessengine.PageResult) error {
@@ -36,7 +65,7 @@ func vmExtract(vm *strider.VM, schema *storage.Schema, page storage.Page, res *a
 	res.Data, res.Rows = res.Data[:0], res.Rows[:0]
 	for ; len(out) > 0; out = out[w:] {
 		var err error
-		if res.Data, err = accessengine.Deformat(schema, out[:w], res.Data); err != nil {
+		if res.Data, err = deformat(schema, out[:w], res.Data); err != nil {
 			return err
 		}
 	}
@@ -47,17 +76,22 @@ func vmExtract(vm *strider.VM, schema *storage.Schema, page storage.Page, res *a
 	return nil
 }
 
-// CheckExtract runs every page through extract and through the oracle
-// and requires the same outcome page by page: the same rows, value for
-// value as bits, the same Steps, Cycles and Bytes, and an error exactly
-// where the oracle has one, a Strider trap where it traps. Each page is
-// extracted twice, into a fresh result and into one recycled from the
-// pages before, because the two may take different forms (see
+// CheckExtract runs every page through extract and through the oracle,
+// the program strider.Generate emits for the layout, and requires the
+// same outcome page by page: the same rows, value for value as bits, the
+// same Steps, Cycles and Bytes, and an error exactly where the oracle has
+// one, a Strider trap exactly where it traps. Each page is extracted
+// twice, into a fresh result and into one recycled from the pages
+// before, because the two may take different forms (see
 // accessengine.PageResult): the rows must be views of the page with Data
 // empty, or cover Data exactly. The pages are dealt pn mod striders to
 // that many goroutines, each on its own Strider index — the executor's
 // concurrency, so the race detector sees what production runs.
-func CheckExtract(extract ExtractFunc, prog []strider.Instr, cfg strider.Config, schema *storage.Schema, pages []storage.Page, striders int) error {
+func CheckExtract(extract ExtractFunc, layout strider.PageLayout, schema *storage.Schema, pages []storage.Page, striders int) error {
+	prog, cfg, err := strider.Generate(layout)
+	if err != nil {
+		return fmt.Errorf("oracle E: %w", err)
+	}
 	errs := make([]error, striders)
 	var wg sync.WaitGroup
 	for s := 0; s < striders; s++ {
@@ -82,7 +116,8 @@ func CheckExtract(extract ExtractFunc, prog []strider.Instr, cfg strider.Config,
 	return errors.Join(errs...)
 }
 
-// sameExtract compares one extraction's outcome with the oracle's.
+// sameExtract compares one extraction's outcome with the oracle's; errors
+// match by class, a trap or not.
 func sameExtract(gotErr, wantErr error, got, want *accessengine.PageResult, page storage.Page) error {
 	switch {
 	case gotErr != nil && wantErr != nil:
@@ -154,9 +189,10 @@ func rowsCover(rows [][]float32, data []float32) bool {
 // CheckExtractOracle checks a PostgreSQL-layout access engine over the
 // scenario's pages on two concurrent Striders.
 func (sc *StriderScenario) CheckExtractOracle() error {
-	e, err := accessengine.New(strider.PostgresLayout(sc.PageSize), sc.Schema, 2)
+	layout := strider.PostgresLayout(sc.PageSize)
+	e, err := accessengine.New(layout, sc.Schema, 2)
 	if err != nil {
 		return fmt.Errorf("oracle E: %w", err)
 	}
-	return CheckExtract(e.ExtractPage, e.Program(), e.Config(), sc.Schema, sc.Pages, e.NumStriders)
+	return CheckExtract(e.ExtractPage, layout, sc.Schema, sc.Pages, e.NumStriders)
 }

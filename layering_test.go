@@ -225,16 +225,14 @@ func hostConcurrency(t *testing.T, name, src string) []string {
 // hook — otherwise it is deleted, not parked). Keys are pkg.Func and
 // pkg.Type.Method.
 var unreferencedOK = map[string]string{
-	"accessengine.NewInnoDB":         "paper capability: the Strider ISA walks a second engine's pages (§5.1.2)",
 	"catalog.ExportAccelerator":      "paper capability: an accelerator is catalog metadata that outlives the process (§4)",
 	"catalog.ImportAccelerator":      "paper capability: the reader of ExportAccelerator's format",
 	"bufpool.Pool.PinnedCount":       "safety hook: every pin-leak check (chaos, executor, failover) reads it",
 	"fault.Injector.TotalCount":      "safety hook: the chaos suites assert on how many faults fired",
 	"ml.TrainSGD":                    "reference: the MADlib-style SGD Oracle C and greenplum's crosscheck compare models against",
 	"storage.InnoPage.Records":       "reference: the InnoDB record walk Oracle A and the InnoDB walker's tests compare against",
+	"strider.VM.Steps":               "reference: the instructions the program retires, which Oracle E holds the walk's Steps to",
 	"storage.WeaveDequantize":        "reference: the scalar dequantisation the weave decode kernels are held equal to, bit for bit",
-	"accessengine.Engine.Program":    "safety hook: TestTrainRunsCatalogProgram reads the program a Train's Striders run",
-	"accessengine.Engine.Config":     "safety hook: TestTrainRunsCatalogProgram reads the config a Train's Striders run",
 	"storage.Relation.Validate":      "safety hook: checks every page's invariants after a fault or a vacuum",
 	"storage.Page.SetLinePointer":    "safety hook: the only way to fabricate the LP_REDIRECT state that scans must skip",
 	"storage.CheckWeaveSchema":       "input check: the weave layout's admission rule, which the backend's class gate is pinned to",
