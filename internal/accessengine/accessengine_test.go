@@ -177,3 +177,67 @@ func TestRatingSchemaEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestInnoDBAccessEngine: InnoDB pages stay off the access engine's
+// walk. New refuses the record-chain layout, which has no line pointers,
+// so those pages run in the Strider program GenerateInnoDB emits; rows
+// spread over several pages come back from it page by page, every value
+// in insertion order.
+func TestInnoDBAccessEngine(t *testing.T) {
+	schema := storage.NumericSchema(7)
+	rel := storage.NewInnoRelation("inno", schema, storage.PageSize8K)
+	rng := rand.New(rand.NewSource(12))
+	var want [][]float64
+	for i := 0; i < 300; i++ {
+		vals := make([]float64, 8)
+		for j := range vals {
+			vals[j] = float64(float32(rng.NormFloat64()))
+		}
+		if err := rel.Insert(vals); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, vals)
+	}
+	if rel.NumPages() < 2 {
+		t.Fatalf("pages = %d, want >= 2", rel.NumPages())
+	}
+	if _, err := New(strider.PageLayout{PageSize: storage.PageSize8K}, schema, 2); err == nil {
+		t.Error("the InnoDB record-chain layout was accepted by the line-pointer walk")
+	}
+	prog, cfg, err := strider.GenerateInnoDB(strider.InnoDBLayout(storage.PageSize8K, schema))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := strider.NewVM(prog, cfg)
+	var got [][]float64
+	for i := 0; i < rel.NumPages(); i++ {
+		pg, err := rel.Page(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.Run([]byte(pg)); err != nil {
+			t.Fatal(err)
+		}
+		out := vm.Out()
+		if len(out)%schema.DataWidth() != 0 {
+			t.Fatalf("page %d: %d bytes is not whole tuples of %d", i, len(out), schema.DataWidth())
+		}
+		for off := 0; off < len(out); off += schema.DataWidth() {
+			row, err := schema.DecodeValues(nil, out[off:off+schema.DataWidth()])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, row)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("extracted %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if float64(float32(got[i][j])) != want[i][j] {
+				t.Fatalf("rec %d col %d: %v != %v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
