@@ -1,16 +1,20 @@
 package dana
 
-// Overhead guard for page checksums: training with VerifyChecksums on
-// must cost < 5% extra wall time over a run with verification off. The
-// checksum is one pass over each page at pool-read time (cold path), and
-// stamping is lazy — once per mutated page, not per insert — so the
-// real overhead is small; the gate catches a future change that puts
-// checksumming on a per-pin or per-tuple path. Every timed Train follows
-// a ColdCache, so the verify path actually executes.
+// Overhead guard for page checksums: training under a zero-rate fault
+// schedule, which fires nothing but makes every pool miss verify its
+// page checksum, must cost < 5% extra wall time over a run without a
+// schedule, whose misses skip the check. The checksum is one pass over
+// each page at pool-read time (cold path), and stamping is lazy — once
+// per mutated page, not per insert — so the real overhead is small; the
+// gate catches a future change that puts checksumming on a per-pin or
+// per-tuple path. Every timed Train follows a ColdCache, so the verify
+// path actually executes.
 
 import (
 	"testing"
 	"time"
+
+	"dana/internal/fault"
 )
 
 // checksumTimedTrains is how many ColdCache + Train cycles one timing
@@ -24,14 +28,16 @@ const checksumTimedTrains = 5
 // checksumTrainer returns a function that opens a fresh engine — where
 // an engine's pages landed is a bias of its own, so no two timings share
 // one — settles it on a warm-up Train, and times checksumTimedTrains
-// cold-cache Trains, so every page goes through the disk-read (and
-// verify) path.
+// cold-cache Trains, so every page goes through the disk-read (and, with
+// verify, the checksum) path.
 func checksumTrainer(t *testing.T, verify bool) func() float64 {
 	return func() float64 {
 		t.Helper()
-		eng, err := Open(Config{
-			PageSize: 32 << 10, PoolBytes: 128 << 20, VerifyChecksums: verify,
-		})
+		cfg := Config{PageSize: 32 << 10, PoolBytes: 128 << 20}
+		if verify {
+			cfg.Faults = fault.New(fault.Config{})
+		}
+		eng, err := Open(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

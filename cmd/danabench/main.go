@@ -24,7 +24,6 @@ import (
 
 	"dana/internal/experiments"
 	"dana/internal/hwgen"
-	"dana/internal/server"
 )
 
 func main() {
@@ -230,7 +229,7 @@ func precisionSweep(env experiments.Env, w io.Writer) error {
 // beat always-reconfigure on modeled makespan.
 func tenants(env experiments.Env, w io.Writer) error {
 	header(w, "Multi-tenant server: sequence-aware vs always-reconfigure (seeded open-loop load)")
-	_, err := server.TenantExperiment(w)
+	_, err := experiments.TenantExperiment(w)
 	return err
 }
 

@@ -233,7 +233,7 @@ func printStats(w io.Writer, eng *dana.Engine, res *runtime.TrainResult, udfName
 	fmt.Fprintf(w, "  %-22s %14d cycles (work across striders)\n", "strider work", r.Get(obs.StriderCyclesTotal))
 	fmt.Fprintf(w, "  %-22s %13.1f%% of %d-strider capacity\n",
 		"access utilization", 100*res.Access.Utilization(res.Design.NumStriders), res.Design.NumStriders)
-	fmt.Fprintf(w, "  %-22s %14d pages, %d tuples, %d bytes, %d VM instructions\n",
+	fmt.Fprintf(w, "  %-22s %14d pages, %d tuples, %d bytes, %d Strider instructions\n",
 		"walked", r.Get(obs.StriderPages), r.Get(obs.StriderTuples),
 		r.Get(obs.StriderBytes), r.Get(obs.StriderInstrs))
 

@@ -43,8 +43,6 @@ type Config struct {
 	// PoolBytes is the in-process buffer pool budget, and the pool the
 	// cost model prices runs on.
 	PoolBytes int64
-	// MaxEpochs caps functional training (0 = the UDF's own budget).
-	MaxEpochs int
 	// Backend selects the execution backend for Train: "" pins the DAnA
 	// accelerator pipeline (the paper path and historical default),
 	// "auto" lets the heterogeneous dispatcher pick the cheapest capable
@@ -87,26 +85,19 @@ type Config struct {
 	// Strider VM traps, and analytic-cluster failures. nil (the default)
 	// disables injection entirely; with nil Faults the engine's modeled
 	// cycles and trained models are bit-identical to a build without the
-	// fault framework.
+	// fault framework. Recovery runs on fixed budgets: 3 same-Strider
+	// re-walks of a trapped page before the Strider is quarantined, 3
+	// re-reads of a failed pool read, and a checksum check on every pool
+	// miss while Faults is set.
 	Faults *fault.Injector
 	// EpochTimeout bounds each training epoch's wall-clock time (0 = no
 	// bound). An expired epoch surfaces fault.ErrEpochTimeout and, unless
 	// DisableCPUFallback is set, degrades the run to the CPU path.
 	EpochTimeout time.Duration
-	// MaxPageRetries bounds same-Strider re-walks after a VM trap before
-	// the worker is quarantined (0 = default 3, negative = none).
-	MaxPageRetries int
-	// MaxReadRetries bounds buffer-pool page-read retries on injected
-	// I/O or checksum failures (0 = default 3, negative = none).
-	MaxReadRetries int
 	// DisableCPUFallback turns off graceful degradation: accelerator
 	// faults that survive retry and quarantine surface as typed errors
 	// instead of completing the run on the golden CPU trainer.
 	DisableCPUFallback bool
-	// VerifyChecksums forces per-page checksum verification on every
-	// buffer-pool read even without an attached fault schedule (checksums
-	// are always verified when Faults is non-nil).
-	VerifyChecksums bool
 }
 
 // Defaults returns the paper's default setup at in-process scale.
@@ -135,7 +126,6 @@ func Open(cfg Config) (*Engine, error) {
 	opts := runtime.DefaultOptions()
 	opts.PageSize = cfg.PageSize
 	opts.Cost.PoolBytes = cfg.PoolBytes
-	opts.MaxEpochs = cfg.MaxEpochs
 	opts.Backend = cfg.Backend
 	opts.Precision = cfg.Precision
 	opts.Segments = cfg.Segments
@@ -145,10 +135,7 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	opts.Faults = cfg.Faults
 	opts.EpochTimeout = cfg.EpochTimeout
-	opts.MaxPageRetries = cfg.MaxPageRetries
-	opts.MaxReadRetries = cfg.MaxReadRetries
 	opts.DisableCPUFallback = cfg.DisableCPUFallback
-	opts.VerifyChecksums = cfg.VerifyChecksums
 	return &Engine{sys: runtime.New(opts)}, nil
 }
 

@@ -10,7 +10,7 @@ import (
 
 func openSmall(t *testing.T) *Engine {
 	t.Helper()
-	eng, err := Open(Config{PageSize: 8 << 10, PoolBytes: 32 << 20, MaxEpochs: 15})
+	eng, err := Open(Config{PageSize: 8 << 10, PoolBytes: 32 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,7 @@ func TestGreenplumSegmentsSameData(t *testing.T) {
 }
 
 func TestColdVsWarmFunctionalIO(t *testing.T) {
-	eng, err := Open(Config{PageSize: 8 << 10, PoolBytes: 64 << 20, MaxEpochs: 2})
+	eng, err := Open(Config{PageSize: 8 << 10, PoolBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,8 +91,8 @@ func (b *Accel) EstimateCost(job Job) (Cost, error) {
 // EstimateCost prices its prediction: engine and Strider makespans,
 // epochs run, disk reads, and the link charged per pass the page stream
 // made over the relation (cached replays included; a retried epoch's
-// partial pass counts as one), each pass paying its channel handshakes.
-// Under a weave window each pass ships the vertical layout.
+// partial pass counts as one). Under a weave window each pass ships the
+// vertical layout.
 func (b *Accel) ModeledSeconds(job Job, run Run) float64 {
 	pages := int64(max1(job.Pages))
 	link := job.Workload()

@@ -352,15 +352,6 @@ type Backend interface {
 	SetModel(m []float64) error
 }
 
-// Trainer is the narrow inner surface composition wrappers (Sharded)
-// need from a configured backend: epoch execution plus model state.
-// Every Backend satisfies it.
-type Trainer interface {
-	RunEpoch(st *Stream) error
-	Model() []float64
-	SetModel(m []float64) error
-}
-
 // Converger is implemented by backends whose program carries a
 // convergence check.
 type Converger interface {

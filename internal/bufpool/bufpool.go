@@ -30,9 +30,9 @@ func (id PageID) String() string { return fmt.Sprintf("%s:%d", id.Rel, id.Page) 
 // ErrNoFreeFrames is returned when every frame is pinned.
 var ErrNoFreeFrames = errors.New("bufpool: all buffer frames are pinned")
 
-// defaultMaxReadRetries is the re-read budget after a failed or corrupt
-// read when Pool.MaxReadRetries is unset.
-const defaultMaxReadRetries = 3
+// maxReadRetries is the re-read budget after a failed or corrupt read,
+// before Pin gives up with a typed error.
+const maxReadRetries = 3
 
 // Stats aggregates buffer pool counters.
 type Stats struct {
@@ -83,20 +83,12 @@ type Pool struct {
 	pageSize int
 	invals   uint64 // bumped by Invalidate/InvalidateRelation
 
-	// VerifyChecksums makes every miss validate the page checksum
-	// (when one is stamped), modeling PostgreSQL's data_checksums:
-	// torn or corrupted pages fail the read instead of reaching the
-	// Striders. Checksums are also verified whenever a fault injector
-	// is attached (corruption must be catchable); otherwise the check
-	// is skipped and counted as skipped via obs.
-	VerifyChecksums bool
-
-	// MaxReadRetries bounds re-read attempts after a failed or corrupt
-	// read before Pin gives up with a typed error (0 = default 3,
-	// negative = no retries). Each retry charges capped exponential
-	// backoff to Stats.BackoffSeconds on the simulated clock.
-	MaxReadRetries int
-
+	// faults, when set, injects read errors and page corruption, and
+	// makes every miss validate the page checksum (PostgreSQL's
+	// data_checksums): a torn page fails the read instead of reaching
+	// the Striders. Without an injector nothing can corrupt a page — a
+	// frame holds the heap's immutable page image — so the check is
+	// skipped and counted as skipped via obs.
 	faults *fault.Injector
 
 	// Observability handles (SetObs). Nil handles are no-ops, so an
@@ -260,7 +252,9 @@ func (p *Pool) InvalidateRelation(rel string) error {
 // not be written. It never changes: a mutation of the heap clones the
 // page, so a frame read before its page's last mutation is re-read on
 // its next pin (a miss), unless pinned: its holders keep the image they
-// read.
+// read. A failed or corrupt read is re-read up to maxReadRetries times,
+// each retry charging capped exponential backoff to Stats.BackoffSeconds
+// on the simulated clock, before Pin gives up with the read's error.
 func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -298,14 +292,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 			p.obsEvict.Inc()
 		}
 	}
-	retries := p.MaxReadRetries
-	switch {
-	case retries == 0:
-		retries = defaultMaxReadRetries
-	case retries < 0:
-		retries = 0
-	}
-	verify := p.VerifyChecksums || p.faults != nil
+	verify := p.faults != nil
 	var pg storage.Page
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -344,7 +331,7 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		if lastErr == nil {
 			break
 		}
-		if attempt >= retries {
+		if attempt >= maxReadRetries {
 			return nil, fmt.Errorf("bufpool: giving up on %v after %d attempts: %w", id, attempt+1, lastErr)
 		}
 		// Retry after capped exponential backoff on the simulated clock:

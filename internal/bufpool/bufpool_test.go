@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dana/internal/cost"
+	"dana/internal/fault"
 	"dana/internal/storage"
 )
 
@@ -312,7 +313,7 @@ func TestScanFloodsAsCostCounts(t *testing.T) {
 func TestChecksumVerification(t *testing.T) {
 	r := testRelation(t, "t", 50)
 	p := newPool(t, 4, r)
-	p.VerifyChecksums = true
+	p.SetFaults(fault.New(fault.Config{})) // fires nothing; every miss verifies
 
 	// Unstamped pages (checksum 0) pass.
 	if _, err := p.Pin("t", 0); err != nil {

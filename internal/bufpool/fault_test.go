@@ -155,7 +155,7 @@ func TestChecksumVerifiedVsSkippedCounters(t *testing.T) {
 	reg := obs.New()
 	p, _ := faultRel(t, 3)
 	p.SetObs(reg)
-	// No injector, no VerifyChecksums: misses skip verification.
+	// No injector: misses skip verification.
 	for pn := uint32(0); pn < 3; pn++ {
 		if _, err := p.Pin("ft", pn); err != nil {
 			t.Fatal(err)
@@ -191,9 +191,12 @@ func TestChecksumVerifiedVsSkippedCounters(t *testing.T) {
 	}
 }
 
-func TestVerifyChecksumsFlagCatchesRealCorruption(t *testing.T) {
+// TestChecksumsCatchRealCorruption: a zero-rate injector fires nothing,
+// but its presence makes every miss verify, so a heap page torn outside
+// the injector still fails the read.
+func TestChecksumsCatchRealCorruption(t *testing.T) {
 	p, rel := faultRel(t, 2)
-	p.VerifyChecksums = true
+	p.SetFaults(fault.New(fault.Config{}))
 	// Stamp, then corrupt the heap page *after* stamping so the stored
 	// checksum no longer matches (a genuinely torn heap, not injection).
 	src, err := rel.Page(0)

@@ -7,8 +7,7 @@ package cost
 // (page pn streams on channel pn mod N, the same policy the host
 // executor uses to shard its Strider groups), and channels run
 // concurrently, so an epoch's transfer time is the *maximum* over
-// channels of (per-channel handshake + that channel's page bytes /
-// per-channel bandwidth).
+// channels of (that channel's page bytes / per-channel bandwidth).
 //
 // Charging order is documented and serial: channels are charged in
 // index order 0..N-1, each channel's pages in page order; the epoch
@@ -19,17 +18,12 @@ package cost
 
 // ChannelModel describes the accelerator's data link as N independent
 // channels, each at Params.PCIeBytesPerSec. The zero value is the legacy
-// single link: one channel with no handshake.
+// single link.
 type ChannelModel struct {
 	// Channels is the number of independent channels (<= 1 models the
 	// single legacy link). Aggregate link bandwidth is Channels ×
 	// per-channel — the invariant AggregateBandwidth asserts.
 	Channels int
-	// HandshakeSec is the per-epoch, per-channel DMA setup latency
-	// (descriptor ring, doorbell). Charged once per channel per epoch,
-	// inside the max — a channel's stream cannot start before its
-	// handshake.
-	HandshakeSec float64
 }
 
 // channels returns the effective channel count (>= 1).
@@ -87,8 +81,7 @@ func danaTransferSec(w Workload, p Params) float64 {
 	bw := ChannelBandwidth(p)
 	bytes := linkBytes(w)
 	if c == 1 {
-		return float64(w.Epochs)*float64(bytes)/bw +
-			float64(float64(w.Epochs)*p.Link.HandshakeSec)
+		return float64(w.Epochs) * float64(bytes) / bw
 	}
 	pages := w.Pages
 	if pages <= 0 {
@@ -99,7 +92,7 @@ func danaTransferSec(w Workload, p Params) float64 {
 		// The channel's byte share is proportional to its page share
 		// under round-robin interleaving.
 		share := float64(bytes) * (float64(ChannelPages(pages, c, ch)) / float64(pages))
-		t := float64(w.Epochs)*share/bw + float64(float64(w.Epochs)*p.Link.HandshakeSec)
+		t := float64(w.Epochs) * share / bw
 		if t > worst {
 			worst = t
 		}

@@ -38,7 +38,7 @@ func TestTransferMaxOverChannels(t *testing.T) {
 	w := sampleWorkload()
 	p := Default()
 	for _, c := range []int{1, 2, 4, 8, 32} {
-		p.Link = ChannelModel{Channels: c, HandshakeSec: 3e-6}
+		p.Link = ChannelModel{Channels: c}
 		bytesPerPage := float64(w.DatasetBytes) / float64(w.Pages)
 		var worst float64
 		for ch := 0; ch < c; ch++ {
@@ -48,7 +48,7 @@ func TestTransferMaxOverChannels(t *testing.T) {
 					pages++
 				}
 			}
-			tt := p.Link.HandshakeSec + float64(pages)*bytesPerPage/ChannelBandwidth(p)
+			tt := float64(pages) * bytesPerPage / ChannelBandwidth(p)
 			if tt > worst {
 				worst = tt
 			}
@@ -86,24 +86,14 @@ func TestMoreChannelsNeverSlower(t *testing.T) {
 	}
 }
 
-// TestHandshakeChargedPerChannel: a nonzero per-channel handshake adds
-// to the worst channel exactly once per epoch, and with many channels
-// and a tiny dataset the handshake dominates.
-func TestHandshakeChargedPerChannel(t *testing.T) {
+// TestTupleTransferLegacyExpression: tuple granularity folds the
+// channel model in, and one channel must reproduce the legacy
+// expression exactly.
+func TestTupleTransferLegacyExpression(t *testing.T) {
 	w := sampleWorkload()
 	p := Default()
-	p.Link = ChannelModel{Channels: 4, HandshakeSec: 1e-3}
-	base := p
-	base.Link.HandshakeSec = 0
-	delta := TransferSec(w, p) - TransferSec(w, base)
-	if math.Abs(delta-1e-3) > 1e-12 {
-		t.Errorf("handshake delta %v, want 1e-3 (once per epoch on the worst channel)", delta)
-	}
-	// Tuple granularity also folds the channel model in: one channel
-	// must reproduce the legacy expression exactly.
 	legacy := float64(w.Epochs) * float64(w.Tuples) *
 		(TupleHandshakeSec + float64(w.DatasetBytes)/float64(w.Tuples)/(p.PCIeBytesPerSec*p.BandwidthScale))
-	p.Link = ChannelModel{}
 	if got := tupleTransferSec(w, p); got != legacy {
 		t.Errorf("tuple-granularity 1-channel transfer %v != legacy %v", got, legacy)
 	}
@@ -116,9 +106,8 @@ func TestHandshakeChargedPerChannel(t *testing.T) {
 func TestWeaveTransferExact(t *testing.T) {
 	w := sampleWorkload()
 	p := Default()
-	p.Link = ChannelModel{HandshakeSec: 2e-6}
 	legacy := TransferSec(w, p)
-	if want := float64(w.DatasetBytes)/ChannelBandwidth(p) + p.Link.HandshakeSec; legacy != want {
+	if want := float64(w.DatasetBytes) / ChannelBandwidth(p); legacy != want {
 		t.Fatalf("legacy transfer %v != scalar expression %v", legacy, want)
 	}
 	w.WeaveFixedBytes = 3 << 20
@@ -129,7 +118,7 @@ func TestWeaveTransferExact(t *testing.T) {
 	for bits := 1; bits <= 32; bits++ {
 		w.WeaveBits = bits
 		eff := w.WeaveFixedBytes + int64(bits)*w.WeaveBitBytes
-		want := float64(eff)/ChannelBandwidth(p) + p.Link.HandshakeSec
+		want := float64(eff) / ChannelBandwidth(p)
 		if got := TransferSec(w, p); got != want {
 			t.Fatalf("bits=%d: TransferSec %v != exact effective-bytes expression %v", bits, got, want)
 		}
@@ -145,7 +134,7 @@ func TestWeaveTransferMonotone(t *testing.T) {
 	w.WeaveBitBytes = 5 << 20
 	p := Default()
 	for _, c := range []int{1, 4} {
-		p.Link = ChannelModel{Channels: c, HandshakeSec: 1e-6}
+		p.Link = ChannelModel{Channels: c}
 		prev := math.Inf(1)
 		for bits := 32; bits >= 1; bits-- {
 			w.WeaveBits = bits

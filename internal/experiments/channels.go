@@ -127,9 +127,9 @@ func checkChannelIdentities(w cost.Workload, p, legacy cost.Params) error {
 			return fmt.Errorf("channel %d owns %d pages, ChannelPages says %d", c, counts[c], cost.ChannelPages(pages, ch, c))
 		}
 		share := float64(w.DatasetBytes) * (float64(counts[c]) / float64(pages))
-		t := share/bw + p.Link.HandshakeSec
+		t := share / bw
 		if ch == 1 {
-			t = float64(w.DatasetBytes)/bw + p.Link.HandshakeSec
+			t = float64(w.DatasetBytes) / bw
 		}
 		if t > worst {
 			worst = t

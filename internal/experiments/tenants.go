@@ -1,8 +1,10 @@
-package server
+package experiments
 
 import (
 	"fmt"
 	"io"
+
+	"dana/internal/server"
 )
 
 // TenantExperiment is danabench -exp tenants: a fixed-seed open-loop
@@ -14,12 +16,12 @@ import (
 // the counter identity breaks, any job fails, or sequence-aware does
 // not beat always-reconfigure on makespan and reuse rate.
 func TenantExperiment(w io.Writer) (speedup float64, err error) {
-	load := LoadConfig{Seed: 1, Tenants: 6, Jobs: 48, RateJobsPerSec: 24, Scale: 0.002, Epochs: 2}
-	specs := GenLoad(load)
-	srv, err := New(Config{
-		Tenants:   DefaultTenants(load.Tenants),
+	load := server.LoadConfig{Seed: 1, Tenants: 6, Jobs: 48, RateJobsPerSec: 24, Scale: 0.002, Epochs: 2}
+	specs := server.GenLoad(load)
+	srv, err := server.New(server.Config{
+		Tenants:   server.DefaultTenants(load.Tenants),
 		Instances: 2,
-		Policy:    PolicySequenceAware,
+		Policy:    server.PolicySequenceAware,
 		Seed:      load.Seed,
 	})
 	if err != nil {
@@ -44,7 +46,7 @@ func TenantExperiment(w io.Writer) (speedup float64, err error) {
 	}
 
 	// Same load, baseline policy — plan only.
-	basePlan, err := srv.Replan(specs, PolicyAlwaysReconfigure)
+	basePlan, err := srv.Replan(specs, server.PolicyAlwaysReconfigure)
 	if err != nil {
 		return 0, err
 	}
@@ -52,7 +54,7 @@ func TenantExperiment(w io.Writer) (speedup float64, err error) {
 		speedup = basePlan.Makespan / rep.MakespanSec
 	}
 
-	WriteReport(w, rep)
+	server.WriteReport(w, rep)
 	fmt.Fprintf(w, "always-reconfigure baseline: makespan %.3fs, reuse rate %.0f%%\n",
 		basePlan.Makespan, 100*basePlan.ReuseRate())
 	fmt.Fprintf(w, "sequence-aware vs always-reconfigure on modeled makespan: %.2fx\n", speedup)

@@ -24,7 +24,7 @@ type Sharded struct {
 	env backend.Env
 
 	segments int
-	inners   []backend.Trainer
+	inners   []*backend.CPU
 	model    []float64
 
 	// shards is per-epoch scratch, reused across RunEpoch calls.
@@ -71,7 +71,7 @@ func (b *Sharded) Configure(p backend.Program) error {
 		return fmt.Errorf("%w: %s cannot run class=%s", backend.ErrUnsupported, backend.NameSharded, class)
 	}
 	segs := segmentsOf(b.env)
-	inners := make([]backend.Trainer, segs)
+	inners := make([]*backend.CPU, segs)
 	for s := range inners {
 		cpu := backend.NewCPU(b.env)
 		if err := cpu.Configure(p); err != nil {

@@ -34,7 +34,7 @@ const (
 	StriderPages       = "strider.pages_walked"
 	StriderTuples      = "strider.tuples_extracted"
 	StriderBytes       = "strider.bytes_decoded"
-	StriderInstrs      = "strider.vm_instructions"
+	StriderInstrs      = "strider.instructions"
 	StriderCycles      = "strider.cycles"
 	StriderCyclesTotal = "strider.cycles_total"
 

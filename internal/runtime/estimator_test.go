@@ -61,8 +61,8 @@ type gateRow struct {
 	bits     int
 	cache    string // "warm", "cold" or "spill"
 	early    bool   // the program converges after its first epoch
-	// link runs on three 1 ms-handshake channels at 1 % bandwidth, so the
-	// link wins the max; Patient's 214 pages do not divide by three.
+	// link runs on three channels at 1 % bandwidth, so the link wins the
+	// max; Patient's 214 pages do not divide by three.
 	link bool
 }
 
@@ -135,7 +135,7 @@ func runGateRow(t *testing.T, r gateRow) gateRun {
 	}
 	opts.Backend, opts.Precision = r.backend, r.bits
 	if r.link {
-		opts.Cost.Link = cost.ChannelModel{Channels: 3, HandshakeSec: 1e-3}
+		opts.Cost.Link = cost.ChannelModel{Channels: 3}
 		opts.Cost.BandwidthScale = 0.01
 	}
 	s := New(opts)
@@ -286,7 +286,7 @@ func TestMetaEstimatorGateCatchesPricingFaults(t *testing.T) {
 				return g.be.ModeledSeconds(job, run)
 			}
 		},
-		"one link handshake a run": func(g *gateRun) price {
+		"one link pass a run": func(g *gateRun) price {
 			return func(job backend.Job, run backend.Run) float64 {
 				job.Pages *= run.Epochs // the run's pages as one pass
 				job.DatasetBytes *= int64(run.Epochs)

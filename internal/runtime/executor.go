@@ -56,9 +56,9 @@ import (
 	"dana/internal/strider"
 )
 
-// defaultMaxPageRetries is the same-Strider re-walk budget after a VM
-// trap when Options.MaxPageRetries is unset.
-const defaultMaxPageRetries = 3
+// maxPageRetries is the same-Strider re-walk budget after a VM trap,
+// before the trap counts as persistent and the Strider is quarantined.
+const maxPageRetries = 3
 
 // recordCache holds extracted records per relation, keyed by name and
 // validated against the relation's mutation generation, its identity,
@@ -157,14 +157,12 @@ type epochRunner struct {
 	// Fault handling. healthy lists the usable Strider VM indices:
 	// quarantine removes persistently-trapping VMs, and slot j of a page
 	// group runs on healthy[j mod len(healthy)] (VM identity never affects
-	// modeled cycles, so the mapping is free). maxPageRetries bounds
-	// same-VM re-walk attempts for a trapped page; deadline is the
-	// current epoch's wall-clock budget (zero = none).
-	faults         *fault.Injector
-	healthy        []int
-	maxPageRetries int
-	epoch          int
-	deadline       time.Time
+	// modeled cycles, so the mapping is free); deadline is the current
+	// epoch's wall-clock budget (zero = none).
+	faults   *fault.Injector
+	healthy  []int
+	epoch    int
+	deadline time.Time
 }
 
 // walk is what walking one page made: the result, the same-Strider
@@ -225,13 +223,6 @@ func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, nStride
 }
 
 func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, be backend.Backend) *epochRunner {
-	retries := s.Opts.MaxPageRetries
-	switch {
-	case retries == 0:
-		retries = defaultMaxPageRetries
-	case retries < 0:
-		retries = 0
-	}
 	healthy := make([]int, ae.NumStriders)
 	for i := range healthy {
 		healthy[i] = i
@@ -240,10 +231,9 @@ func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, 
 		s: s, ae: ae, rel: rel, be: be,
 		fits: rel.NumPages() <= s.DB.Pool.NumFrames(),
 
-		accelerated:    be.Capabilities().Accelerated,
-		faults:         s.Opts.Faults,
-		healthy:        healthy,
-		maxPageRetries: retries,
+		accelerated: be.Capabilities().Accelerated,
+		faults:      s.Opts.Faults,
+		healthy:     healthy,
 
 		groups: [2][]storage.Page{make([]storage.Page, 0, ae.NumStriders)},
 		col:    ae.NewCollector(),
@@ -365,7 +355,7 @@ func (r *epochRunner) extract(vmIdx int, pg storage.Page, res *accessengine.Page
 		if !errors.Is(err, fault.ErrVMTrap) {
 			return retries, err
 		}
-		if retries >= r.maxPageRetries {
+		if retries >= maxPageRetries {
 			return retries, &workerError{vmIdx: vmIdx, pageNo: res.PageNo, err: err}
 		}
 	}

@@ -39,7 +39,6 @@ func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, ep
 	if spill {
 		opts.Cost.PoolBytes = spillPoolBytes
 	}
-	opts.MaxEpochs = epochs
 	for _, mod := range mods {
 		mod(&opts)
 	}
@@ -143,7 +142,6 @@ func TestExtractCacheSkipsPoolAndInvalidates(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
 	opts.Cost.PoolBytes = 32 << 20
-	opts.MaxEpochs = 3
 	s := New(opts)
 	d := deployScaled(t, s, "Remote Sensing LR", 0.002)
 	a, err := d.DSLAlgo(16)

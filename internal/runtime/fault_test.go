@@ -63,7 +63,6 @@ func ftSystem(t *testing.T, mods ...func(*Options)) (*System, string, string) {
 	opts := DefaultOptions()
 	opts.PageSize = 8 << 10
 	opts.Cost.PoolBytes = 32 << 20
-	opts.MaxEpochs = ftEpochs
 	for _, mod := range mods {
 		mod(&opts)
 	}

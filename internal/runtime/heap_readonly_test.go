@@ -54,7 +54,6 @@ func TestReadPathsNeverWriteTheHeap(t *testing.T) {
 		opts := DefaultOptions()
 		opts.PageSize = storage.PageSize8K
 		opts.Cost.PoolBytes = poolBytes
-		opts.MaxEpochs = 2
 		opts.Faults = in
 		s := New(opts)
 		if err := s.Deploy(d); err != nil {
@@ -64,6 +63,7 @@ func TestReadPathsNeverWriteTheHeap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		a.SetEpochs(2)
 		if _, err := s.Register(a, 8, d.Tuples); err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,6 @@ func TestInsertWhileViewsAreRead(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
 	opts.Cost.PoolBytes = spillPoolBytes
-	opts.MaxEpochs = 2
 	s := New(opts)
 	d := deployScaled(t, s, "Patient", 0.02)
 	if d.Rel.NumPages() <= s.Pool().NumFrames() {
@@ -238,6 +237,7 @@ func TestInsertWhileViewsAreRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.SetEpochs(2)
 	if _, err := s.Register(a, 8, d.Tuples); err != nil {
 		t.Fatal(err)
 	}

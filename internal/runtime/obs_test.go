@@ -18,7 +18,6 @@ func trainWithObs(t *testing.T, disable bool) (*System, *TrainResult) {
 	opts := DefaultOptions()
 	opts.PageSize = 8 << 10
 	opts.Cost.PoolBytes = 32 << 20
-	opts.MaxEpochs = 6
 	if disable {
 		opts.Obs = obs.Noop
 	}
@@ -87,7 +86,7 @@ func TestObsAccessAndPoolMirrors(t *testing.T) {
 			r.Get(obs.StriderCycles), r.Get(obs.StriderCyclesTotal), r.Get(obs.StriderInstrs), a)
 	}
 	if a.Instructions <= 0 {
-		t.Fatal("no strider VM instructions retired")
+		t.Fatal("no Strider instructions charged")
 	}
 	if u := a.Utilization(res.Design.NumStriders); u <= 0 || u > 1 {
 		t.Fatalf("strider utilization %v outside (0,1]", u)

@@ -50,7 +50,6 @@ func TestPoolLedgerIgnoresHostParallelism(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
 	opts.Cost.PoolBytes = int64(d.Rel.NumPages()) * storage.PageSize8K // the table fits, with no frame to spare
-	opts.MaxEpochs = 1
 	opts.Faults = inj
 	s := New(opts)
 	for _, ds := range []*datagen.Dataset{d, filler} {

@@ -16,8 +16,8 @@ import (
 )
 
 // trainPatientWith builds a fresh system from opts, deploys the Patient
-// workload, registers its UDF, and trains it.
-func trainPatientWith(t *testing.T, opts Options) (*System, *TrainResult, [][]float64) {
+// workload, registers its UDF at an epoch budget, and trains it.
+func trainPatientWith(t *testing.T, opts Options, epochs int) (*System, *TrainResult, [][]float64) {
 	t.Helper()
 	s := New(opts)
 	d := deployScaled(t, s, "Patient", 0.02)
@@ -25,7 +25,7 @@ func trainPatientWith(t *testing.T, opts Options) (*System, *TrainResult, [][]fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetEpochs(10)
+	a.SetEpochs(epochs)
 	if _, err := s.Register(a, 8, d.Tuples); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,6 @@ func precisionOpts(bits int) Options {
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
 	opts.Cost.PoolBytes = 32 << 20
-	opts.MaxEpochs = 20
 	opts.Precision = bits
 	return opts
 }
@@ -57,7 +56,7 @@ func precisionOpts(bits int) Options {
 // still fits the data.
 func TestTrainPrecisionRoutesWeave(t *testing.T) {
 	for _, bits := range []int{4, 8} {
-		_, res, tuples := trainPatientWith(t, precisionOpts(bits))
+		_, res, tuples := trainPatientWith(t, precisionOpts(bits), 10)
 		if res.Backend != backend.NameWeave {
 			t.Fatalf("precision %d trained on backend %q, want %q", bits, res.Backend, backend.NameWeave)
 		}
@@ -80,8 +79,8 @@ func TestTrainPrecisionRoutesWeave(t *testing.T) {
 // both keep the accelerator path, bit-for-bit — the knob's default is
 // invisible.
 func TestTrainPrecisionFullWidthIdentical(t *testing.T) {
-	_, base, _ := trainPatientWith(t, precisionOpts(0))
-	_, full, _ := trainPatientWith(t, precisionOpts(32))
+	_, base, _ := trainPatientWith(t, precisionOpts(0), 10)
+	_, full, _ := trainPatientWith(t, precisionOpts(32), 10)
 	if base.Backend != backend.NameAccelerator || full.Backend != backend.NameAccelerator {
 		t.Fatalf("backends %q / %q, want accelerator for both", base.Backend, full.Backend)
 	}
@@ -103,7 +102,7 @@ func TestTrainPrecisionFullWidthIdentical(t *testing.T) {
 func TestTrainExplicitWeaveFullWidth(t *testing.T) {
 	opts := precisionOpts(0)
 	opts.Backend = backend.NameWeave
-	_, res, tuples := trainPatientWith(t, opts)
+	_, res, tuples := trainPatientWith(t, opts, 10)
 	if res.Backend != backend.NameWeave {
 		t.Fatalf("trained on backend %q, want %q", res.Backend, backend.NameWeave)
 	}

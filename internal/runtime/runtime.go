@@ -37,9 +37,6 @@ type Options struct {
 	// Cost prices every run, and its Disk and PoolBytes build the buffer
 	// pool the runs read through.
 	Cost cost.Params
-	// MaxEpochs caps functional training regardless of the UDF's epoch
-	// budget (0 = use the UDF's).
-	MaxEpochs int
 
 	// Backend selects the execution backend for Train: "" pins the DAnA
 	// accelerator pipeline (the paper path, and the historical default),
@@ -65,27 +62,20 @@ type Options struct {
 	// caught by checksums), the access engine (Strider traps), and the
 	// executor (worker stalls, cluster faults). Nil disables injection
 	// entirely: every hook degrades to a nil-check and modeled results
-	// are bit-identical to a build without the fault framework.
+	// are bit-identical to a build without the fault framework. The
+	// recovery budgets are fixed: a trapped page gets 3 same-Strider
+	// re-walks before its Strider is quarantined, a failed or corrupt
+	// pool read 3 re-reads, and every pool miss verifies its checksum
+	// while Faults is set.
 	Faults *fault.Injector
 	// EpochTimeout bounds each epoch's wall-clock time (0 = none).
 	// Expiry surfaces as a typed fault.ErrEpochTimeout, which triggers
 	// the CPU fallback unless DisableCPUFallback is set.
 	EpochTimeout time.Duration
-	// MaxPageRetries bounds same-Strider re-walk attempts after a VM
-	// trap before the Strider is quarantined (0 = default 3, negative =
-	// no retries).
-	MaxPageRetries int
-	// MaxReadRetries is forwarded to bufpool.Pool.MaxReadRetries
-	// (0 = pool default, negative = no retries).
-	MaxReadRetries int
 	// DisableCPUFallback turns off graceful degradation: accelerator
 	// faults surface as typed errors instead of completing the train on
 	// the golden float64 CPU trainer.
 	DisableCPUFallback bool
-	// VerifyChecksums forces per-page checksum verification on every
-	// buffer-pool read even without an attached fault schedule (reads
-	// always verify when Faults is non-nil).
-	VerifyChecksums bool
 
 	// Obs is the observability registry every subsystem charges.
 	// DefaultOptions supplies a fresh enabled one; obs.Noop (nil) runs
@@ -204,8 +194,6 @@ func New(opts Options) *System {
 		s.obsChanBusy[i] = reg.Counter(obs.ChannelBusyCycles(i))
 	}
 	reg.Counter(obs.ChannelCount).Add(int64(s.channels))
-	s.DB.Pool.MaxReadRetries = opts.MaxReadRetries
-	s.DB.Pool.VerifyChecksums = opts.VerifyChecksums
 	if opts.Faults != nil {
 		s.DB.Pool.SetFaults(opts.Faults)
 	}
@@ -384,9 +372,6 @@ func (s *System) jobFor(udf *catalog.UDF, rel *storage.Relation, acc *catalog.Ac
 	epochs := udf.Graph.Epochs
 	if epochs < 1 {
 		epochs = 1
-	}
-	if s.Opts.MaxEpochs > 0 && epochs > s.Opts.MaxEpochs {
-		epochs = s.Opts.MaxEpochs
 	}
 	bits := 0
 	if precision >= 1 && precision < storage.WeaveMaxBits {

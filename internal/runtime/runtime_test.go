@@ -23,7 +23,6 @@ func smallSystem(t *testing.T) *System {
 	opts := DefaultOptions()
 	opts.PageSize = storage.PageSize8K
 	opts.Cost.PoolBytes = 32 << 20
-	opts.MaxEpochs = 20
 	return New(opts)
 }
 
@@ -317,12 +316,12 @@ func TestTrainRefusesDeadTuples(t *testing.T) {
 // re-reads only the pages a mutation touched: each Insert costs one miss.
 func TestTrainSeesEveryHeapMutation(t *testing.T) {
 	s := smallSystem(t)
-	s.Opts.MaxEpochs = 1
 	d := deployScaled(t, s, "Patient", 0.02)
 	a, err := d.DSLAlgo(8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.SetEpochs(1)
 	if _, err := s.Register(a, 8, d.Tuples); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +385,7 @@ func TestConvergenceStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Epochs >= 20 { // MaxEpochs would cap at 20
+	if res.Epochs >= 20 {
 		t.Errorf("did not converge early: %d epochs", res.Epochs)
 	}
 }

@@ -202,12 +202,12 @@ func TestScoreAllocationsDoNotGrowWithPages(t *testing.T) {
 // every row.
 func TestConcurrentScoreAndTrain(t *testing.T) {
 	s := smallSystem(t)
-	s.Opts.MaxEpochs = 2
 	d := deployScaled(t, s, "Patient", 0.02)
 	a, err := d.DSLAlgo(8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.SetEpochs(2)
 	if _, err := s.Register(a, 8, d.Tuples); err != nil {
 		t.Fatal(err)
 	}

@@ -61,12 +61,11 @@ func TestSeamCharacterisation(t *testing.T) {
 			if spill {
 				opts.Cost.PoolBytes = spillPoolBytes
 			}
-			opts.MaxEpochs = 3 // one extracting epoch, two replays (or three walks)
 			if tc.bits == 32 {
 				// Full-width weave is reached by the explicit override alone.
 				opts.Precision = 0
 			}
-			s, first, _ := trainPatientWith(t, opts)
+			s, first, _ := trainPatientWith(t, opts, 3) // one extracting epoch, two replays (or three walks)
 			again, err := s.Train(first.UDF, first.Table)
 			if err != nil {
 				t.Fatal(err)

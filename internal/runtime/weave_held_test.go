@@ -248,11 +248,15 @@ func trainAfterInsert(t *testing.T, plant func(s *System, old, fresh *cacheEntry
 	}
 	old := s.cache.lookup(rel, s.DB.Pool.InvalidationCount())
 	insertRows(t, s, table, 100)
-	s.Opts.MaxEpochs = 1
+	udf, err := s.DB.Cat.UDF(udfName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	udf.Graph.Epochs = 1
 	if _, err := s.train(udfName, table, 8); err != nil {
 		t.Fatal(err)
 	}
-	s.Opts.MaxEpochs = ftEpochs
+	udf.Graph.Epochs = ftEpochs
 	fresh := s.cache.lookup(rel, s.DB.Pool.InvalidationCount())
 	if old == nil || fresh == nil || fresh == old || len(fresh.rows) <= len(old.rows) {
 		t.Fatal("the one-epoch Train did not replace the cache entry with the grown table's")

@@ -422,30 +422,6 @@ func TestSubmitTypedErrors(t *testing.T) {
 	}
 }
 
-// TestTenantExperimentSmoke runs the CI-sized tenants experiment
-// end-to-end at GOMAXPROCS 1 and 2: it must complete cleanly, show
-// sequence-aware beating always-reconfigure on modeled makespan, and
-// print testdata/tenants.txt, which is what danabench -exp tenants
-// prints below its header.
-func TestTenantExperimentSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment in -short mode")
-	}
-	for _, procs := range []int{1, 2} {
-		prev := hostrt.GOMAXPROCS(procs)
-		var b strings.Builder
-		speedup, err := TenantExperiment(&b)
-		hostrt.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if speedup <= 1 {
-			t.Fatalf("GOMAXPROCS %d: speedup %.3fx", procs, speedup)
-		}
-		checkGolden(t, "tenants.txt", b.String())
-	}
-}
-
 // TestLRMFTrainsThroughServer: a Netflix job is admitted, trains, and is
 // planned at exactly what its tenant System's accelerator backend
 // charges for it, less the per-query setup the planner prices apart. The

@@ -67,9 +67,6 @@ type VerifyOptions struct {
 	// PageSize is the page buffer size the program will run against.
 	// Required: page-bounds proofs are relative to it.
 	PageSize int
-	// MaxOutputBytes, when non-zero, warns if the worst-case output
-	// FIFO volume is unbounded or exceeds this limit.
-	MaxOutputBytes uint64
 	// UnknownConfig verifies the program for *every* possible
 	// configuration: CR registers and the extrBi field table start
 	// unconstrained instead of at cfg's exact values. Used by tooling
@@ -146,18 +143,7 @@ func Verify(prog []Instr, cfg Config, opts VerifyOptions) *Report {
 	v.matchLoops()
 
 	st := newAbsState(cfg, opts.UnknownConfig)
-	bound := v.runRange(0, len(prog), &st, true)
-	v.report.OutputBound = bound
-	if opts.MaxOutputBytes > 0 {
-		switch {
-		case bound == OutputUnbounded:
-			v.reportf(len(prog)-1, SevWarning,
-				"output FIFO volume is unbounded (no loop trip bound); limit is %d bytes", opts.MaxOutputBytes)
-		case bound > opts.MaxOutputBytes:
-			v.reportf(len(prog)-1, SevWarning,
-				"worst-case output FIFO volume %d exceeds limit %d bytes", bound, opts.MaxOutputBytes)
-		}
-	}
+	v.report.OutputBound = v.runRange(0, len(prog), &st, true)
 	return v.report
 }
 

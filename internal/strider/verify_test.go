@@ -236,17 +236,6 @@ bexit 0, %t0, 0
 	if r.OutputBound != OutputUnbounded {
 		t.Errorf("unproved loop must give OutputUnbounded, got %d", r.OutputBound)
 	}
-	// MaxOutputBytes warning.
-	rep := Verify(mustAssemble(t, "ins 7, 8\nins 7, 8\n"), Config{}, VerifyOptions{PageSize: 128, MaxOutputBytes: 8})
-	var hit bool
-	for _, d := range warnings(rep) {
-		if strings.Contains(d.Msg, "exceeds limit") {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Errorf("16-byte emission over an 8-byte limit should warn, got %v", rep.Diags)
-	}
 }
 
 // Strict acceptance is the fuzz invariant: a program with zero

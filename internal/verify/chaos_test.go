@@ -62,7 +62,6 @@ func chaosSystem(t *testing.T, wl chaosWorkload, pageSize int, mods ...func(*run
 	opts := runtime.DefaultOptions()
 	opts.PageSize = pageSize
 	opts.Cost.PoolBytes = 32 << 20
-	opts.MaxEpochs = wl.epochs
 	for _, mod := range mods {
 		mod(&opts)
 	}
@@ -279,64 +278,65 @@ func runChaosScenario(t *testing.T, seed int64) {
 
 // --- Mutation meta-tests ------------------------------------------------
 //
-// Each recovery mechanism must be load-bearing: turning it off (via its
-// public knob) flips a scenario from recovery to failure/degradation,
-// proving the chaos suite's green runs actually exercise the path.
+// Each recovery mechanism must be load-bearing: outlasting its fixed
+// budget, or turning it off through its public setting, flips a scenario
+// from recovery to failure/degradation, proving the chaos suite's green
+// runs actually exercise the path.
+
+// everyOp schedules a fault at point p on every operation, failing
+// attempts times running before it clears (negative: it never clears).
+func everyOp(p fault.Point, seed uint64, attempts int) func(*runtime.Options) {
+	return func(o *runtime.Options) {
+		var rates [fault.NumPoints]float64
+		rates[p] = 1.0
+		o.Faults = fault.New(fault.Config{Seed: seed, Rates: rates, TransientAttempts: attempts})
+	}
+}
 
 // TestChaosMetaReadRetryLoadBearing: a transient disk fault on every
-// page is absorbed by the pool's retry/backoff; with retries disabled
-// the same schedule fails typed.
+// page pins the pool's read-retry budget from both sides. A fault that
+// fails three attempts running is absorbed by the three re-reads, bit-
+// identical to the fault-free run; one that fails four outlasts them and
+// the read fails typed.
 func TestChaosMetaReadRetryLoadBearing(t *testing.T) {
 	wl := chaosWorkloads[0]
-	sched := func(o *runtime.Options) {
-		var rates [fault.NumPoints]float64
-		rates[fault.PoolRead] = 1.0
-		o.Faults = fault.New(fault.Config{Seed: 99, Rates: rates, TransientAttempts: 2})
-	}
-
-	s, udf, table := chaosSystem(t, wl, 8<<10, sched)
+	s, udf, table := chaosSystem(t, wl, 8<<10, everyOp(fault.PoolRead, 99, 3))
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
 	res, err := s.Train(udf, table)
 	if err != nil {
-		t.Fatalf("retry path should absorb transient read faults: %v", err)
+		t.Fatalf("retry path should absorb three failed reads a page: %v", err)
 	}
 	if res.Degraded {
 		t.Fatal("storage retries must not degrade the run")
 	}
-	if got := s.Obs().Get(obs.PoolReadRetries); got == 0 {
-		t.Error("no pool read retries recorded")
+	if got, misses := s.Obs().Get(obs.PoolReadRetries), s.Pool().Stats().Misses; misses == 0 || got != 3*misses {
+		t.Errorf("%d pool read retries over %d misses, want 3 a miss", got, misses)
 	}
 	assertBitIdentical(t, "retried run", res.Model, chaosBaseline(t, wl, 8<<10))
 
-	// Mutation: no retry budget — the same schedule must now fail typed.
-	s2, udf2, table2 := chaosSystem(t, wl, 8<<10, sched,
-		func(o *runtime.Options) { o.MaxReadRetries = -1 })
+	s2, udf2, table2 := chaosSystem(t, wl, 8<<10, everyOp(fault.PoolRead, 99, 4))
 	if err := s2.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.Train(udf2, table2); !errors.Is(err, fault.ErrIOTransient) {
-		t.Fatalf("without retries: got %v, want ErrIOTransient", err)
+		t.Fatalf("four failed reads a page: got %v, want ErrIOTransient", err)
 	}
 	if s2.Pool().PinnedCount() != 0 {
 		t.Error("failed run leaked page pins")
 	}
 }
 
-// TestChaosMetaPageRetryLoadBearing: a once-transient Strider trap on
-// every page clears within the same-VM retry budget (no quarantine);
-// with page retries disabled every trap escalates to quarantine and the
-// run degrades — the retry path is what keeps the accelerator up.
+// TestChaosMetaPageRetryLoadBearing: a transient Strider trap on every
+// page pins the same-Strider re-walk budget from both sides. A trap that
+// fires three walks running clears within the three re-walks (no
+// quarantine, bit-identical to the fault-free run); one that fires four
+// escalates every trap to quarantine until the pool drains and the run
+// degrades: the retry path is what keeps the accelerator up.
 func TestChaosMetaPageRetryLoadBearing(t *testing.T) {
 	wl := chaosWorkloads[0]
-	sched := func(o *runtime.Options) {
-		var rates [fault.NumPoints]float64
-		rates[fault.StriderTrap] = 1.0
-		o.Faults = fault.New(fault.Config{Seed: 77, Rates: rates, TransientAttempts: 1})
-	}
-
-	s, udf, table := chaosSystem(t, wl, 8<<10, sched)
+	s, udf, table := chaosSystem(t, wl, 8<<10, everyOp(fault.StriderTrap, 77, 3))
 	res, err := s.Train(udf, table)
 	if err != nil {
 		t.Fatal(err)
@@ -352,19 +352,16 @@ func TestChaosMetaPageRetryLoadBearing(t *testing.T) {
 	}
 	assertBitIdentical(t, "trap-retried run", res.Model, chaosBaseline(t, wl, 8<<10))
 
-	// Mutation: no page retries — every first-attempt trap now
-	// quarantines its VM until the pool drains and the run degrades.
-	s2, udf2, table2 := chaosSystem(t, wl, 8<<10, sched,
-		func(o *runtime.Options) { o.MaxPageRetries = -1 })
+	s2, udf2, table2 := chaosSystem(t, wl, 8<<10, everyOp(fault.StriderTrap, 77, 4))
 	res2, err := s2.Train(udf2, table2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res2.Degraded {
-		t.Fatal("without page retries the trap storm should degrade the run")
+		t.Fatal("traps outlasting the page-retry budget should degrade the run")
 	}
 	if got := s2.Obs().Get(obs.RuntimeQuarantines); got == 0 {
-		t.Error("no quarantines recorded on the mutated run")
+		t.Error("no quarantines recorded on the trapping run")
 	}
 }
 
@@ -373,11 +370,7 @@ func TestChaosMetaPageRetryLoadBearing(t *testing.T) {
 // disabling it flips the run to a typed quarantine failure.
 func TestChaosMetaFallbackLoadBearing(t *testing.T) {
 	wl := chaosWorkloads[0]
-	sched := func(o *runtime.Options) {
-		var rates [fault.NumPoints]float64
-		rates[fault.StriderTrap] = 1.0
-		o.Faults = fault.New(fault.Config{Seed: 55, Rates: rates, TransientAttempts: -1})
-	}
+	sched := everyOp(fault.StriderTrap, 55, -1)
 
 	s, udf, table := chaosSystem(t, wl, 8<<10, sched)
 	res, err := s.Train(udf, table)
@@ -405,15 +398,7 @@ func TestChaosMetaFallbackLoadBearing(t *testing.T) {
 // as a torn page instead of silently training on garbage.
 func TestChaosMetaChecksumLoadBearing(t *testing.T) {
 	wl := chaosWorkloads[0]
-	mkSched := func(attempts int) func(*runtime.Options) {
-		return func(o *runtime.Options) {
-			var rates [fault.NumPoints]float64
-			rates[fault.PageTear] = 1.0
-			o.Faults = fault.New(fault.Config{Seed: 33, Rates: rates, TransientAttempts: attempts})
-		}
-	}
-
-	s, udf, table := chaosSystem(t, wl, 8<<10, mkSched(1))
+	s, udf, table := chaosSystem(t, wl, 8<<10, everyOp(fault.PageTear, 33, 1))
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +416,7 @@ func TestChaosMetaChecksumLoadBearing(t *testing.T) {
 
 	// Mutation: persistent corruption — the reject path must surface the
 	// typed torn-page error rather than feed garbage to the Striders.
-	s2, udf2, table2 := chaosSystem(t, wl, 8<<10, mkSched(-1))
+	s2, udf2, table2 := chaosSystem(t, wl, 8<<10, everyOp(fault.PageTear, 33, -1))
 	if err := s2.DropCaches(); err != nil {
 		t.Fatal(err)
 	}

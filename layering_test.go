@@ -303,21 +303,13 @@ func Check() { planted.OnlyVerify() }
 // non-test file outside bench/ both writes and reads them, each with
 // what keeps it. Keys are pkg.Type.Field.
 var settingsOK = map[string]string{
-	"cost.ChannelModel.HandshakeSec":       "the estimator gate's channel row sets it, so the per-channel handshake term stays priced and checked",
-	"fault.Config.StallDuration":           "the chaos suites set it to exercise worker stalls",
-	"fault.Config.LatencySpikeSec":         "the chaos suites set it to exercise pool latency spikes",
-	"server.LoadConfig.Workloads":          "tests size their loads with it",
-	"strider.VerifyOptions.MaxOutputBytes": "its verifier test sets it to check the output-volume warning",
-	"dana.Config.MaxEpochs":                publicConfig,
-	"dana.Config.Faults":                   publicConfig,
-	"dana.Config.EpochTimeout":             publicConfig,
-	"dana.Config.MaxPageRetries":           publicConfig,
-	"dana.Config.MaxReadRetries":           publicConfig,
-	"dana.Config.DisableCPUFallback":       publicConfig,
-	"dana.Config.VerifyChecksums":          publicConfig,
+	"fault.Config.StallDuration":     "the chaos suites set it to exercise worker stalls",
+	"fault.Config.LatencySpikeSec":   "the chaos suites set it to exercise pool latency spikes",
+	"server.LoadConfig.Workloads":    "tests size their loads with it",
+	"dana.Config.Faults":             "public API: attaches the seeded fault schedule a chaos run trains under",
+	"dana.Config.EpochTimeout":       "public API: the only bound on an epoch's wall-clock time, as Train takes no context",
+	"dana.Config.DisableCPUFallback": "public API: a typed error in place of a degraded model, which TrainResult cannot flag as an error",
 }
-
-const publicConfig = "public API: dana.Open maps it onto the runtime.Options field of its name, which the runtime and chaos suites set"
 
 // TestEverySettingHasACaller fails when a setting — an exported field of
 // an exported production struct type named *Config, *Options or
@@ -328,7 +320,7 @@ const publicConfig = "public API: dana.Open maps it onto the runtime.Options fie
 // assignment, ++ or an op-assignment, taking the field's address, or an
 // element write x.F[i] = …; a default fill, if x.F <cmp> … { x.F = … },
 // is not one. The check is shown to fail on a planted setting only a
-// default fill writes.
+// default fill writes, and on one only a _test.go file writes.
 func TestEverySettingHasACaller(t *testing.T) {
 	found := loadFacts(t).settings
 	for name, what := range found {
@@ -355,6 +347,31 @@ func use(c Config) int {
 	got := uncalledSettings([]*lint.Package{pkg}, func(*lint.Package) bool { return true })
 	if len(got) != 1 || got["planted.Config.Unset"] != "never written" {
 		t.Errorf("a planted setting only a default fill writes reads %v", got)
+	}
+
+	// A setting only a test writes is loaded the way readFacts loads the
+	// module, from a planted module of its own.
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":         "module planted\n",
+		"config.go":      "package planted\ntype Config struct{ Tuned int }\nfunc Use(c Config) int { return c.Tuned }\n",
+		"config_test.go": "package planted\nfunc tuned() int { return Use(Config{Tuned: 3}) }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := lint.NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = uncalledSettings(pkgs, isProduction)
+	if len(got) != 1 || got["planted.Config.Tuned"] != "never written" {
+		t.Errorf("a planted setting only a _test.go file writes reads %v", got)
 	}
 }
 
@@ -627,7 +644,7 @@ func unreferencedFuncs(l *lint.Loader, pkgs []*lint.Package) map[string]string {
 // by design):
 // the seam holds only what production drives. A call counts when its
 // receiver is a Backend, a type that implements one, or an interface a
-// Backend satisfies (greenplum's segments run through backend.Trainer).
+// Backend satisfies (greenplum's segments call their *backend.CPU inners).
 func TestBackendSeamIsDriven(t *testing.T) {
 	for _, name := range loadFacts(t).undriven {
 		t.Errorf("backend.Backend.%s has no call site outside the conformance harness: take it out of the seam", name)
