@@ -248,6 +248,37 @@ func dotN(o *op, fs *[dotLanes]frame) {
 	fs[2].base[spThread][o.dst], fs[3].base[spThread][o.dst] = s2, s3
 }
 
+// scalarN is kScalar for dotLanes frames at once: one switch on the ALU
+// op, then each lane's value by alu's expression, lane by lane, so that a
+// logistic's four math.Exp calls run in one loop. Other ops call alu.
+//
+//dana:hotpath
+func scalarN(o *op, fs *[dotLanes]frame) {
+	d := o.dst
+	switch o.alu {
+	case ASigmoid:
+		for j := range fs {
+			fs[j].base[spThread][d] = sigmoid(o.a.at(&fs[j]))
+		}
+	case AGaussian:
+		for j := range fs {
+			fs[j].base[spThread][d] = gaussian(o.a.at(&fs[j]))
+		}
+	case ASub:
+		for j := range fs {
+			fs[j].base[spThread][d] = o.a.at(&fs[j]) - o.b.at(&fs[j])
+		}
+	case AMul:
+		for j := range fs {
+			fs[j].base[spThread][d] = o.a.at(&fs[j]) * o.b.at(&fs[j])
+		}
+	default:
+		for j := range fs {
+			fs[j].base[spThread][d] = alu(o.alu, o.a.at(&fs[j]), o.b.at(&fs[j]))
+		}
+	}
+}
+
 func errGatherRow(idx, rows int) error {
 	return fmt.Errorf("engine: gather row %d outside model of %d rows", idx, rows)
 }

@@ -261,8 +261,9 @@ func (m *Machine) runPartition(tuples [][]float32, k int) error {
 // runGroup runs threads t…t+g−1 of a partition batch as one lane group,
 // round by round: round r binds tuple t+j+r·k, if there is one, to lane j
 // and walks the per-tuple ops op-major, as runDirect walks its one round.
-// A full round takes an op's lane kernel when its kind has one, except
-// that acc.mul.sv adds into each lane's spare acc(1+j) (spareAdd). Lane j
+// A full round takes an op's lane kernel when its kind has one (dotN,
+// scalarN), except that acc.mul.sv adds into each lane's spare acc(1+j)
+// (spareAdd); a short one calls each op's kernel lane by lane. Lane j
 // holds its tuple's temporaries across the interleave, so sharing pads
 // takes one per lane. After the last round the spares meet acc(0) in lane
 // order, thread 0's a store — unless round fold (−1: none) is full: then
@@ -337,10 +338,11 @@ func (m *Machine) runGroup(tuples [][]float32, t, k, g, fold int) error {
 // op-major, each op for lanes 0..g-1 before the next, so that four
 // independent latency chains (four logistics, four dots) are in flight
 // where a tuple alone has one. A full group takes the op's lane kernel
-// when it has one (dotN, accMulSVN). The accumulator meets the lanes in
-// lane order — thread order — because the accumulating op is the list's
-// last. A lane holds its tuple's temporaries across the interleave, so
-// sharing pads takes one per lane.
+// when it has one (dotN, scalarN, accMulSVN); a short group, and any
+// other kind, calls the op's kernel lane by lane. The accumulator meets
+// the lanes in lane order — thread order — because the accumulating op is
+// the list's last. A lane holds its tuple's temporaries across the
+// interleave, so sharing pads takes one per lane.
 //
 // A lane that fails retires itself and every lane above it; the lanes
 // below run on and may fail earlier in their own lists. The batch returns
@@ -423,6 +425,11 @@ func log2Ceil(n int) int {
 	return k
 }
 
+// sigmoid and gaussian are alu's two exponentials, shared with scalarN so
+// that a lane group's values are alu's to the bit.
+func sigmoid(a float32) float32  { return float32(1 / (1 + math.Exp(-float64(a)))) }
+func gaussian(a float32) float32 { return float32(math.Exp(-float64(a) * float64(a))) }
+
 func alu(op AluOp, a, b float32) float32 {
 	switch op {
 	case AMov:
@@ -446,9 +453,9 @@ func alu(op AluOp, a, b float32) float32 {
 		}
 		return 0
 	case ASigmoid:
-		return float32(1 / (1 + math.Exp(-float64(a))))
+		return sigmoid(a)
 	case AGaussian:
-		return float32(math.Exp(-float64(a) * float64(a)))
+		return gaussian(a)
 	case ASqrt:
 		return float32(math.Sqrt(float64(a)))
 	case ASquare:

@@ -109,7 +109,7 @@ var kernels = [numOpKinds]kernel{
 // and runPartition look the kind up as they run: an op carries nothing for
 // it. A partition group whose lanes keep spares accumulates through
 // spareAdd and spareFold instead.
-var laneKernels = [numOpKinds]laneKernel{opDot: dotN, opAccMulSV: accMulSVN}
+var laneKernels = [numOpKinds]laneKernel{opDot: dotN, opScalar: scalarN, opAccMulSV: accMulSVN}
 
 // op is one pre-decoded step of the plan.
 type op struct {

@@ -21,12 +21,13 @@ func (o operand) String() string {
 }
 
 // listing renders o as it runs on lanes host lanes: a kind with a lane
-// kernel takes it when a lane group is full.
+// kernel takes it when a lane group is full, marked after its ALU op.
 func (o *op) listing(lanes int) string {
-	name := opKindNames[o.kind]
+	mark := ""
 	if lanes == dotLanes && laneKernels[o.kind] != nil {
-		name += fmt.Sprintf(" ×%d", lanes)
+		mark = fmt.Sprintf(" ×%d", lanes)
 	}
+	name := opKindNames[o.kind] + mark
 	dst := operand{spThread, o.dst, o.n}
 	switch o.kind {
 	case opFail:
@@ -60,10 +61,11 @@ func (o *op) listing(lanes int) string {
 		}
 		return s
 	}
+	name = fmt.Sprintf("%s.%s%s", opKindNames[o.kind], o.alu, mark)
 	if o.alu.IsUnary() {
-		return fmt.Sprintf("%s.%s %v <- %v", name, o.alu, dst, o.a)
+		return fmt.Sprintf("%s %v <- %v", name, dst, o.a)
 	}
-	return fmt.Sprintf("%s.%s %v <- %v, %v", name, o.alu, dst, o.a, o.b)
+	return fmt.Sprintf("%s %v <- %v, %v", name, dst, o.a, o.b)
 }
 
 // PlanListing renders the plan p lowers to under cfg, one line per op

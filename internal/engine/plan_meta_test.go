@@ -191,6 +191,115 @@ func TestMetaLaneGroupFaultsCaught(t *testing.T) {
 	})
 }
 
+// svmLaneCase is laneMetaCase on the SVM shape compiler.Compile emits
+// (danactl -listing): λ·w, the dot, y·dot, the hinge test y·dot < 1, y·x
+// gated by it, and λ·w minus that into MergeSrc. Its scalar ops are
+// scalar.mul and scalar.lt, which metaCase's logistic has not.
+func svmLaneCase() diffCase {
+	const f = 12
+	at := 2*f + 4 // model[0,f) input[f,2f] lr, λ, 1 at [2f+1, 2f+4)
+	next := func(n int) Slot { s := Slot{at, n}; at += n; return s }
+	model, x, y := Slot{0, f}, Slot{f, f}, Slot{2 * f, 1}
+	lr, lambda, one := Slot{2*f + 1, 1}, Slot{2*f + 2, 1}, Slot{2*f + 3, 1}
+	reg, prod, dot, margin, hinge, yx, gated, grad := next(f), next(f), next(1), next(1), next(1), next(f), next(f), next(f)
+	merged, up, wNew := next(f), next(f), next(f)
+	c := laneMetaCase()
+	c.prog = &Program{
+		Slots: at, ModelSlot: model, InputSlot: Slot{f, f + 1}, ConstSlot: Slot{lr.Base, 3}, Consts: []float32{0.05, 0.01, 1},
+		PerTuple: []Instr{
+			{Kind: KEW, Op: AMul, Dst: reg, A: lambda, B: model},
+			{Kind: KEW, Op: AMul, Dst: prod, A: model, B: x},
+			{Kind: KReduce, Op: AAdd, Dst: dot, A: prod, GroupSize: f, EStride: 1},
+			{Kind: KEW, Op: AMul, Dst: margin, A: y, B: dot},
+			{Kind: KEW, Op: ALt, Dst: hinge, A: margin, B: one},
+			{Kind: KEW, Op: AMul, Dst: yx, A: y, B: x},
+			{Kind: KEW, Op: AMul, Dst: gated, A: hinge, B: yx},
+			{Kind: KEW, Op: ASub, Dst: grad, A: reg, B: gated},
+		},
+		MergeSrc: grad, MergeOp: AAdd, MergeDst: merged,
+		PostMerge: []Instr{
+			{Kind: KEW, Op: AMul, Dst: up, A: lr, B: merged},
+			{Kind: KEW, Op: ASub, Dst: wNew, A: model, B: up},
+		},
+		UpdatedSlot: wNew,
+	}
+	return c
+}
+
+// scalarNBent is scalarN with up to three faults: each lane given the
+// value of the lane above it (lane 3 lane 0's), the logistic's add and
+// divide done in float32, ALt's verdict negated on lane 3. With none it is
+// alu lane by lane, which TestMetaScalarLaneFaultsCaught checks first
+// ("unbent").
+func scalarNBent(rotate, sigmoid32, flipLt bool) laneKernel {
+	return func(o *op, fs *[dotLanes]frame) {
+		var v [dotLanes]float32
+		for j := range fs {
+			a, b := o.a.at(&fs[j]), o.b.at(&fs[j])
+			v[j] = alu(o.alu, a, b)
+			if sigmoid32 && o.alu == ASigmoid {
+				v[j] = 1 / (1 + float32(math.Exp(-float64(a))))
+			}
+			if flipLt && o.alu == ALt && j == dotLanes-1 {
+				v[j] = 1 - v[j]
+			}
+		}
+		for j := range fs {
+			if rotate {
+				fs[j].base[spThread][o.dst] = v[(j+1)%dotLanes]
+			} else {
+				fs[j].base[spThread][o.dst] = v[j]
+			}
+		}
+	}
+}
+
+// A full lane group's scalar op is alu's value for each lane, on its own
+// lane. laneKernels is the package's table, so each fault is planted for
+// one differential run and taken back; the ALt fault is planted on the
+// SVM shape, the only one with a scalar.lt.
+func TestMetaScalarLaneFaultsCaught(t *testing.T) {
+	plant := func(t *testing.T, want AluOp, k laneKernel) func(*Machine) {
+		return func(m *Machine) {
+			for _, o := range m.plan.perTuple {
+				if o.kind == opScalar && o.alu == want {
+					laneKernels[opScalar] = k
+					t.Cleanup(func() { laneKernels[opScalar] = scalarN })
+					return
+				}
+			}
+			t.Fatalf("no scalar.%v in the plan to mutate", want)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		c    diffCase
+		alu  AluOp
+	}{{"logistic", laneMetaCase(), ASigmoid}, {"svm", svmLaneCase(), ALt}} {
+		t.Run("unbent "+c.name, func(t *testing.T) {
+			c.c.mutate = plant(t, c.alu, scalarNBent(false, false, false))
+			if err := diffPlanReference(c.c); err != nil {
+				t.Fatalf("the unbent twin of scalarN diverges, so a bent one proves nothing: %v", err)
+			}
+		})
+	}
+	for _, f := range []struct {
+		name string
+		c    diffCase
+		alu  AluOp
+		bent laneKernel
+	}{
+		{"lane results rotated by one", laneMetaCase(), ASigmoid, scalarNBent(true, false, false)},
+		{"sigmoid in float32", laneMetaCase(), ASigmoid, scalarNBent(false, true, false)},
+		{"lt flipped on lane 3", svmLaneCase(), ALt, scalarNBent(false, false, true)},
+	} {
+		t.Run(f.name, func(t *testing.T) {
+			f.c.mutate = plant(t, f.alu, f.bent)
+			requireCaught(t, f.c, "model[")
+		})
+	}
+}
+
 // foldBent is accFoldN with up to three faults: the lanes folded in
 // another order, the first of them with its product fused into its partial
 // sum (math.FMA, for the reason kDotFused is), each lane's product added

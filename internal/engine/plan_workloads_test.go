@@ -111,8 +111,8 @@ var table3Lowering = map[algos.Kind]string{
 	algos.KindLogistic: `copy-input=false share-model=true fused-accumulate=true lanes=4 pads=4
 per-tuple:
     0: dot ×4 thread <- model, row
-    1: scalar.sigmoid thread <- thread
-    2: scalar.sub thread <- thread, row
+    1: scalar.sigmoid ×4 thread <- thread
+    2: scalar.sub ×4 thread <- thread, row
     3: acc.mul.sv ×4 merge-acc <- thread, row
 post-merge:
     0: ew.sv.mul thread <- thread, thread
@@ -122,7 +122,7 @@ post-merge:
 	algos.KindLinear: `copy-input=false share-model=true fused-accumulate=true lanes=4 pads=4
 per-tuple:
     0: dot ×4 thread <- model, row
-    1: scalar.sub thread <- thread, row
+    1: scalar.sub ×4 thread <- thread, row
     2: acc.mul.sv ×4 merge-acc <- thread, row
 post-merge:
     0: ew.sv.mul thread <- thread, thread
@@ -133,8 +133,8 @@ post-merge:
 per-tuple:
     0: ew.sv.mul thread <- thread, model
     1: dot ×4 thread <- model, row
-    2: scalar.mul thread <- row, thread
-    3: scalar.lt thread <- thread, thread
+    2: scalar.mul ×4 thread <- row, thread
+    3: scalar.lt ×4 thread <- thread, thread
     4: ew.sv.mul thread <- row, row
     5: ew.sv.mul thread <- thread, thread
     6: acc.vv.sub merge-acc <- thread, thread
