@@ -249,8 +249,11 @@ func dotN(o *op, fs *[dotLanes]frame) {
 }
 
 // scalarN is kScalar for dotLanes frames at once: one switch on the ALU
-// op, then each lane's value by alu's expression, lane by lane, so that a
-// logistic's four math.Exp calls run in one loop. Other ops call alu.
+// op, then the four lanes' values by alu's expressions, so that a
+// logistic's four math.Exp calls run in one loop. The logistic and the
+// subtraction, GLM's two scalar ops, are written out because each read
+// faster on glm_cached than alu's switch; any other op calls alu lane by
+// lane.
 //
 //dana:hotpath
 func scalarN(o *op, fs *[dotLanes]frame) {
@@ -260,17 +263,9 @@ func scalarN(o *op, fs *[dotLanes]frame) {
 		for j := range fs {
 			fs[j].base[spThread][d] = sigmoid(o.a.at(&fs[j]))
 		}
-	case AGaussian:
-		for j := range fs {
-			fs[j].base[spThread][d] = gaussian(o.a.at(&fs[j]))
-		}
 	case ASub:
 		for j := range fs {
 			fs[j].base[spThread][d] = o.a.at(&fs[j]) - o.b.at(&fs[j])
-		}
-	case AMul:
-		for j := range fs {
-			fs[j].base[spThread][d] = o.a.at(&fs[j]) * o.b.at(&fs[j])
 		}
 	default:
 		for j := range fs {

@@ -425,10 +425,9 @@ func log2Ceil(n int) int {
 	return k
 }
 
-// sigmoid and gaussian are alu's two exponentials, shared with scalarN so
-// that a lane group's values are alu's to the bit.
-func sigmoid(a float32) float32  { return float32(1 / (1 + math.Exp(-float64(a)))) }
-func gaussian(a float32) float32 { return float32(math.Exp(-float64(a) * float64(a))) }
+// sigmoid is alu's logistic, shared with scalarN so that a lane group's
+// values are alu's to the bit.
+func sigmoid(a float32) float32 { return float32(1 / (1 + math.Exp(-float64(a)))) }
 
 func alu(op AluOp, a, b float32) float32 {
 	switch op {
@@ -455,7 +454,7 @@ func alu(op AluOp, a, b float32) float32 {
 	case ASigmoid:
 		return sigmoid(a)
 	case AGaussian:
-		return gaussian(a)
+		return float32(math.Exp(-float64(a) * float64(a)))
 	case ASqrt:
 		return float32(math.Sqrt(float64(a)))
 	case ASquare:

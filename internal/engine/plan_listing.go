@@ -21,19 +21,23 @@ func (o operand) String() string {
 }
 
 // listing renders o as it runs on lanes host lanes: a kind with a lane
-// kernel takes it when a lane group is full, marked after its ALU op.
+// kernel takes it when a lane group is full, marked after the kind and
+// its ALU op.
 func (o *op) listing(lanes int) string {
-	mark := ""
-	if lanes == dotLanes && laneKernels[o.kind] != nil {
-		mark = fmt.Sprintf(" ×%d", lanes)
+	name := opKindNames[o.kind]
+	switch o.kind {
+	case opScalar, opEW1, opEWvv, opEWvs, opEWsv, opEWwrap, opReduce, opAccVV:
+		name += "." + o.alu.String()
 	}
-	name := opKindNames[o.kind] + mark
+	if lanes == dotLanes && laneKernels[o.kind] != nil {
+		name += fmt.Sprintf(" ×%d", lanes)
+	}
 	dst := operand{spThread, o.dst, o.n}
 	switch o.kind {
 	case opFail:
 		return fmt.Sprintf("%s (%v)", name, *o.src)
 	case opReduce:
-		return fmt.Sprintf("%s.%s %v <- %v (g=%d gs=%d es=%d)", name, o.alu, dst, o.a, o.group, o.gstride, o.estride)
+		return fmt.Sprintf("%s %v <- %v (g=%d gs=%d es=%d)", name, dst, o.a, o.group, o.gstride, o.estride)
 	case opDot:
 		return fmt.Sprintf("%s %v <- %v, %v", name, dst, o.a, o.b)
 	case opGather:
@@ -48,10 +52,8 @@ func (o *op) listing(lanes int) string {
 		return fmt.Sprintf("%s %v at round(%v) <- %v", name, operand{spThread, o.dst, o.rows * o.rowLen}, o.b, o.a)
 	case opScatterPaired:
 		return fmt.Sprintf("%s %v at r%d <- %v", name, operand{spThread, o.dst, o.rows * o.rowLen}, o.reg, o.a)
-	case opAccMulSV:
+	case opAccMulSV, opAccVV:
 		return fmt.Sprintf("%s merge-acc <- %v, %v", name, o.a, o.b)
-	case opAccVV:
-		return fmt.Sprintf("%s.%s merge-acc <- %v, %v", name, o.alu, o.a, o.b)
 	case opStep:
 		return fmt.Sprintf("%s %v <- %v - %v * (%v * %v)", name, dst, o.a, o.s1, o.s2, o.b)
 	case opRowSGD: // the ops it inlines follow, indented under it
@@ -61,7 +63,6 @@ func (o *op) listing(lanes int) string {
 		}
 		return s
 	}
-	name = fmt.Sprintf("%s.%s%s", opKindNames[o.kind], o.alu, mark)
 	if o.alu.IsUnary() {
 		return fmt.Sprintf("%s %v <- %v", name, dst, o.a)
 	}

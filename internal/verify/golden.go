@@ -142,7 +142,7 @@ func TrainingCase(seed int64) (golden.Spec, [][]float64, []float64) {
 	g := NewGen(seed)
 	sp := golden.Spec{
 		Kind:      trainingKinds[g.Intn(len(trainingKinds))],
-		LR:        0.01 + 0.04*float64(g.Intn(5)),
+		LR:        0.01 + float64(0.04*float64(g.Intn(5))), // no fused multiply-add: the rate must not depend on GOARCH
 		Epochs:    1 + g.Intn(3),
 		MergeCoef: []int{1, 1, 2, 4, 8}[g.Intn(5)],
 	}
