@@ -662,7 +662,7 @@ func BenchmarkCatalogSerialization(b *testing.B) {
 // --- Engine rooflines ------------------------------------------------------
 
 // BenchmarkEngineRowKernel names the roofline of the engine's row kernel
-// (ROADMAP 3(a)): the compiled Netflix program — two gathered rows of a
+// (ROADMAP item 12): the compiled Netflix program — two gathered rows of a
 // 9 992 × 10 model, a dot, two SGD steps, two row writes per tuple —
 // through RunEpoch at merge coefficient 1 ("plan"), beside the same
 // tuple written by hand against a flat model ("hand": the same
@@ -778,7 +778,7 @@ func handRowKernel(model []float32, rank int, lr float32, tuples [][]float32) bo
 }
 
 // BenchmarkEngineMergeKernel names the roofline of the engine's direct
-// merge batch (ROADMAP 3(c)): the compiled Remote Sensing LR program — a
+// merge batch (ROADMAP item 12): the compiled Remote Sensing LR program — a
 // 54-feature dot, a logistic, a subtract and a scalar × row accumulate per
 // tuple, the optimizer step per batch — at 64 threads through RunEpoch at
 // merge coefficient 64 ("plan"), beside the same batches written by hand

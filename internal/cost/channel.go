@@ -1,9 +1,9 @@
 package cost
 
-// Multi-channel link model (ROADMAP item 3). The single PCIe/AXI link
-// of the paper's platform generalizes to N independent memory channels
-// — the "High Bandwidth Memory on FPGAs" direction — each feeding its
-// own group of Striders. Pages interleave round-robin across channels
+// Multi-channel link model. The single PCIe/AXI link of the paper's
+// platform generalizes to N independent memory channels — the "High
+// Bandwidth Memory on FPGAs" direction — each feeding its own group of
+// Striders. Pages interleave round-robin across channels
 // (page pn streams on channel pn mod N, the same policy the host
 // executor uses to shard its Strider groups), and channels run
 // concurrently, so an epoch's transfer time is the *maximum* over

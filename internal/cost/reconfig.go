@@ -47,7 +47,7 @@ func ServerServiceSec(totalSec float64, p Params) float64 {
 // ScoreServiceSec models one batch-scoring pass for the server's
 // admission pricing: a single stream of the dataset over the link
 // overlapped with one Strider unpacking pass. There is no engine cycle
-// model for scoring yet (ROADMAP item 4), so inference is priced as the
+// model for scoring yet (ROADMAP item 18(c)), so inference is priced as the
 // data-movement bound of one epoch with zero training compute.
 func ScoreServiceSec(w Workload, p Params) float64 {
 	w.Epochs, w.DAnAEpochs, w.EpochCycles = 1, 0, 0

@@ -3,8 +3,11 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"dana/internal/obs"
 )
 
 // RunEpoch against the two other ways to run an epoch. A caller that
@@ -154,5 +157,164 @@ func TestMetaDroppedTailCaught(t *testing.T) {
 		case !tail && err != nil:
 			t.Errorf("%d rows, no tail to drop: %v", n, err)
 		}
+	}
+}
+
+// A merge-free program runs a whole epoch in runSerial's one loop, counted
+// and charged in closed form. That must be the epoch RunBatch runs a batch
+// at a time — model bits, every Stats field and the published obs,
+// engine.batch_tuples.hist included — and the one Feed + Finish run over
+// pages that cut the batches anywhere. A tuple that fails ends the run: its
+// batch is counted, and only the batches before it are charged.
+
+// serialCase is a merge-free program, its tuple width and the row range of
+// its first two words (0 for a GLM).
+type serialCase struct {
+	name        string
+	prog        *Program
+	width, rows int
+}
+
+func serialCases() []serialCase {
+	return []serialCase{{"lrmf", lrmfProg(6, 3), 3, 6}, {"linear", linearProg(5), 6, 0}}
+}
+
+// serialRun is one way to run an epoch of rows in batches of b.
+type serialRun struct {
+	name string
+	run  func(m *Machine, rows [][]float32, b int) error
+}
+
+// batchAtATime is RunBatch over consecutive b-slices of rows.
+func batchAtATime(m *Machine, rows [][]float32, b int) error {
+	for lo := 0; lo < len(rows); lo += b {
+		if err := m.RunBatch(rows[lo:min(lo+b, len(rows))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// unevenPages feeds rows through a stream in pages of 2, 5, 1 and 7 rows,
+// round and round, then finishes it.
+func unevenPages(m *Machine, rows [][]float32, b int) error {
+	s := m.StreamEpoch(b)
+	for i, lo := 0, 0; lo < len(rows); i++ {
+		hi := min(lo+[]int{2, 5, 1, 7}[i%4], len(rows))
+		if err := s.Feed(rows[lo:hi]); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return s.Finish()
+}
+
+// serialEpochs runs epochs epochs of rows through run on a fresh machine
+// with an obs registry, publishing it after each. It returns the machine,
+// the registry's snapshot and the error that ended the run.
+func serialEpochs(c serialCase, rows [][]float32, b, epochs int, run func(*Machine, [][]float32, int) error) (*Machine, *obs.Snapshot, error) {
+	m, err := NewMachine(c.prog, Config{Threads: 1, ACsPerThread: 1, AUsPerAC: 8})
+	if err != nil {
+		return nil, nil, err
+	}
+	reg := obs.New()
+	m.SetObs(reg)
+	init := make([]float32, c.prog.ModelSlot.Len)
+	for i := range init {
+		init[i] = float32(i%7) * 0.03
+	}
+	if err := m.SetModel(init); err != nil {
+		return nil, nil, err
+	}
+	for e := 0; e < epochs && err == nil; e++ {
+		err = run(m, rows, b)
+		m.PublishObs()
+	}
+	return m, reg.Snapshot(), err
+}
+
+// sameSerial runs want and got for two epochs over the same rows and
+// reports the first difference: error text, model bits, Stats, obs
+// snapshot.
+func sameSerial(c serialCase, rows [][]float32, b int, want, got serialRun) error {
+	what := fmt.Sprintf("%s, %d rows in batches of %d", c.name, len(rows), b)
+	wm, ws, werr := serialEpochs(c, rows, b, 2, want.run)
+	gm, gs, gerr := serialEpochs(c, rows, b, 2, got.run)
+	if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+		return fmt.Errorf("%s: %s error %v, %s error %v", what, want.name, werr, got.name, gerr)
+	}
+	if err := sameMachine(what, want.name, wm, got.name, gm); err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(ws, gs) {
+		return fmt.Errorf("%s: obs diverge:\n  %s %+v\n  %s %+v", what, want.name, *ws, got.name, *gs)
+	}
+	return nil
+}
+
+func TestSerialEpochIsItsBatches(t *testing.T) {
+	perBatch := serialRun{"RunBatch per batch", batchAtATime}
+	for _, c := range serialCases() {
+		rows := diffTuples(rand.New(rand.NewSource(41)), 23, c.width, c.rows)
+		for _, b := range []int{1, 3, len(rows)} {
+			for _, got := range []serialRun{{"RunEpoch", (*Machine).RunEpoch}, {"Feed + Finish", unevenPages}} {
+				if err := sameSerial(c, rows, b, perBatch, got); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+}
+
+// badGatherRows is lrmf's rows with tuple 10 — the middle of its batch of
+// 3 — gathering a row outside the model.
+func badGatherRows() (serialCase, [][]float32) {
+	c := serialCases()[0]
+	rows := diffTuples(rand.New(rand.NewSource(42)), 23, c.width, c.rows)
+	rows[10] = []float32{2, float32(c.rows + 3), 0.5}
+	return c, rows
+}
+
+// TestSerialEpochFailedBatchCountedNotCharged: the run stops at tuple 10
+// with the gather's error, however the epoch was run, having counted four
+// batches of 3 and charged what a clean run of the three before it
+// charges.
+func TestSerialEpochFailedBatchCountedNotCharged(t *testing.T) {
+	c, rows := badGatherRows()
+	perBatch := serialRun{"RunBatch per batch", batchAtATime}
+	for _, got := range []serialRun{{"RunEpoch", (*Machine).RunEpoch}, {"Feed + Finish", unevenPages}} {
+		if err := sameSerial(c, rows, 3, perBatch, got); err != nil {
+			t.Error(err)
+		}
+	}
+	m, _, err := serialEpochs(c, rows, 3, 1, (*Machine).RunEpoch)
+	if want := "engine: gather row 9 outside model of 6 rows"; fmt.Sprint(err) != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	clean, _, err := serialEpochs(c, rows[:9], 3, 1, batchAtATime)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := clean.Stats()
+	want.Batches, want.Tuples = 4, 12
+	if got := m.Stats(); got != want {
+		t.Errorf("stats after the failed batch %+v, want %+v", got, want)
+	}
+}
+
+// TestMetaSerialChargedFailedBatchCaught: a runSerial that also charged
+// the batch its failed tuple is in must fail the identity.
+func TestMetaSerialChargedFailedBatchCaught(t *testing.T) {
+	c, rows := badGatherRows()
+	chargesFailed := serialRun{"RunEpoch charging its failed batch", func(m *Machine, rows [][]float32, b int) error {
+		err := m.RunEpoch(rows, b)
+		if err != nil {
+			m.chargeSerialBatch(b)
+		}
+		return err
+	}}
+	err := sameSerial(c, rows, 3, serialRun{"RunBatch per batch", batchAtATime}, chargesFailed)
+	if err == nil || !strings.Contains(err.Error(), "stats diverge") {
+		t.Errorf("the mutant read %v, want a stats divergence", err)
 	}
 }

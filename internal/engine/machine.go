@@ -87,9 +87,9 @@ type Machine struct {
 
 	// Observability handles (SetObs); nil handles are no-ops. stats is
 	// the single ledger: PublishObs adds its growth since the last
-	// publish (published) once per epoch, so RunBatch — per tuple at merge
-	// coefficient 1 — pays no atomics. Batch sizes wait for the histogram
-	// as one run of equal sizes (runLen batches of runSize tuples each).
+	// publish (published) once per epoch, so a batch pays no atomics.
+	// Batch sizes wait for the histogram as one run of equal sizes (runLen
+	// batches of runSize tuples each).
 	published    Stats
 	runSize      int64
 	runLen       int64
@@ -464,54 +464,35 @@ func alu(op AluOp, a, b float32) float32 {
 	}
 }
 
-// beginBatch counts a batch and folds its size into the run-length the
-// histogram is published from.
-func (m *Machine) beginBatch(n int) {
-	m.stats.Batches++
-	m.stats.Tuples += int64(n)
+// countBatches counts q batches of n tuples each and folds them into the
+// run-length the histogram is published from (a run of none adds nothing).
+func (m *Machine) countBatches(n, q int) {
+	m.stats.Batches += int64(q)
+	m.stats.Tuples += int64(n * q)
 	if int64(n) != m.runSize {
 		m.obsBatchHist.ObserveN(m.runSize, m.runLen)
 		m.runSize, m.runLen = int64(n), 0
 	}
-	m.runLen++
+	m.runLen += int64(q)
 }
 
 // RunBatch executes one merge batch on the plan. Without a merge
-// function the batch runs tuple-at-a-time SGD on thread 0; with one,
-// tuples are dealt round-robin over the threads, per-thread merge values
-// accumulate locally, and the tree bus combines them before the
-// post-merge update. Modeled cycles are charged in closed form from the
-// batch size; a failed batch charges none.
+// function the batch runs tuple-at-a-time SGD on thread 0 (runSerial);
+// with one, tuples are dealt round-robin over the threads, per-thread
+// merge values accumulate locally, and the tree bus combines them before
+// the post-merge update. Modeled cycles are charged in closed form from
+// the batch size; a failed batch charges none.
 //
 //dana:hotpath
 func (m *Machine) RunBatch(tuples [][]float32) error {
-	p, pl := m.Prog, &m.plan
 	n := len(tuples)
 	if n == 0 {
 		return nil
 	}
-	m.beginBatch(n)
-
-	if !p.HasMerge() {
-		f, th0 := &m.frames[0], m.thread(0)
-		mdl, upd := p.ModelSlot, p.UpdatedSlot
-		for _, row := range tuples {
-			if err := m.bind(f, 0, row); err != nil {
-				return err
-			}
-			if err := runOps(pl.perTuple, f); err != nil {
-				return err
-			}
-			if err := runOps(pl.rowUpdates, f); err != nil {
-				return err
-			}
-			if upd.Len > 0 {
-				copy(th0[mdl.Base:mdl.Base+mdl.Len], th0[upd.Base:upd.Base+upd.Len])
-			}
-		}
-		m.chargeSerialBatch(n)
-		return nil
+	if !m.Prog.HasMerge() {
+		return m.runSerial(tuples, n)
 	}
+	m.countBatches(n, 1)
 
 	// Every thread sees its tuples (i ≡ t mod k) in increasing order and
 	// both shapes leave acc(0) holding the tree-bus merge's sums in thread
@@ -527,6 +508,53 @@ func (m *Machine) RunBatch(tuples [][]float32) error {
 		return err
 	}
 	return m.endMergeBatch(n, k)
+}
+
+// runSerial is every merge-free batch and epoch: tuple-at-a-time SGD on
+// thread 0, in order, over batches of batchSize. The frame's thread and
+// model views are set once and a tuple sets its row; endSerial counts and
+// charges the batches in closed form.
+//
+//dana:hotpath
+func (m *Machine) runSerial(tuples [][]float32, batchSize int) error {
+	p, pl, f, th0 := m.Prog, &m.plan, &m.frames[0], m.thread(0)
+	in, mdl, upd := p.InputSlot, p.ModelSlot, p.UpdatedSlot
+	f.base[spThread], f.base[spModel] = th0, th0
+	for i, row := range tuples {
+		if len(row) != in.Len {
+			return m.endSerial(len(tuples), batchSize, i, m.errTupleWidth(row))
+		}
+		if pl.copyInput {
+			copy(th0[in.Base:in.Base+in.Len], row)
+		}
+		f.base[spRow] = row
+		if err := runOps(pl.perTuple, f); err != nil {
+			return m.endSerial(len(tuples), batchSize, i, err)
+		}
+		if err := runOps(pl.rowUpdates, f); err != nil {
+			return m.endSerial(len(tuples), batchSize, i, err)
+		}
+		if upd.Len > 0 {
+			copy(th0[mdl.Base:mdl.Base+mdl.Len], th0[upd.Base:upd.Base+upd.Len])
+		}
+	}
+	return m.endSerial(len(tuples), batchSize, len(tuples), nil)
+}
+
+// endSerial closes a serial run of n tuples in batches of b that stopped at
+// tuple i on err (i == n, err nil: none did). The batches up to tuple i's
+// are counted and those before it charged, and err is returned.
+func (m *Machine) endSerial(n, b, i int, err error) error {
+	counted, charged := n, n
+	if err != nil {
+		counted, charged = min(n, (i/b+1)*b), i/b*b
+	}
+	m.countBatches(b, counted/b)
+	if r := counted % b; r > 0 {
+		m.countBatches(r, 1)
+	}
+	m.chargeSerialBatch(charged)
+	return err
 }
 
 // endMergeBatch lands the merged vector acc(0) in thread 0's MergeDst, runs
@@ -564,8 +592,8 @@ func (m *Machine) endMergeBatch(n, k int) error {
 	return nil
 }
 
-// chargeSerialBatch charges n tuples of tuple-at-a-time SGD on thread 0:
-// the span is the work itself.
+// chargeSerialBatch charges n tuples of tuple-at-a-time SGD on thread 0,
+// in any number of batches: the span is the work itself.
 func (m *Machine) chargeSerialBatch(n int) {
 	load := int64(n) * m.cycLoad
 	comp := int64(n) * (m.cycPerTuple + m.cycRowUpdates)
@@ -661,27 +689,22 @@ func (s *EpochStream) Reset() {
 //dana:hotpath
 func (s *EpochStream) Feed(tuples [][]float32) error {
 	for len(tuples) > 0 {
-		// Fast path: no partial batch pending, run directly from the input.
+		// Fast path: no partial batch pending, so whole batches run in place.
 		if len(s.buf) == 0 && len(tuples) >= s.batchSize {
-			if err := s.m.RunBatch(tuples[:s.batchSize]); err != nil {
+			whole := len(tuples) - len(tuples)%s.batchSize
+			if err := s.m.RunEpoch(tuples[:whole], s.batchSize); err != nil {
 				return err
 			}
-			tuples = tuples[s.batchSize:]
+			tuples = tuples[whole:]
 			continue
 		}
-		n := s.batchSize - len(s.buf)
-		if n > len(tuples) {
-			n = len(tuples)
-		}
+		n := min(s.batchSize-len(s.buf), len(tuples))
 		for _, tup := range tuples[:n] {
 			start := len(s.arena)
 			if cap(s.arena)-start < len(tup) {
 				// Fresh block; rows already buffered keep referencing (and
 				// keep alive) the block they were copied into.
-				blk := s.batchSize * len(tup)
-				if blk < 1024 {
-					blk = 1024
-				}
+				blk := max(s.batchSize*len(tup), 1024)
 				//danalint:ignore hotcall -- capacity-guarded arena growth, reused across batches
 				s.arena = make([]float32, 0, blk)
 				start = 0
@@ -694,8 +717,7 @@ func (s *EpochStream) Feed(tuples [][]float32) error {
 			if err := s.m.RunBatch(s.buf); err != nil {
 				return err
 			}
-			s.buf = s.buf[:0]
-			s.arena = s.arena[:0]
+			s.Reset()
 		}
 	}
 	return nil
@@ -703,22 +725,22 @@ func (s *EpochStream) Feed(tuples [][]float32) error {
 
 // Finish runs the trailing partial batch, ending the epoch.
 func (s *EpochStream) Finish() error {
-	if len(s.buf) == 0 {
-		return nil
-	}
 	err := s.m.RunBatch(s.buf)
-	s.buf = s.buf[:0]
-	s.arena = s.arena[:0]
+	s.Reset()
 	return err
 }
 
 // RunEpoch runs one epoch over rows the caller holds for the whole call:
 // RunBatch over consecutive batchSize slices of tuples, the final short
-// slice included — the batches Feed + Finish form — with no copy.
+// slice included — the batches Feed + Finish form — with no copy. A
+// merge-free program runs them all in runSerial's one loop.
 //
 //dana:hotpath
 func (m *Machine) RunEpoch(tuples [][]float32, batchSize int) error {
 	batchSize = max(batchSize, 1)
+	if !m.Prog.HasMerge() {
+		return m.runSerial(tuples, batchSize)
+	}
 	for lo := 0; lo < len(tuples); lo += batchSize {
 		if err := m.RunBatch(tuples[lo:min(lo+batchSize, len(tuples))]); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	hostrt "runtime"
@@ -369,7 +370,7 @@ func partitionAt(fold func(n, t, k int) int) func(*Machine, [][]float32) error {
 		if n == k {
 			return m.RunBatch(batch)
 		}
-		m.beginBatch(n)
+		m.countBatches(n, 1)
 		for t := 0; t < k; t += dotLanes {
 			if err := m.runGroup(batch, t, k, min(dotLanes, k-t), fold(n, t, k)); err != nil {
 				return err
@@ -536,17 +537,25 @@ func TestMetaViewAcrossModelWriteCaught(t *testing.T) {
 	requireCaught(t, c, "model[")
 }
 
-// kRowSGDBent is kRowSGD with up to three faults: the first step's outer
-// product fused into its subtract (math.FMA, for the reason kDotFused is),
-// the two row writes in the other order, the second step scaling the first
-// step's output where it should scale the row as gathered. With none it is
-// kRowSGD, which TestMetaRowKernelFaultsCaught checks first ("unbent").
-func kRowSGDBent(fused, swapped, chained bool) kernel {
+// rounded is the kernels' row index: the word rounded half away from zero.
+func rounded(x float32) int { return int(math.Round(float64(x))) }
+
+// kRowSGDBent is kRowSGD with its index words read by index, and up to
+// three faults: the first step's outer product fused into its subtract
+// (math.FMA, for the reason kDotFused is), the two row writes in the other
+// order, the second step scaling the first step's output where it should
+// scale the row as gathered. With rounded and none it is kRowSGD, which
+// TestMetaRowKernelFaultsCaught checks first ("unbent").
+func kRowSGDBent(index func(float32) int, fused, swapped, chained bool) kernel {
 	return func(o *op, f *frame) error {
 		g0, g1, d, sc, st0, st1 := &o.parts[0], &o.parts[1], &o.parts[2], &o.parts[3], &o.parts[4], &o.parts[5]
-		i0, i1 := int(math.Round(float64(g0.a.at(f)))), int(math.Round(float64(g1.a.at(f))))
-		if i0 < 0 || i0 >= g0.rows || i1 < 0 || i1 >= g1.rows {
-			return errGatherRow(i0, g0.rows) // every tuple of lrmfMetaCase is in range
+		i0 := index(g0.a.at(f))
+		if i0 < 0 || i0 >= g0.rows {
+			return errGatherRow(i0, g0.rows)
+		}
+		i1 := index(g1.a.at(f))
+		if i1 < 0 || i1 >= g1.rows {
+			return errGatherRow(i1, g1.rows)
 		}
 		th, n := f.base[spThread], g0.rowLen
 		u, v := g0.b.view(f)[i0*n:(i0+1)*n], g0.b.view(f)[i1*n:(i1+1)*n]
@@ -603,7 +612,7 @@ func TestMetaRowKernelFaultsCaught(t *testing.T) {
 	}
 	t.Run("unbent", func(t *testing.T) {
 		c := lrmfMetaCase(prog)
-		c.mutate = plant(t, kRowSGDBent(false, false, false))
+		c.mutate = plant(t, kRowSGDBent(rounded, false, false, false))
 		if err := diffPlanReference(c); err != nil {
 			t.Fatalf("the unbent twin of kRowSGD diverges, so a bent one proves nothing: %v", err)
 		}
@@ -612,9 +621,9 @@ func TestMetaRowKernelFaultsCaught(t *testing.T) {
 		name string
 		bent kernel
 	}{
-		{"one step's product fused into its subtract", kRowSGDBent(true, false, false)},
-		{"row writes swapped", kRowSGDBent(false, true, false)},
-		{"second step reads the first's output", kRowSGDBent(false, false, true)},
+		{"one step's product fused into its subtract", kRowSGDBent(rounded, true, false, false)},
+		{"row writes swapped", kRowSGDBent(rounded, false, true, false)},
+		{"second step reads the first's output", kRowSGDBent(rounded, false, false, true)},
 	} {
 		t.Run(f.name, func(t *testing.T) {
 			c := lrmfMetaCase(prog)
@@ -632,11 +641,36 @@ func TestMetaRowKernelFaultsCaught(t *testing.T) {
 				}
 			}
 		}
-		c.mutate = plant(t, kRowSGDBent(false, true, false))
+		c.mutate = plant(t, kRowSGDBent(rounded, false, true, false))
 		if err := diffPlanReference(c); err != nil {
 			t.Fatalf("the swapped row writes showed without a u == v tuple: %v", err)
 		}
 	})
+}
+
+// A row index that truncates where the reference rounds: the plan
+// differential must see it through a word of 2.5 (row 2 for row 3: a
+// model divergence) and of −0.5 (row 0 where the reference rejects row
+// −1). The fault is planted in LRMF's row kernel, the gathers' production
+// path.
+func TestMetaTruncatedRowIndexCaught(t *testing.T) {
+	trunc := func(x float32) int { return int(x) }
+	for _, leg := range []struct {
+		word float32
+		want string
+	}{{2.5, "model["}, {-0.5, "reference error engine: gather row -1"}} {
+		t.Run(fmt.Sprint(leg.word), func(t *testing.T) {
+			c := lrmfMetaCase(lrmfProg(6, 4))
+			caseTuple(c, 17)[0] = leg.word
+			c.mutate = func(m *Machine) {
+				if len(m.plan.perTuple) != 1 || m.plan.perTuple[0].kind != opRowSGD {
+					t.Fatal("no row kernel in the plan to mutate: the mutation changes nothing")
+				}
+				m.plan.perTuple[0].run = kRowSGDBent(trunc, false, false, false)
+			}
+			requireCaught(t, c, leg.want)
+		})
+	}
 }
 
 // Skipping the pad proof: each of these shapes hands a word from one
@@ -803,7 +837,7 @@ func partitionBatch(ok []float32, bad map[int][]float32) [][]float32 {
 }
 
 // TestRunBatchAllocationFree: the merge path never allocates, nor does the
-// serial (no-merge) one — the first batch included.
+// serial (no-merge) one — the first batch included — nor a serial epoch.
 func TestRunBatchAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, c := range []struct {
@@ -843,6 +877,12 @@ func TestRunBatchAllocationFree(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(20, func() { _ = m.RunBatch(c.tuples) }); n != 0 {
 			t.Errorf("%s: RunBatch allocates %v times a batch", c.name, n)
+		}
+		if c.prog.HasMerge() {
+			continue
+		}
+		if n := testing.AllocsPerRun(20, func() { _ = m.RunEpoch(c.tuples, 3) }); n != 0 {
+			t.Errorf("%s: RunEpoch allocates %v times an epoch", c.name, n)
 		}
 	}
 }

@@ -356,6 +356,43 @@ func lrmfProg(rows, r int) *Program {
 	}
 }
 
+// caseTuple is tuple i of c, counted across its batches.
+func caseTuple(c diffCase, i int) []float32 {
+	for _, b := range c.batches {
+		if i < len(b) {
+			return b[i]
+		}
+		i -= len(b)
+	}
+	panic("caseTuple: index past the case's tuples")
+}
+
+// TestPlanRoundsHalfRowIndexes: index words that are not whole numbers —
+// halves that round away from zero, −0, a word just under a half — read
+// the rows the reference reads on every LRMF variant, through the row
+// kernel, viewing and copying gathers, paired and unpaired scatters; and
+// a word of −0.5 fails both with the same error.
+func TestPlanRoundsHalfRowIndexes(t *testing.T) {
+	progs, _ := lrmfVariants(6, 4)
+	names := make([]string, 0, len(progs))
+	for name := range progs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		c := lrmfMetaCase(progs[name])
+		for _, w := range []struct {
+			tuple, word int
+			v           float32
+		}{{3, 0, 2.5}, {5, 1, 0.5}, {8, 0, float32(math.Copysign(0, -1))}, {11, 1, 1.5}, {14, 0, 3.4999998}, {30, 1, -0.5}} {
+			caseTuple(c, w.tuple)[w.word] = w.v
+		}
+		if err := diffPlanReference(c); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 // lrmfShape is what lowering must decide for an LRMF variant: how many
 // gathers become views, how many update triples become steps, how many
 // scatters reuse their gather's index (counted inside a row kernel too),

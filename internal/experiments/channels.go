@@ -1,12 +1,11 @@
 package experiments
 
 // Channel sweep: the Figure-14 bandwidth sweep extended along the
-// multi-channel axis (ROADMAP item 3). Each sweep point models the
-// accelerator link as C independent memory channels at a given
-// per-channel BandwidthScale and reports the epoch transfer and
-// pipeline times; out at HBM-class aggregate bandwidth (32 channels)
-// the pipeline saturates at the compute time and more bandwidth stops
-// helping.
+// multi-channel axis. Each sweep point models the accelerator link as C
+// independent memory channels at a given per-channel BandwidthScale and
+// reports the epoch transfer and pipeline times; out at HBM-class
+// aggregate bandwidth (32 channels) the pipeline saturates at the compute
+// time and more bandwidth stops helping.
 //
 // The sweep doubles as an executable proof of the charging identities
 // the channel model promises: ChannelSweep returns an error (danabench

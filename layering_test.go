@@ -221,7 +221,7 @@ func hostConcurrency(t *testing.T, name, src string) []string {
 
 // unreferencedOK is the whole list of functions that may stay in
 // production although no non-test file references them, each with what
-// keeps it (ROADMAP item 8: a caller, a paper capability, or a safety
+// keeps it (ROADMAP item 13: a caller, a paper capability, or a safety
 // hook — otherwise it is deleted, not parked). Keys are pkg.Func and
 // pkg.Type.Method.
 var unreferencedOK = map[string]string{
