@@ -6,21 +6,23 @@ import (
 	"os"
 	"path/filepath"
 	hostrt "runtime"
+	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files in testdata from this run")
 
-// diffGolden runs danasrv with args at GOMAXPROCS 1 and 2 and holds both
-// outputs to testdata/<file> byte for byte; -update rewrites the file.
-func diffGolden(t *testing.T, file string, args ...string) {
+// diffGolden runs danasrv with args, and stdin as its standard input, at
+// GOMAXPROCS 1 and 2 and holds both outputs to testdata/<file> byte for
+// byte; -update rewrites the file.
+func diffGolden(t *testing.T, file, stdin string, args ...string) {
 	t.Helper()
 	defer hostrt.GOMAXPROCS(hostrt.GOMAXPROCS(0))
 	var outs [2]string
 	for i, procs := range []int{1, 2} {
 		hostrt.GOMAXPROCS(procs)
 		var b bytes.Buffer
-		if err := run(&b, parseFlags(args)); err != nil {
+		if err := run(&b, strings.NewReader(stdin), parseFlags(args)); err != nil {
 			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
 		}
 		outs[i] = b.String()
@@ -49,7 +51,7 @@ func diffGolden(t *testing.T, file string, args ...string) {
 // stated model change, which rewrites it with
 // `go test ./cmd/danasrv -run Golden -args -update`.
 func TestCompareGolden(t *testing.T) {
-	diffGolden(t, "compare.txt", "-compare")
+	diffGolden(t, "compare.txt", "", "-compare")
 }
 
 // TestFaultyGolden: `danasrv -faulty tenant0` — the same load with
@@ -57,5 +59,12 @@ func TestCompareGolden(t *testing.T) {
 // testdata/faulty_tenant0.txt, so its degraded jobs and every other
 // tenant's undisturbed numbers are pinned the same way.
 func TestFaultyGolden(t *testing.T) {
-	diffGolden(t, "faulty_tenant0.txt", "-faulty", "tenant0")
+	diffGolden(t, "faulty_tenant0.txt", "", "-faulty", "tenant0")
+}
+
+// TestStdinGolden: `danasrv -stdin` reading a train, a score, a run and a
+// quit prints testdata/stdin.txt, so the line protocol's parsing, its
+// batching until "run" and the drain's report are pinned the same way.
+func TestStdinGolden(t *testing.T) {
+	diffGolden(t, "stdin.txt", "train tenant0 Remote Sensing LR\nscore tenant1 WLAN 0.001\nrun\nquit\n", "-stdin")
 }

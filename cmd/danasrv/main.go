@@ -14,7 +14,6 @@
 //	                                #   train <tenant> <workload>
 //	                                #   score <tenant> <workload>
 //	                                #   run            (drain the batch)
-//	                                #   sessions       (per-tenant counters)
 //	                                #   quit
 //
 // The process exits non-zero if any job fails, or if the per-tenant
@@ -32,7 +31,6 @@ import (
 	"strings"
 
 	"dana/internal/fault"
-	"dana/internal/obs"
 	"dana/internal/server"
 )
 
@@ -66,12 +64,12 @@ func parseFlags(args []string) options {
 }
 
 func main() {
-	check(run(os.Stdout, parseFlags(os.Args[1:])))
+	check(run(os.Stdout, os.Stdin, parseFlags(os.Args[1:])))
 }
 
-// run builds the server o describes and either serves the stdin protocol
-// or drains the generated load, writing its report to w.
-func run(w io.Writer, o options) error {
+// run builds the server o describes and either serves the line protocol
+// read from in or drains the generated load, writing its reports to w.
+func run(w io.Writer, in io.Reader, o options) error {
 	pol, err := server.ParsePolicy(o.policy)
 	if err != nil {
 		return err
@@ -110,8 +108,7 @@ func run(w io.Writer, o options) error {
 	}
 
 	if o.stdin {
-		repl(srv, load)
-		return nil
+		return repl(w, in, srv, load)
 	}
 
 	specs := server.GenLoad(load)
@@ -141,9 +138,11 @@ func run(w io.Writer, o options) error {
 	return nil
 }
 
-// repl reads the stdin line protocol, batching submissions until "run".
-func repl(srv *server.Server, load server.LoadConfig) {
-	sc := bufio.NewScanner(os.Stdin)
+// repl reads the line protocol from in, batching submissions until
+// "run", and writes each drain's report to w. It returns when in ends or
+// on "quit", with the per-tenant counter identity's verdict.
+func repl(w io.Writer, in io.Reader, srv *server.Server, load server.LoadConfig) error {
+	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
@@ -186,41 +185,20 @@ func repl(srv *server.Server, load server.LoadConfig) {
 				continue
 			}
 			if rep == nil {
-				fmt.Println("nothing pending")
+				fmt.Fprintln(w, "nothing pending")
 				continue
 			}
-			server.WriteReport(os.Stdout, rep)
-		case "sessions", "stats":
-			printSessions(srv)
+			server.WriteReport(w, rep)
 		case "quit", "exit":
-			check(srv.IdentityError())
-			return
+			return srv.IdentityError()
 		default:
-			fmt.Fprintf(os.Stderr, "danasrv: unknown command %q (train/score/run/sessions/quit)\n", fields[0])
+			fmt.Fprintf(os.Stderr, "danasrv: unknown command %q (train/score/run/quit)\n", fields[0])
 		}
 	}
-	check(sc.Err())
-	check(srv.IdentityError())
-}
-
-// printSessions renders the live per-tenant counter view from the
-// server registry.
-func printSessions(srv *server.Server) {
-	r := srv.Obs()
-	fmt.Printf("%-10s %5s %6s %6s %5s %5s %6s %8s %10s %14s %14s\n",
-		"tenant", "jobs", "trains", "scores", "errs", "degr", "reuse", "reconf", "wait_ms", "engine_cyc", "strider_cyc")
-	for _, name := range srv.TenantNames() {
-		get := func(metric string) int64 {
-			return r.Get(obs.TenantCounter(name, metric))
-		}
-		fmt.Printf("%-10s %5d %6d %6d %5d %5d %6d %8d %10.1f %14d %14d\n",
-			name,
-			get(obs.TenantMetricJobs), get(obs.TenantMetricTrains), get(obs.TenantMetricScores),
-			get(obs.TenantMetricErrors), get(obs.TenantMetricDegraded),
-			get(obs.TenantMetricReuses), get(obs.TenantMetricReconfigs),
-			float64(get(obs.TenantMetricWaitMicros))/1e3,
-			get(obs.TenantMetricEngineCycles), get(obs.TenantMetricStriderCycles))
+	if err := sc.Err(); err != nil {
+		return err
 	}
+	return srv.IdentityError()
 }
 
 func check(err error) {

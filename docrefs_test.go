@@ -23,6 +23,13 @@ var docRefSources = []string{
 // spaces.
 var docRef = regexp.MustCompile(`\b(EXPERIMENTS|DESIGN)\.md "([^"\n]+)"`)
 
+// roadmapItem matches a reference to a numbered ROADMAP.md item, such as
+// ROADMAP item 13, in flattened text.
+var roadmapItem = regexp.MustCompile(`\bROADMAP\s+item\s+(\d+)`)
+
+// roadmapHeading matches an item's heading in ROADMAP.md: "### 13. …".
+var roadmapHeading = regexp.MustCompile(`(?m)^### (\d+)\.`)
+
 // boldLead matches a paragraph or list item that opens in bold.
 var boldLead = regexp.MustCompile(`^(?:[-*] |\d+\. )?\*\*(.+?)(?:\*\*|$)`)
 
@@ -30,7 +37,10 @@ var boldLead = regexp.MustCompile(`^(?:[-*] |\d+\. )?\*\*(.+?)(?:\*\*|$)`)
 // EXPERIMENTS.md or DESIGN.md, in a Go comment, CHANGES.md, the verify
 // skill or either document, matches the start of a heading or of a
 // bold paragraph lead in the quoted file, and each document holds its
-// line budget. The planted row shows a dangling quotation is reported.
+// line budget. Every ROADMAP item N in the same sources but CHANGES.md,
+// whose numbers are history, names a "### N." heading of ROADMAP.md.
+// The planted row shows a dangling quotation and a retired item are
+// reported.
 func TestDocReferencesResolve(t *testing.T) {
 	anchors := map[string][]string{}
 	for doc, budget := range docBudgets {
@@ -43,24 +53,33 @@ func TestDocReferencesResolve(t *testing.T) {
 		}
 		anchors[doc] = docAnchors(string(b))
 	}
+	roadmap, err := os.ReadFile("ROADMAP.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := map[string]bool{}
+	for _, m := range roadmapHeading.FindAllStringSubmatch(string(roadmap), -1) {
+		items[m[1]] = true
+	}
 
 	type source struct {
 		name, text string
-		dangling   int // quotations that must not resolve
+		history    bool // its ROADMAP item numbers are the ones of their day
+		dangling   int  // quotations and items that must not resolve
 	}
 	rows := []source{{
-		name:     "planted dangling quotation",
-		text:     flattenGoComments("// see DESIGN.md \"Static analysis\" and DESIGN.md \"No such\n// section\".\nfunc f() {}\n"),
-		dangling: 1,
+		name:     "planted dangling quotation and retired item",
+		text:     flattenGoComments("// see DESIGN.md \"Static analysis\" and DESIGN.md \"No such\n// section\", ROADMAP item 1 and ROADMAP\n// item 6.\nfunc f() {}\n"),
+		dangling: 2,
 	}}
 	for _, name := range docRefSources {
 		b, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, source{name: name, text: flattenMarkdown(string(b))})
+		rows = append(rows, source{name: name, text: flattenMarkdown(string(b)), history: name == "CHANGES.md"})
 	}
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		switch {
 		case err != nil:
 			return err
@@ -79,7 +98,7 @@ func TestDocReferencesResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	total := 0
+	total, itemRefs := 0, 0
 	for _, row := range rows {
 		var dangling []string
 		for _, m := range docRef.FindAllStringSubmatch(row.text, -1) {
@@ -89,13 +108,22 @@ func TestDocReferencesResolve(t *testing.T) {
 				dangling = append(dangling, doc+" "+`"`+quote+`"`)
 			}
 		}
+		for _, m := range roadmapItem.FindAllStringSubmatch(row.text, -1) {
+			if row.history {
+				break
+			}
+			itemRefs++
+			if !items[m[1]] {
+				dangling = append(dangling, "ROADMAP item "+m[1])
+			}
+		}
 		if len(dangling) != row.dangling {
-			t.Errorf("%s: %d quotations match no heading or bold lead, want %d: %q",
+			t.Errorf("%s: %d quotations or ROADMAP items match no heading or bold lead, want %d: %q",
 				row.name, len(dangling), row.dangling, dangling)
 		}
 	}
-	if total < 25 {
-		t.Errorf("found %d quotations; the scan has stopped seeing them", total)
+	if total < 25 || itemRefs < 10 {
+		t.Errorf("found %d quotations and %d ROADMAP items; the scan has stopped seeing them", total, itemRefs)
 	}
 }
 

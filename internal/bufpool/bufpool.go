@@ -100,7 +100,6 @@ type Pool struct {
 	obsBytes      *obs.Counter
 	obsIOSec      *obs.FloatCounter
 	obsRetries    *obs.Counter
-	obsBackoff    *obs.FloatCounter
 	obsCkVerified *obs.Counter
 	obsCkSkipped  *obs.Counter
 	obsCkFailed   *obs.Counter
@@ -121,7 +120,6 @@ func (p *Pool) SetObs(r *obs.Registry) {
 	p.obsBytes = r.Counter(obs.PoolBytesRead)
 	p.obsIOSec = r.Float(obs.PoolIOSeconds)
 	p.obsRetries = r.Counter(obs.PoolReadRetries)
-	p.obsBackoff = r.Float(obs.PoolBackoffSeconds)
 	p.obsCkVerified = r.Counter(obs.PoolChecksumVerified)
 	p.obsCkSkipped = r.Counter(obs.PoolChecksumSkipped)
 	p.obsCkFailed = r.Counter(obs.PoolChecksumFailed)
@@ -319,7 +317,6 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 				if !pg.ChecksumOK() {
 					p.stats.ChecksumFailures++
 					p.obsCkFailed.Inc()
-					p.obsRing.Emit(obs.EvChecksumFail, int64(pageNo), int64(attempt))
 					//danalint:ignore hotcall -- wrap runs only on a checksum failure (torn page), never in the fault-free steady state
 					lastErr = fmt.Errorf("bufpool: %v: stored checksum %#x != computed %#x: %w",
 						id, pg.Checksum(), pg.ComputeChecksum(), fault.ErrTornPage)
@@ -340,8 +337,6 @@ func (p *Pool) Pin(rel string, pageNo uint32) (storage.Page, error) {
 		p.stats.Retries++
 		p.stats.BackoffSeconds += back
 		p.obsRetries.Inc()
-		p.obsBackoff.Add(back)
-		p.obsRing.Emit(obs.EvReadRetry, int64(pageNo), int64(attempt))
 	}
 	*f = frame{id: id, page: pg, gen: gen, pins: 1, usage: 1, valid: true}
 	p.table[id] = fi

@@ -58,7 +58,9 @@ func diffPlanReference(c diffCase) error {
 			if perr == nil || rerr == nil || perr.Error() != rerr.Error() {
 				return fmt.Errorf("batch %d (n=%d): plan error %v, reference error %v", bi, len(batch), perr, rerr)
 			}
-			return nil // both abandoned the run the same way
+			// Both abandoned the run the same way, the failed batch counted
+			// and not charged.
+			return sameStats(fmt.Sprintf("failed batch %d (n=%d)", bi, len(batch)), pm, rm)
 		}
 		if err := same(fmt.Sprintf("batch %d (n=%d)", bi, len(batch))); err != nil {
 			return err
@@ -71,7 +73,7 @@ func diffPlanReference(c diffCase) error {
 				return fmt.Errorf("converged after batch %d: plan (%v, %v, %v), reference (%v, %v, %v)", bi, pc, pv, perr, rc, rv, rerr)
 			}
 			if perr != nil {
-				return nil
+				return sameStats(fmt.Sprintf("failed convergence check after batch %d", bi), pm, rm)
 			}
 			if err := same(fmt.Sprintf("converged after batch %d", bi)); err != nil {
 				return err
@@ -93,6 +95,16 @@ func sameMachine(what, an string, a *Machine, bn string, b *Machine) error {
 	}
 	if a.Stats() != b.Stats() {
 		return fmt.Errorf("%s: stats diverge:\n  %s %+v\n  %s %+v", what, an, a.Stats(), bn, b.Stats())
+	}
+	return nil
+}
+
+// sameStats reports a difference between the plan's and the reference's
+// Stats after a run both abandoned: the models may part in how far the
+// failed batch got, the ledgers may not.
+func sameStats(what string, pm, rm *Machine) error {
+	if pm.Stats() != rm.Stats() {
+		return fmt.Errorf("%s: stats diverge:\n  plan %+v\n  reference %+v", what, pm.Stats(), rm.Stats())
 	}
 	return nil
 }
@@ -563,6 +575,18 @@ func TestPlanMatchesReferenceShapes(t *testing.T) {
 				t.Errorf("%s threads=%d: %v", name, threads, err)
 			}
 		}
+	}
+	// And tuple 10 gathering a row outside the model: both sides fail the
+	// fourth batch of 3 with one error, having counted it and charged
+	// only the three before it.
+	bad, rows := badGatherRows()
+	var batches [][][]float32
+	for lo := 0; lo < len(rows); lo += 3 {
+		batches = append(batches, rows[lo:min(lo+3, len(rows))])
+	}
+	cfg.Threads = 1
+	if err := diffPlanReference(diffCase{prog: bad.prog, cfg: cfg, batches: batches}); err != nil {
+		t.Errorf("lrmf out-of-range gather: %v", err)
 	}
 }
 

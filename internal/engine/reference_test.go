@@ -234,14 +234,26 @@ func (m *Machine) growPads(n int) {
 	m.pads = n
 }
 
-// RunBatchReference is RunBatch on the reference executor.
+// RunBatchReference is RunBatch on the reference executor. A batch that
+// fails is counted and not charged: the ledger drops whatever its tuples
+// charged before the failing one.
 func (m *Machine) RunBatchReference(tuples [][]float32) error {
-	p := m.Prog
 	if len(tuples) == 0 {
 		return nil
 	}
 	m.stats.Batches++
 	m.stats.Tuples += int64(len(tuples))
+	counted := m.stats
+	err := m.runBatchReference(tuples)
+	if err != nil {
+		m.stats = counted
+	}
+	return err
+}
+
+// runBatchReference runs and charges one counted batch.
+func (m *Machine) runBatchReference(tuples [][]float32) error {
+	p := m.Prog
 	th0 := m.thread(0)
 	mdl, upd := p.ModelSlot, p.UpdatedSlot
 

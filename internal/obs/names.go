@@ -17,12 +17,11 @@ const (
 	PoolIOSeconds  = "bufpool.io_seconds" // float
 
 	// Buffer-pool fault handling: read retries after injected I/O errors
-	// or checksum failures, simulated backoff charged between attempts,
-	// and the checksum-verification outcome split (verified + skipped ==
-	// pool misses; failures count mismatches, including ones a retry
-	// later recovered).
+	// or checksum failures, and the checksum-verification outcome split
+	// (verified + skipped == pool misses; failures count mismatches,
+	// including ones a retry later recovered). The backoff charged
+	// between attempts is Stats.BackoffSeconds only.
 	PoolReadRetries      = "bufpool.read_retries"
-	PoolBackoffSeconds   = "bufpool.backoff_seconds" // float
 	PoolChecksumVerified = "bufpool.checksum_verified"
 	PoolChecksumSkipped  = "bufpool.checksum_skipped"
 	PoolChecksumFailed   = "bufpool.checksum_failures"
@@ -108,15 +107,6 @@ const (
 	EvEpoch       = "epoch"           // a=epoch index, b=wall ns
 	EvEpochCached = "epoch.cached"    // a=epoch index, b=wall ns
 	EvPoolInval   = "pool.invalidate" // a=frames dropped
-
-	// Fault-handling trace events.
-	EvChecksumFail = "pool.checksum_fail" // a=page, b=attempt
-	EvReadRetry    = "pool.read_retry"    // a=page, b=attempt
-	EvQuarantine   = "worker.quarantine"  // a=vm index, b=failing page
-	EvEpochRetry   = "epoch.retry"        // a=epoch index, b=healthy VMs left
-	EvEpochTimeout = "epoch.timeout"      // a=epoch index, b=deadline ns
-	EvCPUFallback  = "train.cpu_fallback" // a=epoch degraded at, b=epochs left
-	EvFailover     = "train.failover"     // a=epoch degraded at, b=epochs left
 )
 
 // ChannelBytesStreamed is the per-channel payload-byte counter name:
@@ -133,26 +123,16 @@ func ChannelBusyCycles(ch int) string {
 	return fmt.Sprintf("channel.%d.busy_cycles", ch)
 }
 
-// Per-tenant metric names (internal/server). The server keeps one
-// private obs registry per tenant (attached to that tenant's
-// runtime.System) and charges tenant.<name>.<metric> counters in its
-// own registry from registry deltas taken around each job, so the
-// per-tenant cycle counters sum exactly to the per-tenant registries'
-// engine/strider totals even when sessions interleave — danasrv
-// asserts the identity and exits non-zero on violation.
-// Handles are resolved once at server construction, like every other
-// instrument.
+// Per-tenant metric names (internal/server): the identity's cycle pair.
+// The server keeps one private registry per tenant (attached to that
+// tenant's runtime.System) and charges tenant.<name>.<metric> in its own
+// registry from deltas taken around each job, so the pair sums exactly
+// to the tenant registries' engine/strider totals even when tenants
+// interleave (Server.IdentityError). A tenant's job, error and wait
+// counts are its batch report's, computed from the job results.
 const (
-	TenantMetricJobs          = "jobs"
-	TenantMetricTrains        = "trains"
-	TenantMetricScores        = "scores"
-	TenantMetricErrors        = "errors"
-	TenantMetricDegraded      = "degraded"
-	TenantMetricReuses        = "config_reuses"
-	TenantMetricReconfigs     = "reconfigs"
 	TenantMetricEngineCycles  = "engine_cycles"
 	TenantMetricStriderCycles = "strider_cycles"
-	TenantMetricWaitMicros    = "wait_us"
 )
 
 // TenantCounter is the per-tenant counter name for one of the

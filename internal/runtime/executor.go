@@ -302,12 +302,11 @@ func (r *epochRunner) runEpochRecover(epoch int) error {
 		}
 		var we *workerError
 		if errors.As(err, &we) && errors.Is(err, fault.ErrVMTrap) {
-			r.quarantine(we.vmIdx, we.pageNo)
+			r.quarantine(we.vmIdx)
 			if len(r.healthy) == 0 {
 				return fmt.Errorf("runtime: epoch %d: %w: %w", epoch, err, fault.ErrWorkerQuarantined)
 			}
 			r.s.obsEpochRetries.Inc()
-			r.s.obs.Trace(obs.EvEpochRetry, int64(epoch), int64(len(r.healthy)))
 			continue
 		}
 		return err
@@ -315,7 +314,7 @@ func (r *epochRunner) runEpochRecover(epoch int) error {
 }
 
 // quarantine removes a persistently-trapping Strider VM from service.
-func (r *epochRunner) quarantine(vmIdx, pageNo int) {
+func (r *epochRunner) quarantine(vmIdx int) {
 	for i, v := range r.healthy {
 		if v == vmIdx {
 			r.healthy = append(r.healthy[:i], r.healthy[i+1:]...)
@@ -323,7 +322,6 @@ func (r *epochRunner) quarantine(vmIdx, pageNo int) {
 		}
 	}
 	r.s.obsQuarantines.Inc()
-	r.s.obs.Trace(obs.EvQuarantine, int64(vmIdx), int64(pageNo))
 }
 
 // checkDeadline enforces the per-epoch wall-clock budget cooperatively

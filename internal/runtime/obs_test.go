@@ -72,6 +72,41 @@ func TestObsEngineCycleDecomposition(t *testing.T) {
 	}
 }
 
+// TestObsEngineBatchHistAndIdle: after a clean Train whose merge batches
+// leave thread slots idle (1 000 tuples a batch on the design's 128
+// threads, so some threads run one tuple fewer), the batch-size
+// histogram holds one observation per batch summing to the tuples, and
+// engine.cycles_idle mirrors Stats.IdleCycles.
+func TestObsEngineBatchHistAndIdle(t *testing.T) {
+	opts := DefaultOptions()
+	opts.PageSize = 8 << 10
+	s := New(opts)
+	d := deployScaled(t, s, "Remote Sensing LR", 0.01)
+	a, err := d.DSLAlgo(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetEpochs(2)
+	if _, err := s.Register(a, 1000, d.Tuples); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Train(a.Name, d.Rel.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := res.Engine
+	h, ok := s.Obs().Snapshot().Histograms[obs.HistBatchTuples]
+	if !ok || h.Count != e.Batches || h.Sum != e.Tuples {
+		t.Fatalf("%s: %+v (present %v), want count %d sum %d", obs.HistBatchTuples, h, ok, e.Batches, e.Tuples)
+	}
+	if e.IdleCycles <= 0 {
+		t.Fatalf("idle cycles %d: the run has no idle slot to mirror", e.IdleCycles)
+	}
+	if got := s.Obs().Get(obs.EngineCyclesIdle); got != e.IdleCycles {
+		t.Fatalf("obs %s = %d, stats idle = %d", obs.EngineCyclesIdle, got, e.IdleCycles)
+	}
+}
+
 // TestObsAccessAndPoolMirrors: strider and buffer-pool counters agree
 // with the modeled stats structs, and pool hits+misses == page requests.
 func TestObsAccessAndPoolMirrors(t *testing.T) {

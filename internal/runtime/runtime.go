@@ -485,7 +485,6 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 		// The failing epoch is the one after the last completed.
 		if errors.Is(err, fault.ErrEpochTimeout) {
 			s.obsEpochTimeout.Inc()
-			s.obs.Trace(obs.EvEpochTimeout, int64(res.Epochs), int64(s.Opts.EpochTimeout))
 		}
 		if s.Opts.DisableCPUFallback || !fault.IsAcceleratorFault(err) {
 			return nil, err
@@ -555,10 +554,10 @@ func trainLoop(res *TrainResult, be backend.Backend, epochs int, body func(e int
 // float64 CPU trainer in the default registry). It picks up the faulted
 // backend's epoch-start model, re-reads the tuples from the heap
 // (narrowed through float32, matching the Strider datapath), and runs
-// the remaining epoch budget. The downgrade is surfaced via the
-// runtime.failovers counter (plus the historical runtime.cpu_fallbacks
-// when the target is the canonical reference trainer) and trace events
-// — never a panic, never a silent wrong model.
+// the remaining epoch budget. The downgrade is surfaced via
+// TrainResult.Degraded and the runtime.failovers counter (plus the
+// historical runtime.cpu_fallbacks when the target is the canonical
+// reference trainer) — never a panic, never a silent wrong model.
 func (s *System) failover(res *TrainResult, job backend.Job, prog backend.Program, failed backend.Backend, failedName string, rel *storage.Relation) error {
 	// Degradation drops any reduced read precision: fallback targets are
 	// full-width reference trainers, and a k-bit request was a bandwidth
@@ -570,10 +569,8 @@ func (s *System) failover(res *TrainResult, job backend.Job, prog backend.Progra
 	}
 	remaining := job.Epochs - res.DegradedAtEpoch
 	s.obsFailovers.Inc()
-	s.obs.Trace(obs.EvFailover, int64(res.DegradedAtEpoch), int64(remaining))
 	if fb.Capabilities().BitExactModel {
 		s.obsCPUFallbacks.Inc()
-		s.obs.Trace(obs.EvCPUFallback, int64(res.DegradedAtEpoch), int64(remaining))
 	}
 	prog.Init = failed.Model() // epoch-start state (restored on epoch failure)
 	if err := fb.Configure(prog); err != nil {

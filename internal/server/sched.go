@@ -123,9 +123,6 @@ type Placement struct {
 	udf, table string // what execution runs, from the job's Estimate
 }
 
-// WaitSec is the virtual queueing delay before the instance was won.
-func (pl Placement) WaitSec() float64 { return pl.StartSec - pl.Spec.ArriveSec }
-
 // SojournSec is the virtual end-to-end latency: arrival to finish.
 func (pl Placement) SojournSec() float64 { return pl.FinishSec - pl.Spec.ArriveSec }
 

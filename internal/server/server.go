@@ -153,16 +153,8 @@ type tenant struct {
 	udfs   map[udfKey]udfEntry  // configuration -> pins, registration and price
 	models map[string][]float32 // config key -> last trained model (execution only)
 
-	cJobs      *obs.Counter
-	cTrains    *obs.Counter
-	cScores    *obs.Counter
-	cErrors    *obs.Counter
-	cDegraded  *obs.Counter
-	cReuses    *obs.Counter
-	cReconfigs *obs.Counter
-	cEngine    *obs.Counter
-	cStrider   *obs.Counter
-	cWaitUs    *obs.Counter
+	cEngine  *obs.Counter // the identity's cycle pair (IdentityError)
+	cStrider *obs.Counter
 }
 
 // Server is the session layer.
@@ -253,16 +245,8 @@ func New(cfg Config) (*Server, error) {
 			udfs:   map[udfKey]udfEntry{},
 			models: map[string][]float32{},
 		}
-		t.cJobs = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricJobs))
-		t.cTrains = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricTrains))
-		t.cScores = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricScores))
-		t.cErrors = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricErrors))
-		t.cDegraded = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricDegraded))
-		t.cReuses = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricReuses))
-		t.cReconfigs = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricReconfigs))
 		t.cEngine = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricEngineCycles))
 		t.cStrider = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricStriderCycles))
-		t.cWaitUs = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricWaitMicros))
 		s.tenants[tc.Name] = t
 		s.order = append(s.order, tc.Name)
 		quotas[tc.Name] = tc.Quota
@@ -460,27 +444,8 @@ func (s *Server) runJob(pl *Placement) JobResult {
 	r.EngineCycles = t.reg.Get(obs.EngineCycles) - e0
 	r.StriderCycles = t.reg.Get(obs.StriderCyclesTotal) - s0
 
-	waitUs := int64(pl.WaitSec() * 1e6)
-	t.cJobs.Add(1)
-	t.cWaitUs.Add(waitUs)
 	t.cEngine.Add(r.EngineCycles)
 	t.cStrider.Add(r.StriderCycles)
-	if pl.Reused {
-		t.cReuses.Add(1)
-	} else {
-		t.cReconfigs.Add(1)
-	}
-	if pl.Spec.Kind == KindScore {
-		t.cScores.Add(1)
-	} else {
-		t.cTrains.Add(1)
-	}
-	if r.Err != nil {
-		t.cErrors.Add(1)
-	}
-	if r.Degraded {
-		t.cDegraded.Add(1)
-	}
 	return r
 }
 

@@ -100,6 +100,38 @@ func TestServerRunIdentity(t *testing.T) {
 	}
 }
 
+// TestIdentityErrorCatchesPlantedCharge shows IdentityError can fail:
+// after a clean drain, one cycle charged to tenant1's engine (then
+// strider) counter alone must be reported with the tenant, the counter
+// and the broken sum, and taking it back must clear the report.
+func TestIdentityErrorCatchesPlantedCharge(t *testing.T) {
+	load := smallLoad(7)
+	srv := newTestServer(t, load, 2)
+	if _, err := srv.Run(GenLoad(load)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.IdentityError(); err != nil {
+		t.Fatal(err)
+	}
+	for _, metric := range []string{obs.TenantMetricEngineCycles, obs.TenantMetricStriderCycles} {
+		c := srv.Obs().Counter(obs.TenantCounter("tenant1", metric))
+		c.Add(1)
+		err := srv.IdentityError()
+		c.Add(-1)
+		if err == nil {
+			t.Fatalf("one planted %s cycle on tenant1 passes IdentityError", metric)
+		}
+		for _, want := range []string{"tenant1: tenant " + metric + " ", "sum " + metric + " "} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("planted %s cycle: %q does not name %q", metric, err, want)
+			}
+		}
+		if err := srv.IdentityError(); err != nil {
+			t.Fatalf("after the planted %s cycle is taken back: %v", metric, err)
+		}
+	}
+}
+
 // TestServerDeterminism replays the same load on a fresh server and
 // requires bit-identical outcomes: placements, per-job cycle deltas,
 // and model bits.

@@ -1,11 +1,14 @@
 package dana_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -55,6 +58,8 @@ type moduleFacts struct {
 	tenantVars   []string            // tenantStateVars
 	backends     map[string]string   // production type implementing backend.Backend -> its position
 	settings     map[string]string   // uncalledSettings
+	observations map[string]string   // observationNames
+	obsDir       string              // internal/obs's directory
 }
 
 var module struct {
@@ -93,6 +98,7 @@ func readFacts() (f moduleFacts, err error) {
 	f.goStmts = goStatements(pkgs)
 	f.backends = backendImpls(pkgs, seam)
 	f.settings = uncalledSettings(pkgs, isProduction)
+	f.observations, f.obsDir = observationNames(pkgs, "dana/internal/obs")
 	return f, nil
 }
 
@@ -237,6 +243,7 @@ var unreferencedOK = map[string]string{
 	"storage.Page.SetLinePointer":    "safety hook: the only way to fabricate the LP_REDIRECT state that scans must skip",
 	"storage.CheckWeaveSchema":       "input check: the weave layout's admission rule, which the backend's class gate is pinned to",
 	"runtime.workerError.Unwrap":     "implements the errors.Unwrap protocol (errors.Is through workerError)",
+	"server.Server.Obs":              "safety hook: the registry of IdentityError's cycle pair, which the interleaving test snapshots and the planted-charge test perturbs",
 	"obs.ParseSnapshot":              "public API: reads the snapshot JSON that Engine.Obs() and `danactl stats -json` export, for tools outside the module",
 	"obs.Registry.Reset":             apiSurface, // Engine.Obs(): the one way to zero a long-lived engine's counters between runs
 	"fault.Injector.Count":           apiSurface, // dana.FaultInjector
@@ -373,6 +380,176 @@ func use(c Config) int {
 	if len(got) != 1 || got["planted.Config.Tuned"] != "never written" {
 		t.Errorf("a planted setting only a _test.go file writes reads %v", got)
 	}
+}
+
+// observedOK is the whole list of observation names that may stay
+// although no test outside internal/obs reads them and no BENCH modeled
+// section pins them, each with what keeps it. Keys are obs.Name.
+var observedOK = map[string]string{}
+
+// modeledFiles are the CI bench gate's baselines: a name whose value is a
+// key of their "modeled" sections is pinned there, exactly.
+var modeledFiles = []string{"BENCH_baseline.json", "BENCH_server_baseline.json"}
+
+// TestEveryObservationIsRead fails when an exported constant of
+// internal/obs/names.go is read by nothing that checks it: no _test.go
+// file outside internal/obs selects it (obs.Name), its value is no key
+// of a BENCH modeled section, and it is not on observedOK. An emitted
+// name nothing reads cannot be trusted to say where time went: delete
+// it, or give it a check. The check is shown to fail on a planted name
+// that production emits and only obs's own tests read.
+func TestEveryObservationIsRead(t *testing.T) {
+	f := loadFacts(t)
+	reads, err := testReads(".", "dana/internal/obs", f.obsDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modeled := map[string]bool{}
+	for _, file := range modeledFiles {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var base struct{ Modeled map[string]json.RawMessage }
+		if err := json.Unmarshal(data, &base); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		for k := range base.Modeled {
+			modeled[k] = true
+		}
+	}
+	unread := unreadObservations(f.observations, reads, modeled)
+	for name, value := range unread {
+		if observedOK[name] == "" {
+			t.Errorf("%s (%q) is read by no test outside internal/obs and pinned by no BENCH modeled section: delete it, give it a check, or list it in observedOK with its reason", name, value)
+		}
+	}
+	for name := range observedOK {
+		if unread[name] == "" {
+			t.Errorf("observedOK lists %s, which is now read, pinned or gone: drop the entry", name)
+		}
+	}
+
+	// The planted module's obs package emits three names: one a test
+	// reads, one a modeled section pins, and one only obs's own test reads.
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":            "module planted\n",
+		"obs/names.go":      "package obs\nconst (\n\tRead = \"p.read\"\n\tPinned = \"p.pinned\"\n\tUnread = \"p.unread\"\n)\n",
+		"obs/emit.go":       "package obs\nfunc Emit() []string { return []string{Read, Pinned, Unread} }\n",
+		"obs/names_test.go": "package obs_test\nimport \"planted/obs\"\nvar _ = obs.Unread\n",
+		"user/user_test.go": "package user\nimport o \"planted/obs\"\nvar _ = o.Read\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := lint.NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, obsDir := observationNames(pkgs, "planted/obs")
+	if reads, err = testReads(dir, "planted/obs", obsDir); err != nil {
+		t.Fatal(err)
+	}
+	got := unreadObservations(names, reads, map[string]bool{"p.pinned": true})
+	if len(got) != 1 || got["obs.Unread"] != "p.unread" {
+		t.Errorf("a planted name only obs's own test reads, among %v, reads %v", names, got)
+	}
+}
+
+// observationNames maps each exported constant of the names.go file of
+// package obsPath among pkgs, keyed obs.Name, to its value, and returns
+// the package's directory.
+func observationNames(pkgs []*lint.Package, obsPath string) (map[string]string, string) {
+	names := map[string]string{}
+	for _, pkg := range pkgs {
+		if pkg.PkgPath != obsPath {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			c, ok := scope.Lookup(name).(*types.Const)
+			if ok && c.Exported() && filepath.Base(pkg.Fset.Position(c.Pos()).Filename) == "names.go" {
+				names[pkg.Types.Name()+"."+name] = constant.StringVal(c.Val())
+			}
+		}
+		return names, pkg.Dir
+	}
+	return names, ""
+}
+
+// testReads returns the identifiers of package obsPath, keyed obs.Name,
+// that some _test.go file under root, outside obsDir and testdata,
+// selects through its import of the package.
+func testReads(root, obsPath, obsDir string) (map[string]bool, error) {
+	obsDir, err := filepath.Abs(obsDir)
+	if err != nil {
+		return nil, err
+	}
+	reads := map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			abs, err := filepath.Abs(path)
+			if err != nil {
+				return err
+			}
+			if abs == obsDir || d.Name() == "testdata" || (path != root && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, "`\"") != obsPath {
+				continue
+			}
+			local := obsPath[strings.LastIndex(obsPath, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if se, ok := n.(*ast.SelectorExpr); ok {
+					if id, ok := se.X.(*ast.Ident); ok && id.Name == local {
+						reads["obs."+se.Sel.Name] = true
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	return reads, err
+}
+
+// unreadObservations returns the names, with their values, that no test
+// reads and no modeled section pins.
+func unreadObservations(names map[string]string, reads, modeled map[string]bool) map[string]string {
+	out := map[string]string{}
+	for name, value := range names {
+		if !reads[name] && !modeled[value] {
+			out[name] = value
+		}
+	}
+	return out
 }
 
 // plantedImports resolves a planted package's imports among the
