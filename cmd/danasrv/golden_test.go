@@ -68,3 +68,18 @@ func TestFaultyGolden(t *testing.T) {
 func TestStdinGolden(t *testing.T) {
 	diffGolden(t, "stdin.txt", "train tenant0 Remote Sensing LR\nscore tenant1 WLAN 0.001\nrun\nquit\n", "-stdin")
 }
+
+// TestStdinRefusalsFail: a -stdin script whose every job is refused — an
+// unknown tenant, an unknown workload — drains nothing, and danasrv must
+// exit non-zero for it.
+func TestStdinRefusalsFail(t *testing.T) {
+	script := "train nobody WLAN\ntrain tenant0 NoSuchWorkload\nrun\nquit\n"
+	var b bytes.Buffer
+	err := run(&b, strings.NewReader(script), parseFlags([]string{"-stdin"}))
+	if err == nil || !strings.Contains(err.Error(), "2 refused") {
+		t.Fatalf("a script of two refused jobs returned %v, want an error counting both", err)
+	}
+	if b.String() != "nothing pending\n" {
+		t.Fatalf("output %q, want the empty drain's %q", b.String(), "nothing pending\n")
+	}
+}

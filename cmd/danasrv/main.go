@@ -16,9 +16,10 @@
 //	                                #   run            (drain the batch)
 //	                                #   quit
 //
-// The process exits non-zero if any job fails, or if the per-tenant
-// counter identity (tenant counters summing exactly to the per-tenant
-// registry totals) is violated.
+// The process exits non-zero if any job fails (without -faulty), if a
+// -stdin job is refused or a drain fails, or if the per-tenant counter
+// identity (each tenant's job cycles summing exactly to its registry's
+// totals) is violated.
 package main
 
 import (
@@ -108,7 +109,7 @@ func run(w io.Writer, in io.Reader, o options) error {
 	}
 
 	if o.stdin {
-		return repl(w, in, srv, load)
+		return repl(w, in, srv, load, o.faulty != "")
 	}
 
 	specs := server.GenLoad(load)
@@ -140,9 +141,14 @@ func run(w io.Writer, in io.Reader, o options) error {
 
 // repl reads the line protocol from in, batching submissions until
 // "run", and writes each drain's report to w. It returns when in ends or
-// on "quit", with the per-tenant counter identity's verdict.
-func repl(w io.Writer, in io.Reader, srv *server.Server, load server.LoadConfig) error {
+// on "quit", with the per-tenant counter identity's verdict, or else an
+// error if a job was refused, a drain failed or, unless faulty, a
+// drained job failed. A refusal or a failure is reported on stderr as
+// it happens, and the script goes on.
+func repl(w io.Writer, in io.Reader, srv *server.Server, load server.LoadConfig, faulty bool) error {
+	failed := 0
 	sc := bufio.NewScanner(in)
+script:
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
@@ -177,11 +183,13 @@ func repl(w io.Writer, in io.Reader, srv *server.Server, load server.LoadConfig)
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "danasrv:", err)
+				failed++
 			}
 		case "run":
 			rep, err := srv.Drain()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "danasrv:", err)
+				failed++
 				continue
 			}
 			if rep == nil {
@@ -189,8 +197,11 @@ func repl(w io.Writer, in io.Reader, srv *server.Server, load server.LoadConfig)
 				continue
 			}
 			server.WriteReport(w, rep)
+			if !faulty {
+				failed += rep.Errors
+			}
 		case "quit", "exit":
-			return srv.IdentityError()
+			break script
 		default:
 			fmt.Fprintf(os.Stderr, "danasrv: unknown command %q (train/score/run/quit)\n", fields[0])
 		}
@@ -198,7 +209,13 @@ func repl(w io.Writer, in io.Reader, srv *server.Server, load server.LoadConfig)
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	return srv.IdentityError()
+	if err := srv.IdentityError(); err != nil {
+		return err
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d refused job(s), failed drain(s) or failed job(s)", failed)
+	}
+	return nil
 }
 
 func check(err error) {

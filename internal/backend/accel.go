@@ -29,9 +29,8 @@ type Accel struct {
 	// feed is stream.Feed bound once at Configure, so the per-epoch
 	// streaming path allocates no closures.
 	feed func([][]float32) error
-	// rows32 is the scratch buffer epochs are materialized into when the
-	// stream form is not already float32 rows; slab backs the rows copied
-	// out of a batch stream.
+	// rows32 is the scratch buffer a batch stream is materialized into;
+	// slab backs the rows copied out of it.
 	rows32 [][]float32
 	slab   rowSlab
 	// keep is keepBatch bound once, like feed.
@@ -165,9 +164,6 @@ func (b *Accel) RunEpoch(st *Stream) error {
 	// The machine keeps its counters in a plain ledger; a failed epoch's
 	// charges are published like a finished one's.
 	defer b.m.PublishObs()
-	if st == nil {
-		return b.m.RunEpoch(nil, b.batch)
-	}
 	if st.Batches != nil && b.weave.bits == 0 {
 		b.stream.Reset()
 		if err := st.Batches(b.feed); err != nil {
@@ -187,10 +183,10 @@ func (b *Accel) RunEpoch(st *Stream) error {
 	return b.m.RunEpoch(rows, b.batch)
 }
 
-// materialize returns the epoch as float32 rows: Rows32 as delivered,
-// Rows64 narrowed into the scratch buffer, a batch stream drained into
-// it (copied — the producer recycles batch storage). Nil means the
-// stream carried no tuples.
+// materialize returns the epoch as float32 rows: Rows32 as delivered, a
+// batch stream drained into the scratch buffer (copied — the producer
+// recycles batch storage). A stream carrying only Rows64 fails typed;
+// nil means the stream carried no tuples.
 func (b *Accel) materialize(st *Stream) ([][]float32, error) {
 	switch {
 	case st.Batches != nil:
@@ -204,18 +200,7 @@ func (b *Accel) materialize(st *Stream) ([][]float32, error) {
 	case st.Rows32 != nil:
 		return st.Rows32, nil
 	case st.Rows64 != nil:
-		if len(b.rows32) != len(st.Rows64) {
-			b.rows32 = make([][]float32, len(st.Rows64))
-		}
-		for i, row := range st.Rows64 {
-			if len(b.rows32[i]) != len(row) {
-				b.rows32[i] = make([]float32, len(row))
-			}
-			for j, v := range row {
-				b.rows32[i][j] = float32(v)
-			}
-		}
-		return b.rows32, nil
+		return nil, fmt.Errorf("%w: a float32 backend needs Rows32 or Batches", ErrUnsupported)
 	}
 	return nil, nil
 }

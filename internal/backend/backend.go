@@ -288,8 +288,9 @@ type Program struct {
 //     been narrowed through float32 upstream, so both views name the
 //     same numbers).
 //
-// The float32 backends take any form, narrowing Rows64; the float64
-// backends take Rows64 only (Float64Rows).
+// The float32 backends take Batches or Rows32, the float64 backends
+// Rows64 (Float64Rows); a stream carrying only the other width's form
+// fails with ErrUnsupported.
 //
 // Held, set beside Rows32 or Batches, is the producer's word that these
 // rows are stable — the same values every time this holder comes with
@@ -314,9 +315,6 @@ type Held = weaving.Slot
 // form fails with ErrUnsupported rather than train as an empty epoch; an
 // empty stream is an empty epoch.
 func (st *Stream) Float64Rows() ([][]float64, error) {
-	if st == nil {
-		return nil, nil
-	}
 	if st.Rows64 == nil && (st.Rows32 != nil || st.Batches != nil) {
 		return nil, fmt.Errorf("%w: a float64 backend needs Rows64", ErrUnsupported)
 	}

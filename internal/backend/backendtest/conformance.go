@@ -182,23 +182,28 @@ const (
 // must reject it typed.
 const classUnknown backend.Class = "conformance-unknown"
 
-// primaryStream is the delivery form matching the backend's
-// capabilities: the page-order batch stream for streaming backends,
-// materialized rows (both widths) otherwise.
+// primaryStream is the delivery form the runtime sends a backend of
+// these capabilities: the page-order batch stream to a streaming
+// backend, otherwise the materialized rows in its precision's width.
 func primaryStream(caps backend.Capabilities, sc Scenario) *backend.Stream {
-	if caps.Streaming {
+	switch {
+	case caps.Streaming:
 		return &backend.Stream{Batches: batchFeed(sc.Rows32, 7)}
+	case caps.Precision == backend.PrecisionFloat64:
+		return &backend.Stream{Rows64: sc.Tuples}
 	}
-	return &backend.Stream{Rows32: sc.Rows32, Rows64: sc.Tuples}
+	return &backend.Stream{Rows32: sc.Rows32}
 }
 
-// alternateStream is a different legal delivery of the same epoch; a
-// deterministic backend must not be able to tell them apart.
+// alternateStream is the other delivery of the same epoch the runtime
+// sends a streaming backend, a cache replay's Rows32; a deterministic
+// backend must not be able to tell them apart. A row-fed backend is sent
+// one form only, so its alternate is a repeat of it.
 func alternateStream(caps backend.Capabilities, sc Scenario) *backend.Stream {
 	if caps.Streaming {
 		return &backend.Stream{Rows32: sc.Rows32}
 	}
-	return &backend.Stream{Rows64: sc.Tuples}
+	return primaryStream(caps, sc)
 }
 
 // batchFeed emits rows in fixed-size batches, modeling page-granular
@@ -382,7 +387,7 @@ func Check(reg backend.Registration, env backend.Env, sc Scenario) []Violation {
 
 	// Pre-Configure use fails typed.
 	fresh := reg.New(env)
-	if err := fresh.RunEpoch(&backend.Stream{Rows64: sc.Tuples}); !errors.Is(err, backend.ErrNotConfigured) {
+	if err := fresh.RunEpoch(primaryStream(caps, sc)); !errors.Is(err, backend.ErrNotConfigured) {
 		add(CheckNotConfigured, "RunEpoch before Configure = %v, want ErrNotConfigured", err)
 	}
 

@@ -150,3 +150,33 @@ func TestFloat64BackendsRefuseFloat32Streams(t *testing.T) {
 		}
 	}
 }
+
+// TestFloat32BackendsRefuseRows64: the float32 backends take Batches or
+// Rows32, the forms the runtime sends them. A stream carrying only Rows64
+// fails typed and leaves the model as it was, bit for bit.
+func TestFloat32BackendsRefuseRows64(t *testing.T) {
+	env := backendtest.Env()
+	sc := backendtest.GenScenario(3)
+	p, err := backendtest.BuildProgram(sc, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, be := range []backend.Backend{backend.NewAccel(env), backend.NewTabla(env), backend.NewWeaveAccel(env)} {
+		name := be.Capabilities().Name
+		if err := be.Configure(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := be.RunEpoch(&backend.Stream{Rows32: sc.Rows32}); err != nil {
+			t.Fatal(err)
+		}
+		want := be.Model()
+		if err := be.RunEpoch(&backend.Stream{Rows64: sc.Tuples}); !errors.Is(err, backend.ErrUnsupported) {
+			t.Errorf("%s: RunEpoch(Rows64) = %v, want ErrUnsupported", name, err)
+		}
+		for i, v := range be.Model() {
+			if math.Float64bits(v) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: model[%d] = %v after a refused Rows64 epoch, %v before", name, i, v, want[i])
+			}
+		}
+	}
+}

@@ -122,21 +122,3 @@ func ChannelBytesStreamed(ch int) string {
 func ChannelBusyCycles(ch int) string {
 	return fmt.Sprintf("channel.%d.busy_cycles", ch)
 }
-
-// Per-tenant metric names (internal/server): the identity's cycle pair.
-// The server keeps one private registry per tenant (attached to that
-// tenant's runtime.System) and charges tenant.<name>.<metric> in its own
-// registry from deltas taken around each job, so the pair sums exactly
-// to the tenant registries' engine/strider totals even when tenants
-// interleave (Server.IdentityError). A tenant's job, error and wait
-// counts are its batch report's, computed from the job results.
-const (
-	TenantMetricEngineCycles  = "engine_cycles"
-	TenantMetricStriderCycles = "strider_cycles"
-)
-
-// TenantCounter is the per-tenant counter name for one of the
-// TenantMetric* metrics: "tenant.<tenant>.<metric>".
-func TenantCounter(tenant, metric string) string {
-	return "tenant." + tenant + "." + metric
-}

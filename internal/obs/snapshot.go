@@ -5,8 +5,7 @@ import (
 	"fmt"
 )
 
-// SnapshotSchema versions the exported JSON shape; consumers (the CI
-// bench gate, danactl) refuse unknown majors instead of misparsing.
+// SnapshotSchema versions the exported JSON shape.
 const SnapshotSchema = 1
 
 // Snapshot is a point-in-time JSON-exportable view of a registry. Maps
@@ -56,18 +55,6 @@ func (r *Registry) Snapshot() *Snapshot {
 func (s *Snapshot) MarshalJSON() ([]byte, error) {
 	type alias Snapshot // drop the method to avoid recursion
 	return json.Marshal((*alias)(s))
-}
-
-// ParseSnapshot decodes and schema-checks an exported snapshot.
-func ParseSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("obs: bad snapshot: %w", err)
-	}
-	if s.Schema != SnapshotSchema {
-		return nil, fmt.Errorf("obs: snapshot schema %d, want %d", s.Schema, SnapshotSchema)
-	}
-	return &s, nil
 }
 
 func bucketLabel(i int) string {

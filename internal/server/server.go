@@ -41,6 +41,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dana/internal/cost"
 	"dana/internal/datagen"
@@ -62,10 +63,9 @@ type TenantConfig struct {
 
 // Config parameterizes a Server. Everything else is fixed: 32 KB pages,
 // a tenantPoolBytes buffer pool per tenant, the batchSlackSec fairness
-// bound, equal fair shares, and a fresh registry for the tenant.*
-// counters. Host parallelism is not a setting either: a tenant system
-// extracts a table its pool holds on min(GOMAXPROCS, Striders) walkers,
-// which changes wall-clock time only.
+// bound and equal fair shares. Host parallelism is not a setting either:
+// a tenant system extracts a table its pool holds on min(GOMAXPROCS,
+// Striders) walkers, which changes wall-clock time only.
 type Config struct {
 	Tenants []TenantConfig
 	// Instances sizes the modeled accelerator pool the planner places
@@ -140,10 +140,10 @@ func (p pin) restore() {
 	}
 }
 
-// tenant is one session principal: a private System plus the server's
-// per-tenant instrument handles. Submit pins, deploys, registers and
-// prices on it under the server lock; a drain's execute goroutine for it
-// reads only its placements and models.
+// tenant is one session principal: a private System plus the cycles
+// its jobs were charged. Submit pins, deploys, registers and prices on it
+// under the server lock; a drain's execute goroutine for it reads only
+// its placements and models.
 type tenant struct {
 	name string
 	sys  *runtime.System
@@ -153,15 +153,15 @@ type tenant struct {
 	udfs   map[udfKey]udfEntry  // configuration -> pins, registration and price
 	models map[string][]float32 // config key -> last trained model (execution only)
 
-	cEngine  *obs.Counter // the identity's cycle pair (IdentityError)
-	cStrider *obs.Counter
+	// engine and strider sum the job results' cycle deltas: the
+	// identity's cycle pair (IdentityError).
+	engine, strider atomic.Int64
 }
 
 // Server is the session layer.
 type Server struct {
 	cfg Config
 	env workload.Env
-	reg *obs.Registry
 
 	mu       sync.Mutex // guards pending, planner state, data, sizes and every tenant's scales and udfs
 	data     map[dataKey]*datagen.Dataset
@@ -195,9 +195,7 @@ type JobResult struct {
 }
 
 // New builds the server: one private System per tenant (obs registry,
-// buffer pool, optional fault injector) and the per-tenant counter
-// handles in the server registry (resolved here, at setup time, per the
-// obsguard rule).
+// buffer pool, optional fault injector).
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, errors.New("server: no tenants configured")
@@ -207,11 +205,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	env := workload.DefaultEnv()
 	env.Cost.PoolBytes = tenantPoolBytes
-	reg := obs.New()
 	s := &Server{
 		cfg:     cfg,
 		env:     env,
-		reg:     reg,
 		data:    map[dataKey]*datagen.Dataset{},
 		sizes:   map[dataKey]int64{},
 		tenants: map[string]*tenant{},
@@ -245,8 +241,6 @@ func New(cfg Config) (*Server, error) {
 			udfs:   map[udfKey]udfEntry{},
 			models: map[string][]float32{},
 		}
-		t.cEngine = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricEngineCycles))
-		t.cStrider = reg.Counter(obs.TenantCounter(tc.Name, obs.TenantMetricStriderCycles))
 		s.tenants[tc.Name] = t
 		s.order = append(s.order, tc.Name)
 		quotas[tc.Name] = tc.Quota
@@ -260,9 +254,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Obs is the server registry carrying the tenant.* counters.
-func (s *Server) Obs() *obs.Registry { return s.reg }
 
 // TenantNames lists tenants in name order.
 func (s *Server) TenantNames() []string { return append([]string(nil), s.order...) }
@@ -412,8 +403,8 @@ func (s *Server) execute(plan *Plan) []JobResult {
 }
 
 // runJob executes one placement on its tenant's System and charges the
-// tenant counters from registry deltas, so the per-tenant cycle sums
-// match the tenant registries exactly (IdentityError).
+// tenant's cycle pair from registry deltas, so the pair matches the
+// tenant registry exactly (IdentityError).
 func (s *Server) runJob(pl *Placement) JobResult {
 	t := s.tenants[pl.Spec.Tenant]
 	e0 := t.reg.Get(obs.EngineCycles)
@@ -444,8 +435,8 @@ func (s *Server) runJob(pl *Placement) JobResult {
 	r.EngineCycles = t.reg.Get(obs.EngineCycles) - e0
 	r.StriderCycles = t.reg.Get(obs.StriderCyclesTotal) - s0
 
-	t.cEngine.Add(r.EngineCycles)
-	t.cStrider.Add(r.StriderCycles)
+	t.engine.Add(r.EngineCycles)
+	t.strider.Add(r.StriderCycles)
 	return r
 }
 
@@ -612,17 +603,15 @@ func (t *tenant) train(pl *Placement) (*runtime.TrainResult, error) {
 	return res, nil
 }
 
-// IdentityError checks the cross-registry sum identity: for engine and
-// strider cycles, the server's per-tenant counters must equal the sum
-// of the corresponding totals in the per-tenant registries, exactly.
-// A violation means charging raced or leaked across tenants.
+// IdentityError checks the per-tenant charging identity: for engine and
+// strider cycles, the sum of a tenant's job deltas must equal the total
+// in its registry, exactly. A violation means charging raced or leaked
+// across tenants.
 func (s *Server) IdentityError() error {
 	var wrong []string
-	var chargedE, chargedS, globalE, globalS int64
 	for _, name := range s.order {
 		t := s.tenants[name]
-		ce := s.reg.Get(obs.TenantCounter(name, obs.TenantMetricEngineCycles))
-		cs := s.reg.Get(obs.TenantCounter(name, obs.TenantMetricStriderCycles))
+		ce, cs := t.engine.Load(), t.strider.Load()
 		ge := t.reg.Get(obs.EngineCycles)
 		gs := t.reg.Get(obs.StriderCyclesTotal)
 		if ce != ge {
@@ -631,16 +620,6 @@ func (s *Server) IdentityError() error {
 		if cs != gs {
 			wrong = append(wrong, fmt.Sprintf("%s: tenant strider_cycles %d != registry strider.cycles_total %d", name, cs, gs))
 		}
-		chargedE += ce
-		chargedS += cs
-		globalE += ge
-		globalS += gs
-	}
-	if chargedE != globalE {
-		wrong = append(wrong, fmt.Sprintf("sum engine_cycles %d != global %d", chargedE, globalE))
-	}
-	if chargedS != globalS {
-		wrong = append(wrong, fmt.Sprintf("sum strider_cycles %d != global %d", chargedS, globalS))
 	}
 	if len(wrong) > 0 {
 		return fmt.Errorf("server: per-tenant counter identity violated:\n  %s",

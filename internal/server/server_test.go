@@ -11,6 +11,7 @@ import (
 	hostrt "runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -102,8 +103,8 @@ func TestServerRunIdentity(t *testing.T) {
 
 // TestIdentityErrorCatchesPlantedCharge shows IdentityError can fail:
 // after a clean drain, one cycle charged to tenant1's engine (then
-// strider) counter alone must be reported with the tenant, the counter
-// and the broken sum, and taking it back must clear the report.
+// strider) counter alone must be reported with the tenant and the
+// counter, and taking it back must clear the report.
 func TestIdentityErrorCatchesPlantedCharge(t *testing.T) {
 	load := smallLoad(7)
 	srv := newTestServer(t, load, 2)
@@ -113,21 +114,22 @@ func TestIdentityErrorCatchesPlantedCharge(t *testing.T) {
 	if err := srv.IdentityError(); err != nil {
 		t.Fatal(err)
 	}
-	for _, metric := range []string{obs.TenantMetricEngineCycles, obs.TenantMetricStriderCycles} {
-		c := srv.Obs().Counter(obs.TenantCounter("tenant1", metric))
-		c.Add(1)
+	tn := srv.tenants["tenant1"]
+	for _, c := range []struct {
+		metric  string
+		counter *atomic.Int64
+	}{{"engine_cycles", &tn.engine}, {"strider_cycles", &tn.strider}} {
+		c.counter.Add(1)
 		err := srv.IdentityError()
-		c.Add(-1)
+		c.counter.Add(-1)
 		if err == nil {
-			t.Fatalf("one planted %s cycle on tenant1 passes IdentityError", metric)
+			t.Fatalf("one planted %s cycle on tenant1 passes IdentityError", c.metric)
 		}
-		for _, want := range []string{"tenant1: tenant " + metric + " ", "sum " + metric + " "} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("planted %s cycle: %q does not name %q", metric, err, want)
-			}
+		if want := "tenant1: tenant " + c.metric + " "; !strings.Contains(err.Error(), want) {
+			t.Errorf("planted %s cycle: %q does not name %q", c.metric, err, want)
 		}
 		if err := srv.IdentityError(); err != nil {
-			t.Fatalf("after the planted %s cycle is taken back: %v", metric, err)
+			t.Fatalf("after the planted %s cycle is taken back: %v", c.metric, err)
 		}
 	}
 }
@@ -314,7 +316,7 @@ func modeledSnapshot(r *obs.Registry) *obs.Snapshot {
 // at once, so nothing it reports may depend on how the host interleaves
 // them. One seeded load, with tenant0 under danasrv -faulty's persistent
 // Strider trap storm, is drained at GOMAXPROCS 1, 2 and 8; every job
-// result, the report and every registry must come out equal, and the
+// result, the report and every tenant registry must come out equal, and the
 // written report equal to testdata/trap_storm.txt.
 func TestHostInterleavingInvisible(t *testing.T) {
 	load := LoadConfig{
@@ -355,7 +357,7 @@ func TestHostInterleavingInvisible(t *testing.T) {
 		}
 		var text strings.Builder
 		WriteReport(&text, rep)
-		out := outcome{Results: b.String(), Text: text.String(), Report: *rep, Snaps: []*obs.Snapshot{modeledSnapshot(srv.Obs())}}
+		out := outcome{Results: b.String(), Text: text.String(), Report: *rep}
 		out.Report.Results = nil
 		for _, name := range srv.TenantNames() {
 			out.Snaps = append(out.Snaps, modeledSnapshot(srv.TenantObs(name)))
@@ -377,7 +379,7 @@ func TestHostInterleavingInvisible(t *testing.T) {
 		}
 		for i := range want.Snaps {
 			if !reflect.DeepEqual(got.Snaps[i], want.Snaps[i]) {
-				t.Fatalf("GOMAXPROCS %d: registry %d differs from GOMAXPROCS 1:\n%+v\nvs\n%+v", procs, i, got.Snaps[i], want.Snaps[i])
+				t.Fatalf("GOMAXPROCS %d: tenant %d's registry differs from GOMAXPROCS 1:\n%+v\nvs\n%+v", procs, i, got.Snaps[i], want.Snaps[i])
 			}
 		}
 	}

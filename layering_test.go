@@ -243,8 +243,6 @@ var unreferencedOK = map[string]string{
 	"storage.Page.SetLinePointer":    "safety hook: the only way to fabricate the LP_REDIRECT state that scans must skip",
 	"storage.CheckWeaveSchema":       "input check: the weave layout's admission rule, which the backend's class gate is pinned to",
 	"runtime.workerError.Unwrap":     "implements the errors.Unwrap protocol (errors.Is through workerError)",
-	"server.Server.Obs":              "safety hook: the registry of IdentityError's cycle pair, which the interleaving test snapshots and the planted-charge test perturbs",
-	"obs.ParseSnapshot":              "public API: reads the snapshot JSON that Engine.Obs() and `danactl stats -json` export, for tools outside the module",
 	"obs.Registry.Reset":             apiSurface, // Engine.Obs(): the one way to zero a long-lived engine's counters between runs
 	"fault.Injector.Count":           apiSurface, // dana.FaultInjector
 	"fault.Injector.Reset":           apiSurface,
@@ -275,9 +273,12 @@ const apiSurface = "public API: a method of a type the dana package hands out, p
 // (its own module), the root package (the public API), and testOnly's
 // internal/verify (oracles) and internal/fuzzcorpus (the fuzz targets'
 // corpus writers), whose references count as test references too: a
-// production function only an oracle calls is test-only. The check is
-// shown to fail on a planted function only a planted verify package
-// calls.
+// production function only an oracle calls is test-only. An entry that
+// keeps a package-level function of an internal/ package as "public
+// API" fails too: only the module can import that package, so no
+// outside caller exists. The check is shown to fail on a planted
+// function only a planted verify package calls, and on a planted
+// "public API" entry for it.
 func TestNoTestOnlyProductionFunctions(t *testing.T) {
 	unused := loadFacts(t).unreferenced
 	for name, pos := range unused {
@@ -289,6 +290,9 @@ func TestNoTestOnlyProductionFunctions(t *testing.T) {
 		if unused[name] == "" {
 			t.Errorf("unreferencedOK lists %s, which is now referenced or gone: drop the entry", name)
 		}
+	}
+	for _, name := range internalAPIClaims(unreferencedOK, unused) {
+		t.Errorf("unreferencedOK keeps %s, a function of an internal package, as public API: nothing outside the module can call it", name)
 	}
 
 	prod := plantPackage(t, "dana/internal/planted", `package planted
@@ -304,6 +308,23 @@ func Check() { planted.OnlyVerify() }
 	if len(got) != 1 || got["planted.OnlyVerify"] == "" {
 		t.Errorf("a planted production function only a planted verify package calls reads %v", got)
 	}
+	planted := map[string]string{"planted.OnlyVerify": "public API: for tools outside the module"}
+	if claims := internalAPIClaims(planted, got); len(claims) != 1 || claims[0] != "planted.OnlyVerify" {
+		t.Errorf("a planted public-API entry for an internal package's function reads %v", claims)
+	}
+}
+
+// internalAPIClaims lists the entries of ok whose reason claims
+// "public API" for a package-level function (pkg.Func) that unused
+// places in an internal/ package.
+func internalAPIClaims(ok, unused map[string]string) []string {
+	var claims []string
+	for name, why := range ok {
+		if strings.Count(name, ".") == 1 && strings.Contains(why, "public API") && strings.Contains(filepath.ToSlash(unused[name]), "internal/") {
+			claims = append(claims, name)
+		}
+	}
+	return claims
 }
 
 // settingsOK is the whole list of settings that may stay although no
@@ -568,7 +589,7 @@ func (m plantedImports) Import(path string) (*types.Package, error) {
 func plantPackage(t *testing.T, path, src string, imp plantedImports) *lint.Package {
 	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "planted.go", src, 0)
+	f, err := parser.ParseFile(fset, path+"/planted.go", src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
