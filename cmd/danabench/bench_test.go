@@ -80,7 +80,7 @@ func gateBaseline(t *testing.T) *benchFile {
 				BytesPerOp: 51000, AllocsPerOp: 26, Metrics: map[string]float64{"tuples/s": 5649726},
 			},
 		},
-		Modeled: map[string]int64{"engine.cycles": 24570, "runtime.failovers": 0, "strider.pages_walked": 138},
+		Modeled: map[string]int64{"engine.cycles": 24570, "runtime.cpu_fallbacks": 0, "strider.pages_walked": 138},
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_baseline.json")
 	if err := writeBenchFile(path, bf); err != nil {
@@ -149,7 +149,7 @@ func TestGateCatchesPlantedFaults(t *testing.T) {
 	}{
 		{"modeled counter +1", func(cur *benchFile) { cur.Modeled["engine.cycles"]++ }, "modeled engine.cycles: baseline 24570, run 24571"},
 		{"modeled counter only in the run", func(cur *benchFile) { cur.Modeled["engine.new_counter"] = 0 }, "modeled engine.new_counter: 0 in the run, absent from the baseline"},
-		{"modeled counter only in the baseline", func(cur *benchFile) { delete(cur.Modeled, "runtime.failovers") }, "modeled runtime.failovers: 0 in the baseline, absent from the run"},
+		{"modeled counter only in the baseline", func(cur *benchFile) { delete(cur.Modeled, "runtime.cpu_fallbacks") }, "modeled runtime.cpu_fallbacks: 0 in the baseline, absent from the run"},
 		{"missing row", func(cur *benchFile) { delete(cur.Benchmarks, "BenchmarkAccelConfigure/WLAN") }, "BenchmarkAccelConfigure/WLAN: not produced by the run"},
 		{"allocs over the bound", func(cur *benchFile) {
 			e := cur.Benchmarks["BenchmarkTrainWallClock/LR/serial"]

@@ -83,3 +83,17 @@ func TestStdinRefusalsFail(t *testing.T) {
 		t.Fatalf("output %q, want the empty drain's %q", b.String(), "nothing pending\n")
 	}
 }
+
+// TestStdinMalformedLinesFail: a train with too few fields and an unknown
+// command queue nothing, and danasrv must exit non-zero for each.
+func TestStdinMalformedLinesFail(t *testing.T) {
+	script := "train tenant0\nsubmit tenant0 WLAN\nquit\n"
+	var b bytes.Buffer
+	err := run(&b, strings.NewReader(script), parseFlags([]string{"-stdin"}))
+	if err == nil || !strings.Contains(err.Error(), "2 refused") || !strings.Contains(err.Error(), "malformed") {
+		t.Fatalf("a script of two malformed lines returned %v, want an error counting both", err)
+	}
+	if b.Len() != 0 {
+		t.Fatalf("output %q, want none", b.String())
+	}
+}

@@ -17,9 +17,10 @@
 //	                                #   quit
 //
 // The process exits non-zero if any job fails (without -faulty), if a
-// -stdin job is refused or a drain fails, or if the per-tenant counter
-// identity (each tenant's job cycles summing exactly to its registry's
-// totals) is violated.
+// -stdin job is refused, a drain fails or a script line is malformed (a
+// train/score with too few fields, an unknown command), or if the
+// per-tenant counter identity (each tenant's job cycles summing exactly
+// to its registry's totals) is violated.
 package main
 
 import (
@@ -142,9 +143,10 @@ func run(w io.Writer, in io.Reader, o options) error {
 // repl reads the line protocol from in, batching submissions until
 // "run", and writes each drain's report to w. It returns when in ends or
 // on "quit", with the per-tenant counter identity's verdict, or else an
-// error if a job was refused, a drain failed or, unless faulty, a
-// drained job failed. A refusal or a failure is reported on stderr as
-// it happens, and the script goes on.
+// error if a job was refused, a drain failed, a line was malformed or,
+// unless faulty, a drained job failed. A refusal, a failure or a
+// malformed line is reported on stderr as it happens, and the script
+// goes on.
 func repl(w io.Writer, in io.Reader, srv *server.Server, load server.LoadConfig, faulty bool) error {
 	failed := 0
 	sc := bufio.NewScanner(in)
@@ -158,6 +160,7 @@ script:
 		case "train", "score":
 			if len(fields) < 3 {
 				fmt.Fprintf(os.Stderr, "usage: %s <tenant> <workload...> [scale]\n", fields[0])
+				failed++
 				continue
 			}
 			kind := server.KindTrain
@@ -204,6 +207,7 @@ script:
 			break script
 		default:
 			fmt.Fprintf(os.Stderr, "danasrv: unknown command %q (train/score/run/quit)\n", fields[0])
+			failed++
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -213,7 +217,7 @@ script:
 		return err
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d refused job(s), failed drain(s) or failed job(s)", failed)
+		return fmt.Errorf("%d refused job(s), failed drain(s), failed job(s) or malformed line(s)", failed)
 	}
 	return nil
 }

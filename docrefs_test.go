@@ -24,11 +24,15 @@ var docRefSources = []string{
 var docRef = regexp.MustCompile(`\b(EXPERIMENTS|DESIGN)\.md "([^"\n]+)"`)
 
 // roadmapItem matches a reference to a numbered ROADMAP.md item, such as
-// ROADMAP item 13, in flattened text.
-var roadmapItem = regexp.MustCompile(`\bROADMAP\s+item\s+(\d+)`)
+// ROADMAP item 13, or to one of its lettered paragraphs, such as ROADMAP
+// item 18(c), in flattened text.
+var roadmapItem = regexp.MustCompile(`\bROADMAP\s+item\s+(\d+)(?:\(([a-z])\))?`)
 
 // roadmapHeading matches an item's heading in ROADMAP.md: "### 13. …".
-var roadmapHeading = regexp.MustCompile(`(?m)^### (\d+)\.`)
+var roadmapHeading = regexp.MustCompile(`^### (\d+)\.`)
+
+// roadmapLetter matches a lettered paragraph of an item: "(c) …".
+var roadmapLetter = regexp.MustCompile(`^\(([a-z])\) `)
 
 // boldLead matches a paragraph or list item that opens in bold.
 var boldLead = regexp.MustCompile(`^(?:[-*] |\d+\. )?\*\*(.+?)(?:\*\*|$)`)
@@ -38,9 +42,10 @@ var boldLead = regexp.MustCompile(`^(?:[-*] |\d+\. )?\*\*(.+?)(?:\*\*|$)`)
 // skill or either document, matches the start of a heading or of a
 // bold paragraph lead in the quoted file, and each document holds its
 // line budget. Every ROADMAP item N in the same sources but CHANGES.md,
-// whose numbers are history, names a "### N." heading of ROADMAP.md.
-// The planted row shows a dangling quotation and a retired item are
-// reported.
+// whose numbers are history, names a "### N." heading of ROADMAP.md,
+// and every ROADMAP item N(x) an "(x) " paragraph under that heading.
+// The planted row shows a dangling quotation, a retired item and a
+// retired letter are reported.
 func TestDocReferencesResolve(t *testing.T) {
 	anchors := map[string][]string{}
 	for doc, budget := range docBudgets {
@@ -57,9 +62,18 @@ func TestDocReferencesResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := map[string]bool{}
-	for _, m := range roadmapHeading.FindAllStringSubmatch(string(roadmap), -1) {
-		items[m[1]] = true
+	items := map[string]map[string]bool{} // item number -> its paragraph letters
+	item := ""
+	for _, line := range strings.Split(string(roadmap), "\n") {
+		if strings.HasPrefix(line, "#") {
+			item = ""
+			if m := roadmapHeading.FindStringSubmatch(line); m != nil {
+				item = m[1]
+				items[item] = map[string]bool{}
+			}
+		} else if m := roadmapLetter.FindStringSubmatch(line); m != nil && item != "" {
+			items[item][m[1]] = true
+		}
 	}
 
 	type source struct {
@@ -68,9 +82,9 @@ func TestDocReferencesResolve(t *testing.T) {
 		dangling   int  // quotations and items that must not resolve
 	}
 	rows := []source{{
-		name:     "planted dangling quotation and retired item",
-		text:     flattenGoComments("// see DESIGN.md \"Static analysis\" and DESIGN.md \"No such\n// section\", ROADMAP item 1 and ROADMAP\n// item 6.\nfunc f() {}\n"),
-		dangling: 2,
+		name:     "planted dangling quotation, retired item and retired letter",
+		text:     flattenGoComments("// see DESIGN.md \"Static analysis\" and DESIGN.md \"No such\n// section\", ROADMAP item 1, ROADMAP item 18(c), ROADMAP\n// item 6 and ROADMAP item 7(b).\nfunc f() {}\n"),
+		dangling: 3,
 	}}
 	for _, name := range docRefSources {
 		b, err := os.ReadFile(name)
@@ -113,12 +127,12 @@ func TestDocReferencesResolve(t *testing.T) {
 				break
 			}
 			itemRefs++
-			if !items[m[1]] {
-				dangling = append(dangling, "ROADMAP item "+m[1])
+			if letters, ok := items[m[1]]; !ok || m[2] != "" && !letters[m[2]] {
+				dangling = append(dangling, m[0])
 			}
 		}
 		if len(dangling) != row.dangling {
-			t.Errorf("%s: %d quotations or ROADMAP items match no heading or bold lead, want %d: %q",
+			t.Errorf("%s: %d quotations or ROADMAP items match no heading, bold lead or lettered paragraph, want %d: %q",
 				row.name, len(dangling), row.dangling, dangling)
 		}
 	}

@@ -42,9 +42,6 @@ var (
 	ErrUnknownBackend = errors.New("backend: unknown backend")
 	// ErrNotConfigured reports RunEpoch before Configure.
 	ErrNotConfigured = errors.New("backend: not configured")
-	// ErrNoFailover reports that no registered backend can absorb a
-	// failover for the job.
-	ErrNoFailover = errors.New("backend: no failover backend available")
 )
 
 // Class is a workload class at the dispatch granularity the repo's
@@ -131,12 +128,9 @@ type Capabilities struct {
 	// (Stream.Batches); non-streaming backends take materialized rows.
 	Streaming bool
 	// Accelerated backends model faultable accelerator hardware: they
-	// are subject to injected cluster faults and are failover *sources*.
+	// are subject to injected cluster faults, after which a Train
+	// finishes on the CPU trainer.
 	Accelerated bool
-	// Fallback marks a valid failover *target*: a backend that shares no
-	// hardware with the accelerator and degrades with reference
-	// precision.
-	Fallback bool
 }
 
 // Supports reports whether the capability set covers class.

@@ -9,7 +9,7 @@ import (
 
 // CPU is the golden float64 reference trainer behind the Backend seam:
 // the hDFG interpreter, bit-identical to the GoldenSpec trainer (Oracle
-// C leg 1). It is the canonical failover target — it shares no modeled
+// C leg 1). It is the failover target — it shares no modeled
 // hardware with the accelerator, and a degraded run continues at
 // reference precision.
 type CPU struct {
@@ -27,7 +27,6 @@ func (b *CPU) Capabilities() Capabilities {
 		Classes:       AllClasses(),
 		Precision:     PrecisionFloat64,
 		BitExactModel: true, // == golden trainer, bit for bit
-		Fallback:      true,
 	}
 }
 

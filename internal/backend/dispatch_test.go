@@ -203,8 +203,7 @@ func TestDispatcherOverride(t *testing.T) {
 	}
 }
 
-// fakeBackend is a stub with a fixed price for tie-break and failover
-// policy tests.
+// fakeBackend is a stub with a fixed price for the tie-break test.
 type fakeBackend struct {
 	caps backend.Capabilities
 	sec  float64
@@ -222,7 +221,7 @@ func (f *fakeBackend) RunEpoch(*backend.Stream) error  { return nil }
 func (f *fakeBackend) Model() []float64                { return nil }
 func (f *fakeBackend) SetModel([]float64) error        { return nil }
 
-func fakeReg(name string, sec float64, fallback bool) backend.Registration {
+func fakeReg(name string, sec float64) backend.Registration {
 	return backend.Registration{
 		Name: name,
 		New: func(backend.Env) backend.Backend {
@@ -231,7 +230,6 @@ func fakeReg(name string, sec float64, fallback bool) backend.Registration {
 				Classes:       backend.AllClasses(),
 				Precision:     backend.PrecisionFloat64,
 				BitExactModel: true,
-				Fallback:      fallback,
 			}}
 		},
 	}
@@ -242,9 +240,9 @@ func fakeReg(name string, sec float64, fallback bool) backend.Registration {
 func TestDispatcherTieBreak(t *testing.T) {
 	env := backendtest.Env()
 	disp := backend.NewDispatcher(env,
-		fakeReg("zeta", 1.0, false),
-		fakeReg("alpha", 1.0, false),
-		fakeReg("mid", 2.0, false),
+		fakeReg("zeta", 1.0),
+		fakeReg("alpha", 1.0),
+		fakeReg("mid", 2.0),
 	)
 	_, reg, _, err := disp.Pick(backend.Job{Class: backend.ClassLinear})
 	if err != nil {
@@ -252,48 +250,6 @@ func TestDispatcherTieBreak(t *testing.T) {
 	}
 	if reg.Name != "alpha" {
 		t.Fatalf("tie resolved to %s, want alpha (name order)", reg.Name)
-	}
-}
-
-// TestDispatcherFailover: the degradation target is the cheapest
-// admissible Fallback backend that is not the one that faulted.
-func TestDispatcherFailover(t *testing.T) {
-	disp, env := newTestDispatcher()
-	job := jobForSeed(t, 3, env)
-
-	_, reg, err := disp.Failover(job, backend.NameAccelerator)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Name != backend.NameCPU {
-		t.Fatalf("failover after accelerator chose %s, want cpu (the only Fallback backend)", reg.Name)
-	}
-
-	if _, _, err := disp.Failover(job, backend.NameCPU); !errors.Is(err, backend.ErrNoFailover) {
-		t.Errorf("failover after cpu = %v, want ErrNoFailover", err)
-	}
-
-	// Policy details on fakes: cheapest wins, the failed one is excluded
-	// even if it declares Fallback, non-Fallback backends never serve.
-	fd := backend.NewDispatcher(env,
-		fakeReg("cheap", 0.5, true),
-		fakeReg("pricey", 5.0, true),
-		fakeReg("fast-but-no-fallback", 0.1, false),
-	)
-	fjob := backend.Job{Class: backend.ClassLinear}
-	_, freg, err := fd.Failover(fjob, "accelerator")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if freg.Name != "cheap" {
-		t.Fatalf("failover chose %s, want cheap", freg.Name)
-	}
-	_, freg, err = fd.Failover(fjob, "cheap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if freg.Name != "pricey" {
-		t.Fatalf("failover with cheap faulted chose %s, want pricey", freg.Name)
 	}
 }
 
@@ -322,8 +278,8 @@ func counted(builds *atomic.Int64, regs ...backend.Registration) []backend.Regis
 }
 
 // TestDispatcherBuildsOnlyWhatItReturns: NewDispatcher builds one dark
-// instance per registration, once; after that Pick, New and Failover
-// build exactly the backend they hand out, Resolve and EstimateCost
+// instance per registration, once; after that Pick and New build
+// exactly the backend they hand out, Resolve and EstimateCost
 // build nothing, and pricing on a dark instance equals pricing on the
 // backend Pick builds.
 func TestDispatcherBuildsOnlyWhatItReturns(t *testing.T) {
@@ -342,7 +298,6 @@ func TestDispatcherBuildsOnlyWhatItReturns(t *testing.T) {
 	}{
 		{"Pick", func() error { _, _, _, err := disp.Pick(job); return err }, 1},
 		{"New", func() error { _, _, err := disp.New(backend.NameTabla, job); return err }, 1},
-		{"Failover", func() error { _, _, err := disp.Failover(job, backend.NameAccelerator); return err }, 1},
 		{"Resolve(\"\")", func() error { _, _, err := disp.Resolve("", job); return err }, 0},
 		{"Resolve(auto)", func() error { _, _, err := disp.Resolve(backend.NameAuto, job); return err }, 0},
 		{"EstimateCost", func() error { _, err := disp.EstimateCost(backend.NameSharded, job); return err }, 0},

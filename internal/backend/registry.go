@@ -214,7 +214,7 @@ func (d *Dispatcher) Resolve(name string, job Job) (Registration, Job, error) {
 		return Registration{}, job, fmt.Errorf("%w: no streaming backend for class=%s bits=%d",
 			ErrUnsupported, job.Class, job.Bits)
 	case NameAuto:
-		i, _, ok := d.cheapest(job, nil)
+		i, _, ok := d.cheapest(job)
 		if !ok {
 			return Registration{}, job, errNoBackend(job)
 		}
@@ -241,7 +241,7 @@ func (d *Dispatcher) Resolve(name string, job Job) (Registration, Job, error) {
 // It builds the chosen backend only. No admissible backend is
 // ErrUnsupported.
 func (d *Dispatcher) Pick(job Job) (Backend, Registration, Cost, error) {
-	i, c, ok := d.cheapest(job, nil)
+	i, c, ok := d.cheapest(job)
 	if !ok {
 		return nil, Registration{}, Cost{}, errNoBackend(job)
 	}
@@ -253,12 +253,11 @@ func errNoBackend(job Job) error {
 }
 
 // cheapest prices the job on the dark instance of every admissible
-// registration that passes keep (nil keeps all) and returns the index of
-// the minimum by modeled seconds, ties by name order.
-func (d *Dispatcher) cheapest(job Job, keep func(Registration, Capabilities) bool) (best int, bestCost Cost, found bool) {
+// registration and returns the index of the minimum by modeled seconds,
+// ties by name order.
+func (d *Dispatcher) cheapest(job Job) (best int, bestCost Cost, found bool) {
 	for i, be := range d.dark {
-		caps := be.Capabilities()
-		if (keep != nil && !keep(d.regs[i], caps)) || !admissible(caps, job) {
+		if !admissible(be.Capabilities(), job) {
 			continue
 		}
 		c, err := be.EstimateCost(job)
@@ -270,19 +269,4 @@ func (d *Dispatcher) cheapest(job Job, keep func(Registration, Capabilities) boo
 		}
 	}
 	return best, bestCost, found
-}
-
-// Failover selects the degradation target after backend `failed`
-// faulted: among backends declaring Capabilities.Fallback (accelerator-
-// independent, reference precision) and admissible for the job, the
-// cheapest by modeled cost, ties by name. The failed backend is
-// excluded even if it declares Fallback. It builds the target only.
-func (d *Dispatcher) Failover(job Job, failed string) (Backend, Registration, error) {
-	i, _, ok := d.cheapest(job, func(reg Registration, caps Capabilities) bool {
-		return reg.Name != failed && caps.Fallback
-	})
-	if !ok {
-		return nil, Registration{}, fmt.Errorf("%w: after %q faulted on class=%s", ErrNoFailover, failed, job.Class)
-	}
-	return d.Build(d.regs[i]), d.regs[i], nil
 }

@@ -63,10 +63,6 @@ const (
 	RuntimeEpochRetries = "runtime.epoch_retries"
 	RuntimeEpochTimeout = "runtime.epoch_timeouts"
 	RuntimeCPUFallbacks = "runtime.cpu_fallbacks"
-	// RuntimeFailovers counts generic backend failovers (any fallback
-	// target); RuntimeCPUFallbacks additionally counts the ones that
-	// landed on the CPU backend, preserving the historical name.
-	RuntimeFailovers = "runtime.failovers"
 
 	RuntimeEpochs       = "runtime.epochs"
 	RuntimeEpochCached  = "runtime.epochs_cached"

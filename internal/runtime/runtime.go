@@ -145,7 +145,6 @@ type System struct {
 	obsEpochRetries *obs.Counter
 	obsEpochTimeout *obs.Counter
 	obsCPUFallbacks *obs.Counter
-	obsFailovers    *obs.Counter
 	// Per-channel stream instruments (one handle per modeled channel,
 	// resolved at New like every other instrument; charged by the
 	// coordinator in page order alongside the Collector).
@@ -185,7 +184,6 @@ func New(opts Options) *System {
 	s.obsEpochRetries = reg.Counter(obs.RuntimeEpochRetries)
 	s.obsEpochTimeout = reg.Counter(obs.RuntimeEpochTimeout)
 	s.obsCPUFallbacks = reg.Counter(obs.RuntimeCPUFallbacks)
-	s.obsFailovers = reg.Counter(obs.RuntimeFailovers)
 	s.channels = min(max(opts.Cost.Link.Channels, 1), MaxChannels)
 	s.obsChanBytes = make([]*obs.Counter, s.channels)
 	s.obsChanBusy = make([]*obs.Counter, s.channels)
@@ -325,9 +323,8 @@ type TrainResult struct {
 	SimulatedSeconds float64
 
 	// Degraded reports that the backend faulted mid-train and the
-	// remaining epochs ran on the failover backend (FailoverBackend —
-	// the golden float64 CPU trainer unless another fallback-capable
-	// backend is cheaper). DegradedAtEpoch is the zero-based epoch the
+	// remaining epochs ran on the failover backend (FailoverBackend, the
+	// golden float64 CPU trainer). DegradedAtEpoch is the zero-based epoch the
 	// faulted backend last attempted; epochs before it trained there,
 	// epochs from it onward on the failover target.
 	Degraded        bool
@@ -493,7 +490,7 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 		// intact, so the remaining epochs run on the failover backend
 		// from the epoch-start model state.
 		res.Degraded, res.DegradedAtEpoch = true, res.Epochs
-		if ferr := s.failover(res, job, prog, be, reg.Name, rel); ferr != nil {
+		if ferr := s.failover(res, job, prog, be, rel); ferr != nil {
 			// Both errors wrap: the caller must be able to errors.Is against
 			// the accelerator fault that triggered degradation AND the
 			// failover failure.
@@ -548,46 +545,35 @@ func trainLoop(res *TrainResult, be backend.Backend, epochs int, body func(e int
 	return nil
 }
 
-// failover completes a degraded training run on the dispatcher's
-// failover target — among backends declaring Capabilities.Fallback, the
-// cheapest admissible one that is not the faulted backend (the golden
-// float64 CPU trainer in the default registry). It picks up the faulted
-// backend's epoch-start model, re-reads the tuples from the heap
-// (narrowed through float32, matching the Strider datapath), and runs
-// the remaining epoch budget. The downgrade is surfaced via
-// TrainResult.Degraded and the runtime.failovers counter (plus the
-// historical runtime.cpu_fallbacks when the target is the canonical
-// reference trainer) — never a panic, never a silent wrong model.
-func (s *System) failover(res *TrainResult, job backend.Job, prog backend.Program, failed backend.Backend, failedName string, rel *storage.Relation) error {
-	// Degradation drops any reduced read precision: fallback targets are
-	// full-width reference trainers, and a k-bit request was a bandwidth
-	// optimization, not a semantic requirement.
-	job.Bits, prog.Bits = 0, 0
-	fb, freg, err := s.disp.Failover(job, failedName)
+// failover completes a degraded training run on the golden float64 CPU
+// trainer: it picks up the faulted backend's epoch-start model, re-reads
+// the tuples from the heap (narrowed through float32, matching the
+// Strider datapath), and runs the remaining epoch budget. The downgrade
+// is surfaced via TrainResult.Degraded and the runtime.cpu_fallbacks
+// counter — never a panic, never a silent wrong model.
+func (s *System) failover(res *TrainResult, job backend.Job, prog backend.Program, failed backend.Backend, rel *storage.Relation) error {
+	// Degradation drops any reduced read precision: the CPU trainer reads
+	// full width, and a k-bit request was a bandwidth optimization, not a
+	// semantic requirement.
+	job.Bits = 0
+	fb, _, err := s.disp.New(backend.NameCPU, job)
 	if err != nil {
 		return err
 	}
-	remaining := job.Epochs - res.DegradedAtEpoch
-	s.obsFailovers.Inc()
-	if fb.Capabilities().BitExactModel {
-		s.obsCPUFallbacks.Inc()
-	}
+	s.obsCPUFallbacks.Inc()
 	prog.Init = failed.Model() // epoch-start state (restored on epoch failure)
 	if err := fb.Configure(prog); err != nil {
 		return err
-	}
-	if cl, ok := fb.(backend.Closer); ok {
-		defer cl.Close()
 	}
 	rows64, err := storage.NarrowedRows[float64](rel)
 	if err != nil {
 		return err
 	}
 	st := &backend.Stream{Rows64: rows64}
-	if err := trainLoop(res, fb, remaining, func(int) error { return fb.RunEpoch(st) }); err != nil {
+	if err := trainLoop(res, fb, job.Epochs-res.DegradedAtEpoch, func(int) error { return fb.RunEpoch(st) }); err != nil {
 		return err
 	}
-	res.FailoverBackend = freg.Name
+	res.FailoverBackend = backend.NameCPU
 	res.Model = model32(fb.Model())
 	return nil
 }

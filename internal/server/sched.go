@@ -83,7 +83,6 @@ type JobSpec struct {
 	Workload string  // Table 3 workload name (datagen.ByName)
 	Scale    float64 // dataset scale in (0, 1]; 0 = 1
 	Epochs   int     // training epoch budget (0 = workload default); score jobs are not held to it
-	Merge    int     // merge coefficient (0 = environment default)
 	// ArriveSec is the job's virtual arrival time within its batch.
 	ArriveSec float64
 }

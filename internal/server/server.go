@@ -21,7 +21,7 @@
 // which a mutation would clone rather than write, and a fault injector
 // corrupts only a private copy of a page.
 //
-// The first admitted job of a (tenant, workload, merge) deploys its
+// The first admitted job of a (tenant, workload) deploys its
 // table, registers its UDF on the tenant System, and is priced by the
 // EstimateCost of the backend Train resolves for it; every later
 // estimate is a lookup. Functional configuration reuse is the tenant
@@ -84,8 +84,8 @@ type Config struct {
 const tenantPoolBytes = 64 << 20
 
 // ErrPinConflict refuses a job whose scale or epoch budget differs from
-// what earlier jobs of its configuration pinned: a tenant holds one table
-// per workload and one UDF per configuration.
+// what earlier jobs of its workload pinned: a tenant holds one table and
+// one UDF per workload.
 var ErrPinConflict = errors.New("server: job conflicts with its configuration's pinned scale or epochs")
 
 // ErrBadSpec refuses a job whose scale or arrival no plan can hold: a
@@ -98,15 +98,11 @@ type dataKey struct {
 	scale    float64
 }
 
-// udfKey is a configuration: the program an instance must have loaded to
-// run a job. Training and scoring the same workload share one, which is
-// the affinity the sequence-aware policy exploits for mixed traffic.
-type udfKey struct {
-	workload string
-	merge    int
-}
-
-// udfEntry is one configuration on one tenant. est carries its key and
+// udfEntry is one configuration on one tenant: the program an instance
+// must have loaded to run a job of its workload, at the environment's
+// merge coefficient. Training and scoring the same workload share one,
+// which is the affinity the sequence-aware policy exploits for mixed
+// traffic. scale is the workload's pinned scale. est carries its key and
 // dataset bytes and, once registered, the UDF and table execution runs;
 // train and score are the service seconds of each job kind. epochs is
 // the budget its UDF trains, which the first admitted train job pins;
@@ -114,6 +110,7 @@ type udfKey struct {
 // workload's own.
 type udfEntry struct {
 	est          Estimate
+	scale        float64
 	train, score float64
 	epochs, def  int
 	pinned       bool
@@ -123,20 +120,16 @@ type udfEntry struct {
 // refused batch can put back what it found.
 type pin struct {
 	t        *tenant
-	k        udfKey
+	workload string
 	old      udfEntry
-	had      bool // t.udfs held k before
-	newScale bool // the change pinned k.workload's scale too
+	had      bool // t.udfs held workload before, so its table is deployed
 }
 
 func (p pin) restore() {
 	if p.had {
-		p.t.udfs[p.k] = p.old
+		p.t.udfs[p.workload] = p.old
 	} else {
-		delete(p.t.udfs, p.k)
-	}
-	if p.newScale {
-		delete(p.t.scales, p.k.workload)
+		delete(p.t.udfs, p.workload)
 	}
 }
 
@@ -149,8 +142,7 @@ type tenant struct {
 	sys  *runtime.System
 	reg  *obs.Registry
 
-	scales map[string]float64   // workload -> pinned scale
-	udfs   map[udfKey]udfEntry  // configuration -> pins, registration and price
+	udfs   map[string]udfEntry  // workload -> pins, registration and price
 	models map[string][]float32 // config key -> last trained model (execution only)
 
 	// engine and strider sum the job results' cycle deltas: the
@@ -163,7 +155,7 @@ type Server struct {
 	cfg Config
 	env workload.Env
 
-	mu       sync.Mutex // guards pending, planner state, data, sizes and every tenant's scales and udfs
+	mu       sync.Mutex // guards pending, planner state, data, sizes and every tenant's udfs
 	data     map[dataKey]*datagen.Dataset
 	sizes    map[dataKey]int64 // heap bytes, a pure function of the key
 	pending  []JobSpec
@@ -237,8 +229,7 @@ func New(cfg Config) (*Server, error) {
 		})
 		t := &tenant{
 			name: tc.Name, sys: sys, reg: treg,
-			scales: map[string]float64{},
-			udfs:   map[udfKey]udfEntry{},
+			udfs:   map[string]udfEntry{},
 			models: map[string][]float32{},
 		}
 		s.tenants[tc.Name] = t
@@ -445,14 +436,6 @@ type estimateFunc func(JobSpec) (Estimate, error)
 
 func (f estimateFunc) Estimate(spec JobSpec) (Estimate, error) { return f(spec) }
 
-// key is the configuration a job names.
-func (s *Server) key(spec JobSpec) udfKey {
-	if spec.Merge <= 0 {
-		return udfKey{spec.Workload, s.env.MergeCoef}
-	}
-	return udfKey{spec.Workload, spec.Merge}
-}
-
 // estimate prices an admitted job: a lookup of the configuration its
 // tenant registered. The caller holds s.mu.
 func (s *Server) estimate(spec JobSpec) (Estimate, error) {
@@ -460,10 +443,9 @@ func (s *Server) estimate(spec JobSpec) (Estimate, error) {
 	if !ok {
 		return Estimate{}, fmt.Errorf("%w: %q", ErrUnknownTenant, spec.Tenant)
 	}
-	k := s.key(spec)
-	ue, ok := t.udfs[k]
+	ue, ok := t.udfs[spec.Workload]
 	if !ok {
-		return Estimate{}, fmt.Errorf("server: tenant %q admitted no job of %q at merge %d", t.name, k.workload, k.merge)
+		return Estimate{}, fmt.Errorf("server: tenant %q admitted no job of %q", t.name, spec.Workload)
 	}
 	e := ue.est
 	e.ServiceSec = ue.train
@@ -474,7 +456,7 @@ func (s *Server) estimate(spec JobSpec) (Estimate, error) {
 }
 
 // admit checks a job against its tenant's pins and memory quota and pins
-// what it is first to fix: its workload's scale, its configuration and,
+// what it is first to fix: its workload's configuration and scale and,
 // for a train job, the epoch budget. A new configuration's bytes follow
 // datagen.Generate's page arithmetic, so a job that could never fit is
 // refused before its data exists. p.t is nil when admit changed nothing.
@@ -486,24 +468,24 @@ func (s *Server) admit(spec JobSpec) (p pin, err error) {
 	if !finite(spec.Scale) || !finite(spec.ArriveSec) || spec.Scale < 0 || spec.Scale > 1 {
 		return p, fmt.Errorf("%w: scale %g, arrival %g", ErrBadSpec, spec.Scale, spec.ArriveSec)
 	}
-	k, scale := s.key(spec), spec.Scale
+	scale := spec.Scale
 	if scale == 0 {
 		scale = 1
 	}
-	have, deployed := t.scales[k.workload]
-	if deployed && have != scale {
+	ue, had := t.udfs[spec.Workload]
+	if had && ue.scale != scale {
 		return p, fmt.Errorf("%w: tenant %q holds %q at scale %g; job wants %g",
-			ErrPinConflict, t.name, k.workload, have, scale)
+			ErrPinConflict, t.name, spec.Workload, ue.scale, scale)
 	}
-	ue, had := t.udfs[k]
-	p = pin{t: t, k: k, old: ue, had: had, newScale: !deployed}
+	p = pin{t: t, workload: spec.Workload, old: ue, had: had}
 	if !had {
-		w, err := datagen.ByName(k.workload)
+		w, err := datagen.ByName(spec.Workload)
 		if err != nil {
 			return pin{}, err
 		}
-		ue = udfEntry{epochs: w.Epochs, def: w.Epochs, est: Estimate{Key: fmt.Sprintf("%s/m%d", k.workload, k.merge)}}
-		dk := dataKey{k.workload, scale}
+		ue = udfEntry{scale: scale, epochs: w.Epochs, def: w.Epochs,
+			est: Estimate{Key: fmt.Sprintf("%s/m%d", spec.Workload, s.env.MergeCoef)}}
+		dk := dataKey{spec.Workload, scale}
 		if ue.est.Bytes = s.sizes[dk]; ue.est.Bytes == 0 {
 			w.Tuples = w.ScaledTuples(scale)
 			ue.est.Bytes = int64(w.PagesAt(s.env.PageSize)) * int64(s.env.PageSize)
@@ -534,10 +516,7 @@ func (s *Server) admit(spec JobSpec) (p pin, err error) {
 	if had && ue == p.old {
 		return pin{}, nil
 	}
-	t.udfs[k] = ue
-	if !deployed {
-		t.scales[k.workload] = scale
-	}
+	t.udfs[spec.Workload] = ue
 	return p, nil
 }
 
@@ -547,15 +526,15 @@ func (s *Server) admit(spec JobSpec) (p pin, err error) {
 // its accelerator (the functional analogue of loading the configuration),
 // and the backend Train would resolve prices it.
 func (s *Server) register(p pin) error {
-	t, k := p.t, p.k
-	ue := t.udfs[k]
+	t := p.t
+	ue := t.udfs[p.workload]
 	if ue.est.udf != "" {
 		return nil
 	}
-	dk := dataKey{k.workload, t.scales[k.workload]}
+	dk := dataKey{p.workload, ue.scale}
 	ds, ok := s.data[dk]
 	if !ok {
-		w, err := datagen.ByName(k.workload)
+		w, err := datagen.ByName(p.workload)
 		if err != nil {
 			return err
 		}
@@ -564,7 +543,7 @@ func (s *Server) register(p pin) error {
 		}
 		s.data[dk] = ds
 	}
-	a, err := ds.DSLAlgo(k.merge)
+	a, err := ds.DSLAlgo(s.env.MergeCoef)
 	if err != nil {
 		return err
 	}
@@ -572,10 +551,10 @@ func (s *Server) register(p pin) error {
 	// Algo names like "logisticR" repeat across workloads, and a
 	// configuration registers again when a train job pins another budget.
 	a.Name = fmt.Sprintf("%s@%s/e%d", a.Name, ue.est.Key, ue.epochs)
-	if _, err := t.sys.Register(a, k.merge, ds.Tuples); err != nil {
+	if _, err := t.sys.Register(a, s.env.MergeCoef, ds.Tuples); err != nil {
 		return err
 	}
-	if p.newScale {
+	if !p.had {
 		if err := t.sys.Deploy(ds); err != nil {
 			return err
 		}
@@ -587,7 +566,7 @@ func (s *Server) register(p pin) error {
 	ue.est.udf, ue.est.table = a.Name, ds.Rel.Name
 	ue.train = cost.ServerServiceSec(c.Seconds, s.env.Cost)
 	ue.score = cost.ScoreServiceSec(job.Workload(), s.env.Cost)
-	t.udfs[k] = ue
+	t.udfs[p.workload] = ue
 	return nil
 }
 

@@ -493,10 +493,10 @@ func TestLRMFTrainsThroughServer(t *testing.T) {
 	}
 }
 
-// TestSubmitRefusesPinConflicts: a tenant holds one table per workload
-// and one UDF per configuration, so a job at another scale or epoch
-// budget than its configuration's first is refused at Submit, and a Run
-// holding one queues nothing.
+// TestSubmitRefusesPinConflicts: a tenant holds one table and one UDF per
+// workload, so a job at another scale or epoch budget than its
+// workload's first is refused at Submit, and a Run holding one queues
+// nothing.
 func TestSubmitRefusesPinConflicts(t *testing.T) {
 	srv := newTestServer(t, LoadConfig{Tenants: 1}, 1)
 	job := JobSpec{Tenant: TenantName(0), Workload: "WLAN", Scale: 0.002, Epochs: 2}
@@ -507,12 +507,10 @@ func TestSubmitRefusesPinConflicts(t *testing.T) {
 	more.Epochs = 6
 	bigger := job
 	bigger.Scale = 0.01
-	otherMerge := bigger
-	otherMerge.Merge = 64
-	for _, sp := range []JobSpec{more, bigger, otherMerge} {
+	for _, sp := range []JobSpec{more, bigger} {
 		if err := srv.Submit(sp); !errors.Is(err, ErrPinConflict) {
-			t.Errorf("%s at scale %g, %d epochs, merge %d after %g and %d: got %v",
-				sp.Workload, sp.Scale, sp.Epochs, sp.Merge, job.Scale, job.Epochs, err)
+			t.Errorf("%s at scale %g, %d epochs after %g and %d: got %v",
+				sp.Workload, sp.Scale, sp.Epochs, job.Scale, job.Epochs, err)
 		}
 		if _, err := srv.Run([]JobSpec{job, sp}); !errors.Is(err, ErrPinConflict) {
 			t.Errorf("Run with a pin conflict: got %v", err)
@@ -587,8 +585,8 @@ func TestRefusalsLeaveNoPins(t *testing.T) {
 	if _, err := srv.Replan([]JobSpec{job("Blog Feedback", 0.01)}, PolicyAlwaysReconfigure); err == nil {
 		t.Fatal("Replan priced a configuration no admitted job named")
 	}
-	if ta := srv.tenants["a"]; len(srv.data) != 0 || len(ta.scales) != 0 || len(ta.udfs) != 0 {
-		t.Fatalf("refusals left %d datasets, %d scale pins, %d configurations", len(srv.data), len(ta.scales), len(ta.udfs))
+	if ta := srv.tenants["a"]; len(srv.data) != 0 || len(ta.udfs) != 0 {
+		t.Fatalf("refusals left %d datasets, %d configurations", len(srv.data), len(ta.udfs))
 	}
 	rep, err := srv.Run([]JobSpec{job("WLAN", 0.002), job("Patient", 0.002), job("Blog Feedback", 0.002)})
 	if err != nil {
@@ -619,12 +617,12 @@ func TestOutOfRangeScaleRefusedFirst(t *testing.T) {
 		return JobSpec{Tenant: "a", Workload: "Remote Sensing LR", Scale: scale, Epochs: 1}
 	}
 	state := func() string {
-		return fmt.Sprintf("%d datasets, scale pins %v, %d configurations, %d queued", len(srv.data), ta.scales, len(ta.udfs), len(srv.pending))
+		return fmt.Sprintf("%d datasets, configurations %v, %d queued", len(srv.data), ta.udfs, len(srv.pending))
 	}
 	if err := srv.Submit(job(-0.5)); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("scale -0.5: got %v, want ErrBadSpec", err)
 	}
-	if got, want := state(), "0 datasets, scale pins map[], 0 configurations, 0 queued"; got != want {
+	if got, want := state(), "0 datasets, configurations map[], 0 queued"; got != want {
 		t.Fatalf("a refused negative scale left %s", got)
 	}
 	if err := srv.Submit(job(0.002)); err != nil {
@@ -714,9 +712,9 @@ func TestSubmitRefusesNonFiniteSpecs(t *testing.T) {
 			t.Errorf("scale %v, arrival %v: got %v, want ErrBadSpec", sp.Scale, sp.ArriveSec, err)
 		}
 	}
-	if ta := srv.tenants[job.Tenant]; len(srv.pending) != 0 || srv.arriveAt != 0 || len(ta.scales) != 0 || len(ta.udfs) != 0 {
-		t.Fatalf("refusals left %d queued jobs, arrival clock %v, %d scale pins, %d configurations",
-			len(srv.pending), srv.arriveAt, len(ta.scales), len(ta.udfs))
+	if ta := srv.tenants[job.Tenant]; len(srv.pending) != 0 || srv.arriveAt != 0 || len(ta.udfs) != 0 {
+		t.Fatalf("refusals left %d queued jobs, arrival clock %v, %d configurations",
+			len(srv.pending), srv.arriveAt, len(ta.udfs))
 	}
 	rep, err := srv.Run([]JobSpec{job})
 	if err != nil {

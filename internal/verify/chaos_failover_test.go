@@ -1,14 +1,15 @@
 package verify_test
 
-// Cross-backend failover chaos scenarios: PR-4's quarantine/CPU-fallback
-// path is now the generic backend-failover policy (dispatcher picks the
-// cheapest admissible Fallback backend), and these scenarios pin the
-// behavior across the Backend seam:
+// Cross-backend failover chaos scenarios: a Train whose accelerated
+// backend faults finishes on the golden CPU trainer, and these scenarios
+// pin the behavior across the Backend seam:
 //
 //   - an accelerator fault storm degrades the streaming pipeline and the
-//     generic failover lands on the CPU backend, with both the generic
-//     runtime.failovers counter and the historical runtime.cpu_fallbacks
-//     counter charged, and zero page pins leaked;
+//     failover lands on the CPU backend, with runtime.cpu_fallbacks
+//     charged once and zero page pins leaked;
+//   - a Precision-8 weave Train under the same storm drops its read
+//     precision and lands on the CPU backend, with the model of a
+//     full-width CPU Train;
 //   - the same policy serves the non-streaming accelerated path (TABLA
 //     override hit by cluster faults at the epoch boundary);
 //   - non-accelerated backends (cpu, sharded) are immune to accelerator
@@ -44,7 +45,7 @@ func clusterSched(o *runtime.Options) {
 }
 
 // TestFailoverStreamingToCPU: the accelerator pipeline faults mid-train
-// and the generic failover finishes the budget on the CPU backend.
+// and the failover finishes the budget on the CPU backend.
 func TestFailoverStreamingToCPU(t *testing.T) {
 	wl := chaosWorkloads[0]
 	s, udf, table := chaosSystem(t, wl, 8<<10, stormSched)
@@ -61,11 +62,8 @@ func TestFailoverStreamingToCPU(t *testing.T) {
 	if res.FailoverBackend != "cpu" {
 		t.Errorf("res.FailoverBackend = %q, want cpu", res.FailoverBackend)
 	}
-	if got := s.Obs().Get(obs.RuntimeFailovers); got != 1 {
-		t.Errorf("failovers = %d, want 1", got)
-	}
 	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 1 {
-		t.Errorf("cpu_fallbacks = %d, want 1 (historical counter must track CPU-target failovers)", got)
+		t.Errorf("cpu_fallbacks = %d, want 1", got)
 	}
 	if s.Pool().PinnedCount() != 0 {
 		t.Error("failover run leaked page pins")
@@ -73,7 +71,41 @@ func TestFailoverStreamingToCPU(t *testing.T) {
 	assertWithinTol(t, "failover model", res.Model, chaosBaseline(t, wl, 8<<10), wl.tol)
 }
 
-// TestFailoverTablaToCPU: the same generic policy serves the
+// TestFailoverWeaveToCPU: a Precision-8 Train runs on the weave backend;
+// under a persistent trap storm its first epoch faults, and the failover
+// drops the read precision (the CPU trainer reads full width) and trains
+// the whole budget on the CPU backend — the model of a CPU Train, bit for
+// bit.
+func TestFailoverWeaveToCPU(t *testing.T) {
+	wl := chaosWorkloads[0]
+	s, udf, table := chaosSystem(t, wl, 8<<10, stormSched,
+		func(o *runtime.Options) { o.Precision = 8 })
+	res, err := s.Train(udf, table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Backend != "weave" {
+		t.Errorf("res.Backend = %q, want weave", res.Backend)
+	}
+	if !res.Degraded || res.DegradedAtEpoch != 0 || res.FailoverBackend != "cpu" {
+		t.Fatalf("degraded=%v at epoch %d failover=%q, want a run degraded at epoch 0 failing over to cpu",
+			res.Degraded, res.DegradedAtEpoch, res.FailoverBackend)
+	}
+	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 1 {
+		t.Errorf("cpu_fallbacks = %d, want 1", got)
+	}
+	if s.Pool().PinnedCount() != 0 {
+		t.Error("failover run leaked page pins")
+	}
+	cs, cudf, ctable := chaosSystem(t, wl, 8<<10, func(o *runtime.Options) { o.Backend = "cpu" })
+	want, err := cs.Train(cudf, ctable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, "weave failover model", res.Model, want.Model)
+}
+
+// TestFailoverTablaToCPU: the same policy serves the
 // non-streaming accelerated path — a TABLA override hit by cluster
 // faults degrades and lands on the CPU backend.
 func TestFailoverTablaToCPU(t *testing.T) {
@@ -90,8 +122,8 @@ func TestFailoverTablaToCPU(t *testing.T) {
 	if !res.Degraded || res.FailoverBackend != "cpu" {
 		t.Fatalf("degraded=%v failover=%q, want degraded run failing over to cpu", res.Degraded, res.FailoverBackend)
 	}
-	if got := s.Obs().Get(obs.RuntimeFailovers); got != 1 {
-		t.Errorf("failovers = %d, want 1", got)
+	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 1 {
+		t.Errorf("cpu_fallbacks = %d, want 1", got)
 	}
 	if s.Pool().PinnedCount() != 0 {
 		t.Error("failover run leaked page pins")
@@ -120,8 +152,8 @@ func TestFailoverNonAcceleratedImmune(t *testing.T) {
 			if res.Degraded {
 				t.Errorf("%s under %s: non-accelerated backend degraded", name, schedName)
 			}
-			if got := s.Obs().Get(obs.RuntimeFailovers); got != 0 {
-				t.Errorf("%s under %s: failovers = %d, want 0", name, schedName, got)
+			if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 0 {
+				t.Errorf("%s under %s: cpu_fallbacks = %d, want 0", name, schedName, got)
 			}
 			if s.Pool().PinnedCount() != 0 {
 				t.Errorf("%s under %s: leaked page pins", name, schedName)
@@ -133,7 +165,7 @@ func TestFailoverNonAcceleratedImmune(t *testing.T) {
 // TestFailoverMetaDisableLoadBearing is the mutation meta-test for this
 // suite: turning the failover knob off flips both scenarios from
 // degraded-recovery to typed failure with zero failovers recorded —
-// proving the green runs above exercise the generic failover path, not
+// proving the green runs above exercise the failover path, not
 // some silent recovery.
 func TestFailoverMetaDisableLoadBearing(t *testing.T) {
 	wl := chaosWorkloads[0]
@@ -143,8 +175,8 @@ func TestFailoverMetaDisableLoadBearing(t *testing.T) {
 	if _, err := s.Train(udf, table); !errors.Is(err, fault.ErrWorkerQuarantined) {
 		t.Fatalf("streaming storm without failover: got %v, want ErrWorkerQuarantined", err)
 	}
-	if got := s.Obs().Get(obs.RuntimeFailovers); got != 0 {
-		t.Errorf("failovers = %d after disabled failover, want 0", got)
+	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 0 {
+		t.Errorf("cpu_fallbacks = %d after disabled failover, want 0", got)
 	}
 	if s.Pool().PinnedCount() != 0 {
 		t.Error("failed run leaked page pins")
@@ -155,7 +187,7 @@ func TestFailoverMetaDisableLoadBearing(t *testing.T) {
 	if _, err := s2.Train(udf2, table2); !errors.Is(err, fault.ErrClusterDown) {
 		t.Fatalf("tabla cluster-down without failover: got %v, want ErrClusterDown", err)
 	}
-	if got := s2.Obs().Get(obs.RuntimeFailovers); got != 0 {
-		t.Errorf("failovers = %d after disabled failover, want 0", got)
+	if got := s2.Obs().Get(obs.RuntimeCPUFallbacks); got != 0 {
+		t.Errorf("cpu_fallbacks = %d after disabled failover, want 0", got)
 	}
 }
