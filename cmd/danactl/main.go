@@ -36,6 +36,7 @@ import (
 	"os"
 
 	"dana"
+	"dana/internal/backend"
 	"dana/internal/engine"
 	"dana/internal/obs"
 	"dana/internal/runtime"
@@ -146,7 +147,7 @@ func run(w io.Writer, mode string, args []string) error {
 	fmt.Fprintf(w, "trained %q for %d epochs over %d tuples on backend %q\n",
 		algo.Name, res.Epochs, res.Engine.Tuples, res.Backend)
 	if res.Degraded {
-		fmt.Fprintf(w, "degraded at epoch %d, completed on backend %q\n", res.DegradedAtEpoch, res.FailoverBackend)
+		fmt.Fprintf(w, "degraded at epoch %d, completed on backend %q\n", res.DegradedAtEpoch, backend.NameCPU)
 	}
 	fmt.Fprintf(w, "engine:  %d cycles (%d compute, %d merge, %d load), %d instructions\n",
 		res.Engine.Cycles, res.Engine.ComputeCycles, res.Engine.MergeCycles,
@@ -311,7 +312,7 @@ func printStats(w io.Writer, eng *dana.Engine, res *runtime.TrainResult, udfName
 	fmt.Fprintf(w, "    (* = served this run; -backend auto picks the cheapest admissible)\n")
 	if res.Degraded {
 		fmt.Fprintf(w, "  %-22s epoch %d -> %q (generic backend failover)\n",
-			"degraded at", res.DegradedAtEpoch, res.FailoverBackend)
+			"degraded at", res.DegradedAtEpoch, backend.NameCPU)
 	}
 
 	fmt.Fprintf(w, "=== modeled result ===\n")

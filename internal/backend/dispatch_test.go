@@ -63,13 +63,7 @@ func expectedSeconds(job backend.Job, env backend.Env) map[string]float64 {
 	out[backend.NameAccelerator] = cost.DAnA(w, env.Cost, job.Warm).TotalSec
 
 	wt := job.Workload()
-	single := job.Design.Engine
-	single.Threads = 1
-	if td, err := hwgen.TablaDesign(job.Engine, env.FPGA, hwgen.Params{
-		PageSize: job.PageSize, MergeCoef: 1, NumTuples: job.Tuples,
-	}); err == nil {
-		single = td.Engine
-	}
+	single := hwgen.TablaDesign(job.Engine, env.FPGA, hwgen.Params{PageSize: job.PageSize, NumTuples: job.Tuples}, job.Design.Engine).Engine
 	wt.SingleThreadEpochCycles = job.Engine.Estimate(single).EpochCycles(job.Tuples, coef1(job.MergeCoef), 1)
 	out[backend.NameTabla] = cost.TABLA(wt, env.Cost, job.Warm).TotalSec
 

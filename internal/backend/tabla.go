@@ -30,18 +30,10 @@ func NewTabla(env Env) *Tabla {
 	}}}
 }
 
-// engineConfig derives the single-threaded design point for the compiled
-// program, falling back to a one-thread copy of the DAnA config when
-// the TABLA explorer cannot place the program.
+// engineConfig is the engine of the TABLA design point for the compiled
+// program, whose DAnA engine config is dana.
 func (b *Tabla) engineConfig(prog *engine.Program, dana engine.Config, pageSize, tuples int) engine.Config {
-	td, err := hwgen.TablaDesign(prog, b.env.FPGA, hwgen.Params{
-		PageSize: pageSize, MergeCoef: 1, NumTuples: tuples,
-	})
-	if err != nil {
-		dana.Threads = 1
-		return dana
-	}
-	return td.Engine
+	return hwgen.TablaDesign(prog, b.env.FPGA, hwgen.Params{PageSize: pageSize, NumTuples: tuples}, dana).Engine
 }
 
 // EstimateCost prices the job as cost.TABLA: single-thread epoch cycles

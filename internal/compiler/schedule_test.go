@@ -139,11 +139,9 @@ func TestInstrCostMatchesEngineEstimate(t *testing.T) {
 	for _, in := range p.PerTuple {
 		sum += instrCost(in, cfg)
 	}
-	est := p.Estimate(cfg)
-	// est.PerTuple adds the input-FIFO load and (for no-merge) model
-	// write-back; subtract the load term to compare the list cost.
-	load := int64((p.InputSlot.Len + 7) / 8)
-	if est.PerTuple-load != sum {
-		t.Errorf("scheduler serial cost %d != engine estimate %d", sum, est.PerTuple-load)
+	// est.PerTuple is the per-tuple list's cost (plus, without a merge,
+	// the row updates and the model write-back).
+	if est := p.Estimate(cfg); est.PerTuple != sum {
+		t.Errorf("scheduler serial cost %d != engine estimate %d", sum, est.PerTuple)
 	}
 }

@@ -309,7 +309,7 @@ func TestMetaSerialChargedFailedBatchCaught(t *testing.T) {
 	chargesFailed := serialRun{"RunEpoch charging its failed batch", func(m *Machine, rows [][]float32, b int) error {
 		err := m.RunEpoch(rows, b)
 		if err != nil {
-			m.chargeSerialBatch(b)
+			m.est.chargeSerial(&m.stats, b)
 		}
 		return err
 	}}

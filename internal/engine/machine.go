@@ -64,26 +64,16 @@ type Machine struct {
 	stats   Stats
 
 	// plan is Prog lowered for Cfg (plan.go): what RunBatch and Converged
-	// execute. The reference executor (reference.go) never reads it.
+	// execute. The reference executor (reference_test.go) never reads it.
 	// frames are the kernel frames (one, or dotLanes for a lane group), kept
 	// here because a frame passed to a kernel through its func value
 	// escapes.
 	plan   plan
 	frames [dotLanes]frame
 
-	// Static cycle costs, precomputed once per program (instruction
-	// cycles depend only on the instruction and the config): total cost
-	// of each instruction list, the tuple load, the thread-local merge
-	// accumulate, and the model write-back. Stats are charged from these
-	// in closed form per batch.
-	cycPerTuple    int64
-	cycPostMerge   int64
-	cycRowUpdates  int64
-	cycConvergence int64
-	cycLoad        int64
-	cycLocalAcc    int64
-	cycWriteBack   int64
-	cycBroadcast   int64
+	// est is Prog's cycle model under Cfg: every batch and convergence
+	// check is charged to stats through it, in closed form.
+	est CycleEstimate
 
 	// Observability handles (SetObs); nil handles are no-ops. stats is
 	// the single ledger: PublishObs adds its growth since the last
@@ -148,21 +138,12 @@ func NewMachine(p *Program, cfg Config) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{Prog: p, Cfg: cfg, plan: lower(p, cfg)}
+	m := &Machine{Prog: p, Cfg: cfg, plan: lower(p, cfg), est: p.Estimate(cfg)}
 	m.pads = m.plan.pads(p, cfg)
 	m.scratch = make([]float32, m.pads*p.Slots)
 	if p.HasMerge() {
 		m.accs = make([]float32, (1+dotLanes)*p.MergeSrc.Len)
 	}
-	m.cycPerTuple = listCycles(p.PerTuple, cfg)
-	m.cycPostMerge = listCycles(p.PostMerge, cfg)
-	m.cycRowUpdates = listCycles(p.RowUpdates, cfg)
-	m.cycConvergence = listCycles(p.Convergence, cfg)
-	// The access engine distributes 8 values per cycle per thread FIFO.
-	m.cycLoad = int64(ceilDiv(p.InputSlot.Len, 8))
-	m.cycLocalAcc = int64(ceilDiv(p.MergeSrc.Len, cfg.Lanes()))
-	m.cycWriteBack = int64(ceilDiv(p.ModelSlot.Len, cfg.Lanes()))
-	m.cycBroadcast = int64(ceilDiv(p.ModelSlot.Len, 8))
 	m.Reset()
 	return m, nil
 }
@@ -553,7 +534,7 @@ func (m *Machine) endSerial(n, b, i int, err error) error {
 	if r := counted % b; r > 0 {
 		m.countBatches(r, 1)
 	}
-	m.chargeSerialBatch(charged)
+	m.est.chargeSerial(&m.stats, charged)
 	return err
 }
 
@@ -588,66 +569,8 @@ func (m *Machine) endMergeBatch(n, k int) error {
 			copy(m.thread(t)[mdl.Base:mdl.Base+synced], th0[mdl.Base:])
 		}
 	}
-	m.chargeMergeBatch(n, k)
+	m.est.chargeMerge(&m.stats, n, k)
 	return nil
-}
-
-// chargeSerialBatch charges n tuples of tuple-at-a-time SGD on thread 0,
-// in any number of batches: the span is the work itself.
-func (m *Machine) chargeSerialBatch(n int) {
-	load := int64(n) * m.cycLoad
-	comp := int64(n) * (m.cycPerTuple + m.cycRowUpdates)
-	if m.Prog.UpdatedSlot.Len > 0 {
-		comp += int64(n) * m.cycWriteBack
-	}
-	m.stats.Instructions += int64(n) * int64(len(m.Prog.PerTuple)+len(m.Prog.RowUpdates))
-	m.stats.LoadCycles += load
-	m.stats.ComputeCycles += comp
-	m.stats.Cycles += load + comp
-	m.stats.SpanLoadCycles += load
-	m.stats.SpanComputeCycles += comp
-}
-
-// chargeMergeBatch charges one merge batch of n tuples on k live
-// threads. Thread t runs ceil((n-t)/k) tuples, each costing the load
-// plus the per-tuple program, and every tuple after a thread's first
-// costs the thread-local accumulate; threads run in parallel, so the
-// batch takes as long as thread 0, which has the most.
-func (m *Machine) chargeMergeBatch(n, k int) {
-	p := m.Prog
-	per := m.cycLoad + m.cycPerTuple
-	tmax := int64((n + k - 1) / k)
-	maxT := tmax*per + (tmax-1)*m.cycLocalAcc
-	sumT := int64(n)*per + int64(n-k)*m.cycLocalAcc
-
-	// Instructions counts macro instructions, however few ops the plan ran.
-	m.stats.Instructions += int64(n)*int64(len(p.PerTuple)) + int64(len(p.PostMerge)+len(p.RowUpdates))
-	m.stats.LoadCycles += int64(n) * m.cycLoad
-	m.stats.ComputeCycles += int64(n)*m.cycPerTuple + int64(n-k)*m.cycLocalAcc
-	// Span decomposition: the slowest thread's load share is exact, the
-	// rest of its span is compute (per-tuple programs + thread-local
-	// accumulates). Idle is the capacity the other thread-slots wasted
-	// waiting for it.
-	spanLoad := tmax * m.cycLoad
-	m.stats.SpanLoadCycles += spanLoad
-	m.stats.SpanComputeCycles += maxT - spanLoad
-	m.stats.IdleCycles += int64(k)*maxT - sumT
-
-	// Tree-bus merge: log2(k) stages over an 8-ALU bus.
-	var merge int64
-	if k > 1 {
-		merge = int64(ceilDiv(p.MergeSrc.Len, 8) * max(1, log2Ceil(k)))
-	}
-	// Model update + broadcast (or, for row updates that landed on
-	// thread 0's copy, the sync of the rest) over the bus.
-	if p.UpdatedSlot.Len > 0 || (len(p.RowUpdates) > 0 && m.Cfg.Threads > 1) {
-		merge += m.cycBroadcast
-	}
-	post := m.cycPostMerge + m.cycRowUpdates
-	m.stats.MergeCycles += merge
-	m.stats.ComputeCycles += post
-	m.stats.SpanComputeCycles += post
-	m.stats.Cycles += maxT + merge + post
 }
 
 // EpochStream feeds one epoch's tuples to the machine incrementally, in
@@ -760,14 +683,7 @@ func (m *Machine) Converged() (bool, error) {
 	if err := runOps(m.plan.convergence, f); err != nil {
 		return false, err
 	}
-	m.chargeConvergence()
+	m.est.chargeConvergence(&m.stats)
 	m.PublishObs()
 	return m.thread(0)[p.ConvSlot.Base] > 0.5, nil
-}
-
-func (m *Machine) chargeConvergence() {
-	m.stats.Instructions += int64(len(m.Prog.Convergence))
-	m.stats.ComputeCycles += m.cycConvergence
-	m.stats.Cycles += m.cycConvergence
-	m.stats.SpanComputeCycles += m.cycConvergence
 }

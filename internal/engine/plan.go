@@ -3,14 +3,14 @@ package engine
 // The functional plan. NewMachine lowers a Program once into pre-decoded
 // ops — operand memory, offsets, shape and kernel all resolved — and
 // RunBatch/Converged execute nothing else. Modeled cycles never come
-// from here: they are closed forms of the batch size over the static
-// cyc* tables (chargeMergeBatch and friends), which is what lets the
-// plan skip work the hardware is *charged* for (the per-thread tuple
-// load, the 64-way model broadcast, a scratchpad for every thread)
-// whenever it carries no information.
+// from here: they are closed forms of the batch size over the program's
+// CycleEstimate (micro.go), which is what lets the plan skip work the
+// hardware is *charged* for (the per-thread tuple load, the 64-way model
+// broadcast, a scratchpad for every thread) whenever it carries no
+// information.
 //
 // Five rules keep the plan bit-identical to the reference executor
-// (reference.go), which tests and internal/verify diff it against:
+// (reference_test.go), which tests and internal/verify diff it against:
 //
 //   - order: every kernel performs the interpreter's float32 operations
 //     in the interpreter's order, element by element — and where a merge

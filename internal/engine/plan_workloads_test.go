@@ -59,7 +59,8 @@ func table3Diff(t *testing.T, w datagen.Workload, k int, sizes []int) {
 	tuples := narrow(golden.TrainingTuples(rng, sp, 11*k+3))
 	init := narrow([][]float64{golden.InitModelFor(rng, sp)})[0]
 	if sizes == nil {
-		wide := int(40000/prog.Estimate(cfg).PerTuple) + 1
+		est := prog.Estimate(cfg)
+		wide := int(40000/(est.Load+est.PerTuple)) + 1
 		sizes = []int{k - 1, k, 3*k + 1, 2 * k, 2 * k, 2 * k, k / 2, wide}
 	}
 	pm, err := engine.NewMachine(prog, cfg)

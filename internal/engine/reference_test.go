@@ -263,17 +263,17 @@ func (m *Machine) runBatchReference(tuples [][]float32) error {
 			if err := m.loadTuple(0, tup); err != nil {
 				return err
 			}
-			loadTot += m.cycLoad
+			loadTot += m.est.Load
 			if err := m.execList(0, p.PerTuple); err != nil {
 				return err
 			}
 			if err := m.execList(0, p.RowUpdates); err != nil {
 				return err
 			}
-			compTot += m.cycPerTuple + m.cycRowUpdates
+			// PerTuple includes the row updates and the write-back.
+			compTot += m.est.PerTuple
 			if upd.Len > 0 {
 				copy(th0[mdl.Base:mdl.Base+mdl.Len], th0[upd.Base:upd.Base+upd.Len])
-				compTot += m.cycWriteBack
 			}
 		}
 		m.stats.LoadCycles += loadTot
@@ -303,7 +303,7 @@ func (m *Machine) runBatchReference(tuples [][]float32) error {
 			if err := m.execList(t, p.PerTuple); err != nil {
 				return err
 			}
-			threadCycles[t] += m.cycLoad + m.cycPerTuple
+			threadCycles[t] += m.est.Load + m.est.PerTuple
 			if i == t {
 				copy(acc, th[src.Base:src.Base+src.Len])
 				continue
@@ -311,13 +311,13 @@ func (m *Machine) runBatchReference(tuples [][]float32) error {
 			for j := range acc {
 				acc[j] = alu(p.MergeOp, acc[j], th[src.Base+j])
 			}
-			threadCycles[t] += m.cycLocalAcc
+			threadCycles[t] += m.est.LocalAcc
 		}
 	}
 	// Each of the k threads saw at least one tuple (k <= n), so n-k
 	// tuples paid the thread-local accumulate.
-	m.stats.LoadCycles += int64(n) * m.cycLoad
-	m.stats.ComputeCycles += int64(n)*m.cycPerTuple + int64(n-k)*m.cycLocalAcc
+	m.stats.LoadCycles += int64(n) * m.est.Load
+	m.stats.ComputeCycles += int64(n)*m.est.PerTuple + int64(n-k)*m.est.LocalAcc
 	// Threads run in parallel: the batch takes as long as the slowest.
 	var maxT, sumT int64
 	for _, c := range threadCycles {
@@ -331,7 +331,7 @@ func (m *Machine) runBatchReference(tuples [][]float32) error {
 	// thread's tuple count, so the slowest thread is one with
 	// ceil(n/k) tuples — its load share is exact, the rest of the span
 	// is compute. Idle is the capacity the other thread-slots wasted.
-	spanLoad := int64((n+k-1)/k) * m.cycLoad
+	spanLoad := int64((n+k-1)/k) * m.est.Load
 	m.stats.SpanLoadCycles += spanLoad
 	m.stats.SpanComputeCycles += maxT - spanLoad
 	m.stats.IdleCycles += int64(k)*maxT - sumT
@@ -358,9 +358,9 @@ func (m *Machine) runBatchReference(tuples [][]float32) error {
 	if err := m.execList(0, p.RowUpdates); err != nil {
 		return err
 	}
-	m.stats.ComputeCycles += m.cycPostMerge + m.cycRowUpdates
-	m.stats.Cycles += m.cycPostMerge + m.cycRowUpdates
-	m.stats.SpanComputeCycles += m.cycPostMerge + m.cycRowUpdates
+	m.stats.ComputeCycles += m.est.PostMerge
+	m.stats.Cycles += m.est.PostMerge
+	m.stats.SpanComputeCycles += m.est.PostMerge
 
 	// Model update + broadcast to every thread over the bus.
 	if upd.Len > 0 {
@@ -391,9 +391,9 @@ func (m *Machine) ConvergedReference() (bool, error) {
 	if err := m.execList(0, p.Convergence); err != nil {
 		return false, err
 	}
-	m.stats.ComputeCycles += m.cycConvergence
-	m.stats.Cycles += m.cycConvergence
-	m.stats.SpanComputeCycles += m.cycConvergence
+	m.stats.ComputeCycles += m.est.Convergence
+	m.stats.Cycles += m.est.Convergence
+	m.stats.SpanComputeCycles += m.est.Convergence
 	return m.thread(0)[p.ConvSlot.Base] > 0.5, nil
 }
 

@@ -70,8 +70,6 @@ type Design struct {
 	PageBufferBytes int64   // BRAM for page buffers
 	BRAMBytes       int64   // total BRAM used
 	Utilization     float64 // fraction of available AUs in use
-
-	Est engine.CycleEstimate
 }
 
 // Params constrain the exploration.
@@ -174,8 +172,7 @@ func Generate(prog *engine.Program, fpga FPGA, params Params) (Design, error) {
 		if ms.PerTupleMicroOps+ms.PostMergeMicroOps+ms.ConvMicroOps > InstrBufferDepth*cfg.ACsPerThread {
 			continue
 		}
-		est := prog.Estimate(cfg)
-		cycles := est.EpochCycles(params.NumTuples, params.MergeCoef, threads)
+		cycles := prog.Estimate(cfg).EpochCycles(params.NumTuples, params.MergeCoef, threads)
 		d := Design{
 			FPGA:            fpga,
 			Engine:          cfg,
@@ -185,7 +182,6 @@ func Generate(prog *engine.Program, fpga FPGA, params Params) (Design, error) {
 			ScratchBytes:    scratch,
 			PageBufferBytes: int64(buffers) * int64(params.PageSize),
 			Utilization:     float64(cfg.TotalAUs()) / float64(maxAUs),
-			Est:             est,
 		}
 		d.BRAMBytes = d.ScratchBytes + d.PageBufferBytes
 		if best == nil || cycles < bestCycles ||
@@ -204,16 +200,20 @@ func Generate(prog *engine.Program, fpga FPGA, params Params) (Design, error) {
 
 // TablaDesign returns the TABLA-baseline instantiation (Figure 16):
 // single-threaded acceleration with the same per-thread resources but no
-// Strider overlap and no multi-threading.
-func TablaDesign(prog *engine.Program, fpga FPGA, params Params) (Design, error) {
+// Strider overlap and no multi-threading. When the explorer cannot place
+// the program on one thread, the baseline is one thread of the DAnA
+// engine configuration dana, and only the design's FPGA and Engine are
+// set.
+func TablaDesign(prog *engine.Program, fpga FPGA, params Params, dana engine.Config) Design {
 	params = params.withDefaults()
 	params.MergeCoef = 1
 	d, err := Generate(prog, fpga, params)
 	if err != nil {
-		return Design{}, err
+		dana.Threads = 1
+		d = Design{FPGA: fpga, Engine: dana}
 	}
 	d.NumStriders = 0 // CPU-side data handoff
-	return d, nil
+	return d
 }
 
 // String renders a human-readable summary of the design.

@@ -97,8 +97,8 @@ func TestMoreMergeCoefMoreThreads(t *testing.T) {
 	if d64.Utilization <= d2.Utilization {
 		t.Errorf("utilization: coef64 %.2f <= coef2 %.2f", d64.Utilization, d2.Utilization)
 	}
-	e2 := d2.Est.EpochCycles(1<<18, 2, d2.Engine.Threads)
-	e64 := d64.Est.EpochCycles(1<<18, 64, d64.Engine.Threads)
+	e2 := p.Estimate(d2.Engine).EpochCycles(1<<18, 2, d2.Engine.Threads)
+	e64 := p64.Estimate(d64.Engine).EpochCycles(1<<18, 64, d64.Engine.Threads)
 	if e64 >= e2 {
 		t.Errorf("epoch cycles: coef64 %d >= coef2 %d", e64, e2)
 	}
@@ -115,15 +115,21 @@ func TestBRAMInfeasibleRejected(t *testing.T) {
 
 func TestTablaDesignSingleThreadNoStriders(t *testing.T) {
 	p := compileLinear(t, 54, 64)
-	d, err := TablaDesign(p, VU9P(), Params{PageSize: 32 << 10, MergeCoef: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dana := engine.Config{Threads: 64, ACsPerThread: 2, AUsPerAC: engine.DefaultAUsPerAC}
+	d := TablaDesign(p, VU9P(), Params{PageSize: 32 << 10, MergeCoef: 64}, dana)
 	if d.Engine.Threads != 1 {
 		t.Errorf("threads = %d", d.Engine.Threads)
 	}
 	if d.NumStriders != 0 {
 		t.Errorf("striders = %d", d.NumStriders)
+	}
+	// A program the explorer cannot place runs on one thread of dana.
+	tiny := VU9P()
+	tiny.BRAMBytes = 1 << 10
+	want := dana
+	want.Threads = 1
+	if d := TablaDesign(p, tiny, Params{PageSize: 8 << 10}, dana); d.Engine != want || d.NumStriders != 0 {
+		t.Errorf("unplaceable program: engine %+v with %d striders, want %+v with none", d.Engine, d.NumStriders, want)
 	}
 }
 

@@ -11,11 +11,13 @@ package runtime
 //     reads substituted;
 //   - an early-converging run reads the estimate at the epochs it ran.
 //
-// On the streaming backends the estimate's disk term is the run's pool
-// misses, each at one page's Disk.ReadTime, to the bit: the model counts
-// the reads the pool's clock sweep makes. The pool sums its reads one at
-// a time, so a cold or spilling run's own I/O is not that product's bits,
-// and the price check substitutes it.
+// On the streaming backends the estimate's engine term is the engine
+// cycles the run charged, and its disk term is the run's pool misses,
+// each at one page's Disk.ReadTime, to the bit: the engine charges
+// through the estimate's cycle model, and the model counts the reads the
+// pool's clock sweep makes. The pool sums its reads one at a time, so a
+// cold or spilling run's own I/O is not that product's bits, and the
+// price check substitutes it.
 //
 // On the streaming backends the Strider term must lose the pipeline max
 // on both sides, because the two sides disagree on it, and the gate logs
@@ -31,6 +33,7 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"dana/internal/algos"
@@ -214,10 +217,13 @@ func runGateRow(t *testing.T, r gateRow) gateRun {
 }
 
 // check holds the run, priced by price, to its estimate, and on a
-// streaming row the estimate's disk term to the run's reads. On a
-// streaming row it returns the executed over the estimated Strider
-// seconds.
+// streaming row the estimate's engine term to the run's engine cycles and
+// its disk term to the run's reads. On a streaming row it returns the
+// executed over the estimated Strider seconds.
 func (g gateRun) check(price func(backend.Job, backend.Run) float64) (striderRatio float64, err error) {
+	if cyc := float64(g.run.EngineCycles); g.streaming() && g.est.Terms.EngineCycles != cyc {
+		return 0, fmt.Errorf("estimated %v engine cycles, the run charged %v", g.est.Terms.EngineCycles, cyc)
+	}
 	if reads := float64(g.misses) * g.p.Disk.ReadTime(g.job.PageSize); g.streaming() && g.est.Terms.IOSec != reads {
 		return 0, fmt.Errorf("estimated %v s of disk reads, the run's %d misses read %v s", g.est.Terms.IOSec, g.misses, reads)
 	}
@@ -256,11 +262,11 @@ func TestEstimateIsTheExecutedPrice(t *testing.T) {
 	}
 }
 
-// TestMetaEstimatorGateCatchesPricingFaults plants five faults, each a
-// way to charge dispatch, the link or the disk that once was or nearly
-// was the code, and requires each to fail the gate on some accelerator
-// row: three in the executed side's pricing, and two in the estimate's
-// disk term.
+// TestMetaEstimatorGateCatchesPricingFaults plants six faults, each a
+// way to charge dispatch, the link, the disk or the engine that once was
+// or nearly was the code, and requires each to fail the gate on some
+// accelerator row: three in the executed side's pricing, two in the
+// estimate's disk term and one in its engine term.
 func TestMetaEstimatorGateCatchesPricingFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains every Table 3 workload")
@@ -312,6 +318,15 @@ func TestMetaEstimatorGateCatchesPricingFaults(t *testing.T) {
 				reads += resident
 			}
 			g.est.Terms.IOSec = float64(reads) * g.p.Disk.ReadTime(g.job.PageSize)
+			return g.be.ModeledSeconds
+		},
+		"a short tail batch's tree merge over the design's threads": func(g *gateRun) price {
+			threads := g.job.Design.Engine.Threads
+			if r := g.job.Tuples % max(1, g.job.MergeCoef); r > 1 && r < threads {
+				stages := bits.Len(uint(threads-1)) - bits.Len(uint(r-1)) // log2 ceilings
+				extra := g.job.Engine.Estimate(g.job.Design.Engine).MergeStage * int64(stages)
+				g.est.Terms.EngineCycles += float64(g.est.Terms.Epochs) * float64(extra)
+			}
 			return g.be.ModeledSeconds
 		},
 	}

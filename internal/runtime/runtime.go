@@ -323,13 +323,12 @@ type TrainResult struct {
 	SimulatedSeconds float64
 
 	// Degraded reports that the backend faulted mid-train and the
-	// remaining epochs ran on the failover backend (FailoverBackend, the
+	// remaining epochs ran on the failover backend (backend.NameCPU, the
 	// golden float64 CPU trainer). DegradedAtEpoch is the zero-based epoch the
 	// faulted backend last attempted; epochs before it trained there,
 	// epochs from it onward on the failover target.
 	Degraded        bool
 	DegradedAtEpoch int
-	FailoverBackend string
 }
 
 // resolve is the lookup preamble shared by Train and EstimateBackends:
@@ -573,7 +572,6 @@ func (s *System) failover(res *TrainResult, job backend.Job, prog backend.Progra
 	if err := trainLoop(res, fb, job.Epochs-res.DegradedAtEpoch, func(int) error { return fb.RunEpoch(st) }); err != nil {
 		return err
 	}
-	res.FailoverBackend = backend.NameCPU
 	res.Model = model32(fb.Model())
 	return nil
 }

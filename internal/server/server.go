@@ -43,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dana/internal/backend"
 	"dana/internal/cost"
 	"dana/internal/datagen"
 	"dana/internal/fault"
@@ -417,8 +418,8 @@ func (s *Server) runJob(pl *Placement) JobResult {
 			r.Degraded = res.Degraded
 			r.Epochs = res.Epochs
 			r.Model = res.Model
-			if res.Degraded && res.FailoverBackend != "" {
-				r.Backend = res.FailoverBackend
+			if res.Degraded {
+				r.Backend = backend.NameCPU
 			}
 		}
 	}

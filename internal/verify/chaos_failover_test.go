@@ -59,9 +59,6 @@ func TestFailoverStreamingToCPU(t *testing.T) {
 	if !res.Degraded {
 		t.Fatal("persistent trap storm should degrade the run")
 	}
-	if res.FailoverBackend != "cpu" {
-		t.Errorf("res.FailoverBackend = %q, want cpu", res.FailoverBackend)
-	}
 	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 1 {
 		t.Errorf("cpu_fallbacks = %d, want 1", got)
 	}
@@ -87,9 +84,9 @@ func TestFailoverWeaveToCPU(t *testing.T) {
 	if res.Backend != "weave" {
 		t.Errorf("res.Backend = %q, want weave", res.Backend)
 	}
-	if !res.Degraded || res.DegradedAtEpoch != 0 || res.FailoverBackend != "cpu" {
-		t.Fatalf("degraded=%v at epoch %d failover=%q, want a run degraded at epoch 0 failing over to cpu",
-			res.Degraded, res.DegradedAtEpoch, res.FailoverBackend)
+	if !res.Degraded || res.DegradedAtEpoch != 0 {
+		t.Fatalf("degraded=%v at epoch %d, want a run degraded at epoch 0 failing over to cpu",
+			res.Degraded, res.DegradedAtEpoch)
 	}
 	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 1 {
 		t.Errorf("cpu_fallbacks = %d, want 1", got)
@@ -119,8 +116,8 @@ func TestFailoverTablaToCPU(t *testing.T) {
 	if res.Backend != "tabla" {
 		t.Errorf("res.Backend = %q, want tabla", res.Backend)
 	}
-	if !res.Degraded || res.FailoverBackend != "cpu" {
-		t.Fatalf("degraded=%v failover=%q, want degraded run failing over to cpu", res.Degraded, res.FailoverBackend)
+	if !res.Degraded {
+		t.Fatal("want a degraded run failing over to cpu")
 	}
 	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 1 {
 		t.Errorf("cpu_fallbacks = %d, want 1", got)

@@ -107,15 +107,8 @@ func (c *Compiled) CostWorkload(env Env) cost.Workload {
 	est := c.Program.Estimate(c.Design.Engine)
 	// TABLA baseline: its own single-threaded design point with the
 	// whole fabric available to one thread.
-	tabla, err := hwgen.TablaDesign(c.Program, env.FPGA, hwgen.Params{
-		PageSize: env.PageSize, MergeCoef: 1, NumTuples: c.W.Tuples,
-	})
-	single := c.Design.Engine
-	single.Threads = 1
-	if err == nil {
-		single = tabla.Engine
-	}
-	est1 := c.Program.Estimate(single)
+	tabla := hwgen.TablaDesign(c.Program, env.FPGA, hwgen.Params{PageSize: env.PageSize, NumTuples: w.Tuples}, c.Design.Engine)
+	est1 := c.Program.Estimate(tabla.Engine)
 	return cost.Workload{
 		Tuples:                  w.Tuples,
 		DAnAEpochs:              w.DAnAEpochs,
