@@ -32,7 +32,7 @@ type Accel struct {
 	// rows32 is the scratch buffer a batch stream is materialized into;
 	// slab backs the rows copied out of it.
 	rows32 [][]float32
-	slab   rowSlab
+	slab   engine.RowSlab
 	// keep is keepBatch bound once, like feed.
 	keep func([][]float32) error
 
@@ -191,7 +191,7 @@ func (b *Accel) materialize(st *Stream) ([][]float32, error) {
 	switch {
 	case st.Batches != nil:
 		b.rows32 = b.rows32[:0]
-		b.slab.reset()
+		b.slab.Reset()
 		if b.keep == nil {
 			b.keep = b.keepBatch
 		}
@@ -209,47 +209,19 @@ func (b *Accel) materialize(st *Stream) ([][]float32, error) {
 // rows32.
 func (b *Accel) keepBatch(batch [][]float32) error {
 	for _, r := range batch {
-		b.rows32 = append(b.rows32, b.slab.keep(r))
+		b.rows32 = append(b.rows32, b.slab.Keep(r))
 	}
 	return nil
 }
 
-// rowSlabChunk is the slab's chunk size in values (256 KB).
-const rowSlabChunk = 64 << 10
+func (b *Accel) Model() []float64 { return widen64(b.Model32()) }
 
-// rowSlab keeps copies of rows in fixed-size chunks that are held and
-// refilled from the first each epoch. A chunk never grows, so a row
-// handed out stays where it is while later rows are copied — one
-// append-grown slab would move it.
-type rowSlab struct {
-	chunks [][]float32
-	at     int // chunk being filled
-	used   int // values of it handed out
-}
-
-func (s *rowSlab) reset() { s.at, s.used = 0, 0 }
-
-// keep returns a copy of r that is valid until the next reset.
-func (s *rowSlab) keep(r []float32) []float32 {
-	if s.at < len(s.chunks) && s.used+len(r) > len(s.chunks[s.at]) {
-		s.at, s.used = s.at+1, 0
-	}
-	if s.at == len(s.chunks) {
-		s.chunks = append(s.chunks, make([]float32, max(rowSlabChunk, len(r))))
-	} else if len(s.chunks[s.at]) < len(r) {
-		s.chunks[s.at] = make([]float32, len(r)) // a row wider than any chunk so far
-	}
-	dst := s.chunks[s.at][s.used : s.used+len(r) : s.used+len(r)]
-	s.used += len(r)
-	copy(dst, r)
-	return dst
-}
-
-func (b *Accel) Model() []float64 {
+// Model32 returns a copy of the engine's float32 model.
+func (b *Accel) Model32() []float32 {
 	if b.m == nil {
 		return nil
 	}
-	return widen64(b.m.Model())
+	return b.m.Model()
 }
 
 func (b *Accel) SetModel(m []float64) error {
@@ -279,7 +251,7 @@ func (b *Accel) Counters() engine.Stats {
 // batch), leaving configuration and no rows; a later epoch rebuilds what
 // it needs. Rows decoded into a lent holder are the holder's.
 func (b *Accel) Close() {
-	b.rows32, b.slab = nil, rowSlab{}
+	b.rows32, b.slab = nil, engine.RowSlab{}
 	b.weave.rw = nil
 	if b.m != nil {
 		b.m.Unbind()
@@ -328,6 +300,9 @@ func narrow32(m []float64) []float32 {
 }
 
 func widen64(m []float32) []float64 {
+	if m == nil {
+		return nil
+	}
 	out := make([]float64, len(m))
 	for i, v := range m {
 		out[i] = float64(v)

@@ -583,16 +583,14 @@ func (m *Machine) endMergeBatch(n, k int) error {
 type EpochStream struct {
 	m         *Machine
 	batchSize int
-	buf       [][]float32
-	arena     []float32 // value storage for buffered tuples
+	buf       [][]float32 // the partial batch, its rows kept in slab
+	slab      RowSlab
 }
 
 // StreamEpoch starts an epoch fed incrementally via Feed/Finish.
 func (m *Machine) StreamEpoch(batchSize int) *EpochStream {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	return &EpochStream{m: m, batchSize: batchSize}
+	batchSize = max(batchSize, 1)
+	return &EpochStream{m: m, batchSize: batchSize, slab: RowSlab{rows: batchSize}}
 }
 
 // Reset re-arms the stream for a new epoch, keeping its buffers — the
@@ -600,14 +598,15 @@ func (m *Machine) StreamEpoch(batchSize int) *EpochStream {
 // by a failed run is safe to reuse after Reset).
 func (s *EpochStream) Reset() {
 	s.buf = s.buf[:0]
-	s.arena = s.arena[:0]
+	s.slab.Reset()
 }
 
 // Feed appends tuples to the epoch, running every batch that fills. Any
 // tuples Feed must buffer are copied by value, so the caller may reuse
 // the tuples' backing storage as soon as Feed returns. Full batches run
-// directly on the caller's row views (zero-copy); only a partial tail
-// is value-copied into the stream's own arena.
+// directly on the caller's row views (zero-copy); only a partial batch
+// is value-copied, into the stream's slab, whose chunks every batch
+// refills from the first.
 //
 //dana:hotpath
 func (s *EpochStream) Feed(tuples [][]float32) error {
@@ -623,17 +622,7 @@ func (s *EpochStream) Feed(tuples [][]float32) error {
 		}
 		n := min(s.batchSize-len(s.buf), len(tuples))
 		for _, tup := range tuples[:n] {
-			start := len(s.arena)
-			if cap(s.arena)-start < len(tup) {
-				// Fresh block; rows already buffered keep referencing (and
-				// keep alive) the block they were copied into.
-				blk := max(s.batchSize*len(tup), 1024)
-				//danalint:ignore hotcall -- capacity-guarded arena growth, reused across batches
-				s.arena = make([]float32, 0, blk)
-				start = 0
-			}
-			s.arena = append(s.arena, tup...)
-			s.buf = append(s.buf, s.arena[start:len(s.arena):len(s.arena)])
+			s.buf = append(s.buf, s.slab.Keep(tup))
 		}
 		tuples = tuples[n:]
 		if len(s.buf) == s.batchSize {

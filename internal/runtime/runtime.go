@@ -503,7 +503,7 @@ func (s *System) train(udfName, table string, precision int) (*TrainResult, erro
 	s.obsTrainWall.Add(time.Since(trainStart).Nanoseconds())
 	s.obs.Trace(obs.EvTrainDone, int64(res.Epochs), res.Engine.Cycles)
 	if !res.Degraded {
-		res.Model = model32(be.Model())
+		res.Model = model32(be)
 	}
 	if feed.ae != nil {
 		res.Access = feed.ae.Stats()
@@ -572,7 +572,7 @@ func (s *System) failover(res *TrainResult, job backend.Job, prog backend.Progra
 	if err := trainLoop(res, fb, job.Epochs-res.DegradedAtEpoch, func(int) error { return fb.RunEpoch(st) }); err != nil {
 		return err
 	}
-	res.Model = model32(fb.Model())
+	res.Model = model32(fb)
 	return nil
 }
 
@@ -639,10 +639,20 @@ func (s *System) EstimateBackends(udfName, table string) ([]BackendCost, error) 
 	return out, nil
 }
 
-// model32 narrows a backend's float64 model view to the result's
-// float32 representation (exact for values that round-tripped through
-// float32 upstream).
-func model32(m []float64) []float32 {
+// float32Model is a backend whose model is float32 (the accelerator's):
+// Model32 copies it once, where Model widens a copy.
+type float32Model interface {
+	Model32() []float32
+}
+
+// model32 is a backend's model as a TrainResult holds it: a float32
+// backend's own copy, else its float64 view narrowed (exact for values
+// that round-tripped through float32 upstream).
+func model32(be backend.Backend) []float32 {
+	if f, ok := be.(float32Model); ok {
+		return f.Model32()
+	}
+	m := be.Model()
 	if m == nil {
 		return nil
 	}

@@ -64,7 +64,7 @@ func perEpochReference(t *testing.T, s *System, udfName, table string, precision
 		t.Fatal(err)
 	}
 	stats = ref.Counters()
-	return model32(ref.Model()), stats, weave.ModeledSeconds(job, backend.Run{
+	return model32(ref), stats, weave.ModeledSeconds(job, backend.Run{
 		Epochs:        ran.Epochs,
 		EngineCycles:  stats.Cycles,
 		StriderCycles: res.Access.Cycles,

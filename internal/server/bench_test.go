@@ -16,6 +16,7 @@ func BenchmarkServerTenantLoad(b *testing.B) {
 	}
 	specs := GenLoad(load)
 	var last *Report
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv, err := New(Config{
