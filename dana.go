@@ -41,7 +41,8 @@ type Config struct {
 	// the paper's default is 32 KB).
 	PageSize int
 	// PoolBytes is the in-process buffer pool budget, and the pool the
-	// cost model prices runs on.
+	// cost model prices runs on. Any pool of at least one frame trains:
+	// a table larger than the pool is re-read every epoch.
 	PoolBytes int64
 	// Backend selects the execution backend for Train: "" pins the DAnA
 	// accelerator pipeline (the paper path and historical default),

@@ -259,9 +259,8 @@ func (b *Accel) Close() {
 }
 
 // InProcessStriders clamps a design's Strider count to 16. It saves no
-// Strider state: the walk keeps none. The clamp has two roles left. It bounds the executor's pin
-// group, one page per Strider, so a group fits a small pool: a 32-page
-// group does not fit the estimator gate's 16-frame spill pool. And it
+// Strider state: the walk keeps none, and the buffer pool, not the
+// clamp, sizes the executor's pin group. The clamp has one role left: it
 // keeps Train's access.Cycles equal to bench/replica.go's, which clamps
 // to 16 on its own and must report the same counters. The Collector
 // groups pages by the clamped count, so a 32-Strider design (every

@@ -250,8 +250,8 @@ type Program struct {
 	Engine    *engine.Program
 	EngineCfg engine.Config
 	// Striders is how many Striders extraction groups pages by: the
-	// design's count through InProcessStriders, whose clamp bounds the
-	// pin group and keeps the bench replica's counters equal to Train's.
+	// design's count through InProcessStriders, whose clamp keeps the
+	// bench replica's counters equal to Train's.
 	Striders int
 	// MergeCoef is the gradient-merge batch size (< 1 = 1).
 	MergeCoef int

@@ -9,14 +9,15 @@ package runtime
 //	pin group k+1 (walker 0) -> walk + deformat (W walkers) -> sink group k (coordinator)
 //
 // The buffer pool sees one sequence at every W, so its clock sweep and
-// float I/O ledger do too: NumStriders pages at a time are pinned in
-// page order (a group per set of page buffers, §5.1.1), and group k is
-// unpinned before k+1 is pinned. The coordinator unpins; walker 0 pins
-// a group before any walker walks it, while the coordinator sinks the
-// group before, and the coordinator unpins it only once every walker is
-// done with it. Slot j runs on
-// Strider healthy[j mod h] and walker i owns the Striders ≡ i (mod W),
-// so trap outcomes do not depend on W. W is
+// float I/O ledger do too: groups of max(1, min(NumStriders, frames − 1))
+// pages, so any pool trains, are pinned in page order (a group per set
+// of page buffers, §5.1.1), and group k is unpinned before k+1 is
+// pinned. The coordinator unpins; walker 0 pins a group before any
+// walker walks it, while the coordinator sinks the group before, and the
+// coordinator unpins it only once every walker is done with it. Page pn
+// runs on Strider healthy[pn mod NumStriders mod h] and walker i owns
+// the Striders ≡ i (mod W), so trap outcomes depend on neither W nor the
+// group. W is
 // min(GOMAXPROCS, healthy Striders, pages) on a table the pool holds,
 // else 1: the coordinator then walks and sinks each page itself, through
 // the one PageResult a spill scan recycles, whose packed rows are views
@@ -138,6 +139,7 @@ type epochRunner struct {
 	// what walkers made of both, built by the first epoch that runs
 	// walkers) and the one PageResult a larger-than-pool scan recycles.
 	arena    *accessengine.Arena
+	group    int
 	groups   [2][]storage.Page
 	walks    [2][]walk
 	spillRes accessengine.PageResult
@@ -155,10 +157,10 @@ type epochRunner struct {
 	pendingEnt    *cacheEntry
 
 	// Fault handling. healthy lists the usable Strider VM indices:
-	// quarantine removes persistently-trapping VMs, and slot j of a page
-	// group runs on healthy[j mod len(healthy)] (VM identity never affects
-	// modeled cycles, so the mapping is free); deadline is the current
-	// epoch's wall-clock budget (zero = none).
+	// quarantine removes persistently-trapping VMs, and page pn runs on
+	// healthy[slot(pn)] (VM identity never affects modeled cycles, so the
+	// mapping is free); deadline is the current epoch's wall-clock budget
+	// (zero = none).
 	faults   *fault.Injector
 	healthy  []int
 	epoch    int
@@ -194,55 +196,49 @@ func (w *workerError) Unwrap() error { return w.err }
 // when the backend is Streaming, the relation's tuples materialized
 // once, in the one width be's Precision reads, otherwise. The Striders
 // walk the relation's pages with the function of the program the
-// catalog holds.
+// catalog holds. A Score's feed has no backend (be == nil): it streams
+// pages but keeps no rows, so its walks recycle one result, and it
+// injects no fault and charges no Strider counter.
 func (s *System) newEpochFeed(rel *storage.Relation, be backend.Backend, nStriders int) (*epochRunner, error) {
-	caps := be.Capabilities()
-	if !caps.Streaming {
-		rows := &backend.Stream{}
-		var err error
-		if caps.Precision == backend.PrecisionFloat64 {
-			rows.Rows64, err = storage.NarrowedRows[float64](rel)
-		} else {
-			rows.Rows32, err = storage.NarrowedRows[float32](rel)
+	r := &epochRunner{s: s, rel: rel, be: be}
+	if be != nil {
+		caps := be.Capabilities()
+		r.faults, r.accelerated = s.Opts.Faults, caps.Accelerated
+		if !caps.Streaming {
+			var err error
+			r.rows = &backend.Stream{}
+			if caps.Precision == backend.PrecisionFloat64 {
+				r.rows.Rows64, err = storage.NarrowedRows[float64](rel)
+			} else {
+				r.rows.Rows32, err = storage.NarrowedRows[float32](rel)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return r, nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		return &epochRunner{
-			s: s, rel: rel, be: be, faults: s.Opts.Faults, accelerated: caps.Accelerated,
-			rows: rows,
-		}, nil
+		r.fits = rel.NumPages() <= s.DB.Pool.NumFrames()
+		// Bound once: the streaming Batches closure and both Stream shells,
+		// so steady-state epochs allocate neither.
+		r.extractStream = &backend.Stream{Batches: r.batches}
+		r.replayStream = &backend.Stream{}
 	}
 	ae, err := accessengine.New(strider.PostgresLayout(s.Opts.PageSize), rel.Schema, nStriders)
 	if err != nil {
 		return nil, err
 	}
-	ae.SetObs(s.obs)
-	ae.SetFaults(s.Opts.Faults)
-	return s.newEpochRunner(ae, rel, be), nil
-}
-
-func (s *System) newEpochRunner(ae *accessengine.Engine, rel *storage.Relation, be backend.Backend) *epochRunner {
-	healthy := make([]int, ae.NumStriders)
-	for i := range healthy {
-		healthy[i] = i
+	if be != nil {
+		ae.SetObs(s.obs)
 	}
-	r := &epochRunner{
-		s: s, ae: ae, rel: rel, be: be,
-		fits: rel.NumPages() <= s.DB.Pool.NumFrames(),
-
-		accelerated: be.Capabilities().Accelerated,
-		faults:      s.Opts.Faults,
-		healthy:     healthy,
-
-		groups: [2][]storage.Page{make([]storage.Page, 0, ae.NumStriders)},
-		col:    ae.NewCollector(),
+	ae.SetFaults(r.faults)
+	r.ae, r.col = ae, ae.NewCollector()
+	r.healthy = make([]int, ae.NumStriders)
+	for i := range r.healthy {
+		r.healthy[i] = i
 	}
-	// Bound once: the streaming Batches closure and both Stream shells,
-	// so steady-state epochs allocate neither.
-	r.extractStream = &backend.Stream{Batches: r.batches}
-	r.replayStream = &backend.Stream{}
-	return r
+	r.group = max(1, min(ae.NumStriders, s.DB.Pool.NumFrames()-1))
+	r.groups[0] = make([]storage.Page, 0, r.group)
+	return r, nil
 }
 
 // sizeArena allocates the record slab for a table the pool holds, whose
@@ -488,11 +484,11 @@ func (r *epochRunner) batches(emit func([][]float32) error) error {
 // file header describes and hands each result to sink, in page order, on
 // the calling goroutine.
 func (r *epochRunner) extractPages(sink func(*accessengine.PageResult) error) error {
-	n, size := r.rel.NumPages(), r.ae.NumStriders
+	n, size := r.rel.NumPages(), r.group
 	w := 1
 	if r.fits {
 		// Quarantine shrinks the healthy set between epochs: each walker
-		// owns at least one Strider, and one slot of the first group.
+		// owns at least one Strider, and one page of the table.
 		w = min(hostrt.GOMAXPROCS(0), len(r.healthy), n)
 	}
 	if w <= 1 {
@@ -515,9 +511,6 @@ func (r *epochRunner) extractPages(sink func(*accessengine.PageResult) error) er
 		r.walks = [2][]walk{make([]walk, size), make([]walk, size)}
 	}
 	r.groups[1] = r.groups[1][:0]
-	// Walker i walks the slots j of group b, which starts at page first,
-	// whose Strider healthy[j mod h] sits at an index ≡ i (mod W).
-	h := len(r.healthy)
 	// busy counts the walkers at work on a group. Walker 0 pins each group
 	// before anyone walks it (pinned), so the pins leave the coordinator's
 	// path while it sinks the group before; pinErr is walker 0's verdict,
@@ -539,9 +532,11 @@ func (r *epochRunner) extractPages(sink func(*accessengine.PageResult) error) er
 				} else {
 					pipe.pinned.Wait()
 				}
+				// Walker i walks the pages of group b, from page first on,
+				// whose Strider sits at an index of healthy ≡ i (mod W).
 				for j, pg := range r.groups[b] {
-					if pipe.pinErr == nil && j%h%w == i {
-						r.walks[b][j] = r.walk(j, first+j, pg)
+					if pipe.pinErr == nil && r.slot(first+j)%w == i {
+						r.walks[b][j] = r.walk(first+j, pg)
 					}
 				}
 				pipe.busy.Done()
@@ -594,7 +589,7 @@ func (r *epochRunner) extractPages(sink func(*accessengine.PageResult) error) er
 // leaves the group empty.
 func (r *epochRunner) pinGroup(b, first int) error {
 	r.groups[b] = r.groups[b][:0]
-	for pn := first; pn < min(first+r.ae.NumStriders, r.rel.NumPages()); pn++ {
+	for pn := first; pn < min(first+r.group, r.rel.NumPages()); pn++ {
 		pg, err := r.s.DB.Pool.Pin(r.rel.Name, uint32(pn))
 		if err != nil {
 			_ = r.unpinGroup(b, first)
@@ -629,7 +624,7 @@ func (r *epochRunner) drain(b, first int, walked bool, sink func(*accessengine.P
 		if walked {
 			w = r.walks[b][j]
 		} else {
-			w = r.walk(j, first+j, pg)
+			w = r.walk(first+j, pg)
 		}
 		r.s.obsPageRetries.Add(int64(w.retries))
 		if w.err != nil {
@@ -642,17 +637,20 @@ func (r *epochRunner) drain(b, first int, walked bool, sink func(*accessengine.P
 	return nil
 }
 
-// walk walks page pn, slot j of a pinned group, on Strider
-// healthy[j mod h], whichever goroutine calls it, and charges its host
-// time to the worker-busy counter. A larger-than-pool scan (always
-// W = 1) recycles one result, so its rows are views of the pinned page
-// images wherever the walker can take them: the engine's epoch stream
-// copies anything it buffers, and an image outlives its unpin unchanged.
+// slot is the index into healthy of page pn's Strider (file header).
+func (r *epochRunner) slot(pn int) int { return pn % r.ae.NumStriders % len(r.healthy) }
+
+// walk walks pinned page pn on Strider healthy[slot(pn)], whichever
+// goroutine calls it, and charges its host time to the worker-busy
+// counter. A larger-than-pool scan (always W = 1) recycles one result,
+// so its rows are views of the pinned page images wherever the walker
+// can take them: the engine's epoch stream copies anything it buffers,
+// and an image outlives its unpin unchanged.
 // A table the pool holds takes a fresh result per page, which copies
 // into the arena: the record cache keeps those rows.
 //
 //dana:hotpath
-func (r *epochRunner) walk(j, pn int, pg storage.Page) (w walk) {
+func (r *epochRunner) walk(pn int, pg storage.Page) (w walk) {
 	if w.err = r.checkDeadline(); w.err != nil {
 		return w
 	}
@@ -663,7 +661,7 @@ func (r *epochRunner) walk(j, pn int, pg storage.Page) (w walk) {
 	}
 	w.res.PageNo, w.res.Arena = pn, r.arena
 	start := time.Now()
-	w.retries, w.err = r.extract(r.healthy[j%len(r.healthy)], pg, w.res)
+	w.retries, w.err = r.extract(r.healthy[r.slot(pn)], pg, w.res)
 	r.s.obsWorkerBusy.Add(time.Since(start).Nanoseconds())
 	return w
 }

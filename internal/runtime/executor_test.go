@@ -1,14 +1,19 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
 	hostrt "runtime"
 	"slices"
 	"testing"
 
-	"dana/internal/accessengine"
 	"dana/internal/backend"
+	"dana/internal/bufpool"
 	"dana/internal/catalog"
 	"dana/internal/fault"
 	"dana/internal/hdfg"
@@ -443,18 +448,7 @@ func newBenchRunner(t *testing.T, spill bool) (*epochRunner, *backend.Accel) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns := acc.Design.NumStriders
-	if ns < 1 {
-		ns = 1
-	}
-	if ns > 16 {
-		ns = 16
-	}
-	ae, err := accessengine.New(strider.PostgresLayout(opts.PageSize), d.Rel.Schema, ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ae.SetObs(s.obs)
+	ns := backend.InProcessStriders(acc.Design.NumStriders)
 	be := backend.NewAccel(backend.Env{Obs: s.obs, Cost: opts.Cost, FPGA: opts.FPGA})
 	if err := be.Configure(backend.Program{
 		Graph:     graph,
@@ -467,7 +461,11 @@ func newBenchRunner(t *testing.T, spill bool) (*epochRunner, *backend.Accel) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return s.newEpochRunner(ae, d.Rel, be), be
+	r, err := s.newEpochFeed(d.Rel, be, ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, be
 }
 
 // TestHotPathsAllocationFree is the runtime counterpart of the hotcall
@@ -644,4 +642,101 @@ func TestTrainAllocBudget(t *testing.T) {
 			t.Errorf("%s: the measured Trains wove %d times", leg.name, got-builds)
 		}
 	}
+}
+
+// smallPoolFrames are the pools TestSpillTrainsAtEveryPoolSize trains
+// in, in frames: fewer than the 16 Striders' pin group, the 16-frame
+// spill pool, where the group drops to 15, and one frame more.
+var smallPoolFrames = []int{1, 2, 8, 15, 16, 17}
+
+// TestSpillTrainsAtEveryPoolSize: the pin group is max(1, min(Striders,
+// frames − 1)), so a table larger than the pool trains in a pool of any
+// size — as small as one frame — and the pool's size moves no modeled
+// number: model bits, access and engine stats, simulated seconds and pool
+// misses (every page, every epoch) are the same at every size.
+func TestSpillTrainsAtEveryPoolSize(t *testing.T) {
+	var want *TrainResult
+	wantFrames := 0
+	for _, frames := range smallPoolFrames {
+		opts := DefaultOptions()
+		opts.PageSize = storage.PageSize8K
+		opts.Cost.PoolBytes = int64(frames) * storage.PageSize8K
+		s := New(opts)
+		d := deployScaled(t, s, "Patient", 0.02)
+		a, err := d.DSLAlgo(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.SetEpochs(3)
+		if _, err := s.Register(a, 8, d.Tuples); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Train(a.Name, d.Rel.Name)
+		if s.Pool().PinnedCount() != 0 {
+			t.Fatalf("%d frames: leaked page pins", frames)
+		}
+		if err != nil {
+			t.Errorf("%d frames: %v", frames, err)
+			continue
+		}
+		if got := int64(3 * d.Rel.NumPages()); res.Pool.Misses != got {
+			t.Errorf("%d frames: %d pool misses, want every page of every epoch (%d)", frames, res.Pool.Misses, got)
+		}
+		if want == nil {
+			want, wantFrames = res, frames
+			continue
+		}
+		name := fmt.Sprintf("%d frames", frames)
+		requireSameModeled(t, name, res, want, want)
+		if res.Pool.Misses != want.Pool.Misses {
+			t.Errorf("%s: %d pool misses, %d frames read %d", name, res.Pool.Misses, wantFrames, want.Pool.Misses)
+		}
+	}
+	if want != nil {
+		t.Logf("%d misses, %v s, %d access cycles", want.Pool.Misses, want.SimulatedSeconds, want.Access.Cycles)
+	}
+}
+
+// TestMetaStriderPinBoundCaught plants the old pin bound — a group of
+// one page per Strider, whatever the pool holds, executor.go rebuilt
+// through a build overlay — and requires TestSpillTrainsAtEveryPoolSize
+// to fail against it with the pool's pinned-frames error.
+func TestMetaStriderPinBoundCaught(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds this package's tests again against a planted executor")
+	}
+	src, err := filepath.Abs("executor.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = "r.group = max(1, min(ae.NumStriders, s.DB.Pool.NumFrames()-1))"
+	if n := bytes.Count(code, []byte(bound)); n != 1 {
+		t.Fatalf("executor.go holds %q %d times, want once: the planted fault needs updating", bound, n)
+	}
+	dir := t.TempDir()
+	planted := filepath.Join(dir, "executor.go")
+	if err := os.WriteFile(planted, bytes.Replace(code, []byte(bound), []byte("r.group = ae.NumStriders"), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	overlay, err := json.Marshal(map[string]map[string]string{"Replace": {src: planted}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ovPath := filepath.Join(dir, "overlay.json")
+	if err := os.WriteFile(ovPath, overlay, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command("go", "test", "-overlay", ovPath, "-count=1",
+		"-run", "^TestSpillTrainsAtEveryPoolSize$", ".").CombinedOutput()
+	if err == nil {
+		t.Fatalf("TestSpillTrainsAtEveryPoolSize passed against a pin group of one page per Strider:\n%s", out)
+	}
+	if !bytes.Contains(out, []byte(bufpool.ErrNoFreeFrames.Error())) {
+		t.Errorf("the planted bound failed for another reason:\n%s", out)
+	}
+	t.Logf("%s", out)
 }

@@ -121,8 +121,8 @@ func TestReadPathsNeverWriteTheHeap(t *testing.T) {
 }
 
 // TestInsertWhilePagesAreRead: one goroutine inserts while others pin,
-// walk and unpin the relation's pages and run Score, which reads
-// Relation.Page without the pool. It holds the copy-on-write contract: a
+// walk and unpin the relation's pages and run Score, which pins them
+// through the same pool. It holds the copy-on-write contract: a
 // mutation never writes an image a reader was handed, so every pinned
 // page — the last one held across a few inserts — keeps its bytes and
 // checksum until it is unpinned, and -race sees no write to a read page.

@@ -14,6 +14,7 @@ import (
 	hostrt "runtime"
 	"testing"
 
+	"dana/internal/backend"
 	"dana/internal/bufpool"
 	"dana/internal/datagen"
 	"dana/internal/fault"
@@ -157,6 +158,76 @@ func TestTrapOutcomesIgnoreHostParallelism(t *testing.T) {
 		if res.Pool != wantRes.Pool {
 			t.Errorf("GOMAXPROCS=%d: pool stats %+v != %+v", procs, res.Pool, wantRes.Pool)
 		}
+	}
+}
+
+// TestTrapOutcomesIgnorePinGroup (white box): page pn runs on Strider
+// healthy[pn mod Striders mod h] whatever the pin group, so under a
+// persistent trap a spilling run quarantines the same Striders after the
+// same page and epoch retries, and trains the same bits from the same
+// modeled stats, at 16 frames (a group of 15) as at 17 (a group of 16).
+func TestTrapOutcomesIgnorePinGroup(t *testing.T) {
+	type outcome struct {
+		healthy                                string
+		quarantines, pageRetries, epochRetries int64
+	}
+	var want outcome
+	var wantRes *TrainResult
+	for _, frames := range []int{17, 16} {
+		s, udfName, table := ftSystem(t, func(o *Options) {
+			o.Cost.PoolBytes = int64(frames) * storage.PageSize8K
+			o.Faults = fault.New(fault.Config{
+				Seed:              persistentTrapSeed,
+				Rates:             rate(fault.StriderTrap, persistentTrapRate),
+				TransientAttempts: -1,
+			})
+		})
+		udf, rel, acc, job, err := s.resolve(udfName, table, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, job, err := s.disp.Resolve(s.Opts.Backend, job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		be := s.disp.Build(reg)
+		defer be.(backend.Closer).Close()
+		prog := s.programFor(udf, rel, acc, job.Bits)
+		if err := be.Configure(prog); err != nil {
+			t.Fatal(err)
+		}
+		feed, err := s.newEpochFeed(rel, be, prog.Striders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if feed.fits || feed.group != frames-1 {
+			t.Fatalf("%d frames: fits=%v, a pin group of %d for %d pages", frames, feed.fits, feed.group, rel.NumPages())
+		}
+		res := &TrainResult{}
+		if err := trainLoop(res, be, ftEpochs, feed.runEpochRecover); err != nil {
+			t.Fatalf("%d frames: %v", frames, err)
+		}
+		res.Model, res.Engine, res.Access = model32(be), be.(backend.CounterBackend).Counters(), feed.ae.Stats()
+		if s.Pool().PinnedCount() != 0 {
+			t.Fatalf("%d frames: leaked page pins", frames)
+		}
+		got := outcome{
+			healthy:      fmt.Sprint(feed.healthy),
+			quarantines:  obsCount(t, s, obs.RuntimeQuarantines),
+			pageRetries:  obsCount(t, s, obs.RuntimePageRetries),
+			epochRetries: obsCount(t, s, obs.RuntimeEpochRetries),
+		}
+		if wantRes == nil {
+			if got.quarantines == 0 {
+				t.Fatalf("%d frames: %+v; the schedule must quarantine", frames, got)
+			}
+			want, wantRes = got, res
+			continue
+		}
+		if got != want {
+			t.Errorf("%d frames: %+v, 17 frames read %+v", frames, got, want)
+		}
+		requireSameModeled(t, fmt.Sprintf("%d frames", frames), res, wantRes, nil)
 	}
 }
 

@@ -118,11 +118,11 @@ type System struct {
 	// good Train on it configured; a Train takes it out for the whole run.
 	keptMu sync.Mutex
 	kept   map[[2]string]backend.Backend
-	// scoring maps a UDF to the pass its last good Score ran, and scoreBuf
-	// is the buffer every pass decodes into; both are checked out under
-	// keptMu the same way.
+	// scoring maps a UDF to the pass its last good Score ran, and scoreRes
+	// is the one page result every pass's walks recycle; both are checked
+	// out under keptMu the same way.
 	scoring  map[string]*scorePass
-	scoreBuf *scoreBuf
+	scoreRes accessengine.PageResult
 
 	channels int // modeled channel count: Opts.Cost.Link.Channels clamped to [1, MaxChannels]
 

@@ -10,6 +10,7 @@ import (
 
 	"dana/internal/algos"
 	"dana/internal/backend"
+	"dana/internal/bufpool"
 	"dana/internal/dsl"
 	"dana/internal/storage"
 	"dana/internal/verify"
@@ -19,35 +20,31 @@ import (
 // verify generator draws — every page size and column type, at least
 // three pages a table, the last one partial — each score Score computes
 // for the linear, logistic and SVM UDFs equals, bit for bit, RowScorer
-// over the relation's narrowed rows, and Score scores NumTuples rows. A
-// second Score with another model runs on the kept pass.
+// over the relation's narrowed rows, and Score scores NumTuples rows.
+// Each table is scored in a pool that holds it and in one of two frames
+// that it spills: a first Score walks the pages through the pool, a
+// second runs on the kept pass, and a third follows a Train, so in the
+// pool that holds the table it replays the record cache. No Score leaves
+// a pin behind, and a Score whose pin finds every frame held returns the
+// pool's typed error and leaves only the holder's pins.
 func TestScoreMatchesNarrowedRows(t *testing.T) {
 	pageSizes, types := map[int]bool{}, map[storage.ColType]bool{}
 	classes := map[backend.Class]bool{}
 	for seed := int64(1); seed <= 12; seed++ {
 		g := verify.NewGen(seed)
-		opts := DefaultOptions()
-		opts.PageSize = g.PageSize()
-		opts.Cost.PoolBytes = 8 << 20
-		s := New(opts)
+		pageSize := g.PageSize()
 		sch := g.Schema(16)
 		for sch.NumCols() < 2 {
 			sch = g.Schema(16)
 		}
-		rel := storage.NewRelation("scored", sch, opts.PageSize)
+		rel := storage.NewRelation("scored", sch, pageSize)
 		per := rel.TuplesPerPage()
 		for i, n := 0, 3*per+1+g.Intn(per-1); i < n; i++ {
 			if _, err := rel.Insert(g.Row(sch)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.DB.Cat.AttachTable(rel); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.DB.Pool.AttachRelation(rel); err != nil {
-			t.Fatal(err)
-		}
-		pageSizes[opts.PageSize] = true
+		pageSizes[pageSize] = true
 		for _, c := range sch.Cols {
 			types[c.Type] = true
 		}
@@ -58,52 +55,86 @@ func TestScoreMatchesNarrowedRows(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nf := sch.NumCols() - 1
 		h := algos.Hyper{LR: 0.1, Epochs: 1}
-		for _, a := range []func(int, algos.Hyper) *dsl.Algo{algos.Linear, algos.Logistic, algos.SVM} {
-			algo := a(nf, h)
-			if _, err := s.Register(algo, 1, rel.NumTuples()); err != nil {
+		for _, spill := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.PageSize = pageSize
+			opts.Cost.PoolBytes = 8 << 20
+			if spill {
+				opts.Cost.PoolBytes = 2 * int64(pageSize)
+			}
+			s := New(opts)
+			if err := s.DB.Cat.AttachTable(rel); err != nil {
 				t.Fatal(err)
 			}
-			udf, err := s.Catalog().UDF(algo.Name)
-			if err != nil {
+			if err := s.DB.Pool.AttachRelation(rel); err != nil {
 				t.Fatal(err)
 			}
-			class := backend.Classify(udf.Graph)
-			classes[class] = true
-			for round := 0; round < 2; round++ {
-				model := make([]float32, udf.Graph.ModelSize())
-				model64 := make([]float64, len(model))
-				for i := range model {
-					model[i] = float32(rng.NormFloat64() / 10)
-					model64[i] = float64(model[i])
+			if fits := rel.NumPages() <= s.Pool().NumFrames(); fits == spill {
+				t.Fatalf("seed %d: %d pages in %d frames, spill=%v", seed, rel.NumPages(), s.Pool().NumFrames(), spill)
+			}
+			var name string
+			for _, a := range []func(int, algos.Hyper) *dsl.Algo{algos.Linear, algos.Logistic, algos.SVM} {
+				algo := a(nf, h)
+				name = algo.Name
+				if _, err := s.Register(algo, 1, rel.NumTuples()); err != nil {
+					t.Fatal(err)
 				}
-				ref, err := backend.NewRowScorer(class, udf.Graph, model64)
+				udf, err := s.Catalog().UDF(algo.Name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var got []float64
-				n, err := s.score(algo.Name, rel.Name, model, func(i int, v float64) {
-					if i != len(got) {
-						t.Fatalf("score %d handed as row %d", len(got), i)
+				class := backend.Classify(udf.Graph)
+				classes[class] = true
+				for round := 0; round < 3; round++ {
+					if round == 2 {
+						if _, err := s.Train(algo.Name, rel.Name); err != nil {
+							t.Fatal(err)
+						}
+						if cached := s.cache.lookup(rel, s.Pool().InvalidationCount()) != nil; cached == spill {
+							t.Fatalf("seed %d spill=%v: the record cache holds the table: %v", seed, spill, cached)
+						}
 					}
-					got = append(got, v)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != rel.NumTuples() || len(got) != n || len(rows) != n {
-					t.Fatalf("seed %d %s round %d: Score scored %d rows (%d handed), table holds %d, narrowed %d",
-						seed, class, round, n, len(got), rel.NumTuples(), len(rows))
-				}
-				for i, row := range rows {
-					want, err := ref.Score(i, row)
+					model := make([]float32, udf.Graph.ModelSize())
+					model64 := make([]float64, len(model))
+					for i := range model {
+						model[i] = float32(rng.NormFloat64() / 10)
+						model64[i] = float64(model[i])
+					}
+					ref, err := backend.NewRowScorer(class, udf.Graph, model64)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if math.Float64bits(got[i]) != math.Float64bits(want) {
-						t.Fatalf("seed %d %s round %d row %d (page size %d, schema %v): Score %v, RowScorer over NarrowedRows %v",
-							seed, class, round, i, opts.PageSize, sch, got[i], want)
+					var got []float64
+					n, err := s.score(algo.Name, rel.Name, model, func(i int, v float64) {
+						if i != len(got) {
+							t.Fatalf("score %d handed as row %d", len(got), i)
+						}
+						got = append(got, v)
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pins := s.Pool().PinnedCount(); pins != 0 {
+						t.Fatalf("seed %d %s spill=%v round %d: Score left %d pins", seed, class, spill, round, pins)
+					}
+					if n != rel.NumTuples() || len(got) != n || len(rows) != n {
+						t.Fatalf("seed %d %s spill=%v round %d: Score scored %d rows (%d handed), table holds %d, narrowed %d",
+							seed, class, spill, round, n, len(got), rel.NumTuples(), len(rows))
+					}
+					for i, row := range rows {
+						want, err := ref.Score(i, row)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Fatalf("seed %d %s spill=%v round %d row %d (page size %d, schema %v): Score %v, RowScorer over NarrowedRows %v",
+								seed, class, spill, round, i, pageSize, sch, got[i], want)
+						}
 					}
 				}
+			}
+			if spill {
+				scoreWithEveryFrameHeld(t, s, name, rel)
 			}
 		}
 	}
@@ -121,6 +152,33 @@ func TestScoreMatchesNarrowedRows(t *testing.T) {
 		if !classes[c] {
 			t.Errorf("class %s never scored", c)
 		}
+	}
+}
+
+// scoreWithEveryFrameHeld pins the first pages of rel into every frame of
+// s's pool, which is smaller than rel, and Scores udf over it: the Score
+// must fail with the pool's typed error once it reaches a page with no
+// frame to go to, holding none of its own pins.
+func scoreWithEveryFrameHeld(t *testing.T, s *System, udf string, rel *storage.Relation) {
+	t.Helper()
+	pool := s.Pool()
+	frames := pool.NumFrames()
+	for pn := 0; pn < frames; pn++ {
+		if _, err := pool.Pin(rel.Name, uint32(pn)); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := pool.Unpin(rel.Name, uint32(pn)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	n, err := s.Score(udf, rel.Name, nil)
+	if !errors.Is(err, bufpool.ErrNoFreeFrames) {
+		t.Errorf("Score with every frame held = %d, %v; want ErrNoFreeFrames", n, err)
+	}
+	if pins := pool.PinnedCount(); pins != frames {
+		t.Errorf("a failed Score left %d pins; the test holds %d", pins, frames)
 	}
 }
 
