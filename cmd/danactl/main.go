@@ -13,7 +13,9 @@
 //	                         # quantized to 8 bits, link ships 8/32 of
 //	                         # the plane bytes (1-31; 0/32 = float path)
 //
-// Subcommands (same flags apply after the subcommand):
+// Subcommands take the same flags, but -listing is training's alone and
+// -json the stats subcommand's; either given to another mode is a usage
+// error:
 //
 //	danactl stats            # train, then print the observability
 //	                         # breakdown: per-component cycles (summing
@@ -52,6 +54,12 @@ func main() {
 	check(run(os.Stdout, mode, args))
 }
 
+// modeFlags are the flags only one mode reads, with that mode.
+var modeFlags = map[string]string{"listing": "train", "json": "stats"}
+
+// modeNames are the modes as a user types them.
+var modeNames = map[string]string{"train": "danactl", "stats": "danactl stats", "trace": "danactl trace"}
+
 // run is danactl in mode train, stats or trace with the flags in args,
 // writing its output to w.
 func run(w io.Writer, mode string, args []string) error {
@@ -69,12 +77,21 @@ func run(w io.Writer, mode string, args []string) error {
 		seed     = fs.Int64("seed", 1, "dataset generator seed")
 		udfFile  = fs.String("udf", "", "optional DSL source file overriding the built-in UDF")
 		sqlStmt  = fs.String("sql", "", "optional SQL to run instead of training")
-		listing  = fs.Bool("listing", false, "print the compiled accelerator program listing")
-		asJSON   = fs.Bool("json", false, "with the stats subcommand: print the obs snapshot as JSON")
+		listing  = fs.Bool("listing", false, "training only: print the compiled accelerator program listing")
+		asJSON   = fs.Bool("json", false, "stats subcommand only: print the obs snapshot as JSON")
 	)
 	_ = fs.Parse(args) // ExitOnError: Parse returns only on success
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected argument %q (subcommands: stats, trace)", fs.Arg(0))
+	}
+	var misplaced error
+	fs.Visit(func(f *flag.Flag) {
+		if only := modeFlags[f.Name]; only != "" && only != mode && misplaced == nil {
+			misplaced = fmt.Errorf("usage: -%s applies only to %s, not to %s", f.Name, modeNames[only], modeNames[mode])
+		}
+	})
+	if misplaced != nil {
+		return misplaced
 	}
 
 	eng, err := dana.Open(dana.Config{

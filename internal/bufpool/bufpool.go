@@ -417,20 +417,6 @@ func (p *Pool) Unpin(rel string, pageNo uint32) error {
 	return nil
 }
 
-// Prefetch loads pages [start, start+count) of rel without pinning them,
-// modeling sequential read-ahead (and used to pre-warm the cache).
-func (p *Pool) Prefetch(rel string, start uint32, count int) error {
-	for i := 0; i < count; i++ {
-		if _, err := p.Pin(rel, start+uint32(i)); err != nil {
-			return err
-		}
-		if err := p.Unpin(rel, start+uint32(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // relation looks up an attached relation by name.
 func (p *Pool) relation(rel string) (*storage.Relation, error) {
 	p.mu.Lock()
@@ -476,8 +462,13 @@ func (p *Pool) Warm(rel string) error {
 	if err != nil {
 		return err
 	}
-	if err := p.Prefetch(rel, 0, min(r.NumPages(), p.nframes)); err != nil {
-		return err
+	for pn := uint32(0); pn < uint32(min(r.NumPages(), p.nframes)); pn++ {
+		if _, err := p.Pin(rel, pn); err != nil {
+			return err
+		}
+		if err := p.Unpin(rel, pn); err != nil {
+			return err
+		}
 	}
 	p.ResetStats()
 	return nil

@@ -39,6 +39,20 @@ func newPool(t *testing.T, frames int, rels ...*storage.Relation) *Pool {
 	return p
 }
 
+// pinEach pins and unpins pages [0, n) of rel in page order: one
+// sequential read of them.
+func pinEach(t *testing.T, p *Pool, rel string, n int) {
+	t.Helper()
+	for pn := uint32(0); pn < uint32(n); pn++ {
+		if _, err := p.Pin(rel, pn); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Unpin(rel, pn); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPinMissThenHit(t *testing.T) {
 	r := testRelation(t, "t", 100)
 	p := newPool(t, 4, r)
@@ -226,9 +240,7 @@ func TestInvalidateLeavesAFreshPool(t *testing.T) {
 	r := testRelation(t, "t", 2000)
 	scan := func(p *Pool) Stats {
 		p.ResetStats()
-		if err := p.Prefetch("t", 0, r.NumPages()); err != nil {
-			t.Fatal(err)
-		}
+		pinEach(t, p, "t", r.NumPages())
 		return p.Stats()
 	}
 	for _, frames := range []int{3 * r.NumPages(), r.NumPages() / 2} {
@@ -291,9 +303,7 @@ func TestScanFloodsAsCostCounts(t *testing.T) {
 			w := cost.Workload{DatasetBytes: int64(pages) * storage.PageSize8K, PageSize: storage.PageSize8K}
 			var misses int64
 			for w.Epochs = 1; w.Epochs <= 4; w.Epochs++ {
-				if err := pool.Prefetch("t", 0, pages); err != nil {
-					t.Fatal(err)
-				}
+				pinEach(t, pool, "t", pages)
 				epoch := pool.Stats().Misses - misses
 				misses += epoch
 				want := int64(pages)

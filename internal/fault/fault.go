@@ -95,18 +95,6 @@ const (
 	NumPoints int = iota
 )
 
-var pointNames = [NumPoints]string{
-	"pool_read", "pool_latency", "page_tear", "page_bitflip",
-	"strider_trap", "worker_stall", "cluster_down", "cluster_stall",
-}
-
-func (p Point) String() string {
-	if int(p) < len(pointNames) {
-		return pointNames[p]
-	}
-	return fmt.Sprintf("point(%d)", int(p))
-}
-
 // Config is a fault schedule: per-point rates under one seed.
 type Config struct {
 	// Seed selects the pseudo-random fault pattern. The same seed and

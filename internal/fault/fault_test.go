@@ -281,14 +281,3 @@ func TestBackoffSecCapped(t *testing.T) {
 		t.Fatalf("zero base must fall back to a positive default, got %v", got)
 	}
 }
-
-func TestPointString(t *testing.T) {
-	seen := map[string]bool{}
-	for p := Point(0); int(p) < NumPoints; p++ {
-		s := p.String()
-		if s == "" || seen[s] {
-			t.Fatalf("point %d has empty or duplicate name %q", p, s)
-		}
-		seen[s] = true
-	}
-}

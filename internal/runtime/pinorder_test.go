@@ -78,10 +78,9 @@ func TestPoolLedgerIgnoresHostParallelism(t *testing.T) {
 			if err := s.DropCaches(); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Pool().Prefetch(filler.Rel.Name, 0, s.Pool().NumFrames()); err != nil {
+			if err := s.Pool().Warm(filler.Rel.Name); err != nil {
 				t.Fatal(err)
 			}
-			s.Pool().ResetStats()
 			res, err := s.Train(a.Name, d.Rel.Name)
 			if err != nil {
 				t.Fatal(err)

@@ -45,8 +45,6 @@ type TID struct {
 	Item uint16
 }
 
-func (t TID) String() string { return fmt.Sprintf("(%d,%d)", t.Page, t.Item) }
-
 // TupleMeta is the decoded heap tuple header.
 type TupleMeta struct {
 	Xmin, Xmax uint32

@@ -362,8 +362,11 @@ var reweaveBlockRows = []int{64, 128, 1024}
 type reweaveFunc func(w *Reweaver, rows [][]float32, ranges []storage.WeaveRange) ([][]float32, error)
 
 func reweaveDirect(w *Reweaver, rows [][]float32, ranges []storage.WeaveRange) ([][]float32, error) {
-	out, _, err := w.Reweave(rows, ranges)
-	return out, err
+	wv, err := w.Weave(rows, ranges, nil)
+	if wv == nil {
+		return nil, err
+	}
+	return wv.rows, err
 }
 
 // diffReweaver holds a Reweaver that is reused — across epochs of
@@ -481,12 +484,15 @@ func TestReweaveRejects(t *testing.T) {
 		"invalid range":    {[][]float32{{1, 2}}, []storage.WeaveRange{{Offset: 0, Scale: 0}}},
 		"non-finite range": {[][]float32{{1, 2}}, []storage.WeaveRange{{Offset: float32(math.Inf(1)), Scale: 1}}},
 	} {
-		if _, _, err := w.Reweave(tc.rows, tc.ranges); !errors.Is(err, storage.ErrWeaveUnsupported) {
+		if _, err := w.Weave(tc.rows, tc.ranges, nil); !errors.Is(err, storage.ErrWeaveUnsupported) {
 			t.Errorf("%s: err = %v, want ErrWeaveUnsupported", name, err)
 		}
 	}
-	if out, ranges, err := w.Reweave(nil, kernelRanges(2)); out != nil || len(ranges) != 2 || err != nil {
-		t.Errorf("no rows: %v, %v, %v", out, ranges, err)
+	if wv, err := w.Weave(nil, kernelRanges(2), nil); wv != nil || err != nil {
+		t.Errorf("no rows: %v, %v", wv, err)
+	}
+	if out, ranges, err := ReweaveRows(nil, kernelRanges(2), 8, 64); out != nil || len(ranges) != 2 || err != nil {
+		t.Errorf("ReweaveRows of no rows: %v, %v, %v", out, ranges, err)
 	}
 	if _, err := NewReweaver(33, 64); err == nil {
 		t.Error("NewReweaver(33) accepted")
@@ -500,16 +506,16 @@ func TestReweaverSteadyStateAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := w.Reweave(rows, ranges); err != nil {
+	if _, err := w.Weave(rows, ranges, nil); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := w.Reweave(rows, ranges); err != nil {
+		if _, err := w.Weave(rows, ranges, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Reweave allocates %v times per call from the second call on, want 0", allocs)
+		t.Fatalf("Weave allocates %v times per call from the second call on, want 0", allocs)
 	}
 }
 

@@ -246,7 +246,14 @@ func ReweaveRows(rows [][]float32, ranges []storage.WeaveRange, bits, pageRows i
 	if err != nil {
 		return nil, nil, err
 	}
-	return w.Reweave(rows, ranges)
+	wv, err := w.Weave(rows, ranges, nil)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case wv == nil:
+		return nil, ranges, nil
+	}
+	return wv.rows, wv.ranges, nil
 }
 
 // Woven is a row set as the any-precision path delivers it: every page
@@ -335,18 +342,6 @@ func NewReweaver(bits, pageRows int) (*Reweaver, error) {
 		pageRows = DefaultReweaveRows
 	}
 	return &Reweaver{ex: e, pageRows: pageRows}, nil
-}
-
-// Reweave is ReweaveRows into the reweaver's own buffers.
-func (w *Reweaver) Reweave(rows [][]float32, ranges []storage.WeaveRange) ([][]float32, []storage.WeaveRange, error) {
-	wv, err := w.Weave(rows, ranges, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	if wv == nil {
-		return nil, ranges, nil
-	}
-	return wv.rows, wv.ranges, nil
 }
 
 // Weave weaves rows at the reweaver's precision against ranges (nil =
