@@ -13,9 +13,12 @@
 //	                         # quantized to 8 bits, link ships 8/32 of
 //	                         # the plane bytes (1-31; 0/32 = float path)
 //
-// Subcommands take the same flags, but -listing is training's alone and
-// -json the stats subcommand's; either given to another mode is a usage
-// error:
+// Subcommands take the same flags, but -listing and -sql are training's
+// alone and -json the stats subcommand's; each given to another mode is
+// a usage error. So is a flag the run would not read: -sql trains
+// nothing, so it takes no -udf, -merge, -epochs, -listing, -backend,
+// -segments, -precision or -channels, and a -udf file sets its own
+// epochs:
 //
 //	danactl stats            # train, then print the observability
 //	                         # breakdown: per-component cycles (summing
@@ -55,7 +58,14 @@ func main() {
 }
 
 // modeFlags are the flags only one mode reads, with that mode.
-var modeFlags = map[string]string{"listing": "train", "json": "stats"}
+var modeFlags = map[string]string{"listing": "train", "json": "stats", "sql": "train"}
+
+// sqlUnread are the training flags a -sql run, which trains nothing,
+// does not read.
+var sqlUnread = map[string]bool{
+	"udf": true, "merge": true, "epochs": true, "listing": true,
+	"backend": true, "segments": true, "precision": true, "channels": true,
+}
 
 // modeNames are the modes as a user types them.
 var modeNames = map[string]string{"train": "danactl", "stats": "danactl stats", "trace": "danactl trace"}
@@ -86,8 +96,14 @@ func run(w io.Writer, mode string, args []string) error {
 	}
 	var misplaced error
 	fs.Visit(func(f *flag.Flag) {
-		if only := modeFlags[f.Name]; only != "" && only != mode && misplaced == nil {
+		switch only := modeFlags[f.Name]; {
+		case misplaced != nil:
+		case only != "" && only != mode:
 			misplaced = fmt.Errorf("usage: -%s applies only to %s, not to %s", f.Name, modeNames[only], modeNames[mode])
+		case *sqlStmt != "" && sqlUnread[f.Name]:
+			misplaced = fmt.Errorf("usage: -%s is not read with -sql, which trains nothing", f.Name)
+		case *udfFile != "" && f.Name == "epochs":
+			misplaced = fmt.Errorf("usage: -epochs is not read with -udf: the UDF file sets its own epochs")
 		}
 	})
 	if misplaced != nil {

@@ -145,7 +145,7 @@ func (c Capabilities) Supports(class Class) bool {
 
 // Job describes one training request for dispatch and cost estimation:
 // the classified workload plus the analytic-model inputs assembled by
-// the integration layer (mirroring experiments.CostWorkload).
+// the integration layer (mirroring workload.Compiled.CostWorkload).
 type Job struct {
 	Class Class
 	// Bits, when set (1..32), requests k-bit weave extraction: only

@@ -17,3 +17,7 @@ func PlantStepFault() (undo func()) {
 	}
 	return func() { kernels[opStep] = kStep }
 }
+
+// OpKindNames are the names PlanListing gives the plan's op kinds, in
+// kind order.
+func OpKindNames() []string { return opKindNames[:] }

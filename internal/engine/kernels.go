@@ -47,80 +47,17 @@ func kScalar(o *op, f *frame) error {
 }
 
 //dana:hotpath
-func kEW1(o *op, f *frame) error {
-	dst := o.dest(f)
-	a := o.a.view(f)[:len(dst)]
-	switch o.alu {
-	case AMov:
-		for i := range dst {
-			dst[i] = a[i]
-		}
-	case ASquare:
-		for i := range dst {
-			dst[i] = a[i] * a[i]
-		}
-	default:
-		for i := range dst {
-			dst[i] = alu(o.alu, a[i], 0)
-		}
-	}
-	return nil
-}
-
-//dana:hotpath
 func kEWvv(o *op, f *frame) error {
 	dst := o.dest(f)
 	a, b := o.a.view(f)[:len(dst)], o.b.view(f)[:len(dst)]
-	switch o.alu {
-	case AAdd:
-		for i := range dst {
-			dst[i] = a[i] + b[i]
-		}
-	case ASub:
+	if o.alu == ASub {
 		for i := range dst {
 			dst[i] = a[i] - b[i]
 		}
-	case AMul:
-		for i := range dst {
-			dst[i] = a[i] * b[i]
-		}
-	case ADiv:
-		for i := range dst {
-			dst[i] = a[i] / b[i]
-		}
-	default:
-		for i := range dst {
-			dst[i] = alu(o.alu, a[i], b[i])
-		}
+		return nil
 	}
-	return nil
-}
-
-//dana:hotpath
-func kEWvs(o *op, f *frame) error {
-	dst := o.dest(f)
-	a, s := o.a.view(f)[:len(dst)], o.b.at(f)
-	switch o.alu {
-	case AAdd:
-		for i := range dst {
-			dst[i] = a[i] + s
-		}
-	case ASub:
-		for i := range dst {
-			dst[i] = a[i] - s
-		}
-	case AMul:
-		for i := range dst {
-			dst[i] = a[i] * s
-		}
-	case ADiv:
-		for i := range dst {
-			dst[i] = a[i] / s
-		}
-	default:
-		for i := range dst {
-			dst[i] = alu(o.alu, a[i], s)
-		}
+	for i := range dst {
+		dst[i] = alu(o.alu, a[i], b[i])
 	}
 	return nil
 }
@@ -129,27 +66,14 @@ func kEWvs(o *op, f *frame) error {
 func kEWsv(o *op, f *frame) error {
 	dst := o.dest(f)
 	s, b := o.a.at(f), o.b.view(f)[:len(dst)]
-	switch o.alu {
-	case AAdd:
-		for i := range dst {
-			dst[i] = s + b[i]
-		}
-	case ASub:
-		for i := range dst {
-			dst[i] = s - b[i]
-		}
-	case AMul:
+	if o.alu == AMul {
 		for i := range dst {
 			dst[i] = s * b[i]
 		}
-	case ADiv:
-		for i := range dst {
-			dst[i] = s / b[i]
-		}
-	default:
-		for i := range dst {
-			dst[i] = alu(o.alu, s, b[i])
-		}
+		return nil
+	}
+	for i := range dst {
+		dst[i] = alu(o.alu, s, b[i])
 	}
 	return nil
 }
@@ -394,35 +318,20 @@ func kAccMulSV(o *op, f *frame) error {
 	return nil
 }
 
+// kAccVV is the ew.vv.sub that produces the merge value.
+//
 //dana:hotpath
 func kAccVV(o *op, f *frame) error {
 	a := o.a.view(f)
 	b, acc := o.b.view(f)[:len(a)], f.acc[:len(a)]
-	switch {
-	case o.alu == ASub && f.first:
+	if f.first {
 		for j := range a {
 			acc[j] = float32(a[j] - b[j])
 		}
-	case o.alu == ASub:
-		for j := range a {
-			acc[j] = acc[j] + float32(a[j]-b[j])
-		}
-	case o.alu == AAdd && f.first:
-		for j := range a {
-			acc[j] = float32(a[j] + b[j])
-		}
-	case o.alu == AAdd:
-		for j := range a {
-			acc[j] = acc[j] + float32(a[j]+b[j])
-		}
-	case f.first:
-		for j := range a {
-			acc[j] = float32(a[j] * b[j])
-		}
-	default:
-		for j := range a {
-			acc[j] = acc[j] + float32(a[j]*b[j])
-		}
+		return nil
+	}
+	for j := range a {
+		acc[j] = acc[j] + float32(a[j]-b[j])
 	}
 	return nil
 }

@@ -80,9 +80,7 @@ type opKind uint8
 const (
 	opFail          opKind = iota // the instruction's run-time error (empty EW source, invalid kind)
 	opScalar                      // Len-1 elementwise: no slicing
-	opEW1                         // unary, full-width source
-	opEWvv                        // vector ∘ vector
-	opEWvs                        // vector ∘ hoisted scalar
+	opEWvv                        // vector ∘ vector (a unary op's b is its a)
 	opEWsv                        // hoisted scalar ∘ vector
 	opEWwrap                      // the generic i mod Len form
 	opReduce                      // grouped strided reduction
@@ -99,7 +97,7 @@ const (
 )
 
 var kernels = [numOpKinds]kernel{
-	opFail: kFail, opScalar: kScalar, opEW1: kEW1, opEWvv: kEWvv, opEWvs: kEWvs, opEWsv: kEWsv,
+	opFail: kFail, opScalar: kScalar, opEWvv: kEWvv, opEWsv: kEWsv,
 	opEWwrap: kEWwrap, opReduce: kReduce, opDot: kDot, opGather: kGather, opScatter: kScatter,
 	opScatterPaired: kScatterPaired, opAccMulSV: kAccMulSV, opAccVV: kAccVV,
 	opGatherView: kGatherView, opStep: kStep, opRowSGD: kRowSGD,
@@ -653,14 +651,14 @@ func (lw *lowerer) stepOp(i int) (op, bool) {
 }
 
 // accKernel swaps a decoded elementwise op's kernel for its accumulating
-// twin, when it has one.
+// twin, when it has one: the two merge values Table 3 programs produce.
+// Any other is stored and then added by accumulate, which under MergeOp
+// AAdd adds the same float32 values.
 func accKernel(o *op) bool {
 	switch {
 	case o.kind == opEWsv && o.alu == AMul:
 		o.kind = opAccMulSV
-	case o.kind == opEWvs && o.alu == AMul: // the compiler commutes a float multiply as it likes
-		o.kind, o.a, o.b = opAccMulSV, o.b, o.a
-	case o.kind == opEWvv && (o.alu == AAdd || o.alu == ASub || o.alu == AMul):
+	case o.kind == opEWvv && o.alu == ASub:
 		o.kind = opAccVV
 	default:
 		return false
@@ -685,23 +683,18 @@ func (lw *lowerer) decode(in *Instr) (op, bool) {
 		o.dst, o.n = in.Dst.Base, n
 		a, b := in.A, in.B
 		if unary {
-			b = a // never read; keeps the operand in range
+			b = a // alu never reads it; a full-width source lowers to ew.vv
 		}
 		aFull, bFull := a.Len >= n, b.Len >= n
 		switch {
 		case n == 1:
 			o.kind, o.a, o.b = opScalar, lw.operand(Slot{a.Base, 1}), lw.operand(Slot{b.Base, 1})
-		case unary && aFull:
-			o.kind, o.a = opEW1, lw.operand(Slot{a.Base, n})
-		case unary:
-			o.kind, o.a, o.b = opEWwrap, lw.operand(a), lw.operand(b)
 		case aFull && bFull:
 			o.kind, o.a, o.b = opEWvv, lw.operand(Slot{a.Base, n}), lw.operand(Slot{b.Base, n})
-		// A scalar operand is hoisted out of the loop only when the loop
-		// cannot overwrite it; otherwise the wrapped kernel reloads it
-		// per element, as the interpreter does.
-		case aFull && b.Len == 1 && !overlaps(b, in.Dst):
-			o.kind, o.a, o.b = opEWvs, lw.operand(Slot{a.Base, n}), lw.operand(b)
+		// A scalar first operand is hoisted out of the loop only when the
+		// loop cannot overwrite it; otherwise, and for a scalar second
+		// operand, the wrapped kernel reloads it per element, as the
+		// interpreter does.
 		case a.Len == 1 && bFull && !overlaps(a, in.Dst):
 			o.kind, o.a, o.b = opEWsv, lw.operand(a), lw.operand(Slot{b.Base, n})
 		default:

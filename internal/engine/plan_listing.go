@@ -6,7 +6,7 @@ import (
 )
 
 var opKindNames = [numOpKinds]string{
-	opFail: "fail", opScalar: "scalar", opEW1: "ew1", opEWvv: "ew.vv", opEWvs: "ew.vs", opEWsv: "ew.sv",
+	opFail: "fail", opScalar: "scalar", opEWvv: "ew.vv", opEWsv: "ew.sv",
 	opEWwrap: "ew.wrap", opReduce: "reduce", opDot: "dot", opGather: "gather", opGatherView: "gather.view",
 	opScatter: "scatter", opScatterPaired: "scatter.paired", opAccMulSV: "acc.mul.sv", opAccVV: "acc.vv", opStep: "step",
 	opRowSGD: "row.sgd",
@@ -26,7 +26,7 @@ func (o operand) String() string {
 func (o *op) listing(lanes int) string {
 	name := opKindNames[o.kind]
 	switch o.kind {
-	case opScalar, opEW1, opEWvv, opEWvs, opEWsv, opEWwrap, opReduce, opAccVV:
+	case opScalar, opEWvv, opEWsv, opEWwrap, opReduce, opAccVV:
 		name += "." + o.alu.String()
 	}
 	if lanes == dotLanes && laneKernels[o.kind] != nil {

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"regexp"
 	hostrt "runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"dana/internal/algos"
@@ -250,4 +252,73 @@ func narrow(rows [][]float64) [][]float32 {
 		}
 	}
 	return out
+}
+
+// generalKinds are the op kinds kept although no Table 3 program lowers to
+// them, each with its reason; every other kind is a fast path a Table 3
+// program runs, or it goes.
+var generalKinds = map[string]string{
+	"fail":    "the run-time error of an invalid instruction",
+	"ew.wrap": "the ISA's elementwise definition verbatim: every shape no other kind takes",
+	"reduce":  "the grouped strided reduction no dot fuses",
+	"gather":  "a gather whose row cannot be read in place",
+	"scatter": "a scatter no gather pairs",
+}
+
+// untrafficked returns the kinds of names that no op line of the listings
+// names, alone or with an ALU op after it, and generalKinds does not keep.
+func untrafficked(names []string, listings []string) []string {
+	alus := map[string]bool{}
+	for op := engine.ANop; op <= engine.ASquare; op++ {
+		alus[op.String()] = true
+	}
+	index := regexp.MustCompile(`^\d+:$`)
+	listed := map[string]bool{}
+	for _, l := range listings {
+		for _, line := range strings.Split(l, "\n") {
+			f := strings.Fields(line)
+			if len(f) > 0 && index.MatchString(f[0]) {
+				f = f[1:]
+			}
+			if len(f) == 0 {
+				continue
+			}
+			name := strings.TrimSuffix(f[0], ":") // row.sgd's line
+			if i := strings.LastIndexByte(name, '.'); i >= 0 && alus[name[i+1:]] {
+				name = name[:i]
+			}
+			listed[name] = true
+		}
+	}
+	var out []string
+	for _, n := range names {
+		if _, ok := generalKinds[n]; !ok && !listed[n] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestPlanKindsHaveTraffic holds every op kind of the plan to a Table 3
+// program that lowers to it (table3Lowering) or to a reason on
+// generalKinds: a specialised case no program runs only hides the
+// general kernel that computes the same bits.
+func TestPlanKindsHaveTraffic(t *testing.T) {
+	names := engine.OpKindNames()
+	var listings []string
+	for _, l := range table3Lowering {
+		listings = append(listings, l)
+	}
+	if got := untrafficked(names, listings); len(got) != 0 {
+		t.Errorf("op kinds %q: no Table 3 program lowers to them and generalKinds keeps none", got)
+	}
+	for k := range generalKinds {
+		if !slices.Contains(names, k) {
+			t.Errorf("generalKinds keeps %q, which is no op kind", k)
+		}
+	}
+	planted := append(slices.Clone(names), "ew.vs")
+	if got := untrafficked(planted, listings); !slices.Equal(got, []string{"ew.vs"}) {
+		t.Errorf("a planted kind no Table 3 program lowers to reads %q, want [ew.vs]", got)
+	}
 }

@@ -205,12 +205,10 @@ func decodeWith(f passFaults) decodeFunc {
 				}
 				unweave(&planes, e.bits)
 				switch {
-				case n < 64 || lane == 4:
+				case n < 64 || lane == 4 || lane == 16:
 					lanesPartial(&planes, lane, col, n, width, off, s)
 				case lane == 8:
 					lanes8(&planes, col, width, off, s)
-				case lane == 16:
-					lanes16(&planes, col, width, off, s)
 				default:
 					lanes32(&planes, col, width, off, s)
 				}

@@ -7,8 +7,9 @@
 // word, is transposed in place until each row's truncated code sits in a
 // lane of the plane words: 8-bit lanes for k ≤ 8, 16-bit for k ≤ 16,
 // 32-bit above. Each lane is dequantized into the float32 datapath width
-// and written straight into its row of the caller's rows, by one
-// unrolled kernel per lane width. Labels pass through untouched.
+// and written straight into its row of the caller's rows, by an
+// unrolled kernel for 8- and 32-bit lanes and one lane-at-a-time loop for
+// 16-bit lanes, which no workload reads. Labels pass through untouched.
 //
 // The decode kernels are //dana:hotpath (allocation-free, enforced by
 // danalint hotcall); the column-range scratch lives on the Extractor and
@@ -89,7 +90,8 @@ func (e *Extractor) DecodeRows(p storage.WeavePage) ([][]float32, error) {
 // `bits` plane words are loaded and unwoven in place into lanes
 // (storage.UnweaveLanes), and each lane is dequantized straight into its
 // row of that column — by the unrolled kernel of the lane width for a
-// full word, by one lane-at-a-time loop for a page's partial last word.
+// full word of 8- or 32-bit lanes, by one lane-at-a-time loop for a
+// page's partial last word and for 16-bit lanes.
 // An all-zero block — the common case for high-order planes of small
 // values — skips the unweave and fills its rows with the zero code's
 // value. Every value is written, so the slab need not be cleared.
@@ -124,12 +126,10 @@ func (e *Extractor) decodeInto(p storage.WeavePage, slab []float32, rows [][]flo
 			}
 			storage.UnweaveLanes(&planes, e.bits)
 			switch {
-			case n < 64:
+			case n < 64 || lane == 16:
 				lanesPartial(&planes, lane, col, n, width, off, s)
 			case lane == 8:
 				lanes8(&planes, col, width, off, s)
-			case lane == 16:
-				lanes16(&planes, col, width, off, s)
 			default:
 				lanes32(&planes, col, width, off, s)
 			}
@@ -167,23 +167,6 @@ func lanes8(planes *[32]uint64, col []float32, width int, off, s float64) {
 		col[at] = value(x>>48&0xFF, off, s)
 		at += 8 * width
 		col[at] = value(x>>56, off, s)
-	}
-}
-
-// lanes16 is lanes8 for 16-bit lanes: plane word i holds rows 15-i,
-// 31-i, 47-i and 63-i.
-//
-//dana:hotpath
-func lanes16(planes *[32]uint64, col []float32, width int, off, s float64) {
-	for i, x := range planes[:16] {
-		at := (15 - i) * width
-		col[at] = value(x&0xFFFF, off, s)
-		at += 16 * width
-		col[at] = value(x>>16&0xFFFF, off, s)
-		at += 16 * width
-		col[at] = value(x>>32&0xFFFF, off, s)
-		at += 16 * width
-		col[at] = value(x>>48, off, s)
 	}
 }
 

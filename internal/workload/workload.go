@@ -10,13 +10,13 @@ import (
 
 	"dana/internal/accessengine"
 	"dana/internal/algos"
+	"dana/internal/backend"
 	"dana/internal/compiler"
 	"dana/internal/cost"
 	"dana/internal/datagen"
 	"dana/internal/engine"
 	"dana/internal/hdfg"
 	"dana/internal/hwgen"
-	"dana/internal/ml"
 	"dana/internal/storage"
 )
 
@@ -38,20 +38,6 @@ func DefaultEnv() Env {
 		PageSize:  storage.PageSize32K,
 		MergeCoef: 1024,
 		Segments:  8,
-	}
-}
-
-// mlFor returns the reference algorithm for a workload's full topology.
-func mlFor(w datagen.Workload) ml.Algorithm {
-	switch w.Kind {
-	case algos.KindLinear:
-		return ml.Linear{NFeatures: w.Topology[0], LR: w.LR}
-	case algos.KindLogistic:
-		return ml.Logistic{NFeatures: w.Topology[0], LR: w.LR}
-	case algos.KindSVM:
-		return ml.SVM{NFeatures: w.Topology[0], LR: w.LR, Lambda: w.Lambda}
-	default:
-		return ml.LRMF{Users: w.Topology[0], Items: w.Topology[1], Rank: w.Topology[2], LR: w.LR}
 	}
 }
 
@@ -117,7 +103,7 @@ func (c *Compiled) CostWorkload(env Env) cost.Workload {
 		DatasetBytes:            int64(pages) * int64(env.PageSize),
 		PageSize:                env.PageSize,
 		Pages:                   pages,
-		FlopsPerTuple:           mlFor(w).FlopsPerUpdate(),
+		FlopsPerTuple:           backend.FlopsPerTuple(backend.Classify(c.Graph), c.Graph),
 		ModelParams:             w.ModelSize(),
 		EpochCycles:             est.EpochCycles(w.Tuples, c.Coef, c.Design.Engine.Threads),
 		SingleThreadEpochCycles: est1.EpochCycles(w.Tuples, c.Coef, 1),

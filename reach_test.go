@@ -111,8 +111,6 @@ var unreachedOK = map[string]string{
 	"engine.CycleEstimate.chargeConvergence": planTotal, // a convergence check
 	"engine.Machine.errTupleWidth":           errorArm,
 	"engine.errGatherRow":                    errorArm,
-	"engine.kEW1":                            planTotal,
-	"engine.kEWvs":                           planTotal,
 	"engine.kEWwrap":                         planTotal,
 	"engine.kFail":                           errorArm,
 	"engine.kGather":                         planTotal,
@@ -167,7 +165,6 @@ var unreachedOK = map[string]string{
 	"strider.interval.mul":                   "kept total over valid programs: the verifier's bound for mul, which the generated walkers do not use",
 	"weaving.Extractor.DecodeRows":           benchCall("DecodeRows"),
 	"weaving.ReweaveRows":                    benchCall("ReweaveRows"),
-	"weaving.lanes16":                        "kernel kept total over valid precisions: decodes the 9- to 16-bit reads no surface asks for",
 }
 
 // Reasons unreachedOK gives more than once.
