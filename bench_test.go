@@ -23,7 +23,6 @@ import (
 	"dana/internal/datagen"
 	"dana/internal/engine"
 	"dana/internal/experiments"
-	"dana/internal/greenplum"
 	"dana/internal/hdfg"
 	"dana/internal/sql"
 	"dana/internal/storage"
@@ -356,31 +355,6 @@ func BenchmarkSQLSeqScan(b *testing.B) {
 		}
 	}
 	b.ReportMetric(1000*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-}
-
-// BenchmarkMADlibEpoch measures the functional MADlib baseline: the
-// Greenplum cluster at one segment.
-func BenchmarkMADlibEpoch(b *testing.B) {
-	w, _ := datagen.ByName("Remote Sensing LR")
-	d, err := datagen.Generate(w, 0.005, storage.PageSize32K, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pool := bufpool.New(256, storage.PageSize32K, cost.Default().Disk)
-	if err := pool.AttachRelation(d.Rel); err != nil {
-		b.Fatal(err)
-	}
-	tr, err := greenplum.New(pool, d.Rel, d.MLAlgorithm(), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tr.Train(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(d.Tuples)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 }
 
 // BenchmarkDAnAFunctionalEpoch measures the full functional pipeline:

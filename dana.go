@@ -22,9 +22,7 @@ import (
 	"dana/internal/datagen"
 	"dana/internal/dsl"
 	"dana/internal/fault"
-	"dana/internal/greenplum"
 	"dana/internal/hwgen"
-	"dana/internal/ml"
 	"dana/internal/obs"
 	"dana/internal/runtime"
 	"dana/internal/sql"
@@ -49,8 +47,10 @@ type Config struct {
 	// "auto" lets the heterogeneous dispatcher pick the cheapest capable
 	// backend by modeled cost, and a registered name ("accelerator",
 	// "tabla", "cpu", "sharded", "weave") is an explicit override.
-	// Unknown names fail typed with backend.ErrUnknownBackend at Train
-	// time.
+	// "cpu" is the MADlib+PostgreSQL baseline and "sharded" the
+	// MADlib+Greenplum one; a UDF registered at merge coefficient 1
+	// trains on them as plain per-tuple IGD. Unknown names fail typed
+	// with backend.ErrUnknownBackend at Train time.
 	Backend string
 	// Precision is the MLWeaving any-precision read width in bits per
 	// feature. 0 (the default) and 32 keep the full-width float path —
@@ -197,7 +197,7 @@ func (e *Engine) BackendCosts(udfName, table string) ([]BackendCost, error) {
 func (e *Engine) Catalog() *catalog.Catalog { return e.sys.Catalog() }
 
 // Pool exposes the buffer pool (for warm/cold cache control).
-func (e *Engine) Pool() *bufpool.Pool { return e.sys.Pool() }
+func (e *Engine) Pool() *bufpool.Pool { return e.sys.DB.Pool }
 
 // Obs exposes the engine's observability registry: cycle/utilization
 // counters for every subsystem, histograms, and the trace-event ring.
@@ -264,42 +264,4 @@ func (e *Engine) LoadWorkload(name string, scale float64, seed int64) (*Dataset,
 		return nil, err
 	}
 	return d, nil
-}
-
-// --- Baselines ---------------------------------------------------------
-
-// BaselineResult reports a CPU-baseline training run. FinalLoss is the
-// mean loss of the final model over one more heap scan, summed in page
-// order at every segment count.
-type BaselineResult struct {
-	Model     []float64
-	Epochs    int
-	Tuples    int64
-	FinalLoss float64
-}
-
-// TrainMADlib runs the MADlib+PostgreSQL baseline, single-threaded
-// in-database IGD on a deployed table: TrainGreenplum at one segment.
-func (e *Engine) TrainMADlib(table string, algo ml.Algorithm, epochs int) (*BaselineResult, error) {
-	return e.TrainGreenplum(table, algo, 1, epochs)
-}
-
-// TrainGreenplum runs the MADlib+Greenplum baseline: IGD over the
-// table's live tuples, distributed round-robin across the segments,
-// with per-epoch model averaging. The segments run in order, one pool
-// scan per epoch.
-func (e *Engine) TrainGreenplum(table string, algo ml.Algorithm, segments, epochs int) (*BaselineResult, error) {
-	rel, err := e.sys.Catalog().Table(table)
-	if err != nil {
-		return nil, err
-	}
-	cl, err := greenplum.New(e.sys.Pool(), rel, algo, segments)
-	if err != nil {
-		return nil, err
-	}
-	model, st, err := cl.Train(epochs)
-	if err != nil {
-		return nil, err
-	}
-	return &BaselineResult{Model: model, Epochs: st.Epochs, Tuples: st.Tuples, FinalLoss: st.FinalLoss}, nil
 }

@@ -2,9 +2,12 @@ package dana
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
+	"dana/internal/golden"
+	"dana/internal/ml"
 	"dana/internal/storage"
 )
 
@@ -107,77 +110,136 @@ func TestBuilderAPIAndTrain(t *testing.T) {
 	}
 }
 
+// baselineEngine opens an engine on a CPU baseline backend ("cpu" is
+// MADlib+PostgreSQL, "sharded" MADlib+Greenplum), loads the workload
+// and registers its UDF at merge coefficient 1, plain IGD, for epochs
+// epochs.
+func baselineEngine(t *testing.T, cfg Config, workload string, scale float64, seed int64, epochs int) (*Engine, *Dataset, *Algo) {
+	t.Helper()
+	eng, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := eng.LoadWorkload(workload, scale, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := d.DSLAlgo(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SetEpochs(epochs)
+	if err := eng.RegisterUDF(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	return eng, d, a
+}
+
+// TestBaselinesThroughPublicAPI trains both CPU baselines through Train
+// on one workload of each GLM class. The MADlib baseline's model is
+// float32-bit-equal to golden's textbook-order IGD over the table's
+// tuples in heap order, and the 8-segment Greenplum baseline learns.
 func TestBaselinesThroughPublicAPI(t *testing.T) {
-	eng := openSmall(t)
-	d, err := eng.LoadWorkload("Blog Feedback", 0.02, 3)
-	if err != nil {
-		t.Fatal(err)
+	const epochs = 3
+	for _, tc := range []struct {
+		workload string
+		scale    float64
+	}{{"Blog Feedback", 0.02}, {"Remote Sensing LR", 0.002}, {"Remote Sensing SVM", 0.002}} {
+		t.Run(tc.workload, func(t *testing.T) {
+			cfg := Config{PageSize: 8 << 10, PoolBytes: 32 << 20, Backend: "cpu"}
+			eng, d, a := baselineEngine(t, cfg, tc.workload, tc.scale, 3, epochs)
+			mad, err := eng.Train(a.Name, d.Rel.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mad.Backend != "cpu" || mad.Epochs != epochs || mad.SimulatedSeconds <= 0 {
+				t.Errorf("madlib: backend %q, %d epochs, %v s", mad.Backend, mad.Epochs, mad.SimulatedSeconds)
+			}
+			rows, err := eng.SQL("SELECT * FROM " + d.Rel.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alg := d.MLAlgorithm()
+			ref := ml.InitModel(alg, 1)
+			if err := golden.TrainSGD(alg, ref, rows.Rows, epochs); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range ref {
+				if math.Float32bits(float32(v)) != math.Float32bits(mad.Model[i]) {
+					t.Fatalf("madlib model[%d] = %v, textbook IGD %v", i, mad.Model[i], float32(v))
+				}
+			}
+
+			cfg.Backend, cfg.Segments = "sharded", 8
+			eng, d, a = baselineEngine(t, cfg, tc.workload, tc.scale, 3, epochs)
+			gp, err := eng.Train(a.Name, d.Rel.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gp.Backend != "sharded" || gp.Epochs != epochs {
+				t.Errorf("greenplum: backend %q, %d epochs", gp.Backend, gp.Epochs)
+			}
+			trained, base := ml.MeanLoss(alg, widen(gp.Model), rows.Rows), ml.MeanLoss(alg, ml.InitModel(alg, 1), rows.Rows)
+			if !(trained < base) {
+				t.Errorf("greenplum loss %v, untrained %v", trained, base)
+			}
+		})
 	}
-	algo := LinearRegression{NFeatures: 280, LR: 0.0018}
-	mad, err := eng.TrainMADlib(d.Rel.Name, algo, 5)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// widen converts a float32 model to float64.
+func widen(m []float32) []float64 {
+	out := make([]float64, len(m))
+	for i, v := range m {
+		out[i] = float64(v)
 	}
-	gp, err := eng.TrainGreenplum(d.Rel.Name, algo, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mad.FinalLoss <= 0 || gp.FinalLoss <= 0 {
-		t.Errorf("losses: madlib %v greenplum %v", mad.FinalLoss, gp.FinalLoss)
-	}
-	if mad.Tuples != gp.Tuples {
-		t.Errorf("tuple counts differ: %d vs %d", mad.Tuples, gp.Tuples)
-	}
+	return out
 }
 
 // TestScansSkipDeadLinePointer: a deleted tuple leaves a dead line
 // pointer, which every heap scan through the pool skips, as
-// PostgreSQL's seq scan does — SQL and both CPU baselines read the live
-// tuples — while the accelerated path still refuses the unvacuumed
-// table with its typed error.
+// PostgreSQL's seq scan does, so SQL reads the live tuples. Train
+// refuses the unvacuumed table with its typed error on every backend:
+// the accelerator, and the MADlib ("cpu") and Greenplum ("sharded")
+// baselines, which go through the same Train.
 func TestScansSkipDeadLinePointer(t *testing.T) {
-	eng := openSmall(t)
-	d, err := eng.LoadWorkload("WLAN", 0.002, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Rel.Delete(storage.TID{Page: 0, Item: 1}); err != nil {
-		t.Fatal(err)
-	}
-	live := d.Rel.NumTuples()
-	res, err := eng.SQL("SELECT COUNT(*) FROM " + d.Rel.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Rows[0][0]; got != float64(live) || live != d.Tuples-1 {
-		t.Errorf("COUNT(*) = %v, live tuples %d of %d generated", got, live, d.Tuples)
-	}
-	const epochs = 2
-	mad, err := eng.TrainMADlib(d.Rel.Name, d.MLAlgorithm(), epochs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp, err := eng.TrainGreenplum(d.Rel.Name, d.MLAlgorithm(), 4, epochs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range map[string]*BaselineResult{"madlib": mad, "greenplum": gp} {
-		if r.Tuples != int64(epochs*live) {
-			t.Errorf("%s: %d tuple updates, want %d", name, r.Tuples, epochs*live)
+	for _, be := range []string{"", "cpu", "sharded"} {
+		eng, err := Open(Config{PageSize: 8 << 10, PoolBytes: 32 << 20, Backend: be})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if pins := eng.Pool().PinnedCount(); pins != 0 {
-		t.Errorf("%d pages left pinned", pins)
-	}
-	a, err := d.DSLAlgo(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RegisterUDF(a, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Train(a.Name, d.Rel.Name); !errors.Is(err, storage.ErrBadItem) || !strings.Contains(err.Error(), "VACUUM") {
-		t.Errorf("Train on the unvacuumed table = %v, want ErrBadItem naming VACUUM", err)
+		d, err := eng.LoadWorkload("WLAN", 0.002, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Rel.Delete(storage.TID{Page: 0, Item: 1}); err != nil {
+			t.Fatal(err)
+		}
+		live := d.Rel.NumTuples()
+		res, err := eng.SQL("SELECT COUNT(*) FROM " + d.Rel.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0]; got != float64(live) || live != d.Tuples-1 {
+			t.Errorf("COUNT(*) = %v, live tuples %d of %d generated", got, live, d.Tuples)
+		}
+		merge := 4
+		if be != "" {
+			merge = 1
+		}
+		a, err := d.DSLAlgo(merge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.RegisterUDF(a, merge); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Train(a.Name, d.Rel.Name); !errors.Is(err, storage.ErrBadItem) || !strings.Contains(err.Error(), "VACUUM") {
+			t.Errorf("backend %q: Train on the unvacuumed table = %v, want ErrBadItem naming VACUUM", be, err)
+		}
+		if pins := eng.Pool().PinnedCount(); pins != 0 {
+			t.Errorf("backend %q: %d pages left pinned", be, pins)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package dana
 
-import (
-	"dana/internal/dsl"
-	"dana/internal/ml"
-)
+import "dana/internal/dsl"
 
 // The DSL surface (paper §4): a Go builder plus a parser for the
 // Python snippet syntax. Algo and Expr are the UDF under construction
@@ -66,18 +63,4 @@ var (
 	Norm = dsl.Norm
 	// Gather selects a row of a 2-D model by a scalar index.
 	Gather = dsl.Gather
-)
-
-// Prebuilt reference algorithms (float64 IGD) for the baselines.
-type (
-	// MLAlgorithm is the reference-implementation interface.
-	MLAlgorithm = ml.Algorithm
-	// LinearRegression is least-squares linear regression.
-	LinearRegression = ml.Linear
-	// LogisticRegression is binary logistic regression.
-	LogisticRegression = ml.Logistic
-	// SVMClassifier is a hinge-loss linear SVM.
-	SVMClassifier = ml.SVM
-	// MatrixFactorization is low-rank matrix factorization.
-	MatrixFactorization = ml.LRMF
 )

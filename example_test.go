@@ -40,10 +40,12 @@ linearR.setEpochs(50)
 	// w = 2.000
 }
 
-// ExampleEngine_TrainMADlib compares the in-database CPU baseline with
-// the accelerated path on the same buffer pool.
-func ExampleEngine_TrainMADlib() {
-	eng, err := dana.Open(dana.Config{PageSize: 8 << 10, PoolBytes: 32 << 20})
+// ExampleEngine_Train_madlib trains on the MADlib+PostgreSQL baseline:
+// an engine on the "cpu" backend runs a UDF registered at merge
+// coefficient 1 as in-database, tuple-at-a-time IGD over the same heap
+// pages the accelerator reads.
+func ExampleEngine_Train_madlib() {
+	eng, err := dana.Open(dana.Config{PageSize: 8 << 10, PoolBytes: 32 << 20, Backend: "cpu"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,13 +53,21 @@ func ExampleEngine_TrainMADlib() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := eng.TrainMADlib(d.Rel.Name, dana.LinearRegression{NFeatures: 280, LR: 0.0018}, 3)
+	algo, err := d.DSLAlgo(1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("epochs=%d model=%d params\n", res.Epochs, len(res.Model))
+	algo.SetEpochs(3)
+	if err := eng.RegisterUDF(algo, 1); err != nil {
+		log.Fatal(err)
+	}
+	res, err := eng.Train(algo.Name, d.Rel.Name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("backend=%s epochs=%d model=%d params\n", res.Backend, res.Epochs, len(res.Model))
 	// Output:
-	// epochs=3 model=280 params
+	// backend=cpu epochs=3 model=280 params
 }
 
 // ExampleParseUDF shows the paper's Python-embedded DSL parser.

@@ -11,9 +11,10 @@ import (
 	"dana/internal/ml"
 )
 
-// trainBoth trains a workload with DAnA and MADlib at equal epochs and
+// trainBoth trains a workload with DAnA and with the MADlib baseline
+// (the cpu backend, its UDF at merge coefficient 1) at equal epochs and
 // returns both models plus the dataset tuples.
-func trainBoth(t *testing.T, workload string, scale float64, mergeCoef, epochs int) (dana []float32, mad []float64, tuples [][]float64, alg MLAlgorithm) {
+func trainBoth(t *testing.T, workload string, scale float64, mergeCoef, epochs int) (dana []float32, mad []float64, tuples [][]float64, alg ml.Algorithm) {
 	t.Helper()
 	eng, err := Open(Config{PageSize: 8 << 10, PoolBytes: 64 << 20})
 	if err != nil {
@@ -35,8 +36,8 @@ func trainBoth(t *testing.T, workload string, scale float64, mergeCoef, epochs i
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg = d.MLAlgorithm()
-	madRes, err := eng.TrainMADlib(d.Rel.Name, alg, epochs)
+	cpu, cd, ca := baselineEngine(t, Config{PageSize: 8 << 10, PoolBytes: 64 << 20, Backend: "cpu"}, workload, scale, 77, epochs)
+	madRes, err := cpu.Train(ca.Name, cd.Rel.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,16 +45,12 @@ func trainBoth(t *testing.T, workload string, scale float64, mergeCoef, epochs i
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Model, madRes.Model, rows.Rows, alg
+	return res.Model, widen(madRes.Model), rows.Rows, d.MLAlgorithm()
 }
 
 // lossOf evaluates the f32 model under the reference loss.
-func lossOf(alg MLAlgorithm, model []float32, tuples [][]float64) float64 {
-	m := make([]float64, len(model))
-	for i, v := range model {
-		m[i] = float64(v)
-	}
-	return ml.MeanLoss(alg, m, tuples)
+func lossOf(alg ml.Algorithm, model []float32, tuples [][]float64) float64 {
+	return ml.MeanLoss(alg, widen(model), tuples)
 }
 
 func TestSystemsAgreeLinear(t *testing.T) {
@@ -124,29 +121,46 @@ func TestSystemsAgreeLRMF(t *testing.T) {
 	}
 }
 
+// TestGreenplumSegmentsSameData trains the Greenplum baseline (the
+// sharded backend) at 1, 4 and 8 segments over one table: no count's
+// loss is vastly worse than the count before, and one segment is the
+// MADlib baseline, bit for bit.
 func TestGreenplumSegmentsSameData(t *testing.T) {
-	eng, err := Open(Config{PageSize: 8 << 10, PoolBytes: 64 << 20})
+	const epochs = 4
+	cfg := Config{PageSize: 8 << 10, PoolBytes: 64 << 20, Backend: "cpu"}
+	eng, d, a := baselineEngine(t, cfg, "Blog Feedback", 0.01, 5, epochs)
+	mad, err := eng.Train(a.Name, d.Rel.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := eng.LoadWorkload("Blog Feedback", 0.01, 5)
+	rows, err := eng.SQL("SELECT * FROM " + d.Rel.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alg := LinearRegression{NFeatures: 280, LR: 0.0018}
-	var prev *BaselineResult
+	alg := d.MLAlgorithm()
+	prev := math.Inf(1)
 	for _, segs := range []int{1, 4, 8} {
-		r, err := eng.TrainGreenplum(d.Rel.Name, alg, segs, 4)
+		cfg.Backend, cfg.Segments = "sharded", segs
+		eng, d, a := baselineEngine(t, cfg, "Blog Feedback", 0.01, 5, epochs)
+		r, err := eng.Train(a.Name, d.Rel.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Tuples != int64(4*d.Tuples) {
-			t.Errorf("%d segments: %d tuple updates", segs, r.Tuples)
+		if r.Epochs != epochs {
+			t.Errorf("%d segments: %d epochs", segs, r.Epochs)
 		}
-		if prev != nil && r.FinalLoss > 20*prev.FinalLoss+1e-6 {
-			t.Errorf("%d segments: loss %v vastly worse than %v", segs, r.FinalLoss, prev.FinalLoss)
+		if segs == 1 {
+			for i := range mad.Model {
+				if math.Float32bits(r.Model[i]) != math.Float32bits(mad.Model[i]) {
+					t.Fatalf("one segment: model[%d] %v, madlib %v", i, r.Model[i], mad.Model[i])
+				}
+			}
 		}
-		prev = r
+		loss := ml.MeanLoss(alg, widen(r.Model), rows.Rows)
+		if loss > 20*prev+1e-6 {
+			t.Errorf("%d segments: loss %v vastly worse than %v", segs, loss, prev)
+		}
+		prev = loss
 	}
 }
 

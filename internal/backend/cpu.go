@@ -9,9 +9,9 @@ import (
 
 // CPU is the golden float64 reference trainer behind the Backend seam:
 // the hDFG interpreter, bit-identical to the GoldenSpec trainer (Oracle
-// C leg 1). It is the failover target — it shares no modeled
-// hardware with the accelerator, and a degraded run continues at
-// reference precision.
+// C leg 1), and the MADlib+PostgreSQL baseline (a merge-1 UDF is IGD).
+// It is the failover target — it shares no modeled hardware with the
+// accelerator, and a degraded run continues at reference precision.
 type CPU struct {
 	env Env
 

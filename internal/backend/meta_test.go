@@ -12,16 +12,18 @@ import (
 	"dana/internal/backend"
 	"dana/internal/backend/backendtest"
 	"dana/internal/engine"
+	"dana/internal/greenplum"
 )
 
 // wrapper delegates to a real backend; each hook injects one defect.
 type wrapper struct {
 	inner backend.Backend
 
-	capsHook  func(backend.Capabilities) backend.Capabilities
-	costHook  func(backend.Cost, error) (backend.Cost, error)
-	runHook   func(err error) error
-	modelHook func([]float64) []float64
+	capsHook   func(backend.Capabilities) backend.Capabilities
+	costHook   func(backend.Cost, error) (backend.Cost, error)
+	streamHook func(*backend.Stream) *backend.Stream
+	runHook    func(err error) error
+	modelHook  func([]float64) []float64
 
 	countersDelta int64
 	secondsDelta  float64
@@ -61,6 +63,9 @@ func (w *wrapper) Configure(p backend.Program) error {
 }
 
 func (w *wrapper) RunEpoch(st *backend.Stream) error {
+	if w.streamHook != nil {
+		st = w.streamHook(st)
+	}
 	err := w.inner.RunEpoch(st)
 	if w.runHook != nil {
 		return w.runHook(err)
@@ -177,6 +182,25 @@ func TestMetaTrainCheckFires(t *testing.T) {
 			return mm
 		}
 	}), backendtest.CheckTrain)
+}
+
+// TestMetaShardDriftCheckFires wraps the sharded backend so each epoch's
+// rows reach it rotated by one: the same tuples, each on the wrong
+// segment. The train leg, which holds the model bit for bit to the
+// round-robin reference, must catch it.
+func TestMetaShardDriftCheckFires(t *testing.T) {
+	runMutant(t, backend.Registration{
+		Name: backend.NameSharded,
+		New: func(env backend.Env) backend.Backend {
+			return &wrapper{inner: greenplum.NewSharded(env), streamHook: func(st *backend.Stream) *backend.Stream {
+				rows := st.Rows64
+				if len(rows) == 0 {
+					return st
+				}
+				return &backend.Stream{Rows64: append(append([][]float64(nil), rows[1:]...), rows[0])}
+			}}
+		},
+	}, backendtest.CheckTrain)
 }
 
 // TestMetaDeterminismCheckFires wraps the accelerator (the backend that

@@ -267,8 +267,8 @@ func dotRows(u, v []float64, ui, vi, rank int) float64 {
 	return s
 }
 
-// MLAlgorithm returns the reference implementation matching the
-// dataset's effective topology.
+// MLAlgorithm returns the ml description (loss, size, flops) matching
+// the dataset's effective topology and hyper-parameters.
 func (d *Dataset) MLAlgorithm() ml.Algorithm {
 	w := d.Workload
 	switch w.Kind {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dana/internal/algos"
+	"dana/internal/golden"
 	"dana/internal/hdfg"
 	"dana/internal/ml"
 	"dana/internal/storage"
@@ -127,7 +128,7 @@ func TestGeneratedDataIsLearnable(t *testing.T) {
 	a := d.MLAlgorithm()
 	model := ml.InitModel(a, 0)
 	before := ml.MeanLoss(a, model, tuples)
-	if err := ml.TrainSGD(a, model, tuples, 30); err != nil {
+	if err := golden.TrainSGD(a, model, tuples, 30); err != nil {
 		t.Fatal(err)
 	}
 	after := ml.MeanLoss(a, model, tuples)

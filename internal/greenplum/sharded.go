@@ -1,10 +1,13 @@
+// Package greenplum is the paper's MADlib+Greenplum baseline as an
+// execution backend: MADlib running on an N-segment Greenplum. Each
+// segment is one golden float64 CPU trainer (backend.CPU, the
+// MADlib+PostgreSQL baseline on its own), and Sharded adds MADlib's
+// distributed semantics around them — round-robin tuple sharding, one
+// inner epoch per segment from the shared model, coordinator merge by
+// averaging the segments that saw data. A UDF registered at merge
+// coefficient 1 makes each inner epoch plain per-tuple IGD, the
+// Bismarck architecture MADlib uses.
 package greenplum
-
-// Sharded is the Greenplum-style distributed-IGD path recast as an
-// execution backend: it runs one golden float64 CPU trainer per segment
-// and adds MADlib's distributed semantics around them — round-robin
-// tuple sharding, one inner epoch per segment from the shared model,
-// coordinator merge by averaging the segments that saw data.
 
 import (
 	"fmt"
@@ -89,9 +92,9 @@ func (b *Sharded) Configure(p backend.Program) error {
 	return nil
 }
 
-// RunEpoch materializes the epoch's tuples, shards them round-robin
-// (the global-tuple-order distribution Cluster.Train uses), and runs
-// one distributed epoch.
+// RunEpoch materializes the epoch's tuples, shards them round-robin in
+// global tuple order (the i-th row to segment i mod N), and runs one
+// distributed epoch.
 func (b *Sharded) RunEpoch(st *backend.Stream) error {
 	if b.inners == nil {
 		return backend.ErrNotConfigured

@@ -1,30 +1,26 @@
-// Package ml provides float64 reference implementations of the paper's
-// four workload algorithms — linear regression, logistic regression,
-// SVM (hinge loss), and low-rank matrix factorization — as incremental
-// gradient (IGD) updates. These are the compute kernels of the MADlib
-// and Greenplum baselines and the golden models for accelerator tests.
+// Package ml describes the paper's four workload algorithms — linear
+// regression, logistic regression, SVM (hinge loss), and low-rank matrix
+// factorization — by their float64 losses, model sizes and per-tuple
+// flop counts: what the CPU cost model prices, what the experiments
+// score models with, and the model averaging the Greenplum baseline
+// merges segments by. Training runs the algorithms as DSL programs.
 package ml
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
 
-// Algorithm is one trainable model with an IGD per-tuple update, in the
-// Bismarck/MADlib style the paper benchmarks against.
+// Algorithm is one trainable model, trained by incremental gradient
+// (IGD) updates in the Bismarck/MADlib style the paper benchmarks
+// against.
 type Algorithm interface {
-	Name() string
 	// ModelSize is the number of float64 parameters.
 	ModelSize() int
-	// TupleWidth is the number of values per training tuple.
-	TupleWidth() int
-	// Update applies one incremental gradient step for the tuple.
-	Update(model, tuple []float64)
 	// Loss returns the tuple's loss under the model.
 	Loss(model, tuple []float64) float64
-	// FlopsPerUpdate approximates floating-point operations per Update,
-	// used by the CPU cost model.
+	// FlopsPerUpdate approximates floating-point operations per tuple
+	// update, used by the CPU cost model.
 	FlopsPerUpdate() int
 }
 
@@ -43,16 +39,7 @@ type Linear struct {
 	LR        float64
 }
 
-func (l Linear) Name() string    { return "linear" }
-func (l Linear) ModelSize() int  { return l.NFeatures }
-func (l Linear) TupleWidth() int { return l.NFeatures + 1 }
-
-func (l Linear) Update(model, tuple []float64) {
-	e := dot(model, tuple, l.NFeatures) - tuple[l.NFeatures]
-	for i := 0; i < l.NFeatures; i++ {
-		model[i] -= float64(l.LR * e * tuple[i])
-	}
-}
+func (l Linear) ModelSize() int { return l.NFeatures }
 
 func (l Linear) Loss(model, tuple []float64) float64 {
 	e := dot(model, tuple, l.NFeatures) - tuple[l.NFeatures]
@@ -67,20 +54,10 @@ type Logistic struct {
 	LR        float64
 }
 
-func (l Logistic) Name() string    { return "logistic" }
-func (l Logistic) ModelSize() int  { return l.NFeatures }
-func (l Logistic) TupleWidth() int { return l.NFeatures + 1 }
+func (l Logistic) ModelSize() int { return l.NFeatures }
 
 // Sigmoid is the logistic function.
 func Sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-func (l Logistic) Update(model, tuple []float64) {
-	p := Sigmoid(dot(model, tuple, l.NFeatures))
-	e := p - tuple[l.NFeatures]
-	for i := 0; i < l.NFeatures; i++ {
-		model[i] -= float64(l.LR * e * tuple[i])
-	}
-}
 
 func (l Logistic) Loss(model, tuple []float64) float64 {
 	p := Sigmoid(dot(model, tuple, l.NFeatures))
@@ -99,21 +76,7 @@ type SVM struct {
 	Lambda    float64
 }
 
-func (s SVM) Name() string    { return "svm" }
-func (s SVM) ModelSize() int  { return s.NFeatures }
-func (s SVM) TupleWidth() int { return s.NFeatures + 1 }
-
-func (s SVM) Update(model, tuple []float64) {
-	y := tuple[s.NFeatures]
-	margin := y * dot(model, tuple, s.NFeatures)
-	for i := 0; i < s.NFeatures; i++ {
-		g := float64(s.Lambda * model[i])
-		if margin < 1 {
-			g -= float64(y * tuple[i])
-		}
-		model[i] -= float64(s.LR * g)
-	}
-}
+func (s SVM) ModelSize() int { return s.NFeatures }
 
 func (s SVM) Loss(model, tuple []float64) float64 {
 	y := tuple[s.NFeatures]
@@ -140,23 +103,10 @@ type LRMF struct {
 	LR                 float64
 }
 
-func (m LRMF) Name() string    { return "lrmf" }
-func (m LRMF) ModelSize() int  { return (m.Users + m.Items) * m.Rank }
-func (m LRMF) TupleWidth() int { return 3 }
+func (m LRMF) ModelSize() int { return (m.Users + m.Items) * m.Rank }
 
 func (m LRMF) rowOf(model []float64, idx int) []float64 {
 	return model[idx*m.Rank : (idx+1)*m.Rank]
-}
-
-func (m LRMF) Update(model, tuple []float64) {
-	u := m.rowOf(model, int(tuple[0]))
-	v := m.rowOf(model, int(tuple[1]))
-	e := dot(u, v, m.Rank) - tuple[2]
-	for i := 0; i < m.Rank; i++ {
-		ui, vi := u[i], v[i]
-		u[i] = ui - float64(m.LR*e*vi)
-		v[i] = vi - float64(m.LR*e*ui)
-	}
 }
 
 func (m LRMF) Loss(model, tuple []float64) float64 {
@@ -179,19 +129,6 @@ func InitModel(a Algorithm, seed int64) []float64 {
 		}
 	}
 	return model
-}
-
-// TrainSGD runs plain IGD: one pass per epoch, one update per tuple.
-func TrainSGD(a Algorithm, model []float64, tuples [][]float64, epochs int) error {
-	if len(model) != a.ModelSize() {
-		return fmt.Errorf("ml: model size %d, want %d", len(model), a.ModelSize())
-	}
-	for e := 0; e < epochs; e++ {
-		for _, t := range tuples {
-			a.Update(model, t)
-		}
-	}
-	return nil
 }
 
 // MeanLoss averages the loss over the tuples.

@@ -1,11 +1,27 @@
-package ml
+package ml_test
+
+// The algorithms train here on golden's textbook-order IGD reference
+// (golden.TrainSGD), whose per-tuple rules descend each ml.Algorithm's
+// Loss.
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"dana/internal/golden"
+	"dana/internal/ml"
 )
+
+// dot computes w[:n] · x[:n].
+func dot(w, x []float64, n int) float64 {
+	s := 0.0
+	for i := 0; i < n; i++ {
+		s += w[i] * x[i]
+	}
+	return s
+}
 
 func genLinear(n, nf int, seed int64) ([][]float64, []float64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -29,9 +45,9 @@ func genLinear(n, nf int, seed int64) ([][]float64, []float64) {
 
 func TestLinearConvergesToTruth(t *testing.T) {
 	tuples, truth := genLinear(512, 8, 1)
-	a := Linear{NFeatures: 8, LR: 0.05}
-	model := InitModel(a, 0)
-	if err := TrainSGD(a, model, tuples, 30); err != nil {
+	a := ml.Linear{NFeatures: 8, LR: 0.05}
+	model := ml.InitModel(a, 0)
+	if err := golden.TrainSGD(a, model, tuples, 30); err != nil {
 		t.Fatal(err)
 	}
 	for i := range truth {
@@ -39,8 +55,8 @@ func TestLinearConvergesToTruth(t *testing.T) {
 			t.Errorf("w[%d] = %v, want %v", i, model[i], truth[i])
 		}
 	}
-	if MeanLoss(a, model, tuples) > 1e-5 {
-		t.Errorf("loss = %v", MeanLoss(a, model, tuples))
+	if ml.MeanLoss(a, model, tuples) > 1e-5 {
+		t.Errorf("loss = %v", ml.MeanLoss(a, model, tuples))
 	}
 }
 
@@ -64,14 +80,14 @@ func TestLogisticSeparatesClasses(t *testing.T) {
 		}
 		tuples[i] = x
 	}
-	a := Logistic{NFeatures: nf, LR: 0.2}
-	model := InitModel(a, 0)
-	if err := TrainSGD(a, model, tuples, 20); err != nil {
+	a := ml.Logistic{NFeatures: nf, LR: 0.2}
+	model := ml.InitModel(a, 0)
+	if err := golden.TrainSGD(a, model, tuples, 20); err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
 	for _, x := range tuples {
-		p := Sigmoid(dot(model, x, nf))
+		p := ml.Sigmoid(dot(model, x, nf))
 		if (p > 0.5) == (x[nf] == 1) {
 			correct++
 		}
@@ -103,9 +119,9 @@ func TestSVMSeparatesClasses(t *testing.T) {
 		}
 		tuples[i] = x
 	}
-	a := SVM{NFeatures: nf, LR: 0.05, Lambda: 0.001}
-	model := InitModel(a, 0)
-	if err := TrainSGD(a, model, tuples, 20); err != nil {
+	a := ml.SVM{NFeatures: nf, LR: 0.05, Lambda: 0.001}
+	model := ml.InitModel(a, 0)
+	if err := golden.TrainSGD(a, model, tuples, 20); err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
@@ -140,52 +156,52 @@ func TestLRMFReducesLoss(t *testing.T) {
 		}
 		tuples[i] = []float64{float64(u), float64(users + v), r}
 	}
-	a := LRMF{Users: users, Items: items, Rank: rank, LR: 0.05}
-	model := InitModel(a, 7)
-	before := MeanLoss(a, model, tuples)
-	if err := TrainSGD(a, model, tuples, 30); err != nil {
+	a := ml.LRMF{Users: users, Items: items, Rank: rank, LR: 0.05}
+	model := ml.InitModel(a, 7)
+	before := ml.MeanLoss(a, model, tuples)
+	if err := golden.TrainSGD(a, model, tuples, 30); err != nil {
 		t.Fatal(err)
 	}
-	after := MeanLoss(a, model, tuples)
+	after := ml.MeanLoss(a, model, tuples)
 	if after > before/20 {
 		t.Errorf("loss %v -> %v: insufficient improvement", before, after)
 	}
 }
 
 func TestTrainSGDSizeCheck(t *testing.T) {
-	a := Linear{NFeatures: 3, LR: 0.1}
-	if err := TrainSGD(a, make([]float64, 2), nil, 1); err == nil {
+	a := ml.Linear{NFeatures: 3, LR: 0.1}
+	if err := golden.TrainSGD(a, make([]float64, 2), nil, 1); err == nil {
 		t.Error("wrong model size accepted")
 	}
 }
 
 func TestAverageModels(t *testing.T) {
-	got := AverageModels([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	got := ml.AverageModels([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if got[0] != 3 || got[1] != 4 {
 		t.Errorf("avg = %v", got)
 	}
-	if AverageModels(nil) != nil {
+	if ml.AverageModels(nil) != nil {
 		t.Error("empty average should be nil")
 	}
 }
 
 func TestFlopsPositive(t *testing.T) {
-	algos := []Algorithm{
-		Linear{NFeatures: 10, LR: 0.1},
-		Logistic{NFeatures: 10, LR: 0.1},
-		SVM{NFeatures: 10, LR: 0.1, Lambda: 0.01},
-		LRMF{Users: 5, Items: 5, Rank: 4, LR: 0.1},
+	algos := []ml.Algorithm{
+		ml.Linear{NFeatures: 10, LR: 0.1},
+		ml.Logistic{NFeatures: 10, LR: 0.1},
+		ml.SVM{NFeatures: 10, LR: 0.1, Lambda: 0.01},
+		ml.LRMF{Users: 5, Items: 5, Rank: 4, LR: 0.1},
 	}
 	for _, a := range algos {
-		if a.FlopsPerUpdate() <= 0 || a.ModelSize() <= 0 || a.TupleWidth() <= 0 {
-			t.Errorf("%s: bad metadata", a.Name())
+		if a.FlopsPerUpdate() <= 0 || a.ModelSize() <= 0 {
+			t.Errorf("%T: bad metadata", a)
 		}
 	}
 }
 
 // Property: the SVM update with margin >= 1 is pure weight decay.
 func TestSVMDecayProperty(t *testing.T) {
-	a := SVM{NFeatures: 4, LR: 0.1, Lambda: 0.5}
+	a := ml.SVM{NFeatures: 4, LR: 0.1, Lambda: 0.5}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		model := make([]float64, 4)
@@ -199,7 +215,9 @@ func TestSVMDecayProperty(t *testing.T) {
 		}
 		tuple[4] = 1
 		before := append([]float64(nil), model...)
-		a.Update(model, tuple)
+		if err := golden.Update(a, model, tuple); err != nil {
+			t.Fatal(err)
+		}
 		for i := range model {
 			want := before[i] * (1 - a.LR*a.Lambda)
 			if math.Abs(model[i]-want) > 1e-9 {

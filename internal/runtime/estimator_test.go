@@ -172,7 +172,7 @@ func runGateRow(t *testing.T, r gateRow) gateRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.Pool().Stats()
+	before := s.DB.Pool.Stats()
 	res, err := s.Train(a.Name, d.Rel.Name)
 	if err != nil {
 		t.Fatal(err)

@@ -49,8 +49,8 @@ func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, ep
 	}
 	s := New(opts)
 	d := deployScaled(t, s, workload, scale)
-	if fits := d.Rel.NumPages() <= s.Pool().NumFrames(); fits == spill {
-		t.Fatalf("%s: %d pages in %d frames, spill=%v", workload, d.Rel.NumPages(), s.Pool().NumFrames(), spill)
+	if fits := d.Rel.NumPages() <= s.DB.Pool.NumFrames(); fits == spill {
+		t.Fatalf("%s: %d pages in %d frames, spill=%v", workload, d.Rel.NumPages(), s.DB.Pool.NumFrames(), spill)
 	}
 	a, err := d.DSLAlgo(mergeCoef)
 	if err != nil {
@@ -64,7 +64,7 @@ func trainConfigured(t *testing.T, workload string, scale float64, mergeCoef, ep
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Fatalf("%s GOMAXPROCS=%d: leaked page pins", workload, procs)
 	}
 	return res
@@ -172,7 +172,7 @@ func TestExtractCacheSkipsPoolAndInvalidates(t *testing.T) {
 	}
 
 	// A second Train replays the cache: no pool traffic at all.
-	s.Pool().ResetStats()
+	s.DB.Pool.ResetStats()
 	warm, err := s.Train(a.Name, d.Rel.Name)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestExtractCacheSkipsPoolAndInvalidates(t *testing.T) {
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	s.Pool().ResetStats()
+	s.DB.Pool.ResetStats()
 	recold, err := s.Train(a.Name, d.Rel.Name)
 	if err != nil {
 		t.Fatal(err)
@@ -482,8 +482,8 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		spill bool
 	}{{"serial recycling", true}, {"cache replay", false}} {
 		r, m := newBenchRunner(t, leg.spill)
-		if fits := r.rel.NumPages() <= r.s.Pool().NumFrames(); fits == leg.spill {
-			t.Fatalf("%s: %d pages in %d frames", leg.name, r.rel.NumPages(), r.s.Pool().NumFrames())
+		if fits := r.rel.NumPages() <= r.s.DB.Pool.NumFrames(); fits == leg.spill {
+			t.Fatalf("%s: %d pages in %d frames", leg.name, r.rel.NumPages(), r.s.DB.Pool.NumFrames())
 		}
 		for e := 0; e < 2; e++ {
 			if err := r.runEpoch(e); err != nil {
@@ -672,7 +672,7 @@ func TestSpillTrainsAtEveryPoolSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := s.Train(a.Name, d.Rel.Name)
-		if s.Pool().PinnedCount() != 0 {
+		if s.DB.Pool.PinnedCount() != 0 {
 			t.Fatalf("%d frames: leaked page pins", frames)
 		}
 		if err != nil {

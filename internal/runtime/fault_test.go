@@ -102,7 +102,7 @@ func TestTransientTrapRecoversBitIdentical(t *testing.T) {
 	if got := obsCount(t, s, obs.RuntimePageRetries); got == 0 {
 		t.Error("no page retries recorded; the trap-retry path never fired")
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("leaked page pins")
 	}
 	if len(res.Model) != len(baseline.Model) {
@@ -140,7 +140,7 @@ func TestPersistentTrapQuarantinesWorker(t *testing.T) {
 	if got := obsCount(t, s, obs.RuntimeEpochRetries); got == 0 {
 		t.Error("no epoch retries recorded")
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("leaked page pins")
 	}
 	if res.Degraded {
@@ -187,7 +187,7 @@ func TestAllWorkersQuarantinedFallsBackToCPU(t *testing.T) {
 	if res.Epochs != ftEpochs {
 		t.Errorf("degraded run trained %d epochs, want the full budget %d", res.Epochs, ftEpochs)
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("leaked page pins")
 	}
 	tolCompare(t, "cpu fallback", res.Model, baseline.Model, 1e-2)
@@ -203,7 +203,7 @@ func TestAllWorkersQuarantinedFallsBackToCPU(t *testing.T) {
 	if !errors.Is(err, fault.ErrVMTrap) {
 		t.Errorf("quarantine error should also wrap the underlying VM trap, got %v", err)
 	}
-	if s2.Pool().PinnedCount() != 0 {
+	if s2.DB.Pool.PinnedCount() != 0 {
 		t.Error("failed run leaked page pins")
 	}
 	// The system stays usable after a clean failure: detach faults and
@@ -236,7 +236,7 @@ func TestEpochTimeoutDegradesToCPU(t *testing.T) {
 	if got := obsCount(t, s, obs.RuntimeEpochTimeout); got == 0 {
 		t.Error("no epoch timeouts recorded")
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("leaked page pins")
 	}
 	tolCompare(t, "timeout fallback", res.Model, baseline.Model, 1e-2)
@@ -248,7 +248,7 @@ func TestEpochTimeoutDegradesToCPU(t *testing.T) {
 	if !errors.Is(err, fault.ErrEpochTimeout) {
 		t.Fatalf("DisableCPUFallback: got %v, want ErrEpochTimeout", err)
 	}
-	if s2.Pool().PinnedCount() != 0 {
+	if s2.DB.Pool.PinnedCount() != 0 {
 		t.Error("failed run leaked page pins")
 	}
 }
@@ -301,7 +301,7 @@ func TestStorageFaultIsNotDegradable(t *testing.T) {
 	if !errors.Is(err, fault.ErrIOTransient) {
 		t.Fatalf("got %v, want ErrIOTransient", err)
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("failed run leaked page pins")
 	}
 }

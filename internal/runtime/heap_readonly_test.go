@@ -112,9 +112,9 @@ func TestReadPathsNeverWriteTheHeap(t *testing.T) {
 		in := fault.New(fault.Config{Seed: uint64(tenant + 1), Rates: rs, TransientAttempts: 1})
 		s, udf := system(32<<20, in)
 		train(s, udf)
-		if in.Count(fault.PageTear) == 0 || in.Count(fault.PageBitFlip) == 0 || s.Pool().Stats().ChecksumFailures == 0 {
+		if in.Count(fault.PageTear) == 0 || in.Count(fault.PageBitFlip) == 0 || s.DB.Pool.Stats().ChecksumFailures == 0 {
 			t.Fatalf("pool %d: %d tears, %d bit flips, %d checksum failures", tenant,
-				in.Count(fault.PageTear), in.Count(fault.PageBitFlip), s.Pool().Stats().ChecksumFailures)
+				in.Count(fault.PageTear), in.Count(fault.PageBitFlip), s.DB.Pool.Stats().ChecksumFailures)
 		}
 		unchanged(fmt.Sprintf("a torn and bit-flipped Train through pool %d", tenant))
 	}
@@ -136,7 +136,7 @@ func TestInsertWhilePagesAreRead(t *testing.T) {
 	if _, err := s.Register(a, 8, d.Tuples); err != nil {
 		t.Fatal(err)
 	}
-	rel, pool := d.Rel, s.Pool()
+	rel, pool := d.Rel, s.DB.Pool
 	stop := make(chan struct{})
 	errs := make(chan error, 3)
 	var wg sync.WaitGroup
@@ -230,8 +230,8 @@ func TestInsertWhileViewsAreRead(t *testing.T) {
 	opts.Cost.PoolBytes = spillPoolBytes
 	s := New(opts)
 	d := deployScaled(t, s, "Patient", 0.02)
-	if d.Rel.NumPages() <= s.Pool().NumFrames() {
-		t.Fatalf("%d pages fit the %d-frame pool", d.Rel.NumPages(), s.Pool().NumFrames())
+	if d.Rel.NumPages() <= s.DB.Pool.NumFrames() {
+		t.Fatalf("%d pages fit the %d-frame pool", d.Rel.NumPages(), s.DB.Pool.NumFrames())
 	}
 	a, err := d.DSLAlgo(8)
 	if err != nil {
@@ -293,7 +293,7 @@ func TestInsertWhileViewsAreRead(t *testing.T) {
 	if rel.NumTuples() == d.Tuples {
 		t.Error("no insert landed beside the readers")
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("leaked page pins")
 	}
 }

@@ -58,8 +58,8 @@ func TestPoolLedgerIgnoresHostParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if filler.Rel.NumPages() < s.Pool().NumFrames() {
-		t.Fatalf("the filler's %d pages cannot fill %d frames", filler.Rel.NumPages(), s.Pool().NumFrames())
+	if filler.Rel.NumPages() < s.DB.Pool.NumFrames() {
+		t.Fatalf("the filler's %d pages cannot fill %d frames", filler.Rel.NumPages(), s.DB.Pool.NumFrames())
 	}
 	a, err := d.DSLAlgo(ftMergeCoef)
 	if err != nil {
@@ -78,14 +78,14 @@ func TestPoolLedgerIgnoresHostParallelism(t *testing.T) {
 			if err := s.DropCaches(); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Pool().Warm(filler.Rel.Name); err != nil {
+			if err := s.DB.Pool.Warm(filler.Rel.Name); err != nil {
 				t.Fatal(err)
 			}
 			res, err := s.Train(a.Name, d.Rel.Name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.Pool().PinnedCount() != 0 {
+			if s.DB.Pool.PinnedCount() != 0 {
 				t.Fatalf("%s: leaked page pins", name)
 			}
 			if want == nil {
@@ -132,7 +132,7 @@ func TestTrapOutcomesIgnoreHostParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Pool().PinnedCount() != 0 {
+		if s.DB.Pool.PinnedCount() != 0 {
 			t.Fatalf("GOMAXPROCS=%d: leaked page pins", procs)
 		}
 		got := outcome{
@@ -207,7 +207,7 @@ func TestTrapOutcomesIgnorePinGroup(t *testing.T) {
 			t.Fatalf("%d frames: %v", frames, err)
 		}
 		res.Model, res.Engine, res.Access = model32(be), be.(backend.CounterBackend).Counters(), feed.ae.Stats()
-		if s.Pool().PinnedCount() != 0 {
+		if s.DB.Pool.PinnedCount() != 0 {
 			t.Fatalf("%d frames: leaked page pins", frames)
 		}
 		got := outcome{
@@ -252,15 +252,15 @@ func TestPinFailureIgnoresHostParallelism(t *testing.T) {
 		if err := s.DropCaches(); err != nil {
 			t.Fatal(err)
 		}
-		s.Pool().ResetStats()
+		s.DB.Pool.ResetStats()
 		_, err := s.Train(udf, table)
 		if !errors.Is(err, fault.ErrIOTransient) {
 			t.Fatalf("GOMAXPROCS=%d: got %v, want ErrIOTransient", procs, err)
 		}
-		if s.Pool().PinnedCount() != 0 {
+		if s.DB.Pool.PinnedCount() != 0 {
 			t.Fatalf("GOMAXPROCS=%d: failed run leaked page pins", procs)
 		}
-		got := s.Pool().Stats()
+		got := s.DB.Pool.Stats()
 		if wantErr == "" {
 			if got.Misses < 16 {
 				t.Fatalf("the failing page is among the first %d read: pick another seed", got.Misses)

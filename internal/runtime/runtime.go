@@ -213,9 +213,6 @@ func (s *System) Obs() *obs.Registry { return s.obs }
 // Catalog returns the system catalog.
 func (s *System) Catalog() *catalog.Catalog { return s.DB.Cat }
 
-// Pool returns the buffer pool.
-func (s *System) Pool() *bufpool.Pool { return s.DB.Pool }
-
 // WarmTable pre-loads a table into the buffer pool (the paper's
 // warm-cache setting) and resets the pool counters.
 func (s *System) WarmTable(table string) error {

@@ -12,7 +12,6 @@ import (
 	"dana/internal/cost"
 	"dana/internal/datagen"
 	"dana/internal/dsl"
-	"dana/internal/greenplum"
 	"dana/internal/hdfg"
 	"dana/internal/ml"
 	"dana/internal/storage"
@@ -142,7 +141,7 @@ func TestTrainMatchesInterpreter(t *testing.T) {
 	if res.SimulatedSeconds <= 0 {
 		t.Error("no simulated time")
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("training leaked page pins")
 	}
 }
@@ -185,13 +184,6 @@ func TestDAnABeatsMAD_libOnFunctionalCycles(t *testing.T) {
 	}
 	res, err := s.Train(a.Name, d.Rel.Name)
 	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := greenplum.New(s.Pool(), d.Rel, d.MLAlgorithm(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tr.Train(3); err != nil {
 		t.Fatal(err)
 	}
 	// Modeled MADlib compute: per-tuple overhead x tuples x epochs.

@@ -69,8 +69,8 @@ func TestScoreMatchesNarrowedRows(t *testing.T) {
 			if err := s.DB.Pool.AttachRelation(rel); err != nil {
 				t.Fatal(err)
 			}
-			if fits := rel.NumPages() <= s.Pool().NumFrames(); fits == spill {
-				t.Fatalf("seed %d: %d pages in %d frames, spill=%v", seed, rel.NumPages(), s.Pool().NumFrames(), spill)
+			if fits := rel.NumPages() <= s.DB.Pool.NumFrames(); fits == spill {
+				t.Fatalf("seed %d: %d pages in %d frames, spill=%v", seed, rel.NumPages(), s.DB.Pool.NumFrames(), spill)
 			}
 			var name string
 			for _, a := range []func(int, algos.Hyper) *dsl.Algo{algos.Linear, algos.Logistic, algos.SVM} {
@@ -90,7 +90,7 @@ func TestScoreMatchesNarrowedRows(t *testing.T) {
 						if _, err := s.Train(algo.Name, rel.Name); err != nil {
 							t.Fatal(err)
 						}
-						if cached := s.cache.lookup(rel, s.Pool().InvalidationCount()) != nil; cached == spill {
+						if cached := s.cache.lookup(rel, s.DB.Pool.InvalidationCount()) != nil; cached == spill {
 							t.Fatalf("seed %d spill=%v: the record cache holds the table: %v", seed, spill, cached)
 						}
 					}
@@ -114,7 +114,7 @@ func TestScoreMatchesNarrowedRows(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if pins := s.Pool().PinnedCount(); pins != 0 {
+					if pins := s.DB.Pool.PinnedCount(); pins != 0 {
 						t.Fatalf("seed %d %s spill=%v round %d: Score left %d pins", seed, class, spill, round, pins)
 					}
 					if n != rel.NumTuples() || len(got) != n || len(rows) != n {
@@ -161,7 +161,7 @@ func TestScoreMatchesNarrowedRows(t *testing.T) {
 // frame to go to, holding none of its own pins.
 func scoreWithEveryFrameHeld(t *testing.T, s *System, udf string, rel *storage.Relation) {
 	t.Helper()
-	pool := s.Pool()
+	pool := s.DB.Pool
 	frames := pool.NumFrames()
 	for pn := 0; pn < frames; pn++ {
 		if _, err := pool.Pin(rel.Name, uint32(pn)); err != nil {

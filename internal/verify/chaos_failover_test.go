@@ -62,7 +62,7 @@ func TestFailoverStreamingToCPU(t *testing.T) {
 	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 1 {
 		t.Errorf("cpu_fallbacks = %d, want 1", got)
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("failover run leaked page pins")
 	}
 	assertWithinTol(t, "failover model", res.Model, chaosBaseline(t, wl, 8<<10), wl.tol)
@@ -91,7 +91,7 @@ func TestFailoverWeaveToCPU(t *testing.T) {
 	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 1 {
 		t.Errorf("cpu_fallbacks = %d, want 1", got)
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("failover run leaked page pins")
 	}
 	cs, cudf, ctable := chaosSystem(t, wl, 8<<10, func(o *runtime.Options) { o.Backend = "cpu" })
@@ -122,7 +122,7 @@ func TestFailoverTablaToCPU(t *testing.T) {
 	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 1 {
 		t.Errorf("cpu_fallbacks = %d, want 1", got)
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("failover run leaked page pins")
 	}
 	assertWithinTol(t, "tabla failover model", res.Model, chaosBaseline(t, wl, 8<<10), wl.tol)
@@ -152,7 +152,7 @@ func TestFailoverNonAcceleratedImmune(t *testing.T) {
 			if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 0 {
 				t.Errorf("%s under %s: cpu_fallbacks = %d, want 0", name, schedName, got)
 			}
-			if s.Pool().PinnedCount() != 0 {
+			if s.DB.Pool.PinnedCount() != 0 {
 				t.Errorf("%s under %s: leaked page pins", name, schedName)
 			}
 		}
@@ -175,7 +175,7 @@ func TestFailoverMetaDisableLoadBearing(t *testing.T) {
 	if got := s.Obs().Get(obs.RuntimeCPUFallbacks); got != 0 {
 		t.Errorf("cpu_fallbacks = %d after disabled failover, want 0", got)
 	}
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Error("failed run leaked page pins")
 	}
 

@@ -238,7 +238,7 @@ func runChaosScenario(t *testing.T, seed int64) {
 	}
 
 	res, err := s.Train(udf, table)
-	if s.Pool().PinnedCount() != 0 {
+	if s.DB.Pool.PinnedCount() != 0 {
 		t.Errorf("leaked page pins (err=%v)", err)
 	}
 	if err != nil {
@@ -311,7 +311,7 @@ func TestChaosMetaReadRetryLoadBearing(t *testing.T) {
 	if res.Degraded {
 		t.Fatal("storage retries must not degrade the run")
 	}
-	if got, misses := s.Obs().Get(obs.PoolReadRetries), s.Pool().Stats().Misses; misses == 0 || got != 3*misses {
+	if got, misses := s.Obs().Get(obs.PoolReadRetries), s.DB.Pool.Stats().Misses; misses == 0 || got != 3*misses {
 		t.Errorf("%d pool read retries over %d misses, want 3 a miss", got, misses)
 	}
 	assertBitIdentical(t, "retried run", res.Model, chaosBaseline(t, wl, 8<<10))
@@ -323,7 +323,7 @@ func TestChaosMetaReadRetryLoadBearing(t *testing.T) {
 	if _, err := s2.Train(udf2, table2); !errors.Is(err, fault.ErrIOTransient) {
 		t.Fatalf("four failed reads a page: got %v, want ErrIOTransient", err)
 	}
-	if s2.Pool().PinnedCount() != 0 {
+	if s2.DB.Pool.PinnedCount() != 0 {
 		t.Error("failed run leaked page pins")
 	}
 }
@@ -423,7 +423,7 @@ func TestChaosMetaChecksumLoadBearing(t *testing.T) {
 	if _, err := s2.Train(udf2, table2); !errors.Is(err, fault.ErrTornPage) {
 		t.Fatalf("persistent corruption: got %v, want ErrTornPage", err)
 	}
-	if s2.Pool().PinnedCount() != 0 {
+	if s2.DB.Pool.PinnedCount() != 0 {
 		t.Error("failed run leaked page pins")
 	}
 }

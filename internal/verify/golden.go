@@ -10,7 +10,6 @@ import (
 	"dana/internal/golden"
 	"dana/internal/hdfg"
 	"dana/internal/hwgen"
-	"dana/internal/ml"
 )
 
 // Oracle C: training equivalence. golden.Spec.Train is a pure-Go float64
@@ -20,7 +19,7 @@ import (
 // representation:
 //
 //	golden == hDFG interpreter      bit-identical float64
-//	golden ≈ ml baseline (MADlib)   1e-9 (same math, different op order)
+//	golden ≈ textbook IGD           1e-9 (same math, different op order)
 //	golden ≈ engine simulator       5e-3 (float32 datapath)
 //
 // and the engine's tests close the chain on the same instances
@@ -55,8 +54,8 @@ func CheckTrainingEquivalence(sp golden.Spec, init []float64, tuples [][]float64
 		}
 	}
 
-	golden := append([]float64(nil), init...)
-	if err := sp.Train(golden, tuples); err != nil {
+	gold := append([]float64(nil), init...)
+	if err := sp.Train(gold, tuples); err != nil {
 		return err
 	}
 
@@ -80,18 +79,18 @@ func CheckTrainingEquivalence(sp golden.Spec, init []float64, tuples [][]float64
 	if err := trainEpochs(limit, func() error { return it.Epoch(tuples) }, it.Converged); err != nil {
 		return fmt.Errorf("oracle C: interp: %w", err)
 	}
-	if err := CompareModels("golden vs interp", golden, it.Model(), 0); err != nil {
+	if err := CompareModels("golden vs interp", gold, it.Model(), 0); err != nil {
 		return err
 	}
 
-	// Leg 2: ml baseline — plain SGD only (the baseline has no merge
-	// batching), tight tolerance.
+	// Leg 2: golden's textbook-order IGD — plain SGD only (it has no
+	// merge batching), tight tolerance.
 	if sp.MergeCoef <= 1 {
 		mlModel := append([]float64(nil), init...)
-		if err := ml.TrainSGD(sp.Algorithm(), mlModel, tuples, maxInt(sp.Epochs, 1)); err != nil {
-			return fmt.Errorf("oracle C: ml: %w", err)
+		if err := golden.TrainSGD(sp.Algorithm(), mlModel, tuples, maxInt(sp.Epochs, 1)); err != nil {
+			return fmt.Errorf("oracle C: textbook IGD: %w", err)
 		}
-		if err := CompareModels("golden vs ml", golden, mlModel, opt.MLTol); err != nil {
+		if err := CompareModels("golden vs textbook IGD", gold, mlModel, opt.MLTol); err != nil {
 			return err
 		}
 	}
@@ -121,11 +120,11 @@ func CheckTrainingEquivalence(sp golden.Spec, init []float64, tuples [][]float64
 		if err := trainEpochs(sp.Epochs, func() error { return m.RunEpoch(t32, batch) }, m.Converged); err != nil {
 			return fmt.Errorf("oracle C: machine train: %w", err)
 		}
-		got := make([]float64, len(golden))
+		got := make([]float64, len(gold))
 		for i, v := range m.Model() {
 			got[i] = float64(v)
 		}
-		if err := CompareModels("golden vs engine", golden, got, opt.EngineTol); err != nil {
+		if err := CompareModels("golden vs engine", gold, got, opt.EngineTol); err != nil {
 			return err
 		}
 	}

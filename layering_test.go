@@ -235,7 +235,6 @@ var unreferencedOK = map[string]string{
 	"catalog.ImportAccelerator":      "paper capability: the reader of ExportAccelerator's format",
 	"bufpool.Pool.PinnedCount":       "safety hook: every pin-leak check (chaos, executor, failover) reads it",
 	"fault.Injector.TotalCount":      "safety hook: the chaos suites assert on how many faults fired",
-	"ml.TrainSGD":                    "reference: the MADlib-style SGD Oracle C and greenplum's crosscheck compare models against",
 	"storage.InnoPage.Records":       "reference: the InnoDB record walk Oracle A and the InnoDB walker's tests compare against",
 	"strider.VM.Steps":               "reference: the instructions the program retires, which Oracle E holds the walk's Steps to",
 	"storage.WeaveDequantize":        "reference: the scalar dequantisation the weave decode kernels are held equal to, bit for bit",

@@ -125,18 +125,8 @@ var unreachedOK = map[string]string{
 	"hdfg.Shape.String":                      formatted, // shape inference's errors
 	"hdfg.convStage":                         "kept total over valid programs: the convergence stage, which no Table 3 program has",
 	"hdfg.isSuffix":                          "shape rule kept total over valid programs: a suffix broadcast no Table 3 program has",
-	"ml.LRMF.Loss":                           mlMethod,
-	"ml.LRMF.Name":                           mlMethod,
-	"ml.LRMF.TupleWidth":                     mlMethod,
-	"ml.LRMF.Update":                         mlMethod,
-	"ml.LRMF.rowOf":                          "reference: the row LRMF's Update and Loss read",
-	"ml.Linear.Name":                         mlMethod,
-	"ml.Linear.TupleWidth":                   mlMethod,
-	"ml.Linear.Update":                       mlMethod,
-	"ml.Logistic.Name":                       mlMethod,
-	"ml.SVM.Name":                            mlMethod,
-	"ml.SVM.TupleWidth":                      mlMethod,
-	"ml.SVM.Update":                          mlMethod,
+	"ml.LRMF.Loss":                           "interface method of ml.Algorithm: the loss ml.MeanLoss reads, which no surface takes of an LRMF model",
+	"ml.LRMF.rowOf":                          "reference: the factor row LRMF's Loss reads",
 	"obs.Ring.Clear":                         "public API: what obs.Registry.Reset runs",
 	"runtime.System.DropCaches":              benchCall("ColdCache"),
 	"runtime.System.WarmTable":               "public API: what dana.Engine.WarmCache runs",
@@ -173,7 +163,6 @@ const (
 	formatted  = "String method a production error formats"
 	planTotal  = "kernel kept total over valid programs: no Table 3 program lowers to it, TestPlanMatchesReferenceRandom enters it"
 	dslOp      = "public API: a Table 1 operation dana re-exports, which no Table 3 UDF uses"
-	mlMethod   = "interface method of ml.Algorithm, the MADlib and Greenplum baselines' reference trainers"
 	stmtMarker = "interface method: marks the type a sql.Statement"
 )
 
